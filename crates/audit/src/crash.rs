@@ -67,7 +67,8 @@ mod tests {
     use super::*;
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
-    use utcq_core::{CompressParams, StiuParams, Store, WalConfig};
+    use utcq_core::shard::ByTime;
+    use utcq_core::{CompressParams, Opened, StoreBuilder, WalConfig};
     use utcq_datagen::profile;
     use utcq_traj::Dataset;
 
@@ -87,27 +88,49 @@ mod tests {
         (Arc::new(net), a, b)
     }
 
-    fn build(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> Store {
-        Store::build(
+    /// The offline build of one store shape, as the live handle a
+    /// reopen of its container yields.
+    type Build = fn(&Arc<utcq_network::RoadNetwork>, &Dataset) -> Opened;
+
+    fn builder(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> StoreBuilder {
+        StoreBuilder::new(
             Arc::clone(net),
-            ds,
             CompressParams::with_interval(ds.default_interval),
-            StiuParams::default(),
         )
-        .expect("build store")
+    }
+
+    fn build(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> Opened {
+        let b = builder(net, ds).ingest(ds).expect("ingest");
+        Opened::Single(Box::new(b.finish().expect("build store")))
+    }
+
+    fn build_sharded(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> Opened {
+        let b = builder(net, ds)
+            .shard_by(Arc::new(ByTime { interval_s: 120 }), 3)
+            .and_then(|b| b.ingest(ds))
+            .expect("ingest");
+        Opened::Sharded(Box::new(b.finish().expect("build sharded store")))
+    }
+
+    fn save(store: &Opened, path: &Path) {
+        match store {
+            Opened::Single(s) => s.save(path),
+            Opened::Sharded(s) => s.save(path),
+        }
+        .expect("save");
     }
 
     /// Saves `store` and returns the container bytes — the
     /// byte-identity probe every crash case is judged by.
-    fn container_bytes(store: &Store, dir: &Path, name: &str) -> Vec<u8> {
+    fn container_bytes(store: &Opened, dir: &Path, name: &str) -> Vec<u8> {
         let p = dir.join(name);
-        store.save(&p).expect("save");
+        save(store, &p);
         std::fs::read(&p).expect("read saved container")
     }
 
-    /// The crash-point matrix: for each label, crash one ingest there,
-    /// reopen, and check the recovered state against the no-crash
-    /// reference for that label's durability class.
+    /// The crash-point matrix: for each store shape and label, crash one
+    /// ingest there, reopen, and check the recovered state against the
+    /// no-crash reference for that label's durability class.
     #[test]
     fn ingest_crash_points_recover_byte_identical() {
         // Labels before the record is in the file lose the batch;
@@ -118,39 +141,42 @@ mod tests {
             ("wal.appended", true),
             ("wal.synced", true),
         ];
-        for &(label, survives) in cases {
-            let dir = tmp_dir(&label.replace('.', "-"));
-            let (net, a, b) = two_batches();
-            let container = dir.join("c.utcq");
-            build(&net, &a).save(&container).expect("seed container");
+        let shapes: [(&str, Build); 2] = [("single", build), ("sharded", build_sharded)];
+        for (shape, build) in shapes {
+            for &(label, survives) in cases {
+                let dir = tmp_dir(&format!("{}-{shape}", label.replace('.', "-")));
+                let (net, a, b) = two_batches();
+                let container = dir.join("c.utcq");
+                save(&build(&net, &a), &container);
 
-            let wal_cfg = || WalConfig::new(dir.join("log.wal"));
-            let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
-            let epoch_before = store.snapshot().epoch();
-            let crashed = crash_at(label, || store.ingest(&b));
-            assert!(crashed.is_none(), "{label}: crash point must fire");
-            drop(store);
+                let wal_cfg = || WalConfig::new(dir.join("log.wal"));
+                let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+                let epoch_before = store.epoch();
+                let crashed = crash_at(label, || store.ingest(&b));
+                assert!(crashed.is_none(), "{shape} {label}: crash point must fire");
+                drop(store);
 
-            // The process "died"; reopen from disk and replay.
-            let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
-            let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
+                // The process "died"; reopen from disk and replay.
+                let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+                let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
 
-            // Reference: the same history executed without a crash.
-            let reference = Store::open(&container).expect("reference open");
-            if survives {
-                reference.ingest(&b).expect("reference ingest");
+                // Reference: the same history executed without a crash.
+                let reference = Opened::open(&container).expect("reference open");
+                if survives {
+                    reference.ingest(&b).expect("reference ingest");
+                }
+                let expected = container_bytes(&reference, &dir, "reference.utcq");
+                assert_eq!(
+                    recovered, expected,
+                    "{shape} {label}: recovered container must be byte-identical to the reference"
+                );
+
+                // Epochs stay monotonic: exactly one epoch per surviving
+                // batch, none for a lost one.
+                let want_epoch = epoch_before + u64::from(survives);
+                assert_eq!(reopened.epoch(), want_epoch, "{shape} {label}");
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            let expected = container_bytes(&reference, &dir, "reference.utcq");
-            assert_eq!(
-                recovered, expected,
-                "{label}: recovered container must be byte-identical to the reference"
-            );
-
-            // Epochs stay monotonic: exactly one epoch per surviving
-            // batch, none for a lost one.
-            let want_epoch = epoch_before + u64::from(survives);
-            assert_eq!(reopened.snapshot().epoch(), want_epoch, "{label}");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -162,10 +188,10 @@ mod tests {
         let dir = tmp_dir("torn");
         let (net, a, b) = two_batches();
         let container = dir.join("c.utcq");
-        build(&net, &a).save(&container).expect("seed container");
+        save(&build(&net, &a), &container);
         let wal_path = dir.join("log.wal");
 
-        let store = Store::open_durable(&container, WalConfig::new(&wal_path)).expect("open");
+        let store = Opened::open_durable(&container, WalConfig::new(&wal_path)).expect("open");
         store.ingest(&b).expect("ingest");
         drop(store);
 
@@ -173,11 +199,11 @@ mod tests {
         let bytes = std::fs::read(&wal_path).expect("read wal");
         std::fs::write(&wal_path, &bytes[..bytes.len() - 7]).expect("tear");
 
-        let reopened = Store::open_durable(&container, WalConfig::new(&wal_path)).expect("reopen");
+        let reopened = Opened::open_durable(&container, WalConfig::new(&wal_path)).expect("reopen");
         let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
-        let expected = container_bytes(&Store::open(&container).expect("ref"), &dir, "ref.utcq");
+        let expected = container_bytes(&Opened::open(&container).expect("ref"), &dir, "ref.utcq");
         assert_eq!(recovered, expected, "torn batch must be dropped cleanly");
-        assert_eq!(reopened.snapshot().epoch(), 0);
+        assert_eq!(reopened.epoch(), 0);
         // And the truncation is physical: a second reopen starts from a
         // clean, header-only-or-full-records file with no torn tail.
         drop(reopened);
@@ -195,10 +221,10 @@ mod tests {
         let dir = tmp_dir("ckpt-rename");
         let (net, a, b) = two_batches();
         let container = dir.join("c.utcq");
-        build(&net, &a).save(&container).expect("seed container");
+        save(&build(&net, &a), &container);
         let wal_cfg = || WalConfig::new(dir.join("log.wal")).checkpoint_to(&container);
 
-        let store = Store::open_durable(&container, wal_cfg()).expect("open");
+        let store = Opened::open_durable(&container, wal_cfg()).expect("open");
         store.ingest(&b).expect("ingest");
         let log_bytes = store.wal_bytes().expect("wal attached");
         let crashed = crash_at("save.before_rename", || store.checkpoint());
@@ -207,15 +233,15 @@ mod tests {
 
         // Neither side of the checkpoint happened: same log, and the
         // container still opens to the pre-checkpoint state.
-        let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
+        let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
         assert_eq!(
             reopened.wal_bytes(),
             Some(log_bytes),
             "interrupted checkpoint must not truncate the log"
         );
-        assert_eq!(reopened.snapshot().epoch(), 1, "batch replays");
+        assert_eq!(reopened.epoch(), 1, "batch replays");
         let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
-        let reference = Store::open(&container).expect("ref");
+        let reference = Opened::open(&container).expect("ref");
         reference.ingest(&b).expect("reference ingest");
         let expected = container_bytes(&reference, &dir, "ref.utcq");
         assert_eq!(recovered, expected);
@@ -225,8 +251,8 @@ mod tests {
         let report = reopened.checkpoint().expect("checkpoint").expect("report");
         assert_eq!(report.epoch, 1);
         drop(reopened);
-        let fresh = Store::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
-        assert_eq!(fresh.snapshot().epoch(), 0, "log was truncated");
+        let fresh = Opened::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
+        assert_eq!(fresh.epoch(), 0, "log was truncated");
         assert_eq!(fresh.len(), 6, "checkpointed container holds both batches");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -46,6 +46,7 @@ pub const HOT_FILES: &[&str] = &[
     "snapshot.rs",
     "shard.rs",
     "store.rs",
+    "live.rs",
     "wal.rs",
     "chunk.rs",
     "bitmap.rs",

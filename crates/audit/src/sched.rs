@@ -489,7 +489,7 @@ pub fn explore(name: &str, opts: SchedOpts, factory: &dyn Fn() -> Scenario) -> O
 use std::sync::OnceLock;
 use utcq_core::snapshot::Swap;
 use utcq_core::store::StoreBuilder;
-use utcq_core::{CompressParams, ShardedStore, Store, WalConfig};
+use utcq_core::{CompressParams, LiveStore, Opened, ShardedStore, Store, WalConfig};
 use utcq_traj::Dataset;
 
 /// The shared tiny dataset: generated once, split into an initial
@@ -595,7 +595,7 @@ pub fn sharded_ingest_vs_query() -> Scenario {
         }) as Box<dyn FnOnce() + Send>
     };
     let reader = Box::new(move || {
-        let e1 = store.facade_epoch();
+        let e1 = store.epoch();
         for &id in &new_ids {
             if let Some(s) = store.traj_shard(id) {
                 let snap = store.shards()[s as usize].snapshot(); // bounds: facade only routes to real shards
@@ -606,7 +606,7 @@ pub fn sharded_ingest_vs_query() -> Scenario {
                 );
             }
         }
-        let e2 = store.facade_epoch();
+        let e2 = store.epoch();
         assert!(e2 >= e1, "facade epoch went backwards: {e1} then {e2}");
     }) as Box<dyn FnOnce() + Send>;
     Scenario {
@@ -851,8 +851,9 @@ pub fn wal_append_vs_publish() -> Scenario {
     let container = dir.join("c.utcq");
     build_store().save(&container).expect("seed container");
     let wal_path = dir.join("log.wal");
-    let store =
-        Arc::new(Store::open_durable(&container, WalConfig::new(&wal_path)).expect("open durable"));
+    let store = Arc::new(
+        Opened::open_durable(&container, WalConfig::new(&wal_path)).expect("open durable"),
+    );
 
     let writer = {
         let store = Arc::clone(&store);
@@ -868,7 +869,7 @@ pub fn wal_append_vs_publish() -> Scenario {
             // read the file. The log only grows, so any record count
             // read afterwards is an upper bound on what existed when
             // the epoch became visible.
-            let e = store.snapshot().epoch();
+            let e = store.epoch();
             point("wal.reader.scan");
             let logged = std::fs::read(&wal_path)
                 .ok()

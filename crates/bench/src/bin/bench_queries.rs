@@ -82,7 +82,7 @@ use utcq_bench::{datasets, workload};
 use utcq_core::query::PageRequest;
 use utcq_core::shard::ByTime;
 use utcq_core::stiu::StiuParams;
-use utcq_core::{QueryTarget, RangeQuery, ShardedStore, Store, StoreBuilder};
+use utcq_core::{LiveStore, Opened, QueryTarget, RangeQuery, ShardedStore, Store, StoreBuilder};
 
 const SEED: u64 = 3000;
 
@@ -694,7 +694,7 @@ fn main() {
     .expect("save ingest base");
     let wal_path = ingest_dir.join("log.wal");
     let measure_ingest = |fsync: Option<utcq_core::FsyncPolicy>| -> f64 {
-        let slot: std::cell::RefCell<Option<Store>> = std::cell::RefCell::new(None);
+        let slot: std::cell::RefCell<Option<Opened>> = std::cell::RefCell::new(None);
         measure(
             ingest_batches.len(),
             smoke,
@@ -702,8 +702,8 @@ fn main() {
                 slot.borrow_mut().take();
                 let _ = std::fs::remove_file(&wal_path);
                 let store = match fsync {
-                    None => Store::open(&base_path).expect("open ingest base"),
-                    Some(p) => Store::open_durable(
+                    None => Opened::open(&base_path).expect("open ingest base"),
+                    Some(p) => Opened::open_durable(
                         &base_path,
                         utcq_core::WalConfig::new(&wal_path).fsync(p),
                     )

@@ -36,7 +36,7 @@
 //!   one `Arc` so live ingest never blocks a reader;
 //! * [`store`] — the single-partition façade: an owned, `Send + Sync`
 //!   [`Store`] built incrementally through [`StoreBuilder`] and kept
-//!   **live** afterwards ([`Store::ingest`] publishes new epochs
+//!   **live** afterwards ([`LiveStore::ingest`] publishes new epochs
 //!   concurrently with queries), persisted as a self-contained
 //!   container, queried through paginated entry points backed by the
 //!   decode cache and query plans;
@@ -45,9 +45,13 @@
 //!   (time-interval or road-network-region), answering the exact same
 //!   query surface with fan-out/merge execution — byte-identical
 //!   answers, asserted by `tests/shard_equivalence.rs`;
-//! * [`opened`] — the [`Opened`] facade that opens *any* self-contained
-//!   container as the right store shape and presents one
-//!   [`QueryTarget`], plus the shared [`opened::InfoReport`]
+//! * [`live`] — the one writer core ([`live::WriterCore`]: writer
+//!   lock, publish-epoch counter, WAL slot) both store shapes embed,
+//!   and the [`LiveStore`] handle whose ingest, WAL attach/replay,
+//!   checkpoint and tail are written once over a small per-shape seam;
+//! * [`opened`] — [`Opened`], which opens *any* self-contained
+//!   container as the right store shape and then only hands out its
+//!   [`LiveStore`] handle, plus the shared [`opened::InfoReport`]
 //!   presentation both `utcq info` and the serve protocol render;
 //! * [`wire`] — the serve wire protocol: hand-rolled newline-delimited
 //!   JSON requests/responses (documented in `PROTOCOL.md`), with
@@ -65,7 +69,7 @@
 //!   ground truth for accuracy experiments (Fig. 11);
 //! * [`storage`] — the binary container formats (v1 legacy dataset-only,
 //!   v2 self-contained, v3 sharded) for persisting compressed datasets;
-//! * [`wal`] — the write-ahead log behind [`wal::Durability`]: every
+//! * [`wal`] — the write-ahead log behind [`LiveStore::attach_wal`]: every
 //!   accepted live batch is appended (CRC32-checksummed, length-prefixed)
 //!   and fsynced *before* the epoch publish, replayed on open, truncated
 //!   by crash-safe checkpoints, and re-served to followers through the
@@ -186,6 +190,7 @@ pub mod error;
 pub mod factor;
 pub mod flagarr;
 pub mod hooks;
+pub mod live;
 pub mod multiorder;
 pub mod opened;
 pub mod oracle;
@@ -209,6 +214,7 @@ pub use cache::{CacheStats, DEFAULT_CACHE_BYTES};
 pub use compress::{compress_dataset, compress_trajectory, CompressedDataset, Ratios};
 pub use decompress::{decompress_dataset, decompress_trajectory};
 pub use error::Error;
+pub use live::LiveStore;
 pub use opened::{InfoReport, Opened};
 pub use params::CompressParams;
 pub use query::{Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};
@@ -217,4 +223,4 @@ pub use shard::{ByRegion, ByTime, ShardPolicy, ShardSpec, ShardedStore, ShardedS
 pub use snapshot::Snapshot;
 pub use stiu::StiuParams;
 pub use store::{IngestReport, Store, StoreBuilder};
-pub use wal::{CheckpointReport, Durability, FsyncPolicy, WalConfig};
+pub use wal::{CheckpointReport, FsyncPolicy, WalConfig};

@@ -1,14 +1,15 @@
-//! [`Opened`] — one handle over every container shape.
+//! [`Opened`] — open *a file*, get the live handle.
 //!
-//! `Store::open` only accepts v2 containers and `ShardedStore::open`
-//! only v3/v2; every front end (the CLI, the [`crate::serve`] server,
-//! benchmarks) wants to open *a file* and query it without caring which
-//! shape is inside. [`Opened`] is that facade: it opens v2 containers as
-//! a single [`Store`], v3 containers as a [`ShardedStore`], and
-//! implements [`QueryTarget`] by delegation, so a `&Opened` *is* the
-//! polymorphic query surface. Legacy v1 containers (no embedded network)
-//! open through [`Opened::open_v1`] with the network supplied out of
-//! band, exactly like [`Store::open_v1`].
+//! Every front end (the CLI, the [`crate::serve`] server, benchmarks)
+//! wants to open a container and use it without caring which shape is
+//! inside. [`Opened`] is that open-time dispatch and nothing more: it
+//! peeks the container's version byte once, opens v2 as a single
+//! [`Store`] and v3 as a [`ShardedStore`], and from then on only hands
+//! out the shape-agnostic [`LiveStore`] handle (it derefs to it), so a
+//! `&Opened` *is* the polymorphic query, ingest and durability surface.
+//! Legacy v1 containers (no embedded network) open through
+//! [`Opened::open_v1`] with the network supplied out of band, exactly
+//! like [`Store::open_v1`].
 //!
 //! The module also owns the **shared presentation layer**:
 //! [`InfoReport`] is the one description of a container both the CLI's
@@ -17,29 +18,32 @@
 //! render the same struct (`tests/serve.rs` additionally diffs the
 //! online and offline outputs byte for byte).
 
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::sync::Arc;
 
-use utcq_network::{EdgeId, Rect, RoadNetwork};
+use utcq_network::RoadNetwork;
+use utcq_traj::size::SizeBreakdown;
 
-use crate::cache::CacheStats;
-use crate::compress::CompressedDataset;
+use crate::compress::{CompressedDataset, Ratios};
 use crate::error::Error;
-use crate::query::{Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};
+use crate::live::LiveStore;
 use crate::shard::{ShardSpec, ShardedStore};
 use crate::snapshot::Snapshot;
 use crate::stiu::StiuParams;
-use crate::store::{IngestReport, Store};
-use utcq_traj::{Dataset, UncertainTrajectory};
+use crate::storage::VERSION_V3;
+use crate::store::Store;
+use crate::wal::WalConfig;
 
-/// A container opened as a queryable target — single-store or sharded.
+/// A container opened as a live handle — single-store or sharded.
 ///
 /// Boxed: a `Store` is a few hundred bytes of inline headers, and the
 /// enum would otherwise carry the larger variant's size everywhere.
 ///
 /// ```no_run
 /// use utcq_core::opened::Opened;
-/// use utcq_core::query::{PageRequest, QueryTarget};
+/// use utcq_core::query::PageRequest;
 ///
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// // v2 and v3 containers open through the same call …
@@ -49,6 +53,7 @@ use utcq_traj::{Dataset, UncertainTrajectory};
 /// println!("{} hits", page.items.len());
 /// # Ok(()) }
 /// ```
+#[derive(Debug)]
 pub enum Opened {
     /// A single-partition store (v2 container, or v1 via
     /// [`Opened::open_v1`]).
@@ -57,35 +62,27 @@ pub enum Opened {
     Sharded(Box<ShardedStore>),
 }
 
-impl std::fmt::Debug for Opened {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Opened::Single(s) => f.debug_tuple("Opened::Single").field(s).finish(),
-            Opened::Sharded(s) => f.debug_tuple("Opened::Sharded").field(s).finish(),
-        }
-    }
-}
-
 impl Opened {
     /// Opens a self-contained container of either shape: v2 becomes a
-    /// [`Store`], v3 a [`ShardedStore`]. A legacy v1 container fails
-    /// with [`Error::NeedsNetwork`] — open those with
-    /// [`Opened::open_v1`], which takes the network out of band.
+    /// [`Store`], v3 a [`ShardedStore`]. The file is read once — the
+    /// version byte picks the reader. A legacy v1 container fails with
+    /// [`Error::NeedsNetwork`] — open those with [`Opened::open_v1`],
+    /// which takes the network out of band.
     ///
     /// ```no_run
-    /// use utcq_core::QueryTarget as _;
     /// # fn main() -> Result<(), utcq_core::Error> {
     /// let opened = utcq_core::Opened::open("data.utcq")?;
-    /// println!("{} trajectories ({})", opened.len(), opened.shape());
+    /// println!("{} trajectories ({})", opened.len(), opened.info().shape());
     /// # Ok(()) }
     /// ```
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
-        match Store::open(&path) {
-            Ok(store) => Ok(Opened::Single(Box::new(store))),
-            Err(Error::ShardedContainer) => {
-                ShardedStore::open(&path).map(|s| Opened::Sharded(Box::new(s)))
-            }
-            Err(e) => Err(e),
+        let mut r = BufReader::new(File::open(path)?);
+        // Peek, don't consume: the readers validate the whole header
+        // themselves (bad magic, unknown and v1 versions included).
+        if r.fill_buf()?.get(4) == Some(&VERSION_V3) {
+            ShardedStore::read(&mut r).map(|s| Opened::Sharded(Box::new(s)))
+        } else {
+            Store::read(&mut r).map(|s| Opened::Single(Box::new(s)))
         }
     }
 
@@ -100,47 +97,15 @@ impl Opened {
         Store::open_v1(path, net, stiu_params).map(|s| Opened::Single(Box::new(s)))
     }
 
-    /// The polymorphic query surface (also reachable directly: `Opened`
-    /// itself implements [`QueryTarget`] by delegation).
-    pub fn target(&self) -> &dyn QueryTarget {
-        match self {
-            Opened::Single(s) => s.as_ref(),
-            Opened::Sharded(s) => s.as_ref(),
-        }
-    }
-
-    /// One pinned snapshot per underlying partition (one for a single
-    /// store), in shard order. Each snapshot is its partition's current
-    /// epoch and individually consistent; across partitions the set is
-    /// a batch-consistent cut except in the few pointer-swaps while a
-    /// concurrent sharded ingest publishes, where an aggregate may
-    /// briefly include a batch the facade has not made visible yet
-    /// (use [`crate::shard::ShardedStore::save`] for cuts that must be
-    /// exact).
-    pub fn snapshots(&self) -> Vec<Arc<Snapshot>> {
-        match self {
-            Opened::Single(s) => vec![s.snapshot()],
-            Opened::Sharded(s) => s.shards().iter().map(Store::snapshot).collect(),
-        }
-    }
-
-    /// Compresses, indexes and publishes one batch into the live store —
-    /// [`Store::ingest`] or [`ShardedStore::ingest`] depending on shape.
-    /// Serialized through the store's writer lock; queries never block.
-    pub fn ingest(&self, batch: &Dataset) -> Result<IngestReport, Error> {
-        match self {
-            Opened::Single(s) => s.ingest(batch),
-            Opened::Sharded(s) => s.ingest(batch),
-        }
-    }
-
-    /// Opens a container of either shape with a write-ahead log sidecar
-    /// — [`Store::open_durable`] or [`ShardedStore::open_durable`]
-    /// depending on what the file holds. Logged batches replay on open;
-    /// subsequent [`Opened::ingest`] calls log before publishing.
-    pub fn open_durable(path: impl AsRef<Path>, cfg: crate::wal::WalConfig) -> Result<Self, Error> {
+    /// Opens a container of either shape with a write-ahead log
+    /// sidecar: any batches in the log are replayed on top of the
+    /// container (byte-identical to having ingested them live), a torn
+    /// final record is truncated away, and subsequent
+    /// [`LiveStore::ingest`] calls append to the log before publishing.
+    /// The container path becomes the checkpoint target unless `cfg`
+    /// names another.
+    pub fn open_durable(path: impl AsRef<Path>, mut cfg: WalConfig) -> Result<Self, Error> {
         let opened = Self::open(&path)?;
-        let mut cfg = cfg;
         if cfg.checkpoint_to.is_none() {
             cfg.checkpoint_to = Some(path.as_ref().to_path_buf());
         }
@@ -148,176 +113,33 @@ impl Opened {
         Ok(opened)
     }
 
-    /// Attaches a write-ahead log to the underlying store, replaying any
-    /// records already in the file. Returns the replayed batch count.
-    pub fn attach_wal(&self, cfg: crate::wal::WalConfig) -> Result<usize, Error> {
+    /// The live handle — queries, ingest, durability and `info`, the
+    /// same for both shapes. `Opened` also derefs to it.
+    pub fn target(&self) -> &(dyn LiveStore + 'static) {
         match self {
-            Opened::Single(s) => s.attach_wal(cfg),
-            Opened::Sharded(s) => s.attach_wal(cfg),
-        }
-    }
-
-    /// Crash-safe checkpoint of the attached WAL (save + log
-    /// truncation); `Ok(None)` when no WAL or target is attached.
-    pub fn checkpoint(&self) -> Result<Option<crate::wal::CheckpointReport>, Error> {
-        match self {
-            Opened::Single(s) => s.checkpoint(),
-            Opened::Sharded(s) => s.checkpoint(),
-        }
-    }
-
-    /// Size of the attached log in bytes; `None` without a WAL.
-    pub fn wal_bytes(&self) -> Option<u64> {
-        match self {
-            Opened::Single(s) => s.wal_bytes(),
-            Opened::Sharded(s) => s.wal_bytes(),
-        }
-    }
-
-    /// Batches published after epoch `from`, from the attached WAL's
-    /// in-memory feed; `None` without a WAL (serves the `tail` op).
-    pub fn wal_tail(&self, from: u64, max: usize) -> Option<crate::wal::TailRead> {
-        match self {
-            Opened::Single(s) => s.wal_tail(from, max),
-            Opened::Sharded(s) => s.wal_tail(from, max),
-        }
-    }
-
-    /// WAL-recorded publish epoch of exactly this batch, if any — the
-    /// serve layer's idempotent-ingest lookup.
-    pub fn wal_dedup(&self, tus: &[UncertainTrajectory]) -> Option<(u64, usize)> {
-        match self {
-            Opened::Single(s) => s.wal_dedup(tus),
-            Opened::Sharded(s) => s.wal_dedup(tus),
-        }
-    }
-
-    /// The current publish epoch (snapshot epoch of a single store, the
-    /// facade epoch of a sharded one) — what a follower resumes from.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            Opened::Single(s) => s.snapshot().epoch(),
-            Opened::Sharded(s) => s.facade_epoch(),
-        }
-    }
-
-    /// The default sample interval the container was compressed with —
-    /// what an `ingest` request's trajectories are validated against.
-    pub fn default_interval(&self) -> i64 {
-        match self {
-            Opened::Single(s) => s.params().default_interval,
-            Opened::Sharded(s) => s.shards()[0].params().default_interval,
-        }
-    }
-
-    /// `"single"` or `"sharded"` — the label used by `utcq info` and the
-    /// serve protocol's `info` response.
-    pub fn shape(&self) -> &'static str {
-        match self {
-            Opened::Single(_) => "single",
-            Opened::Sharded(_) => "sharded",
-        }
-    }
-
-    /// The shared description of this container — the single source both
-    /// the CLI text output and the serve `info` response render from.
-    pub fn info(&self) -> InfoReport {
-        match self {
-            Opened::Single(s) => InfoReport::from_dataset(s.snapshot().compressed()),
-            Opened::Sharded(s) => {
-                let snaps = self.snapshots();
-                let shards = snaps
-                    .iter()
-                    .map(|snap| ShardInfo {
-                        trajectories: snap.len(),
-                        ratio: snap.ratios().total,
-                    })
-                    .collect();
-                let mut report = match snaps.first() {
-                    Some(snap) => InfoReport::from_dataset(snap.compressed()),
-                    None => InfoReport::default(),
-                };
-                // Totals span every partition, not just shard 0.
-                report.trajectories = snaps.iter().map(|snap| snap.len()).sum();
-                report.instances = snaps
-                    .iter()
-                    .flat_map(|snap| snap.compressed().trajectories.iter())
-                    .map(|t| t.instance_count())
-                    .sum();
-                let mut raw = utcq_traj::size::SizeBreakdown::default();
-                let mut compressed = utcq_traj::size::SizeBreakdown::default();
-                for snap in &snaps {
-                    raw.add(&snap.compressed().raw);
-                    compressed.add(&snap.compressed().compressed);
-                }
-                report.raw_kib = raw.total() / 8 / 1024;
-                report.compressed_kib = compressed.total() / 8 / 1024;
-                report.ratio = s.ratios().total;
-                report.sharding = Some(ShardingInfo {
-                    policy: policy_label(s.policy_spec()),
-                    shards,
-                });
-                report
-            }
+            Opened::Single(s) => s.as_ref(),
+            Opened::Sharded(s) => s.as_ref(),
         }
     }
 }
 
-impl QueryTarget for Opened {
-    fn len(&self) -> usize {
-        self.target().len()
-    }
+impl std::ops::Deref for Opened {
+    type Target = dyn LiveStore;
 
-    fn network(&self) -> &Arc<RoadNetwork> {
-        self.target().network()
+    fn deref(&self) -> &Self::Target {
+        self.target()
     }
+}
 
-    fn where_query(
-        &self,
-        traj_id: u64,
-        t: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhereHit>, Error> {
-        self.target().where_query(traj_id, t, alpha, page)
+/// Raw and compressed footprints summed across partitions.
+pub(crate) fn summed_sizes(snaps: &[Arc<Snapshot>]) -> (SizeBreakdown, SizeBreakdown) {
+    let mut raw = SizeBreakdown::default();
+    let mut compressed = SizeBreakdown::default();
+    for snap in snaps {
+        raw.add(&snap.compressed().raw);
+        compressed.add(&snap.compressed().compressed);
     }
-
-    fn when_query(
-        &self,
-        traj_id: u64,
-        edge: EdgeId,
-        rd: f64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhenHit>, Error> {
-        self.target().when_query(traj_id, edge, rd, alpha, page)
-    }
-
-    fn range_query(
-        &self,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<u64>, Error> {
-        self.target().range_query(re, tq, alpha, page)
-    }
-
-    fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
-        self.target().par_range_query(queries)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.target().cache_stats()
-    }
-
-    fn set_cache_bytes(&self, bytes: usize) {
-        self.target().set_cache_bytes(bytes)
-    }
-
-    fn clear_cache(&self) {
-        self.target().clear_cache()
-    }
+    (raw, compressed)
 }
 
 /// The human-readable label of a recorded shard policy — `utcq info`'s
@@ -375,18 +197,19 @@ pub struct InfoReport {
     pub sharding: Option<ShardingInfo>,
 }
 
+fn instance_count(cds: &CompressedDataset) -> usize {
+    cds.trajectories.iter().map(|t| t.instance_count()).sum()
+}
+
 impl InfoReport {
-    /// A report over one compressed dataset (a v1/v2 container, or one
-    /// shard of a v3 container before aggregation).
+    /// A report over one compressed dataset (a v1/v2 container, or the
+    /// first partition of a store before [`InfoReport::over`] adds the
+    /// rest).
     pub fn from_dataset(cds: &CompressedDataset) -> Self {
         InfoReport {
             name: cds.name.clone(),
             trajectories: cds.trajectories.len(),
-            instances: cds
-                .trajectories
-                .iter()
-                .map(|t| t.instance_count())
-                .sum::<usize>(),
+            instances: instance_count(cds),
             eta_d: cds.params.eta_d,
             eta_p: cds.params.eta_p,
             n_pivots: cds.params.n_pivots,
@@ -395,6 +218,37 @@ impl InfoReport {
             ratio: cds.ratios().total,
             sharding: None,
         }
+    }
+
+    /// A report over every partition of a store (one snapshot for a
+    /// single store); `policy` is the routing-policy label of a sharded
+    /// one. Parameters and the dataset label come from the first
+    /// partition, totals span all of them.
+    pub fn over(snaps: &[Arc<Snapshot>], policy: Option<String>) -> Self {
+        let Some((first, rest)) = snaps.split_first() else {
+            return InfoReport::default();
+        };
+        let mut report = InfoReport::from_dataset(first.compressed());
+        for snap in rest {
+            let cds = snap.compressed();
+            report.trajectories += cds.trajectories.len();
+            report.instances += instance_count(cds);
+        }
+        let (raw, compressed) = summed_sizes(snaps);
+        report.raw_kib = raw.total() / 8 / 1024;
+        report.compressed_kib = compressed.total() / 8 / 1024;
+        report.ratio = Ratios::from_sizes(&raw, &compressed).total;
+        report.sharding = policy.map(|policy| ShardingInfo {
+            policy,
+            shards: snaps
+                .iter()
+                .map(|snap| ShardInfo {
+                    trajectories: snap.len(),
+                    ratio: snap.ratios().total,
+                })
+                .collect(),
+        });
+        report
     }
 
     /// The exact text `utcq info` prints. Kept here — next to the
@@ -432,7 +286,8 @@ impl InfoReport {
         out
     }
 
-    /// `"single"` or `"sharded"`, matching [`Opened::shape`].
+    /// `"single"` or `"sharded"` — the label `utcq info` and the serve
+    /// protocol's `info` response print.
     pub fn shape(&self) -> &'static str {
         if self.sharding.is_some() {
             "sharded"
@@ -524,6 +379,14 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.snapshots().len(), 1);
         assert_eq!(b.snapshots().len(), 3);
+        // A v1 file (no embedded network) still gets the dedicated
+        // error from the version dispatch, not a shape-specific one.
+        let v1 = dir.join("utcq-opened-v1.utcq");
+        let mut legacy = Vec::new();
+        crate::storage::save(a.snapshots()[0].compressed(), &mut legacy).unwrap();
+        std::fs::write(&v1, legacy).unwrap();
+        assert!(matches!(Opened::open(&v1), Err(Error::NeedsNetwork)));
+        std::fs::remove_file(&v1).ok();
         std::fs::remove_file(&v2).ok();
         std::fs::remove_file(&v3).ok();
     }

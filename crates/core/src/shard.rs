@@ -14,7 +14,7 @@
 //!
 //! Each shard is a live [`Store`] (see [`crate::snapshot`]): its read
 //! state is an immutable epoch-swapped snapshot, so
-//! [`ShardedStore::ingest`] routes a batch, compresses each sub-batch
+//! [`LiveStore::ingest`] routes a batch, compresses each sub-batch
 //! on its owning shard (fanned out across shards on the shared
 //! work-queue model — per-shard compression is the parallelism the
 //! partitioning buys), and then publishes a fresh **facade state** (id
@@ -78,8 +78,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use utcq_network::{EdgeId, Grid, Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
@@ -87,13 +86,14 @@ use utcq_traj::{Dataset, UncertainTrajectory};
 use crate::bitmap::SegmentBitmap;
 use crate::cache::CacheStats;
 use crate::error::Error;
+use crate::live::{Held, LiveStore, WriterCore};
+use crate::opened::{policy_label, InfoReport};
 use crate::params::CompressParams;
 use crate::query::{par_run, Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};
 use crate::snapshot::{Snapshot, Swap};
 use crate::stiu::StiuParams;
 use crate::storage::{self, ShardDirectory, POLICY_CUSTOM, POLICY_REGION, POLICY_TIME};
 use crate::store::{IngestReport, Store, StoreBuilder};
-use crate::wal::{self, CheckpointReport, Durability, Sidecar, TailRead, WalConfig};
 
 /// Maximum number of shards a store may have (the shard tag of a
 /// where/when cursor is 16 bits).
@@ -135,7 +135,7 @@ fn decode_cursor(global: u64) -> (u32, u64) {
 /// ([`ByTime`], [`ByRegion`]) also serialize into the v3 shard
 /// directory; custom implementations are recorded as `custom` (the
 /// container still opens and queries — but a reopened custom-policy
-/// store cannot route new batches, so [`ShardedStore::ingest`] rejects
+/// store cannot route new batches, so [`LiveStore::ingest`] rejects
 /// it).
 pub trait ShardPolicy: Send + Sync {
     /// The shard (in `0..n_shards`) that should own `tu`.
@@ -288,7 +288,6 @@ pub struct ShardedStoreBuilder {
     policy: Arc<dyn ShardPolicy>,
     builders: Vec<StoreBuilder>,
     total_cache_bytes: usize,
-    durability: Durability,
 }
 
 impl ShardedStoreBuilder {
@@ -313,18 +312,9 @@ impl ShardedStoreBuilder {
             policy,
             builders,
             total_cache_bytes: crate::cache::DEFAULT_CACHE_BYTES,
-            durability: Durability::Off,
         };
         b.apply_cache_budget();
         Ok(b)
-    }
-
-    /// Sets the durability mode of the finished store — one
-    /// facade-level log for the whole store, exactly as
-    /// [`StoreBuilder::durability`] configures a single store.
-    pub fn durability(mut self, d: Durability) -> Self {
-        self.durability = d;
-        self
     }
 
     fn apply_cache_budget(&mut self) {
@@ -382,7 +372,7 @@ impl ShardedStoreBuilder {
     }
 
     /// Finalizes every shard and assembles the facade. The finished
-    /// store keeps the policy object, so [`ShardedStore::ingest`] can
+    /// store keeps the policy object, so [`LiveStore::ingest`] can
     /// route further batches — including through custom policies that
     /// have no serializable spec.
     pub fn finish(self) -> Result<ShardedStore, Error> {
@@ -392,11 +382,7 @@ impl ShardedStoreBuilder {
             .map(StoreBuilder::finish)
             .collect::<Result<Vec<_>, _>>()?;
         let spec = self.policy.spec();
-        let store = ShardedStore::from_shards_with_policy(shards, spec, Some(self.policy))?;
-        if let Durability::Wal(cfg) = self.durability {
-            store.attach_wal(cfg)?;
-        }
-        Ok(store)
+        ShardedStore::from_shards_with_policy(shards, spec, Some(self.policy))
     }
 }
 
@@ -592,13 +578,9 @@ pub struct ShardedStore {
     policy: Option<Arc<dyn ShardPolicy>>,
     /// The current facade epoch — queries pin it, ingest swaps it.
     facade: Swap<FacadeState>,
-    /// Facade epoch the next publish will carry.
-    next_epoch: AtomicU64,
-    /// Serializes facade writers (ingest, consistent checkpoints).
-    writer: Mutex<()>,
-    /// The facade-level write-ahead log, if any (whole batches, facade
-    /// epochs). Taken only by writers, always after the writer lock.
-    durability: Mutex<Option<Sidecar>>,
+    /// The facade-level writer lock, facade epoch counter and WAL slot
+    /// (whole batches, facade epochs; see [`crate::live`]).
+    core: WriterCore,
 }
 
 impl std::fmt::Debug for ShardedStore {
@@ -641,9 +623,7 @@ impl ShardedStore {
             spec,
             policy,
             facade: Swap::new(Arc::new(facade)),
-            next_epoch: AtomicU64::new(1),
-            writer: Mutex::new(()),
-            durability: Mutex::new(None),
+            core: WriterCore::new(),
         })
     }
 
@@ -769,7 +749,13 @@ impl ShardedStore {
     /// Writes the v3 container to an arbitrary writer (a consistent cut;
     /// see [`ShardedStore::save`]).
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        let snaps = self.pin_consistent();
+        // One pinned snapshot per shard at a batch boundary: taken
+        // under the writer lock so no in-flight batch is half-visible
+        // across the cut; the lock is not held while serializing.
+        let snaps = {
+            let _held = self.core.hold();
+            self.snapshots()
+        };
         self.write_snaps(&snaps, w)
     }
 
@@ -787,286 +773,9 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// Adopts the writer lock even if a previous writer panicked — a
-    /// panicking batch only ever discarded private state.
-    fn writer_lock(&self) -> std::sync::MutexGuard<'_, ()> {
-        match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// One pinned snapshot per shard at a batch boundary: taken under
-    /// the writer lock so no in-flight batch is half-visible across the
-    /// cut.
-    fn pin_consistent(&self) -> Vec<Arc<Snapshot>> {
-        let _writer = self.writer_lock();
-        self.shards.iter().map(Store::snapshot).collect()
-    }
-
-    /// Routes, compresses and **publishes** one batch concurrently with
-    /// queries — the sharded counterpart of [`Store::ingest`].
-    ///
-    /// Routing duplicates the single-store validation up front (against
-    /// the current facade and within the batch); then each shard's
-    /// sub-batch compresses into a *prepared, unpublished* snapshot on
-    /// the shared work-queue model — per-shard compression is exactly
-    /// the parallelism the partitioning buys. Only when **every**
-    /// sub-batch compressed does anything publish: the prepared shard
-    /// snapshots (pointer swaps), then a fresh facade state (routing
-    /// map + range index) as the next facade epoch — the batch's
-    /// visibility point. A failure anywhere discards every prepared
-    /// snapshot, so batches are **all-or-nothing across shards**.
-    /// Queries never block: they run on pinned snapshots throughout.
-    ///
-    /// Fails with [`Error::ShardConfig`] on a store reopened from a
-    /// custom-policy container (no way to route). Ingest through the
-    /// facade only — writing directly to a partition reached via
-    /// [`ShardedStore::shards`] bypasses routing and may be overwritten
-    /// by a concurrent facade publish.
-    pub fn ingest(&self, batch: &Dataset) -> Result<IngestReport, Error> {
-        let _writer = self.writer_lock();
-        self.ingest_locked(batch)
-    }
-
-    /// [`ShardedStore::ingest`] with the writer lock already held — the
-    /// WAL replay path of [`ShardedStore::attach_wal`] drives this
-    /// directly.
-    fn ingest_locked(&self, batch: &Dataset) -> Result<IngestReport, Error> {
-        let Some(policy) = &self.policy else {
-            return Err(Error::ShardConfig(
-                "live ingest needs a routing policy (custom-policy containers are read-only)",
-            ));
-        };
-        // bounds: constructors reject zero shards
-        let expected = self.shards[0].params().default_interval;
-        if batch.default_interval != expected {
-            return Err(Error::IntervalMismatch {
-                expected,
-                got: batch.default_interval,
-            });
-        }
-        let facade = self.facade.load();
-        let mut seen = std::collections::HashSet::with_capacity(batch.trajectories.len());
-        for tu in &batch.trajectories {
-            if facade.id_to_shard.contains_key(&tu.id) || !seen.insert(tu.id) {
-                return Err(Error::DuplicateTrajectory(tu.id));
-            }
-        }
-        let n = self.shards.len() as u32;
-        let mut routed: Vec<Vec<&UncertainTrajectory>> = vec![Vec::new(); n as usize];
-        for tu in &batch.trajectories {
-            let shard = policy.route(self.network(), tu, n);
-            routed
-                .get_mut(shard as usize)
-                .ok_or(Error::ShardConfig("policy routed past the shard count"))?
-                .push(tu);
-        }
-        // Compress per shard on the shared work queue into prepared,
-        // unpublished snapshots. An error on any shard returns here
-        // with nothing published anywhere.
-        let prepared: Vec<Option<Arc<Snapshot>>> = par_run(self.shards.len(), |s| {
-            // bounds: par_run yields s < shards.len(); routed has one slot per shard
-            self.shards[s].prepare_trajs(batch.default_interval, &batch.name, &routed[s])
-        })?;
-        if prepared.iter().all(Option::is_none) {
-            return Ok(IngestReport {
-                ingested: 0,
-                total: facade.id_to_shard.len(),
-                epoch: facade.epoch,
-            });
-        }
-        // The batch will publish: log it first, so that a crash from
-        // here on replays it. The facade epoch is allocated up front —
-        // it is what the record carries as the expected post-epoch.
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.wal_append(epoch, batch) {
-            // Nothing published: roll the epoch allocation back so the
-            // log and the facade epoch sequence stay gap-free.
-            self.next_epoch.fetch_sub(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        // Publish: shards first (back-to-back pointer swaps), facade
-        // second — the facade publish is the batch's visibility point.
-        let snaps: Vec<Arc<Snapshot>> = prepared
-            .into_iter()
-            .zip(&self.shards)
-            .map(|(p, shard)| match p {
-                Some(snap) => {
-                    shard.publish_snapshot(Arc::clone(&snap));
-                    snap
-                }
-                None => shard.snapshot(),
-            })
-            .collect();
-        // The shards-published / facade-unpublished window the ordering
-        // argument hinges on: readers here must see the old facade.
-        crate::hooks::point("sharded.shards_published");
-        let new_facade = FacadeState::build(epoch, &snaps)?;
-        let total = new_facade.id_to_shard.len();
-        self.facade.store(Arc::new(new_facade));
-        Ok(IngestReport {
-            ingested: batch.trajectories.len(),
-            total,
-            epoch,
-        })
-    }
-
-    /// The current facade epoch (bumped by every [`ShardedStore::ingest`]
-    /// publication).
-    pub fn facade_epoch(&self) -> u64 {
-        self.facade.load().epoch
-    }
-
-    /// Adopts the durability slot even after a writer panic (see
-    /// [`Store`]'s equivalent: an interrupted append is a torn tail on
-    /// the next open, not broken memory state).
-    fn wal_lock(&self) -> std::sync::MutexGuard<'_, Option<Sidecar>> {
-        match self.durability.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Logs a publishing batch under facade epoch `epoch`. No-op without
-    /// an attached WAL. Called under the writer lock, before any shard
-    /// publishes.
-    fn wal_append(&self, epoch: u64, batch: &Dataset) -> Result<(), Error> {
-        let mut guard = self.wal_lock();
-        let Some(sc) = guard.as_mut() else {
-            return Ok(());
-        };
-        sc.append_live(wal::Record {
-            epoch,
-            name: batch.name.clone(),
-            default_interval: batch.default_interval,
-            trajectories: batch.trajectories.clone(),
-        })
-    }
-
-    /// Opens a sharded container with a write-ahead log sidecar — the
-    /// sharded counterpart of [`Store::open_durable`]: logged batches
-    /// replay through the normal routed ingest path, so the rebuilt
-    /// store is byte-identical to one that ingested them live. The
-    /// container path becomes the checkpoint target unless `cfg` names
-    /// another.
-    pub fn open_durable(path: impl AsRef<Path>, cfg: WalConfig) -> Result<Self, Error> {
-        let path = path.as_ref();
-        let store = Self::open(path)?;
-        let mut cfg = cfg;
-        if cfg.checkpoint_to.is_none() {
-            cfg.checkpoint_to = Some(path.to_path_buf());
-        }
-        store.attach_wal(cfg)?;
-        Ok(store)
-    }
-
-    /// Attaches a facade-level write-ahead log, replaying any records in
-    /// the file through [`ShardedStore::ingest`]'s routed path. Returns
-    /// the number of replayed batches. Tolerates the same
-    /// crashed-mid-checkpoint prefix as [`Store::attach_wal`].
-    pub fn attach_wal(&self, cfg: WalConfig) -> Result<usize, Error> {
-        let _writer = self.writer_lock();
-        if self.wal_lock().is_some() {
-            return Err(Error::CorruptStore("a wal is already attached"));
-        }
-        let (wal, records) = wal::Wal::open(&cfg)?;
-        let mut sc = Sidecar::new(wal, &cfg);
-        let mut skipped = 0u64;
-        let mut applied: Vec<wal::Record> = Vec::new();
-        for (expect, rec) in (1u64..).zip(records) {
-            if rec.epoch != expect {
-                return Err(Error::CorruptStore("wal record epochs are not sequential"));
-            }
-            let all_present = !rec.trajectories.is_empty() && {
-                let facade = self.facade.load();
-                rec.trajectories
-                    .iter()
-                    .all(|t| facade.id_to_shard.contains_key(&t.id))
-            };
-            if all_present {
-                if !applied.is_empty() {
-                    return Err(Error::CorruptStore("wal batch overlaps the container"));
-                }
-                skipped += 1;
-                continue;
-            }
-            let batch = Dataset {
-                name: rec.name.clone(),
-                default_interval: rec.default_interval,
-                trajectories: rec.trajectories.clone(),
-            };
-            let report = self.ingest_locked(&batch)?;
-            let live = rec.epoch - skipped;
-            if report.epoch != live {
-                if report.ingested == 0 && applied.is_empty() {
-                    skipped += 1;
-                    continue;
-                }
-                return Err(Error::CorruptStore(
-                    "wal replay produced an unexpected epoch",
-                ));
-            }
-            applied.push(wal::Record { epoch: live, ..rec });
-        }
-        if skipped > 0 {
-            sc.wal.truncate()?;
-            for rec in &applied {
-                sc.wal.append(rec)?;
-            }
-        }
-        let n = applied.len();
-        for rec in applied {
-            sc.push_feed(rec);
-        }
-        *self.wal_lock() = Some(sc);
-        Ok(n)
-    }
-
-    /// Crash-safe checkpoint — the sharded counterpart of
-    /// [`Store::checkpoint`]: saves a batch-consistent v3 cut to the
-    /// recorded target (tmp file + rename + directory fsync), then
-    /// truncates the log. `Ok(None)` without an attached WAL or target.
-    pub fn checkpoint(&self) -> Result<Option<CheckpointReport>, Error> {
-        let _writer = self.writer_lock();
-        let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(Store::snapshot).collect();
-        let epoch = self.facade.load().epoch;
-        let mut guard = self.wal_lock();
-        let Some(sc) = guard.as_mut() else {
-            return Ok(None);
-        };
-        let Some(target) = sc.checkpoint_to.clone() else {
-            return Ok(None);
-        };
-        let log_bytes = sc.wal.len_bytes();
-        wal::atomic_write(&target, |w| self.write_snaps(&snaps, w))?;
-        sc.checkpointed(epoch)?;
-        Ok(Some(CheckpointReport { epoch, log_bytes }))
-    }
-
-    /// Current size of the attached log in bytes; `None` without a WAL.
-    pub fn wal_bytes(&self) -> Option<u64> {
-        self.wal_lock().as_ref().map(|sc| sc.wal.len_bytes())
-    }
-
-    /// Batches published after facade epoch `from` (capped at `max`),
-    /// from the in-memory feed; `None` without a WAL.
-    pub fn wal_tail(&self, from: u64, max: usize) -> Option<TailRead> {
-        let current = self.facade.load().epoch;
-        self.wal_lock()
-            .as_ref()
-            .map(|sc| sc.records_since(from, max, current))
-    }
-
-    /// If the attached WAL recorded exactly this batch, its facade
-    /// epoch and size (see [`Store::wal_dedup`]).
-    pub fn wal_dedup(&self, tus: &[UncertainTrajectory]) -> Option<(u64, usize)> {
-        self.wal_lock().as_ref().and_then(|sc| sc.dedup_epoch(tus))
-    }
-
     /// The shard partitions, in directory order — read them freely
     /// (snapshots, decode, cache stats), but ingest through
-    /// [`ShardedStore::ingest`] only: a direct partition write bypasses
+    /// [`LiveStore::ingest`] only: a direct partition write bypasses
     /// routing and may be overwritten by a concurrent facade publish.
     pub fn shards(&self) -> &[Store] {
         &self.shards
@@ -1107,13 +816,7 @@ impl ShardedStore {
     /// Component-wise and total compression ratios aggregated across
     /// shards.
     pub fn ratios(&self) -> crate::compress::Ratios {
-        let mut raw = utcq_traj::size::SizeBreakdown::default();
-        let mut compressed = utcq_traj::size::SizeBreakdown::default();
-        for s in &self.shards {
-            let snap = s.snapshot();
-            raw.add(&snap.compressed().raw);
-            compressed.add(&snap.compressed().compressed);
-        }
+        let (raw, compressed) = crate::opened::summed_sizes(&self.snapshots());
         crate::compress::Ratios::from_sizes(&raw, &compressed)
     }
 
@@ -1201,7 +904,7 @@ impl ShardedStore {
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
         let facade = self.facade.load();
-        let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(Store::snapshot).collect();
+        let snaps = self.snapshots();
         // Candidates globally ascending by trajectory id (ids are unique
         // across shards, so that is a total order): one lookup in the
         // prebuilt facade index, or a gather-and-sort fallback when the
@@ -1327,7 +1030,7 @@ impl ShardedStore {
             return Ok(Vec::new());
         }
         let facade = self.facade.load();
-        let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(Store::snapshot).collect();
+        let snaps = self.snapshots();
         // Resolve each query's cell set once when every grid agrees.
         let shared_cells: Option<Vec<std::collections::HashSet<utcq_network::CellId>>> =
             facade.uniform_grid.then(|| {
@@ -1534,6 +1237,124 @@ impl QueryTarget for ShardedStore {
     }
 }
 
+impl LiveStore for ShardedStore {
+    fn writer(&self) -> &WriterCore {
+        &self.core
+    }
+
+    fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool {
+        let facade = self.facade.load();
+        tus.iter().all(|t| facade.id_to_shard.contains_key(&t.id))
+    }
+
+    /// Routing duplicates the single-store validation up front (against
+    /// the current facade and within the batch); then each shard's
+    /// sub-batch compresses into a *prepared, unpublished* state on the
+    /// shared work-queue model — per-shard compression is exactly the
+    /// parallelism the partitioning buys. Only when **every** sub-batch
+    /// compressed does anything publish: the prepared shard snapshots
+    /// (pointer swaps), then a fresh facade state (routing map + range
+    /// index) as the next facade epoch — the batch's visibility point.
+    /// A failure anywhere discards every prepared state, so batches are
+    /// **all-or-nothing across shards**.
+    ///
+    /// Fails with [`Error::ShardConfig`] on a store reopened from a
+    /// custom-policy container (no way to route). Ingest through the
+    /// facade only — writing directly to a partition reached via
+    /// [`ShardedStore::shards`] bypasses routing and may be overwritten
+    /// by a concurrent facade publish.
+    fn publish_locked(&self, held: &Held<'_>, batch: &Dataset) -> Result<IngestReport, Error> {
+        let Some(policy) = &self.policy else {
+            return Err(Error::ShardConfig(
+                "live ingest needs a routing policy (custom-policy containers are read-only)",
+            ));
+        };
+        let expected = self.default_interval();
+        if batch.default_interval != expected {
+            return Err(Error::IntervalMismatch {
+                expected,
+                got: batch.default_interval,
+            });
+        }
+        let facade = self.facade.load();
+        let mut seen = std::collections::HashSet::with_capacity(batch.trajectories.len());
+        for tu in &batch.trajectories {
+            if facade.id_to_shard.contains_key(&tu.id) || !seen.insert(tu.id) {
+                return Err(Error::DuplicateTrajectory(tu.id));
+            }
+        }
+        let n = self.shards.len() as u32;
+        let mut routed: Vec<Vec<&UncertainTrajectory>> = vec![Vec::new(); n as usize];
+        for tu in &batch.trajectories {
+            let shard = policy.route(self.network(), tu, n);
+            routed
+                .get_mut(shard as usize)
+                .ok_or(Error::ShardConfig("policy routed past the shard count"))?
+                .push(tu);
+        }
+        // Compress per shard on the shared work queue into prepared,
+        // unpublished states. An error on any shard returns here with
+        // nothing published anywhere.
+        let prepared = par_run(self.shards.len(), |s| {
+            // bounds: par_run yields s < shards.len(); routed has one slot per shard
+            self.shards[s].prepare_trajs(batch.default_interval, &batch.name, &routed[s])
+        })?;
+        if prepared.iter().all(Option::is_none) {
+            return Ok(IngestReport {
+                ingested: 0,
+                total: facade.id_to_shard.len(),
+                epoch: facade.epoch,
+            });
+        }
+        // The batch will publish: log it first, so that a crash from
+        // here on replays it under the facade epoch allocated here.
+        let epoch = self.core.log(held, batch)?;
+        // Publish: shards first (back-to-back pointer swaps), facade
+        // second — the facade publish is the batch's visibility point.
+        let snaps: Vec<Arc<Snapshot>> = prepared
+            .into_iter()
+            .zip(&self.shards)
+            .map(|(p, shard)| match p {
+                // The facade owns the log and the visible epoch; the
+                // partition's own epoch only keys its decode cache.
+                Some(state) => shard.publish_state(state, shard.writer().next_epoch()),
+                None => shard.snapshot(),
+            })
+            .collect();
+        // The shards-published / facade-unpublished window the ordering
+        // argument hinges on: readers here must see the old facade.
+        crate::hooks::point("sharded.shards_published");
+        let new_facade = FacadeState::build(epoch, &snaps)?;
+        let total = new_facade.id_to_shard.len();
+        self.facade.store(Arc::new(new_facade));
+        Ok(IngestReport {
+            ingested: batch.trajectories.len(),
+            total,
+            epoch,
+        })
+    }
+
+    fn epoch(&self) -> u64 {
+        self.facade.load().epoch
+    }
+
+    fn write_cut(&self, _held: &Held<'_>, mut w: &mut dyn Write) -> Result<(), Error> {
+        self.write_snaps(&self.snapshots(), &mut w)
+    }
+
+    fn snapshots(&self) -> Vec<Arc<Snapshot>> {
+        self.shards.iter().map(Store::snapshot).collect()
+    }
+
+    fn info(&self) -> InfoReport {
+        InfoReport::over(&self.snapshots(), Some(policy_label(self.spec)))
+    }
+
+    fn default_interval(&self) -> i64 {
+        self.shards[0].params().default_interval // bounds: constructors reject zero shards
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1673,12 +1494,12 @@ mod tests {
     fn live_sharded_ingest_rejects_duplicates_atomically() {
         let store = sharded(2);
         let (_, ds) = paper_dataset();
-        let epoch_before = store.facade_epoch();
+        let epoch_before = store.epoch();
         assert!(matches!(
             store.ingest(&ds),
             Err(Error::DuplicateTrajectory(1))
         ));
-        assert_eq!(store.facade_epoch(), epoch_before);
+        assert_eq!(store.epoch(), epoch_before);
         assert_eq!(store.len(), 1);
     }
 

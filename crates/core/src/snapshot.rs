@@ -105,11 +105,11 @@ impl<T> Swap<T> {
 /// Obtained from [`crate::store::Store::snapshot`]. A pinned snapshot
 /// is a *consistent read view*: queries, paginated walks and container
 /// writes against it are unaffected by concurrent
-/// [`crate::store::Store::ingest`] calls publishing newer epochs.
+/// [`crate::live::LiveStore::ingest`] calls publishing newer epochs.
 ///
 /// ```
 /// use std::sync::Arc;
-/// use utcq_core::{CompressParams, PageRequest, StiuParams, Store};
+/// use utcq_core::{CompressParams, LiveStore, PageRequest, StiuParams, Store};
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// # let (net, mut ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
 /// # let mut late = ds.clone();
@@ -509,7 +509,7 @@ impl QueryTarget for Snapshot {
 
 /// The writer-side, mutable counterpart of a [`Snapshot`]: what a
 /// [`crate::store::StoreBuilder`] accumulates batch by batch, and what a
-/// live [`crate::store::Store::ingest`] clones out of the current
+/// live [`crate::live::LiveStore::ingest`] clones out of the current
 /// snapshot, extends, and publishes back.
 ///
 /// Both construction paths funnel through [`PartitionState::ingest_traj`],

@@ -20,7 +20,7 @@
 //! state (compressed dataset, StIU index, query plans, id map) lives in
 //! an immutable, epoch-stamped [`Snapshot`] behind an `Arc`, and every
 //! query pins the current snapshot for its duration. That makes the
-//! store *live*: [`Store::ingest`] accepts new batches concurrently
+//! store *live*: [`LiveStore::ingest`] accepts new batches concurrently
 //! with queries — the batch compresses and indexes off the query path
 //! against a private clone of the current state, then publishes
 //! atomically as the next epoch. Queries never block on ingest (they
@@ -65,8 +65,7 @@
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
@@ -76,16 +75,16 @@ use crate::chunk::{ChunkedVec, SharedIdMap};
 use crate::compress::{CompressedDataset, Ratios};
 use crate::compressed::edge_number_width;
 use crate::error::Error;
+use crate::live::{Held, LiveStore, WriterCore};
+use crate::opened::InfoReport;
 use crate::params::CompressParams;
 use crate::plan::TrajPlan;
 use crate::query::{Page, PageRequest, RangeQuery, WhenHit, WhereHit};
 use crate::snapshot::{PartitionState, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
-use crate::wal::{self, CheckpointReport, Durability, Sidecar, TailRead, WalConfig};
 
-/// What one [`Store::ingest`] (or [`crate::shard::ShardedStore::ingest`])
-/// publication did — echoed verbatim by the serve protocol's `ingest`
-/// response.
+/// What one [`LiveStore::ingest`] publication did — echoed verbatim by
+/// the serve protocol's `ingest` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
     /// Trajectories added by this batch.
@@ -104,15 +103,10 @@ pub struct Store {
     net: Arc<RoadNetwork>,
     /// Shared across every epoch's snapshot; keys carry the epoch.
     cache: Arc<DecodeCache>,
-    /// The current epoch — queries pin it, [`Store::ingest`] swaps it.
+    /// The current epoch — queries pin it, [`LiveStore::ingest`] swaps it.
     snap: Swap<Snapshot>,
-    /// Epoch the next publish will carry (the initial state is epoch 0).
-    next_epoch: AtomicU64,
-    /// Serializes writers; queries never touch it.
-    writer: Mutex<()>,
-    /// The attached write-ahead log, if any (see [`crate::wal`]). Taken
-    /// only by writers, always after the writer lock.
-    durability: Mutex<Option<Sidecar>>,
+    /// Writer lock, epoch counter and WAL slot (see [`crate::live`]).
+    core: WriterCore,
 }
 
 /// Incremental construction of a [`Store`].
@@ -137,7 +131,7 @@ pub struct Store {
 /// existing index in place. Ingest order does not change query answers
 /// (only the interleaving of internal positions), which
 /// `tests/store_roundtrip.rs` asserts. The finished store keeps
-/// accepting batches through [`Store::ingest`] — the builder is the
+/// accepting batches through [`LiveStore::ingest`] — the builder is the
 /// offline bootstrap of the same per-trajectory path the live writer
 /// runs.
 pub struct StoreBuilder {
@@ -147,7 +141,6 @@ pub struct StoreBuilder {
     name: Option<String>,
     state: PartitionState,
     cache_bytes: usize,
-    durability: Durability,
 }
 
 impl StoreBuilder {
@@ -161,18 +154,7 @@ impl StoreBuilder {
             name: None,
             state,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            durability: Durability::Off,
         }
-    }
-
-    /// Sets the durability mode of the finished store: with
-    /// [`Durability::Wal`], [`Store::ingest`] appends every accepted
-    /// batch to the log before publishing, and any batches already in
-    /// the log file are replayed on top of the built state by
-    /// [`finish`](Self::finish).
-    pub fn durability(mut self, d: Durability) -> Self {
-        self.durability = d;
-        self
     }
 
     /// Overrides the decode-cache byte budget of the finished store
@@ -257,23 +239,19 @@ impl StoreBuilder {
         }
         let b = crate::shard::ShardedStoreBuilder::new(self.net, self.params, policy, n_shards)?
             .stiu_params(self.stiu_params)
-            .cache_bytes(self.cache_bytes)
-            .durability(self.durability);
+            .cache_bytes(self.cache_bytes);
         Ok(match self.name {
             Some(n) => b.name(&n),
             None => b,
         })
     }
 
-    /// Finalizes the store, attaching the configured write-ahead log
-    /// (if any) and replaying whatever batches it already holds.
+    /// Finalizes the store. Attach a write-ahead log afterwards with
+    /// [`LiveStore::attach_wal`].
     pub fn finish(self) -> Result<Store, Error> {
         let mut state = self.state;
         state.cds.name = self.name.unwrap_or_default();
         let store = Store::from_state(self.net, state, self.stiu_params, self.cache_bytes);
-        if let Durability::Wal(cfg) = self.durability {
-            store.attach_wal(cfg)?;
-        }
         Ok(store)
     }
 }
@@ -335,9 +313,7 @@ impl Store {
             net,
             cache,
             snap: Swap::new(Arc::new(snap)),
-            next_epoch: AtomicU64::new(1),
-            writer: Mutex::new(()),
-            durability: Mutex::new(None),
+            core: WriterCore::new(),
         }
     }
 
@@ -482,272 +458,19 @@ impl Store {
     }
 
     /// Pins the current epoch: the returned [`Snapshot`] is a consistent
-    /// read view that concurrent [`Store::ingest`] calls cannot change.
+    /// read view that concurrent [`LiveStore::ingest`] calls cannot change.
     /// Hold it across a multi-page walk for stable answers, or hand it
     /// to [`Snapshot::save`] for a live checkpoint.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.snap.load()
     }
 
-    /// Compresses, indexes and **publishes** one batch concurrently with
-    /// queries. The batch is processed against a private clone of the
-    /// current snapshot — queries keep answering from the epoch they
-    /// pinned — and becomes visible atomically as the next epoch.
-    /// Writers serialize on an internal lock; a failed batch publishes
-    /// nothing (all-or-nothing per batch).
-    ///
-    /// The published state is byte-identical to an offline
-    /// [`StoreBuilder`] run over the same batches in the same order.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use utcq_core::{CompressParams, StiuParams, Store};
-    /// # fn main() -> Result<(), utcq_core::Error> {
-    /// # let (net, mut ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
-    /// # let mut late = ds.clone();
-    /// # late.trajectories = ds.trajectories.split_off(3);
-    /// let store = Store::build(Arc::new(net), &ds,
-    ///     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// let report = store.ingest(&late)?;     // live: no rebuild, no restart
-    /// assert_eq!(report.ingested, 3);
-    /// assert_eq!(report.total, 6);
-    /// assert_eq!(report.epoch, 1);
-    /// # Ok(()) }
-    /// ```
-    pub fn ingest(&self, batch: &Dataset) -> Result<IngestReport, Error> {
-        let tus: Vec<&UncertainTrajectory> = batch.trajectories.iter().collect();
-        self.ingest_trajs(batch.default_interval, &batch.name, &tus)
-    }
-
-    /// The by-reference ingest step shared with the sharded facade (so
-    /// routing a batch across shards never copies trajectory payloads).
-    pub(crate) fn ingest_trajs(
-        &self,
-        default_interval: i64,
-        name: &str,
-        tus: &[&UncertainTrajectory],
-    ) -> Result<IngestReport, Error> {
-        // A panic mid-batch leaves only a discarded private clone, so a
-        // poisoned writer lock is safe to adopt.
-        let _writer = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        self.ingest_trajs_locked(default_interval, name, tus)
-    }
-
-    /// [`Store::ingest_trajs`] with the writer lock already held — the
-    /// WAL replay path of [`Store::attach_wal`] drives this directly.
-    fn ingest_trajs_locked(
-        &self,
-        default_interval: i64,
-        name: &str,
-        tus: &[&UncertainTrajectory],
-    ) -> Result<IngestReport, Error> {
-        match self.prepare_trajs(default_interval, name, tus)? {
-            None => {
-                let cur = self.snap.load();
-                Ok(IngestReport {
-                    ingested: 0,
-                    total: cur.len(),
-                    epoch: cur.epoch(),
-                })
-            }
-            Some(snap) => {
-                let report = IngestReport {
-                    ingested: tus.len(),
-                    total: snap.len(),
-                    epoch: snap.epoch(),
-                };
-                if let Err(e) = self.wal_append(snap.epoch(), default_interval, name, tus) {
-                    // Nothing published: roll the epoch allocation back
-                    // so the log and the epoch sequence stay gap-free.
-                    self.next_epoch.fetch_sub(1, Ordering::Relaxed);
-                    return Err(e);
-                }
-                self.snap.store(snap);
-                Ok(report)
-            }
-        }
-    }
-
-    /// Adopts the durability slot even after a writer panic: the sidecar
-    /// is only ever mutated append-wise, and an interrupted append shows
-    /// up as a torn tail on the next open, not as broken memory state.
-    fn wal_lock(&self) -> std::sync::MutexGuard<'_, Option<Sidecar>> {
-        match self.durability.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Logs a publishing batch. No-op without an attached WAL. Called
-    /// under the writer lock, *before* the snapshot swap — the record
-    /// must be on disk (per the fsync policy) before readers can see
-    /// the batch.
-    fn wal_append(
-        &self,
-        epoch: u64,
-        default_interval: i64,
-        name: &str,
-        tus: &[&UncertainTrajectory],
-    ) -> Result<(), Error> {
-        let mut guard = self.wal_lock();
-        let Some(sc) = guard.as_mut() else {
-            return Ok(());
-        };
-        sc.append_live(wal::Record {
-            epoch,
-            name: name.to_string(),
-            default_interval,
-            trajectories: tus.iter().map(|t| (*t).clone()).collect(),
-        })
-    }
-
-    /// Opens a v2 container with a write-ahead log sidecar: any batches
-    /// in the log are replayed on top of the container (byte-identical
-    /// to having ingested them live), a torn final record is truncated
-    /// away, and subsequent [`Store::ingest`] calls append to the log
-    /// before publishing. The container path becomes the checkpoint
-    /// target unless `cfg` names another.
-    pub fn open_durable(path: impl AsRef<Path>, cfg: WalConfig) -> Result<Self, Error> {
-        let path = path.as_ref();
-        let store = Self::open(path)?;
-        let mut cfg = cfg;
-        if cfg.checkpoint_to.is_none() {
-            cfg.checkpoint_to = Some(path.to_path_buf());
-        }
-        store.attach_wal(cfg)?;
-        Ok(store)
-    }
-
-    /// Attaches a write-ahead log to a live store, replaying any records
-    /// already in the file through the normal ingest path. Returns the
-    /// number of replayed batches.
-    ///
-    /// Replay tolerates a checkpoint that crashed between the container
-    /// save and the log truncation: a prefix of records whose
-    /// trajectories are all already present is skipped and the log is
-    /// rewritten without it (completing the interrupted truncation).
-    /// Anything else that disagrees with the container is corruption.
-    pub fn attach_wal(&self, cfg: WalConfig) -> Result<usize, Error> {
-        // Same order as every writer: writer lock, then the wal slot.
-        let _writer = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if self.wal_lock().is_some() {
-            return Err(Error::CorruptStore("a wal is already attached"));
-        }
-        let (wal, records) = wal::Wal::open(&cfg)?;
-        let mut sc = Sidecar::new(wal, &cfg);
-        let mut skipped = 0u64;
-        let mut applied: Vec<wal::Record> = Vec::new();
-        for (expect, rec) in (1u64..).zip(records) {
-            if rec.epoch != expect {
-                return Err(Error::CorruptStore("wal record epochs are not sequential"));
-            }
-            let all_present = !rec.trajectories.is_empty() && {
-                let snap = self.snap.load();
-                rec.trajectories
-                    .iter()
-                    .all(|t| snap.traj_index(t.id).is_some())
-            };
-            if all_present {
-                if !applied.is_empty() {
-                    return Err(Error::CorruptStore("wal batch overlaps the container"));
-                }
-                skipped += 1;
-                continue;
-            }
-            let tus: Vec<&UncertainTrajectory> = rec.trajectories.iter().collect();
-            let report = self.ingest_trajs_locked(rec.default_interval, &rec.name, &tus)?;
-            let live = rec.epoch - skipped;
-            if report.epoch != live {
-                // A no-op replay (name already adopted by the saved
-                // container) in the skipped prefix; anything past an
-                // applied record must line up exactly.
-                if report.ingested == 0 && applied.is_empty() {
-                    skipped += 1;
-                    continue;
-                }
-                return Err(Error::CorruptStore(
-                    "wal replay produced an unexpected epoch",
-                ));
-            }
-            applied.push(wal::Record { epoch: live, ..rec });
-        }
-        if skipped > 0 {
-            // Finish the interrupted checkpoint: drop the absorbed
-            // prefix from disk and renumber the survivors.
-            sc.wal.truncate()?;
-            for rec in &applied {
-                sc.wal.append(rec)?;
-            }
-        }
-        let n = applied.len();
-        for rec in applied {
-            sc.push_feed(rec);
-        }
-        *self.wal_lock() = Some(sc);
-        Ok(n)
-    }
-
-    /// Crash-safe checkpoint: saves the current snapshot to the recorded
-    /// checkpoint target (tmp file + rename + directory fsync), then
-    /// truncates the log — after which a reopen replays from the fresh
-    /// container alone. Returns `Ok(None)` when no WAL (or no target
-    /// path) is attached. Serializes with writers; queries never block.
-    pub fn checkpoint(&self) -> Result<Option<CheckpointReport>, Error> {
-        let _writer = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let snap = self.snap.load();
-        let mut guard = self.wal_lock();
-        let Some(sc) = guard.as_mut() else {
-            return Ok(None);
-        };
-        let Some(target) = sc.checkpoint_to.clone() else {
-            return Ok(None);
-        };
-        let log_bytes = sc.wal.len_bytes();
-        wal::atomic_write(&target, |w| snap.write(w))?;
-        sc.checkpointed(snap.epoch())?;
-        Ok(Some(CheckpointReport {
-            epoch: snap.epoch(),
-            log_bytes,
-        }))
-    }
-
-    /// Current size of the attached log in bytes; `None` without a WAL.
-    pub fn wal_bytes(&self) -> Option<u64> {
-        self.wal_lock().as_ref().map(|sc| sc.wal.len_bytes())
-    }
-
-    /// Batches published after epoch `from` (capped at `max`), from the
-    /// in-memory feed of the attached WAL; `None` without a WAL. Serves
-    /// the `tail` wire op.
-    pub fn wal_tail(&self, from: u64, max: usize) -> Option<TailRead> {
-        let current = self.snap.load().epoch();
-        self.wal_lock()
-            .as_ref()
-            .map(|sc| sc.records_since(from, max, current))
-    }
-
-    /// If the attached WAL recorded exactly this batch (trajectories
-    /// compared in full), its publish epoch and size — lets the serve
-    /// layer answer a re-sent batch idempotently instead of failing on
-    /// duplicates.
-    pub fn wal_dedup(&self, tus: &[UncertainTrajectory]) -> Option<(u64, usize)> {
-        self.wal_lock().as_ref().and_then(|sc| sc.dedup_epoch(tus))
-    }
-
-    /// Builds — without publishing — the snapshot that appending `tus`
-    /// would produce; `Ok(None)` when nothing would change (empty batch
-    /// with no name to adopt). The caller must already serialize
-    /// writers (the store's own lock, or the sharded facade's), and
-    /// publishes the returned snapshot with [`Store::publish_snapshot`].
+    /// Builds — without publishing — the state that appending `tus`
+    /// would produce, against a private clone of the current snapshot;
+    /// `Ok(None)` when nothing would change (empty batch with no name
+    /// to adopt). The caller must already serialize writers (the
+    /// store's own lock, or the sharded facade's), and publishes the
+    /// state with [`Store::publish_state`] once the batch is logged.
     /// Splitting prepare from publish is what makes a sharded batch
     /// all-or-nothing across shards.
     pub(crate) fn prepare_trajs(
@@ -755,7 +478,7 @@ impl Store {
         default_interval: i64,
         name: &str,
         tus: &[&UncertainTrajectory],
-    ) -> Result<Option<Arc<Snapshot>>, Error> {
+    ) -> Result<Option<PartitionState>, Error> {
         crate::hooks::point("store.prepare");
         let cur = self.snap.load();
         let params = cur.compressed().params;
@@ -780,19 +503,22 @@ impl Store {
         for tu in tus {
             state.ingest_traj(&self.net, stiu_params, tu)?;
         }
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(Arc::new(state.into_snapshot(
+        Ok(Some(state))
+    }
+
+    /// Freezes a state prepared by [`Store::prepare_trajs`] as `epoch`
+    /// and publishes it — a single pointer swap.
+    pub(crate) fn publish_state(&self, state: PartitionState, epoch: u64) -> Arc<Snapshot> {
+        // A state cloned out of a snapshot always carries its index.
+        let stiu_params = state.stiu.as_ref().map(|s| s.params).unwrap_or_default();
+        let snap = Arc::new(state.into_snapshot(
             Arc::clone(&self.net),
             stiu_params,
             Arc::clone(&self.cache),
             epoch,
-        ))))
-    }
-
-    /// Publishes a snapshot prepared by [`Store::prepare_trajs`] — a
-    /// single pointer swap.
-    pub(crate) fn publish_snapshot(&self, snap: Arc<Snapshot>) {
-        self.snap.store(snap);
+        ));
+        self.snap.store(Arc::clone(&snap));
+        snap
     }
 
     /// The road network the store owns (identical across epochs).
@@ -1060,6 +786,56 @@ impl crate::query::QueryTarget for Store {
 
     fn clear_cache(&self) {
         Store::clear_cache(self)
+    }
+}
+
+impl LiveStore for Store {
+    fn writer(&self) -> &WriterCore {
+        &self.core
+    }
+
+    fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool {
+        let snap = self.snap.load();
+        tus.iter().all(|t| snap.traj_index(t.id).is_some())
+    }
+
+    fn publish_locked(&self, held: &Held<'_>, batch: &Dataset) -> Result<IngestReport, Error> {
+        let tus: Vec<&UncertainTrajectory> = batch.trajectories.iter().collect();
+        let Some(state) = self.prepare_trajs(batch.default_interval, &batch.name, &tus)? else {
+            let cur = self.snap.load();
+            return Ok(IngestReport {
+                ingested: 0,
+                total: cur.len(),
+                epoch: cur.epoch(),
+            });
+        };
+        let epoch = self.core.log(held, batch)?;
+        let snap = self.publish_state(state, epoch);
+        Ok(IngestReport {
+            ingested: tus.len(),
+            total: snap.len(),
+            epoch,
+        })
+    }
+
+    fn epoch(&self) -> u64 {
+        self.snap.load().epoch()
+    }
+
+    fn write_cut(&self, _held: &Held<'_>, mut w: &mut dyn Write) -> Result<(), Error> {
+        self.write(&mut w)
+    }
+
+    fn snapshots(&self) -> Vec<Arc<Snapshot>> {
+        vec![self.snapshot()]
+    }
+
+    fn info(&self) -> InfoReport {
+        InfoReport::over(&self.snapshots(), None)
+    }
+
+    fn default_interval(&self) -> i64 {
+        self.params().default_interval
     }
 }
 

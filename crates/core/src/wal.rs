@@ -101,16 +101,6 @@ impl WalConfig {
     }
 }
 
-/// Durability mode for a live store.
-#[derive(Debug, Clone)]
-pub enum Durability {
-    /// No log: a crash loses everything since the last save.
-    Off,
-    /// Every accepted batch is appended to a write-ahead log before
-    /// the epoch publish.
-    Wal(WalConfig),
-}
-
 /// One logged ingest batch. `epoch` is the publish epoch the batch
 /// produced — relative to the sidecar'd container on disk, live once
 /// the record sits in the in-memory tail.
@@ -625,12 +615,11 @@ impl Sidecar {
 
     /// Appends a batch that published at live epoch `rec.epoch`: the
     /// file gets the container-relative number, the feed the live one.
-    pub fn append_live(&mut self, rec: Record) -> Result<(), Error> {
-        let stored = Record {
-            epoch: rec.epoch.saturating_sub(self.base),
-            ..rec.clone()
-        };
-        self.wal.append(&stored)?;
+    pub fn append_live(&mut self, mut rec: Record) -> Result<(), Error> {
+        let live = rec.epoch;
+        rec.epoch = live.saturating_sub(self.base);
+        self.wal.append(&rec)?;
+        rec.epoch = live;
         self.push_feed(rec);
         Ok(())
     }

@@ -26,7 +26,7 @@
 use crate::cache::CacheStats;
 use crate::error::Error;
 use crate::opened::{InfoReport, Opened};
-use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit, DEFAULT_PAGE_LIMIT};
+use crate::query::{Page, PageRequest, WhenHit, WhereHit, DEFAULT_PAGE_LIMIT};
 use crate::store::IngestReport;
 use crate::wal::{CheckpointReport, Record, TailRead};
 use utcq_network::{EdgeId, Rect};
@@ -1318,7 +1318,7 @@ fn run_ingest(
         // fatal.
         Err(Error::DuplicateTrajectory(d)) => match opened.wal_dedup(&batch.trajectories) {
             Some((epoch, ingested)) => {
-                let total = opened.snapshots().iter().map(|s| s.len()).sum::<usize>();
+                let total = opened.len();
                 respond_ingest_deduped(id, ingested, total, epoch)
             }
             None => {

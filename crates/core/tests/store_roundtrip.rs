@@ -114,6 +114,35 @@ fn v2_file_roundtrip_via_paths() {
 }
 
 #[test]
+fn empty_network_store_roundtrips_and_answers_empty() {
+    // `RoadNetwork::read_from` accepts V=0,E=0, so a container can embed
+    // a network without vertices: it must build, save and reopen, never
+    // panic, and answer every query with the empty set.
+    let net = Arc::new(utcq_network::NetworkBuilder::new().build());
+    let store = StoreBuilder::new(net, CompressParams::default())
+        .finish()
+        .unwrap();
+    let mut bytes = Vec::new();
+    store.write(&mut bytes).unwrap();
+    let reopened = Store::read(&mut bytes.as_slice()).unwrap();
+    for s in [&store, &reopened] {
+        assert!(s.is_empty());
+        assert_eq!(s.network().vertex_count(), 0);
+        let everywhere = s.network().bounding_rect();
+        assert!(s
+            .range_query(&everywhere, 0, 0.0, PageRequest::all())
+            .unwrap()
+            .items
+            .is_empty());
+        assert!(s
+            .where_query(1, 0, 0.0, PageRequest::all())
+            .unwrap()
+            .items
+            .is_empty());
+    }
+}
+
+#[test]
 fn v1_container_opens_through_compat_path() {
     // Fixture: a v1 (dataset-only) container written by the legacy
     // writer must still load — with the network supplied out of band —

@@ -198,18 +198,16 @@ impl RoadNetwork {
         a.lerp(b, t)
     }
 
-    /// The bounding rectangle of all vertices (computed once, cached).
+    /// The bounding rectangle of all vertices (computed once, cached);
+    /// the degenerate rectangle at the origin for a network without
+    /// vertices.
     pub fn bounding_rect(&self) -> Rect {
         *self.bounds.get_or_init(|| {
-            let mut rect = self
-                .coords
-                .first()
+            self.coords
+                .iter()
                 .map(|&p| Rect::point(p))
-                .unwrap_or(Rect::new(0.0, 0.0, 0.0, 0.0));
-            for &p in &self.coords[1..] {
-                rect = rect.union(Rect::point(p));
-            }
-            rect
+                .reduce(|a, b| a.union(b))
+                .unwrap_or(Rect::new(0.0, 0.0, 0.0, 0.0))
         })
     }
 
@@ -299,6 +297,16 @@ mod tests {
         let n = triangle();
         let r = n.bounding_rect();
         assert_eq!(r, Rect::new(0.0, 0.0, 10.0, 10.0));
+    }
+
+    #[test]
+    fn bounding_rect_of_an_empty_network_is_degenerate() {
+        // `read_from` accepts V=0,E=0, so this shape arrives from disk.
+        let mut bytes = Vec::new();
+        NetworkBuilder::new().build().write_to(&mut bytes).unwrap();
+        let n = RoadNetwork::read_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(n.vertex_count(), 0);
+        assert_eq!(n.bounding_rect(), Rect::new(0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -63,9 +63,7 @@ use utcq::core::query::PageRequest;
 use utcq::core::serve::{Server, DEFAULT_THREADS};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{
-    storage, wire, FsyncPolicy, Opened, QueryTarget, RangeQuery, Store, StoreBuilder, WalConfig,
-};
+use utcq::core::{storage, wire, FsyncPolicy, Opened, RangeQuery, Store, StoreBuilder, WalConfig};
 use utcq::datagen::DatasetProfile;
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;
@@ -426,7 +424,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     eprintln!(
         "serving {} ({}, {} trajectories, {}) with {threads} worker threads",
         args.get("in", "data.utcq"),
-        opened.shape(),
+        opened.info().shape(),
         opened.len(),
         if writable { "writable" } else { "read-only" },
     );

@@ -19,15 +19,15 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use utcq::core::serve::{self, Server};
 use utcq::core::shard::ByTime;
 use utcq::core::{
-    wire, CompressParams, FsyncPolicy, Opened, QueryTarget, ShardedStore, StiuParams, Store,
-    StoreBuilder, WalConfig,
+    wire, CompressParams, FsyncPolicy, Opened, ShardedStore, StiuParams, Store, StoreBuilder,
+    WalConfig,
 };
 use utcq::network::RoadNetwork;
 use utcq::traj::{Dataset, UncertainTrajectory};
@@ -69,175 +69,172 @@ fn single_store(net: &Arc<RoadNetwork>, batches: &[&Dataset]) -> Store {
     b.finish().expect("builder finish")
 }
 
-fn store_bytes(store: &Store) -> Vec<u8> {
+fn sharded_store(net: &Arc<RoadNetwork>, batches: &[&Dataset]) -> ShardedStore {
+    let mut b = StoreBuilder::new(Arc::clone(net), params(batches[0]))
+        .stiu_params(STIU)
+        .shard_by(Arc::new(ByTime { interval_s: 120 }), 3)
+        .expect("shard");
+    for ds in batches {
+        b = b.ingest(ds).expect("builder ingest");
+    }
+    b.finish().expect("builder finish")
+}
+
+/// The offline build of one store shape over a batch history, as the
+/// live handle a reopen of its container yields.
+type Build<'a> = &'a dyn Fn(&[&Dataset]) -> Opened;
+
+/// Runs `case` once per store shape with a tag and that shape's offline
+/// constructor; everything past construction goes through the shared
+/// [`utcq::core::LiveStore`] handle.
+fn for_each_shape(net: &Arc<RoadNetwork>, case: impl Fn(&str, Build)) {
+    case("single", &|history| {
+        Opened::Single(Box::new(single_store(net, history)))
+    });
+    case("sharded", &|history| {
+        Opened::Sharded(Box::new(sharded_store(net, history)))
+    });
+}
+
+/// The container bytes (v2 or v3) of a live handle.
+fn container_bytes(opened: &Opened) -> Vec<u8> {
     let mut bytes = Vec::new();
-    store.write(&mut bytes).expect("serialize store");
+    match opened {
+        Opened::Single(s) => s.write(&mut bytes),
+        Opened::Sharded(s) => s.write(&mut bytes),
+    }
+    .expect("serialize store");
     bytes
+}
+
+fn save(opened: &Opened, path: &Path) {
+    std::fs::write(path, container_bytes(opened)).expect("save container");
 }
 
 #[test]
 fn durable_reopen_replays_byte_identically() {
-    let dir = tmp_dir("replay-single");
     let (net, all) = batches(9, 61);
-    let container = dir.join("c.utcq");
-    single_store(&net, &[&all[0]])
-        .save(&container)
-        .expect("seed container");
-    let wal_cfg = || WalConfig::new(dir.join("log.wal"));
+    for_each_shape(&net, |shape, build| {
+        let dir = tmp_dir(&format!("replay-{shape}"));
+        let container = dir.join("c.utcq");
+        save(&build(&[&all[0]]), &container);
+        let wal_cfg = || WalConfig::new(dir.join("log.wal"));
 
-    // Two live ingests under the log, then the process "dies".
-    let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
-    store.ingest(&all[1]).expect("ingest b");
-    store.ingest(&all[2]).expect("ingest c");
-    drop(store);
+        // Two live ingests under the log, then the process "dies".
+        let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+        store.ingest(&all[1]).expect("ingest b");
+        store.ingest(&all[2]).expect("ingest c");
+        drop(store);
 
-    // Reopen: both batches replay, and the state is byte-identical to
-    // the offline build over the full history.
-    let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
-    assert_eq!(reopened.snapshot().epoch(), 2, "both batches replay");
-    let offline = single_store(&net, &[&all[0], &all[1], &all[2]]);
-    assert_eq!(
-        store_bytes(&reopened),
-        store_bytes(&offline),
-        "replayed store must serialize identically to the offline build"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sharded_durable_reopen_replays_byte_identically() {
-    let dir = tmp_dir("replay-sharded");
-    let (net, all) = batches(9, 62);
-    let policy = || Arc::new(ByTime { interval_s: 120 });
-    let build = |history: &[&Dataset]| {
-        let mut b = StoreBuilder::new(Arc::clone(&net), params(&all[0]))
-            .stiu_params(STIU)
-            .shard_by(policy(), 3)
-            .expect("shard");
-        for ds in history {
-            b = b.ingest(ds).expect("builder ingest");
-        }
-        b.finish().expect("builder finish")
-    };
-    let container = dir.join("c.utcq");
-    build(&[&all[0]]).save(&container).expect("seed container");
-    let wal_cfg = || WalConfig::new(dir.join("log.wal"));
-
-    let store = ShardedStore::open_durable(&container, wal_cfg()).expect("open durable");
-    store.ingest(&all[1]).expect("ingest b");
-    store.ingest(&all[2]).expect("ingest c");
-    drop(store);
-
-    let reopened = ShardedStore::open_durable(&container, wal_cfg()).expect("reopen");
-    assert_eq!(reopened.facade_epoch(), 2);
-    let mut live = Vec::new();
-    reopened.write(&mut live).expect("serialize");
-    let mut offline = Vec::new();
-    build(&[&all[0], &all[1], &all[2]])
-        .write(&mut offline)
-        .expect("serialize offline");
-    assert_eq!(
-        live, offline,
-        "sharded replay must serialize identically to the offline build"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        // Reopen: both batches replay, and the state is byte-identical
+        // to the offline build over the full history.
+        let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+        assert_eq!(reopened.epoch(), 2, "{shape}: both batches replay");
+        assert_eq!(
+            container_bytes(&reopened),
+            container_bytes(&build(&[&all[0], &all[1], &all[2]])),
+            "{shape}: replayed store must serialize identically to the offline build"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 #[test]
 fn checkpoint_truncates_the_log_and_the_next_open_replays_nothing() {
-    let dir = tmp_dir("ckpt");
     let (net, all) = batches(9, 63);
-    let container = dir.join("c.utcq");
-    single_store(&net, &[&all[0]])
-        .save(&container)
-        .expect("seed container");
-    // `open_durable` defaults the checkpoint target to the container.
-    let wal_cfg = || WalConfig::new(dir.join("log.wal"));
+    for_each_shape(&net, |shape, build| {
+        let dir = tmp_dir(&format!("ckpt-{shape}"));
+        let container = dir.join("c.utcq");
+        save(&build(&[&all[0]]), &container);
+        // `open_durable` defaults the checkpoint target to the container.
+        let wal_cfg = || WalConfig::new(dir.join("log.wal"));
 
-    let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
-    store.ingest(&all[1]).expect("ingest");
-    let before = store.wal_bytes().expect("wal attached");
-    let report = store
-        .checkpoint()
-        .expect("checkpoint")
-        .expect("target configured");
-    assert_eq!(report.epoch, 1);
-    assert_eq!(report.log_bytes, before);
-    assert!(
-        store.wal_bytes().expect("wal attached") < before,
-        "checkpoint must truncate the log"
-    );
-    drop(store);
+        let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+        store.ingest(&all[1]).expect("ingest");
+        let before = store.wal_bytes().expect("wal attached");
+        let report = store
+            .checkpoint()
+            .expect("checkpoint")
+            .expect("target configured");
+        assert_eq!(report.epoch, 1, "{shape}");
+        assert_eq!(report.log_bytes, before, "{shape}");
+        assert!(
+            store.wal_bytes().expect("wal attached") < before,
+            "{shape}: checkpoint must truncate the log"
+        );
+        drop(store);
 
-    let fresh = Store::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
-    assert_eq!(fresh.snapshot().epoch(), 0, "nothing left to replay");
-    assert_eq!(
-        store_bytes(&fresh),
-        store_bytes(&single_store(&net, &[&all[0], &all[1]])),
-        "checkpointed container must hold the full history"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let fresh = Opened::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
+        assert_eq!(fresh.epoch(), 0, "{shape}: nothing left to replay");
+        assert_eq!(
+            container_bytes(&fresh),
+            container_bytes(&build(&[&all[0], &all[1]])),
+            "{shape}: checkpointed container must hold the full history"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 #[test]
 fn interrupted_checkpoint_truncation_is_completed_on_reopen() {
-    let dir = tmp_dir("ckpt-interrupted");
     let (net, all) = batches(9, 64);
-    let container = dir.join("c.utcq");
-    single_store(&net, &[&all[0]])
-        .save(&container)
-        .expect("seed container");
-    let wal_cfg = || WalConfig::new(dir.join("log.wal"));
+    for_each_shape(&net, |shape, build| {
+        let dir = tmp_dir(&format!("ckpt-interrupted-{shape}"));
+        let container = dir.join("c.utcq");
+        save(&build(&[&all[0]]), &container);
+        let wal_cfg = || WalConfig::new(dir.join("log.wal"));
 
-    // A checkpoint that crashed between the container save and the log
-    // truncation: the container already holds the batch, the log still
-    // carries its record.
-    let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
-    store.ingest(&all[1]).expect("ingest");
-    store.save(&container).expect("checkpoint save half");
-    drop(store);
+        // A checkpoint that crashed between the container save and the
+        // log truncation: the container already holds the batch, the
+        // log still carries its record.
+        let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+        store.ingest(&all[1]).expect("ingest");
+        save(&store, &container);
+        drop(store);
 
-    // Reopen: the absorbed prefix is recognized (every trajectory
-    // already present), skipped rather than double-applied, and the
-    // interrupted truncation completes on disk.
-    let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
-    assert_eq!(reopened.snapshot().epoch(), 0, "nothing replays");
-    assert_eq!(
-        store_bytes(&reopened),
-        store_bytes(&single_store(&net, &[&all[0], &all[1]])),
-    );
-    drop(reopened);
-    let scan = utcq::core::wal::scan(&std::fs::read(dir.join("log.wal")).expect("read log"))
-        .expect("scan log");
-    assert!(
-        scan.records.is_empty() && !scan.torn,
-        "the absorbed prefix must be dropped from disk"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        // Reopen: the absorbed prefix is recognized (every trajectory
+        // already present), skipped rather than double-applied, and the
+        // interrupted truncation completes on disk.
+        let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+        assert_eq!(reopened.epoch(), 0, "{shape}: nothing replays");
+        assert_eq!(
+            container_bytes(&reopened),
+            container_bytes(&build(&[&all[0], &all[1]])),
+            "{shape}"
+        );
+        drop(reopened);
+        let scan = utcq::core::wal::scan(&std::fs::read(dir.join("log.wal")).expect("read log"))
+            .expect("scan log");
+        assert!(
+            scan.records.is_empty() && !scan.torn,
+            "{shape}: the absorbed prefix must be dropped from disk"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 #[test]
 fn fsync_policies_all_accept_writes_and_replay() {
     let (net, all) = batches(9, 65);
-    for (tag, policy) in [
-        ("always", FsyncPolicy::Always),
-        ("every2", FsyncPolicy::EveryN(2)),
-        ("never", FsyncPolicy::Never),
-    ] {
-        let dir = tmp_dir(&format!("fsync-{tag}"));
-        let container = dir.join("c.utcq");
-        single_store(&net, &[&all[0]])
-            .save(&container)
-            .expect("seed container");
-        let wal_cfg = || WalConfig::new(dir.join("log.wal")).fsync(policy);
-        let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
-        store.ingest(&all[1]).expect("ingest b");
-        store.ingest(&all[2]).expect("ingest c");
-        drop(store);
-        let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
-        assert_eq!(reopened.snapshot().epoch(), 2, "{tag}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    for_each_shape(&net, |shape, build| {
+        for (tag, policy) in [
+            ("always", FsyncPolicy::Always),
+            ("every2", FsyncPolicy::EveryN(2)),
+            ("never", FsyncPolicy::Never),
+        ] {
+            let dir = tmp_dir(&format!("fsync-{tag}-{shape}"));
+            let container = dir.join("c.utcq");
+            save(&build(&[&all[0]]), &container);
+            let wal_cfg = || WalConfig::new(dir.join("log.wal")).fsync(policy);
+            let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+            store.ingest(&all[1]).expect("ingest b");
+            store.ingest(&all[2]).expect("ingest c");
+            drop(store);
+            let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+            assert_eq!(reopened.epoch(), 2, "{tag} {shape}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    });
 }
 
 /// Serializes a trajectory into the `ingest` request shape of

@@ -1,9 +1,9 @@
 //! Live-ingest acceptance tests for the snapshot-based store:
 //!
-//! * **byte-identity** — a store grown through live [`Store::ingest`] /
-//!   [`ShardedStore::ingest`] serializes to the *same container bytes*
-//!   as an offline [`StoreBuilder`] run over the same batches in the
-//!   same order (publishing epochs adds nothing to the on-disk state);
+//! * **byte-identity** — a store of either shape grown through live
+//!   [`LiveStore::ingest`] serializes to the *same container bytes* as
+//!   an offline [`StoreBuilder`] run over the same batches in the same
+//!   order (publishing epochs adds nothing to the on-disk state);
 //! * **snapshot isolation** — a pinned snapshot (and a paginated walk
 //!   running on it) keeps answering with pre-ingest answers while new
 //!   queries on the store see the post-ingest epoch;
@@ -16,7 +16,9 @@
 use std::sync::Arc;
 
 use utcq::core::shard::ByTime;
-use utcq::core::{CompressParams, PageRequest, ShardedStore, StiuParams, Store, StoreBuilder};
+use utcq::core::{
+    CompressParams, LiveStore, PageRequest, ShardedStore, StiuParams, Store, StoreBuilder,
+};
 use utcq::datagen::{generate_network, generate_on_network, GenOptions};
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;
@@ -140,7 +142,7 @@ fn sharded_live_ingest_matches_offline_build_byte_for_byte() {
     live.ingest(&batches[1]).unwrap();
     let report = live.ingest(&batches[2]).unwrap();
     assert_eq!(report.total, 9);
-    assert_eq!(live.facade_epoch(), 2);
+    assert_eq!(live.epoch(), 2);
 
     let mut live_bytes = Vec::new();
     live.write(&mut live_bytes).unwrap();

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use utcq::core::serve::{Server, ServerHandle};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{wire, Opened, QueryTarget, Store};
+use utcq::core::{wire, Opened, Store};
 
 /// Matches the parameters `tests/container_compat.rs` regenerates the
 /// fixtures with (the v1 fixture's index is rebuilt at open time).
