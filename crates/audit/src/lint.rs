@@ -49,7 +49,6 @@ pub const HOT_FILES: &[&str] = &[
     "live.rs",
     "wal.rs",
     "chunk.rs",
-    "bitmap.rs",
 ];
 
 const PANIC_TOKENS: &[&str] = &[

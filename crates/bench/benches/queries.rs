@@ -7,7 +7,7 @@ use std::sync::Arc;
 use utcq_bench::{datasets, workload};
 use utcq_core::query::PageRequest;
 use utcq_core::stiu::StiuParams;
-use utcq_core::Store;
+use utcq_core::{QueryTarget, Store};
 use utcq_ted::{TedStore, TedStoreParams};
 
 fn bench_queries(c: &mut Criterion) {

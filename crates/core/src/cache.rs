@@ -36,7 +36,7 @@
 //!
 //! The cache is **sharded**: keys hash to one of [`SHARD_COUNT`]
 //! [`RwLock`]-protected shards, so concurrent queries (e.g. under
-//! [`crate::store::Store::par_range_query`]) contend only when they touch
+//! [`crate::query::QueryTarget::par_range_query`]) contend only when they touch
 //! the same shard. Hits take the shard's *read* lock — recency is
 //! maintained with a per-entry atomic tick, so a hit never needs write
 //! access. Misses decode outside any lock and then take the write lock to

@@ -30,12 +30,12 @@
 //!
 //! Every copy-on-write event reports its (shallow) byte count to
 //! [`crate::hooks::copied`], which `tests/publish_cost.rs` and the
-//! `"publish"` bench section use to prove publish copies stay O(batch).
+//! benchmark's `publish.copied_bytes_per_batch` probe use to prove
+//! publish copies stay O(batch). Sealing a segment moves its `Arc` into
+//! the directory and copies nothing.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-use crate::bitmap::SegmentBitmap;
 
 /// Elements per sealed chunk. The chunk layout is a pure function of
 /// the element count: element `i` lives in chunk `i / CHUNK`, and a
@@ -266,40 +266,8 @@ impl Default for SharedIdMap {
     }
 }
 
-/// One sealed trajectory chunk's interval memberships, as fixed
-/// 1024-bit blocks (`interval → SegmentBitmap` over the chunk's local
-/// positions). Sealed exactly at the chunk boundary and shared by `Arc`
-/// across epochs forever — the bitmap form is built once, at seal time.
-#[derive(Debug)]
-pub struct SealedIntervals {
-    map: HashMap<i64, SegmentBitmap>,
-}
-
-impl SealedIntervals {
-    /// Converts one chunk's plain posting lists (global positions) into
-    /// local-position bitmaps. `base` is the chunk's first global
-    /// position.
-    fn from_postings(postings: &HashMap<i64, Vec<u32>>, base: u32) -> Self {
-        let mut map = HashMap::with_capacity(postings.len());
-        for (&key, js) in postings {
-            let bm: &mut SegmentBitmap = map.entry(key).or_default();
-            for &j in js {
-                bm.set(j - base);
-            }
-        }
-        Self { map }
-    }
-
-    /// The bitmap of `key`, if any posting landed in this chunk.
-    pub fn bitmap(&self, key: i64) -> Option<&SegmentBitmap> {
-        self.map.get(&key)
-    }
-
-    /// Shallow byte size, for copy accounting.
-    fn byte_size(&self) -> usize {
-        self.map.len() * (std::mem::size_of::<i64>() + SegmentBitmap::byte_size())
-    }
-}
+/// One trajectory chunk's `interval → ascending global positions`.
+type IntervalPostings = HashMap<i64, Vec<u32>>;
 
 /// The StIU's `interval → posting list` map, segmented by trajectory
 /// chunk: segment `k` holds the postings of trajectories in chunk `k`.
@@ -307,21 +275,15 @@ impl SealedIntervals {
 /// [`SharedIdMap`]), so the postings of sealed chunks are shared across
 /// epochs even for intervals the batch also lands in.
 ///
-/// Sealed segments hold their postings as per-interval
-/// [`SegmentBitmap`] blocks ([`SealedIntervals`]): membership tests are
-/// O(1), multi-interval candidate generation is word-wide OR instead of
-/// sort-merge, and enumeration yields ascending positions by
-/// construction. The unsealed tail stays a plain
-/// `interval → Vec<global position>` map in insertion order (ascending
-/// position). Chaining sealed expansions and the tail yields exactly
-/// the ascending-position order a single flat map would hold —
-/// [`IntervalMap::postings`] reconstructs it for queries and
-/// serialization, so containers stay byte-identical; the bitmap form
-/// is in-memory only.
+/// Sealed segments and the tail have one shape — plain position lists
+/// in insertion (ascending) order — so sealing moves the tail's `Arc`
+/// into the directory and copies nothing. Chaining the segments' lists
+/// for a key yields exactly what a single flat map would hold, which is
+/// what queries and serialization read ([`IntervalMap::postings`]).
 #[derive(Debug, Clone)]
 pub struct IntervalMap {
-    segments: Vec<Arc<SealedIntervals>>,
-    tail: Arc<HashMap<i64, Vec<u32>>>,
+    segments: Vec<Arc<IntervalPostings>>,
+    tail: Arc<IntervalPostings>,
 }
 
 impl IntervalMap {
@@ -329,7 +291,7 @@ impl IntervalMap {
     pub fn new() -> Self {
         Self {
             segments: Vec::new(),
-            tail: Arc::new(HashMap::new()),
+            tail: Arc::default(),
         }
     }
 
@@ -339,11 +301,7 @@ impl IntervalMap {
     /// stays a pure function of the trajectory count.
     pub fn register(&mut self, j: u32, first: i64, last: i64) {
         while self.segments.len() < j as usize / CHUNK {
-            let base = (self.segments.len() * CHUNK) as u32;
-            let sealed = Arc::new(SealedIntervals::from_postings(&self.tail, base));
-            crate::hooks::copied(sealed.byte_size());
-            self.segments.push(sealed);
-            self.tail = Arc::new(HashMap::new());
+            self.segments.push(std::mem::take(&mut self.tail));
         }
         if Arc::get_mut(&mut self.tail).is_none() {
             let bytes: usize = self
@@ -361,106 +319,56 @@ impl IntervalMap {
         }
     }
 
+    /// Every segment in trajectory order, the tail last.
+    fn all_segments(&self) -> impl Iterator<Item = &IntervalPostings> {
+        self.segments
+            .iter()
+            .chain(std::iter::once(&self.tail))
+            .map(|s| &**s)
+    }
+
     /// The merged posting list of `key`, ascending by position — what a
     /// single flat map would hold.
     pub fn postings(&self, key: i64) -> Vec<u32> {
         let mut out = Vec::new();
-        for (k, seg) in self.segments.iter().enumerate() {
-            if let Some(bm) = seg.bitmap(key) {
-                bm.push_positions((k * CHUNK) as u32, &mut out);
-            }
-        }
-        if let Some(v) = self.tail.get(&key) {
-            out.extend_from_slice(v);
+        for js in self.all_segments().filter_map(|seg| seg.get(&key)) {
+            out.extend_from_slice(js);
         }
         out
     }
 
-    /// The merged postings of every interval in `first..=last`,
-    /// ascending by position with duplicates removed. Sealed segments
-    /// merge with word-wide bitmap OR; the tail's plain lists are
-    /// set-unioned. The single-interval case degenerates to
-    /// [`IntervalMap::postings`].
-    pub fn postings_union(&self, first: i64, last: i64) -> Vec<u32> {
-        if first == last {
-            return self.postings(first);
-        }
-        let mut out = Vec::new();
-        let mut scratch = SegmentBitmap::new();
-        for (k, seg) in self.segments.iter().enumerate() {
-            let mut any = false;
-            for key in first..=last {
-                if let Some(bm) = seg.bitmap(key) {
-                    if any {
-                        scratch.union_with(bm);
-                    } else {
-                        scratch = bm.clone();
-                        any = true;
-                    }
-                }
-            }
-            if any {
-                scratch.push_positions((k * CHUNK) as u32, &mut out);
-            }
-        }
-        let sealed_len = out.len();
-        for key in first..=last {
-            if let Some(v) = self.tail.get(&key) {
-                out.extend_from_slice(v);
-            }
-        }
-        // Tail positions all follow the sealed ones; only they can repeat
-        // across intervals.
-        // bounds: sealed_len was out.len() before the tail pushes
-        out[sealed_len..].sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Visits every `(interval, global position)` posting — sealed
-    /// bitmaps expanded, tail postings in insertion order. The order
+    /// Visits every `(interval, global position)` posting. The order
     /// within one interval is ascending by position.
     pub fn for_each_posting(&self, mut f: impl FnMut(i64, u32)) {
-        let mut scratch = Vec::new();
-        for (k, seg) in self.segments.iter().enumerate() {
-            for (&key, bm) in &seg.map {
-                scratch.clear();
-                bm.push_positions((k * CHUNK) as u32, &mut scratch);
-                for &j in &scratch {
+        for seg in self.all_segments() {
+            for (&key, js) in seg {
+                for &j in js {
                     f(key, j);
                 }
-            }
-        }
-        for (&key, js) in self.tail.iter() {
-            for &j in js {
-                f(key, j);
             }
         }
     }
 
     /// Number of distinct intervals.
     pub fn len(&self) -> usize {
-        let mut keys: HashSet<i64> = HashSet::new();
-        for seg in &self.segments {
-            keys.extend(seg.map.keys());
-        }
-        keys.extend(self.tail.keys());
-        keys.len()
+        self.all_segments()
+            .flat_map(|seg| seg.keys())
+            .collect::<HashSet<_>>()
+            .len()
     }
 
     /// Whether no interval holds any posting.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(|s| s.map.is_empty()) && self.tail.is_empty()
+        self.all_segments().all(|seg| seg.is_empty())
     }
 
     /// The distinct intervals, ascending — the deterministic
     /// serialization order.
     pub fn sorted_keys(&self) -> Vec<i64> {
-        let mut keys: Vec<i64> = Vec::new();
-        for seg in &self.segments {
-            keys.extend(seg.map.keys());
-        }
-        keys.extend(self.tail.keys());
+        let mut keys: Vec<i64> = self
+            .all_segments()
+            .flat_map(|seg| seg.keys().copied())
+            .collect();
         keys.sort_unstable();
         keys.dedup();
         keys
@@ -470,12 +378,8 @@ impl IntervalMap {
     /// map over `n_trajs` trajectories — the container-load path. The
     /// segment layout matches a live-grown map exactly.
     pub fn from_merged(merged: HashMap<i64, Vec<u32>>, n_trajs: usize) -> Self {
-        let tail_seg = if n_trajs == 0 {
-            0
-        } else {
-            (n_trajs - 1) / CHUNK
-        };
-        let mut maps: Vec<HashMap<i64, Vec<u32>>> = vec![HashMap::new(); tail_seg + 1];
+        let tail_seg = n_trajs.saturating_sub(1) / CHUNK;
+        let mut maps: Vec<IntervalPostings> = vec![HashMap::new(); tail_seg + 1];
         for (k, js) in merged {
             for j in js {
                 let seg = (j as usize / CHUNK).min(tail_seg);
@@ -485,11 +389,7 @@ impl IntervalMap {
         }
         let tail = Arc::new(maps.pop().unwrap_or_default());
         Self {
-            segments: maps
-                .into_iter()
-                .enumerate()
-                .map(|(k, m)| Arc::new(SealedIntervals::from_postings(&m, (k * CHUNK) as u32)))
-                .collect(),
+            segments: maps.into_iter().map(Arc::new).collect(),
             tail,
         }
     }
@@ -597,11 +497,10 @@ mod tests {
                 .collect();
             expect.sort_unstable();
             expect.dedup();
-            assert_eq!(
-                m.postings_union(first, last),
-                expect,
-                "union {first}..={last}"
-            );
+            let mut got: Vec<u32> = (first..=last).flat_map(|k| m.postings(k)).collect();
+            got.sort_unstable();
+            got.dedup();
+            assert_eq!(got, expect, "union {first}..={last}");
         }
     }
 

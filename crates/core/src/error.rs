@@ -30,6 +30,11 @@ pub enum Error {
     Io(io::Error),
     /// A trajectory with this id was already ingested.
     DuplicateTrajectory(u64),
+    /// The trajectory with this id spans more than
+    /// [`crate::stiu::MAX_SPAN_PARTITIONS`] time partitions — the
+    /// temporal index registers it under every one of them, so the span
+    /// is capped at ingest.
+    SpanTooLong(u64),
     /// A batch's default sample interval disagrees with the store's
     /// compression parameters.
     IntervalMismatch {
@@ -101,6 +106,11 @@ impl std::fmt::Display for Error {
             Error::DuplicateTrajectory(id) => {
                 write!(f, "trajectory {id} was already ingested")
             }
+            Error::SpanTooLong(id) => write!(
+                f,
+                "trajectory {id} spans more than {} time partitions",
+                crate::stiu::MAX_SPAN_PARTITIONS
+            ),
             Error::IntervalMismatch { expected, got } => write!(
                 f,
                 "batch default interval {got}s does not match the store's {expected}s"

@@ -61,8 +61,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`crate::chunk`]). Unlike [`point`], this counter is always
 /// compiled: it is a single relaxed atomic add on the rare
 /// copy-on-write path (at most once per shared structure per publish),
-/// and the copy-cost regression test and the `"publish"` bench section
-/// read it without the `audit` feature.
+/// and the copy-cost regression test and the benchmark's
+/// `publish.copied_bytes_per_batch` probe read it without the `audit`
+/// feature.
 static COPIED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Records `bytes` copied out by a copy-on-write event.

@@ -179,7 +179,6 @@
 //! # Ok::<(), utcq_core::Error>(())
 //! ```
 
-pub mod bitmap;
 pub mod cache;
 pub mod chunk;
 pub mod compress;

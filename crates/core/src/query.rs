@@ -74,7 +74,7 @@ pub struct WhenHit {
     pub time: f64,
 }
 
-/// A batched *range* query for [`crate::store::Store::par_range_query`].
+/// A batched *range* query for [`QueryTarget::par_range_query`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeQuery {
     /// The query region `RE`.
@@ -235,9 +235,27 @@ pub trait QueryTarget: Send + Sync {
         page: PageRequest,
     ) -> Result<Page<u64>, Error>;
 
-    /// Evaluates a batch of **range** queries in parallel; answers are
-    /// unpaginated, in input order.
-    fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error>;
+    /// Evaluates a batch of **range** queries in parallel across the
+    /// available cores; answers are unpaginated, in input order. Whole
+    /// queries are pulled from one shared atomic-counter work queue, so
+    /// a skewed batch (a few expensive queries amid many cheap ones)
+    /// keeps every thread busy until the queue drains; each query is
+    /// exactly [`QueryTarget::range_query`] with [`PageRequest::all`].
+    ///
+    /// ```no_run
+    /// use utcq_core::{QueryTarget, RangeQuery};
+    /// # fn demo(store: &utcq_core::Store, batch: Vec<RangeQuery>) -> Result<(), utcq_core::Error> {
+    /// let answers = store.par_range_query(&batch)?; // one Vec<id> per query, input order
+    /// assert_eq!(answers.len(), batch.len());
+    /// # Ok(()) }
+    /// ```
+    fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
+        par_run(queries.len(), |i| {
+            let q = &queries[i]; // bounds: par_run yields i < queries.len()
+            self.range_query(&q.re, q.tq, q.alpha, PageRequest::all())
+                .map(Page::into_items)
+        })
+    }
 
     /// Aggregated decode-cache counters across all partitions.
     fn cache_stats(&self) -> crate::cache::CacheStats;
@@ -256,9 +274,9 @@ pub trait QueryTarget: Send + Sync {
 /// expensive items amid many cheap ones) keeps every thread busy until
 /// the queue drains; results come back in input order.
 ///
-/// Single shared queue, single pool: [`crate::shard::ShardedStore`] fans
-/// out over shards *inside* `run_one`, so sharding never multiplies the
-/// thread count.
+/// Single shared queue, single pool: a sharded range query touches its
+/// shards *inside* `run_one`, so sharding never multiplies the thread
+/// count.
 pub(crate) fn par_run<T: Send>(
     n: usize,
     run_one: impl Fn(usize) -> Result<T, Error> + Sync,
@@ -312,8 +330,7 @@ pub(crate) fn par_run<T: Send>(
 }
 
 /// Borrowed view over a store's parts — the engine the façade delegates
-/// to. Keeping it borrow-based lets `par_range_query` share one engine
-/// (and therefore one decode cache) across threads.
+/// to.
 #[derive(Clone, Copy)]
 pub(crate) struct QueryEngine<'a> {
     pub net: &'a RoadNetwork,
@@ -618,25 +635,11 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Does the trajectory at position `j` match **range**(RE, tq, α)
-    /// (Definition 12)? Applies the Lemma 2–4 filters.
-    pub fn range_matches(
-        &self,
-        j: u32,
-        cells: &HashSet<utcq_network::CellId>,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-    ) -> Result<bool, Error> {
-        self.range_matches_with(j, cells, re, tq, alpha, &mut RangeScratch::new())
-    }
-
-    /// [`QueryEngine::range_matches`] against caller-owned scratch: the
-    /// batch scan engine keeps one [`RangeScratch`] per worker so a
-    /// whole batch of queries shares a handful of allocations instead
-    /// of paying five per candidate. The answer is identical to the
-    /// fresh-scratch path — every accumulation order below is a
-    /// deterministic function of the trajectory's structure.
-    pub(crate) fn range_matches_with(
+    /// (Definition 12)? Applies the Lemma 2–4 filters, against the
+    /// scan's scratch: every accumulation order below is a
+    /// deterministic function of the trajectory's structure, so reusing
+    /// the allocations across candidates cannot change an answer.
+    fn range_matches_with(
         &self,
         j: u32,
         cells: &HashSet<utcq_network::CellId>,
@@ -733,10 +736,8 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
-/// Reusable allocations for one `range_matches` evaluation, cleared
-/// between candidates. The single-query path builds one per call; the
-/// batch engines keep one per worker for a whole batch.
-pub(crate) struct RangeScratch {
+/// Reusable allocations of one range scan, cleared between candidates.
+struct RangeScratch {
     /// `(ref_idx, Σ p_total)` per group, in first-seen tuple order.
     group_bound: Vec<(u32, f64)>,
     passing_refs: Vec<u32>,
@@ -747,7 +748,7 @@ pub(crate) struct RangeScratch {
 }
 
 impl RangeScratch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             group_bound: Vec::new(),
             passing_refs: Vec::new(),
@@ -767,19 +768,93 @@ impl RangeScratch {
     }
 }
 
-/// Float slack for the probability-mass prune: `range_matches` sums a
-/// subset of the plan's probabilities in Lemma 3 order while
+/// One **range** candidate: a trajectory the StIU temporal index places
+/// in `tq`'s partition, with the store partition that owns it, its
+/// position there, and its probability-mass pruning bound
+/// ([`crate::plan::TrajPlan::prob_mass`]) carried inline.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RangeCandidate {
+    pub id: u64,
+    pub partition: u32,
+    pub pos: u32,
+    pub mass: f64,
+}
+
+/// The range scan (Definition 12, §5.4) — the one loop every range
+/// entry point runs. `candidates` are ascending by trajectory id (ids
+/// are unique across partitions, so that is a total order) and carry
+/// the index of their owning engine in `partitions`; the engines share
+/// one network and one StIU grid, so the query's cell set is resolved
+/// once. Evaluation resumes past the keyset cursor and stops when the
+/// page fills: `has_more` means more *candidates* remain — whether they
+/// match is decided when the next page evaluates them — which is what
+/// makes page boundaries identical however the store is partitioned.
+pub(crate) fn range_scan(
+    partitions: &[QueryEngine<'_>],
+    candidates: &[RangeCandidate],
+    re: &Rect,
+    tq: i64,
+    alpha: f64,
+    page: PageRequest,
+) -> Result<Page<u64>, Error> {
+    let start = match page.cursor {
+        Some(after) => candidates.partition_point(|c| c.id <= after),
+        None => 0,
+    };
+    let limit = page.limit.max(1); // a zero limit could never progress
+    let mut items = Vec::new();
+    let mut has_more = false;
+    let mut cells: Option<HashSet<utcq_network::CellId>> = None;
+    let mut scratch = RangeScratch::new();
+    // bounds: partition_point returns ≤ candidates.len()
+    for c in &candidates[start..] {
+        if items.len() >= limit {
+            has_more = true;
+            break;
+        }
+        // Probability-mass prune: the trajectory cannot accumulate α,
+        // so skip the evaluation entirely. The candidate still occupies
+        // its slot in the pagination walk — identical page boundaries
+        // to evaluating and rejecting it.
+        if range_pruned(c.mass, alpha) {
+            continue;
+        }
+        let engine = partitions
+            .get(c.partition as usize)
+            .ok_or(Error::CorruptStore("range candidate past the partitions"))?;
+        let cells = cells
+            .get_or_insert_with(|| engine.stiu.grid.cells_overlapping(re).into_iter().collect());
+        if engine.range_matches_with(c.pos, cells, re, tq, alpha, &mut scratch)? {
+            items.push(c.id);
+        }
+    }
+    // has_more implies the page filled (limit ≥ 1), so `last()` is
+    // present — but never worth a panic path.
+    let next_cursor = if has_more {
+        items.last().copied()
+    } else {
+        None
+    };
+    Ok(Page {
+        items,
+        next_cursor,
+        has_more,
+    })
+}
+
+/// Float slack for the probability-mass prune: `range_matches_with`
+/// sums a subset of the plan's probabilities in Lemma 3 order while
 /// [`crate::plan::TrajPlan::prob_mass`] sums all of them in original
 /// order, so the two can differ by accumulated ulps near the boundary.
 /// Pruning only when α exceeds the mass by more than the slack keeps
 /// the skip strictly conservative.
-pub(crate) const RANGE_PRUNE_SLACK: f64 = 1e-9;
+const RANGE_PRUNE_SLACK: f64 = 1e-9;
 
 /// Whether the probability-mass bound rules a trajectory out before any
 /// decode: even if every instance overlapped RE, the accumulator could
 /// never reach α. A NaN α compares `false` here, so it never prunes —
 /// and never matches, identically to the unpruned path.
-pub(crate) fn range_pruned(mass: f64, alpha: f64) -> bool {
+fn range_pruned(mass: f64, alpha: f64) -> bool {
     alpha > mass + RANGE_PRUNE_SLACK
 }
 

@@ -6,8 +6,8 @@
 //! of [`crate::wire`] — `PROTOCOL.md` documents the format. The decode
 //! cache and query plans live in the shared store, so they stay warm
 //! across requests and across connections: exactly the steady state the
-//! `bench_queries` "warm" numbers measure, instead of the re-open-per-
-//! invocation cost the CLI's offline `query` pays.
+//! benchmark's `serve.rtt_depth1_us` probe measures, instead of the
+//! re-open-per-invocation cost the CLI's offline `query` pays.
 //!
 //! # Event loop + worker pool
 //!

@@ -30,16 +30,22 @@
 //! * **where/when** target a single trajectory: the facade resolves the
 //!   owning shard through its id map and delegates — a one-shard
 //!   fan-out.
-//! * **range** fans out to every shard for *candidates*
-//!   (`(id, position)` pairs from each shard's interval index), merges
-//!   them into one globally id-ascending sequence, and then evaluates
-//!   candidates in that order against their owning shard's engine until
-//!   the page limit fills. This reproduces the single store's evaluation
-//!   order exactly, so answers and page boundaries are identical.
-//! * **par_range_query** pulls whole queries from the same
-//!   atomic-counter work queue the single store uses
-//!   (`crate::query::par_run`); each worker fans out over shards
-//!   *inside* its query, so sharding never multiplies thread pools.
+//! * **range** looks `tq`'s partition up in the facade's prebuilt range
+//!   index — the shards' interval postings merged into one globally
+//!   id-ascending candidate list — and hands it to the one scan loop
+//!   (`crate::query::range_scan`), which evaluates candidates in that
+//!   order against their owning shard's engine until the page limit
+//!   fills. A single store runs the same loop over its own postings, so
+//!   answers and page boundaries are identical.
+//! * **par_range_query** is the provided [`QueryTarget`] method: whole
+//!   queries pulled from the shared atomic-counter work queue
+//!   (`crate::query::par_run`); a worker touches the shards *inside*
+//!   its query, so sharding never multiplies thread pools.
+//!
+//! Every shard of one facade shares one road network and one
+//! [`StiuParams`] (constructors and the v3 open reject disagreement),
+//! which is what lets the range index merge interval keys across shards
+//! and the scan resolve a query's grid cells once.
 //!
 //! Merging moves hit values (`WhereHit`/`WhenHit`/`u64` ids) between
 //! pages; decoded artifacts stay behind each shard's cache `Arc`s and
@@ -70,9 +76,10 @@
 //! shard snapshots are pinned under the writer lock, so a checkpoint
 //! taken while batches stream in is always a batch-consistent cut.
 //! [`ShardedStore::open`] reads v3 — deserializing the per-shard blobs
-//! **in parallel** on the shared work queue — and also accepts a plain
-//! v2 container as a single-shard store; the embedded network is
-//! deserialized once and shared across shards behind one `Arc`.
+//! **in parallel** on the shared work queue once the container is large
+//! enough for that to pay — and also accepts a plain v2 container as a
+//! single-shard store; the embedded network is deserialized once and
+//! shared across shards behind one `Arc`.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -83,13 +90,14 @@ use std::sync::Arc;
 use utcq_network::{EdgeId, Grid, Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
 
-use crate::bitmap::SegmentBitmap;
 use crate::cache::CacheStats;
 use crate::error::Error;
 use crate::live::{Held, LiveStore, WriterCore};
 use crate::opened::{policy_label, InfoReport};
 use crate::params::CompressParams;
-use crate::query::{par_run, Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};
+use crate::query::{
+    par_run, range_scan, Page, PageRequest, QueryTarget, RangeCandidate, WhenHit, WhereHit,
+};
 use crate::snapshot::{Snapshot, Swap};
 use crate::stiu::StiuParams;
 use crate::storage::{self, ShardDirectory, POLICY_CUSTOM, POLICY_REGION, POLICY_TIME};
@@ -99,15 +107,14 @@ use crate::store::{IngestReport, Store, StoreBuilder};
 /// where/when cursor is 16 bits).
 pub const MAX_SHARDS: u32 = 1 << 16;
 
-/// Total shard-payload bytes below which a "parallel" open runs
-/// sequentially anyway — thread-spawn overhead exceeds the decode work
-/// on tiny containers (the `open` bench measured a 0.93x "speedup"
-/// there before this threshold existed).
-pub const PARALLEL_OPEN_MIN_BYTES: u64 = 8 * 1024 * 1024;
+/// Total shard-payload bytes below which an open runs sequentially —
+/// thread-spawn overhead exceeds the decode work on tiny containers (a
+/// parallel open once measured 0.93x there).
+const PARALLEL_OPEN_MIN_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Whether a parallel open would actually help: more than one shard
 /// and at least [`PARALLEL_OPEN_MIN_BYTES`] of embedded payload.
-pub fn parallel_open_effective(shard_count: usize, payload_bytes: u64) -> bool {
+fn parallel_open_effective(shard_count: usize, payload_bytes: u64) -> bool {
     shard_count > 1 && payload_bytes >= PARALLEL_OPEN_MIN_BYTES
 }
 
@@ -394,28 +401,13 @@ struct FacadeState {
     epoch: u64,
     /// Trajectory id → owning shard, across all shards.
     id_to_shard: HashMap<u64, u32>,
-    /// Whether every shard's StIU grid is the same function (same
-    /// network, same `grid_n`) — the normal case, which lets a range
-    /// query build its query-cell set once instead of once per shard.
-    uniform_grid: bool,
     /// Facade-level range acceleration: the shards' temporal interval
-    /// postings merged into id-ascending `(id, shard, position)` lists,
-    /// so a range query resolves its global candidate sequence with one
-    /// lookup and zero sorting. Rebuilt at each facade publish (the
-    /// rebuild is linear in the store and runs on the writer path, next
-    /// to the much more expensive batch compression). `None` when the
-    /// shards' time partitions disagree — then candidates are gathered
-    /// and sorted per query.
-    range_index: Option<RangeIndex>,
-    /// Per shard, per trajectory position: the bitmap of StIU cells the
-    /// trajectory's *reference* tuples touch — the batch scan engine's
-    /// candidate-skip filter. A query whose cell bitmap does not
-    /// intersect a candidate's is a definite miss (`range_matches`
-    /// would find no passing group and return `false`), decided by a
-    /// 16-word AND instead of the tuple scan. `None` per trajectory
-    /// when any of its cells falls outside the bitmap's fixed range
-    /// (grids finer than 32×32) — those candidates always evaluate.
-    ref_cell_filters: Vec<Vec<Option<SegmentBitmap>>>,
+    /// postings merged into id-ascending candidate lists, so a range
+    /// query resolves its global candidate sequence with one lookup and
+    /// zero sorting. Rebuilt at each facade publish (the rebuild is
+    /// linear in the store and runs on the writer path, next to the
+    /// much more expensive batch compression).
+    range_index: RangeIndex,
 }
 
 impl FacadeState {
@@ -430,51 +422,12 @@ impl FacadeState {
                 }
             }
         }
-        // bounds: windows(2) yields exactly-2-element slices
-        let uniform_grid = snaps.windows(2).all(|w| {
-            Arc::ptr_eq(w[0].network(), w[1].network())
-                && w[0].stiu().params.grid_n == w[1].stiu().params.grid_n
-        });
-        let range_index = RangeIndex::build(snaps);
-        let ref_cell_filters = snaps
-            .iter()
-            .map(|snap| {
-                snap.stiu()
-                    .trajs
-                    .iter()
-                    .map(|node| {
-                        let mut bm = SegmentBitmap::new();
-                        for rt in &node.ref_tuples {
-                            if rt.cell.idx() >= crate::bitmap::SEG_BITS {
-                                return None; // grid too fine: never filter
-                            }
-                            bm.set(rt.cell.0);
-                        }
-                        Some(bm)
-                    })
-                    .collect()
-            })
-            .collect();
         Ok(Self {
             epoch,
             id_to_shard,
-            uniform_grid,
-            range_index,
-            ref_cell_filters,
+            range_index: RangeIndex::build(snaps),
         })
     }
-}
-
-/// One facade-level range candidate: a trajectory posting with its
-/// owning shard, local position, and probability-mass pruning bound
-/// (see [`crate::plan::TrajPlan::prob_mass`]) carried inline so the
-/// batch scan engine prunes without touching the shard's plans.
-#[derive(Clone, Copy, Debug)]
-struct RangeCandidate {
-    id: u64,
-    shard: u32,
-    pos: u32,
-    mass: f64,
 }
 
 /// See [`FacadeState::range_index`].
@@ -486,55 +439,32 @@ struct RangeIndex {
 }
 
 impl RangeIndex {
-    /// Merges the shards' interval postings; `None` if the partition
-    /// widths disagree (their interval keys would be incompatible).
-    fn build(snaps: &[Arc<Snapshot>]) -> Option<Self> {
-        // bounds: a facade is only ever built over ≥ 1 shard
-        let partition_s = snaps[0].stiu().params.partition_s;
-        if snaps
-            .iter()
-            .any(|s| s.stiu().params.partition_s != partition_s)
-        {
-            return None;
-        }
+    /// Merges the shards' interval postings (the shards of one facade
+    /// share one `StiuParams`, so their interval keys are compatible).
+    fn build(snaps: &[Arc<Snapshot>]) -> Self {
         let mut postings: HashMap<i64, Vec<RangeCandidate>> = HashMap::new();
         for (s, snap) in snaps.iter().enumerate() {
-            let trajectories = &snap.compressed().trajectories;
-            let plans = snap.plans();
             snap.stiu().interval_trajs.for_each_posting(|key, j| {
-                if let Some(ct) = trajectories.get(j as usize) {
-                    postings.entry(key).or_default().push(RangeCandidate {
-                        id: ct.id,
-                        shard: s as u32,
-                        pos: j,
-                        mass: plans
-                            .get(j as usize)
-                            .map_or(f64::INFINITY, |p| p.prob_mass()),
-                    });
+                if let Some(c) = snap.range_candidate(s as u32, j) {
+                    postings.entry(key).or_default().push(c);
                 }
             });
         }
         for list in postings.values_mut() {
-            list.sort_unstable_by_key(|c| (c.id, c.shard, c.pos));
+            list.sort_unstable_by_key(|c| c.id);
         }
-        Some(Self {
-            partition_s,
+        Self {
+            // bounds: a facade is only ever built over ≥ 1 shard
+            partition_s: snaps[0].stiu().params.partition_s,
             postings,
-        })
+        }
     }
 
-    /// The id-ascending candidates at `tq`, resuming past the keyset
-    /// cursor `after`.
-    fn candidates(&self, tq: i64, after: Option<u64>) -> &[RangeCandidate] {
-        let list = self
-            .postings
+    /// The id-ascending candidates of `tq`'s partition.
+    fn candidates(&self, tq: i64) -> &[RangeCandidate] {
+        self.postings
             .get(&tq.div_euclid(self.partition_s))
-            .map_or(&[][..], Vec::as_slice); // bounds: full slice of an empty literal
-        let start = match after {
-            Some(a) => list.partition_point(|c| c.id <= a),
-            None => 0,
-        };
-        &list[start..] // bounds: partition_point returns ≤ list.len()
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -617,6 +547,22 @@ impl ShardedStore {
             return Err(Error::ShardConfig("shard count exceeds 65536"));
         }
         let snaps: Vec<Arc<Snapshot>> = shards.iter().map(Store::snapshot).collect();
+        // One network and one StIU parameter set per facade: the range
+        // index merges the shards' interval keys and the scan resolves
+        // a query's grid cells once for all of them. The network check
+        // is structural — shards assembled from different networks with
+        // coincidentally equal counts must not silently answer against
+        // shard 0's geometry.
+        // bounds: windows(2) yields exactly-2-element slices
+        for w in snaps.windows(2) {
+            let (a, b) = (&w[0], &w[1]);
+            if !Arc::ptr_eq(a.network(), b.network()) && a.network() != b.network() {
+                return Err(Error::CorruptStore("shards embed different networks"));
+            }
+            if a.stiu().params != b.stiu().params {
+                return Err(Error::CorruptStore("shards disagree on StIU parameters"));
+            }
+        }
         let facade = FacadeState::build(0, &snaps)?;
         Ok(Self {
             shards,
@@ -643,46 +589,22 @@ impl ShardedStore {
         Self::read(&mut BufReader::new(f))
     }
 
-    /// Reads a v3 (or v2) container from an arbitrary reader,
-    /// deserializing the per-shard blobs in parallel — equivalent to
-    /// [`ShardedStore::read_with`]`(r, true)`.
-    pub fn read(r: &mut impl Read) -> Result<Self, Error> {
-        Self::read_with(r, true)
-    }
-
-    /// Reads a v3 (or v2) container, choosing between parallel and
-    /// sequential shard deserialization. Parallel opens pull one blob
-    /// per work unit from the shared atomic-counter queue
-    /// (deserialization + plan building per shard); the sequential mode
-    /// exists for measurement (`bench_queries` reports the speedup in
-    /// `BENCH_queries.json`) and for callers that must not spawn.
-    ///
-    /// `parallel` is a *permission*, not a command: below
-    /// [`PARALLEL_OPEN_MIN_BYTES`] of total shard payload the open
-    /// falls back to sequential anyway — on tiny containers the
-    /// thread-spawn overhead measurably exceeds the deserialization
-    /// work (the `open` bench once reported parallel 7% *slower* on
-    /// the small CD profile). Use [`ShardedStore::read_with_report`]
-    /// to learn which path actually ran.
+    /// Reads a v3 (or v2) container from an arbitrary reader. Shard
+    /// blobs deserialize one per work unit on the shared atomic-counter
+    /// queue (deserialization + plan building per shard) when that pays
+    /// (see `parallel_open_effective`); small containers open
+    /// sequentially.
     ///
     /// The embedded road network is deserialized from the first shard
     /// and shared across all shards behind one `Arc`; the other shards'
     /// embedded copies are validated against it and dropped.
-    pub fn read_with(r: &mut impl Read, parallel: bool) -> Result<Self, Error> {
-        Self::read_with_report(r, parallel).map(|(store, _)| store)
-    }
-
-    /// [`ShardedStore::read_with`], also reporting whether the parallel
-    /// path actually ran (`false` means sequential — either by request
-    /// or by the small-container fallback).
-    pub fn read_with_report(r: &mut impl Read, parallel: bool) -> Result<(Self, bool), Error> {
+    pub fn read(r: &mut impl Read) -> Result<Self, Error> {
         let (dir, blobs) = match storage::load_v3(r) {
             Ok(parts) => parts,
             Err(storage::StorageError::LegacyVersion) => return Err(Error::NeedsNetwork),
             Err(e) => return Err(e.into()),
         };
         let payload: u64 = blobs.iter().map(|b| b.len() as u64).sum();
-        let parallel = parallel && parallel_open_effective(blobs.len(), payload);
         type ShardParts = (
             RoadNetwork,
             crate::compress::CompressedDataset,
@@ -695,7 +617,7 @@ impl ShardedStore {
             let (id_to_idx, plans) = Store::validate_parts(&cds, &stiu)?;
             Ok((net, cds, stiu, id_to_idx, plans))
         };
-        let parts: Vec<ShardParts> = if parallel {
+        let parts: Vec<ShardParts> = if parallel_open_effective(blobs.len(), payload) {
             // bounds: par_run yields i < blobs.len()
             par_run(blobs.len(), |i| load_one(&blobs[i]))?
         } else {
@@ -704,23 +626,13 @@ impl ShardedStore {
         let mut shared_net: Option<Arc<RoadNetwork>> = None;
         let mut shards = Vec::with_capacity(parts.len());
         for (net, cds, stiu, id_to_idx, plans) in parts {
+            // Structurally equal copies collapse onto the first shard's
+            // `Arc`; a differing one is rejected by `from_shards`.
             let net = match &shared_net {
-                None => {
-                    let net = Arc::new(net);
-                    shared_net = Some(Arc::clone(&net));
-                    net
-                }
-                Some(first) => {
-                    // Full structural comparison: shards assembled from
-                    // different networks with coincidentally equal
-                    // counts must not silently answer against shard 0's
-                    // geometry.
-                    if **first != net {
-                        return Err(Error::CorruptStore("shards embed different networks"));
-                    }
-                    Arc::clone(first)
-                }
+                Some(first) if **first == net => Arc::clone(first),
+                _ => Arc::new(net),
             };
+            shared_net.get_or_insert_with(|| Arc::clone(&net));
             shards.push(Store::from_validated(net, cds, stiu, id_to_idx, plans));
         }
         let store = Self::from_shards(shards, dir.and_then(ShardSpec::from_directory))?;
@@ -728,7 +640,7 @@ impl ShardedStore {
         // budget; a sharded store's default is a *total* budget split
         // across shards, matching what the builder configures.
         store.set_cache_bytes(crate::cache::DEFAULT_CACHE_BYTES);
-        Ok((store, parallel))
+        Ok(store)
     }
 
     /// Persists the store as a v3 container. Safe to call while other
@@ -886,9 +798,10 @@ impl ShardedStore {
         Ok(Self::global_page(shard, answer))
     }
 
-    /// Probabilistic **range** query with fan-out/merge execution:
-    /// candidates are gathered from every shard, merged into one
-    /// id-ascending sequence, and evaluated in that order until the page
+    /// Probabilistic **range** query: the facade's prebuilt range index
+    /// names the globally id-ascending candidates of `tq`'s partition,
+    /// and the shared scan loop (`crate::query::range_scan`) evaluates
+    /// them in that order against their owning shard until the page
     /// fills — byte-identical answers and page boundaries to a single
     /// store over the same dataset. The keyset cursor (last returned id)
     /// is shard-agnostic.
@@ -905,244 +818,9 @@ impl ShardedStore {
     ) -> Result<Page<u64>, Error> {
         let facade = self.facade.load();
         let snaps = self.snapshots();
-        // Candidates globally ascending by trajectory id (ids are unique
-        // across shards, so that is a total order): one lookup in the
-        // prebuilt facade index, or a gather-and-sort fallback when the
-        // shards' time partitions disagree.
-        let gathered;
-        let candidates: &[RangeCandidate] = match &facade.range_index {
-            Some(ri) => ri.candidates(tq, page.cursor),
-            None => {
-                gathered = Self::gather_candidates(&snaps, tq, page.cursor);
-                &gathered
-            }
-        };
-        // One cell set serves every shard when the grids agree (always,
-        // for stores built through one builder or reopened from v3);
-        // heterogeneous shards fall back to per-shard sets lazily.
-        // bounds: constructors reject zero shards
-        let shared_cells = facade.uniform_grid.then(|| snaps[0].query_cells(re));
-        let mut per_shard_cells: Vec<Option<std::collections::HashSet<utcq_network::CellId>>> =
-            if shared_cells.is_some() {
-                Vec::new()
-            } else {
-                vec![None; snaps.len()]
-            };
-        let limit = page.limit.max(1); // a zero limit could never progress
-        let mut items = Vec::new();
-        let mut has_more = false;
-        for &RangeCandidate {
-            id,
-            shard: s,
-            pos: j,
-            mass,
-        } in candidates
-        {
-            if items.len() >= limit {
-                has_more = true;
-                break;
-            }
-            // Probability-mass prune (see `crate::query::range_pruned`):
-            // the candidate keeps its pagination slot, exactly like an
-            // evaluated-and-rejected one.
-            if crate::query::range_pruned(mass, alpha) {
-                continue;
-            }
-            // bounds: candidate shard tags index the snaps they were gathered from
-            let snap = &snaps[s as usize];
-            let cells = match &shared_cells {
-                Some(c) => c,
-                // bounds: same shard tag `s` as the snaps index above
-                None => per_shard_cells[s as usize].get_or_insert_with(|| snap.query_cells(re)),
-            };
-            if snap.range_matches_at(j, cells, re, tq, alpha)? {
-                items.push(id);
-            }
-        }
-        // has_more implies the page filled (limit ≥ 1), so `last()` is
-        // present — but never worth a panic path.
-        let next_cursor = if has_more {
-            items.last().copied()
-        } else {
-            None
-        };
-        Ok(Page {
-            items,
-            next_cursor,
-            has_more,
-        })
-    }
-
-    /// Gathers candidates across shards, ascending by id, when the
-    /// facade range index is unavailable (heterogeneous time
-    /// partitions). Pruning bounds come from each shard's plans.
-    fn gather_candidates(
-        snaps: &[Arc<Snapshot>],
-        tq: i64,
-        after: Option<u64>,
-    ) -> Vec<RangeCandidate> {
-        let mut c: Vec<RangeCandidate> = Vec::new();
-        for (s, snap) in snaps.iter().enumerate() {
-            let plans = snap.plans();
-            c.extend(
-                snap.unsorted_range_candidates(tq)
-                    .filter(|&(id, _)| after.is_none_or(|a| id > a))
-                    .map(|(id, j)| RangeCandidate {
-                        id,
-                        shard: s as u32,
-                        pos: j,
-                        mass: plans
-                            .get(j as usize)
-                            .map_or(f64::INFINITY, |p| p.prob_mass()),
-                    }),
-            );
-        }
-        c.sort_unstable_by_key(|c| (c.id, c.shard, c.pos));
-        c
-    }
-
-    /// Evaluates a batch of **range** queries in parallel, answers
-    /// unpaginated and in input order — the dedicated batch scan
-    /// engine.
-    ///
-    /// Work units on the shared atomic-counter queue
-    /// (`crate::query::par_run`) are *(query, candidate-chunk)*
-    /// sub-units, not whole queries: one heavy query or one hot shard
-    /// splits across workers instead of serializing the batch, and the
-    /// queue doubles as work stealing (idle workers pull the next
-    /// counter value wherever it lands). The final merge is
-    /// deterministic — chunks of one query concatenate in chunk order,
-    /// which is ascending id order because the prebuilt candidate
-    /// lists are id-sorted and ids are unique across shards.
-    ///
-    /// Per-batch costs are paid once (facade and snapshots pinned,
-    /// per-query cell sets resolved up front); per-worker costs are
-    /// amortized (one `RangeScratch` serves a whole
-    /// sub-unit); per-candidate work is only the pruning test and — for
-    /// survivors — `range_matches`. The whole-shape result cache is
-    /// deliberately bypassed: batch timings measure the scan.
-    pub fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
-        /// Candidates per sub-unit: small enough that a heavy query
-        /// splits across a machine's workers, large enough that the
-        /// per-unit queue pull and scratch setup stay negligible.
-        const SUB_UNIT: usize = 64;
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let facade = self.facade.load();
-        let snaps = self.snapshots();
-        // Resolve each query's cell set once when every grid agrees.
-        let shared_cells: Option<Vec<std::collections::HashSet<utcq_network::CellId>>> =
-            facade.uniform_grid.then(|| {
-                queries
-                    .iter()
-                    .map(|q| snaps[0].query_cells(&q.re)) // bounds: ≥ 1 shard
-                    .collect()
-            });
-        // Each query's cell set as a bitmap, for the AND-skip against
-        // the facade's per-candidate cell filters. `None` per query
-        // when a cell falls outside the bitmap range (that query always
-        // evaluates), or entirely when the grids disagree (the cell
-        // sets would be per shard).
-        let query_cell_bitmaps: Vec<Option<SegmentBitmap>> = match &shared_cells {
-            Some(all) => all
-                .iter()
-                .map(|cells| {
-                    let mut bm = SegmentBitmap::new();
-                    for c in cells {
-                        if c.idx() >= crate::bitmap::SEG_BITS {
-                            return None;
-                        }
-                        bm.set(c.0);
-                    }
-                    Some(bm)
-                })
-                .collect(),
-            None => vec![None; queries.len()],
-        };
-        // The heterogeneous fallback gathers candidates per query up
-        // front (owned), the fast path chunks the prebuilt index lists
-        // (borrowed) — either way the unit list is (query, candidates).
-        let gathered: Vec<Vec<RangeCandidate>> = match &facade.range_index {
-            Some(_) => Vec::new(),
-            None => queries
-                .iter()
-                .map(|q| Self::gather_candidates(&snaps, q.tq, None))
-                .collect(),
-        };
-        let mut units: Vec<(usize, &[RangeCandidate])> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let cands: &[RangeCandidate] = match &facade.range_index {
-                Some(ri) => ri.candidates(q.tq, None),
-                // bounds: `gathered` has one entry per query in the fallback
-                None => &gathered[qi],
-            };
-            for chunk in cands.chunks(SUB_UNIT) {
-                units.push((qi, chunk));
-            }
-        }
-        let partials = par_run(units.len(), |ui| {
-            let (qi, chunk) = units[ui]; // bounds: par_run yields ui < units.len()
-            let q = &queries[qi]; // bounds: units are built from query indices
-            let mut scratch = crate::query::RangeScratch::new();
-            // Lazily memoized per shard for the heterogeneous grid case
-            // — never rebuilt per candidate.
-            let mut per_shard_cells: Vec<Option<std::collections::HashSet<utcq_network::CellId>>> =
-                if shared_cells.is_some() {
-                    Vec::new()
-                } else {
-                    vec![None; snaps.len()]
-                };
-            let mut hits = Vec::new();
-            for &RangeCandidate {
-                id,
-                shard: s,
-                pos: j,
-                mass,
-            } in chunk
-            {
-                // Pruned candidates skip evaluation entirely.
-                if crate::query::range_pruned(mass, q.alpha) {
-                    continue;
-                }
-                // Definite spatial miss: no reference tuple cell of the
-                // candidate intersects the query's cells, so
-                // `range_matches` could only return `false` — one
-                // 16-word AND instead of the whole tuple scan.
-                // bounds: one query bitmap per query, indexed by qi
-                if let Some(qbm) = &query_cell_bitmaps[qi] {
-                    if let Some(Some(cbm)) = facade
-                        .ref_cell_filters
-                        .get(s as usize)
-                        .and_then(|f| f.get(j as usize))
-                    {
-                        if !qbm.intersects(cbm) {
-                            continue;
-                        }
-                    }
-                }
-                // bounds: candidate shard tags index the snaps of this facade
-                let snap = &snaps[s as usize];
-                let cells = match &shared_cells {
-                    // bounds: one cell set per query, indexed by qi
-                    Some(all) => &all[qi],
-                    None => {
-                        per_shard_cells[s as usize].get_or_insert_with(|| snap.query_cells(&q.re))
-                    }
-                };
-                if snap.range_matches_at_with(j, cells, &q.re, q.tq, q.alpha, &mut scratch)? {
-                    hits.push(id);
-                }
-            }
-            Ok(hits)
-        })?;
-        // Deterministic merge: concatenating a query's chunk results in
-        // chunk order restores the full id-ascending answer.
-        let mut out: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        for (&(qi, _), hits) in units.iter().zip(partials) {
-            out[qi].extend(hits); // bounds: qi < queries.len() by construction
-        }
-        Ok(out)
+        let engines: Vec<_> = snaps.iter().map(|s| s.engine()).collect();
+        let candidates = facade.range_index.candidates(tq);
+        range_scan(&engines, candidates, re, tq, alpha, page)
     }
 
     /// Aggregated decode-cache counters across shards (budget and
@@ -1218,10 +896,6 @@ impl QueryTarget for ShardedStore {
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
         ShardedStore::range_query(self, re, tq, alpha, page)
-    }
-
-    fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
-        ShardedStore::par_range_query(self, queries)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -1508,18 +1182,16 @@ mod tests {
         let store = sharded(3);
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
-        for parallel in [false, true] {
-            let reopened = ShardedStore::read_with(&mut bytes.as_slice(), parallel).unwrap();
-            assert_eq!(reopened.shard_count(), 3);
-            assert_eq!(reopened.len(), store.len());
-            assert_eq!(
-                reopened.policy_spec(),
-                Some(ShardSpec::ByTime { interval_s: 3600 })
-            );
-            // The shared-network path: every shard holds the same Arc.
-            for s in reopened.shards() {
-                assert!(Arc::ptr_eq(s.network(), reopened.network()));
-            }
+        let reopened = ShardedStore::read(&mut bytes.as_slice()).unwrap();
+        assert_eq!(reopened.shard_count(), 3);
+        assert_eq!(reopened.len(), store.len());
+        assert_eq!(
+            reopened.policy_spec(),
+            Some(ShardSpec::ByTime { interval_s: 3600 })
+        );
+        // The shared-network path: every shard holds the same Arc.
+        for s in reopened.shards() {
+            assert!(Arc::ptr_eq(s.network(), reopened.network()));
         }
         // A single-store open of the same bytes is redirected.
         assert!(matches!(
@@ -1533,12 +1205,11 @@ mod tests {
         let store = sharded(3);
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
-        // The test container is far below PARALLEL_OPEN_MIN_BYTES, so a
-        // parallel-permitted open must report the sequential fallback
-        // and still produce an identical store.
-        let (reopened, ran_parallel) =
-            ShardedStore::read_with_report(&mut bytes.as_slice(), true).unwrap();
-        assert!(!ran_parallel);
+        // The test container is far below PARALLEL_OPEN_MIN_BYTES, so
+        // the open takes the sequential fallback and still produces an
+        // identical store.
+        let reopened = ShardedStore::read(&mut bytes.as_slice()).unwrap();
+        assert!(!parallel_open_effective(3, bytes.len() as u64));
         assert!(bytes.len() < PARALLEL_OPEN_MIN_BYTES as usize);
         assert_eq!(reopened.shard_count(), 3);
         assert_eq!(reopened.len(), store.len());
@@ -1594,6 +1265,40 @@ mod tests {
             ShardedStore::read(&mut bytes.as_slice()),
             Err(Error::CorruptStore("shards embed different networks"))
         ));
+        // Same network, different StIU parameters: the interval keys and
+        // grid cells of the two shards would be incompatible.
+        let blob_with = |stiu: StiuParams| {
+            let net = Arc::new(utcq_network::gen::line(5, 100.0));
+            let store = StoreBuilder::new(net, CompressParams::default())
+                .stiu_params(stiu)
+                .finish()
+                .unwrap();
+            let mut b = Vec::new();
+            store.write(&mut b).unwrap();
+            b
+        };
+        for other in [
+            StiuParams {
+                partition_s: 600,
+                ..StiuParams::default()
+            },
+            StiuParams {
+                grid_n: 16,
+                ..StiuParams::default()
+            },
+        ] {
+            let mut bytes = Vec::new();
+            crate::storage::save_v3(
+                crate::storage::ShardDirectory { kind: 0, param: 0 },
+                &[blob_with(StiuParams::default()), blob_with(other)],
+                &mut bytes,
+            )
+            .unwrap();
+            assert!(matches!(
+                ShardedStore::read(&mut bytes.as_slice()),
+                Err(Error::CorruptStore("shards disagree on StIU parameters"))
+            ));
+        }
         // Identical networks still open.
         let mut ok = Vec::new();
         crate::storage::save_v3(

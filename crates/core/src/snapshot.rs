@@ -49,8 +49,10 @@ use crate::chunk::{ChunkedVec, SharedIdMap};
 use crate::compress::{compress_trajectory, CompressedDataset, Ratios};
 use crate::error::Error;
 use crate::plan::TrajPlan;
-use crate::query::{Page, PageRequest, QueryEngine, QueryTarget, RangeQuery, WhenHit, WhereHit};
-use crate::stiu::{Stiu, StiuParams};
+use crate::query::{
+    range_scan, Page, PageRequest, QueryEngine, QueryTarget, RangeCandidate, WhenHit, WhereHit,
+};
+use crate::stiu::{Stiu, StiuParams, MAX_SPAN_PARTITIONS};
 
 /// A hand-rolled `ArcSwap`: the one mutable cell of a live store. The
 /// mutex guards only the pointer swap — `load` is a lock + `Arc` clone
@@ -168,13 +170,6 @@ impl Snapshot {
         &self.stiu
     }
 
-    /// The per-trajectory query plans frozen in this snapshot — the
-    /// facade range index reads each trajectory's pruning bound
-    /// ([`TrajPlan::prob_mass`]) from here at build time.
-    pub(crate) fn plans(&self) -> &crate::chunk::ChunkedVec<TrajPlan> {
-        &self.plans
-    }
-
     /// Component-wise and total compression ratios.
     pub fn ratios(&self) -> Ratios {
         self.cds.ratios()
@@ -276,70 +271,19 @@ impl Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        self.range_query_impl(re, tq, alpha, page, true)
-    }
-
-    /// [`Snapshot::range_query`] with the result cache optionally
-    /// bypassed: the parallel batch path measures (and pays for) the
-    /// scan itself, so it neither reads nor stores whole-shape results.
-    fn range_query_impl(
-        &self,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-        page: PageRequest,
-        use_cache: bool,
-    ) -> Result<Page<u64>, Error> {
-        if use_cache {
-            if let Some(ids) = self.cache.range_result(self.epoch, re, tq, alpha) {
-                return Ok(self.page_of_range_result(&ids, tq, page));
-            }
+        if let Some(ids) = self.cache.range_result(self.epoch, re, tq, alpha) {
+            return Ok(self.page_of_range_result(&ids, tq, page));
         }
-        let cells = self.query_cells(re);
-        let candidates = self.range_candidates(tq, page.cursor);
-        let limit = page.limit.max(1); // a zero limit could never progress
-        let mut items = Vec::new();
-        let mut has_more = false;
-        let engine = self.engine();
-        let mut scratch = crate::query::RangeScratch::new();
-        for (id, j) in candidates {
-            if items.len() >= limit {
-                // More *candidates* remain; whether they match is decided
-                // when the next page evaluates them.
-                has_more = true;
-                break;
-            }
-            // Probability-mass prune: the trajectory cannot accumulate
-            // α, so skip the evaluation entirely. The candidate still
-            // occupies its slot in the pagination walk — identical page
-            // boundaries to evaluating and rejecting it.
-            if let Some(plan) = self.plans.get(j as usize) {
-                if crate::query::range_pruned(plan.prob_mass(), alpha) {
-                    continue;
-                }
-            }
-            if engine.range_matches_with(j, &cells, re, tq, alpha, &mut scratch)? {
-                items.push(id);
-            }
-        }
-        // has_more implies the page filled (limit ≥ 1), so `last()` is
-        // present — but never worth a panic path.
-        let next_cursor = if has_more {
-            items.last().copied()
-        } else {
-            None
-        };
-        if use_cache && page.cursor.is_none() && !has_more {
+        let mut candidates: Vec<RangeCandidate> = self.range_candidates(tq).collect();
+        candidates.sort_unstable_by_key(|c| c.id);
+        let out = range_scan(&[self.engine()], &candidates, re, tq, alpha, page)?;
+        if page.cursor.is_none() && !out.has_more {
             // The scan started at the beginning and consumed every
             // candidate: `items` is the complete match set of the shape.
             self.cache
-                .note_range_result(self.epoch, re, tq, alpha, Arc::new(items.clone()));
+                .note_range_result(self.epoch, re, tq, alpha, Arc::new(out.items.clone()));
         }
-        Ok(Page {
-            items,
-            next_cursor,
-            has_more,
-        })
+        Ok(out)
     }
 
     /// One page of a cached complete match set, byte-identical to what
@@ -357,7 +301,7 @@ impl Snapshot {
         let items: Vec<u64> = ids[start..].iter().take(limit).copied().collect();
         let has_more = items.len() >= limit
             && match items.last() {
-                Some(&last) => self.unsorted_range_candidates(tq).any(|(id, _)| id > last),
+                Some(&last) => self.range_candidates(tq).any(|c| c.id > last),
                 None => false,
             };
         let next_cursor = if has_more {
@@ -372,81 +316,30 @@ impl Snapshot {
         }
     }
 
-    /// Evaluates a batch of **range** queries in parallel against this
-    /// snapshot (see [`crate::store::Store::par_range_query`]). Scans
-    /// unconditionally — the whole-shape result cache is neither read
-    /// nor populated, so batch timings measure the scan.
-    pub fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
-        crate::query::par_run(queries.len(), |i| {
-            let q = &queries[i]; // bounds: par_run yields i < queries.len()
-            self.range_query_impl(&q.re, q.tq, q.alpha, PageRequest::all(), false)
-                .map(Page::into_items)
-        })
-    }
-
-    /// The grid cells of the StIU index overlapping a query region. The
-    /// grid is a function of the network bounds and `grid_n` alone, so
-    /// shards built with the same parameters agree on cell ids.
-    pub(crate) fn query_cells(&self, re: &Rect) -> std::collections::HashSet<utcq_network::CellId> {
-        self.stiu.grid.cells_overlapping(re).into_iter().collect()
-    }
-
-    /// **range** candidates at `tq` in index order, as `(id, position)`
-    /// pairs — the raw interval-index postings. Callers that need the
-    /// evaluation order of [`Snapshot::range_query`] sort by id (ids are
-    /// unique, so that is a total order); the unpaginated fan-out path
-    /// skips the sort and orders only the matches.
-    pub(crate) fn unsorted_range_candidates(
-        &self,
-        tq: i64,
-    ) -> impl Iterator<Item = (u64, u32)> + '_ {
+    /// This snapshot's **range** candidates at `tq` in index (position)
+    /// order: the StIU interval postings with each trajectory's id and
+    /// pruning bound resolved. A snapshot scanned on its own is
+    /// partition 0.
+    fn range_candidates(&self, tq: i64) -> impl Iterator<Item = RangeCandidate> + '_ {
         self.stiu
             .trajs_in_interval(tq)
             .into_iter()
-            .filter_map(move |j| {
-                let ct = self.cds.trajectories.get(j as usize)?;
-                Some((ct.id, j))
-            })
+            .filter_map(move |j| self.range_candidate(0, j))
     }
 
-    /// **range** candidates at `tq`, ascending by trajectory id, resuming
-    /// past the keyset cursor `after` — the paginated evaluation order.
-    fn range_candidates(&self, tq: i64, after: Option<u64>) -> Vec<(u64, u32)> {
-        let mut candidates: Vec<(u64, u32)> = self
-            .unsorted_range_candidates(tq)
-            .filter(|&(id, _)| after.is_none_or(|a| id > a))
-            .collect();
-        candidates.sort_unstable();
-        candidates
-    }
-
-    /// Whether the trajectory at position `j` matches
-    /// **range**(RE, tq, α) — the per-candidate evaluation step shared
-    /// with the shard fan-out path.
-    pub(crate) fn range_matches_at(
-        &self,
-        j: u32,
-        cells: &std::collections::HashSet<utcq_network::CellId>,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-    ) -> Result<bool, Error> {
-        self.engine().range_matches(j, cells, re, tq, alpha)
-    }
-
-    /// [`Snapshot::range_matches_at`] against caller-owned scratch —
-    /// the sharded batch engine's per-worker allocation reuse.
-    pub(crate) fn range_matches_at_with(
-        &self,
-        j: u32,
-        cells: &std::collections::HashSet<utcq_network::CellId>,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-        scratch: &mut crate::query::RangeScratch,
-    ) -> Result<bool, Error> {
-        self.engine()
-            .range_matches_with(j, cells, re, tq, alpha, scratch)
+    /// The candidate for the trajectory at position `j` of this
+    /// snapshot, scanned as partition `partition` of its store.
+    pub(crate) fn range_candidate(&self, partition: u32, j: u32) -> Option<RangeCandidate> {
+        let ct = self.cds.trajectories.get(j as usize)?;
+        Some(RangeCandidate {
+            id: ct.id,
+            partition,
+            pos: j,
+            mass: self
+                .plans
+                .get(j as usize)
+                .map_or(f64::INFINITY, TrajPlan::prob_mass),
+        })
     }
 }
 
@@ -488,10 +381,6 @@ impl QueryTarget for Snapshot {
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
         Snapshot::range_query(self, re, tq, alpha, page)
-    }
-
-    fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
-        Snapshot::par_range_query(self, queries)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -579,6 +468,11 @@ impl PartitionState {
         let j = self.cds.trajectories.len() as u32;
         if self.id_to_idx.contains(tu.id) {
             return Err(Error::DuplicateTrajectory(tu.id));
+        }
+        // `abs_diff` cannot overflow however far apart the samples.
+        let too_long = |(first, last): (i64, i64)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS;
+        if stiu.params.span(&tu.times).is_some_and(too_long) {
+            return Err(Error::SpanTooLong(tu.id));
         }
         let (ct, size) = compress_trajectory(net, tu, &params)?;
         self.cds.compressed.add(&size);

@@ -28,13 +28,32 @@ use crate::factor::{self, EFactor};
 use crate::siar;
 
 /// Index construction parameters (the paper's Fig. 9 sweeps both).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StiuParams {
     /// Time partition duration in seconds (paper default 15 min in the
     /// examples; Fig. 9 sweeps 10–60 min).
     pub partition_s: i64,
     /// Grid dimension `n` (n² cells; Fig. 9 sweeps 8–128).
     pub grid_n: u32,
+}
+
+/// Most time partitions one trajectory may span. The temporal index
+/// registers a trajectory under *every* partition between its first and
+/// last sample, so an unbounded span is unbounded index memory for one
+/// input line; 65,536 partitions is about 1.9 years at the default
+/// 15 min, orders of magnitude past any real trip.
+pub const MAX_SPAN_PARTITIONS: u64 = 1 << 16;
+
+impl StiuParams {
+    /// The partitions of `times`' first and last sample (`None` for an
+    /// empty sequence).
+    pub(crate) fn span(&self, times: &[i64]) -> Option<(i64, i64)> {
+        let (first, last) = (times.first()?, times.last()?);
+        Some((
+            first.div_euclid(self.partition_s),
+            last.div_euclid(self.partition_s),
+        ))
+    }
 }
 
 impl Default for StiuParams {
@@ -321,9 +340,9 @@ impl Stiu {
         );
         // Register the trajectory in every interval its span overlaps —
         // including sample-free gap intervals, which it may still cross.
-        let first = tu.times[0].div_euclid(self.params.partition_s);
-        let last = tu.times[tu.times.len() - 1].div_euclid(self.params.partition_s);
-        self.interval_trajs.register(j, first, last);
+        if let Some((first, last)) = self.params.span(&tu.times) {
+            self.interval_trajs.register(j, first, last);
+        }
         self.trajs.push(node);
     }
 }

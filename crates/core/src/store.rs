@@ -35,7 +35,8 @@
 //! [`PageRequest`] and returns a [`Page`] with `has_more`/cursor
 //! semantics, so a service can stream large answers without unbounded
 //! allocations. Ingest only appends, so cursors minted against an older
-//! epoch stay valid against newer ones. [`Store::par_range_query`]
+//! epoch stay valid against newer ones.
+//! [`QueryTarget::par_range_query`](crate::query::QueryTarget::par_range_query)
 //! evaluates a batch of range queries across all available cores,
 //! pulling work from a shared atomic-counter queue so skewed batches
 //! still balance.
@@ -79,7 +80,7 @@ use crate::live::{Held, LiveStore, WriterCore};
 use crate::opened::InfoReport;
 use crate::params::CompressParams;
 use crate::plan::TrajPlan;
-use crate::query::{Page, PageRequest, RangeQuery, WhenHit, WhereHit};
+use crate::query::{Page, PageRequest, WhenHit, WhereHit};
 use crate::snapshot::{PartitionState, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
 
@@ -709,27 +710,6 @@ impl Store {
     ) -> Result<Page<u64>, Error> {
         self.snapshot().range_query(re, tq, alpha, page)
     }
-
-    /// Evaluates a batch of **range** queries in parallel across the
-    /// available cores, answers unpaginated and in input order. The
-    /// whole batch runs on one pinned snapshot — no cloning, no
-    /// recompression — and all workers share one decode cache, so
-    /// overlapping queries decode each artifact once.
-    ///
-    /// Workers pull query indices from a shared atomic counter rather
-    /// than fixed chunks: a skewed batch (a few expensive queries amid
-    /// many cheap ones) keeps every thread busy until the queue drains.
-    ///
-    /// ```no_run
-    /// use utcq_core::RangeQuery;
-    /// # fn demo(store: &utcq_core::Store, batch: Vec<RangeQuery>) -> Result<(), utcq_core::Error> {
-    /// let answers = store.par_range_query(&batch)?; // one Vec<id> per query, input order
-    /// assert_eq!(answers.len(), batch.len());
-    /// # Ok(()) }
-    /// ```
-    pub fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
-        self.snapshot().par_range_query(queries)
-    }
 }
 
 impl crate::query::QueryTarget for Store {
@@ -770,10 +750,6 @@ impl crate::query::QueryTarget for Store {
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
         Store::range_query(self, re, tq, alpha, page)
-    }
-
-    fn par_range_query(&self, queries: &[RangeQuery]) -> Result<Vec<Vec<u64>>, Error> {
-        Store::par_range_query(self, queries)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -1047,6 +1023,7 @@ mod tests {
 
     #[test]
     fn par_range_matches_sequential() {
+        use crate::query::{QueryTarget, RangeQuery};
         let fx = paper_fixture::build();
         let store = paper_store(&fx);
         let t = paper_fixture::hms(5, 5, 25);

@@ -759,6 +759,7 @@ pub fn error_code(e: &Error) -> &'static str {
         Error::Storage(_) => "storage",
         Error::Io(_) => "io",
         Error::DuplicateTrajectory(_) => "duplicate_trajectory",
+        Error::SpanTooLong(_) => "span_too_long",
         Error::IntervalMismatch { .. } => "interval_mismatch",
         Error::NetworkMismatch { .. } => "network_mismatch",
         Error::CorruptStore(_) => "corrupt_store",
@@ -1477,6 +1478,7 @@ mod tests {
         assert_eq!(error_code(&Error::NeedsNetwork), "needs_network");
         assert_eq!(error_code(&Error::CorruptStore("x")), "corrupt_store");
         assert_eq!(error_code(&Error::ShardedContainer), "sharded_container");
+        assert_eq!(error_code(&Error::SpanTooLong(1)), "span_too_long");
     }
 
     /// The fuzzer's contract, pinned as unit tests: adversarial request

@@ -9,8 +9,8 @@
 //! [`black_box`], and the [`criterion_group!`]/[`criterion_main!`]
 //! macros. Timing is deliberately simple — warm up, then run batches
 //! until a target measurement time elapses, report the mean — which is
-//! plenty to track relative regressions in CI and to feed the
-//! `BENCH_queries.json` perf trajectory.
+//! plenty for a relative look at one kernel; tracked numbers come from
+//! the system benchmark (`BENCHMARK.json`, `benchmark/`).
 //!
 //! Environment knobs:
 //!

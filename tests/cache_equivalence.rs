@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use utcq::core::query::PageRequest;
 use utcq::core::stiu::StiuParams;
-use utcq::core::{CompressParams, RangeQuery, Store, StoreBuilder};
+use utcq::core::{CompressParams, QueryTarget, RangeQuery, Store, StoreBuilder};
 use utcq::network::{Rect, RoadNetwork};
 use utcq::traj::Dataset;
 

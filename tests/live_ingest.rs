@@ -17,10 +17,11 @@ use std::sync::Arc;
 
 use utcq::core::shard::ByTime;
 use utcq::core::{
-    CompressParams, LiveStore, PageRequest, ShardedStore, StiuParams, Store, StoreBuilder,
+    CompressParams, LiveStore, PageRequest, QueryTarget, RangeQuery, ShardedStore, StiuParams,
+    Store, StoreBuilder,
 };
 use utcq::datagen::{generate_network, generate_on_network, GenOptions};
-use utcq::network::RoadNetwork;
+use utcq::network::{Rect, RoadNetwork};
 use utcq::traj::Dataset;
 
 const STIU: StiuParams = StiuParams {
@@ -730,6 +731,88 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
     let new_id = b3.trajectories[0].id;
     assert!(pinned.traj_index(new_id).is_none());
     assert!(store.traj_index(new_id).is_some());
+
+    // The range path over sealed segments: the live-grown store, the
+    // offline build, its reopened v2 bytes, a 3-shard store and its
+    // reopened v3 bytes page identically at a `tq` in every interval
+    // the index holds — walked with limits 1 and 7 first (a paginated
+    // walk never fills the range-result cache, so these run the scan),
+    // then unpaginated.
+    let v2 = Store::read(&mut container_bytes_single(&fresh).as_slice()).unwrap();
+    let sharded = StoreBuilder::new(Arc::clone(&net), p)
+        .stiu_params(STIU)
+        .shard_by(Arc::new(ByTime { interval_s: 120 }), 3)
+        .unwrap()
+        .ingest(&base)
+        .unwrap()
+        .ingest(&b1)
+        .unwrap()
+        .ingest(&b2)
+        .unwrap()
+        .ingest(&b3)
+        .unwrap()
+        .finish()
+        .unwrap();
+    let mut v3_bytes = Vec::new();
+    sharded.write(&mut v3_bytes).unwrap();
+    let v3 = ShardedStore::read(&mut v3_bytes.as_slice()).unwrap();
+    let targets: [(&str, &dyn QueryTarget); 5] = [
+        ("live", &store),
+        ("offline", &fresh),
+        ("v2", &v2),
+        ("sharded", &sharded),
+        ("v3", &v3),
+    ];
+    let b = net.bounding_rect();
+    let re = Rect::new(b.min_x, b.min_y, b.min_x + 0.6 * b.width(), b.max_y);
+    let alpha = 0.3;
+    let keys = fresh.snapshot().stiu().interval_trajs.sorted_keys();
+    assert!(keys.len() > 1, "the walk below must cross intervals");
+    let queries: Vec<RangeQuery> = keys
+        .iter()
+        .map(|k| RangeQuery {
+            re,
+            tq: k * STIU.partition_s + STIU.partition_s / 2,
+            alpha,
+        })
+        .collect();
+    let walk = |t: &dyn QueryTarget, tq: i64, limit: usize| {
+        let mut pages = Vec::new();
+        let mut req = PageRequest::first(limit);
+        loop {
+            let page = t.range_query(&re, tq, alpha, req).unwrap();
+            let next = page.next_cursor;
+            pages.push((page.items, page.has_more));
+            match next {
+                Some(c) => req = PageRequest::after(c, limit),
+                None => return pages,
+            }
+        }
+    };
+    let mut whole = Vec::new();
+    let mut hits = 0;
+    for q in &queries {
+        for limit in [1, 7, usize::MAX] {
+            let want = walk(targets[0].1, q.tq, limit);
+            for (name, t) in &targets[1..] {
+                assert_eq!(
+                    walk(*t, q.tq, limit),
+                    want,
+                    "{name} tq {} limit {limit}",
+                    q.tq
+                );
+            }
+            if limit == usize::MAX {
+                assert_eq!(want.len(), 1, "an unpaginated answer is one page");
+                hits += want[0].0.len();
+                whole.push(want[0].0.clone());
+            }
+        }
+    }
+    assert!(hits > 0, "the probe region must match something");
+    for (name, t) in [targets[0], targets[3]] {
+        assert_eq!(t.par_range_query(&queries).unwrap(), whole, "{name}");
+    }
 }
 
 /// A paginated **range** walk that straddles a live ingest, with the

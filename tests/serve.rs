@@ -487,6 +487,30 @@ fn writable_server_matches_offline_ingest_replay_for_v2_and_v3() {
     }
 }
 
+/// The minimised regression line: one trajectory whose two samples lie
+/// 65,536 partitions apart — one more than the StIU registers. Before
+/// the cap existed nothing bounded the span, so a single line could
+/// make the interval index allocate without limit under the writer
+/// lock.
+#[test]
+fn over_long_span_ingest_is_refused_on_both_shapes() {
+    let line = include_str!("fuzz_regressions/wire-ingest-span.bin").trim_end();
+    for version in [2u8, 3] {
+        let opened = open_fixture(version);
+        let before = (opened.len(), opened.epoch());
+        let reply = wire::handle_line_writable(&opened, line).line;
+        assert!(
+            reply.contains(r#""ok":false"#) && reply.contains(r#""code":"span_too_long""#),
+            "v{version}: {reply}"
+        );
+        assert_eq!((opened.len(), opened.epoch()), before, "v{version}");
+        // One partition shorter — exactly the cap — is a valid ingest.
+        let at_cap = line.replace("58982400", "58981500");
+        let reply = wire::handle_line_writable(&opened, &at_cap).line;
+        assert!(reply.contains(r#""ingested":1"#), "v{version}: {reply}");
+    }
+}
+
 #[test]
 fn read_only_server_rejects_ingest() {
     let opened = Arc::new(open_fixture(3));
