@@ -139,7 +139,9 @@ impl Fixtures {
         lines.push(
             r#"{"op":"range","min_x":0,"min_y":0,"max_x":1,"max_y":1,"tq":0,"alpha":"NaN"}"#.into(),
         );
-        lines.push(r#"{"op":"when","traj":0,"edge":1,"d":10.5,"alpha":0}"#.into());
+        lines.push(r#"{"op":"when","traj":0,"edge":1,"rd":0.5,"alpha":0}"#.into());
+        // An edge past the fixtures' 162: an empty page, not an index.
+        lines.push(r#"{"op":"when","traj":0,"edge":162,"rd":0.5,"alpha":0}"#.into());
         lines.push(r#"{"op":"stats"}"#.into());
         let opened = Opened::open(dir.join("tiny_v2.utcq"))
             .map_err(|e| io::Error::other(format!("open tiny_v2 fixture: {e}")))?;

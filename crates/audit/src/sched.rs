@@ -489,7 +489,7 @@ pub fn explore(name: &str, opts: SchedOpts, factory: &dyn Fn() -> Scenario) -> O
 use std::sync::OnceLock;
 use utcq_core::snapshot::Swap;
 use utcq_core::store::StoreBuilder;
-use utcq_core::{CompressParams, LiveStore, Opened, ShardedStore, Store, WalConfig};
+use utcq_core::{CompressParams, LiveStore, Opened, QueryTarget, ShardedStore, Store, WalConfig};
 use utcq_traj::Dataset;
 
 /// The shared tiny dataset: generated once, split into an initial

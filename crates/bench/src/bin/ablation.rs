@@ -19,7 +19,7 @@ use utcq_bench::measure::fmt_duration;
 use utcq_bench::report::{f2, Table};
 use utcq_bench::{build, datasets, timed, workload};
 use utcq_core::compress::compress_trajectory_with_roles;
-use utcq_core::query::PageRequest;
+use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::reference::Role;
 use utcq_core::siar;
 use utcq_core::stiu::StiuParams;

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use utcq_bench::report::{f3, Table};
 use utcq_bench::{build, datasets, workload};
-use utcq_core::query::PageRequest;
+use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::stiu::StiuParams;
 use utcq_core::Store;
 use utcq_core::{oracle, CompressParams};

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use utcq_bench::measure::fmt_duration;
 use utcq_bench::report::{f2, Table};
 use utcq_bench::{build, datasets, timed, workload};
-use utcq_core::query::PageRequest;
+use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::stiu::StiuParams;
 use utcq_core::Store;
 use utcq_datagen::transform;

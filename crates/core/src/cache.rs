@@ -48,7 +48,7 @@
 //! a budget of `0` disables caching entirely (every lookup decodes).
 //! [`DecodeCache::stats`] exposes hit/miss/eviction counters plus the
 //! live entry count and byte footprint — surfaced publicly as
-//! [`crate::store::Store::cache_stats`].
+//! [`crate::query::QueryTarget::cache_stats`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -191,7 +191,7 @@ impl Shard {
 }
 
 /// Point-in-time counters of a [`DecodeCache`], returned by
-/// [`crate::store::Store::cache_stats`].
+/// [`crate::query::QueryTarget::cache_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.

@@ -22,8 +22,10 @@
 //! * [`query`] — probabilistic *where*, *when* and *range* query engine
 //!   with the filtering Lemmas 1–4 (§5.3–5.4), the [`query::Page`] /
 //!   [`query::PageRequest`] pagination primitives, and the
-//!   [`query::QueryTarget`] trait — the query surface every store shape
-//!   implements, so services can stay agnostic of physical layout;
+//!   [`query::QueryTarget`] trait — the one declaration of the read
+//!   surface, implemented once by every store shape (import it to
+//!   query a concrete store), so services can stay agnostic of
+//!   physical layout;
 //! * [`cache`] — the shared, bounded, thread-safe decode cache
 //!   ([`cache::DecodeCache`]) that memoizes decoded references,
 //!   instances, time streams and partial `bracket` time windows across
@@ -55,7 +57,7 @@
 //!   presentation both `utcq info` and the serve protocol render;
 //! * [`wire`] — the serve wire protocol: hand-rolled newline-delimited
 //!   JSON requests/responses (documented in `PROTOCOL.md`), with
-//!   [`wire::handle_line`] as the single executor behind both the TCP
+//!   [`wire::execute`] as the single executor behind both the TCP
 //!   server and the CLI's offline client mode;
 //! * [`serve`] — the long-lived query server: a [`serve::Server`]
 //!   built on a nonblocking `epoll` readiness loop ([`poll`]) with
@@ -101,7 +103,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use utcq_core::query::PageRequest;
+//! use utcq_core::query::{PageRequest, QueryTarget};
 //! use utcq_core::store::StoreBuilder;
 //! use utcq_core::{CompressParams, Store, StiuParams};
 //!

@@ -29,6 +29,7 @@ use utcq_traj::size::SizeBreakdown;
 use crate::compress::{CompressedDataset, Ratios};
 use crate::error::Error;
 use crate::live::LiveStore;
+use crate::query::QueryTarget;
 use crate::shard::{ShardSpec, ShardedStore};
 use crate::snapshot::Snapshot;
 use crate::stiu::StiuParams;

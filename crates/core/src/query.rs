@@ -183,18 +183,46 @@ impl<T> Page<T> {
     }
 }
 
-/// The query surface shared by every store shape.
+/// The query surface shared by every store shape — the one declaration
+/// of the paper's read API (Definitions 10 to 12).
 ///
-/// Both the single-partition [`crate::store::Store`] and the partitioned
-/// [`crate::shard::ShardedStore`] implement this trait, so services,
-/// benchmarks and the CLI can be written against `&dyn QueryTarget` and
-/// stay agnostic of how the trajectories are physically laid out. The
-/// contract is strict: for the same dataset, every implementation must
-/// return byte-identical answers and identical paginated *item*
+/// An epoch-pinned [`crate::snapshot::Snapshot`], the single-partition
+/// [`crate::store::Store`] and the partitioned
+/// [`crate::shard::ShardedStore`] each implement it exactly once and
+/// have no inherent twins of these methods (import the trait to query a
+/// concrete store), so services, benchmarks and the CLI are written
+/// against `&dyn QueryTarget` and stay agnostic of the physical layout.
+/// The contract is strict: for the same dataset, every implementation
+/// must return byte-identical answers and identical paginated *item*
 /// sequences (cursor encodings may differ — a sharded cursor carries the
 /// shard it was minted by; see `crate::shard`).
+///
+/// ```
+/// use std::sync::Arc;
+/// use utcq_core::shard::ByTime;
+/// use utcq_core::{CompressParams, PageRequest, QueryTarget, StoreBuilder};
+/// # fn main() -> Result<(), utcq_core::Error> {
+/// // Ids inside the whole network at `tq`, whatever the store shape.
+/// fn everywhere(target: &impl QueryTarget, tq: i64) -> Result<Vec<u64>, utcq_core::Error> {
+///     let re = target.network().bounding_rect();
+///     Ok(target.range_query(&re, tq, 0.0, PageRequest::all())?.into_items())
+/// }
+///
+/// let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
+/// let (net, tq) = (Arc::new(net), ds.trajectories[0].times[0]);
+/// let builder = || StoreBuilder::new(
+///     Arc::clone(&net), CompressParams::with_interval(ds.default_interval));
+/// let store = builder().ingest(&ds)?.finish()?;
+/// let sharded = builder().shard_by(Arc::new(ByTime::default()), 3)?.ingest(&ds)?.finish()?;
+///
+/// let want = everywhere(&store, tq)?;
+/// assert!(!want.is_empty());
+/// assert_eq!(everywhere(&*store.snapshot(), tq)?, want); // a pinned epoch
+/// assert_eq!(everywhere(&sharded, tq)?, want);           // three partitions
+/// # Ok(()) }
+/// ```
 pub trait QueryTarget: Send + Sync {
-    /// Number of trajectories queryable through this target.
+    /// Number of trajectories queryable (in a live store's current epoch).
     fn len(&self) -> usize;
 
     /// Whether the target holds no trajectories.
@@ -205,7 +233,34 @@ pub trait QueryTarget: Send + Sync {
     /// The road network the trajectories are mapped onto.
     fn network(&self) -> &Arc<RoadNetwork>;
 
-    /// Probabilistic **where** query (Definition 10), paginated.
+    /// Probabilistic **where** query (Definition 10): the locations of
+    /// `traj_id`'s instances with probability ≥ `alpha` at time `t`.
+    ///
+    /// Unknown trajectory ids and out-of-span times yield an empty page,
+    /// matching the paper's query semantics (the answer set is empty).
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use utcq_core::{CompressParams, PageRequest, QueryTarget, StiuParams, Store};
+    /// # fn main() -> Result<(), utcq_core::Error> {
+    /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
+    /// # let store = Store::build(Arc::new(net), &ds,
+    /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
+    /// let t0 = store.decode_times(store.traj_index(0).unwrap())?[0];
+    /// // Walk the full answer two hits per page.
+    /// let mut req = PageRequest::first(2);
+    /// loop {
+    ///     let page = store.where_query(0, t0, 0.0, req)?;
+    ///     for hit in &page.items {
+    ///         println!("instance {} (p={}) at {:?}", hit.instance, hit.prob, hit.loc);
+    ///     }
+    ///     match page.next_cursor {
+    ///         Some(c) => req = PageRequest::after(c, 2),
+    ///         None => break,
+    ///     }
+    /// }
+    /// # Ok(()) }
+    /// ```
     fn where_query(
         &self,
         traj_id: u64,
@@ -214,7 +269,23 @@ pub trait QueryTarget: Send + Sync {
         page: PageRequest,
     ) -> Result<Page<WhereHit>, Error>;
 
-    /// Probabilistic **when** query (Definition 11), paginated.
+    /// Probabilistic **when** query (Definition 11): the times at which
+    /// `traj_id`'s instances with probability ≥ `alpha` pass `⟨edge, rd⟩`.
+    ///
+    /// An unknown trajectory id, or an `edge` the road network does not
+    /// have, yields an empty page (the answer set is empty).
+    ///
+    /// ```no_run
+    /// use utcq_core::{PageRequest, QueryTarget};
+    /// use utcq_network::EdgeId;
+    /// # fn demo(store: &utcq_core::Store) -> Result<(), utcq_core::Error> {
+    /// // When does trajectory 7 pass the midpoint of edge 117?
+    /// let page = store.when_query(7, EdgeId(117), 0.5, 0.25, PageRequest::first(64))?;
+    /// for hit in &page.items {
+    ///     println!("instance {} passes at t={}s", hit.instance, hit.time);
+    /// }
+    /// # Ok(()) }
+    /// ```
     fn when_query(
         &self,
         traj_id: u64,
@@ -224,9 +295,26 @@ pub trait QueryTarget: Send + Sync {
         page: PageRequest,
     ) -> Result<Page<WhenHit>, Error>;
 
-    /// Probabilistic **range** query (Definition 12), paginated. Answers
-    /// are trajectory ids ascending; the cursor is keyset-style (the last
-    /// returned id), identical across implementations.
+    /// Probabilistic **range** query (Definition 12): ids of trajectories
+    /// inside `re` at `tq` with accumulated probability ≥ `alpha`,
+    /// ascending. Pagination is keyset-style over the sorted ids (the
+    /// cursor is the last returned id, identical across implementations),
+    /// so pages stay consistent under concurrent reads (and, since ingest
+    /// only appends, under concurrent writes).
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use utcq_core::{CompressParams, PageRequest, QueryTarget, StiuParams, Store};
+    /// # fn main() -> Result<(), utcq_core::Error> {
+    /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
+    /// # let store = Store::build(Arc::new(net), &ds,
+    /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
+    /// let tq = store.decode_times(0)?[0];
+    /// let everywhere = store.network().bounding_rect();
+    /// let page = store.range_query(&everywhere, tq, 0.2, PageRequest::all())?;
+    /// assert!(page.items.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+    /// # Ok(()) }
+    /// ```
     fn range_query(
         &self,
         re: &Rect,
@@ -257,14 +345,44 @@ pub trait QueryTarget: Send + Sync {
         })
     }
 
-    /// Aggregated decode-cache counters across all partitions.
+    /// Hit/miss/eviction counters and footprint of the decode cache,
+    /// aggregated across all partitions (budget and footprint are
+    /// totals).
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use utcq_core::{CompressParams, PageRequest, QueryTarget, StiuParams, Store};
+    /// # fn main() -> Result<(), utcq_core::Error> {
+    /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
+    /// # let store = Store::build(Arc::new(net), &ds,
+    /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
+    /// let t0 = store.decode_times(0)?[0];
+    /// store.where_query(0, t0, 0.0, PageRequest::default())?; // cold: misses
+    /// store.where_query(0, t0, 0.0, PageRequest::default())?; // warm: hits
+    /// let stats = store.cache_stats();
+    /// assert!(stats.hits > 0 && stats.misses > 0);
+    /// println!("{}", stats.render());
+    /// # Ok(()) }
+    /// ```
     fn cache_stats(&self) -> crate::cache::CacheStats;
 
-    /// Reconfigures the total decode-cache byte budget (a sharded target
+    /// Reconfigures the total decode-cache byte budget at runtime,
+    /// evicting down to the new limit immediately (a sharded target
     /// splits it evenly across its partitions; `0` disables caching).
+    ///
+    /// ```
+    /// use utcq_core::QueryTarget;
+    /// # fn demo(store: &utcq_core::Store) {
+    /// store.set_cache_bytes(16 * 1024 * 1024); // 16 MiB
+    /// assert_eq!(store.cache_bytes(), 16 * 1024 * 1024);
+    /// store.set_cache_bytes(0); // disable caching entirely
+    /// # }
+    /// ```
     fn set_cache_bytes(&self, bytes: usize);
 
-    /// Drops every cached decode in every partition.
+    /// Drops every cached decode in every partition (the budget and
+    /// counters survive). Benchmarks use this to measure cold-cache
+    /// latencies.
     fn clear_cache(&self);
 }
 
@@ -562,6 +680,10 @@ impl<'a> QueryEngine<'a> {
         alpha: f64,
     ) -> Result<Vec<WhenHit>, Error> {
         let (ct, node, plan) = self.parts(j)?;
+        if edge.idx() >= self.net.edge_count() {
+            // No instance passes an edge the network does not have.
+            return Ok(Vec::new());
+        }
         let query_pt = self
             .net
             .point_on_edge(edge, rd * self.net.edge_length(edge));

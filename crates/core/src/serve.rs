@@ -323,13 +323,7 @@ fn worker_loop(
         let mut shutdown = false;
         for frame in job.frames {
             let reply = match frame {
-                Frame::Line(line) => {
-                    if writable {
-                        wire::handle_line_writable(opened, &line)
-                    } else {
-                        wire::handle_line(opened, &line)
-                    }
-                }
+                Frame::Line(line) => wire::execute(opened, writable, &line),
                 Frame::Oversized => wire::oversized_reply(),
             };
             bytes.extend_from_slice(reply.line.as_bytes());

@@ -43,9 +43,9 @@
 //!   its query, so sharding never multiplies thread pools.
 //!
 //! Every shard of one facade shares one road network and one
-//! [`StiuParams`] (constructors and the v3 open reject disagreement),
-//! which is what lets the range index merge interval keys across shards
-//! and the scan resolve a query's grid cells once.
+//! [`crate::stiu::StiuParams`] (constructors and the v3 open reject
+//! disagreement), which is what lets the range index merge interval
+//! keys across shards and the scan resolve a query's grid cells once.
 //!
 //! Merging moves hit values (`WhereHit`/`WhenHit`/`u64` ids) between
 //! pages; decoded artifacts stay behind each shard's cache `Arc`s and
@@ -94,18 +94,25 @@ use crate::cache::CacheStats;
 use crate::error::Error;
 use crate::live::{Held, LiveStore, WriterCore};
 use crate::opened::{policy_label, InfoReport};
-use crate::params::CompressParams;
 use crate::query::{
     par_run, range_scan, Page, PageRequest, QueryTarget, RangeCandidate, WhenHit, WhereHit,
 };
 use crate::snapshot::{Snapshot, Swap};
-use crate::stiu::StiuParams;
 use crate::storage::{self, ShardDirectory, POLICY_CUSTOM, POLICY_REGION, POLICY_TIME};
 use crate::store::{IngestReport, Store, StoreBuilder};
 
 /// Maximum number of shards a store may have (the shard tag of a
 /// where/when cursor is 16 bits).
 pub const MAX_SHARDS: u32 = 1 << 16;
+
+/// Rejects a shard count outside `1..=MAX_SHARDS`.
+pub(crate) fn check_shard_count(n: usize) -> Result<(), Error> {
+    match n {
+        0 => Err(Error::ShardConfig("shard count must be at least 1")),
+        n if n > MAX_SHARDS as usize => Err(Error::ShardConfig("shard count exceeds 65536")),
+        _ => Ok(()),
+    }
+}
 
 /// Total shard-payload bytes below which an open runs sequentially —
 /// thread-spawn overhead exceeds the decode work on tiny containers (a
@@ -284,82 +291,21 @@ impl ShardPolicy for ByRegion {
 }
 
 /// Incremental construction of a [`ShardedStore`] — the sharded
-/// counterpart of [`StoreBuilder`], usually reached through
-/// [`StoreBuilder::shard_by`].
+/// counterpart of [`StoreBuilder`], reached through
+/// [`StoreBuilder::shard_by`], which hands over the finished
+/// configuration: every option is set on the [`StoreBuilder`] before.
 ///
 /// Each [`ingest`](Self::ingest) routes the batch's trajectories
 /// individually (no payload copies) to per-shard [`StoreBuilder`]s, so
 /// only each trajectory's owning shard compresses and indexes it.
 pub struct ShardedStoreBuilder {
-    net: Arc<RoadNetwork>,
-    policy: Arc<dyn ShardPolicy>,
-    builders: Vec<StoreBuilder>,
-    total_cache_bytes: usize,
+    pub(crate) net: Arc<RoadNetwork>,
+    pub(crate) policy: Arc<dyn ShardPolicy>,
+    /// One configured, still empty builder per shard.
+    pub(crate) builders: Vec<StoreBuilder>,
 }
 
 impl ShardedStoreBuilder {
-    /// A sharded builder with `n_shards` partitions routed by `policy`.
-    pub fn new(
-        net: Arc<RoadNetwork>,
-        params: CompressParams,
-        policy: Arc<dyn ShardPolicy>,
-        n_shards: u32,
-    ) -> Result<Self, Error> {
-        if n_shards == 0 {
-            return Err(Error::ShardConfig("shard count must be at least 1"));
-        }
-        if n_shards > MAX_SHARDS {
-            return Err(Error::ShardConfig("shard count exceeds 65536"));
-        }
-        let builders = (0..n_shards)
-            .map(|_| StoreBuilder::new(net.clone(), params))
-            .collect();
-        let mut b = Self {
-            net,
-            policy,
-            builders,
-            total_cache_bytes: crate::cache::DEFAULT_CACHE_BYTES,
-        };
-        b.apply_cache_budget();
-        Ok(b)
-    }
-
-    fn apply_cache_budget(&mut self) {
-        let per_shard = self.total_cache_bytes / self.builders.len();
-        self.builders = std::mem::take(&mut self.builders)
-            .into_iter()
-            .map(|sb| sb.cache_bytes(per_shard))
-            .collect();
-    }
-
-    /// Overrides the *total* decode-cache byte budget; each shard gets
-    /// an equal slice (`0` disables caching everywhere).
-    pub fn cache_bytes(mut self, total_bytes: usize) -> Self {
-        self.total_cache_bytes = total_bytes;
-        self.apply_cache_budget();
-        self
-    }
-
-    /// Overrides the StIU parameters of every shard. Must be called
-    /// before the first [`ingest`](Self::ingest) (as with
-    /// [`StoreBuilder::stiu_params`]).
-    pub fn stiu_params(mut self, p: StiuParams) -> Self {
-        self.builders = std::mem::take(&mut self.builders)
-            .into_iter()
-            .map(|sb| sb.stiu_params(p))
-            .collect();
-        self
-    }
-
-    /// Overrides the dataset label (defaults to the first batch's name).
-    pub fn name(mut self, name: &str) -> Self {
-        self.builders = std::mem::take(&mut self.builders)
-            .into_iter()
-            .map(|sb| sb.name(name))
-            .collect();
-        self
-    }
-
     /// Routes and ingests one batch: each trajectory is compressed and
     /// indexed by its owning shard only.
     pub fn ingest(mut self, batch: &Dataset) -> Result<Self, Error> {
@@ -540,12 +486,7 @@ impl ShardedStore {
         spec: Option<ShardSpec>,
         policy: Option<Arc<dyn ShardPolicy>>,
     ) -> Result<Self, Error> {
-        if shards.is_empty() {
-            return Err(Error::ShardConfig("shard count must be at least 1"));
-        }
-        if shards.len() > MAX_SHARDS as usize {
-            return Err(Error::ShardConfig("shard count exceeds 65536"));
-        }
+        check_shard_count(shards.len())?;
         let snaps: Vec<Arc<Snapshot>> = shards.iter().map(Store::snapshot).collect();
         // One network and one StIU parameter set per facade: the range
         // index merges the shards' interval keys and the scan resolves
@@ -704,22 +645,6 @@ impl ShardedStore {
         self.spec
     }
 
-    /// The road network, shared by every shard.
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        self.shards[0].network() // bounds: constructors reject zero shards
-    }
-
-    /// Total number of trajectories currently visible through the
-    /// facade.
-    pub fn len(&self) -> usize {
-        self.facade.load().id_to_shard.len()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The shard owning trajectory `id`, if ingested.
     pub fn traj_shard(&self, id: u64) -> Option<u32> {
         self.facade.load().id_to_shard.get(&id).copied()
@@ -732,55 +657,63 @@ impl ShardedStore {
         crate::compress::Ratios::from_sizes(&raw, &compressed)
     }
 
-    /// Translates an incoming global cursor into the owning shard's
-    /// local cursor, rejecting cursors minted for a different shard.
-    fn local_page(&self, shard: u32, page: PageRequest) -> Result<PageRequest, Error> {
-        let cursor = match page.cursor {
-            None => None,
-            Some(global) => {
-                let (tag, local) = decode_cursor(global);
-                if tag != shard {
-                    return Err(Error::InvalidCursor);
-                }
-                Some(local)
-            }
+    /// Runs a single-trajectory query on the snapshot of the shard that
+    /// owns `traj_id` — the one-shard fan-out of **where** and **when**.
+    /// The incoming global cursor is translated to the shard's local
+    /// one (a cursor minted for a different shard is rejected) and the
+    /// answer's cursor re-tagged as global; items are moved, never
+    /// cloned. An unknown id yields an empty page.
+    fn on_owner<T>(
+        &self,
+        traj_id: u64,
+        page: PageRequest,
+        run: impl FnOnce(&Snapshot, PageRequest) -> Result<Page<T>, Error>,
+    ) -> Result<Page<T>, Error> {
+        let Some(shard) = self.traj_shard(traj_id) else {
+            return Ok(Page::slice(Vec::new(), page));
         };
-        Ok(PageRequest {
+        let cursor = match page.cursor.map(decode_cursor) {
+            Some((tag, _)) if tag != shard => return Err(Error::InvalidCursor),
+            Some((_, local)) => Some(local),
+            None => None,
+        };
+        let local = PageRequest {
             limit: page.limit,
             cursor,
+        };
+        // bounds: the facade id map only holds in-range shard indices
+        let answer = run(&self.shards[shard as usize].snapshot(), local)?;
+        Ok(Page {
+            items: answer.items,
+            next_cursor: answer.next_cursor.map(|c| encode_cursor(shard, c)),
+            has_more: answer.has_more,
         })
     }
+}
 
-    /// Re-tags a shard-local page as a global one. Items are moved, not
-    /// cloned — the merge path never copies decoded payloads.
-    fn global_page<T>(shard: u32, page: Page<T>) -> Page<T> {
-        Page {
-            items: page.items,
-            next_cursor: page.next_cursor.map(|c| encode_cursor(shard, c)),
-            has_more: page.has_more,
-        }
+impl QueryTarget for ShardedStore {
+    /// Trajectories currently visible through the facade.
+    fn len(&self) -> usize {
+        self.facade.load().id_to_shard.len()
     }
 
-    /// Probabilistic **where** query — resolved to the owning shard.
-    pub fn where_query(
+    fn network(&self) -> &Arc<RoadNetwork> {
+        self.shards[0].network() // bounds: constructors reject zero shards
+    }
+
+    fn where_query(
         &self,
         traj_id: u64,
         t: i64,
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhereHit>, Error> {
-        let Some(shard) = self.traj_shard(traj_id) else {
-            return Ok(Page::slice(Vec::new(), PageRequest::first(page.limit)));
-        };
-        let local = self.local_page(shard, page)?;
-        // bounds: the facade id map only holds in-range shard indices
-        let snap = self.shards[shard as usize].snapshot();
-        let answer = snap.where_query(traj_id, t, alpha, local)?;
-        Ok(Self::global_page(shard, answer))
+        self.on_owner(traj_id, page, |snap, local| {
+            snap.where_query(traj_id, t, alpha, local)
+        })
     }
 
-    /// Probabilistic **when** query — resolved to the owning shard.
-    pub fn when_query(
+    fn when_query(
         &self,
         traj_id: u64,
         edge: EdgeId,
@@ -788,28 +721,22 @@ impl ShardedStore {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhenHit>, Error> {
-        let Some(shard) = self.traj_shard(traj_id) else {
-            return Ok(Page::slice(Vec::new(), PageRequest::first(page.limit)));
-        };
-        let local = self.local_page(shard, page)?;
-        // bounds: the facade id map only holds in-range shard indices
-        let snap = self.shards[shard as usize].snapshot();
-        let answer = snap.when_query(traj_id, edge, rd, alpha, local)?;
-        Ok(Self::global_page(shard, answer))
+        self.on_owner(traj_id, page, |snap, local| {
+            snap.when_query(traj_id, edge, rd, alpha, local)
+        })
     }
 
-    /// Probabilistic **range** query: the facade's prebuilt range index
-    /// names the globally id-ascending candidates of `tq`'s partition,
-    /// and the shared scan loop (`crate::query::range_scan`) evaluates
-    /// them in that order against their owning shard until the page
-    /// fills — byte-identical answers and page boundaries to a single
-    /// store over the same dataset. The keyset cursor (last returned id)
-    /// is shard-agnostic.
+    /// The facade's prebuilt range index names the globally
+    /// id-ascending candidates of `tq`'s partition, and the shared scan
+    /// loop (`crate::query::range_scan`) evaluates them in that order
+    /// against their owning shard until the page fills — byte-identical
+    /// answers and page boundaries to a single store over the same
+    /// dataset. The keyset cursor (last returned id) is shard-agnostic.
     ///
     /// The facade is pinned first and the shard snapshots after:
     /// publication order guarantees every candidate position the facade
     /// index names exists in the pinned snapshots.
-    pub fn range_query(
+    fn range_query(
         &self,
         re: &Rect,
         tq: i64,
@@ -823,9 +750,7 @@ impl ShardedStore {
         range_scan(&engines, candidates, re, tq, alpha, page)
     }
 
-    /// Aggregated decode-cache counters across shards (budget and
-    /// footprint are totals).
-    pub fn cache_stats(&self) -> CacheStats {
+    fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in &self.shards {
             let st = s.cache_stats();
@@ -841,73 +766,17 @@ impl ShardedStore {
         total
     }
 
-    /// Splits a *total* byte budget evenly across the shards' decode
-    /// caches (`0` disables caching everywhere).
-    pub fn set_cache_bytes(&self, total_bytes: usize) {
+    fn set_cache_bytes(&self, total_bytes: usize) {
         let per_shard = total_bytes / self.shards.len();
         for s in &self.shards {
             s.set_cache_bytes(per_shard);
         }
     }
 
-    /// Drops every cached decode in every shard.
-    pub fn clear_cache(&self) {
+    fn clear_cache(&self) {
         for s in &self.shards {
             s.clear_cache();
         }
-    }
-}
-
-impl QueryTarget for ShardedStore {
-    fn len(&self) -> usize {
-        ShardedStore::len(self)
-    }
-
-    fn network(&self) -> &Arc<RoadNetwork> {
-        ShardedStore::network(self)
-    }
-
-    fn where_query(
-        &self,
-        traj_id: u64,
-        t: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhereHit>, Error> {
-        ShardedStore::where_query(self, traj_id, t, alpha, page)
-    }
-
-    fn when_query(
-        &self,
-        traj_id: u64,
-        edge: EdgeId,
-        rd: f64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhenHit>, Error> {
-        ShardedStore::when_query(self, traj_id, edge, rd, alpha, page)
-    }
-
-    fn range_query(
-        &self,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<u64>, Error> {
-        ShardedStore::range_query(self, re, tq, alpha, page)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        ShardedStore::cache_stats(self)
-    }
-
-    fn set_cache_bytes(&self, bytes: usize) {
-        ShardedStore::set_cache_bytes(self, bytes)
-    }
-
-    fn clear_cache(&self) {
-        ShardedStore::clear_cache(self)
     }
 }
 
@@ -1032,6 +901,8 @@ impl LiveStore for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::CompressParams;
+    use crate::stiu::StiuParams;
     use utcq_traj::paper_fixture;
 
     fn paper_dataset() -> (Arc<RoadNetwork>, Dataset) {

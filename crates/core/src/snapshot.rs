@@ -111,7 +111,7 @@ impl<T> Swap<T> {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use utcq_core::{CompressParams, LiveStore, PageRequest, StiuParams, Store};
+/// use utcq_core::{CompressParams, LiveStore, QueryTarget, StiuParams, Store};
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// # let (net, mut ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
 /// # let mut late = ds.clone();
@@ -155,11 +155,6 @@ impl Snapshot {
         self.epoch
     }
 
-    /// The road network the snapshot's trajectories are mapped onto.
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.net
-    }
-
     /// The compressed dataset frozen in this snapshot.
     pub fn compressed(&self) -> &CompressedDataset {
         &self.cds
@@ -173,16 +168,6 @@ impl Snapshot {
     /// Component-wise and total compression ratios.
     pub fn ratios(&self) -> Ratios {
         self.cds.ratios()
-    }
-
-    /// Number of trajectories in this snapshot.
-    pub fn len(&self) -> usize {
-        self.cds.trajectories.len()
-    }
-
-    /// Whether the snapshot holds no trajectories.
-    pub fn is_empty(&self) -> bool {
-        self.cds.trajectories.is_empty()
     }
 
     /// Looks up a trajectory's position by id.
@@ -225,65 +210,6 @@ impl Snapshot {
             cache: &self.cache,
             epoch: self.epoch,
         }
-    }
-
-    /// Probabilistic **where** query (Definition 10) on this snapshot.
-    pub fn where_query(
-        &self,
-        traj_id: u64,
-        t: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhereHit>, Error> {
-        let Some(j) = self.traj_index(traj_id) else {
-            return Ok(Page::slice(Vec::new(), page));
-        };
-        Ok(Page::slice(self.engine().where_query(j, t, alpha)?, page))
-    }
-
-    /// Probabilistic **when** query (Definition 11) on this snapshot.
-    pub fn when_query(
-        &self,
-        traj_id: u64,
-        edge: EdgeId,
-        rd: f64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhenHit>, Error> {
-        let Some(j) = self.traj_index(traj_id) else {
-            return Ok(Page::slice(Vec::new(), page));
-        };
-        Ok(Page::slice(
-            self.engine().when_query(j, edge, rd, alpha)?,
-            page,
-        ))
-    }
-
-    /// Probabilistic **range** query (Definition 12) on this snapshot,
-    /// ids ascending with keyset pagination. A repeated query shape is
-    /// served from the epoch-keyed [`crate::cache::DecodeCache`] range
-    /// result (any page of it), after the first unpaginated-to-the-end
-    /// scan stores the complete match set.
-    pub fn range_query(
-        &self,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<u64>, Error> {
-        if let Some(ids) = self.cache.range_result(self.epoch, re, tq, alpha) {
-            return Ok(self.page_of_range_result(&ids, tq, page));
-        }
-        let mut candidates: Vec<RangeCandidate> = self.range_candidates(tq).collect();
-        candidates.sort_unstable_by_key(|c| c.id);
-        let out = range_scan(&[self.engine()], &candidates, re, tq, alpha, page)?;
-        if page.cursor.is_none() && !out.has_more {
-            // The scan started at the beginning and consumed every
-            // candidate: `items` is the complete match set of the shape.
-            self.cache
-                .note_range_result(self.epoch, re, tq, alpha, Arc::new(out.items.clone()));
-        }
-        Ok(out)
     }
 
     /// One page of a cached complete match set, byte-identical to what
@@ -345,11 +271,11 @@ impl Snapshot {
 
 impl QueryTarget for Snapshot {
     fn len(&self) -> usize {
-        Snapshot::len(self)
+        self.cds.trajectories.len()
     }
 
     fn network(&self) -> &Arc<RoadNetwork> {
-        Snapshot::network(self)
+        &self.net
     }
 
     fn where_query(
@@ -359,7 +285,10 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhereHit>, Error> {
-        Snapshot::where_query(self, traj_id, t, alpha, page)
+        let Some(j) = self.traj_index(traj_id) else {
+            return Ok(Page::slice(Vec::new(), page));
+        };
+        Ok(Page::slice(self.engine().where_query(j, t, alpha)?, page))
     }
 
     fn when_query(
@@ -370,9 +299,19 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhenHit>, Error> {
-        Snapshot::when_query(self, traj_id, edge, rd, alpha, page)
+        let Some(j) = self.traj_index(traj_id) else {
+            return Ok(Page::slice(Vec::new(), page));
+        };
+        Ok(Page::slice(
+            self.engine().when_query(j, edge, rd, alpha)?,
+            page,
+        ))
     }
 
+    /// A repeated query shape is served from the epoch-keyed
+    /// [`crate::cache::DecodeCache`] range result (any page of it),
+    /// after the first unpaginated-to-the-end scan stores the complete
+    /// match set.
     fn range_query(
         &self,
         re: &Rect,
@@ -380,7 +319,19 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        Snapshot::range_query(self, re, tq, alpha, page)
+        if let Some(ids) = self.cache.range_result(self.epoch, re, tq, alpha) {
+            return Ok(self.page_of_range_result(&ids, tq, page));
+        }
+        let mut candidates: Vec<RangeCandidate> = self.range_candidates(tq).collect();
+        candidates.sort_unstable_by_key(|c| c.id);
+        let out = range_scan(&[self.engine()], &candidates, re, tq, alpha, page)?;
+        if page.cursor.is_none() && !out.has_more {
+            // The scan started at the beginning and consumed every
+            // candidate: `items` is the complete match set of the shape.
+            self.cache
+                .note_range_result(self.epoch, re, tq, alpha, Arc::new(out.items.clone()));
+        }
+        Ok(out)
     }
 
     fn cache_stats(&self) -> CacheStats {

@@ -31,15 +31,15 @@
 //! the pinning primitive directly for multi-page walks and live
 //! checkpoints ([`Snapshot::save`]).
 //!
-//! Queries are paginated and limit-bounded: each entry point takes a
-//! [`PageRequest`] and returns a [`Page`] with `has_more`/cursor
-//! semantics, so a service can stream large answers without unbounded
-//! allocations. Ingest only appends, so cursors minted against an older
-//! epoch stay valid against newer ones.
-//! [`QueryTarget::par_range_query`](crate::query::QueryTarget::par_range_query)
-//! evaluates a batch of range queries across all available cores,
-//! pulling work from a shared atomic-counter queue so skewed batches
-//! still balance.
+//! The read surface is declared once, on [`QueryTarget`] (import the
+//! trait to query a `Store`); its entry points are paginated and
+//! limit-bounded: each takes a [`PageRequest`] and returns a [`Page`]
+//! with `has_more`/cursor semantics, so a service can stream large
+//! answers without unbounded allocations. Ingest only appends, so
+//! cursors minted against an older epoch stay valid against newer ones.
+//! [`QueryTarget::par_range_query`] evaluates a batch of range queries
+//! across all available cores, pulling work from a shared
+//! atomic-counter queue so skewed batches still balance.
 //!
 //! # Query acceleration layers
 //!
@@ -49,10 +49,10 @@
 //!   ([`crate::cache::DecodeCache`]): decoded references, fully decoded
 //!   instances and time sequences are memoized behind `Arc`s across
 //!   queries and across threads, with a configurable byte budget
-//!   ([`StoreBuilder::cache_bytes`], [`Store::set_cache_bytes`]; `0`
-//!   disables caching) and hit/miss/eviction counters
-//!   ([`Store::cache_stats`]). The cache is shared across epochs, but
-//!   its keys carry the minting epoch, so entries of superseded
+//!   ([`StoreBuilder::cache_bytes`], [`QueryTarget::set_cache_bytes`];
+//!   `0` disables caching) and hit/miss/eviction counters
+//!   ([`QueryTarget::cache_stats`]). The cache is shared across epochs,
+//!   but its keys carry the minting epoch, so entries of superseded
 //!   snapshots retire through normal LRU eviction instead of aliasing;
 //! * per-trajectory **query plans** ([`crate::plan::TrajPlan`]), built
 //!   once at `build`/`open`/`ingest` time: `orig_idx → slot` lookup
@@ -80,7 +80,7 @@ use crate::live::{Held, LiveStore, WriterCore};
 use crate::opened::InfoReport;
 use crate::params::CompressParams;
 use crate::plan::TrajPlan;
-use crate::query::{Page, PageRequest, WhenHit, WhereHit};
+use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::snapshot::{PartitionState, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
 
@@ -215,35 +215,40 @@ impl StoreBuilder {
         self.state.ingest_traj(&self.net, self.stiu_params, tu)
     }
 
-    /// Whether any trajectory has been ingested yet.
-    pub(crate) fn has_ingested(&self) -> bool {
-        self.state.has_ingested()
-    }
-
     /// Converts this (still empty) builder into a sharded builder that
     /// routes every ingested trajectory to one of `n_shards` partitions
-    /// according to `policy`. The compression parameters, StIU
-    /// parameters and dataset name carry over; the decode-cache budget
-    /// becomes the *total* across shards (each shard gets an equal
-    /// slice, matching [`crate::shard::ShardedStore::set_cache_bytes`]).
+    /// according to `policy`. Every option set so far is handed over:
+    /// the compression parameters, StIU parameters and dataset name
+    /// apply to each shard, and the decode-cache budget becomes the
+    /// *total* across shards (each shard gets an equal slice, as with
+    /// [`QueryTarget::set_cache_bytes`] on the finished store).
     ///
     /// Must be called before the first [`ingest`](Self::ingest) — once a
     /// trajectory is compressed into the single-store layout it cannot
     /// be re-routed, so a late call fails with [`Error::ShardConfig`].
     pub fn shard_by(
         self,
-        policy: std::sync::Arc<dyn crate::shard::ShardPolicy>,
+        policy: Arc<dyn crate::shard::ShardPolicy>,
         n_shards: u32,
     ) -> Result<crate::shard::ShardedStoreBuilder, Error> {
-        if self.has_ingested() {
+        if self.state.has_ingested() {
             return Err(Error::ShardConfig("shard_by after the first ingest"));
         }
-        let b = crate::shard::ShardedStoreBuilder::new(self.net, self.params, policy, n_shards)?
-            .stiu_params(self.stiu_params)
-            .cache_bytes(self.cache_bytes);
-        Ok(match self.name {
-            Some(n) => b.name(&n),
-            None => b,
+        crate::shard::check_shard_count(n_shards as usize)?;
+        let builders = (0..n_shards)
+            .map(|_| Self {
+                net: Arc::clone(&self.net),
+                params: self.params,
+                stiu_params: self.stiu_params,
+                name: self.name.clone(),
+                state: PartitionState::new(&self.net, self.params),
+                cache_bytes: self.cache_bytes / n_shards as usize,
+            })
+            .collect();
+        Ok(crate::shard::ShardedStoreBuilder {
+            net: self.net,
+            policy,
+            builders,
         })
     }
 
@@ -276,7 +281,7 @@ impl Store {
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use utcq_core::{CompressParams, StiuParams, Store};
+    /// use utcq_core::{CompressParams, QueryTarget, StiuParams, Store};
     /// # fn main() -> Result<(), utcq_core::Error> {
     /// let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 4, 7);
     /// let store = Store::build(
@@ -328,6 +333,7 @@ impl Store {
     /// pick the shape).
     ///
     /// ```no_run
+    /// use utcq_core::QueryTarget;
     /// # fn main() -> Result<(), utcq_core::Error> {
     /// let store = utcq_core::Store::open("data.utcq")?;
     /// println!("{} trajectories", store.len());
@@ -391,6 +397,7 @@ impl Store {
     /// pinned snapshot, so the container is a consistent epoch.
     ///
     /// ```no_run
+    /// use utcq_core::QueryTarget;
     /// # fn demo(store: utcq_core::Store) -> Result<(), utcq_core::Error> {
     /// store.save("data.utcq")?;
     /// let reopened = utcq_core::Store::open("data.utcq")?;
@@ -522,11 +529,6 @@ impl Store {
         snap
     }
 
-    /// The road network the store owns (identical across epochs).
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.net
-    }
-
     /// The compression parameters the store was built with.
     pub fn params(&self) -> CompressParams {
         self.snapshot().compressed().params
@@ -536,16 +538,6 @@ impl Store {
     /// snapshot.
     pub fn ratios(&self) -> Ratios {
         self.snapshot().ratios()
-    }
-
-    /// Number of trajectories currently queryable.
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// Whether the store holds no trajectories.
-    pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
     }
 
     /// Looks up a trajectory's position by id (in the current epoch).
@@ -573,152 +565,21 @@ impl Store {
         self.snapshot().decode_times(j)
     }
 
-    /// Hit/miss/eviction counters and footprint of the decode cache.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use utcq_core::{CompressParams, PageRequest, StiuParams, Store};
-    /// # fn main() -> Result<(), utcq_core::Error> {
-    /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
-    /// # let store = Store::build(Arc::new(net), &ds,
-    /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// let t0 = store.decode_times(0)?[0];
-    /// store.where_query(0, t0, 0.0, PageRequest::default())?; // cold: misses
-    /// store.where_query(0, t0, 0.0, PageRequest::default())?; // warm: hits
-    /// let stats = store.cache_stats();
-    /// assert!(stats.hits > 0 && stats.misses > 0);
-    /// println!("{}", stats.render());
-    /// # Ok(()) }
-    /// ```
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// The decode cache's byte budget (`0` = disabled).
     pub fn cache_bytes(&self) -> usize {
         self.cache.budget()
     }
-
-    /// Reconfigures the decode-cache byte budget at runtime, evicting
-    /// down to the new limit immediately (`0` disables caching).
-    ///
-    /// ```
-    /// # fn demo(store: &utcq_core::Store) {
-    /// store.set_cache_bytes(16 * 1024 * 1024); // 16 MiB
-    /// assert_eq!(store.cache_bytes(), 16 * 1024 * 1024);
-    /// store.set_cache_bytes(0); // disable caching entirely
-    /// # }
-    /// ```
-    pub fn set_cache_bytes(&self, bytes: usize) {
-        self.cache.set_budget(bytes);
-    }
-
-    /// Drops every cached decode (the budget and counters survive).
-    /// Benchmarks use this to measure cold-cache latencies.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
-    /// Probabilistic **where** query (Definition 10): the locations of
-    /// `traj_id`'s instances with probability ≥ `alpha` at time `t`.
-    ///
-    /// Unknown trajectory ids and out-of-span times yield an empty page,
-    /// matching the paper's query semantics (the answer set is empty).
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use utcq_core::{CompressParams, PageRequest, StiuParams, Store};
-    /// # fn main() -> Result<(), utcq_core::Error> {
-    /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
-    /// # let store = Store::build(Arc::new(net), &ds,
-    /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// let t0 = store.decode_times(store.traj_index(0).unwrap())?[0];
-    /// // Walk the full answer two hits per page.
-    /// let mut req = PageRequest::first(2);
-    /// loop {
-    ///     let page = store.where_query(0, t0, 0.0, req)?;
-    ///     for hit in &page.items {
-    ///         println!("instance {} (p={}) at {:?}", hit.instance, hit.prob, hit.loc);
-    ///     }
-    ///     match page.next_cursor {
-    ///         Some(c) => req = PageRequest::after(c, 2),
-    ///         None => break,
-    ///     }
-    /// }
-    /// # Ok(()) }
-    /// ```
-    pub fn where_query(
-        &self,
-        traj_id: u64,
-        t: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhereHit>, Error> {
-        self.snapshot().where_query(traj_id, t, alpha, page)
-    }
-
-    /// Probabilistic **when** query (Definition 11): the times at which
-    /// `traj_id`'s instances with probability ≥ `alpha` pass `⟨edge, rd⟩`.
-    ///
-    /// ```no_run
-    /// use utcq_core::PageRequest;
-    /// use utcq_network::EdgeId;
-    /// # fn demo(store: &utcq_core::Store) -> Result<(), utcq_core::Error> {
-    /// // When does trajectory 7 pass the midpoint of edge 117?
-    /// let page = store.when_query(7, EdgeId(117), 0.5, 0.25, PageRequest::first(64))?;
-    /// for hit in &page.items {
-    ///     println!("instance {} passes at t={}s", hit.instance, hit.time);
-    /// }
-    /// # Ok(()) }
-    /// ```
-    pub fn when_query(
-        &self,
-        traj_id: u64,
-        edge: EdgeId,
-        rd: f64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<WhenHit>, Error> {
-        self.snapshot().when_query(traj_id, edge, rd, alpha, page)
-    }
-
-    /// Probabilistic **range** query (Definition 12): ids of trajectories
-    /// inside `re` at `tq` with accumulated probability ≥ `alpha`,
-    /// ascending. Pagination is keyset-style over the sorted ids, so
-    /// pages stay consistent under concurrent reads (and, since ingest
-    /// only appends, under concurrent writes).
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use utcq_core::{CompressParams, PageRequest, StiuParams, Store};
-    /// # fn main() -> Result<(), utcq_core::Error> {
-    /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
-    /// # let store = Store::build(Arc::new(net), &ds,
-    /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// let tq = store.decode_times(0)?[0];
-    /// let everywhere = store.network().bounding_rect();
-    /// let page = store.range_query(&everywhere, tq, 0.2, PageRequest::all())?;
-    /// assert!(page.items.windows(2).all(|w| w[0] < w[1]), "ids ascend");
-    /// # Ok(()) }
-    /// ```
-    pub fn range_query(
-        &self,
-        re: &Rect,
-        tq: i64,
-        alpha: f64,
-        page: PageRequest,
-    ) -> Result<Page<u64>, Error> {
-        self.snapshot().range_query(re, tq, alpha, page)
-    }
 }
 
-impl crate::query::QueryTarget for Store {
+/// Every query pins the current snapshot for its duration and runs on
+/// that frozen epoch.
+impl QueryTarget for Store {
     fn len(&self) -> usize {
-        Store::len(self)
+        self.snapshot().len()
     }
 
     fn network(&self) -> &Arc<RoadNetwork> {
-        Store::network(self)
+        &self.net
     }
 
     fn where_query(
@@ -728,7 +589,7 @@ impl crate::query::QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhereHit>, Error> {
-        Store::where_query(self, traj_id, t, alpha, page)
+        self.snapshot().where_query(traj_id, t, alpha, page)
     }
 
     fn when_query(
@@ -739,7 +600,7 @@ impl crate::query::QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhenHit>, Error> {
-        Store::when_query(self, traj_id, edge, rd, alpha, page)
+        self.snapshot().when_query(traj_id, edge, rd, alpha, page)
     }
 
     fn range_query(
@@ -749,19 +610,19 @@ impl crate::query::QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        Store::range_query(self, re, tq, alpha, page)
+        self.snapshot().range_query(re, tq, alpha, page)
     }
 
     fn cache_stats(&self) -> CacheStats {
-        Store::cache_stats(self)
+        self.cache.stats()
     }
 
     fn set_cache_bytes(&self, bytes: usize) {
-        Store::set_cache_bytes(self, bytes)
+        self.cache.set_budget(bytes);
     }
 
     fn clear_cache(&self) {
-        Store::clear_cache(self)
+        self.cache.clear();
     }
 }
 
@@ -1023,7 +884,7 @@ mod tests {
 
     #[test]
     fn par_range_matches_sequential() {
-        use crate::query::{QueryTarget, RangeQuery};
+        use crate::query::RangeQuery;
         let fx = paper_fixture::build();
         let store = paper_store(&fx);
         let t = paper_fixture::hms(5, 5, 25);

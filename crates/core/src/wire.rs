@@ -10,11 +10,11 @@
 //! The full format — request/response shapes, cursor semantics, error
 //! codes — is documented in `PROTOCOL.md` at the repository root; this
 //! module is its reference implementation. The load-bearing invariant:
-//! **[`handle_line`] is the only executor**. The TCP server and the
-//! offline client both call it, so a served answer and an offline answer
-//! over the same container are byte-identical by construction, and the
-//! serve-smoke CI job diffs the two outputs to prove the transport adds
-//! nothing.
+//! **[`execute`] is the only executor** ([`handle_line`] is its
+//! read-only form). The TCP server and the offline client both call it,
+//! so a served answer and an offline answer over the same container are
+//! byte-identical by construction, and the serve-smoke CI job diffs the
+//! two outputs to prove the transport adds nothing.
 //!
 //! Cursors travel as decimal strings (`"cursor":"281474976710657"`):
 //! they are opaque `u64`s minted by [`Page::next_cursor`], and a JSON
@@ -33,7 +33,7 @@ use utcq_network::{EdgeId, Rect};
 use utcq_traj::{Dataset, Instance, PathPosition, UncertainTrajectory};
 
 /// Longest accepted request line. Enforced identically by every
-/// executor surface — [`handle_line`] rejects longer lines with
+/// executor surface — [`execute`] rejects longer lines with
 /// `bad_request` (so the offline client matches), and the TCP server
 /// additionally bounds its reads so an unterminated line cannot buffer
 /// without limit.
@@ -642,7 +642,7 @@ fn parse_trajectory(
 }
 
 /// Decodes one request line. Errors carry the echo id (when readable)
-/// and the protocol error code, ready for [`handle_line`] to serialize.
+/// and the protocol error code, ready for [`execute`] to serialize.
 pub fn parse_request(line: &str) -> Result<ParsedRequest, Box<RequestError>> {
     let v = Json::parse(line).map_err(|message| {
         Box::new(RequestError {
@@ -1105,10 +1105,8 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-/// Executes one request line against an opened container and serializes
-/// the response — the single code path behind both the TCP server and
-/// the CLI's offline `client` mode, which is what makes served and
-/// offline answers byte-identical.
+/// [`execute`] with the write ops refused — the read-only executor of
+/// `utcq serve` and `utcq client` without `--writable`.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -1131,17 +1129,8 @@ pub fn handle_line(opened: &Opened, line: &str) -> Reply {
     execute(opened, false, line)
 }
 
-/// [`handle_line`] with the `ingest` op enabled — what `utcq serve
-/// --writable` and `utcq client --writable` run. Batches are validated
-/// against the container's road network, then serialized through the
-/// store's writer lock; concurrent queries keep answering from their
-/// pinned snapshots throughout.
-pub fn handle_line_writable(opened: &Opened, line: &str) -> Reply {
-    execute(opened, true, line)
-}
-
 /// The canonical reply to a request line that exceeds
-/// [`MAX_REQUEST_BYTES`] — what [`handle_line`] produces before even
+/// [`MAX_REQUEST_BYTES`] — what [`execute`] produces before even
 /// parsing, and what the event-loop server emits for a line whose
 /// newline never arrived within the cap (so both surfaces reject
 /// over-long input byte-identically).
@@ -1152,7 +1141,18 @@ pub fn oversized_reply() -> Reply {
     }
 }
 
-fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
+/// Executes one request line against an opened container and serializes
+/// the response — the single code path behind both the TCP server and
+/// the CLI's offline `client` mode, which is what makes served and
+/// offline answers byte-identical.
+///
+/// `writable` is the capability `utcq serve --writable` and `utcq
+/// client --writable` grant: without it `ingest` and `checkpoint` answer
+/// `read_only`. Ingest batches are validated against the container's
+/// road network, then serialized through the store's writer lock;
+/// concurrent queries keep answering from their pinned snapshots
+/// throughout.
+pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
     if line.len() > MAX_REQUEST_BYTES {
         return oversized_reply();
     }
@@ -1702,7 +1702,7 @@ mod tests {
 
         // The writable executor accepts it (an empty batch publishes
         // nothing and reports the current epoch).
-        let reply = handle_line_writable(&opened, line);
+        let reply = execute(&opened, true, line);
         assert_eq!(
             reply.line,
             r#"{"id":1,"ok":true,"op":"ingest","ingested":0,"total":1,"epoch":0}"#
@@ -1710,7 +1710,7 @@ mod tests {
 
         // Network-invalid trajectories are rejected before any publish.
         let bad = r#"{"op":"ingest","trajectories":[{"id":9,"times":[1,2],"instances":[{"prob":1.0,"path":[999999],"positions":[[0,0.5],[0,0.6]]}]}]}"#;
-        let reply = handle_line_writable(&opened, bad);
+        let reply = execute(&opened, true, bad);
         assert!(
             reply.line.contains(r#""code":"bad_request""#),
             "{}",
@@ -1762,7 +1762,7 @@ mod tests {
         }
         traj.push_str("]}");
         let line = format!(r#"{{"id":2,"op":"ingest","trajectories":[{traj}]}}"#);
-        let reply = handle_line_writable(&opened, &line);
+        let reply = execute(&opened, true, &line);
         assert_eq!(
             reply.line,
             r#"{"id":2,"ok":true,"op":"ingest","ingested":1,"total":2,"epoch":1}"#
@@ -1770,12 +1770,13 @@ mod tests {
         // The new trajectory answers queries; duplicates map to the
         // store's error code.
         let t = tu.times[0];
-        let q = handle_line_writable(
+        let q = execute(
             &opened,
+            true,
             &format!(r#"{{"op":"where","traj":9,"t":{t},"alpha":0}}"#),
         );
         assert!(q.line.contains(r#""items":[{"#), "{}", q.line);
-        let dup = handle_line_writable(&opened, &line);
+        let dup = execute(&opened, true, &line);
         assert!(
             dup.line.contains(r#""code":"duplicate_trajectory""#),
             "{}",
@@ -1834,7 +1835,7 @@ mod tests {
         let opened = paper_opened();
         let reply = handle_line(&opened, r#"{"op":"tail","from":1}"#);
         assert!(reply.line.contains(r#""code":"no_wal""#), "{}", reply.line);
-        let reply = handle_line_writable(&opened, r#"{"op":"checkpoint"}"#);
+        let reply = execute(&opened, true, r#"{"op":"checkpoint"}"#);
         assert!(reply.line.contains(r#""code":"no_wal""#), "{}", reply.line);
         // checkpoint is writable-gated before the wal check.
         let reply = handle_line(&opened, r#"{"op":"checkpoint"}"#);
@@ -1851,7 +1852,7 @@ mod tests {
     #[test]
     fn tail_streams_accepted_batches_and_parses_back() {
         let opened = durable_paper_opened("tail");
-        let reply = handle_line_writable(&opened, &shifted_ingest_line(1));
+        let reply = execute(&opened, true, &shifted_ingest_line(1));
         assert!(reply.line.contains(r#""epoch":1"#), "{}", reply.line);
 
         // tail is answered by the read-only executor (followers don't
@@ -1886,12 +1887,12 @@ mod tests {
     fn checkpoint_reports_and_duplicate_retries_dedup() {
         let opened = durable_paper_opened("ckpt");
         let line = shifted_ingest_line(1);
-        let first = handle_line_writable(&opened, &line);
+        let first = execute(&opened, true, &line);
         assert!(first.line.contains(r#""ok":true"#), "{}", first.line);
 
         // Retrying the identical batch (a client that lost the ack)
         // answers success with the recorded epoch, flagged as deduped.
-        let retry = handle_line_writable(&opened, &line);
+        let retry = execute(&opened, true, &line);
         assert_eq!(
             retry.line,
             r#"{"id":1,"ok":true,"op":"ingest","ingested":1,"total":2,"epoch":1,"deduped":true}"#
@@ -1908,7 +1909,7 @@ mod tests {
         let mut traj = String::new();
         write_trajectory(&mut traj, &tu);
         let other = format!(r#"{{"op":"ingest","trajectories":[{traj}]}}"#);
-        let reply = handle_line_writable(&opened, &other);
+        let reply = execute(&opened, true, &other);
         assert!(
             reply.line.contains(r#""code":"duplicate_trajectory""#),
             "{}",
@@ -1918,7 +1919,7 @@ mod tests {
         // The attach used WalConfig::new (no checkpoint_to), so the
         // checkpoint op reports no_wal; a target-configured checkpoint
         // is exercised end-to-end in tests/durability.rs.
-        let reply = handle_line_writable(&opened, r#"{"op":"checkpoint"}"#);
+        let reply = execute(&opened, true, r#"{"op":"checkpoint"}"#);
         assert!(reply.line.contains(r#""code":"no_wal""#), "{}", reply.line);
     }
 

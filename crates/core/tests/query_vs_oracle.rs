@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use utcq_core::params::CompressParams;
-use utcq_core::query::PageRequest;
+use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::stiu::StiuParams;
 use utcq_core::Store;
 use utcq_core::{decompress::check_lossy_roundtrip, oracle};

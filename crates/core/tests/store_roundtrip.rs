@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use utcq_core::query::PageRequest;
+use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::{CompressParams, Error, StiuParams, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::Dataset;

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use utcq::core::params::CompressParams;
-use utcq::core::query::PageRequest;
+use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::stiu::StiuParams;
 use utcq::core::store::{Store, StoreBuilder};
 

@@ -59,7 +59,7 @@ use std::sync::Arc;
 
 use utcq::core::opened::InfoReport;
 use utcq::core::params::CompressParams;
-use utcq::core::query::PageRequest;
+use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{Server, DEFAULT_THREADS};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
@@ -591,11 +591,7 @@ fn cmd_client(args: &Args) -> Result<(), String> {
             if line.trim().is_empty() {
                 continue;
             }
-            let reply = if writable {
-                wire::handle_line_writable(&opened, &line)
-            } else {
-                wire::handle_line(&opened, &line)
-            };
+            let reply = wire::execute(&opened, writable, &line);
             println!("{}", reply.line);
             if reply.shutdown {
                 break;

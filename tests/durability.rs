@@ -9,7 +9,7 @@
 //!   completed on the next open (the absorbed prefix is skipped and
 //!   dropped from disk);
 //! * **wire surface** — the `tail` and `checkpoint` ops over
-//!   [`wire::handle_line_writable`], including the `tail_gap` answer
+//!   [`wire::execute`], including the `tail_gap` answer
 //!   after a truncation and the idempotent `deduped` re-send answer;
 //! * **replication** — a read-only follower driven by
 //!   [`serve::follow`] against a live writable leader converges to the
@@ -297,19 +297,19 @@ fn wire_tail_checkpoint_and_dedup_roundtrip() {
 
     // Ingest over the wire; the record lands in the log's feed.
     let line = ingest_line(1, &all[1]);
-    let reply = wire::handle_line_writable(&opened, &line).line;
+    let reply = wire::execute(&opened, true, &line).line;
     assert!(reply.contains(r#""op":"ingest""#), "{reply}");
     assert!(reply.contains(r#""epoch":1"#), "{reply}");
 
     // Re-sending the identical batch answers idempotently instead of
     // failing on the duplicate ids.
-    let retry = wire::handle_line_writable(&opened, &line).line;
+    let retry = wire::execute(&opened, true, &line).line;
     assert!(retry.contains(r#""deduped":true"#), "{retry}");
     assert!(retry.contains(r#""epoch":1"#), "{retry}");
 
     // `tail` from 0 streams the accepted batch; the reply parses back
     // bit-for-bit through the follower's own parser.
-    let tail = wire::handle_line_writable(&opened, r#"{"id":2,"op":"tail","from":0}"#).line;
+    let tail = wire::execute(&opened, true, r#"{"id":2,"op":"tail","from":0}"#).line;
     let (got, current) = wire::parse_tail_reply(&tail).expect("tail parses");
     assert_eq!(current, 1);
     assert_eq!(got.len(), 1);
@@ -317,15 +317,15 @@ fn wire_tail_checkpoint_and_dedup_roundtrip() {
     assert_eq!(got[0].1.trajectories, all[1].trajectories, "bit-for-bit");
 
     // `checkpoint` rewrites the container and truncates the feed …
-    let ck = wire::handle_line_writable(&opened, r#"{"id":3,"op":"checkpoint"}"#).line;
+    let ck = wire::execute(&opened, true, r#"{"id":3,"op":"checkpoint"}"#).line;
     assert!(ck.contains(r#""op":"checkpoint","epoch":1"#), "{ck}");
 
     // … after which a resume from before the truncation point is a
     // `tail_gap` (re-sync from a fresh copy), while the current epoch
     // resumes cleanly.
-    let gap = wire::handle_line_writable(&opened, r#"{"id":4,"op":"tail","from":0}"#).line;
+    let gap = wire::execute(&opened, true, r#"{"id":4,"op":"tail","from":0}"#).line;
     assert!(gap.contains(r#""code":"tail_gap""#), "{gap}");
-    let ok = wire::handle_line_writable(&opened, r#"{"id":5,"op":"tail","from":1}"#).line;
+    let ok = wire::execute(&opened, true, r#"{"id":5,"op":"tail","from":1}"#).line;
     let (rest, _) = wire::parse_tail_reply(&ok).expect("tail parses");
     assert!(rest.is_empty(), "{ok}");
     let _ = std::fs::remove_dir_all(&dir);

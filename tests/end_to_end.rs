@@ -7,7 +7,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use utcq::core::params::CompressParams;
-use utcq::core::query::PageRequest;
+use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::stiu::StiuParams;
 use utcq::core::Store;
 use utcq::datagen::instances::base_positions;

@@ -23,7 +23,9 @@ use std::sync::Arc;
 
 use utcq::core::hooks;
 use utcq::core::shard::ByTime;
-use utcq::core::{CompressParams, LiveStore, ShardedStore, StiuParams, Store, StoreBuilder};
+use utcq::core::{
+    CompressParams, LiveStore, QueryTarget, ShardedStore, StiuParams, Store, StoreBuilder,
+};
 use utcq::datagen::{generate_network, generate_on_network, profile, GenOptions};
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;

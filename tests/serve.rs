@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use utcq::core::serve::{Server, ServerHandle};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{wire, Opened, Store};
+use utcq::core::{wire, Opened, QueryTarget, Store};
 
 /// Matches the parameters `tests/container_compat.rs` regenerates the
 /// fixtures with (the v1 fixture's index is rebuilt at open time).
@@ -425,7 +425,7 @@ fn writable_session_fixture_stays_in_sync() {
     let offline = open_fixture(3);
     let replies: Vec<_> = writable_session_lines()
         .iter()
-        .map(|l| wire::handle_line_writable(&offline, l))
+        .map(|l| wire::execute(&offline, true, l))
         .collect();
     assert!(replies[0].line.contains(r#""op":"ping""#));
     assert!(
@@ -476,7 +476,7 @@ fn writable_server_matches_offline_ingest_replay_for_v2_and_v3() {
         let mut client = Client::connect(addr);
         for request in writable_session_lines() {
             let online = client.roundtrip(&request);
-            let expected = wire::handle_line_writable(&offline, &request).line;
+            let expected = wire::execute(&offline, true, &request).line;
             assert_eq!(online, expected, "v{version}: {request}");
         }
         // The session ends in shutdown; the server drains on its own.
@@ -498,7 +498,7 @@ fn over_long_span_ingest_is_refused_on_both_shapes() {
     for version in [2u8, 3] {
         let opened = open_fixture(version);
         let before = (opened.len(), opened.epoch());
-        let reply = wire::handle_line_writable(&opened, line).line;
+        let reply = wire::execute(&opened, true, line).line;
         assert!(
             reply.contains(r#""ok":false"#) && reply.contains(r#""code":"span_too_long""#),
             "v{version}: {reply}"
@@ -506,8 +506,34 @@ fn over_long_span_ingest_is_refused_on_both_shapes() {
         assert_eq!((opened.len(), opened.epoch()), before, "v{version}");
         // One partition shorter — exactly the cap — is a valid ingest.
         let at_cap = line.replace("58982400", "58981500");
-        let reply = wire::handle_line_writable(&opened, &at_cap).line;
+        let reply = wire::execute(&opened, true, &at_cap).line;
         assert!(reply.contains(r#""ingested":1"#), "v{version}: {reply}");
+    }
+}
+
+/// A `when` on an edge the network does not have (the fixtures have
+/// 162) is an empty answer set, like an unknown trajectory id. The
+/// engine used to index the network's edge table with it: offline the
+/// executor panicked, online the serving worker died and the connection
+/// never got a reply.
+#[test]
+fn when_on_an_unknown_edge_is_an_empty_page_on_both_shapes() {
+    let line = include_str!("fuzz_regressions/wire-when-edge.bin").trim_end();
+    let empty = r#"{"ok":true,"op":"when","items":[],"next_cursor":null,"has_more":false}"#;
+    for version in [2u8, 3] {
+        let opened = Arc::new(open_fixture(version));
+        assert_eq!(opened.network().edge_count(), 162, "v{version}");
+        assert_eq!(wire::handle_line(&opened, line).line, empty, "v{version}");
+        let (addr, _handle, runner) = start(Arc::clone(&opened), 1);
+        let mut client = Client::connect(addr);
+        // A ping pipelined behind it on the same connection is answered.
+        client.send(line);
+        client.send(r#"{"id":1,"op":"ping"}"#);
+        assert_eq!(client.recv().as_deref(), Some(empty), "v{version}");
+        let pong = r#"{"id":1,"ok":true,"op":"ping"}"#;
+        assert_eq!(client.recv().as_deref(), Some(pong), "v{version}");
+        client.roundtrip(r#"{"op":"shutdown"}"#);
+        runner.join();
     }
 }
 
@@ -634,11 +660,7 @@ fn pipelined_writable_session_matches_offline_replay() {
     client.writer.flush().expect("flush burst");
     for line in &lines {
         let online = client.recv().expect("burst response");
-        assert_eq!(
-            online,
-            wire::handle_line_writable(&offline, line).line,
-            "{line}"
-        );
+        assert_eq!(online, wire::execute(&offline, true, line).line, "{line}");
     }
     // The burst ended in shutdown: the server drains and closes.
     assert_eq!(client.recv(), None, "clean EOF after the shutdown ack");

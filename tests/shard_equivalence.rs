@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use utcq::core::query::PageRequest;
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy, ShardedStore};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{CompressParams, QueryTarget, RangeQuery, Store, StoreBuilder};
+use utcq::core::{CompressParams, LiveStore, QueryTarget, RangeQuery, Store, StoreBuilder};
 use utcq::network::{Rect, RoadNetwork};
 use utcq::traj::Dataset;
 
@@ -233,6 +233,41 @@ fn v3_roundtrip_preserves_answers() {
     std::fs::remove_file(&dir).ok();
     assert_eq!(reopened.shard_count(), 4);
     assert_equivalent(&single, &reopened, &w, "reopened v3");
+
+    // Options are set once, on the `StoreBuilder`, and `shard_by` hands
+    // them over: the cache budget as an even split of the total, the
+    // StIU parameters and the name (the batch carries another one) to
+    // every shard — the latter two through the v3 bytes as well.
+    let (n, budget) = (3usize, 10_000_001usize);
+    let params = StiuParams {
+        partition_s: 600,
+        grid_n: 5,
+    };
+    let configured = StoreBuilder::new(
+        Arc::new(net.clone()),
+        CompressParams::with_interval(ds.default_interval),
+    )
+    .cache_bytes(budget)
+    .stiu_params(params)
+    .name("handed-over")
+    .shard_by(Arc::new(ByTime { interval_s: 900 }), n as u32)
+    .unwrap()
+    .ingest(&ds)
+    .unwrap()
+    .finish()
+    .unwrap();
+    assert_ne!(ds.name, "handed-over");
+    assert_eq!(configured.cache_stats().budget_bytes, n * (budget / n));
+    let mut bytes = Vec::new();
+    configured.write(&mut bytes).unwrap();
+    let reopened = ShardedStore::read(&mut bytes.as_slice()).unwrap();
+    for store in [&configured, &reopened] {
+        assert_eq!(store.info().name, "handed-over");
+        for snap in store.snapshots() {
+            assert_eq!(snap.stiu().params, params);
+            assert_eq!(snap.compressed().name, "handed-over");
+        }
+    }
 }
 
 #[test]
