@@ -97,8 +97,8 @@ impl Fixtures {
     pub fn load(repo_root: &Path) -> io::Result<Self> {
         let dir = repo_root.join("tests/fixtures");
         let mut containers = Vec::new();
-        for name in ["tiny_v1.utcq", "tiny_v2.utcq", "tiny_v3.utcq"] {
-            containers.push(fs::read(dir.join(name))?);
+        for version in ["v1", "v2", "v3", "v4", "v3_packed"] {
+            containers.push(fs::read(dir.join(format!("tiny_{version}.utcq")))?);
         }
         let mut lines: Vec<String> = Vec::new();
         for name in ["serve_session.ndjson", "serve_session_writable.ndjson"] {
@@ -228,7 +228,7 @@ fn wal_seed_corpus() -> Vec<Vec<u8>> {
 
 fn container_harness(fx: &Fixtures, bytes: &[u8]) {
     let _ = utcq_core::storage::load(&mut &bytes[..]);
-    let _ = utcq_core::storage::load_v2(&mut &bytes[..]);
+    let _ = utcq_core::storage::load_full(&mut &bytes[..]);
     let _ = utcq_core::storage::load_v3(&mut &bytes[..]);
     // The full open path (header sniffing, snapshot build) via the
     // facade; a scratch file because `open` takes a path.
@@ -453,7 +453,7 @@ fn build_input(
     };
     match target {
         0 => {
-            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: three fixtures always load
+            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: five fixtures always load
             let mut bytes = base.clone();
             for _ in 0..rounds {
                 mutate_bytes(&mut rng, &mut bytes);

@@ -58,6 +58,7 @@ impl BitWriter {
     ///
     /// Returns an error if `width > 64` or `value` does not fit in `width`
     /// bits — silently truncating would corrupt downstream decompression.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, width: u32) -> Result<(), CodecError> {
         if width > 64 {
             return Err(CodecError::WidthTooLarge(width));
@@ -65,7 +66,24 @@ impl BitWriter {
         if width < 64 && value >> width != 0 {
             return Err(CodecError::ValueOutOfRange { value, width });
         }
-        // Byte-chunked fast path.
+        // A field that fits one 64-bit word beside the bits already in
+        // the last byte lands as one shifted word.
+        let used = self.len % 8;
+        if width > 0 && used + width as usize <= 64 {
+            let word = (value << (64 - used - width as usize)).to_be_bytes();
+            let touched = &word[..(used + width as usize).div_ceil(8)];
+            let fresh = match self.buf.last_mut() {
+                Some(last) if used > 0 => {
+                    *last |= touched[0];
+                    &touched[1..]
+                }
+                _ => touched,
+            };
+            self.buf.extend_from_slice(fresh);
+            self.len += width as usize;
+            return Ok(());
+        }
+        // Byte-chunked path.
         let mut remaining = width as usize;
         while remaining > 0 {
             let bit_pos = self.len % 8;
@@ -102,9 +120,21 @@ impl BitWriter {
 
     /// Appends every bit of another buffer.
     pub fn extend_from(&mut self, other: &BitBuf) {
-        for i in 0..other.len_bits() {
-            self.push_bit(other.get(i));
+        let used = self.len % 8;
+        if used == 0 {
+            self.buf.extend_from_slice(&other.bytes);
+        } else if let Some(mut last) = self.buf.len().checked_sub(1) {
+            // Each source byte straddles two destination bytes; the
+            // source's padding bits are zero, so nothing stray lands.
+            self.buf.reserve(other.bytes.len());
+            for &b in other.bytes.iter() {
+                self.buf[last] |= b >> used;
+                self.buf.push(b << (8 - used));
+                last += 1;
+            }
         }
+        self.len += other.len;
+        self.buf.truncate(self.len.div_ceil(8));
     }
 
     /// Finalizes the stream.
@@ -247,7 +277,37 @@ impl<'a> BitReader<'a> {
         Ok(bit)
     }
 
+    /// Reads the next `len` bits as a buffer of their own — the inverse
+    /// of [`BitWriter::extend_from`].
+    pub fn read_buf(&mut self, len: usize) -> Result<BitBuf, CodecError> {
+        if self.remaining() < len {
+            return Err(CodecError::UnexpectedEnd {
+                pos: self.pos,
+                len: self.buf.len,
+            });
+        }
+        let skip = self.pos % 8;
+        let src = &self.buf.bytes[self.pos / 8..];
+        let mut bytes: Vec<u8> = src[..len.div_ceil(8)].iter().map(|b| b << skip).collect();
+        if skip > 0 {
+            for (b, next) in bytes.iter_mut().zip(&src[1..]) {
+                *b |= next >> (8 - skip);
+            }
+        }
+        if !len.is_multiple_of(8) {
+            if let Some(last) = bytes.last_mut() {
+                *last &= 0xFF << (8 - len % 8);
+            }
+        }
+        self.pos += len;
+        Ok(BitBuf {
+            bytes: bytes.into_boxed_slice(),
+            len,
+        })
+    }
+
     /// Reads `width` bits MSB-first into the low bits of a `u64`.
+    #[inline]
     pub fn read_bits(&mut self, width: u32) -> Result<u64, CodecError> {
         if width > 64 {
             return Err(CodecError::WidthTooLarge(width));
@@ -258,7 +318,17 @@ impl<'a> BitReader<'a> {
                 len: self.buf.len,
             });
         }
-        // Byte-chunked fast path.
+        // One unaligned 64-bit load covers any field that ends within
+        // eight bytes of its first byte (all but the buffer's tail).
+        let (first, skip) = (self.pos / 8, self.pos % 8);
+        let tail = self.buf.bytes.get(first..).unwrap_or_default();
+        if let Some(word) = tail.first_chunk::<8>() {
+            if width > 0 && skip + width as usize <= 64 {
+                self.pos += width as usize;
+                return Ok((u64::from_be_bytes(*word) << skip) >> (64 - width));
+            }
+        }
+        // Byte-chunked path.
         let mut v = 0u64;
         let mut remaining = width as usize;
         while remaining > 0 {
@@ -366,6 +436,40 @@ mod tests {
         w.extend_from(&b);
         let buf = w.finish();
         assert_eq!(buf.to_bits(), vec![true, false, false, true, true]);
+    }
+
+    #[test]
+    fn extend_from_and_read_buf_are_inverse_at_any_alignment() {
+        // Streams of every length 0..=40 appended at every bit offset
+        // 0..=9, then read back: the bulk paths against the bit loops.
+        let pattern = |n: usize| {
+            (0..n)
+                .map(|i| (i * 7 + n).is_multiple_of(3))
+                .collect::<Vec<_>>()
+        };
+        for offset in 0..10 {
+            let mut w = BitWriter::new();
+            let mut expect = pattern(offset);
+            expect.iter().for_each(|&b| w.push_bit(b));
+            for n in 0..=40 {
+                w.extend_from(&BitBuf::from_bits(&pattern(n)));
+                expect.extend(pattern(n));
+            }
+            let buf = w.finish();
+            assert_eq!(buf.to_bits(), expect, "offset {offset}");
+            assert_eq!(buf.len_bytes(), expect.len().div_ceil(8));
+            let mut r = buf.reader_at(offset);
+            for n in 0..=40 {
+                let part = r.read_buf(n).unwrap();
+                assert_eq!(
+                    part,
+                    BitBuf::from_bits(&pattern(n)),
+                    "offset {offset} len {n}"
+                );
+            }
+            assert_eq!(r.remaining(), 0);
+            assert!(r.read_buf(1).is_err());
+        }
     }
 
     #[test]

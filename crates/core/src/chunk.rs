@@ -23,10 +23,10 @@
 //! All three seal at the *same* trajectory count (a pure function of the
 //! element count, never of batch boundaries), so a store grown live, a
 //! store built offline and a store loaded from a container agree on the
-//! chunk layout. Serialization ([`crate::storage`]) reads the logical
-//! sequence through iterators and merged views — containers stay
-//! byte-identical to the pre-chunking format; chunking is an in-memory
-//! representation only.
+//! chunk layout (a container load appends element by element, like any
+//! other growth). Serialization ([`crate::storage`]) reads the logical
+//! sequence through iterators; chunking is an in-memory representation
+//! only.
 //!
 //! Every copy-on-write event reports its (shallow) byte count to
 //! [`crate::hooks::copied`], which `tests/publish_cost.rs` and the
@@ -362,8 +362,7 @@ impl IntervalMap {
         self.all_segments().all(|seg| seg.is_empty())
     }
 
-    /// The distinct intervals, ascending — the deterministic
-    /// serialization order.
+    /// The distinct intervals, ascending.
     pub fn sorted_keys(&self) -> Vec<i64> {
         let mut keys: Vec<i64> = self
             .all_segments()
@@ -372,26 +371,6 @@ impl IntervalMap {
         keys.sort_unstable();
         keys.dedup();
         keys
-    }
-
-    /// Rebuilds the segmented form from a flat `interval → postings`
-    /// map over `n_trajs` trajectories — the container-load path. The
-    /// segment layout matches a live-grown map exactly.
-    pub fn from_merged(merged: HashMap<i64, Vec<u32>>, n_trajs: usize) -> Self {
-        let tail_seg = n_trajs.saturating_sub(1) / CHUNK;
-        let mut maps: Vec<IntervalPostings> = vec![HashMap::new(); tail_seg + 1];
-        for (k, js) in merged {
-            for j in js {
-                let seg = (j as usize / CHUNK).min(tail_seg);
-                // bounds: seg is clamped to tail_seg = maps.len() - 1
-                maps[seg].entry(k).or_default().push(j);
-            }
-        }
-        let tail = Arc::new(maps.pop().unwrap_or_default());
-        Self {
-            segments: maps.into_iter().map(Arc::new).collect(),
-            tail,
-        }
     }
 }
 
@@ -468,13 +447,12 @@ mod tests {
             }
         }
         assert_eq!(grown.segments.len(), 1);
-        let rebuilt = IntervalMap::from_merged(merged.clone(), n as usize);
-        assert_eq!(rebuilt.segments.len(), grown.segments.len());
         assert_eq!(grown.len(), merged.len());
-        assert_eq!(grown.sorted_keys(), rebuilt.sorted_keys());
+        let mut keys: Vec<i64> = merged.keys().copied().collect();
+        keys.sort_unstable();
+        assert_eq!(grown.sorted_keys(), keys);
         for (&k, v) in &merged {
             assert_eq!(&grown.postings(k), v, "interval {k}");
-            assert_eq!(&rebuilt.postings(k), v, "interval {k}");
         }
         assert_eq!(grown.postings(999), Vec::<u32>::new());
     }

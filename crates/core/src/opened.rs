@@ -3,7 +3,7 @@
 //! Every front end (the CLI, the [`crate::serve`] server, benchmarks)
 //! wants to open a container and use it without caring which shape is
 //! inside. [`Opened`] is that open-time dispatch and nothing more: it
-//! peeks the container's version byte once, opens v2 as a single
+//! peeks the container's version byte once, opens v4 (or v2) as a single
 //! [`Store`] and v3 as a [`ShardedStore`], and from then on only hands
 //! out the shape-agnostic [`LiveStore`] handle (it derefs to it), so a
 //! `&Opened` *is* the polymorphic query, ingest and durability surface.
@@ -33,7 +33,7 @@ use crate::query::QueryTarget;
 use crate::shard::{ShardSpec, ShardedStore};
 use crate::snapshot::Snapshot;
 use crate::stiu::StiuParams;
-use crate::storage::VERSION_V3;
+use crate::storage::{Sections, VERSION_V3};
 use crate::store::Store;
 use crate::wal::WalConfig;
 
@@ -47,7 +47,7 @@ use crate::wal::WalConfig;
 /// use utcq_core::query::PageRequest;
 ///
 /// # fn main() -> Result<(), utcq_core::Error> {
-/// // v2 and v3 containers open through the same call …
+/// // single-store and sharded containers open through the same call …
 /// let opened = Opened::open("data.utcq")?;
 /// // … and answer through the same trait surface.
 /// let page = opened.where_query(7, 71_582, 0.25, PageRequest::first(64))?;
@@ -56,7 +56,7 @@ use crate::wal::WalConfig;
 /// ```
 #[derive(Debug)]
 pub enum Opened {
-    /// A single-partition store (v2 container, or v1 via
+    /// A single-partition store (v4 or v2 container, or v1 via
     /// [`Opened::open_v1`]).
     Single(Box<Store>),
     /// A sharded store (v3 container).
@@ -64,8 +64,8 @@ pub enum Opened {
 }
 
 impl Opened {
-    /// Opens a self-contained container of either shape: v2 becomes a
-    /// [`Store`], v3 a [`ShardedStore`]. The file is read once — the
+    /// Opens a self-contained container of either shape: v4 (or v2)
+    /// becomes a [`Store`], v3 a [`ShardedStore`]. The file is read once — the
     /// version byte picks the reader. A legacy v1 container fails with
     /// [`Error::NeedsNetwork`] — open those with [`Opened::open_v1`],
     /// which takes the network out of band.
@@ -153,6 +153,42 @@ pub fn policy_label(spec: Option<ShardSpec>) -> String {
     }
 }
 
+/// The "container sections" table `utcq info` prints under the report:
+/// bytes and bytes per trajectory of each part of the container these
+/// partitions save as, summed over them (a v3 file adds only its
+/// directory). Each snapshot is written into a sink and the writer's
+/// own counters are read, so the table cannot drift from the format.
+pub fn render_sections(partitions: &[Arc<Snapshot>]) -> Result<String, Error> {
+    use std::fmt::Write as _;
+    let count = |snap: &Arc<Snapshot>| snap.write_counted(&mut std::io::sink());
+    let counted = partitions
+        .iter()
+        .map(count)
+        .collect::<Result<Vec<Sections>, _>>()?;
+    let trajectories: usize = partitions.iter().map(|snap| snap.len()).sum();
+    let sum = |part: fn(&Sections) -> u64| counted.iter().map(part).sum::<u64>();
+    let rows = [
+        ("network", sum(|s| s.network)),
+        ("payload bits", sum(|s| s.payload)),
+        ("dataset framing", sum(|s| s.framing)),
+        ("temporal", sum(|s| s.temporal)),
+        ("ref tuples", sum(|s| s.ref_tuples)),
+        ("nref tuples", sum(|s| s.nref_tuples)),
+    ];
+    let total = rows.iter().map(|(_, bits)| bits).sum();
+    let mut out = String::from("container sections (as written):\n");
+    for (label, bits) in rows.into_iter().chain([("total", total)]) {
+        let bytes = bits as f64 / 8.0;
+        let _ = writeln!(
+            out,
+            "  {:<17} {bytes:>12.0} B {:>9.1} B/trajectory",
+            format!("{label}:"),
+            bytes / trajectories.max(1) as f64
+        );
+    }
+    Ok(out)
+}
+
 /// Per-shard occupancy line of an [`InfoReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardInfo {
@@ -203,7 +239,7 @@ fn instance_count(cds: &CompressedDataset) -> usize {
 }
 
 impl InfoReport {
-    /// A report over one compressed dataset (a v1/v2 container, or the
+    /// A report over one compressed dataset (a single-store container, or the
     /// first partition of a store before [`InfoReport::over`] adds the
     /// rest).
     pub fn from_dataset(cds: &CompressedDataset) -> Self {

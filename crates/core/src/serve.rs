@@ -1,8 +1,9 @@
 //! A long-lived TCP query server over an opened container.
 //!
 //! [`Server`] binds a [`std::net::TcpListener`], opens the container
-//! **once** (through the [`Opened`] facade, so v2 and v3 containers are
-//! served identically) and answers the newline-delimited JSON protocol
+//! **once** (through the [`Opened`] facade, so single-store and
+//! sharded containers are served identically) and answers the
+//! newline-delimited JSON protocol
 //! of [`crate::wire`] — `PROTOCOL.md` documents the format. The decode
 //! cache and query plans live in the shared store, so they stay warm
 //! across requests and across connections: exactly the steady state the

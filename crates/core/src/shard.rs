@@ -72,12 +72,12 @@
 //!
 //! [`ShardedStore::save`] writes a v3 container: a shard directory
 //! (policy kind + parameter) followed by one embedded, fully
-//! self-contained v2 container per shard (see [`crate::storage`]). The
+//! self-contained v4 container per shard (see [`crate::storage`]). The
 //! shard snapshots are pinned under the writer lock, so a checkpoint
 //! taken while batches stream in is always a batch-consistent cut.
 //! [`ShardedStore::open`] reads v3 — deserializing the per-shard blobs
 //! **in parallel** on the shared work queue once the container is large
-//! enough for that to pay — and also accepts a plain v2 container as a
+//! enough for that to pay — and also accepts a plain v4 or v2 container as a
 //! single-shard store; the embedded network is deserialized once and
 //! shared across shards behind one `Arc`.
 
@@ -514,7 +514,7 @@ impl ShardedStore {
         })
     }
 
-    /// Opens a sharded v3 container (or a plain v2 container as a
+    /// Opens a sharded v3 container (or a plain v4 / v2 container as a
     /// single-shard store). v1 containers fail with
     /// [`Error::NeedsNetwork`], as with [`Store::open`]. Per-shard blobs
     /// deserialize in parallel across the available cores.
@@ -530,7 +530,7 @@ impl ShardedStore {
         Self::read(&mut BufReader::new(f))
     }
 
-    /// Reads a v3 (or v2) container from an arbitrary reader. Shard
+    /// Reads a v3 (or plain v4 / v2) container from an arbitrary reader. Shard
     /// blobs deserialize one per work unit on the shared atomic-counter
     /// queue (deserialization + plan building per shard) when that pays
     /// (see `parallel_open_effective`); small containers open
@@ -554,7 +554,7 @@ impl ShardedStore {
             crate::chunk::ChunkedVec<crate::plan::TrajPlan>,
         );
         let load_one = |blob: &Vec<u8>| -> Result<ShardParts, Error> {
-            let (net, cds, stiu) = storage::load_v2(&mut blob.as_slice())?;
+            let (net, cds, stiu) = storage::load_full(&mut blob.as_slice())?;
             let (id_to_idx, plans) = Store::validate_parts(&cds, &stiu)?;
             Ok((net, cds, stiu, id_to_idx, plans))
         };
@@ -640,7 +640,7 @@ impl ShardedStore {
     }
 
     /// The routing policy recorded for this store (`None` when it was
-    /// built with a custom policy or opened from a v2 container).
+    /// built with a custom policy or opened from a single-store container).
     pub fn policy_spec(&self) -> Option<ShardSpec> {
         self.spec
     }

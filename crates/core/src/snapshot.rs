@@ -53,6 +53,7 @@ use crate::query::{
     range_scan, Page, PageRequest, QueryEngine, QueryTarget, RangeCandidate, WhenHit, WhereHit,
 };
 use crate::stiu::{Stiu, StiuParams, MAX_SPAN_PARTITIONS};
+use crate::storage::Sections;
 
 /// A hand-rolled `ArcSwap`: the one mutable cell of a live store. The
 /// mutex guards only the pointer swap — `load` is a lock + `Arc` clone
@@ -186,7 +187,7 @@ impl Snapshot {
         self.engine().times(j, ct)
     }
 
-    /// Persists this snapshot as a self-contained v2 container — the
+    /// Persists this snapshot as a self-contained v4 container — the
     /// checkpoint path of a live store: the write runs entirely on the
     /// frozen state, so a server can keep ingesting while it runs.
     /// Crash-safe: the container lands via tmp file + rename + parent
@@ -195,10 +196,17 @@ impl Snapshot {
         crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
     }
 
-    /// Writes the v2 container to an arbitrary writer.
+    /// Writes the v4 container to an arbitrary writer.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        crate::storage::save_v2(&self.net, &self.cds, &self.stiu, w)?;
-        Ok(())
+        self.write_counted(w).map(drop)
+    }
+
+    /// [`Snapshot::write`], returning the writer's own account of where
+    /// the bits went (`utcq info` runs it into a sink).
+    pub fn write_counted(&self, w: &mut impl Write) -> Result<Sections, Error> {
+        Ok(crate::storage::save_v4(
+            &self.net, &self.cds, &self.stiu, w,
+        )?)
     }
 
     pub(crate) fn engine(&self) -> QueryEngine<'_> {

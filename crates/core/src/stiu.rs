@@ -18,6 +18,7 @@
 //!   entry index, and the bit position of the covering `Com_E` factor.
 
 use utcq_bitio::golomb;
+use utcq_bitio::pddp::PddpCodec;
 use utcq_network::{CellId, Grid, RoadNetwork, VertexId};
 use utcq_traj::{Dataset, Instance, TedView, UncertainTrajectory};
 
@@ -145,6 +146,53 @@ impl TrajIndex {
     /// Non-reference tuples for a region.
     pub fn nrefs_in(&self, cell: CellId) -> impl Iterator<Item = &NrefRegionTuple> {
         self.nref_tuples.iter().filter(move |t| t.cell == cell)
+    }
+
+    /// The partitions of the first and last temporal tuple: those of the
+    /// trajectory's first and last sample (`None` without samples).
+    pub(crate) fn span(&self, params: &StiuParams) -> Option<(i64, i64)> {
+        let (first, last) = (self.temporal.first()?, self.temporal.last()?);
+        params.span(&[first.start, last.start])
+    }
+
+    /// Fills `p_total` / `p_max` of every reference tuple from the
+    /// group's probability codes and from which tuples exist: a
+    /// reference traverses a region iff its tuple there has a final
+    /// vertex, a non-reference iff it has a tuple there. `p_total` sums
+    /// the traversing members in member order (the reference, then its
+    /// non-references in `ct.nrefs` order) starting from `0.0`; `p_max`
+    /// is the maximum over the traversing non-references.
+    ///
+    /// The one place the bounds are computed: index construction calls
+    /// it on the node it just built, the container reader on the node it
+    /// just parsed (the bounds are not stored), so built and reopened
+    /// indexes agree to the last bit. Every `ref_idx` / `nref_idx` of
+    /// the node must be in range for `ct`, and the non-reference tuples
+    /// in non-decreasing `nref_idx` order (so one pass over them meets
+    /// the members in member order, a member's tuples side by side).
+    pub(crate) fn fill_group_bounds(&mut self, ct: &CompressedTrajectory, p_codec: &PddpCodec) {
+        let nref_tuples = &self.nref_tuples;
+        for rt in &mut self.ref_tuples {
+            let mut p_total = 0.0;
+            let mut p_max = 0.0f64;
+            if rt.fv.is_some() {
+                p_total += p_codec.dequantize(ct.refs[rt.ref_idx as usize].p_code);
+            }
+            // A member that re-enters the region has several tuples
+            // there and still counts once.
+            let mut counted = None;
+            for t in nref_tuples.iter().filter(|t| t.cell == rt.cell) {
+                let n = &ct.nrefs[t.nref_idx as usize];
+                if n.ref_idx == rt.ref_idx && counted != Some(t.nref_idx) {
+                    counted = Some(t.nref_idx);
+                    let p = p_codec.dequantize(n.p_code);
+                    p_total += p;
+                    p_max = p_max.max(p);
+                }
+            }
+            rt.p_total = p_total;
+            rt.p_max = p_max;
+        }
     }
 }
 
@@ -328,7 +376,6 @@ impl Stiu {
         ct: &CompressedTrajectory,
         cparams: &crate::params::CompressParams,
     ) {
-        let j = self.trajs.len() as u32;
         let node = build_traj(
             net,
             tu,
@@ -338,9 +385,17 @@ impl Stiu {
             &cparams.p_codec(),
             cparams.d_codec().width(),
         );
-        // Register the trajectory in every interval its span overlaps —
-        // including sample-free gap intervals, which it may still cross.
-        if let Some((first, last)) = self.params.span(&tu.times) {
+        self.push_node(node);
+    }
+
+    /// Appends an already built (or just parsed) node and registers it
+    /// in every interval between its first and last temporal tuple —
+    /// including sample-free gap intervals, which the trajectory may
+    /// still cross. The interval postings are a pure function of the
+    /// nodes, which is why containers do not store them.
+    pub(crate) fn push_node(&mut self, node: TrajIndex) {
+        if let Some((first, last)) = node.span(&self.params) {
+            let j = self.trajs.len() as u32;
             self.interval_trajs.register(j, first, last);
         }
         self.trajs.push(node);
@@ -366,7 +421,7 @@ fn build_traj(
     ct: &CompressedTrajectory,
     grid: &Grid,
     partition_s: i64,
-    p_codec: &utcq_bitio::pddp::PddpCodec,
+    p_codec: &PddpCodec,
     d_width: u32,
 ) -> TrajIndex {
     let mut node = TrajIndex::default();
@@ -420,37 +475,17 @@ fn build_traj(
         cells.sort();
         cells.dedup();
         for cell in cells {
-            let mut p_total = 0.0;
-            let mut p_max = 0.0f64;
-            for &m in &members {
-                if visits[m].iter().any(|v| v.cell == cell) {
-                    let p = p_codec.dequantize(quantized_prob(ct, m));
-                    p_total += p;
-                    if m != ref_orig {
-                        p_max = p_max.max(p);
-                    }
-                }
-            }
+            // The probability bounds are filled in once the node is
+            // complete (`fill_group_bounds` below).
             let ref_visit = visits[ref_orig].iter().find(|v| v.cell == cell);
-            node.ref_tuples.push(match ref_visit {
-                Some(v) => RefRegionTuple {
-                    cell,
-                    ref_idx: ref_idx as u32,
-                    fv: Some(v.fv),
-                    fv_no: v.entry_idx,
-                    d_pos: v.d_no * d_width,
-                    p_total,
-                    p_max,
-                },
-                None => RefRegionTuple {
-                    cell,
-                    ref_idx: ref_idx as u32,
-                    fv: None,
-                    fv_no: 0,
-                    d_pos: 0,
-                    p_total,
-                    p_max,
-                },
+            node.ref_tuples.push(RefRegionTuple {
+                cell,
+                ref_idx: ref_idx as u32,
+                fv: ref_visit.map(|v| v.fv),
+                fv_no: ref_visit.map_or(0, |v| v.entry_idx),
+                d_pos: ref_visit.map_or(0, |v| v.d_no * d_width),
+                p_total: 0.0,
+                p_max: 0.0,
             });
         }
     }
@@ -477,21 +512,8 @@ fn build_traj(
             });
         }
     }
+    node.fill_group_bounds(ct, p_codec);
     node
-}
-
-fn quantized_prob(ct: &CompressedTrajectory, orig_idx: usize) -> u64 {
-    ct.refs
-        .iter()
-        .find(|r| r.orig_idx as usize == orig_idx)
-        .map(|r| r.p_code)
-        .or_else(|| {
-            ct.nrefs
-                .iter()
-                .find(|n| n.orig_idx as usize == orig_idx)
-                .map(|n| n.p_code)
-        })
-        .expect("instance exists")
 }
 
 #[cfg(test)]

@@ -1,90 +1,89 @@
 //! On-disk persistence of compressed datasets.
 //!
-//! Compact little-endian binary containers under the `UTCQ` magic. Three
-//! format versions coexist:
+//! Binary containers under the `UTCQ` magic and a version byte. Four
+//! versions are readable, two are written: [`save_v4`] for one store and
+//! [`save_v3`] for a sharded one ([`save`] emits the legacy v1 framing,
+//! for tests only). `docs/CONTAINERS.md` has the byte-level layouts.
 //!
-//! # Container v1 (legacy, still readable)
-//!
-//! Holds the compression parameters, every compressed trajectory's bit
-//! streams, and the size accounting. The road network is *not* embedded —
-//! v1 assumed the network was a shared static asset supplied out of band,
-//! so reopening a v1 container requires the caller to provide the same
-//! network again (see `Store::open_v1`).
-//!
-//! # Container v2 (self-contained)
-//!
-//! Embeds everything a query service needs, so `Store::open(path)` alone
-//! yields a queryable store with zero side-channel arguments:
+//! # One record layout (v1, v2, v4)
 //!
 //! ```text
-//! "UTCQ"            4-byte magic
-//! u8 = 2            format version
-//! [network]         RoadNetwork (see utcq_network::serialize: counts,
-//!                   coords, CSR offsets, targets, lengths)
-//! [dataset]         identical to the v1 body:
-//!     f64 ηD, f64 ηp, u32 n_pivots, u64 default_interval
-//!     u32 w_e (outgoing-edge-number width)
-//!     u32 name_len, name bytes (UTF-8)
-//!     2 × SizeBreakdown (compressed, raw) — 6 × u64 each
-//!     u64 trajectory count, then per trajectory:
-//!         u64 id, u32 n_times, bits T
-//!         u32 ref count,  per ref:  u32 orig_idx, u32 sv, u32 n_entries,
-//!                                   bits E, bits T', bits D, u64 p_code
-//!         u32 nref count, per nref: u32 orig_idx, u32 ref_idx,
-//!                                   bits Com_E, Com_T, Com_D, u64 p_code
-//! [stiu]            the StIU index:
-//!     i64 partition_s, u32 grid_n (the grid itself is rebuilt from the
-//!                                  embedded network + grid_n)
-//!     u64 node count (== trajectory count), per node:
-//!         u32 temporal count, per tuple: i64 start, u32 no, u32 pos
-//!         u32 ref-tuple count, per tuple: u32 cell, u32 ref_idx,
-//!             u8 has_fv, u32 fv, u32 fv_no, u32 d_pos,
-//!             f64 p_total, f64 p_max
-//!         u32 nref-tuple count, per tuple: u32 cell, u32 nref_idx,
-//!             u32 rv, u32 rv_no, u32 ma_pos
-//!     u64 interval count, per interval: i64 key, u32 len, len × u32
+//! [network]  v2, v4: RoadNetwork (see utcq_network::serialize)
+//! [head]     f64 ηD, f64 ηp, u32 n_pivots, u64 default_interval,
+//!            u32 w_e (outgoing-edge-number width), u32 name_len + name,
+//!            2 × SizeBreakdown (compressed, raw; 6 × u64 each),
+//!            u64 trajectory count
+//! [dataset]  per trajectory: id, n_times, stream T,
+//!     ref count,  per ref:  orig_idx, sv, n_entries,
+//!                           streams E, T', D, p_code
+//!     nref count, per nref: orig_idx, ref_idx,
+//!                           streams Com_E, Com_T, Com_D, p_code
+//! [index]    v2, v4: i64 partition_s, u32 grid_n (the grid is rebuilt
+//!            from the network), then one node per trajectory:
+//!     temporal count,   per tuple: start, no, pos
+//!     ref-tuple count,  per tuple: cell, ref_idx, has_fv, fv, fv_no,
+//!                                  d_pos, (v2 only) p_total, p_max
+//!     nref-tuple count, per tuple: cell, nref_idx, rv, rv_no, ma_pos
 //! ```
 //!
-//! # Container v3 (sharded)
+//! **v1 and v2** (read-only; v1 is the dataset alone, v2 what every
+//! store wrote before v4) frame it in little-endian fixed-width fields:
+//! 8 bytes for id, `p_code`, start and the bounds, 1 for `has_fv`, 4 for
+//! the rest, a stream as a `u32` bit length plus padded bytes. v2 also
+//! states the node count before the nodes and stores the interval
+//! postings after them.
 //!
-//! A shard directory followed by one **embedded, fully self-contained v2
-//! container per shard** — each blob parses standalone with [`load_v2`]:
+//! **v4** packs it MSB-first into blocks of [`CHUNK`] records: a `u32`
+//! byte length, a 64-bit base (the block's minimum id or start time,
+//! which column 0 is an offset from), five 7-bit column widths
+//! (`width_for_max` of the block's maxima), the records, zero padding to
+//! a byte. A stream is its length, then its bits, unpadded. Widths the
+//! context fixes are not stored: vertex and cell indices, `p_code` (the
+//! `ηp` codec width), `ref_idx` / `nref_idx` (the trajectory's own ref /
+//! nref count); `fv`, `fv_no`, `d_pos` follow only a set `has_fv` bit.
 //!
-//! ```text
-//! "UTCQ"            4-byte magic
-//! u8 = 3            format version
-//! u8 policy kind    POLICY_CUSTOM | POLICY_TIME | POLICY_REGION
-//! i64 policy param  interval seconds / routing-grid dimension / 0
-//! u32 shard count   1 ..= 65536
-//! per shard:        u64 byte length, then that many bytes holding a
-//!                   complete v2 container ("UTCQ" magic included)
-//! ```
+//! **Derived at open:** the interval postings (`Stiu::push_node`; v2's
+//! stored ones must agree) and, for v4, `p_total` / `p_max` of every
+//! reference tuple (`TrajIndex::fill_group_bounds`, which index
+//! construction itself calls) — pure functions of stored fields, so a
+//! reopened index equals the built one bit for bit.
 //!
-//! `bits` streams are a `u32` bit length followed by the padded bytes.
-//! [`load`] accepts v1 and v2 (returning the dataset only); [`load_v2`]
-//! returns the full `(network, dataset, index)` triple; [`load_v3`]
-//! returns the shard directory plus per-shard v2 blobs (and accepts a
-//! plain v2 container as a single anonymous shard).
+//! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
+//! `u32` shard count) followed by one `u64`-length-prefixed, complete v4
+//! (older files: v2) container per shard.
+//!
+//! [`load`] accepts v1, v2 and v4 (returning the dataset only);
+//! [`load_full`] returns the `(network, dataset, index)` triple of a v2
+//! or v4 container; [`load_v3`] returns the shard directory plus
+//! per-shard blobs (and accepts a plain v2 or v4 container as a single
+//! anonymous shard).
 
 use std::io::{self, Read, Write};
 
-use utcq_bitio::BitBuf;
+use utcq_bitio::{width_for_max, BitBuf, BitWriter, CodecError};
 use utcq_network::{CellId, RoadNetwork, VertexId};
 use utcq_traj::size::SizeBreakdown;
 
+use crate::chunk::{ChunkedVec, CHUNK};
 use crate::compress::CompressedDataset;
 use crate::compressed::{CompressedNonRef, CompressedRef, CompressedTrajectory};
 use crate::params::CompressParams;
-use crate::stiu::{NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex};
+use crate::stiu::{
+    NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex,
+    MAX_SPAN_PARTITIONS,
+};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
 /// Legacy dataset-only container.
 pub const VERSION_V1: u8 = 1;
-/// Self-contained container embedding the network and StIU index.
+/// Self-contained container embedding the network and StIU index, in
+/// fixed-width fields (read-only: nothing writes it any more).
 pub const VERSION_V2: u8 = 2;
-/// Sharded container: a shard directory followed by one embedded v2
-/// container per shard.
+/// Sharded container: a shard directory followed by one embedded
+/// self-contained container per shard.
 pub const VERSION_V3: u8 = 3;
+/// Self-contained container in bit-packed blocks: what stores write.
+pub const VERSION_V4: u8 = 4;
 
 /// Shard-policy kind recorded in a v3 directory: the routing policy was
 /// not one of the built-ins (metadata only — querying never routes).
@@ -113,8 +112,8 @@ pub enum StorageError {
     Io(io::Error),
     /// Not a UTCQ container or an unsupported version.
     BadHeader,
-    /// A valid v1 container was given to a reader that needs v2
-    /// (v1 has no embedded network).
+    /// A valid v1 container was given to a reader that needs a
+    /// self-contained one (v1 has no embedded network).
     LegacyVersion,
     /// A sharded v3 container was given to a single-store reader.
     Sharded,
@@ -133,13 +132,13 @@ impl std::fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
             StorageError::BadHeader => {
-                write!(
-                    f,
-                    "not a UTCQ v{VERSION_V1}/v{VERSION_V2}/v{VERSION_V3} container"
-                )
+                write!(f, "not a UTCQ v{VERSION_V1}..v{VERSION_V4} container")
             }
             StorageError::LegacyVersion => {
-                write!(f, "v{VERSION_V1} container where v{VERSION_V2} is required")
+                write!(
+                    f,
+                    "v{VERSION_V1} container where a self-contained one is required"
+                )
             }
             StorageError::Sharded => {
                 write!(
@@ -154,54 +153,34 @@ impl std::fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-fn write_u8(w: &mut impl Write, v: u8) -> io::Result<()> {
-    w.write_all(&[v])
+/// A v4 block whose content contradicts its own header.
+impl From<CodecError> for StorageError {
+    fn from(_: CodecError) -> Self {
+        StorageError::Corrupt("bit-packed block")
+    }
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Little-endian fixed-width fields: a writer and a reader per type.
+macro_rules! le_fields {
+    ($($ty:ty: $write:ident, $read:ident;)*) => {$(
+        fn $write(w: &mut impl Write, v: $ty) -> io::Result<()> {
+            w.write_all(&v.to_le_bytes())
+        }
+
+        fn $read(r: &mut impl Read) -> io::Result<$ty> {
+            let mut b = [0u8; std::mem::size_of::<$ty>()];
+            r.read_exact(&mut b)?;
+            Ok(<$ty>::from_le_bytes(b))
+        }
+    )*};
 }
 
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_i64(w: &mut impl Write, v: i64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_f64(w: &mut impl Write, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u8(r: &mut impl Read) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0]) // bounds: read_exact filled the 1-byte buffer
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_i64(r: &mut impl Read) -> io::Result<i64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(i64::from_le_bytes(b))
-}
-
-fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
+le_fields! {
+    u8: write_u8, read_u8;
+    u32: write_u32, read_u32;
+    u64: write_u64, read_u64;
+    i64: write_i64, read_i64;
+    f64: write_f64, read_f64;
 }
 
 fn write_bits(w: &mut impl Write, b: &BitBuf) -> io::Result<()> {
@@ -237,8 +216,9 @@ fn read_breakdown(r: &mut impl Read) -> io::Result<SizeBreakdown> {
     })
 }
 
-/// Writes the dataset body shared by both container versions.
-fn write_dataset_body(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
+/// Writes the dataset head every container version shares: parameters,
+/// name, size accounting and the trajectory count.
+fn write_dataset_head(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
     write_f64(w, cds.params.eta_d)?;
     write_f64(w, cds.params.eta_p)?;
     write_u32(w, cds.params.n_pivots as u32)?;
@@ -249,7 +229,525 @@ fn write_dataset_body(cds: &CompressedDataset, w: &mut impl Write) -> io::Result
     w.write_all(name)?;
     write_breakdown(w, &cds.compressed)?;
     write_breakdown(w, &cds.raw)?;
-    write_u64(w, cds.trajectories.len() as u64)?;
+    write_u64(w, cds.trajectories.len() as u64)
+}
+
+// Per-block columns in header order: of a dataset block …
+const ID: usize = 0;
+const TIMES: usize = 1;
+const LEN: usize = 2;
+const INST: usize = 3;
+const ENTRIES: usize = 4;
+// … and of an index block.
+const START: usize = 0;
+const NO: usize = 1;
+const COUNT: usize = 2;
+const ENTRY: usize = 3;
+const POS: usize = 4;
+/// Widest value each column may declare: the base-offset column (ids,
+/// start times) spans 64 bits, every other field is a `u32`.
+const COL_LIMITS: [u32; 5] = [64, 32, 32, 32, 32];
+
+/// `width_for_max(n − 1)`: the width of an index into `n` items.
+fn index_width(n: usize) -> u32 {
+    width_for_max((n as u64).saturating_sub(1))
+}
+
+/// Widths of the v4 fields that the container's context fixes rather
+/// than a block header (all zero, and unused, for v1/v2).
+#[derive(Clone, Copy, Default)]
+struct CtxWidths {
+    vertex: u32,
+    cell: u32,
+    p_code: u32,
+}
+
+impl CtxWidths {
+    /// `n_cells` is the StIU grid's cell count (the dataset section has
+    /// no cell fields: pass 0).
+    fn new(net: &RoadNetwork, cds: &CompressedDataset, n_cells: usize) -> Self {
+        CtxWidths {
+            vertex: index_width(net.vertex_count()),
+            cell: index_width(n_cells),
+            p_code: cds.params.p_codec().width(),
+        }
+    }
+}
+
+/// Where the one record traversal ([`read_trajs`], [`read_nodes`])
+/// takes its field values from: the fixed-width little-endian fields of
+/// v1/v2 or, if `packed`, the blocks of v4, one in memory at a time with
+/// the read position in it, the base that column 0 is an offset from
+/// (0 throughout v1/v2) and the five column widths.
+struct Source<'a, R> {
+    r: &'a mut R,
+    packed: bool,
+    block: BitBuf,
+    pos: usize,
+    base: u64,
+    widths: [u32; 5],
+    ctx: CtxWidths,
+}
+
+impl<'a, R: Read> Source<'a, R> {
+    fn new(r: &'a mut R, packed: bool, ctx: CtxWidths) -> Self {
+        Source {
+            r,
+            packed,
+            block: BitBuf::empty(),
+            pos: 0,
+            base: 0,
+            widths: [0; 5],
+            ctx,
+        }
+    }
+
+    /// The next field: `bits` wide in a block, `bytes` wide in v1/v2.
+    #[inline(always)]
+    fn field(&mut self, bits: u32, bytes: usize) -> Result<u64, StorageError> {
+        if self.packed {
+            let mut r = self.block.reader_at(self.pos);
+            let v = r.read_bits(bits)?;
+            self.pos = r.pos();
+            return Ok(v);
+        }
+        let mut le = [0u8; 8];
+        self.r.read_exact(&mut le[..bytes])?; // bounds: callers pass 1, 4 or 8
+        Ok(u64::from_le_bytes(le))
+    }
+
+    /// The next value of per-block column `col`; in v1/v2 column 0
+    /// (ids, start times) is 8 bytes and every other one a `u32`.
+    #[inline(always)]
+    fn col(&mut self, col: usize) -> Result<u64, StorageError> {
+        // bounds: col is one of the five column constants
+        let (base, bytes) = if col == 0 { (self.base, 8) } else { (0, 4) };
+        Ok(base.wrapping_add(self.field(self.widths[col], bytes)?))
+    }
+
+    /// An index into a list of `n` items.
+    #[inline(always)]
+    fn index(&mut self, n: usize, what: &'static str) -> Result<u32, StorageError> {
+        below(self.field(index_width(n), 4)?, n, what)
+    }
+
+    /// Enters the next block of up to [`CHUNK`] records (v4 only).
+    fn begin_block(&mut self) -> Result<(), StorageError> {
+        if !self.packed {
+            return Ok(());
+        }
+        let len = read_u32(self.r)? as usize;
+        // Through a `take`, so the allocation grows with the bytes that
+        // actually arrive, not with a crafted length field.
+        let mut bytes = Vec::new();
+        self.r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
+        let truncated = StorageError::Corrupt("block truncated");
+        (self.block, self.pos) = (BitBuf::from_bytes(bytes, len * 8).ok_or(truncated)?, 0);
+        self.base = self.field(64, 0)?;
+        for (col, limit) in COL_LIMITS.into_iter().enumerate() {
+            let width = self.field(7, 0)? as u32;
+            if width == 0 || width > limit {
+                return Err(StorageError::Corrupt("column width out of range"));
+            }
+            self.widths[col] = width; // bounds: both arrays hold five
+        }
+        Ok(())
+    }
+
+    /// Leaves a fully parsed block: only the zero padding of its last
+    /// byte may be left.
+    fn end_block(&mut self) -> Result<(), StorageError> {
+        let left = self.block.len_bits().saturating_sub(self.pos);
+        if self.packed && (left >= 8 || self.field(left as u32, 0)? != 0) {
+            return Err(StorageError::Corrupt("bits left over in block"));
+        }
+        Ok(())
+    }
+
+    fn stream(&mut self) -> Result<BitBuf, StorageError> {
+        if !self.packed {
+            return read_bits(self.r);
+        }
+        let len = self.col(LEN)? as usize;
+        // Fails, before allocating, on a length past the block's end.
+        let mut r = self.block.reader_at(self.pos);
+        let stream = r.read_buf(len)?;
+        self.pos = r.pos();
+        Ok(stream)
+    }
+}
+
+/// `v` as a `u32` below `n`, or the container is corrupt.
+#[inline(always)]
+fn below(v: u64, n: usize, what: &'static str) -> Result<u32, StorageError> {
+    if v >= n as u64 {
+        return Err(StorageError::Corrupt(what));
+    }
+    Ok(v as u32)
+}
+
+/// Reads `n_trajs` trajectory records into `cds`.
+fn read_trajs<R: Read>(
+    src: &mut Source<'_, R>,
+    n_trajs: usize,
+    cds: &mut CompressedDataset,
+) -> Result<(), StorageError> {
+    while cds.trajectories.len() < n_trajs {
+        src.begin_block()?;
+        for _ in 0..CHUNK.min(n_trajs - cds.trajectories.len()) {
+            let id = src.col(ID)?;
+            let n_times = src.col(TIMES)? as u32;
+            let t_bits = src.stream()?;
+            let n_refs = src.col(INST)? as usize;
+            let mut refs = Vec::with_capacity(n_refs.min(1 << 10));
+            for _ in 0..n_refs {
+                refs.push(CompressedRef {
+                    orig_idx: src.col(INST)? as u32,
+                    sv: VertexId(src.field(src.ctx.vertex, 4)? as u32),
+                    n_entries: src.col(ENTRIES)? as u32,
+                    e_bits: src.stream()?,
+                    tflag_bits: src.stream()?,
+                    d_bits: src.stream()?,
+                    p_code: src.field(src.ctx.p_code, 8)?,
+                });
+            }
+            let n_nrefs = src.col(INST)? as usize;
+            let mut nrefs = Vec::with_capacity(n_nrefs.min(1 << 10));
+            for _ in 0..n_nrefs {
+                let what = "non-reference points past refs";
+                nrefs.push(CompressedNonRef {
+                    orig_idx: src.col(INST)? as u32,
+                    ref_idx: src.index(n_refs, what)?,
+                    e_com: src.stream()?,
+                    t_com: src.stream()?,
+                    d_com: src.stream()?,
+                    p_code: src.field(src.ctx.p_code, 8)?,
+                });
+            }
+            cds.trajectories.push(CompressedTrajectory {
+                id,
+                n_times,
+                t_bits,
+                refs,
+                nrefs,
+            });
+        }
+        src.end_block()?;
+    }
+    Ok(())
+}
+
+/// Reads one index node per trajectory of `cds` into `stiu`, deriving
+/// the group bounds (not stored in v4) and the interval postings.
+fn read_nodes<R: Read>(
+    src: &mut Source<'_, R>,
+    net: &RoadNetwork,
+    cds: &CompressedDataset,
+    stiu: &mut Stiu,
+) -> Result<(), StorageError> {
+    let (n_cells, n_vertices) = (stiu.grid.cell_count(), net.vertex_count());
+    let p_codec = cds.params.p_codec();
+    let mut cts = cds.trajectories.iter().peekable();
+    while cts.peek().is_some() {
+        src.begin_block()?;
+        for ct in cts.by_ref().take(CHUNK) {
+            // Each list is sized exactly, up to a cap that a crafted
+            // count cannot push past the content actually present.
+            let mut node = TrajIndex::default();
+            let n = src.col(COUNT)? as usize;
+            node.temporal = Vec::with_capacity(n.min(1 << 10));
+            for _ in 0..n {
+                node.temporal.push(TemporalTuple {
+                    start: src.col(START)? as i64,
+                    no: src.col(NO)? as u32,
+                    pos: src.col(POS)? as u32,
+                });
+            }
+            let n = src.col(COUNT)? as usize;
+            node.ref_tuples = Vec::with_capacity(n.min(1 << 10));
+            for _ in 0..n {
+                let what = "ref tuple out of range";
+                let cell = below(src.field(src.ctx.cell, 4)?, n_cells, what)?;
+                let ref_idx = src.index(ct.refs.len(), what)?;
+                let has_fv = src.field(1, 1)? != 0;
+                let (mut fv, mut fv_no, mut d_pos) = (None, 0, 0);
+                if has_fv || !src.packed {
+                    let v = src.field(src.ctx.vertex, 4)?;
+                    if has_fv {
+                        fv = Some(VertexId(below(v, n_vertices, what)?));
+                    }
+                    fv_no = src.col(ENTRY)? as u32;
+                    d_pos = src.col(POS)? as u32;
+                }
+                // v2 stores the bounds; v4's are derived below.
+                let (mut p_total, mut p_max) = (0.0, 0.0);
+                if !src.packed {
+                    (p_total, p_max) = (read_f64(src.r)?, read_f64(src.r)?);
+                    if !p_total.is_finite() || !p_max.is_finite() {
+                        return Err(StorageError::Corrupt("non-finite probability bound"));
+                    }
+                }
+                node.ref_tuples.push(RefRegionTuple {
+                    cell: CellId(cell),
+                    ref_idx,
+                    fv,
+                    fv_no,
+                    d_pos,
+                    p_total,
+                    p_max,
+                });
+            }
+            let n = src.col(COUNT)? as usize;
+            node.nref_tuples = Vec::with_capacity(n.min(1 << 10));
+            for _ in 0..n {
+                let what = "nref tuple out of range";
+                let tuple = NrefRegionTuple {
+                    cell: CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?),
+                    nref_idx: src.index(ct.nrefs.len(), what)?,
+                    rv: VertexId(below(src.field(src.ctx.vertex, 4)?, n_vertices, what)?),
+                    rv_no: src.col(ENTRY)? as u32,
+                    ma_pos: src.col(POS)? as u32,
+                };
+                // The order `fill_group_bounds` sums in.
+                if tuple.nref_idx < node.nref_tuples.last().map_or(0, |prev| prev.nref_idx) {
+                    return Err(StorageError::Corrupt("nref tuples out of order"));
+                }
+                node.nref_tuples.push(tuple);
+            }
+            if src.packed {
+                node.fill_group_bounds(ct, &p_codec);
+            }
+            // One crafted tuple must not register the node under an
+            // unbounded run of partitions.
+            let too_long = |(first, last): (i64, i64)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS;
+            if node.span(&stiu.params).is_some_and(too_long) {
+                return Err(StorageError::Corrupt("temporal span too long"));
+            }
+            stiu.push_node(node);
+        }
+        src.end_block()?;
+    }
+    Ok(())
+}
+
+/// Where a written container's bits went, counted by the writer as it
+/// writes (in bits; the six sum to the container size): `network` is
+/// magic, version and the embedded network; `payload` the compressed
+/// bit streams themselves; `framing` the rest of the dataset section
+/// (head, block headers, per-trajectory fields, stream lengths,
+/// padding); `temporal` the temporal tuples and the rest of the index
+/// section (parameters, block headers, tuple counts, padding); then the
+/// reference and the non-reference region tuples.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sections {
+    pub network: u64,
+    pub payload: u64,
+    pub framing: u64,
+    pub temporal: u64,
+    pub ref_tuples: u64,
+    pub nref_tuples: u64,
+}
+
+/// One v4 block under construction. [`write_blocks`] runs the record
+/// traversal twice: while `widths` is `None` a column value only raises
+/// its column's maximum (column 0: also lowers `base`); [`Packer::start`]
+/// then fixes the widths and writes the header, and the second run emits.
+#[derive(Default)]
+struct Packer {
+    ctx: CtxWidths,
+    max: [u64; 5],
+    base: u64,
+    widths: Option<[u32; 5]>,
+    bits: BitWriter,
+    payload: u64,
+}
+
+impl Packer {
+    /// Ends the measuring run. Column 0 (ids, start times as unsigned)
+    /// is written as the offset from its block minimum.
+    fn start(&mut self) -> io::Result<()> {
+        let [max0, ..] = &mut self.max;
+        self.base = self.base.min(*max0); // no value at all: 0
+        *max0 -= self.base;
+        let widths = self.max.map(width_for_max);
+        self.widths = Some(widths);
+        self.field(self.base, 64)?;
+        widths.into_iter().try_for_each(|w| self.field(w.into(), 7))
+    }
+
+    /// A value of per-block column `col`.
+    #[inline(always)]
+    fn col(&mut self, col: usize, v: u64) -> io::Result<()> {
+        match self.widths {
+            // bounds: col is one of the five column constants
+            None => self.max[col] = self.max[col].max(v),
+            Some(widths) if col == 0 => return self.field(v - self.base, widths[0]),
+            Some(widths) => return self.field(v, widths[col]), // bounds: as above
+        }
+        if col == 0 {
+            self.base = self.base.min(v);
+        }
+        Ok(())
+    }
+
+    /// A value whose width the context fixes (not a block column).
+    #[inline(always)]
+    fn field(&mut self, v: u64, width: u32) -> io::Result<()> {
+        if self.widths.is_none() {
+            return Ok(());
+        }
+        let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+        self.bits.write_bits(v, width).map_err(invalid)
+    }
+
+    /// A bit stream: its length in the `LEN` column, then the bits.
+    fn stream(&mut self, b: &BitBuf) -> io::Result<()> {
+        self.col(LEN, b.len_bits() as u64)?;
+        if self.widths.is_some() {
+            self.bits.extend_from(b);
+            self.payload += b.len_bits() as u64;
+        }
+        Ok(())
+    }
+}
+
+/// Writes `records` as blocks of [`CHUNK`]: per block the `u32` byte
+/// length, the header, the records (`pack` traverses one), zero padding
+/// to a byte. Returns the bits written: all, and those of streams alone.
+fn write_blocks<T: Copy>(
+    ctx: CtxWidths,
+    records: impl Iterator<Item = T>,
+    mut pack: impl FnMut(&mut Packer, T) -> io::Result<()>,
+    out: &mut impl Write,
+) -> io::Result<(u64, u64)> {
+    let mut records = records.peekable();
+    let (mut bits, mut payload) = (0, 0);
+    while records.peek().is_some() {
+        let block: Vec<T> = records.by_ref().take(CHUNK).collect();
+        let mut p = Packer::default();
+        (p.ctx, p.base) = (ctx, u64::MAX);
+        block.iter().try_for_each(|&t| pack(&mut p, t))?;
+        p.start()?;
+        block.iter().try_for_each(|&t| pack(&mut p, t))?;
+        let buf = p.bits.finish();
+        let len = u32::try_from(buf.len_bytes())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "block over 4 GiB"))?;
+        write_u32(out, len)?;
+        out.write_all(buf.as_bytes())?;
+        bits += (4 + u64::from(len)) * 8;
+        payload += p.payload;
+    }
+    Ok((bits, payload))
+}
+
+fn pack_traj(p: &mut Packer, ct: &CompressedTrajectory) -> io::Result<()> {
+    p.col(ID, ct.id)?;
+    p.col(TIMES, u64::from(ct.n_times))?;
+    p.stream(&ct.t_bits)?;
+    p.col(INST, ct.refs.len() as u64)?;
+    for r in &ct.refs {
+        p.col(INST, u64::from(r.orig_idx))?;
+        p.field(u64::from(r.sv.0), p.ctx.vertex)?;
+        p.col(ENTRIES, u64::from(r.n_entries))?;
+        p.stream(&r.e_bits)?;
+        p.stream(&r.tflag_bits)?;
+        p.stream(&r.d_bits)?;
+        p.field(r.p_code, p.ctx.p_code)?;
+    }
+    p.col(INST, ct.nrefs.len() as u64)?;
+    for n in &ct.nrefs {
+        p.col(INST, u64::from(n.orig_idx))?;
+        p.field(u64::from(n.ref_idx), index_width(ct.refs.len()))?;
+        p.stream(&n.e_com)?;
+        p.stream(&n.t_com)?;
+        p.stream(&n.d_com)?;
+        p.field(n.p_code, p.ctx.p_code)?;
+    }
+    Ok(())
+}
+
+fn pack_node(
+    p: &mut Packer,
+    (node, ct): (&TrajIndex, &CompressedTrajectory),
+    (ref_bits, nref_bits): &mut (u64, u64),
+) -> io::Result<()> {
+    p.col(COUNT, node.temporal.len() as u64)?;
+    for t in &node.temporal {
+        p.col(START, t.start as u64)?;
+        p.col(NO, u64::from(t.no))?;
+        p.col(POS, u64::from(t.pos))?;
+    }
+    let refs_at = p.bits.len_bits();
+    p.col(COUNT, node.ref_tuples.len() as u64)?;
+    for t in &node.ref_tuples {
+        p.field(u64::from(t.cell.0), p.ctx.cell)?;
+        p.field(u64::from(t.ref_idx), index_width(ct.refs.len()))?;
+        p.field(u64::from(t.fv.is_some()), 1)?;
+        if let Some(fv) = t.fv {
+            p.field(u64::from(fv.0), p.ctx.vertex)?;
+            p.col(ENTRY, u64::from(t.fv_no))?;
+            p.col(POS, u64::from(t.d_pos))?;
+        }
+    }
+    let nrefs_at = p.bits.len_bits();
+    p.col(COUNT, node.nref_tuples.len() as u64)?;
+    for t in &node.nref_tuples {
+        p.field(u64::from(t.cell.0), p.ctx.cell)?;
+        p.field(u64::from(t.nref_idx), index_width(ct.nrefs.len()))?;
+        p.field(u64::from(t.rv.0), p.ctx.vertex)?;
+        p.col(ENTRY, u64::from(t.rv_no))?;
+        p.col(POS, u64::from(t.ma_pos))?;
+    }
+    // (Nothing is emitted, so nothing counted, in the measuring run.)
+    *ref_bits += (nrefs_at - refs_at) as u64;
+    *nref_bits += (p.bits.len_bits() - nrefs_at) as u64;
+    Ok(())
+}
+
+/// Serializes a self-contained v4 container: network + bit-packed
+/// dataset + bit-packed index, one block of [`CHUNK`] trajectories in
+/// memory at a time. Returns where the bits went.
+pub fn save_v4(
+    net: &RoadNetwork,
+    cds: &CompressedDataset,
+    stiu: &Stiu,
+    w: &mut impl Write,
+) -> io::Result<Sections> {
+    if stiu.trajs.len() != cds.trajectories.len() {
+        let what = "index/dataset trajectory counts";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    }
+    // The small parts go through memory, which also sizes them.
+    let mut head = Vec::from(*MAGIC);
+    head.push(VERSION_V4);
+    net.write_to(&mut head)?;
+    let network = head.len() as u64 * 8;
+    write_dataset_head(cds, &mut head)?;
+    w.write_all(&head)?;
+    let ctx = CtxWidths::new(net, cds, stiu.grid.cell_count());
+    let (dataset, payload) = write_blocks(ctx, cds.trajectories.iter(), pack_traj, w)?;
+    write_i64(w, stiu.params.partition_s)?;
+    write_u32(w, stiu.params.grid_n)?;
+    let nodes = stiu.trajs.iter().zip(cds.trajectories.iter());
+    let mut tuples = (0, 0);
+    let (index, _) = write_blocks(ctx, nodes, |p, pair| pack_node(p, pair, &mut tuples), w)?;
+    let (ref_tuples, nref_tuples) = tuples;
+    Ok(Sections {
+        network,
+        payload,
+        framing: head.len() as u64 * 8 - network + dataset - payload,
+        temporal: 12 * 8 + index - ref_tuples - nref_tuples,
+        ref_tuples,
+        nref_tuples,
+    })
+}
+
+/// Serializes a compressed dataset into a writer (legacy v1 container:
+/// the dataset alone, in fixed-width fields).
+pub fn save(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
+    w.write_all(MAGIC)?;
+    write_u8(w, VERSION_V1)?;
+    write_dataset_head(cds, w)?;
     for ct in &cds.trajectories {
         write_u64(w, ct.id)?;
         write_u32(w, ct.n_times)?;
@@ -277,8 +775,101 @@ fn write_dataset_body(cds: &CompressedDataset, w: &mut impl Write) -> io::Result
     Ok(())
 }
 
-/// Reads the dataset body shared by both container versions.
-fn read_dataset_body(r: &mut impl Read) -> Result<CompressedDataset, StorageError> {
+/// Serializes a sharded v3 container: the shard directory followed by
+/// one length-prefixed, fully self-contained container per shard
+/// (each blob parses standalone with [`load_full`], so shards can be
+/// extracted, inspected or re-sharded without understanding v3).
+pub fn save_v3(dir: ShardDirectory, shards: &[Vec<u8>], w: &mut impl Write) -> io::Result<()> {
+    w.write_all(MAGIC)?;
+    write_u8(w, VERSION_V3)?;
+    write_u8(w, dir.kind)?;
+    write_i64(w, dir.param)?;
+    write_u32(w, shards.len() as u32)?;
+    for blob in shards {
+        write_u64(w, blob.len() as u64)?;
+        w.write_all(blob)?;
+    }
+    Ok(())
+}
+
+/// Deserializes a sharded container into its directory and per-shard
+/// container bytes. Accepts a plain v2 or v4 container too, returned as
+/// a single shard with no directory — so a sharded reader opens both
+/// shapes transparently. v1 still fails with
+/// [`StorageError::LegacyVersion`].
+pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
+    match read_header(r)? {
+        VERSION_V1 => Err(StorageError::LegacyVersion),
+        version @ (VERSION_V2 | VERSION_V4) => {
+            // Re-frame the rest of the stream as one standalone shard.
+            let mut blob = Vec::from(*MAGIC);
+            blob.push(version);
+            r.read_to_end(&mut blob)?;
+            Ok((None, vec![blob]))
+        }
+        _ => {
+            let kind = read_u8(r)?;
+            if kind > POLICY_REGION {
+                return Err(StorageError::Corrupt("unknown shard policy kind"));
+            }
+            let param = read_i64(r)?;
+            let n_shards = read_u32(r)? as usize;
+            if n_shards == 0 || n_shards > (1 << 16) {
+                return Err(StorageError::Corrupt("shard count out of range"));
+            }
+            let mut shards = Vec::with_capacity(n_shards);
+            for _ in 0..n_shards {
+                let len = read_u64(r)?;
+                if !(5..=(1u64 << 40)).contains(&len) {
+                    return Err(StorageError::Corrupt("shard blob length out of range"));
+                }
+                // Read through a `take` so the allocation grows with the
+                // bytes that actually arrive — a crafted length field
+                // must not provoke a giant up-front allocation.
+                let mut blob = Vec::new();
+                r.by_ref().take(len).read_to_end(&mut blob)?;
+                if blob.len() as u64 != len {
+                    return Err(StorageError::Corrupt("shard blob truncated"));
+                }
+                // bounds: len >= 5 enforced above, and blob.len() == len
+                if &blob[..4] != MAGIC || !matches!(blob[4], VERSION_V2 | VERSION_V4) {
+                    let what = "shard blob is not a self-contained container";
+                    return Err(StorageError::Corrupt(what));
+                }
+                shards.push(blob);
+            }
+            Ok((Some(ShardDirectory { kind, param }), shards))
+        }
+    }
+}
+
+/// Reads the magic and version byte.
+fn read_header(r: &mut impl Read) -> Result<u8, StorageError> {
+    let mut magic = [0u8; 5];
+    r.read_exact(&mut magic)?;
+    // bounds: magic is a [u8; 5] filled by read_exact
+    if &magic[..4] != MAGIC {
+        return Err(StorageError::BadHeader);
+    }
+    // bounds: magic is a [u8; 5], index 4 is in range
+    match magic[4] {
+        v @ VERSION_V1..=VERSION_V4 => Ok(v),
+        _ => Err(StorageError::BadHeader),
+    }
+}
+
+fn read_network(r: &mut impl Read) -> Result<RoadNetwork, StorageError> {
+    RoadNetwork::read_from(r).map_err(|_| StorageError::Corrupt("embedded network"))
+}
+
+/// Reads a dataset section (the head every version shares, then the
+/// records in the framing of `version`); `net` is the embedded network
+/// of a self-contained one.
+fn read_dataset(
+    r: &mut impl Read,
+    version: u8,
+    net: Option<&RoadNetwork>,
+) -> Result<CompressedDataset, StorageError> {
     let eta_d = read_f64(r)?;
     let eta_p = read_f64(r)?;
     let n_pivots = read_u32(r)? as usize;
@@ -309,363 +900,96 @@ fn read_dataset_body(r: &mut impl Read) -> Result<CompressedDataset, StorageErro
     if n_trajs > (1 << 32) {
         return Err(StorageError::Corrupt("trajectory count"));
     }
-    let mut trajectories = Vec::with_capacity(n_trajs.min(1 << 20));
-    for _ in 0..n_trajs {
-        let id = read_u64(r)?;
-        let n_times = read_u32(r)?;
-        let t_bits = read_bits(r)?;
-        let n_refs = read_u32(r)? as usize;
-        let mut refs = Vec::with_capacity(n_refs.min(1 << 16));
-        for _ in 0..n_refs {
-            refs.push(CompressedRef {
-                orig_idx: read_u32(r)?,
-                sv: VertexId(read_u32(r)?),
-                n_entries: read_u32(r)?,
-                e_bits: read_bits(r)?,
-                tflag_bits: read_bits(r)?,
-                d_bits: read_bits(r)?,
-                p_code: read_u64(r)?,
-            });
-        }
-        let n_nrefs = read_u32(r)? as usize;
-        let mut nrefs = Vec::with_capacity(n_nrefs.min(1 << 16));
-        for _ in 0..n_nrefs {
-            let nref = CompressedNonRef {
-                orig_idx: read_u32(r)?,
-                ref_idx: read_u32(r)?,
-                e_com: read_bits(r)?,
-                t_com: read_bits(r)?,
-                d_com: read_bits(r)?,
-                p_code: read_u64(r)?,
-            };
-            if nref.ref_idx as usize >= refs.len() {
-                return Err(StorageError::Corrupt("non-reference points past refs"));
-            }
-            nrefs.push(nref);
-        }
-        trajectories.push(CompressedTrajectory {
-            id,
-            n_times,
-            t_bits,
-            refs,
-            nrefs,
-        });
-    }
-    Ok(CompressedDataset {
+    let mut cds = CompressedDataset {
         name,
         params,
         w_e,
-        trajectories: crate::chunk::ChunkedVec::from_vec(trajectories),
+        trajectories: ChunkedVec::new(),
         compressed,
         raw,
-    })
+    };
+    let ctx = net.map_or(CtxWidths::default(), |net| CtxWidths::new(net, &cds, 0));
+    let mut src = Source::new(r, version == VERSION_V4, ctx);
+    read_trajs(&mut src, n_trajs, &mut cds)?;
+    Ok(cds)
 }
 
-fn write_stiu(stiu: &Stiu, w: &mut impl Write) -> io::Result<()> {
-    write_i64(w, stiu.params.partition_s)?;
-    write_u32(w, stiu.params.grid_n)?;
-    write_u64(w, stiu.trajs.len() as u64)?;
-    for node in &stiu.trajs {
-        write_u32(w, node.temporal.len() as u32)?;
-        for t in &node.temporal {
-            write_i64(w, t.start)?;
-            write_u32(w, t.no)?;
-            write_u32(w, t.pos)?;
-        }
-        write_u32(w, node.ref_tuples.len() as u32)?;
-        for t in &node.ref_tuples {
-            write_u32(w, t.cell.0)?;
-            write_u32(w, t.ref_idx)?;
-            write_u8(w, t.fv.is_some() as u8)?;
-            write_u32(w, t.fv.map_or(0, |v| v.0))?;
-            write_u32(w, t.fv_no)?;
-            write_u32(w, t.d_pos)?;
-            write_f64(w, t.p_total)?;
-            write_f64(w, t.p_max)?;
-        }
-        write_u32(w, node.nref_tuples.len() as u32)?;
-        for t in &node.nref_tuples {
-            write_u32(w, t.cell.0)?;
-            write_u32(w, t.nref_idx)?;
-            write_u32(w, t.rv.0)?;
-            write_u32(w, t.rv_no)?;
-            write_u32(w, t.ma_pos)?;
+/// Deserializes the compressed dataset of a v1, v2 or v4 container.
+///
+/// For the self-contained versions the embedded network is parsed (the
+/// dataset sits after it, and v4 takes its vertex width from it) but
+/// the trailing StIU index is not read at all — dataset-only consumers
+/// neither pay for it nor fail on index-section corruption.
+pub fn load(r: &mut impl Read) -> Result<CompressedDataset, StorageError> {
+    match read_header(r)? {
+        VERSION_V1 => read_dataset(r, VERSION_V1, None),
+        VERSION_V3 => Err(StorageError::Sharded),
+        version => {
+            let net = read_network(r)?;
+            read_dataset(r, version, Some(&net))
         }
     }
-    // Deterministic container bytes: intervals in sorted order, each
-    // with its postings merged across the in-memory segments back into
-    // ascending-position order — byte-identical to the flat layout.
+}
+
+/// v2 stores the interval postings after the nodes, keys ascending:
+/// they must be the ones just derived from the nodes, so a truncated or
+/// edited posting section still fails the open.
+fn check_v2_postings(r: &mut impl Read, stiu: &Stiu) -> Result<(), StorageError> {
     let keys = stiu.interval_trajs.sorted_keys();
-    write_u64(w, keys.len() as u64)?;
+    let mut same = read_u64(r)? == keys.len() as u64;
     for k in keys {
-        write_i64(w, k)?;
-        let v = stiu.interval_trajs.postings(k);
-        write_u32(w, v.len() as u32)?;
-        for &j in &v {
-            write_u32(w, j)?;
+        let derived = stiu.interval_trajs.postings(k);
+        same = same && read_i64(r)? == k && read_u32(r)? as usize == derived.len();
+        for j in derived {
+            same = same && read_u32(r)? == j;
         }
+    }
+    if !same {
+        return Err(StorageError::Corrupt("interval postings vs nodes"));
     }
     Ok(())
 }
 
-fn read_stiu(r: &mut impl Read, net: &RoadNetwork) -> Result<Stiu, StorageError> {
-    let partition_s = read_i64(r)?;
-    if partition_s <= 0 {
-        return Err(StorageError::Corrupt("non-positive time partition"));
-    }
-    let grid_n = read_u32(r)?;
-    if grid_n == 0 || grid_n > (1 << 14) {
-        return Err(StorageError::Corrupt("grid dimension out of range"));
+/// Deserializes a self-contained (v2 or v4) container.
+///
+/// Fails with [`StorageError::LegacyVersion`] on v1 containers — those
+/// need the caller to supply the network (`Store::open_v1`).
+pub fn load_full(
+    r: &mut impl Read,
+) -> Result<(RoadNetwork, CompressedDataset, Stiu), StorageError> {
+    let version = match read_header(r)? {
+        VERSION_V1 => return Err(StorageError::LegacyVersion),
+        VERSION_V3 => return Err(StorageError::Sharded),
+        version => version,
+    };
+    let net = read_network(r)?;
+    let cds = read_dataset(r, version, Some(&net))?;
+    let (partition_s, grid_n) = (read_i64(r)?, read_u32(r)?);
+    if partition_s <= 0 || grid_n == 0 || grid_n > (1 << 14) {
+        return Err(StorageError::Corrupt("index parameters out of range"));
     }
     let params = StiuParams {
         partition_s,
         grid_n,
     };
-    let mut stiu = Stiu::new(net, params);
-    let n_nodes = read_u64(r)? as usize;
-    if n_nodes > (1 << 32) {
-        return Err(StorageError::Corrupt("index node count"));
+    let mut stiu = Stiu::new(&net, params);
+    // v2 states its node count before the nodes.
+    if version == VERSION_V2 && read_u64(r)? != cds.trajectories.len() as u64 {
+        return Err(StorageError::Corrupt("index/dataset trajectory counts"));
     }
-    let n_cells = stiu.grid.cell_count() as u32;
-    let n_vertices = net.vertex_count() as u32;
-    for _ in 0..n_nodes {
-        let mut node = TrajIndex::default();
-        let n_temporal = read_u32(r)? as usize;
-        if n_temporal > (1 << 24) {
-            return Err(StorageError::Corrupt("temporal tuple count"));
-        }
-        for _ in 0..n_temporal {
-            node.temporal.push(TemporalTuple {
-                start: read_i64(r)?,
-                no: read_u32(r)?,
-                pos: read_u32(r)?,
-            });
-        }
-        let n_refs = read_u32(r)? as usize;
-        if n_refs > (1 << 24) {
-            return Err(StorageError::Corrupt("ref tuple count"));
-        }
-        for _ in 0..n_refs {
-            let cell = read_u32(r)?;
-            let ref_idx = read_u32(r)?;
-            let has_fv = read_u8(r)?;
-            let fv = read_u32(r)?;
-            let tuple = RefRegionTuple {
-                cell: CellId(cell),
-                ref_idx,
-                fv: (has_fv != 0).then_some(VertexId(fv)),
-                fv_no: read_u32(r)?,
-                d_pos: read_u32(r)?,
-                p_total: read_f64(r)?,
-                p_max: read_f64(r)?,
-            };
-            if cell >= n_cells {
-                return Err(StorageError::Corrupt("ref tuple cell out of range"));
-            }
-            if has_fv != 0 && fv >= n_vertices {
-                return Err(StorageError::Corrupt("ref tuple vertex out of range"));
-            }
-            if !tuple.p_total.is_finite() || !tuple.p_max.is_finite() {
-                return Err(StorageError::Corrupt("non-finite probability bound"));
-            }
-            node.ref_tuples.push(tuple);
-        }
-        let n_nrefs = read_u32(r)? as usize;
-        if n_nrefs > (1 << 24) {
-            return Err(StorageError::Corrupt("nref tuple count"));
-        }
-        for _ in 0..n_nrefs {
-            let cell = read_u32(r)?;
-            let nref_idx = read_u32(r)?;
-            let rv = read_u32(r)?;
-            let tuple = NrefRegionTuple {
-                cell: CellId(cell),
-                nref_idx,
-                rv: VertexId(rv),
-                rv_no: read_u32(r)?,
-                ma_pos: read_u32(r)?,
-            };
-            if cell >= n_cells || rv >= n_vertices {
-                return Err(StorageError::Corrupt("nref tuple out of range"));
-            }
-            node.nref_tuples.push(tuple);
-        }
-        stiu.trajs.push(node);
+    let ctx = CtxWidths::new(&net, &cds, stiu.grid.cell_count());
+    let mut src = Source::new(r, version == VERSION_V4, ctx);
+    read_nodes(&mut src, &net, &cds, &mut stiu)?;
+    if version == VERSION_V2 {
+        check_v2_postings(r, &stiu)?;
     }
-    let n_intervals = read_u64(r)? as usize;
-    if n_intervals > (1 << 32) {
-        return Err(StorageError::Corrupt("interval count"));
-    }
-    let mut merged: std::collections::HashMap<i64, Vec<u32>> =
-        std::collections::HashMap::with_capacity(n_intervals.min(1 << 20));
-    for _ in 0..n_intervals {
-        let k = read_i64(r)?;
-        let len = read_u32(r)? as usize;
-        if len > n_nodes {
-            return Err(StorageError::Corrupt("interval posting list too long"));
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            let j = read_u32(r)?;
-            if j as usize >= n_nodes {
-                return Err(StorageError::Corrupt("interval posting out of range"));
-            }
-            v.push(j);
-        }
-        if merged.insert(k, v).is_some() {
-            return Err(StorageError::Corrupt("duplicate interval key"));
+    if net.max_out_degree() > 0 {
+        let expect = crate::compressed::edge_number_width(net.max_out_degree());
+        if expect != cds.w_e {
+            return Err(StorageError::Corrupt("edge width vs embedded network"));
         }
     }
-    // Re-segment per trajectory chunk, matching a live-grown layout.
-    stiu.interval_trajs = crate::chunk::IntervalMap::from_merged(merged, n_nodes);
-    Ok(stiu)
-}
-
-/// Serializes a compressed dataset into a writer (legacy v1 container).
-pub fn save(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u8(w, VERSION_V1)?;
-    write_dataset_body(cds, w)
-}
-
-/// Serializes a self-contained v2 container: network + dataset + index.
-pub fn save_v2(
-    net: &RoadNetwork,
-    cds: &CompressedDataset,
-    stiu: &Stiu,
-    w: &mut impl Write,
-) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u8(w, VERSION_V2)?;
-    net.write_to(w)?;
-    write_dataset_body(cds, w)?;
-    write_stiu(stiu, w)
-}
-
-/// Serializes a sharded v3 container: the shard directory followed by
-/// one length-prefixed, fully self-contained v2 container per shard
-/// (each blob parses standalone with [`load_v2`], so shards can be
-/// extracted, inspected or re-sharded without understanding v3).
-pub fn save_v3(dir: ShardDirectory, shards: &[Vec<u8>], w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u8(w, VERSION_V3)?;
-    write_u8(w, dir.kind)?;
-    write_i64(w, dir.param)?;
-    write_u32(w, shards.len() as u32)?;
-    for blob in shards {
-        write_u64(w, blob.len() as u64)?;
-        w.write_all(blob)?;
-    }
-    Ok(())
-}
-
-/// Deserializes a sharded container into its directory and per-shard v2
-/// container bytes. Accepts a plain v2 container too, returned as a
-/// single shard with no directory — so a sharded reader opens both
-/// transparently. v1 still fails with [`StorageError::LegacyVersion`].
-pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
-    match read_header(r)? {
-        VERSION_V1 => Err(StorageError::LegacyVersion),
-        VERSION_V2 => {
-            // Re-frame the rest of the stream as one standalone shard.
-            let mut blob = Vec::from(*MAGIC);
-            blob.push(VERSION_V2);
-            r.read_to_end(&mut blob)?;
-            Ok((None, vec![blob]))
-        }
-        _ => {
-            let kind = read_u8(r)?;
-            if kind > POLICY_REGION {
-                return Err(StorageError::Corrupt("unknown shard policy kind"));
-            }
-            let param = read_i64(r)?;
-            let n_shards = read_u32(r)? as usize;
-            if n_shards == 0 || n_shards > (1 << 16) {
-                return Err(StorageError::Corrupt("shard count out of range"));
-            }
-            let mut shards = Vec::with_capacity(n_shards);
-            for _ in 0..n_shards {
-                let len = read_u64(r)?;
-                if !(5..=(1u64 << 40)).contains(&len) {
-                    return Err(StorageError::Corrupt("shard blob length out of range"));
-                }
-                // Read through a `take` so the allocation grows with the
-                // bytes that actually arrive — a crafted length field
-                // must not provoke a giant up-front allocation.
-                let mut blob = Vec::new();
-                r.by_ref().take(len).read_to_end(&mut blob)?;
-                if blob.len() as u64 != len {
-                    return Err(StorageError::Corrupt("shard blob truncated"));
-                }
-                // bounds: len >= 5 enforced above, and blob.len() == len
-                if &blob[..4] != MAGIC || blob[4] != VERSION_V2 {
-                    return Err(StorageError::Corrupt("shard blob is not a v2 container"));
-                }
-                shards.push(blob);
-            }
-            Ok((Some(ShardDirectory { kind, param }), shards))
-        }
-    }
-}
-
-/// Reads the magic and version byte.
-fn read_header(r: &mut impl Read) -> Result<u8, StorageError> {
-    let mut magic = [0u8; 5];
-    r.read_exact(&mut magic)?;
-    // bounds: magic is a [u8; 5] filled by read_exact
-    if &magic[..4] != MAGIC {
-        return Err(StorageError::BadHeader);
-    }
-    // bounds: magic is a [u8; 5], index 4 is in range
-    match magic[4] {
-        v @ (VERSION_V1 | VERSION_V2 | VERSION_V3) => Ok(v),
-        _ => Err(StorageError::BadHeader),
-    }
-}
-
-/// Deserializes the compressed dataset from either container version.
-///
-/// For v2 containers the embedded network is parsed (the dataset body
-/// sits after it) but the trailing StIU index is not read at all —
-/// dataset-only consumers (`info`, `verify`) neither pay for it nor
-/// fail on index-section corruption.
-pub fn load(r: &mut impl Read) -> Result<CompressedDataset, StorageError> {
-    match read_header(r)? {
-        VERSION_V1 => read_dataset_body(r),
-        VERSION_V2 => {
-            let _net =
-                RoadNetwork::read_from(r).map_err(|_| StorageError::Corrupt("embedded network"))?;
-            read_dataset_body(r)
-        }
-        _ => Err(StorageError::Sharded),
-    }
-}
-
-/// Deserializes a self-contained v2 container.
-///
-/// Fails with [`StorageError::LegacyVersion`] on v1 containers — those
-/// need the caller to supply the network (`Store::open_v1`).
-pub fn load_v2(r: &mut impl Read) -> Result<(RoadNetwork, CompressedDataset, Stiu), StorageError> {
-    match read_header(r)? {
-        VERSION_V1 => Err(StorageError::LegacyVersion),
-        VERSION_V3 => Err(StorageError::Sharded),
-        _ => {
-            let net =
-                RoadNetwork::read_from(r).map_err(|_| StorageError::Corrupt("embedded network"))?;
-            let cds = read_dataset_body(r)?;
-            let stiu = read_stiu(r, &net)?;
-            if stiu.trajs.len() != cds.trajectories.len() {
-                return Err(StorageError::Corrupt("index/dataset trajectory counts"));
-            }
-            if net.max_out_degree() > 0 {
-                let expect = crate::compressed::edge_number_width(net.max_out_degree());
-                if expect != cds.w_e {
-                    return Err(StorageError::Corrupt("edge width vs embedded network"));
-                }
-            }
-            Ok((net, cds, stiu))
-        }
-    }
+    Ok((net, cds, stiu))
 }
 
 #[cfg(test)]
@@ -673,14 +997,7 @@ mod tests {
     use super::*;
     use crate::compress::compress_dataset;
 
-    fn sample() -> (utcq_network::RoadNetwork, CompressedDataset) {
-        let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 15, 31);
-        let params = CompressParams::with_interval(ds.default_interval);
-        let cds = compress_dataset(&net, &ds, &params).unwrap();
-        (net, cds)
-    }
-
-    fn sample_with_stiu() -> (utcq_network::RoadNetwork, CompressedDataset, Stiu) {
+    fn sample() -> (RoadNetwork, CompressedDataset, Stiu) {
         let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 15, 31);
         let params = CompressParams::with_interval(ds.default_interval);
         let cds = compress_dataset(&net, &ds, &params).unwrap();
@@ -688,17 +1005,33 @@ mod tests {
         (net, cds, stiu)
     }
 
+    fn v1_bytes() -> Vec<u8> {
+        let mut bytes = Vec::new();
+        save(&sample().1, &mut bytes).unwrap();
+        bytes
+    }
+
+    fn v4_bytes() -> Vec<u8> {
+        let (net, cds, stiu) = sample();
+        let mut bytes = Vec::new();
+        let s = save_v4(&net, &cds, &stiu, &mut bytes).unwrap();
+        let counted = s.network + s.payload + s.framing + s.temporal + s.ref_tuples + s.nref_tuples;
+        assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
+        bytes
+    }
+
+    fn v3_bytes(kind: u8, param: i64, shards: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        save_v3(ShardDirectory { kind, param }, shards, &mut bytes).unwrap();
+        bytes
+    }
+
     #[test]
     fn roundtrip_through_bytes() {
-        let (net, cds) = sample();
-        let mut bytes = Vec::new();
-        save(&cds, &mut bytes).unwrap();
-        let loaded = load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded.name, cds.name);
-        assert_eq!(loaded.w_e, cds.w_e);
-        assert_eq!(loaded.compressed, cds.compressed);
-        assert_eq!(loaded.raw, cds.raw);
-        assert_eq!(loaded.trajectories.len(), cds.trajectories.len());
+        let (net, cds, _) = sample();
+        let loaded = load(&mut v1_bytes().as_slice()).unwrap();
+        assert_eq!((&loaded.name, loaded.w_e), (&cds.name, cds.w_e));
+        assert_eq!((loaded.compressed, loaded.raw), (cds.compressed, cds.raw));
         // Decompressing the loaded container matches decompressing the
         // original.
         let a = crate::decompress::decompress_dataset(&net, &cds).unwrap();
@@ -707,231 +1040,147 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_preserves_all_parts() {
-        let (net, cds, stiu) = sample_with_stiu();
-        let mut bytes = Vec::new();
-        save_v2(&net, &cds, &stiu, &mut bytes).unwrap();
-        let (net2, cds2, stiu2) = load_v2(&mut bytes.as_slice()).unwrap();
-        assert_eq!(net2.vertex_count(), net.vertex_count());
-        assert_eq!(net2.edge_count(), net.edge_count());
-        assert_eq!(cds2.compressed, cds.compressed);
-        assert_eq!(cds2.trajectories.len(), cds.trajectories.len());
-        assert_eq!(stiu2.trajs.len(), stiu.trajs.len());
-        assert_eq!(stiu2.interval_trajs.len(), stiu.interval_trajs.len());
-        for (a, b) in stiu.trajs.iter().zip(&stiu2.trajs) {
-            assert_eq!(a.temporal, b.temporal);
-            assert_eq!(a.ref_tuples.len(), b.ref_tuples.len());
-            assert_eq!(a.nref_tuples.len(), b.nref_tuples.len());
-        }
-        // The generic loader also accepts v2, dataset-only.
+    fn v4_roundtrip_preserves_all_parts() {
+        let (net, cds, stiu) = sample();
+        let bytes = v4_bytes();
+        let (net2, cds2, stiu2) = load_full(&mut bytes.as_slice()).unwrap();
+        let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
+        assert_eq!(net2, net);
+        assert_eq!((&cds2.name, cds2.w_e), (&cds.name, cds.w_e));
+        assert_eq!((cds2.compressed, cds2.raw), (cds.compressed, cds.raw));
+        assert_eq!(dbg(&cds2.trajectories), dbg(&cds.trajectories));
+        // The derived bounds included, to the last digit (the derived
+        // postings: `tests/store_roundtrip.rs`).
+        assert_eq!(stiu2.params, stiu.params);
+        assert_eq!(dbg(&stiu2.trajs), dbg(&stiu.trajs));
+        // Writing what was read reproduces the bytes.
+        let mut again = Vec::new();
+        save_v4(&net2, &cds2, &stiu2, &mut again).unwrap();
+        assert_eq!(again, bytes);
+        // The generic loader also accepts v4, dataset-only.
         let just_cds = load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(just_cds.compressed, cds.compressed);
+        assert_eq!(dbg(&just_cds.trajectories), dbg(&cds.trajectories));
     }
 
     #[test]
     fn v1_rejected_by_v2_loader() {
-        let (_, cds) = sample();
-        let mut bytes = Vec::new();
-        save(&cds, &mut bytes).unwrap();
         // A valid v1 file is reported as *legacy*, not as garbage.
         assert!(matches!(
-            load_v2(&mut bytes.as_slice()),
+            load_full(&mut v1_bytes().as_slice()),
             Err(StorageError::LegacyVersion)
         ));
     }
 
     #[test]
     fn dataset_load_survives_index_corruption() {
-        // The StIU section trails the container; load() must not touch
+        // The index section trails the container; load() must not touch
         // it, so damage there cannot block dataset-only consumers.
-        let (net, cds, stiu) = sample_with_stiu();
-        let mut bytes = Vec::new();
-        save_v2(&net, &cds, &stiu, &mut bytes).unwrap();
+        let mut bytes = v4_bytes();
         let tail = bytes.len() - 8;
         bytes[tail..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(
-            load_v2(&mut bytes.as_slice()).is_err(),
+            load_full(&mut bytes.as_slice()).is_err(),
             "index read must fail"
         );
-        let loaded = load(&mut bytes.as_slice()).expect("dataset body is intact");
-        assert_eq!(loaded.compressed, cds.compressed);
-    }
-
-    fn v2_blob() -> Vec<u8> {
-        let (net, cds, stiu) = sample_with_stiu();
-        let mut bytes = Vec::new();
-        save_v2(&net, &cds, &stiu, &mut bytes).unwrap();
-        bytes
+        let loaded = load(&mut bytes.as_slice()).expect("dataset section is intact");
+        assert_eq!(loaded.compressed, sample().1.compressed);
     }
 
     #[test]
     fn v3_roundtrip_preserves_directory_and_blobs() {
-        let blob = v2_blob();
-        let dir = ShardDirectory {
-            kind: POLICY_TIME,
-            param: 3600,
-        };
-        let mut bytes = Vec::new();
-        save_v3(dir, &[blob.clone(), blob.clone()], &mut bytes).unwrap();
-        let (dir2, blobs) = load_v3(&mut bytes.as_slice()).unwrap();
-        assert_eq!(dir2, Some(dir));
-        assert_eq!(blobs.len(), 2);
-        assert_eq!(blobs[0], blob);
-        // Each blob is a standalone v2 container.
-        let (_, cds, _) = load_v2(&mut blobs[1].as_slice()).unwrap();
+        let blob = v4_bytes();
+        let bytes = v3_bytes(POLICY_TIME, 3600, &[blob.clone(), blob.clone()]);
+        let (dir, blobs) = load_v3(&mut bytes.as_slice()).unwrap();
+        let (kind, param) = (POLICY_TIME, 3600);
+        assert_eq!(dir, Some(ShardDirectory { kind, param }));
+        assert_eq!(blobs, [blob.clone(), blob]);
+        // Each blob is a standalone container.
+        let (_, cds, _) = load_full(&mut blobs[1].as_slice()).unwrap();
         assert!(!cds.trajectories.is_empty());
     }
 
     #[test]
     fn v3_reader_accepts_plain_v2_as_single_shard() {
-        let blob = v2_blob();
-        let (dir, blobs) = load_v3(&mut blob.as_slice()).unwrap();
-        assert_eq!(dir, None);
-        assert_eq!(blobs.len(), 1);
-        assert_eq!(blobs[0], blob);
+        // A plain self-contained container of either version.
+        let v2 = include_bytes!("../../../tests/fixtures/tiny_v2.utcq").to_vec();
+        for blob in [v2, v4_bytes()] {
+            let (dir, blobs) = load_v3(&mut blob.as_slice()).unwrap();
+            assert_eq!(dir, None);
+            assert_eq!(blobs, [blob]);
+        }
     }
 
     #[test]
     fn v3_rejected_by_single_store_loaders() {
-        let blob = v2_blob();
-        let mut bytes = Vec::new();
-        save_v3(
-            ShardDirectory {
-                kind: POLICY_REGION,
-                param: 8,
-            },
-            &[blob],
-            &mut bytes,
-        )
-        .unwrap();
+        let bytes = v3_bytes(POLICY_REGION, 8, &[v4_bytes()]);
         assert!(matches!(
             load(&mut bytes.as_slice()),
             Err(StorageError::Sharded)
         ));
         assert!(matches!(
-            load_v2(&mut bytes.as_slice()),
+            load_full(&mut bytes.as_slice()),
             Err(StorageError::Sharded)
         ));
         // And v1 is still legacy, not sharded, through the v3 reader.
-        let (_, cds) = sample();
-        let mut v1 = Vec::new();
-        save(&cds, &mut v1).unwrap();
         assert!(matches!(
-            load_v3(&mut v1.as_slice()),
+            load_v3(&mut v1_bytes().as_slice()),
             Err(StorageError::LegacyVersion)
         ));
     }
 
     #[test]
     fn v3_corruption_is_rejected_not_panicking() {
-        let blob = v2_blob();
-        let mut bytes = Vec::new();
-        save_v3(
-            ShardDirectory {
-                kind: POLICY_TIME,
-                param: 3600,
-            },
-            &[blob],
-            &mut bytes,
-        )
-        .unwrap();
-        // Truncations.
+        let bytes = v3_bytes(POLICY_TIME, 3600, &[v4_bytes()]);
         for cut in [6, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load_v3(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
-        // Bad policy kind.
+        // Bad policy kind, then zero shards.
         let mut bad = bytes.clone();
         bad[5] = 9;
-        assert!(matches!(
-            load_v3(&mut bad.as_slice()),
-            Err(StorageError::Corrupt(_))
-        ));
-        // Zero shards.
-        let mut none = Vec::new();
-        save_v3(
-            ShardDirectory {
-                kind: POLICY_CUSTOM,
-                param: 0,
-            },
-            &[],
-            &mut none,
-        )
-        .unwrap();
-        assert!(matches!(
-            load_v3(&mut none.as_slice()),
-            Err(StorageError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn container_size_tracks_compressed_size() {
-        let (_, cds) = sample();
-        let mut bytes = Vec::new();
-        save(&cds, &mut bytes).unwrap();
-        // The container should be within ~2x of the pure payload bits
-        // (framing adds per-stream lengths).
-        let payload_bytes = cds.compressed.total() / 8;
-        assert!(
-            (bytes.len() as u64) < payload_bytes * 2 + 4096,
-            "container {} vs payload {}",
-            bytes.len(),
-            payload_bytes
-        );
+        for bad in [bad, v3_bytes(POLICY_CUSTOM, 0, &[])] {
+            assert!(matches!(
+                load_v3(&mut bad.as_slice()),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = Vec::new();
-        save(&sample().1, &mut bytes).unwrap();
-        bytes[0] = b'X';
-        assert!(matches!(
-            load(&mut bytes.as_slice()),
-            Err(StorageError::BadHeader)
-        ));
-        // Unknown future version is also a header error.
-        let mut bytes = Vec::new();
-        save(&sample().1, &mut bytes).unwrap();
-        bytes[4] = 9;
-        assert!(matches!(
-            load(&mut bytes.as_slice()),
-            Err(StorageError::BadHeader)
-        ));
+        // A wrong magic and an unknown future version are header errors.
+        for (at, byte) in [(0, b'X'), (4, 9)] {
+            let mut bytes = v1_bytes();
+            bytes[at] = byte;
+            assert!(matches!(
+                load(&mut bytes.as_slice()),
+                Err(StorageError::BadHeader)
+            ));
+        }
     }
 
     #[test]
     fn truncation_rejected() {
-        let mut bytes = Vec::new();
-        save(&sample().1, &mut bytes).unwrap();
+        let bytes = v1_bytes();
         for cut in [bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
-        // Same for the v2 container.
-        let (net, cds, stiu) = sample_with_stiu();
-        let mut bytes = Vec::new();
-        save_v2(&net, &cds, &stiu, &mut bytes).unwrap();
-        for cut in [6, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
-            assert!(load_v2(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
+        let bytes = v4_bytes();
+        for cut in (0..bytes.len()).step_by(5) {
+            assert!(load_full(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
     }
 
     #[test]
     fn bitflips_do_not_panic() {
-        let mut bytes = Vec::new();
-        save(&sample().1, &mut bytes).unwrap();
-        // Flip a sample of bits across the container; load must return
-        // Ok or Err, never panic.
-        for i in (0..bytes.len()).step_by(37) {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x40;
-            let _ = load(&mut corrupt.as_slice());
-        }
-        let (net, cds, stiu) = sample_with_stiu();
-        let mut bytes = Vec::new();
-        save_v2(&net, &cds, &stiu, &mut bytes).unwrap();
-        for i in (0..bytes.len()).step_by(53) {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x40;
-            let _ = load_v2(&mut corrupt.as_slice());
+        // Flip a sample of bits across each container; the loaders must
+        // return Ok or Err, never panic.
+        for (bytes, step) in [(v1_bytes(), 37), (v4_bytes(), 11)] {
+            for i in (0..bytes.len()).step_by(step) {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 1 << (i % 8);
+                let _ = load(&mut corrupt.as_slice());
+                let _ = load_full(&mut corrupt.as_slice());
+            }
         }
     }
 }

@@ -119,3 +119,30 @@ fn exp_golomb_rejects_pathological_prefixes() {
     let mut r = ones.reader();
     assert!(golomb::decode_deviation(&mut r).is_err());
 }
+
+#[test]
+fn crafted_temporal_span_is_rejected_at_open() {
+    // The interval postings are rebuilt at open from each node's first
+    // and last temporal tuple. Two tuples 2^40 s apart would register
+    // one node under ~10^9 partitions: the reader must refuse, not
+    // allocate.
+    use utcq_core::chunk::ChunkedVec;
+    use utcq_core::stiu::{self, StiuParams, TrajIndex};
+    use utcq_core::storage::{self, StorageError};
+    let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 5, 31);
+    let params = utcq_core::CompressParams::with_interval(ds.default_interval);
+    let cds = utcq_core::compress_dataset(&net, &ds, &params).unwrap();
+    let mut index = stiu::build(&net, &ds, &cds, StiuParams::default());
+    let mut nodes: Vec<TrajIndex> = index.trajs.iter().cloned().collect();
+    nodes[0].temporal.truncate(1);
+    let mut far = nodes[0].temporal[0];
+    far.start += 1 << 40;
+    nodes[0].temporal.push(far);
+    index.trajs = ChunkedVec::from_vec(nodes);
+    let mut bytes = Vec::new();
+    storage::save_v4(&net, &cds, &index, &mut bytes).unwrap();
+    assert!(matches!(
+        storage::load_full(&mut bytes.as_slice()),
+        Err(StorageError::Corrupt("temporal span too long"))
+    ));
+}

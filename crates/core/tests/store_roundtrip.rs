@@ -1,7 +1,11 @@
 //! Persistence and ingest-equivalence properties of the [`Store`] façade:
 //!
-//! * a store saved to a v2 container and reopened answers every query
+//! * a store saved to a container and reopened answers every query
 //!   type identically (randomized over seeds);
+//! * a reopened store holds the built index field for field — also the
+//!   parts the container does not store and the reader derives — and
+//!   saves back to the same bytes, for every profile and store shape;
+//! * the container is smaller than half the raw data;
 //! * a legacy v1 container still opens through the compatibility path
 //!   and answers identically;
 //! * two-batch incremental ingest is equivalent to single-batch ingest —
@@ -16,7 +20,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use utcq_core::query::{PageRequest, QueryTarget};
-use utcq_core::{CompressParams, Error, StiuParams, Store, StoreBuilder};
+use utcq_core::shard::{ByTime, ShardedStore};
+use utcq_core::{CompressParams, Error, LiveStore, Snapshot, StiuParams, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::Dataset;
 
@@ -253,4 +258,122 @@ fn ingest_order_does_not_change_answers() {
         .unwrap();
     let mut rng = StdRng::seed_from_u64(3);
     assert_equal_answers(&ab, &ba, &ds, &mut rng);
+}
+
+/// Asserts that `reopened` holds exactly the index and accounting of
+/// `built`: every node field for field (the probability bounds by bit
+/// pattern), every interval's postings, the ratios.
+fn assert_same_index(built: &[Arc<Snapshot>], reopened: &[Arc<Snapshot>], what: &str) {
+    assert_eq!(built.len(), reopened.len(), "{what}: partitions");
+    for (a, b) in built.iter().zip(reopened) {
+        assert_eq!(a.ratios(), b.ratios(), "{what}: ratios");
+        let (a, b) = (a.stiu(), b.stiu());
+        assert_eq!(a.params, b.params, "{what}");
+        assert_eq!(a.trajs.len(), b.trajs.len(), "{what}: nodes");
+        for (j, (x, y)) in a.trajs.iter().zip(&b.trajs).enumerate() {
+            assert_eq!(x.temporal, y.temporal, "{what}: node {j}");
+            let refs = |n: &utcq_core::stiu::TrajIndex| -> Vec<_> {
+                let bits = |t: &utcq_core::stiu::RefRegionTuple| {
+                    let ints = (t.cell, t.ref_idx, t.fv, t.fv_no, t.d_pos);
+                    (ints, t.p_total.to_bits(), t.p_max.to_bits())
+                };
+                n.ref_tuples.iter().map(bits).collect()
+            };
+            assert_eq!(refs(x), refs(y), "{what}: node {j} ref tuples");
+            let nrefs = |n: &utcq_core::stiu::TrajIndex| -> Vec<_> {
+                let fields = |t: &utcq_core::stiu::NrefRegionTuple| {
+                    (t.cell, t.nref_idx, t.rv, t.rv_no, t.ma_pos)
+                };
+                n.nref_tuples.iter().map(fields).collect()
+            };
+            assert_eq!(nrefs(x), nrefs(y), "{what}: node {j} nref tuples");
+        }
+        let keys = a.interval_trajs.sorted_keys();
+        assert_eq!(keys, b.interval_trajs.sorted_keys(), "{what}: intervals");
+        for k in keys {
+            let (pa, pb) = (a.interval_trajs.postings(k), b.interval_trajs.postings(k));
+            assert_eq!(pa, pb, "{what}: interval {k}");
+        }
+    }
+}
+
+#[test]
+fn reopened_index_equals_built_index_and_rewrites_identically() {
+    // open(write(s)) == s down to the derived fields, and
+    // write(open(write(s))) == write(s), for every profile and for the
+    // three ways a store comes to be: built offline, grown live across a
+    // chunk boundary (1,000 built + 3 x 20 ingested straddles
+    // CHUNK = 1,024), and sharded.
+    let mut profiles = utcq_datagen::profile::all();
+    profiles.push(utcq_datagen::profile::tiny());
+    for (i, profile) in profiles.iter().enumerate() {
+        let (net, ds) = utcq_datagen::generate(profile, 1_060, 40 + i as u64);
+        let net = Arc::new(net);
+        let params = CompressParams::with_interval(ds.default_interval);
+        let slice = |range: std::ops::Range<usize>| Dataset {
+            trajectories: ds.trajectories[range].to_vec(),
+            ..ds.clone()
+        };
+
+        let offline = Store::build(
+            Arc::clone(&net),
+            &slice(0..150),
+            params,
+            StiuParams::default(),
+        );
+        let live = Store::build(
+            Arc::clone(&net),
+            &slice(0..1_000),
+            params,
+            StiuParams::default(),
+        );
+        let (offline, live) = (offline.unwrap(), live.unwrap());
+        for at in [1_000, 1_020, 1_040] {
+            live.ingest(&slice(at..at + 20)).unwrap();
+        }
+        for (shape, store) in [("offline", &offline), ("live-grown", &live)] {
+            let what = format!("{} {shape}", profile.name);
+            let mut bytes = Vec::new();
+            store.write(&mut bytes).unwrap();
+            let reopened = Store::read(&mut bytes.as_slice()).unwrap();
+            assert_same_index(&store.snapshots(), &reopened.snapshots(), &what);
+            let mut again = Vec::new();
+            reopened.write(&mut again).unwrap();
+            assert!(again == bytes, "{what}: rewrite differs");
+        }
+
+        let what = format!("{} 3-shard", profile.name);
+        let sharded = StoreBuilder::new(Arc::clone(&net), params)
+            .shard_by(Arc::new(ByTime { interval_s: 1_800 }), 3)
+            .unwrap()
+            .ingest(&slice(0..200))
+            .unwrap()
+            .finish()
+            .unwrap();
+        let mut bytes = Vec::new();
+        sharded.write(&mut bytes).unwrap();
+        let reopened = ShardedStore::read(&mut bytes.as_slice()).unwrap();
+        assert_same_index(&sharded.snapshots(), &reopened.snapshots(), &what);
+        let mut again = Vec::new();
+        reopened.write(&mut again).unwrap();
+        assert!(again == bytes, "{what}: rewrite differs");
+    }
+}
+
+#[test]
+fn container_is_smaller_than_half_the_raw_data() {
+    // The point of the system: at 2,000 Chengdu-like trajectories (the
+    // embedded network included) the container is below half the raw
+    // size by the paper's accounting; it was 1.1x before bit-packing.
+    let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::cd(), 2_000, 7);
+    let params = CompressParams::with_interval(ds.default_interval);
+    let store = Store::build(Arc::new(net), &ds, params, StiuParams::default()).unwrap();
+    let mut bytes = Vec::new();
+    store.write(&mut bytes).unwrap();
+    let raw_bytes = store.snapshot().compressed().raw.total() / 8;
+    assert!(
+        (bytes.len() as u64) * 2 < raw_bytes,
+        "container {} B vs raw {raw_bytes} B",
+        bytes.len()
+    );
 }

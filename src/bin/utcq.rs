@@ -1,6 +1,6 @@
 //! `utcq` — command-line front end for the UTCQ reproduction.
 //!
-//! `compress` writes a **self-contained v2 container** (road network +
+//! `compress` writes a **self-contained v4 container** (road network +
 //! compressed dataset + StIU index) — or, with `--shards N`, a
 //! **sharded v3 container** whose partitions are routed by `--shard-by
 //! time|region`. `info`, `verify` and `query` operate on the file alone
@@ -57,7 +57,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use utcq::core::opened::InfoReport;
+use utcq::core::opened::{render_sections, InfoReport};
 use utcq::core::params::CompressParams;
 use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{Server, DEFAULT_THREADS};
@@ -220,13 +220,13 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         print_ratio(store.len(), store.ratios(), t0.elapsed());
         store.save(&out).map_err(|e| e.to_string())?;
-        println!("wrote {out} (self-contained v2 container)");
+        println!("wrote {out} (self-contained v4 container)");
     }
     Ok(())
 }
 
 /// Opens a container as a queryable store through the
-/// [`utcq::core::Opened`] facade: v2 directly, v3 through the sharded
+/// [`utcq::core::Opened`] facade: v4 and v2 directly, v3 through the sharded
 /// facade, v1 through the compatibility path using the regenerated
 /// network. Only the network is regenerated — not the trajectories,
 /// which live in the container.
@@ -251,36 +251,46 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     // Through the facade for self-contained containers; dataset-only
     // fallback for legacy v1 files, which `info` can describe without a
     // network (no profile/seed flags needed).
-    let report = match Opened::open(&path) {
-        Ok(opened) => opened.info(),
+    match Opened::open(&path) {
+        Ok(opened) => {
+            let sections = render_sections(&opened.snapshots()).map_err(|e| e.to_string())?;
+            print!("{}{sections}", opened.info().render());
+        }
         Err(utcq::core::Error::NeedsNetwork) => {
             let f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
             let cds = storage::load(&mut BufReader::new(f)).map_err(|e| e.to_string())?;
-            InfoReport::from_dataset(&cds)
+            print!("{}", InfoReport::from_dataset(&cds).render());
         }
         Err(e) => return Err(format!("{path}: {e}")),
-    };
-    print!("{}", report.render());
+    }
     Ok(())
 }
 
 fn cmd_verify(args: &Args) -> Result<(), String> {
-    let (_, net, ds) = build_dataset(args)?;
-    let path = args.get("in", "data.utcq");
-    let f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-    let cds = storage::load(&mut BufReader::new(f)).map_err(|e| e.to_string())?;
-    if cds.trajectories.len() != ds.trajectories.len() {
-        return Err("container does not match the regenerated dataset".into());
+    let (_, _, ds) = build_dataset(args)?;
+    let opened = open_store(args)?;
+    let mismatch = "container does not match the regenerated dataset";
+    if opened.len() != ds.trajectories.len() {
+        return Err(mismatch.into());
     }
-    let back = utcq::core::decompress_dataset(&net, &cds).map_err(|e| e.to_string())?;
-    for (a, b) in ds.trajectories.iter().zip(&back.trajectories) {
-        utcq::core::decompress::check_lossy_roundtrip(a, b, cds.params.eta_d, cds.params.eta_p)?;
+    // Shard order is not dataset order: match trajectories by id.
+    let want: HashMap<u64, _> = ds.trajectories.iter().map(|tu| (tu.id, tu)).collect();
+    let mut bounds = (0.0, 0.0);
+    for snap in opened.snapshots() {
+        let cds = snap.compressed();
+        bounds = (cds.params.eta_d, cds.params.eta_p);
+        let back =
+            utcq::core::decompress_dataset(snap.network(), cds).map_err(|e| e.to_string())?;
+        for b in &back.trajectories {
+            let a = want.get(&b.id).ok_or(mismatch)?;
+            utcq::core::decompress::check_lossy_roundtrip(a, b, bounds.0, bounds.1)?;
+        }
     }
     println!(
         "verified: {} trajectories decompress within ηD = {}, ηp = {}",
         ds.trajectories.len(),
-        cds.params.eta_d,
-        cds.params.eta_p
+        bounds.0,
+        bounds.1
     );
     Ok(())
 }

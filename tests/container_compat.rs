@@ -1,21 +1,27 @@
 //! Cross-version container compatibility against **checked-in fixture
-//! files** under `tests/fixtures/`.
-//!
-//! The fixtures were written by the `regen_fixtures` test below (run it
-//! with `cargo test --test container_compat -- --ignored regen` after an
-//! *intentional* format change, and update the goldens) and must keep
-//! opening — and answering identically — forever:
+//! files** under `tests/fixtures/`. They must keep opening, and
+//! answering identically, forever:
 //!
 //! * `tiny_v1.utcq` — legacy dataset-only container (needs a network
 //!   supplied out of band; the test borrows the one embedded in the v2
 //!   fixture, so no generator coupling);
-//! * `tiny_v2.utcq` — self-contained single-store container;
-//! * `tiny_v3.utcq` — sharded container, 3 `ByTime` shards.
+//! * `tiny_v2.utcq` — self-contained single-store container in the
+//!   fixed-width framing no writer emits any more;
+//! * `tiny_v3.utcq` — sharded container, 3 `ByTime` shards, each a v2
+//!   blob;
+//! * `tiny_v4.utcq`, `tiny_v3_packed.utcq` — the same two shapes as
+//!   every store writes them now (bit-packed v4 body).
 //!
-//! All three hold the same 10-trajectory dataset, so the strongest
-//! check is mutual: every version must answer every probe identically.
-//! A few hardcoded goldens pin the answers absolutely, so "all three
-//! agree but all three are wrong" cannot slip through.
+//! The first three are frozen: nothing can write those bytes again. The
+//! last two are what the `regen_fixtures` test below writes into
+//! `target/tmp` (`cargo test --test container_compat -- --ignored
+//! regen`); copy them over after an *intentional* format change. CI
+//! compares the regenerated pair with the checked-in one.
+//!
+//! All five hold the same 10-trajectory dataset, so the strongest check
+//! is mutual: every version must answer every probe identically. A few
+//! hardcoded goldens pin the answers absolutely, so "all agree but all
+//! are wrong" cannot slip through.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -42,26 +48,36 @@ fn fixture_dataset() -> (utcq::network::RoadNetwork, utcq::traj::Dataset) {
     utcq::datagen::generate(&utcq::datagen::profile::tiny(), TRAJS, SEED)
 }
 
-/// Opens all three fixtures. The v1 fixture has no embedded network, so
+/// Opens all five fixtures. The v1 fixture has no embedded network, so
 /// it reuses the v2 fixture's — the dataset is identical by
 /// construction.
-fn open_fixtures() -> (Store, Store, ShardedStore) {
-    let v2 = Store::open(fixture_path("tiny_v2.utcq")).expect("v2 fixture opens");
+fn open_fixtures() -> ([Store; 3], [ShardedStore; 2]) {
+    let open = |name: &str| Store::open(fixture_path(name)).expect(name);
+    let sharded = |name: &str| ShardedStore::open(fixture_path(name)).expect(name);
+    let v2 = open("tiny_v2.utcq");
     let v1 = Store::open_v1(fixture_path("tiny_v1.utcq"), Arc::clone(v2.network()), STIU)
         .expect("v1 fixture opens");
-    let v3 = ShardedStore::open(fixture_path("tiny_v3.utcq")).expect("v3 fixture opens");
-    (v1, v2, v3)
+    (
+        [v1, v2, open("tiny_v4.utcq")],
+        [sharded("tiny_v3.utcq"), sharded("tiny_v3_packed.utcq")],
+    )
 }
 
 #[test]
 fn all_versions_open_and_agree() {
-    let (v1, v2, v3) = open_fixtures();
-    assert_eq!(v1.len(), TRAJS);
-    assert_eq!(v2.len(), TRAJS);
-    assert_eq!(v3.len(), TRAJS);
-    assert_eq!(v3.shard_count(), 3);
+    let ([v1, v2, v4], [v3, v3_packed]) = open_fixtures();
+    assert_eq!((v3.shard_count(), v3_packed.shard_count()), (3, 3));
+    let targets: Vec<(&str, &dyn QueryTarget)> = vec![
+        ("v1", &v1),
+        ("v2", &v2),
+        ("v4", &v4),
+        ("v3", &v3),
+        ("v3 packed", &v3_packed),
+    ];
+    for (name, t) in &targets {
+        assert_eq!(t.len(), TRAJS, "{name}");
+    }
 
-    let targets: Vec<(&str, &dyn QueryTarget)> = vec![("v1", &v1), ("v2", &v2), ("v3", &v3)];
     let bounds = v2.network().bounding_rect();
     // Probe every trajectory: ids and time spans come from the container
     // itself (decoded times), not from regenerating the dataset.
@@ -96,10 +112,63 @@ fn all_versions_open_and_agree() {
 }
 
 #[test]
+fn derived_bounds_equal_the_stored_ones() {
+    // `tiny_v2.utcq` stores `p_total` / `p_max` as the index builder of
+    // its day computed them; v4 does not store them and the reader
+    // derives them. Same bits, or Lemma 1's filter changed.
+    let ([_, v2, v4], _) = open_fixtures();
+    let bounds = |s: &Store| -> Vec<(u64, u64)> {
+        let nodes = s
+            .snapshot()
+            .stiu()
+            .trajs
+            .iter()
+            .cloned()
+            .collect::<Vec<_>>();
+        let tuples = nodes.iter().flat_map(|n| &n.ref_tuples);
+        tuples
+            .map(|t| (t.p_total.to_bits(), t.p_max.to_bits()))
+            .collect()
+    };
+    assert!(!bounds(&v2).is_empty());
+    assert_eq!(bounds(&v2), bounds(&v4));
+}
+
+#[test]
+fn saving_an_old_container_writes_the_current_format() {
+    // The upgrade every checkpoint now performs: a store opened from the
+    // fixed-width framing saves as exactly the bit-packed fixture, the
+    // derived index parts included (they are recomputed at each open).
+    let read = |name: &str| std::fs::read(fixture_path(name)).expect(name);
+    let ([_, v2, v4], [v3, v3_packed]) = open_fixtures();
+    for (name, store) in [("v2", &v2), ("v4", &v4)] {
+        let mut bytes = Vec::new();
+        store.write(&mut bytes).unwrap();
+        assert!(
+            bytes == read("tiny_v4.utcq"),
+            "{name} saved != tiny_v4.utcq"
+        );
+    }
+    for (name, store) in [("v3", &v3), ("v3 packed", &v3_packed)] {
+        let mut bytes = Vec::new();
+        store.write(&mut bytes).unwrap();
+        assert!(
+            bytes == read("tiny_v3_packed.utcq"),
+            "{name} saved != tiny_v3_packed.utcq"
+        );
+    }
+    // Old single-store bytes are 2.5x the new ones even at ten
+    // trajectories, where the embedded network dominates.
+    assert!(read("tiny_v4.utcq").len() * 2 < read("tiny_v2.utcq").len());
+}
+
+#[test]
 fn goldens_pin_fixture_answers() {
-    let (_, v2, v3) = open_fixtures();
-    // Golden values recorded when the fixtures were generated (see
-    // `regen_fixtures`); they pin the absolute answers.
+    let ([_, _, v4], [_, v3]) = open_fixtures();
+    // Golden values recorded when the first fixtures were generated;
+    // they pin the absolute answers, here of the current-format pair
+    // (`all_versions_open_and_agree` ties the older ones to them).
+    let v2 = v4;
     let ids: Vec<u64> = v2
         .snapshot()
         .compressed()
@@ -151,23 +220,19 @@ fn golden_answers() -> Golden {
     }
 }
 
-/// Regenerates the fixture files and prints fresh golden values.
-/// Deliberately `#[ignore]`d: fixtures must only change when the format
-/// intentionally does.
+/// Regenerates the two current-format fixtures into `target/tmp` and
+/// prints fresh golden values. The three older fixtures cannot be
+/// regenerated: no writer emits their bytes any more.
 #[test]
-#[ignore = "writes tests/fixtures; run after intentional format changes"]
+#[ignore = "writes target/tmp/tiny_*.utcq; copy to tests/fixtures after intentional format changes"]
 fn regen_fixtures() {
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let (net, ds) = fixture_dataset();
-    std::fs::create_dir_all(fixture_path("")).unwrap();
     let net = Arc::new(net);
     let params = utcq::core::CompressParams::with_interval(ds.default_interval);
 
     let single = Store::build(Arc::clone(&net), &ds, params, STIU).unwrap();
-    single.save(fixture_path("tiny_v2.utcq")).unwrap();
-    // v1: the legacy dataset-only framing of the same compressed form.
-    let mut v1 = Vec::new();
-    utcq::core::storage::save(single.snapshot().compressed(), &mut v1).unwrap();
-    std::fs::write(fixture_path("tiny_v1.utcq"), v1).unwrap();
+    single.save(out.join("tiny_v4.utcq")).unwrap();
 
     let sharded = StoreBuilder::new(Arc::clone(&net), params)
         .stiu_params(STIU)
@@ -177,7 +242,11 @@ fn regen_fixtures() {
         .unwrap()
         .finish()
         .unwrap();
-    sharded.save(fixture_path("tiny_v3.utcq")).unwrap();
+    sharded.save(out.join("tiny_v3_packed.utcq")).unwrap();
+    println!(
+        "wrote tiny_v4.utcq and tiny_v3_packed.utcq into {}",
+        out.display()
+    );
 
     let times0 = single.decode_times(0).unwrap();
     let mid0 = (times0[0] + times0.last().unwrap()) / 2;

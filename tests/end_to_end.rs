@@ -138,3 +138,35 @@ fn compression_is_deterministic() {
         assert_eq!(x.nrefs.len(), y.nrefs.len());
     }
 }
+
+#[test]
+fn cli_verify_checks_single_and_sharded_containers() {
+    // `utcq verify` must accept whatever `utcq compress` wrote: a single
+    // store, and a sharded one (whose shard order is not dataset order).
+    let utcq = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_utcq"))
+            .args(args)
+            .output()
+            .expect("utcq runs");
+        let text = String::from_utf8_lossy(&out.stdout).into_owned()
+            + &String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "utcq {args:?}: {text}");
+        text
+    };
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let dataset = ["--profile", "tiny", "--trajs", "40", "--seed", "3"];
+    for shards in [&[][..], &["--shards", "3"]] {
+        let path = dir.join(format!("verify-{}.utcq", shards.len()));
+        let path = path.to_str().unwrap();
+        utcq(&[&["compress", "--out", path], &dataset[..], shards].concat());
+        let said = utcq(&[&["verify", "--in", path], &dataset[..]].concat());
+        assert!(said.contains("verified: 40 trajectories"), "{said}");
+        // A different dataset is told apart, not waved through.
+        let other = std::process::Command::new(env!("CARGO_BIN_EXE_utcq"))
+            .args(["verify", "--in", path, "--profile", "tiny"])
+            .args(["--trajs", "40", "--seed", "4"])
+            .output()
+            .unwrap();
+        assert!(!other.status.success(), "verify accepted the wrong dataset");
+    }
+}
