@@ -49,6 +49,7 @@ pub const HOT_FILES: &[&str] = &[
     "live.rs",
     "wal.rs",
     "chunk.rs",
+    "segment.rs",
 ];
 
 const PANIC_TOKENS: &[&str] = &[

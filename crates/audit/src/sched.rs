@@ -942,8 +942,8 @@ pub fn wal_publish_order_broken() -> Scenario {
 
 // -- Chunk-directory publication order --------------------------------
 
-/// A 1:1 mock of the chunked snapshot publish path
-/// (`utcq_core::chunk::ChunkedVec` behind the epoch `Swap`): the writer
+/// A 1:1 mock of the segmented snapshot publish path
+/// (`utcq_core::segment::Segments` behind the epoch `Swap`): the writer
 /// fills the tail chunk's storage and THEN publishes a directory that
 /// claims the new length (`fill_first = true`, the real ordering — the
 /// next epoch's directory only becomes reachable via `Swap::store`

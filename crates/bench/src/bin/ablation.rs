@@ -187,7 +187,11 @@ fn index_vs_full_decompression() {
                 let j = idx_of[&q.traj_id];
                 let tu = utcq_core::decompress_trajectory(
                     &built.net,
-                    &snap.compressed().trajectories[j],
+                    &snap
+                        .compressed()
+                        .trajectories
+                        .get(j)
+                        .expect("indexed above"),
                     snap.compressed().w_e,
                     &params,
                 )

@@ -118,11 +118,12 @@ impl BitWriter {
         }
     }
 
-    /// Appends every bit of another buffer.
-    pub fn extend_from(&mut self, other: &BitBuf) {
+    /// Appends every bit of another buffer (or borrowed stream).
+    pub fn extend_from<'a>(&mut self, other: impl Into<BitSlice<'a>>) {
+        let other: BitSlice<'a> = other.into();
         let used = self.len % 8;
         if used == 0 {
-            self.buf.extend_from_slice(&other.bytes);
+            self.buf.extend_from_slice(other.bytes);
         } else if let Some(mut last) = self.buf.len().checked_sub(1) {
             // Each source byte straddles two destination bytes; the
             // source's padding bits are zero, so nothing stray lands.
@@ -174,22 +175,10 @@ impl BitBuf {
         &self.bytes
     }
 
-    /// Rebuilds a buffer from packed bytes and an exact bit length.
-    ///
-    /// Returns `None` when `len` disagrees with the byte count or padding
-    /// bits are set (both indicate corruption).
+    /// Rebuilds a buffer from packed bytes and an exact bit length;
+    /// `None` under the conditions of [`BitSlice::from_bytes`].
     pub fn from_bytes(bytes: Vec<u8>, len: usize) -> Option<Self> {
-        if bytes.len() != len.div_ceil(8) {
-            return None;
-        }
-        if !len.is_multiple_of(8) {
-            let pad_mask = 0xFFu8 >> (len % 8);
-            if let Some(&last) = bytes.last() {
-                if last & pad_mask != 0 {
-                    return None;
-                }
-            }
-        }
+        BitSlice::from_bytes(&bytes, len)?;
         Some(Self {
             bytes: bytes.into_boxed_slice(),
             len,
@@ -214,6 +203,88 @@ impl BitBuf {
         self.bytes.len()
     }
 
+    /// The same bits, borrowed.
+    #[inline]
+    pub fn as_slice(&self) -> BitSlice<'_> {
+        BitSlice {
+            bytes: &self.bytes,
+            len: self.len,
+        }
+    }
+
+    /// Random access to bit `pos`. Panics if out of bounds.
+    #[inline]
+    pub fn get(&self, pos: usize) -> bool {
+        self.as_slice().get(pos)
+    }
+
+    /// A reader positioned at bit 0.
+    pub fn reader(&self) -> BitReader<'_> {
+        self.as_slice().reader()
+    }
+
+    /// A reader positioned at an arbitrary bit (a persisted stream pointer).
+    pub fn reader_at(&self, pos: usize) -> BitReader<'_> {
+        self.as_slice().reader_at(pos)
+    }
+
+    /// Materializes the stream as bools (test convenience).
+    pub fn to_bits(&self) -> Vec<bool> {
+        self.as_slice().to_bits()
+    }
+}
+
+/// A borrowed bit stream: packed bytes that start on a byte boundary
+/// (MSB-first, the final byte zero-padded) and an exact bit length.
+/// What a [`BitBuf`] lends out, and what a table that keeps many streams
+/// in one byte arena hands to the decoders without copying.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BitSlice<'a> {
+    bytes: &'a [u8],
+    len: usize,
+}
+
+impl<'a> From<&'a BitBuf> for BitSlice<'a> {
+    fn from(buf: &'a BitBuf) -> Self {
+        buf.as_slice()
+    }
+}
+
+impl<'a> BitSlice<'a> {
+    /// Borrows `len` bits from packed bytes. Returns `None` when `len`
+    /// disagrees with the byte count or padding bits are set (both
+    /// indicate corruption).
+    pub fn from_bytes(bytes: &'a [u8], len: usize) -> Option<Self> {
+        if bytes.len() != len.div_ceil(8) {
+            return None;
+        }
+        if !len.is_multiple_of(8) {
+            let pad_mask = 0xFFu8 >> (len % 8);
+            if bytes.last().is_some_and(|last| last & pad_mask != 0) {
+                return None;
+            }
+        }
+        Some(Self { bytes, len })
+    }
+
+    /// The packed backing bytes (see [`BitBuf::as_bytes`]).
+    #[inline]
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Length in bits.
+    #[inline]
+    pub fn len_bits(&self) -> usize {
+        self.len
+    }
+
+    /// True if the stream holds no bits.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     /// Random access to bit `pos`. Panics if out of bounds.
     #[inline]
     pub fn get(&self, pos: usize) -> bool {
@@ -222,13 +293,13 @@ impl BitBuf {
     }
 
     /// A reader positioned at bit 0.
-    pub fn reader(&self) -> BitReader<'_> {
-        BitReader { buf: self, pos: 0 }
+    pub fn reader(&self) -> BitReader<'a> {
+        self.reader_at(0)
     }
 
     /// A reader positioned at an arbitrary bit (a persisted stream pointer).
-    pub fn reader_at(&self, pos: usize) -> BitReader<'_> {
-        BitReader { buf: self, pos }
+    pub fn reader_at(&self, pos: usize) -> BitReader<'a> {
+        BitReader { buf: *self, pos }
     }
 
     /// Materializes the stream as bools (test convenience).
@@ -237,10 +308,10 @@ impl BitBuf {
     }
 }
 
-/// Sequential reader over a [`BitBuf`], seekable to any bit position.
+/// Sequential reader over a bit stream, seekable to any bit position.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
-    buf: &'a BitBuf,
+    buf: BitSlice<'a>,
     pos: usize,
 }
 
@@ -280,6 +351,18 @@ impl<'a> BitReader<'a> {
     /// Reads the next `len` bits as a buffer of their own — the inverse
     /// of [`BitWriter::extend_from`].
     pub fn read_buf(&mut self, len: usize) -> Result<BitBuf, CodecError> {
+        let mut bytes = Vec::new();
+        self.read_into(len, &mut bytes)?;
+        Ok(BitBuf {
+            bytes: bytes.into_boxed_slice(),
+            len,
+        })
+    }
+
+    /// Appends the next `len` bits to `out` as a stream of their own:
+    /// starting on a byte boundary of `out`, the final byte zero-padded
+    /// (the layout [`BitSlice::from_bytes`] borrows).
+    pub fn read_into(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
         if self.remaining() < len {
             return Err(CodecError::UnexpectedEnd {
                 pos: self.pos,
@@ -288,22 +371,22 @@ impl<'a> BitReader<'a> {
         }
         let skip = self.pos % 8;
         let src = &self.buf.bytes[self.pos / 8..];
-        let mut bytes: Vec<u8> = src[..len.div_ceil(8)].iter().map(|b| b << skip).collect();
-        if skip > 0 {
-            for (b, next) in bytes.iter_mut().zip(&src[1..]) {
+        let at = out.len();
+        if skip == 0 {
+            out.extend_from_slice(&src[..len.div_ceil(8)]);
+        } else {
+            out.extend(src[..len.div_ceil(8)].iter().map(|b| b << skip));
+            for (b, next) in out[at..].iter_mut().zip(&src[1..]) {
                 *b |= next >> (8 - skip);
             }
         }
         if !len.is_multiple_of(8) {
-            if let Some(last) = bytes.last_mut() {
+            if let Some(last) = out.last_mut() {
                 *last &= 0xFF << (8 - len % 8);
             }
         }
         self.pos += len;
-        Ok(BitBuf {
-            bytes: bytes.into_boxed_slice(),
-            len,
-        })
+        Ok(())
     }
 
     /// Reads `width` bits MSB-first into the low bits of a `u64`.

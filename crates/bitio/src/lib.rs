@@ -3,7 +3,7 @@
 //! This crate provides the low-level encoding substrate that both the UTCQ
 //! framework (`utcq-core`) and the TED baseline (`utcq-ted`) are built on:
 //!
-//! * [`BitWriter`] / [`BitReader`] / [`BitBuf`] — MSB-first bit streams with
+//! * [`BitWriter`] / [`BitReader`] / [`BitBuf`] / [`BitSlice`] — MSB-first bit streams with
 //!   random access, so indexes can store *bit positions* into compressed
 //!   streams and decompression can start mid-stream (the paper's `t.pos`,
 //!   `d.pos`, and `ma.pos` pointers).
@@ -29,7 +29,7 @@ pub mod huffman;
 pub mod pddp;
 pub mod wah;
 
-pub use buf::{BitBuf, BitReader, BitWriter};
+pub use buf::{BitBuf, BitReader, BitSlice, BitWriter};
 pub use error::CodecError;
 
 /// Number of bits needed to represent every value in `0..=max`.

@@ -610,8 +610,8 @@ fn value_bytes(v: &Value) -> usize {
         + match v {
             Value::Ref(r) => r.heap_bytes(),
             Value::Instance(i) => {
-                i.path.len() * std::mem::size_of::<utcq_network::EdgeId>()
-                    + i.positions.len() * std::mem::size_of::<utcq_traj::PathPosition>()
+                i.path.capacity() * std::mem::size_of::<utcq_network::EdgeId>()
+                    + i.positions.capacity() * std::mem::size_of::<utcq_traj::PathPosition>()
             }
             Value::Times(t) => t.len() * std::mem::size_of::<i64>(),
             Value::RangeIds(ids) => ids.len() * std::mem::size_of::<u64>(),

@@ -1,199 +1,52 @@
-//! Structurally shared containers for O(batch) snapshot publication.
+//! The two lookup maps of a snapshot, structurally shared for O(batch)
+//! publication.
 //!
 //! A live ingest publishes a new epoch by cloning the current
 //! snapshot's state, appending the batch, and swapping the result in
-//! (`PartitionState::from_snapshot` in `snapshot.rs`). With plain
-//! `Vec`/`HashMap` state, that clone is O(store): every compressed
-//! trajectory, query plan, index node and posting list is copied per
-//! batch, so publish latency grows with store size. The containers in
-//! this module make the clone O(batch) instead:
+//! (`PartitionState::from_snapshot` in `snapshot.rs`). The trajectories
+//! and their index nodes live in [`crate::segment`]; beside them a
+//! snapshot keeps two maps, segmented the same way:
 //!
-//! * [`ChunkedVec`] — an append-only vector split into fixed-size
-//!   chunks, each behind an `Arc`. Cloning copies only the chunk
-//!   *directory* (one pointer per [`CHUNK`] elements); sealed chunks are
-//!   shared by pointer across epochs forever. Appending to a shared tail
-//!   chunk copies just that tail (≤ `CHUNK - 1` elements) once per
-//!   publish — the copy-on-write event.
 //! * [`SharedIdMap`] — the `id → position` map as sealed map segments
-//!   (one per chunk of trajectories) plus a copy-on-write tail segment.
-//! * [`IntervalMap`] — the StIU's `interval → postings` map, segmented
-//!   the same way: a batch extends the tail segment without rewriting
-//!   the postings of previously sealed chunks, even for hot intervals.
+//!   (one per [`CHUNK`] trajectories) plus a copy-on-write tail segment.
+//! * [`IntervalMap`] — the StIU's `interval → postings` map: a batch
+//!   extends the tail segment without rewriting the postings of
+//!   previously sealed segments, even for hot intervals.
 //!
-//! All three seal at the *same* trajectory count (a pure function of the
-//! element count, never of batch boundaries), so a store grown live, a
-//! store built offline and a store loaded from a container agree on the
-//! chunk layout (a container load appends element by element, like any
-//! other growth). Serialization ([`crate::storage`]) reads the logical
-//! sequence through iterators; chunking is an in-memory representation
-//! only.
+//! Both seal at the *same* trajectory count as the segments (a pure
+//! function of the element count, never of batch boundaries), so a store
+//! grown live, a store built offline and a store loaded from a container
+//! agree on the layout. Neither is stored in a container: they are
+//! derived from the trajectories and nodes at open.
 //!
-//! Every copy-on-write event reports its (shallow) byte count to
+//! Every copy-on-write event reports the bytes it copied to
 //! [`crate::hooks::copied`], which `tests/publish_cost.rs` and the
 //! benchmark's `publish.copied_bytes_per_batch` probe use to prove
 //! publish copies stay O(batch). Sealing a segment moves its `Arc` into
 //! the directory and copies nothing.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Elements per sealed chunk. The chunk layout is a pure function of
-/// the element count: element `i` lives in chunk `i / CHUNK`, and a
-/// chunk seals exactly when element `(k + 1) * CHUNK` arrives — never at
-/// a batch boundary — so live-grown, offline-built and loaded stores
-/// are structurally identical.
+use crate::segment::{arc_bytes, copy_vec, vec_bytes};
+
+/// Trajectories per sealed segment. The layout is a pure function of
+/// the trajectory count: trajectory `i` lives in segment `i / CHUNK`, and
+/// a segment seals exactly when trajectory `(k + 1) * CHUNK` arrives —
+/// never at a batch boundary — so live-grown, offline-built and loaded
+/// stores are structurally identical. Also the records per v4 block.
 pub const CHUNK: usize = 1024;
 
-/// An append-only vector of `Arc`'d fixed-size chunks. Cloning is
-/// O(len / CHUNK) pointer copies; pushing after a clone copies at most
-/// the shared tail chunk once (reported to [`crate::hooks::copied`]).
-pub struct ChunkedVec<T> {
-    /// The chunk directory: all chunks are full ([`CHUNK`] elements)
-    /// except possibly the last, which is the append tail.
-    chunks: Vec<Arc<Vec<T>>>,
-    len: usize,
+/// Heap bytes behind a map of `Copy` entries: per bucket the entry and
+/// one control byte, plus one group of control bytes (how the standard
+/// library's table is laid out; it keeps 1/8 of the buckets free).
+fn map_bytes<K, V>(m: &HashMap<K, V>) -> usize {
+    if m.capacity() == 0 {
+        return 0;
+    }
+    let buckets = (m.capacity() + 1).next_power_of_two();
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
 }
-
-impl<T> ChunkedVec<T> {
-    /// An empty vector.
-    pub fn new() -> Self {
-        Self {
-            chunks: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Chunks a plain vector — the container-load path. The layout is
-    /// identical to pushing the elements one by one.
-    pub fn from_vec(items: Vec<T>) -> Self {
-        let len = items.len();
-        let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK));
-        let mut it = items.into_iter();
-        loop {
-            let chunk: Vec<T> = it.by_ref().take(CHUNK).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(Arc::new(chunk));
-        }
-        Self { chunks, len }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The element at position `i`, if any.
-    pub fn get(&self, i: usize) -> Option<&T> {
-        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
-    }
-
-    /// Iterates the elements in order.
-    pub fn iter(&self) -> ChunkedIter<'_, T> {
-        ChunkedIter {
-            chunks: self.chunks.iter(),
-            cur: [].iter(),
-        }
-    }
-}
-
-impl<T: Clone> ChunkedVec<T> {
-    /// Appends an element. If the tail chunk is shared with another
-    /// epoch, it is copied out first (the per-publish copy-on-write
-    /// event, reported to [`crate::hooks::copied`]); sealed chunks are
-    /// never touched.
-    pub fn push(&mut self, value: T) {
-        if self.len.is_multiple_of(CHUNK) {
-            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
-        }
-        let tail_at = self.chunks.len() - 1;
-        // bounds: a tail chunk was just ensured above
-        let tail = &mut self.chunks[tail_at];
-        if Arc::get_mut(tail).is_none() {
-            crate::hooks::copied(std::mem::size_of::<T>() * tail.len());
-            *tail = Arc::new((**tail).clone());
-        }
-        if let Some(chunk) = Arc::get_mut(tail) {
-            chunk.push(value);
-            self.len += 1;
-        }
-    }
-}
-
-impl<T> Default for ChunkedVec<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Clone for ChunkedVec<T> {
-    /// Clones the chunk directory only: refcount bumps, no element
-    /// copies.
-    fn clone(&self) -> Self {
-        Self {
-            chunks: self.chunks.clone(),
-            len: self.len,
-        }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for ChunkedVec<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<T: PartialEq> PartialEq for ChunkedVec<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl<T> std::ops::Index<usize> for ChunkedVec<T> {
-    type Output = T;
-
-    fn index(&self, i: usize) -> &T {
-        // bounds: same contract as `Vec` indexing — callers index `< len`
-        &self.chunks[i / CHUNK][i % CHUNK]
-    }
-}
-
-/// Iterator over a [`ChunkedVec`]'s elements in order.
-pub struct ChunkedIter<'a, T> {
-    chunks: std::slice::Iter<'a, Arc<Vec<T>>>,
-    cur: std::slice::Iter<'a, T>,
-}
-
-impl<'a, T> Iterator for ChunkedIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        loop {
-            if let Some(item) = self.cur.next() {
-                return Some(item);
-            }
-            self.cur = self.chunks.next()?.iter();
-        }
-    }
-}
-
-impl<'a, T> IntoIterator for &'a ChunkedVec<T> {
-    type Item = &'a T;
-    type IntoIter = ChunkedIter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Shallow per-entry cost of an id-map segment, for copy accounting.
-const ID_ENTRY_BYTES: usize = std::mem::size_of::<u64>() + std::mem::size_of::<u32>();
 
 /// `trajectory id → position`, as sealed `Arc`'d segments (one per
 /// [`CHUNK`] insertions, in lockstep with the trajectory chunks) plus a
@@ -247,7 +100,8 @@ impl SharedIdMap {
     /// [`CHUNK`] entries.
     pub fn insert(&mut self, id: u64, idx: u32) {
         if Arc::get_mut(&mut self.tail).is_none() {
-            crate::hooks::copied(self.tail.len() * ID_ENTRY_BYTES);
+            // Cloning a table of `Copy` entries copies the table.
+            crate::hooks::copied(map_bytes(&self.tail));
             self.tail = Arc::new((*self.tail).clone());
         }
         if let Some(m) = Arc::get_mut(&mut self.tail) {
@@ -258,6 +112,13 @@ impl SharedIdMap {
             self.segments.push(sealed);
         }
     }
+
+    /// Heap bytes behind the map.
+    pub fn heap_bytes(&self) -> usize {
+        let header = arc_bytes::<HashMap<u64, u32>>();
+        let maps = self.segments.iter().chain([&self.tail]);
+        vec_bytes(&self.segments) + maps.map(|m| header + map_bytes(m)).sum::<usize>()
+    }
 }
 
 impl Default for SharedIdMap {
@@ -266,20 +127,23 @@ impl Default for SharedIdMap {
     }
 }
 
-/// One trajectory chunk's `interval → ascending global positions`.
-type IntervalPostings = HashMap<i64, Vec<u32>>;
+/// One segment's postings: `(interval, global position)` pairs.
+type IntervalPostings = Vec<(i64, u32)>;
 
-/// The StIU's `interval → posting list` map, segmented by trajectory
-/// chunk: segment `k` holds the postings of trajectories in chunk `k`.
-/// A batch only ever touches the tail segment (copy-on-write, like
-/// [`SharedIdMap`]), so the postings of sealed chunks are shared across
-/// epochs even for intervals the batch also lands in.
+/// The StIU's `interval → posting list` map, segmented like the
+/// trajectories: segment `k` holds the postings of the trajectories of
+/// segment `k`. A batch only ever touches the tail segment
+/// (copy-on-write, like [`SharedIdMap`]), so the postings of sealed
+/// segments are shared across epochs even for intervals the batch also
+/// lands in.
 ///
-/// Sealed segments and the tail have one shape — plain position lists
-/// in insertion (ascending) order — so sealing moves the tail's `Arc`
-/// into the directory and copies nothing. Chaining the segments' lists
-/// for a key yields exactly what a single flat map would hold, which is
-/// what queries and serialization read ([`IntervalMap::postings`]).
+/// Each segment is one flat table. The tail is in arrival order, that
+/// is by position; sealing sorts it by `(interval, position)`, so a
+/// sealed segment answers a key by binary search and the tail by a scan
+/// of its at most [`CHUNK`] trajectories' postings. Either way an
+/// interval's postings come out ascending by position, and chaining the
+/// segments' yields exactly what a single flat map would hold, which is
+/// what queries read ([`IntervalMap::postings`]).
 #[derive(Debug, Clone)]
 pub struct IntervalMap {
     segments: Vec<Arc<IntervalPostings>>,
@@ -301,21 +165,24 @@ impl IntervalMap {
     /// stays a pure function of the trajectory count.
     pub fn register(&mut self, j: u32, first: i64, last: i64) {
         while self.segments.len() < j as usize / CHUNK {
-            self.segments.push(std::mem::take(&mut self.tail));
+            // Sorting in place, unless an older epoch still reads the
+            // tail: then a sorted copy, once per sealed segment.
+            let mut sealed = std::mem::take(&mut self.tail);
+            if Arc::get_mut(&mut sealed).is_none() {
+                crate::hooks::copied(std::mem::size_of_val(sealed.as_slice()));
+            }
+            let list = Arc::make_mut(&mut sealed);
+            list.sort_unstable();
+            list.shrink_to_fit();
+            self.segments.push(sealed);
         }
         if Arc::get_mut(&mut self.tail).is_none() {
-            let bytes: usize = self
-                .tail
-                .values()
-                .map(|v| std::mem::size_of::<i64>() + v.len() * std::mem::size_of::<u32>())
-                .sum();
-            crate::hooks::copied(bytes);
-            self.tail = Arc::new((*self.tail).clone());
+            let mut copied = 0;
+            self.tail = Arc::new(copy_vec(&self.tail, &mut copied));
+            crate::hooks::copied(copied);
         }
-        if let Some(m) = Arc::get_mut(&mut self.tail) {
-            for interval in first..=last {
-                m.entry(interval).or_default().push(j);
-            }
+        if let Some(list) = Arc::get_mut(&mut self.tail) {
+            list.extend((first..=last).map(|interval| (interval, j)));
         }
     }
 
@@ -331,30 +198,27 @@ impl IntervalMap {
     /// single flat map would hold.
     pub fn postings(&self, key: i64) -> Vec<u32> {
         let mut out = Vec::new();
-        for js in self.all_segments().filter_map(|seg| seg.get(&key)) {
-            out.extend_from_slice(js);
+        for seg in &self.segments {
+            let run = seg.get(seg.partition_point(|&(k, _)| k < key)..);
+            let run = run.unwrap_or_default().iter();
+            out.extend(run.take_while(|&&(k, _)| k == key).map(|&(_, j)| j));
         }
+        let tail = self.tail.iter().filter(|&&(k, _)| k == key);
+        out.extend(tail.map(|&(_, j)| j));
         out
     }
 
     /// Visits every `(interval, global position)` posting. The order
     /// within one interval is ascending by position.
     pub fn for_each_posting(&self, mut f: impl FnMut(i64, u32)) {
-        for seg in self.all_segments() {
-            for (&key, js) in seg {
-                for &j in js {
-                    f(key, j);
-                }
-            }
+        for &(key, j) in self.all_segments().flatten() {
+            f(key, j);
         }
     }
 
     /// Number of distinct intervals.
     pub fn len(&self) -> usize {
-        self.all_segments()
-            .flat_map(|seg| seg.keys())
-            .collect::<HashSet<_>>()
-            .len()
+        self.sorted_keys().len()
     }
 
     /// Whether no interval holds any posting.
@@ -364,13 +228,17 @@ impl IntervalMap {
 
     /// The distinct intervals, ascending.
     pub fn sorted_keys(&self) -> Vec<i64> {
-        let mut keys: Vec<i64> = self
-            .all_segments()
-            .flat_map(|seg| seg.keys().copied())
-            .collect();
+        let mut keys: Vec<i64> = self.all_segments().flatten().map(|&(k, _)| k).collect();
         keys.sort_unstable();
         keys.dedup();
         keys
+    }
+
+    /// Heap bytes behind the map.
+    pub fn heap_bytes(&self) -> usize {
+        let header = arc_bytes::<IntervalPostings>();
+        let lists = self.all_segments().map(|seg| header + vec_bytes(seg));
+        vec_bytes(&self.segments) + lists.sum::<usize>()
     }
 }
 
@@ -383,40 +251,6 @@ impl Default for IntervalMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunked_vec_matches_vec_semantics() {
-        let n = 2 * CHUNK + 37;
-        let plain: Vec<u32> = (0..n as u32).collect();
-        let mut grown = ChunkedVec::new();
-        for &x in &plain {
-            grown.push(x);
-        }
-        let converted = ChunkedVec::from_vec(plain.clone());
-        assert_eq!(grown.len(), n);
-        assert_eq!(grown, converted);
-        assert_eq!(grown.iter().copied().collect::<Vec<_>>(), plain);
-        assert_eq!(grown.get(0), Some(&0));
-        assert_eq!(grown.get(n - 1), Some(&(n as u32 - 1)));
-        assert_eq!(grown.get(n), None);
-        assert_eq!(grown[CHUNK], CHUNK as u32);
-        assert_eq!(grown.chunks.len(), converted.chunks.len());
-    }
-
-    #[test]
-    fn clone_shares_sealed_chunks_and_cow_copies_the_tail() {
-        let mut a = ChunkedVec::from_vec((0..CHUNK as u32 + 10).collect());
-        let b = a.clone();
-        assert!(Arc::ptr_eq(&a.chunks[0], &b.chunks[0]));
-        assert!(Arc::ptr_eq(&a.chunks[1], &b.chunks[1]));
-        a.push(9999);
-        // The sealed chunk stays shared; the tail was copied out.
-        assert!(Arc::ptr_eq(&a.chunks[0], &b.chunks[0]));
-        assert!(!Arc::ptr_eq(&a.chunks[1], &b.chunks[1]));
-        assert_eq!(b.len(), CHUNK + 10, "the clone is unaffected");
-        assert_eq!(a.len(), CHUNK + 11);
-        assert_eq!(a[CHUNK + 10], 9999);
-    }
 
     #[test]
     fn shared_id_map_seals_and_resolves() {

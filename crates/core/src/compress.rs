@@ -6,14 +6,15 @@ use utcq_network::RoadNetwork;
 use utcq_traj::size::SizeBreakdown;
 use utcq_traj::{Dataset, TedView, UncertainTrajectory};
 
-use crate::chunk::ChunkedVec;
 use crate::compressed::{
     edge_number_width, encode_d_codes, encode_entries, encode_flags, CompressedNonRef,
     CompressedRef, CompressedTrajectory,
 };
+use crate::error::Error;
 use crate::factor;
 use crate::params::CompressParams;
 use crate::reference::{assign_roles, Role};
+use crate::segment::Trajectories;
 use crate::siar;
 
 /// A compressed dataset plus size accounting.
@@ -25,11 +26,10 @@ pub struct CompressedDataset {
     pub params: CompressParams,
     /// Fixed width of outgoing-edge numbers.
     pub w_e: u32,
-    /// The compressed trajectories, in `Arc`'d immutable chunks so a
-    /// live publish clones the chunk directory, not the payloads (see
-    /// [`crate::chunk`]). Serialization is unaffected — containers are
-    /// byte-identical to the flat layout.
-    pub trajectories: ChunkedVec<CompressedTrajectory>,
+    /// The compressed trajectories, in `Arc`'d flat segments so a live
+    /// publish clones the segment directory, not the payloads (see
+    /// [`crate::segment`]); read as [`crate::segment::TrajView`]s.
+    pub trajectories: Trajectories,
     /// Compressed footprint per component.
     pub compressed: SizeBreakdown,
     /// Raw footprint per component (the ratio numerators).
@@ -231,21 +231,22 @@ pub fn compress_dataset(
     net: &RoadNetwork,
     ds: &Dataset,
     params: &CompressParams,
-) -> Result<CompressedDataset, CodecError> {
+) -> Result<CompressedDataset, Error> {
     let mut compressed = SizeBreakdown::default();
     let mut raw = SizeBreakdown::default();
-    let mut trajectories = Vec::with_capacity(ds.trajectories.len());
+    let mut trajectories = Trajectories::default();
+    let p_codec = params.p_codec();
     for tu in &ds.trajectories {
         let (ct, size) = compress_trajectory(net, tu, params)?;
         compressed.add(&size);
         raw.add(&utcq_traj::size::uncompressed_bits(tu));
-        trajectories.push(ct);
+        trajectories.push(&ct, &p_codec)?;
     }
     Ok(CompressedDataset {
         name: ds.name.clone(),
         params: *params,
         w_e: edge_number_width(net.max_out_degree()),
-        trajectories: ChunkedVec::from_vec(trajectories),
+        trajectories,
         compressed,
         raw,
     })

@@ -14,12 +14,16 @@
 //! `orig_idx` preserves the original instance ordering for exact
 //! round-trip testing; it is reconstruction metadata, not counted in the
 //! compressed size (instances form a set, Definition 5).
+//!
+//! The owned types below are what [`crate::compress::compress_trajectory`]
+//! returns, one trajectory at a time. A dataset does not keep them: it
+//! appends each to a [`crate::segment`] (rows into flat tables, streams
+//! into one arena) and reads it back as a borrowed
+//! [`crate::segment::TrajView`], which is also what decodes.
 
 use utcq_bitio::pddp::PddpCodec;
-use utcq_bitio::{width_for_max, BitBuf, BitWriter, CodecError};
+use utcq_bitio::{width_for_max, BitBuf, BitSlice, BitWriter, CodecError};
 use utcq_network::VertexId;
-
-use crate::factor;
 
 /// A compressed reference instance.
 #[derive(Debug, Clone)]
@@ -89,7 +93,7 @@ pub fn encode_entries(entries: &[u32], w_e: u32) -> Result<BitBuf, CodecError> {
 }
 
 /// Decodes all fixed-width edge entries of a reference.
-pub fn decode_entries(buf: &BitBuf, n: usize, w_e: u32) -> Result<Vec<u32>, CodecError> {
+pub fn decode_entries(buf: BitSlice<'_>, n: usize, w_e: u32) -> Result<Vec<u32>, CodecError> {
     let mut r = buf.reader();
     (0..n).map(|_| Ok(r.read_bits(w_e)? as u32)).collect()
 }
@@ -97,7 +101,7 @@ pub fn decode_entries(buf: &BitBuf, n: usize, w_e: u32) -> Result<Vec<u32>, Code
 /// Decodes edge entries starting at entry index `from` (partial
 /// decompression along the `fv.no` pointers).
 pub fn decode_entries_from(
-    buf: &BitBuf,
+    buf: BitSlice<'_>,
     from: usize,
     n: usize,
     w_e: u32,
@@ -132,14 +136,18 @@ pub fn encode_d_codes(codes: &[u64], codec: &PddpCodec) -> Result<BitBuf, CodecE
 }
 
 /// Decodes all PDDP distance codes of a reference.
-pub fn decode_d_codes(buf: &BitBuf, n: usize, codec: &PddpCodec) -> Result<Vec<u64>, CodecError> {
+pub fn decode_d_codes(
+    buf: BitSlice<'_>,
+    n: usize,
+    codec: &PddpCodec,
+) -> Result<Vec<u64>, CodecError> {
     let mut r = buf.reader();
     (0..n).map(|_| r.read_bits(codec.width())).collect()
 }
 
 /// Decodes one PDDP distance code at index `i` (random access along the
 /// `d.pos` pointers).
-pub fn decode_d_code_at(buf: &BitBuf, i: usize, codec: &PddpCodec) -> Result<u64, CodecError> {
+pub fn decode_d_code_at(buf: BitSlice<'_>, i: usize, codec: &PddpCodec) -> Result<u64, CodecError> {
     let mut r = buf.reader_at(i * codec.width() as usize);
     r.read_bits(codec.width())
 }
@@ -157,54 +165,12 @@ pub struct DecodedRef {
 }
 
 impl DecodedRef {
-    /// Estimated heap footprint, used for cache byte accounting.
+    /// Heap footprint (what is allocated, not just what is used), for
+    /// cache byte accounting.
     pub fn heap_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<u32>()
-            + self.trimmed_flags.len()
-            + self.d_codes.len() * std::mem::size_of::<u64>()
-    }
-}
-
-impl CompressedRef {
-    /// Decodes the reference's streams.
-    pub fn decode(
-        &self,
-        w_e: u32,
-        n_locs: usize,
-        d_codec: &PddpCodec,
-    ) -> Result<DecodedRef, CodecError> {
-        Ok(DecodedRef {
-            entries: decode_entries(&self.e_bits, self.n_entries as usize, w_e)?,
-            trimmed_flags: self.tflag_bits.to_bits(),
-            d_codes: decode_d_codes(&self.d_bits, n_locs, d_codec)?,
-        })
-    }
-}
-
-impl CompressedNonRef {
-    /// Decodes a non-reference against its (already decoded) reference.
-    pub fn decode(
-        &self,
-        dref: &DecodedRef,
-        w_e: u32,
-        n_locs: usize,
-        d_codec: &PddpCodec,
-    ) -> Result<DecodedRef, CodecError> {
-        let entries = factor::decode_e(&mut self.e_com.reader(), &dref.entries, w_e)?;
-        let nref_flag_len = entries.len().saturating_sub(2);
-        let tcom = factor::decode_t(
-            &mut self.t_com.reader(),
-            dref.trimmed_flags.len(),
-            nref_flag_len,
-        )?;
-        let trimmed_flags = factor::apply_t(&tcom, &dref.trimmed_flags);
-        let patches = factor::decode_d(&mut self.d_com.reader(), n_locs, d_codec.width())?;
-        let d_codes = factor::apply_d(&patches, &dref.d_codes);
-        Ok(DecodedRef {
-            entries,
-            trimmed_flags,
-            d_codes,
-        })
+        self.entries.capacity() * std::mem::size_of::<u32>()
+            + self.trimmed_flags.capacity()
+            + self.d_codes.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -225,8 +191,9 @@ mod tests {
         assert_eq!(w_e, 3);
         let buf = encode_entries(&entries, w_e).unwrap();
         assert_eq!(buf.len_bits(), 27);
-        assert_eq!(decode_entries(&buf, 9, w_e).unwrap(), entries);
-        assert_eq!(decode_entries_from(&buf, 6, 9, w_e).unwrap(), vec![4, 1, 0]);
+        assert_eq!(decode_entries(buf.as_slice(), 9, w_e).unwrap(), entries);
+        let tail = decode_entries_from(buf.as_slice(), 6, 9, w_e).unwrap();
+        assert_eq!(tail, vec![4, 1, 0]);
     }
 
     #[test]
@@ -244,9 +211,9 @@ mod tests {
         let codec = PddpCodec::from_error_bound(1.0 / 128.0);
         let codes: Vec<u64> = vec![112, 32, 64, 112, 64, 0, 112];
         let buf = encode_d_codes(&codes, &codec).unwrap();
-        assert_eq!(decode_d_codes(&buf, 7, &codec).unwrap(), codes);
+        assert_eq!(decode_d_codes(buf.as_slice(), 7, &codec).unwrap(), codes);
         for (i, &c) in codes.iter().enumerate() {
-            assert_eq!(decode_d_code_at(&buf, i, &codec).unwrap(), c);
+            assert_eq!(decode_d_code_at(buf.as_slice(), i, &codec).unwrap(), c);
         }
     }
 

@@ -10,8 +10,9 @@ use utcq_network::RoadNetwork;
 use utcq_traj::{Instance, TedView, UncertainTrajectory};
 
 use crate::compress::CompressedDataset;
-use crate::compressed::{untrim_flags, CompressedTrajectory, DecodedRef};
+use crate::compressed::{untrim_flags, DecodedRef};
 use crate::params::CompressParams;
+use crate::segment::TrajView;
 use crate::siar;
 
 /// Errors during decompression.
@@ -64,27 +65,28 @@ fn view_from_decoded(
 /// Decompresses one trajectory, restoring original instance order.
 pub fn decompress_trajectory(
     net: &RoadNetwork,
-    ct: &CompressedTrajectory,
+    ct: &TrajView<'_>,
     w_e: u32,
     params: &CompressParams,
 ) -> Result<UncertainTrajectory, DecompressError> {
     let d_codec = params.d_codec();
     let p_codec = params.p_codec();
-    let n_locs = ct.n_times as usize;
-    let times = siar::decode(&ct.t_bits, n_locs, params.default_interval)?;
+    let times = siar::decode(ct.t_bits(), ct.n_times as usize, params.default_interval)?;
 
+    // A view's original indices are a permutation and its `ref_idx`s in
+    // range: its segment checked both when the trajectory was appended.
     let mut instances: Vec<Option<Instance>> = vec![None; ct.instance_count()];
     let mut decoded_refs = Vec::with_capacity(ct.refs.len());
-    for cref in &ct.refs {
-        let dec = cref.decode(w_e, n_locs, &d_codec)?;
+    for (i, cref) in ct.refs.iter().enumerate() {
+        let dec = ct.decode_ref(i, w_e, &d_codec)?;
         let view = view_from_decoded(cref.sv, &dec, &d_codec, p_codec.dequantize(cref.p_code));
         instances[cref.orig_idx as usize] = Some(view.to_instance(net)?);
         decoded_refs.push(dec);
     }
-    for cnref in &ct.nrefs {
+    for (i, cnref) in ct.nrefs.iter().enumerate() {
         let cref = &ct.refs[cnref.ref_idx as usize];
         let dref = &decoded_refs[cnref.ref_idx as usize];
-        let dec = cnref.decode(dref, w_e, n_locs, &d_codec)?;
+        let dec = ct.decode_nref(i, dref, w_e, &d_codec)?;
         let view = view_from_decoded(cref.sv, &dec, &d_codec, p_codec.dequantize(cnref.p_code));
         instances[cnref.orig_idx as usize] = Some(view.to_instance(net)?);
     }
@@ -103,11 +105,10 @@ pub fn decompress_dataset(
     net: &RoadNetwork,
     cds: &CompressedDataset,
 ) -> Result<utcq_traj::Dataset, DecompressError> {
-    let trajectories = cds
-        .trajectories
-        .iter()
-        .map(|ct| decompress_trajectory(net, ct, cds.w_e, &cds.params))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut trajectories = Vec::with_capacity(cds.trajectories.len());
+    for ct in &cds.trajectories {
+        trajectories.push(decompress_trajectory(net, &ct, cds.w_e, &cds.params)?);
+    }
     Ok(utcq_traj::Dataset {
         name: cds.name.clone(),
         default_interval: cds.params.default_interval,
@@ -173,6 +174,9 @@ mod tests {
             ..CompressParams::default()
         };
         let (ct, _) = compress_trajectory(&fx.example.net, &fx.tu, &params).unwrap();
+        let mut stored = crate::segment::Trajectories::default();
+        stored.push(&ct, &params.p_codec()).unwrap();
+        let ct = stored.get(0).unwrap();
         let w_e = crate::compressed::edge_number_width(fx.example.net.max_out_degree());
         let back = decompress_trajectory(&fx.example.net, &ct, w_e, &params).unwrap();
         check_lossy_roundtrip(&fx.tu, &back, params.eta_d, params.eta_p).unwrap();
@@ -204,6 +208,30 @@ mod tests {
             let sum: f64 = tu.instances.iter().map(|i| i.prob).sum();
             let bound = tu.instance_count() as f64 * params.eta_p;
             assert!((sum - 1.0).abs() <= bound, "sum {sum} bound {bound}");
+        }
+    }
+
+    #[test]
+    fn decompressed_vectors_are_sized_exactly() {
+        // A decompressed dataset is held by the million and decoded
+        // instances are what the decode cache keeps: no spare capacity.
+        let mut profiles = utcq_datagen::profile::all();
+        profiles.push(utcq_datagen::profile::tiny());
+        for profile in &profiles {
+            let (net, ds) = utcq_datagen::generate(profile, 40, 19);
+            let params = CompressParams::with_interval(ds.default_interval);
+            let cds = compress_dataset(&net, &ds, &params).unwrap();
+            let back = decompress_dataset(&net, &cds).unwrap();
+            assert_eq!(back.trajectories.capacity(), back.trajectories.len());
+            for tu in &back.trajectories {
+                let what = format!("{} trajectory {}", profile.name, tu.id);
+                assert_eq!(tu.times.capacity(), tu.times.len(), "{what}");
+                assert_eq!(tu.instances.capacity(), tu.instances.len(), "{what}");
+                for inst in &tu.instances {
+                    assert_eq!(inst.path.capacity(), inst.path.len(), "{what}");
+                    assert_eq!(inst.positions.capacity(), inst.positions.len(), "{what}");
+                }
+            }
         }
     }
 

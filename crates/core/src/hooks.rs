@@ -58,8 +58,8 @@ pub use imp::point;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes copied by publish-path copy-on-write events (see
-/// [`crate::chunk`]). Unlike [`point`], this counter is always
-/// compiled: it is a single relaxed atomic add on the rare
+/// [`crate::segment`] and [`crate::chunk`]). Unlike [`point`], this
+/// counter is always compiled: it is a single relaxed atomic add on the rare
 /// copy-on-write path (at most once per shared structure per publish),
 /// and the copy-cost regression test and the benchmark's
 /// `publish.copied_bytes_per_batch` probe read it without the `audit`
@@ -73,10 +73,9 @@ pub fn copied(bytes: usize) {
 }
 
 /// Total copy-on-write bytes recorded since process start. Monotonic;
-/// callers measure a region by differencing. The count is a *shallow*
-/// per-element estimate (directory entries, not decoded payloads) —
-/// proportional to what was copied, which is what the O(batch) publish
-/// assertions need.
+/// callers measure a region by differencing. The count is exact: every
+/// tail copy is a `memcpy` per flat table (rows, stream arena, tuples,
+/// postings, the id map's table) and reports the bytes of each.
 pub fn copied_bytes() -> u64 {
     COPIED_BYTES.load(Ordering::Relaxed)
 }

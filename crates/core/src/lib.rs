@@ -33,6 +33,10 @@
 //! * [`plan`] — precomputed per-trajectory lookup tables
 //!   ([`plan::TrajPlan`]) that replace the query engine's per-call
 //!   linear scans and sorts;
+//! * [`segment`] — the in-memory form of a store: flat, append-only
+//!   tables per 1,024 trajectories behind `Arc`s (one stream arena, row
+//!   tables, plan columns; [`stiu`] keeps the index half), read through
+//!   borrowed views ([`segment::TrajView`]) and shared across epochs;
 //! * [`snapshot`] — the immutable, epoch-stamped read state
 //!   ([`snapshot::Snapshot`]) every query runs on, epoch-swapped behind
 //!   one `Arc` so live ingest never blocks a reader;
@@ -201,6 +205,7 @@ pub mod plan;
 pub mod poll;
 pub mod query;
 pub mod reference;
+pub mod segment;
 pub mod serve;
 pub mod shard;
 pub mod siar;

@@ -30,6 +30,7 @@ use crate::compress::{CompressedDataset, Ratios};
 use crate::error::Error;
 use crate::live::LiveStore;
 use crate::query::QueryTarget;
+use crate::segment::Resident;
 use crate::shard::{ShardSpec, ShardedStore};
 use crate::snapshot::Snapshot;
 use crate::stiu::StiuParams;
@@ -159,7 +160,6 @@ pub fn policy_label(spec: Option<ShardSpec>) -> String {
 /// directory). Each snapshot is written into a sink and the writer's
 /// own counters are read, so the table cannot drift from the format.
 pub fn render_sections(partitions: &[Arc<Snapshot>]) -> Result<String, Error> {
-    use std::fmt::Write as _;
     let count = |snap: &Arc<Snapshot>| snap.write_counted(&mut std::io::sink());
     let counted = partitions
         .iter()
@@ -175,10 +175,32 @@ pub fn render_sections(partitions: &[Arc<Snapshot>]) -> Result<String, Error> {
         ("ref tuples", sum(|s| s.ref_tuples)),
         ("nref tuples", sum(|s| s.nref_tuples)),
     ];
-    let total = rows.iter().map(|(_, bits)| bits).sum();
-    let mut out = String::from("container sections (as written):\n");
-    for (label, bits) in rows.into_iter().chain([("total", total)]) {
-        let bytes = bits as f64 / 8.0;
+    let rows = rows.map(|(label, bits)| (label, bits as f64 / 8.0));
+    let title = "container sections (as written)";
+    Ok(render_table(title, &rows, trajectories))
+}
+
+/// The "resident" table `utcq info` prints under the sections: heap
+/// bytes and bytes per trajectory of each part these partitions keep in
+/// memory once opened, summed over them ([`Snapshot::resident`]; the
+/// road network and the decode cache are not the partitions').
+pub fn render_resident(partitions: &[Arc<Snapshot>]) -> String {
+    let mut census = Resident::default();
+    for (part, bytes) in partitions.iter().flat_map(|snap| snap.resident().0) {
+        census.add(part, bytes);
+    }
+    let trajectories: usize = partitions.iter().map(|snap| snap.len()).sum();
+    let rows = census.0.iter().map(|&(part, bytes)| (part, bytes as f64));
+    let rows = Vec::from_iter(rows);
+    render_table("resident (heap, once opened)", &rows, trajectories)
+}
+
+/// `title`, one line per `(label, bytes)` row, and their total.
+fn render_table(title: &str, rows: &[(&str, f64)], trajectories: usize) -> String {
+    use std::fmt::Write as _;
+    let total = rows.iter().map(|(_, bytes)| bytes).sum();
+    let mut out = format!("{title}:\n");
+    for (label, bytes) in rows.iter().copied().chain([("total", total)]) {
         let _ = writeln!(
             out,
             "  {:<17} {bytes:>12.0} B {:>9.1} B/trajectory",
@@ -186,7 +208,7 @@ pub fn render_sections(partitions: &[Arc<Snapshot>]) -> Result<String, Error> {
             bytes / trajectories.max(1) as f64
         );
     }
-    Ok(out)
+    out
 }
 
 /// Per-shard occupancy line of an [`InfoReport`].

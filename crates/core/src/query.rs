@@ -33,6 +33,10 @@
 //!   member order, replacing the per-call linear scans and sorts the
 //!   engine used to do.
 //!
+//! A trajectory, its index node and its plan are borrowed views into
+//! the store's flat segments ([`crate::segment`]): the engine decodes
+//! straight from the segment's stream arena.
+//!
 //! Nothing here panics on corrupt input: structural inconsistencies in a
 //! container surface as [`Error::CorruptStore`].
 
@@ -46,9 +50,10 @@ use utcq_traj::{Instance, MappedLocation};
 
 use crate::cache::DecodeCache;
 use crate::compress::CompressedDataset;
-use crate::compressed::{untrim_flags, CompressedTrajectory, DecodedRef};
+use crate::compressed::{untrim_flags, DecodedRef};
 use crate::error::Error;
-use crate::plan::{Slot, TrajPlan};
+use crate::plan::Slot;
+use crate::segment::TrajView;
 use crate::siar;
 use crate::stiu::{Stiu, TrajIndex};
 
@@ -454,7 +459,6 @@ pub(crate) struct QueryEngine<'a> {
     pub net: &'a RoadNetwork,
     pub cds: &'a CompressedDataset,
     pub stiu: &'a Stiu,
-    pub plans: &'a crate::chunk::ChunkedVec<TrajPlan>,
     pub cache: &'a DecodeCache,
     /// Epoch of the snapshot this engine reads — every cache key this
     /// engine mints carries it, so entries of superseded epochs can
@@ -470,35 +474,25 @@ pub(crate) struct QueryEngine<'a> {
 type LocalRefs = HashMap<u32, Arc<DecodedRef>>;
 
 impl<'a> QueryEngine<'a> {
-    /// The compressed trajectory, index node and query plan at position
-    /// `j`, checked.
-    fn parts(
-        &self,
-        j: u32,
-    ) -> Result<(&'a CompressedTrajectory, &'a TrajIndex, &'a TrajPlan), Error> {
-        let ct = self
-            .cds
-            .trajectories
-            .get(j as usize)
-            .ok_or(Error::CorruptStore("trajectory position out of range"))?;
-        let node = self
-            .stiu
-            .trajs
-            .get(j as usize)
-            .ok_or(Error::CorruptStore("index node missing for trajectory"))?;
-        let plan = self
-            .plans
-            .get(j as usize)
-            .ok_or(Error::CorruptStore("query plan missing for trajectory"))?;
-        Ok((ct, node, plan))
+    /// The compressed trajectory at position `j` (its query plan with
+    /// it), checked.
+    fn traj(&self, j: u32) -> Result<TrajView<'a>, Error> {
+        let missing = Error::CorruptStore("trajectory position out of range");
+        self.cds.trajectories.get(j as usize).ok_or(missing)
+    }
+
+    /// The index node at position `j`, checked.
+    fn node(&self, j: u32) -> Result<TrajIndex<'a>, Error> {
+        let missing = Error::CorruptStore("index node missing for trajectory");
+        self.stiu.trajs.get(j as usize).ok_or(missing)
     }
 
     /// The full time sequence of the trajectory at position `j`,
     /// memoized in the shared cache.
-    pub fn times(&self, j: u32, ct: &CompressedTrajectory) -> Result<Arc<Vec<i64>>, Error> {
+    pub fn times(&self, j: u32, ct: &TrajView<'_>) -> Result<Arc<Vec<i64>>, Error> {
         self.cache.times_or_decode(self.epoch, j, || {
             Ok(siar::decode(
-                &ct.t_bits,
+                ct.t_bits(),
                 ct.n_times as usize,
                 self.cds.params.default_interval,
             )?)
@@ -510,7 +504,7 @@ impl<'a> QueryEngine<'a> {
     fn ref_decoded(
         &self,
         j: u32,
-        ct: &CompressedTrajectory,
+        ct: &TrajView<'_>,
         ref_idx: u32,
         local: &mut LocalRefs,
     ) -> Result<Arc<DecodedRef>, Error> {
@@ -518,15 +512,11 @@ impl<'a> QueryEngine<'a> {
             return Ok(Arc::clone(d));
         }
         let d = self.cache.ref_or_decode(self.epoch, j, ref_idx, || {
-            let cref = ct
-                .refs
-                .get(ref_idx as usize)
-                .ok_or(Error::CorruptStore("reference index out of range"))?;
-            Ok(cref.decode(
-                self.cds.w_e,
-                ct.n_times as usize,
-                &self.cds.params.d_codec(),
-            )?)
+            if ref_idx as usize >= ct.refs.len() {
+                return Err(Error::CorruptStore("reference index out of range"));
+            }
+            let d_codec = self.cds.params.d_codec();
+            Ok(ct.decode_ref(ref_idx as usize, self.cds.w_e, &d_codec)?)
         })?;
         local.insert(ref_idx, Arc::clone(&d));
         Ok(d)
@@ -540,19 +530,17 @@ impl<'a> QueryEngine<'a> {
     fn decode_instance(
         &self,
         j: u32,
-        ct: &CompressedTrajectory,
-        plan: &TrajPlan,
+        ct: &TrajView<'_>,
         orig_idx: u32,
         local: &mut LocalRefs,
     ) -> Result<Arc<Instance>, Error> {
         self.cache.instance_or_decode(self.epoch, j, orig_idx, || {
             let d_codec = self.cds.params.d_codec();
-            let n_locs = ct.n_times as usize;
             enum Decoded {
                 Shared(Arc<DecodedRef>),
                 Own(DecodedRef),
             }
-            let (sv, dec): (VertexId, Decoded) = match plan.slot(orig_idx)? {
+            let (sv, dec): (VertexId, Decoded) = match ct.plan.slot(orig_idx)? {
                 Slot::Ref(pos) => {
                     let r = ct
                         .refs
@@ -570,10 +558,8 @@ impl<'a> QueryEngine<'a> {
                         .get(n.ref_idx as usize)
                         .ok_or(Error::CorruptStore("non-reference points past refs"))?;
                     let dref = self.ref_decoded(j, ct, n.ref_idx, local)?;
-                    (
-                        r.sv,
-                        Decoded::Own(n.decode(&dref, self.cds.w_e, n_locs, &d_codec)?),
-                    )
+                    let own = ct.decode_nref(pos as usize, &dref, self.cds.w_e, &d_codec)?;
+                    (r.sv, Decoded::Own(own))
                 }
             };
             let dec = match &dec {
@@ -585,7 +571,7 @@ impl<'a> QueryEngine<'a> {
                 entries: dec.entries.clone(),
                 flags: untrim_flags(&dec.trimmed_flags, dec.entries.len()),
                 rds: dec.d_codes.iter().map(|&c| d_codec.dequantize(c)).collect(),
-                prob: plan.prob(orig_idx)?,
+                prob: ct.plan.prob(orig_idx)?,
             };
             Ok(view
                 .to_instance(self.net)
@@ -604,8 +590,8 @@ impl<'a> QueryEngine<'a> {
     fn bracket(
         &self,
         j: u32,
-        ct: &CompressedTrajectory,
-        node: &TrajIndex,
+        ct: &TrajView<'_>,
+        node: &TrajIndex<'_>,
         t: i64,
     ) -> Result<Option<(usize, usize, i64, i64)>, Error> {
         let Some(tt) = node.temporal_at(t) else {
@@ -618,7 +604,7 @@ impl<'a> QueryEngine<'a> {
             .ok_or(Error::CorruptStore("temporal tuple past the sample count"))?;
         let window = self.cache.window_or_decode(self.epoch, j, tt.no, || {
             Ok(siar::decode_from(
-                &ct.t_bits,
+                ct.t_bits(),
                 tt.pos as usize,
                 tt.start,
                 ts,
@@ -648,18 +634,18 @@ impl<'a> QueryEngine<'a> {
     /// Probabilistic **where** query (Definition 10) on the trajectory at
     /// position `j`, fully materialized.
     pub fn where_query(&self, j: u32, t: i64, alpha: f64) -> Result<Vec<WhereHit>, Error> {
-        let (ct, node, plan) = self.parts(j)?;
-        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, ct, node, t)? else {
+        let (ct, node) = (self.traj(j)?, self.node(j)?);
+        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, &ct, &node, t)? else {
             return Ok(Vec::new());
         };
         let mut hits = Vec::new();
         let mut local = LocalRefs::new();
-        for (orig_idx, &prob) in plan.probs().iter().enumerate() {
+        for (orig_idx, prob) in ct.plan.probs().enumerate() {
             if prob < alpha {
                 continue;
             }
             let orig_idx = orig_idx as u32;
-            let inst = self.decode_instance(j, ct, plan, orig_idx, &mut local)?;
+            let inst = self.decode_instance(j, &ct, orig_idx, &mut local)?;
             let loc = interpolate(self.net, &inst, lo, hi, t_lo, t_hi, t)?;
             hits.push(WhereHit {
                 instance: orig_idx,
@@ -679,7 +665,7 @@ impl<'a> QueryEngine<'a> {
         rd: f64,
         alpha: f64,
     ) -> Result<Vec<WhenHit>, Error> {
-        let (ct, node, plan) = self.parts(j)?;
+        let (ct, node) = (self.traj(j)?, self.node(j)?);
         if edge.idx() >= self.net.edge_count() {
             // No instance passes an edge the network does not have.
             return Ok(Vec::new());
@@ -703,7 +689,7 @@ impl<'a> QueryEngine<'a> {
             self.cache.note_when_miss(self.epoch, j, cell.0);
             return Ok(Vec::new());
         }
-        let times = self.times(j, ct)?;
+        let times = self.times(j, &ct)?;
         let mut hits = Vec::new();
         let mut local = LocalRefs::new();
         for rt in ref_tuples {
@@ -711,9 +697,9 @@ impl<'a> QueryEngine<'a> {
                 .refs
                 .get(rt.ref_idx as usize)
                 .ok_or(Error::CorruptStore("region tuple points past refs"))?;
-            let ref_p = plan.prob(cref.orig_idx)?;
-            if rt.fv.is_some() && ref_p >= alpha {
-                let inst = self.decode_instance(j, ct, plan, cref.orig_idx, &mut local)?;
+            let ref_p = ct.plan.prob(cref.orig_idx)?;
+            if rt.final_vertex().is_some() && ref_p >= alpha {
+                let inst = self.decode_instance(j, &ct, cref.orig_idx, &mut local)?;
                 for time in utcq_traj::interp::times_at_location(self.net, &inst, &times, edge, rd)
                 {
                     hits.push(WhenHit {
@@ -736,11 +722,11 @@ impl<'a> QueryEngine<'a> {
                 if cnref.ref_idx != rt.ref_idx {
                     continue;
                 }
-                let p = plan.prob(cnref.orig_idx)?;
+                let p = ct.plan.prob(cnref.orig_idx)?;
                 if p < alpha {
                     continue;
                 }
-                let inst = self.decode_instance(j, ct, plan, cnref.orig_idx, &mut local)?;
+                let inst = self.decode_instance(j, &ct, cnref.orig_idx, &mut local)?;
                 for time in utcq_traj::interp::times_at_location(self.net, &inst, &times, edge, rd)
                 {
                     hits.push(WhenHit {
@@ -771,7 +757,8 @@ impl<'a> QueryEngine<'a> {
         scratch: &mut RangeScratch,
     ) -> Result<bool, Error> {
         scratch.reset();
-        let (ct, node, plan) = self.parts(j)?;
+        // Most candidates are decided by their index node alone.
+        let node = self.node(j)?;
 
         // Collect per-group total bounds over the query cells.
         // Iterating the trajectory's (few) tuples against the cell set
@@ -779,7 +766,7 @@ impl<'a> QueryEngine<'a> {
         // accumulate in first-seen tuple order (a linear scan over the
         // few distinct groups), so the Lemma 4 sum below adds terms in
         // a deterministic order.
-        for rt in &node.ref_tuples {
+        for rt in node.ref_tuples {
             if cells.contains(&rt.cell) {
                 match scratch
                     .group_bound
@@ -789,12 +776,12 @@ impl<'a> QueryEngine<'a> {
                     Some((_, b)) => *b += rt.p_total,
                     None => scratch.group_bound.push((rt.ref_idx, rt.p_total)),
                 }
-                if rt.fv.is_some() {
+                if rt.final_vertex().is_some() {
                     scratch.passing_refs.push(rt.ref_idx);
                 }
             }
         }
-        for nt in &node.nref_tuples {
+        for nt in node.nref_tuples {
             if cells.contains(&nt.cell) {
                 scratch.passing_nrefs.push(nt.nref_idx);
             }
@@ -813,7 +800,8 @@ impl<'a> QueryEngine<'a> {
         scratch.passing_nrefs.dedup();
 
         // Bracket tq in the time sequence.
-        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, ct, node, tq)? else {
+        let ct = self.traj(j)?;
+        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, &ct, &node, tq)? else {
             return Ok(false);
         };
 
@@ -834,14 +822,15 @@ impl<'a> QueryEngine<'a> {
                 .ok_or(Error::CorruptStore("region tuple points past nrefs"))?;
             scratch.passing.insert(cnref.orig_idx);
         }
-        let members = plan
+        let passing = &scratch.passing;
+        let members = ct
+            .plan
             .by_prob_desc()
-            .iter()
-            .filter(|(orig_idx, _)| scratch.passing.contains(orig_idx));
+            .filter(|(orig_idx, _)| passing.contains(orig_idx));
 
         let mut acc = 0.0;
-        let mut remaining: f64 = members.clone().map(|&(_, p)| p).sum();
-        for &(orig_idx, p) in members {
+        let mut remaining: f64 = members.clone().map(|(_, p)| p).sum();
+        for (orig_idx, p) in members {
             if acc >= alpha {
                 break; // Lemma 3: already enough probability mass
             }
@@ -849,7 +838,7 @@ impl<'a> QueryEngine<'a> {
                 break; // cannot reach α anymore
             }
             remaining -= p;
-            let inst = self.decode_instance(j, ct, plan, orig_idx, &mut scratch.local)?;
+            let inst = self.decode_instance(j, &ct, orig_idx, &mut scratch.local)?;
             if instance_overlaps(self.net, &inst, re, lo, hi, t_lo, t_hi, tq)? {
                 acc += p;
             }

@@ -551,12 +551,11 @@ impl ShardedStore {
             crate::compress::CompressedDataset,
             crate::stiu::Stiu,
             crate::chunk::SharedIdMap,
-            crate::chunk::ChunkedVec<crate::plan::TrajPlan>,
         );
         let load_one = |blob: &Vec<u8>| -> Result<ShardParts, Error> {
             let (net, cds, stiu) = storage::load_full(&mut blob.as_slice())?;
-            let (id_to_idx, plans) = Store::validate_parts(&cds, &stiu)?;
-            Ok((net, cds, stiu, id_to_idx, plans))
+            let id_to_idx = Store::validate_parts(&cds, &stiu)?;
+            Ok((net, cds, stiu, id_to_idx))
         };
         let parts: Vec<ShardParts> = if parallel_open_effective(blobs.len(), payload) {
             // bounds: par_run yields i < blobs.len()
@@ -566,7 +565,7 @@ impl ShardedStore {
         };
         let mut shared_net: Option<Arc<RoadNetwork>> = None;
         let mut shards = Vec::with_capacity(parts.len());
-        for (net, cds, stiu, id_to_idx, plans) in parts {
+        for (net, cds, stiu, id_to_idx) in parts {
             // Structurally equal copies collapse onto the first shard's
             // `Arc`; a differing one is rejected by `from_shards`.
             let net = match &shared_net {
@@ -574,7 +573,7 @@ impl ShardedStore {
                 _ => Arc::new(net),
             };
             shared_net.get_or_insert_with(|| Arc::clone(&net));
-            shards.push(Store::from_validated(net, cds, stiu, id_to_idx, plans));
+            shards.push(Store::from_validated(net, cds, stiu, id_to_idx));
         }
         let store = Self::from_shards(shards, dir.and_then(ShardSpec::from_directory))?;
         // Per-shard assembly defaults each cache to the full default

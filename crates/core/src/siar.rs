@@ -8,7 +8,7 @@
 //! timestamps in 17 bits within one day); the deviations use the signed
 //! improved Exp-Golomb code.
 
-use utcq_bitio::{golomb, BitBuf, BitWriter, CodecError};
+use utcq_bitio::{golomb, BitBuf, BitSlice, BitWriter, CodecError};
 
 const SECONDS_PER_DAY: i64 = 86_400;
 
@@ -29,9 +29,10 @@ pub fn encode(times: &[i64], ts: i64) -> Result<BitBuf, CodecError> {
     Ok(w.finish())
 }
 
-/// Decodes a full time sequence of `n` samples.
-pub fn decode(buf: &BitBuf, n: usize, ts: i64) -> Result<Vec<i64>, CodecError> {
-    let mut r = buf.reader();
+/// Decodes a full time sequence of `n` samples (from a [`BitBuf`] or a
+/// borrowed stream, like every reader below).
+pub fn decode<'a>(buf: impl Into<BitSlice<'a>>, n: usize, ts: i64) -> Result<Vec<i64>, CodecError> {
+    let mut r = buf.into().reader();
     let day = golomb::decode_unsigned(&mut r)? as i64;
     let sec = r.read_bits(17)? as i64;
     let mut times = Vec::with_capacity(n);
@@ -47,8 +48,8 @@ pub fn decode(buf: &BitBuf, n: usize, ts: i64) -> Result<Vec<i64>, CodecError> {
 /// The bit position right after the header (day + second-of-day) — the
 /// position of the first deviation, used as the base of StIU `t.pos`
 /// pointers.
-pub fn first_deviation_pos(buf: &BitBuf) -> Result<usize, CodecError> {
-    let mut r = buf.reader();
+pub fn first_deviation_pos<'a>(buf: impl Into<BitSlice<'a>>) -> Result<usize, CodecError> {
+    let mut r = buf.into().reader();
     golomb::decode_unsigned(&mut r)?;
     r.read_bits(17)?;
     Ok(r.pos())
@@ -58,14 +59,14 @@ pub fn first_deviation_pos(buf: &BitBuf) -> Result<usize, CodecError> {
 /// `start` and the deviation of step `no → no+1` begins at bit `pos`,
 /// yields timestamps `no, no+1, …` until the reader is exhausted or
 /// `max_steps` are produced.
-pub fn decode_from(
-    buf: &BitBuf,
+pub fn decode_from<'a>(
+    buf: impl Into<BitSlice<'a>>,
     pos: usize,
     start: i64,
     ts: i64,
     max_steps: usize,
 ) -> Result<Vec<i64>, CodecError> {
-    let mut r = buf.reader_at(pos);
+    let mut r = buf.into().reader_at(pos);
     let mut out = Vec::with_capacity(max_steps.min(64) + 1);
     out.push(start);
     let mut t = start;
@@ -82,8 +83,11 @@ pub fn decode_from(
 /// Bit positions of each deviation code: `positions()[i]` is where the
 /// code of step `i → i+1` starts. Used when building the StIU temporal
 /// index.
-pub fn deviation_positions(buf: &BitBuf, n: usize) -> Result<Vec<usize>, CodecError> {
-    let mut r = buf.reader();
+pub fn deviation_positions<'a>(
+    buf: impl Into<BitSlice<'a>>,
+    n: usize,
+) -> Result<Vec<usize>, CodecError> {
+    let mut r = buf.into().reader();
     golomb::decode_unsigned(&mut r)?;
     r.read_bits(17)?;
     let mut pos = Vec::with_capacity(n.saturating_sub(1));

@@ -1,8 +1,9 @@
 //! Immutable, epoch-stamped read state — what every query runs on.
 //!
 //! A [`Snapshot`] is the complete read path of one store partition
-//! frozen at a point in time: the compressed dataset, its StIU index,
-//! the per-trajectory query plans and the id map, all behind one `Arc`.
+//! frozen at a point in time: the compressed dataset (its trajectories
+//! and their query plans in flat segments, [`crate::segment`]), its StIU
+//! index and the id map, all behind one `Arc`.
 //! Snapshots are **immutable** — nothing in this module takes `&mut
 //! self` after construction — so an `Arc<Snapshot>` can be handed to any
 //! number of query threads, pinned across a paginated walk, or
@@ -45,13 +46,13 @@ use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
 use crate::cache::{CacheStats, DecodeCache};
-use crate::chunk::{ChunkedVec, SharedIdMap};
+use crate::chunk::SharedIdMap;
 use crate::compress::{compress_trajectory, CompressedDataset, Ratios};
 use crate::error::Error;
-use crate::plan::TrajPlan;
 use crate::query::{
     range_scan, Page, PageRequest, QueryEngine, QueryTarget, RangeCandidate, WhenHit, WhereHit,
 };
+use crate::segment::Resident;
 use crate::stiu::{Stiu, StiuParams, MAX_SPAN_PARTITIONS};
 use crate::storage::Sections;
 
@@ -102,8 +103,9 @@ impl<T> Swap<T> {
     }
 }
 
-/// One immutable epoch of a store partition: compressed dataset + StIU
-/// index + query plans + id map, cheaply shareable behind an `Arc`.
+/// One immutable epoch of a store partition: compressed dataset (with
+/// its query plans) + StIU index + id map, cheaply shareable behind an
+/// `Arc`.
 ///
 /// Obtained from [`crate::store::Store::snapshot`]. A pinned snapshot
 /// is a *consistent read view*: queries, paginated walks and container
@@ -131,8 +133,6 @@ pub struct Snapshot {
     pub(crate) cds: CompressedDataset,
     pub(crate) stiu: Stiu,
     pub(crate) id_to_idx: SharedIdMap,
-    /// Per-trajectory lookup tables, same order as `cds.trajectories`.
-    pub(crate) plans: ChunkedVec<TrajPlan>,
     /// The owning store's decode cache, shared across epochs.
     pub(crate) cache: Arc<DecodeCache>,
     /// Publication counter within the owning store; 0 for the state a
@@ -184,7 +184,22 @@ impl Snapshot {
             .trajectories
             .get(j as usize)
             .ok_or(Error::CorruptStore("trajectory position out of range"))?;
-        self.engine().times(j, ct)
+        self.engine().times(j, &ct)
+    }
+
+    /// Heap bytes this snapshot keeps resident, by part, in the order
+    /// `utcq info` lists them (the road network and the decode cache are
+    /// the store's, not counted).
+    pub fn resident(&self) -> Resident {
+        let mut census = Resident::default();
+        for part in ["stream arena", "offset tables", "rows and plans"] {
+            census.add(part, 0);
+        }
+        self.cds.trajectories.resident(&mut census);
+        self.stiu.trajs.resident(&mut census);
+        census.add("id map", self.id_to_idx.heap_bytes());
+        census.add("postings", self.stiu.interval_trajs.heap_bytes());
+        census
     }
 
     /// Persists this snapshot as a self-contained v4 container — the
@@ -214,7 +229,6 @@ impl Snapshot {
             net: &self.net,
             cds: &self.cds,
             stiu: &self.stiu,
-            plans: &self.plans,
             cache: &self.cache,
             epoch: self.epoch,
         }
@@ -264,15 +278,12 @@ impl Snapshot {
     /// The candidate for the trajectory at position `j` of this
     /// snapshot, scanned as partition `partition` of its store.
     pub(crate) fn range_candidate(&self, partition: u32, j: u32) -> Option<RangeCandidate> {
-        let ct = self.cds.trajectories.get(j as usize)?;
+        let (id, mass) = self.cds.trajectories.id_and_mass(j as usize)?;
         Some(RangeCandidate {
-            id: ct.id,
+            id,
             partition,
             pos: j,
-            mass: self
-                .plans
-                .get(j as usize)
-                .map_or(f64::INFINITY, TrajPlan::prob_mass),
+            mass,
         })
     }
 }
@@ -370,7 +381,6 @@ pub(crate) struct PartitionState {
     /// configurable on an empty builder.
     pub(crate) stiu: Option<Stiu>,
     pub(crate) id_to_idx: SharedIdMap,
-    pub(crate) plans: ChunkedVec<TrajPlan>,
 }
 
 impl PartitionState {
@@ -382,29 +392,27 @@ impl PartitionState {
                 name: String::new(),
                 params,
                 w_e,
-                trajectories: ChunkedVec::new(),
+                trajectories: Default::default(),
                 compressed: Default::default(),
                 raw: Default::default(),
             },
             stiu: None,
             id_to_idx: SharedIdMap::new(),
-            plans: ChunkedVec::new(),
         }
     }
 
     /// Clones a snapshot's frozen state back into mutable form — the
     /// copy-out step of a live ingest (off the query path; readers keep
     /// the snapshot untouched). O(batch), not O(store): every container
-    /// is structurally shared ([`crate::chunk`]), so this clone copies
-    /// chunk directories and segment pointers only; appending the batch
-    /// then copies at most each container's tail chunk once
+    /// is structurally shared ([`crate::segment`], [`crate::chunk`]), so
+    /// this clone copies segment directories only; appending the batch
+    /// then copies at most each container's tail segment once
     /// (copy-on-write), never the sealed ones.
     pub(crate) fn from_snapshot(snap: &Snapshot) -> Self {
         Self {
             cds: snap.cds.clone(),
             stiu: Some(snap.stiu.clone()),
             id_to_idx: snap.id_to_idx.clone(),
-            plans: snap.plans.clone(),
         }
     }
 
@@ -436,10 +444,11 @@ impl PartitionState {
         let (ct, size) = compress_trajectory(net, tu, &params)?;
         self.cds.compressed.add(&size);
         self.cds.raw.add(&utcq_traj::size::uncompressed_bits(tu));
-        stiu.push(net, tu, &ct, &params);
-        self.plans.push(TrajPlan::build(&ct, &p_codec)?);
+        self.cds.trajectories.push(&ct, &p_codec)?;
+        let missing = Error::CorruptStore("appended trajectory not stored");
+        let stored = self.cds.trajectories.get(j as usize).ok_or(missing)?;
+        stiu.push(net, tu, &stored, &params);
         self.id_to_idx.insert(tu.id, j);
-        self.cds.trajectories.push(ct);
         Ok(())
     }
 
@@ -460,7 +469,6 @@ impl PartitionState {
             cds: self.cds,
             stiu,
             id_to_idx: self.id_to_idx,
-            plans: self.plans,
             cache,
             epoch,
         }

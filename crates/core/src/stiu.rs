@@ -16,16 +16,23 @@
 //!   `p_total` / `p_max` over the reference's group that power the
 //!   filtering lemmas. Non-reference tuples carry the resume vertex, its
 //!   entry index, and the bit position of the covering `Com_E` factor.
+//!
+//! In memory the nodes are the index half of [`crate::segment`]: per
+//! 1,024 trajectories one [`NodeSegment`] holding every temporal,
+//! reference and non-reference tuple in three flat tables, and per node
+//! the rows at which its tuples end. A [`TrajIndex`] is one node
+//! borrowed from them.
 
 use utcq_bitio::golomb;
 use utcq_bitio::pddp::PddpCodec;
 use utcq_network::{CellId, Grid, RoadNetwork, VertexId};
 use utcq_traj::{Dataset, Instance, TedView, UncertainTrajectory};
 
-use crate::chunk::{ChunkedVec, IntervalMap};
+use crate::chunk::IntervalMap;
 use crate::compress::CompressedDataset;
-use crate::compressed::CompressedTrajectory;
+use crate::error::Error;
 use crate::factor::{self, EFactor};
+use crate::segment::{copy_vec, offset, vec_bytes, Resident, Segments, Table, TrajView};
 use crate::siar;
 
 /// Index construction parameters (the paper's Fig. 9 sweeps both).
@@ -78,17 +85,24 @@ pub struct TemporalTuple {
     pub pos: u32,
 }
 
-/// Spatial tuple of a reference for one region.
+/// [`RefRegionTuple::fv`] of a reference that never enters the region
+/// itself (the paper's `∞`): only members of its `Rrs` do.
+pub const NO_FV: VertexId = VertexId(u32::MAX);
+
+/// Spatial tuple of a reference for one region. Rows of 36 bytes: the
+/// two bounds sit at 4-byte alignment rather than pad every row to 40
+/// (the reference tuples are the largest table of a store), so they are
+/// read by value, never borrowed.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 pub struct RefRegionTuple {
     /// The region.
     pub cell: CellId,
-    /// Index into [`CompressedTrajectory::refs`].
+    /// Index into [`TrajView::refs`].
     pub ref_idx: u32,
-    /// Final vertex w.r.t. the region; `None` encodes the paper's `∞`
-    /// (the reference itself never enters the region, only members of its
-    /// `Rrs` do).
-    pub fv: Option<VertexId>,
+    /// Final vertex w.r.t. the region, or [`NO_FV`]
+    /// ([`RefRegionTuple::final_vertex`] tells them apart).
+    pub fv: VertexId,
     /// Entry index of `fv`'s edge in `E(Ref)`.
     pub fv_no: u32,
     /// Bit position of the `d.no`-th distance code in `D̂(Ref)`.
@@ -100,12 +114,19 @@ pub struct RefRegionTuple {
     pub p_max: f64,
 }
 
+impl RefRegionTuple {
+    /// The final vertex, if the reference itself enters the region.
+    pub fn final_vertex(&self) -> Option<VertexId> {
+        (self.fv != NO_FV).then_some(self.fv)
+    }
+}
+
 /// Spatial tuple of a non-reference for one region.
 #[derive(Debug, Clone, Copy)]
 pub struct NrefRegionTuple {
     /// The region.
     pub cell: CellId,
-    /// Index into [`CompressedTrajectory::nrefs`].
+    /// Index into [`TrajView::nrefs`].
     pub nref_idx: u32,
     /// Resume vertex (the vertex traversed immediately before the
     /// region).
@@ -116,35 +137,31 @@ pub struct NrefRegionTuple {
     pub ma_pos: u32,
 }
 
-/// Per-trajectory index node.
-#[derive(Debug, Clone, Default)]
-pub struct TrajIndex {
+/// One per-trajectory index node, borrowed from its [`NodeSegment`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TrajIndex<'a> {
     /// Temporal tuples sorted by `start`.
-    pub temporal: Vec<TemporalTuple>,
+    pub temporal: &'a [TemporalTuple],
     /// Reference region tuples.
-    pub ref_tuples: Vec<RefRegionTuple>,
+    pub ref_tuples: &'a [RefRegionTuple],
     /// Non-reference region tuples.
-    pub nref_tuples: Vec<NrefRegionTuple>,
+    pub nref_tuples: &'a [NrefRegionTuple],
 }
 
-impl TrajIndex {
+impl<'a> TrajIndex<'a> {
     /// The temporal tuple with the largest `start ≤ t`, if any.
-    pub fn temporal_at(&self, t: i64) -> Option<&TemporalTuple> {
+    pub fn temporal_at(&self, t: i64) -> Option<&'a TemporalTuple> {
         let i = self.temporal.partition_point(|tt| tt.start <= t);
-        if i == 0 {
-            None
-        } else {
-            Some(&self.temporal[i - 1])
-        }
+        self.temporal.get(i.checked_sub(1)?)
     }
 
     /// Reference tuples for a region.
-    pub fn refs_in(&self, cell: CellId) -> impl Iterator<Item = &RefRegionTuple> {
+    pub fn refs_in(&self, cell: CellId) -> impl Iterator<Item = &'a RefRegionTuple> {
         self.ref_tuples.iter().filter(move |t| t.cell == cell)
     }
 
     /// Non-reference tuples for a region.
-    pub fn nrefs_in(&self, cell: CellId) -> impl Iterator<Item = &NrefRegionTuple> {
+    pub fn nrefs_in(&self, cell: CellId) -> impl Iterator<Item = &'a NrefRegionTuple> {
         self.nref_tuples.iter().filter(move |t| t.cell == cell)
     }
 
@@ -154,35 +171,104 @@ impl TrajIndex {
         let (first, last) = (self.temporal.first()?, self.temporal.last()?);
         params.span(&[first.start, last.start])
     }
+}
 
-    /// Fills `p_total` / `p_max` of every reference tuple from the
-    /// group's probability codes and from which tuples exist: a
-    /// reference traverses a region iff its tuple there has a final
-    /// vertex, a non-reference iff it has a tuple there. `p_total` sums
-    /// the traversing members in member order (the reference, then its
-    /// non-references in `ct.nrefs` order) starting from `0.0`; `p_max`
-    /// is the maximum over the traversing non-references.
+/// The index half of a segment ([`crate::segment`]): the nodes of up to
+/// 1,024 trajectories in three flat tuple tables.
+#[derive(Debug, Default)]
+pub struct NodeSegment {
+    /// Per node: the rows at which its temporal, reference and
+    /// non-reference tuples end (they start where the previous node's
+    /// end). Tuples past the last entry belong to the node being built.
+    ends: Vec<[u32; 3]>,
+    pub(crate) temporal: Vec<TemporalTuple>,
+    pub(crate) ref_tuples: Vec<RefRegionTuple>,
+    pub(crate) nref_tuples: Vec<NrefRegionTuple>,
+}
+
+/// The nodes of an index, one per trajectory.
+pub type Nodes = Segments<NodeSegment>;
+
+impl NodeSegment {
+    /// The node whose tuples run from the rows `from` to the rows `to`.
+    fn node(&self, from: [usize; 3], to: [usize; 3]) -> Option<TrajIndex<'_>> {
+        Some(TrajIndex {
+            temporal: self.temporal.get(from[0]..to[0])?,
+            ref_tuples: self.ref_tuples.get(from[1]..to[1])?,
+            nref_tuples: self.nref_tuples.get(from[2]..to[2])?,
+        })
+    }
+
+    /// The rows at which node `k` ends, or starts for `k + 1`.
+    fn end(&self, k: usize) -> Option<[usize; 3]> {
+        Some(self.ends.get(k)?.map(|row| row as usize))
+    }
+
+    /// The rows at which the node being built starts.
+    fn open_from(&self) -> [usize; 3] {
+        let closed = self.ends.len().checked_sub(1);
+        closed.and_then(|k| self.end(k)).unwrap_or_default()
+    }
+
+    /// The node being built: every tuple pushed since the last
+    /// [`NodeSegment::close`].
+    fn open(&self) -> TrajIndex<'_> {
+        let to = [
+            self.temporal.len(),
+            self.ref_tuples.len(),
+            self.nref_tuples.len(),
+        ];
+        self.node(self.open_from(), to).unwrap_or_default()
+    }
+
+    /// Closes the node being built.
+    fn close(&mut self) -> Result<(), Error> {
+        let end = [
+            offset(self.temporal.len())?,
+            offset(self.ref_tuples.len())?,
+            offset(self.nref_tuples.len())?,
+        ];
+        self.ends.push(end);
+        Ok(())
+    }
+
+    /// Fills `p_total` / `p_max` of every reference tuple of the node
+    /// being built from the group's probability codes and from which
+    /// tuples exist: a reference traverses a region iff its tuple there
+    /// has a final vertex, a non-reference iff it has a tuple there.
+    /// `p_total` sums the traversing members in member order (the
+    /// reference, then its non-references in `ct.nrefs` order) starting
+    /// from `0.0`; `p_max` is the maximum over the traversing
+    /// non-references.
     ///
     /// The one place the bounds are computed: index construction calls
     /// it on the node it just built, the container reader on the node it
     /// just parsed (the bounds are not stored), so built and reopened
-    /// indexes agree to the last bit. Every `ref_idx` / `nref_idx` of
-    /// the node must be in range for `ct`, and the non-reference tuples
-    /// in non-decreasing `nref_idx` order (so one pass over them meets
-    /// the members in member order, a member's tuples side by side).
-    pub(crate) fn fill_group_bounds(&mut self, ct: &CompressedTrajectory, p_codec: &PddpCodec) {
-        let nref_tuples = &self.nref_tuples;
-        for rt in &mut self.ref_tuples {
+    /// indexes agree to the last bit. A tuple whose `ref_idx` /
+    /// `nref_idx` is out of range for `ct` contributes nothing; the
+    /// non-reference tuples must be in non-decreasing `nref_idx` order
+    /// (so one pass over them meets the members in member order, a
+    /// member's tuples side by side).
+    pub(crate) fn fill_group_bounds(&mut self, ct: &TrajView<'_>, p_codec: &PddpCodec) {
+        let [_, refs_from, nrefs_from] = self.open_from();
+        let refs = self.ref_tuples.get_mut(refs_from..);
+        let nrefs = self.nref_tuples.get(nrefs_from..);
+        let (Some(ref_tuples), Some(nref_tuples)) = (refs, nrefs) else {
+            return;
+        };
+        for rt in ref_tuples {
             let mut p_total = 0.0;
             let mut p_max = 0.0f64;
-            if rt.fv.is_some() {
-                p_total += p_codec.dequantize(ct.refs[rt.ref_idx as usize].p_code);
+            if let (Some(_), Some(r)) = (rt.final_vertex(), ct.refs.get(rt.ref_idx as usize)) {
+                p_total += p_codec.dequantize(r.p_code);
             }
             // A member that re-enters the region has several tuples
             // there and still counts once.
             let mut counted = None;
             for t in nref_tuples.iter().filter(|t| t.cell == rt.cell) {
-                let n = &ct.nrefs[t.nref_idx as usize];
+                let Some(n) = ct.nrefs.get(t.nref_idx as usize) else {
+                    continue;
+                };
                 if n.ref_idx == rt.ref_idx && counted != Some(t.nref_idx) {
                     counted = Some(t.nref_idx);
                     let p = p_codec.dequantize(n.p_code);
@@ -196,6 +282,61 @@ impl TrajIndex {
     }
 }
 
+impl Nodes {
+    /// Appends an already built node, its tuples given as slices. (An
+    /// index registers its nodes' postings too: [`Stiu::push`].)
+    pub fn push(
+        &mut self,
+        temporal: &[TemporalTuple],
+        ref_tuples: &[RefRegionTuple],
+        nref_tuples: &[NrefRegionTuple],
+    ) -> Result<(), Error> {
+        self.append(|seg| {
+            seg.temporal.extend_from_slice(temporal);
+            seg.ref_tuples.extend_from_slice(ref_tuples);
+            seg.nref_tuples.extend_from_slice(nref_tuples);
+            seg.close()
+        })
+    }
+}
+
+impl Table for NodeSegment {
+    type View<'a> = TrajIndex<'a>;
+
+    fn view(&self, k: usize) -> Option<TrajIndex<'_>> {
+        let from = match k.checked_sub(1) {
+            Some(prev) => self.end(prev)?,
+            None => [0; 3],
+        };
+        self.node(from, self.end(k)?)
+    }
+
+    fn copy(&self) -> (Self, usize) {
+        let mut copied = 0;
+        let copy = Self {
+            ends: copy_vec(&self.ends, &mut copied),
+            temporal: copy_vec(&self.temporal, &mut copied),
+            ref_tuples: copy_vec(&self.ref_tuples, &mut copied),
+            nref_tuples: copy_vec(&self.nref_tuples, &mut copied),
+        };
+        (copy, copied)
+    }
+
+    fn seal(&mut self) {
+        self.ends.shrink_to_fit();
+        self.temporal.shrink_to_fit();
+        self.ref_tuples.shrink_to_fit();
+        self.nref_tuples.shrink_to_fit();
+    }
+
+    fn resident(&self, census: &mut Resident) {
+        census.add("offset tables", vec_bytes(&self.ends));
+        census.add("temporal", vec_bytes(&self.temporal));
+        census.add("ref tuples", vec_bytes(&self.ref_tuples));
+        census.add("nref tuples", vec_bytes(&self.nref_tuples));
+    }
+}
+
 /// The full index.
 #[derive(Debug, Clone)]
 pub struct Stiu {
@@ -203,10 +344,10 @@ pub struct Stiu {
     pub params: StiuParams,
     /// The spatial grid.
     pub grid: Grid,
-    /// One node per compressed trajectory (same order), chunked so a
-    /// live publish shares sealed chunks by pointer (see
-    /// [`crate::chunk`]).
-    pub trajs: ChunkedVec<TrajIndex>,
+    /// One node per compressed trajectory (same order), in segments so
+    /// a live publish shares the sealed ones by pointer (see
+    /// [`crate::segment`]).
+    pub trajs: Nodes,
     /// Interval index → trajectory indices with samples in the
     /// interval, segmented per trajectory chunk so a batch extends the
     /// tail segment without rewriting the postings of untouched
@@ -358,7 +499,7 @@ impl Stiu {
         Stiu {
             params,
             grid: Grid::over_network(net, params.grid_n),
-            trajs: ChunkedVec::new(),
+            trajs: Nodes::default(),
             interval_trajs: IntervalMap::new(),
         }
     }
@@ -368,37 +509,50 @@ impl Stiu {
     /// incremental-ingest path: nothing previously indexed is touched.
     ///
     /// The trajectory's position must equal `self.trajs.len()` in the
-    /// owning [`CompressedDataset`]'s trajectory vector.
+    /// owning [`CompressedDataset`]'s trajectories.
     pub fn push(
         &mut self,
         net: &RoadNetwork,
         tu: &UncertainTrajectory,
-        ct: &CompressedTrajectory,
+        ct: &TrajView<'_>,
         cparams: &crate::params::CompressParams,
     ) {
-        let node = build_traj(
-            net,
-            tu,
-            ct,
-            &self.grid,
-            self.params.partition_s,
-            &cparams.p_codec(),
-            cparams.d_codec().width(),
-        );
-        self.push_node(node);
+        let partition_s = self.params.partition_s;
+        let (p_codec, d_width) = (cparams.p_codec(), cparams.d_codec().width());
+        self.append_node(|seg, grid| {
+            build_traj(seg, net, tu, ct, grid, partition_s, &p_codec, d_width);
+            Ok::<(), Error>(())
+        })
+        .expect("a trajectory within the span and segment bounds");
     }
 
-    /// Appends an already built (or just parsed) node and registers it
-    /// in every interval between its first and last temporal tuple —
-    /// including sample-free gap intervals, which the trajectory may
-    /// still cross. The interval postings are a pure function of the
-    /// nodes, which is why containers do not store them.
-    pub(crate) fn push_node(&mut self, node: TrajIndex) {
-        if let Some((first, last)) = node.span(&self.params) {
-            let j = self.trajs.len() as u32;
+    /// Appends one node, whose tuples `fill` (given the grid) pushes onto
+    /// the tables of the tail segment, and registers it in every interval between its
+    /// first and last temporal tuple — including sample-free gap
+    /// intervals, which the trajectory may still cross (a span of
+    /// [`MAX_SPAN_PARTITIONS`] or more is refused). The interval postings
+    /// are a pure function of the nodes, which is why containers do not
+    /// store them.
+    pub(crate) fn append_node<E: From<Error>>(
+        &mut self,
+        fill: impl FnOnce(&mut NodeSegment, &Grid) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut span = None;
+        self.trajs.append(|seg| {
+            fill(seg, &self.grid)?;
+            span = seg.open().span(&self.params);
+            // One crafted tuple must not register the node under an
+            // unbounded run of partitions.
+            if span.is_some_and(|(first, last)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS) {
+                return Err(Error::CorruptStore("temporal span too long").into());
+            }
+            seg.close().map_err(E::from)
+        })?;
+        if let Some((first, last)) = span {
+            let j = self.trajs.len() as u32 - 1;
             self.interval_trajs.register(j, first, last);
         }
-        self.trajs.push(node);
+        Ok(())
     }
 }
 
@@ -410,31 +564,32 @@ impl Stiu {
 pub fn build(net: &RoadNetwork, ds: &Dataset, cds: &CompressedDataset, params: StiuParams) -> Stiu {
     let mut stiu = Stiu::new(net, params);
     for (tu, ct) in ds.trajectories.iter().zip(&cds.trajectories) {
-        stiu.push(net, tu, ct, &cds.params);
+        stiu.push(net, tu, &ct, &cds.params);
     }
     stiu
 }
 
+/// Pushes the tuples of one trajectory's node onto `node`'s tables.
+#[allow(clippy::too_many_arguments)]
 fn build_traj(
+    node: &mut NodeSegment,
     net: &RoadNetwork,
     tu: &UncertainTrajectory,
-    ct: &CompressedTrajectory,
+    ct: &TrajView<'_>,
     grid: &Grid,
     partition_s: i64,
     p_codec: &PddpCodec,
     d_width: u32,
-) -> TrajIndex {
-    let mut node = TrajIndex::default();
-
+) {
     // Temporal tuples: one per interval containing at least one sample.
     let positions =
-        siar::deviation_positions(&ct.t_bits, tu.times.len()).expect("own encoding decodes");
+        siar::deviation_positions(ct.t_bits(), tu.times.len()).expect("own encoding decodes");
     let mut last_interval = i64::MIN;
     for (i, &t) in tu.times.iter().enumerate() {
         let interval = t.div_euclid(partition_s);
         if interval != last_interval {
             last_interval = interval;
-            let pos = positions.get(i).copied().unwrap_or(ct.t_bits.len_bits());
+            let pos = positions.get(i).copied().unwrap_or(ct.t_bits().len_bits());
             node.temporal.push(TemporalTuple {
                 start: t,
                 no: i as u32,
@@ -481,7 +636,7 @@ fn build_traj(
             node.ref_tuples.push(RefRegionTuple {
                 cell,
                 ref_idx: ref_idx as u32,
-                fv: ref_visit.map(|v| v.fv),
+                fv: ref_visit.map_or(NO_FV, |v| v.fv),
                 fv_no: ref_visit.map_or(0, |v| v.entry_idx),
                 d_pos: ref_visit.map_or(0, |v| v.d_no * d_width),
                 p_total: 0.0,
@@ -513,7 +668,6 @@ fn build_traj(
         }
     }
     node.fill_group_bounds(ct, p_codec);
-    node
 }
 
 #[cfg(test)]
@@ -549,7 +703,7 @@ mod tests {
                 grid_n: 8,
             },
         );
-        let node = &stiu.trajs[0];
+        let node = stiu.trajs.get(0).unwrap();
         assert_eq!(node.temporal.len(), 2);
         assert_eq!(node.temporal[0].start, paper_fixture::hms(5, 3, 25));
         assert_eq!(node.temporal[0].no, 0);
@@ -579,7 +733,7 @@ mod tests {
                 grid_n: 4,
             },
         );
-        let node = &stiu.trajs[0];
+        let node = stiu.trajs.get(0).unwrap();
         assert!(!node.ref_tuples.is_empty());
         // Every instance's first region contains its first sample.
         let grid = &stiu.grid;
@@ -590,8 +744,9 @@ mod tests {
         // p_total in the first cell covers all three instances (they share
         // the first edge).
         let t0 = node.ref_tuples.iter().find(|t| t.cell == cell0).unwrap();
-        assert!((t0.p_total - 1.0).abs() < 0.01, "p_total={}", t0.p_total);
-        assert!(t0.p_max >= 0.19 && t0.p_max < 0.25, "p_max={}", t0.p_max);
+        let (p_total, p_max) = (t0.p_total, t0.p_max);
+        assert!((p_total - 1.0).abs() < 0.01, "p_total={p_total}");
+        assert!((0.19..0.25).contains(&p_max), "p_max={p_max}");
         assert_eq!(t0.fv_no, 0);
     }
 
@@ -675,11 +830,12 @@ mod tests {
                 grid_n: 4,
             },
         );
-        let node = &stiu.trajs[0];
+        let node = stiu.trajs.get(0).unwrap();
         assert!(!node.nref_tuples.is_empty());
-        for t in &node.nref_tuples {
-            let cnref = &cds.trajectories[0].nrefs[t.nref_idx as usize];
-            assert!((t.ma_pos as usize) < cnref.e_com.len_bits() || cnref.e_com.is_empty());
+        let ct = cds.trajectories.get(0).unwrap();
+        for t in node.nref_tuples {
+            let [e_com, ..] = ct.nref_streams(t.nref_idx as usize);
+            assert!((t.ma_pos as usize) < e_com.len_bits() || e_com.is_empty());
         }
     }
 }

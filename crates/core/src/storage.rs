@@ -42,11 +42,18 @@
 //! `ηp` codec width), `ref_idx` / `nref_idx` (the trajectory's own ref /
 //! nref count); `fv`, `fv_no`, `d_pos` follow only a set `has_fv` bit.
 //!
-//! **Derived at open:** the interval postings (`Stiu::push_node`; v2's
-//! stored ones must agree) and, for v4, `p_total` / `p_max` of every
-//! reference tuple (`TrajIndex::fill_group_bounds`, which index
+//! **Derived at open:** the interval postings (`Stiu::append_node`;
+//! v2's stored ones must agree), the query plans
+//! (`TrajSegment::finish`) and, for v4, `p_total` / `p_max` of every
+//! reference tuple (`NodeSegment::fill_group_bounds`, which index
 //! construction itself calls) — pure functions of stored fields, so a
 //! reopened index equals the built one bit for bit.
+//!
+//! A block and an in-memory segment ([`crate::segment`]) cover the same
+//! [`CHUNK`] records: the readers append each record's fields straight
+//! to the segment's tables and its streams to the segment's arena, and
+//! the writers pack from borrowed views, with no per-trajectory object
+//! in between.
 //!
 //! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
 //! `u32` shard count) followed by one `u64`-length-prefixed, complete v4
@@ -60,17 +67,16 @@
 
 use std::io::{self, Read, Write};
 
-use utcq_bitio::{width_for_max, BitBuf, BitWriter, CodecError};
+use utcq_bitio::{width_for_max, BitBuf, BitSlice, BitWriter, CodecError};
 use utcq_network::{CellId, RoadNetwork, VertexId};
 use utcq_traj::size::SizeBreakdown;
 
-use crate::chunk::{ChunkedVec, CHUNK};
 use crate::compress::CompressedDataset;
-use crate::compressed::{CompressedNonRef, CompressedRef, CompressedTrajectory};
+use crate::error::Error;
 use crate::params::CompressParams;
+use crate::segment::{NrefRow, RefRow, TrajSegment, TrajView, CHUNK};
 use crate::stiu::{
-    NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex,
-    MAX_SPAN_PARTITIONS,
+    NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex, NO_FV,
 };
 
 const MAGIC: &[u8; 4] = b"UTCQ";
@@ -160,6 +166,19 @@ impl From<CodecError> for StorageError {
     }
 }
 
+/// A record the segment tables refuse.
+impl From<Error> for StorageError {
+    fn from(e: Error) -> Self {
+        match e {
+            Error::Storage(e) => e,
+            Error::Io(e) => StorageError::Io(e),
+            Error::Codec(e) => e.into(),
+            Error::CorruptStore(what) => StorageError::Corrupt(what),
+            _ => StorageError::Corrupt("record refused"),
+        }
+    }
+}
+
 /// Little-endian fixed-width fields: a writer and a reader per type.
 macro_rules! le_fields {
     ($($ty:ty: $write:ident, $read:ident;)*) => {$(
@@ -183,7 +202,7 @@ le_fields! {
     f64: write_f64, read_f64;
 }
 
-fn write_bits(w: &mut impl Write, b: &BitBuf) -> io::Result<()> {
+fn write_bits(w: &mut impl Write, b: BitSlice<'_>) -> io::Result<()> {
     write_u32(w, b.len_bits() as u32)?;
     w.write_all(b.as_bytes())
 }
@@ -364,16 +383,18 @@ impl<'a, R: Read> Source<'a, R> {
         Ok(())
     }
 
-    fn stream(&mut self) -> Result<BitBuf, StorageError> {
+    /// Appends the next stream to the open trajectory of `seg`.
+    fn stream(&mut self, seg: &mut TrajSegment) -> Result<(), StorageError> {
         if !self.packed {
-            return read_bits(self.r);
+            let stream = read_bits(self.r)?;
+            return Ok(seg.stream(&mut stream.reader(), stream.len_bits())?);
         }
         let len = self.col(LEN)? as usize;
         // Fails, before allocating, on a length past the block's end.
         let mut r = self.block.reader_at(self.pos);
-        let stream = r.read_buf(len)?;
+        seg.stream(&mut r, len)?;
         self.pos = r.pos();
-        Ok(stream)
+        Ok(())
     }
 }
 
@@ -386,59 +407,56 @@ fn below(v: u64, n: usize, what: &'static str) -> Result<u32, StorageError> {
     Ok(v as u32)
 }
 
-/// Reads `n_trajs` trajectory records into `cds`.
+/// Reads `n_trajs` trajectory records into `cds`, field by field into
+/// its segments.
 fn read_trajs<R: Read>(
     src: &mut Source<'_, R>,
     n_trajs: usize,
     cds: &mut CompressedDataset,
 ) -> Result<(), StorageError> {
+    let p_codec = cds.params.p_codec();
     while cds.trajectories.len() < n_trajs {
         src.begin_block()?;
         for _ in 0..CHUNK.min(n_trajs - cds.trajectories.len()) {
-            let id = src.col(ID)?;
-            let n_times = src.col(TIMES)? as u32;
-            let t_bits = src.stream()?;
-            let n_refs = src.col(INST)? as usize;
-            let mut refs = Vec::with_capacity(n_refs.min(1 << 10));
-            for _ in 0..n_refs {
-                refs.push(CompressedRef {
-                    orig_idx: src.col(INST)? as u32,
-                    sv: VertexId(src.field(src.ctx.vertex, 4)? as u32),
-                    n_entries: src.col(ENTRIES)? as u32,
-                    e_bits: src.stream()?,
-                    tflag_bits: src.stream()?,
-                    d_bits: src.stream()?,
-                    p_code: src.field(src.ctx.p_code, 8)?,
-                });
-            }
-            let n_nrefs = src.col(INST)? as usize;
-            let mut nrefs = Vec::with_capacity(n_nrefs.min(1 << 10));
-            for _ in 0..n_nrefs {
-                let what = "non-reference points past refs";
-                nrefs.push(CompressedNonRef {
-                    orig_idx: src.col(INST)? as u32,
-                    ref_idx: src.index(n_refs, what)?,
-                    e_com: src.stream()?,
-                    t_com: src.stream()?,
-                    d_com: src.stream()?,
-                    p_code: src.field(src.ctx.p_code, 8)?,
-                });
-            }
-            cds.trajectories.push(CompressedTrajectory {
-                id,
-                n_times,
-                t_bits,
-                refs,
-                nrefs,
-            });
+            cds.trajectories.append(|seg| {
+                seg.begin(src.col(ID)?, src.col(TIMES)? as u32)?;
+                src.stream(seg)?;
+                let n_refs = src.col(INST)? as usize;
+                for _ in 0..n_refs {
+                    let orig_idx = src.col(INST)? as u32;
+                    let sv = VertexId(src.field(src.ctx.vertex, 4)? as u32);
+                    let n_entries = src.col(ENTRIES)? as u32;
+                    (0..3).try_for_each(|_| src.stream(seg))?;
+                    seg.refs.push(RefRow {
+                        p_code: src.field(src.ctx.p_code, 8)?,
+                        orig_idx,
+                        sv,
+                        n_entries,
+                    });
+                }
+                let n_nrefs = src.col(INST)? as usize;
+                for _ in 0..n_nrefs {
+                    let orig_idx = src.col(INST)? as u32;
+                    let ref_idx = src.index(n_refs, "non-reference points past refs")?;
+                    (0..3).try_for_each(|_| src.stream(seg))?;
+                    seg.nrefs.push(NrefRow {
+                        p_code: src.field(src.ctx.p_code, 8)?,
+                        orig_idx,
+                        ref_idx,
+                    });
+                }
+                // The plan permutation check.
+                Ok::<(), StorageError>(seg.finish(&p_codec)?)
+            })?;
         }
         src.end_block()?;
     }
     Ok(())
 }
 
-/// Reads one index node per trajectory of `cds` into `stiu`, deriving
-/// the group bounds (not stored in v4) and the interval postings.
+/// Reads one index node per trajectory of `cds` into `stiu`, tuple by
+/// tuple into its segments, deriving the group bounds (not stored in
+/// v4) and the interval postings.
 fn read_nodes<R: Read>(
     src: &mut Source<'_, R>,
     net: &RoadNetwork,
@@ -451,79 +469,69 @@ fn read_nodes<R: Read>(
     while cts.peek().is_some() {
         src.begin_block()?;
         for ct in cts.by_ref().take(CHUNK) {
-            // Each list is sized exactly, up to a cap that a crafted
-            // count cannot push past the content actually present.
-            let mut node = TrajIndex::default();
-            let n = src.col(COUNT)? as usize;
-            node.temporal = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                node.temporal.push(TemporalTuple {
-                    start: src.col(START)? as i64,
-                    no: src.col(NO)? as u32,
-                    pos: src.col(POS)? as u32,
-                });
-            }
-            let n = src.col(COUNT)? as usize;
-            node.ref_tuples = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                let what = "ref tuple out of range";
-                let cell = below(src.field(src.ctx.cell, 4)?, n_cells, what)?;
-                let ref_idx = src.index(ct.refs.len(), what)?;
-                let has_fv = src.field(1, 1)? != 0;
-                let (mut fv, mut fv_no, mut d_pos) = (None, 0, 0);
-                if has_fv || !src.packed {
-                    let v = src.field(src.ctx.vertex, 4)?;
-                    if has_fv {
-                        fv = Some(VertexId(below(v, n_vertices, what)?));
+            // A crafted count cannot grow a table past the content
+            // actually present: each tuple read consumes input.
+            stiu.append_node(|node, _| {
+                for _ in 0..src.col(COUNT)? {
+                    node.temporal.push(TemporalTuple {
+                        start: src.col(START)? as i64,
+                        no: src.col(NO)? as u32,
+                        pos: src.col(POS)? as u32,
+                    });
+                }
+                for _ in 0..src.col(COUNT)? {
+                    let what = "ref tuple out of range";
+                    let cell = below(src.field(src.ctx.cell, 4)?, n_cells, what)?;
+                    let ref_idx = src.index(ct.refs.len(), what)?;
+                    let has_fv = src.field(1, 1)? != 0;
+                    let (mut fv, mut fv_no, mut d_pos) = (NO_FV, 0, 0);
+                    if has_fv || !src.packed {
+                        let v = src.field(src.ctx.vertex, 4)?;
+                        if has_fv {
+                            fv = VertexId(below(v, n_vertices, what)?);
+                        }
+                        fv_no = src.col(ENTRY)? as u32;
+                        d_pos = src.col(POS)? as u32;
                     }
-                    fv_no = src.col(ENTRY)? as u32;
-                    d_pos = src.col(POS)? as u32;
-                }
-                // v2 stores the bounds; v4's are derived below.
-                let (mut p_total, mut p_max) = (0.0, 0.0);
-                if !src.packed {
-                    (p_total, p_max) = (read_f64(src.r)?, read_f64(src.r)?);
-                    if !p_total.is_finite() || !p_max.is_finite() {
-                        return Err(StorageError::Corrupt("non-finite probability bound"));
+                    // v2 stores the bounds; v4's are derived below.
+                    let (mut p_total, mut p_max) = (0.0, 0.0);
+                    if !src.packed {
+                        (p_total, p_max) = (read_f64(src.r)?, read_f64(src.r)?);
+                        if !p_total.is_finite() || !p_max.is_finite() {
+                            return Err(StorageError::Corrupt("non-finite probability bound"));
+                        }
                     }
+                    node.ref_tuples.push(RefRegionTuple {
+                        cell: CellId(cell),
+                        ref_idx,
+                        fv,
+                        fv_no,
+                        d_pos,
+                        p_total,
+                        p_max,
+                    });
                 }
-                node.ref_tuples.push(RefRegionTuple {
-                    cell: CellId(cell),
-                    ref_idx,
-                    fv,
-                    fv_no,
-                    d_pos,
-                    p_total,
-                    p_max,
-                });
-            }
-            let n = src.col(COUNT)? as usize;
-            node.nref_tuples = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                let what = "nref tuple out of range";
-                let tuple = NrefRegionTuple {
-                    cell: CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?),
-                    nref_idx: src.index(ct.nrefs.len(), what)?,
-                    rv: VertexId(below(src.field(src.ctx.vertex, 4)?, n_vertices, what)?),
-                    rv_no: src.col(ENTRY)? as u32,
-                    ma_pos: src.col(POS)? as u32,
-                };
-                // The order `fill_group_bounds` sums in.
-                if tuple.nref_idx < node.nref_tuples.last().map_or(0, |prev| prev.nref_idx) {
-                    return Err(StorageError::Corrupt("nref tuples out of order"));
+                let mut prev = 0;
+                for _ in 0..src.col(COUNT)? {
+                    let what = "nref tuple out of range";
+                    let tuple = NrefRegionTuple {
+                        cell: CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?),
+                        nref_idx: src.index(ct.nrefs.len(), what)?,
+                        rv: VertexId(below(src.field(src.ctx.vertex, 4)?, n_vertices, what)?),
+                        rv_no: src.col(ENTRY)? as u32,
+                        ma_pos: src.col(POS)? as u32,
+                    };
+                    // The order `fill_group_bounds` sums in.
+                    if tuple.nref_idx < std::mem::replace(&mut prev, tuple.nref_idx) {
+                        return Err(StorageError::Corrupt("nref tuples out of order"));
+                    }
+                    node.nref_tuples.push(tuple);
                 }
-                node.nref_tuples.push(tuple);
-            }
-            if src.packed {
-                node.fill_group_bounds(ct, &p_codec);
-            }
-            // One crafted tuple must not register the node under an
-            // unbounded run of partitions.
-            let too_long = |(first, last): (i64, i64)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS;
-            if node.span(&stiu.params).is_some_and(too_long) {
-                return Err(StorageError::Corrupt("temporal span too long"));
-            }
-            stiu.push_node(node);
+                if src.packed {
+                    node.fill_group_bounds(&ct, &p_codec);
+                }
+                Ok(())
+            })?;
         }
         src.end_block()?;
     }
@@ -601,7 +609,7 @@ impl Packer {
     }
 
     /// A bit stream: its length in the `LEN` column, then the bits.
-    fn stream(&mut self, b: &BitBuf) -> io::Result<()> {
+    fn stream(&mut self, b: BitSlice<'_>) -> io::Result<()> {
         self.col(LEN, b.len_bits() as u64)?;
         if self.widths.is_some() {
             self.bits.extend_from(b);
@@ -614,10 +622,10 @@ impl Packer {
 /// Writes `records` as blocks of [`CHUNK`]: per block the `u32` byte
 /// length, the header, the records (`pack` traverses one), zero padding
 /// to a byte. Returns the bits written: all, and those of streams alone.
-fn write_blocks<T: Copy>(
+fn write_blocks<T>(
     ctx: CtxWidths,
     records: impl Iterator<Item = T>,
-    mut pack: impl FnMut(&mut Packer, T) -> io::Result<()>,
+    mut pack: impl FnMut(&mut Packer, &T) -> io::Result<()>,
     out: &mut impl Write,
 ) -> io::Result<(u64, u64)> {
     let mut records = records.peekable();
@@ -626,9 +634,9 @@ fn write_blocks<T: Copy>(
         let block: Vec<T> = records.by_ref().take(CHUNK).collect();
         let mut p = Packer::default();
         (p.ctx, p.base) = (ctx, u64::MAX);
-        block.iter().try_for_each(|&t| pack(&mut p, t))?;
+        block.iter().try_for_each(|t| pack(&mut p, t))?;
         p.start()?;
-        block.iter().try_for_each(|&t| pack(&mut p, t))?;
+        block.iter().try_for_each(|t| pack(&mut p, t))?;
         let buf = p.bits.finish();
         let len = u32::try_from(buf.len_bytes())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "block over 4 GiB"))?;
@@ -640,27 +648,27 @@ fn write_blocks<T: Copy>(
     Ok((bits, payload))
 }
 
-fn pack_traj(p: &mut Packer, ct: &CompressedTrajectory) -> io::Result<()> {
+fn pack_traj(p: &mut Packer, ct: &TrajView<'_>) -> io::Result<()> {
     p.col(ID, ct.id)?;
     p.col(TIMES, u64::from(ct.n_times))?;
-    p.stream(&ct.t_bits)?;
+    p.stream(ct.t_bits())?;
     p.col(INST, ct.refs.len() as u64)?;
-    for r in &ct.refs {
+    for (i, r) in ct.refs.iter().enumerate() {
         p.col(INST, u64::from(r.orig_idx))?;
         p.field(u64::from(r.sv.0), p.ctx.vertex)?;
         p.col(ENTRIES, u64::from(r.n_entries))?;
-        p.stream(&r.e_bits)?;
-        p.stream(&r.tflag_bits)?;
-        p.stream(&r.d_bits)?;
+        ct.ref_streams(i)
+            .into_iter()
+            .try_for_each(|b| p.stream(b))?;
         p.field(r.p_code, p.ctx.p_code)?;
     }
     p.col(INST, ct.nrefs.len() as u64)?;
-    for n in &ct.nrefs {
+    for (i, n) in ct.nrefs.iter().enumerate() {
         p.col(INST, u64::from(n.orig_idx))?;
         p.field(u64::from(n.ref_idx), index_width(ct.refs.len()))?;
-        p.stream(&n.e_com)?;
-        p.stream(&n.t_com)?;
-        p.stream(&n.d_com)?;
+        ct.nref_streams(i)
+            .into_iter()
+            .try_for_each(|b| p.stream(b))?;
         p.field(n.p_code, p.ctx.p_code)?;
     }
     Ok(())
@@ -668,22 +676,22 @@ fn pack_traj(p: &mut Packer, ct: &CompressedTrajectory) -> io::Result<()> {
 
 fn pack_node(
     p: &mut Packer,
-    (node, ct): (&TrajIndex, &CompressedTrajectory),
+    (node, ct): &(TrajIndex<'_>, TrajView<'_>),
     (ref_bits, nref_bits): &mut (u64, u64),
 ) -> io::Result<()> {
     p.col(COUNT, node.temporal.len() as u64)?;
-    for t in &node.temporal {
+    for t in node.temporal {
         p.col(START, t.start as u64)?;
         p.col(NO, u64::from(t.no))?;
         p.col(POS, u64::from(t.pos))?;
     }
     let refs_at = p.bits.len_bits();
     p.col(COUNT, node.ref_tuples.len() as u64)?;
-    for t in &node.ref_tuples {
+    for t in node.ref_tuples {
         p.field(u64::from(t.cell.0), p.ctx.cell)?;
         p.field(u64::from(t.ref_idx), index_width(ct.refs.len()))?;
-        p.field(u64::from(t.fv.is_some()), 1)?;
-        if let Some(fv) = t.fv {
+        p.field(u64::from(t.final_vertex().is_some()), 1)?;
+        if let Some(fv) = t.final_vertex() {
             p.field(u64::from(fv.0), p.ctx.vertex)?;
             p.col(ENTRY, u64::from(t.fv_no))?;
             p.col(POS, u64::from(t.d_pos))?;
@@ -691,7 +699,7 @@ fn pack_node(
     }
     let nrefs_at = p.bits.len_bits();
     p.col(COUNT, node.nref_tuples.len() as u64)?;
-    for t in &node.nref_tuples {
+    for t in node.nref_tuples {
         p.field(u64::from(t.cell.0), p.ctx.cell)?;
         p.field(u64::from(t.nref_idx), index_width(ct.nrefs.len()))?;
         p.field(u64::from(t.rv.0), p.ctx.vertex)?;
@@ -751,24 +759,24 @@ pub fn save(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
     for ct in &cds.trajectories {
         write_u64(w, ct.id)?;
         write_u32(w, ct.n_times)?;
-        write_bits(w, &ct.t_bits)?;
+        write_bits(w, ct.t_bits())?;
         write_u32(w, ct.refs.len() as u32)?;
-        for r in &ct.refs {
+        for (i, r) in ct.refs.iter().enumerate() {
             write_u32(w, r.orig_idx)?;
             write_u32(w, r.sv.0)?;
             write_u32(w, r.n_entries)?;
-            write_bits(w, &r.e_bits)?;
-            write_bits(w, &r.tflag_bits)?;
-            write_bits(w, &r.d_bits)?;
+            ct.ref_streams(i)
+                .into_iter()
+                .try_for_each(|b| write_bits(w, b))?;
             write_u64(w, r.p_code)?;
         }
         write_u32(w, ct.nrefs.len() as u32)?;
-        for n in &ct.nrefs {
+        for (i, n) in ct.nrefs.iter().enumerate() {
             write_u32(w, n.orig_idx)?;
             write_u32(w, n.ref_idx)?;
-            write_bits(w, &n.e_com)?;
-            write_bits(w, &n.t_com)?;
-            write_bits(w, &n.d_com)?;
+            ct.nref_streams(i)
+                .into_iter()
+                .try_for_each(|b| write_bits(w, b))?;
             write_u64(w, n.p_code)?;
         }
     }
@@ -904,7 +912,7 @@ fn read_dataset(
         name,
         params,
         w_e,
-        trajectories: ChunkedVec::new(),
+        trajectories: Default::default(),
         compressed,
         raw,
     };

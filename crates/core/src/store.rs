@@ -72,14 +72,13 @@ use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
-use crate::chunk::{ChunkedVec, SharedIdMap};
+use crate::chunk::SharedIdMap;
 use crate::compress::{CompressedDataset, Ratios};
 use crate::compressed::edge_number_width;
 use crate::error::Error;
 use crate::live::{Held, LiveStore, WriterCore};
 use crate::opened::InfoReport;
 use crate::params::CompressParams;
-use crate::plan::TrajPlan;
 use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::snapshot::{PartitionState, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
@@ -413,25 +412,26 @@ impl Store {
         self.snapshot().write(w)
     }
 
-    /// Assembles a store from parts, validating cross-references and
-    /// building the per-trajectory query plans. Also the per-shard
-    /// assembly step of [`crate::shard::ShardedStore::read`].
+    /// Assembles a store from parts, validating cross-references (the
+    /// per-trajectory query plans were built as the trajectories were
+    /// appended). Also the per-shard assembly step of
+    /// [`crate::shard::ShardedStore::read`].
     pub(crate) fn assemble(
         net: Arc<RoadNetwork>,
         cds: CompressedDataset,
         stiu: Stiu,
     ) -> Result<Self, Error> {
-        let (id_to_idx, plans) = Self::validate_parts(&cds, &stiu)?;
-        Ok(Self::from_validated(net, cds, stiu, id_to_idx, plans))
+        let id_to_idx = Self::validate_parts(&cds, &stiu)?;
+        Ok(Self::from_validated(net, cds, stiu, id_to_idx))
     }
 
-    /// The validating (and expensive) half of [`Store::assemble`]:
-    /// cross-reference checks plus query-plan construction. Split out so
-    /// the parallel sharded open can run it per shard on the work queue.
+    /// The validating half of [`Store::assemble`]: cross-reference
+    /// checks plus the id map. Split out so the parallel sharded open
+    /// can run it per shard on the work queue.
     pub(crate) fn validate_parts(
         cds: &CompressedDataset,
         stiu: &Stiu,
-    ) -> Result<(SharedIdMap, ChunkedVec<TrajPlan>), Error> {
+    ) -> Result<SharedIdMap, Error> {
         if stiu.trajs.len() != cds.trajectories.len() {
             return Err(Error::CorruptStore("index/dataset trajectory counts"));
         }
@@ -442,8 +442,7 @@ impl Store {
             }
             id_to_idx.insert(ct.id, i as u32);
         }
-        let plans = crate::plan::build_plans(&cds.trajectories, &cds.params.p_codec())?;
-        Ok((id_to_idx, ChunkedVec::from_vec(plans)))
+        Ok(id_to_idx)
     }
 
     /// Wraps already-validated parts into a store handle — the cheap
@@ -453,14 +452,12 @@ impl Store {
         cds: CompressedDataset,
         stiu: Stiu,
         id_to_idx: SharedIdMap,
-        plans: ChunkedVec<TrajPlan>,
     ) -> Self {
         let stiu_params = stiu.params;
         let state = PartitionState {
             cds,
             stiu: Some(stiu),
             id_to_idx,
-            plans,
         };
         Self::from_state(net, state, stiu_params, DEFAULT_CACHE_BYTES)
     }

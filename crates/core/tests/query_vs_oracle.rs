@@ -10,7 +10,7 @@ use utcq_core::stiu::StiuParams;
 use utcq_core::Store;
 use utcq_core::{decompress::check_lossy_roundtrip, oracle};
 use utcq_network::{Rect, RoadNetwork};
-use utcq_traj::Dataset;
+use utcq_traj::{Dataset, UncertainTrajectory};
 
 fn setup(seed: u64, n: usize) -> (RoadNetwork, Dataset) {
     utcq_datagen::generate(&utcq_datagen::profile::tiny(), n, seed)
@@ -29,17 +29,19 @@ fn store(net: &RoadNetwork, ds: &Dataset) -> Store {
     .unwrap()
 }
 
-#[test]
-fn where_matches_oracle() {
-    let (net, ds) = setup(21, 20);
-    let st = store(&net, &ds);
+/// Compares *where* answers on `trajs`; returns the hits compared.
+fn check_where<'a>(
+    net: &RoadNetwork,
+    st: &Store,
+    trajs: impl Iterator<Item = &'a UncertainTrajectory>,
+) -> usize {
     let mut checked = 0usize;
-    for tu in &ds.trajectories {
+    for tu in trajs {
         let span = tu.times[tu.times.len() - 1] - tu.times[0];
         for k in 0..5 {
             let t = tu.times[0] + span * k / 4;
             for &alpha in &[0.0, 0.2, 0.5] {
-                let want = oracle::where_query(&net, tu, t, alpha);
+                let want = oracle::where_query(net, tu, t, alpha);
                 let got = st
                     .where_query(tu.id, t, alpha, PageRequest::all())
                     .unwrap()
@@ -65,20 +67,29 @@ fn where_matches_oracle() {
             }
         }
     }
-    assert!(checked > 50, "too few comparisons: {checked}");
+    checked
 }
 
 #[test]
-fn when_matches_oracle() {
-    let (net, ds) = setup(22, 20);
-    let st = store(&net, &ds);
+fn where_matches_oracle() {
+    let (net, ds) = setup(21, 20);
+    let checked = check_where(&net, &store(&net, &ds), ds.trajectories.iter());
+    assert!(checked > 50, "too few comparisons: {checked}");
+}
+
+/// Compares *when* answers on `trajs`; returns the hits compared.
+fn check_when<'a>(
+    net: &RoadNetwork,
+    st: &Store,
+    trajs: impl Iterator<Item = &'a UncertainTrajectory>,
+) -> usize {
     let mut checked = 0usize;
-    for tu in &ds.trajectories {
+    for tu in trajs {
         // Query the middle edge of the most probable instance.
         let inst = tu.top_instance();
         let edge = inst.path[inst.path.len() / 2];
         for &alpha in &[0.0, 0.3] {
-            let want = oracle::when_query(&net, tu, edge, 0.5, alpha);
+            let want = oracle::when_query(net, tu, edge, 0.5, alpha);
             let got = st
                 .when_query(tu.id, edge, 0.5, alpha, PageRequest::all())
                 .unwrap()
@@ -110,13 +121,18 @@ fn when_matches_oracle() {
             }
         }
     }
-    assert!(checked > 20, "too few comparisons: {checked}");
+    checked
 }
 
 #[test]
-fn range_matches_oracle() {
-    let (net, ds) = setup(23, 25);
-    let st = store(&net, &ds);
+fn when_matches_oracle() {
+    let (net, ds) = setup(22, 20);
+    let checked = check_when(&net, &store(&net, &ds), ds.trajectories.iter());
+    assert!(checked > 20, "too few comparisons: {checked}");
+}
+
+/// Compares *range* answers over a grid of regions.
+fn check_range(net: &RoadNetwork, ds: &Dataset, st: &Store) {
     let bounds = net.bounding_rect();
     let mut agree = 0usize;
     let mut total = 0usize;
@@ -131,7 +147,7 @@ fn range_matches_oracle() {
         );
         let tq = ds.trajectories[k % ds.trajectories.len()].times[0] + 30;
         for &alpha in &[0.05, 0.3, 0.7] {
-            let mut want = oracle::range_query(&net, &ds, &re, tq, alpha);
+            let mut want = oracle::range_query(net, ds, &re, tq, alpha);
             let mut got = st
                 .range_query(&re, tq, alpha, PageRequest::all())
                 .unwrap()
@@ -157,6 +173,28 @@ fn range_matches_oracle() {
         agree as f64 / total as f64 > 0.9,
         "agreement {agree}/{total}"
     );
+}
+
+#[test]
+fn range_matches_oracle() {
+    let (net, ds) = setup(23, 25);
+    check_range(&net, &ds, &store(&net, &ds));
+}
+
+#[test]
+fn queries_match_oracle_across_segments() {
+    // Three sealed segments of 1,024 and a partial tail: the same three
+    // comparisons on trajectories at and around every segment boundary.
+    let n = 3 * 1_024 + 100;
+    let (net, ds) = setup(25, n);
+    let st = store(&net, &ds);
+    let snap = st.snapshot();
+    assert_eq!(snap.compressed().trajectories.segments().count(), 4);
+    let near_seals = (0..n).filter(|j| j % 97 == 0 || (j + 2) % 1_024 < 4 || j + 1 == n);
+    let sample = || near_seals.clone().map(|j| &ds.trajectories[j]);
+    assert!(check_where(&net, &st, sample()) > 50);
+    assert!(check_when(&net, &st, sample()) > 20);
+    check_range(&net, &ds, &st);
 }
 
 #[test]

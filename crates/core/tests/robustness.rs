@@ -126,19 +126,25 @@ fn crafted_temporal_span_is_rejected_at_open() {
     // and last temporal tuple. Two tuples 2^40 s apart would register
     // one node under ~10^9 partitions: the reader must refuse, not
     // allocate.
-    use utcq_core::chunk::ChunkedVec;
-    use utcq_core::stiu::{self, StiuParams, TrajIndex};
+    use utcq_core::stiu::{self, Nodes, StiuParams};
     use utcq_core::storage::{self, StorageError};
     let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 5, 31);
     let params = utcq_core::CompressParams::with_interval(ds.default_interval);
     let cds = utcq_core::compress_dataset(&net, &ds, &params).unwrap();
     let mut index = stiu::build(&net, &ds, &cds, StiuParams::default());
-    let mut nodes: Vec<TrajIndex> = index.trajs.iter().cloned().collect();
-    nodes[0].temporal.truncate(1);
-    let mut far = nodes[0].temporal[0];
-    far.start += 1 << 40;
-    nodes[0].temporal.push(far);
-    index.trajs = ChunkedVec::from_vec(nodes);
+    let mut nodes = Nodes::default();
+    for (j, node) in index.trajs.iter().enumerate() {
+        let mut temporal = node.temporal.to_vec();
+        if j == 0 {
+            temporal.truncate(1);
+            let mut far = temporal[0];
+            far.start += 1 << 40;
+            temporal.push(far);
+        }
+        let (refs, nrefs) = (node.ref_tuples, node.nref_tuples);
+        nodes.push(&temporal, refs, nrefs).unwrap();
+    }
+    index.trajs = nodes;
     let mut bytes = Vec::new();
     storage::save_v4(&net, &cds, &index, &mut bytes).unwrap();
     assert!(matches!(

@@ -260,6 +260,25 @@ fn ingest_order_does_not_change_answers() {
     assert_equal_answers(&ab, &ba, &ds, &mut rng);
 }
 
+/// Every field of an index node, the probability bounds by bit pattern.
+type NodeFields = (
+    Vec<utcq_core::stiu::TemporalTuple>,
+    Vec<([u32; 5], u64, u64)>,
+    Vec<[u32; 5]>,
+);
+
+fn node_fields(n: utcq_core::stiu::TrajIndex<'_>) -> NodeFields {
+    let refs = n.ref_tuples.iter().map(|t| {
+        let ints = [t.cell.0, t.ref_idx, t.fv.0, t.fv_no, t.d_pos];
+        (ints, t.p_total.to_bits(), t.p_max.to_bits())
+    });
+    let nrefs = n
+        .nref_tuples
+        .iter()
+        .map(|t| [t.cell.0, t.nref_idx, t.rv.0, t.rv_no, t.ma_pos]);
+    (n.temporal.to_vec(), refs.collect(), nrefs.collect())
+}
+
 /// Asserts that `reopened` holds exactly the index and accounting of
 /// `built`: every node field for field (the probability bounds by bit
 /// pattern), every interval's postings, the ratios.
@@ -271,22 +290,7 @@ fn assert_same_index(built: &[Arc<Snapshot>], reopened: &[Arc<Snapshot>], what: 
         assert_eq!(a.params, b.params, "{what}");
         assert_eq!(a.trajs.len(), b.trajs.len(), "{what}: nodes");
         for (j, (x, y)) in a.trajs.iter().zip(&b.trajs).enumerate() {
-            assert_eq!(x.temporal, y.temporal, "{what}: node {j}");
-            let refs = |n: &utcq_core::stiu::TrajIndex| -> Vec<_> {
-                let bits = |t: &utcq_core::stiu::RefRegionTuple| {
-                    let ints = (t.cell, t.ref_idx, t.fv, t.fv_no, t.d_pos);
-                    (ints, t.p_total.to_bits(), t.p_max.to_bits())
-                };
-                n.ref_tuples.iter().map(bits).collect()
-            };
-            assert_eq!(refs(x), refs(y), "{what}: node {j} ref tuples");
-            let nrefs = |n: &utcq_core::stiu::TrajIndex| -> Vec<_> {
-                let fields = |t: &utcq_core::stiu::NrefRegionTuple| {
-                    (t.cell, t.nref_idx, t.rv, t.rv_no, t.ma_pos)
-                };
-                n.nref_tuples.iter().map(fields).collect()
-            };
-            assert_eq!(nrefs(x), nrefs(y), "{what}: node {j} nref tuples");
+            assert_eq!(node_fields(x), node_fields(y), "{what}: node {j}");
         }
         let keys = a.interval_trajs.sorted_keys();
         assert_eq!(keys, b.interval_trajs.sorted_keys(), "{what}: intervals");
@@ -357,6 +361,73 @@ fn reopened_index_equals_built_index_and_rewrites_identically() {
         let mut again = Vec::new();
         reopened.write(&mut again).unwrap();
         assert!(again == bytes, "{what}: rewrite differs");
+    }
+}
+
+#[test]
+fn segment_views_equal_the_compressor_and_index_builder_output() {
+    // Whatever way a store comes to hold a trajectory (appended by the
+    // offline builder, parsed from a container, appended by live
+    // publishes that copy the tail and cross a seal), every view of it
+    // equals what `compress_trajectory` and `stiu::build` produce for
+    // the same input: rows, streams, plan and index node.
+    for profile in [utcq_datagen::profile::tiny(), utcq_datagen::profile::cd()] {
+        let (net, ds) = utcq_datagen::generate(&profile, 1_060, 17);
+        let net = Arc::new(net);
+        let params = CompressParams::with_interval(ds.default_interval);
+        let stiu_params = StiuParams::default();
+        let slice = |range: std::ops::Range<usize>| Dataset {
+            trajectories: ds.trajectories[range].to_vec(),
+            ..ds.clone()
+        };
+        let cds = utcq_core::compress_dataset(&net, &ds, &params).unwrap();
+        let index = utcq_core::stiu::build(&net, &ds, &cds, stiu_params);
+
+        let offline = Store::build(Arc::clone(&net), &ds, params, stiu_params).unwrap();
+        let mut bytes = Vec::new();
+        offline.write(&mut bytes).unwrap();
+        let reopened = Store::read(&mut bytes.as_slice()).unwrap();
+        let live = Store::build(Arc::clone(&net), &slice(0..1_000), params, stiu_params).unwrap();
+        for at in [1_000, 1_020, 1_040] {
+            live.ingest(&slice(at..at + 20)).unwrap();
+        }
+
+        for (shape, store) in [("offline", offline), ("reopened", reopened), ("live", live)] {
+            let what = format!("{} {shape}", profile.name);
+            let snap = store.snapshot();
+            let (trajectories, nodes) = (&snap.compressed().trajectories, &snap.stiu().trajs);
+            assert_eq!((trajectories.len(), nodes.len()), (1_060, 1_060), "{what}");
+            assert_eq!(trajectories.segments().count(), 2, "{what}: sealed + tail");
+            for (j, tu) in ds.trajectories.iter().enumerate() {
+                let (ct, _) = utcq_core::compress_trajectory(&net, tu, &params).unwrap();
+                let view = trajectories.get(j).unwrap();
+                assert_eq!((view.id, view.n_times), (ct.id, ct.n_times), "{what} {j}");
+                assert_eq!(view.id, trajectories[j].id);
+                assert_eq!(view.t_bits(), ct.t_bits.as_slice(), "{what} {j}: T");
+                assert_eq!(view.refs.len(), ct.refs.len(), "{what} {j}");
+                for (i, (row, r)) in view.refs.iter().zip(&ct.refs).enumerate() {
+                    let fields = (row.orig_idx, row.sv, row.n_entries, row.p_code);
+                    assert_eq!(fields, (r.orig_idx, r.sv, r.n_entries, r.p_code));
+                    let owned = [&r.e_bits, &r.tflag_bits, &r.d_bits].map(|b| b.as_slice());
+                    assert_eq!(view.ref_streams(i), owned, "{what} {j}: ref {i}");
+                }
+                assert_eq!(view.nrefs.len(), ct.nrefs.len(), "{what} {j}");
+                for (i, (row, n)) in view.nrefs.iter().zip(&ct.nrefs).enumerate() {
+                    let fields = (row.orig_idx, row.ref_idx, row.p_code);
+                    assert_eq!(fields, (n.orig_idx, n.ref_idx, n.p_code));
+                    let owned = [&n.e_com, &n.t_com, &n.d_com].map(|b| b.as_slice());
+                    assert_eq!(view.nref_streams(i), owned, "{what} {j}: nref {i}");
+                }
+                let expect = cds.trajectories.get(j).unwrap().plan;
+                assert_eq!(
+                    format!("{:?}", view.plan),
+                    format!("{expect:?}"),
+                    "{what} {j}"
+                );
+                let (node, expect) = (nodes.get(j).unwrap(), index.trajs.get(j).unwrap());
+                assert_eq!(node_fields(node), node_fields(expect), "{what}: node {j}");
+            }
+        }
     }
 }
 

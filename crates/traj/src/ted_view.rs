@@ -100,8 +100,10 @@ impl TedView {
         if self.entries.len() != self.flags.len() {
             return Err(TedViewError::LengthMismatch);
         }
-        let mut path = Vec::new();
-        let mut positions = Vec::new();
+        // Sized exactly: decoded instances are what stores cache and
+        // what decompression returns by the million.
+        let mut path = Vec::with_capacity(self.entries.iter().filter(|&&no| no != 0).count());
+        let mut positions = Vec::with_capacity(self.location_count());
         let mut cur = self.sv;
         let mut rd_iter = self.rds.iter();
         for (i, (&no, &flag)) in self.entries.iter().zip(&self.flags).enumerate() {

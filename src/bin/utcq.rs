@@ -57,7 +57,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use utcq::core::opened::{render_sections, InfoReport};
+use utcq::core::opened::{render_resident, render_sections, InfoReport};
 use utcq::core::params::CompressParams;
 use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{Server, DEFAULT_THREADS};
@@ -253,8 +253,10 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     // network (no profile/seed flags needed).
     match Opened::open(&path) {
         Ok(opened) => {
-            let sections = render_sections(&opened.snapshots()).map_err(|e| e.to_string())?;
-            print!("{}{sections}", opened.info().render());
+            let snaps = opened.snapshots();
+            let sections = render_sections(&snaps).map_err(|e| e.to_string())?;
+            let resident = render_resident(&snaps);
+            print!("{}{sections}{resident}", opened.info().render());
         }
         Err(utcq::core::Error::NeedsNetwork) => {
             let f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;

@@ -118,14 +118,8 @@ fn derived_bounds_equal_the_stored_ones() {
     // derives them. Same bits, or Lemma 1's filter changed.
     let ([_, v2, v4], _) = open_fixtures();
     let bounds = |s: &Store| -> Vec<(u64, u64)> {
-        let nodes = s
-            .snapshot()
-            .stiu()
-            .trajs
-            .iter()
-            .cloned()
-            .collect::<Vec<_>>();
-        let tuples = nodes.iter().flat_map(|n| &n.ref_tuples);
+        let snap = s.snapshot();
+        let tuples = snap.stiu().trajs.iter().flat_map(|n| n.ref_tuples);
         tuples
             .map(|t| (t.p_total.to_bits(), t.p_max.to_bits()))
             .collect()

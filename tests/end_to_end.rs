@@ -133,7 +133,7 @@ fn compression_is_deterministic() {
     let b = utcq::core::compress_dataset(&net, &ds, &params).unwrap();
     assert_eq!(a.compressed, b.compressed);
     for (x, y) in a.trajectories.iter().zip(&b.trajectories) {
-        assert_eq!(x.t_bits, y.t_bits);
+        assert_eq!(x.t_bits(), y.t_bits());
         assert_eq!(x.refs.len(), y.refs.len());
         assert_eq!(x.nrefs.len(), y.nrefs.len());
     }

@@ -63,7 +63,7 @@ fn compressed_structure_matches_example2() {
     let fx = paper_fixture::build();
     let store = paper_store(&fx);
     let snap = store.snapshot();
-    let ct = &snap.compressed().trajectories[0];
+    let ct = snap.compressed().trajectories.get(0).unwrap();
     assert_eq!(ct.refs.len(), 1);
     assert_eq!(ct.refs[0].orig_idx, 0);
     assert_eq!(ct.nrefs.len(), 2);

@@ -1,17 +1,21 @@
 //! Publish-cost acceptance test: ingesting a batch into a live store
 //! must copy O(batch) bytes, not O(store).
 //!
-//! The snapshot layer shares sealed chunks (`utcq::core::chunk`) across
-//! epochs, so preparing the next epoch clones chunk *directories* and
-//! copy-on-writes only the unsealed tails. Every such copy reports its
-//! size through `utcq::core::hooks::copied`; this test grows stores to
-//! 1k / 10k / 50k trajectories, publishes one identical-shaped batch
+//! The snapshot layer shares sealed segments (`utcq::core::segment`,
+//! `utcq::core::chunk`) across epochs, so preparing the next epoch
+//! clones segment *directories* and copy-on-writes only the unsealed
+//! tails. Every such copy reports through `utcq::core::hooks::copied`
+//! what it copied: the bytes in use of each flat table of the tail (the
+//! trajectory, instance and plan rows, the stream arena and its offsets,
+//! the three tuple tables, the interval postings, and the id map's hash
+//! table), which is everything a publish copies. This test grows stores
+//! to 1k / 10k / 50k trajectories, publishes one identical-shaped batch
 //! into each, and asserts the copied-byte counts do not scale with the
 //! store (a 50k-store publish must stay within 2x of the 1k-store
 //! publish).
 //!
-//! The same test also re-checks the container invariant under chunking:
-//! a store grown across the 1024-trajectory chunk-seal boundary by live
+//! The same test also re-checks the container invariant under segmenting:
+//! a store grown across the 1024-trajectory segment-seal boundary by live
 //! ingest serializes byte-identically to an offline build, for both the
 //! single and the sharded store shapes.
 //!
