@@ -97,7 +97,9 @@ impl Fixtures {
     pub fn load(repo_root: &Path) -> io::Result<Self> {
         let dir = repo_root.join("tests/fixtures");
         let mut containers = Vec::new();
-        for version in ["v1", "v2", "v3", "v4", "v3_packed"] {
+        // Among them both shapes of region tuple: v4 (the reader's
+        // consume-and-drop path) and v5 (what stores write).
+        for version in ["v1", "v2", "v3", "v4", "v3_packed", "v5", "v3_v5"] {
             containers.push(fs::read(dir.join(format!("tiny_{version}.utcq")))?);
         }
         let mut lines: Vec<String> = Vec::new();
@@ -142,6 +144,12 @@ impl Fixtures {
         lines.push(r#"{"op":"when","traj":0,"edge":1,"rd":0.5,"alpha":0}"#.into());
         // An edge past the fixtures' 162: an empty page, not an index.
         lines.push(r#"{"op":"when","traj":0,"edge":162,"rd":0.5,"alpha":0}"#.into());
+        // Integer fields at the edge of `f64` exactness: 2^53 - 1 is the
+        // last accepted literal, 2^53 + 1 must not address 2^53.
+        lines.push(r#"{"op":"where","traj":9007199254740991,"t":-9007199254740991}"#.into());
+        lines.push(
+            r#"{"op":"where","traj":9007199254740993,"t":0,"limit":18446744073709551615}"#.into(),
+        );
         lines.push(r#"{"op":"stats"}"#.into());
         let opened = Opened::open(dir.join("tiny_v2.utcq"))
             .map_err(|e| io::Error::other(format!("open tiny_v2 fixture: {e}")))?;

@@ -34,7 +34,7 @@ use crate::segment::{arc_bytes, copy_vec, vec_bytes};
 /// the trajectory count: trajectory `i` lives in segment `i / CHUNK`, and
 /// a segment seals exactly when trajectory `(k + 1) * CHUNK` arrives —
 /// never at a batch boundary — so live-grown, offline-built and loaded
-/// stores are structurally identical. Also the records per v4 block.
+/// stores are structurally identical. Also the records per container block.
 pub const CHUNK: usize = 1024;
 
 /// Heap bytes behind a map of `Copy` entries: per bucket the entry and

@@ -695,10 +695,10 @@ impl<'a> QueryEngine<'a> {
         for rt in ref_tuples {
             let cref = ct
                 .refs
-                .get(rt.ref_idx as usize)
+                .get(rt.ref_idx() as usize)
                 .ok_or(Error::CorruptStore("region tuple points past refs"))?;
             let ref_p = ct.plan.prob(cref.orig_idx)?;
-            if rt.final_vertex().is_some() && ref_p >= alpha {
+            if rt.enters() && ref_p >= alpha {
                 let inst = self.decode_instance(j, &ct, cref.orig_idx, &mut local)?;
                 for time in utcq_traj::interp::times_at_location(self.net, &inst, &times, edge, rd)
                 {
@@ -719,7 +719,7 @@ impl<'a> QueryEngine<'a> {
                     .nrefs
                     .get(nt.nref_idx as usize)
                     .ok_or(Error::CorruptStore("region tuple points past nrefs"))?;
-                if cnref.ref_idx != rt.ref_idx {
+                if cnref.ref_idx != rt.ref_idx() {
                     continue;
                 }
                 let p = ct.plan.prob(cnref.orig_idx)?;
@@ -768,16 +768,13 @@ impl<'a> QueryEngine<'a> {
         // a deterministic order.
         for rt in node.ref_tuples {
             if cells.contains(&rt.cell) {
-                match scratch
-                    .group_bound
-                    .iter_mut()
-                    .find(|(r, _)| *r == rt.ref_idx)
-                {
+                let ref_idx = rt.ref_idx();
+                match scratch.group_bound.iter_mut().find(|(r, _)| *r == ref_idx) {
                     Some((_, b)) => *b += rt.p_total,
-                    None => scratch.group_bound.push((rt.ref_idx, rt.p_total)),
+                    None => scratch.group_bound.push((ref_idx, rt.p_total)),
                 }
-                if rt.final_vertex().is_some() {
-                    scratch.passing_refs.push(rt.ref_idx);
+                if rt.enters() {
+                    scratch.passing_refs.push(ref_idx);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! The in-memory form of a store: flat, append-only segments of
 //! [`CHUNK`] trajectories behind `Arc`s (`docs/ARCHITECTURE.md` draws
-//! them). A v4 block on disk and a segment cover the same 1,024
+//! them). A container block on disk and a segment cover the same 1,024
 //! records; where the block packs them into bits, the segment keeps them
 //! in a **constant number of allocations**: row tables, one byte arena
 //! for every bit stream, plan columns ([`TrajSegment`], the dataset

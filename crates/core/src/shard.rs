@@ -72,14 +72,14 @@
 //!
 //! [`ShardedStore::save`] writes a v3 container: a shard directory
 //! (policy kind + parameter) followed by one embedded, fully
-//! self-contained v4 container per shard (see [`crate::storage`]). The
+//! self-contained v5 container per shard (see [`crate::storage`]). The
 //! shard snapshots are pinned under the writer lock, so a checkpoint
 //! taken while batches stream in is always a batch-consistent cut.
 //! [`ShardedStore::open`] reads v3 — deserializing the per-shard blobs
 //! **in parallel** on the shared work queue once the container is large
-//! enough for that to pay — and also accepts a plain v4 or v2 container as a
-//! single-shard store; the embedded network is deserialized once and
-//! shared across shards behind one `Arc`.
+//! enough for that to pay — and also accepts a plain v5, v4 or v2
+//! container as a single-shard store; the embedded network is
+//! deserialized once and shared across shards behind one `Arc`.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -514,7 +514,7 @@ impl ShardedStore {
         })
     }
 
-    /// Opens a sharded v3 container (or a plain v4 / v2 container as a
+    /// Opens a sharded v3 container (or a plain self-contained container as a
     /// single-shard store). v1 containers fail with
     /// [`Error::NeedsNetwork`], as with [`Store::open`]. Per-shard blobs
     /// deserialize in parallel across the available cores.
@@ -530,7 +530,7 @@ impl ShardedStore {
         Self::read(&mut BufReader::new(f))
     }
 
-    /// Reads a v3 (or plain v4 / v2) container from an arbitrary reader. Shard
+    /// Reads a v3 (or plain self-contained) container from an arbitrary reader. Shard
     /// blobs deserialize one per work unit on the shared atomic-counter
     /// queue (deserialization + plan building per shard) when that pays
     /// (see `parallel_open_effective`); small containers open

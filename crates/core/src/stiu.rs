@@ -10,12 +10,21 @@
 //!   the compressed time stream, so time decoding can resume mid-stream;
 //! * a **spatial index**: the plane is partitioned into an `n × n` grid;
 //!   each instance gets one tuple per region it traverses (first
-//!   traversal). Reference tuples carry the *final vertex* (the vertex
-//!   traversed immediately before entering the region), its entry index,
-//!   the matching `D̂` position, and the probability aggregates
-//!   `p_total` / `p_max` over the reference's group that power the
-//!   filtering lemmas. Non-reference tuples carry the resume vertex, its
-//!   entry index, and the bit position of the covering `Com_E` factor.
+//!   traversal). Reference tuples carry whether the reference itself
+//!   enters the region and the probability aggregates `p_total` /
+//!   `p_max` over the reference's group that power the filtering lemmas;
+//!   a non-reference tuple is the region and the member that enters it.
+//!
+//! **Deviation from §5.2** (`docs/ARCHITECTURE.md` has the argument).
+//! The paper's tuples also hold a *resume point* (`fv, fv.no, d.pos` /
+//! `rv, rv.no, ma.pos`) so that decompression can start at the region.
+//! Nothing here resumes mid-instance (the query engine in `query.rs`
+//! decodes whole instances through the decode cache), so those fields
+//! had no reader and are neither computed, kept nor stored; the one bit
+//! the filters read of them is [`RefRegionTuple::enters`]. They are a
+//! pure function of (network, raw trajectory, streams) at ingest, so a
+//! later container version can bring them back with the first query
+//! that reads them. [`Stiu::size_bits`] still prices the paper's tuple.
 //!
 //! In memory the nodes are the index half of [`crate::segment`]: per
 //! 1,024 trajectories one [`NodeSegment`] holding every temporal,
@@ -23,15 +32,13 @@
 //! the rows at which its tuples end. A [`TrajIndex`] is one node
 //! borrowed from them.
 
-use utcq_bitio::golomb;
 use utcq_bitio::pddp::PddpCodec;
-use utcq_network::{CellId, Grid, RoadNetwork, VertexId};
-use utcq_traj::{Dataset, Instance, TedView, UncertainTrajectory};
+use utcq_network::{CellId, Grid, RoadNetwork};
+use utcq_traj::{Dataset, Instance, UncertainTrajectory};
 
 use crate::chunk::IntervalMap;
 use crate::compress::CompressedDataset;
 use crate::error::Error;
-use crate::factor::{self, EFactor};
 use crate::segment::{copy_vec, offset, vec_bytes, Resident, Segments, Table, TrajView};
 use crate::siar;
 
@@ -85,28 +92,14 @@ pub struct TemporalTuple {
     pub pos: u32,
 }
 
-/// [`RefRegionTuple::fv`] of a reference that never enters the region
-/// itself (the paper's `∞`): only members of its `Rrs` do.
-pub const NO_FV: VertexId = VertexId(u32::MAX);
-
-/// Spatial tuple of a reference for one region. Rows of 36 bytes: the
-/// two bounds sit at 4-byte alignment rather than pad every row to 40
-/// (the reference tuples are the largest table of a store), so they are
-/// read by value, never borrowed.
+/// Spatial tuple of a reference for one region: 24-byte rows (the
+/// reference tuples are the largest table of a store).
 #[derive(Debug, Clone, Copy)]
-#[repr(C, packed(4))]
 pub struct RefRegionTuple {
     /// The region.
     pub cell: CellId,
-    /// Index into [`TrajView::refs`].
-    pub ref_idx: u32,
-    /// Final vertex w.r.t. the region, or [`NO_FV`]
-    /// ([`RefRegionTuple::final_vertex`] tells them apart).
-    pub fv: VertexId,
-    /// Entry index of `fv`'s edge in `E(Ref)`.
-    pub fv_no: u32,
-    /// Bit position of the `d.no`-th distance code in `D̂(Ref)`.
-    pub d_pos: u32,
+    /// `ref_idx` in the low 31 bits, `enters` in the top one.
+    ref_enters: u32,
     /// Sum of probabilities of group members traversing the region.
     pub p_total: f64,
     /// Maximum probability among *non-reference* group members
@@ -114,27 +107,43 @@ pub struct RefRegionTuple {
     pub p_max: f64,
 }
 
+const ENTERS: u32 = 1 << 31;
+const _: () = assert!(std::mem::size_of::<RefRegionTuple>() == 24);
+
 impl RefRegionTuple {
-    /// The final vertex, if the reference itself enters the region.
-    pub fn final_vertex(&self) -> Option<VertexId> {
-        (self.fv != NO_FV).then_some(self.fv)
+    /// A tuple with both bounds at zero
+    /// (`NodeSegment::fill_group_bounds` derives them).
+    pub fn new(cell: CellId, ref_idx: u32, enters: bool) -> Result<Self, Error> {
+        if ref_idx >= ENTERS {
+            return Err(Error::CorruptStore("reference index past 2^31"));
+        }
+        Ok(RefRegionTuple {
+            cell,
+            ref_enters: ref_idx | if enters { ENTERS } else { 0 },
+            p_total: 0.0,
+            p_max: 0.0,
+        })
+    }
+
+    /// Index into [`TrajView::refs`].
+    pub fn ref_idx(&self) -> u32 {
+        self.ref_enters & !ENTERS
+    }
+
+    /// Whether the reference itself enters the region (the paper's
+    /// `fv ≠ ∞`); otherwise only members of its `Rrs` do.
+    pub fn enters(&self) -> bool {
+        self.ref_enters & ENTERS != 0
     }
 }
 
 /// Spatial tuple of a non-reference for one region.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NrefRegionTuple {
     /// The region.
     pub cell: CellId,
     /// Index into [`TrajView::nrefs`].
     pub nref_idx: u32,
-    /// Resume vertex (the vertex traversed immediately before the
-    /// region).
-    pub rv: VertexId,
-    /// Entry index of `rv`'s edge in `E(Nref)`.
-    pub rv_no: u32,
-    /// Bit position of the covering factor in `Com_E`.
-    pub ma_pos: u32,
 }
 
 /// One per-trajectory index node, borrowed from its [`NodeSegment`].
@@ -235,7 +244,7 @@ impl NodeSegment {
     /// Fills `p_total` / `p_max` of every reference tuple of the node
     /// being built from the group's probability codes and from which
     /// tuples exist: a reference traverses a region iff its tuple there
-    /// has a final vertex, a non-reference iff it has a tuple there.
+    /// says it enters, a non-reference iff it has a tuple there.
     /// `p_total` sums the traversing members in member order (the
     /// reference, then its non-references in `ct.nrefs` order) starting
     /// from `0.0`; `p_max` is the maximum over the traversing
@@ -259,7 +268,8 @@ impl NodeSegment {
         for rt in ref_tuples {
             let mut p_total = 0.0;
             let mut p_max = 0.0f64;
-            if let (Some(_), Some(r)) = (rt.final_vertex(), ct.refs.get(rt.ref_idx as usize)) {
+            let ref_idx = rt.ref_idx();
+            if let (true, Some(r)) = (rt.enters(), ct.refs.get(ref_idx as usize)) {
                 p_total += p_codec.dequantize(r.p_code);
             }
             // A member that re-enters the region has several tuples
@@ -269,7 +279,7 @@ impl NodeSegment {
                 let Some(n) = ct.nrefs.get(t.nref_idx as usize) else {
                     continue;
                 };
-                if n.ref_idx == rt.ref_idx && counted != Some(t.nref_idx) {
+                if n.ref_idx == ref_idx && counted != Some(t.nref_idx) {
                     counted = Some(t.nref_idx);
                     let p = p_codec.dequantize(n.p_code);
                     p_total += p;
@@ -357,9 +367,11 @@ pub struct Stiu {
 
 impl Stiu {
     /// Index size in bits, split into (spatial, temporal) — the paper's
-    /// `s-size` / `t-size` of Fig. 9. Field widths: 17-bit start, 12-bit
-    /// sample index, 24-bit stream position, 32-bit vertex id, and `ηp`
-    /// widths for the probability aggregates.
+    /// `s-size` / `t-size` of Fig. 9, a model over tuple *counts*: the
+    /// paper's tuples (resume fields included, which this index does not
+    /// hold) at the paper's field widths: 17-bit start, 12-bit sample
+    /// index, 24-bit stream position, 32-bit vertex id, and `ηp` widths
+    /// for the probability aggregates.
     pub fn size_bits(&self, p_width: u32) -> (u64, u64) {
         let mut s = 0u64;
         let mut t = 0u64;
@@ -379,52 +391,16 @@ impl Stiu {
     }
 }
 
-/// One region traversal of an instance, in chronological order.
-#[derive(Debug, Clone, Copy)]
-pub struct RegionVisit {
-    /// The region.
-    pub cell: CellId,
-    /// Vertex traversed immediately before entering (final vertex).
-    pub fv: VertexId,
-    /// Entry index of the edge on which the region is entered.
-    pub entry_idx: u32,
-    /// Number of mapped locations strictly before that entry.
-    pub d_no: u32,
-}
-
-/// Enumerates the regions an instance traverses (first traversal each),
-/// with the metadata the spatial tuples need. The instance occupies its
-/// path only between the first and last sample.
-pub fn region_visits(
-    net: &RoadNetwork,
-    inst: &Instance,
-    view: &TedView,
-    grid: &Grid,
-) -> Vec<RegionVisit> {
-    // entry index of each path edge (skipping `0` repeat markers).
-    let mut edge_entries = Vec::with_capacity(inst.path.len());
-    for (g, &e) in view.entries.iter().enumerate() {
-        if e != 0 {
-            edge_entries.push(g as u32);
-        }
-    }
-    debug_assert_eq!(edge_entries.len(), inst.path.len());
-    // ones in full flags before each entry index.
-    let mut ones_before = Vec::with_capacity(view.entries.len() + 1);
-    ones_before.push(0u32);
-    let mut acc = 0u32;
-    for &f in &view.flags {
-        acc += u32::from(f);
-        ones_before.push(acc);
-    }
-
+/// The regions an instance traverses, in order of first traversal. The
+/// instance occupies its path only between the first and last sample.
+pub fn region_cells(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<CellId> {
     let first = inst.location(net, 0);
     let last = inst.location(net, inst.positions.len() - 1);
     let first_pt = net.point_on_edge(first.edge, first.ndist);
     let last_pt = net.point_on_edge(last.edge, last.ndist);
 
     let mut seen = std::collections::HashSet::new();
-    let mut visits = Vec::new();
+    let mut visited = Vec::new();
     for (j, &e) in inst.path.iter().enumerate() {
         let mut a = net.coord(net.edge_from(e));
         let mut b = net.coord(net.edge_to(e));
@@ -447,48 +423,14 @@ pub fn region_visits(
             })
             .collect();
         cells.sort_by(|x, y| x.0.total_cmp(&y.0));
-        for (_, cell) in cells {
-            if seen.insert(cell) {
-                let g = edge_entries[j];
-                visits.push(RegionVisit {
-                    cell,
-                    fv: net.edge_from(e),
-                    entry_idx: g,
-                    d_no: ones_before[g as usize],
-                });
-            }
-        }
+        visited.extend(
+            cells
+                .into_iter()
+                .map(|(_, c)| c)
+                .filter(|&c| seen.insert(c)),
+        );
     }
-    visits
-}
-
-/// Bit offset of the `Com_E` factor producing entry `entry_idx`, plus the
-/// entry index at which that factor starts.
-fn factor_offset(
-    factors: &[EFactor],
-    ref_len: usize,
-    nref_len: usize,
-    m_width: u32,
-    entry_idx: u32,
-) -> (u32, u32) {
-    let ws = utcq_bitio::width_for_max(ref_len as u64) as usize;
-    let wl = ws;
-    let mut bit =
-        golomb::unsigned_len(factors.len() as u64) + golomb::unsigned_len(nref_len as u64);
-    let mut produced = 0u32;
-    for (i, f) in factors.iter().enumerate() {
-        let (size, count) = match *f {
-            EFactor::Copy { l, .. } => (ws + wl + m_width as usize, l + 1),
-            EFactor::Tail { l, .. } => (ws + wl, l),
-            EFactor::Novel { .. } => (ws + m_width as usize, 1),
-        };
-        if entry_idx < produced + count || i == factors.len() - 1 {
-            return (bit as u32, produced);
-        }
-        bit += size;
-        produced += count;
-    }
-    (bit as u32, produced)
+    visited
 }
 
 impl Stiu {
@@ -517,13 +459,9 @@ impl Stiu {
         ct: &TrajView<'_>,
         cparams: &crate::params::CompressParams,
     ) {
-        let partition_s = self.params.partition_s;
-        let (p_codec, d_width) = (cparams.p_codec(), cparams.d_codec().width());
-        self.append_node(|seg, grid| {
-            build_traj(seg, net, tu, ct, grid, partition_s, &p_codec, d_width);
-            Ok::<(), Error>(())
-        })
-        .expect("a trajectory within the span and segment bounds");
+        let (partition_s, p_codec) = (self.params.partition_s, cparams.p_codec());
+        self.append_node(|seg, grid| build_traj(seg, net, tu, ct, grid, partition_s, &p_codec))
+            .expect("a trajectory within the span and segment bounds");
     }
 
     /// Appends one node, whose tuples `fill` (given the grid) pushes onto
@@ -570,7 +508,6 @@ pub fn build(net: &RoadNetwork, ds: &Dataset, cds: &CompressedDataset, params: S
 }
 
 /// Pushes the tuples of one trajectory's node onto `node`'s tables.
-#[allow(clippy::too_many_arguments)]
 fn build_traj(
     node: &mut NodeSegment,
     net: &RoadNetwork,
@@ -579,8 +516,7 @@ fn build_traj(
     grid: &Grid,
     partition_s: i64,
     p_codec: &PddpCodec,
-    d_width: u32,
-) {
+) -> Result<(), Error> {
     // Temporal tuples: one per interval containing at least one sample.
     let positions =
         siar::deviation_positions(ct.t_bits(), tu.times.len()).expect("own encoding decodes");
@@ -598,76 +534,44 @@ fn build_traj(
         }
     }
 
-    // Per-instance region visits.
-    let views: Vec<TedView> = tu
+    // Per-instance region lists.
+    let visits: Vec<Vec<CellId>> = tu
         .instances
         .iter()
-        .map(|inst| TedView::from_instance(net, inst))
-        .collect();
-    let visits: Vec<Vec<RegionVisit>> = tu
-        .instances
-        .iter()
-        .zip(&views)
-        .map(|(inst, view)| region_visits(net, inst, view, grid))
+        .map(|inst| region_cells(net, inst, grid))
         .collect();
 
     // Group = reference + its non-references.
     for (ref_idx, cref) in ct.refs.iter().enumerate() {
         let ref_orig = cref.orig_idx as usize;
-        let members: Vec<usize> = std::iter::once(ref_orig)
-            .chain(
-                ct.nrefs
-                    .iter()
-                    .filter(|n| n.ref_idx as usize == ref_idx)
-                    .map(|n| n.orig_idx as usize),
-            )
-            .collect();
+        let members = std::iter::once(ref_orig).chain(
+            ct.nrefs
+                .iter()
+                .filter(|n| n.ref_idx as usize == ref_idx)
+                .map(|n| n.orig_idx as usize),
+        );
         // Union of regions visited by the group.
-        let mut cells: Vec<CellId> = members
-            .iter()
-            .flat_map(|&m| visits[m].iter().map(|v| v.cell))
-            .collect();
+        let mut cells: Vec<CellId> = members.flat_map(|m| visits[m].iter().copied()).collect();
         cells.sort();
         cells.dedup();
         for cell in cells {
             // The probability bounds are filled in once the node is
             // complete (`fill_group_bounds` below).
-            let ref_visit = visits[ref_orig].iter().find(|v| v.cell == cell);
-            node.ref_tuples.push(RefRegionTuple {
-                cell,
-                ref_idx: ref_idx as u32,
-                fv: ref_visit.map_or(NO_FV, |v| v.fv),
-                fv_no: ref_visit.map_or(0, |v| v.entry_idx),
-                d_pos: ref_visit.map_or(0, |v| v.d_no * d_width),
-                p_total: 0.0,
-                p_max: 0.0,
-            });
+            let enters = visits[ref_orig].contains(&cell);
+            let tuple = RefRegionTuple::new(cell, ref_idx as u32, enters)?;
+            node.ref_tuples.push(tuple);
         }
     }
 
     // Non-reference tuples.
     for (nref_idx, cnref) in ct.nrefs.iter().enumerate() {
-        let orig = cnref.orig_idx as usize;
-        let ref_view = &views[ct.refs[cnref.ref_idx as usize].orig_idx as usize];
-        let factors = factor::factorize_e(&views[orig].entries, &ref_view.entries);
-        for v in &visits[orig] {
-            let (ma_pos, _) = factor_offset(
-                &factors,
-                ref_view.entries.len(),
-                views[orig].entries.len(),
-                crate::compressed::edge_number_width(net.max_out_degree()),
-                v.entry_idx,
-            );
-            node.nref_tuples.push(NrefRegionTuple {
-                cell: v.cell,
-                nref_idx: nref_idx as u32,
-                rv: v.fv,
-                rv_no: v.entry_idx,
-                ma_pos,
-            });
-        }
+        let nref_idx = nref_idx as u32;
+        let cells = visits[cnref.orig_idx as usize].iter();
+        node.nref_tuples
+            .extend(cells.map(|&cell| NrefRegionTuple { cell, nref_idx }));
     }
     node.fill_group_bounds(ct, p_codec);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -747,7 +651,6 @@ mod tests {
         let (p_total, p_max) = (t0.p_total, t0.p_max);
         assert!((p_total - 1.0).abs() < 0.01, "p_total={p_total}");
         assert!((0.19..0.25).contains(&p_max), "p_max={p_max}");
-        assert_eq!(t0.fv_no, 0);
     }
 
     #[test]
@@ -819,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn nref_tuples_reference_valid_positions() {
+    fn region_tuples_are_the_cell_lists_of_the_instances() {
         let (net, ds, cds) = paper_store();
         let stiu = build(
             &net,
@@ -831,11 +734,26 @@ mod tests {
             },
         );
         let node = stiu.trajs.get(0).unwrap();
-        assert!(!node.nref_tuples.is_empty());
         let ct = cds.trajectories.get(0).unwrap();
-        for t in node.nref_tuples {
-            let [e_com, ..] = ct.nref_streams(t.nref_idx as usize);
-            assert!((t.ma_pos as usize) < e_com.len_bits() || e_com.is_empty());
+        let cells = |orig_idx: u32| {
+            let inst = &ds.trajectories[0].instances[orig_idx as usize];
+            region_cells(&net, inst, &stiu.grid)
+        };
+        // A non-reference's tuples are its cell list, in traversal order.
+        assert!(!node.nref_tuples.is_empty());
+        for (i, n) in ct.nrefs.iter().enumerate() {
+            let tuples = node.nref_tuples.iter().filter(|t| t.nref_idx == i as u32);
+            let listed: Vec<CellId> = tuples.map(|t| t.cell).collect();
+            assert_eq!(listed, cells(n.orig_idx), "non-reference {i}");
+        }
+        // A reference's tuples are its group's cells, ascending; the
+        // ones it enters itself are its own cell list.
+        for (i, r) in ct.refs.iter().enumerate() {
+            let tuples = node.ref_tuples.iter().filter(|t| t.ref_idx() == i as u32);
+            let entered: Vec<CellId> = tuples.filter(|t| t.enters()).map(|t| t.cell).collect();
+            let mut own = cells(r.orig_idx);
+            own.sort();
+            assert_eq!(entered, own, "reference {i}");
         }
     }
 }

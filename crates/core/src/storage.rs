@@ -1,14 +1,14 @@
 //! On-disk persistence of compressed datasets.
 //!
-//! Binary containers under the `UTCQ` magic and a version byte. Four
-//! versions are readable, two are written: [`save_v4`] for one store and
+//! Binary containers under the `UTCQ` magic and a version byte. Five
+//! versions are readable, two are written: [`save_v5`] for one store and
 //! [`save_v3`] for a sharded one ([`save`] emits the legacy v1 framing,
 //! for tests only). `docs/CONTAINERS.md` has the byte-level layouts.
 //!
-//! # One record layout (v1, v2, v4)
+//! # One record layout (v1, v2, v4, v5)
 //!
 //! ```text
-//! [network]  v2, v4: RoadNetwork (see utcq_network::serialize)
+//! [network]  v2, v4, v5: RoadNetwork (see utcq_network::serialize)
 //! [head]     f64 ηD, f64 ηp, u32 n_pivots, u64 default_interval,
 //!            u32 w_e (outgoing-edge-number width), u32 name_len + name,
 //!            2 × SizeBreakdown (compressed, raw; 6 × u64 each),
@@ -18,33 +18,45 @@
 //!                           streams E, T', D, p_code
 //!     nref count, per nref: orig_idx, ref_idx,
 //!                           streams Com_E, Com_T, Com_D, p_code
-//! [index]    v2, v4: i64 partition_s, u32 grid_n (the grid is rebuilt
-//!            from the network), then one node per trajectory:
+//! [index]    v2, v4, v5: i64 partition_s, u32 grid_n (the grid is
+//!            rebuilt from the network), then one node per trajectory:
 //!     temporal count,   per tuple: start, no, pos
-//!     ref-tuple count,  per tuple: cell, ref_idx, has_fv, fv, fv_no,
-//!                                  d_pos, (v2 only) p_total, p_max
-//!     nref-tuple count, per tuple: cell, nref_idx, rv, rv_no, ma_pos
+//!     ref-tuple count,  per tuple: cell, ref_idx, enters,
+//!                                  (v2, v4) the resume fields,
+//!                                  (v2 only) p_total, p_max
+//!     nref-tuple count, per tuple: cell, nref_idx,
+//!                                  (v2, v4) the resume fields
 //! ```
 //!
 //! **v1 and v2** (read-only; v1 is the dataset alone, v2 what every
 //! store wrote before v4) frame it in little-endian fixed-width fields:
-//! 8 bytes for id, `p_code`, start and the bounds, 1 for `has_fv`, 4 for
+//! 8 bytes for id, `p_code`, start and the bounds, 1 for `enters`, 4 for
 //! the rest, a stream as a `u32` bit length plus padded bytes. v2 also
 //! states the node count before the nodes and stores the interval
 //! postings after them.
 //!
-//! **v4** packs it MSB-first into blocks of [`CHUNK`] records: a `u32`
+//! **v5** packs it MSB-first into blocks of [`CHUNK`] records: a `u32`
 //! byte length, a 64-bit base (the block's minimum id or start time,
-//! which column 0 is an offset from), five 7-bit column widths
-//! (`width_for_max` of the block's maxima), the records, zero padding to
-//! a byte. A stream is its length, then its bits, unpadded. Widths the
-//! context fixes are not stored: vertex and cell indices, `p_code` (the
-//! `ηp` codec width), `ref_idx` / `nref_idx` (the trajectory's own ref /
-//! nref count); `fv`, `fv_no`, `d_pos` follow only a set `has_fv` bit.
+//! which column 0 is an offset from), one 7-bit width per column
+//! (`width_for_max` of the block's maxima; five columns in a dataset
+//! block, four in an index block), the records, zero padding to a byte.
+//! A stream is its length, then its bits, unpadded. Widths the context
+//! fixes are not stored: vertex and cell indices, `p_code` (the `ηp`
+//! codec width), `ref_idx` / `nref_idx` (the trajectory's own ref / nref
+//! count).
+//!
+//! **The resume fields (v2, v4; read-only).** Up to v4 a region tuple
+//! also carried §5.2's resume point: a vertex, its entry index (in v4 a
+//! fifth index-block column) and a stream position, in v4 a reference
+//! tuple's only after a set `enters` bit. No query ever read them
+//! ([`crate::stiu`]), so v5 drops them. The version byte says which
+//! shape a file has; the reader consumes an old file's fields with the
+//! checks they always had (what was corrupt stays corrupt) and drops
+//! the values.
 //!
 //! **Derived at open:** the interval postings (`Stiu::append_node`;
 //! v2's stored ones must agree), the query plans
-//! (`TrajSegment::finish`) and, for v4, `p_total` / `p_max` of every
+//! (`TrajSegment::finish`) and, from v4 on, `p_total` / `p_max` of every
 //! reference tuple (`NodeSegment::fill_group_bounds`, which index
 //! construction itself calls) — pure functions of stored fields, so a
 //! reopened index equals the built one bit for bit.
@@ -56,16 +68,16 @@
 //! in between.
 //!
 //! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
-//! `u32` shard count) followed by one `u64`-length-prefixed, complete v4
-//! (older files: v2) container per shard.
+//! `u32` shard count) followed by one `u64`-length-prefixed, complete v5
+//! (older files: v2 or v4) container per shard.
 //!
-//! [`load`] accepts v1, v2 and v4 (returning the dataset only);
-//! [`load_full`] returns the `(network, dataset, index)` triple of a v2
-//! or v4 container; [`load_v3`] returns the shard directory plus
-//! per-shard blobs (and accepts a plain v2 or v4 container as a single
-//! anonymous shard).
+//! [`load`] accepts every single-store version (returning the dataset
+//! only); [`load_full`] returns the `(network, dataset, index)` triple of
+//! a self-contained one (v2, v4, v5); [`load_v3`] returns the shard
+//! directory plus per-shard blobs (and accepts a plain self-contained
+//! container as a single anonymous shard).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use utcq_bitio::{width_for_max, BitBuf, BitSlice, BitWriter, CodecError};
 use utcq_network::{CellId, RoadNetwork, VertexId};
@@ -75,9 +87,7 @@ use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::params::CompressParams;
 use crate::segment::{NrefRow, RefRow, TrajSegment, TrajView, CHUNK};
-use crate::stiu::{
-    NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex, NO_FV,
-};
+use crate::stiu::{NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
 /// Legacy dataset-only container.
@@ -88,8 +98,11 @@ pub const VERSION_V2: u8 = 2;
 /// Sharded container: a shard directory followed by one embedded
 /// self-contained container per shard.
 pub const VERSION_V3: u8 = 3;
-/// Self-contained container in bit-packed blocks: what stores write.
+/// Self-contained container in bit-packed blocks whose region tuples
+/// still carry the resume fields (read-only).
 pub const VERSION_V4: u8 = 4;
+/// Self-contained container in bit-packed blocks: what stores write.
+pub const VERSION_V5: u8 = 5;
 
 /// Shard-policy kind recorded in a v3 directory: the routing policy was
 /// not one of the built-ins (metadata only — querying never routes).
@@ -138,7 +151,7 @@ impl std::fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
             StorageError::BadHeader => {
-                write!(f, "not a UTCQ v{VERSION_V1}..v{VERSION_V4} container")
+                write!(f, "not a UTCQ v{VERSION_V1}..v{VERSION_V5} container")
             }
             StorageError::LegacyVersion => {
                 write!(
@@ -159,7 +172,7 @@ impl std::fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-/// A v4 block whose content contradicts its own header.
+/// A bit-packed block whose content contradicts its own header.
 impl From<CodecError> for StorageError {
     fn from(_: CodecError) -> Self {
         StorageError::Corrupt("bit-packed block")
@@ -263,6 +276,11 @@ const NO: usize = 1;
 const COUNT: usize = 2;
 const ENTRY: usize = 3;
 const POS: usize = 4;
+/// The columns a block header declares, in header order. Only a v4
+/// index block has `ENTRY`, a column of the resume fields.
+const DATASET_COLS: &[usize] = &[ID, TIMES, LEN, INST, ENTRIES];
+const INDEX_COLS: &[usize] = &[START, NO, COUNT, POS];
+const INDEX_COLS_V4: &[usize] = &[START, NO, COUNT, ENTRY, POS];
 /// Widest value each column may declare: the base-offset column (ids,
 /// start times) spans 64 bits, every other field is a `u32`.
 const COL_LIMITS: [u32; 5] = [64, 32, 32, 32, 32];
@@ -272,8 +290,8 @@ fn index_width(n: usize) -> u32 {
     width_for_max((n as u64).saturating_sub(1))
 }
 
-/// Widths of the v4 fields that the container's context fixes rather
-/// than a block header (all zero, and unused, for v1/v2).
+/// Widths of the bit-packed fields that the container's context fixes
+/// rather than a block header (all zero, and unused, for v1/v2).
 #[derive(Clone, Copy, Default)]
 struct CtxWidths {
     vertex: u32,
@@ -295,12 +313,15 @@ impl CtxWidths {
 
 /// Where the one record traversal ([`read_trajs`], [`read_nodes`])
 /// takes its field values from: the fixed-width little-endian fields of
-/// v1/v2 or, if `packed`, the blocks of v4, one in memory at a time with
-/// the read position in it, the base that column 0 is an offset from
-/// (0 throughout v1/v2) and the five column widths.
+/// v1/v2 or, if `packed`, the blocks of v4/v5, one in memory at a time
+/// with the read position in it, the base that column 0 is an offset
+/// from (0 throughout v1/v2) and the widths of the columns its header
+/// declares (`cols`). `resume`: region tuples carry the resume fields.
 struct Source<'a, R> {
     r: &'a mut R,
     packed: bool,
+    resume: bool,
+    cols: &'static [usize],
     block: BitBuf,
     pos: usize,
     base: u64,
@@ -309,10 +330,14 @@ struct Source<'a, R> {
 }
 
 impl<'a, R: Read> Source<'a, R> {
-    fn new(r: &'a mut R, packed: bool, ctx: CtxWidths) -> Self {
+    /// A source of the section of a version-`version` container whose
+    /// blocks (if packed) declare `cols`.
+    fn new(r: &'a mut R, version: u8, cols: &'static [usize], ctx: CtxWidths) -> Self {
         Source {
             r,
-            packed,
+            packed: version >= VERSION_V4,
+            resume: version < VERSION_V5,
+            cols,
             block: BitBuf::empty(),
             pos: 0,
             base: 0,
@@ -350,7 +375,7 @@ impl<'a, R: Read> Source<'a, R> {
         below(self.field(index_width(n), 4)?, n, what)
     }
 
-    /// Enters the next block of up to [`CHUNK`] records (v4 only).
+    /// Enters the next block of up to [`CHUNK`] records (v4/v5 only).
     fn begin_block(&mut self) -> Result<(), StorageError> {
         if !self.packed {
             return Ok(());
@@ -363,13 +388,32 @@ impl<'a, R: Read> Source<'a, R> {
         let truncated = StorageError::Corrupt("block truncated");
         (self.block, self.pos) = (BitBuf::from_bytes(bytes, len * 8).ok_or(truncated)?, 0);
         self.base = self.field(64, 0)?;
-        for (col, limit) in COL_LIMITS.into_iter().enumerate() {
+        for &col in self.cols {
             let width = self.field(7, 0)? as u32;
-            if width == 0 || width > limit {
+            // bounds: col is one of the five column constants
+            if width == 0 || width > COL_LIMITS[col] {
                 return Err(StorageError::Corrupt("column width out of range"));
             }
-            self.widths[col] = width; // bounds: both arrays hold five
+            self.widths[col] = width; // bounds: as above
         }
+        Ok(())
+    }
+
+    /// Consumes the resume fields a region tuple carried before v5
+    /// (vertex, entry index, stream position) with the checks they
+    /// always had (`vertex_below`: the vertex count, where the vertex was
+    /// range-checked); nothing reads the values, so they are dropped.
+    fn skip_resume(
+        &mut self,
+        vertex_below: Option<usize>,
+        what: &'static str,
+    ) -> Result<(), StorageError> {
+        let vertex = self.field(self.ctx.vertex, 4)?;
+        if let Some(n_vertices) = vertex_below {
+            below(vertex, n_vertices, what)?;
+        }
+        self.col(ENTRY)?;
+        self.col(POS)?;
         Ok(())
     }
 
@@ -455,8 +499,8 @@ fn read_trajs<R: Read>(
 }
 
 /// Reads one index node per trajectory of `cds` into `stiu`, tuple by
-/// tuple into its segments, deriving the group bounds (not stored in
-/// v4) and the interval postings.
+/// tuple into its segments, deriving the group bounds (stored by v2
+/// only) and the interval postings.
 fn read_nodes<R: Read>(
     src: &mut Source<'_, R>,
     net: &RoadNetwork,
@@ -483,33 +527,20 @@ fn read_nodes<R: Read>(
                     let what = "ref tuple out of range";
                     let cell = below(src.field(src.ctx.cell, 4)?, n_cells, what)?;
                     let ref_idx = src.index(ct.refs.len(), what)?;
-                    let has_fv = src.field(1, 1)? != 0;
-                    let (mut fv, mut fv_no, mut d_pos) = (NO_FV, 0, 0);
-                    if has_fv || !src.packed {
-                        let v = src.field(src.ctx.vertex, 4)?;
-                        if has_fv {
-                            fv = VertexId(below(v, n_vertices, what)?);
-                        }
-                        fv_no = src.col(ENTRY)? as u32;
-                        d_pos = src.col(POS)? as u32;
+                    let enters = src.field(1, 1)? != 0;
+                    let mut tuple = RefRegionTuple::new(CellId(cell), ref_idx, enters)?;
+                    // v4 has the resume fields after a set bit only.
+                    if src.resume && (enters || !src.packed) {
+                        src.skip_resume(enters.then_some(n_vertices), what)?;
                     }
-                    // v2 stores the bounds; v4's are derived below.
-                    let (mut p_total, mut p_max) = (0.0, 0.0);
+                    // v2 stores the bounds; later ones are derived below.
                     if !src.packed {
-                        (p_total, p_max) = (read_f64(src.r)?, read_f64(src.r)?);
-                        if !p_total.is_finite() || !p_max.is_finite() {
+                        (tuple.p_total, tuple.p_max) = (read_f64(src.r)?, read_f64(src.r)?);
+                        if !tuple.p_total.is_finite() || !tuple.p_max.is_finite() {
                             return Err(StorageError::Corrupt("non-finite probability bound"));
                         }
                     }
-                    node.ref_tuples.push(RefRegionTuple {
-                        cell: CellId(cell),
-                        ref_idx,
-                        fv,
-                        fv_no,
-                        d_pos,
-                        p_total,
-                        p_max,
-                    });
+                    node.ref_tuples.push(tuple);
                 }
                 let mut prev = 0;
                 for _ in 0..src.col(COUNT)? {
@@ -517,10 +548,10 @@ fn read_nodes<R: Read>(
                     let tuple = NrefRegionTuple {
                         cell: CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?),
                         nref_idx: src.index(ct.nrefs.len(), what)?,
-                        rv: VertexId(below(src.field(src.ctx.vertex, 4)?, n_vertices, what)?),
-                        rv_no: src.col(ENTRY)? as u32,
-                        ma_pos: src.col(POS)? as u32,
                     };
+                    if src.resume {
+                        src.skip_resume(Some(n_vertices), what)?;
+                    }
                     // The order `fill_group_bounds` sums in.
                     if tuple.nref_idx < std::mem::replace(&mut prev, tuple.nref_idx) {
                         return Err(StorageError::Corrupt("nref tuples out of order"));
@@ -556,13 +587,15 @@ pub struct Sections {
     pub nref_tuples: u64,
 }
 
-/// One v4 block under construction. [`write_blocks`] runs the record
+/// One v5 block under construction. [`write_blocks`] runs the record
 /// traversal twice: while `widths` is `None` a column value only raises
 /// its column's maximum (column 0: also lowers `base`); [`Packer::start`]
 /// then fixes the widths and writes the header, and the second run emits.
 #[derive(Default)]
 struct Packer {
     ctx: CtxWidths,
+    /// The columns the block header declares.
+    cols: &'static [usize],
     max: [u64; 5],
     base: u64,
     widths: Option<[u32; 5]>,
@@ -580,7 +613,10 @@ impl Packer {
         let widths = self.max.map(width_for_max);
         self.widths = Some(widths);
         self.field(self.base, 64)?;
-        widths.into_iter().try_for_each(|w| self.field(w.into(), 7))
+        // bounds: every column is one of the five column constants
+        let cols = self.cols;
+        cols.iter()
+            .try_for_each(|&col| self.field(widths[col].into(), 7))
     }
 
     /// A value of per-block column `col`.
@@ -624,6 +660,7 @@ impl Packer {
 /// to a byte. Returns the bits written: all, and those of streams alone.
 fn write_blocks<T>(
     ctx: CtxWidths,
+    cols: &'static [usize],
     records: impl Iterator<Item = T>,
     mut pack: impl FnMut(&mut Packer, &T) -> io::Result<()>,
     out: &mut impl Write,
@@ -633,7 +670,7 @@ fn write_blocks<T>(
     while records.peek().is_some() {
         let block: Vec<T> = records.by_ref().take(CHUNK).collect();
         let mut p = Packer::default();
-        (p.ctx, p.base) = (ctx, u64::MAX);
+        (p.ctx, p.cols, p.base) = (ctx, cols, u64::MAX);
         block.iter().try_for_each(|t| pack(&mut p, t))?;
         p.start()?;
         block.iter().try_for_each(|t| pack(&mut p, t))?;
@@ -689,22 +726,14 @@ fn pack_node(
     p.col(COUNT, node.ref_tuples.len() as u64)?;
     for t in node.ref_tuples {
         p.field(u64::from(t.cell.0), p.ctx.cell)?;
-        p.field(u64::from(t.ref_idx), index_width(ct.refs.len()))?;
-        p.field(u64::from(t.final_vertex().is_some()), 1)?;
-        if let Some(fv) = t.final_vertex() {
-            p.field(u64::from(fv.0), p.ctx.vertex)?;
-            p.col(ENTRY, u64::from(t.fv_no))?;
-            p.col(POS, u64::from(t.d_pos))?;
-        }
+        p.field(u64::from(t.ref_idx()), index_width(ct.refs.len()))?;
+        p.field(u64::from(t.enters()), 1)?;
     }
     let nrefs_at = p.bits.len_bits();
     p.col(COUNT, node.nref_tuples.len() as u64)?;
     for t in node.nref_tuples {
         p.field(u64::from(t.cell.0), p.ctx.cell)?;
         p.field(u64::from(t.nref_idx), index_width(ct.nrefs.len()))?;
-        p.field(u64::from(t.rv.0), p.ctx.vertex)?;
-        p.col(ENTRY, u64::from(t.rv_no))?;
-        p.col(POS, u64::from(t.ma_pos))?;
     }
     // (Nothing is emitted, so nothing counted, in the measuring run.)
     *ref_bits += (nrefs_at - refs_at) as u64;
@@ -712,10 +741,10 @@ fn pack_node(
     Ok(())
 }
 
-/// Serializes a self-contained v4 container: network + bit-packed
+/// Serializes a self-contained v5 container: network + bit-packed
 /// dataset + bit-packed index, one block of [`CHUNK`] trajectories in
 /// memory at a time. Returns where the bits went.
-pub fn save_v4(
+pub fn save_v5(
     net: &RoadNetwork,
     cds: &CompressedDataset,
     stiu: &Stiu,
@@ -727,18 +756,20 @@ pub fn save_v4(
     }
     // The small parts go through memory, which also sizes them.
     let mut head = Vec::from(*MAGIC);
-    head.push(VERSION_V4);
+    head.push(VERSION_V5);
     net.write_to(&mut head)?;
     let network = head.len() as u64 * 8;
     write_dataset_head(cds, &mut head)?;
     w.write_all(&head)?;
     let ctx = CtxWidths::new(net, cds, stiu.grid.cell_count());
-    let (dataset, payload) = write_blocks(ctx, cds.trajectories.iter(), pack_traj, w)?;
+    let trajs = cds.trajectories.iter();
+    let (dataset, payload) = write_blocks(ctx, DATASET_COLS, trajs, pack_traj, w)?;
     write_i64(w, stiu.params.partition_s)?;
     write_u32(w, stiu.params.grid_n)?;
     let nodes = stiu.trajs.iter().zip(cds.trajectories.iter());
     let mut tuples = (0, 0);
-    let (index, _) = write_blocks(ctx, nodes, |p, pair| pack_node(p, pair, &mut tuples), w)?;
+    let pack = |p: &mut Packer, pair: &_| pack_node(p, pair, &mut tuples);
+    let (index, _) = write_blocks(ctx, INDEX_COLS, nodes, pack, w)?;
     let (ref_tuples, nref_tuples) = tuples;
     Ok(Sections {
         network,
@@ -801,14 +832,14 @@ pub fn save_v3(dir: ShardDirectory, shards: &[Vec<u8>], w: &mut impl Write) -> i
 }
 
 /// Deserializes a sharded container into its directory and per-shard
-/// container bytes. Accepts a plain v2 or v4 container too, returned as
+/// container bytes. Accepts a plain self-contained container too, returned as
 /// a single shard with no directory — so a sharded reader opens both
 /// shapes transparently. v1 still fails with
 /// [`StorageError::LegacyVersion`].
 pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
     match read_header(r)? {
         VERSION_V1 => Err(StorageError::LegacyVersion),
-        version @ (VERSION_V2 | VERSION_V4) => {
+        version @ (VERSION_V2 | VERSION_V4 | VERSION_V5) => {
             // Re-frame the rest of the stream as one standalone shard.
             let mut blob = Vec::from(*MAGIC);
             blob.push(version);
@@ -840,7 +871,8 @@ pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>
                     return Err(StorageError::Corrupt("shard blob truncated"));
                 }
                 // bounds: len >= 5 enforced above, and blob.len() == len
-                if &blob[..4] != MAGIC || !matches!(blob[4], VERSION_V2 | VERSION_V4) {
+                let self_contained = matches!(blob[4], VERSION_V2 | VERSION_V4 | VERSION_V5);
+                if &blob[..4] != MAGIC || !self_contained {
                     let what = "shard blob is not a self-contained container";
                     return Err(StorageError::Corrupt(what));
                 }
@@ -861,9 +893,28 @@ fn read_header(r: &mut impl Read) -> Result<u8, StorageError> {
     }
     // bounds: magic is a [u8; 5], index 4 is in range
     match magic[4] {
-        v @ VERSION_V1..=VERSION_V4 => Ok(v),
+        v @ VERSION_V1..=VERSION_V5 => Ok(v),
         _ => Err(StorageError::BadHeader),
     }
+}
+
+/// The version byte of a container, followed for a sharded (v3) one by
+/// the version byte of each shard's blob in directory order: what
+/// `utcq info` reports. Reads the headers only, seeking over the bodies.
+pub fn versions(r: &mut (impl Read + Seek)) -> Result<Vec<u8>, StorageError> {
+    let mut versions = vec![read_header(r)?];
+    if versions == [VERSION_V3] {
+        let (_kind, _param, n_shards) = (read_u8(r)?, read_i64(r)?, read_u32(r)?);
+        for _ in 0..n_shards {
+            let body = read_u64(r)?
+                .checked_sub(5)
+                .and_then(|n| i64::try_from(n).ok());
+            let body = body.ok_or(StorageError::Corrupt("shard blob length out of range"))?;
+            versions.push(read_header(r)?);
+            r.seek(SeekFrom::Current(body))?;
+        }
+    }
+    Ok(versions)
 }
 
 fn read_network(r: &mut impl Read) -> Result<RoadNetwork, StorageError> {
@@ -917,15 +968,15 @@ fn read_dataset(
         raw,
     };
     let ctx = net.map_or(CtxWidths::default(), |net| CtxWidths::new(net, &cds, 0));
-    let mut src = Source::new(r, version == VERSION_V4, ctx);
+    let mut src = Source::new(r, version, DATASET_COLS, ctx);
     read_trajs(&mut src, n_trajs, &mut cds)?;
     Ok(cds)
 }
 
-/// Deserializes the compressed dataset of a v1, v2 or v4 container.
+/// Deserializes the compressed dataset of a single-store container.
 ///
 /// For the self-contained versions the embedded network is parsed (the
-/// dataset sits after it, and v4 takes its vertex width from it) but
+/// dataset sits after it, and v4/v5 take their vertex width from it) but
 /// the trailing StIU index is not read at all — dataset-only consumers
 /// neither pay for it nor fail on index-section corruption.
 pub fn load(r: &mut impl Read) -> Result<CompressedDataset, StorageError> {
@@ -958,7 +1009,7 @@ fn check_v2_postings(r: &mut impl Read, stiu: &Stiu) -> Result<(), StorageError>
     Ok(())
 }
 
-/// Deserializes a self-contained (v2 or v4) container.
+/// Deserializes a self-contained (v2, v4 or v5) container.
 ///
 /// Fails with [`StorageError::LegacyVersion`] on v1 containers — those
 /// need the caller to supply the network (`Store::open_v1`).
@@ -986,7 +1037,12 @@ pub fn load_full(
         return Err(StorageError::Corrupt("index/dataset trajectory counts"));
     }
     let ctx = CtxWidths::new(&net, &cds, stiu.grid.cell_count());
-    let mut src = Source::new(r, version == VERSION_V4, ctx);
+    let cols = if version == VERSION_V4 {
+        INDEX_COLS_V4
+    } else {
+        INDEX_COLS
+    };
+    let mut src = Source::new(r, version, cols, ctx);
     read_nodes(&mut src, &net, &cds, &mut stiu)?;
     if version == VERSION_V2 {
         check_v2_postings(r, &stiu)?;
@@ -1019,10 +1075,10 @@ mod tests {
         bytes
     }
 
-    fn v4_bytes() -> Vec<u8> {
+    fn v5_bytes() -> Vec<u8> {
         let (net, cds, stiu) = sample();
         let mut bytes = Vec::new();
-        let s = save_v4(&net, &cds, &stiu, &mut bytes).unwrap();
+        let s = save_v5(&net, &cds, &stiu, &mut bytes).unwrap();
         let counted = s.network + s.payload + s.framing + s.temporal + s.ref_tuples + s.nref_tuples;
         assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
         bytes
@@ -1048,9 +1104,9 @@ mod tests {
     }
 
     #[test]
-    fn v4_roundtrip_preserves_all_parts() {
+    fn v5_roundtrip_preserves_all_parts() {
         let (net, cds, stiu) = sample();
-        let bytes = v4_bytes();
+        let bytes = v5_bytes();
         let (net2, cds2, stiu2) = load_full(&mut bytes.as_slice()).unwrap();
         let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
         assert_eq!(net2, net);
@@ -1063,9 +1119,9 @@ mod tests {
         assert_eq!(dbg(&stiu2.trajs), dbg(&stiu.trajs));
         // Writing what was read reproduces the bytes.
         let mut again = Vec::new();
-        save_v4(&net2, &cds2, &stiu2, &mut again).unwrap();
+        save_v5(&net2, &cds2, &stiu2, &mut again).unwrap();
         assert_eq!(again, bytes);
-        // The generic loader also accepts v4, dataset-only.
+        // The generic loader also accepts it, dataset-only.
         let just_cds = load(&mut bytes.as_slice()).unwrap();
         assert_eq!(dbg(&just_cds.trajectories), dbg(&cds.trajectories));
     }
@@ -1083,7 +1139,7 @@ mod tests {
     fn dataset_load_survives_index_corruption() {
         // The index section trails the container; load() must not touch
         // it, so damage there cannot block dataset-only consumers.
-        let mut bytes = v4_bytes();
+        let mut bytes = v5_bytes();
         let tail = bytes.len() - 8;
         bytes[tail..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(
@@ -1096,7 +1152,7 @@ mod tests {
 
     #[test]
     fn v3_roundtrip_preserves_directory_and_blobs() {
-        let blob = v4_bytes();
+        let blob = v5_bytes();
         let bytes = v3_bytes(POLICY_TIME, 3600, &[blob.clone(), blob.clone()]);
         let (dir, blobs) = load_v3(&mut bytes.as_slice()).unwrap();
         let (kind, param) = (POLICY_TIME, 3600);
@@ -1111,7 +1167,7 @@ mod tests {
     fn v3_reader_accepts_plain_v2_as_single_shard() {
         // A plain self-contained container of either version.
         let v2 = include_bytes!("../../../tests/fixtures/tiny_v2.utcq").to_vec();
-        for blob in [v2, v4_bytes()] {
+        for blob in [v2, v5_bytes()] {
             let (dir, blobs) = load_v3(&mut blob.as_slice()).unwrap();
             assert_eq!(dir, None);
             assert_eq!(blobs, [blob]);
@@ -1120,7 +1176,7 @@ mod tests {
 
     #[test]
     fn v3_rejected_by_single_store_loaders() {
-        let bytes = v3_bytes(POLICY_REGION, 8, &[v4_bytes()]);
+        let bytes = v3_bytes(POLICY_REGION, 8, &[v5_bytes()]);
         assert!(matches!(
             load(&mut bytes.as_slice()),
             Err(StorageError::Sharded)
@@ -1138,7 +1194,7 @@ mod tests {
 
     #[test]
     fn v3_corruption_is_rejected_not_panicking() {
-        let bytes = v3_bytes(POLICY_TIME, 3600, &[v4_bytes()]);
+        let bytes = v3_bytes(POLICY_TIME, 3600, &[v5_bytes()]);
         for cut in [6, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load_v3(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
@@ -1172,7 +1228,7 @@ mod tests {
         for cut in [bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
-        let bytes = v4_bytes();
+        let bytes = v5_bytes();
         for cut in (0..bytes.len()).step_by(5) {
             assert!(load_full(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
@@ -1182,7 +1238,7 @@ mod tests {
     fn bitflips_do_not_panic() {
         // Flip a sample of bits across each container; the loaders must
         // return Ok or Err, never panic.
-        for (bytes, step) in [(v1_bytes(), 37), (v4_bytes(), 11)] {
+        for (bytes, step) in [(v1_bytes(), 37), (v5_bytes(), 11)] {
             for i in (0..bytes.len()).step_by(step) {
                 let mut corrupt = bytes.clone();
                 corrupt[i] ^= 1 << (i % 8);

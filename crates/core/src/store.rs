@@ -10,7 +10,7 @@
 //!   pivot/reference selection runs only over each new cohort (it is
 //!   per-trajectory, §4.3) and the StIU postings merge into the index in
 //!   place, so earlier batches are never recompressed; or
-//! * from disk, through [`Store::open`] on a self-contained (v4 or v2) container
+//! * from disk, through [`Store::open`] on a self-contained (v5, v4 or v2) container
 //!   (embedded network + dataset + StIU index), or [`Store::open_v1`]
 //!   for legacy containers that need the network supplied out of band.
 //!
@@ -322,7 +322,7 @@ impl Store {
         }
     }
 
-    /// Opens a self-contained (v4 or v2) container: network, dataset and index
+    /// Opens a self-contained (v5, v4 or v2) container: network, dataset and index
     /// all come from the file — no side-channel arguments.
     ///
     /// A v1 container fails with [`Error::NeedsNetwork`]; open those with
@@ -343,7 +343,7 @@ impl Store {
         Self::read(&mut BufReader::new(f))
     }
 
-    /// Reads a self-contained (v4 or v2) container from an arbitrary reader.
+    /// Reads a self-contained (v5, v4 or v2) container from an arbitrary reader.
     pub fn read(r: &mut impl Read) -> Result<Self, Error> {
         let (net, cds, stiu) = match crate::storage::load_full(r) {
             Ok(parts) => parts,
@@ -391,7 +391,7 @@ impl Store {
         Self::assemble(net, cds, stiu)
     }
 
-    /// Persists the current snapshot as a self-contained v4 container.
+    /// Persists the current snapshot as a self-contained v5 container.
     /// Safe to call while other threads ingest: the write runs on the
     /// pinned snapshot, so the container is a consistent epoch.
     ///
@@ -407,7 +407,7 @@ impl Store {
         crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
     }
 
-    /// Writes the current snapshot's v4 container to an arbitrary writer.
+    /// Writes the current snapshot's v5 container to an arbitrary writer.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
         self.snapshot().write(w)
     }

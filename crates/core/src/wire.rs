@@ -111,27 +111,21 @@ impl Json {
         }
     }
 
-    /// The numeric payload as an exact non-negative integer (rejects
-    /// fractions, negatives, and magnitudes past 2⁵³ where `f64` loses
-    /// exactness).
+    /// The numeric payload as an exact non-negative integer: rejects
+    /// fractions, negatives, and magnitudes of 2⁵³ and beyond. Numbers
+    /// are held as `f64`, and 2⁵³ is the first value that a different
+    /// literal (2⁵³ + 1) also rounds to, so accepting it would address a
+    /// neighbour of what was written.
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=9.007_199_254_740_992e15).contains(&n) {
-            Some(n as u64)
-        } else {
-            None
-        }
+        (n.fract() == 0.0 && (0.0..EXACT_INTEGERS).contains(&n)).then_some(n as u64)
     }
 
     /// The numeric payload as an exact integer (rejects fractions and
-    /// magnitudes past 2⁵³).
+    /// magnitudes of 2⁵³ and beyond, like [`Json::as_u64`]).
     pub fn as_i64(&self) -> Option<i64> {
         let n = self.as_f64()?;
-        if n.fract() == 0.0 && n.abs() <= 9.007_199_254_740_992e15 {
-            Some(n as i64)
-        } else {
-            None
-        }
+        (n.fract() == 0.0 && n.abs() < EXACT_INTEGERS).then_some(n as i64)
     }
 
     /// Serializes this value back to JSON text (used to echo request
@@ -167,6 +161,10 @@ impl Json {
         }
     }
 }
+
+/// 2⁵³: every integer literal of a smaller magnitude is an `f64` no
+/// other integer literal parses to.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
 
 /// Nesting depth cap for the hand-rolled recursive-descent parser.
 /// Without it, a line of `[[[[...` recurses once per bracket and
@@ -1397,6 +1395,14 @@ mod tests {
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1e300).as_u64(), None);
+        // 2⁵³ − 1 is the last integer no other literal rounds to.
+        let last = 9_007_199_254_740_991.0;
+        assert_eq!(Json::Num(last).as_u64(), Some((1 << 53) - 1));
+        assert_eq!(Json::Num(-last).as_i64(), Some(1 - (1 << 53)));
+        for lossy in ["9007199254740992", "9007199254740993", "-9007199254740993"] {
+            let v = Json::parse(lossy).unwrap();
+            assert_eq!((v.as_u64(), v.as_i64()), (None, None), "{lossy}");
+        }
         assert_eq!(Json::Num(-2.0).as_i64(), Some(-2));
         assert_eq!(Json::Str("7".into()).as_u64(), None);
     }

@@ -263,20 +263,16 @@ fn ingest_order_does_not_change_answers() {
 /// Every field of an index node, the probability bounds by bit pattern.
 type NodeFields = (
     Vec<utcq_core::stiu::TemporalTuple>,
-    Vec<([u32; 5], u64, u64)>,
-    Vec<[u32; 5]>,
+    Vec<(u32, u32, bool, u64, u64)>,
+    Vec<utcq_core::stiu::NrefRegionTuple>,
 );
 
 fn node_fields(n: utcq_core::stiu::TrajIndex<'_>) -> NodeFields {
     let refs = n.ref_tuples.iter().map(|t| {
-        let ints = [t.cell.0, t.ref_idx, t.fv.0, t.fv_no, t.d_pos];
-        (ints, t.p_total.to_bits(), t.p_max.to_bits())
+        let (p_total, p_max) = (t.p_total.to_bits(), t.p_max.to_bits());
+        (t.cell.0, t.ref_idx(), t.enters(), p_total, p_max)
     });
-    let nrefs = n
-        .nref_tuples
-        .iter()
-        .map(|t| [t.cell.0, t.nref_idx, t.rv.0, t.rv_no, t.ma_pos]);
-    (n.temporal.to_vec(), refs.collect(), nrefs.collect())
+    (n.temporal.to_vec(), refs.collect(), n.nref_tuples.to_vec())
 }
 
 /// Asserts that `reopened` holds exactly the index and accounting of

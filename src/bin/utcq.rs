@@ -1,6 +1,6 @@
 //! `utcq` — command-line front end for the UTCQ reproduction.
 //!
-//! `compress` writes a **self-contained v4 container** (road network +
+//! `compress` writes a **self-contained v5 container** (road network +
 //! compressed dataset + StIU index) — or, with `--shards N`, a
 //! **sharded v3 container** whose partitions are routed by `--shard-by
 //! time|region`. `info`, `verify` and `query` operate on the file alone
@@ -57,7 +57,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use utcq::core::opened::{render_resident, render_sections, InfoReport};
+use utcq::core::opened::{render_format, render_resident, render_sections, InfoReport};
 use utcq::core::params::CompressParams;
 use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{Server, DEFAULT_THREADS};
@@ -220,13 +220,13 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         print_ratio(store.len(), store.ratios(), t0.elapsed());
         store.save(&out).map_err(|e| e.to_string())?;
-        println!("wrote {out} (self-contained v4 container)");
+        println!("wrote {out} (self-contained v5 container)");
     }
     Ok(())
 }
 
 /// Opens a container as a queryable store through the
-/// [`utcq::core::Opened`] facade: v4 and v2 directly, v3 through the sharded
+/// [`utcq::core::Opened`] facade: v5, v4 and v2 directly, v3 through the sharded
 /// facade, v1 through the compatibility path using the regenerated
 /// network. Only the network is regenerated — not the trajectories,
 /// which live in the container.
@@ -254,9 +254,12 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     match Opened::open(&path) {
         Ok(opened) => {
             let snaps = opened.snapshots();
+            let mut f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
+            let format = render_format(&storage::versions(&mut f).map_err(|e| e.to_string())?);
             let sections = render_sections(&snaps).map_err(|e| e.to_string())?;
             let resident = render_resident(&snaps);
-            print!("{}{sections}{resident}", opened.info().render());
+            let report = opened.info().render();
+            print!("{report}{format}{sections}{resident}");
         }
         Err(utcq::core::Error::NeedsNetwork) => {
             let f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;

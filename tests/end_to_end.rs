@@ -139,20 +139,64 @@ fn compression_is_deterministic() {
     }
 }
 
+/// Runs the CLI, which must succeed, and returns what it printed.
+fn utcq(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_utcq"))
+        .args(args)
+        .output()
+        .expect("utcq runs");
+    let text =
+        String::from_utf8_lossy(&out.stdout).into_owned() + &String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "utcq {args:?}: {text}");
+    text
+}
+
+#[test]
+fn cli_info_names_the_format_and_counts_the_file() {
+    let fixtures = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let rewrites = " (next save or checkpoint rewrites as v5)\n";
+    for (name, format) in [
+        ("tiny_v2.utcq", format!("v2{rewrites}")),
+        ("tiny_v4.utcq", format!("v4{rewrites}")),
+        ("tiny_v5.utcq", "v5\n".to_string()),
+        (
+            "tiny_v3.utcq",
+            format!("v3 directory, shards v2 v2 v2{rewrites}"),
+        ),
+        (
+            "tiny_v3_packed.utcq",
+            format!("v3 directory, shards v4 v4 v4{rewrites}"),
+        ),
+        (
+            "tiny_v3_v5.utcq",
+            "v3 directory, shards v5 v5 v5\n".to_string(),
+        ),
+    ] {
+        let path = fixtures.join(name);
+        let said = utcq(&["info", "--in", path.to_str().unwrap()]);
+        assert!(
+            said.contains(&format!("  format:           {format}")),
+            "{name}: {said}"
+        );
+        // The section table is of the container this store saves as:
+        // for a current-format file, the file itself (a sharded one
+        // adds its 18-byte directory and a u64 length per shard).
+        let sections = said.split("container sections").nth(1).expect(name);
+        let total = sections.split("total:").nth(1).expect(name);
+        let total: u64 = total.split_whitespace().next().unwrap().parse().unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        match name {
+            "tiny_v5.utcq" => assert_eq!(total, len),
+            "tiny_v3_v5.utcq" => assert_eq!(total + 18 + 3 * 8, len),
+            _ => assert!(total < len, "{name}: an older file is larger"),
+        }
+    }
+}
+
 #[test]
 fn cli_verify_checks_single_and_sharded_containers() {
     // `utcq verify` must accept whatever `utcq compress` wrote: a single
     // store, and a sharded one (whose shard order is not dataset order).
-    let utcq = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_utcq"))
-            .args(args)
-            .output()
-            .expect("utcq runs");
-        let text = String::from_utf8_lossy(&out.stdout).into_owned()
-            + &String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "utcq {args:?}: {text}");
-        text
-    };
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let dataset = ["--profile", "tiny", "--trajs", "40", "--seed", "3"];
     for shards in [&[][..], &["--shards", "3"]] {

@@ -537,6 +537,55 @@ fn when_on_an_unknown_edge_is_an_empty_page_on_both_shapes() {
     }
 }
 
+/// Every integer field of PROTOCOL.md at the edge of what an `f64`
+/// holds exactly: a request runs on the integer it spelled or is a
+/// `bad_request`, never on a neighbour. 2⁵³ + 1 used to parse as 2⁵³, so
+/// a `where` addressed, and an `ingest` stored, the trajectory next door.
+#[test]
+fn integer_fields_are_exact_or_refused() {
+    // Each request with `#` where the literal goes.
+    let templates = [
+        r#"{"op":"where","traj":#,"t":0}"#,
+        r#"{"op":"where","traj":1,"t":#}"#,
+        r#"{"op":"where","traj":1,"t":0,"limit":#}"#,
+        r#"{"op":"range","min_x":0,"min_y":0,"max_x":1,"max_y":1,"tq":#}"#,
+        r#"{"op":"when","traj":1,"edge":#,"rd":0.5}"#,
+        r#"{"op":"tail","from":#}"#,
+        r#"{"op":"tail","from":0,"max":#}"#,
+        r#"{"op":"ingest","trajectories":[{"id":#,"times":[0,9],"instances":[]}]}"#,
+        r#"{"op":"ingest","trajectories":[{"id":1,"times":[0,#],"instances":[]}]}"#,
+        r#"{"op":"ingest","trajectories":[],"interval":#}"#,
+    ];
+    let below = (1i128 << 53) - 1;
+    for template in templates {
+        for spelled in [below, below + 2, i128::from(u64::MAX), -below, -below - 2] {
+            let line = template.replace('#', &spelled.to_string());
+            match wire::parse_request(&line) {
+                // `Debug` prints the integer the request holds.
+                Ok(parsed) => {
+                    let held = format!("{:?}", parsed.request);
+                    assert!(held.contains(&spelled.to_string()), "{line}: {held}");
+                }
+                Err(e) => {
+                    assert_eq!(e.code, "bad_request", "{line}");
+                    // Only the 32-bit `edge` is narrower than 2⁵³ − 1.
+                    let narrow = spelled < 0 || template.contains("edge");
+                    assert!(spelled.abs() > below || narrow, "{line}: {}", e.message);
+                }
+            }
+        }
+    }
+    // Through the executor, on both shapes: refused, not looked up.
+    let line = r#"{"op":"where","traj":9007199254740993,"t":0}"#;
+    for version in [2u8, 3] {
+        let reply = wire::handle_line(&open_fixture(version), line).line;
+        assert!(
+            reply.contains(r#""code":"bad_request""#),
+            "v{version}: {reply}"
+        );
+    }
+}
+
 #[test]
 fn read_only_server_rejects_ingest() {
     let opened = Arc::new(open_fixture(3));

@@ -292,7 +292,7 @@ fn par_range_matches_sequential_on_shards() {
 /// acceleration: cold scans, cache-served repeats, and paginated walks
 /// sliced out of a cached full result must all return byte-identical
 /// answers — across the single store, the sharded store, and every
-/// container version (v1 dataset-only, v4 single, v3 sharded).
+/// container version (v1 dataset-only, v5 single, v3 sharded).
 #[test]
 fn range_answers_identical_cold_cached_and_across_versions() {
     let (net, ds) = setup(90_210, 26);
@@ -308,10 +308,10 @@ fn range_answers_identical_cold_cached_and_across_versions() {
     }
     let v1 = Store::open_v1(&v1_path, Arc::new(net.clone()), STIU).unwrap();
     std::fs::remove_file(&v1_path).ok();
-    // v4/v3: self-contained roundtrips through container bytes.
-    let mut v4_bytes = Vec::new();
-    single.write(&mut v4_bytes).unwrap();
-    let v4 = Store::read(&mut v4_bytes.as_slice()).unwrap();
+    // v5/v3: self-contained roundtrips through container bytes.
+    let mut v5_bytes = Vec::new();
+    single.write(&mut v5_bytes).unwrap();
+    let v5 = Store::read(&mut v5_bytes.as_slice()).unwrap();
     let mut v3_bytes = Vec::new();
     sharded.write(&mut v3_bytes).unwrap();
     let v3 = ShardedStore::read(&mut v3_bytes.as_slice()).unwrap();
@@ -330,7 +330,7 @@ fn range_answers_identical_cold_cached_and_across_versions() {
     }
 
     let targets: Vec<(&str, &dyn QueryTarget)> =
-        vec![("v1", &v1), ("v4", &v4), ("v3", &v3), ("sharded", &sharded)];
+        vec![("v1", &v1), ("v5", &v5), ("v3", &v3), ("sharded", &sharded)];
     for q in &w.ranges {
         single.clear_cache();
         let cold = single
