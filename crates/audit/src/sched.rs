@@ -489,7 +489,9 @@ pub fn explore(name: &str, opts: SchedOpts, factory: &dyn Fn() -> Scenario) -> O
 use std::sync::OnceLock;
 use utcq_core::snapshot::Swap;
 use utcq_core::store::StoreBuilder;
-use utcq_core::{CompressParams, LiveStore, Opened, QueryTarget, ShardedStore, Store, WalConfig};
+use utcq_core::{
+    CompressParams, LiveStore, Opened, QueryTarget, ShardPolicy, ShardedStore, Store, WalConfig,
+};
 use utcq_traj::Dataset;
 
 /// The shared tiny dataset: generated once, split into an initial
@@ -516,13 +518,16 @@ fn build_store() -> Arc<Store> {
     Arc::new(store)
 }
 
+/// How [`build_sharded`] routes its two shards.
+const SHARD_POLICY: utcq_core::ByTime = utcq_core::ByTime { interval_s: 3600 };
+
 fn build_sharded() -> Arc<ShardedStore> {
     let (net, a, _) = tiny_batches();
     let store = StoreBuilder::new(
         Arc::clone(net),
         CompressParams::with_interval(a.default_interval),
     )
-    .shard_by(Arc::new(utcq_core::ByTime::default()), 2)
+    .shard_by(Arc::new(SHARD_POLICY), 2)
     .and_then(|b| b.ingest(a))
     .and_then(|b| b.finish())
     .expect("build tiny sharded store");
@@ -579,13 +584,24 @@ pub fn store_pin_vs_ingest() -> Scenario {
     }
 }
 
-/// The facade must never get ahead of the shards: whenever the facade
-/// routes an id to a shard, that shard's snapshot already has the id
-/// (shards publish first; `sharded.shards_published` marks the
-/// window). Facade epochs are monotonic.
+/// A sharded batch is visible on every shard at once or on none: the
+/// partitions of `snapshots()` and the `info` total always sum to the
+/// store's length before or after a batch the setup routes to both
+/// shards, never to a mix. Whenever the store routes an id to a shard,
+/// that shard's snapshot has the id, and epochs are monotonic.
 pub fn sharded_ingest_vs_query() -> Scenario {
     let store = build_sharded();
-    let (_, _, b) = tiny_batches();
+    let (net, a, b) = tiny_batches();
+    let routes: std::collections::BTreeSet<u32> = b
+        .trajectories
+        .iter()
+        .map(|tu| SHARD_POLICY.route(net, tu, 2))
+        .collect();
+    assert_eq!(routes.len(), 2, "the batch must touch both shards");
+    let (before, after) = (
+        a.trajectories.len(),
+        a.trajectories.len() + b.trajectories.len(),
+    );
     let new_ids: Vec<u64> = b.trajectories.iter().map(|t| t.id).collect();
     let writer = {
         let store = Arc::clone(&store);
@@ -596,18 +612,31 @@ pub fn sharded_ingest_vs_query() -> Scenario {
     };
     let reader = Box::new(move || {
         let e1 = store.epoch();
+        let summed: usize = store.snapshots().iter().map(|s| s.len()).sum();
+        assert!(
+            summed == before || summed == after,
+            "torn cut: snapshots() sum to {summed} trajectories, \
+             neither {before} (before the batch) nor {after} (after)"
+        );
+        let total = store.info().trajectories;
+        assert!(
+            total == before || total == after,
+            "torn cut: info() reports {total} trajectories, \
+             neither {before} (before the batch) nor {after} (after)"
+        );
         for &id in &new_ids {
             if let Some(s) = store.traj_shard(id) {
-                let snap = store.shards()[s as usize].snapshot(); // bounds: facade only routes to real shards
+                let parts = store.snapshots();
+                let snap = &parts[s as usize]; // bounds: the store only routes to real shards
                 assert!(
                     snap.traj_index(id).is_some(),
-                    "half-published state: facade routes {id} to shard {s}, \
+                    "half-published state: store routes {id} to shard {s}, \
                      which does not have it"
                 );
             }
         }
         let e2 = store.epoch();
-        assert!(e2 >= e1, "facade epoch went backwards: {e1} then {e2}");
+        assert!(e2 >= e1, "epoch went backwards: {e1} then {e2}");
     }) as Box<dyn FnOnce() + Send>;
     Scenario {
         threads: vec![writer, reader],
@@ -1316,7 +1345,7 @@ pub fn all_scenarios() -> Vec<NamedScenario> {
         ("serve_wake_order", 400, serve_wake_order),
         ("serve_pipeline_order", 400, serve_pipeline_order),
         ("store_pin_vs_ingest", 400, store_pin_vs_ingest),
-        ("sharded_ingest_vs_query", 400, sharded_ingest_vs_query),
+        ("sharded_ingest_vs_query", 2_000, sharded_ingest_vs_query),
         ("wal_publish_order", 400, wal_publish_order),
         ("wal_append_vs_publish", 400, wal_append_vs_publish),
         ("chunk_publish_order", 400, chunk_publish_order),

@@ -30,9 +30,12 @@
 //!
 //! Every key additionally carries the **epoch** of the snapshot that
 //! minted it (see [`crate::snapshot`]): after a live ingest publishes a
-//! new epoch, entries of superseded epochs simply stop matching and age
-//! out through normal eviction — no flush, and no cross-epoch aliasing
-//! even if a future writer stops being append-only.
+//! new epoch, entries of superseded epochs stop matching — no
+//! cross-epoch aliasing even if a future writer stops being
+//! append-only — and the publish drops them
+//! (`DecodeCache::retire_before`), so what the cache holds under
+//! ingest is one epoch's working set, not every read since the last
+//! eviction.
 //!
 //! The cache is **sharded**: keys hash to one of [`SHARD_COUNT`]
 //! [`RwLock`]-protected shards, so concurrent queries (e.g. under
@@ -115,7 +118,8 @@ impl Kind {
 }
 
 /// Cache key: an artifact kind stamped with the snapshot epoch that
-/// minted it. Entries of superseded epochs stop matching and age out.
+/// minted it. Entries of superseded epochs stop matching and are
+/// dropped when the next epoch publishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     epoch: u64,
@@ -323,6 +327,28 @@ impl DecodeCache {
             s.map.clear();
             s.bytes = 0;
             s.negatives = 0;
+        }
+    }
+
+    /// Drops every entry minted by an epoch before `epoch` — called as
+    /// `epoch` publishes, since no current reader can hit them again.
+    /// Not counted as evictions (those keep the budget). A reader still
+    /// pinned to an older epoch just decodes again; what it inserts
+    /// meanwhile goes at the next publish.
+    pub(crate) fn retire_before(&self, epoch: u64) {
+        for shard in &self.shards {
+            let mut guard = shard.write().expect("cache lock poisoned");
+            let s = &mut *guard;
+            s.map.retain(|key, e| {
+                let keep = key.epoch >= epoch;
+                if !keep {
+                    s.bytes -= e.bytes;
+                    if matches!(e.value, Value::Negative) {
+                        s.negatives -= 1;
+                    }
+                }
+                keep
+            });
         }
     }
 
@@ -656,6 +682,16 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&new, &again));
         assert_eq!(cache.stats().entries, 2);
+        // Publishing epoch 1 drops everything epoch 0 minted, without
+        // counting evictions; epoch 1's entry stays.
+        cache.note_when_miss(0, 7, 3);
+        cache.retire_before(1);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.negative_entries, s.evictions), (1, 0, 0));
+        assert_eq!(s.bytes, value_bytes(&Value::Times(new)));
+        cache
+            .times_or_decode(1, 1, || panic!("epoch-1 entry must survive"))
+            .unwrap();
     }
 
     #[test]

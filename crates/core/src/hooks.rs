@@ -1,7 +1,7 @@
 //! Audit instrumentation points.
 //!
-//! The epoch-publish protocol ([`crate::snapshot::Swap`], live ingest,
-//! the sharded facade's shards-first-then-facade ordering) is verified
+//! The epoch-publish protocol ([`crate::snapshot::Swap`], live ingest
+//! on both store shapes) is verified
 //! by the `utcq_audit` model checker, which needs to pause a thread at
 //! every protocol-relevant step and try the interleavings around it.
 //! This module is that seam: [`point`] marks each step with a static

@@ -156,7 +156,7 @@
 //! use utcq_core::query::PageRequest;
 //! use utcq_core::shard::{ByTime, ShardedStore};
 //! use utcq_core::store::StoreBuilder;
-//! use utcq_core::{CompressParams, QueryTarget};
+//! use utcq_core::{CompressParams, LiveStore, QueryTarget};
 //!
 //! let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 10, 7);
 //! let store = StoreBuilder::new(
@@ -171,8 +171,9 @@
 //! // The same paginated queries — `Store` and `ShardedStore` both
 //! // implement `QueryTarget`, with byte-identical answers.
 //! let target: &dyn QueryTarget = &store;
-//! let j = store.traj_shard(0).unwrap() as usize;
-//! let t0 = store.shards()[j].decode_times(store.shards()[j].traj_index(0).unwrap())?[0];
+//! let parts = store.snapshots();
+//! let owner = &parts[store.traj_shard(0).unwrap() as usize];
+//! let t0 = owner.decode_times(owner.traj_index(0).unwrap())?[0];
 //! let page = target.where_query(0, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!

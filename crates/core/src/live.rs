@@ -74,19 +74,13 @@ impl WriterCore {
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Allocates the next epoch without logging — for a partition whose
-    /// facade serializes writers and owns the log.
-    pub(crate) fn next_epoch(&self) -> u64 {
-        self.next_epoch.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Allocates the epoch `batch` will publish as and, with a WAL
-    /// attached, appends its record (synced per the fsync policy)
-    /// *before* the caller makes the batch visible. A failed append
-    /// publishes nothing, so the allocation rolls back and the log and
-    /// the epoch sequence stay gap-free.
+    /// Allocates the epoch `batch` will publish as — the only place an
+    /// epoch is allocated — and, with a WAL attached, appends its record
+    /// (synced per the fsync policy) *before* the caller makes the batch
+    /// visible. A failed append publishes nothing, so the allocation
+    /// rolls back and the log and the epoch sequence stay gap-free.
     pub(crate) fn log(&self, _held: &Held<'_>, batch: &Dataset) -> Result<u64, Error> {
-        let epoch = self.next_epoch();
+        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         if let Some(sc) = self.wal().as_mut() {
             // The one owned copy of the batch: the feed keeps it.
             let rec = Record {
@@ -129,11 +123,9 @@ pub trait LiveStore: QueryTarget {
     /// held that is a batch-consistent cut.
     fn write_cut(&self, held: &Held<'_>, w: &mut dyn Write) -> Result<(), Error>;
 
-    /// One pinned snapshot per underlying partition, in shard order.
-    /// Each is its partition's current epoch and individually
-    /// consistent; across partitions the set may, in the few pointer
-    /// swaps while a concurrent sharded ingest publishes, include a
-    /// batch the facade has not made visible yet.
+    /// One pinned snapshot per underlying partition, in shard order,
+    /// all taken from one published state: every batch is either in
+    /// the set entirely or not at all.
     fn snapshots(&self) -> Vec<Arc<Snapshot>>;
 
     /// The shared description `utcq info` and the serve `info` response

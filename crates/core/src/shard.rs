@@ -1,29 +1,29 @@
-//! Sharding: N independent [`Store`] partitions behind one query facade.
+//! Sharding: N partitions behind one query facade.
 //!
-//! A [`ShardedStore`] owns a set of [`Store`]s and presents the exact
+//! A [`ShardedStore`] holds N partitions and presents the exact
 //! `where`/`when`/`range` + pagination surface of a single store (both
 //! implement [`QueryTarget`]). Trajectories are routed to partitions at
 //! ingest time by a pluggable [`ShardPolicy`] — by time interval
 //! ([`ByTime`]) or by road-network region ([`ByRegion`]) — and each
-//! partition is a complete, self-contained store: its own compressed
-//! dataset, StIU index, query plans and decode cache. Ingest,
+//! partition is a complete, self-contained [`Snapshot`]: its own
+//! compressed dataset, StIU index, query plans and decode cache. Ingest,
 //! compression and queries therefore parallelize per shard instead of
 //! serializing on one `CompressedDataset`.
 //!
-//! # Live ingest and the facade epoch
+//! # Live ingest: one state, one swap
 //!
-//! Each shard is a live [`Store`] (see [`crate::snapshot`]): its read
-//! state is an immutable epoch-swapped snapshot, so
-//! [`LiveStore::ingest`] routes a batch, compresses each sub-batch
-//! on its owning shard (fanned out across shards on the shared
-//! work-queue model — per-shard compression is the parallelism the
-//! partitioning buys), and then publishes a fresh **facade state** (id
-//! routing map + prebuilt range index) as the next facade epoch.
-//! Queries never block on ingest: they pin the facade and the shard
-//! snapshots they need and run entirely on frozen state. Publication
-//! order is shards-first-then-facade, and ingest only appends, so a
-//! pinned facade never references a position its shard snapshots lack.
-//! A batch becomes visible atomically when the facade publishes.
+//! Everything a read needs — one immutable snapshot per partition (see
+//! [`crate::snapshot`]), the id routing map and the prebuilt range
+//! index — is one **facade state** behind one `Swap`, written under one
+//! [`WriterCore`]. [`LiveStore::ingest`] routes a batch, compresses each
+//! sub-batch into a prepared copy of its partition (fanned out across
+//! partitions on the shared work-queue model — per-partition
+//! compression is the parallelism the partitioning buys), logs the
+//! batch once, and swaps in a state carrying the extended partitions
+//! beside the untouched ones. Queries never block on ingest: each pins
+//! one state and runs entirely on it. A batch therefore becomes visible
+//! on every partition at once, and [`LiveStore::snapshots`] and
+//! [`LiveStore::info`] are always a cut at a batch boundary.
 //!
 //! # Query execution
 //!
@@ -62,7 +62,7 @@
 //!   silently paginating wrong.
 //! * **range** cursors are keyset-style — the last returned trajectory
 //!   id, exactly as in the single store. They carry no shard tag, so
-//!   range cursors are interchangeable between a [`Store`] and any
+//!   range cursors are interchangeable between a [`crate::Store`] and any
 //!   [`ShardedStore`] over the same dataset.
 //!
 //! Routing of an already-ingested id never changes and ingest only
@@ -73,13 +73,11 @@
 //! [`ShardedStore::save`] writes a v3 container: a shard directory
 //! (policy kind + parameter) followed by one embedded, fully
 //! self-contained v5 container per shard (see [`crate::storage`]). The
-//! shard snapshots are pinned under the writer lock, so a checkpoint
-//! taken while batches stream in is always a batch-consistent cut.
-//! [`ShardedStore::open`] reads v3 — deserializing the per-shard blobs
-//! **in parallel** on the shared work queue once the container is large
-//! enough for that to pay — and also accepts a plain v5, v4 or v2
-//! container as a single-shard store; the embedded network is
-//! deserialized once and shared across shards behind one `Arc`.
+//! partitions all come from one pinned state, so a checkpoint taken
+//! while batches stream in is always a batch-consistent cut.
+//! [`ShardedStore::open`] reads v3 one shard blob at a time and also
+//! accepts a plain v5, v4 or v2 container as a single-shard store; the
+//! embedded network is shared across shards behind one `Arc`.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -99,7 +97,7 @@ use crate::query::{
 };
 use crate::snapshot::{Snapshot, Swap};
 use crate::storage::{self, ShardDirectory, POLICY_CUSTOM, POLICY_REGION, POLICY_TIME};
-use crate::store::{IngestReport, Store, StoreBuilder};
+use crate::store::{IngestReport, StoreBuilder};
 
 /// Maximum number of shards a store may have (the shard tag of a
 /// where/when cursor is 16 bits).
@@ -112,17 +110,6 @@ pub(crate) fn check_shard_count(n: usize) -> Result<(), Error> {
         n if n > MAX_SHARDS as usize => Err(Error::ShardConfig("shard count exceeds 65536")),
         _ => Ok(()),
     }
-}
-
-/// Total shard-payload bytes below which an open runs sequentially —
-/// thread-spawn overhead exceeds the decode work on tiny containers (a
-/// parallel open once measured 0.93x there).
-const PARALLEL_OPEN_MIN_BYTES: u64 = 8 * 1024 * 1024;
-
-/// Whether a parallel open would actually help: more than one shard
-/// and at least [`PARALLEL_OPEN_MIN_BYTES`] of embedded payload.
-fn parallel_open_effective(shard_count: usize, payload_bytes: u64) -> bool {
-    shard_count > 1 && payload_bytes >= PARALLEL_OPEN_MIN_BYTES
 }
 
 /// Bits of a global where/when cursor holding the shard-local cursor.
@@ -329,49 +316,53 @@ impl ShardedStoreBuilder {
     /// route further batches — including through custom policies that
     /// have no serializable spec.
     pub fn finish(self) -> Result<ShardedStore, Error> {
-        let shards = self
+        let parts = self
             .builders
             .into_iter()
-            .map(StoreBuilder::finish)
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|b| Arc::new(b.into_snapshot()))
+            .collect();
         let spec = self.policy.spec();
-        ShardedStore::from_shards_with_policy(shards, spec, Some(self.policy))
+        ShardedStore::assemble(parts, spec, Some(self.policy))
     }
 }
 
-/// The immutable routing/acceleration state of the facade, epoch-swapped
-/// as one unit (see the [module docs](self)): a batch becomes visible
-/// exactly when its facade state publishes.
+/// The whole read state of a sharded store, epoch-swapped as one unit
+/// (see the [module docs](self)): a batch becomes visible exactly when
+/// the state carrying it publishes.
 struct FacadeState {
-    /// Facade publication counter; 0 for the assembled/opened state.
+    /// Publication counter; 0 for the assembled/opened state.
     epoch: u64,
+    /// One frozen snapshot per shard, in directory order.
+    parts: Vec<Arc<Snapshot>>,
     /// Trajectory id → owning shard, across all shards.
     id_to_shard: HashMap<u64, u32>,
     /// Facade-level range acceleration: the shards' temporal interval
     /// postings merged into id-ascending candidate lists, so a range
     /// query resolves its global candidate sequence with one lookup and
-    /// zero sorting. Rebuilt at each facade publish (the rebuild is
-    /// linear in the store and runs on the writer path, next to the
-    /// much more expensive batch compression).
+    /// zero sorting. Rebuilt at each publish (the rebuild is linear in
+    /// the store and runs on the writer path, next to the much more
+    /// expensive batch compression).
     range_index: RangeIndex,
 }
 
 impl FacadeState {
-    /// Builds the facade over one pinned snapshot per shard, validating
-    /// that no trajectory id appears in two partitions.
-    fn build(epoch: u64, snaps: &[Arc<Snapshot>]) -> Result<Self, Error> {
-        let mut id_to_shard = HashMap::with_capacity(snaps.iter().map(|s| s.len()).sum());
-        for (s, snap) in snaps.iter().enumerate() {
+    /// Builds the state over one snapshot per shard, validating that no
+    /// trajectory id appears in two partitions.
+    fn build(epoch: u64, parts: Vec<Arc<Snapshot>>) -> Result<Self, Error> {
+        let mut id_to_shard = HashMap::with_capacity(parts.iter().map(|s| s.len()).sum());
+        for (s, snap) in parts.iter().enumerate() {
             for ct in &snap.compressed().trajectories {
                 if id_to_shard.insert(ct.id, s as u32).is_some() {
                     return Err(Error::DuplicateTrajectory(ct.id));
                 }
             }
         }
+        let range_index = RangeIndex::build(&parts);
         Ok(Self {
             epoch,
+            parts,
             id_to_shard,
-            range_index: RangeIndex::build(snaps),
+            range_index,
         })
     }
 }
@@ -414,7 +405,7 @@ impl RangeIndex {
     }
 }
 
-/// N [`Store`] partitions behind the single-store query surface.
+/// N partitions behind the single-store query surface.
 ///
 /// See the [module docs](self) for execution, cursor, live-ingest and
 /// persistence semantics. Equivalence with a single store over the same
@@ -424,7 +415,7 @@ impl RangeIndex {
 /// ```
 /// use std::sync::Arc;
 /// use utcq_core::shard::ByTime;
-/// use utcq_core::{CompressParams, PageRequest, QueryTarget, StoreBuilder};
+/// use utcq_core::{CompressParams, LiveStore, PageRequest, QueryTarget, StoreBuilder};
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
 /// let store = StoreBuilder::new(
@@ -438,31 +429,32 @@ impl RangeIndex {
 /// assert_eq!(store.len(), 6);
 ///
 /// // The exact same query surface as a single store.
-/// let owner = store.traj_shard(0).unwrap() as usize;
-/// let t0 = store.shards()[owner]
-///     .decode_times(store.shards()[owner].traj_index(0).unwrap())?[0];
+/// let parts = store.snapshots();
+/// let owner = &parts[store.traj_shard(0).unwrap() as usize];
+/// let t0 = owner.decode_times(owner.traj_index(0).unwrap())?[0];
 /// let page = store.where_query(0, t0, 0.0, PageRequest::default())?;
 /// assert!(!page.items.is_empty());
 /// # Ok(()) }
 /// ```
 pub struct ShardedStore {
-    shards: Vec<Store>,
+    /// The road network every partition shares.
+    net: Arc<RoadNetwork>,
     spec: Option<ShardSpec>,
     /// The live routing policy; `None` for custom-policy containers
     /// reopened from disk (they query fine but cannot route new
     /// batches).
     policy: Option<Arc<dyn ShardPolicy>>,
-    /// The current facade epoch — queries pin it, ingest swaps it.
-    facade: Swap<FacadeState>,
-    /// The facade-level writer lock, facade epoch counter and WAL slot
-    /// (whole batches, facade epochs; see [`crate::live`]).
+    /// The current state — queries pin it, ingest swaps it.
+    state: Swap<FacadeState>,
+    /// The writer lock, epoch counter and WAL slot (whole batches; see
+    /// [`crate::live`]).
     core: WriterCore,
 }
 
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shard_count())
             .field("trajectories", &self.len())
             .field("policy", &self.spec)
             .finish_non_exhaustive()
@@ -470,24 +462,16 @@ impl std::fmt::Debug for ShardedStore {
 }
 
 impl ShardedStore {
-    /// Assembles a facade over already-built shards, validating that no
-    /// trajectory id appears in two partitions. The routing policy is
-    /// reconstructed from `spec` when it names a built-in policy;
-    /// `None` (custom) leaves the store queryable but not live-ingestable.
-    pub fn from_shards(shards: Vec<Store>, spec: Option<ShardSpec>) -> Result<Self, Error> {
-        let policy = spec.map(ShardSpec::policy);
-        Self::from_shards_with_policy(shards, spec, policy)
-    }
-
-    /// [`ShardedStore::from_shards`] with an explicit live policy — the
-    /// builder path, which keeps custom policy objects routable.
-    pub(crate) fn from_shards_with_policy(
-        shards: Vec<Store>,
+    /// Assembles a store over one epoch-0 snapshot per shard, validating
+    /// that no trajectory id appears in two partitions. `policy` is
+    /// `None` for a custom-policy container: queryable, not
+    /// live-ingestable.
+    fn assemble(
+        parts: Vec<Arc<Snapshot>>,
         spec: Option<ShardSpec>,
         policy: Option<Arc<dyn ShardPolicy>>,
     ) -> Result<Self, Error> {
-        check_shard_count(shards.len())?;
-        let snaps: Vec<Arc<Snapshot>> = shards.iter().map(Store::snapshot).collect();
+        check_shard_count(parts.len())?;
         // One network and one StIU parameter set per facade: the range
         // index merges the shards' interval keys and the scan resolves
         // a query's grid cells once for all of them. The network check
@@ -495,7 +479,7 @@ impl ShardedStore {
         // coincidentally equal counts must not silently answer against
         // shard 0's geometry.
         // bounds: windows(2) yields exactly-2-element slices
-        for w in snaps.windows(2) {
+        for w in parts.windows(2) {
             let (a, b) = (&w[0], &w[1]);
             if !Arc::ptr_eq(a.network(), b.network()) && a.network() != b.network() {
                 return Err(Error::CorruptStore("shards embed different networks"));
@@ -504,20 +488,19 @@ impl ShardedStore {
                 return Err(Error::CorruptStore("shards disagree on StIU parameters"));
             }
         }
-        let facade = FacadeState::build(0, &snaps)?;
+        let net = Arc::clone(parts[0].network()); // bounds: check_shard_count rejects zero
         Ok(Self {
-            shards,
+            net,
             spec,
             policy,
-            facade: Swap::new(Arc::new(facade)),
+            state: Swap::new(Arc::new(FacadeState::build(0, parts)?)),
             core: WriterCore::new(),
         })
     }
 
     /// Opens a sharded v3 container (or a plain self-contained container as a
     /// single-shard store). v1 containers fail with
-    /// [`Error::NeedsNetwork`], as with [`Store::open`]. Per-shard blobs
-    /// deserialize in parallel across the available cores.
+    /// [`Error::NeedsNetwork`], as with [`crate::Store::open`].
     ///
     /// ```no_run
     /// # fn main() -> Result<(), utcq_core::Error> {
@@ -530,11 +513,8 @@ impl ShardedStore {
         Self::read(&mut BufReader::new(f))
     }
 
-    /// Reads a v3 (or plain self-contained) container from an arbitrary reader. Shard
-    /// blobs deserialize one per work unit on the shared atomic-counter
-    /// queue (deserialization + plan building per shard) when that pays
-    /// (see `parallel_open_effective`); small containers open
-    /// sequentially.
+    /// Reads a v3 (or plain self-contained) container from an arbitrary
+    /// reader, one shard blob at a time.
     ///
     /// The embedded road network is deserialized from the first shard
     /// and shared across all shards behind one `Arc`; the other shards'
@@ -545,37 +525,21 @@ impl ShardedStore {
             Err(storage::StorageError::LegacyVersion) => return Err(Error::NeedsNetwork),
             Err(e) => return Err(e.into()),
         };
-        let payload: u64 = blobs.iter().map(|b| b.len() as u64).sum();
-        type ShardParts = (
-            RoadNetwork,
-            crate::compress::CompressedDataset,
-            crate::stiu::Stiu,
-            crate::chunk::SharedIdMap,
-        );
-        let load_one = |blob: &Vec<u8>| -> Result<ShardParts, Error> {
-            let (net, cds, stiu) = storage::load_full(&mut blob.as_slice())?;
-            let id_to_idx = Store::validate_parts(&cds, &stiu)?;
-            Ok((net, cds, stiu, id_to_idx))
-        };
-        let parts: Vec<ShardParts> = if parallel_open_effective(blobs.len(), payload) {
-            // bounds: par_run yields i < blobs.len()
-            par_run(blobs.len(), |i| load_one(&blobs[i]))?
-        } else {
-            blobs.iter().map(load_one).collect::<Result<_, _>>()?
-        };
         let mut shared_net: Option<Arc<RoadNetwork>> = None;
-        let mut shards = Vec::with_capacity(parts.len());
-        for (net, cds, stiu, id_to_idx) in parts {
+        let mut parts = Vec::with_capacity(blobs.len());
+        for blob in blobs {
+            let (net, cds, stiu) = storage::load_full(&mut blob.as_slice())?;
             // Structurally equal copies collapse onto the first shard's
-            // `Arc`; a differing one is rejected by `from_shards`.
+            // `Arc`; a differing one is rejected by `assemble`.
             let net = match &shared_net {
                 Some(first) if **first == net => Arc::clone(first),
                 _ => Arc::new(net),
             };
             shared_net.get_or_insert_with(|| Arc::clone(&net));
-            shards.push(Store::from_validated(net, cds, stiu, id_to_idx));
+            parts.push(Arc::new(Snapshot::assemble(net, cds, stiu)?));
         }
-        let store = Self::from_shards(shards, dir.and_then(ShardSpec::from_directory))?;
+        let spec = dir.and_then(ShardSpec::from_directory);
+        let store = Self::assemble(parts, spec, spec.map(ShardSpec::policy))?;
         // Per-shard assembly defaults each cache to the full default
         // budget; a sharded store's default is a *total* budget split
         // across shards, matching what the builder configures.
@@ -584,8 +548,8 @@ impl ShardedStore {
     }
 
     /// Persists the store as a v3 container. Safe to call while other
-    /// threads ingest: the shard snapshots are pinned under the writer
-    /// lock, so the checkpoint is a batch-consistent cut.
+    /// threads ingest: every partition comes from one pinned state, so
+    /// the checkpoint is a batch-consistent cut.
     ///
     /// ```no_run
     /// # fn demo(store: utcq_core::ShardedStore) -> Result<(), utcq_core::Error> {
@@ -601,22 +565,9 @@ impl ShardedStore {
     /// Writes the v3 container to an arbitrary writer (a consistent cut;
     /// see [`ShardedStore::save`]).
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        // One pinned snapshot per shard at a batch boundary: taken
-        // under the writer lock so no in-flight batch is half-visible
-        // across the cut; the lock is not held while serializing.
-        let snaps = {
-            let _held = self.core.hold();
-            self.snapshots()
-        };
-        self.write_snaps(&snaps, w)
-    }
-
-    /// Serializes an already-pinned set of shard snapshots as a v3
-    /// container — shared by [`ShardedStore::write`] and the checkpoint
-    /// path (which pins under its own writer lock).
-    fn write_snaps(&self, snaps: &[Arc<Snapshot>], w: &mut impl Write) -> Result<(), Error> {
-        let mut blobs = Vec::with_capacity(snaps.len());
-        for snap in snaps {
+        let state = self.state.load();
+        let mut blobs = Vec::with_capacity(state.parts.len());
+        for snap in &state.parts {
             let mut blob = Vec::new();
             snap.write(&mut blob)?;
             blobs.push(blob);
@@ -625,17 +576,9 @@ impl ShardedStore {
         Ok(())
     }
 
-    /// The shard partitions, in directory order — read them freely
-    /// (snapshots, decode, cache stats), but ingest through
-    /// [`LiveStore::ingest`] only: a direct partition write bypasses
-    /// routing and may be overwritten by a concurrent facade publish.
-    pub fn shards(&self) -> &[Store] {
-        &self.shards
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.state.load().parts.len()
     }
 
     /// The routing policy recorded for this store (`None` when it was
@@ -646,13 +589,13 @@ impl ShardedStore {
 
     /// The shard owning trajectory `id`, if ingested.
     pub fn traj_shard(&self, id: u64) -> Option<u32> {
-        self.facade.load().id_to_shard.get(&id).copied()
+        self.state.load().id_to_shard.get(&id).copied()
     }
 
     /// Component-wise and total compression ratios aggregated across
     /// shards.
     pub fn ratios(&self) -> crate::compress::Ratios {
-        let (raw, compressed) = crate::opened::summed_sizes(&self.snapshots());
+        let (raw, compressed) = crate::opened::summed_sizes(&self.state.load().parts);
         crate::compress::Ratios::from_sizes(&raw, &compressed)
     }
 
@@ -668,7 +611,8 @@ impl ShardedStore {
         page: PageRequest,
         run: impl FnOnce(&Snapshot, PageRequest) -> Result<Page<T>, Error>,
     ) -> Result<Page<T>, Error> {
-        let Some(shard) = self.traj_shard(traj_id) else {
+        let state = self.state.load();
+        let Some(&shard) = state.id_to_shard.get(&traj_id) else {
             return Ok(Page::slice(Vec::new(), page));
         };
         let cursor = match page.cursor.map(decode_cursor) {
@@ -680,8 +624,8 @@ impl ShardedStore {
             limit: page.limit,
             cursor,
         };
-        // bounds: the facade id map only holds in-range shard indices
-        let answer = run(&self.shards[shard as usize].snapshot(), local)?;
+        // bounds: the id map only holds in-range shard indices
+        let answer = run(&state.parts[shard as usize], local)?;
         Ok(Page {
             items: answer.items,
             next_cursor: answer.next_cursor.map(|c| encode_cursor(shard, c)),
@@ -693,11 +637,11 @@ impl ShardedStore {
 impl QueryTarget for ShardedStore {
     /// Trajectories currently visible through the facade.
     fn len(&self) -> usize {
-        self.facade.load().id_to_shard.len()
+        self.state.load().id_to_shard.len()
     }
 
     fn network(&self) -> &Arc<RoadNetwork> {
-        self.shards[0].network() // bounds: constructors reject zero shards
+        &self.net
     }
 
     fn where_query(
@@ -731,10 +675,6 @@ impl QueryTarget for ShardedStore {
     /// against their owning shard until the page fills — byte-identical
     /// answers and page boundaries to a single store over the same
     /// dataset. The keyset cursor (last returned id) is shard-agnostic.
-    ///
-    /// The facade is pinned first and the shard snapshots after:
-    /// publication order guarantees every candidate position the facade
-    /// index names exists in the pinned snapshots.
     fn range_query(
         &self,
         re: &Rect,
@@ -742,16 +682,15 @@ impl QueryTarget for ShardedStore {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        let facade = self.facade.load();
-        let snaps = self.snapshots();
-        let engines: Vec<_> = snaps.iter().map(|s| s.engine()).collect();
-        let candidates = facade.range_index.candidates(tq);
+        let state = self.state.load();
+        let engines: Vec<_> = state.parts.iter().map(|s| s.engine()).collect();
+        let candidates = state.range_index.candidates(tq);
         range_scan(&engines, candidates, re, tq, alpha, page)
     }
 
     fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for s in &self.shards {
+        for s in &self.state.load().parts {
             let st = s.cache_stats();
             total.hits += st.hits;
             total.misses += st.misses;
@@ -766,14 +705,15 @@ impl QueryTarget for ShardedStore {
     }
 
     fn set_cache_bytes(&self, total_bytes: usize) {
-        let per_shard = total_bytes / self.shards.len();
-        for s in &self.shards {
+        let state = self.state.load();
+        let per_shard = total_bytes / state.parts.len();
+        for s in &state.parts {
             s.set_cache_bytes(per_shard);
         }
     }
 
     fn clear_cache(&self) {
-        for s in &self.shards {
+        for s in &self.state.load().parts {
             s.clear_cache();
         }
     }
@@ -785,32 +725,29 @@ impl LiveStore for ShardedStore {
     }
 
     fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool {
-        let facade = self.facade.load();
-        tus.iter().all(|t| facade.id_to_shard.contains_key(&t.id))
+        let state = self.state.load();
+        tus.iter().all(|t| state.id_to_shard.contains_key(&t.id))
     }
 
     /// Routing duplicates the single-store validation up front (against
-    /// the current facade and within the batch); then each shard's
-    /// sub-batch compresses into a *prepared, unpublished* state on the
-    /// shared work-queue model — per-shard compression is exactly the
-    /// parallelism the partitioning buys. Only when **every** sub-batch
-    /// compressed does anything publish: the prepared shard snapshots
-    /// (pointer swaps), then a fresh facade state (routing map + range
-    /// index) as the next facade epoch — the batch's visibility point.
-    /// A failure anywhere discards every prepared state, so batches are
-    /// **all-or-nothing across shards**.
+    /// the current state and within the batch); then each shard's
+    /// sub-batch compresses into a *prepared, unpublished* copy of its
+    /// partition on the shared work-queue model — per-shard compression
+    /// is exactly the parallelism the partitioning buys. Only when
+    /// **every** sub-batch compressed is the batch logged and one new
+    /// state (extended partitions, routing map, range index) swapped in
+    /// — the batch's visibility point. A failure anywhere discards every
+    /// prepared copy, so batches are **all-or-nothing across shards**.
     ///
     /// Fails with [`Error::ShardConfig`] on a store reopened from a
-    /// custom-policy container (no way to route). Ingest through the
-    /// facade only — writing directly to a partition reached via
-    /// [`ShardedStore::shards`] bypasses routing and may be overwritten
-    /// by a concurrent facade publish.
+    /// custom-policy container (no way to route).
     fn publish_locked(&self, held: &Held<'_>, batch: &Dataset) -> Result<IngestReport, Error> {
         let Some(policy) = &self.policy else {
             return Err(Error::ShardConfig(
                 "live ingest needs a routing policy (custom-policy containers are read-only)",
             ));
         };
+        let state = self.state.load();
         let expected = self.default_interval();
         if batch.default_interval != expected {
             return Err(Error::IntervalMismatch {
@@ -818,17 +755,16 @@ impl LiveStore for ShardedStore {
                 got: batch.default_interval,
             });
         }
-        let facade = self.facade.load();
         let mut seen = std::collections::HashSet::with_capacity(batch.trajectories.len());
         for tu in &batch.trajectories {
-            if facade.id_to_shard.contains_key(&tu.id) || !seen.insert(tu.id) {
+            if state.id_to_shard.contains_key(&tu.id) || !seen.insert(tu.id) {
                 return Err(Error::DuplicateTrajectory(tu.id));
             }
         }
-        let n = self.shards.len() as u32;
+        let n = state.parts.len() as u32;
         let mut routed: Vec<Vec<&UncertainTrajectory>> = vec![Vec::new(); n as usize];
         for tu in &batch.trajectories {
-            let shard = policy.route(self.network(), tu, n);
+            let shard = policy.route(&self.net, tu, n);
             routed
                 .get_mut(shard as usize)
                 .ok_or(Error::ShardConfig("policy routed past the shard count"))?
@@ -836,39 +772,32 @@ impl LiveStore for ShardedStore {
         }
         // Compress per shard on the shared work queue into prepared,
         // unpublished states. An error on any shard returns here with
-        // nothing published anywhere.
-        let prepared = par_run(self.shards.len(), |s| {
-            // bounds: par_run yields s < shards.len(); routed has one slot per shard
-            self.shards[s].prepare_trajs(batch.default_interval, &batch.name, &routed[s])
+        // nothing published.
+        let prepared = par_run(state.parts.len(), |s| {
+            // bounds: par_run yields s < parts.len(); routed has one slot per shard
+            state.parts[s].prepare_trajs(batch.default_interval, &batch.name, &routed[s])
         })?;
         if prepared.iter().all(Option::is_none) {
             return Ok(IngestReport {
                 ingested: 0,
-                total: facade.id_to_shard.len(),
-                epoch: facade.epoch,
+                total: state.id_to_shard.len(),
+                epoch: state.epoch,
             });
         }
         // The batch will publish: log it first, so that a crash from
-        // here on replays it under the facade epoch allocated here.
+        // here on replays it under the epoch allocated here.
         let epoch = self.core.log(held, batch)?;
-        // Publish: shards first (back-to-back pointer swaps), facade
-        // second — the facade publish is the batch's visibility point.
-        let snaps: Vec<Arc<Snapshot>> = prepared
+        let parts = prepared
             .into_iter()
-            .zip(&self.shards)
-            .map(|(p, shard)| match p {
-                // The facade owns the log and the visible epoch; the
-                // partition's own epoch only keys its decode cache.
-                Some(state) => shard.publish_state(state, shard.writer().next_epoch()),
-                None => shard.snapshot(),
+            .zip(&state.parts)
+            .map(|(p, cur)| match p {
+                Some(next) => Arc::new(cur.successor(next, epoch)),
+                None => Arc::clone(cur),
             })
             .collect();
-        // The shards-published / facade-unpublished window the ordering
-        // argument hinges on: readers here must see the old facade.
-        crate::hooks::point("sharded.shards_published");
-        let new_facade = FacadeState::build(epoch, &snaps)?;
-        let total = new_facade.id_to_shard.len();
-        self.facade.store(Arc::new(new_facade));
+        let next = FacadeState::build(epoch, parts)?;
+        let total = next.id_to_shard.len();
+        self.state.store(Arc::new(next));
         Ok(IngestReport {
             ingested: batch.trajectories.len(),
             total,
@@ -877,23 +806,27 @@ impl LiveStore for ShardedStore {
     }
 
     fn epoch(&self) -> u64 {
-        self.facade.load().epoch
+        self.state.load().epoch
     }
 
     fn write_cut(&self, _held: &Held<'_>, mut w: &mut dyn Write) -> Result<(), Error> {
-        self.write_snaps(&self.snapshots(), &mut w)
+        self.write(&mut w)
     }
 
     fn snapshots(&self) -> Vec<Arc<Snapshot>> {
-        self.shards.iter().map(Store::snapshot).collect()
+        self.state.load().parts.clone()
     }
 
     fn info(&self) -> InfoReport {
-        InfoReport::over(&self.snapshots(), Some(policy_label(self.spec)))
+        InfoReport::over(&self.state.load().parts, Some(policy_label(self.spec)))
     }
 
     fn default_interval(&self) -> i64 {
-        self.shards[0].params().default_interval // bounds: constructors reject zero shards
+        // bounds: constructors reject zero shards
+        self.state.load().parts[0]
+            .compressed()
+            .params
+            .default_interval
     }
 }
 
@@ -902,6 +835,7 @@ mod tests {
     use super::*;
     use crate::params::CompressParams;
     use crate::stiu::StiuParams;
+    use crate::store::Store;
     use utcq_traj::paper_fixture;
 
     fn paper_dataset() -> (Arc<RoadNetwork>, Dataset) {
@@ -1060,7 +994,7 @@ mod tests {
             Some(ShardSpec::ByTime { interval_s: 3600 })
         );
         // The shared-network path: every shard holds the same Arc.
-        for s in reopened.shards() {
+        for s in reopened.snapshots() {
             assert!(Arc::ptr_eq(s.network(), reopened.network()));
         }
         // A single-store open of the same bytes is redirected.
@@ -1068,25 +1002,6 @@ mod tests {
             Store::read(&mut bytes.as_slice()),
             Err(Error::ShardedContainer)
         ));
-    }
-
-    #[test]
-    fn tiny_parallel_open_falls_back_to_sequential() {
-        let store = sharded(3);
-        let mut bytes = Vec::new();
-        store.write(&mut bytes).unwrap();
-        // The test container is far below PARALLEL_OPEN_MIN_BYTES, so
-        // the open takes the sequential fallback and still produces an
-        // identical store.
-        let reopened = ShardedStore::read(&mut bytes.as_slice()).unwrap();
-        assert!(!parallel_open_effective(3, bytes.len() as u64));
-        assert!(bytes.len() < PARALLEL_OPEN_MIN_BYTES as usize);
-        assert_eq!(reopened.shard_count(), 3);
-        assert_eq!(reopened.len(), store.len());
-        // The predicate itself: needs both multiple shards and bytes.
-        assert!(!parallel_open_effective(1, u64::MAX));
-        assert!(!parallel_open_effective(8, PARALLEL_OPEN_MIN_BYTES - 1));
-        assert!(parallel_open_effective(2, PARALLEL_OPEN_MIN_BYTES));
     }
 
     #[test]

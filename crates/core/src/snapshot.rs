@@ -15,15 +15,16 @@
 //! The owning [`crate::store::Store`] keeps the *current* snapshot in a
 //! `Swap` — a hand-rolled `ArcSwap` on `Mutex<Arc<Snapshot>>` (the
 //! lock is held only for the pointer clone/store, never across a
-//! query). A live ingest:
+//! query); a [`crate::shard::ShardedStore`] keeps one snapshot per
+//! partition inside the single state it swaps. A live ingest:
 //!
 //! 1. takes the store's writer lock (writers serialize; readers never
 //!    touch that lock),
-//! 2. clones the current snapshot's state into a `PartitionState`,
-//!    compresses and indexes the new batch into it — all **off the
-//!    query path**,
-//! 3. publishes the result as a new `Arc<Snapshot>` with a bumped
-//!    epoch.
+//! 2. clones each touched snapshot's state into a `PartitionState`
+//!    (`Snapshot::prepare_trajs`), compresses and indexes the new
+//!    batch into it — all **off the query path**,
+//! 3. freezes the result as a new `Arc<Snapshot>` with the batch's
+//!    epoch (`Snapshot::successor`) and publishes it with one swap.
 //!
 //! In-flight queries and pinned snapshots keep answering from the epoch
 //! they loaded; the next query observes the new one. Ingest only ever
@@ -31,12 +32,13 @@
 //! cursors minted against an older epoch remain valid against newer
 //! ones.
 //!
-//! The decode cache is shared across epochs (it lives in the store, and
-//! every snapshot holds the same `Arc<DecodeCache>`), but cache keys
+//! The decode cache is shared across epochs (every snapshot of one
+//! partition holds the same `Arc<DecodeCache>`), but cache keys
 //! carry the epoch that minted them: entries of superseded epochs stop
-//! hitting immediately and retire through normal LRU eviction — no
-//! flush, no cross-epoch aliasing even if a future writer stops being
-//! append-only.
+//! hitting immediately — no cross-epoch aliasing even if a future
+//! writer stops being append-only — and `Snapshot::successor` drops
+//! them, so the cache's footprint under ingest does not grow with the
+//! number of reads served since the last eviction.
 
 use std::io::Write;
 use std::path::Path;
@@ -45,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
-use crate::cache::{CacheStats, DecodeCache};
+use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
 use crate::chunk::SharedIdMap;
 use crate::compress::{compress_trajectory, CompressedDataset, Ratios};
 use crate::error::Error;
@@ -107,7 +109,8 @@ impl<T> Swap<T> {
 /// its query plans) + StIU index + id map, cheaply shareable behind an
 /// `Arc`.
 ///
-/// Obtained from [`crate::store::Store::snapshot`]. A pinned snapshot
+/// Obtained from [`crate::store::Store::snapshot`] or
+/// [`crate::live::LiveStore::snapshots`]. A pinned snapshot
 /// is a *consistent read view*: queries, paginated walks and container
 /// writes against it are unaffected by concurrent
 /// [`crate::live::LiveStore::ingest`] calls publishing newer epochs.
@@ -133,9 +136,9 @@ pub struct Snapshot {
     pub(crate) cds: CompressedDataset,
     pub(crate) stiu: Stiu,
     pub(crate) id_to_idx: SharedIdMap,
-    /// The owning store's decode cache, shared across epochs.
+    /// The partition's decode cache, shared across epochs.
     pub(crate) cache: Arc<DecodeCache>,
-    /// Publication counter within the owning store; 0 for the state a
+    /// The store epoch that published this snapshot; 0 for the state a
     /// store was built or opened with.
     pub(crate) epoch: u64,
 }
@@ -285,6 +288,82 @@ impl Snapshot {
             pos: j,
             mass,
         })
+    }
+
+    /// Assembles an epoch-0 snapshot from opened parts, validating
+    /// cross-references (the per-trajectory query plans were built as
+    /// the trajectories were appended), with a fresh default-budget
+    /// decode cache.
+    pub(crate) fn assemble(
+        net: Arc<RoadNetwork>,
+        cds: CompressedDataset,
+        stiu: Stiu,
+    ) -> Result<Self, Error> {
+        if stiu.trajs.len() != cds.trajectories.len() {
+            return Err(Error::CorruptStore("index/dataset trajectory counts"));
+        }
+        let mut id_to_idx = SharedIdMap::new();
+        for (i, ct) in cds.trajectories.iter().enumerate() {
+            if id_to_idx.contains(ct.id) {
+                return Err(Error::DuplicateTrajectory(ct.id));
+            }
+            id_to_idx.insert(ct.id, i as u32);
+        }
+        Ok(Self {
+            net,
+            cds,
+            stiu,
+            id_to_idx,
+            cache: Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES)),
+            epoch: 0,
+        })
+    }
+
+    /// Builds — without publishing — the state that appending `tus`
+    /// to this snapshot would produce, against a private clone of it;
+    /// `Ok(None)` when nothing would change (empty batch with no name
+    /// to adopt). The caller serializes writers and freezes the state
+    /// with [`Snapshot::successor`] once the batch is logged. Splitting
+    /// prepare from publish is what makes a sharded batch
+    /// all-or-nothing across partitions.
+    pub(crate) fn prepare_trajs(
+        &self,
+        default_interval: i64,
+        name: &str,
+        tus: &[&UncertainTrajectory],
+    ) -> Result<Option<PartitionState>, Error> {
+        crate::hooks::point("snapshot.prepare");
+        let params = self.cds.params;
+        if default_interval != params.default_interval {
+            return Err(Error::IntervalMismatch {
+                expected: params.default_interval,
+                got: default_interval,
+            });
+        }
+        // Match StoreBuilder's name adoption (check_batch adopts from
+        // every batch, even an empty one) so live and offline builds
+        // serialize identically in all cases.
+        let adopt_name = self.cds.name.is_empty() && !name.is_empty();
+        if tus.is_empty() && !adopt_name {
+            return Ok(None);
+        }
+        let mut state = PartitionState::from_snapshot(self);
+        if adopt_name {
+            state.cds.name = name.to_string();
+        }
+        for tu in tus {
+            state.ingest_traj(&self.net, self.stiu.params, tu)?;
+        }
+        Ok(Some(state))
+    }
+
+    /// Freezes a state prepared by [`Snapshot::prepare_trajs`] as
+    /// `epoch`, sharing this snapshot's network and decode cache, whose
+    /// entries of earlier epochs it drops.
+    pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
+        self.cache.retire_before(epoch);
+        let net = Arc::clone(&self.net);
+        state.into_snapshot(net, self.stiu.params, Arc::clone(&self.cache), epoch)
     }
 }
 

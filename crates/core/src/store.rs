@@ -53,7 +53,7 @@
 //!   `0` disables caching) and hit/miss/eviction counters
 //!   ([`QueryTarget::cache_stats`]). The cache is shared across epochs,
 //!   but its keys carry the minting epoch, so entries of superseded
-//!   snapshots retire through normal LRU eviction instead of aliasing;
+//!   snapshots never alias, and each publish drops them;
 //! * per-trajectory **query plans** ([`crate::plan::TrajPlan`]), built
 //!   once at `build`/`open`/`ingest` time: `orig_idx → slot` lookup
 //!   tables and probability-sorted member lists that replace the
@@ -72,8 +72,7 @@ use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
-use crate::chunk::SharedIdMap;
-use crate::compress::{CompressedDataset, Ratios};
+use crate::compress::Ratios;
 use crate::compressed::edge_number_width;
 use crate::error::Error;
 use crate::live::{Held, LiveStore, WriterCore};
@@ -81,7 +80,7 @@ use crate::opened::InfoReport;
 use crate::params::CompressParams;
 use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::snapshot::{PartitionState, Snapshot, Swap};
-use crate::stiu::{Stiu, StiuParams};
+use crate::stiu::StiuParams;
 
 /// What one [`LiveStore::ingest`] publication did — echoed verbatim by
 /// the serve protocol's `ingest` response.
@@ -101,8 +100,6 @@ pub struct IngestReport {
 /// threads. See the [module docs](self) for the snapshot/epoch model.
 pub struct Store {
     net: Arc<RoadNetwork>,
-    /// Shared across every epoch's snapshot; keys carry the epoch.
-    cache: Arc<DecodeCache>,
     /// The current epoch — queries pin it, [`LiveStore::ingest`] swaps it.
     snap: Swap<Snapshot>,
     /// Writer lock, epoch counter and WAL slot (see [`crate::live`]).
@@ -254,10 +251,17 @@ impl StoreBuilder {
     /// Finalizes the store. Attach a write-ahead log afterwards with
     /// [`LiveStore::attach_wal`].
     pub fn finish(self) -> Result<Store, Error> {
+        Ok(Store::from_snapshot(self.into_snapshot()))
+    }
+
+    /// Freezes what was ingested as an epoch-0 snapshot with its own
+    /// decode cache — a store's initial state, or one partition of a
+    /// sharded one.
+    pub(crate) fn into_snapshot(self) -> Snapshot {
         let mut state = self.state;
         state.cds.name = self.name.unwrap_or_default();
-        let store = Store::from_state(self.net, state, self.stiu_params, self.cache_bytes);
-        Ok(store)
+        let cache = Arc::new(DecodeCache::with_budget(self.cache_bytes));
+        state.into_snapshot(self.net, self.stiu_params, cache, 0)
     }
 }
 
@@ -305,18 +309,10 @@ impl Store {
             .finish()
     }
 
-    /// Assembles a store handle over an initial (epoch 0) state.
-    fn from_state(
-        net: Arc<RoadNetwork>,
-        state: PartitionState,
-        stiu_params: StiuParams,
-        cache_bytes: usize,
-    ) -> Self {
-        let cache = Arc::new(DecodeCache::with_budget(cache_bytes));
-        let snap = state.into_snapshot(Arc::clone(&net), stiu_params, Arc::clone(&cache), 0);
+    /// Wraps an initial (epoch 0) snapshot in a store handle.
+    fn from_snapshot(snap: Snapshot) -> Self {
         Self {
-            net,
-            cache,
+            net: Arc::clone(snap.network()),
             snap: Swap::new(Arc::new(snap)),
             core: WriterCore::new(),
         }
@@ -353,7 +349,7 @@ impl Store {
             Err(crate::storage::StorageError::Sharded) => return Err(Error::ShardedContainer),
             Err(e) => return Err(e.into()),
         };
-        Self::assemble(Arc::new(net), cds, stiu)
+        Snapshot::assemble(Arc::new(net), cds, stiu).map(Self::from_snapshot)
     }
 
     /// Opens a legacy v1 container against an externally supplied
@@ -388,7 +384,7 @@ impl Store {
         }
         let ds = crate::decompress::decompress_dataset(&net, &cds)?;
         let stiu = crate::stiu::build(&net, &ds, &cds, stiu_params);
-        Self::assemble(net, cds, stiu)
+        Snapshot::assemble(net, cds, stiu).map(Self::from_snapshot)
     }
 
     /// Persists the current snapshot as a self-contained v5 container.
@@ -412,118 +408,12 @@ impl Store {
         self.snapshot().write(w)
     }
 
-    /// Assembles a store from parts, validating cross-references (the
-    /// per-trajectory query plans were built as the trajectories were
-    /// appended). Also the per-shard assembly step of
-    /// [`crate::shard::ShardedStore::read`].
-    pub(crate) fn assemble(
-        net: Arc<RoadNetwork>,
-        cds: CompressedDataset,
-        stiu: Stiu,
-    ) -> Result<Self, Error> {
-        let id_to_idx = Self::validate_parts(&cds, &stiu)?;
-        Ok(Self::from_validated(net, cds, stiu, id_to_idx))
-    }
-
-    /// The validating half of [`Store::assemble`]: cross-reference
-    /// checks plus the id map. Split out so the parallel sharded open
-    /// can run it per shard on the work queue.
-    pub(crate) fn validate_parts(
-        cds: &CompressedDataset,
-        stiu: &Stiu,
-    ) -> Result<SharedIdMap, Error> {
-        if stiu.trajs.len() != cds.trajectories.len() {
-            return Err(Error::CorruptStore("index/dataset trajectory counts"));
-        }
-        let mut id_to_idx = SharedIdMap::new();
-        for (i, ct) in cds.trajectories.iter().enumerate() {
-            if id_to_idx.contains(ct.id) {
-                return Err(Error::DuplicateTrajectory(ct.id));
-            }
-            id_to_idx.insert(ct.id, i as u32);
-        }
-        Ok(id_to_idx)
-    }
-
-    /// Wraps already-validated parts into a store handle — the cheap
-    /// half of [`Store::assemble`].
-    pub(crate) fn from_validated(
-        net: Arc<RoadNetwork>,
-        cds: CompressedDataset,
-        stiu: Stiu,
-        id_to_idx: SharedIdMap,
-    ) -> Self {
-        let stiu_params = stiu.params;
-        let state = PartitionState {
-            cds,
-            stiu: Some(stiu),
-            id_to_idx,
-        };
-        Self::from_state(net, state, stiu_params, DEFAULT_CACHE_BYTES)
-    }
-
     /// Pins the current epoch: the returned [`Snapshot`] is a consistent
     /// read view that concurrent [`LiveStore::ingest`] calls cannot change.
     /// Hold it across a multi-page walk for stable answers, or hand it
     /// to [`Snapshot::save`] for a live checkpoint.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.snap.load()
-    }
-
-    /// Builds — without publishing — the state that appending `tus`
-    /// would produce, against a private clone of the current snapshot;
-    /// `Ok(None)` when nothing would change (empty batch with no name
-    /// to adopt). The caller must already serialize writers (the
-    /// store's own lock, or the sharded facade's), and publishes the
-    /// state with [`Store::publish_state`] once the batch is logged.
-    /// Splitting prepare from publish is what makes a sharded batch
-    /// all-or-nothing across shards.
-    pub(crate) fn prepare_trajs(
-        &self,
-        default_interval: i64,
-        name: &str,
-        tus: &[&UncertainTrajectory],
-    ) -> Result<Option<PartitionState>, Error> {
-        crate::hooks::point("store.prepare");
-        let cur = self.snap.load();
-        let params = cur.compressed().params;
-        if default_interval != params.default_interval {
-            return Err(Error::IntervalMismatch {
-                expected: params.default_interval,
-                got: default_interval,
-            });
-        }
-        // Match StoreBuilder's name adoption (check_batch adopts from
-        // every batch, even an empty one) so live and offline builds
-        // serialize identically in all cases.
-        let adopt_name = cur.compressed().name.is_empty() && !name.is_empty();
-        if tus.is_empty() && !adopt_name {
-            return Ok(None);
-        }
-        let stiu_params = cur.stiu().params;
-        let mut state = PartitionState::from_snapshot(&cur);
-        if adopt_name {
-            state.cds.name = name.to_string();
-        }
-        for tu in tus {
-            state.ingest_traj(&self.net, stiu_params, tu)?;
-        }
-        Ok(Some(state))
-    }
-
-    /// Freezes a state prepared by [`Store::prepare_trajs`] as `epoch`
-    /// and publishes it — a single pointer swap.
-    pub(crate) fn publish_state(&self, state: PartitionState, epoch: u64) -> Arc<Snapshot> {
-        // A state cloned out of a snapshot always carries its index.
-        let stiu_params = state.stiu.as_ref().map(|s| s.params).unwrap_or_default();
-        let snap = Arc::new(state.into_snapshot(
-            Arc::clone(&self.net),
-            stiu_params,
-            Arc::clone(&self.cache),
-            epoch,
-        ));
-        self.snap.store(Arc::clone(&snap));
-        snap
     }
 
     /// The compression parameters the store was built with.
@@ -564,7 +454,7 @@ impl Store {
 
     /// The decode cache's byte budget (`0` = disabled).
     pub fn cache_bytes(&self) -> usize {
-        self.cache.budget()
+        self.snapshot().cache.budget()
     }
 }
 
@@ -611,15 +501,15 @@ impl QueryTarget for Store {
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.snapshot().cache_stats()
     }
 
     fn set_cache_bytes(&self, bytes: usize) {
-        self.cache.set_budget(bytes);
+        self.snapshot().set_cache_bytes(bytes);
     }
 
     fn clear_cache(&self) {
-        self.cache.clear();
+        self.snapshot().clear_cache();
     }
 }
 
@@ -635,8 +525,8 @@ impl LiveStore for Store {
 
     fn publish_locked(&self, held: &Held<'_>, batch: &Dataset) -> Result<IngestReport, Error> {
         let tus: Vec<&UncertainTrajectory> = batch.trajectories.iter().collect();
-        let Some(state) = self.prepare_trajs(batch.default_interval, &batch.name, &tus)? else {
-            let cur = self.snap.load();
+        let cur = self.snap.load();
+        let Some(state) = cur.prepare_trajs(batch.default_interval, &batch.name, &tus)? else {
             return Ok(IngestReport {
                 ingested: 0,
                 total: cur.len(),
@@ -644,10 +534,12 @@ impl LiveStore for Store {
             });
         };
         let epoch = self.core.log(held, batch)?;
-        let snap = self.publish_state(state, epoch);
+        let snap = cur.successor(state, epoch);
+        let total = snap.len();
+        self.snap.store(Arc::new(snap));
         Ok(IngestReport {
             ingested: tus.len(),
-            total: snap.len(),
+            total,
             epoch,
         })
     }

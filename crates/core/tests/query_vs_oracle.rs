@@ -6,9 +6,10 @@ use std::sync::Arc;
 
 use utcq_core::params::CompressParams;
 use utcq_core::query::{PageRequest, QueryTarget};
+use utcq_core::shard::{ByRegion, ByTime, ShardPolicy, ShardedStore};
 use utcq_core::stiu::StiuParams;
-use utcq_core::Store;
 use utcq_core::{decompress::check_lossy_roundtrip, oracle};
+use utcq_core::{LiveStore, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
 
@@ -16,23 +17,48 @@ fn setup(seed: u64, n: usize) -> (RoadNetwork, Dataset) {
     utcq_datagen::generate(&utcq_datagen::profile::tiny(), n, seed)
 }
 
-fn store(net: &RoadNetwork, ds: &Dataset) -> Store {
-    Store::build(
+fn builder(net: &RoadNetwork, ds: &Dataset) -> StoreBuilder {
+    StoreBuilder::new(
         Arc::new(net.clone()),
-        ds,
         CompressParams::with_interval(ds.default_interval),
-        StiuParams {
-            partition_s: 600,
-            grid_n: 16,
-        },
     )
-    .unwrap()
+    .stiu_params(StiuParams {
+        partition_s: 600,
+        grid_n: 16,
+    })
+}
+
+fn store(net: &RoadNetwork, ds: &Dataset) -> Store {
+    builder(net, ds).ingest(ds).unwrap().finish().unwrap()
+}
+
+fn sharded(net: &RoadNetwork, ds: &Dataset, policy: Arc<dyn ShardPolicy>, n: u32) -> ShardedStore {
+    let st = builder(net, ds)
+        .shard_by(policy, n)
+        .unwrap()
+        .ingest(ds)
+        .unwrap()
+        .finish()
+        .unwrap();
+    let occupied = st.snapshots().iter().filter(|p| !p.is_empty()).count();
+    assert!(occupied > 1, "every trajectory routed to one shard");
+    st
+}
+
+/// The same data as a single store, a 3-shard `ByTime` store and a
+/// 2-shard `ByRegion` store: the oracle checks run on every shape.
+fn shapes(net: &RoadNetwork, ds: &Dataset) -> Vec<Box<dyn QueryTarget>> {
+    vec![
+        Box::new(store(net, ds)),
+        Box::new(sharded(net, ds, Arc::new(ByTime { interval_s: 600 }), 3)),
+        Box::new(sharded(net, ds, Arc::new(ByRegion::default()), 2)),
+    ]
 }
 
 /// Compares *where* answers on `trajs`; returns the hits compared.
 fn check_where<'a>(
     net: &RoadNetwork,
-    st: &Store,
+    st: &dyn QueryTarget,
     trajs: impl Iterator<Item = &'a UncertainTrajectory>,
 ) -> usize {
     let mut checked = 0usize;
@@ -73,14 +99,16 @@ fn check_where<'a>(
 #[test]
 fn where_matches_oracle() {
     let (net, ds) = setup(21, 20);
-    let checked = check_where(&net, &store(&net, &ds), ds.trajectories.iter());
-    assert!(checked > 50, "too few comparisons: {checked}");
+    for st in shapes(&net, &ds) {
+        let checked = check_where(&net, st.as_ref(), ds.trajectories.iter());
+        assert!(checked > 50, "too few comparisons: {checked}");
+    }
 }
 
 /// Compares *when* answers on `trajs`; returns the hits compared.
 fn check_when<'a>(
     net: &RoadNetwork,
-    st: &Store,
+    st: &dyn QueryTarget,
     trajs: impl Iterator<Item = &'a UncertainTrajectory>,
 ) -> usize {
     let mut checked = 0usize;
@@ -127,12 +155,14 @@ fn check_when<'a>(
 #[test]
 fn when_matches_oracle() {
     let (net, ds) = setup(22, 20);
-    let checked = check_when(&net, &store(&net, &ds), ds.trajectories.iter());
-    assert!(checked > 20, "too few comparisons: {checked}");
+    for st in shapes(&net, &ds) {
+        let checked = check_when(&net, st.as_ref(), ds.trajectories.iter());
+        assert!(checked > 20, "too few comparisons: {checked}");
+    }
 }
 
 /// Compares *range* answers over a grid of regions.
-fn check_range(net: &RoadNetwork, ds: &Dataset, st: &Store) {
+fn check_range(net: &RoadNetwork, ds: &Dataset, st: &dyn QueryTarget) {
     let bounds = net.bounding_rect();
     let mut agree = 0usize;
     let mut total = 0usize;
@@ -178,23 +208,55 @@ fn check_range(net: &RoadNetwork, ds: &Dataset, st: &Store) {
 #[test]
 fn range_matches_oracle() {
     let (net, ds) = setup(23, 25);
-    check_range(&net, &ds, &store(&net, &ds));
+    for st in shapes(&net, &ds) {
+        check_range(&net, &ds, st.as_ref());
+    }
+}
+
+/// Three sealed segments of 1,024 and a partial tail.
+const ACROSS_SEALS: usize = 3 * 1_024 + 100;
+
+/// The three comparisons on trajectories at and around every segment
+/// boundary of the [`ACROSS_SEALS`] dataset.
+fn check_near_seals(net: &RoadNetwork, ds: &Dataset, st: &dyn QueryTarget) {
+    let n = ds.trajectories.len();
+    let near_seals = (0..n).filter(|j| j % 97 == 0 || (j + 2) % 1_024 < 4 || j + 1 == n);
+    let sample = || near_seals.clone().map(|j| &ds.trajectories[j]);
+    assert!(check_where(net, st, sample()) > 50);
+    assert!(check_when(net, st, sample()) > 20);
+    check_range(net, ds, st);
 }
 
 #[test]
 fn queries_match_oracle_across_segments() {
-    // Three sealed segments of 1,024 and a partial tail: the same three
-    // comparisons on trajectories at and around every segment boundary.
-    let n = 3 * 1_024 + 100;
-    let (net, ds) = setup(25, n);
+    let (net, ds) = setup(25, ACROSS_SEALS);
     let st = store(&net, &ds);
     let snap = st.snapshot();
     assert_eq!(snap.compressed().trajectories.segments().count(), 4);
-    let near_seals = (0..n).filter(|j| j % 97 == 0 || (j + 2) % 1_024 < 4 || j + 1 == n);
-    let sample = || near_seals.clone().map(|j| &ds.trajectories[j]);
-    assert!(check_where(&net, &st, sample()) > 50);
-    assert!(check_when(&net, &st, sample()) > 20);
-    check_range(&net, &ds, &st);
+    check_near_seals(&net, &ds, &st);
+}
+
+#[test]
+fn sharded_store_grown_live_across_a_seal_matches_oracle() {
+    // The same data through two shards, 600 trajectories at build and
+    // the rest ingested live: every partition seals its first segment
+    // during a live publish.
+    let (net, ds) = setup(25, ACROSS_SEALS);
+    let mut initial = ds.clone();
+    let late = initial.trajectories.split_off(600);
+    let st = sharded(&net, &initial, Arc::new(ByRegion::default()), 2);
+    for batch in late.chunks(256) {
+        let batch = Dataset {
+            trajectories: batch.to_vec(),
+            ..initial.clone()
+        };
+        st.ingest(&batch).unwrap();
+    }
+    assert_eq!(st.len(), ACROSS_SEALS);
+    for part in st.snapshots() {
+        assert!(part.compressed().trajectories.segments().count() > 1);
+    }
+    check_near_seals(&net, &ds, &st);
 }
 
 #[test]

@@ -63,7 +63,9 @@ use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{Server, DEFAULT_THREADS};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{storage, wire, FsyncPolicy, Opened, RangeQuery, Store, StoreBuilder, WalConfig};
+use utcq::core::{
+    storage, wire, FsyncPolicy, LiveStore, Opened, RangeQuery, Store, StoreBuilder, WalConfig,
+};
 use utcq::datagen::DatasetProfile;
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;
@@ -206,7 +208,11 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             .finish()
             .map_err(|e| e.to_string())?;
         print_ratio(store.len(), store.ratios(), t0.elapsed());
-        let sizes: Vec<String> = store.shards().iter().map(|s| s.len().to_string()).collect();
+        let sizes: Vec<String> = store
+            .snapshots()
+            .iter()
+            .map(|s| s.len().to_string())
+            .collect();
         println!(
             "shard occupancy ({} shards, {}): [{}]",
             store.shard_count(),

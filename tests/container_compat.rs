@@ -32,7 +32,7 @@ use std::sync::Arc;
 use utcq::core::query::PageRequest;
 use utcq::core::shard::{ByTime, ShardedStore};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{QueryTarget, Store, StoreBuilder};
+use utcq::core::{LiveStore, QueryTarget, Store, StoreBuilder};
 
 const SEED: u64 = 20_260_729;
 const TRAJS: usize = 10;
@@ -281,7 +281,7 @@ fn goldens_pin_fixture_answers() {
         .into_items();
     assert_eq!(range, golden.range0_ids, "range at t0 mid");
     // The sharded fixture distributes trajectories as recorded.
-    let occupancy: Vec<usize> = v3.shards().iter().map(Store::len).collect();
+    let occupancy: Vec<usize> = v3.snapshots().iter().map(|s| s.len()).collect();
     assert_eq!(occupancy, golden.v3_occupancy, "v3 shard occupancy");
 }
 
@@ -342,7 +342,7 @@ fn regen_fixtures() {
         .range_query(&bounds, mid0, 0.2, PageRequest::all())
         .unwrap()
         .into_items();
-    let occupancy: Vec<usize> = sharded.shards().iter().map(Store::len).collect();
+    let occupancy: Vec<usize> = sharded.snapshots().iter().map(|s| s.len()).collect();
     println!(
         "golden: t0_first={} t0_last={}",
         times0[0],

@@ -211,7 +211,7 @@ fn sharded_matches_single_for_all_counts_and_policies() {
             let sharded = sharded_store(&net, &ds, policy, n_shards);
             // Trajectories actually spread across partitions (the point
             // of the exercise) unless the policy degenerates.
-            let occupied = sharded.shards().iter().filter(|s| !s.is_empty()).count();
+            let occupied = sharded.snapshots().iter().filter(|s| !s.is_empty()).count();
             assert!(
                 occupied >= 2,
                 "{pname}/{n_shards}: all trajectories on one shard"
