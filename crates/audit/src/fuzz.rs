@@ -162,7 +162,7 @@ impl Fixtures {
         Ok(Self {
             containers,
             lines,
-            wals: wal_seed_corpus(),
+            wals: wal_seed_corpus(&dir)?,
             opened,
             scratch,
             wal_scratch,
@@ -181,36 +181,31 @@ impl Drop for Fixtures {
     }
 }
 
-/// Builds well-formed WAL files in memory — header plus a few
-/// checksummed batch records — as the seed corpus for the `wal` target.
-fn wal_seed_corpus() -> Vec<Vec<u8>> {
+/// The seed corpus of the `wal` target: both checked-in logs (v1, which
+/// an open rewrites, and v2) plus well-formed v2 files built in memory —
+/// a header alone, then checksummed batch records, among them one
+/// trajectory whose instances take every branch of the
+/// reference-relative code.
+fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
     use utcq_network::EdgeId;
     use utcq_traj::{Instance, PathPosition, UncertainTrajectory};
-    let record = |epoch: u64, id: u64, n_times: usize| wal::Record {
+    let instance = |path: &[u32], positions: &[(u32, f64)], prob: f64| Instance {
+        path: path.iter().map(|&e| EdgeId(e)).collect(),
+        positions: positions
+            .iter()
+            .map(|&(path_idx, rd)| PathPosition { path_idx, rd })
+            .collect(),
+        prob,
+    };
+    let reference = instance(&[0, 1, 2], &[(0, 0.25), (1, 0.5), (2, 0.75)], 0.5);
+    let record = |epoch: u64, id: u64, n_times: usize, instances: Vec<Instance>| wal::Record {
         epoch,
         name: format!("fuzz-seed-{id}"),
         default_interval: 30,
         trajectories: vec![UncertainTrajectory {
             id,
             times: (0..n_times as i64).map(|k| k * 30).collect(),
-            instances: vec![Instance {
-                path: vec![EdgeId(0), EdgeId(1), EdgeId(2)],
-                positions: vec![
-                    PathPosition {
-                        path_idx: 0,
-                        rd: 0.25,
-                    },
-                    PathPosition {
-                        path_idx: 1,
-                        rd: 0.5,
-                    },
-                    PathPosition {
-                        path_idx: 2,
-                        rd: 0.75,
-                    },
-                ],
-                prob: 0.5,
-            }],
+            instances,
         }],
     };
     let header = || {
@@ -221,12 +216,37 @@ fn wal_seed_corpus() -> Vec<Vec<u8>> {
         bytes
     };
     let mut one = header();
-    one.extend_from_slice(&wal::encode_record(&record(1, 10, 3)));
+    one.extend_from_slice(&wal::encode_record(&record(
+        1,
+        10,
+        3,
+        vec![reference.clone()],
+    )));
     let mut three = header();
     for (e, id) in [(1u64, 20u64), (2, 21), (3, 22)] {
-        three.extend_from_slice(&wal::encode_record(&record(e, id, 5)));
+        three.extend_from_slice(&wal::encode_record(&record(
+            e,
+            id,
+            5,
+            vec![reference.clone()],
+        )));
     }
-    vec![header(), one, three]
+    let variants = vec![
+        reference.clone(),
+        // A detour over the middle edge.
+        instance(&[0, 7, 8, 2], &[(0, 0.25), (2, 0.1), (3, 0.75)], 0.2),
+        // The reference's path, one rd jittered.
+        instance(&[0, 1, 2], &[(0, 0.25), (1, 0.6), (2, 0.75)], 0.2),
+        // A longer tail.
+        instance(&[0, 1, 2, 3], &[(0, 0.25), (1, 0.5), (3, 0.4)], 0.1),
+    ];
+    let mut multi = header();
+    multi.extend_from_slice(&wal::encode_record(&record(1, 30, 3, variants)));
+    let mut wals = vec![header(), one, three, multi];
+    for fixture in ["wal_v1.wal", "wal_v2.wal"] {
+        wals.push(fs::read(dir.join(fixture))?);
+    }
+    Ok(wals)
 }
 
 // ---------------------------------------------------------------------
@@ -461,7 +481,7 @@ fn build_input(
     };
     match target {
         0 => {
-            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: five fixtures always load
+            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: seven fixtures always load
             let mut bytes = base.clone();
             for _ in 0..rounds {
                 mutate_bytes(&mut rng, &mut bytes);
@@ -469,7 +489,7 @@ fn build_input(
             ("container", bytes)
         }
         1 => {
-            let base = &fx.wals[rng.gen_range(0..fx.wals.len())]; // bounds: three seeds always built
+            let base = &fx.wals[rng.gen_range(0..fx.wals.len())]; // bounds: six seeds always load
             let mut bytes = base.clone();
             for _ in 0..rounds {
                 mutate_bytes(&mut rng, &mut bytes);

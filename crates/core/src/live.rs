@@ -33,7 +33,7 @@ use crate::opened::InfoReport;
 use crate::query::QueryTarget;
 use crate::snapshot::Snapshot;
 use crate::store::IngestReport;
-use crate::wal::{self, CheckpointReport, Record, Sidecar, TailRead, WalConfig};
+use crate::wal::{self, CheckpointReport, Sidecar, TailRead, WalConfig};
 
 /// The writer-side state every live store shape embeds.
 pub struct WriterCore {
@@ -82,14 +82,8 @@ impl WriterCore {
     pub(crate) fn log(&self, _held: &Held<'_>, batch: &Dataset) -> Result<u64, Error> {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         if let Some(sc) = self.wal().as_mut() {
-            // The one owned copy of the batch: the feed keeps it.
-            let rec = Record {
-                epoch,
-                name: batch.name.clone(),
-                default_interval: batch.default_interval,
-                trajectories: batch.trajectories.clone(),
-            };
-            if let Err(e) = sc.append_live(rec) {
+            // Encoded once: the feed keeps the bytes the file got.
+            if let Err(e) = sc.append_live(epoch, batch) {
                 self.next_epoch.fetch_sub(1, Ordering::Relaxed);
                 return Err(e);
             }
@@ -174,11 +168,14 @@ pub trait LiveStore: QueryTarget {
         if core.wal().is_some() {
             return Err(Error::CorruptStore("a wal is already attached"));
         }
-        let (log, records) = wal::Wal::open(&cfg)?;
+        let (log, payloads) = wal::Wal::open_payloads(&cfg)?;
         let mut sc = Sidecar::new(log, &cfg);
         let mut skipped = 0u64;
-        let mut applied: Vec<Record> = Vec::new();
-        for (expect, rec) in (1u64..).zip(records) {
+        // The applied batches, as the feed keeps them: live epoch and
+        // the payload the file holds.
+        let mut applied: Vec<(u64, wal::Payload)> = Vec::new();
+        for (expect, payload) in (1u64..).zip(payloads) {
+            let rec = wal::decode_payload(&payload)?;
             if rec.epoch != expect {
                 return Err(Error::CorruptStore("wal record epochs are not sequential"));
             }
@@ -189,9 +186,8 @@ pub trait LiveStore: QueryTarget {
                 skipped += 1;
                 continue;
             }
-            // The record's payload moves through the publish and on
-            // into the feed; the slot is still empty, so nothing is
-            // appended back to the file.
+            // The slot is still empty, so the publish appends nothing
+            // back to the file.
             let live = rec.epoch - skipped;
             let batch = Dataset {
                 name: rec.name,
@@ -211,24 +207,16 @@ pub trait LiveStore: QueryTarget {
                     "wal replay produced an unexpected epoch",
                 ));
             }
-            applied.push(Record {
-                epoch: live,
-                name: batch.name,
-                default_interval: batch.default_interval,
-                trajectories: batch.trajectories,
-            });
+            applied.push((live, payload));
         }
         if skipped > 0 {
             // Finish the interrupted checkpoint: drop the absorbed
             // prefix from disk and renumber the survivors.
-            sc.wal.truncate()?;
-            for rec in &applied {
-                sc.wal.append(rec)?;
-            }
+            sc.wal.rewrite(&mut applied)?;
         }
         let n = applied.len();
-        for rec in applied {
-            sc.push_feed(rec);
+        for (live, payload) in applied {
+            sc.push_feed(live, payload);
         }
         *core.wal() = Some(sc);
         Ok(n)

@@ -3,10 +3,10 @@
 //! publish, so a crash loses at most the batches the fsync policy
 //! allows.
 //!
-//! File layout (all integers little-endian):
+//! File layout (fixed-width integers little-endian):
 //!
 //! ```text
-//! header:  8-byte magic "UTCQWAL\0" | u32 version (=1) | u32 extra_len
+//! header:  8-byte magic "UTCQWAL\0" | u32 version (=2) | u32 extra_len
 //!          (extra_len bytes follow the fixed header and are skipped by
 //!          readers that do not understand them — forward compat)
 //! record:  u32 payload_len | u32 crc32(payload) | payload
@@ -14,36 +14,74 @@
 //!          the log sidecars — see DURABILITY.md)
 //!          u32 name_len | name bytes
 //!          i64 default_interval
-//!          u32 n_trajectories, then per trajectory:
-//!            u64 id
-//!            u32 n_times   | n × i64
-//!            u32 n_instances, then per instance:
-//!              f64 prob
-//!              u32 path_len | n × u32 edge ids
-//!              u32 n_positions | n × (u32 path_idx, f64 rd)
+//!          u32 n_trajectories
+//!          then one MSB-first bit stream, zero-padded to a byte:
 //! ```
+//!
+//! The body applies the container's two observations to the raw batch,
+//! losslessly and without the road network: sample times sit a small
+//! deviation from `Ts` (SIAR, §4.1), and an uncertain trajectory's
+//! instances nearly repeat its first one, the *reference* (§4.2).
+//! `eg(x)` is order-0 Exp-Golomb (`utcq_bitio::golomb`), `zz` zig-zag,
+//! `f64` the float code below. Per trajectory:
+//!
+//! ```text
+//! eg(id) eg(n_times) eg(n_instances)
+//! times:      eg(zz(t₀)), then per later time SIAR's deviation code of
+//!             (tᵢ − tᵢ₋₁) − default_interval
+//! reference:  f64(prob) eg(path_len) eg(zz(eᵢ − eᵢ₋₁))…   (e₋₁ = 0)
+//!             eg(zz(n_positions − n_times))
+//!             per position: eg(zz(idxᵢ − idxᵢ₋₁)) f64(rd)   (idx₋₁ = 0)
+//! each other: f64(prob)
+//!             eg(ref_len − prefix) eg(suffix) eg(middle_len)
+//!               eg(zz(eᵢ − eᵢ₋₁))… over the middle edges
+//!             eg(zz(n_positions − n_times))
+//!             per position: eg(zz(step − the reference's step here))
+//!               then, where the reference has a position here, one bit
+//!               "rd has the reference's bits" and f64(rd) only if not;
+//!               past the reference's positions, f64(rd)
+//! ```
+//!
+//! The path of a non-reference instance is the reference's first
+//! `prefix` edges, the middle edges, then the reference's last `suffix`
+//! edges. An `f64` is `eg(zz(1022 − sign_and_exponent))` and the 52
+//! mantissa bits: one bit plus the mantissa for a value in [0.5, 1).
+//! Every code has an escape for the values it cannot carry (`u64::MAX`
+//! and its neighbour, deviations of 2⁶² − 1 or more), so every record
+//! round-trips bit for bit, NaN payloads and decreasing times included.
+//! Decoding checks every count against the bits left before it
+//! allocates.
+//!
+//! Version 1 (the same frame around a payload of fixed-width fields) is
+//! still read: [`Wal::open`] rewrites a v1 log as v2 through
+//! `atomic_write` before anything is appended to it, so no file ever
+//! mixes versions.
 //!
 //! Torn-tail semantics: a final record that is incomplete (short frame
 //! or short payload) or fails its checksum is treated as a torn write
 //! and truncated away on open; the same damage *followed by more
 //! bytes* is real corruption and fails the open. [`scan`] is a pure
 //! function over the file bytes so the fuzzer can drive the replay
-//! path directly.
+//! path directly. A failed [`Wal::append`] cuts the file back to its
+//! last whole record, so it never leaves that damage behind.
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use utcq_bitio::{golomb, BitReader, BitSlice, BitWriter, CodecError};
 use utcq_network::EdgeId;
-use utcq_traj::{Instance, PathPosition, UncertainTrajectory};
+use utcq_traj::{Dataset, Instance, PathPosition, UncertainTrajectory};
 
 use crate::error::Error;
 
 /// Magic prefix of every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"UTCQWAL\0";
-/// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+/// Current WAL format version: the only one written.
+pub const WAL_VERSION: u32 = 2;
+/// The fixed-width format, read and rewritten as [`WAL_VERSION`].
+const WAL_VERSION_V1: u32 = 1;
 /// Fixed header size: magic + version + extra_len.
 const FIXED_HEADER: usize = 16;
 /// Default number of recent batches kept in memory for `tail`/dedup.
@@ -153,65 +191,473 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Payload codec.
+// Payload codec (v2).
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The value [`put_u64`] reserves: order-0 Exp-Golomb reaches
+/// `u64::MAX - 1` at most, so the top two values share its code plus a
+/// bit.
+const U64_ESCAPE: u64 = u64::MAX - 1;
+/// SIAR's code stops below 2⁶²; a deviation of this magnitude or more
+/// is written as the code of `-DEV_ESCAPE` and the raw 64 bits.
+const DEV_ESCAPE: i64 = (1 << 62) - 1;
+/// The mantissa bits of an `f64`.
+const MANTISSA: u64 = (1 << 52) - 1;
+/// Sign-and-exponent bits of [0.5, 1): the centre of the float code.
+const EXP_CENTRE: i64 = 1022;
+/// Fewest bits a trajectory, an instance and a reference position take
+/// — what a decoded count is checked against.
+const MIN_TRAJ_BITS: usize = 3;
+const MIN_INSTANCE_BITS: usize = 55;
+const MIN_REF_POSITION_BITS: usize = 54;
+const MIN_POSITION_BITS: usize = 2;
+
+/// The codec hands the writer only values its codes carry: `put_u64`
+/// never passes `u64::MAX` to Exp-Golomb, `put_deviation` no magnitude
+/// at or past 2⁶², and raw fields are masked to their width.
+fn fits(written: Result<(), CodecError>) {
+    debug_assert!(written.is_ok(), "wal codec overran a code: {written:?}");
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn zz(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn unzz(u: u64) -> i64 {
+    ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u64(w: &mut BitWriter, v: u64) {
+    fits(golomb::encode_unsigned(w, v.min(U64_ESCAPE)));
+    if v >= U64_ESCAPE {
+        w.push_bit(v == u64::MAX);
+    }
+}
+
+fn get_u64(r: &mut BitReader<'_>) -> Result<u64, Error> {
+    let v = golomb::decode_unsigned(r)?;
+    Ok(if v == U64_ESCAPE && r.read_bit()? {
+        u64::MAX
+    } else {
+        v
+    })
+}
+
+fn put_i64(w: &mut BitWriter, v: i64) {
+    put_u64(w, zz(v));
+}
+
+fn get_i64(r: &mut BitReader<'_>) -> Result<i64, Error> {
+    get_u64(r).map(unzz)
+}
+
+fn put_deviation(w: &mut BitWriter, d: i64) {
+    if d.unsigned_abs() < DEV_ESCAPE.unsigned_abs() {
+        fits(golomb::encode_deviation(w, d));
+    } else {
+        fits(golomb::encode_deviation(w, -DEV_ESCAPE));
+        fits(w.write_bits(d as u64, 64));
+    }
+}
+
+fn get_deviation(r: &mut BitReader<'_>) -> Result<i64, Error> {
+    match golomb::decode_deviation(r)? {
+        d if d == -DEV_ESCAPE => Ok(r.read_bits(64)? as i64),
+        d => Ok(d),
+    }
+}
+
+fn put_f64(w: &mut BitWriter, v: f64) {
+    let bits = v.to_bits();
+    put_i64(w, EXP_CENTRE - (bits >> 52) as i64);
+    fits(w.write_bits(bits & MANTISSA, 52));
+}
+
+fn get_f64(r: &mut BitReader<'_>) -> Result<f64, Error> {
+    let se = EXP_CENTRE
+        .checked_sub(get_i64(r)?)
+        .filter(|se| (0..1 << 12).contains(se))
+        .ok_or(Error::CorruptStore("wal float exponent out of range"))?;
+    Ok(f64::from_bits(((se as u64) << 52) | r.read_bits(52)?))
+}
+
+/// Reads a count of elements of at least `min_bits` each, refusing one
+/// the bits left cannot hold before anything is allocated for it.
+fn get_count(r: &mut BitReader<'_>, min_bits: usize) -> Result<usize, Error> {
+    let n = get_u64(r)?;
+    checked_count(r, n, min_bits)
+}
+
+fn checked_count(r: &BitReader<'_>, n: u64, min_bits: usize) -> Result<usize, Error> {
+    if n > (r.remaining() / min_bits) as u64 {
+        return Err(Error::CorruptStore("wal count exceeds the record"));
+    }
+    Ok(n as usize)
+}
+
+/// A position count, written against the time count it nearly always
+/// equals.
+fn put_positions_len(w: &mut BitWriter, n: usize, n_times: usize) {
+    put_i64(w, (n as i64).wrapping_sub(n_times as i64));
+}
+
+fn get_positions_len(
+    r: &mut BitReader<'_>,
+    n_times: usize,
+    min_bits: usize,
+) -> Result<usize, Error> {
+    let n = (n_times as i64).wrapping_add(get_i64(r)?);
+    checked_count(r, n as u64, min_bits)
+}
+
+/// An edge id or path index as its step from `prev`, minus the step
+/// the reader expects (zero, or the reference's step at this position).
+fn put_step(w: &mut BitWriter, prev: u32, expected: i64, v: u32) {
+    put_i64(w, i64::from(v) - i64::from(prev) - expected);
+}
+
+fn get_step(r: &mut BitReader<'_>, prev: u32, expected: i64) -> Result<u32, Error> {
+    let step = get_i64(r)?;
+    (i64::from(prev) + expected)
+        .checked_add(step)
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or(Error::CorruptStore(
+            "wal edge id or path index out of range",
+        ))
+}
+
+/// Lengths of the longest common prefix of `a` and `b`, and of the
+/// longest common suffix of what follows that prefix in both.
+fn shared_ends(a: &[EdgeId], b: &[EdgeId]) -> (usize, usize) {
+    let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let a = a.get(prefix..).unwrap_or_default();
+    let b = b.get(prefix..).unwrap_or_default();
+    let suffix = a
+        .iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count();
+    (prefix, suffix)
+}
+
+fn put_trajectory(w: &mut BitWriter, tu: &UncertainTrajectory, interval: i64) {
+    put_u64(w, tu.id);
+    put_u64(w, tu.times.len() as u64);
+    put_u64(w, tu.instances.len() as u64);
+    if let Some((&first, rest)) = tu.times.split_first() {
+        put_i64(w, first);
+        let mut prev = first;
+        for &t in rest {
+            put_deviation(w, t.wrapping_sub(prev).wrapping_sub(interval));
+            prev = t;
+        }
+    }
+    let Some((reference, others)) = tu.instances.split_first() else {
+        return;
+    };
+    let n_times = tu.times.len();
+    put_f64(w, reference.prob);
+    put_u64(w, reference.path.len() as u64);
+    let mut prev = 0;
+    for &e in &reference.path {
+        put_step(w, prev, 0, e.0);
+        prev = e.0;
+    }
+    put_positions_len(w, reference.positions.len(), n_times);
+    let mut prev = 0;
+    for p in &reference.positions {
+        put_step(w, prev, 0, p.path_idx);
+        put_f64(w, p.rd);
+        prev = p.path_idx;
+    }
+    for inst in others {
+        put_variant(w, inst, reference, n_times);
+    }
+}
+
+fn put_variant(w: &mut BitWriter, inst: &Instance, reference: &Instance, n_times: usize) {
+    put_f64(w, inst.prob);
+    let (prefix, suffix) = shared_ends(&inst.path, &reference.path);
+    let middle = inst
+        .path
+        .get(prefix..inst.path.len() - suffix)
+        .unwrap_or_default();
+    put_u64(w, (reference.path.len() - prefix) as u64);
+    put_u64(w, suffix as u64);
+    put_u64(w, middle.len() as u64);
+    let mut prev = prefix
+        .checked_sub(1)
+        .and_then(|i| inst.path.get(i))
+        .map_or(0, |e| e.0);
+    for &e in middle {
+        put_step(w, prev, 0, e.0);
+        prev = e.0;
+    }
+    put_positions_len(w, inst.positions.len(), n_times);
+    let (mut prev, mut prev_ref) = (0, 0);
+    for (i, p) in inst.positions.iter().enumerate() {
+        let twin = reference.positions.get(i);
+        let expected = twin.map_or(0, |t| i64::from(t.path_idx) - i64::from(prev_ref));
+        put_step(w, prev, expected, p.path_idx);
+        match twin {
+            Some(t) if t.rd.to_bits() == p.rd.to_bits() => w.push_bit(true),
+            Some(_) => {
+                w.push_bit(false);
+                put_f64(w, p.rd);
+            }
+            None => put_f64(w, p.rd),
+        }
+        prev = p.path_idx;
+        if let Some(t) = twin {
+            prev_ref = t.path_idx;
+        }
+    }
+}
+
+fn get_trajectory(r: &mut BitReader<'_>, interval: i64) -> Result<UncertainTrajectory, Error> {
+    let id = get_u64(r)?;
+    let n_times = get_count(r, 1)?;
+    let n_instances = get_count(r, MIN_INSTANCE_BITS)?;
+    let mut times = Vec::with_capacity(n_times);
+    if n_times > 0 {
+        let mut t = get_i64(r)?;
+        times.push(t);
+        for _ in 1..n_times {
+            t = t.wrapping_add(interval).wrapping_add(get_deviation(r)?);
+            times.push(t);
+        }
+    }
+    let mut instances = Vec::with_capacity(n_instances);
+    if n_instances > 0 {
+        let reference = get_reference(r, n_times)?;
+        for _ in 1..n_instances {
+            instances.push(get_variant(r, &reference, n_times)?);
+        }
+        instances.insert(0, reference);
+    }
+    Ok(UncertainTrajectory {
+        id,
+        times,
+        instances,
+    })
+}
+
+fn get_reference(r: &mut BitReader<'_>, n_times: usize) -> Result<Instance, Error> {
+    let prob = get_f64(r)?;
+    let n_edges = get_count(r, 1)?;
+    let mut path = Vec::with_capacity(n_edges);
+    let mut prev = 0;
+    for _ in 0..n_edges {
+        prev = get_step(r, prev, 0)?;
+        path.push(EdgeId(prev));
+    }
+    let n_positions = get_positions_len(r, n_times, MIN_REF_POSITION_BITS)?;
+    let mut positions = Vec::with_capacity(n_positions);
+    let mut prev = 0;
+    for _ in 0..n_positions {
+        let path_idx = get_step(r, prev, 0)?;
+        positions.push(PathPosition {
+            path_idx,
+            rd: get_f64(r)?,
+        });
+        prev = path_idx;
+    }
+    Ok(Instance {
+        path,
+        positions,
+        prob,
+    })
+}
+
+fn get_variant(
+    r: &mut BitReader<'_>,
+    reference: &Instance,
+    n_times: usize,
+) -> Result<Instance, Error> {
+    let prob = get_f64(r)?;
+    let ref_path = &reference.path;
+    // Prefix and suffix arrive as counts back from the reference's end.
+    let from_end = |r: &mut BitReader<'_>, floor: usize| -> Result<usize, Error> {
+        usize::try_from(get_u64(r)?)
+            .ok()
+            .and_then(|n| ref_path.len().checked_sub(n))
+            .filter(|&at| at >= floor)
+            .ok_or(Error::CorruptStore(
+                "wal instance shares more path than its reference has",
+            ))
+    };
+    let prefix = from_end(r, 0)?;
+    let suffix_at = from_end(r, prefix)?;
+    let n_middle = get_count(r, 1)?;
+    let head = ref_path.get(..prefix).unwrap_or_default();
+    let tail = ref_path.get(suffix_at..).unwrap_or_default();
+    let mut path = Vec::with_capacity(head.len() + n_middle + tail.len());
+    path.extend_from_slice(head);
+    let mut prev = head.last().map_or(0, |e| e.0);
+    for _ in 0..n_middle {
+        prev = get_step(r, prev, 0)?;
+        path.push(EdgeId(prev));
+    }
+    path.extend_from_slice(tail);
+    let n_positions = get_positions_len(r, n_times, MIN_POSITION_BITS)?;
+    let mut positions = Vec::with_capacity(n_positions);
+    let (mut prev, mut prev_ref) = (0, 0);
+    for i in 0..n_positions {
+        let twin = reference.positions.get(i);
+        let expected = twin.map_or(0, |t| i64::from(t.path_idx) - i64::from(prev_ref));
+        let path_idx = get_step(r, prev, expected)?;
+        let rd = match twin {
+            Some(t) if r.read_bit()? => t.rd,
+            _ => get_f64(r)?,
+        };
+        positions.push(PathPosition { path_idx, rd });
+        prev = path_idx;
+        if let Some(t) = twin {
+            prev_ref = t.path_idx;
+        }
+    }
+    Ok(Instance {
+        path,
+        positions,
+        prob,
+    })
+}
+
+/// Encodes one batch as a v2 payload: the byte-aligned record header,
+/// then the bit-packed trajectories.
+pub fn encode_batch(
+    epoch: u64,
+    name: &str,
+    default_interval: i64,
+    trajectories: &[UncertainTrajectory],
+) -> Vec<u8> {
+    let mut w = BitWriter::with_capacity(trajectories.len() * 2048);
+    for tu in trajectories {
+        put_trajectory(&mut w, tu, default_interval);
+    }
+    let body = w.finish();
+    let mut out = Vec::with_capacity(24 + name.len() + body.len_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(&default_interval.to_le_bytes());
+    out.extend_from_slice(&(trajectories.len() as u32).to_le_bytes());
+    out.extend_from_slice(body.as_bytes());
+    out
 }
 
 /// Encodes a record's payload (everything inside the checksummed
 /// region).
 pub fn encode_payload(rec: &Record) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_u64(&mut out, rec.epoch);
-    put_u32(&mut out, rec.name.len() as u32);
-    out.extend_from_slice(rec.name.as_bytes());
-    put_i64(&mut out, rec.default_interval);
-    put_u32(&mut out, rec.trajectories.len() as u32);
-    for tu in &rec.trajectories {
-        put_u64(&mut out, tu.id);
-        put_u32(&mut out, tu.times.len() as u32);
-        for &t in &tu.times {
-            put_i64(&mut out, t);
-        }
-        put_u32(&mut out, tu.instances.len() as u32);
-        for inst in &tu.instances {
-            put_f64(&mut out, inst.prob);
-            put_u32(&mut out, inst.path.len() as u32);
-            for e in &inst.path {
-                put_u32(&mut out, e.0);
-            }
-            put_u32(&mut out, inst.positions.len() as u32);
-            for p in &inst.positions {
-                put_u32(&mut out, p.path_idx);
-                put_f64(&mut out, p.rd);
-            }
-        }
-    }
+    encode_batch(
+        rec.epoch,
+        &rec.name,
+        rec.default_interval,
+        &rec.trajectories,
+    )
+}
+
+/// One encoded record payload, as the file and the in-memory feed hold
+/// it.
+pub(crate) type Payload = Box<[u8]>;
+
+/// Frames a payload: length prefix, checksum, payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 8);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
 /// Encodes a full framed record: length prefix, checksum, payload.
 pub fn encode_record(rec: &Record) -> Vec<u8> {
-    let payload = encode_payload(rec);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+    frame(&encode_payload(rec))
 }
+
+/// A v2 payload opened past its record header; the trajectories decode
+/// one at a time.
+struct Body<'a> {
+    r: BitReader<'a>,
+    interval: i64,
+    left: usize,
+}
+
+impl Body<'_> {
+    fn next_trajectory(&mut self) -> Result<Option<UncertainTrajectory>, Error> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        self.left -= 1;
+        get_trajectory(&mut self.r, self.interval).map(Some)
+    }
+
+    /// Checks that only the zero padding of the last byte is left.
+    fn finish(mut self) -> Result<(), Error> {
+        let left = self.r.remaining();
+        if left >= 8 || self.r.read_bits(left as u32)? != 0 {
+            return Err(Error::CorruptStore("wal record has trailing bytes"));
+        }
+        Ok(())
+    }
+}
+
+/// Reads a v2 payload's record header: the record without its
+/// trajectories, and the body that decodes them.
+fn open_payload(payload: &[u8]) -> Result<(Record, Body<'_>), Error> {
+    let mut c = Cursor {
+        bytes: payload,
+        at: 0,
+    };
+    let (epoch, name, default_interval) = c.record_header()?;
+    let n_trajectories = c.u32()?;
+    let bytes = c.take(c.remaining())?;
+    let r = BitSlice::from_bytes(bytes, bytes.len() * 8)
+        .ok_or(Error::CorruptStore("wal record body is malformed"))?
+        .reader();
+    let left = checked_count(&r, u64::from(n_trajectories), MIN_TRAJ_BITS)?;
+    let rec = Record {
+        epoch,
+        name,
+        default_interval,
+        trajectories: Vec::new(),
+    };
+    Ok((
+        rec,
+        Body {
+            r,
+            interval: default_interval,
+            left,
+        },
+    ))
+}
+
+/// Decodes one v2 record payload. Pure; returns `Err` on any
+/// malformation.
+pub fn decode_payload(payload: &[u8]) -> Result<Record, Error> {
+    let (mut rec, mut body) = open_payload(payload)?;
+    rec.trajectories.reserve_exact(body.left);
+    while let Some(tu) = body.next_trajectory()? {
+        rec.trajectories.push(tu);
+    }
+    body.finish()?;
+    Ok(rec)
+}
+
+/// Whether a v2 payload holds exactly `tus` (compared with `==`);
+/// decodes only up to the first trajectory that differs.
+fn holds_exactly(payload: &[u8], tus: &[UncertainTrajectory]) -> bool {
+    let Ok((_, mut body)) = open_payload(payload) else {
+        return false;
+    };
+    body.left == tus.len()
+        && tus
+            .iter()
+            .all(|tu| matches!(body.next_trajectory(), Ok(Some(t)) if t == *tu))
+}
+
+// ---------------------------------------------------------------------
+// The byte cursor (record headers) and the v1 payload reader.
 
 /// Bounded cursor over a payload; every read is checked so malformed
 /// input surfaces as `Err`, never a panic.
@@ -259,6 +705,16 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Epoch, name and interval: the header both versions share.
+    fn record_header(&mut self) -> Result<(u64, String, i64), Error> {
+        let epoch = self.u64()?;
+        let name_len = self.u32()? as usize;
+        let name = std::str::from_utf8(self.take(name_len)?)
+            .map_err(|_| Error::CorruptStore("wal record name is not utf-8"))?
+            .to_string();
+        Ok((epoch, name, self.i64()?))
+    }
+
     /// A `Vec` capacity bound that cannot be tricked into a huge
     /// allocation by a corrupt count: each element needs at least
     /// `min_size` payload bytes, so a count beyond that is bogus.
@@ -267,18 +723,13 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one record payload. Pure; returns `Err` on any malformation.
-pub fn decode_payload(payload: &[u8]) -> Result<Record, Error> {
+/// Decodes one v1 record payload (fixed-width fields).
+fn decode_payload_v1(payload: &[u8]) -> Result<Record, Error> {
     let mut c = Cursor {
         bytes: payload,
         at: 0,
     };
-    let epoch = c.u64()?;
-    let name_len = c.u32()? as usize;
-    let name = std::str::from_utf8(c.take(name_len)?)
-        .map_err(|_| Error::CorruptStore("wal record name is not utf-8"))?
-        .to_string();
-    let default_interval = c.i64()?;
+    let (epoch, name, default_interval) = c.record_header()?;
     let n_trajs = c.u32()?;
     let mut trajectories = Vec::with_capacity(c.cap(n_trajs, 20));
     for _ in 0..n_trajs {
@@ -327,6 +778,9 @@ pub fn decode_payload(payload: &[u8]) -> Result<Record, Error> {
     })
 }
 
+// ---------------------------------------------------------------------
+// Scanning a file image.
+
 /// Result of scanning a WAL file's bytes.
 #[derive(Debug)]
 pub struct Scan {
@@ -340,10 +794,17 @@ pub struct Scan {
     pub torn: bool,
 }
 
-/// Scans a complete WAL file image. Header problems and mid-file
-/// damage are hard errors; a damaged *final* record is reported as
-/// torn. Pure — this is the function the fuzzer drives.
-pub fn scan(bytes: &[u8]) -> Result<Scan, Error> {
+/// The checksummed payloads of a file image, not yet decoded.
+struct Frames<'a> {
+    version: u32,
+    /// Header length, extra bytes included.
+    header_len: u64,
+    payloads: Vec<&'a [u8]>,
+    keep_len: u64,
+    torn: bool,
+}
+
+fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
     let Some(magic) = bytes.get(..8) else {
         return Err(Error::CorruptStore("wal file shorter than its magic"));
     };
@@ -354,7 +815,7 @@ pub fn scan(bytes: &[u8]) -> Result<Scan, Error> {
     let version = c
         .u32()
         .map_err(|_| Error::CorruptStore("wal header truncated"))?;
-    if version != WAL_VERSION {
+    if version != WAL_VERSION && version != WAL_VERSION_V1 {
         return Err(Error::CorruptStore("wal version unsupported"));
     }
     let extra = c
@@ -362,45 +823,64 @@ pub fn scan(bytes: &[u8]) -> Result<Scan, Error> {
         .map_err(|_| Error::CorruptStore("wal header truncated"))?;
     c.take(extra as usize)
         .map_err(|_| Error::CorruptStore("wal header truncated"))?;
-    let mut records = Vec::new();
-    let mut keep = c.at as u64;
+    let header_len = c.at as u64;
+    let mut payloads = Vec::new();
+    let mut keep = header_len;
     loop {
         let start = c.at;
-        if c.remaining() == 0 {
-            return Ok(Scan {
-                records,
-                keep_len: keep,
-                torn: false,
-            });
-        }
-        let torn = |records| {
-            Ok(Scan {
-                records,
-                keep_len: start as u64,
-                torn: true,
+        let done = |payloads, keep_len, torn| {
+            Ok(Frames {
+                version,
+                header_len,
+                payloads,
+                keep_len,
+                torn,
             })
         };
+        if c.remaining() == 0 {
+            return done(payloads, keep, false);
+        }
         if c.remaining() < 8 {
-            return torn(records);
+            return done(payloads, start as u64, true);
         }
         let (len, crc) = match (c.u32(), c.u32()) {
             (Ok(l), Ok(x)) => (l, x),
-            _ => return torn(records),
+            _ => return done(payloads, start as u64, true),
         };
         if (len as usize) > c.remaining() {
-            return torn(records);
+            return done(payloads, start as u64, true);
         }
         let payload = c.take(len as usize)?;
         if crc32(payload) != crc {
             if c.remaining() == 0 {
                 // Damaged final record: a torn write, not corruption.
-                return torn(records);
+                return done(payloads, start as u64, true);
             }
             return Err(Error::CorruptStore("wal record checksum mismatch"));
         }
-        records.push(decode_payload(payload)?);
+        payloads.push(payload);
         keep = c.at as u64;
     }
+}
+
+/// Scans a complete WAL file image of either version. Header problems
+/// and mid-file damage are hard errors; a damaged *final* record is
+/// reported as torn. Pure — this is the function the fuzzer drives.
+pub fn scan(bytes: &[u8]) -> Result<Scan, Error> {
+    let f = frames(bytes)?;
+    let records = f
+        .payloads
+        .iter()
+        .map(|p| match f.version {
+            WAL_VERSION_V1 => decode_payload_v1(p),
+            _ => decode_payload(p),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Scan {
+        records,
+        keep_len: f.keep_len,
+        torn: f.torn,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -414,14 +894,39 @@ pub struct Wal {
     fsync: FsyncPolicy,
     unsynced: u32,
     len: u64,
+    /// Where a truncation cuts: the header, extra bytes included.
+    header_len: u64,
+    /// A failed append could not be cut back off the file; nothing may
+    /// land behind it.
+    broken: bool,
+}
+
+fn header() -> Vec<u8> {
+    let mut header = Vec::with_capacity(FIXED_HEADER);
+    header.extend_from_slice(WAL_MAGIC);
+    header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    header.extend_from_slice(&0u32.to_le_bytes());
+    header
 }
 
 impl Wal {
     /// Opens (or creates) the log at `cfg.path`, replaying any existing
     /// records. A torn final record is truncated away; any other damage
-    /// fails the open. Returns the handle plus the replayed records
-    /// with their *stored* (container-relative) epochs.
+    /// fails the open. A v1 log is rewritten as v2 first. Returns the
+    /// handle plus the replayed records with their *stored*
+    /// (container-relative) epochs.
     pub fn open(cfg: &WalConfig) -> Result<(Wal, Vec<Record>), Error> {
+        let (wal, payloads) = Self::open_payloads(cfg)?;
+        let records = payloads
+            .iter()
+            .map(|p| decode_payload(p))
+            .collect::<Result<_, _>>()?;
+        Ok((wal, records))
+    }
+
+    /// [`Wal::open`] without the decoding: the v2 payloads of the
+    /// intact records, in order.
+    pub(crate) fn open_payloads(cfg: &WalConfig) -> Result<(Wal, Vec<Payload>), Error> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -430,62 +935,95 @@ impl Wal {
             .open(&cfg.path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
+        let wal = |file, len, header_len| Wal {
+            file,
+            path: cfg.path.clone(),
+            fsync: cfg.fsync,
+            unsynced: 0,
+            len,
+            header_len,
+            broken: false,
+        };
         if bytes.is_empty() {
-            let mut header = Vec::with_capacity(FIXED_HEADER);
-            header.extend_from_slice(WAL_MAGIC);
-            put_u32(&mut header, WAL_VERSION);
-            put_u32(&mut header, 0);
-            file.write_all(&header)?;
+            file.write_all(&header())?;
             file.sync_all()?;
-            let len = header.len() as u64;
             return Ok((
-                Wal {
-                    file,
-                    path: cfg.path.clone(),
-                    fsync: cfg.fsync,
-                    unsynced: 0,
-                    len,
-                },
+                wal(file, FIXED_HEADER as u64, FIXED_HEADER as u64),
                 Vec::new(),
             ));
         }
-        let scanned = scan(&bytes)?;
-        if scanned.torn {
-            file.set_len(scanned.keep_len)?;
+        let f = frames(&bytes)?;
+        if f.version == WAL_VERSION_V1 {
+            let payloads = f
+                .payloads
+                .iter()
+                .map(|p| decode_payload_v1(p).map(|rec| encode_payload(&rec).into_boxed_slice()))
+                .collect::<Result<Vec<_>, _>>()?;
+            drop(file);
+            atomic_write(&cfg.path, |w| {
+                w.write_all(&header())?;
+                for p in &payloads {
+                    w.write_all(&frame(p))?;
+                }
+                Ok(())
+            })?;
+            let mut file = OpenOptions::new().read(true).write(true).open(&cfg.path)?;
+            let len = file.seek(SeekFrom::End(0))?;
+            return Ok((wal(file, len, FIXED_HEADER as u64), payloads));
+        }
+        if f.torn {
+            file.set_len(f.keep_len)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(scanned.keep_len))?;
-        Ok((
-            Wal {
-                file,
-                path: cfg.path.clone(),
-                fsync: cfg.fsync,
-                unsynced: 0,
-                len: scanned.keep_len,
-            },
-            scanned.records,
-        ))
+        file.seek(SeekFrom::Start(f.keep_len))?;
+        let payloads = f.payloads.iter().map(|&p| Box::from(p)).collect();
+        Ok((wal(file, f.keep_len, f.header_len), payloads))
     }
 
     /// Appends one record and applies the fsync policy. The frame is
     /// written with a single `write_all` of a prebuilt buffer, so the
-    /// only torn states a crash can leave are short tails.
+    /// only torn states a crash can leave are short tails; a failed
+    /// write or sync is cut back off the file.
     pub fn append(&mut self, rec: &Record) -> Result<(), Error> {
-        let frame = encode_record(rec);
+        self.append_payload(&encode_payload(rec))
+    }
+
+    /// [`Wal::append`] of an encoded payload.
+    pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<(), Error> {
+        if self.broken {
+            return Err(Error::CorruptStore(
+                "wal refuses appends: a failed append could not be rolled back",
+            ));
+        }
+        let frame = frame(payload);
         crate::hooks::point("wal.before_append");
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
-        crate::hooks::point("wal.appended");
-        self.unsynced = self.unsynced.saturating_add(1);
+        let unsynced = self.unsynced.saturating_add(1);
         let due = match self.fsync {
             FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
+            FsyncPolicy::EveryN(n) => unsynced >= n.max(1),
             FsyncPolicy::Never => false,
         };
-        if due {
-            self.file.sync_data()?;
-            self.unsynced = 0;
+        let start = self.len;
+        let written = write_frame(&mut self.file, &frame).and_then(|()| {
+            self.len = start + frame.len() as u64;
+            crate::hooks::point("wal.appended");
+            if due {
+                self.file.sync_data()?;
+            }
+            Ok(())
+        });
+        if let Err(e) = written {
+            // Cut the partial frame off, so the next append lands right
+            // behind the last whole record and the log stays readable.
+            self.len = start;
+            let rolled_back = self
+                .file
+                .set_len(start)
+                .and_then(|()| self.file.seek(SeekFrom::Start(start)));
+            self.broken = rolled_back.is_err();
+            return Err(e.into());
         }
+        self.unsynced = if due { 0 } else { unsynced };
         crate::hooks::point("wal.synced");
         Ok(())
     }
@@ -493,11 +1031,26 @@ impl Wal {
     /// Discards every record, leaving only the header (used after a
     /// successful checkpoint).
     pub fn truncate(&mut self) -> Result<(), Error> {
-        self.file.set_len(FIXED_HEADER as u64)?;
-        self.file.seek(SeekFrom::Start(FIXED_HEADER as u64))?;
+        self.file.set_len(self.header_len)?;
+        self.file.seek(SeekFrom::Start(self.header_len))?;
         self.file.sync_data()?;
-        self.len = FIXED_HEADER as u64;
+        self.len = self.header_len;
         self.unsynced = 0;
+        Ok(())
+    }
+
+    /// Truncates the log and appends `logged` with each payload's epoch
+    /// set to its pair's: what finishing an interrupted checkpoint
+    /// leaves on disk.
+    pub(crate) fn rewrite(&mut self, logged: &mut [(u64, Payload)]) -> Result<(), Error> {
+        self.truncate()?;
+        for (epoch, payload) in logged {
+            // The epoch is the payload's first eight bytes.
+            if let Some(head) = payload.get_mut(..8) {
+                head.copy_from_slice(&epoch.to_le_bytes());
+            }
+            self.append_payload(payload)?;
+        }
         Ok(())
     }
 
@@ -510,6 +1063,17 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Writes one frame. Tests can make it fail after a given number of
+/// bytes, the way a full disk does.
+fn write_frame(file: &mut File, frame: &[u8]) -> std::io::Result<()> {
+    #[cfg(test)]
+    if let Some(k) = tests::FAIL_AFTER.with(std::cell::Cell::take) {
+        file.write_all(frame.get(..k).unwrap_or(frame))?;
+        return Err(std::io::Error::other("injected write fault"));
+    }
+    file.write_all(frame)
 }
 
 // ---------------------------------------------------------------------
@@ -584,6 +1148,14 @@ pub struct CheckpointReport {
     pub log_bytes: u64,
 }
 
+/// One batch of the in-memory feed: the payload the file holds for it,
+/// under its live epoch (the payload's own may be container-relative).
+#[derive(Debug)]
+struct Logged {
+    epoch: u64,
+    payload: Payload,
+}
+
 /// A store's durability sidecar: the open log, the checkpoint target,
 /// and the bounded in-memory batch feed.
 #[derive(Debug)]
@@ -595,8 +1167,8 @@ pub(crate) struct Sidecar {
     /// file with `epoch - base` so a reopened container (whose epochs
     /// restart at 1) replays to matching numbers.
     base: u64,
-    /// Recent batches with live epochs, oldest first.
-    tail: VecDeque<Record>,
+    /// Recent batches, oldest first, as encoded for the file.
+    tail: VecDeque<Logged>,
     /// Live epoch preceding `tail.front()`.
     tail_base: u64,
 }
@@ -613,23 +1185,28 @@ impl Sidecar {
         }
     }
 
-    /// Appends a batch that published at live epoch `rec.epoch`: the
-    /// file gets the container-relative number, the feed the live one.
-    pub fn append_live(&mut self, mut rec: Record) -> Result<(), Error> {
-        let live = rec.epoch;
-        rec.epoch = live.saturating_sub(self.base);
-        self.wal.append(&rec)?;
-        rec.epoch = live;
-        self.push_feed(rec);
+    /// Appends a batch that publishes at live epoch `epoch`: encoded
+    /// once, with the container-relative number, for the file and the
+    /// feed alike.
+    pub fn append_live(&mut self, epoch: u64, batch: &Dataset) -> Result<(), Error> {
+        let payload = encode_batch(
+            epoch.saturating_sub(self.base),
+            &batch.name,
+            batch.default_interval,
+            &batch.trajectories,
+        );
+        self.wal.append_payload(&payload)?;
+        self.push_feed(epoch, payload.into_boxed_slice());
         Ok(())
     }
 
-    /// Pushes a batch into the feed without touching the file (replay).
-    pub fn push_feed(&mut self, rec: Record) {
+    /// Pushes a logged batch into the feed without touching the file
+    /// (replay).
+    pub fn push_feed(&mut self, epoch: u64, payload: Payload) {
         if self.tail.is_empty() {
-            self.tail_base = rec.epoch.saturating_sub(1);
+            self.tail_base = epoch.saturating_sub(1);
         }
-        self.tail.push_back(rec);
+        self.tail.push_back(Logged { epoch, payload });
         while self.tail.len() > self.tail_keep {
             if let Some(dropped) = self.tail.pop_front() {
                 self.tail_base = dropped.epoch;
@@ -652,21 +1229,31 @@ impl Sidecar {
     }
 
     /// Batches with live epochs strictly greater than `from`, capped
-    /// at `max` per call.
+    /// at `max` per call, decoded from the feed. Every feed payload was
+    /// encoded or decoded once already in this process; one that no
+    /// longer decodes answers as a gap, so a follower re-syncs instead
+    /// of skipping a batch.
     pub fn records_since(&self, from: u64, max: usize, current: u64) -> TailRead {
         if from < self.tail_base {
             return TailRead::Gap {
                 base: self.tail_base,
             };
         }
-        let records = self
+        let decoded = self
             .tail
             .iter()
-            .filter(|r| r.epoch > from)
+            .filter(|l| l.epoch > from)
             .take(max)
-            .cloned()
-            .collect();
-        TailRead::Records { records, current }
+            .map(|l| {
+                let mut rec = decode_payload(&l.payload)?;
+                rec.epoch = l.epoch;
+                Ok(rec)
+            })
+            .collect::<Result<_, Error>>();
+        match decoded {
+            Ok(records) => TailRead::Records { records, current },
+            Err(_) => TailRead::Gap { base: current },
+        }
     }
 
     /// If a feed batch consists of exactly these trajectories
@@ -681,13 +1268,19 @@ impl Sidecar {
         self.tail
             .iter()
             .rev()
-            .find_map(|r| (r.trajectories == tus).then_some((r.epoch, r.trajectories.len())))
+            .find_map(|l| holds_exactly(&l.payload, tus).then_some((l.epoch, tus.len())))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Makes the next frame write fail after this many bytes.
+        pub(super) static FAIL_AFTER: std::cell::Cell<Option<usize>> =
+            const { std::cell::Cell::new(None) };
+    }
 
     fn sample(epoch: u64, id: u64) -> Record {
         Record {
@@ -723,6 +1316,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("utcq-wal-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mk tmp dir");
         dir.join("log.wal")
+    }
+
+    /// Logs `rec` through the sidecar the way `WriterCore::log` does.
+    fn log(sc: &mut Sidecar, rec: Record) -> Result<(), Error> {
+        let batch = Dataset {
+            name: rec.name,
+            default_interval: rec.default_interval,
+            trajectories: rec.trajectories,
+        };
+        sc.append_live(rec.epoch, &batch)
     }
 
     #[test]
@@ -831,7 +1434,7 @@ mod tests {
         let (wal, _) = Wal::open(&cfg).expect("create");
         let mut sc = Sidecar::new(wal, &cfg);
         for e in 1..=3u64 {
-            sc.append_live(sample(e, 100 + e)).expect("append");
+            log(&mut sc, sample(e, 100 + e)).expect("append");
         }
         // Feed capped at 2: epoch 1 fell off → asking from 0 is a gap.
         match sc.records_since(0, 64, 3) {
@@ -862,8 +1465,8 @@ mod tests {
         let _ = std::fs::remove_file(&cfg.path);
         let (wal, _) = Wal::open(&cfg).expect("create");
         let mut sc = Sidecar::new(wal, &cfg);
-        sc.append_live(sample(1, 10)).expect("append");
-        sc.append_live(sample(2, 11)).expect("append");
+        log(&mut sc, sample(1, 10)).expect("append");
+        log(&mut sc, sample(2, 11)).expect("append");
         sc.checkpointed(2).expect("checkpoint");
         // The feed truncates with the log: pre-checkpoint epochs are a
         // gap, the next live batch streams normally.
@@ -871,7 +1474,7 @@ mod tests {
             TailRead::Gap { base } => assert_eq!(base, 2),
             TailRead::Records { .. } => panic!("expected gap after checkpoint"),
         }
-        sc.append_live(sample(3, 12)).expect("append");
+        log(&mut sc, sample(3, 12)).expect("append");
         match sc.records_since(2, 64, 3) {
             TailRead::Records { records, .. } => {
                 assert_eq!(records.iter().map(|r| r.epoch).collect::<Vec<_>>(), vec![3]);
@@ -884,5 +1487,400 @@ mod tests {
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].epoch, 1);
         assert_eq!(rs[0].trajectories[0].id, 12);
+    }
+
+    /// A record with every float as its bits, so `==` means bit-exact
+    /// (NaN payloads and the sign of zero included).
+    type Bits = (u64, String, i64, Vec<(u64, Vec<i64>, Vec<InstanceBits>)>);
+    type InstanceBits = (u64, Vec<u32>, Vec<(u32, u64)>);
+
+    fn bits(rec: &Record) -> Bits {
+        let inst = |i: &Instance| {
+            let path = i.path.iter().map(|e| e.0).collect();
+            let positions = i.positions.iter().map(|p| (p.path_idx, p.rd.to_bits()));
+            (i.prob.to_bits(), path, positions.collect())
+        };
+        let tus = rec.trajectories.iter();
+        let tus = tus.map(|tu| {
+            (
+                tu.id,
+                tu.times.clone(),
+                tu.instances.iter().map(inst).collect(),
+            )
+        });
+        (
+            rec.epoch,
+            rec.name.clone(),
+            rec.default_interval,
+            tus.collect(),
+        )
+    }
+
+    /// The v1 payload writer, for building v1 images: fixed-width
+    /// little-endian fields.
+    fn encode_payload_v1(rec: &Record) -> Vec<u8> {
+        let mut out = Vec::new();
+        let u32s = |out: &mut Vec<u8>, v: usize| out.extend_from_slice(&(v as u32).to_le_bytes());
+        out.extend_from_slice(&rec.epoch.to_le_bytes());
+        u32s(&mut out, rec.name.len());
+        out.extend_from_slice(rec.name.as_bytes());
+        out.extend_from_slice(&rec.default_interval.to_le_bytes());
+        u32s(&mut out, rec.trajectories.len());
+        for tu in &rec.trajectories {
+            out.extend_from_slice(&tu.id.to_le_bytes());
+            u32s(&mut out, tu.times.len());
+            tu.times
+                .iter()
+                .for_each(|t| out.extend_from_slice(&t.to_le_bytes()));
+            u32s(&mut out, tu.instances.len());
+            for inst in &tu.instances {
+                out.extend_from_slice(&inst.prob.to_le_bytes());
+                u32s(&mut out, inst.path.len());
+                inst.path
+                    .iter()
+                    .for_each(|e| out.extend_from_slice(&e.0.to_le_bytes()));
+                u32s(&mut out, inst.positions.len());
+                for p in &inst.positions {
+                    out.extend_from_slice(&p.path_idx.to_le_bytes());
+                    out.extend_from_slice(&p.rd.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    fn image(version: u32, frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = WAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        frames.iter().for_each(|f| bytes.extend_from_slice(f));
+        bytes
+    }
+
+    fn instance(path: &[u32], positions: &[(u32, f64)], prob: f64) -> Instance {
+        Instance {
+            path: path.iter().map(|&e| EdgeId(e)).collect(),
+            positions: positions
+                .iter()
+                .map(|&(path_idx, rd)| PathPosition { path_idx, rd })
+                .collect(),
+            prob,
+        }
+    }
+
+    /// Records v1 accepts that no store would ingest: every code's
+    /// escape, every float class, and every shape the reference-relative
+    /// code has to get right.
+    fn hostile() -> Vec<Record> {
+        let odd = [
+            f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN payload
+            f64::from_bits(0xFFF8_0000_0000_0ABC), // negative NaN payload
+            -0.0,
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -1.5,
+            1.0,
+            0.999_999_999_999_999_9,
+        ];
+        let reference = instance(&[5, 9, 7, 3], &[(0, 0.1), (1, 0.5), (3, 0.25)], 0.5);
+        let variants = vec![
+            reference.clone(),
+            // A detour in the middle, one rd jittered, a longer tail.
+            instance(
+                &[5, 11, 12, 7, 3, 8],
+                &[(0, 0.1), (2, 0.4), (5, 0.25)],
+                0.25,
+            ),
+            // Shorter than the reference, starting elsewhere.
+            instance(&[9, 7], &[(0, 0.5)], 0.125),
+            // Longer, more positions than the reference, none shared.
+            instance(
+                &[u32::MAX, 0, u32::MAX, 1, 2, 3, 4],
+                &[(6, 0.0), (0, 0.9), (u32::MAX, 0.3), (2, 0.3), (2, 0.3)],
+                0.125,
+            ),
+            // The reference's path with decreasing indices, no positions.
+            instance(&[5, 9, 7, 3], &[], 0.0),
+            instance(&[], &[(u32::MAX, 0.5), (0, 0.1)], 1.0),
+        ];
+        let tu = |id, times: Vec<i64>, instances| UncertainTrajectory {
+            id,
+            times,
+            instances,
+        };
+        let floats = odd.iter().enumerate();
+        let float_inst = instance(
+            &[u32::MAX, 0],
+            &floats
+                .clone()
+                .map(|(i, &rd)| (i as u32 % 2, rd))
+                .collect::<Vec<_>>(),
+            f64::NAN,
+        );
+        let float_variant = instance(
+            &[u32::MAX, 1],
+            &floats
+                .map(|(i, &rd)| (i as u32 % 3, -rd))
+                .collect::<Vec<_>>(),
+            -0.0,
+        );
+        let rec = |epoch, default_interval, trajectories| Record {
+            epoch,
+            name: "hostile · ✓".into(),
+            default_interval,
+            trajectories,
+        };
+        vec![
+            rec(u64::MAX, i64::MIN, Vec::new()),
+            rec(
+                0,
+                30,
+                vec![
+                    tu(u64::MAX, vec![i64::MIN, i64::MAX, i64::MIN, 0], Vec::new()),
+                    tu(u64::MAX - 1, vec![], vec![reference.clone()]),
+                    tu(0, vec![10, 10, 5, -7, 1 << 62, -(1 << 62)], variants),
+                    tu(1 << 63, vec![0; 13], vec![float_inst, float_variant]),
+                    tu(
+                        7,
+                        vec![(1 << 62) - 1, 0, -((1 << 62) - 1), 30],
+                        vec![reference],
+                    ),
+                ],
+            ),
+            rec(
+                1,
+                i64::MAX,
+                vec![tu(3, vec![i64::MAX, i64::MIN], Vec::new())],
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_record_v1_accepts_round_trips_bit_exactly() {
+        for rec in hostile() {
+            let back = decode_payload(&encode_payload(&rec)).expect("v2 decodes");
+            assert_eq!(bits(&back), bits(&rec));
+            let v1 = decode_payload_v1(&encode_payload_v1(&rec)).expect("v1 decodes");
+            assert_eq!(bits(&v1), bits(&rec));
+        }
+        // And through a file: a v1 log is rewritten as v2 on open, and
+        // a v2 log reads back the same.
+        let cfg = WalConfig::new(tmp("hostile"));
+        let v1_frames: Vec<_> = hostile()
+            .iter()
+            .map(|r| frame(&encode_payload_v1(r)))
+            .collect();
+        std::fs::write(&cfg.path, image(1, &v1_frames)).expect("write v1");
+        let (_, rs) = Wal::open(&cfg).expect("open v1");
+        let want: Vec<_> = hostile().iter().map(bits).collect();
+        assert_eq!(rs.iter().map(bits).collect::<Vec<_>>(), want);
+        let on_disk = std::fs::read(&cfg.path).expect("read");
+        assert_eq!(on_disk.get(8..12), Some(&WAL_VERSION.to_le_bytes()[..]));
+        let (_, rs) = Wal::open(&cfg).expect("reopen v2");
+        assert_eq!(rs.iter().map(bits).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn reference_relative_code_is_small_on_near_copies() {
+        // One reference and a variant that repeats it: the variant costs
+        // its probability plus a few bits per position, not its floats.
+        let positions: Vec<(u32, f64)> = (0..40)
+            .map(|i| (i / 2, 0.5 + f64::from(i) / 100.0))
+            .collect();
+        let reference = instance(&(100..120).collect::<Vec<_>>(), &positions, 0.75);
+        let variant = Instance {
+            prob: 0.25,
+            ..reference.clone()
+        };
+        let one = |instances| Record {
+            epoch: 1,
+            name: String::new(),
+            default_interval: 30,
+            trajectories: vec![UncertainTrajectory {
+                id: 1,
+                times: (0..40).map(|t| t * 30).collect(),
+                instances,
+            }],
+        };
+        let alone = encode_payload(&one(vec![reference.clone()])).len();
+        let both = encode_payload(&one(vec![reference, variant])).len();
+        // 55 bits of probability, 5 of path and count, 2 per position.
+        assert!(
+            both - alone <= (55 + 5 + 40 * 2) / 8 + 1,
+            "{alone} -> {both}"
+        );
+    }
+
+    #[test]
+    fn counts_past_the_bits_left_fail_before_allocating() {
+        // A record header, then a body claiming 2⁴⁰ of something with a
+        // few bits behind the claim. Reserving room for 2⁴⁰ instances
+        // (or times, edges, positions) would abort the process; each
+        // must be refused instead.
+        let with_body = |n_trajectories: u32, body: &dyn Fn(&mut BitWriter)| {
+            let mut w = BitWriter::new();
+            body(&mut w);
+            let mut payload = encode_batch(1, "", 30, &[]);
+            payload.truncate(payload.len() - 4);
+            payload.extend_from_slice(&n_trajectories.to_le_bytes());
+            payload.extend_from_slice(w.finish().as_bytes());
+            payload
+        };
+        let huge = 1u64 << 40;
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("trajectories", with_body(u32::MAX, &|_| {})),
+            (
+                "times",
+                with_body(1, &|w| [7, huge, 0].iter().for_each(|&v| put_u64(w, v))),
+            ),
+            (
+                "instances",
+                with_body(1, &|w| [7, 0, huge].iter().for_each(|&v| put_u64(w, v))),
+            ),
+            (
+                "reference edges",
+                with_body(1, &|w| {
+                    [7, 0, 1].iter().for_each(|&v| put_u64(w, v));
+                    put_f64(w, 1.0);
+                    put_u64(w, huge);
+                }),
+            ),
+            (
+                "reference positions",
+                with_body(1, &|w| {
+                    [7, 0, 1].iter().for_each(|&v| put_u64(w, v));
+                    put_f64(w, 1.0);
+                    put_u64(w, 0);
+                    put_i64(w, huge as i64);
+                }),
+            ),
+            (
+                "variant prefix",
+                with_body(1, &|w| {
+                    [7, 0, 2].iter().for_each(|&v| put_u64(w, v));
+                    put_f64(w, 1.0);
+                    [0, 0].iter().for_each(|&v| put_u64(w, v));
+                    put_f64(w, 1.0);
+                    put_u64(w, u64::MAX);
+                }),
+            ),
+        ];
+        for (what, payload) in cases {
+            assert!(decode_payload(&payload).is_err(), "{what}");
+        }
+        // Trailing bits past the padding are refused too.
+        let mut padded = encode_payload(&sample(1, 10));
+        padded.push(0);
+        assert!(decode_payload(&padded).is_err());
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_partial_frame_behind() {
+        let good = |id| encode_record(&sample(1, id));
+        let failing = good(11);
+        // What a write that stops after `k` bytes used to leave behind:
+        // the partial frame, then the next append right after it. The
+        // partial frame's length reaches into the next record, whose
+        // bytes fail its checksum: the whole log no longer opens.
+        let k = 8 + failing.len() / 2;
+        let parent = [
+            good(10),
+            failing.get(..k).expect("k < len").to_vec(),
+            good(12),
+        ];
+        let err = scan(&image(WAL_VERSION, &parent)).expect_err("the old image is unreadable");
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+
+        // Now: every cut point of the frame, the empty and the whole
+        // write included, rolls back and the next append lands behind
+        // the last whole record.
+        for k in [0, 3, 8, 13, k, failing.len() - 1, failing.len()] {
+            let cfg = WalConfig::new(tmp(&format!("fault-{k}")));
+            let _ = std::fs::remove_file(&cfg.path);
+            let (mut wal, _) = Wal::open(&cfg).expect("create");
+            wal.append(&sample(1, 10)).expect("append");
+            FAIL_AFTER.with(|f| f.set(Some(k)));
+            assert!(wal.append(&sample(2, 11)).is_err(), "fault after {k} bytes");
+            wal.append(&sample(2, 12))
+                .expect("append after a failed one");
+            let len = wal.len_bytes();
+            drop(wal);
+            assert_eq!(std::fs::metadata(&cfg.path).expect("meta").len(), len);
+            let (_, rs) = Wal::open(&cfg).expect("the log still opens");
+            let ids: Vec<u64> = rs.iter().map(|r| r.trajectories[0].id).collect();
+            assert_eq!(ids, vec![10, 12], "fault after {k} bytes");
+        }
+    }
+
+    #[test]
+    fn a_failed_rollback_refuses_every_later_append() {
+        let cfg = WalConfig::new(tmp("broken"));
+        let _ = std::fs::remove_file(&cfg.path);
+        let (mut wal, _) = Wal::open(&cfg).expect("create");
+        wal.append(&sample(1, 10)).expect("append");
+        // A handle that can neither write nor truncate: the append fails
+        // and so does cutting it back.
+        wal.file = File::open(&cfg.path).expect("read-only handle");
+        assert!(wal.append(&sample(2, 11)).is_err());
+        wal.file = OpenOptions::new()
+            .write(true)
+            .open(&cfg.path)
+            .expect("writable again");
+        let refused = wal.append(&sample(2, 12)).expect_err("refused");
+        assert!(refused.to_string().contains("refuses appends"), "{refused}");
+        drop(wal);
+        let (_, rs) = Wal::open(&cfg).expect("what was acknowledged still opens");
+        assert_eq!(rs.len(), 1);
+    }
+
+    #[test]
+    fn the_feed_keeps_the_encoded_batch_and_decodes_on_demand() {
+        let cfg = WalConfig::new(tmp("feed"));
+        let _ = std::fs::remove_file(&cfg.path);
+        let (wal, _) = Wal::open(&cfg).expect("create");
+        let mut sc = Sidecar::new(wal, &cfg);
+        let rec = hostile().swap_remove(1);
+        log(
+            &mut sc,
+            Record {
+                epoch: 1,
+                ..rec.clone()
+            },
+        )
+        .expect("append");
+        // The feed holds what the file holds, byte for byte.
+        let file = std::fs::read(&cfg.path).expect("read");
+        let fed = &sc.tail.front().expect("one batch").payload;
+        assert_eq!(file.get(FIXED_HEADER + 8..), Some(&fed[..]));
+        match sc.records_since(0, 8, 1) {
+            TailRead::Records { records, .. } => {
+                assert_eq!(
+                    records.iter().map(bits).collect::<Vec<_>>(),
+                    vec![bits(&Record {
+                        epoch: 1,
+                        ..rec.clone()
+                    })]
+                );
+            }
+            TailRead::Gap { .. } => panic!("expected records"),
+        }
+        // NaN != NaN: a batch holding one is never a re-send, as before.
+        assert_eq!(sc.dedup_epoch(&rec.trajectories), None);
+        let clean = vec![rec.trajectories[2].clone()];
+        log(
+            &mut sc,
+            Record {
+                epoch: 2,
+                trajectories: clean.clone(),
+                ..rec
+            },
+        )
+        .expect("append");
+        assert_eq!(sc.dedup_epoch(&clean), Some((2, 1)));
     }
 }

@@ -25,14 +25,22 @@
 //! is mutual: every version must answer every probe identically. A few
 //! hardcoded goldens pin the answers absolutely, so "all agree but all
 //! are wrong" cannot slip through.
+//!
+//! The write-ahead log has fixtures of its own, two multi-instance
+//! batches of a second dataset ([`wal_dataset`]) in both record
+//! encodings: `wal_v1.wal` (fixed-width fields, frozen) and
+//! `wal_v2.wal` (what every log writes now, regenerated and compared by
+//! CI like the containers).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use utcq::core::query::PageRequest;
 use utcq::core::shard::{ByTime, ShardedStore};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{LiveStore, QueryTarget, Store, StoreBuilder};
+use utcq::core::wal::{self, Record, Wal};
+use utcq::core::{CompressParams, LiveStore, Opened, QueryTarget, Store, StoreBuilder, WalConfig};
+use utcq::traj::Dataset;
 
 const SEED: u64 = 20_260_729;
 const TRAJS: usize = 10;
@@ -303,13 +311,145 @@ fn golden_answers() -> Golden {
     }
 }
 
-/// Regenerates the two current-format fixtures into `target/tmp` and
-/// prints fresh golden values. The five older fixtures cannot be
-/// regenerated: no writer emits their bytes any more.
+const WAL_SEED: u64 = 20_261_015;
+
+/// The WAL fixtures' dataset, 16 trajectories in four batches of four:
+/// the container holds the first, the fixture logs record the next two
+/// (epochs 1 and 2), and the last arrives after a reopen.
+fn wal_dataset() -> (utcq::network::RoadNetwork, [Dataset; 4]) {
+    let (net, ds) = utcq::datagen::generate(&utcq::datagen::profile::tiny(), 16, WAL_SEED);
+    let batch = |k: usize| Dataset {
+        trajectories: ds.trajectories[4 * k..4 * k + 4].to_vec(),
+        ..ds.clone()
+    };
+    (net, [batch(0), batch(1), batch(2), batch(3)])
+}
+
+/// What the WAL fixtures hold: batches 1 and 2 as epochs 1 and 2.
+fn wal_fixture_records(batches: &[Dataset; 4]) -> Vec<Record> {
+    (1..=2)
+        .map(|k| Record {
+            epoch: k as u64,
+            name: batches[k].name.clone(),
+            default_interval: batches[k].default_interval,
+            trajectories: batches[k].trajectories.clone(),
+        })
+        .collect()
+}
+
+/// A record with every float as its bits: equality is bit-exact.
+fn record_bits(rec: &Record) -> String {
+    let mut s = format!("{} {} {}", rec.epoch, rec.name, rec.default_interval);
+    for tu in &rec.trajectories {
+        s += &format!(" | {} {:?}", tu.id, tu.times);
+        for inst in &tu.instances {
+            let positions: Vec<_> = inst
+                .positions
+                .iter()
+                .map(|p| (p.path_idx, p.rd.to_bits()))
+                .collect();
+            s += &format!(" ; {:x} {:?} {positions:?}", inst.prob.to_bits(), inst.path);
+        }
+    }
+    s
+}
+
+/// Copies a fixture to a scratch path (opening a log may rewrite it).
+fn scratch_copy(fixture: &str, dir: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("utcq-compat-{}-{dir}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(fixture);
+    std::fs::copy(fixture_path(fixture), &path).unwrap();
+    path
+}
+
+fn header_version(path: &Path) -> u32 {
+    let bytes = std::fs::read(path).unwrap();
+    u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+}
+
 #[test]
-#[ignore = "writes target/tmp/tiny_*.utcq; copy to tests/fixtures after intentional format changes"]
+fn both_wal_fixtures_read_the_same_records() {
+    let (_, batches) = wal_dataset();
+    let want: Vec<String> = wal_fixture_records(&batches)
+        .iter()
+        .map(record_bits)
+        .collect();
+    assert!(batches[1..3]
+        .iter()
+        .all(|b| b.trajectories.iter().any(|tu| tu.instances.len() > 1)));
+    for (fixture, version) in [("wal_v1.wal", 1), ("wal_v2.wal", 2)] {
+        let scanned = wal::scan(&std::fs::read(fixture_path(fixture)).unwrap()).unwrap();
+        assert!(!scanned.torn, "{fixture}");
+        let scanned: Vec<String> = scanned.records.iter().map(record_bits).collect();
+        assert_eq!(scanned, want, "{fixture}: scan");
+        let path = scratch_copy(fixture, &format!("read-{version}"));
+        assert_eq!(header_version(&path), version);
+        let (_, records) = Wal::open(&WalConfig::new(&path)).unwrap();
+        let opened: Vec<String> = records.iter().map(record_bits).collect();
+        assert_eq!(opened, want, "{fixture}: Wal::open");
+        // Opening rewrote a v1 log as exactly what v2 writes.
+        assert_eq!(header_version(&path), 2, "{fixture}");
+        assert!(
+            std::fs::read(&path).unwrap() == std::fs::read(fixture_path("wal_v2.wal")).unwrap()
+        );
+    }
+    // The point of v2: the same records in a fraction of the bytes.
+    let len = |f: &str| std::fs::metadata(fixture_path(f)).unwrap().len();
+    assert!(len("wal_v2.wal") * 3 < len("wal_v1.wal"));
+}
+
+#[test]
+fn a_v1_log_replays_then_continues_as_v2() {
+    let (net, batches) = wal_dataset();
+    let net = Arc::new(net);
+    let build = |history: &[Dataset]| {
+        let mut b = StoreBuilder::new(
+            Arc::clone(&net),
+            CompressParams::with_interval(history[0].default_interval),
+        )
+        .stiu_params(STIU);
+        for ds in history {
+            b = b.ingest(ds).unwrap();
+        }
+        b.finish().unwrap()
+    };
+    let log = scratch_copy("wal_v1.wal", "continue");
+    let container = log.with_file_name("c.utcq");
+    build(&batches[..1]).save(&container).unwrap();
+    let cfg = || WalConfig::new(&log);
+
+    let store = Opened::open_durable(&container, cfg()).unwrap();
+    assert_eq!(store.epoch(), 2, "both v1 batches replay");
+    assert_eq!(header_version(&log), 2, "rewritten before the first append");
+    store.ingest(&batches[3]).unwrap();
+    drop(store);
+
+    let reopened = Opened::open_durable(&container, cfg()).unwrap();
+    assert_eq!(reopened.epoch(), 3, "every batch replays");
+    let Opened::Single(live) = &reopened else {
+        panic!("a single-store container")
+    };
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    live.write(&mut got).unwrap();
+    build(&batches).write(&mut want).unwrap();
+    assert!(got == want, "replayed store != offline build");
+}
+
+/// Regenerates the current-format fixtures (two containers, one log)
+/// into `target/tmp` and prints fresh golden values. The older fixtures
+/// cannot be regenerated: no writer emits their bytes any more.
+#[test]
+#[ignore = "writes target/tmp/tiny_*.utcq and wal_v2.wal; copy to tests/fixtures after intentional format changes"]
 fn regen_fixtures() {
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let wal_path = out.join("wal_v2.wal");
+    let _ = std::fs::remove_file(&wal_path);
+    let (mut log, _) = Wal::open(&WalConfig::new(&wal_path)).unwrap();
+    for rec in wal_fixture_records(&wal_dataset().1) {
+        log.append(&rec).unwrap();
+    }
     let (net, ds) = fixture_dataset();
     let net = Arc::new(net);
     let params = utcq::core::CompressParams::with_interval(ds.default_interval);
@@ -327,7 +467,7 @@ fn regen_fixtures() {
         .unwrap();
     sharded.save(out.join("tiny_v3_v5.utcq")).unwrap();
     println!(
-        "wrote tiny_v5.utcq and tiny_v3_v5.utcq into {}",
+        "wrote tiny_v5.utcq, tiny_v3_v5.utcq and wal_v2.wal into {}",
         out.display()
     );
 
