@@ -97,9 +97,21 @@ impl Fixtures {
     pub fn load(repo_root: &Path) -> io::Result<Self> {
         let dir = repo_root.join("tests/fixtures");
         let mut containers = Vec::new();
-        // Among them both shapes of region tuple: v4 (the reader's
-        // consume-and-drop path) and v5 (what stores write).
-        for version in ["v1", "v2", "v3", "v4", "v3_packed", "v5", "v3_v5"] {
+        // Among them every shape of region tuple: v4 (the reader's
+        // consume-and-drop path), v5 (fixed-width, sorted at open) and
+        // v6 (coded against the trajectory: what stores write).
+        let versions = [
+            "v1",
+            "v2",
+            "v3",
+            "v4",
+            "v3_packed",
+            "v5",
+            "v3_v5",
+            "v6",
+            "v3_v6",
+        ];
+        for version in versions {
             containers.push(fs::read(dir.join(format!("tiny_{version}.utcq")))?);
         }
         let mut lines: Vec<String> = Vec::new();
@@ -481,7 +493,7 @@ fn build_input(
     };
     match target {
         0 => {
-            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: seven fixtures always load
+            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: nine fixtures always load
             let mut bytes = base.clone();
             for _ in 0..rounds {
                 mutate_bytes(&mut rng, &mut bytes);

@@ -56,7 +56,7 @@ pub enum Error {
     /// static description of the invariant that failed.
     CorruptStore(&'static str),
     /// A v1 container was opened through [`crate::store::Store::open`],
-    /// which requires a self-contained (v5, v4 or v2) container.
+    /// which requires a self-contained (v6, v5, v4 or v2) container.
     NeedsNetwork,
     /// A sharded v3 container was opened through
     /// [`crate::store::Store::open`]; open it with

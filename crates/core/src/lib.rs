@@ -74,7 +74,7 @@
 //! * [`oracle`] — brute-force answers on uncompressed data, used as
 //!   ground truth for accuracy experiments (Fig. 11);
 //! * [`storage`] — the binary container formats (v1 legacy dataset-only,
-//!   v2/v4/v5 self-contained, v3 sharded) for persisting compressed datasets;
+//!   v2/v4/v5/v6 self-contained, v3 sharded) for persisting compressed datasets;
 //! * [`wal`] — the write-ahead log behind [`LiveStore::attach_wal`]: every
 //!   accepted live batch is appended (CRC32-checksummed, length-prefixed)
 //!   and fsynced *before* the epoch publish, replayed on open, truncated
@@ -89,7 +89,7 @@
 //! |---|---|---|
 //! | layout | one `CompressedDataset` + StIU | N independent partitions |
 //! | built by | [`StoreBuilder`] | [`StoreBuilder::shard_by`] |
-//! | container | v5 (`UTCQ` 5) | v3 (`UTCQ` 3, embeds v5 per shard) |
+//! | container | v6 (`UTCQ` 6) | v3 (`UTCQ` 3, embeds v6 per shard) |
 //! | `where`/`when` | direct | routed to the owning shard |
 //! | `range` | interval index scan | fan-out, merged id-ascending |
 //! | cursors | local offsets / keyset ids | `(shard, local)`-tagged / keyset ids |
@@ -135,7 +135,7 @@
 //! let page = store.where_query(tu_id, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
-//! // Persist as a self-contained v5 container and reopen: the network
+//! // Persist as a self-contained v6 container and reopen: the network
 //! // and index travel inside the file.
 //! let path = std::env::temp_dir().join("utcq-quickstart.utcq");
 //! store.save(&path)?;
@@ -177,7 +177,7 @@
 //! let page = target.where_query(0, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
-//! // v3 container: shard directory + one embedded v5 container each.
+//! // v3 container: shard directory + one embedded v6 container each.
 //! let path = std::env::temp_dir().join("utcq-sharded-quickstart.utcq");
 //! store.save(&path)?;
 //! let reopened = ShardedStore::open(&path)?;

@@ -3,7 +3,7 @@
 //! Every front end (the CLI, the [`crate::serve`] server, benchmarks)
 //! wants to open a container and use it without caring which shape is
 //! inside. [`Opened`] is that open-time dispatch and nothing more: it
-//! peeks the container's version byte once, opens v5 (or v4, v2) as a single
+//! peeks the container's version byte once, opens v6 (or v5, v4, v2) as a single
 //! [`Store`] and v3 as a [`ShardedStore`], and from then on only hands
 //! out the shape-agnostic [`LiveStore`] handle (it derefs to it), so a
 //! `&Opened` *is* the polymorphic query, ingest and durability surface.
@@ -34,7 +34,7 @@ use crate::segment::Resident;
 use crate::shard::{ShardSpec, ShardedStore};
 use crate::snapshot::Snapshot;
 use crate::stiu::StiuParams;
-use crate::storage::{Sections, VERSION_V3, VERSION_V5};
+use crate::storage::{Sections, VERSION_V3, VERSION_V6};
 use crate::store::Store;
 use crate::wal::WalConfig;
 
@@ -57,7 +57,7 @@ use crate::wal::WalConfig;
 /// ```
 #[derive(Debug)]
 pub enum Opened {
-    /// A single-partition store (v5, v4 or v2 container, or v1 via
+    /// A single-partition store (v6, v5, v4 or v2 container, or v1 via
     /// [`Opened::open_v1`]).
     Single(Box<Store>),
     /// A sharded store (v3 container).
@@ -65,7 +65,7 @@ pub enum Opened {
 }
 
 impl Opened {
-    /// Opens a self-contained container of either shape: v5 (or v4, v2)
+    /// Opens a self-contained container of either shape: v6 (or v5, v4, v2)
     /// becomes a [`Store`], v3 a [`ShardedStore`]. The file is read once — the
     /// version byte picks the reader. A legacy v1 container fails with
     /// [`Error::NeedsNetwork`] — open those with [`Opened::open_v1`],
@@ -167,9 +167,9 @@ pub fn render_format(versions: &[u8]) -> String {
         let shards = shards.iter().map(|v| format!("v{v}"));
         out += &format!(" directory, shards {}", Vec::from_iter(shards).join(" "));
     }
-    let old = |v: &u8| *v != VERSION_V3 && *v < VERSION_V5;
+    let old = |v: &u8| *v != VERSION_V3 && *v < VERSION_V6;
     if versions.iter().any(old) {
-        out += &format!(" (next save or checkpoint rewrites as v{VERSION_V5})");
+        out += &format!(" (next save or checkpoint rewrites as v{VERSION_V6})");
     }
     out + "\n"
 }

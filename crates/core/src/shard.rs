@@ -72,11 +72,11 @@
 //!
 //! [`ShardedStore::save`] writes a v3 container: a shard directory
 //! (policy kind + parameter) followed by one embedded, fully
-//! self-contained v5 container per shard (see [`crate::storage`]). The
+//! self-contained v6 container per shard (see [`crate::storage`]). The
 //! partitions all come from one pinned state, so a checkpoint taken
 //! while batches stream in is always a batch-consistent cut.
 //! [`ShardedStore::open`] reads v3 one shard blob at a time and also
-//! accepts a plain v5, v4 or v2 container as a single-shard store; the
+//! accepts a plain v6, v5, v4 or v2 container as a single-shard store; the
 //! embedded network is shared across shards behind one `Arc`.
 
 use std::collections::HashMap;

@@ -205,7 +205,7 @@ impl Snapshot {
         census
     }
 
-    /// Persists this snapshot as a self-contained v5 container — the
+    /// Persists this snapshot as a self-contained v6 container — the
     /// checkpoint path of a live store: the write runs entirely on the
     /// frozen state, so a server can keep ingesting while it runs.
     /// Crash-safe: the container lands via tmp file + rename + parent
@@ -214,7 +214,7 @@ impl Snapshot {
         crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
     }
 
-    /// Writes the v5 container to an arbitrary writer.
+    /// Writes the v6 container to an arbitrary writer.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
         self.write_counted(w).map(drop)
     }
@@ -222,7 +222,7 @@ impl Snapshot {
     /// [`Snapshot::write`], returning the writer's own account of where
     /// the bits went (`utcq info` runs it into a sink).
     pub fn write_counted(&self, w: &mut impl Write) -> Result<Sections, Error> {
-        Ok(crate::storage::save_v5(
+        Ok(crate::storage::save_v6(
             &self.net, &self.cds, &self.stiu, w,
         )?)
     }

@@ -15,6 +15,15 @@
 //!   `p_max` over the reference's group that power the filtering lemmas;
 //!   a non-reference tuple is the region and the member that enters it.
 //!
+//! **Canonical order.** A node's reference tuples run reference by
+//! reference (`ref_idx` ascending), each group's cells ascending; its
+//! non-reference tuples run member by member (`nref_idx` ascending),
+//! each member's cells ascending, and every one of them is a cell of
+//! its group. Index construction produces that order and the container
+//! readers check it (`NodeSegment::canonicalize`), which is what lets
+//! container v6 store a group as sorted cell gaps and a member as one
+//! bit per cell of its group.
+//!
 //! **Deviation from §5.2** (`docs/ARCHITECTURE.md` has the argument).
 //! The paper's tuples also hold a *resume point* (`fv, fv.no, d.pos` /
 //! `rv, rv.no, ma.pos`) so that decompression can start at the region.
@@ -137,7 +146,9 @@ impl RefRegionTuple {
     }
 }
 
-/// Spatial tuple of a non-reference for one region.
+/// Spatial tuple of a non-reference for one region. A member's tuples
+/// are side by side, cells ascending, each a cell of its group (the
+/// canonical order of the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NrefRegionTuple {
     /// The region.
@@ -255,9 +266,8 @@ impl NodeSegment {
     /// just parsed (the bounds are not stored), so built and reopened
     /// indexes agree to the last bit. A tuple whose `ref_idx` /
     /// `nref_idx` is out of range for `ct` contributes nothing; the
-    /// non-reference tuples must be in non-decreasing `nref_idx` order
-    /// (so one pass over them meets the members in member order, a
-    /// member's tuples side by side).
+    /// tuples must be in canonical order (so one pass over them meets
+    /// the members in member order, each at most once per cell).
     pub(crate) fn fill_group_bounds(&mut self, ct: &TrajView<'_>, p_codec: &PddpCodec) {
         let [_, refs_from, nrefs_from] = self.open_from();
         let refs = self.ref_tuples.get_mut(refs_from..);
@@ -272,15 +282,11 @@ impl NodeSegment {
             if let (true, Some(r)) = (rt.enters(), ct.refs.get(ref_idx as usize)) {
                 p_total += p_codec.dequantize(r.p_code);
             }
-            // A member that re-enters the region has several tuples
-            // there and still counts once.
-            let mut counted = None;
             for t in nref_tuples.iter().filter(|t| t.cell == rt.cell) {
                 let Some(n) = ct.nrefs.get(t.nref_idx as usize) else {
                     continue;
                 };
-                if n.ref_idx == ref_idx && counted != Some(t.nref_idx) {
-                    counted = Some(t.nref_idx);
+                if n.ref_idx == ref_idx {
                     let p = p_codec.dequantize(n.p_code);
                     p_total += p;
                     p_max = p_max.max(p);
@@ -289,6 +295,37 @@ impl NodeSegment {
             rt.p_total = p_total;
             rt.p_max = p_max;
         }
+    }
+
+    /// Brings the region tuples of the node being built, as a container
+    /// before v6 stored them, into canonical order: each member's cells
+    /// are sorted (those versions stored them in traversal order).
+    /// Refuses reference tuples out of order or repeated, non-reference
+    /// tuples out of member order, and a non-reference cell repeated or
+    /// outside its group. No writer ever produced any of these.
+    pub(crate) fn canonicalize(&mut self, ct: &TrajView<'_>) -> Result<(), Error> {
+        let [_, refs_from, nrefs_from] = self.open_from();
+        let refs = self.ref_tuples.get(refs_from..).unwrap_or_default();
+        let key = |t: &RefRegionTuple| (t.ref_idx(), t.cell);
+        if refs.windows(2).any(|w| key(&w[0]) >= key(&w[1])) {
+            return Err(Error::CorruptStore("ref tuples out of order"));
+        }
+        let nrefs = self.nref_tuples.get_mut(nrefs_from..).unwrap_or_default();
+        if nrefs.windows(2).any(|w| w[0].nref_idx > w[1].nref_idx) {
+            return Err(Error::CorruptStore("nref tuples out of order"));
+        }
+        for member in nrefs.chunk_by_mut(|a, b| a.nref_idx == b.nref_idx) {
+            member.sort_unstable_by_key(|t| t.cell);
+            // bounds: chunk_by_mut yields non-empty chunks
+            let group = ct.nrefs.get(member[0].nref_idx as usize).map(|n| n.ref_idx);
+            let in_group =
+                |cell| group.is_some_and(|r| refs.binary_search_by_key(&(r, cell), key).is_ok());
+            let repeated = member.windows(2).any(|w| w[0].cell == w[1].cell);
+            if repeated || !member.iter().all(|t| in_group(t.cell)) {
+                return Err(Error::CorruptStore("nref tuple outside its group"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -393,6 +430,8 @@ impl Stiu {
 
 /// The regions an instance traverses, in order of first traversal. The
 /// instance occupies its path only between the first and last sample.
+/// (Its index tuples hold the same cells in ascending order, the
+/// canonical order of the module docs.)
 pub fn region_cells(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<CellId> {
     let first = inst.location(net, 0);
     let last = inst.location(net, inst.positions.len() - 1);
@@ -563,12 +602,14 @@ fn build_traj(
         }
     }
 
-    // Non-reference tuples.
+    // Non-reference tuples, each member's cells ascending.
     for (nref_idx, cnref) in ct.nrefs.iter().enumerate() {
         let nref_idx = nref_idx as u32;
+        let from = node.nref_tuples.len();
         let cells = visits[cnref.orig_idx as usize].iter();
         node.nref_tuples
             .extend(cells.map(|&cell| NrefRegionTuple { cell, nref_idx }));
+        node.nref_tuples[from..].sort_unstable_by_key(|t| t.cell);
     }
     node.fill_group_bounds(ct, p_codec);
     Ok(())
@@ -739,12 +780,14 @@ mod tests {
             let inst = &ds.trajectories[0].instances[orig_idx as usize];
             region_cells(&net, inst, &stiu.grid)
         };
-        // A non-reference's tuples are its cell list, in traversal order.
+        // A non-reference's tuples are its cell list, ascending.
         assert!(!node.nref_tuples.is_empty());
         for (i, n) in ct.nrefs.iter().enumerate() {
             let tuples = node.nref_tuples.iter().filter(|t| t.nref_idx == i as u32);
             let listed: Vec<CellId> = tuples.map(|t| t.cell).collect();
-            assert_eq!(listed, cells(n.orig_idx), "non-reference {i}");
+            let mut own = cells(n.orig_idx);
+            own.sort();
+            assert_eq!(listed, own, "non-reference {i}");
         }
         // A reference's tuples are its group's cells, ascending; the
         // ones it enters itself are its own cell list.

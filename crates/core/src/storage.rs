@@ -1,14 +1,14 @@
 //! On-disk persistence of compressed datasets.
 //!
-//! Binary containers under the `UTCQ` magic and a version byte. Five
-//! versions are readable, two are written: [`save_v5`] for one store and
+//! Binary containers under the `UTCQ` magic and a version byte. Six
+//! versions are readable, two are written: [`save_v6`] for one store and
 //! [`save_v3`] for a sharded one ([`save`] emits the legacy v1 framing,
 //! for tests only). `docs/CONTAINERS.md` has the byte-level layouts.
 //!
-//! # One record layout (v1, v2, v4, v5)
+//! # One record layout (v1, v2, v4, v5, v6)
 //!
 //! ```text
-//! [network]  v2, v4, v5: RoadNetwork (see utcq_network::serialize)
+//! [network]  v2, v4..v6: RoadNetwork (see utcq_network::serialize)
 //! [head]     f64 ηD, f64 ηp, u32 n_pivots, u64 default_interval,
 //!            u32 w_e (outgoing-edge-number width), u32 name_len + name,
 //!            2 × SizeBreakdown (compressed, raw; 6 × u64 each),
@@ -18,14 +18,19 @@
 //!                           streams E, T', D, p_code
 //!     nref count, per nref: orig_idx, ref_idx,
 //!                           streams Com_E, Com_T, Com_D, p_code
-//! [index]    v2, v4, v5: i64 partition_s, u32 grid_n (the grid is
+//! [index]    v2, v4..v6: i64 partition_s, u32 grid_n (the grid is
 //!            rebuilt from the network), then one node per trajectory:
 //!     temporal count,   per tuple: start, no, pos
+//!     (v2, v4, v5)
 //!     ref-tuple count,  per tuple: cell, ref_idx, enters,
 //!                                  (v2, v4) the resume fields,
 //!                                  (v2 only) p_total, p_max
 //!     nref-tuple count, per tuple: cell, nref_idx,
 //!                                  (v2, v4) the resume fields
+//!     (v6)
+//!     per ref:  cell count, first cell, gap − 1 to each further cell,
+//!               one enters bit per cell
+//!     per nref: one membership bit per cell of its group
 //! ```
 //!
 //! **v1 and v2** (read-only; v1 is the dataset alone, v2 what every
@@ -35,9 +40,9 @@
 //! states the node count before the nodes and stores the interval
 //! postings after them.
 //!
-//! **v5** packs it MSB-first into blocks of [`CHUNK`] records: a `u32`
-//! byte length, a 64-bit base (the block's minimum id or start time,
-//! which column 0 is an offset from), one 7-bit width per column
+//! **v4 to v6** pack it MSB-first into blocks of [`CHUNK`] records: a
+//! `u32` byte length, a 64-bit base (the block's minimum id or start
+//! time, which column 0 is an offset from), one 7-bit width per column
 //! (`width_for_max` of the block's maxima; five columns in a dataset
 //! block, four in an index block), the records, zero padding to a byte.
 //! A stream is its length, then its bits, unpadded. Widths the context
@@ -45,11 +50,23 @@
 //! codec width), `ref_idx` / `nref_idx` (the trajectory's own ref / nref
 //! count).
 //!
+//! **v6's region tuples** are coded against the trajectory, in the
+//! canonical order of [`crate::stiu`]: a group's cells ascending as its
+//! count and the gaps between them (order-0 Exp-Golomb, the first cell
+//! at the cell width), a non-reference as one bit per cell of its group
+//! (its cells are a subset of the group's). No tuple names its instance
+//! and no region tuple count is stored: the trajectory's reference and
+//! non-reference rows say whose tuples come next. v5 and earlier stored
+//! each tuple as a fixed-width (cell, instance) pair, a non-reference's
+//! in traversal order; their reader sorts those and refuses a cell that
+//! repeats or lies outside the group (`NodeSegment::canonicalize`),
+//! so every container that opens saves as v6.
+//!
 //! **The resume fields (v2, v4; read-only).** Up to v4 a region tuple
 //! also carried §5.2's resume point: a vertex, its entry index (in v4 a
 //! fifth index-block column) and a stream position, in v4 a reference
 //! tuple's only after a set `enters` bit. No query ever read them
-//! ([`crate::stiu`]), so v5 drops them. The version byte says which
+//! ([`crate::stiu`]), so v5 dropped them. The version byte says which
 //! shape a file has; the reader consumes an old file's fields with the
 //! checks they always had (what was corrupt stays corrupt) and drops
 //! the values.
@@ -68,18 +85,18 @@
 //! in between.
 //!
 //! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
-//! `u32` shard count) followed by one `u64`-length-prefixed, complete v5
-//! (older files: v2 or v4) container per shard.
+//! `u32` shard count) followed by one `u64`-length-prefixed, complete v6
+//! (older files: v2, v4 or v5) container per shard.
 //!
 //! [`load`] accepts every single-store version (returning the dataset
 //! only); [`load_full`] returns the `(network, dataset, index)` triple of
-//! a self-contained one (v2, v4, v5); [`load_v3`] returns the shard
+//! a self-contained one (v2, v4, v5, v6); [`load_v3`] returns the shard
 //! directory plus per-shard blobs (and accepts a plain self-contained
 //! container as a single anonymous shard).
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
-use utcq_bitio::{width_for_max, BitBuf, BitSlice, BitWriter, CodecError};
+use utcq_bitio::{golomb, width_for_max, BitBuf, BitSlice, BitWriter, CodecError};
 use utcq_network::{CellId, RoadNetwork, VertexId};
 use utcq_traj::size::SizeBreakdown;
 
@@ -87,7 +104,9 @@ use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::params::CompressParams;
 use crate::segment::{NrefRow, RefRow, TrajSegment, TrajView, CHUNK};
-use crate::stiu::{NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex};
+use crate::stiu::{
+    NodeSegment, NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex,
+};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
 /// Legacy dataset-only container.
@@ -101,8 +120,12 @@ pub const VERSION_V3: u8 = 3;
 /// Self-contained container in bit-packed blocks whose region tuples
 /// still carry the resume fields (read-only).
 pub const VERSION_V4: u8 = 4;
-/// Self-contained container in bit-packed blocks: what stores write.
+/// Self-contained container in bit-packed blocks with fixed-width
+/// region tuples (read-only).
 pub const VERSION_V5: u8 = 5;
+/// Self-contained container in bit-packed blocks whose region tuples
+/// are coded against the trajectory: what stores write.
+pub const VERSION_V6: u8 = 6;
 
 /// Shard-policy kind recorded in a v3 directory: the routing policy was
 /// not one of the built-ins (metadata only — querying never routes).
@@ -151,7 +174,7 @@ impl std::fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
             StorageError::BadHeader => {
-                write!(f, "not a UTCQ v{VERSION_V1}..v{VERSION_V5} container")
+                write!(f, "not a UTCQ v{VERSION_V1}..v{VERSION_V6} container")
             }
             StorageError::LegacyVersion => {
                 write!(
@@ -313,14 +336,16 @@ impl CtxWidths {
 
 /// Where the one record traversal ([`read_trajs`], [`read_nodes`])
 /// takes its field values from: the fixed-width little-endian fields of
-/// v1/v2 or, if `packed`, the blocks of v4/v5, one in memory at a time
+/// v1/v2 or, if `packed`, the blocks of v4..v6, one in memory at a time
 /// with the read position in it, the base that column 0 is an offset
 /// from (0 throughout v1/v2) and the widths of the columns its header
-/// declares (`cols`). `resume`: region tuples carry the resume fields.
+/// declares (`cols`). `resume`: region tuples carry the resume fields;
+/// `coded`: region tuples are v6's cell gaps and membership bits.
 struct Source<'a, R> {
     r: &'a mut R,
     packed: bool,
     resume: bool,
+    coded: bool,
     cols: &'static [usize],
     block: BitBuf,
     pos: usize,
@@ -337,6 +362,7 @@ impl<'a, R: Read> Source<'a, R> {
             r,
             packed: version >= VERSION_V4,
             resume: version < VERSION_V5,
+            coded: version >= VERSION_V6,
             cols,
             block: BitBuf::empty(),
             pos: 0,
@@ -369,13 +395,22 @@ impl<'a, R: Read> Source<'a, R> {
         Ok(base.wrapping_add(self.field(self.widths[col], bytes)?))
     }
 
+    /// The next order-0 Exp-Golomb code (v6 only).
+    #[inline(always)]
+    fn golomb(&mut self) -> Result<u64, StorageError> {
+        let mut r = self.block.reader_at(self.pos);
+        let v = golomb::decode_unsigned(&mut r)?;
+        self.pos = r.pos();
+        Ok(v)
+    }
+
     /// An index into a list of `n` items.
     #[inline(always)]
     fn index(&mut self, n: usize, what: &'static str) -> Result<u32, StorageError> {
         below(self.field(index_width(n), 4)?, n, what)
     }
 
-    /// Enters the next block of up to [`CHUNK`] records (v4/v5 only).
+    /// Enters the next block of up to [`CHUNK`] records (v4..v6 only).
     fn begin_block(&mut self) -> Result<(), StorageError> {
         if !self.packed {
             return Ok(());
@@ -509,6 +544,8 @@ fn read_nodes<R: Read>(
 ) -> Result<(), StorageError> {
     let (n_cells, n_vertices) = (stiu.grid.cell_count(), net.vertex_count());
     let p_codec = cds.params.p_codec();
+    // v6: the rows at which each reference's group starts, then ends.
+    let mut groups = Vec::new();
     let mut cts = cds.trajectories.iter().peekable();
     while cts.peek().is_some() {
         src.begin_block()?;
@@ -522,6 +559,11 @@ fn read_nodes<R: Read>(
                         no: src.col(NO)? as u32,
                         pos: src.col(POS)? as u32,
                     });
+                }
+                if src.coded {
+                    read_coded_regions(src, node, &ct, n_cells, &mut groups)?;
+                    node.fill_group_bounds(&ct, &p_codec);
+                    return Ok(());
                 }
                 for _ in 0..src.col(COUNT)? {
                     let what = "ref tuple out of range";
@@ -542,22 +584,18 @@ fn read_nodes<R: Read>(
                     }
                     node.ref_tuples.push(tuple);
                 }
-                let mut prev = 0;
                 for _ in 0..src.col(COUNT)? {
                     let what = "nref tuple out of range";
-                    let tuple = NrefRegionTuple {
+                    node.nref_tuples.push(NrefRegionTuple {
                         cell: CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?),
                         nref_idx: src.index(ct.nrefs.len(), what)?,
-                    };
+                    });
                     if src.resume {
                         src.skip_resume(Some(n_vertices), what)?;
                     }
-                    // The order `fill_group_bounds` sums in.
-                    if tuple.nref_idx < std::mem::replace(&mut prev, tuple.nref_idx) {
-                        return Err(StorageError::Corrupt("nref tuples out of order"));
-                    }
-                    node.nref_tuples.push(tuple);
                 }
+                // Member cells in traversal order become ascending.
+                node.canonicalize(&ct)?;
                 if src.packed {
                     node.fill_group_bounds(&ct, &p_codec);
                 }
@@ -565,6 +603,66 @@ fn read_nodes<R: Read>(
             })?;
         }
         src.end_block()?;
+    }
+    Ok(())
+}
+
+/// The region half of a v6 node ([`pack_node`] writes it): per
+/// reference of `ct`, its group's cell count, first cell and further
+/// cells as ascending gaps, then one `enters` bit per cell; per
+/// non-reference, one membership bit per cell of its group. Each cell
+/// and each member tuple costs at least one bit read, so a crafted
+/// count fails on the block's end before it grows a table far.
+fn read_coded_regions<R: Read>(
+    src: &mut Source<'_, R>,
+    node: &mut NodeSegment,
+    ct: &TrajView<'_>,
+    n_cells: usize,
+    groups: &mut Vec<usize>,
+) -> Result<(), StorageError> {
+    groups.clear();
+    groups.push(node.ref_tuples.len());
+    for ref_idx in 0..ct.refs.len() as u32 {
+        let count = src.golomb()?;
+        if count > n_cells as u64 {
+            return Err(StorageError::Corrupt("region count past the grid"));
+        }
+        let from = node.ref_tuples.len();
+        for k in 0..count {
+            let cell = match node.ref_tuples.last() {
+                Some(prev) if k > 0 => {
+                    let next = u64::from(prev.cell.0) + 1;
+                    let cell = next.saturating_add(src.golomb()?);
+                    below(cell, n_cells, "region gap past the last cell")?
+                }
+                _ => below(
+                    src.field(src.ctx.cell, 0)?,
+                    n_cells,
+                    "ref tuple out of range",
+                )?,
+            };
+            node.ref_tuples
+                .push(RefRegionTuple::new(CellId(cell), ref_idx, false)?);
+        }
+        for t in node.ref_tuples.get_mut(from..).unwrap_or_default() {
+            if src.field(1, 0)? != 0 {
+                *t = RefRegionTuple::new(t.cell, ref_idx, true)?;
+            }
+        }
+        groups.push(node.ref_tuples.len());
+    }
+    for (nref_idx, n) in (0..).zip(ct.nrefs) {
+        let r = n.ref_idx as usize;
+        let (from, to) = match groups.get(r..r + 2) {
+            Some(&[from, to]) => (from, to),
+            _ => return Err(StorageError::Corrupt("non-reference points past refs")),
+        };
+        for &t in node.ref_tuples.get(from..to).unwrap_or_default() {
+            if src.field(1, 0)? != 0 {
+                let cell = t.cell;
+                node.nref_tuples.push(NrefRegionTuple { cell, nref_idx });
+            }
+        }
     }
     Ok(())
 }
@@ -587,7 +685,7 @@ pub struct Sections {
     pub nref_tuples: u64,
 }
 
-/// One v5 block under construction. [`write_blocks`] runs the record
+/// One block under construction. [`write_blocks`] runs the record
 /// traversal twice: while `widths` is `None` a column value only raises
 /// its column's maximum (column 0: also lowers `base`); [`Packer::start`]
 /// then fixes the widths and writes the header, and the second run emits.
@@ -640,8 +738,32 @@ impl Packer {
         if self.widths.is_none() {
             return Ok(());
         }
-        let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
-        self.bits.write_bits(v, width).map_err(invalid)
+        self.bits.write_bits(v, width).map_err(invalid_data)
+    }
+
+    /// A value as an order-0 Exp-Golomb code (not a block column).
+    #[inline(always)]
+    fn golomb(&mut self, v: u64) -> io::Result<()> {
+        if self.widths.is_none() {
+            return Ok(());
+        }
+        golomb::encode_unsigned(&mut self.bits, v).map_err(invalid_data)
+    }
+
+    /// One bit per flag, in order (up to 64 per write).
+    fn flags(&mut self, flags: impl Iterator<Item = bool>) -> io::Result<()> {
+        let (mut word, mut n) = (0, 0);
+        for flag in flags {
+            (word, n) = (word << 1 | u64::from(flag), n + 1);
+            if n == 64 {
+                self.field(word, 64)?;
+                (word, n) = (0, 0);
+            }
+        }
+        if n > 0 {
+            self.field(word, n)?;
+        }
+        Ok(())
     }
 
     /// A bit stream: its length in the `LEN` column, then the bits.
@@ -653,6 +775,10 @@ impl Packer {
         }
         Ok(())
     }
+}
+
+fn invalid_data(e: CodecError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 /// Writes `records` as blocks of [`CHUNK`]: per block the `u32` byte
@@ -711,6 +837,17 @@ fn pack_traj(p: &mut Packer, ct: &TrajView<'_>) -> io::Result<()> {
     Ok(())
 }
 
+/// Splits the leading run of `rest` whose items are `same` off it.
+fn split_run<'a, T>(rest: &mut &'a [T], same: impl Fn(&T) -> bool) -> &'a [T] {
+    let (run, tail) = rest.split_at(rest.iter().take_while(|t| same(t)).count());
+    *rest = tail;
+    run
+}
+
+/// One index record, v6: the temporal tuples in block columns, then
+/// the region tuples coded against the trajectory ([`read_coded_regions`]
+/// reads them). They must be in the canonical order of [`crate::stiu`];
+/// anything else is refused rather than written lossily.
 fn pack_node(
     p: &mut Packer,
     (node, ct): &(TrajIndex<'_>, TrajView<'_>),
@@ -722,29 +859,59 @@ fn pack_node(
         p.col(NO, u64::from(t.no))?;
         p.col(POS, u64::from(t.pos))?;
     }
+    if p.widths.is_none() {
+        // Region tuples hold no column value: nothing to measure.
+        return Ok(());
+    }
+    let not_canonical = || {
+        let what = "region tuples not in canonical order";
+        io::Error::new(io::ErrorKind::InvalidInput, what)
+    };
     let refs_at = p.bits.len_bits();
-    p.col(COUNT, node.ref_tuples.len() as u64)?;
-    for t in node.ref_tuples {
-        p.field(u64::from(t.cell.0), p.ctx.cell)?;
-        p.field(u64::from(t.ref_idx()), index_width(ct.refs.len()))?;
-        p.field(u64::from(t.enters()), 1)?;
+    let mut rest = node.ref_tuples;
+    for ref_idx in 0..ct.refs.len() as u32 {
+        let group = split_run(&mut rest, |t| t.ref_idx() == ref_idx);
+        p.golomb(group.len() as u64)?;
+        let mut prev = None;
+        for t in group {
+            match prev.replace(t.cell.0) {
+                None => p.field(u64::from(t.cell.0), p.ctx.cell)?,
+                Some(prev) if prev < t.cell.0 => p.golomb(u64::from(t.cell.0 - prev - 1))?,
+                Some(_) => return Err(not_canonical()),
+            }
+        }
+        p.flags(group.iter().map(|t| t.enters()))?;
+    }
+    if !rest.is_empty() {
+        return Err(not_canonical());
     }
     let nrefs_at = p.bits.len_bits();
-    p.col(COUNT, node.nref_tuples.len() as u64)?;
-    for t in node.nref_tuples {
-        p.field(u64::from(t.cell.0), p.ctx.cell)?;
-        p.field(u64::from(t.nref_idx), index_width(ct.nrefs.len()))?;
+    let mut rest = node.nref_tuples;
+    for (nref_idx, n) in (0..).zip(ct.nrefs) {
+        let member = split_run(&mut rest, |t| t.nref_idx == nref_idx);
+        // The reference tuples are sorted by `ref_idx` (checked above).
+        let refs = node.ref_tuples;
+        let group = refs.partition_point(|t| t.ref_idx() < n.ref_idx)
+            ..refs.partition_point(|t| t.ref_idx() <= n.ref_idx);
+        let mut cells = member.iter().map(|t| t.cell).peekable();
+        let group = refs.get(group).unwrap_or_default();
+        p.flags(group.iter().map(|t| cells.next_if_eq(&t.cell).is_some()))?;
+        if cells.next().is_some() {
+            return Err(not_canonical());
+        }
     }
-    // (Nothing is emitted, so nothing counted, in the measuring run.)
+    if !rest.is_empty() {
+        return Err(not_canonical());
+    }
     *ref_bits += (nrefs_at - refs_at) as u64;
     *nref_bits += (p.bits.len_bits() - nrefs_at) as u64;
     Ok(())
 }
 
-/// Serializes a self-contained v5 container: network + bit-packed
+/// Serializes a self-contained v6 container: network + bit-packed
 /// dataset + bit-packed index, one block of [`CHUNK`] trajectories in
 /// memory at a time. Returns where the bits went.
-pub fn save_v5(
+pub fn save_v6(
     net: &RoadNetwork,
     cds: &CompressedDataset,
     stiu: &Stiu,
@@ -756,7 +923,7 @@ pub fn save_v5(
     }
     // The small parts go through memory, which also sizes them.
     let mut head = Vec::from(*MAGIC);
-    head.push(VERSION_V5);
+    head.push(VERSION_V6);
     net.write_to(&mut head)?;
     let network = head.len() as u64 * 8;
     write_dataset_head(cds, &mut head)?;
@@ -839,7 +1006,7 @@ pub fn save_v3(dir: ShardDirectory, shards: &[Vec<u8>], w: &mut impl Write) -> i
 pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
     match read_header(r)? {
         VERSION_V1 => Err(StorageError::LegacyVersion),
-        version @ (VERSION_V2 | VERSION_V4 | VERSION_V5) => {
+        version @ (VERSION_V2 | VERSION_V4..=VERSION_V6) => {
             // Re-frame the rest of the stream as one standalone shard.
             let mut blob = Vec::from(*MAGIC);
             blob.push(version);
@@ -871,7 +1038,7 @@ pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>
                     return Err(StorageError::Corrupt("shard blob truncated"));
                 }
                 // bounds: len >= 5 enforced above, and blob.len() == len
-                let self_contained = matches!(blob[4], VERSION_V2 | VERSION_V4 | VERSION_V5);
+                let self_contained = matches!(blob[4], VERSION_V2 | VERSION_V4..=VERSION_V6);
                 if &blob[..4] != MAGIC || !self_contained {
                     let what = "shard blob is not a self-contained container";
                     return Err(StorageError::Corrupt(what));
@@ -893,7 +1060,7 @@ fn read_header(r: &mut impl Read) -> Result<u8, StorageError> {
     }
     // bounds: magic is a [u8; 5], index 4 is in range
     match magic[4] {
-        v @ VERSION_V1..=VERSION_V5 => Ok(v),
+        v @ VERSION_V1..=VERSION_V6 => Ok(v),
         _ => Err(StorageError::BadHeader),
     }
 }
@@ -976,7 +1143,7 @@ fn read_dataset(
 /// Deserializes the compressed dataset of a single-store container.
 ///
 /// For the self-contained versions the embedded network is parsed (the
-/// dataset sits after it, and v4/v5 take their vertex width from it) but
+/// dataset sits after it, and v4..v6 take their vertex width from it) but
 /// the trailing StIU index is not read at all — dataset-only consumers
 /// neither pay for it nor fail on index-section corruption.
 pub fn load(r: &mut impl Read) -> Result<CompressedDataset, StorageError> {
@@ -1009,7 +1176,7 @@ fn check_v2_postings(r: &mut impl Read, stiu: &Stiu) -> Result<(), StorageError>
     Ok(())
 }
 
-/// Deserializes a self-contained (v2, v4 or v5) container.
+/// Deserializes a self-contained (v2, v4, v5 or v6) container.
 ///
 /// Fails with [`StorageError::LegacyVersion`] on v1 containers — those
 /// need the caller to supply the network (`Store::open_v1`).
@@ -1075,10 +1242,10 @@ mod tests {
         bytes
     }
 
-    fn v5_bytes() -> Vec<u8> {
+    fn v6_bytes() -> Vec<u8> {
         let (net, cds, stiu) = sample();
         let mut bytes = Vec::new();
-        let s = save_v5(&net, &cds, &stiu, &mut bytes).unwrap();
+        let s = save_v6(&net, &cds, &stiu, &mut bytes).unwrap();
         let counted = s.network + s.payload + s.framing + s.temporal + s.ref_tuples + s.nref_tuples;
         assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
         bytes
@@ -1104,9 +1271,9 @@ mod tests {
     }
 
     #[test]
-    fn v5_roundtrip_preserves_all_parts() {
+    fn v6_roundtrip_preserves_all_parts() {
         let (net, cds, stiu) = sample();
-        let bytes = v5_bytes();
+        let bytes = v6_bytes();
         let (net2, cds2, stiu2) = load_full(&mut bytes.as_slice()).unwrap();
         let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
         assert_eq!(net2, net);
@@ -1119,11 +1286,98 @@ mod tests {
         assert_eq!(dbg(&stiu2.trajs), dbg(&stiu.trajs));
         // Writing what was read reproduces the bytes.
         let mut again = Vec::new();
-        save_v5(&net2, &cds2, &stiu2, &mut again).unwrap();
+        save_v6(&net2, &cds2, &stiu2, &mut again).unwrap();
         assert_eq!(again, bytes);
         // The generic loader also accepts it, dataset-only.
         let just_cds = load(&mut bytes.as_slice()).unwrap();
         assert_eq!(dbg(&just_cds.trajectories), dbg(&cds.trajectories));
+    }
+
+    #[test]
+    fn region_tuples_cost_what_they_share() {
+        // A Chengdu-profile sample: fixed-width (cell, instance) tuples
+        // took 41 B per trajectory; sorted cell gaps per group and one
+        // membership bit per non-reference cell take a few.
+        let p = utcq_datagen::profile::cd();
+        let net = utcq_datagen::generate_network(&p, 7);
+        let opts = utcq_datagen::GenOptions {
+            n_trajectories: 2_000,
+            seed: 7,
+            ..Default::default()
+        };
+        let ds = utcq_datagen::generate_on_network(&net, &p, &opts);
+        let params = CompressParams::with_interval(ds.default_interval);
+        let cds = compress_dataset(&net, &ds, &params).unwrap();
+        let stiu = crate::stiu::build(&net, &ds, &cds, StiuParams::default());
+        let mut bytes = Vec::new();
+        let s = save_v6(&net, &cds, &stiu, &mut bytes).unwrap();
+        let counted = s.network + s.payload + s.framing + s.temporal + s.ref_tuples + s.nref_tuples;
+        assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
+        let per_traj = (s.ref_tuples + s.nref_tuples) as f64 / 8.0 / ds.trajectories.len() as f64;
+        assert!(
+            per_traj <= 12.0,
+            "region tuples: {per_traj:.2} B/trajectory"
+        );
+        // And they read back to the same index.
+        let (_, _, again) = load_full(&mut bytes.as_slice()).unwrap();
+        let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
+        assert_eq!(dbg(&again.trajs), dbg(&stiu.trajs));
+    }
+
+    #[test]
+    fn v6_region_counts_and_gaps_are_checked() {
+        // The index block of a v6 container cut where node 0's first
+        // group begins, then `craft` writes the rest of the block.
+        let (net, cds, stiu) = sample();
+        let mut bytes = Vec::new();
+        let s = save_v6(&net, &cds, &stiu, &mut bytes).unwrap();
+        let block = ((s.network + s.payload + s.framing) / 8) as usize + 12;
+        let bits =
+            BitSlice::from_bytes(&bytes[block + 4..], (bytes.len() - block - 4) * 8).unwrap();
+        let mut r = bits.reader();
+        r.read_bits(64).unwrap();
+        let [start, no, count, pos] = [(); 4].map(|()| r.read_bits(7).unwrap() as u32);
+        for _ in 0..r.read_bits(count).unwrap() {
+            for width in [start, no, pos] {
+                r.read_bits(width).unwrap();
+            }
+        }
+        let group_at = r.pos();
+        let n_cells = stiu.grid.cell_count() as u64;
+        let cell = index_width(n_cells as usize);
+        let with_group = |craft: &dyn Fn(&mut BitWriter)| {
+            let mut w = BitWriter::new();
+            let mut prefix = bits.reader();
+            for k in (0..group_at).step_by(64) {
+                let width = (group_at - k).min(64) as u32;
+                w.write_bits(prefix.read_bits(width).unwrap(), width)
+                    .unwrap();
+            }
+            craft(&mut w);
+            let block_bits = w.finish();
+            let mut crafted = bytes[..block].to_vec();
+            crafted.extend((block_bits.len_bytes() as u32).to_le_bytes());
+            crafted.extend(block_bits.as_bytes());
+            match load_full(&mut crafted.as_slice()) {
+                Err(StorageError::Corrupt(what)) => what,
+                other => panic!("crafted group opened: {:?}", other.map(|_| ())),
+            }
+        };
+        let count_past_grid = with_group(&|w| golomb::encode_unsigned(w, n_cells + 1).unwrap());
+        assert_eq!(count_past_grid, "region count past the grid");
+        let gap_past_last_cell = with_group(&|w| {
+            golomb::encode_unsigned(w, 2).unwrap();
+            w.write_bits(n_cells - 1, cell).unwrap();
+            golomb::encode_unsigned(w, 0).unwrap();
+        });
+        assert_eq!(gap_past_last_cell, "region gap past the last cell");
+        // Every cell of the grid announced, one present: the next gap
+        // is read past the block's end, before the table grows.
+        let past_the_end = with_group(&|w| {
+            golomb::encode_unsigned(w, n_cells).unwrap();
+            w.write_bits(0, cell).unwrap();
+        });
+        assert_eq!(past_the_end, "bit-packed block");
     }
 
     #[test]
@@ -1139,7 +1393,7 @@ mod tests {
     fn dataset_load_survives_index_corruption() {
         // The index section trails the container; load() must not touch
         // it, so damage there cannot block dataset-only consumers.
-        let mut bytes = v5_bytes();
+        let mut bytes = v6_bytes();
         let tail = bytes.len() - 8;
         bytes[tail..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(
@@ -1152,7 +1406,7 @@ mod tests {
 
     #[test]
     fn v3_roundtrip_preserves_directory_and_blobs() {
-        let blob = v5_bytes();
+        let blob = v6_bytes();
         let bytes = v3_bytes(POLICY_TIME, 3600, &[blob.clone(), blob.clone()]);
         let (dir, blobs) = load_v3(&mut bytes.as_slice()).unwrap();
         let (kind, param) = (POLICY_TIME, 3600);
@@ -1167,7 +1421,7 @@ mod tests {
     fn v3_reader_accepts_plain_v2_as_single_shard() {
         // A plain self-contained container of either version.
         let v2 = include_bytes!("../../../tests/fixtures/tiny_v2.utcq").to_vec();
-        for blob in [v2, v5_bytes()] {
+        for blob in [v2, v6_bytes()] {
             let (dir, blobs) = load_v3(&mut blob.as_slice()).unwrap();
             assert_eq!(dir, None);
             assert_eq!(blobs, [blob]);
@@ -1176,7 +1430,7 @@ mod tests {
 
     #[test]
     fn v3_rejected_by_single_store_loaders() {
-        let bytes = v3_bytes(POLICY_REGION, 8, &[v5_bytes()]);
+        let bytes = v3_bytes(POLICY_REGION, 8, &[v6_bytes()]);
         assert!(matches!(
             load(&mut bytes.as_slice()),
             Err(StorageError::Sharded)
@@ -1194,7 +1448,7 @@ mod tests {
 
     #[test]
     fn v3_corruption_is_rejected_not_panicking() {
-        let bytes = v3_bytes(POLICY_TIME, 3600, &[v5_bytes()]);
+        let bytes = v3_bytes(POLICY_TIME, 3600, &[v6_bytes()]);
         for cut in [6, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load_v3(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
@@ -1228,7 +1482,7 @@ mod tests {
         for cut in [bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
-        let bytes = v5_bytes();
+        let bytes = v6_bytes();
         for cut in (0..bytes.len()).step_by(5) {
             assert!(load_full(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
@@ -1238,7 +1492,7 @@ mod tests {
     fn bitflips_do_not_panic() {
         // Flip a sample of bits across each container; the loaders must
         // return Ok or Err, never panic.
-        for (bytes, step) in [(v1_bytes(), 37), (v5_bytes(), 11)] {
+        for (bytes, step) in [(v1_bytes(), 37), (v6_bytes(), 11)] {
             for i in (0..bytes.len()).step_by(step) {
                 let mut corrupt = bytes.clone();
                 corrupt[i] ^= 1 << (i % 8);

@@ -10,7 +10,7 @@
 //!   pivot/reference selection runs only over each new cohort (it is
 //!   per-trajectory, §4.3) and the StIU postings merge into the index in
 //!   place, so earlier batches are never recompressed; or
-//! * from disk, through [`Store::open`] on a self-contained (v5, v4 or v2) container
+//! * from disk, through [`Store::open`] on a self-contained (v6, v5, v4 or v2) container
 //!   (embedded network + dataset + StIU index), or [`Store::open_v1`]
 //!   for legacy containers that need the network supplied out of band.
 //!
@@ -318,7 +318,7 @@ impl Store {
         }
     }
 
-    /// Opens a self-contained (v5, v4 or v2) container: network, dataset and index
+    /// Opens a self-contained (v6, v5, v4 or v2) container: network, dataset and index
     /// all come from the file — no side-channel arguments.
     ///
     /// A v1 container fails with [`Error::NeedsNetwork`]; open those with
@@ -339,7 +339,7 @@ impl Store {
         Self::read(&mut BufReader::new(f))
     }
 
-    /// Reads a self-contained (v5, v4 or v2) container from an arbitrary reader.
+    /// Reads a self-contained (v6, v5, v4 or v2) container from an arbitrary reader.
     pub fn read(r: &mut impl Read) -> Result<Self, Error> {
         let (net, cds, stiu) = match crate::storage::load_full(r) {
             Ok(parts) => parts,
@@ -387,7 +387,7 @@ impl Store {
         Snapshot::assemble(net, cds, stiu).map(Self::from_snapshot)
     }
 
-    /// Persists the current snapshot as a self-contained v5 container.
+    /// Persists the current snapshot as a self-contained v6 container.
     /// Safe to call while other threads ingest: the write runs on the
     /// pinned snapshot, so the container is a consistent epoch.
     ///
@@ -403,7 +403,7 @@ impl Store {
         crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
     }
 
-    /// Writes the current snapshot's v5 container to an arbitrary writer.
+    /// Writes the current snapshot's v6 container to an arbitrary writer.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
         self.snapshot().write(w)
     }

@@ -1008,7 +1008,7 @@ impl Wal {
             self.len = start + frame.len() as u64;
             crate::hooks::point("wal.appended");
             if due {
-                self.file.sync_data()?;
+                sync_data(&self.file)?;
             }
             Ok(())
         });
@@ -1030,12 +1030,19 @@ impl Wal {
 
     /// Discards every record, leaving only the header (used after a
     /// successful checkpoint).
+    ///
+    /// The handle follows the file as soon as it is cut, whether or not
+    /// the sync after it succeeds: a later rollback must cut back to
+    /// where the file ends now, not to where it ended before.
     pub fn truncate(&mut self) -> Result<(), Error> {
         self.file.set_len(self.header_len)?;
-        self.file.seek(SeekFrom::Start(self.header_len))?;
-        self.file.sync_data()?;
-        self.len = self.header_len;
-        self.unsynced = 0;
+        (self.len, self.unsynced) = (self.header_len, 0);
+        if let Err(e) = self.file.seek(SeekFrom::Start(self.header_len)) {
+            // The next write would land at an unknown offset.
+            self.broken = true;
+            return Err(e.into());
+        }
+        sync_data(&self.file)?;
         Ok(())
     }
 
@@ -1074,6 +1081,16 @@ fn write_frame(file: &mut File, frame: &[u8]) -> std::io::Result<()> {
         return Err(std::io::Error::other("injected write fault"));
     }
     file.write_all(frame)
+}
+
+/// `file.sync_data()`. Tests can make it fail, the way a disk that
+/// reports an I/O error on flush does.
+fn sync_data(file: &File) -> std::io::Result<()> {
+    #[cfg(test)]
+    if tests::FAIL_SYNC.with(std::cell::Cell::take) {
+        return Err(std::io::Error::other("injected sync fault"));
+    }
+    file.sync_data()
 }
 
 // ---------------------------------------------------------------------
@@ -1280,6 +1297,9 @@ mod tests {
         /// Makes the next frame write fail after this many bytes.
         pub(super) static FAIL_AFTER: std::cell::Cell<Option<usize>> =
             const { std::cell::Cell::new(None) };
+        /// Makes the next `sync_data` fail.
+        pub(super) static FAIL_SYNC: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
     }
 
     fn sample(epoch: u64, id: u64) -> Record {
@@ -1815,6 +1835,51 @@ mod tests {
             let ids: Vec<u64> = rs.iter().map(|r| r.trajectories[0].id).collect();
             assert_eq!(ids, vec![10, 12], "fault after {k} bytes");
         }
+    }
+
+    #[test]
+    fn a_failed_sync_is_cut_back_off_the_file() {
+        let cfg = WalConfig::new(tmp("sync-fault"));
+        let _ = std::fs::remove_file(&cfg.path);
+        let (mut wal, _) = Wal::open(&cfg).expect("create");
+        wal.append(&sample(1, 10)).expect("append");
+        let len = wal.len_bytes();
+        FAIL_SYNC.with(|f| f.set(true));
+        assert!(wal.append(&sample(2, 11)).is_err(), "the sync fails");
+        assert_eq!(wal.len_bytes(), len);
+        wal.append(&sample(2, 12))
+            .expect("append after a failed sync");
+        drop(wal);
+        let (_, rs) = Wal::open(&cfg).expect("the log still opens");
+        let ids: Vec<u64> = rs.iter().map(|r| r.trajectories[0].id).collect();
+        assert_eq!(ids, vec![10, 12]);
+    }
+
+    #[test]
+    fn a_truncate_whose_sync_fails_still_rolls_back_to_the_header() {
+        let cfg = WalConfig::new(tmp("truncate-sync-fault"));
+        let _ = std::fs::remove_file(&cfg.path);
+        let (mut wal, _) = Wal::open(&cfg).expect("create");
+        wal.append(&sample(1, 10)).expect("append");
+        wal.append(&sample(2, 11)).expect("append");
+        // The cut lands, its sync fails: the handle must still know
+        // that the file now ends at the header.
+        FAIL_SYNC.with(|f| f.set(true));
+        assert!(wal.truncate().is_err(), "the sync fails");
+        assert_eq!(wal.len_bytes(), FIXED_HEADER as u64);
+        // A failed append then rolls back to the header, not to the
+        // length before the cut (which would zero-fill a gap the next
+        // open refuses).
+        FAIL_AFTER.with(|f| f.set(Some(13)));
+        assert!(wal.append(&sample(1, 12)).is_err());
+        wal.append(&sample(1, 13))
+            .expect("append after the rollback");
+        let len = wal.len_bytes();
+        drop(wal);
+        assert_eq!(std::fs::metadata(&cfg.path).expect("meta").len(), len);
+        let (_, rs) = Wal::open(&cfg).expect("the log still opens");
+        let ids: Vec<u64> = rs.iter().map(|r| r.trajectories[0].id).collect();
+        assert_eq!(ids, vec![13]);
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn crafted_temporal_span_is_rejected_at_open() {
     }
     index.trajs = nodes;
     let mut bytes = Vec::new();
-    storage::save_v5(&net, &cds, &index, &mut bytes).unwrap();
+    storage::save_v6(&net, &cds, &index, &mut bytes).unwrap();
     assert!(matches!(
         storage::load_full(&mut bytes.as_slice()),
         Err(StorageError::Corrupt("temporal span too long"))

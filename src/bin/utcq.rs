@@ -1,6 +1,6 @@
 //! `utcq` — command-line front end for the UTCQ reproduction.
 //!
-//! `compress` writes a **self-contained v5 container** (road network +
+//! `compress` writes a **self-contained v6 container** (road network +
 //! compressed dataset + StIU index) — or, with `--shards N`, a
 //! **sharded v3 container** whose partitions are routed by `--shard-by
 //! time|region`. `info`, `verify` and `query` operate on the file alone
@@ -226,13 +226,13 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         print_ratio(store.len(), store.ratios(), t0.elapsed());
         store.save(&out).map_err(|e| e.to_string())?;
-        println!("wrote {out} (self-contained v5 container)");
+        println!("wrote {out} (self-contained v6 container)");
     }
     Ok(())
 }
 
 /// Opens a container as a queryable store through the
-/// [`utcq::core::Opened`] facade: v5, v4 and v2 directly, v3 through the sharded
+/// [`utcq::core::Opened`] facade: v6, v5, v4 and v2 directly, v3 through the sharded
 /// facade, v1 through the compatibility path using the regenerated
 /// network. Only the network is regenerated — not the trajectories,
 /// which live in the container.

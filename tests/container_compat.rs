@@ -12,16 +12,20 @@
 //! * `tiny_v4.utcq`, `tiny_v3_packed.utcq` — the same two shapes with a
 //!   bit-packed v4 body, whose region tuples still carry the resume
 //!   fields no writer emits any more;
-//! * `tiny_v5.utcq`, `tiny_v3_v5.utcq` — the same two shapes as every
-//!   store writes them now (v5 body).
+//! * `tiny_v5.utcq`, `tiny_v3_v5.utcq` — the same two shapes with a v5
+//!   body: fixed-width region tuples, each non-reference's in traversal
+//!   order;
+//! * `tiny_v6.utcq`, `tiny_v3_v6.utcq` — the same two shapes as every
+//!   store writes them now (v6 body: region tuples coded against the
+//!   trajectory).
 //!
-//! The first five are frozen: nothing can write those bytes again. The
+//! The first seven are frozen: nothing can write those bytes again. The
 //! last two are what the `regen_fixtures` test below writes into
 //! `target/tmp` (`cargo test --test container_compat -- --ignored
 //! regen`); copy them over after an *intentional* format change. CI
 //! compares the regenerated pair with the checked-in one.
 //!
-//! All seven hold the same 10-trajectory dataset, so the strongest check
+//! All nine hold the same 10-trajectory dataset, so the strongest check
 //! is mutual: every version must answer every probe identically. A few
 //! hardcoded goldens pin the answers absolutely, so "all agree but all
 //! are wrong" cannot slip through.
@@ -59,38 +63,47 @@ fn fixture_dataset() -> (utcq::network::RoadNetwork, utcq::traj::Dataset) {
     utcq::datagen::generate(&utcq::datagen::profile::tiny(), TRAJS, SEED)
 }
 
-/// Opens all seven fixtures. The v1 fixture has no embedded network, so
+/// Opens all nine fixtures. The v1 fixture has no embedded network, so
 /// it reuses the v2 fixture's — the dataset is identical by
 /// construction.
-fn open_fixtures() -> ([Store; 4], [ShardedStore; 3]) {
+fn open_fixtures() -> ([Store; 5], [ShardedStore; 4]) {
     let open = |name: &str| Store::open(fixture_path(name)).expect(name);
     let sharded = |name: &str| ShardedStore::open(fixture_path(name)).expect(name);
     let v2 = open("tiny_v2.utcq");
     let v1 = Store::open_v1(fixture_path("tiny_v1.utcq"), Arc::clone(v2.network()), STIU)
         .expect("v1 fixture opens");
     (
-        [v1, v2, open("tiny_v4.utcq"), open("tiny_v5.utcq")],
+        [
+            v1,
+            v2,
+            open("tiny_v4.utcq"),
+            open("tiny_v5.utcq"),
+            open("tiny_v6.utcq"),
+        ],
         [
             sharded("tiny_v3.utcq"),
             sharded("tiny_v3_packed.utcq"),
             sharded("tiny_v3_v5.utcq"),
+            sharded("tiny_v3_v6.utcq"),
         ],
     )
 }
 
 #[test]
 fn all_versions_open_and_agree() {
-    let ([v1, v2, v4, v5], [v3, v3_packed, v3_v5]) = open_fixtures();
+    let ([v1, v2, v4, v5, v6], [v3, v3_packed, v3_v5, v3_v6]) = open_fixtures();
     let targets: Vec<(&str, &dyn QueryTarget)> = vec![
         ("v1", &v1),
         ("v2", &v2),
         ("v4", &v4),
         ("v5", &v5),
+        ("v6", &v6),
         ("v3", &v3),
         ("v3 packed", &v3_packed),
         ("v3 v5", &v3_v5),
+        ("v3 v6", &v3_v6),
     ];
-    for sharded in [&v3, &v3_packed, &v3_v5] {
+    for sharded in [&v3, &v3_packed, &v3_v5, &v3_v6] {
         assert_eq!(sharded.shard_count(), 3);
     }
     for (name, t) in &targets {
@@ -133,9 +146,9 @@ fn all_versions_open_and_agree() {
 #[test]
 fn derived_bounds_equal_the_stored_ones() {
     // `tiny_v2.utcq` stores `p_total` / `p_max` as the index builder of
-    // its day computed them; v4 and v5 do not store them and the reader
-    // derives them. Same bits, or Lemma 1's filter changed.
-    let ([_, v2, v4, v5], _) = open_fixtures();
+    // its day computed them; later versions do not store them and the
+    // reader derives them. Same bits, or Lemma 1's filter changed.
+    let ([_, v2, v4, v5, v6], _) = open_fixtures();
     let bounds = |s: &Store| -> Vec<(u64, u64)> {
         let snap = s.snapshot();
         let tuples = snap.stiu().trajs.iter().flat_map(|n| n.ref_tuples);
@@ -146,30 +159,38 @@ fn derived_bounds_equal_the_stored_ones() {
     assert!(!bounds(&v2).is_empty());
     assert_eq!(bounds(&v2), bounds(&v4));
     assert_eq!(bounds(&v2), bounds(&v5));
+    assert_eq!(bounds(&v2), bounds(&v6));
 }
 
 #[test]
 fn saving_an_old_container_writes_the_current_format() {
     // The upgrade every checkpoint now performs: a store opened from an
     // older framing saves as exactly the current fixture, the derived
-    // index parts included (they are recomputed at each open) and the
-    // resume fields of v2 / v4 gone.
+    // index parts included (they are recomputed at each open), the
+    // resume fields of v2 / v4 gone and every non-reference's tuples,
+    // stored in traversal order up to v5, in ascending cell order.
     let read = |name: &str| std::fs::read(fixture_path(name)).expect(name);
-    let ([_, v2, v4, v5], [v3, v3_packed, v3_v5]) = open_fixtures();
-    for (name, store) in [("v2", &v2), ("v4", &v4), ("v5", &v5)] {
+    let ([_, v2, v4, v5, v6], [v3, v3_packed, v3_v5, v3_v6]) = open_fixtures();
+    for (name, store) in [("v2", &v2), ("v4", &v4), ("v5", &v5), ("v6", &v6)] {
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
         assert!(
-            bytes == read("tiny_v5.utcq"),
-            "{name} saved != tiny_v5.utcq"
+            bytes == read("tiny_v6.utcq"),
+            "{name} saved != tiny_v6.utcq"
         );
     }
-    for (name, store) in [("v3", &v3), ("v3 packed", &v3_packed), ("v3 v5", &v3_v5)] {
+    let sharded = [
+        ("v3", &v3),
+        ("v3 packed", &v3_packed),
+        ("v3 v5", &v3_v5),
+        ("v3 v6", &v3_v6),
+    ];
+    for (name, store) in sharded {
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
         assert!(
-            bytes == read("tiny_v3_v5.utcq"),
-            "{name} saved != tiny_v3_v5.utcq"
+            bytes == read("tiny_v3_v6.utcq"),
+            "{name} saved != tiny_v3_v6.utcq"
         );
     }
     // Old single-store bytes are 2.5x the new ones even at ten
@@ -177,6 +198,7 @@ fn saving_an_old_container_writes_the_current_format() {
     // resume fields were a visible share of v4 even here.
     assert!(read("tiny_v4.utcq").len() * 2 < read("tiny_v2.utcq").len());
     assert!(read("tiny_v5.utcq").len() < read("tiny_v4.utcq").len());
+    assert!(read("tiny_v6.utcq").len() < read("tiny_v5.utcq").len());
 }
 
 #[test]
@@ -254,43 +276,121 @@ fn resume_fields_of_old_versions_are_still_checked() {
 }
 
 #[test]
-fn goldens_pin_fixture_answers() {
-    let ([_, _, _, v5], [_, _, v3]) = open_fixtures();
-    // Golden values recorded when the first fixtures were generated;
-    // they pin the absolute answers, here of the current-format pair
-    // (`all_versions_open_and_agree` ties the older ones to them).
-    let v2 = v5;
-    let ids: Vec<u64> = v2
-        .snapshot()
-        .compressed()
-        .trajectories
-        .iter()
-        .map(|t| t.id)
-        .collect();
-    assert_eq!(ids, (0..TRAJS as u64).collect::<Vec<_>>());
+fn old_readers_refuse_nref_tuples_outside_their_group() {
+    // Up to v5 a non-reference tuple is a (cell, member) pair; v6 stores
+    // one bit per cell of the member's group, so a cell outside the
+    // group, or one cell twice, has no v6 form. No writer ever produced
+    // either; the old readers refuse both rather than open a store that
+    // could not be saved.
+    let open = |bytes: &[u8]| Store::read(&mut &bytes[..]).map_err(|e| e.to_string());
+    let bytes = std::fs::read(fixture_path("tiny_v5.utcq")).unwrap();
+    let v5 = open(&bytes).expect("the fixture itself opens");
+    let snap = v5.snapshot();
+    // v6 did not change the dataset section, so the writer's census says
+    // where the index block starts: after the i64 partition, the u32
+    // grid dimension and the u32 block length.
+    let census = snap.write_counted(&mut std::io::sink()).unwrap();
+    let block = ((census.network + census.payload + census.framing) / 8) as usize + 16;
+    let block_bits = (bytes.len() - block) * 8;
+    let bits = utcq::bitio::BitSlice::from_bytes(&bytes[block..], block_bits).unwrap();
+    let mut r = bits.reader();
+    let read = |r: &mut utcq::bitio::BitReader<'_>, width| r.read_bits(width).unwrap();
+    // The 64-bit base, then the start, no, count and position widths.
+    read(&mut r, 64);
+    let [start, no, count, pos] = [(); 4].map(|()| read(&mut r, 7) as u32);
+    let width = |n: usize| utcq::bitio::width_for_max(n.saturating_sub(1) as u64);
+    let cell_width = width(snap.stiu().grid.cell_count());
+    // Per node: the temporal tuples, the (cell, ref_idx, enters) and the
+    // (cell, nref_idx) tuples, each list after its count. Find a member
+    // with two tuples, and a cell outside its group.
+    let mut found = None;
+    for ct in snap.compressed().trajectories.iter() {
+        for _ in 0..read(&mut r, count) {
+            for width in [start, no, pos] {
+                read(&mut r, width);
+            }
+        }
+        let mut group_cells = Vec::new();
+        for _ in 0..read(&mut r, count) {
+            let cell = read(&mut r, cell_width);
+            let ref_idx = read(&mut r, width(ct.refs.len())) as u32;
+            read(&mut r, 1);
+            group_cells.push((ref_idx, cell));
+        }
+        let mut tuples = Vec::new();
+        for _ in 0..read(&mut r, count) {
+            let at = r.pos();
+            let cell = read(&mut r, cell_width);
+            tuples.push((at, cell, read(&mut r, width(ct.nrefs.len())) as usize));
+        }
+        if let Some(pair) = tuples.windows(2).find(|w| w[0].2 == w[1].2) {
+            let group = ct.nrefs[pair[0].2].ref_idx;
+            let outside = (0..).find(|&c| !group_cells.contains(&(group, c))).unwrap();
+            found = Some((pair[0].1, pair[1].0, outside));
+            break;
+        }
+    }
+    let (first_cell, second_at, outside) = found.expect("a member with two tuples");
+    let with_second_cell = |cell: u64| {
+        let mut bad = bytes.clone();
+        for i in 0..cell_width as usize {
+            let at = block * 8 + second_at + i;
+            let bit = 0x80 >> (at % 8);
+            if cell >> (cell_width as usize - 1 - i) & 1 == 1 {
+                bad[at / 8] |= bit;
+            } else {
+                bad[at / 8] &= !bit;
+            }
+        }
+        bad
+    };
+    let expect = "storage error: corrupt container: nref tuple outside its group";
+    assert_eq!(open(&with_second_cell(outside)).unwrap_err(), expect);
+    assert_eq!(open(&with_second_cell(first_cell)).unwrap_err(), expect);
+}
 
-    let times0 = v2.decode_times(0).unwrap();
+#[test]
+fn goldens_pin_fixture_answers() {
+    // Golden values recorded when the first fixtures were generated;
+    // they pin the absolute answers of every fixture, v1 through v6.
+    let (singles, sharded) = open_fixtures();
     let golden = golden_answers();
-    assert_eq!(
-        (times0[0], *times0.last().unwrap()),
-        (golden.t0_first, golden.t0_last),
-        "trajectory 0 time span"
-    );
     let mid0 = (golden.t0_first + golden.t0_last) / 2;
-    let hits = v2
-        .where_query(0, mid0, 0.0, PageRequest::all())
-        .unwrap()
-        .into_items();
-    assert_eq!(hits.len(), golden.where0_hits, "where(0) hit count");
-    let bounds = v2.network().bounding_rect();
-    let range = v2
-        .range_query(&bounds, mid0, 0.2, PageRequest::all())
-        .unwrap()
-        .into_items();
-    assert_eq!(range, golden.range0_ids, "range at t0 mid");
-    // The sharded fixture distributes trajectories as recorded.
-    let occupancy: Vec<usize> = v3.snapshots().iter().map(|s| s.len()).collect();
-    assert_eq!(occupancy, golden.v3_occupancy, "v3 shard occupancy");
+    let bounds = singles[1].network().bounding_rect();
+    for (k, store) in singles.iter().enumerate() {
+        let ids: Vec<u64> = store
+            .snapshot()
+            .compressed()
+            .trajectories
+            .iter()
+            .map(|t| t.id)
+            .collect();
+        assert_eq!(ids, (0..TRAJS as u64).collect::<Vec<_>>(), "single {k}");
+        let times0 = store.decode_times(0).unwrap();
+        assert_eq!(
+            (times0[0], *times0.last().unwrap()),
+            (golden.t0_first, golden.t0_last),
+            "single {k}: trajectory 0 time span"
+        );
+    }
+    let singles = singles.iter().map(|s| s as &dyn QueryTarget);
+    for (k, t) in singles.chain(sharded.iter().map(|s| s as _)).enumerate() {
+        let hits = t
+            .where_query(0, mid0, 0.0, PageRequest::all())
+            .unwrap()
+            .into_items();
+        assert_eq!(hits.len(), golden.where0_hits, "fixture {k}: where(0) hits");
+        let range = t
+            .range_query(&bounds, mid0, 0.2, PageRequest::all())
+            .unwrap()
+            .into_items();
+        assert_eq!(range, golden.range0_ids, "fixture {k}: range at t0 mid");
+    }
+    // The sharded fixtures distribute trajectories as recorded.
+    for (k, v3) in sharded.iter().enumerate() {
+        let occupancy: Vec<usize> = v3.snapshots().iter().map(|s| s.len()).collect();
+        assert_eq!(occupancy, golden.v3_occupancy, "sharded {k}: occupancy");
+    }
 }
 
 struct Golden {
@@ -441,7 +541,7 @@ fn a_v1_log_replays_then_continues_as_v2() {
 /// into `target/tmp` and prints fresh golden values. The older fixtures
 /// cannot be regenerated: no writer emits their bytes any more.
 #[test]
-#[ignore = "writes target/tmp/tiny_*.utcq and wal_v2.wal; copy to tests/fixtures after intentional format changes"]
+#[ignore = "writes target/tmp/tiny_v6.utcq, tiny_v3_v6.utcq and wal_v2.wal; copy to tests/fixtures after intentional format changes"]
 fn regen_fixtures() {
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let wal_path = out.join("wal_v2.wal");
@@ -455,7 +555,7 @@ fn regen_fixtures() {
     let params = utcq::core::CompressParams::with_interval(ds.default_interval);
 
     let single = Store::build(Arc::clone(&net), &ds, params, STIU).unwrap();
-    single.save(out.join("tiny_v5.utcq")).unwrap();
+    single.save(out.join("tiny_v6.utcq")).unwrap();
 
     let sharded = StoreBuilder::new(Arc::clone(&net), params)
         .stiu_params(STIU)
@@ -465,9 +565,9 @@ fn regen_fixtures() {
         .unwrap()
         .finish()
         .unwrap();
-    sharded.save(out.join("tiny_v3_v5.utcq")).unwrap();
+    sharded.save(out.join("tiny_v3_v6.utcq")).unwrap();
     println!(
-        "wrote tiny_v5.utcq, tiny_v3_v5.utcq and wal_v2.wal into {}",
+        "wrote tiny_v6.utcq, tiny_v3_v6.utcq and wal_v2.wal into {}",
         out.display()
     );
 

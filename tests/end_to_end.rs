@@ -154,11 +154,12 @@ fn utcq(args: &[&str]) -> String {
 #[test]
 fn cli_info_names_the_format_and_counts_the_file() {
     let fixtures = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let rewrites = " (next save or checkpoint rewrites as v5)\n";
+    let rewrites = " (next save or checkpoint rewrites as v6)\n";
     for (name, format) in [
         ("tiny_v2.utcq", format!("v2{rewrites}")),
         ("tiny_v4.utcq", format!("v4{rewrites}")),
-        ("tiny_v5.utcq", "v5\n".to_string()),
+        ("tiny_v5.utcq", format!("v5{rewrites}")),
+        ("tiny_v6.utcq", "v6\n".to_string()),
         (
             "tiny_v3.utcq",
             format!("v3 directory, shards v2 v2 v2{rewrites}"),
@@ -169,7 +170,11 @@ fn cli_info_names_the_format_and_counts_the_file() {
         ),
         (
             "tiny_v3_v5.utcq",
-            "v3 directory, shards v5 v5 v5\n".to_string(),
+            format!("v3 directory, shards v5 v5 v5{rewrites}"),
+        ),
+        (
+            "tiny_v3_v6.utcq",
+            "v3 directory, shards v6 v6 v6\n".to_string(),
         ),
     ] {
         let path = fixtures.join(name);
@@ -186,8 +191,8 @@ fn cli_info_names_the_format_and_counts_the_file() {
         let total: u64 = total.split_whitespace().next().unwrap().parse().unwrap();
         let len = std::fs::metadata(&path).unwrap().len();
         match name {
-            "tiny_v5.utcq" => assert_eq!(total, len),
-            "tiny_v3_v5.utcq" => assert_eq!(total + 18 + 3 * 8, len),
+            "tiny_v6.utcq" => assert_eq!(total, len),
+            "tiny_v3_v6.utcq" => assert_eq!(total + 18 + 3 * 8, len),
             _ => assert!(total < len, "{name}: an older file is larger"),
         }
     }
