@@ -50,6 +50,7 @@ pub const HOT_FILES: &[&str] = &[
     "wal.rs",
     "chunk.rs",
     "segment.rs",
+    "stiu.rs",
 ];
 
 const PANIC_TOKENS: &[&str] = &[

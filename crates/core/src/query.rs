@@ -9,14 +9,18 @@
 //! * **where**(Tuʲ, t, α) — the temporal index resumes time decoding
 //!   mid-stream near `t`; only instances with `p ≥ α` are decoded and
 //!   interpolated (Definition 10).
-//! * **when**(Tuʲ, ⟨edge, rd⟩, α) — the spatial index's region tuples
+//! * **when**(Tuʲ, ⟨edge, rd⟩, α) — the spatial index's region groups
 //!   decide whether the trajectory reaches the query region at all, and
 //!   Lemma 1 (`p_max < α`) skips decompressing a reference's entire
 //!   non-reference set (Definition 11).
-//! * **range**(Tu, RE, tq, α) — the interval map and region tuples
+//! * **range**(Tu, RE, tq, α) — the interval map and region groups
 //!   produce candidates; a Lemma 4 probability bound prunes whole
 //!   trajectories, and Lemma 2/3 subpath tests decide most instances
 //!   without touching their `D` streams (Definition 12).
+//!
+//! The bounds both lemmas read are derived per cell where they are read
+//! ([`crate::stiu::TrajIndex::bounds`]), for the query cell or the cells
+//! inside RE only.
 //!
 //! The engine itself is a borrowed view over the store's parts plus two
 //! shared acceleration layers the store owns:
@@ -676,29 +680,34 @@ impl<'a> QueryEngine<'a> {
         let cell = self.stiu.grid.cell_of(query_pt);
 
         // Negative cache: a recorded region miss answers without even
-        // scanning the region tuples again.
+        // scanning the region words again.
         if self.cache.when_miss_hit(self.epoch, j, cell.0) {
             return Ok(Vec::new());
         }
-        let ref_tuples: Vec<_> = node.refs_in(cell).collect();
-        if ref_tuples.is_empty() {
+        if !node.groups().any(|g| g.position(cell).is_some()) {
             // No instance of this trajectory enters the query region:
             // answer without touching the compressed payload at all —
             // and remember that, so the next probe of this cell skips
-            // the tuple scan too.
+            // the group scan too.
             self.cache.note_when_miss(self.epoch, j, cell.0);
             return Ok(Vec::new());
         }
         let times = self.times(j, &ct)?;
         let mut hits = Vec::new();
         let mut local = LocalRefs::new();
-        for rt in ref_tuples {
+        let mut starts = Vec::new();
+        node.group_starts(&mut starts);
+        let p_codec = self.cds.params.p_codec();
+        for (r, group) in (0..).zip(node.groups()) {
+            let Some(k) = group.position(cell) else {
+                continue;
+            };
             let cref = ct
                 .refs
-                .get(rt.ref_idx() as usize)
-                .ok_or(Error::CorruptStore("region tuple points past refs"))?;
+                .get(r as usize)
+                .ok_or(Error::CorruptStore("region group points past refs"))?;
             let ref_p = ct.plan.prob(cref.orig_idx)?;
-            if rt.enters() && ref_p >= alpha {
+            if group.enters(k) && ref_p >= alpha {
                 let inst = self.decode_instance(j, &ct, cref.orig_idx, &mut local)?;
                 for time in utcq_traj::interp::times_at_location(self.net, &inst, &times, edge, rd)
                 {
@@ -711,17 +720,11 @@ impl<'a> QueryEngine<'a> {
             }
             // Lemma 1: if p_max < α, none of the reference's
             // non-references can contribute — skip their decompression.
-            if rt.p_max < alpha {
+            let (_, p_max) = node.bounds(&starts, &ct, &p_codec, r, k);
+            if p_max < alpha {
                 continue;
             }
-            for nt in node.nrefs_in(cell) {
-                let cnref = ct
-                    .nrefs
-                    .get(nt.nref_idx as usize)
-                    .ok_or(Error::CorruptStore("region tuple points past nrefs"))?;
-                if cnref.ref_idx != rt.ref_idx() {
-                    continue;
-                }
+            for (_, cnref) in node.members(&starts, ct.nrefs, r, k) {
                 let p = ct.plan.prob(cnref.orig_idx)?;
                 if p < alpha {
                     continue;
@@ -757,47 +760,53 @@ impl<'a> QueryEngine<'a> {
         scratch: &mut RangeScratch,
     ) -> Result<bool, Error> {
         scratch.reset();
-        // Most candidates are decided by their index node alone.
+        // Most candidates are decided by their index node alone: the
+        // trajectory's rows are read only once one of its cells is in RE.
         let node = self.node(j)?;
+        let mut ct = None;
 
         // Collect per-group total bounds over the query cells.
-        // Iterating the trajectory's (few) tuples against the cell set
-        // keeps this O(tuples) however fine the grid is. Groups
-        // accumulate in first-seen tuple order (a linear scan over the
-        // few distinct groups), so the Lemma 4 sum below adds terms in
-        // a deterministic order.
-        for rt in node.ref_tuples {
-            if cells.contains(&rt.cell) {
-                let ref_idx = rt.ref_idx();
-                match scratch.group_bound.iter_mut().find(|(r, _)| *r == ref_idx) {
-                    Some((_, b)) => *b += rt.p_total,
-                    None => scratch.group_bound.push((ref_idx, rt.p_total)),
+        // Iterating the trajectory's (few) group cells against the cell
+        // set keeps this O(cells) however fine the grid is. Groups
+        // accumulate in reference order, each group's cells ascending,
+        // so the Lemma 4 sum below adds terms in a deterministic order.
+        for (r, group) in (0..).zip(node.groups()) {
+            for (k, (cell, enters)) in group.cells().enumerate() {
+                if !cells.contains(&cell) {
+                    continue;
                 }
-                if rt.enters() {
-                    scratch.passing_refs.push(ref_idx);
+                let (ct, p_codec) = match ct {
+                    Some(found) => found,
+                    None => {
+                        node.group_starts(&mut scratch.starts);
+                        *ct.insert((self.traj(j)?, self.cds.params.p_codec()))
+                    }
+                };
+                let (p_total, _) = node.bounds(&scratch.starts, &ct, &p_codec, r, k);
+                match scratch.group_bound.last_mut() {
+                    Some((last, b)) if *last == r => *b += p_total,
+                    _ => scratch.group_bound.push((r, p_total)),
                 }
+                if enters {
+                    scratch.passing_refs.push(r);
+                }
+                let members = node.members(&scratch.starts, ct.nrefs, r, k);
+                scratch.passing_nrefs.extend(members.map(|(m, _)| m));
             }
         }
-        for nt in node.nref_tuples {
-            if cells.contains(&nt.cell) {
-                scratch.passing_nrefs.push(nt.nref_idx);
-            }
-        }
-        if scratch.group_bound.is_empty() {
+        let Some((ct, _)) = ct else {
             return Ok(false); // trajectory never enters RE
-        }
+        };
         // Lemma 4: an upper bound below α prunes the trajectory.
         let bound: f64 = scratch.group_bound.iter().map(|(_, b)| b.min(1.0)).sum();
         if bound < alpha {
             return Ok(false);
         }
-        scratch.passing_refs.sort_unstable();
         scratch.passing_refs.dedup();
         scratch.passing_nrefs.sort_unstable();
         scratch.passing_nrefs.dedup();
 
         // Bracket tq in the time sequence.
-        let ct = self.traj(j)?;
         let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, &ct, &node, tq)? else {
             return Ok(false);
         };
@@ -809,14 +818,14 @@ impl<'a> QueryEngine<'a> {
             let cref = ct
                 .refs
                 .get(r as usize)
-                .ok_or(Error::CorruptStore("region tuple points past refs"))?;
+                .ok_or(Error::CorruptStore("region group points past refs"))?;
             scratch.passing.insert(cref.orig_idx);
         }
         for &m in &scratch.passing_nrefs {
             let cnref = ct
                 .nrefs
                 .get(m as usize)
-                .ok_or(Error::CorruptStore("region tuple points past nrefs"))?;
+                .ok_or(Error::CorruptStore("membership bit points past nrefs"))?;
             scratch.passing.insert(cnref.orig_idx);
         }
         let passing = &scratch.passing;
@@ -846,7 +855,9 @@ impl<'a> QueryEngine<'a> {
 
 /// Reusable allocations of one range scan, cleared between candidates.
 struct RangeScratch {
-    /// `(ref_idx, Σ p_total)` per group, in first-seen tuple order.
+    /// The candidate node's [`TrajIndex::group_starts`].
+    starts: Vec<u32>,
+    /// `(ref_idx, Σ p_total)` per group touching RE, in reference order.
     group_bound: Vec<(u32, f64)>,
     passing_refs: Vec<u32>,
     passing_nrefs: Vec<u32>,
@@ -858,6 +869,7 @@ struct RangeScratch {
 impl RangeScratch {
     fn new() -> Self {
         Self {
+            starts: Vec::new(),
             group_bound: Vec::new(),
             passing_refs: Vec::new(),
             passing_nrefs: Vec::new(),

@@ -4,8 +4,9 @@
 //! records; where the block packs them into bits, the segment keeps them
 //! in a **constant number of allocations**: row tables, one byte arena
 //! for every bit stream, plan columns ([`TrajSegment`], the dataset
-//! half) and three tuple tables ([`crate::stiu::NodeSegment`], the index
-//! half: a dataset and its index are separate values, so the halves are
+//! half) and three index tables: temporal tuples, region words and
+//! membership bits ([`crate::stiu::NodeSegment`], the index half: a
+//! dataset and its index are separate values, so the halves are
 //! separate types sealing at the same counts).
 //!
 //! Readers never see a segment, only borrowed views of one trajectory

@@ -319,8 +319,8 @@ impl ShardedStoreBuilder {
         let parts = self
             .builders
             .into_iter()
-            .map(|b| Arc::new(b.into_snapshot()))
-            .collect();
+            .map(|b| b.into_snapshot().map(Arc::new))
+            .collect::<Result<_, _>>()?;
         let spec = self.policy.spec();
         ShardedStore::assemble(parts, spec, Some(self.policy))
     }

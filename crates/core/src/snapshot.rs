@@ -362,8 +362,10 @@ impl Snapshot {
     /// entries of earlier epochs it drops.
     pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
         self.cache.retire_before(epoch);
-        let net = Arc::clone(&self.net);
-        state.into_snapshot(net, self.stiu.params, Arc::clone(&self.cache), epoch)
+        let (net, cache) = (Arc::clone(&self.net), Arc::clone(&self.cache));
+        let same_index = || Ok::<_, std::convert::Infallible>(self.stiu.clone());
+        let Ok(next) = state.into_snapshot(net, same_index, cache, epoch);
+        next
     }
 }
 
@@ -509,7 +511,10 @@ impl PartitionState {
         tu: &UncertainTrajectory,
     ) -> Result<(), Error> {
         let params = self.cds.params;
-        let stiu = self.stiu.get_or_insert_with(|| Stiu::new(net, stiu_params));
+        let stiu = match &mut self.stiu {
+            Some(stiu) => stiu,
+            None => self.stiu.insert(Stiu::new(net, stiu_params)?),
+        };
         let p_codec = params.p_codec();
         let j = self.cds.trajectories.len() as u32;
         if self.id_to_idx.contains(tu.id) {
@@ -526,31 +531,32 @@ impl PartitionState {
         self.cds.trajectories.push(&ct, &p_codec)?;
         let missing = Error::CorruptStore("appended trajectory not stored");
         let stored = self.cds.trajectories.get(j as usize).ok_or(missing)?;
-        stiu.push(net, tu, &stored, &params);
+        stiu.push(net, tu, &stored)?;
         self.id_to_idx.insert(tu.id, j);
         Ok(())
     }
 
-    /// Freezes the state into an immutable snapshot at `epoch`.
-    pub(crate) fn into_snapshot(
+    /// Freezes the state into an immutable snapshot at `epoch`, whose
+    /// index `stiu` makes if nothing was ingested yet.
+    pub(crate) fn into_snapshot<E>(
         self,
         net: Arc<RoadNetwork>,
-        stiu_params: StiuParams,
+        stiu: impl FnOnce() -> Result<Stiu, E>,
         cache: Arc<DecodeCache>,
         epoch: u64,
-    ) -> Snapshot {
+    ) -> Result<Snapshot, E> {
         let stiu = match self.stiu {
             Some(s) => s,
-            None => Stiu::new(&net, stiu_params),
+            None => stiu()?,
         };
-        Snapshot {
+        Ok(Snapshot {
             net,
             cds: self.cds,
             stiu,
             id_to_idx: self.id_to_idx,
             cache,
             epoch,
-        }
+        })
     }
 }
 

@@ -8,21 +8,26 @@
 //!   `(t.start, t.no, t.pos)` — the earliest timestamp in the interval,
 //!   its index, and the bit position of the following deviation code in
 //!   the compressed time stream, so time decoding can resume mid-stream;
-//! * a **spatial index**: the plane is partitioned into an `n × n` grid;
-//!   each instance gets one tuple per region it traverses (first
-//!   traversal). Reference tuples carry whether the reference itself
-//!   enters the region and the probability aggregates `p_total` /
-//!   `p_max` over the reference's group that power the filtering lemmas;
-//!   a non-reference tuple is the region and the member that enters it.
+//! * a **spatial index**: the plane is partitioned into an `n × n` grid.
+//!   Each reference has a **group**: the regions its members (itself and
+//!   its non-references) traverse (first traversal), each marked with
+//!   whether the reference itself enters it. Each non-reference says
+//!   which regions of its group it enters. The probability aggregates
+//!   `p_total` / `p_max` that power the filtering lemmas are not held:
+//!   [`TrajIndex::bounds`] derives them for the regions a query touches.
 //!
-//! **Canonical order.** A node's reference tuples run reference by
-//! reference (`ref_idx` ascending), each group's cells ascending; its
-//! non-reference tuples run member by member (`nref_idx` ascending),
-//! each member's cells ascending, and every one of them is a cell of
-//! its group. Index construction produces that order and the container
-//! readers check it (`NodeSegment::canonicalize`), which is what lets
-//! container v6 store a group as sorted cell gaps and a member as one
-//! bit per cell of its group.
+//! **Layout.** A node holds what container v6 stores, unpacked only to
+//! word and bit level. There is one `u32` **region word** per cell of a
+//! group: the cell, plus two top bits, `enters` and "first cell of its
+//! group". Groups run in reference order, each group's cells ascending.
+//! There is one **membership bit** per (non-reference, cell of its
+//! group), non-references in order. A group with no cell is one word
+//! naming no cell, so every reference has a group. The shape holds only
+//! the canonical index: a non-reference's regions are a subset of its
+//! group's, each at most once. Containers before v6 stored (cell,
+//! instance) tuples, a non-reference's in traversal order; their readers
+//! convert them and refuse tuples out of order, a cell repeated or one
+//! outside its group (`NodeSegment::push_tuples`).
 //!
 //! **Deviation from §5.2** (`docs/ARCHITECTURE.md` has the argument).
 //! The paper's tuples also hold a *resume point* (`fv, fv.no, d.pos` /
@@ -30,16 +35,17 @@
 //! Nothing here resumes mid-instance (the query engine in `query.rs`
 //! decodes whole instances through the decode cache), so those fields
 //! had no reader and are neither computed, kept nor stored; the one bit
-//! the filters read of them is [`RefRegionTuple::enters`]. They are a
-//! pure function of (network, raw trajectory, streams) at ingest, so a
-//! later container version can bring them back with the first query
-//! that reads them. [`Stiu::size_bits`] still prices the paper's tuple.
+//! the filters read of them is [`Group::enters`]. They are a pure
+//! function of (network, raw trajectory, streams) at ingest, so a later
+//! container version can bring them back with the first query that
+//! reads them. [`Stiu::size_bits`] still prices the paper's tuple.
 //!
 //! In memory the nodes are the index half of [`crate::segment`]: per
-//! 1,024 trajectories one [`NodeSegment`] holding every temporal,
-//! reference and non-reference tuple in three flat tables, and per node
-//! the rows at which its tuples end. A [`TrajIndex`] is one node
-//! borrowed from them.
+//! 1,024 trajectories one [`NodeSegment`] holding every temporal tuple,
+//! region word and membership bit in three flat tables, and per node
+//! where they end. A [`TrajIndex`] is one node borrowed from them.
+
+use std::fmt;
 
 use utcq_bitio::pddp::PddpCodec;
 use utcq_network::{CellId, Grid, RoadNetwork};
@@ -48,7 +54,7 @@ use utcq_traj::{Dataset, Instance, UncertainTrajectory};
 use crate::chunk::IntervalMap;
 use crate::compress::CompressedDataset;
 use crate::error::Error;
-use crate::segment::{copy_vec, offset, vec_bytes, Resident, Segments, Table, TrajView};
+use crate::segment::{copy_vec, offset, vec_bytes, NrefRow, Resident, Segments, Table, TrajView};
 use crate::siar;
 
 /// Index construction parameters (the paper's Fig. 9 sweeps both).
@@ -67,6 +73,11 @@ pub struct StiuParams {
 /// input line; 65,536 partitions is about 1.9 years at the default
 /// 15 min, orders of magnitude past any real trip.
 pub const MAX_SPAN_PARTITIONS: u64 = 1 << 16;
+
+/// Largest grid dimension `n` an index takes: the cells of an `n × n`
+/// grid, and one value past them for a group with no cell, fit in the
+/// cell bits of a region word.
+pub const MAX_GRID_N: u32 = 1 << 14;
 
 impl StiuParams {
     /// The partitions of `times`' first and last sample (`None` for an
@@ -101,71 +112,72 @@ pub struct TemporalTuple {
     pub pos: u32,
 }
 
-/// Spatial tuple of a reference for one region: 24-byte rows (the
-/// reference tuples are the largest table of a store).
-#[derive(Debug, Clone, Copy)]
-pub struct RefRegionTuple {
-    /// The region.
-    pub cell: CellId,
-    /// `ref_idx` in the low 31 bits, `enters` in the top one.
-    ref_enters: u32,
-    /// Sum of probabilities of group members traversing the region.
-    pub p_total: f64,
-    /// Maximum probability among *non-reference* group members
-    /// traversing the region (0 when none does) — Lemma 1's filter.
-    pub p_max: f64,
-}
-
+/// Bit 31 of a region word: the group's reference itself enters the
+/// cell (the paper's `fv ≠ ∞`); otherwise only members of its `Rrs` do.
 const ENTERS: u32 = 1 << 31;
-const _: () = assert!(std::mem::size_of::<RefRegionTuple>() == 24);
+/// Bit 30: the word opens its reference's group.
+const FIRST: u32 = 1 << 30;
+/// Bits 0 to 29: the cell.
+const CELL: u32 = FIRST - 1;
+/// The cell of the one word of a group with no cell: past every cell of
+/// a grid of at most [`MAX_GRID_N`]² cells.
+const NO_CELL: u32 = CELL;
+const _: () = assert!((MAX_GRID_N as u64).pow(2) <= NO_CELL as u64);
 
-impl RefRegionTuple {
-    /// A tuple with both bounds at zero
-    /// (`NodeSegment::fill_group_bounds` derives them).
-    pub fn new(cell: CellId, ref_idx: u32, enters: bool) -> Result<Self, Error> {
-        if ref_idx >= ENTERS {
-            return Err(Error::CorruptStore("reference index past 2^31"));
+/// One reference's group, borrowed from its node: the cells its members
+/// traverse, ascending, as region words.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Group<'a>(&'a [u32]);
+
+impl<'a> Group<'a> {
+    /// The group whose words are `words` (a lone word naming no cell is
+    /// the group with no cell).
+    fn of(words: &'a [u32]) -> Self {
+        match words {
+            [only] if only & CELL == NO_CELL => Group(&[]),
+            _ => Group(words),
         }
-        Ok(RefRegionTuple {
-            cell,
-            ref_enters: ref_idx | if enters { ENTERS } else { 0 },
-            p_total: 0.0,
-            p_max: 0.0,
-        })
     }
 
-    /// Index into [`TrajView::refs`].
-    pub fn ref_idx(&self) -> u32 {
-        self.ref_enters & !ENTERS
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.0.len()
     }
 
-    /// Whether the reference itself enters the region (the paper's
-    /// `fv ≠ ∞`); otherwise only members of its `Rrs` do.
-    pub fn enters(&self) -> bool {
-        self.ref_enters & ENTERS != 0
+    /// Whether no member traverses any cell.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
-}
 
-/// Spatial tuple of a non-reference for one region. A member's tuples
-/// are side by side, cells ascending, each a cell of its group (the
-/// canonical order of the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NrefRegionTuple {
-    /// The region.
-    pub cell: CellId,
-    /// Index into [`TrajView::nrefs`].
-    pub nref_idx: u32,
+    /// The cells, ascending, each with whether the reference itself
+    /// enters it.
+    pub fn cells(&self) -> impl Iterator<Item = (CellId, bool)> + 'a {
+        self.0.iter().map(|&w| (CellId(w & CELL), w & ENTERS != 0))
+    }
+
+    /// Where `cell` is among the group's cells.
+    pub fn position(&self, cell: CellId) -> Option<usize> {
+        self.0.binary_search_by_key(&cell.0, |w| w & CELL).ok()
+    }
+
+    /// Whether the reference itself enters the group's `k`-th cell.
+    pub fn enters(&self, k: usize) -> bool {
+        self.0.get(k).is_some_and(|w| w & ENTERS != 0)
+    }
 }
 
 /// One per-trajectory index node, borrowed from its [`NodeSegment`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Clone, Copy, Default)]
 pub struct TrajIndex<'a> {
     /// Temporal tuples sorted by `start`.
     pub temporal: &'a [TemporalTuple],
-    /// Reference region tuples.
-    pub ref_tuples: &'a [RefRegionTuple],
-    /// Non-reference region tuples.
-    pub nref_tuples: &'a [NrefRegionTuple],
+    /// The region words (module docs).
+    words: &'a [u32],
+    /// The segment's membership bits; the node's are `n_bits` of them
+    /// from `first_bit` on.
+    bits: &'a [u64],
+    first_bit: usize,
+    n_bits: usize,
 }
 
 impl<'a> TrajIndex<'a> {
@@ -175,69 +187,206 @@ impl<'a> TrajIndex<'a> {
         self.temporal.get(i.checked_sub(1)?)
     }
 
-    /// Reference tuples for a region.
-    pub fn refs_in(&self, cell: CellId) -> impl Iterator<Item = &'a RefRegionTuple> {
-        self.ref_tuples.iter().filter(move |t| t.cell == cell)
-    }
-
-    /// Non-reference tuples for a region.
-    pub fn nrefs_in(&self, cell: CellId) -> impl Iterator<Item = &'a NrefRegionTuple> {
-        self.nref_tuples.iter().filter(move |t| t.cell == cell)
-    }
-
     /// The partitions of the first and last temporal tuple: those of the
     /// trajectory's first and last sample (`None` without samples).
     pub(crate) fn span(&self, params: &StiuParams) -> Option<(i64, i64)> {
         let (first, last) = (self.temporal.first()?, self.temporal.last()?);
         params.span(&[first.start, last.start])
     }
+
+    /// The groups, one per reference, in reference order.
+    pub fn groups(&self) -> impl Iterator<Item = Group<'a>> + 'a {
+        self.words
+            .chunk_by(|_, next| next & FIRST == 0)
+            .map(Group::of)
+    }
+
+    /// Fills `starts` with the word at which each group starts, then the
+    /// end of the last: what [`TrajIndex::group`], [`TrajIndex::members`]
+    /// and [`TrajIndex::bounds`] look groups up in, so a lookup costs one
+    /// pass over the words, not one per non-reference.
+    pub fn group_starts(&self, starts: &mut Vec<u32>) {
+        starts.clear();
+        let firsts = (0..).zip(self.words).filter(|(_, w)| *w & FIRST != 0);
+        starts.extend(firsts.map(|(i, _)| i));
+        starts.push(self.words.len() as u32);
+    }
+
+    /// Group `r`, given the node's [`TrajIndex::group_starts`] (empty if
+    /// there is no group `r`).
+    pub fn group(&self, starts: &[u32], r: usize) -> Group<'a> {
+        let words = match starts.get(r..r.saturating_add(2)) {
+            Some(&[from, to]) => self.words.get(from as usize..to as usize),
+            _ => None,
+        };
+        Group::of(words.unwrap_or_default())
+    }
+
+    /// Whether membership bit `i` of the node is set.
+    fn member_bit(&self, i: usize) -> bool {
+        let at = self.first_bit + i;
+        i < self.n_bits
+            && self
+                .bits
+                .get(at / 64)
+                .is_some_and(|w| w >> (at % 64) & 1 == 1)
+    }
+
+    /// The node's membership bits, in order.
+    pub(crate) fn member_bits(&self) -> impl ExactSizeIterator<Item = bool> + 'a {
+        let node = *self;
+        (0..self.n_bits).map(move |i| node.member_bit(i))
+    }
+
+    /// The non-references of group `r` that traverse its `k`-th cell,
+    /// ascending, with their rows: `nrefs` are the trajectory's
+    /// ([`TrajView::nrefs`]), `starts` the node's group starts.
+    pub fn members<'s>(
+        &self,
+        starts: &'s [u32],
+        nrefs: &'s [NrefRow],
+        r: u32,
+        k: usize,
+    ) -> impl Iterator<Item = (u32, &'s NrefRow)> + 's
+    where
+        'a: 's,
+    {
+        let node = *self;
+        let mut first = 0;
+        (0..).zip(nrefs).filter(move |(_, n)| {
+            let (at, len) = (first, node.group(starts, n.ref_idx as usize).len());
+            first += len;
+            n.ref_idx == r && k < len && node.member_bit(at + k)
+        })
+    }
+
+    /// `(p_total, p_max)` of the `k`-th cell of group `r`: the bounds
+    /// Lemma 1 and Lemma 4 read. `p_total` sums, from `0.0`, the
+    /// probabilities of the members that traverse the cell in member
+    /// order: the reference if it enters the cell, then its
+    /// non-references in `ct.nrefs` order. `p_max` is the largest over
+    /// those non-references (`0.0` if none does).
+    ///
+    /// The one place the bounds are computed, from the probability codes
+    /// as every container stores them, so an index built, reopened or
+    /// grown live answers alike to the last bit. A query calls it only
+    /// for the cells it touches.
+    pub fn bounds(
+        &self,
+        starts: &[u32],
+        ct: &TrajView<'_>,
+        p_codec: &PddpCodec,
+        r: u32,
+        k: usize,
+    ) -> (f64, f64) {
+        let mut p_total = 0.0;
+        let mut p_max = 0.0f64;
+        let reference = ct.refs.get(r as usize);
+        if let (true, Some(cref)) = (self.group(starts, r as usize).enters(k), reference) {
+            p_total += p_codec.dequantize(cref.p_code);
+        }
+        for (_, n) in self.members(starts, ct.nrefs, r, k) {
+            let p = p_codec.dequantize(n.p_code);
+            p_total += p;
+            p_max = p_max.max(p);
+        }
+        (p_total, p_max)
+    }
+
+    /// The reference region tuples `(ref_idx, cell, enters)`: groups in
+    /// reference order, each group's cells ascending.
+    pub fn ref_tuples(&self) -> impl Iterator<Item = (u32, CellId, bool)> + 'a {
+        let groups = (0..).zip(self.groups());
+        groups.flat_map(|(r, g)| g.cells().map(move |(cell, enters)| (r, cell, enters)))
+    }
+
+    /// The non-reference region tuples `(nref_idx, cell)`: member by
+    /// member, each member's cells ascending. `nrefs` are the
+    /// trajectory's ([`TrajView::nrefs`]).
+    pub fn nref_tuples(&self, nrefs: &[NrefRow]) -> Vec<(u32, CellId)> {
+        let mut starts = Vec::new();
+        self.group_starts(&mut starts);
+        let (mut bits, mut tuples) = (self.member_bits(), Vec::new());
+        for (m, n) in (0..).zip(nrefs) {
+            for (cell, _) in self.group(&starts, n.ref_idx as usize).cells() {
+                if bits.next() == Some(true) {
+                    tuples.push((m, cell));
+                }
+            }
+        }
+        tuples
+    }
+
+    /// How many reference and non-reference region tuples the node
+    /// holds: cells of its groups, and membership bits set.
+    pub fn tuple_counts(&self) -> (usize, usize) {
+        let refs = self.groups().map(|g| g.len()).sum();
+        (refs, self.member_bits().filter(|&set| set).count())
+    }
+}
+
+impl fmt::Debug for TrajIndex<'_> {
+    /// The node's tuples and bits, none of its neighbours'.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let groups = self.groups().map(|g| Vec::from_iter(g.cells()));
+        let bits = self.member_bits().map(|set| if set { '1' } else { '0' });
+        f.debug_struct("TrajIndex")
+            .field("temporal", &self.temporal)
+            .field("groups", &Vec::from_iter(groups))
+            .field("members", &String::from_iter(bits))
+            .finish()
+    }
 }
 
 /// The index half of a segment ([`crate::segment`]): the nodes of up to
-/// 1,024 trajectories in three flat tuple tables.
+/// 1,024 trajectories in three flat tables.
 #[derive(Debug, Default)]
 pub struct NodeSegment {
-    /// Per node: the rows at which its temporal, reference and
-    /// non-reference tuples end (they start where the previous node's
-    /// end). Tuples past the last entry belong to the node being built.
+    /// Per node: where its temporal tuples, region words and membership
+    /// bits end (they start where the previous node's end). What lies
+    /// past the last entry belongs to the node being built.
     ends: Vec<[u32; 3]>,
     pub(crate) temporal: Vec<TemporalTuple>,
-    pub(crate) ref_tuples: Vec<RefRegionTuple>,
-    pub(crate) nref_tuples: Vec<NrefRegionTuple>,
+    /// Region words of every node, back to back.
+    words: Vec<u32>,
+    /// Membership bits of every node, back to back, each 64-bit word
+    /// filled from its lowest bit; `n_bits` are in use.
+    bits: Vec<u64>,
+    n_bits: usize,
 }
 
 /// The nodes of an index, one per trajectory.
 pub type Nodes = Segments<NodeSegment>;
 
 impl NodeSegment {
-    /// The node whose tuples run from the rows `from` to the rows `to`.
+    /// The node whose tuples, words and bits run from `from` to `to`.
     fn node(&self, from: [usize; 3], to: [usize; 3]) -> Option<TrajIndex<'_>> {
+        let ([t0, w0, b0], [t1, w1, b1]) = (from, to);
+        let n_bits = b1.checked_sub(b0).filter(|_| b1 <= self.n_bits)?;
         Some(TrajIndex {
-            temporal: self.temporal.get(from[0]..to[0])?,
-            ref_tuples: self.ref_tuples.get(from[1]..to[1])?,
-            nref_tuples: self.nref_tuples.get(from[2]..to[2])?,
+            temporal: self.temporal.get(t0..t1)?,
+            words: self.words.get(w0..w1)?,
+            bits: &self.bits,
+            first_bit: b0,
+            n_bits,
         })
     }
 
-    /// The rows at which node `k` ends, or starts for `k + 1`.
+    /// Where node `k` ends, or `k + 1` starts.
     fn end(&self, k: usize) -> Option<[usize; 3]> {
         Some(self.ends.get(k)?.map(|row| row as usize))
     }
 
-    /// The rows at which the node being built starts.
+    /// Where the node being built starts.
     fn open_from(&self) -> [usize; 3] {
         let closed = self.ends.len().checked_sub(1);
         closed.and_then(|k| self.end(k)).unwrap_or_default()
     }
 
-    /// The node being built: every tuple pushed since the last
+    /// The node being built: everything pushed since the last
     /// [`NodeSegment::close`].
     fn open(&self) -> TrajIndex<'_> {
-        let to = [
-            self.temporal.len(),
-            self.ref_tuples.len(),
-            self.nref_tuples.len(),
-        ];
+        let to = [self.temporal.len(), self.words.len(), self.n_bits];
         self.node(self.open_from(), to).unwrap_or_default()
     }
 
@@ -245,83 +394,99 @@ impl NodeSegment {
     fn close(&mut self) -> Result<(), Error> {
         let end = [
             offset(self.temporal.len())?,
-            offset(self.ref_tuples.len())?,
-            offset(self.nref_tuples.len())?,
+            offset(self.words.len())?,
+            offset(self.n_bits)?,
         ];
         self.ends.push(end);
         Ok(())
     }
 
-    /// Fills `p_total` / `p_max` of every reference tuple of the node
-    /// being built from the group's probability codes and from which
-    /// tuples exist: a reference traverses a region iff its tuple there
-    /// says it enters, a non-reference iff it has a tuple there.
-    /// `p_total` sums the traversing members in member order (the
-    /// reference, then its non-references in `ct.nrefs` order) starting
-    /// from `0.0`; `p_max` is the maximum over the traversing
-    /// non-references.
-    ///
-    /// The one place the bounds are computed: index construction calls
-    /// it on the node it just built, the container reader on the node it
-    /// just parsed (the bounds are not stored), so built and reopened
-    /// indexes agree to the last bit. A tuple whose `ref_idx` /
-    /// `nref_idx` is out of range for `ct` contributes nothing; the
-    /// tuples must be in canonical order (so one pass over them meets
-    /// the members in member order, each at most once per cell).
-    pub(crate) fn fill_group_bounds(&mut self, ct: &TrajView<'_>, p_codec: &PddpCodec) {
-        let [_, refs_from, nrefs_from] = self.open_from();
-        let refs = self.ref_tuples.get_mut(refs_from..);
-        let nrefs = self.nref_tuples.get(nrefs_from..);
-        let (Some(ref_tuples), Some(nref_tuples)) = (refs, nrefs) else {
-            return;
-        };
-        for rt in ref_tuples {
-            let mut p_total = 0.0;
-            let mut p_max = 0.0f64;
-            let ref_idx = rt.ref_idx();
-            if let (true, Some(r)) = (rt.enters(), ct.refs.get(ref_idx as usize)) {
-                p_total += p_codec.dequantize(r.p_code);
+    /// Opens the next reference's group in the node being built and
+    /// returns the row of its first word. Its cells follow, ascending
+    /// ([`NodeSegment::push_cell`]); until the first, it is the group
+    /// with no cell.
+    pub(crate) fn open_group(&mut self) -> usize {
+        self.words.push(FIRST | NO_CELL);
+        self.words.len() - 1
+    }
+
+    /// Appends `cell` to the open group; refuses a cell that is not past
+    /// the group's last one.
+    pub(crate) fn push_cell(&mut self, cell: CellId, enters: bool) -> Result<(), Error> {
+        if cell.0 >= NO_CELL {
+            return Err(Error::CorruptStore("cell past the grid"));
+        }
+        let word = if enters { cell.0 | ENTERS } else { cell.0 };
+        match self.words.last_mut() {
+            Some(last) if *last & CELL == NO_CELL => *last = FIRST | word,
+            Some(last) if *last & CELL >= cell.0 => {
+                return Err(Error::CorruptStore("ref tuples out of order"))
             }
-            for t in nref_tuples.iter().filter(|t| t.cell == rt.cell) {
-                let Some(n) = ct.nrefs.get(t.nref_idx as usize) else {
-                    continue;
-                };
-                if n.ref_idx == ref_idx {
-                    let p = p_codec.dequantize(n.p_code);
-                    p_total += p;
-                    p_max = p_max.max(p);
-                }
-            }
-            rt.p_total = p_total;
-            rt.p_max = p_max;
+            _ => self.words.push(word),
+        }
+        Ok(())
+    }
+
+    /// Marks the cell at `row` (of the open group, rows from
+    /// [`NodeSegment::open_group`]) as one its reference enters.
+    pub(crate) fn enter(&mut self, row: usize) {
+        if let Some(word) = self.words.get_mut(row) {
+            *word |= ENTERS;
         }
     }
 
-    /// Brings the region tuples of the node being built, as a container
-    /// before v6 stored them, into canonical order: each member's cells
-    /// are sorted (those versions stored them in traversal order).
-    /// Refuses reference tuples out of order or repeated, non-reference
-    /// tuples out of member order, and a non-reference cell repeated or
-    /// outside its group. No writer ever produced any of these.
-    pub(crate) fn canonicalize(&mut self, ct: &TrajView<'_>) -> Result<(), Error> {
-        let [_, refs_from, nrefs_from] = self.open_from();
-        let refs = self.ref_tuples.get(refs_from..).unwrap_or_default();
-        let key = |t: &RefRegionTuple| (t.ref_idx(), t.cell);
-        if refs.windows(2).any(|w| key(&w[0]) >= key(&w[1])) {
+    /// Appends the next membership bit of the node being built.
+    pub(crate) fn push_bit(&mut self, set: bool) {
+        let at = self.n_bits % 64;
+        if at == 0 {
+            self.bits.push(0);
+        }
+        if let (true, Some(word)) = (set, self.bits.last_mut()) {
+            *word |= 1 << at;
+        }
+        self.n_bits += 1;
+    }
+
+    /// Appends the region half of the node being built from the tuples
+    /// of a container before v6: `refs` as `(ref_idx, cell, enters)` and
+    /// `nrefs` as `(nref_idx, cell)`, in stored order (a member's cells
+    /// in traversal order, which this sorts). Refuses reference tuples
+    /// out of order or repeated, non-reference tuples out of member
+    /// order, and a non-reference cell repeated or outside its group —
+    /// the tuples this shape cannot hold. No writer ever produced any of
+    /// them.
+    pub(crate) fn push_tuples(
+        &mut self,
+        ct: &TrajView<'_>,
+        refs: &[(u32, CellId, bool)],
+        mut nrefs: &mut [(u32, CellId)],
+    ) -> Result<(), Error> {
+        let mut rest = refs.iter().peekable();
+        for ref_idx in 0..ct.refs.len() as u32 {
+            self.open_group();
+            while let Some(&(_, cell, enters)) = rest.next_if(|t| t.0 == ref_idx) {
+                self.push_cell(cell, enters)?;
+            }
+        }
+        if rest.next().is_some() {
             return Err(Error::CorruptStore("ref tuples out of order"));
         }
-        let nrefs = self.nref_tuples.get_mut(nrefs_from..).unwrap_or_default();
-        if nrefs.windows(2).any(|w| w[0].nref_idx > w[1].nref_idx) {
+        if !nrefs.is_sorted_by_key(|t| t.0) {
             return Err(Error::CorruptStore("nref tuples out of order"));
         }
-        for member in nrefs.chunk_by_mut(|a, b| a.nref_idx == b.nref_idx) {
-            member.sort_unstable_by_key(|t| t.cell);
-            // bounds: chunk_by_mut yields non-empty chunks
-            let group = ct.nrefs.get(member[0].nref_idx as usize).map(|n| n.ref_idx);
-            let in_group =
-                |cell| group.is_some_and(|r| refs.binary_search_by_key(&(r, cell), key).is_ok());
-            let repeated = member.windows(2).any(|w| w[0].cell == w[1].cell);
-            if repeated || !member.iter().all(|t| in_group(t.cell)) {
+        for (m, n) in (0..).zip(ct.nrefs) {
+            let len = nrefs.iter().take_while(|t| t.0 == m).count();
+            let (member, tail) = std::mem::take(&mut nrefs).split_at_mut(len);
+            nrefs = tail;
+            member.sort_unstable_by_key(|t| t.1);
+            let mut cells = member.iter().map(|t| t.1).peekable();
+            // The reference tuples are sorted by `ref_idx` (checked above).
+            let group = refs.partition_point(|t| t.0 < n.ref_idx)
+                ..refs.partition_point(|t| t.0 <= n.ref_idx);
+            for &(_, cell, _) in refs.get(group).unwrap_or_default() {
+                self.push_bit(cells.next_if_eq(&cell).is_some());
+            }
+            if cells.next().is_some() {
                 return Err(Error::CorruptStore("nref tuple outside its group"));
             }
         }
@@ -330,18 +495,18 @@ impl NodeSegment {
 }
 
 impl Nodes {
-    /// Appends an already built node, its tuples given as slices. (An
-    /// index registers its nodes' postings too: [`Stiu::push`].)
+    /// Appends a node: `temporal` as its temporal tuples, the region
+    /// words and membership bits of `regions` as its own. (An index
+    /// registers its nodes' postings too: [`Stiu::push`].)
     pub fn push(
         &mut self,
         temporal: &[TemporalTuple],
-        ref_tuples: &[RefRegionTuple],
-        nref_tuples: &[NrefRegionTuple],
+        regions: TrajIndex<'_>,
     ) -> Result<(), Error> {
         self.append(|seg| {
             seg.temporal.extend_from_slice(temporal);
-            seg.ref_tuples.extend_from_slice(ref_tuples);
-            seg.nref_tuples.extend_from_slice(nref_tuples);
+            seg.words.extend_from_slice(regions.words);
+            regions.member_bits().for_each(|set| seg.push_bit(set));
             seg.close()
         })
     }
@@ -363,8 +528,9 @@ impl Table for NodeSegment {
         let copy = Self {
             ends: copy_vec(&self.ends, &mut copied),
             temporal: copy_vec(&self.temporal, &mut copied),
-            ref_tuples: copy_vec(&self.ref_tuples, &mut copied),
-            nref_tuples: copy_vec(&self.nref_tuples, &mut copied),
+            words: copy_vec(&self.words, &mut copied),
+            bits: copy_vec(&self.bits, &mut copied),
+            n_bits: self.n_bits,
         };
         (copy, copied)
     }
@@ -372,15 +538,15 @@ impl Table for NodeSegment {
     fn seal(&mut self) {
         self.ends.shrink_to_fit();
         self.temporal.shrink_to_fit();
-        self.ref_tuples.shrink_to_fit();
-        self.nref_tuples.shrink_to_fit();
+        self.words.shrink_to_fit();
+        self.bits.shrink_to_fit();
     }
 
     fn resident(&self, census: &mut Resident) {
         census.add("offset tables", vec_bytes(&self.ends));
         census.add("temporal", vec_bytes(&self.temporal));
-        census.add("ref tuples", vec_bytes(&self.ref_tuples));
-        census.add("nref tuples", vec_bytes(&self.nref_tuples));
+        census.add("region cells", vec_bytes(&self.words));
+        census.add("member bits", vec_bytes(&self.bits));
     }
 }
 
@@ -413,9 +579,10 @@ impl Stiu {
         let mut s = 0u64;
         let mut t = 0u64;
         for node in &self.trajs {
+            let (refs, nrefs) = node.tuple_counts();
             t += node.temporal.len() as u64 * (17 + 12 + 24);
-            s += node.ref_tuples.len() as u64 * (32 + 12 + 24 + 2 * u64::from(p_width));
-            s += node.nref_tuples.len() as u64 * (32 + 12 + 24);
+            s += refs as u64 * (32 + 12 + 24 + 2 * u64::from(p_width));
+            s += nrefs as u64 * (32 + 12 + 24);
         }
         (s, t)
     }
@@ -430,8 +597,8 @@ impl Stiu {
 
 /// The regions an instance traverses, in order of first traversal. The
 /// instance occupies its path only between the first and last sample.
-/// (Its index tuples hold the same cells in ascending order, the
-/// canonical order of the module docs.)
+/// (Its group holds the same cells in ascending order, the order of the
+/// module docs.)
 pub fn region_cells(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<CellId> {
     let first = inst.location(net, 0);
     let last = inst.location(net, inst.positions.len() - 1);
@@ -475,14 +642,18 @@ pub fn region_cells(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<Cell
 impl Stiu {
     /// An empty index over a network: the grid is fixed up front (it
     /// depends only on the network bounds and `grid_n`), trajectories are
-    /// appended with [`Stiu::push`].
-    pub fn new(net: &RoadNetwork, params: StiuParams) -> Self {
-        Stiu {
+    /// appended with [`Stiu::push`]. Refuses a partition length below one
+    /// second and a grid dimension of 0 or past [`MAX_GRID_N`].
+    pub fn new(net: &RoadNetwork, params: StiuParams) -> Result<Self, Error> {
+        if params.partition_s <= 0 || params.grid_n == 0 || params.grid_n > MAX_GRID_N {
+            return Err(Error::CorruptStore("index parameters out of range"));
+        }
+        Ok(Stiu {
             params,
             grid: Grid::over_network(net, params.grid_n),
             trajs: Nodes::default(),
             interval_trajs: IntervalMap::new(),
-        }
+        })
     }
 
     /// Appends the index node for one newly compressed trajectory and
@@ -490,17 +661,16 @@ impl Stiu {
     /// incremental-ingest path: nothing previously indexed is touched.
     ///
     /// The trajectory's position must equal `self.trajs.len()` in the
-    /// owning [`CompressedDataset`]'s trajectories.
+    /// owning [`CompressedDataset`]'s trajectories. After an error the
+    /// index must be dropped (`Segments::append`).
     pub fn push(
         &mut self,
         net: &RoadNetwork,
         tu: &UncertainTrajectory,
         ct: &TrajView<'_>,
-        cparams: &crate::params::CompressParams,
-    ) {
-        let (partition_s, p_codec) = (self.params.partition_s, cparams.p_codec());
-        self.append_node(|seg, grid| build_traj(seg, net, tu, ct, grid, partition_s, &p_codec))
-            .expect("a trajectory within the span and segment bounds");
+    ) -> Result<(), Error> {
+        let partition_s = self.params.partition_s;
+        self.append_node(|seg, grid| build_traj(seg, net, tu, ct, grid, partition_s))
     }
 
     /// Appends one node, whose tuples `fill` (given the grid) pushes onto
@@ -537,16 +707,30 @@ impl Stiu {
 ///
 /// The paper constructs the index *during* compression; we take both
 /// views to keep the phases separable for benchmarking. Equivalent to
-/// [`Stiu::new`] followed by one [`Stiu::push`] per trajectory.
+/// [`Stiu::new`] followed by one [`Stiu::push`] per trajectory, and
+/// panics where they return an error; a store's own paths call them.
 pub fn build(net: &RoadNetwork, ds: &Dataset, cds: &CompressedDataset, params: StiuParams) -> Stiu {
-    let mut stiu = Stiu::new(net, params);
-    for (tu, ct) in ds.trajectories.iter().zip(&cds.trajectories) {
-        stiu.push(net, tu, &ct, &cds.params);
-    }
-    stiu
+    try_build(net, ds, cds, params).expect("a dataset the index can hold")
 }
 
-/// Pushes the tuples of one trajectory's node onto `node`'s tables.
+/// [`build`], or why the index cannot hold the dataset.
+pub(crate) fn try_build(
+    net: &RoadNetwork,
+    ds: &Dataset,
+    cds: &CompressedDataset,
+    params: StiuParams,
+) -> Result<Stiu, Error> {
+    let mut stiu = Stiu::new(net, params)?;
+    for (tu, ct) in ds.trajectories.iter().zip(&cds.trajectories) {
+        stiu.push(net, tu, &ct)?;
+    }
+    Ok(stiu)
+}
+
+/// Pushes one trajectory's node onto `node`'s tables: its temporal
+/// tuples; per reference its group, the union of its members' cells,
+/// ascending, each marked if the reference itself enters it; per
+/// non-reference one bit per cell of its group, set where it enters.
 fn build_traj(
     node: &mut NodeSegment,
     net: &RoadNetwork,
@@ -554,11 +738,9 @@ fn build_traj(
     ct: &TrajView<'_>,
     grid: &Grid,
     partition_s: i64,
-    p_codec: &PddpCodec,
 ) -> Result<(), Error> {
     // Temporal tuples: one per interval containing at least one sample.
-    let positions =
-        siar::deviation_positions(ct.t_bits(), tu.times.len()).expect("own encoding decodes");
+    let positions = siar::deviation_positions(ct.t_bits(), tu.times.len())?;
     let mut last_interval = i64::MIN;
     for (i, &t) in tu.times.iter().enumerate() {
         let interval = t.div_euclid(partition_s);
@@ -579,39 +761,34 @@ fn build_traj(
         .iter()
         .map(|inst| region_cells(net, inst, grid))
         .collect();
+    let visited = |orig_idx: u32| visits.get(orig_idx as usize).map(Vec::as_slice);
 
     // Group = reference + its non-references.
-    for (ref_idx, cref) in ct.refs.iter().enumerate() {
-        let ref_orig = cref.orig_idx as usize;
-        let members = std::iter::once(ref_orig).chain(
-            ct.nrefs
-                .iter()
-                .filter(|n| n.ref_idx as usize == ref_idx)
-                .map(|n| n.orig_idx as usize),
-        );
-        // Union of regions visited by the group.
-        let mut cells: Vec<CellId> = members.flat_map(|m| visits[m].iter().copied()).collect();
-        cells.sort();
+    let mut groups = Vec::with_capacity(ct.refs.len());
+    for (ref_idx, cref) in (0..).zip(ct.refs) {
+        let nrefs = ct.nrefs.iter().filter(|n| n.ref_idx == ref_idx);
+        let members = std::iter::once(cref.orig_idx).chain(nrefs.map(|n| n.orig_idx));
+        let mut cells: Vec<CellId> = members
+            .flat_map(|m| visited(m).unwrap_or_default().iter().copied())
+            .collect();
+        cells.sort_unstable();
         cells.dedup();
-        for cell in cells {
-            // The probability bounds are filled in once the node is
-            // complete (`fill_group_bounds` below).
-            let enters = visits[ref_orig].contains(&cell);
-            let tuple = RefRegionTuple::new(cell, ref_idx as u32, enters)?;
-            node.ref_tuples.push(tuple);
+        node.open_group();
+        let own = visited(cref.orig_idx).unwrap_or_default();
+        for &cell in &cells {
+            node.push_cell(cell, own.contains(&cell))?;
         }
+        groups.push(cells);
     }
 
-    // Non-reference tuples, each member's cells ascending.
-    for (nref_idx, cnref) in ct.nrefs.iter().enumerate() {
-        let nref_idx = nref_idx as u32;
-        let from = node.nref_tuples.len();
-        let cells = visits[cnref.orig_idx as usize].iter();
-        node.nref_tuples
-            .extend(cells.map(|&cell| NrefRegionTuple { cell, nref_idx }));
-        node.nref_tuples[from..].sort_unstable_by_key(|t| t.cell);
+    // Membership bits, non-reference by non-reference.
+    for n in ct.nrefs {
+        let own = visited(n.orig_idx).unwrap_or_default();
+        let group = groups.get(n.ref_idx as usize).map(Vec::as_slice);
+        for cell in group.unwrap_or_default() {
+            node.push_bit(own.contains(cell));
+        }
     }
-    node.fill_group_bounds(ct, p_codec);
     Ok(())
 }
 
@@ -679,17 +856,21 @@ mod tests {
             },
         );
         let node = stiu.trajs.get(0).unwrap();
-        assert!(!node.ref_tuples.is_empty());
+        assert!(node.ref_tuples().next().is_some());
         // Every instance's first region contains its first sample.
         let grid = &stiu.grid;
         let inst = &ds.trajectories[0].instances[0];
         let l0 = inst.location(&net, 0);
         let cell0 = grid.cell_of(net.point_on_edge(l0.edge, l0.ndist));
-        assert!(node.ref_tuples.iter().any(|t| t.cell == cell0));
         // p_total in the first cell covers all three instances (they share
         // the first edge).
-        let t0 = node.ref_tuples.iter().find(|t| t.cell == cell0).unwrap();
-        let (p_total, p_max) = (t0.p_total, t0.p_max);
+        let (r, _, _) = node.ref_tuples().find(|t| t.1 == cell0).unwrap();
+        let mut starts = Vec::new();
+        node.group_starts(&mut starts);
+        let k = node.group(&starts, r as usize).position(cell0).unwrap();
+        let ct = cds.trajectories.get(0).unwrap();
+        let bounds = node.bounds(&starts, &ct, &cds.params.p_codec(), r, k);
+        let (p_total, p_max) = bounds;
         assert!((p_total - 1.0).abs() < 0.01, "p_total={p_total}");
         assert!((0.19..0.25).contains(&p_max), "p_max={p_max}");
     }
@@ -781,10 +962,11 @@ mod tests {
             region_cells(&net, inst, &stiu.grid)
         };
         // A non-reference's tuples are its cell list, ascending.
-        assert!(!node.nref_tuples.is_empty());
+        let nref_tuples = node.nref_tuples(ct.nrefs);
+        assert!(!nref_tuples.is_empty());
         for (i, n) in ct.nrefs.iter().enumerate() {
-            let tuples = node.nref_tuples.iter().filter(|t| t.nref_idx == i as u32);
-            let listed: Vec<CellId> = tuples.map(|t| t.cell).collect();
+            let tuples = nref_tuples.iter().filter(|t| t.0 == i as u32);
+            let listed: Vec<CellId> = tuples.map(|t| t.1).collect();
             let mut own = cells(n.orig_idx);
             own.sort();
             assert_eq!(listed, own, "non-reference {i}");
@@ -792,11 +974,66 @@ mod tests {
         // A reference's tuples are its group's cells, ascending; the
         // ones it enters itself are its own cell list.
         for (i, r) in ct.refs.iter().enumerate() {
-            let tuples = node.ref_tuples.iter().filter(|t| t.ref_idx() == i as u32);
-            let entered: Vec<CellId> = tuples.filter(|t| t.enters()).map(|t| t.cell).collect();
+            let tuples = node.ref_tuples().filter(|t| t.0 == i as u32);
+            let entered: Vec<CellId> = tuples.filter(|t| t.2).map(|t| t.1).collect();
             let mut own = cells(r.orig_idx);
             own.sort();
             assert_eq!(entered, own, "reference {i}");
         }
+    }
+
+    #[test]
+    fn a_group_with_no_cell_keeps_its_place() {
+        // Three groups, the middle one with no cell: its word names no
+        // cell, and the members of the groups around it find their bits.
+        let mut seg = NodeSegment::default();
+        seg.open_group();
+        seg.push_cell(CellId(3), true).unwrap();
+        seg.push_cell(CellId(7), false).unwrap();
+        seg.open_group();
+        seg.open_group();
+        seg.push_cell(CellId(5), false).unwrap();
+        for set in [false, true, true] {
+            seg.push_bit(set);
+        }
+        seg.close().unwrap();
+        let node = seg.view(0).unwrap();
+        let lens: Vec<usize> = node.groups().map(|g| g.len()).collect();
+        assert_eq!(lens, [2, 0, 1]);
+        let nrefs = [0, 2].map(|ref_idx| NrefRow {
+            p_code: 0,
+            orig_idx: 0,
+            ref_idx,
+        });
+        assert_eq!(node.nref_tuples(&nrefs), [(0, CellId(7)), (1, CellId(5))]);
+        let mut starts = Vec::new();
+        node.group_starts(&mut starts);
+        let members = |r, k| Vec::from_iter(node.members(&starts, &nrefs, r, k).map(|m| m.0));
+        assert_eq!(
+            (members(0, 0), members(0, 1), members(2, 0)),
+            (vec![], vec![0], vec![1])
+        );
+        assert_eq!(node.tuple_counts(), (3, 2));
+        // Cells run ascending within a group.
+        seg.open_group();
+        seg.push_cell(CellId(4), false).unwrap();
+        assert!(seg.push_cell(CellId(4), false).is_err());
+    }
+
+    #[test]
+    fn grids_past_the_region_word_are_refused() {
+        let (net, ..) = paper_store();
+        for (partition_s, grid_n) in [(900, MAX_GRID_N + 1), (900, 0), (0, 8)] {
+            let params = StiuParams {
+                partition_s,
+                grid_n,
+            };
+            assert!(Stiu::new(&net, params).is_err(), "{params:?}");
+        }
+        let widest = StiuParams {
+            partition_s: 900,
+            grid_n: MAX_GRID_N,
+        };
+        assert!(Stiu::new(&net, widest).is_ok());
     }
 }

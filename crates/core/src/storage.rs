@@ -59,7 +59,7 @@
 //! non-reference rows say whose tuples come next. v5 and earlier stored
 //! each tuple as a fixed-width (cell, instance) pair, a non-reference's
 //! in traversal order; their reader sorts those and refuses a cell that
-//! repeats or lies outside the group (`NodeSegment::canonicalize`),
+//! repeats or lies outside the group (`NodeSegment::push_tuples`),
 //! so every container that opens saves as v6.
 //!
 //! **The resume fields (v2, v4; read-only).** Up to v4 a region tuple
@@ -72,17 +72,17 @@
 //! the values.
 //!
 //! **Derived at open:** the interval postings (`Stiu::append_node`;
-//! v2's stored ones must agree), the query plans
-//! (`TrajSegment::finish`) and, from v4 on, `p_total` / `p_max` of every
-//! reference tuple (`NodeSegment::fill_group_bounds`, which index
-//! construction itself calls) — pure functions of stored fields, so a
-//! reopened index equals the built one bit for bit.
+//! v2's stored ones must agree) and the query plans
+//! (`TrajSegment::finish`) — pure functions of stored fields, so a
+//! reopened index equals the built one bit for bit. The probability
+//! bounds v2 stored are checked finite and dropped: a query derives them
+//! (`TrajIndex::bounds`).
 //!
 //! A block and an in-memory segment ([`crate::segment`]) cover the same
 //! [`CHUNK`] records: the readers append each record's fields straight
-//! to the segment's tables and its streams to the segment's arena, and
-//! the writers pack from borrowed views, with no per-trajectory object
-//! in between.
+//! to the segment's tables and its streams to the segment's arena (v6's
+//! region cells and membership bits included), and the writers pack
+//! from borrowed views, with no per-trajectory object in between.
 //!
 //! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
 //! `u32` shard count) followed by one `u64`-length-prefixed, complete v6
@@ -104,9 +104,7 @@ use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::params::CompressParams;
 use crate::segment::{NrefRow, RefRow, TrajSegment, TrajView, CHUNK};
-use crate::stiu::{
-    NodeSegment, NrefRegionTuple, RefRegionTuple, Stiu, StiuParams, TemporalTuple, TrajIndex,
-};
+use crate::stiu::{NodeSegment, Stiu, StiuParams, TemporalTuple, TrajIndex};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
 /// Legacy dataset-only container.
@@ -534,8 +532,7 @@ fn read_trajs<R: Read>(
 }
 
 /// Reads one index node per trajectory of `cds` into `stiu`, tuple by
-/// tuple into its segments, deriving the group bounds (stored by v2
-/// only) and the interval postings.
+/// tuple into its segments, deriving the interval postings.
 fn read_nodes<R: Read>(
     src: &mut Source<'_, R>,
     net: &RoadNetwork,
@@ -543,9 +540,9 @@ fn read_nodes<R: Read>(
     stiu: &mut Stiu,
 ) -> Result<(), StorageError> {
     let (n_cells, n_vertices) = (stiu.grid.cell_count(), net.vertex_count());
-    let p_codec = cds.params.p_codec();
-    // v6: the rows at which each reference's group starts, then ends.
-    let mut groups = Vec::new();
+    // Before v6: the node's region tuples as stored; v6: the cell count
+    // of each group.
+    let (mut refs, mut nrefs, mut groups) = (Vec::new(), Vec::new(), Vec::new());
     let mut cts = cds.trajectories.iter().peekable();
     while cts.peek().is_some() {
         src.begin_block()?;
@@ -561,45 +558,37 @@ fn read_nodes<R: Read>(
                     });
                 }
                 if src.coded {
-                    read_coded_regions(src, node, &ct, n_cells, &mut groups)?;
-                    node.fill_group_bounds(&ct, &p_codec);
-                    return Ok(());
+                    return read_coded_regions(src, node, &ct, n_cells, &mut groups);
                 }
+                refs.clear();
                 for _ in 0..src.col(COUNT)? {
                     let what = "ref tuple out of range";
                     let cell = below(src.field(src.ctx.cell, 4)?, n_cells, what)?;
                     let ref_idx = src.index(ct.refs.len(), what)?;
                     let enters = src.field(1, 1)? != 0;
-                    let mut tuple = RefRegionTuple::new(CellId(cell), ref_idx, enters)?;
                     // v4 has the resume fields after a set bit only.
                     if src.resume && (enters || !src.packed) {
                         src.skip_resume(enters.then_some(n_vertices), what)?;
                     }
-                    // v2 stores the bounds; later ones are derived below.
+                    // v2 stores the bounds, which a query derives.
                     if !src.packed {
-                        (tuple.p_total, tuple.p_max) = (read_f64(src.r)?, read_f64(src.r)?);
-                        if !tuple.p_total.is_finite() || !tuple.p_max.is_finite() {
+                        let bounds = [read_f64(src.r)?, read_f64(src.r)?];
+                        if !bounds.iter().all(|p| p.is_finite()) {
                             return Err(StorageError::Corrupt("non-finite probability bound"));
                         }
                     }
-                    node.ref_tuples.push(tuple);
+                    refs.push((ref_idx, CellId(cell), enters));
                 }
+                nrefs.clear();
                 for _ in 0..src.col(COUNT)? {
                     let what = "nref tuple out of range";
-                    node.nref_tuples.push(NrefRegionTuple {
-                        cell: CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?),
-                        nref_idx: src.index(ct.nrefs.len(), what)?,
-                    });
+                    let cell = CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?);
+                    nrefs.push((src.index(ct.nrefs.len(), what)?, cell));
                     if src.resume {
                         src.skip_resume(Some(n_vertices), what)?;
                     }
                 }
-                // Member cells in traversal order become ascending.
-                node.canonicalize(&ct)?;
-                if src.packed {
-                    node.fill_group_bounds(&ct, &p_codec);
-                }
-                Ok(())
+                Ok(node.push_tuples(&ct, &refs, &mut nrefs)?)
             })?;
         }
         src.end_block()?;
@@ -610,58 +599,52 @@ fn read_nodes<R: Read>(
 /// The region half of a v6 node ([`pack_node`] writes it): per
 /// reference of `ct`, its group's cell count, first cell and further
 /// cells as ascending gaps, then one `enters` bit per cell; per
-/// non-reference, one membership bit per cell of its group. Each cell
-/// and each member tuple costs at least one bit read, so a crafted
-/// count fails on the block's end before it grows a table far.
+/// non-reference, one membership bit per cell of its group. They go
+/// straight into the node's region words and membership bits. Each
+/// cell and each bit costs at least one bit read, so a crafted count
+/// fails on the block's end before it grows a table far.
 fn read_coded_regions<R: Read>(
     src: &mut Source<'_, R>,
     node: &mut NodeSegment,
     ct: &TrajView<'_>,
     n_cells: usize,
-    groups: &mut Vec<usize>,
+    groups: &mut Vec<u64>,
 ) -> Result<(), StorageError> {
     groups.clear();
-    groups.push(node.ref_tuples.len());
-    for ref_idx in 0..ct.refs.len() as u32 {
+    for _ in ct.refs {
         let count = src.golomb()?;
         if count > n_cells as u64 {
             return Err(StorageError::Corrupt("region count past the grid"));
         }
-        let from = node.ref_tuples.len();
-        for k in 0..count {
-            let cell = match node.ref_tuples.last() {
-                Some(prev) if k > 0 => {
-                    let next = u64::from(prev.cell.0) + 1;
-                    let cell = next.saturating_add(src.golomb()?);
+        let first = node.open_group();
+        let mut prev = None;
+        for _ in 0..count {
+            let cell = match prev {
+                Some(prev) => {
+                    let cell = u64::from(prev).saturating_add(1 + src.golomb()?);
                     below(cell, n_cells, "region gap past the last cell")?
                 }
-                _ => below(
+                None => below(
                     src.field(src.ctx.cell, 0)?,
                     n_cells,
                     "ref tuple out of range",
                 )?,
             };
-            node.ref_tuples
-                .push(RefRegionTuple::new(CellId(cell), ref_idx, false)?);
+            node.push_cell(CellId(cell), false)?;
+            prev = Some(cell);
         }
-        for t in node.ref_tuples.get_mut(from..).unwrap_or_default() {
+        for row in first..first + count as usize {
             if src.field(1, 0)? != 0 {
-                *t = RefRegionTuple::new(t.cell, ref_idx, true)?;
+                node.enter(row);
             }
         }
-        groups.push(node.ref_tuples.len());
+        groups.push(count);
     }
-    for (nref_idx, n) in (0..).zip(ct.nrefs) {
-        let r = n.ref_idx as usize;
-        let (from, to) = match groups.get(r..r + 2) {
-            Some(&[from, to]) => (from, to),
-            _ => return Err(StorageError::Corrupt("non-reference points past refs")),
-        };
-        for &t in node.ref_tuples.get(from..to).unwrap_or_default() {
-            if src.field(1, 0)? != 0 {
-                let cell = t.cell;
-                node.nref_tuples.push(NrefRegionTuple { cell, nref_idx });
-            }
+    for n in ct.nrefs {
+        let count = groups.get(n.ref_idx as usize);
+        let count = count.ok_or(StorageError::Corrupt("non-reference points past refs"))?;
+        for _ in 0..*count {
+            node.push_bit(src.field(1, 0)? != 0);
         }
     }
     Ok(())
@@ -837,21 +820,15 @@ fn pack_traj(p: &mut Packer, ct: &TrajView<'_>) -> io::Result<()> {
     Ok(())
 }
 
-/// Splits the leading run of `rest` whose items are `same` off it.
-fn split_run<'a, T>(rest: &mut &'a [T], same: impl Fn(&T) -> bool) -> &'a [T] {
-    let (run, tail) = rest.split_at(rest.iter().take_while(|t| same(t)).count());
-    *rest = tail;
-    run
-}
-
 /// One index record, v6: the temporal tuples in block columns, then
-/// the region tuples coded against the trajectory ([`read_coded_regions`]
-/// reads them). They must be in the canonical order of [`crate::stiu`];
-/// anything else is refused rather than written lossily.
+/// the region words and membership bits coded against the trajectory
+/// ([`read_coded_regions`] reads them). A node with other than one
+/// group per reference, or other than one bit per (non-reference, cell
+/// of its group), is refused: it is not the index of `ct`.
 fn pack_node(
     p: &mut Packer,
     (node, ct): &(TrajIndex<'_>, TrajView<'_>),
-    (ref_bits, nref_bits): &mut (u64, u64),
+    (ref_bits, nref_bits, starts): &mut (u64, u64, Vec<u32>),
 ) -> io::Result<()> {
     p.col(COUNT, node.temporal.len() as u64)?;
     for t in node.temporal {
@@ -863,45 +840,29 @@ fn pack_node(
         // Region tuples hold no column value: nothing to measure.
         return Ok(());
     }
-    let not_canonical = || {
-        let what = "region tuples not in canonical order";
-        io::Error::new(io::ErrorKind::InvalidInput, what)
-    };
+    node.group_starts(starts);
+    let group_len = |n: &NrefRow| node.group(starts, n.ref_idx as usize).len();
+    let n_bits: usize = ct.nrefs.iter().map(group_len).sum();
+    if starts.len() != ct.refs.len() + 1 || node.member_bits().len() != n_bits {
+        let what = "index node does not match its trajectory";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    }
     let refs_at = p.bits.len_bits();
-    let mut rest = node.ref_tuples;
-    for ref_idx in 0..ct.refs.len() as u32 {
-        let group = split_run(&mut rest, |t| t.ref_idx() == ref_idx);
+    for group in node.groups() {
         p.golomb(group.len() as u64)?;
         let mut prev = None;
-        for t in group {
-            match prev.replace(t.cell.0) {
-                None => p.field(u64::from(t.cell.0), p.ctx.cell)?,
-                Some(prev) if prev < t.cell.0 => p.golomb(u64::from(t.cell.0 - prev - 1))?,
-                Some(_) => return Err(not_canonical()),
+        for (cell, _) in group.cells() {
+            match prev.replace(cell.0) {
+                None => p.field(u64::from(cell.0), p.ctx.cell)?,
+                Some(prev) => p.golomb(u64::from(cell.0 - prev - 1))?,
             }
         }
-        p.flags(group.iter().map(|t| t.enters()))?;
-    }
-    if !rest.is_empty() {
-        return Err(not_canonical());
+        p.flags(group.cells().map(|(_, enters)| enters))?;
     }
     let nrefs_at = p.bits.len_bits();
-    let mut rest = node.nref_tuples;
-    for (nref_idx, n) in (0..).zip(ct.nrefs) {
-        let member = split_run(&mut rest, |t| t.nref_idx == nref_idx);
-        // The reference tuples are sorted by `ref_idx` (checked above).
-        let refs = node.ref_tuples;
-        let group = refs.partition_point(|t| t.ref_idx() < n.ref_idx)
-            ..refs.partition_point(|t| t.ref_idx() <= n.ref_idx);
-        let mut cells = member.iter().map(|t| t.cell).peekable();
-        let group = refs.get(group).unwrap_or_default();
-        p.flags(group.iter().map(|t| cells.next_if_eq(&t.cell).is_some()))?;
-        if cells.next().is_some() {
-            return Err(not_canonical());
-        }
-    }
-    if !rest.is_empty() {
-        return Err(not_canonical());
+    let mut bits = node.member_bits();
+    for n in ct.nrefs {
+        p.flags(bits.by_ref().take(group_len(n)))?;
     }
     *ref_bits += (nrefs_at - refs_at) as u64;
     *nref_bits += (p.bits.len_bits() - nrefs_at) as u64;
@@ -934,10 +895,10 @@ pub fn save_v6(
     write_i64(w, stiu.params.partition_s)?;
     write_u32(w, stiu.params.grid_n)?;
     let nodes = stiu.trajs.iter().zip(cds.trajectories.iter());
-    let mut tuples = (0, 0);
+    let mut tuples = (0, 0, Vec::new());
     let pack = |p: &mut Packer, pair: &_| pack_node(p, pair, &mut tuples);
     let (index, _) = write_blocks(ctx, INDEX_COLS, nodes, pack, w)?;
-    let (ref_tuples, nref_tuples) = tuples;
+    let (ref_tuples, nref_tuples, _) = tuples;
     Ok(Sections {
         network,
         payload,
@@ -1190,15 +1151,11 @@ pub fn load_full(
     };
     let net = read_network(r)?;
     let cds = read_dataset(r, version, Some(&net))?;
-    let (partition_s, grid_n) = (read_i64(r)?, read_u32(r)?);
-    if partition_s <= 0 || grid_n == 0 || grid_n > (1 << 14) {
-        return Err(StorageError::Corrupt("index parameters out of range"));
-    }
     let params = StiuParams {
-        partition_s,
-        grid_n,
+        partition_s: read_i64(r)?,
+        grid_n: read_u32(r)?,
     };
-    let mut stiu = Stiu::new(&net, params);
+    let mut stiu = Stiu::new(&net, params)?;
     // v2 states its node count before the nodes.
     if version == VERSION_V2 && read_u64(r)? != cds.trajectories.len() as u64 {
         return Err(StorageError::Corrupt("index/dataset trajectory counts"));
@@ -1293,27 +1250,38 @@ mod tests {
         assert_eq!(dbg(&just_cds.trajectories), dbg(&cds.trajectories));
     }
 
+    /// A 2,000-trajectory Chengdu-profile sample, built once per test
+    /// binary.
+    fn cd_sample() -> &'static (RoadNetwork, CompressedDataset, Stiu) {
+        static SAMPLE: std::sync::OnceLock<(RoadNetwork, CompressedDataset, Stiu)> =
+            std::sync::OnceLock::new();
+        SAMPLE.get_or_init(|| {
+            let p = utcq_datagen::profile::cd();
+            let net = utcq_datagen::generate_network(&p, 7);
+            let opts = utcq_datagen::GenOptions {
+                n_trajectories: 2_000,
+                seed: 7,
+                ..Default::default()
+            };
+            let ds = utcq_datagen::generate_on_network(&net, &p, &opts);
+            let params = CompressParams::with_interval(ds.default_interval);
+            let cds = compress_dataset(&net, &ds, &params).unwrap();
+            let stiu = crate::stiu::build(&net, &ds, &cds, StiuParams::default());
+            (net, cds, stiu)
+        })
+    }
+
     #[test]
     fn region_tuples_cost_what_they_share() {
-        // A Chengdu-profile sample: fixed-width (cell, instance) tuples
-        // took 41 B per trajectory; sorted cell gaps per group and one
-        // membership bit per non-reference cell take a few.
-        let p = utcq_datagen::profile::cd();
-        let net = utcq_datagen::generate_network(&p, 7);
-        let opts = utcq_datagen::GenOptions {
-            n_trajectories: 2_000,
-            seed: 7,
-            ..Default::default()
-        };
-        let ds = utcq_datagen::generate_on_network(&net, &p, &opts);
-        let params = CompressParams::with_interval(ds.default_interval);
-        let cds = compress_dataset(&net, &ds, &params).unwrap();
-        let stiu = crate::stiu::build(&net, &ds, &cds, StiuParams::default());
+        // Fixed-width (cell, instance) tuples took 41 B per trajectory;
+        // sorted cell gaps per group and one membership bit per
+        // non-reference cell take a few.
+        let (net, cds, stiu) = cd_sample();
         let mut bytes = Vec::new();
-        let s = save_v6(&net, &cds, &stiu, &mut bytes).unwrap();
+        let s = save_v6(net, cds, stiu, &mut bytes).unwrap();
         let counted = s.network + s.payload + s.framing + s.temporal + s.ref_tuples + s.nref_tuples;
         assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
-        let per_traj = (s.ref_tuples + s.nref_tuples) as f64 / 8.0 / ds.trajectories.len() as f64;
+        let per_traj = (s.ref_tuples + s.nref_tuples) as f64 / 8.0 / cds.trajectories.len() as f64;
         assert!(
             per_traj <= 12.0,
             "region tuples: {per_traj:.2} B/trajectory"
@@ -1322,6 +1290,29 @@ mod tests {
         let (_, _, again) = load_full(&mut bytes.as_slice()).unwrap();
         let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
         assert_eq!(dbg(&again.trajs), dbg(&stiu.trajs));
+    }
+
+    #[test]
+    fn region_tables_cost_in_memory_what_they_share() {
+        // Held as 24 B reference rows (cell, instance, two f64 bounds)
+        // and 8 B non-reference rows they took ~361 B per trajectory;
+        // as one word per group cell and one bit per non-reference cell,
+        // ~41. Counted on the sealed segment, whose tables hold no spare
+        // capacity (the tail's is growth room): all of it but the
+        // temporal tuples and the offsets.
+        use crate::segment::{Resident, Table, CHUNK};
+        let (_, _, stiu) = cd_sample();
+        let mut census = Resident::default();
+        stiu.trajs.segments().next().unwrap().resident(&mut census);
+        let region = census
+            .0
+            .iter()
+            .filter(|(part, _)| !["temporal", "offset tables"].contains(part));
+        let per_traj = region.map(|(_, bytes)| bytes).sum::<usize>() as f64 / CHUNK as f64;
+        assert!(
+            per_traj <= 48.0,
+            "resident region tables: {per_traj:.1} B/trajectory"
+        );
     }
 
     #[test]
@@ -1378,6 +1369,27 @@ mod tests {
             w.write_bits(0, cell).unwrap();
         });
         assert_eq!(past_the_end, "bit-packed block");
+    }
+
+    #[test]
+    fn a_node_that_is_not_its_trajectorys_index_is_not_written() {
+        // Node 0's regions in the place of a trajectory with another
+        // reference count: its groups cannot be told apart in v6.
+        let (net, cds, mut stiu) = sample();
+        let groups = |j: usize| stiu.trajs.get(j).unwrap().groups().count();
+        let refs = |j: usize| cds.trajectories.get(j).unwrap().refs.len();
+        let j = (1..cds.trajectories.len())
+            .find(|&j| refs(j) != groups(0))
+            .unwrap();
+        let mut nodes = crate::stiu::Nodes::default();
+        for k in 0..cds.trajectories.len() {
+            let node = stiu.trajs.get(k).unwrap();
+            let regions = stiu.trajs.get(if k == j { 0 } else { k }).unwrap();
+            nodes.push(node.temporal, regions).unwrap();
+        }
+        stiu.trajs = nodes;
+        let err = save_v6(&net, &cds, &stiu, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -80,7 +80,7 @@ use crate::opened::InfoReport;
 use crate::params::CompressParams;
 use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::snapshot::{PartitionState, Snapshot, Swap};
-use crate::stiu::StiuParams;
+use crate::stiu::{Stiu, StiuParams};
 
 /// What one [`LiveStore::ingest`] publication did — echoed verbatim by
 /// the serve protocol's `ingest` response.
@@ -251,17 +251,18 @@ impl StoreBuilder {
     /// Finalizes the store. Attach a write-ahead log afterwards with
     /// [`LiveStore::attach_wal`].
     pub fn finish(self) -> Result<Store, Error> {
-        Ok(Store::from_snapshot(self.into_snapshot()))
+        self.into_snapshot().map(Store::from_snapshot)
     }
 
     /// Freezes what was ingested as an epoch-0 snapshot with its own
     /// decode cache — a store's initial state, or one partition of a
     /// sharded one.
-    pub(crate) fn into_snapshot(self) -> Snapshot {
+    pub(crate) fn into_snapshot(self) -> Result<Snapshot, Error> {
         let mut state = self.state;
         state.cds.name = self.name.unwrap_or_default();
         let cache = Arc::new(DecodeCache::with_budget(self.cache_bytes));
-        state.into_snapshot(self.net, self.stiu_params, cache, 0)
+        let index = || Stiu::new(&self.net, self.stiu_params);
+        state.into_snapshot(Arc::clone(&self.net), index, cache, 0)
     }
 }
 
@@ -383,7 +384,7 @@ impl Store {
             });
         }
         let ds = crate::decompress::decompress_dataset(&net, &cds)?;
-        let stiu = crate::stiu::build(&net, &ds, &cds, stiu_params);
+        let stiu = crate::stiu::try_build(&net, &ds, &cds, stiu_params)?;
         Snapshot::assemble(net, cds, stiu).map(Self::from_snapshot)
     }
 

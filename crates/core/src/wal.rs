@@ -1099,10 +1099,12 @@ fn sync_data(file: &File) -> std::io::Result<()> {
 /// Writes a file atomically: the content goes to a sibling tmp file
 /// which is fsynced, renamed over `path`, and the parent directory is
 /// fsynced, so a crash at any point leaves either the old file or the
-/// new one — never a torn mix.
+/// new one — never a torn mix. A failure before the rename leaves the
+/// old file and no tmp file; one at the directory sync, after the
+/// rename, leaves the new file in place.
 pub(crate) fn atomic_write(
     path: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), Error>,
+    write: impl FnOnce(&mut BufWriter<SaveFile>) -> Result<(), Error>,
 ) -> Result<(), Error> {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
@@ -1115,16 +1117,16 @@ pub(crate) fn atomic_write(
     tmp_name.push(format!(".{}.tmp", std::process::id()));
     let tmp = dir.join(tmp_name);
     let result = (|| {
-        let f = File::create(&tmp)?;
-        let mut w = BufWriter::new(f);
+        let mut w = BufWriter::new(SaveFile::create(&tmp)?);
         write(&mut w)?;
-        let f = w
-            .into_inner()
-            .map_err(|e| Error::Io(std::io::Error::other(e.to_string())))?;
+        let f = w.into_inner().map_err(|e| Error::Io(e.into_error()))?.file;
+        save_fault("sync")?;
         f.sync_all()?;
         drop(f);
         crate::hooks::point("save.before_rename");
+        save_fault("rename")?;
         fs::rename(&tmp, path)?;
+        save_fault("dir sync")?;
         File::open(&dir)?.sync_all()?;
         Ok(())
     })();
@@ -1132,6 +1134,56 @@ pub(crate) fn atomic_write(
         let _ = fs::remove_file(&tmp);
     }
     result
+}
+
+/// The tmp file of an [`atomic_write`]. Tests can make its writes fail
+/// after a given number of bytes, the way a full disk does.
+pub(crate) struct SaveFile {
+    file: File,
+    #[cfg(test)]
+    room: Option<usize>,
+}
+
+impl SaveFile {
+    fn create(path: &Path) -> std::io::Result<Self> {
+        Ok(SaveFile {
+            file: File::create(path)?,
+            #[cfg(test)]
+            room: tests::take_write_fault(),
+        })
+    }
+}
+
+impl Write for SaveFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        #[cfg(test)]
+        if let Some(room) = &mut self.room {
+            if *room == 0 {
+                return Err(std::io::ErrorKind::StorageFull.into());
+            }
+            let n = self.file.write(buf.get(..*room).unwrap_or(buf))?;
+            *room -= n;
+            return Ok(n);
+        }
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// Fails if a test made `step` of the next [`atomic_write`] fail
+/// (`"sync"`, `"rename"` or `"dir sync"`), the way a disk that reports
+/// an I/O error does.
+fn save_fault(step: &'static str) -> std::io::Result<()> {
+    #[cfg(test)]
+    if tests::FAIL_SAVE.with(std::cell::Cell::get) == Some(tests::SaveFault::At(step)) {
+        tests::FAIL_SAVE.with(|f| f.set(None));
+        return Err(std::io::Error::other("injected save fault"));
+    }
+    let _ = step;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1300,6 +1352,27 @@ mod tests {
         /// Makes the next `sync_data` fail.
         pub(super) static FAIL_SYNC: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// Makes one step of the next `atomic_write` fail.
+        pub(super) static FAIL_SAVE: std::cell::Cell<Option<SaveFault>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// Where the next `atomic_write` fails.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum SaveFault {
+        /// Its writes, after this many bytes (a full disk).
+        WriteAfter(usize),
+        /// `"sync"`, `"rename"` or `"dir sync"` (a disk I/O error).
+        At(&'static str),
+    }
+
+    /// Takes a [`SaveFault::WriteAfter`], leaving any other fault set.
+    pub(super) fn take_write_fault() -> Option<usize> {
+        let Some(SaveFault::WriteAfter(k)) = FAIL_SAVE.with(std::cell::Cell::get) else {
+            return None;
+        };
+        FAIL_SAVE.with(|f| f.set(None));
+        Some(k)
     }
 
     fn sample(epoch: u64, id: u64) -> Record {
@@ -1880,6 +1953,119 @@ mod tests {
         let (_, rs) = Wal::open(&cfg).expect("the log still opens");
         let ids: Vec<u64> = rs.iter().map(|r| r.trajectories[0].id).collect();
         assert_eq!(ids, vec![13]);
+    }
+
+    /// A tiny dataset in three batches, and a store built from the
+    /// first.
+    fn three_batches() -> (crate::Store, [Dataset; 3]) {
+        use crate::{CompressParams, StoreBuilder};
+        let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 12, 41);
+        let batch = |k: usize| Dataset {
+            trajectories: ds.trajectories[4 * k..4 * k + 4].to_vec(),
+            ..ds.clone()
+        };
+        let batches = [batch(0), batch(1), batch(2)];
+        let params = CompressParams::with_interval(ds.default_interval);
+        let builder = StoreBuilder::new(std::sync::Arc::new(net), params);
+        let store = builder
+            .ingest(&batches[0])
+            .expect("ingest")
+            .finish()
+            .expect("finish");
+        (store, batches)
+    }
+
+    /// The files in `dir` other than `keep`.
+    fn strays(dir: &Path, keep: &[&Path]) -> Vec<PathBuf> {
+        let entries = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").path());
+        entries.filter(|p| !keep.contains(&p.as_path())).collect()
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_previous_container_and_no_tmp_file() {
+        use crate::LiveStore;
+        let (store, batches) = three_batches();
+        let path = tmp("save-fault").with_file_name("c.utcq");
+        store.save(&path).expect("save");
+        let before = std::fs::read(&path).expect("read");
+        store.ingest(&batches[1]).expect("ingest");
+        let mut after = Vec::new();
+        store.write(&mut after).expect("write");
+        let faults = [0, 1, 100, before.len() / 2, after.len() - 1].map(SaveFault::WriteAfter);
+        for fault in faults
+            .into_iter()
+            .chain(["sync", "rename"].map(SaveFault::At))
+        {
+            FAIL_SAVE.with(|f| f.set(Some(fault)));
+            assert!(store.save(&path).is_err(), "{fault:?}");
+            assert!(std::fs::read(&path).expect("read") == before, "{fault:?}");
+            assert!(
+                strays(path.parent().expect("dir"), &[&path]).is_empty(),
+                "{fault:?}"
+            );
+        }
+        // Past the rename the new container is in place: the failed
+        // directory sync only says it may not be durable yet.
+        FAIL_SAVE.with(|f| f.set(Some(SaveFault::At("dir sync"))));
+        assert!(store.save(&path).is_err());
+        assert!(std::fs::read(&path).expect("read") == after);
+        assert!(strays(path.parent().expect("dir"), &[&path]).is_empty());
+    }
+
+    #[test]
+    fn a_failed_checkpoint_keeps_the_log_and_the_store_live() {
+        use crate::{LiveStore, Opened};
+        let faults = [
+            SaveFault::WriteAfter(64),
+            SaveFault::At("sync"),
+            SaveFault::At("rename"),
+        ];
+        let (offline, batches) = three_batches();
+        for b in &batches[1..] {
+            offline.ingest(b).expect("ingest");
+        }
+        let mut want = Vec::new();
+        offline.write(&mut want).expect("write");
+        let (offline, _) = three_batches();
+        for fault in faults.into_iter().chain([SaveFault::At("dir sync")]) {
+            let log = tmp(&format!("checkpoint-fault-{fault:?}"));
+            let container = log.with_file_name("c.utcq");
+            let _ = std::fs::remove_file(&log);
+            offline.save(&container).expect("save");
+            let saved = std::fs::read(&container).expect("read");
+            let store = Opened::open_durable(&container, WalConfig::new(&log)).expect("open");
+            store.ingest(&batches[1]).expect("ingest");
+            let logged = std::fs::read(&log).expect("read log");
+            FAIL_SAVE.with(|f| f.set(Some(fault)));
+            assert!(store.checkpoint().is_err(), "{fault:?}");
+            // The log is untruncated; the container is the old one,
+            // unless the fault came after the rename.
+            assert!(
+                std::fs::read(&log).expect("read log") == logged,
+                "{fault:?}"
+            );
+            let renamed = std::fs::read(&container).expect("read") != saved;
+            assert_eq!(renamed, fault == SaveFault::At("dir sync"), "{fault:?}");
+            // The store keeps answering and ingesting.
+            assert_eq!(store.len(), 8, "{fault:?}");
+            store
+                .ingest(&batches[2])
+                .expect("ingest after the failed checkpoint");
+            drop(store);
+            // A reopen replays to the same bytes: all of the log over
+            // the old container, or past the rename the records the new
+            // container already holds skipped (the interrupted-checkpoint
+            // path).
+            let reopened = Opened::open_durable(&container, WalConfig::new(&log)).expect("reopen");
+            assert_eq!(reopened.epoch(), if renamed { 1 } else { 2 }, "{fault:?}");
+            let mut got = Vec::new();
+            reopened
+                .write_cut(&reopened.writer().hold(), &mut got)
+                .expect("write");
+            assert!(got == want, "{fault:?}");
+        }
     }
 
     #[test]

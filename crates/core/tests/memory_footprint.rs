@@ -5,9 +5,10 @@
 //! be in three ways, and the checks are on bytes and blocks actually
 //! live, the road network and decode cache aside:
 //!
-//! * (a) an opened store holds at most 800 B and 0.1 heap blocks per
+//! * (a) an opened store holds at most 450 B and 0.1 heap blocks per
 //!   trajectory: flat segments, not an object graph per trajectory, and
-//!   region tuples of the fields a query reads;
+//!   region tables as small as the container's (one word per group cell,
+//!   one bit per non-reference cell);
 //! * (b) built offline, reopened, or grown live across a seal boundary,
 //!   the same data costs the same (within 2 %);
 //! * (c) the store's own census (`Snapshot::resident`, what `utcq info`
@@ -171,11 +172,12 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
     assert!(container(&store) == offline, "live growth == offline build");
     let live_grown = cost(store);
 
-    // (a) flat: under 800 B in 0.02 blocks per trajectory (it was
+    // (a) flat: under 450 B in 0.02 blocks per trajectory (it was
     // 1,455 B in 17.6 blocks as an object graph, about 1 KB while the
-    // region tuples carried their resume fields).
+    // region tuples carried their resume fields, 752 B while they were
+    // rows with two f64 bounds each).
     let Cost { bytes, blocks, .. } = reopened;
-    assert!(bytes <= 800.0, "opened store: {bytes:.1} B/trajectory");
+    assert!(bytes <= 450.0, "opened store: {bytes:.1} B/trajectory");
     assert!(blocks <= 0.1, "opened store: {blocks:.3} blocks/trajectory");
 
     // (b) the same however the store came to be.
@@ -216,7 +218,7 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
     // `utcq info` is demonstrated on.
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/tiny_v5.utcq"
+        "/../../tests/fixtures/tiny_v6.utcq"
     );
     let Cost { bytes, census, .. } = cost(reopen(&std::fs::read(fixture).unwrap()));
     assert!(

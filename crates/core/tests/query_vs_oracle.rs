@@ -213,6 +213,52 @@ fn range_matches_oracle() {
     }
 }
 
+#[test]
+fn an_extra_when_crossing_lies_within_eta_d_of_the_exact_rd() {
+    // Seed 26's `check_when` mismatch (trajectory 1196, α = 0: the
+    // oracle finds 2 hits, the store 3), minimised to its one instance
+    // and one edge (edge 38 of the seed-26 network): the instance's last
+    // sample lies on the query edge at exact rd 0.49953, just short of
+    // the query's rd 0.5, and ηD = 1/128 quantizes it to exactly 0.5. The store reports the crossing
+    // at that sample's time and the oracle reports none: a difference
+    // of 0.00047 in rd, within ηD, not a bug (`docs/CORRECTNESS.md`).
+    let net = utcq_datagen::generate_network(&utcq_datagen::profile::tiny(), 26);
+    let edge = utcq_network::EdgeId(38);
+    let exact = [0.14736911152318943, 0.4995309092332161];
+    let tu = UncertainTrajectory {
+        id: 1196,
+        times: vec![26290, 26301],
+        instances: vec![utcq_traj::Instance {
+            path: vec![edge],
+            positions: exact
+                .map(|rd| utcq_traj::PathPosition { path_idx: 0, rd })
+                .to_vec(),
+            prob: 1.0,
+        }],
+    };
+    let ds = Dataset {
+        name: "seed 26".into(),
+        default_interval: 10,
+        trajectories: vec![tu.clone()],
+    };
+    let st = store(&net, &ds);
+    let (rd, alpha) = (0.5, 0.0);
+    assert!(oracle::when_query(&net, &tu, edge, rd, alpha).is_empty());
+    let got = st
+        .when_query(tu.id, edge, rd, alpha, PageRequest::all())
+        .unwrap()
+        .into_items();
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert_eq!(got[0].time, 26301.0, "at the last sample");
+    // The decoded sample sits on the query point; the exact one within
+    // ηD of it.
+    let eta_d = CompressParams::with_interval(10).eta_d;
+    let back = utcq_core::decompress_dataset(&net, st.snapshot().compressed()).unwrap();
+    let decoded = back.trajectories[0].instances[0].positions[1].rd;
+    assert_eq!(decoded, rd);
+    assert!((exact[1] - rd).abs() <= eta_d && exact[1] < rd);
+}
+
 /// Three sealed segments of 1,024 and a partial tail.
 const ACROSS_SEALS: usize = 3 * 1_024 + 100;
 

@@ -141,8 +141,7 @@ fn crafted_temporal_span_is_rejected_at_open() {
             far.start += 1 << 40;
             temporal.push(far);
         }
-        let (refs, nrefs) = (node.ref_tuples, node.nref_tuples);
-        nodes.push(&temporal, refs, nrefs).unwrap();
+        nodes.push(&temporal, node).unwrap();
     }
     index.trajs = nodes;
     let mut bytes = Vec::new();

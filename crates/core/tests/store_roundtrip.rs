@@ -20,7 +20,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use utcq_core::query::{PageRequest, QueryTarget};
+use utcq_core::segment::TrajView;
 use utcq_core::shard::{ByTime, ShardedStore};
+use utcq_core::stiu::TrajIndex;
 use utcq_core::{CompressParams, Error, LiveStore, Snapshot, StiuParams, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::Dataset;
@@ -260,19 +262,25 @@ fn ingest_order_does_not_change_answers() {
     assert_equal_answers(&ab, &ba, &ds, &mut rng);
 }
 
-/// Every field of an index node, the probability bounds by bit pattern.
+/// Every field of an index node as tuple rows, and the probability
+/// bounds of every cell of every group by bit pattern.
 type NodeFields = (
     Vec<utcq_core::stiu::TemporalTuple>,
     Vec<(u32, u32, bool, u64, u64)>,
-    Vec<utcq_core::stiu::NrefRegionTuple>,
+    Vec<(u32, utcq_network::CellId)>,
 );
 
-fn node_fields(n: utcq_core::stiu::TrajIndex<'_>) -> NodeFields {
-    let refs = n.ref_tuples.iter().map(|t| {
-        let (p_total, p_max) = (t.p_total.to_bits(), t.p_max.to_bits());
-        (t.cell.0, t.ref_idx(), t.enters(), p_total, p_max)
-    });
-    (n.temporal.to_vec(), refs.collect(), n.nref_tuples.to_vec())
+fn node_fields(n: TrajIndex<'_>, ct: &TrajView<'_>, params: &CompressParams) -> NodeFields {
+    let mut starts = Vec::new();
+    n.group_starts(&mut starts);
+    let mut refs = Vec::new();
+    for (r, group) in (0..).zip(n.groups()) {
+        for (k, (cell, enters)) in group.cells().enumerate() {
+            let (p_total, p_max) = n.bounds(&starts, ct, &params.p_codec(), r, k);
+            refs.push((cell.0, r, enters, p_total.to_bits(), p_max.to_bits()));
+        }
+    }
+    (n.temporal.to_vec(), refs, n.nref_tuples(ct.nrefs))
 }
 
 /// Asserts that `reopened` holds exactly the index and accounting of
@@ -282,12 +290,16 @@ fn assert_same_index(built: &[Arc<Snapshot>], reopened: &[Arc<Snapshot>], what: 
     assert_eq!(built.len(), reopened.len(), "{what}: partitions");
     for (a, b) in built.iter().zip(reopened) {
         assert_eq!(a.ratios(), b.ratios(), "{what}: ratios");
+        let fields = |s: &Snapshot, j: usize| {
+            let (node, ct) = (s.stiu().trajs.get(j), s.compressed().trajectories.get(j));
+            node_fields(node.unwrap(), &ct.unwrap(), &s.compressed().params)
+        };
+        assert_eq!(a.stiu().trajs.len(), b.stiu().trajs.len(), "{what}: nodes");
+        for j in 0..a.stiu().trajs.len() {
+            assert_eq!(fields(a, j), fields(b, j), "{what}: node {j}");
+        }
         let (a, b) = (a.stiu(), b.stiu());
         assert_eq!(a.params, b.params, "{what}");
-        assert_eq!(a.trajs.len(), b.trajs.len(), "{what}: nodes");
-        for (j, (x, y)) in a.trajs.iter().zip(&b.trajs).enumerate() {
-            assert_eq!(node_fields(x), node_fields(y), "{what}: node {j}");
-        }
         let keys = a.interval_trajs.sorted_keys();
         assert_eq!(keys, b.interval_trajs.sorted_keys(), "{what}: intervals");
         for k in keys {
@@ -421,7 +433,9 @@ fn segment_views_equal_the_compressor_and_index_builder_output() {
                     "{what} {j}"
                 );
                 let (node, expect) = (nodes.get(j).unwrap(), index.trajs.get(j).unwrap());
-                assert_eq!(node_fields(node), node_fields(expect), "{what}: node {j}");
+                let ct = cds.trajectories.get(j).unwrap();
+                let fields = [node, expect].map(|n| node_fields(n, &ct, &params));
+                assert_eq!(fields[0], fields[1], "{what}: node {j}");
             }
         }
     }

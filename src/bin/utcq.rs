@@ -720,7 +720,15 @@ fn audit_lint(root: &std::path::Path) -> Result<(), String> {
         eprintln!("unused allowlist entry: {u}");
     }
     if report.is_clean() {
-        println!("lint: {} hot-path file(s) clean", report.files.len());
+        let hot = report
+            .files
+            .iter()
+            .filter(|f| utcq::audit::lint::HOT_FILES.contains(&f.as_str()));
+        println!(
+            "lint: {} file(s) clean, {} of them hot-path",
+            report.files.len(),
+            hot.count()
+        );
         Ok(())
     } else {
         Err(format!(

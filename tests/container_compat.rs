@@ -41,9 +41,11 @@ use std::sync::Arc;
 
 use utcq::core::query::PageRequest;
 use utcq::core::shard::{ByTime, ShardedStore};
-use utcq::core::stiu::StiuParams;
+use utcq::core::stiu::{StiuParams, TrajIndex};
 use utcq::core::wal::{self, Record, Wal};
-use utcq::core::{CompressParams, LiveStore, Opened, QueryTarget, Store, StoreBuilder, WalConfig};
+use utcq::core::{
+    CompressParams, LiveStore, Opened, QueryTarget, Snapshot, Store, StoreBuilder, WalConfig,
+};
 use utcq::traj::Dataset;
 
 const SEED: u64 = 20_260_729;
@@ -143,23 +145,70 @@ fn all_versions_open_and_agree() {
     }
 }
 
+/// Where the nodes of `tiny_v2.utcq` start. The file ends with the
+/// nodes (u32 count + 16-byte temporal tuples, u32 count + 37-byte
+/// reference tuples, u32 count + 20-byte non-reference tuples) and the
+/// postings (u64 key count; per key i64, u32 count, u32 positions):
+/// sized from the opened store, they locate the nodes from the end.
+fn v2_nodes_at(bytes: &[u8], snap: &Snapshot) -> usize {
+    let (nodes, postings) = (&snap.stiu().trajs, &snap.stiu().interval_trajs);
+    let keys = postings.sorted_keys();
+    let per_key = keys.iter().map(|&k| 12 + 4 * postings.postings(k).len());
+    let postings_len = 8 + per_key.sum::<usize>();
+    let node_len = |n: TrajIndex<'_>| {
+        let (refs, nrefs) = n.tuple_counts();
+        12 + 16 * n.temporal.len() + 37 * refs + 20 * nrefs
+    };
+    bytes.len() - postings_len - nodes.iter().map(node_len).sum::<usize>()
+}
+
 #[test]
 fn derived_bounds_equal_the_stored_ones() {
     // `tiny_v2.utcq` stores `p_total` / `p_max` as the index builder of
-    // its day computed them; later versions do not store them and the
-    // reader derives them. Same bits, or Lemma 1's filter changed.
+    // its day computed them; no later version stores them, and no
+    // store holds them: a query derives them per cell. Same bits, or
+    // Lemma 1's filter changed.
     let ([_, v2, v4, v5, v6], _) = open_fixtures();
-    let bounds = |s: &Store| -> Vec<(u64, u64)> {
+    let derived = |s: &Store| -> Vec<(u64, u64)> {
         let snap = s.snapshot();
-        let tuples = snap.stiu().trajs.iter().flat_map(|n| n.ref_tuples);
-        tuples
-            .map(|t| (t.p_total.to_bits(), t.p_max.to_bits()))
-            .collect()
+        let p_codec = snap.compressed().params.p_codec();
+        let mut bounds = Vec::new();
+        let nodes = snap.stiu().trajs.iter();
+        for (node, ct) in nodes.zip(snap.compressed().trajectories.iter()) {
+            let mut starts = Vec::new();
+            node.group_starts(&mut starts);
+            for (r, group) in (0..).zip(node.groups()) {
+                for k in 0..group.len() {
+                    let (p_total, p_max) = node.bounds(&starts, &ct, &p_codec, r, k);
+                    bounds.push((p_total.to_bits(), p_max.to_bits()));
+                }
+            }
+        }
+        bounds
     };
-    assert!(!bounds(&v2).is_empty());
-    assert_eq!(bounds(&v2), bounds(&v4));
-    assert_eq!(bounds(&v2), bounds(&v5));
-    assert_eq!(bounds(&v2), bounds(&v6));
+    // The stored ones, tuple by tuple: cell, ref_idx, enters (1 byte),
+    // vertex, entry index, position, then `p_total` and `p_max`.
+    let bytes = std::fs::read(fixture_path("tiny_v2.utcq")).unwrap();
+    let snap = v2.snapshot();
+    let count = |at: &mut usize| {
+        let n = u32::from_le_bytes(bytes[*at..*at + 4].try_into().unwrap()) as usize;
+        *at += 4;
+        n
+    };
+    let f64_bits = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (mut at, mut stored) = (v2_nodes_at(&bytes, &snap), Vec::new());
+    for _ in 0..TRAJS {
+        at += 16 * count(&mut at);
+        for _ in 0..count(&mut at) {
+            stored.push((f64_bits(at + 21), f64_bits(at + 29)));
+            at += 37;
+        }
+        at += 20 * count(&mut at);
+    }
+    assert!(!stored.is_empty());
+    for (name, store) in [("v2", &v2), ("v4", &v4), ("v5", &v5), ("v6", &v6)] {
+        assert_eq!(derived(store), stored, "{name}");
+    }
 }
 
 #[test]
@@ -208,33 +257,26 @@ fn resume_fields_of_old_versions_are_still_checked() {
     // now, with the same error.
     let open = |bytes: &[u8]| Store::read(&mut &bytes[..]).map_err(|e| e.to_string());
 
-    // v2, fixed-width fields. The file ends with the nodes (u32 count +
-    // 16-byte temporal tuples, u32 count + 37-byte reference tuples,
-    // u32 count + 20-byte non-reference tuples) and the postings (u64
-    // key count; per key i64, u32 count, u32 positions): sized from the
-    // opened store, they locate node 0 from the end.
+    // v2, fixed-width fields: node 0 is the first of the nodes.
     let bytes = std::fs::read(fixture_path("tiny_v2.utcq")).unwrap();
     let v2 = open(&bytes).expect("the fixture itself opens");
     let snap = v2.snapshot();
-    let (nodes, postings) = (&snap.stiu().trajs, &snap.stiu().interval_trajs);
-    let keys = postings.sorted_keys();
-    let per_key = keys.iter().map(|&k| 12 + 4 * postings.postings(k).len());
-    let postings_len = 8 + per_key.sum::<usize>();
-    let node_len = |n: utcq::core::stiu::TrajIndex<'_>| {
-        12 + 16 * n.temporal.len() + 37 * n.ref_tuples.len() + 20 * n.nref_tuples.len()
-    };
-    let nodes_len: usize = nodes.iter().map(node_len).sum();
-    let node0 = nodes.get(0).unwrap();
-    let refs_at = bytes.len() - postings_len - nodes_len + 4 + 16 * node0.temporal.len() + 4;
+    let node0 = snap.stiu().trajs.get(0).unwrap();
+    let refs_at = v2_nodes_at(&bytes, &snap) + 4 + 16 * node0.temporal.len() + 4;
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    assert_eq!(u32_at(refs_at - 4) as usize, node0.ref_tuples.len());
+    let ref_tuples = Vec::from_iter(node0.ref_tuples());
+    assert_eq!(u32_at(refs_at - 4) as usize, ref_tuples.len());
     // cell, ref_idx, enters (1 byte), then vertex, entry index, position.
-    let entering = node0.ref_tuples.iter().position(|t| t.enters()).unwrap();
+    let entering = ref_tuples.iter().position(|t| t.2).unwrap();
     let ref_vertex = refs_at + 37 * entering + 9;
-    assert_eq!(u32_at(ref_vertex - 9), node0.ref_tuples[entering].cell.0);
+    assert_eq!(u32_at(ref_vertex - 9), ref_tuples[entering].1 .0);
     // count, then cell, nref_idx, vertex, entry index, position.
-    let nref_vertex = refs_at + 37 * node0.ref_tuples.len() + 4 + 8;
-    assert_eq!(u32_at(nref_vertex - 8), node0.nref_tuples[0].cell.0);
+    let nref_vertex = refs_at + 37 * ref_tuples.len() + 4 + 8;
+    let ct0 = snap.compressed().trajectories.get(0).unwrap();
+    assert_eq!(
+        u32_at(nref_vertex - 8),
+        node0.nref_tuples(ct0.nrefs)[0].1 .0
+    );
     let n_vertices = snap.network().vertex_count() as u32;
     assert!(u32_at(ref_vertex) < n_vertices && u32_at(nref_vertex) < n_vertices);
     for (at, what) in [(ref_vertex, "ref"), (nref_vertex, "nref")] {
