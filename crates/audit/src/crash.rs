@@ -113,11 +113,8 @@ mod tests {
     }
 
     fn save(store: &Opened, path: &Path) {
-        match store {
-            Opened::Single(s) => s.save(path),
-            Opened::Sharded(s) => s.save(path),
-        }
-        .expect("save");
+        let (Opened::Single(s) | Opened::Sharded(s)) = store;
+        s.save(path).expect("save");
     }
 
     /// Saves `store` and returns the container bytes — the

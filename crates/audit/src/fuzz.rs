@@ -1,8 +1,9 @@
 //! A structure-aware, seeded fuzzer for the parse surfaces that face
 //! untrusted bytes: the binary container loaders (`utcq_core::storage`,
 //! `Store::open`/`Opened::open`), the serve wire protocol
-//! (`wire::handle_line`) and the write-ahead-log reader
-//! (`utcq_core::wal::scan` / `Wal::open`).
+//! (`wire::handle_line`) and the write-ahead log, read
+//! (`utcq_core::wal::scan` / `Wal::open`) and replayed into a store
+//! (`Opened::open_durable`).
 //!
 //! No external fuzzing engine (the workspace builds offline): the
 //! corpus is the checked-in fixtures under `tests/fixtures/`, the
@@ -88,6 +89,8 @@ pub struct Fixtures {
     lines: Vec<String>,
     wals: Vec<Vec<u8>>,
     opened: Opened,
+    /// The container logs replay into (`tiny_v6.utcq`).
+    replay_base: Vec<u8>,
     scratch: PathBuf,
     wal_scratch: PathBuf,
 }
@@ -176,6 +179,7 @@ impl Fixtures {
             lines,
             wals: wal_seed_corpus(&dir)?,
             opened,
+            replay_base: fs::read(dir.join("tiny_v6.utcq"))?,
             scratch,
             wal_scratch,
         })
@@ -197,7 +201,9 @@ impl Drop for Fixtures {
 /// an open rewrites, and v2) plus well-formed v2 files built in memory —
 /// a header alone, then checksummed batch records, among them one
 /// trajectory whose instances take every branch of the
-/// reference-relative code.
+/// reference-relative code, and one that fits the replay container
+/// (`tiny_v6.utcq`: 10 s interval, 162 edges) but for an edge past its
+/// network.
 fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
     use utcq_network::EdgeId;
     use utcq_traj::{Instance, PathPosition, UncertainTrajectory};
@@ -254,7 +260,17 @@ fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
     ];
     let mut multi = header();
     multi.extend_from_slice(&wal::encode_record(&record(1, 30, 3, variants)));
-    let mut wals = vec![header(), one, three, multi];
+    let mut off_network = header();
+    off_network.extend_from_slice(&wal::encode_record(&wal::Record {
+        default_interval: 10,
+        trajectories: vec![UncertainTrajectory {
+            id: 1_000,
+            times: vec![0, 10],
+            instances: vec![instance(&[167], &[(0, 0.25), (0, 0.75)], 1.0)],
+        }],
+        ..record(1, 1_000, 0, Vec::new())
+    }));
+    let mut wals = vec![header(), one, three, multi, off_network];
     for fixture in ["wal_v1.wal", "wal_v2.wal"] {
         wals.push(fs::read(dir.join(fixture))?);
     }
@@ -288,10 +304,15 @@ fn wire_harness(fx: &Fixtures, bytes: &[u8]) {
 fn wal_harness(fx: &Fixtures, bytes: &[u8]) {
     // The pure scanner first (what replay and torn-tail detection run
     // on), then the full open path, which additionally truncates a torn
-    // tail on a scratch copy of the file.
+    // tail on a scratch copy of the file, then the replay of what that
+    // left into a scratch copy of a container.
     let _ = wal::scan(bytes);
     if fs::write(&fx.wal_scratch, bytes).is_ok() {
-        let _ = wal::Wal::open(&wal::WalConfig::new(&fx.wal_scratch));
+        let cfg = || wal::WalConfig::new(&fx.wal_scratch);
+        let _ = wal::Wal::open(&cfg());
+        if fs::write(&fx.scratch, &fx.replay_base).is_ok() {
+            let _ = Opened::open_durable(&fx.scratch, cfg());
+        }
     }
 }
 
@@ -501,7 +522,7 @@ fn build_input(
             ("container", bytes)
         }
         1 => {
-            let base = &fx.wals[rng.gen_range(0..fx.wals.len())]; // bounds: six seeds always load
+            let base = &fx.wals[rng.gen_range(0..fx.wals.len())]; // bounds: seven seeds always load
             let mut bytes = base.clone();
             for _ in 0..rounds {
                 mutate_bytes(&mut rng, &mut bytes);

@@ -489,9 +489,7 @@ pub fn explore(name: &str, opts: SchedOpts, factory: &dyn Fn() -> Scenario) -> O
 use std::sync::OnceLock;
 use utcq_core::snapshot::Swap;
 use utcq_core::store::StoreBuilder;
-use utcq_core::{
-    CompressParams, LiveStore, Opened, QueryTarget, ShardPolicy, ShardedStore, Store, WalConfig,
-};
+use utcq_core::{CompressParams, LiveStore, Opened, QueryTarget, ShardPolicy, Store, WalConfig};
 use utcq_traj::Dataset;
 
 /// The shared tiny dataset: generated once, split into an initial
@@ -521,7 +519,7 @@ fn build_store() -> Arc<Store> {
 /// How [`build_sharded`] routes its two shards.
 const SHARD_POLICY: utcq_core::ByTime = utcq_core::ByTime { interval_s: 3600 };
 
-fn build_sharded() -> Arc<ShardedStore> {
+fn build_sharded() -> Arc<Store> {
     let (net, a, _) = tiny_batches();
     let store = StoreBuilder::new(
         Arc::clone(net),

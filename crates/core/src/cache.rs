@@ -22,20 +22,21 @@
 //!   Negative entries carry no payload but are charged the fixed
 //!   per-entry overhead, so they compete for the byte budget like any
 //!   other entry and retire through the same LRU;
-//! * `(RE, tq, α) → Arc<Vec<u64>>` — the **complete** match set of a
-//!   range query shape (exact bit-pattern key, never a lossy hash),
-//!   stored only when a scan ran unpaginated to the end; empty match
-//!   sets store as payload-free negative entries. Repeated range
-//!   probes of a warm shape skip the whole candidate scan.
+//! * `(RE, tq, α, partitions) → Arc<Vec<u64>>` — the **complete** match
+//!   set of a range query shape over that many partitions (exact
+//!   bit-pattern key, never a lossy hash), stored only when a scan ran
+//!   unpaginated to the end; empty match sets store as payload-free
+//!   negative entries. Repeated range probes of a warm shape skip the
+//!   whole candidate scan.
 //!
-//! Every key additionally carries the **epoch** of the snapshot that
-//! minted it (see [`crate::snapshot`]): after a live ingest publishes a
-//! new epoch, entries of superseded epochs stop matching — no
-//! cross-epoch aliasing even if a future writer stops being
-//! append-only — and the publish drops them
-//! (`DecodeCache::retire_before`), so what the cache holds under
-//! ingest is one epoch's working set, not every read since the last
-//! eviction.
+//! Every key additionally carries the **epoch** that minted it (see
+//! [`crate::snapshot`]): the snapshot's for a trajectory's artifacts, the
+//! store's for a range result. After a live ingest publishes a new
+//! epoch, entries of superseded epochs stop matching — no cross-epoch
+//! aliasing even if a future writer stops being append-only — and the
+//! publish drops them (`DecodeCache::retire_before`), so what the cache
+//! holds under ingest is one epoch's working set, not every read since
+//! the last eviction.
 //!
 //! The cache is **sharded**: keys hash to one of [`SHARD_COUNT`]
 //! [`RwLock`]-protected shards, so concurrent queries (e.g. under
@@ -86,14 +87,17 @@ enum Kind {
     /// Negative entry: trajectory `traj` has no region tuple in StIU
     /// cell `cell` — a *when* query there is answer-free.
     WhenMiss { traj: u32, cell: u32 },
-    /// The complete match set of one **range** query shape. The shape
-    /// is stored *exactly* — the rectangle's four coordinate bit
-    /// patterns, the query time, and α's bit pattern — never a lossy
-    /// hash, which could collide two shapes and serve a wrong answer.
+    /// The complete match set of one **range** query shape over
+    /// `partitions` partitions (a store's partition count, or 1 for one
+    /// snapshot queried alone). The shape is stored *exactly* — the
+    /// rectangle's four coordinate bit patterns, the query time, and α's
+    /// bit pattern — never a lossy hash, which could collide two shapes
+    /// and serve a wrong answer.
     RangeResult {
         re_bits: [u64; 4],
         tq: i64,
         alpha_bits: u64,
+        partitions: u32,
     },
 }
 
@@ -103,7 +107,7 @@ impl Kind {
     /// keys consistently and `0.0`/`-0.0` are distinct shapes (both
     /// compute the same answer, so the split is merely one redundant
     /// entry, never a wrong one).
-    fn range_result(re: &utcq_network::Rect, tq: i64, alpha: f64) -> Self {
+    fn range_result(partitions: u32, re: &utcq_network::Rect, tq: i64, alpha: f64) -> Self {
         Kind::RangeResult {
             re_bits: [
                 re.min_x.to_bits(),
@@ -113,6 +117,7 @@ impl Kind {
             ],
             tq,
             alpha_bits: alpha.to_bits(),
+            partitions,
         }
     }
 }
@@ -215,6 +220,22 @@ pub struct CacheStats {
     pub bytes: usize,
     /// Configured byte budget (`0` = caching disabled).
     pub budget_bytes: usize,
+}
+
+/// The counters of several caches (a store's partitions) added up.
+impl std::iter::Sum for CacheStats {
+    fn sum<I: Iterator<Item = Self>>(all: I) -> Self {
+        all.fold(Self::default(), |a, b| Self {
+            hits: a.hits + b.hits,
+            misses: a.misses + b.misses,
+            evictions: a.evictions + b.evictions,
+            negative_hits: a.negative_hits + b.negative_hits,
+            entries: a.entries + b.entries,
+            negative_entries: a.negative_entries + b.negative_entries,
+            bytes: a.bytes + b.bytes,
+            budget_bytes: a.budget_bytes + b.budget_bytes,
+        })
+    }
 }
 
 impl CacheStats {
@@ -330,17 +351,23 @@ impl DecodeCache {
         }
     }
 
-    /// Drops every entry minted by an epoch before `epoch` — called as
-    /// `epoch` publishes, since no current reader can hit them again.
-    /// Not counted as evictions (those keep the budget). A reader still
-    /// pinned to an older epoch just decodes again; what it inserts
+    /// Drops every entry minted by an epoch before `epoch`, and every
+    /// range result minted before `ranges` (a store epoch, which runs
+    /// ahead of a partition's own when batches skip the partition) —
+    /// called as a publish lands, since no current reader can hit them
+    /// again. Not counted as evictions (those keep the budget). A reader
+    /// still pinned to an older epoch just decodes again; what it inserts
     /// meanwhile goes at the next publish.
-    pub(crate) fn retire_before(&self, epoch: u64) {
+    pub(crate) fn retire_before(&self, epoch: u64, ranges: u64) {
         for shard in &self.shards {
             let mut guard = shard.write().expect("cache lock poisoned");
             let s = &mut *guard;
             s.map.retain(|key, e| {
-                let keep = key.epoch >= epoch;
+                let since = match key.kind {
+                    Kind::RangeResult { .. } => ranges,
+                    _ => epoch,
+                };
+                let keep = key.epoch >= since;
                 if !keep {
                     s.bytes -= e.bytes;
                     if matches!(e.value, Value::Negative) {
@@ -561,14 +588,15 @@ impl DecodeCache {
         );
     }
 
-    /// The cached complete match set of **range**(RE, tq, α) at
-    /// `epoch`, id-ascending, if a prior query stored it. An empty
-    /// match set hits too (stored as a negative entry, so it counts a
-    /// negative hit like a *when* region miss). `None` means the caller
-    /// runs the scan.
+    /// The cached complete match set of **range**(RE, tq, α) over
+    /// `partitions` partitions at `epoch`, id-ascending, if a prior query
+    /// stored it. An empty match set hits too (stored as a negative
+    /// entry, so it counts a negative hit like a *when* region miss).
+    /// `None` means the caller runs the scan.
     pub fn range_result(
         &self,
         epoch: u64,
+        partitions: u32,
         re: &utcq_network::Rect,
         tq: i64,
         alpha: f64,
@@ -578,7 +606,7 @@ impl DecodeCache {
         }
         let key = Key {
             epoch,
-            kind: Kind::range_result(re, tq, alpha),
+            kind: Kind::range_result(partitions, re, tq, alpha),
         };
         let shard = self.shard_of(&key);
         let guard = shard.read().expect("cache lock poisoned");
@@ -598,13 +626,15 @@ impl DecodeCache {
         }
     }
 
-    /// Records the complete match set of **range**(RE, tq, α) at
-    /// `epoch` — called only when the scan ran unpaginated to the end
-    /// (no cursor, no further candidates), so `ids` is the whole
-    /// answer. Empty sets store payload-free as negative entries.
+    /// Records the complete match set of **range**(RE, tq, α) over
+    /// `partitions` partitions at `epoch` — called only when the scan
+    /// ran unpaginated to the end (no cursor, no further candidates), so
+    /// `ids` is the whole answer. Empty sets store payload-free as
+    /// negative entries.
     pub fn note_range_result(
         &self,
         epoch: u64,
+        partitions: u32,
         re: &utcq_network::Rect,
         tq: i64,
         alpha: f64,
@@ -615,7 +645,7 @@ impl DecodeCache {
         }
         let key = Key {
             epoch,
-            kind: Kind::range_result(re, tq, alpha),
+            kind: Kind::range_result(partitions, re, tq, alpha),
         };
         let value = if ids.is_empty() {
             Value::Negative
@@ -685,7 +715,7 @@ mod tests {
         // Publishing epoch 1 drops everything epoch 0 minted, without
         // counting evictions; epoch 1's entry stays.
         cache.note_when_miss(0, 7, 3);
-        cache.retire_before(1);
+        cache.retire_before(1, 1);
         let s = cache.stats();
         assert_eq!((s.entries, s.negative_entries, s.evictions), (1, 0, 0));
         assert_eq!(s.bytes, value_bytes(&Value::Times(new)));
@@ -739,25 +769,38 @@ mod tests {
     fn range_results_key_on_exact_shape_and_epoch() {
         let cache = DecodeCache::with_budget(1 << 20);
         let re = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.0);
-        assert!(cache.range_result(0, &re, 900, 0.3).is_none());
-        cache.note_range_result(0, &re, 900, 0.3, Arc::new(vec![3, 7, 11]));
-        assert_eq!(*cache.range_result(0, &re, 900, 0.3).unwrap(), [3, 7, 11]);
+        assert!(cache.range_result(0, 1, &re, 900, 0.3).is_none());
+        cache.note_range_result(0, 1, &re, 900, 0.3, Arc::new(vec![3, 7, 11]));
+        assert_eq!(
+            *cache.range_result(0, 1, &re, 900, 0.3).unwrap(),
+            [3, 7, 11]
+        );
         // Any shape component differing is a distinct key.
-        assert!(cache.range_result(1, &re, 900, 0.3).is_none(), "epoch");
-        assert!(cache.range_result(0, &re, 901, 0.3).is_none(), "tq");
-        assert!(cache.range_result(0, &re, 900, 0.31).is_none(), "alpha");
+        assert!(cache.range_result(1, 1, &re, 900, 0.3).is_none(), "epoch");
+        assert!(
+            cache.range_result(0, 2, &re, 900, 0.3).is_none(),
+            "partitions"
+        );
+        assert!(cache.range_result(0, 1, &re, 901, 0.3).is_none(), "tq");
+        assert!(cache.range_result(0, 1, &re, 900, 0.31).is_none(), "alpha");
         let other = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.5);
-        assert!(cache.range_result(0, &other, 900, 0.3).is_none(), "rect");
+        assert!(cache.range_result(0, 1, &other, 900, 0.3).is_none(), "rect");
         // Empty answers are remembered as negative entries and hit.
-        cache.note_range_result(0, &re, 1800, 0.3, Arc::new(Vec::new()));
-        assert!(cache.range_result(0, &re, 1800, 0.3).unwrap().is_empty());
+        cache.note_range_result(0, 1, &re, 1800, 0.3, Arc::new(Vec::new()));
+        assert!(cache.range_result(0, 1, &re, 1800, 0.3).unwrap().is_empty());
         let s = cache.stats();
         assert_eq!(s.negative_entries, 1);
         assert_eq!(s.negative_hits, 1);
+        // A store epoch retires range results on its own clock: the
+        // partition's epoch-0 decodes stay.
+        times_entry(&cache, 1, 8);
+        cache.retire_before(0, 1);
+        assert!(cache.range_result(0, 1, &re, 900, 0.3).is_none());
+        assert_eq!(cache.stats().entries, 1);
         // Zero budget bypasses reads and writes.
         cache.set_budget(0);
-        assert!(cache.range_result(0, &re, 900, 0.3).is_none());
-        cache.note_range_result(0, &re, 900, 0.3, Arc::new(vec![1]));
+        assert!(cache.range_result(0, 1, &re, 900, 0.3).is_none());
+        cache.note_range_result(0, 1, &re, 900, 0.3, Arc::new(vec![1]));
         assert_eq!(cache.stats().entries, 0);
     }
 

@@ -208,14 +208,6 @@ impl IntervalMap {
         out
     }
 
-    /// Visits every `(interval, global position)` posting. The order
-    /// within one interval is ascending by position.
-    pub fn for_each_posting(&self, mut f: impl FnMut(i64, u32)) {
-        for &(key, j) in self.all_segments().flatten() {
-            f(key, j);
-        }
-    }
-
     /// Number of distinct intervals.
     pub fn len(&self) -> usize {
         self.sorted_keys().len()
@@ -299,8 +291,7 @@ mod tests {
             let first = i64::from(j % 7);
             m.register(j, first, first + 2);
         }
-        let mut visited: Vec<(i64, u32)> = Vec::new();
-        m.for_each_posting(|k, j| visited.push((k, j)));
+        let visited: Vec<(i64, u32)> = m.all_segments().flatten().copied().collect();
         for (first, last) in [(0i64, 0i64), (0, 3), (2, 8), (-5, -1), (5, 40)] {
             let mut expect: Vec<u32> = visited
                 .iter()

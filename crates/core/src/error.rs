@@ -56,20 +56,24 @@ pub enum Error {
     /// static description of the invariant that failed.
     CorruptStore(&'static str),
     /// A v1 container was opened through [`crate::store::Store::open`],
-    /// which requires a self-contained (v6, v5, v4 or v2) container.
+    /// which requires one that embeds its network (v2 to v6).
     NeedsNetwork,
-    /// A sharded v3 container was opened through
-    /// [`crate::store::Store::open`]; open it with
-    /// [`crate::shard::ShardedStore::open`] instead.
-    ShardedContainer,
     /// A page cursor was presented to a store other than the one that
-    /// minted it (e.g. a sharded cursor whose shard tag does not match
-    /// the shard that owns the queried trajectory).
+    /// minted it (e.g. a where/when cursor whose partition tag does not
+    /// name the partition that owns the queried trajectory).
     InvalidCursor,
     /// Invalid sharding configuration (zero shards, too many shards, or
     /// `shard_by` after the first ingest). Carries a short static
     /// description.
     ShardConfig(&'static str),
+    /// Trajectory `at` of a batch names an edge the network lacks or is
+    /// malformed on it; nothing of the batch was stored.
+    InvalidTrajectory {
+        /// The trajectory's index in the batch.
+        at: usize,
+        /// What is wrong with it.
+        detail: String,
+    },
 }
 
 impl From<CodecError> for Error {
@@ -124,14 +128,14 @@ impl std::fmt::Display for Error {
                 f,
                 "v1 container has no embedded network; open it with Store::open_v1"
             ),
-            Error::ShardedContainer => {
-                write!(f, "sharded v3 container; open it with ShardedStore::open")
-            }
             Error::InvalidCursor => write!(
                 f,
                 "page cursor does not belong to this store (stale or foreign shard tag)"
             ),
             Error::ShardConfig(what) => write!(f, "invalid shard configuration: {what}"),
+            Error::InvalidTrajectory { at, detail } => {
+                write!(f, "trajectories[{at}] is invalid: {detail}")
+            }
         }
     }
 }

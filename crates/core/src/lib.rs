@@ -40,23 +40,23 @@
 //! * [`snapshot`] — the immutable, epoch-stamped read state
 //!   ([`snapshot::Snapshot`]) every query runs on, epoch-swapped behind
 //!   one `Arc` so live ingest never blocks a reader;
-//! * [`store`] — the single-partition façade: an owned, `Send + Sync`
-//!   [`Store`] built incrementally through [`StoreBuilder`] and kept
+//! * [`store`] — the façade: an owned, `Send + Sync` [`Store`] of N ≥ 1
+//!   partitions, built incrementally through [`StoreBuilder`] and kept
 //!   **live** afterwards ([`LiveStore::ingest`] publishes new epochs
-//!   concurrently with queries), persisted as a self-contained
-//!   container, queried through paginated entry points backed by the
-//!   decode cache and query plans;
-//! * [`shard`] — the scale-out layer: a [`shard::ShardedStore`] owning N
-//!   `Store` partitions routed by a pluggable [`shard::ShardPolicy`]
-//!   (time-interval or road-network-region), answering the exact same
-//!   query surface with fan-out/merge execution — byte-identical
-//!   answers, asserted by `tests/shard_equivalence.rs`;
-//! * [`live`] — the one writer core ([`live::WriterCore`]: writer
-//!   lock, publish-epoch counter, WAL slot) both store shapes embed,
-//!   and the [`LiveStore`] handle whose ingest, WAL attach/replay,
-//!   checkpoint and tail are written once over a small per-shape seam;
-//! * [`opened`] — [`Opened`], which opens *any* self-contained
-//!   container as the right store shape and then only hands out its
+//!   concurrently with queries), persisted as a v6 container (v3 with a
+//!   routing policy), queried through paginated entry points backed by
+//!   the decode cache and query plans;
+//! * [`shard`] — the routing policies ([`shard::ShardPolicy`]:
+//!   time-interval or road-network-region) that
+//!   [`StoreBuilder::shard_by`] places trajectories with, and the
+//!   cursor rule; answers do not depend on the partitioning, which
+//!   `tests/shard_equivalence.rs` asserts;
+//! * [`live`] — the writer core ([`live::WriterCore`]: writer lock,
+//!   publish-epoch counter, WAL slot) and the [`LiveStore`] handle whose
+//!   ingest, WAL attach/replay, checkpoint and tail are written once
+//!   over a small seam the store implements;
+//! * [`opened`] — [`Opened`], a [`Store`] opened from *any*
+//!   self-contained or sharded container, which hands out its
 //!   [`LiveStore`] handle, plus the shared [`opened::InfoReport`]
 //!   presentation both `utcq info` and the serve protocol render;
 //! * [`wire`] — the serve wire protocol: hand-rolled newline-delimited
@@ -81,23 +81,22 @@
 //!   by crash-safe checkpoints, and re-served to followers through the
 //!   `tail` wire op (see `docs/DURABILITY.md`).
 //!
-//! # Store shapes
+//! # Partitions
 //!
-//! Two store shapes share one query surface ([`QueryTarget`]):
+//! A [`Store`] holds N ≥ 1 partitions, each a complete [`Snapshot`]
+//! (compressed dataset, StIU index, query plans, decode cache):
 //!
-//! | | [`Store`] | [`shard::ShardedStore`] |
+//! | | without a policy | [`StoreBuilder::shard_by`] |
 //! |---|---|---|
-//! | layout | one `CompressedDataset` + StIU | N independent partitions |
-//! | built by | [`StoreBuilder`] | [`StoreBuilder::shard_by`] |
-//! | container | v6 (`UTCQ` 6) | v3 (`UTCQ` 3, embeds v6 per shard) |
-//! | `where`/`when` | direct | routed to the owning shard |
-//! | `range` | interval index scan | fan-out, merged id-ascending |
-//! | cursors | local offsets / keyset ids | `(shard, local)`-tagged / keyset ids |
+//! | partitions | one | N, placed by a [`shard::ShardPolicy`] |
+//! | container | v6 (`UTCQ` 6) | v3 (`UTCQ` 3, embeds v6 per partition) |
+//! | `where`/`when` | the partition | the owning partition, by an id map |
+//! | `range` | the partitions' candidates merged id-ascending | same |
+//! | cursors | partition in the high 16 bits / keyset ids | same |
 //!
-//! Sharding is a pure partitioning layer: answers and paginated item
-//! sequences are identical between the shapes; only where/when cursor
-//! *encodings* differ (a sharded cursor carries its shard in the high
-//! 16 bits — see [`shard`]).
+//! Partitioning is invisible in answers: answers and paginated item
+//! sequences are identical at every N, and with one partition a
+//! where/when cursor is the plain offset (see [`shard`]).
 //!
 //! # Quick start
 //!
@@ -148,15 +147,15 @@
 //! # Sharded quick start
 //!
 //! The same pipeline, partitioned: route trajectories across four
-//! shards by time interval, query through the identical surface, and
-//! persist as a sharded v3 container:
+//! partitions by time interval, query through the identical surface,
+//! and persist as a sharded v3 container:
 //!
 //! ```
 //! use std::sync::Arc;
 //! use utcq_core::query::PageRequest;
-//! use utcq_core::shard::{ByTime, ShardedStore};
+//! use utcq_core::shard::ByTime;
 //! use utcq_core::store::StoreBuilder;
-//! use utcq_core::{CompressParams, LiveStore, QueryTarget};
+//! use utcq_core::{CompressParams, LiveStore, QueryTarget, Store};
 //!
 //! let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 10, 7);
 //! let store = StoreBuilder::new(
@@ -168,8 +167,7 @@
 //! .finish()?;
 //! assert_eq!(store.len(), 10);
 //!
-//! // The same paginated queries — `Store` and `ShardedStore` both
-//! // implement `QueryTarget`, with byte-identical answers.
+//! // The same paginated queries, with byte-identical answers.
 //! let target: &dyn QueryTarget = &store;
 //! let parts = store.snapshots();
 //! let owner = &parts[store.traj_shard(0).unwrap() as usize];
@@ -180,7 +178,7 @@
 //! // v3 container: shard directory + one embedded v6 container each.
 //! let path = std::env::temp_dir().join("utcq-sharded-quickstart.utcq");
 //! store.save(&path)?;
-//! let reopened = ShardedStore::open(&path)?;
+//! let reopened = Store::open(&path)?;
 //! assert_eq!(reopened.shard_count(), 4);
 //! # std::fs::remove_file(&path).ok();
 //! # Ok::<(), utcq_core::Error>(())
@@ -226,7 +224,7 @@ pub use opened::{InfoReport, Opened};
 pub use params::CompressParams;
 pub use query::{Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};
 pub use serve::{Server, ServerHandle};
-pub use shard::{ByRegion, ByTime, ShardPolicy, ShardSpec, ShardedStore, ShardedStoreBuilder};
+pub use shard::{ByRegion, ByTime, ShardPolicy, ShardSpec};
 pub use snapshot::Snapshot;
 pub use stiu::StiuParams;
 pub use store::{IngestReport, Store, StoreBuilder};

@@ -1,21 +1,20 @@
-//! The one writer core: what makes a store shape *live* and *durable*.
+//! The writer core: what makes a [`crate::store::Store`] *live* and
+//! *durable*.
 //!
-//! Every live shape publishes the same way — batch in, next epoch out —
-//! so the mechanism around the publish is written once here and
-//! embedded by both [`crate::store::Store`] and
-//! [`crate::shard::ShardedStore`]:
+//! A store publishes batch in, next epoch out; the mechanism around the
+//! publish is written here, apart from the store's read state:
 //!
 //! * [`WriterCore`] owns the writer lock, the publish-epoch counter and
 //!   the write-ahead-log slot. Lock order, everywhere: **writer lock,
 //!   then the WAL slot**.
-//! * [`LiveStore`] is the live handle. A shape implements a small seam
+//! * [`LiveStore`] is the live handle. The store implements a small seam
 //!   (*are all these ids present*, *prepare and publish this batch
 //!   under the held lock*, *current publish epoch*, *write a consistent
 //!   cut*) plus its read-side description; `ingest`, the WAL
 //!   attach/replay loop, `checkpoint` and the `tail`/dedup reads are
 //!   provided on top of that seam and exist nowhere else.
 //!
-//! Append-before-publish: a shape's [`LiveStore::publish_locked`]
+//! Append-before-publish: the store's [`LiveStore::publish_locked`]
 //! prepares the batch off the read path, calls `WriterCore::log` —
 //! which allocates the next epoch and appends the record to the log
 //! (rolling the allocation back if the append fails, so log epochs stay
@@ -35,7 +34,7 @@ use crate::snapshot::Snapshot;
 use crate::store::IngestReport;
 use crate::wal::{self, CheckpointReport, Sidecar, TailRead, WalConfig};
 
-/// The writer-side state every live store shape embeds.
+/// The writer-side state a live store embeds.
 pub struct WriterCore {
     /// Serializes writers (ingest, replay, checkpoint); queries never
     /// touch it.
@@ -92,10 +91,10 @@ impl WriterCore {
     }
 }
 
-/// One live handle over every store shape: the [`QueryTarget`] read
-/// surface plus live ingest, durability and self-description.
+/// The live handle: the [`QueryTarget`] read surface plus live ingest,
+/// durability and self-description.
 ///
-/// The required methods are the per-shape seam; everything provided is
+/// The required methods are the store's seam; everything provided is
 /// the single implementation of that mechanism.
 pub trait LiveStore: QueryTarget {
     /// The embedded writer core.
@@ -117,8 +116,8 @@ pub trait LiveStore: QueryTarget {
     /// held that is a batch-consistent cut.
     fn write_cut(&self, held: &Held<'_>, w: &mut dyn Write) -> Result<(), Error>;
 
-    /// One pinned snapshot per underlying partition, in shard order,
-    /// all taken from one published state: every batch is either in
+    /// One pinned snapshot per partition, in directory order, all taken
+    /// from one published state: every batch is either in
     /// the set entirely or not at all.
     fn snapshots(&self) -> Vec<Arc<Snapshot>>;
 

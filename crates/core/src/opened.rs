@@ -1,15 +1,13 @@
 //! [`Opened`] — open *a file*, get the live handle.
 //!
 //! Every front end (the CLI, the [`crate::serve`] server, benchmarks)
-//! wants to open a container and use it without caring which shape is
-//! inside. [`Opened`] is that open-time dispatch and nothing more: it
-//! peeks the container's version byte once, opens v6 (or v5, v4, v2) as a single
-//! [`Store`] and v3 as a [`ShardedStore`], and from then on only hands
-//! out the shape-agnostic [`LiveStore`] handle (it derefs to it), so a
-//! `&Opened` *is* the polymorphic query, ingest and durability surface.
-//! Legacy v1 containers (no embedded network) open through
-//! [`Opened::open_v1`] with the network supplied out of band, exactly
-//! like [`Store::open_v1`].
+//! wants to open a container and use it as a live handle. [`Opened`] is
+//! a [`Store`] opened from a file, tagged with the kind of file it came
+//! from (self-contained or sharded), and hands out the [`LiveStore`]
+//! handle (it derefs to it), so a `&Opened` *is* the query, ingest and
+//! durability surface. Legacy v1 containers (no embedded network) open
+//! through [`Opened::open_v1`] with the network supplied out of band,
+//! exactly like [`Store::open_v1`].
 //!
 //! The module also owns the **shared presentation layer**:
 //! [`InfoReport`] is the one description of a container both the CLI's
@@ -31,24 +29,24 @@ use crate::error::Error;
 use crate::live::LiveStore;
 use crate::query::QueryTarget;
 use crate::segment::Resident;
-use crate::shard::{ShardSpec, ShardedStore};
+use crate::shard::ShardSpec;
 use crate::snapshot::Snapshot;
 use crate::stiu::StiuParams;
 use crate::storage::{Sections, VERSION_V3, VERSION_V6};
 use crate::store::Store;
 use crate::wal::WalConfig;
 
-/// A container opened as a live handle — single-store or sharded.
+/// A container opened as a live handle. Both variants hold the one
+/// [`Store`] type; the variant records only the kind of file.
 ///
-/// Boxed: a `Store` is a few hundred bytes of inline headers, and the
-/// enum would otherwise carry the larger variant's size everywhere.
+/// Boxed: a `Store` is a few hundred bytes of inline headers.
 ///
 /// ```no_run
 /// use utcq_core::opened::Opened;
 /// use utcq_core::query::PageRequest;
 ///
 /// # fn main() -> Result<(), utcq_core::Error> {
-/// // single-store and sharded containers open through the same call …
+/// // self-contained and sharded containers open through the same call …
 /// let opened = Opened::open("data.utcq")?;
 /// // … and answer through the same trait surface.
 /// let page = opened.where_query(7, 71_582, 0.25, PageRequest::first(64))?;
@@ -57,17 +55,16 @@ use crate::wal::WalConfig;
 /// ```
 #[derive(Debug)]
 pub enum Opened {
-    /// A single-partition store (v6, v5, v4 or v2 container, or v1 via
-    /// [`Opened::open_v1`]).
+    /// A store without a routing policy (v6, v5, v4 or v2 container, or
+    /// v1 via [`Opened::open_v1`]).
     Single(Box<Store>),
-    /// A sharded store (v3 container).
-    Sharded(Box<ShardedStore>),
+    /// A store with a routing policy (v3 container).
+    Sharded(Box<Store>),
 }
 
 impl Opened {
-    /// Opens a self-contained container of either shape: v6 (or v5, v4, v2)
-    /// becomes a [`Store`], v3 a [`ShardedStore`]. The file is read once — the
-    /// version byte picks the reader. A legacy v1 container fails with
+    /// Opens a self-contained or sharded container with
+    /// [`Store::open`]. A legacy v1 container fails with
     /// [`Error::NeedsNetwork`] — open those with [`Opened::open_v1`],
     /// which takes the network out of band.
     ///
@@ -79,13 +76,15 @@ impl Opened {
     /// ```
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
         let mut r = BufReader::new(File::open(path)?);
-        // Peek, don't consume: the readers validate the whole header
-        // themselves (bad magic, unknown and v1 versions included).
-        if r.fill_buf()?.get(4) == Some(&VERSION_V3) {
-            ShardedStore::read(&mut r).map(|s| Opened::Sharded(Box::new(s)))
+        // Peek, don't consume: `Store::read` validates the whole header
+        // itself (bad magic, unknown and v1 versions included).
+        let sharded = r.fill_buf()?.get(4) == Some(&VERSION_V3);
+        let store = Box::new(Store::read(&mut r)?);
+        Ok(if sharded {
+            Opened::Sharded(store)
         } else {
-            Store::read(&mut r).map(|s| Opened::Single(Box::new(s)))
-        }
+            Opened::Single(store)
+        })
     }
 
     /// Opens a legacy v1 container against an externally supplied
@@ -115,13 +114,11 @@ impl Opened {
         Ok(opened)
     }
 
-    /// The live handle — queries, ingest, durability and `info`, the
-    /// same for both shapes. `Opened` also derefs to it.
+    /// The live handle — queries, ingest, durability and `info`.
+    /// `Opened` also derefs to it.
     pub fn target(&self) -> &(dyn LiveStore + 'static) {
-        match self {
-            Opened::Single(s) => s.as_ref(),
-            Opened::Sharded(s) => s.as_ref(),
-        }
+        let (Opened::Single(store) | Opened::Sharded(store)) = self;
+        store.as_ref()
     }
 }
 
@@ -365,8 +362,8 @@ impl InfoReport {
         out
     }
 
-    /// `"single"` or `"sharded"` — the label `utcq info` and the serve
-    /// protocol's `info` response print.
+    /// `"single"` or `"sharded"` (the store has a routing policy) — the
+    /// label `utcq info` and the serve protocol's `info` response print.
     pub fn shape(&self) -> &'static str {
         if self.sharding.is_some() {
             "sharded"

@@ -192,19 +192,18 @@ impl<T> Page<T> {
     }
 }
 
-/// The query surface shared by every store shape — the one declaration
-/// of the paper's read API (Definitions 10 to 12).
+/// The query surface — the one declaration of the paper's read API
+/// (Definitions 10 to 12).
 ///
-/// An epoch-pinned [`crate::snapshot::Snapshot`], the single-partition
-/// [`crate::store::Store`] and the partitioned
-/// [`crate::shard::ShardedStore`] each implement it exactly once and
-/// have no inherent twins of these methods (import the trait to query a
-/// concrete store), so services, benchmarks and the CLI are written
-/// against `&dyn QueryTarget` and stay agnostic of the physical layout.
-/// The contract is strict: for the same dataset, every implementation
-/// must return byte-identical answers and identical paginated *item*
-/// sequences (cursor encodings may differ — a sharded cursor carries the
-/// shard it was minted by; see `crate::shard`).
+/// An epoch-pinned [`crate::snapshot::Snapshot`] and the
+/// [`crate::store::Store`] of any partition count each implement it
+/// exactly once and have no inherent twins of these methods (import the
+/// trait to query a concrete store), so services, benchmarks and the CLI
+/// are written against `&dyn QueryTarget` and stay agnostic of the
+/// physical layout. The contract is strict: for the same dataset, every
+/// implementation must return byte-identical answers and identical
+/// paginated *item* sequences (where/when cursors carry the partition
+/// they were minted by; see `crate::shard`).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -376,8 +375,8 @@ pub trait QueryTarget: Send + Sync {
     fn cache_stats(&self) -> crate::cache::CacheStats;
 
     /// Reconfigures the total decode-cache byte budget at runtime,
-    /// evicting down to the new limit immediately (a sharded target
-    /// splits it evenly across its partitions; `0` disables caching).
+    /// evicting down to the new limit immediately (a store splits it
+    /// evenly across its partitions; `0` disables caching).
     ///
     /// ```
     /// use utcq_core::QueryTarget;
@@ -948,16 +947,9 @@ pub(crate) fn range_scan(
             items.push(c.id);
         }
     }
-    // has_more implies the page filled (limit ≥ 1), so `last()` is
-    // present — but never worth a panic path.
-    let next_cursor = if has_more {
-        items.last().copied()
-    } else {
-        None
-    };
     Ok(Page {
+        next_cursor: items.last().copied().filter(|_| has_more),
         items,
-        next_cursor,
         has_more,
     })
 }

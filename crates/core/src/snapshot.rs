@@ -12,11 +12,10 @@
 //!
 //! # Epoch lifecycle
 //!
-//! The owning [`crate::store::Store`] keeps the *current* snapshot in a
-//! `Swap` — a hand-rolled `ArcSwap` on `Mutex<Arc<Snapshot>>` (the
-//! lock is held only for the pointer clone/store, never across a
-//! query); a [`crate::shard::ShardedStore`] keeps one snapshot per
-//! partition inside the single state it swaps. A live ingest:
+//! The owning [`crate::store::Store`] keeps one snapshot per partition
+//! inside the single state it swaps through a `Swap` — a hand-rolled
+//! `ArcSwap` on `Mutex<Arc<_>>` (the lock is held only for the pointer
+//! clone/store, never across a query). A live ingest:
 //!
 //! 1. takes the store's writer lock (writers serialize; readers never
 //!    touch that lock),
@@ -24,7 +23,8 @@
 //!    (`Snapshot::prepare_trajs`), compresses and indexes the new
 //!    batch into it — all **off the query path**,
 //! 3. freezes the result as a new `Arc<Snapshot>` with the batch's
-//!    epoch (`Snapshot::successor`) and publishes it with one swap.
+//!    epoch (`Snapshot::successor`) and publishes it, beside the
+//!    untouched partitions' snapshots, with one swap.
 //!
 //! In-flight queries and pinned snapshots keep answering from the epoch
 //! they loaded; the next query observes the new one. Ingest only ever
@@ -40,6 +40,7 @@
 //! them, so the cache's footprint under ingest does not grow with the
 //! number of reads served since the last eviction.
 
+use std::borrow::Borrow;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -47,7 +48,7 @@ use std::sync::{Arc, Mutex};
 use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
-use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
+use crate::cache::{CacheStats, DecodeCache};
 use crate::chunk::SharedIdMap;
 use crate::compress::{compress_trajectory, CompressedDataset, Ratios};
 use crate::error::Error;
@@ -64,7 +65,7 @@ use crate::storage::Sections;
 ///
 /// Public so the `utcq_audit` model checker can drive the primitive
 /// directly; everything else in the workspace reaches it through
-/// [`crate::store::Store`] / [`crate::shard::ShardedStore`].
+/// [`crate::store::Store`].
 pub struct Swap<T> {
     slot: Mutex<Arc<T>>,
 }
@@ -237,67 +238,40 @@ impl Snapshot {
         }
     }
 
-    /// One page of a cached complete match set, byte-identical to what
-    /// the scan path would produce for the same request — including
-    /// `has_more`, whose contract is "more *candidates* remain past the
-    /// last returned id" (matching or not), probed against the interval
-    /// index without evaluating anything.
-    fn page_of_range_result(&self, ids: &[u64], tq: i64, page: PageRequest) -> Page<u64> {
-        let start = match page.cursor {
-            Some(a) => ids.partition_point(|&id| id <= a),
-            None => 0,
-        };
-        let limit = page.limit.max(1);
-        // bounds: partition_point returns ≤ ids.len()
-        let items: Vec<u64> = ids[start..].iter().take(limit).copied().collect();
-        let has_more = items.len() >= limit
-            && match items.last() {
-                Some(&last) => self.range_candidates(tq).any(|c| c.id > last),
-                None => false,
-            };
-        let next_cursor = if has_more {
-            items.last().copied()
-        } else {
-            None
-        };
-        Page {
-            items,
-            next_cursor,
-            has_more,
-        }
-    }
-
     /// This snapshot's **range** candidates at `tq` in index (position)
-    /// order: the StIU interval postings with each trajectory's id and
-    /// pruning bound resolved. A snapshot scanned on its own is
-    /// partition 0.
-    fn range_candidates(&self, tq: i64) -> impl Iterator<Item = RangeCandidate> + '_ {
+    /// order, scanned as partition `partition` of its store: the StIU
+    /// interval postings with each trajectory's id and pruning bound
+    /// resolved.
+    fn range_candidates(
+        &self,
+        partition: u32,
+        tq: i64,
+    ) -> impl Iterator<Item = RangeCandidate> + '_ {
+        let rows = &self.cds.trajectories;
+        let candidate = move |pos: u32| {
+            let (id, mass) = rows.id_and_mass(pos as usize)?;
+            Some(RangeCandidate {
+                id,
+                partition,
+                pos,
+                mass,
+            })
+        };
         self.stiu
             .trajs_in_interval(tq)
             .into_iter()
-            .filter_map(move |j| self.range_candidate(0, j))
-    }
-
-    /// The candidate for the trajectory at position `j` of this
-    /// snapshot, scanned as partition `partition` of its store.
-    pub(crate) fn range_candidate(&self, partition: u32, j: u32) -> Option<RangeCandidate> {
-        let (id, mass) = self.cds.trajectories.id_and_mass(j as usize)?;
-        Some(RangeCandidate {
-            id,
-            partition,
-            pos: j,
-            mass,
-        })
+            .filter_map(candidate)
     }
 
     /// Assembles an epoch-0 snapshot from opened parts, validating
     /// cross-references (the per-trajectory query plans were built as
-    /// the trajectories were appended), with a fresh default-budget
-    /// decode cache.
+    /// the trajectories were appended), with a fresh decode cache of
+    /// `cache_bytes`.
     pub(crate) fn assemble(
         net: Arc<RoadNetwork>,
         cds: CompressedDataset,
         stiu: Stiu,
+        cache_bytes: usize,
     ) -> Result<Self, Error> {
         if stiu.trajs.len() != cds.trajectories.len() {
             return Err(Error::CorruptStore("index/dataset trajectory counts"));
@@ -314,7 +288,7 @@ impl Snapshot {
             cds,
             stiu,
             id_to_idx,
-            cache: Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES)),
+            cache: Arc::new(DecodeCache::with_budget(cache_bytes)),
             epoch: 0,
         })
     }
@@ -324,24 +298,16 @@ impl Snapshot {
     /// `Ok(None)` when nothing would change (empty batch with no name
     /// to adopt). The caller serializes writers and freezes the state
     /// with [`Snapshot::successor`] once the batch is logged. Splitting
-    /// prepare from publish is what makes a sharded batch
-    /// all-or-nothing across partitions.
+    /// prepare from publish is what makes a batch all-or-nothing across
+    /// partitions. The store has checked the batch already.
     pub(crate) fn prepare_trajs(
         &self,
-        default_interval: i64,
         name: &str,
         tus: &[&UncertainTrajectory],
     ) -> Result<Option<PartitionState>, Error> {
         crate::hooks::point("snapshot.prepare");
-        let params = self.cds.params;
-        if default_interval != params.default_interval {
-            return Err(Error::IntervalMismatch {
-                expected: params.default_interval,
-                got: default_interval,
-            });
-        }
-        // Match StoreBuilder's name adoption (check_batch adopts from
-        // every batch, even an empty one) so live and offline builds
+        // Match StoreBuilder's name adoption (it adopts from every
+        // batch, even an empty one) so live and offline builds
         // serialize identically in all cases.
         let adopt_name = self.cds.name.is_empty() && !name.is_empty();
         if tus.is_empty() && !adopt_name {
@@ -361,7 +327,7 @@ impl Snapshot {
     /// `epoch`, sharing this snapshot's network and decode cache, whose
     /// entries of earlier epochs it drops.
     pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
-        self.cache.retire_before(epoch);
+        self.cache.retire_before(epoch, epoch);
         let (net, cache) = (Arc::clone(&self.net), Arc::clone(&self.cache));
         let same_index = || Ok::<_, std::convert::Infallible>(self.stiu.clone());
         let Ok(next) = state.into_snapshot(net, same_index, cache, epoch);
@@ -408,10 +374,7 @@ impl QueryTarget for Snapshot {
         ))
     }
 
-    /// A repeated query shape is served from the epoch-keyed
-    /// [`crate::cache::DecodeCache`] range result (any page of it),
-    /// after the first unpaginated-to-the-end scan stores the complete
-    /// match set.
+    /// This snapshot alone, read as a one-partition store at its epoch.
     fn range_query(
         &self,
         re: &Rect,
@@ -419,19 +382,7 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        if let Some(ids) = self.cache.range_result(self.epoch, re, tq, alpha) {
-            return Ok(self.page_of_range_result(&ids, tq, page));
-        }
-        let mut candidates: Vec<RangeCandidate> = self.range_candidates(tq).collect();
-        candidates.sort_unstable_by_key(|c| c.id);
-        let out = range_scan(&[self.engine()], &candidates, re, tq, alpha, page)?;
-        if page.cursor.is_none() && !out.has_more {
-            // The scan started at the beginning and consumed every
-            // candidate: `items` is the complete match set of the shape.
-            self.cache
-                .note_range_result(self.epoch, re, tq, alpha, Arc::new(out.items.clone()));
-        }
-        Ok(out)
+        range_over(std::slice::from_ref(self), self.epoch, re, tq, alpha, page)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -444,6 +395,73 @@ impl QueryTarget for Snapshot {
 
     fn clear_cache(&self) {
         self.cache.clear();
+    }
+}
+
+/// **range** over `parts` read as one store at its publish `epoch` — the
+/// one range path: a store runs it over its partitions, a pinned snapshot
+/// over itself. The candidates are every partition's interval postings
+/// at `tq`, merged id-ascending (ids are unique across partitions) for
+/// the one scan loop (`crate::query::range_scan`). A repeated shape is
+/// served from the [`crate::cache::DecodeCache`] of the first partition,
+/// which keeps the complete match set under (`epoch`, partition count)
+/// once a scan ran unpaginated to the end.
+pub(crate) fn range_over<P: Borrow<Snapshot>>(
+    parts: &[P],
+    epoch: u64,
+    re: &Rect,
+    tq: i64,
+    alpha: f64,
+    page: PageRequest,
+) -> Result<Page<u64>, Error> {
+    let candidates = || {
+        let parts = parts.iter().enumerate();
+        parts.flat_map(move |(s, p)| p.borrow().range_candidates(s as u32, tq))
+    };
+    let Some(first) = parts.first() else {
+        return Ok(Page::slice(Vec::new(), page));
+    };
+    let (cache, scope) = (&first.borrow().cache, parts.len() as u32);
+    if let Some(ids) = cache.range_result(epoch, scope, re, tq, alpha) {
+        return Ok(page_of_range_result(&ids, page, |last| {
+            candidates().any(|c| c.id > last)
+        }));
+    }
+    let mut list: Vec<RangeCandidate> = candidates().collect();
+    list.sort_unstable_by_key(|c| c.id);
+    let engines: Vec<QueryEngine<'_>> = parts.iter().map(|p| p.borrow().engine()).collect();
+    let out = range_scan(&engines, &list, re, tq, alpha, page)?;
+    if page.cursor.is_none() && !out.has_more {
+        // The scan started at the beginning and consumed every
+        // candidate: `items` is the complete match set of the shape.
+        let ids = Arc::new(out.items.clone());
+        cache.note_range_result(epoch, scope, re, tq, alpha, ids);
+    }
+    Ok(out)
+}
+
+/// One page of a cached complete match set, byte-identical to what the
+/// scan would produce for the same request — including `has_more`,
+/// whose contract is "more *candidates* remain past the last returned
+/// id" (matching or not): `more_after(last)` probes the interval index
+/// without evaluating anything.
+fn page_of_range_result(
+    ids: &[u64],
+    page: PageRequest,
+    more_after: impl FnOnce(u64) -> bool,
+) -> Page<u64> {
+    let start = match page.cursor {
+        Some(a) => ids.partition_point(|&id| id <= a),
+        None => 0,
+    };
+    let limit = page.limit.max(1);
+    // bounds: partition_point returns ≤ ids.len()
+    let items: Vec<u64> = ids[start..].iter().take(limit).copied().collect();
+    let has_more = items.len() >= limit && items.last().is_some_and(|&last| more_after(last));
+    Page {
+        next_cursor: items.last().copied().filter(|_| has_more),
+        items,
+        has_more,
     }
 }
 

@@ -1,68 +1,31 @@
-//! The owned, thread-safe store façade — the public entry point of
-//! `utcq_core`.
+//! The store — the public entry point of `utcq_core`: N ≥ 1 partitions
+//! behind one query, ingest and durability surface.
 //!
-//! [`Store`] owns its road network through an [`Arc`], so it has no
-//! lifetime parameter, is `Send + Sync`, and can be shared across worker
-//! threads or wrapped in a service handle. It is constructed either
+//! [`Store`] owns its road network through an [`Arc`], so it is
+//! `Send + Sync`. It is built through [`StoreBuilder`] — each batch is
+//! compressed and indexed as it arrives, into one partition or, after
+//! [`StoreBuilder::shard_by`], into the one a routing policy picks
+//! ([`crate::shard`]) — or opened with [`Store::open`] from a
+//! self-contained (v6, v5, v4, v2) or sharded (v3) container.
 //!
-//! * incrementally, through [`StoreBuilder`] — batches of newly arrived
-//!   trajectories are compressed and indexed *as they are ingested*;
-//!   pivot/reference selection runs only over each new cohort (it is
-//!   per-trajectory, §4.3) and the StIU postings merge into the index in
-//!   place, so earlier batches are never recompressed; or
-//! * from disk, through [`Store::open`] on a self-contained (v6, v5, v4 or v2) container
-//!   (embedded network + dataset + StIU index), or [`Store::open_v1`]
-//!   for legacy containers that need the network supplied out of band.
+//! All read state is one immutable state behind an `Arc`: an
+//! epoch-stamped [`Snapshot`] per partition and, with more than one
+//! partition, the id → partition map; every query pins it. A
+//! [`LiveStore::ingest`] compresses each partition's share of a batch
+//! into a private clone of that partition, then publishes the next epoch
+//! with one swap; untouched partitions keep their snapshots. Queries
+//! never take the writer lock, and a published store is byte-identical
+//! to an offline [`StoreBuilder`] build of the same batches
+//! (`tests/live_ingest.rs`). The read surface is [`QueryTarget`] (import
+//! it to query a `Store`).
 //!
-//! # Snapshots and live ingest
-//!
-//! Since the snapshot refactor, `Store` is a **thin handle**: all read
-//! state (compressed dataset, StIU index, query plans, id map) lives in
-//! an immutable, epoch-stamped [`Snapshot`] behind an `Arc`, and every
-//! query pins the current snapshot for its duration. That makes the
-//! store *live*: [`LiveStore::ingest`] accepts new batches concurrently
-//! with queries — the batch compresses and indexes off the query path
-//! against a private clone of the current state, then publishes
-//! atomically as the next epoch. Queries never block on ingest (they
-//! never take the writer lock), in-flight queries and pinned snapshots
-//! keep their epoch, and a published store is byte-identical to an
-//! offline [`StoreBuilder`] build of the same batches
-//! (`tests/live_ingest.rs` asserts both). [`Store::snapshot`] exposes
-//! the pinning primitive directly for multi-page walks and live
-//! checkpoints ([`Snapshot::save`]).
-//!
-//! The read surface is declared once, on [`QueryTarget`] (import the
-//! trait to query a `Store`); its entry points are paginated and
-//! limit-bounded: each takes a [`PageRequest`] and returns a [`Page`]
-//! with `has_more`/cursor semantics, so a service can stream large
-//! answers without unbounded allocations. Ingest only appends, so
-//! cursors minted against an older epoch stay valid against newer ones.
-//! [`QueryTarget::par_range_query`] evaluates a batch of range queries
-//! across all available cores, pulling work from a shared
-//! atomic-counter queue so skewed batches still balance.
-//!
-//! # Query acceleration layers
-//!
-//! The store owns two layers the query engine runs on:
-//!
-//! * a shared, bounded, thread-safe **decode cache**
-//!   ([`crate::cache::DecodeCache`]): decoded references, fully decoded
-//!   instances and time sequences are memoized behind `Arc`s across
-//!   queries and across threads, with a configurable byte budget
-//!   ([`StoreBuilder::cache_bytes`], [`QueryTarget::set_cache_bytes`];
-//!   `0` disables caching) and hit/miss/eviction counters
-//!   ([`QueryTarget::cache_stats`]). The cache is shared across epochs,
-//!   but its keys carry the minting epoch, so entries of superseded
-//!   snapshots never alias, and each publish drops them;
-//! * per-trajectory **query plans** ([`crate::plan::TrajPlan`]), built
-//!   once at `build`/`open`/`ingest` time: `orig_idx → slot` lookup
-//!   tables and probability-sorted member lists that replace the
-//!   per-call linear scans and sorts the hot paths used to do.
-//!
-//! Cached and uncached stores return identical answers — the cache only
-//! memoizes deterministic decodes (`tests/cache_equivalence.rs` asserts
-//! this on randomized stores).
+//! Each partition brings its query plans ([`crate::plan::TrajPlan`]) and
+//! decode cache ([`crate::cache::DecodeCache`]; the budget is split
+//! evenly across partitions). Cache keys carry the minting epoch and a
+//! publish drops superseded entries; the complete match sets of range
+//! queries live in the first partition's cache under the store's epoch.
 
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
@@ -72,15 +35,18 @@ use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
+use crate::chunk::SharedIdMap;
 use crate::compress::Ratios;
 use crate::compressed::edge_number_width;
 use crate::error::Error;
 use crate::live::{Held, LiveStore, WriterCore};
-use crate::opened::InfoReport;
+use crate::opened::{policy_label, summed_sizes, InfoReport};
 use crate::params::CompressParams;
-use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
-use crate::snapshot::{PartitionState, Snapshot, Swap};
+use crate::query::{par_run, Page, PageRequest, QueryTarget, WhenHit, WhereHit};
+use crate::shard::{check_shard_count, decode_cursor, encode_cursor, ShardPolicy, ShardSpec};
+use crate::snapshot::{range_over, PartitionState, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
+use crate::storage::{self, StorageError, VERSION_V3};
 
 /// What one [`LiveStore::ingest`] publication did — echoed verbatim by
 /// the serve protocol's `ingest` response.
@@ -90,23 +56,106 @@ pub struct IngestReport {
     pub ingested: usize,
     /// Trajectories in the store after the publish.
     pub total: usize,
-    /// The epoch the batch was published as (the snapshot epoch for a
-    /// single store, the facade epoch for a sharded one).
+    /// The store epoch the batch was published as.
     pub epoch: u64,
 }
 
-/// A compressed dataset plus its StIU index, owning the road network —
-/// ready for querying, live ingest, persisting, and sharing across
-/// threads. See the [module docs](self) for the snapshot/epoch model.
+/// A compressed dataset in N ≥ 1 partitions plus their StIU indexes,
+/// owning the road network (see the [module docs](self)).
 pub struct Store {
     net: Arc<RoadNetwork>,
-    /// The current epoch — queries pin it, [`LiveStore::ingest`] swaps it.
-    snap: Swap<Snapshot>,
+    /// How trajectories are placed on partitions.
+    routing: Routing,
+    /// The current state — queries pin it, a publish swaps it.
+    state: Swap<State>,
     /// Writer lock, epoch counter and WAL slot (see [`crate::live`]).
     core: WriterCore,
 }
 
-/// Incremental construction of a [`Store`].
+/// How a store places trajectories on its partitions, and so which
+/// container it writes.
+enum Routing {
+    /// No policy: one partition, saved as v6.
+    Single,
+    /// A routing policy, saved as v3; `None` for a reopened custom-policy
+    /// container, which cannot place new batches.
+    Policy(Option<Arc<dyn ShardPolicy>>),
+}
+
+/// Everything a read needs, swapped as one unit: a batch becomes
+/// visible on every partition at once.
+struct State {
+    /// The store's publish epoch; 0 for the built or opened state.
+    epoch: u64,
+    /// One snapshot per partition, in directory order (a partition a
+    /// batch did not touch keeps its snapshot and that snapshot's epoch).
+    parts: Vec<Arc<Snapshot>>,
+    /// Trajectory id → owning partition, extended per batch; `None`
+    /// with one partition.
+    routes: Option<SharedIdMap>,
+}
+
+impl State {
+    fn first(&self) -> &Arc<Snapshot> {
+        &self.parts[0] // bounds: Store::assemble rejects zero partitions
+    }
+
+    /// The partition holding trajectory `id`, if any.
+    fn owner(&self, id: u64) -> Option<u32> {
+        match &self.routes {
+            Some(routes) => routes.get(id),
+            None => self.first().traj_index(id).map(|_| 0),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.parts.iter().map(|snap| snap.len()).sum()
+    }
+}
+
+/// What the builder and the live path check before routing any of a
+/// batch: each edge exists, each trajectory is well-formed on `net`
+/// ([`UncertainTrajectory::validate`]), and the interval is the store's.
+fn check_batch(net: &RoadNetwork, interval: i64, batch: &Dataset) -> Result<(), Error> {
+    let edges = net.edge_count();
+    for (at, tu) in batch.trajectories.iter().enumerate() {
+        let invalid = |detail| Error::InvalidTrajectory { at, detail };
+        // Bounds come first: the validator assumes edge ids resolve.
+        let path = tu.instances.iter().flat_map(|inst| &inst.path);
+        if let Some(e) = path.into_iter().find(|e| e.0 as usize >= edges) {
+            let detail = format!("edge {} does not exist (network has {edges} edges)", e.0);
+            return Err(invalid(detail));
+        }
+        tu.validate(net).map_err(invalid)?;
+    }
+    if batch.default_interval != interval {
+        return Err(Error::IntervalMismatch {
+            expected: interval,
+            got: batch.default_interval,
+        });
+    }
+    Ok(())
+}
+
+/// The partition among `n` that `policy` places `tu` on (0 without a
+/// policy).
+fn route(
+    policy: Option<&dyn ShardPolicy>,
+    net: &RoadNetwork,
+    tu: &UncertainTrajectory,
+    n: u32,
+) -> Result<u32, Error> {
+    match policy.map_or(0, |p| p.route(net, tu, n)) {
+        s if s < n => Ok(s),
+        _ => Err(Error::ShardConfig("policy routed past the shard count")),
+    }
+}
+
+/// Incremental construction of a [`Store`]: each `ingest` compresses and
+/// indexes only the new batch, and ingest order does not change answers
+/// (`tests/store_roundtrip.rs`). The finished store keeps accepting
+/// batches through [`LiveStore::ingest`], which runs the same
+/// per-trajectory path.
 ///
 /// ```no_run
 /// # fn demo(net: std::sync::Arc<utcq_network::RoadNetwork>,
@@ -122,50 +171,46 @@ pub struct Store {
 /// # let _ = store; Ok(())
 /// # }
 /// ```
-///
-/// Each `ingest` compresses and indexes only the new batch: reference
-/// selection is per-trajectory, and the new StIU postings merge into the
-/// existing index in place. Ingest order does not change query answers
-/// (only the interleaving of internal positions), which
-/// `tests/store_roundtrip.rs` asserts. The finished store keeps
-/// accepting batches through [`LiveStore::ingest`] — the builder is the
-/// offline bootstrap of the same per-trajectory path the live writer
-/// runs.
 pub struct StoreBuilder {
     net: Arc<RoadNetwork>,
     params: CompressParams,
     stiu_params: StiuParams,
     name: Option<String>,
-    state: PartitionState,
+    /// One state per partition.
+    parts: Vec<PartitionState>,
+    /// Set by [`StoreBuilder::shard_by`].
+    policy: Option<Arc<dyn ShardPolicy>>,
     cache_bytes: usize,
 }
 
 impl StoreBuilder {
-    /// A builder with default index parameters.
+    /// A one-partition builder with default index parameters.
     pub fn new(net: Arc<RoadNetwork>, params: CompressParams) -> Self {
-        let state = PartitionState::new(&net, params);
+        let parts = vec![PartitionState::new(&net, params)];
         Self {
             net,
             params,
             stiu_params: StiuParams::default(),
             name: None,
-            state,
+            parts,
+            policy: None,
             cache_bytes: DEFAULT_CACHE_BYTES,
         }
     }
 
-    /// Overrides the decode-cache byte budget of the finished store
-    /// (default [`DEFAULT_CACHE_BYTES`]; `0` disables caching).
+    /// Overrides the decode-cache byte budget of the finished store, a
+    /// total split evenly across partitions (default
+    /// [`DEFAULT_CACHE_BYTES`]; `0` disables caching).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
         self
     }
 
-    /// Overrides the StIU index parameters. Must be called before the
-    /// first [`ingest`](Self::ingest); afterwards the grid is already
-    /// fixed and the call is ignored.
+    /// Overrides the StIU index parameters of every partition. Must be
+    /// called before the first [`ingest`](Self::ingest); afterwards the
+    /// grid is already fixed and the call is ignored.
     pub fn stiu_params(mut self, p: StiuParams) -> Self {
-        if self.state.stiu.is_none() {
+        if self.parts.iter().all(|part| part.stiu.is_none()) {
             self.stiu_params = p;
         }
         self
@@ -177,104 +222,67 @@ impl StoreBuilder {
         self
     }
 
-    /// Compresses and indexes one batch of trajectories, appending to
-    /// whatever was ingested before. Only the new cohort is processed.
+    /// Routes every trajectory to one of `n_shards` partitions by
+    /// `policy`; the finished store keeps the policy for live batches and
+    /// saves as v3 (with `n_shards = 1` too). Other options apply to
+    /// every partition. A call after the first [`ingest`](Self::ingest)
+    /// fails with [`Error::ShardConfig`].
+    pub fn shard_by(mut self, policy: Arc<dyn ShardPolicy>, n_shards: u32) -> Result<Self, Error> {
+        if self.parts.iter().any(PartitionState::has_ingested) {
+            return Err(Error::ShardConfig("shard_by after the first ingest"));
+        }
+        check_shard_count(n_shards as usize)?;
+        let fresh = |_| PartitionState::new(&self.net, self.params);
+        self.parts = (0..n_shards).map(fresh).collect();
+        self.policy = Some(policy);
+        Ok(self)
+    }
+
+    /// Compresses and indexes one batch of trajectories into their
+    /// partitions, appending to whatever was ingested before.
     pub fn ingest(mut self, batch: &Dataset) -> Result<Self, Error> {
-        self.check_batch(batch)?;
+        check_batch(&self.net, self.params.default_interval, batch)?;
+        if self.name.is_none() && !batch.name.is_empty() {
+            self.name = Some(batch.name.clone());
+        }
+        let n = self.parts.len() as u32;
         for tu in &batch.trajectories {
-            self.ingest_traj(tu)?;
+            let s = route(self.policy.as_deref(), &self.net, tu, n)?;
+            // bounds: route returns s < parts.len()
+            self.parts[s as usize].ingest_traj(&self.net, self.stiu_params, tu)?;
         }
         Ok(self)
     }
 
-    /// Validates a batch's metadata against the builder's configuration
-    /// and adopts its name if none is set yet. Shared with the sharded
-    /// builder, which routes the batch's trajectories individually.
-    pub(crate) fn check_batch(&mut self, batch: &Dataset) -> Result<(), Error> {
-        if batch.default_interval != self.params.default_interval {
-            return Err(Error::IntervalMismatch {
-                expected: self.params.default_interval,
-                got: batch.default_interval,
-            });
-        }
-        if self.name.is_none() && !batch.name.is_empty() {
-            self.name = Some(batch.name.clone());
-        }
-        Ok(())
-    }
-
-    /// Compresses and indexes a single trajectory — the per-item step of
-    /// [`ingest`](Self::ingest), also driven directly by
-    /// [`crate::shard::ShardedStoreBuilder`] so routing a batch across
-    /// shards never copies trajectory payloads.
-    pub(crate) fn ingest_traj(&mut self, tu: &UncertainTrajectory) -> Result<(), Error> {
-        self.state.ingest_traj(&self.net, self.stiu_params, tu)
-    }
-
-    /// Converts this (still empty) builder into a sharded builder that
-    /// routes every ingested trajectory to one of `n_shards` partitions
-    /// according to `policy`. Every option set so far is handed over:
-    /// the compression parameters, StIU parameters and dataset name
-    /// apply to each shard, and the decode-cache budget becomes the
-    /// *total* across shards (each shard gets an equal slice, as with
-    /// [`QueryTarget::set_cache_bytes`] on the finished store).
-    ///
-    /// Must be called before the first [`ingest`](Self::ingest) — once a
-    /// trajectory is compressed into the single-store layout it cannot
-    /// be re-routed, so a late call fails with [`Error::ShardConfig`].
-    pub fn shard_by(
-        self,
-        policy: Arc<dyn crate::shard::ShardPolicy>,
-        n_shards: u32,
-    ) -> Result<crate::shard::ShardedStoreBuilder, Error> {
-        if self.state.has_ingested() {
-            return Err(Error::ShardConfig("shard_by after the first ingest"));
-        }
-        crate::shard::check_shard_count(n_shards as usize)?;
-        let builders = (0..n_shards)
-            .map(|_| Self {
-                net: Arc::clone(&self.net),
-                params: self.params,
-                stiu_params: self.stiu_params,
-                name: self.name.clone(),
-                state: PartitionState::new(&self.net, self.params),
-                cache_bytes: self.cache_bytes / n_shards as usize,
-            })
-            .collect();
-        Ok(crate::shard::ShardedStoreBuilder {
-            net: self.net,
-            policy,
-            builders,
-        })
-    }
-
-    /// Finalizes the store. Attach a write-ahead log afterwards with
-    /// [`LiveStore::attach_wal`].
+    /// Freezes every partition as epoch 0 and assembles the store.
+    /// Attach a write-ahead log afterwards with [`LiveStore::attach_wal`].
     pub fn finish(self) -> Result<Store, Error> {
-        self.into_snapshot().map(Store::from_snapshot)
-    }
-
-    /// Freezes what was ingested as an epoch-0 snapshot with its own
-    /// decode cache — a store's initial state, or one partition of a
-    /// sharded one.
-    pub(crate) fn into_snapshot(self) -> Result<Snapshot, Error> {
-        let mut state = self.state;
-        state.cds.name = self.name.unwrap_or_default();
-        let cache = Arc::new(DecodeCache::with_budget(self.cache_bytes));
-        let index = || Stiu::new(&self.net, self.stiu_params);
-        state.into_snapshot(Arc::clone(&self.net), index, cache, 0)
+        let (name, budget) = (
+            self.name.unwrap_or_default(),
+            self.cache_bytes / self.parts.len(),
+        );
+        // Not `collect`: it would keep the states' far larger buffer.
+        let mut parts = Vec::with_capacity(self.parts.len());
+        for mut state in self.parts {
+            state.cds.name = name.clone();
+            let cache = Arc::new(DecodeCache::with_budget(budget));
+            let index = || Stiu::new(&self.net, self.stiu_params);
+            let snap = state.into_snapshot(Arc::clone(&self.net), index, cache, 0)?;
+            parts.push(Arc::new(snap));
+        }
+        let routing = self
+            .policy
+            .map_or(Routing::Single, |p| Routing::Policy(Some(p)));
+        Store::assemble(parts, routing)
     }
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let snap = self.snapshot();
         f.debug_struct("Store")
-            .field("name", &snap.compressed().name)
-            .field("epoch", &snap.epoch())
-            .field("trajectories", &snap.len())
-            .field("vertices", &self.net.vertex_count())
-            .field("edges", &self.net.edge_count())
+            .field("epoch", &self.epoch())
+            .field("partitions", &self.snapshots())
+            .field("policy", &self.policy_spec())
             .finish_non_exhaustive()
     }
 }
@@ -310,29 +318,49 @@ impl Store {
             .finish()
     }
 
-    /// Wraps an initial (epoch 0) snapshot in a store handle.
-    fn from_snapshot(snap: Snapshot) -> Self {
-        Self {
-            net: Arc::clone(snap.network()),
-            snap: Swap::new(Arc::new(snap)),
-            core: WriterCore::new(),
+    /// A store over one epoch-0 snapshot per partition. The partitions
+    /// share one road network (compared structurally, not by counts) and
+    /// one [`StiuParams`], so the range scan merges their interval keys
+    /// and resolves a query's cells once; no id may be in two of them.
+    fn assemble(parts: Vec<Arc<Snapshot>>, routing: Routing) -> Result<Self, Error> {
+        check_shard_count(parts.len())?;
+        // bounds: windows(2) yields exactly-2-element slices
+        for w in parts.windows(2) {
+            let (a, b) = (&w[0], &w[1]);
+            if !Arc::ptr_eq(a.network(), b.network()) && a.network() != b.network() {
+                return Err(Error::CorruptStore("shards embed different networks"));
+            }
+            if a.stiu().params != b.stiu().params {
+                return Err(Error::CorruptStore("shards disagree on StIU parameters"));
+            }
         }
+        let routes = match parts.len() {
+            1 => None,
+            _ => Some(route_map(&parts)?),
+        };
+        let state = State {
+            epoch: 0,
+            parts,
+            routes,
+        };
+        Ok(Self {
+            net: Arc::clone(state.first().network()),
+            routing,
+            state: Swap::new(Arc::new(state)),
+            core: WriterCore::new(),
+        })
     }
 
-    /// Opens a self-contained (v6, v5, v4 or v2) container: network, dataset and index
-    /// all come from the file — no side-channel arguments.
-    ///
-    /// A v1 container fails with [`Error::NeedsNetwork`]; open those with
-    /// [`Store::open_v1`]. A sharded v3 container fails with
-    /// [`Error::ShardedContainer`]; open those with
-    /// [`crate::shard::ShardedStore::open`] (or let [`crate::Opened`]
-    /// pick the shape).
+    /// Opens a container with no side-channel arguments: a self-contained
+    /// (v6, v5, v4, v2) one as one partition, a sharded v3 one as its
+    /// partitions under the recorded policy. A v1 container fails with
+    /// [`Error::NeedsNetwork`] (see [`Store::open_v1`]).
     ///
     /// ```no_run
     /// use utcq_core::QueryTarget;
     /// # fn main() -> Result<(), utcq_core::Error> {
     /// let store = utcq_core::Store::open("data.utcq")?;
-    /// println!("{} trajectories", store.len());
+    /// println!("{} trajectories in {} partitions", store.len(), store.shard_count());
     /// # Ok(()) }
     /// ```
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
@@ -340,25 +368,47 @@ impl Store {
         Self::read(&mut BufReader::new(f))
     }
 
-    /// Reads a self-contained (v6, v5, v4 or v2) container from an arbitrary reader.
+    /// Reads a container from an arbitrary reader (see [`Store::open`]).
+    /// A v3 container is read one shard blob at a time; the embedded road
+    /// network is deserialized once per blob, and structurally equal
+    /// copies share the first one's `Arc`.
     pub fn read(r: &mut impl Read) -> Result<Self, Error> {
-        let (net, cds, stiu) = match crate::storage::load_full(r) {
-            Ok(parts) => parts,
-            // Only a *valid* v1 container maps to the "supply a network"
-            // guidance; garbage or unknown versions stay storage errors.
-            Err(crate::storage::StorageError::LegacyVersion) => return Err(Error::NeedsNetwork),
-            Err(crate::storage::StorageError::Sharded) => return Err(Error::ShardedContainer),
-            Err(e) => return Err(e.into()),
-        };
-        Snapshot::assemble(Arc::new(net), cds, stiu).map(Self::from_snapshot)
+        let mut head = [0u8; 5];
+        r.read_exact(&mut head).map_err(StorageError::from)?;
+        let mut r = head.as_slice().chain(r);
+        // bounds: head is a [u8; 5]
+        if head[4] != VERSION_V3 {
+            let (net, cds, stiu) = match storage::load_full(&mut r) {
+                Ok(parts) => parts,
+                // Only a *valid* v1 container maps to the "supply a
+                // network" guidance; garbage stays a storage error.
+                Err(StorageError::LegacyVersion) => return Err(Error::NeedsNetwork),
+                Err(e) => return Err(e.into()),
+            };
+            let part = Snapshot::assemble(Arc::new(net), cds, stiu, DEFAULT_CACHE_BYTES)?;
+            return Self::assemble(vec![Arc::new(part)], Routing::Single);
+        }
+        let (dir, blobs) = storage::load_v3(&mut r)?;
+        let budget = DEFAULT_CACHE_BYTES / blobs.len().max(1);
+        let mut shared: Option<Arc<RoadNetwork>> = None;
+        let mut parts = Vec::with_capacity(blobs.len());
+        for blob in blobs {
+            let (net, cds, stiu) = storage::load_full(&mut blob.as_slice())?;
+            // A differing copy is rejected by `assemble`.
+            let net = match &shared {
+                Some(first) if **first == net => Arc::clone(first),
+                _ => Arc::new(net),
+            };
+            shared.get_or_insert_with(|| Arc::clone(&net));
+            parts.push(Arc::new(Snapshot::assemble(net, cds, stiu, budget)?));
+        }
+        let spec = dir.and_then(ShardSpec::from_directory);
+        Self::assemble(parts, Routing::Policy(spec.map(ShardSpec::policy)))
     }
 
     /// Opens a legacy v1 container against an externally supplied
-    /// network — the compatibility path. The StIU index is not part of
-    /// v1 containers, so it is rebuilt from the (lossily) decompressed
-    /// trajectories; the structural components that index construction
-    /// reads (edge sequences, time sequences) decompress exactly, so the
-    /// rebuilt index matches one built at compression time.
+    /// network. Its StIU index is rebuilt from the decompressed
+    /// trajectories, whose edge and time sequences decompress exactly.
     ///
     /// ```no_run
     /// use std::sync::Arc;
@@ -367,7 +417,8 @@ impl Store {
     /// // v1 files carry no network; supply the one they were built on.
     /// let net = utcq_datagen::generate_network(&utcq_datagen::profile::tiny(), 1);
     /// let store = Store::open_v1("legacy.utcq", Arc::new(net), StiuParams::default())?;
-    /// # let _ = store; Ok(()) }
+    /// # let _ = store; Ok(())
+    /// # }
     /// ```
     pub fn open_v1(
         path: impl AsRef<Path>,
@@ -375,7 +426,7 @@ impl Store {
         stiu_params: StiuParams,
     ) -> Result<Self, Error> {
         let f = File::open(path)?;
-        let cds = crate::storage::load(&mut BufReader::new(f))?;
+        let cds = storage::load(&mut BufReader::new(f))?;
         let expect = edge_number_width(net.max_out_degree());
         if cds.w_e != expect {
             return Err(Error::NetworkMismatch {
@@ -385,12 +436,13 @@ impl Store {
         }
         let ds = crate::decompress::decompress_dataset(&net, &cds)?;
         let stiu = crate::stiu::try_build(&net, &ds, &cds, stiu_params)?;
-        Snapshot::assemble(net, cds, stiu).map(Self::from_snapshot)
+        let part = Snapshot::assemble(net, cds, stiu, DEFAULT_CACHE_BYTES)?;
+        Self::assemble(vec![Arc::new(part)], Routing::Single)
     }
 
-    /// Persists the current snapshot as a self-contained v6 container.
-    /// Safe to call while other threads ingest: the write runs on the
-    /// pinned snapshot, so the container is a consistent epoch.
+    /// Persists the current state (see [`Store::write`]). Safe to call
+    /// while other threads ingest: the write runs on the pinned state, so
+    /// the container is a batch-consistent cut.
     ///
     /// ```no_run
     /// use utcq_core::QueryTarget;
@@ -404,17 +456,32 @@ impl Store {
         crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
     }
 
-    /// Writes the current snapshot's v6 container to an arbitrary writer.
+    /// Writes the current state's container to an arbitrary writer: v6
+    /// for a store without a routing policy, v3 (the policy's shard
+    /// directory, then one v6 container per partition) for one with.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        self.snapshot().write(w)
+        let state = self.state.load();
+        let policy = match &self.routing {
+            Routing::Single => return state.first().write(w),
+            Routing::Policy(policy) => policy.as_ref(),
+        };
+        let mut blobs = Vec::with_capacity(state.parts.len());
+        for snap in &state.parts {
+            let mut blob = Vec::new();
+            snap.write(&mut blob)?;
+            blobs.push(blob);
+        }
+        let dir = ShardSpec::directory(policy.and_then(|p| p.spec()));
+        storage::save_v3(dir, &blobs, w)?;
+        Ok(())
     }
 
-    /// Pins the current epoch: the returned [`Snapshot`] is a consistent
-    /// read view that concurrent [`LiveStore::ingest`] calls cannot change.
-    /// Hold it across a multi-page walk for stable answers, or hand it
-    /// to [`Snapshot::save`] for a live checkpoint.
+    /// Pins the current epoch of the first partition (all of a store
+    /// without a routing policy): a read view ingest cannot change, for
+    /// multi-page walks or a live [`Snapshot::save`].
+    /// [`LiveStore::snapshots`] pins every partition at once.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.snap.load()
+        Arc::clone(self.state.load().first())
     }
 
     /// The compression parameters the store was built with.
@@ -422,19 +489,21 @@ impl Store {
         self.snapshot().compressed().params
     }
 
-    /// Component-wise and total compression ratios of the current
-    /// snapshot.
+    /// Component-wise and total compression ratios of the current state,
+    /// across partitions.
     pub fn ratios(&self) -> Ratios {
-        self.snapshot().ratios()
+        let (raw, compressed) = summed_sizes(&self.state.load().parts);
+        Ratios::from_sizes(&raw, &compressed)
     }
 
-    /// Looks up a trajectory's position by id (in the current epoch).
+    /// Looks up a trajectory's position by id in the first partition (in
+    /// the current epoch).
     pub fn traj_index(&self, id: u64) -> Option<u32> {
         self.snapshot().traj_index(id)
     }
 
     /// Decodes the full time sequence of the trajectory at position `j`
-    /// (memoized in the decode cache).
+    /// of the first partition (memoized in the decode cache).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -453,17 +522,69 @@ impl Store {
         self.snapshot().decode_times(j)
     }
 
-    /// The decode cache's byte budget (`0` = disabled).
+    /// The decode cache's total byte budget (`0` = disabled).
     pub fn cache_bytes(&self) -> usize {
-        self.snapshot().cache.budget()
+        self.cache_stats().budget_bytes
+    }
+
+    /// Number of partitions.
+    pub fn shard_count(&self) -> usize {
+        self.state.load().parts.len()
+    }
+
+    /// The routing policy recorded for this store (`None` without one,
+    /// or for a custom policy).
+    pub fn policy_spec(&self) -> Option<ShardSpec> {
+        match &self.routing {
+            Routing::Policy(Some(policy)) => policy.spec(),
+            _ => None,
+        }
+    }
+
+    /// The partition owning trajectory `id`, if ingested.
+    pub fn traj_shard(&self, id: u64) -> Option<u32> {
+        self.state.load().owner(id)
+    }
+
+    /// Runs **where** or **when** on the partition owning `traj_id`,
+    /// whose tag the cursor must carry (see [`crate::shard`]). An unknown
+    /// id yields an empty page.
+    fn on_owner<T>(
+        &self,
+        traj_id: u64,
+        page: PageRequest,
+        run: impl FnOnce(&Snapshot, PageRequest) -> Result<Page<T>, Error>,
+    ) -> Result<Page<T>, Error> {
+        let state = self.state.load();
+        // One partition answers unknown ids itself, without a second
+        // id lookup.
+        let owner = state.routes.as_ref().map_or(Some(0), |r| r.get(traj_id));
+        let Some(shard) = owner else {
+            return Ok(Page::slice(Vec::new(), page));
+        };
+        let cursor = match page.cursor.map(decode_cursor) {
+            Some((tag, _)) if tag != shard => return Err(Error::InvalidCursor),
+            cursor => cursor.map(|(_, local)| local),
+        };
+        let local = PageRequest {
+            limit: page.limit,
+            cursor,
+        };
+        let snap = state.parts.get(shard as usize);
+        let answer = run(snap.ok_or(Error::InvalidCursor)?, local)?;
+        Ok(Page {
+            items: answer.items,
+            next_cursor: answer.next_cursor.map(|c| encode_cursor(shard, c)),
+            has_more: answer.has_more,
+        })
     }
 }
 
-/// Every query pins the current snapshot for its duration and runs on
-/// that frozen epoch.
+/// Every query pins the current state for its duration and runs on that
+/// frozen epoch.
 impl QueryTarget for Store {
     fn len(&self) -> usize {
-        self.snapshot().len()
+        self.state.load().len()
     }
 
     fn network(&self) -> &Arc<RoadNetwork> {
@@ -477,7 +598,9 @@ impl QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhereHit>, Error> {
-        self.snapshot().where_query(traj_id, t, alpha, page)
+        self.on_owner(traj_id, page, |snap, local| {
+            snap.where_query(traj_id, t, alpha, local)
+        })
     }
 
     fn when_query(
@@ -488,7 +611,9 @@ impl QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhenHit>, Error> {
-        self.snapshot().when_query(traj_id, edge, rd, alpha, page)
+        self.on_owner(traj_id, page, |snap, local| {
+            snap.when_query(traj_id, edge, rd, alpha, local)
+        })
     }
 
     fn range_query(
@@ -498,19 +623,31 @@ impl QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        self.snapshot().range_query(re, tq, alpha, page)
+        let state = self.state.load();
+        range_over(&state.parts, state.epoch, re, tq, alpha, page)
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.snapshot().cache_stats()
+        self.state
+            .load()
+            .parts
+            .iter()
+            .map(|s| s.cache_stats())
+            .sum()
     }
 
-    fn set_cache_bytes(&self, bytes: usize) {
-        self.snapshot().set_cache_bytes(bytes);
+    fn set_cache_bytes(&self, total_bytes: usize) {
+        let state = self.state.load();
+        let per_part = total_bytes / state.parts.len();
+        for s in &state.parts {
+            s.set_cache_bytes(per_part);
+        }
     }
 
     fn clear_cache(&self) {
-        self.snapshot().clear_cache();
+        for s in &self.state.load().parts {
+            s.clear_cache();
+        }
     }
 }
 
@@ -520,33 +657,95 @@ impl LiveStore for Store {
     }
 
     fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool {
-        let snap = self.snap.load();
-        tus.iter().all(|t| snap.traj_index(t.id).is_some())
+        let state = self.state.load();
+        tus.iter().all(|t| state.owner(t.id).is_some())
     }
 
+    /// Checks, deduplicates and routes the batch, then compresses each
+    /// partition's share into a prepared copy of that partition on the
+    /// shared work queue. Only when **every** share compressed is the
+    /// batch logged and one new state swapped in, so batches are
+    /// all-or-nothing across partitions. A store reopened from a
+    /// custom-policy container cannot route: [`Error::ShardConfig`].
     fn publish_locked(&self, held: &Held<'_>, batch: &Dataset) -> Result<IngestReport, Error> {
-        let tus: Vec<&UncertainTrajectory> = batch.trajectories.iter().collect();
-        let cur = self.snap.load();
-        let Some(state) = cur.prepare_trajs(batch.default_interval, &batch.name, &tus)? else {
+        let state = self.state.load();
+        check_batch(&self.net, self.default_interval(), batch)?;
+        let policy =
+            match &self.routing {
+                Routing::Single => None,
+                Routing::Policy(Some(policy)) => Some(policy.as_ref()),
+                Routing::Policy(None) => return Err(Error::ShardConfig(
+                    "live ingest needs a routing policy (custom-policy containers are read-only)",
+                )),
+            };
+        // A partition rejects the ids it holds; the id map also knows
+        // the other partitions'.
+        if let Some(routes) = &state.routes {
+            let mut seen = HashSet::with_capacity(batch.trajectories.len());
+            for tu in &batch.trajectories {
+                if routes.contains(tu.id) || !seen.insert(tu.id) {
+                    return Err(Error::DuplicateTrajectory(tu.id));
+                }
+            }
+        }
+        let mut routed: Vec<Vec<&UncertainTrajectory>> = vec![Vec::new(); state.parts.len()];
+        let mut owners = Vec::with_capacity(batch.trajectories.len());
+        for tu in &batch.trajectories {
+            let s = route(policy, &self.net, tu, state.parts.len() as u32)?;
+            routed[s as usize].push(tu); // bounds: route returns s < parts.len()
+            owners.push(s);
+        }
+        // An error in any partition returns here with nothing published.
+        let prepared = par_run(state.parts.len(), |s| {
+            // bounds: par_run yields s < parts.len(); routed has one slot per partition
+            state.parts[s].prepare_trajs(&batch.name, &routed[s])
+        })?;
+        if prepared.iter().all(Option::is_none) {
             return Ok(IngestReport {
                 ingested: 0,
-                total: cur.len(),
-                epoch: cur.epoch(),
+                total: state.len(),
+                epoch: state.epoch,
             });
-        };
+        }
+        // The batch will publish: log it first, so that a crash from
+        // here on replays it under the epoch allocated here.
         let epoch = self.core.log(held, batch)?;
-        let snap = cur.successor(state, epoch);
-        let total = snap.len();
-        self.snap.store(Arc::new(snap));
+        let parts: Vec<Arc<Snapshot>> = (state.parts.iter())
+            .zip(prepared)
+            .map(|(cur, p)| match p {
+                Some(next) => Arc::new(cur.successor(next, epoch)),
+                None => Arc::clone(cur),
+            })
+            .collect();
+        let mut routes = state.routes.clone();
+        if let Some(routes) = &mut routes {
+            for (tu, &s) in batch.trajectories.iter().zip(&owners) {
+                routes.insert(tu.id, s);
+            }
+        }
+        let next = State {
+            epoch,
+            parts,
+            routes,
+        };
+        // The store's range results live in the first partition's cache
+        // under the store epoch: retire them when the batch left that
+        // partition alone too.
+        let first = next.first();
+        if first.epoch() != epoch {
+            first.cache.retire_before(first.epoch(), epoch);
+        }
+        let total = next.len();
+        self.state.store(Arc::new(next));
         Ok(IngestReport {
-            ingested: tus.len(),
+            ingested: batch.trajectories.len(),
             total,
             epoch,
         })
     }
 
     fn epoch(&self) -> u64 {
-        self.snap.load().epoch()
+        self.state.load().epoch
     }
 
     fn write_cut(&self, _held: &Held<'_>, mut w: &mut dyn Write) -> Result<(), Error> {
@@ -554,16 +753,39 @@ impl LiveStore for Store {
     }
 
     fn snapshots(&self) -> Vec<Arc<Snapshot>> {
-        vec![self.snapshot()]
+        self.state.load().parts.clone()
     }
 
     fn info(&self) -> InfoReport {
-        InfoReport::over(&self.snapshots(), None)
+        let sharded = matches!(self.routing, Routing::Policy(_));
+        let label = sharded.then(|| policy_label(self.policy_spec()));
+        InfoReport::over(&self.state.load().parts, label)
     }
 
     fn default_interval(&self) -> i64 {
         self.params().default_interval
     }
+}
+
+/// The id → partition map of a store with more than one partition,
+/// rejecting an id that two partitions hold.
+fn route_map(parts: &[Arc<Snapshot>]) -> Result<SharedIdMap, Error> {
+    fn ids(snap: &Snapshot) -> impl Iterator<Item = u64> + '_ {
+        snap.compressed().trajectories.iter().map(|ct| ct.id)
+    }
+    let mut sorted: Vec<u64> = parts.iter().flat_map(|snap| ids(snap)).collect();
+    sorted.sort_unstable();
+    // bounds: windows(2) yields exactly-2-element slices
+    if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+        return Err(Error::DuplicateTrajectory(w[0]));
+    }
+    let mut routes = SharedIdMap::new();
+    for (s, snap) in parts.iter().enumerate() {
+        for id in ids(snap) {
+            routes.insert(id, s as u32);
+        }
+    }
+    Ok(routes)
 }
 
 #[cfg(test)]

@@ -762,9 +762,9 @@ pub fn error_code(e: &Error) -> &'static str {
         Error::NetworkMismatch { .. } => "network_mismatch",
         Error::CorruptStore(_) => "corrupt_store",
         Error::NeedsNetwork => "needs_network",
-        Error::ShardedContainer => "sharded_container",
         Error::InvalidCursor => "invalid_cursor",
         Error::ShardConfig(_) => "shard_config",
+        Error::InvalidTrajectory { .. } => "bad_request",
     }
 }
 
@@ -1267,10 +1267,9 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
     Reply { line, shutdown }
 }
 
-/// Validates and applies one `ingest` batch: structural validation
-/// against the road network first (malformed trajectories are
-/// `bad_request`, nothing is published), then the live-store publish
-/// (store-level failures map through [`error_code`]).
+/// Applies one `ingest` batch through the live-store publish, whose
+/// batch check refuses a malformed trajectory before anything is
+/// published (`bad_request`); failures map through [`error_code`].
 fn run_ingest(
     opened: &Opened,
     trajectories: Vec<UncertainTrajectory>,
@@ -1278,31 +1277,6 @@ fn run_ingest(
     name: String,
     id: Option<&Json>,
 ) -> String {
-    let net = opened.network();
-    let edge_count = net.edge_count() as u32;
-    for (at, tu) in trajectories.iter().enumerate() {
-        // Bounds come first: the structural validator assumes edge ids
-        // resolve, so a hostile id must be rejected before it.
-        for inst in &tu.instances {
-            if let Some(e) = inst.path.iter().find(|e| e.0 >= edge_count) {
-                return respond_error(
-                    id,
-                    "bad_request",
-                    &format!(
-                        "trajectories[{at}] is invalid: edge {} does not exist (network has {edge_count} edges)",
-                        e.0
-                    ),
-                );
-            }
-        }
-        if let Err(detail) = tu.validate(net) {
-            return respond_error(
-                id,
-                "bad_request",
-                &format!("trajectories[{at}] is invalid: {detail}"),
-            );
-        }
-    }
     let batch = Dataset {
         name,
         default_interval: interval.unwrap_or_else(|| opened.default_interval()),
@@ -1483,7 +1457,6 @@ mod tests {
         assert_eq!(error_code(&Error::InvalidCursor), "invalid_cursor");
         assert_eq!(error_code(&Error::NeedsNetwork), "needs_network");
         assert_eq!(error_code(&Error::CorruptStore("x")), "corrupt_store");
-        assert_eq!(error_code(&Error::ShardedContainer), "sharded_container");
         assert_eq!(error_code(&Error::SpanTooLong(1)), "span_too_long");
     }
 
@@ -1524,14 +1497,14 @@ mod tests {
             .unwrap_err();
             assert_eq!(e.code, "invalid_cursor", "cursor {c:?}");
         }
-        // A parseable cursor past the end of the result set terminates
-        // pagination cleanly on a single store: empty page, no panic.
+        // A parseable cursor whose partition tag (its high 16 bits) names
+        // no partition of the store is refused, never walked: no panic.
         let reply = handle_line(
             &opened,
             r#"{"op":"where","traj":1,"t":600,"alpha":0.25,"cursor":"9223372036854775808"}"#,
         );
         assert!(
-            reply.line.contains(r#""items":[]"#) && reply.line.contains(r#""has_more":false"#),
+            reply.line.contains(r#""code":"invalid_cursor""#),
             "{}",
             reply.line
         );

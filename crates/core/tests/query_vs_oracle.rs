@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use utcq_core::params::CompressParams;
 use utcq_core::query::{PageRequest, QueryTarget};
-use utcq_core::shard::{ByRegion, ByTime, ShardPolicy, ShardedStore};
+use utcq_core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq_core::stiu::StiuParams;
 use utcq_core::{decompress::check_lossy_roundtrip, oracle};
 use utcq_core::{LiveStore, Store, StoreBuilder};
@@ -32,7 +32,7 @@ fn store(net: &RoadNetwork, ds: &Dataset) -> Store {
     builder(net, ds).ingest(ds).unwrap().finish().unwrap()
 }
 
-fn sharded(net: &RoadNetwork, ds: &Dataset, policy: Arc<dyn ShardPolicy>, n: u32) -> ShardedStore {
+fn sharded(net: &RoadNetwork, ds: &Dataset, policy: Arc<dyn ShardPolicy>, n: u32) -> Store {
     let st = builder(net, ds)
         .shard_by(policy, n)
         .unwrap()

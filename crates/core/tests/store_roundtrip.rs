@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::segment::TrajView;
-use utcq_core::shard::{ByTime, ShardedStore};
+use utcq_core::shard::ByTime;
 use utcq_core::stiu::TrajIndex;
 use utcq_core::{CompressParams, Error, LiveStore, Snapshot, StiuParams, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
@@ -364,7 +364,7 @@ fn reopened_index_equals_built_index_and_rewrites_identically() {
             .unwrap();
         let mut bytes = Vec::new();
         sharded.write(&mut bytes).unwrap();
-        let reopened = ShardedStore::read(&mut bytes.as_slice()).unwrap();
+        let reopened = Store::read(&mut bytes.as_slice()).unwrap();
         assert_same_index(&sharded.snapshots(), &reopened.snapshots(), &what);
         let mut again = Vec::new();
         reopened.write(&mut again).unwrap();

@@ -27,7 +27,7 @@
 //! opening through the compatibility path.
 //!
 //! `query` is written against `utcq::core::QueryTarget`, so the same
-//! workload runs unchanged on a single `Store` or a `ShardedStore`.
+//! workload runs unchanged on a store of any partition count.
 //! It uses the shared decode cache (default 64 MiB total);
 //! `--cache-bytes` overrides the budget (`0` disables caching; a
 //! sharded store splits the budget across partitions) and
@@ -64,7 +64,7 @@ use utcq::core::serve::{Server, DEFAULT_THREADS};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
 use utcq::core::{
-    storage, wire, FsyncPolicy, LiveStore, Opened, RangeQuery, Store, StoreBuilder, WalConfig,
+    storage, wire, FsyncPolicy, LiveStore, Opened, RangeQuery, StoreBuilder, WalConfig,
 };
 use utcq::datagen::DatasetProfile;
 use utcq::network::RoadNetwork;
@@ -191,50 +191,40 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     let params = params_for(&profile);
     let shards: u32 = args.parse_num("shards", 1);
     let t0 = std::time::Instant::now();
-    let print_ratio = |n: usize, r: utcq::core::Ratios, dt: std::time::Duration| {
-        println!(
-            "compressed {n} trajectories in {dt:?}: ratio {:.2} (T {:.2}, E {:.2}, D {:.2}, T' {:.2}, p {:.2})",
-            r.total, r.t, r.e, r.d, r.tflag, r.p
-        );
-    };
+    let mut builder = StoreBuilder::new(Arc::new(net), params);
     if shards > 1 {
-        let policy = shard_policy(args)?;
-        let store = StoreBuilder::new(Arc::new(net), params)
-            .stiu_params(StiuParams::default())
-            .shard_by(policy, shards)
-            .map_err(|e| e.to_string())?
-            .ingest(&ds)
-            .map_err(|e| e.to_string())?
-            .finish()
+        builder = builder
+            .shard_by(shard_policy(args)?, shards)
             .map_err(|e| e.to_string())?;
-        print_ratio(store.len(), store.ratios(), t0.elapsed());
-        let sizes: Vec<String> = store
-            .snapshots()
-            .iter()
-            .map(|s| s.len().to_string())
-            .collect();
+    }
+    let store = builder
+        .ingest(&ds)
+        .and_then(StoreBuilder::finish)
+        .map_err(|e| e.to_string())?;
+    let (r, dt) = (store.ratios(), t0.elapsed());
+    println!(
+        "compressed {} trajectories in {dt:?}: ratio {:.2} (T {:.2}, E {:.2}, D {:.2}, T' {:.2}, p {:.2})",
+        store.len(), r.total, r.t, r.e, r.d, r.tflag, r.p
+    );
+    let kind = if shards > 1 {
+        let sizes = Vec::from_iter(store.snapshots().iter().map(|s| s.len().to_string()));
+        let policy = args.get("shard-by", "time");
         println!(
-            "shard occupancy ({} shards, {}): [{}]",
-            store.shard_count(),
-            args.get("shard-by", "time"),
+            "shard occupancy ({shards} shards, {policy}): [{}]",
             sizes.join(", ")
         );
-        store.save(&out).map_err(|e| e.to_string())?;
-        println!("wrote {out} (sharded v3 container)");
+        "sharded v3"
     } else {
-        let store = Store::build(Arc::new(net), &ds, params, StiuParams::default())
-            .map_err(|e| e.to_string())?;
-        print_ratio(store.len(), store.ratios(), t0.elapsed());
-        store.save(&out).map_err(|e| e.to_string())?;
-        println!("wrote {out} (self-contained v6 container)");
-    }
+        "self-contained v6"
+    };
+    store.save(&out).map_err(|e| e.to_string())?;
+    println!("wrote {out} ({kind} container)");
     Ok(())
 }
 
 /// Opens a container as a queryable store through the
-/// [`utcq::core::Opened`] facade: v6, v5, v4 and v2 directly, v3 through the sharded
-/// facade, v1 through the compatibility path using the regenerated
-/// network. Only the network is regenerated — not the trajectories,
+/// [`utcq::core::Opened`] facade: v6, v5, v4, v3 and v2 directly, v1
+/// through the compatibility path using the regenerated network. Only the network is regenerated — not the trajectories,
 /// which live in the container.
 fn open_store(args: &Args) -> Result<Opened, String> {
     let path = args.get("in", "data.utcq");

@@ -2,9 +2,9 @@
 //!
 //! Re-exports all workspace crates under one roof so examples and
 //! integration tests can use a single dependency. The public API lives
-//! in [`utcq_core`] (owned, `Send + Sync` [`utcq_core::Store`] /
-//! [`utcq_core::ShardedStore`] behind one [`utcq_core::QueryTarget`]
-//! surface, plus the [`utcq_core::serve`] TCP query service); see the
+//! in [`utcq_core`] (the owned, `Send + Sync` [`utcq_core::Store`] of
+//! N ≥ 1 partitions behind the [`utcq_core::QueryTarget`] surface, plus
+//! the [`utcq_core::serve`] TCP query service); see the
 //! repository `README.md` and `docs/ARCHITECTURE.md` for the tour.
 pub use utcq_audit as audit;
 pub use utcq_bitio as bitio;

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use utcq::core::query::PageRequest;
-use utcq::core::shard::{ByTime, ShardedStore};
+use utcq::core::shard::ByTime;
 use utcq::core::stiu::{StiuParams, TrajIndex};
 use utcq::core::wal::{self, Record, Wal};
 use utcq::core::{
@@ -68,9 +68,9 @@ fn fixture_dataset() -> (utcq::network::RoadNetwork, utcq::traj::Dataset) {
 /// Opens all nine fixtures. The v1 fixture has no embedded network, so
 /// it reuses the v2 fixture's — the dataset is identical by
 /// construction.
-fn open_fixtures() -> ([Store; 5], [ShardedStore; 4]) {
+fn open_fixtures() -> ([Store; 5], [Store; 4]) {
     let open = |name: &str| Store::open(fixture_path(name)).expect(name);
-    let sharded = |name: &str| ShardedStore::open(fixture_path(name)).expect(name);
+    let sharded = |name: &str| Store::open(fixture_path(name)).expect(name);
     let v2 = open("tiny_v2.utcq");
     let v1 = Store::open_v1(fixture_path("tiny_v1.utcq"), Arc::clone(v2.network()), STIU)
         .expect("v1 fixture opens");

@@ -25,11 +25,11 @@ use std::sync::Arc;
 
 use utcq::core::serve::{self, Server};
 use utcq::core::shard::ByTime;
+use utcq::core::wal::{Record, Wal};
 use utcq::core::{
-    wire, CompressParams, FsyncPolicy, Opened, ShardedStore, StiuParams, Store, StoreBuilder,
-    WalConfig,
+    wire, CompressParams, Error, FsyncPolicy, Opened, StiuParams, Store, StoreBuilder, WalConfig,
 };
-use utcq::network::RoadNetwork;
+use utcq::network::{EdgeId, RoadNetwork};
 use utcq::traj::{Dataset, UncertainTrajectory};
 
 const STIU: StiuParams = StiuParams {
@@ -69,7 +69,7 @@ fn single_store(net: &Arc<RoadNetwork>, batches: &[&Dataset]) -> Store {
     b.finish().expect("builder finish")
 }
 
-fn sharded_store(net: &Arc<RoadNetwork>, batches: &[&Dataset]) -> ShardedStore {
+fn sharded_store(net: &Arc<RoadNetwork>, batches: &[&Dataset]) -> Store {
     let mut b = StoreBuilder::new(Arc::clone(net), params(batches[0]))
         .stiu_params(STIU)
         .shard_by(Arc::new(ByTime { interval_s: 120 }), 3)
@@ -98,12 +98,9 @@ fn for_each_shape(net: &Arc<RoadNetwork>, case: impl Fn(&str, Build)) {
 
 /// The container bytes (v2 or v3) of a live handle.
 fn container_bytes(opened: &Opened) -> Vec<u8> {
+    let (Opened::Single(s) | Opened::Sharded(s)) = opened;
     let mut bytes = Vec::new();
-    match opened {
-        Opened::Single(s) => s.write(&mut bytes),
-        Opened::Sharded(s) => s.write(&mut bytes),
-    }
-    .expect("serialize store");
+    s.write(&mut bytes).expect("serialize store");
     bytes
 }
 
@@ -209,6 +206,41 @@ fn interrupted_checkpoint_truncation_is_completed_on_reopen() {
             scan.records.is_empty() && !scan.torn,
             "{shape}: the absorbed prefix must be dropped from disk"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A log record naming an edge past the network (a log written against
+/// another network, or edited) fails the durable open with an error, not
+/// a panic in compression, and leaves the container as it was.
+#[test]
+fn a_record_off_the_network_fails_the_open_and_leaves_the_container() {
+    let (net, all) = batches(9, 66);
+    for_each_shape(&net, |shape, build| {
+        let dir = tmp_dir(&format!("off-network-{shape}"));
+        let container = dir.join("c.utcq");
+        save(&build(&[&all[0]]), &container);
+        let before = std::fs::read(&container).expect("read container");
+        let mut stray = all[1].trajectories[0].clone();
+        stray.instances[0].path[0] = EdgeId(net.edge_count() as u32 + 5);
+        let wal_cfg = || WalConfig::new(dir.join("log.wal"));
+        let (mut log, _) = Wal::open(&wal_cfg()).expect("open log");
+        let record = Record {
+            epoch: 1,
+            name: all[1].name.clone(),
+            default_interval: all[1].default_interval,
+            trajectories: vec![stray],
+        };
+        log.append(&record).expect("append");
+        drop(log);
+
+        let opened = Opened::open_durable(&container, wal_cfg());
+        assert!(
+            matches!(opened, Err(Error::InvalidTrajectory { at: 0, .. })),
+            "{shape}: {opened:?}"
+        );
+        let after = std::fs::read(&container).expect("reread container");
+        assert!(after == before, "{shape}: the container must not change");
         let _ = std::fs::remove_dir_all(&dir);
     });
 }

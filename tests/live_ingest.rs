@@ -15,13 +15,13 @@
 
 use std::sync::Arc;
 
-use utcq::core::shard::ByTime;
+use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::{
-    CompressParams, LiveStore, PageRequest, QueryTarget, RangeQuery, ShardedStore, StiuParams,
-    Store, StoreBuilder,
+    CompressParams, Error, LiveStore, PageRequest, QueryTarget, RangeQuery, StiuParams, Store,
+    StoreBuilder,
 };
 use utcq::datagen::{generate_network, generate_on_network, GenOptions};
-use utcq::network::{Rect, RoadNetwork};
+use utcq::network::{EdgeId, Rect, RoadNetwork};
 use utcq::traj::Dataset;
 
 const STIU: StiuParams = StiuParams {
@@ -155,7 +155,7 @@ fn sharded_live_ingest_matches_offline_build_byte_for_byte() {
     );
 
     // And the container reopens with everything routed.
-    let reopened = ShardedStore::read(&mut live_bytes.as_slice()).unwrap();
+    let reopened = Store::read(&mut live_bytes.as_slice()).unwrap();
     assert_eq!(reopened.len(), 9);
 }
 
@@ -227,6 +227,46 @@ fn live_name_adoption_matches_builder_even_on_empty_sub_batches() {
         live_bytes, offline_bytes,
         "shards with empty sub-batches must still adopt the batch name"
     );
+}
+
+/// A batch that names an edge past the network, or is malformed on it,
+/// is refused before any of it is routed (`ByRegion` reads a trajectory's
+/// first position) or compressed: the epoch and the contents stay, on the
+/// live path and in the builder alike.
+#[test]
+fn a_batch_off_the_network_is_refused_with_the_epoch_unchanged() {
+    let (net, batches) = batches(9, 49);
+    let p = params(&batches[0]);
+    let builder = || StoreBuilder::new(Arc::clone(&net), p);
+    let plain = builder().ingest(&batches[0]).unwrap().finish().unwrap();
+    let by_region = (builder().shard_by(Arc::new(ByRegion { grid_n: 4 }), 3))
+        .and_then(|b| b.ingest(&batches[0])?.finish())
+        .unwrap();
+    let mut stray = batches[1].clone();
+    for inst in &mut stray.trajectories[1].instances {
+        inst.path[0] = EdgeId(net.edge_count() as u32 + 5);
+    }
+    let mut malformed = batches[1].clone();
+    malformed.trajectories[2].instances.clear();
+    for (bad, at) in [(&stray, 1), (&malformed, 2)] {
+        for store in [&plain, &by_region] {
+            let (epoch, len) = (store.epoch(), store.len());
+            let e = store.ingest(bad).unwrap_err();
+            assert!(
+                matches!(e, Error::InvalidTrajectory { at: a, .. } if a == at),
+                "{e}"
+            );
+            assert_eq!((store.epoch(), store.len()), (epoch, len));
+        }
+        let e = builder()
+            .ingest(bad)
+            .err()
+            .expect("the builder refuses it too");
+        assert!(
+            matches!(e, Error::InvalidTrajectory { at: a, .. } if a == at),
+            "{e}"
+        );
+    }
 }
 
 #[test]
@@ -498,10 +538,7 @@ fn concurrent_sharded_ingest_and_queries_stress() {
     // A consistent checkpoint taken after the dust settles reopens whole.
     let mut bytes = Vec::new();
     store.write(&mut bytes).unwrap();
-    assert_eq!(
-        ShardedStore::read(&mut bytes.as_slice()).unwrap().len(),
-        total
-    );
+    assert_eq!(Store::read(&mut bytes.as_slice()).unwrap().len(), total);
 }
 
 /// Epoch-keyed decode-cache entries: post-ingest queries repopulate
@@ -550,6 +587,47 @@ fn cache_stays_correct_across_epochs() {
         .unwrap()
         .into_items();
     assert_eq!(after, cold);
+}
+
+/// A partitioned store caches a range result under its own epoch in the
+/// first partition's cache: a batch that leaves that partition alone
+/// still retires the result (and nothing else there), and the next query
+/// answers the new epoch.
+#[test]
+fn range_results_follow_the_store_epoch_across_untouched_partitions() {
+    let (net, batches) = batches(9, 50);
+    let p = params(&batches[0]);
+    let policy = ByTime { interval_s: 120 };
+    let build = |extra: &[Dataset]| {
+        let mut b = (StoreBuilder::new(Arc::clone(&net), p).stiu_params(STIU))
+            .shard_by(Arc::new(policy), 3)
+            .unwrap()
+            .ingest(&batches[0])
+            .unwrap();
+        for batch in extra {
+            b = b.ingest(batch).unwrap();
+        }
+        b.finish().unwrap()
+    };
+    let store = build(&[]);
+    let elsewhere = |tu: &&utcq::traj::UncertainTrajectory| policy.route(&net, tu, 3) != 0;
+    let tu = batches[1].trajectories.iter().find(elsewhere).unwrap();
+    let late = Dataset {
+        trajectories: vec![tu.clone()],
+        ..batches[1].clone()
+    };
+    let (re, tq) = (net.bounding_rect(), tu.times[0]);
+    let range = |s: &Store| s.range_query(&re, tq, 0.0, PageRequest::all()).unwrap();
+    range(&store);
+    let first = || store.snapshots()[0].cache_stats();
+    let (hits, cached) = (first().hits, first().entries);
+    assert_eq!(range(&store), range(&store));
+    assert_eq!(first().hits, hits + 2, "the repeats hit the stored result");
+
+    store.ingest(&late).unwrap();
+    assert_eq!(store.snapshots()[0].epoch(), 0, "partition 0 untouched");
+    assert_eq!(first().entries, cached - 1, "only the range result retires");
+    assert_eq!(range(&store), range(&build(&[late])));
 }
 
 /// Batch-partition invariance: however a workload is sliced into ingest
@@ -755,7 +833,7 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
         .unwrap();
     let mut v3_bytes = Vec::new();
     sharded.write(&mut v3_bytes).unwrap();
-    let v3 = ShardedStore::read(&mut v3_bytes.as_slice()).unwrap();
+    let v3 = Store::read(&mut v3_bytes.as_slice()).unwrap();
     let targets: [(&str, &dyn QueryTarget); 5] = [
         ("live", &store),
         ("offline", &fresh),

@@ -1,17 +1,17 @@
-//! Sharding is a pure partitioning layer: a [`ShardedStore`] over any
-//! shard count and either built-in routing policy must return
+//! Sharding is a pure partitioning layer: a [`Store`] partitioned by
+//! either built-in routing policy, over any partition count, must return
 //! **byte-identical** `where`/`when`/`range` answers — and identical
-//! fully paginated item sequences — to a single [`Store`] built from the
-//! same dataset. This suite asserts exactly that, for 2, 4 and 7 shards
-//! under both `ByTime` and `ByRegion`, through the in-memory path, the
-//! v3 container roundtrip, and the parallel range path.
+//! fully paginated item sequences — to a plain [`Store`] built from the
+//! same dataset. This suite asserts exactly that, for 1, 2, 4 and 7
+//! partitions under both `ByTime` and `ByRegion`, through the in-memory
+//! path, the v3 container roundtrip, and the parallel range path.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use utcq::core::query::PageRequest;
-use utcq::core::shard::{ByRegion, ByTime, ShardPolicy, ShardedStore};
+use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
 use utcq::core::{CompressParams, LiveStore, QueryTarget, RangeQuery, Store, StoreBuilder};
 use utcq::network::{Rect, RoadNetwork};
@@ -44,7 +44,7 @@ fn sharded_store(
     ds: &Dataset,
     policy: Arc<dyn ShardPolicy>,
     n_shards: u32,
-) -> ShardedStore {
+) -> Store {
     // Split the batch in two to also exercise incremental sharded ingest.
     let mut first = ds.clone();
     let mut second = Dataset {
@@ -129,7 +129,7 @@ fn walk<T: Clone + PartialEq + std::fmt::Debug>(
     panic!("pagination did not terminate");
 }
 
-fn assert_equivalent(single: &Store, sharded: &ShardedStore, w: &Workload, label: &str) {
+fn assert_equivalent(single: &Store, sharded: &Store, w: &Workload, label: &str) {
     assert_eq!(single.len(), sharded.len(), "{label}: store sizes");
     // Full answers, byte-identical.
     for &(id, t, alpha) in &w.wheres {
@@ -200,7 +200,13 @@ fn sharded_matches_single_for_all_counts_and_policies() {
     let (net, ds) = setup(20_260_729, 28);
     let single = single_store(&net, &ds);
     let w = workload(&net, &ds, 99);
-    for n_shards in [2u32, 4, 7] {
+    let container = |store: &Store| {
+        let mut bytes = Vec::new();
+        store.write(&mut bytes).unwrap();
+        bytes
+    };
+    assert_eq!(container(&single)[4], 6, "a plain store writes v6");
+    for n_shards in [1u32, 2, 4, 7] {
         for (pname, policy) in [
             (
                 "time",
@@ -213,10 +219,18 @@ fn sharded_matches_single_for_all_counts_and_policies() {
             // of the exercise) unless the policy degenerates.
             let occupied = sharded.snapshots().iter().filter(|s| !s.is_empty()).count();
             assert!(
-                occupied >= 2,
+                occupied >= 2.min(n_shards as usize),
                 "{pname}/{n_shards}: all trajectories on one shard"
             );
+            assert_eq!(container(&sharded)[4], 3, "a routing policy writes v3");
             assert_equivalent(&single, &sharded, &w, &format!("{pname}/{n_shards}"));
+            if n_shards == 1 {
+                // One partition: the pages themselves, cursors included.
+                for &(id, t, alpha) in w.wheres.iter().take(8) {
+                    let page = |s: &Store| s.where_query(id, t, alpha, PageRequest::first(1));
+                    assert_eq!(page(&single).unwrap(), page(&sharded).unwrap());
+                }
+            }
         }
     }
 }
@@ -229,7 +243,7 @@ fn v3_roundtrip_preserves_answers() {
     let sharded = sharded_store(&net, &ds, Arc::new(ByTime { interval_s: 900 }), 4);
     let dir = std::env::temp_dir().join("utcq-shard-equivalence.utcq");
     sharded.save(&dir).unwrap();
-    let reopened = ShardedStore::open(&dir).unwrap();
+    let reopened = Store::open(&dir).unwrap();
     std::fs::remove_file(&dir).ok();
     assert_eq!(reopened.shard_count(), 4);
     assert_equivalent(&single, &reopened, &w, "reopened v3");
@@ -260,7 +274,7 @@ fn v3_roundtrip_preserves_answers() {
     assert_eq!(configured.cache_stats().budget_bytes, n * (budget / n));
     let mut bytes = Vec::new();
     configured.write(&mut bytes).unwrap();
-    let reopened = ShardedStore::read(&mut bytes.as_slice()).unwrap();
+    let reopened = Store::read(&mut bytes.as_slice()).unwrap();
     for store in [&configured, &reopened] {
         assert_eq!(store.info().name, "handed-over");
         for snap in store.snapshots() {
@@ -314,7 +328,7 @@ fn range_answers_identical_cold_cached_and_across_versions() {
     let v5 = Store::read(&mut v5_bytes.as_slice()).unwrap();
     let mut v3_bytes = Vec::new();
     sharded.write(&mut v3_bytes).unwrap();
-    let v3 = ShardedStore::read(&mut v3_bytes.as_slice()).unwrap();
+    let v3 = Store::read(&mut v3_bytes.as_slice()).unwrap();
 
     let mut w = workload(&net, &ds, 55);
     // Adversarial α values ride along: α = 0 (everything with support
