@@ -68,7 +68,7 @@ mod tests {
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
     use utcq_core::shard::ByTime;
-    use utcq_core::{CompressParams, Opened, StoreBuilder, WalConfig};
+    use utcq_core::{CompressParams, Opened, QueryTarget, StoreBuilder, WalConfig};
     use utcq_datagen::profile;
     use utcq_traj::Dataset;
 

@@ -21,8 +21,10 @@
 //!   takes its own shard locks; holding a store lock across that is a
 //!   lock-order hazard.
 //! * **cache-key-epoch** — every `Key { .. }` literal in `cache.rs`
-//!   must carry an `epoch` field, so no cache entry can ever outlive
-//!   the snapshot generation that minted it.
+//!   must carry an `epoch` and a `partition` field, so no cache entry can
+//!   ever outlive the snapshot generation that minted it, and no
+//!   partition of a store can read another's entry through the store's
+//!   one cache.
 //!
 //! Findings can be waived through a checked-in allowlist file (one
 //! justified entry per line — see [`Allowlist`]); entries that no
@@ -409,38 +411,42 @@ fn lint_file(name: &str, source: &str, diags: &mut Vec<Diag>, lines_out: &mut Ve
             }
         }
 
-        // cache-key-epoch: every `Key {` literal must mention `epoch`
-        // before its closing brace. Key literals in this codebase are
-        // short; scan forward a bounded window.
+        // cache-key-epoch: every `Key {` literal must name `epoch` and
+        // `partition` before its matching closing brace (a nested
+        // `Kind::Ref { .. }` does not end it). Key literals in this
+        // codebase are short; scan forward a bounded window.
         if is_cache {
             for (at, _) in code.match_indices("Key {") {
-                let mut found = false;
-                let mut budget = 12; // lines
-                let mut text = code[at..].to_string();
-                let mut k = idx;
-                loop {
-                    if text.contains("epoch") {
-                        found = true;
-                        break;
+                let mut literal = String::new();
+                let mut depth = 0usize;
+                let lines = std::iter::once(&code[at..])
+                    .chain(scrubbed.iter().skip(idx + 1).map(|l| l.code.as_str()));
+                'scan: for text in lines.take(12) {
+                    for ch in text.chars() {
+                        literal.push(ch);
+                        match ch {
+                            '{' => depth += 1,
+                            '}' if depth <= 1 => break 'scan,
+                            '}' => depth -= 1,
+                            _ => {}
+                        }
                     }
-                    if text.contains('}') || budget == 0 {
-                        break;
-                    }
-                    k += 1;
-                    budget -= 1;
-                    match scrubbed.get(k) {
-                        Some(l) => text = l.code.clone(),
-                        None => break,
-                    }
+                    literal.push('\n');
                 }
-                if !found {
+                let missing: Vec<&str> = ["epoch", "partition"]
+                    .into_iter()
+                    .filter(|field| !literal.contains(field))
+                    .collect();
+                if !missing.is_empty() {
                     diags.push(Diag {
                         file: name.to_string(),
                         line: lno,
                         rule: "cache-key-epoch",
-                        message: "`Key { .. }` without an `epoch` field: cache entries \
-                                  must be keyed to a snapshot generation"
-                            .to_string(),
+                        message: format!(
+                            "`Key {{ .. }}` without {}: cache entries must be keyed to \
+                             a snapshot generation and to a partition of the store",
+                            missing.join(" and ")
+                        ),
                     });
                 }
             }
@@ -619,14 +625,34 @@ mod tests {
 
     #[test]
     fn cache_key_literals_need_epoch() {
-        let bad = "fn f() { let k = Key { kind: Kind::Ref(j) }; }\n";
+        let bad = "fn f() { let k = Key { partition, kind: Kind::Ref(j) }; }\n";
         assert!(diags_for("cache.rs", bad)
             .iter()
             .any(|d| d.rule == "cache-key-epoch"));
-        let good = "fn f() { let k = Key { epoch, kind: Kind::Ref(j) }; }\n";
+        let good = "fn f() { let k = Key { epoch, partition, kind: Kind::Ref(j) }; }\n";
         assert!(diags_for("cache.rs", good).is_empty());
-        let multiline = "let k = Key {\n    epoch: e,\n    kind: Kind::Ref(j),\n};\n";
+        let multiline =
+            "let k = Key {\n    epoch: e,\n    partition: p,\n    kind: Kind::Ref(j),\n};\n";
         assert!(diags_for("cache.rs", multiline).is_empty());
+    }
+
+    #[test]
+    fn cache_key_literals_need_partition() {
+        let bad = "fn f() { let k = Key { epoch, kind: Kind::Ref(j) }; }\n";
+        let d = diags_for("cache.rs", bad);
+        assert!(
+            d.iter()
+                .any(|d| d.rule == "cache-key-epoch" && d.message.contains("partition")),
+            "{d:?}"
+        );
+        // A field after a nested literal's closing brace still counts.
+        let nested = "let k = Key {\n    epoch,\n    kind: Kind::Ref { traj, ref_idx },\n    partition,\n};\n";
+        assert!(diags_for("cache.rs", nested).is_empty());
+        // A later literal's fields do not cover an earlier one's.
+        let split = "let a = Key { epoch, kind };\nlet b = Key { epoch, partition, kind };\n";
+        let d = diags_for("cache.rs", split);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 1);
     }
 
     #[test]

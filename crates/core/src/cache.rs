@@ -22,21 +22,23 @@
 //!   Negative entries carry no payload but are charged the fixed
 //!   per-entry overhead, so they compete for the byte budget like any
 //!   other entry and retire through the same LRU;
-//! * `(RE, tq, α, partitions) → Arc<Vec<u64>>` — the **complete** match
-//!   set of a range query shape over that many partitions (exact
-//!   bit-pattern key, never a lossy hash), stored only when a scan ran
-//!   unpaginated to the end; empty match sets store as payload-free
-//!   negative entries. Repeated range probes of a warm shape skip the
-//!   whole candidate scan.
+//! * `(RE, tq, α) → Arc<Vec<u64>>` — the **complete** match set of a
+//!   range query shape (exact bit-pattern key, never a lossy hash),
+//!   stored only when a scan ran unpaginated to the end; empty match
+//!   sets store as payload-free negative entries. Repeated range probes
+//!   of a warm shape skip the whole candidate scan.
 //!
-//! Every key additionally carries the **epoch** that minted it (see
-//! [`crate::snapshot`]): the snapshot's for a trajectory's artifacts, the
-//! store's for a range result. After a live ingest publishes a new
-//! epoch, entries of superseded epochs stop matching — no cross-epoch
-//! aliasing even if a future writer stops being append-only — and the
-//! publish drops them (`DecodeCache::retire_before`), so what the cache
-//! holds under ingest is one epoch's working set, not every read since
-//! the last eviction.
+//! A store has one cache, shared by all of its partitions, so every key
+//! also carries the **partition** it belongs to (`traj` is a position
+//! within that partition), and the **epoch** that minted it (see
+//! [`crate::snapshot`]): the partition snapshot's for a trajectory's
+//! artifacts; for a range result, the epoch of what was queried — a
+//! store of several partitions (partition `WHOLE_STORE`) or one
+//! partition alone. After a live ingest publishes a new epoch, entries
+//! of superseded epochs stop matching — no cross-epoch aliasing even if
+//! a future writer stops being append-only — and the publish drops them
+//! (`DecodeCache::retire_before`), so what the cache holds under ingest
+//! is one epoch's working set, not every read since the last eviction.
 //!
 //! The cache is **sharded**: keys hash to one of [`SHARD_COUNT`]
 //! [`RwLock`]-protected shards, so concurrent queries (e.g. under
@@ -87,17 +89,14 @@ enum Kind {
     /// Negative entry: trajectory `traj` has no region tuple in StIU
     /// cell `cell` — a *when* query there is answer-free.
     WhenMiss { traj: u32, cell: u32 },
-    /// The complete match set of one **range** query shape over
-    /// `partitions` partitions (a store's partition count, or 1 for one
-    /// snapshot queried alone). The shape is stored *exactly* — the
-    /// rectangle's four coordinate bit patterns, the query time, and α's
-    /// bit pattern — never a lossy hash, which could collide two shapes
-    /// and serve a wrong answer.
+    /// The complete match set of one **range** query shape. The shape is
+    /// stored *exactly* — the rectangle's four coordinate bit patterns,
+    /// the query time, and α's bit pattern — never a lossy hash, which
+    /// could collide two shapes and serve a wrong answer.
     RangeResult {
         re_bits: [u64; 4],
         tq: i64,
         alpha_bits: u64,
-        partitions: u32,
     },
 }
 
@@ -107,7 +106,7 @@ impl Kind {
     /// keys consistently and `0.0`/`-0.0` are distinct shapes (both
     /// compute the same answer, so the split is merely one redundant
     /// entry, never a wrong one).
-    fn range_result(partitions: u32, re: &utcq_network::Rect, tq: i64, alpha: f64) -> Self {
+    fn range_result(re: &utcq_network::Rect, tq: i64, alpha: f64) -> Self {
         Kind::RangeResult {
             re_bits: [
                 re.min_x.to_bits(),
@@ -117,17 +116,22 @@ impl Kind {
             ],
             tq,
             alpha_bits: alpha.to_bits(),
-            partitions,
         }
     }
 }
 
-/// Cache key: an artifact kind stamped with the snapshot epoch that
-/// minted it. Entries of superseded epochs stop matching and are
-/// dropped when the next epoch publishes.
+/// The `partition` of a range result over a store of several
+/// partitions — no partition's index (a store has at most
+/// [`crate::shard::MAX_SHARDS`]).
+pub(crate) const WHOLE_STORE: u32 = u32::MAX;
+
+/// Cache key: an artifact kind of one partition (or [`WHOLE_STORE`]),
+/// stamped with the epoch that minted it. Entries of superseded epochs
+/// stop matching and are dropped when the next epoch publishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     epoch: u64,
+    partition: u32,
     kind: Kind,
 }
 
@@ -222,22 +226,6 @@ pub struct CacheStats {
     pub budget_bytes: usize,
 }
 
-/// The counters of several caches (a store's partitions) added up.
-impl std::iter::Sum for CacheStats {
-    fn sum<I: Iterator<Item = Self>>(all: I) -> Self {
-        all.fold(Self::default(), |a, b| Self {
-            hits: a.hits + b.hits,
-            misses: a.misses + b.misses,
-            evictions: a.evictions + b.evictions,
-            negative_hits: a.negative_hits + b.negative_hits,
-            entries: a.entries + b.entries,
-            negative_entries: a.negative_entries + b.negative_entries,
-            bytes: a.bytes + b.bytes,
-            budget_bytes: a.budget_bytes + b.budget_bytes,
-        })
-    }
-}
-
 impl CacheStats {
     /// Hit fraction in `[0, 1]`; `0` before any lookup.
     pub fn hit_rate(&self) -> f64 {
@@ -273,8 +261,8 @@ impl CacheStats {
 }
 
 /// The shared decode cache. One per [`crate::store::Store`], shared by
-/// every epoch's [`crate::snapshot::Snapshot`]; cheap to share by
-/// reference across query threads (`Send + Sync`).
+/// every partition's [`crate::snapshot::Snapshot`] of every epoch; cheap
+/// to share by reference across query threads (`Send + Sync`).
 pub struct DecodeCache {
     shards: Vec<RwLock<Shard>>,
     /// Total byte budget; each shard gets `budget / SHARD_COUNT`.
@@ -335,11 +323,6 @@ impl DecodeCache {
         }
     }
 
-    /// Whether lookups can ever hit (budget > 0).
-    pub fn is_enabled(&self) -> bool {
-        self.budget() > 0
-    }
-
     /// Drops every entry (counters survive). Used by benchmarks to
     /// measure cold-cache behavior on a warm process.
     pub fn clear(&self) {
@@ -351,23 +334,19 @@ impl DecodeCache {
         }
     }
 
-    /// Drops every entry minted by an epoch before `epoch`, and every
-    /// range result minted before `ranges` (a store epoch, which runs
-    /// ahead of a partition's own when batches skip the partition) —
-    /// called as a publish lands, since no current reader can hit them
-    /// again. Not counted as evictions (those keep the budget). A reader
-    /// still pinned to an older epoch just decodes again; what it inserts
-    /// meanwhile goes at the next publish.
-    pub(crate) fn retire_before(&self, epoch: u64, ranges: u64) {
+    /// Drops every entry minted before the current epoch of what it
+    /// belongs to: `epochs[p]` for partition `p`, `store` for a
+    /// [`WHOLE_STORE`] range result — called once per publish, since no
+    /// current reader can hit them again. Not counted as evictions (those
+    /// keep the budget). A reader still pinned to an older epoch just
+    /// decodes again; what it inserts meanwhile goes at the next publish.
+    pub(crate) fn retire_before(&self, epochs: &[u64], store: u64) {
         for shard in &self.shards {
             let mut guard = shard.write().expect("cache lock poisoned");
             let s = &mut *guard;
             s.map.retain(|key, e| {
-                let since = match key.kind {
-                    Kind::RangeResult { .. } => ranges,
-                    _ => epoch,
-                };
-                let keep = key.epoch >= since;
+                let partition = epochs.get(key.partition as usize);
+                let keep = key.epoch >= partition.copied().unwrap_or(store);
                 if !keep {
                     s.bytes -= e.bytes;
                     if matches!(e.value, Value::Negative) {
@@ -476,15 +455,17 @@ impl DecodeCache {
     }
 
     /// Cached decode of reference `ref_idx` of trajectory `traj`.
-    pub fn ref_or_decode(
+    pub(crate) fn ref_or_decode(
         &self,
         epoch: u64,
+        partition: u32,
         traj: u32,
         ref_idx: u32,
         decode: impl FnOnce() -> Result<DecodedRef, Error>,
     ) -> Result<Arc<DecodedRef>, Error> {
         let key = Key {
             epoch,
+            partition,
             kind: Kind::Ref { traj, ref_idx },
         };
         match self.get_or_insert(key, || Ok(Value::Ref(Arc::new(decode()?))))? {
@@ -494,15 +475,17 @@ impl DecodeCache {
     }
 
     /// Cached decode of instance `orig_idx` of trajectory `traj`.
-    pub fn instance_or_decode(
+    pub(crate) fn instance_or_decode(
         &self,
         epoch: u64,
+        partition: u32,
         traj: u32,
         orig_idx: u32,
         decode: impl FnOnce() -> Result<Instance, Error>,
     ) -> Result<Arc<Instance>, Error> {
         let key = Key {
             epoch,
+            partition,
             kind: Kind::Instance { traj, orig_idx },
         };
         match self.get_or_insert(key, || Ok(Value::Instance(Arc::new(decode()?))))? {
@@ -514,15 +497,17 @@ impl DecodeCache {
     /// Cached partial time-decode window of trajectory `traj`, resumed
     /// at the temporal tuple whose first sample index is `no` (`no`
     /// uniquely identifies the resume point within a trajectory).
-    pub fn window_or_decode(
+    pub(crate) fn window_or_decode(
         &self,
         epoch: u64,
+        partition: u32,
         traj: u32,
         no: u32,
         decode: impl FnOnce() -> Result<Vec<i64>, Error>,
     ) -> Result<Arc<Vec<i64>>, Error> {
         let key = Key {
             epoch,
+            partition,
             kind: Kind::Window { traj, no },
         };
         match self.get_or_insert(key, || Ok(Value::Times(Arc::new(decode()?))))? {
@@ -532,14 +517,16 @@ impl DecodeCache {
     }
 
     /// Cached decode of the time sequence of trajectory `traj`.
-    pub fn times_or_decode(
+    pub(crate) fn times_or_decode(
         &self,
         epoch: u64,
+        partition: u32,
         traj: u32,
         decode: impl FnOnce() -> Result<Vec<i64>, Error>,
     ) -> Result<Arc<Vec<i64>>, Error> {
         let key = Key {
             epoch,
+            partition,
             kind: Kind::Times { traj },
         };
         match self.get_or_insert(key, || Ok(Value::Times(Arc::new(decode()?))))? {
@@ -552,12 +539,13 @@ impl DecodeCache {
     /// enters StIU cell `cell` (at `epoch`). A `true` answer counts as a
     /// hit *and* a negative hit; a `false` answer counts nothing — the
     /// caller is about to scan the region tuples, not decode.
-    pub fn when_miss_hit(&self, epoch: u64, traj: u32, cell: u32) -> bool {
+    pub(crate) fn when_miss_hit(&self, epoch: u64, partition: u32, traj: u32, cell: u32) -> bool {
         if self.budget() == 0 {
             return false;
         }
         let key = Key {
             epoch,
+            partition,
             kind: Kind::WhenMiss { traj, cell },
         };
         let shard = self.shard_of(&key);
@@ -575,13 +563,14 @@ impl DecodeCache {
 
     /// Records that trajectory `traj` never enters StIU cell `cell` (at
     /// `epoch`) — called by the *when* path after an empty region scan.
-    pub fn note_when_miss(&self, epoch: u64, traj: u32, cell: u32) {
+    pub(crate) fn note_when_miss(&self, epoch: u64, partition: u32, traj: u32, cell: u32) {
         if self.budget() == 0 {
             return;
         }
         self.insert(
             Key {
                 epoch,
+                partition,
                 kind: Kind::WhenMiss { traj, cell },
             },
             Value::Negative,
@@ -589,14 +578,14 @@ impl DecodeCache {
     }
 
     /// The cached complete match set of **range**(RE, tq, α) over
-    /// `partitions` partitions at `epoch`, id-ascending, if a prior query
-    /// stored it. An empty match set hits too (stored as a negative
-    /// entry, so it counts a negative hit like a *when* region miss).
-    /// `None` means the caller runs the scan.
-    pub fn range_result(
+    /// `partition` (or [`WHOLE_STORE`]) at `epoch`, id-ascending, if a
+    /// prior query stored it. An empty match set hits too (stored as a
+    /// negative entry, so it counts a negative hit like a *when* region
+    /// miss). `None` means the caller runs the scan.
+    pub(crate) fn range_result(
         &self,
         epoch: u64,
-        partitions: u32,
+        partition: u32,
         re: &utcq_network::Rect,
         tq: i64,
         alpha: f64,
@@ -606,7 +595,8 @@ impl DecodeCache {
         }
         let key = Key {
             epoch,
-            kind: Kind::range_result(partitions, re, tq, alpha),
+            partition,
+            kind: Kind::range_result(re, tq, alpha),
         };
         let shard = self.shard_of(&key);
         let guard = shard.read().expect("cache lock poisoned");
@@ -627,14 +617,14 @@ impl DecodeCache {
     }
 
     /// Records the complete match set of **range**(RE, tq, α) over
-    /// `partitions` partitions at `epoch` — called only when the scan
-    /// ran unpaginated to the end (no cursor, no further candidates), so
-    /// `ids` is the whole answer. Empty sets store payload-free as
-    /// negative entries.
-    pub fn note_range_result(
+    /// `partition` (or [`WHOLE_STORE`]) at `epoch` — called only when the
+    /// scan ran unpaginated to the end (no cursor, no further
+    /// candidates), so `ids` is the whole answer. Empty sets store
+    /// payload-free as negative entries.
+    pub(crate) fn note_range_result(
         &self,
         epoch: u64,
-        partitions: u32,
+        partition: u32,
         re: &utcq_network::Rect,
         tq: i64,
         alpha: f64,
@@ -645,7 +635,8 @@ impl DecodeCache {
         }
         let key = Key {
             epoch,
-            kind: Kind::range_result(partitions, re, tq, alpha),
+            partition,
+            kind: Kind::range_result(re, tq, alpha),
         };
         let value = if ids.is_empty() {
             Value::Negative
@@ -681,7 +672,7 @@ mod tests {
 
     fn times_entry(cache: &DecodeCache, traj: u32, len: usize) -> Arc<Vec<i64>> {
         cache
-            .times_or_decode(0, traj, || Ok((0..len as i64).collect()))
+            .times_or_decode(0, 0, traj, || Ok((0..len as i64).collect()))
             .unwrap()
     }
 
@@ -690,7 +681,7 @@ mod tests {
         let cache = DecodeCache::with_budget(1 << 20);
         let a = times_entry(&cache, 1, 8);
         let b = cache
-            .times_or_decode(0, 1, || panic!("second lookup must not decode"))
+            .times_or_decode(0, 0, 1, || panic!("second lookup must not decode"))
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
@@ -701,26 +692,28 @@ mod tests {
     #[test]
     fn epochs_partition_the_key_space() {
         let cache = DecodeCache::with_budget(1 << 20);
-        let old = cache.times_or_decode(0, 1, || Ok(vec![1, 2])).unwrap();
+        let old = cache.times_or_decode(0, 0, 1, || Ok(vec![1, 2])).unwrap();
         // The same trajectory under a newer epoch is a distinct entry —
         // stale decodes can never serve a post-ingest snapshot.
-        let new = cache.times_or_decode(1, 1, || Ok(vec![1, 2, 3])).unwrap();
+        let new = cache
+            .times_or_decode(1, 0, 1, || Ok(vec![1, 2, 3]))
+            .unwrap();
         assert_eq!(old.len(), 2);
         assert_eq!(new.len(), 3);
         let again = cache
-            .times_or_decode(1, 1, || panic!("epoch-1 entry must be cached"))
+            .times_or_decode(1, 0, 1, || panic!("epoch-1 entry must be cached"))
             .unwrap();
         assert!(Arc::ptr_eq(&new, &again));
         assert_eq!(cache.stats().entries, 2);
         // Publishing epoch 1 drops everything epoch 0 minted, without
         // counting evictions; epoch 1's entry stays.
-        cache.note_when_miss(0, 7, 3);
-        cache.retire_before(1, 1);
+        cache.note_when_miss(0, 0, 7, 3);
+        cache.retire_before(&[1], 1);
         let s = cache.stats();
         assert_eq!((s.entries, s.negative_entries, s.evictions), (1, 0, 0));
         assert_eq!(s.bytes, value_bytes(&Value::Times(new)));
         cache
-            .times_or_decode(1, 1, || panic!("epoch-1 entry must survive"))
+            .times_or_decode(1, 0, 1, || panic!("epoch-1 entry must survive"))
             .unwrap();
     }
 
@@ -730,17 +723,19 @@ mod tests {
         // Full times and a partial window of the same trajectory coexist.
         let full = times_entry(&cache, 1, 8);
         let win = cache
-            .window_or_decode(0, 1, 3, || Ok(vec![3, 4, 5]))
+            .window_or_decode(0, 0, 1, 3, || Ok(vec![3, 4, 5]))
             .unwrap();
         assert_eq!(full.len(), 8);
         assert_eq!(*win, vec![3, 4, 5]);
         // Second lookup of the window is a hit, not a re-decode.
         let win2 = cache
-            .window_or_decode(0, 1, 3, || panic!("window must be cached"))
+            .window_or_decode(0, 0, 1, 3, || panic!("window must be cached"))
             .unwrap();
         assert!(Arc::ptr_eq(&win, &win2));
         // A different resume point is a distinct entry.
-        let other = cache.window_or_decode(0, 1, 5, || Ok(vec![5, 6])).unwrap();
+        let other = cache
+            .window_or_decode(0, 0, 1, 5, || Ok(vec![5, 6]))
+            .unwrap();
         assert_eq!(*other, vec![5, 6]);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 3, 3));
@@ -749,11 +744,14 @@ mod tests {
     #[test]
     fn negative_entries_hit_and_account() {
         let cache = DecodeCache::with_budget(1 << 20);
-        assert!(!cache.when_miss_hit(0, 7, 3), "cold probe misses");
-        cache.note_when_miss(0, 7, 3);
-        assert!(cache.when_miss_hit(0, 7, 3), "recorded miss hits");
-        assert!(!cache.when_miss_hit(1, 7, 3), "new epoch does not alias");
-        assert!(!cache.when_miss_hit(0, 7, 4), "other cell does not alias");
+        assert!(!cache.when_miss_hit(0, 0, 7, 3), "cold probe misses");
+        cache.note_when_miss(0, 0, 7, 3);
+        assert!(cache.when_miss_hit(0, 0, 7, 3), "recorded miss hits");
+        assert!(!cache.when_miss_hit(1, 0, 7, 3), "new epoch does not alias");
+        assert!(
+            !cache.when_miss_hit(0, 0, 7, 4),
+            "other cell does not alias"
+        );
         let s = cache.stats();
         assert_eq!(s.negative_hits, 1);
         assert_eq!(s.negative_entries, 1);
@@ -761,53 +759,84 @@ mod tests {
         assert_eq!(s.bytes, ENTRY_OVERHEAD, "negative entries are payload-free");
         // Zero budget disables negative caching like everything else.
         cache.set_budget(0);
-        cache.note_when_miss(0, 7, 3);
-        assert!(!cache.when_miss_hit(0, 7, 3));
+        cache.note_when_miss(0, 0, 7, 3);
+        assert!(!cache.when_miss_hit(0, 0, 7, 3));
+    }
+
+    #[test]
+    fn partitions_partition_the_key_space() {
+        let cache = DecodeCache::with_budget(1 << 20);
+        // Position 1 of partition 0 and position 1 of partition 1 are
+        // different trajectories.
+        let a = cache.times_or_decode(0, 0, 1, || Ok(vec![1, 2])).unwrap();
+        let b = cache.times_or_decode(0, 1, 1, || Ok(vec![7])).unwrap();
+        assert_eq!((a.len(), b.len()), (2, 1));
+        cache.note_when_miss(0, 0, 1, 3);
+        assert!(!cache.when_miss_hit(0, 1, 1, 3), "other partition");
+        // A publish that moved only partition 0 to epoch 1 leaves
+        // partition 1's epoch-0 entries in place.
+        cache.retire_before(&[1, 0], 1);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.negative_entries, s.evictions), (1, 0, 0));
+        cache
+            .times_or_decode(0, 1, 1, || panic!("partition 1 kept its epoch"))
+            .unwrap();
     }
 
     #[test]
     fn range_results_key_on_exact_shape_and_epoch() {
         let cache = DecodeCache::with_budget(1 << 20);
         let re = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.0);
-        assert!(cache.range_result(0, 1, &re, 900, 0.3).is_none());
-        cache.note_range_result(0, 1, &re, 900, 0.3, Arc::new(vec![3, 7, 11]));
+        assert!(cache.range_result(0, WHOLE_STORE, &re, 900, 0.3).is_none());
+        cache.note_range_result(0, WHOLE_STORE, &re, 900, 0.3, Arc::new(vec![3, 7, 11]));
         assert_eq!(
-            *cache.range_result(0, 1, &re, 900, 0.3).unwrap(),
+            *cache.range_result(0, WHOLE_STORE, &re, 900, 0.3).unwrap(),
             [3, 7, 11]
         );
         // Any shape component differing is a distinct key.
-        assert!(cache.range_result(1, 1, &re, 900, 0.3).is_none(), "epoch");
-        assert!(
-            cache.range_result(0, 2, &re, 900, 0.3).is_none(),
-            "partitions"
-        );
-        assert!(cache.range_result(0, 1, &re, 901, 0.3).is_none(), "tq");
-        assert!(cache.range_result(0, 1, &re, 900, 0.31).is_none(), "alpha");
+        let hit = |epoch, partition, re: &utcq_network::Rect, tq, alpha| {
+            cache
+                .range_result(epoch, partition, re, tq, alpha)
+                .is_some()
+        };
+        assert!(!hit(1, WHOLE_STORE, &re, 900, 0.3), "epoch");
+        assert!(!hit(0, 0, &re, 900, 0.3), "one partition alone");
+        assert!(!hit(0, WHOLE_STORE, &re, 901, 0.3), "tq");
+        assert!(!hit(0, WHOLE_STORE, &re, 900, 0.31), "alpha");
         let other = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.5);
-        assert!(cache.range_result(0, 1, &other, 900, 0.3).is_none(), "rect");
+        assert!(!hit(0, WHOLE_STORE, &other, 900, 0.3), "rect");
+        // Two partitions queried alone at one epoch keep two answers.
+        cache.note_range_result(0, 0, &re, 900, 0.3, Arc::new(vec![3]));
+        cache.note_range_result(0, 1, &re, 900, 0.3, Arc::new(vec![7, 11]));
+        assert_eq!(*cache.range_result(0, 0, &re, 900, 0.3).unwrap(), [3]);
+        assert_eq!(*cache.range_result(0, 1, &re, 900, 0.3).unwrap(), [7, 11]);
         // Empty answers are remembered as negative entries and hit.
-        cache.note_range_result(0, 1, &re, 1800, 0.3, Arc::new(Vec::new()));
-        assert!(cache.range_result(0, 1, &re, 1800, 0.3).unwrap().is_empty());
+        cache.note_range_result(0, WHOLE_STORE, &re, 1800, 0.3, Arc::new(Vec::new()));
+        assert!(cache
+            .range_result(0, WHOLE_STORE, &re, 1800, 0.3)
+            .unwrap()
+            .is_empty());
         let s = cache.stats();
         assert_eq!(s.negative_entries, 1);
         assert_eq!(s.negative_hits, 1);
-        // A store epoch retires range results on its own clock: the
-        // partition's epoch-0 decodes stay.
+        // A publish that moved the store to epoch 1 and left both
+        // partitions at 0 retires the store's results only: the
+        // partitions' results and decodes stay.
         times_entry(&cache, 1, 8);
-        cache.retire_before(0, 1);
-        assert!(cache.range_result(0, 1, &re, 900, 0.3).is_none());
-        assert_eq!(cache.stats().entries, 1);
+        cache.retire_before(&[0, 0], 1);
+        assert!(!hit(0, WHOLE_STORE, &re, 900, 0.3));
+        assert!(hit(0, 0, &re, 900, 0.3) && hit(0, 1, &re, 900, 0.3));
+        assert_eq!(cache.stats().entries, 3);
         // Zero budget bypasses reads and writes.
         cache.set_budget(0);
-        assert!(cache.range_result(0, 1, &re, 900, 0.3).is_none());
-        cache.note_range_result(0, 1, &re, 900, 0.3, Arc::new(vec![1]));
+        assert!(!hit(0, 0, &re, 900, 0.3));
+        cache.note_range_result(0, WHOLE_STORE, &re, 900, 0.3, Arc::new(vec![1]));
         assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn zero_budget_bypasses() {
         let cache = DecodeCache::with_budget(0);
-        assert!(!cache.is_enabled());
         times_entry(&cache, 1, 8);
         times_entry(&cache, 1, 8); // decodes again, no memoization
         let s = cache.stats();
@@ -875,7 +904,7 @@ mod tests {
         }
         // traj 0 was touched every round; it should still be resident.
         cache
-            .times_or_decode(0, 0, || panic!("hot entry was evicted"))
+            .times_or_decode(0, 0, 0, || panic!("hot entry was evicted"))
             .map(|_| ())
             .unwrap();
     }
@@ -890,7 +919,7 @@ mod tests {
                 for i in 0..200u32 {
                     let traj = (t * 7 + i) % 16;
                     let v = c
-                        .times_or_decode(0, traj, || Ok(vec![i64::from(traj); 4]))
+                        .times_or_decode(0, 0, traj, || Ok(vec![i64::from(traj); 4]))
                         .unwrap();
                     assert_eq!(*v, vec![i64::from(traj); 4]);
                 }

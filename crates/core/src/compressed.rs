@@ -98,18 +98,6 @@ pub fn decode_entries(buf: BitSlice<'_>, n: usize, w_e: u32) -> Result<Vec<u32>,
     (0..n).map(|_| Ok(r.read_bits(w_e)? as u32)).collect()
 }
 
-/// Decodes edge entries starting at entry index `from` (partial
-/// decompression along the `fv.no` pointers).
-pub fn decode_entries_from(
-    buf: BitSlice<'_>,
-    from: usize,
-    n: usize,
-    w_e: u32,
-) -> Result<Vec<u32>, CodecError> {
-    let mut r = buf.reader_at(from * w_e as usize);
-    (from..n).map(|_| Ok(r.read_bits(w_e)? as u32)).collect()
-}
-
 /// Packs a bool slice into a bit buffer.
 pub fn encode_flags(flags: &[bool]) -> BitBuf {
     BitBuf::from_bits(flags)
@@ -143,13 +131,6 @@ pub fn decode_d_codes(
 ) -> Result<Vec<u64>, CodecError> {
     let mut r = buf.reader();
     (0..n).map(|_| r.read_bits(codec.width())).collect()
-}
-
-/// Decodes one PDDP distance code at index `i` (random access along the
-/// `d.pos` pointers).
-pub fn decode_d_code_at(buf: BitSlice<'_>, i: usize, codec: &PddpCodec) -> Result<u64, CodecError> {
-    let mut r = buf.reader_at(i * codec.width() as usize);
-    r.read_bits(codec.width())
 }
 
 /// Fully decoded (but still quantized) view of a reference, reused when
@@ -192,8 +173,6 @@ mod tests {
         let buf = encode_entries(&entries, w_e).unwrap();
         assert_eq!(buf.len_bits(), 27);
         assert_eq!(decode_entries(buf.as_slice(), 9, w_e).unwrap(), entries);
-        let tail = decode_entries_from(buf.as_slice(), 6, 9, w_e).unwrap();
-        assert_eq!(tail, vec![4, 1, 0]);
     }
 
     #[test]
@@ -212,9 +191,6 @@ mod tests {
         let codes: Vec<u64> = vec![112, 32, 64, 112, 64, 0, 112];
         let buf = encode_d_codes(&codes, &codec).unwrap();
         assert_eq!(decode_d_codes(buf.as_slice(), 7, &codec).unwrap(), codes);
-        for (i, &c) in codes.iter().enumerate() {
-            assert_eq!(decode_d_code_at(buf.as_slice(), i, &codec).unwrap(), c);
-        }
     }
 
     #[test]

@@ -217,16 +217,6 @@ pub enum TCom {
     },
 }
 
-impl TCom {
-    /// Number of factors `H` (0 for `Identical` / `Raw`).
-    pub fn factor_count(&self) -> usize {
-        match self {
-            TCom::Factors { factors, .. } => factors.len(),
-            _ => 0,
-        }
-    }
-}
-
 /// Factorizes a trimmed flag string against a reference.
 pub fn factorize_t(nref: &[bool], refb: &[bool]) -> TCom {
     if nref == refb {

@@ -27,9 +27,10 @@
 //!   query a concrete store), so services can stay agnostic of
 //!   physical layout;
 //! * [`cache`] — the shared, bounded, thread-safe decode cache
-//!   ([`cache::DecodeCache`]) that memoizes decoded references,
-//!   instances, time streams and partial `bracket` time windows across
-//!   queries, with hit/miss statistics ([`cache::CacheStats`]);
+//!   ([`cache::DecodeCache`], one per store, keyed by partition and
+//!   epoch) that memoizes decoded references, instances, time streams
+//!   and partial `bracket` time windows across queries, with hit/miss
+//!   statistics ([`cache::CacheStats`]);
 //! * [`plan`] — precomputed per-trajectory lookup tables
 //!   ([`plan::TrajPlan`]) that replace the query engine's per-call
 //!   linear scans and sorts;
@@ -42,8 +43,11 @@
 //!   one `Arc` so live ingest never blocks a reader;
 //! * [`store`] — the façade: an owned, `Send + Sync` [`Store`] of N ≥ 1
 //!   partitions, built incrementally through [`StoreBuilder`] and kept
-//!   **live** afterwards ([`LiveStore::ingest`] publishes new epochs
-//!   concurrently with queries), persisted as a v6 container (v3 with a
+//!   **live** afterwards ([`Store::ingest`] publishes new epochs
+//!   concurrently with queries; [`Store::attach_wal`],
+//!   [`Store::checkpoint`] and the `tail` reads make it durable — the
+//!   writer lock, publish-epoch counter and WAL slot they share live in
+//!   the private `live` module), persisted as a v6 container (v3 with a
 //!   routing policy), queried through paginated entry points backed by
 //!   the decode cache and query plans;
 //! * [`shard`] — the routing policies ([`shard::ShardPolicy`]:
@@ -51,14 +55,10 @@
 //!   [`StoreBuilder::shard_by`] places trajectories with, and the
 //!   cursor rule; answers do not depend on the partitioning, which
 //!   `tests/shard_equivalence.rs` asserts;
-//! * [`live`] — the writer core ([`live::WriterCore`]: writer lock,
-//!   publish-epoch counter, WAL slot) and the [`LiveStore`] handle whose
-//!   ingest, WAL attach/replay, checkpoint and tail are written once
-//!   over a small seam the store implements;
 //! * [`opened`] — [`Opened`], a [`Store`] opened from *any*
-//!   self-contained or sharded container, which hands out its
-//!   [`LiveStore`] handle, plus the shared [`opened::InfoReport`]
-//!   presentation both `utcq info` and the serve protocol render;
+//!   self-contained or sharded container (it derefs to the store), plus
+//!   the shared [`opened::InfoReport`] presentation both `utcq info` and
+//!   the serve protocol render;
 //! * [`wire`] — the serve wire protocol: hand-rolled newline-delimited
 //!   JSON requests/responses (documented in `PROTOCOL.md`), with
 //!   [`wire::execute`] as the single executor behind both the TCP
@@ -75,7 +75,7 @@
 //!   ground truth for accuracy experiments (Fig. 11);
 //! * [`storage`] — the binary container formats (v1 legacy dataset-only,
 //!   v2/v4/v5/v6 self-contained, v3 sharded) for persisting compressed datasets;
-//! * [`wal`] — the write-ahead log behind [`LiveStore::attach_wal`]: every
+//! * [`wal`] — the write-ahead log behind [`Store::attach_wal`]: every
 //!   accepted live batch is appended (CRC32-checksummed, length-prefixed)
 //!   and fsynced *before* the epoch publish, replayed on open, truncated
 //!   by crash-safe checkpoints, and re-served to followers through the
@@ -84,7 +84,8 @@
 //! # Partitions
 //!
 //! A [`Store`] holds N ≥ 1 partitions, each a complete [`Snapshot`]
-//! (compressed dataset, StIU index, query plans, decode cache):
+//! (compressed dataset, StIU index, query plans), and one decode cache
+//! they all read through:
 //!
 //! | | without a policy | [`StoreBuilder::shard_by`] |
 //! |---|---|---|
@@ -155,7 +156,7 @@
 //! use utcq_core::query::PageRequest;
 //! use utcq_core::shard::ByTime;
 //! use utcq_core::store::StoreBuilder;
-//! use utcq_core::{CompressParams, LiveStore, QueryTarget, Store};
+//! use utcq_core::{CompressParams, QueryTarget, Store};
 //!
 //! let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 10, 7);
 //! let store = StoreBuilder::new(
@@ -194,7 +195,7 @@ pub mod error;
 pub mod factor;
 pub mod flagarr;
 pub mod hooks;
-pub mod live;
+mod live;
 pub mod multiorder;
 pub mod opened;
 pub mod oracle;
@@ -219,7 +220,6 @@ pub use cache::{CacheStats, DEFAULT_CACHE_BYTES};
 pub use compress::{compress_dataset, compress_trajectory, CompressedDataset, Ratios};
 pub use decompress::{decompress_dataset, decompress_trajectory};
 pub use error::Error;
-pub use live::LiveStore;
 pub use opened::{InfoReport, Opened};
 pub use params::CompressParams;
 pub use query::{Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};

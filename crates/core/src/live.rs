@@ -4,38 +4,31 @@
 //! A store publishes batch in, next epoch out; the mechanism around the
 //! publish is written here, apart from the store's read state:
 //!
-//! * [`WriterCore`] owns the writer lock, the publish-epoch counter and
+//! * `WriterCore` owns the writer lock, the publish-epoch counter and
 //!   the write-ahead-log slot. Lock order, everywhere: **writer lock,
 //!   then the WAL slot**.
-//! * [`LiveStore`] is the live handle. The store implements a small seam
-//!   (*are all these ids present*, *prepare and publish this batch
-//!   under the held lock*, *current publish epoch*, *write a consistent
-//!   cut*) plus its read-side description; `ingest`, the WAL
-//!   attach/replay loop, `checkpoint` and the `tail`/dedup reads are
-//!   provided on top of that seam and exist nowhere else.
+//! * The store's live methods — [`Store::ingest`], the WAL
+//!   attach/replay loop, [`Store::checkpoint`] and the `tail`/dedup
+//!   reads — take that lock and call the store's one publish path
+//!   (`Store::publish_locked`); they exist nowhere else.
 //!
-//! Append-before-publish: the store's [`LiveStore::publish_locked`]
-//! prepares the batch off the read path, calls `WriterCore::log` —
-//! which allocates the next epoch and appends the record to the log
-//! (rolling the allocation back if the append fails, so log epochs stay
-//! gap-free 1, 2, 3…) — and only then swaps the new state in. See
-//! `docs/DURABILITY.md`.
+//! Append-before-publish: `Store::publish_locked` prepares the batch off
+//! the read path, calls `WriterCore::log` — which allocates the next
+//! epoch and appends the record to the log (rolling the allocation back
+//! if the append fails, so log epochs stay gap-free 1, 2, 3…) — and only
+//! then swaps the new state in. See `docs/DURABILITY.md`.
 
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::error::Error;
-use crate::opened::InfoReport;
-use crate::query::QueryTarget;
-use crate::snapshot::Snapshot;
-use crate::store::IngestReport;
+use crate::store::{IngestReport, Store};
 use crate::wal::{self, CheckpointReport, Sidecar, TailRead, WalConfig};
 
-/// The writer-side state a live store embeds.
-pub struct WriterCore {
+/// The writer-side state a store embeds.
+pub(crate) struct WriterCore {
     /// Serializes writers (ingest, replay, checkpoint); queries never
     /// touch it.
     writer: Mutex<()>,
@@ -46,10 +39,10 @@ pub struct WriterCore {
     wal: Mutex<Option<Sidecar>>,
 }
 
-/// Proof that the writer lock of a [`WriterCore`] is held — only this
-/// module can mint one, so the seam methods that take it cannot be
-/// called outside a serialized writer section.
-pub struct Held<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
+/// Proof that the writer lock of a `WriterCore` is held — only this
+/// module can mint one, so the store's publish path, which takes it,
+/// cannot run outside a serialized writer section.
+pub(crate) struct Held<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
 
 impl WriterCore {
     pub(crate) fn new() -> Self {
@@ -91,44 +84,9 @@ impl WriterCore {
     }
 }
 
-/// The live handle: the [`QueryTarget`] read surface plus live ingest,
-/// durability and self-description.
-///
-/// The required methods are the store's seam; everything provided is
-/// the single implementation of that mechanism.
-pub trait LiveStore: QueryTarget {
-    /// The embedded writer core.
-    fn writer(&self) -> &WriterCore;
-
-    /// Whether every one of `tus` is already stored (by id).
-    fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool;
-
-    /// Compresses, indexes and publishes `batch` as the next epoch with
-    /// the writer lock held: prepare off the read path, then
-    /// `WriterCore::log`, then swap. A failed batch publishes nothing;
-    /// a batch that changes nothing reports the current epoch.
-    fn publish_locked(&self, held: &Held<'_>, batch: &Dataset) -> Result<IngestReport, Error>;
-
-    /// The current publish epoch — what a follower resumes from.
-    fn epoch(&self) -> u64;
-
-    /// Writes the container of the current state; with the writer lock
-    /// held that is a batch-consistent cut.
-    fn write_cut(&self, held: &Held<'_>, w: &mut dyn Write) -> Result<(), Error>;
-
-    /// One pinned snapshot per partition, in directory order, all taken
-    /// from one published state: every batch is either in
-    /// the set entirely or not at all.
-    fn snapshots(&self) -> Vec<Arc<Snapshot>>;
-
-    /// The shared description `utcq info` and the serve `info` response
-    /// both render.
-    fn info(&self) -> InfoReport;
-
-    /// The default sample interval the store was compressed with — what
-    /// an `ingest` request's trajectories are validated against.
-    fn default_interval(&self) -> i64;
-
+/// The live methods of a [`Store`]: ingest and durability, each taking
+/// the writer lock around the store's one publish path.
+impl Store {
     /// Compresses, indexes and **publishes** one batch concurrently
     /// with queries. Writers serialize on the core's lock; queries
     /// never block, and in-flight queries keep the epoch they pinned.
@@ -137,7 +95,7 @@ pub trait LiveStore: QueryTarget {
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use utcq_core::{CompressParams, LiveStore, StiuParams, Store};
+    /// use utcq_core::{CompressParams, StiuParams, Store};
     /// # fn main() -> Result<(), utcq_core::Error> {
     /// # let (net, mut ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
     /// # let mut late = ds.clone();
@@ -148,21 +106,21 @@ pub trait LiveStore: QueryTarget {
     /// assert_eq!((report.ingested, report.total, report.epoch), (3, 6, 1));
     /// # Ok(()) }
     /// ```
-    fn ingest(&self, batch: &Dataset) -> Result<IngestReport, Error> {
-        self.publish_locked(&self.writer().hold(), batch)
+    pub fn ingest(&self, batch: &Dataset) -> Result<IngestReport, Error> {
+        self.publish_locked(&self.core.hold(), batch)
     }
 
     /// Attaches a write-ahead log, replaying any records already in the
-    /// file through [`LiveStore::publish_locked`] (byte-identical to
-    /// having ingested them live). Returns the replayed batch count.
+    /// file through the publish path of [`Store::ingest`] (byte-identical
+    /// to having ingested them live). Returns the replayed batch count.
     ///
     /// Replay tolerates a checkpoint that crashed between the container
     /// save and the log truncation: a prefix of records whose
     /// trajectories are all already present is skipped and the log is
     /// rewritten without it (completing the interrupted truncation).
     /// Anything else that disagrees with the container is corruption.
-    fn attach_wal(&self, cfg: WalConfig) -> Result<usize, Error> {
-        let core = self.writer();
+    pub fn attach_wal(&self, cfg: WalConfig) -> Result<usize, Error> {
+        let core = &self.core;
         let held = core.hold();
         if core.wal().is_some() {
             return Err(Error::CorruptStore("a wal is already attached"));
@@ -227,9 +185,9 @@ pub trait LiveStore: QueryTarget {
     /// from the fresh container alone. `Ok(None)` when no WAL (or no
     /// target path) is attached. Serializes with writers; queries never
     /// block.
-    fn checkpoint(&self) -> Result<Option<CheckpointReport>, Error> {
-        let core = self.writer();
-        let held = core.hold();
+    pub fn checkpoint(&self) -> Result<Option<CheckpointReport>, Error> {
+        let core = &self.core;
+        let _held = core.hold();
         let epoch = self.epoch();
         let mut guard = core.wal();
         let Some(sc) = guard.as_mut() else {
@@ -239,22 +197,24 @@ pub trait LiveStore: QueryTarget {
             return Ok(None);
         };
         let log_bytes = sc.wal.len_bytes();
-        wal::atomic_write(&target, |w| self.write_cut(&held, w))?;
+        // The writer lock is held: the container is a batch-consistent
+        // cut.
+        wal::atomic_write(&target, |w| self.write(w))?;
         sc.checkpointed(epoch)?;
         Ok(Some(CheckpointReport { epoch, log_bytes }))
     }
 
     /// Current size of the attached log in bytes; `None` without a WAL.
-    fn wal_bytes(&self) -> Option<u64> {
-        self.writer().wal().as_ref().map(|sc| sc.wal.len_bytes())
+    pub fn wal_bytes(&self) -> Option<u64> {
+        self.core.wal().as_ref().map(|sc| sc.wal.len_bytes())
     }
 
     /// Batches published after epoch `from` (capped at `max`), from the
     /// in-memory feed of the attached WAL; `None` without a WAL. Serves
     /// the `tail` wire op.
-    fn wal_tail(&self, from: u64, max: usize) -> Option<TailRead> {
+    pub fn wal_tail(&self, from: u64, max: usize) -> Option<TailRead> {
         let current = self.epoch();
-        let wal = self.writer().wal();
+        let wal = self.core.wal();
         wal.as_ref().map(|sc| sc.records_since(from, max, current))
     }
 
@@ -262,8 +222,8 @@ pub trait LiveStore: QueryTarget {
     /// compared in full), its publish epoch and size — lets the serve
     /// layer answer a re-sent batch idempotently instead of failing on
     /// duplicates.
-    fn wal_dedup(&self, tus: &[UncertainTrajectory]) -> Option<(u64, usize)> {
-        let wal = self.writer().wal();
+    pub fn wal_dedup(&self, tus: &[UncertainTrajectory]) -> Option<(u64, usize)> {
+        let wal = self.core.wal();
         wal.as_ref().and_then(|sc| sc.dedup_epoch(tus))
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Every front end (the CLI, the [`crate::serve`] server, benchmarks)
 //! wants to open a container and use it as a live handle. [`Opened`] is
-//! a [`Store`] opened from a file, tagged with the kind of file it came
-//! from (self-contained or sharded), and hands out the [`LiveStore`]
-//! handle (it derefs to it), so a `&Opened` *is* the query, ingest and
-//! durability surface. Legacy v1 containers (no embedded network) open
-//! through [`Opened::open_v1`] with the network supplied out of band,
-//! exactly like [`Store::open_v1`].
+//! a [`Store`] opened from a file, tagged with the kind of store it
+//! holds (with or without a routing policy), and derefs to that
+//! [`Store`], so a `&Opened` *is* the query, ingest and durability
+//! surface. Legacy v1 containers (no embedded network) open through
+//! [`Opened::open_v1`] with the network supplied out of band, exactly
+//! like [`Store::open_v1`].
 //!
 //! The module also owns the **shared presentation layer**:
 //! [`InfoReport`] is the one description of a container both the CLI's
@@ -16,8 +16,6 @@
 //! render the same struct (`tests/serve.rs` additionally diffs the
 //! online and offline outputs byte for byte).
 
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -26,7 +24,6 @@ use utcq_traj::size::SizeBreakdown;
 
 use crate::compress::{CompressedDataset, Ratios};
 use crate::error::Error;
-use crate::live::LiveStore;
 use crate::query::QueryTarget;
 use crate::segment::Resident;
 use crate::shard::ShardSpec;
@@ -37,18 +34,19 @@ use crate::store::Store;
 use crate::wal::WalConfig;
 
 /// A container opened as a live handle. Both variants hold the one
-/// [`Store`] type; the variant records only the kind of file.
+/// [`Store`] type; the variant records only whether it has a routing
+/// policy.
 ///
 /// Boxed: a `Store` is a few hundred bytes of inline headers.
 ///
 /// ```no_run
 /// use utcq_core::opened::Opened;
-/// use utcq_core::query::PageRequest;
+/// use utcq_core::query::{PageRequest, QueryTarget};
 ///
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// // self-contained and sharded containers open through the same call …
 /// let opened = Opened::open("data.utcq")?;
-/// // … and answer through the same trait surface.
+/// // … and answer through the same query surface.
 /// let page = opened.where_query(7, 71_582, 0.25, PageRequest::first(64))?;
 /// println!("{} hits", page.items.len());
 /// # Ok(()) }
@@ -64,23 +62,21 @@ pub enum Opened {
 
 impl Opened {
     /// Opens a self-contained or sharded container with
-    /// [`Store::open`]. A legacy v1 container fails with
+    /// [`Store::open`], as [`Opened::Sharded`] if the store has a routing
+    /// policy. A legacy v1 container fails with
     /// [`Error::NeedsNetwork`] — open those with [`Opened::open_v1`],
     /// which takes the network out of band.
     ///
     /// ```no_run
+    /// use utcq_core::QueryTarget;
     /// # fn main() -> Result<(), utcq_core::Error> {
     /// let opened = utcq_core::Opened::open("data.utcq")?;
     /// println!("{} trajectories ({})", opened.len(), opened.info().shape());
     /// # Ok(()) }
     /// ```
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
-        let mut r = BufReader::new(File::open(path)?);
-        // Peek, don't consume: `Store::read` validates the whole header
-        // itself (bad magic, unknown and v1 versions included).
-        let sharded = r.fill_buf()?.get(4) == Some(&VERSION_V3);
-        let store = Box::new(Store::read(&mut r)?);
-        Ok(if sharded {
+        let store = Box::new(Store::open(path)?);
+        Ok(if store.has_policy() {
             Opened::Sharded(store)
         } else {
             Opened::Single(store)
@@ -102,7 +98,7 @@ impl Opened {
     /// sidecar: any batches in the log are replayed on top of the
     /// container (byte-identical to having ingested them live), a torn
     /// final record is truncated away, and subsequent
-    /// [`LiveStore::ingest`] calls append to the log before publishing.
+    /// [`Store::ingest`] calls append to the log before publishing.
     /// The container path becomes the checkpoint target unless `cfg`
     /// names another.
     pub fn open_durable(path: impl AsRef<Path>, mut cfg: WalConfig) -> Result<Self, Error> {
@@ -114,19 +110,19 @@ impl Opened {
         Ok(opened)
     }
 
-    /// The live handle — queries, ingest, durability and `info`.
-    /// `Opened` also derefs to it.
-    pub fn target(&self) -> &(dyn LiveStore + 'static) {
-        let (Opened::Single(store) | Opened::Sharded(store)) = self;
-        store.as_ref()
+    /// The read surface of the opened store. `Opened` also derefs to the
+    /// [`Store`] itself — queries, ingest, durability and `info`.
+    pub fn target(&self) -> &(dyn QueryTarget + 'static) {
+        &**self
     }
 }
 
 impl std::ops::Deref for Opened {
-    type Target = dyn LiveStore;
+    type Target = Store;
 
-    fn deref(&self) -> &Self::Target {
-        self.target()
+    fn deref(&self) -> &Store {
+        let (Opened::Single(store) | Opened::Sharded(store)) = self;
+        store
     }
 }
 

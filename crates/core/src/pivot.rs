@@ -71,17 +71,6 @@ pub fn fjd(com_w: &[PivotFactor], com_v: &[PivotFactor]) -> f64 {
     sum / h.max(h_prime) as f64
 }
 
-/// Both directions of the Fine-grained Jaccard Distance in one overlap
-/// pass: returns `(FJD(w → v), FJD(v → w))`.
-///
-/// Equivalent to calling [`fjd`] twice but shares the O(H·H') interval
-/// overlap computation — reference selection evaluates every ordered
-/// pair, so this halves the paper's dominant `N²·avg|Com|²` term.
-pub fn fjd_pair(com_w: &[PivotFactor], com_v: &[PivotFactor]) -> (f64, f64) {
-    let mut scratch = FjdScratch::default();
-    fjd_pair_with(com_w, com_v, &mut scratch)
-}
-
 /// Reusable buffers for [`fjd_pair_with`] — reference selection calls it
 /// for every instance pair, so per-call allocation is worth avoiding.
 #[derive(Debug, Default)]
@@ -90,7 +79,13 @@ pub struct FjdScratch {
     best_v: Vec<(u32, u32)>,
 }
 
-/// [`fjd_pair`] with caller-provided scratch buffers.
+/// Both directions of the Fine-grained Jaccard Distance in one overlap
+/// pass, `(FJD(w → v), FJD(v → w))`, with caller-provided scratch
+/// buffers.
+///
+/// Equivalent to calling [`fjd`] twice but shares the O(H·H') interval
+/// overlap computation — reference selection evaluates every ordered
+/// pair, so this halves the paper's dominant `N²·avg|Com|²` term.
 pub fn fjd_pair_with(
     com_w: &[PivotFactor],
     com_v: &[PivotFactor],

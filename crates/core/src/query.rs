@@ -353,9 +353,9 @@ pub trait QueryTarget: Send + Sync {
         })
     }
 
-    /// Hit/miss/eviction counters and footprint of the decode cache,
-    /// aggregated across all partitions (budget and footprint are
-    /// totals).
+    /// Hit/miss/eviction counters and footprint of the decode cache — the
+    /// one cache of the store, which all of its partitions (and any
+    /// snapshot pinned from it) share.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -374,9 +374,8 @@ pub trait QueryTarget: Send + Sync {
     /// ```
     fn cache_stats(&self) -> crate::cache::CacheStats;
 
-    /// Reconfigures the total decode-cache byte budget at runtime,
-    /// evicting down to the new limit immediately (a store splits it
-    /// evenly across its partitions; `0` disables caching).
+    /// Reconfigures the decode-cache byte budget at runtime, evicting
+    /// down to the new limit immediately (`0` disables caching).
     ///
     /// ```
     /// use utcq_core::QueryTarget;
@@ -388,8 +387,7 @@ pub trait QueryTarget: Send + Sync {
     /// ```
     fn set_cache_bytes(&self, bytes: usize);
 
-    /// Drops every cached decode in every partition (the budget and
-    /// counters survive). Benchmarks use this to measure cold-cache
+    /// Drops every cached decode (the budget and counters survive). Benchmarks use this to measure cold-cache
     /// latencies.
     fn clear_cache(&self);
 }
@@ -463,6 +461,10 @@ pub(crate) struct QueryEngine<'a> {
     pub cds: &'a CompressedDataset,
     pub stiu: &'a Stiu,
     pub cache: &'a DecodeCache,
+    /// The store partition this engine reads — every cache key this
+    /// engine mints carries it, since the store's partitions share one
+    /// cache and a position names a trajectory only within a partition.
+    pub partition: u32,
     /// Epoch of the snapshot this engine reads — every cache key this
     /// engine mints carries it, so entries of superseded epochs can
     /// never serve a newer snapshot (or vice versa).
@@ -493,13 +495,14 @@ impl<'a> QueryEngine<'a> {
     /// The full time sequence of the trajectory at position `j`,
     /// memoized in the shared cache.
     pub fn times(&self, j: u32, ct: &TrajView<'_>) -> Result<Arc<Vec<i64>>, Error> {
-        self.cache.times_or_decode(self.epoch, j, || {
-            Ok(siar::decode(
-                ct.t_bits(),
-                ct.n_times as usize,
-                self.cds.params.default_interval,
-            )?)
-        })
+        self.cache
+            .times_or_decode(self.epoch, self.partition, j, || {
+                Ok(siar::decode(
+                    ct.t_bits(),
+                    ct.n_times as usize,
+                    self.cds.params.default_interval,
+                )?)
+            })
     }
 
     /// The decoded streams of reference `ref_idx` of trajectory `j`:
@@ -514,13 +517,15 @@ impl<'a> QueryEngine<'a> {
         if let Some(d) = local.get(&ref_idx) {
             return Ok(Arc::clone(d));
         }
-        let d = self.cache.ref_or_decode(self.epoch, j, ref_idx, || {
-            if ref_idx as usize >= ct.refs.len() {
-                return Err(Error::CorruptStore("reference index out of range"));
-            }
-            let d_codec = self.cds.params.d_codec();
-            Ok(ct.decode_ref(ref_idx as usize, self.cds.w_e, &d_codec)?)
-        })?;
+        let d = self
+            .cache
+            .ref_or_decode(self.epoch, self.partition, j, ref_idx, || {
+                if ref_idx as usize >= ct.refs.len() {
+                    return Err(Error::CorruptStore("reference index out of range"));
+                }
+                let d_codec = self.cds.params.d_codec();
+                Ok(ct.decode_ref(ref_idx as usize, self.cds.w_e, &d_codec)?)
+            })?;
         local.insert(ref_idx, Arc::clone(&d));
         Ok(d)
     }
@@ -537,49 +542,50 @@ impl<'a> QueryEngine<'a> {
         orig_idx: u32,
         local: &mut LocalRefs,
     ) -> Result<Arc<Instance>, Error> {
-        self.cache.instance_or_decode(self.epoch, j, orig_idx, || {
-            let d_codec = self.cds.params.d_codec();
-            enum Decoded {
-                Shared(Arc<DecodedRef>),
-                Own(DecodedRef),
-            }
-            let (sv, dec): (VertexId, Decoded) = match ct.plan.slot(orig_idx)? {
-                Slot::Ref(pos) => {
-                    let r = ct
-                        .refs
-                        .get(pos as usize)
-                        .ok_or(Error::CorruptStore("plan slot points past refs"))?;
-                    (r.sv, Decoded::Shared(self.ref_decoded(j, ct, pos, local)?))
+        self.cache
+            .instance_or_decode(self.epoch, self.partition, j, orig_idx, || {
+                let d_codec = self.cds.params.d_codec();
+                enum Decoded {
+                    Shared(Arc<DecodedRef>),
+                    Own(DecodedRef),
                 }
-                Slot::NRef(pos) => {
-                    let n = ct
-                        .nrefs
-                        .get(pos as usize)
-                        .ok_or(Error::CorruptStore("plan slot points past nrefs"))?;
-                    let r = ct
-                        .refs
-                        .get(n.ref_idx as usize)
-                        .ok_or(Error::CorruptStore("non-reference points past refs"))?;
-                    let dref = self.ref_decoded(j, ct, n.ref_idx, local)?;
-                    let own = ct.decode_nref(pos as usize, &dref, self.cds.w_e, &d_codec)?;
-                    (r.sv, Decoded::Own(own))
-                }
-            };
-            let dec = match &dec {
-                Decoded::Shared(d) => d.as_ref(),
-                Decoded::Own(d) => d,
-            };
-            let view = utcq_traj::TedView {
-                sv,
-                entries: dec.entries.clone(),
-                flags: untrim_flags(&dec.trimmed_flags, dec.entries.len()),
-                rds: dec.d_codes.iter().map(|&c| d_codec.dequantize(c)).collect(),
-                prob: ct.plan.prob(orig_idx)?,
-            };
-            Ok(view
-                .to_instance(self.net)
-                .map_err(crate::decompress::DecompressError::View)?)
-        })
+                let (sv, dec): (VertexId, Decoded) = match ct.plan.slot(orig_idx)? {
+                    Slot::Ref(pos) => {
+                        let r = ct
+                            .refs
+                            .get(pos as usize)
+                            .ok_or(Error::CorruptStore("plan slot points past refs"))?;
+                        (r.sv, Decoded::Shared(self.ref_decoded(j, ct, pos, local)?))
+                    }
+                    Slot::NRef(pos) => {
+                        let n = ct
+                            .nrefs
+                            .get(pos as usize)
+                            .ok_or(Error::CorruptStore("plan slot points past nrefs"))?;
+                        let r = ct
+                            .refs
+                            .get(n.ref_idx as usize)
+                            .ok_or(Error::CorruptStore("non-reference points past refs"))?;
+                        let dref = self.ref_decoded(j, ct, n.ref_idx, local)?;
+                        let own = ct.decode_nref(pos as usize, &dref, self.cds.w_e, &d_codec)?;
+                        (r.sv, Decoded::Own(own))
+                    }
+                };
+                let dec = match &dec {
+                    Decoded::Shared(d) => d.as_ref(),
+                    Decoded::Own(d) => d,
+                };
+                let view = utcq_traj::TedView {
+                    sv,
+                    entries: dec.entries.clone(),
+                    flags: untrim_flags(&dec.trimmed_flags, dec.entries.len()),
+                    rds: dec.d_codes.iter().map(|&c| d_codec.dequantize(c)).collect(),
+                    prob: ct.plan.prob(orig_idx)?,
+                };
+                Ok(view
+                    .to_instance(self.net)
+                    .map_err(crate::decompress::DecompressError::View)?)
+            })
     }
 
     /// Brackets `t` in the trajectory's time sequence via the temporal
@@ -605,15 +611,17 @@ impl<'a> QueryEngine<'a> {
         let remaining = (ct.n_times as u64)
             .checked_sub(1 + u64::from(tt.no))
             .ok_or(Error::CorruptStore("temporal tuple past the sample count"))?;
-        let window = self.cache.window_or_decode(self.epoch, j, tt.no, || {
-            Ok(siar::decode_from(
-                ct.t_bits(),
-                tt.pos as usize,
-                tt.start,
-                ts,
-                remaining as usize,
-            )?)
-        })?;
+        let window = self
+            .cache
+            .window_or_decode(self.epoch, self.partition, j, tt.no, || {
+                Ok(siar::decode_from(
+                    ct.t_bits(),
+                    tt.pos as usize,
+                    tt.start,
+                    ts,
+                    remaining as usize,
+                )?)
+            })?;
         let hi_local = window.partition_point(|&x| x < t);
         if hi_local >= window.len() {
             return Ok(None); // t is past the last sample
@@ -680,7 +688,10 @@ impl<'a> QueryEngine<'a> {
 
         // Negative cache: a recorded region miss answers without even
         // scanning the region words again.
-        if self.cache.when_miss_hit(self.epoch, j, cell.0) {
+        if self
+            .cache
+            .when_miss_hit(self.epoch, self.partition, j, cell.0)
+        {
             return Ok(Vec::new());
         }
         if !node.groups().any(|g| g.position(cell).is_some()) {
@@ -688,7 +699,8 @@ impl<'a> QueryEngine<'a> {
             // answer without touching the compressed payload at all —
             // and remember that, so the next probe of this cell skips
             // the group scan too.
-            self.cache.note_when_miss(self.epoch, j, cell.0);
+            self.cache
+                .note_when_miss(self.epoch, self.partition, j, cell.0);
             return Ok(Vec::new());
         }
         let times = self.times(j, &ct)?;

@@ -70,7 +70,7 @@ pub(crate) fn decode_cursor(global: u64) -> (u32, u64) {
 /// ([`ByTime`], [`ByRegion`]) also serialize into the v3 shard
 /// directory; custom implementations are recorded as `custom` (the
 /// container still opens and queries — but a reopened custom-policy
-/// store cannot route new batches, so [`crate::LiveStore::ingest`]
+/// store cannot route new batches, so [`crate::Store::ingest`]
 /// rejects it). A store checks a batch (edges, shape, interval) before
 /// it routes any of it.
 pub trait ShardPolicy: Send + Sync {
@@ -208,7 +208,6 @@ impl ShardPolicy for ByRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::LiveStore;
     use crate::params::CompressParams;
     use crate::query::{PageRequest, QueryTarget};
     use crate::stiu::StiuParams;

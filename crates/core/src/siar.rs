@@ -45,16 +45,6 @@ pub fn decode<'a>(buf: impl Into<BitSlice<'a>>, n: usize, ts: i64) -> Result<Vec
     Ok(times)
 }
 
-/// The bit position right after the header (day + second-of-day) — the
-/// position of the first deviation, used as the base of StIU `t.pos`
-/// pointers.
-pub fn first_deviation_pos<'a>(buf: impl Into<BitSlice<'a>>) -> Result<usize, CodecError> {
-    let mut r = buf.into().reader();
-    golomb::decode_unsigned(&mut r)?;
-    r.read_bits(17)?;
-    Ok(r.pos())
-}
-
 /// Resumes decoding mid-stream: given that sample `no` has timestamp
 /// `start` and the deviation of step `no → no+1` begins at bit `pos`,
 /// yields timestamps `no, no+1, …` until the reader is exhausted or
@@ -151,16 +141,6 @@ mod tests {
         // Bounded steps.
         let tail = decode_from(&buf, pos[2], times[2], 10, 1).unwrap();
         assert_eq!(tail, vec![1025, 1030]);
-    }
-
-    #[test]
-    fn first_deviation_pos_matches_positions() {
-        let times = vec![500, 510, 520];
-        let buf = encode(&times, 10).unwrap();
-        assert_eq!(
-            first_deviation_pos(&buf).unwrap(),
-            deviation_positions(&buf, 3).unwrap()[0]
-        );
     }
 
     #[test]

@@ -32,13 +32,14 @@
 //! cursors minted against an older epoch remain valid against newer
 //! ones.
 //!
-//! The decode cache is shared across epochs (every snapshot of one
-//! partition holds the same `Arc<DecodeCache>`), but cache keys
-//! carry the epoch that minted them: entries of superseded epochs stop
-//! hitting immediately — no cross-epoch aliasing even if a future
-//! writer stops being append-only — and `Snapshot::successor` drops
-//! them, so the cache's footprint under ingest does not grow with the
-//! number of reads served since the last eviction.
+//! The decode cache is the store's, shared across partitions and epochs
+//! (every snapshot of a store holds the same `Arc<DecodeCache>` and its
+//! partition number), but cache keys carry the partition and the epoch
+//! that minted them: entries of superseded epochs stop hitting
+//! immediately — no cross-epoch aliasing even if a future writer stops
+//! being append-only — and the store's publish drops them, so the
+//! cache's footprint under ingest does not grow with the number of
+//! reads served since the last eviction.
 
 use std::borrow::Borrow;
 use std::io::Write;
@@ -48,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
-use crate::cache::{CacheStats, DecodeCache};
+use crate::cache::{CacheStats, DecodeCache, WHOLE_STORE};
 use crate::chunk::SharedIdMap;
 use crate::compress::{compress_trajectory, CompressedDataset, Ratios};
 use crate::error::Error;
@@ -111,14 +112,14 @@ impl<T> Swap<T> {
 /// `Arc`.
 ///
 /// Obtained from [`crate::store::Store::snapshot`] or
-/// [`crate::live::LiveStore::snapshots`]. A pinned snapshot
+/// [`crate::store::Store::snapshots`]. A pinned snapshot
 /// is a *consistent read view*: queries, paginated walks and container
 /// writes against it are unaffected by concurrent
-/// [`crate::live::LiveStore::ingest`] calls publishing newer epochs.
+/// [`crate::store::Store::ingest`] calls publishing newer epochs.
 ///
 /// ```
 /// use std::sync::Arc;
-/// use utcq_core::{CompressParams, LiveStore, QueryTarget, StiuParams, Store};
+/// use utcq_core::{CompressParams, QueryTarget, StiuParams, Store};
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// # let (net, mut ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
 /// # let mut late = ds.clone();
@@ -137,8 +138,10 @@ pub struct Snapshot {
     pub(crate) cds: CompressedDataset,
     pub(crate) stiu: Stiu,
     pub(crate) id_to_idx: SharedIdMap,
-    /// The partition's decode cache, shared across epochs.
+    /// The store's decode cache, shared across partitions and epochs.
     pub(crate) cache: Arc<DecodeCache>,
+    /// This partition's number in its store — part of every cache key.
+    pub(crate) partition: u32,
     /// The store epoch that published this snapshot; 0 for the state a
     /// store was built or opened with.
     pub(crate) epoch: u64,
@@ -234,6 +237,7 @@ impl Snapshot {
             cds: &self.cds,
             stiu: &self.stiu,
             cache: &self.cache,
+            partition: self.partition,
             epoch: self.epoch,
         }
     }
@@ -263,15 +267,16 @@ impl Snapshot {
             .filter_map(candidate)
     }
 
-    /// Assembles an epoch-0 snapshot from opened parts, validating
-    /// cross-references (the per-trajectory query plans were built as
-    /// the trajectories were appended), with a fresh decode cache of
-    /// `cache_bytes`.
+    /// Assembles an epoch-0 snapshot of partition `partition` from opened
+    /// parts, validating cross-references (the per-trajectory query plans
+    /// were built as the trajectories were appended), reading through
+    /// the store's `cache`.
     pub(crate) fn assemble(
         net: Arc<RoadNetwork>,
         cds: CompressedDataset,
         stiu: Stiu,
-        cache_bytes: usize,
+        cache: Arc<DecodeCache>,
+        partition: u32,
     ) -> Result<Self, Error> {
         if stiu.trajs.len() != cds.trajectories.len() {
             return Err(Error::CorruptStore("index/dataset trajectory counts"));
@@ -288,7 +293,8 @@ impl Snapshot {
             cds,
             stiu,
             id_to_idx,
-            cache: Arc::new(DecodeCache::with_budget(cache_bytes)),
+            cache,
+            partition,
             epoch: 0,
         })
     }
@@ -324,13 +330,12 @@ impl Snapshot {
     }
 
     /// Freezes a state prepared by [`Snapshot::prepare_trajs`] as
-    /// `epoch`, sharing this snapshot's network and decode cache, whose
-    /// entries of earlier epochs it drops.
+    /// `epoch` of the same partition, sharing this snapshot's network and
+    /// decode cache.
     pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
-        self.cache.retire_before(epoch, epoch);
         let (net, cache) = (Arc::clone(&self.net), Arc::clone(&self.cache));
         let same_index = || Ok::<_, std::convert::Infallible>(self.stiu.clone());
-        let Ok(next) = state.into_snapshot(net, same_index, cache, epoch);
+        let Ok(next) = state.into_snapshot(net, same_index, cache, self.partition, epoch);
         next
     }
 }
@@ -403,9 +408,11 @@ impl QueryTarget for Snapshot {
 /// over itself. The candidates are every partition's interval postings
 /// at `tq`, merged id-ascending (ids are unique across partitions) for
 /// the one scan loop (`crate::query::range_scan`). A repeated shape is
-/// served from the [`crate::cache::DecodeCache`] of the first partition,
-/// which keeps the complete match set under (`epoch`, partition count)
-/// once a scan ran unpaginated to the end.
+/// served from the store's [`crate::cache::DecodeCache`], which keeps
+/// the complete match set under (`epoch`, what was queried) once a scan
+/// ran unpaginated to the end: one partition alone — a pinned snapshot,
+/// or all of a one-partition store — under its number, a store of
+/// several under `WHOLE_STORE`.
 pub(crate) fn range_over<P: Borrow<Snapshot>>(
     parts: &[P],
     epoch: u64,
@@ -421,7 +428,11 @@ pub(crate) fn range_over<P: Borrow<Snapshot>>(
     let Some(first) = parts.first() else {
         return Ok(Page::slice(Vec::new(), page));
     };
-    let (cache, scope) = (&first.borrow().cache, parts.len() as u32);
+    let scope = match parts {
+        [one] => one.borrow().partition,
+        _ => WHOLE_STORE,
+    };
+    let cache = &first.borrow().cache;
     if let Some(ids) = cache.range_result(epoch, scope, re, tq, alpha) {
         return Ok(page_of_range_result(&ids, page, |last| {
             candidates().any(|c| c.id > last)
@@ -467,7 +478,7 @@ fn page_of_range_result(
 
 /// The writer-side, mutable counterpart of a [`Snapshot`]: what a
 /// [`crate::store::StoreBuilder`] accumulates batch by batch, and what a
-/// live [`crate::live::LiveStore::ingest`] clones out of the current
+/// live [`crate::store::Store::ingest`] clones out of the current
 /// snapshot, extends, and publishes back.
 ///
 /// Both construction paths funnel through [`PartitionState::ingest_traj`],
@@ -554,13 +565,15 @@ impl PartitionState {
         Ok(())
     }
 
-    /// Freezes the state into an immutable snapshot at `epoch`, whose
-    /// index `stiu` makes if nothing was ingested yet.
+    /// Freezes the state into an immutable snapshot of partition
+    /// `partition` at `epoch`, whose index `stiu` makes if nothing was
+    /// ingested yet.
     pub(crate) fn into_snapshot<E>(
         self,
         net: Arc<RoadNetwork>,
         stiu: impl FnOnce() -> Result<Stiu, E>,
         cache: Arc<DecodeCache>,
+        partition: u32,
         epoch: u64,
     ) -> Result<Snapshot, E> {
         let stiu = match self.stiu {
@@ -573,6 +586,7 @@ impl PartitionState {
             stiu,
             id_to_idx: self.id_to_idx,
             cache,
+            partition,
             epoch,
         })
     }

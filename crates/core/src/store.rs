@@ -11,19 +11,21 @@
 //! All read state is one immutable state behind an `Arc`: an
 //! epoch-stamped [`Snapshot`] per partition and, with more than one
 //! partition, the id → partition map; every query pins it. A
-//! [`LiveStore::ingest`] compresses each partition's share of a batch
+//! [`Store::ingest`] compresses each partition's share of a batch
 //! into a private clone of that partition, then publishes the next epoch
 //! with one swap; untouched partitions keep their snapshots. Queries
 //! never take the writer lock, and a published store is byte-identical
 //! to an offline [`StoreBuilder`] build of the same batches
 //! (`tests/live_ingest.rs`). The read surface is [`QueryTarget`] (import
-//! it to query a `Store`).
+//! it to query a `Store`); ingest and durability are inherent methods
+//! (written in `live.rs`).
 //!
-//! Each partition brings its query plans ([`crate::plan::TrajPlan`]) and
-//! decode cache ([`crate::cache::DecodeCache`]; the budget is split
-//! evenly across partitions). Cache keys carry the minting epoch and a
-//! publish drops superseded entries; the complete match sets of range
-//! queries live in the first partition's cache under the store's epoch.
+//! Each partition brings its query plans ([`crate::plan::TrajPlan`]);
+//! the store has one decode cache ([`crate::cache::DecodeCache`]) with
+//! the whole budget, which every partition reads through. Cache keys
+//! carry the partition and the minting epoch, and each publish drops
+//! what it superseded, once; the complete match sets of range queries
+//! are keyed by the store's epoch.
 
 use std::collections::HashSet;
 use std::fs::File;
@@ -39,7 +41,7 @@ use crate::chunk::SharedIdMap;
 use crate::compress::Ratios;
 use crate::compressed::edge_number_width;
 use crate::error::Error;
-use crate::live::{Held, LiveStore, WriterCore};
+use crate::live::{Held, WriterCore};
 use crate::opened::{policy_label, summed_sizes, InfoReport};
 use crate::params::CompressParams;
 use crate::query::{par_run, Page, PageRequest, QueryTarget, WhenHit, WhereHit};
@@ -48,7 +50,7 @@ use crate::snapshot::{range_over, PartitionState, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
 use crate::storage::{self, StorageError, VERSION_V3};
 
-/// What one [`LiveStore::ingest`] publication did — echoed verbatim by
+/// What one [`Store::ingest`] publication did — echoed verbatim by
 /// the serve protocol's `ingest` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
@@ -68,8 +70,10 @@ pub struct Store {
     routing: Routing,
     /// The current state — queries pin it, a publish swaps it.
     state: Swap<State>,
-    /// Writer lock, epoch counter and WAL slot (see [`crate::live`]).
-    core: WriterCore,
+    /// The decode cache every partition's snapshots read through.
+    cache: Arc<DecodeCache>,
+    /// Writer lock, epoch counter and WAL slot (see `live.rs`).
+    pub(crate) core: WriterCore,
 }
 
 /// How a store places trajectories on its partitions, and so which
@@ -154,7 +158,7 @@ fn route(
 /// Incremental construction of a [`Store`]: each `ingest` compresses and
 /// indexes only the new batch, and ingest order does not change answers
 /// (`tests/store_roundtrip.rs`). The finished store keeps accepting
-/// batches through [`LiveStore::ingest`], which runs the same
+/// batches through [`Store::ingest`], which runs the same
 /// per-trajectory path.
 ///
 /// ```no_run
@@ -198,9 +202,9 @@ impl StoreBuilder {
         }
     }
 
-    /// Overrides the decode-cache byte budget of the finished store, a
-    /// total split evenly across partitions (default
-    /// [`DEFAULT_CACHE_BYTES`]; `0` disables caching).
+    /// Overrides the decode-cache byte budget of the finished store, one
+    /// cache for all of its partitions (default [`DEFAULT_CACHE_BYTES`];
+    /// `0` disables caching).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
         self
@@ -255,20 +259,17 @@ impl StoreBuilder {
     }
 
     /// Freezes every partition as epoch 0 and assembles the store.
-    /// Attach a write-ahead log afterwards with [`LiveStore::attach_wal`].
+    /// Attach a write-ahead log afterwards with [`Store::attach_wal`].
     pub fn finish(self) -> Result<Store, Error> {
-        let (name, budget) = (
-            self.name.unwrap_or_default(),
-            self.cache_bytes / self.parts.len(),
-        );
+        let name = self.name.unwrap_or_default();
+        let cache = Arc::new(DecodeCache::with_budget(self.cache_bytes));
         // Not `collect`: it would keep the states' far larger buffer.
         let mut parts = Vec::with_capacity(self.parts.len());
-        for mut state in self.parts {
+        for (p, mut state) in (0..).zip(self.parts) {
             state.cds.name = name.clone();
-            let cache = Arc::new(DecodeCache::with_budget(budget));
+            let (net, cache) = (Arc::clone(&self.net), Arc::clone(&cache));
             let index = || Stiu::new(&self.net, self.stiu_params);
-            let snap = state.into_snapshot(Arc::clone(&self.net), index, cache, 0)?;
-            parts.push(Arc::new(snap));
+            parts.push(Arc::new(state.into_snapshot(net, index, cache, p, 0)?));
         }
         let routing = self
             .policy
@@ -318,10 +319,11 @@ impl Store {
             .finish()
     }
 
-    /// A store over one epoch-0 snapshot per partition. The partitions
-    /// share one road network (compared structurally, not by counts) and
-    /// one [`StiuParams`], so the range scan merges their interval keys
-    /// and resolves a query's cells once; no id may be in two of them.
+    /// A store over one epoch-0 snapshot per partition, in partition
+    /// order, all reading through one decode cache. The partitions share
+    /// one road network (compared structurally, not by counts) and one
+    /// [`StiuParams`], so the range scan merges their interval keys and
+    /// resolves a query's cells once; no id may be in two of them.
     fn assemble(parts: Vec<Arc<Snapshot>>, routing: Routing) -> Result<Self, Error> {
         check_shard_count(parts.len())?;
         // bounds: windows(2) yields exactly-2-element slices
@@ -346,6 +348,7 @@ impl Store {
         Ok(Self {
             net: Arc::clone(state.first().network()),
             routing,
+            cache: Arc::clone(&state.first().cache),
             state: Swap::new(Arc::new(state)),
             core: WriterCore::new(),
         })
@@ -376,6 +379,7 @@ impl Store {
         let mut head = [0u8; 5];
         r.read_exact(&mut head).map_err(StorageError::from)?;
         let mut r = head.as_slice().chain(r);
+        let cache = Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES));
         // bounds: head is a [u8; 5]
         if head[4] != VERSION_V3 {
             let (net, cds, stiu) = match storage::load_full(&mut r) {
@@ -385,14 +389,13 @@ impl Store {
                 Err(StorageError::LegacyVersion) => return Err(Error::NeedsNetwork),
                 Err(e) => return Err(e.into()),
             };
-            let part = Snapshot::assemble(Arc::new(net), cds, stiu, DEFAULT_CACHE_BYTES)?;
+            let part = Snapshot::assemble(Arc::new(net), cds, stiu, cache, 0)?;
             return Self::assemble(vec![Arc::new(part)], Routing::Single);
         }
         let (dir, blobs) = storage::load_v3(&mut r)?;
-        let budget = DEFAULT_CACHE_BYTES / blobs.len().max(1);
         let mut shared: Option<Arc<RoadNetwork>> = None;
         let mut parts = Vec::with_capacity(blobs.len());
-        for blob in blobs {
+        for (p, blob) in (0..).zip(blobs) {
             let (net, cds, stiu) = storage::load_full(&mut blob.as_slice())?;
             // A differing copy is rejected by `assemble`.
             let net = match &shared {
@@ -400,7 +403,8 @@ impl Store {
                 _ => Arc::new(net),
             };
             shared.get_or_insert_with(|| Arc::clone(&net));
-            parts.push(Arc::new(Snapshot::assemble(net, cds, stiu, budget)?));
+            let part = Snapshot::assemble(net, cds, stiu, Arc::clone(&cache), p)?;
+            parts.push(Arc::new(part));
         }
         let spec = dir.and_then(ShardSpec::from_directory);
         Self::assemble(parts, Routing::Policy(spec.map(ShardSpec::policy)))
@@ -436,7 +440,8 @@ impl Store {
         }
         let ds = crate::decompress::decompress_dataset(&net, &cds)?;
         let stiu = crate::stiu::try_build(&net, &ds, &cds, stiu_params)?;
-        let part = Snapshot::assemble(net, cds, stiu, DEFAULT_CACHE_BYTES)?;
+        let cache = Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES));
+        let part = Snapshot::assemble(net, cds, stiu, cache, 0)?;
         Self::assemble(vec![Arc::new(part)], Routing::Single)
     }
 
@@ -479,7 +484,7 @@ impl Store {
     /// Pins the current epoch of the first partition (all of a store
     /// without a routing policy): a read view ingest cannot change, for
     /// multi-page walks or a live [`Snapshot::save`].
-    /// [`LiveStore::snapshots`] pins every partition at once.
+    /// [`Store::snapshots`] pins every partition at once.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(self.state.load().first())
     }
@@ -522,14 +527,20 @@ impl Store {
         self.snapshot().decode_times(j)
     }
 
-    /// The decode cache's total byte budget (`0` = disabled).
+    /// The decode cache's byte budget (`0` = disabled).
     pub fn cache_bytes(&self) -> usize {
-        self.cache_stats().budget_bytes
+        self.cache.budget()
     }
 
     /// Number of partitions.
     pub fn shard_count(&self) -> usize {
         self.state.load().parts.len()
+    }
+
+    /// Whether the store was built or opened with a routing policy (and
+    /// so saves as v3), even one it cannot name.
+    pub(crate) fn has_policy(&self) -> bool {
+        matches!(self.routing, Routing::Policy(_))
     }
 
     /// The routing policy recorded for this store (`None` without one,
@@ -628,46 +639,66 @@ impl QueryTarget for Store {
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.state
-            .load()
-            .parts
-            .iter()
-            .map(|s| s.cache_stats())
-            .sum()
+        self.cache.stats()
     }
 
-    fn set_cache_bytes(&self, total_bytes: usize) {
-        let state = self.state.load();
-        let per_part = total_bytes / state.parts.len();
-        for s in &state.parts {
-            s.set_cache_bytes(per_part);
-        }
+    fn set_cache_bytes(&self, bytes: usize) {
+        self.cache.set_budget(bytes);
     }
 
     fn clear_cache(&self) {
-        for s in &self.state.load().parts {
-            s.clear_cache();
-        }
+        self.cache.clear();
     }
 }
 
-impl LiveStore for Store {
-    fn writer(&self) -> &WriterCore {
-        &self.core
+/// The read-side description of a live store, and the one publish path
+/// its live methods (`live.rs`) run under the writer lock.
+impl Store {
+    /// The current publish epoch — what a follower resumes from.
+    pub fn epoch(&self) -> u64 {
+        self.state.load().epoch
     }
 
-    fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool {
+    /// One pinned snapshot per partition, in directory order, all taken
+    /// from one published state: every batch is either in the set
+    /// entirely or not at all.
+    pub fn snapshots(&self) -> Vec<Arc<Snapshot>> {
+        self.state.load().parts.clone()
+    }
+
+    /// The shared description `utcq info` and the serve `info` response
+    /// both render.
+    pub fn info(&self) -> InfoReport {
+        let label = self.has_policy().then(|| policy_label(self.policy_spec()));
+        InfoReport::over(&self.state.load().parts, label)
+    }
+
+    /// The default sample interval the store was compressed with — what
+    /// an `ingest` request's trajectories are validated against.
+    pub fn default_interval(&self) -> i64 {
+        self.params().default_interval
+    }
+
+    /// Whether every one of `tus` is already stored (by id).
+    pub(crate) fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool {
         let state = self.state.load();
         tus.iter().all(|t| state.owner(t.id).is_some())
     }
 
-    /// Checks, deduplicates and routes the batch, then compresses each
-    /// partition's share into a prepared copy of that partition on the
-    /// shared work queue. Only when **every** share compressed is the
-    /// batch logged and one new state swapped in, so batches are
-    /// all-or-nothing across partitions. A store reopened from a
-    /// custom-policy container cannot route: [`Error::ShardConfig`].
-    fn publish_locked(&self, held: &Held<'_>, batch: &Dataset) -> Result<IngestReport, Error> {
+    /// Compresses, indexes and publishes `batch` as the next epoch with
+    /// the writer lock held. Checks, deduplicates and routes the batch,
+    /// then compresses each partition's share into a prepared copy of
+    /// that partition on the shared work queue. Only when **every** share
+    /// compressed is the batch logged (`WriterCore::log`) and one new
+    /// state swapped in, so batches are all-or-nothing across partitions;
+    /// a batch that changes nothing reports the current epoch. A store
+    /// reopened from a custom-policy container cannot route:
+    /// [`Error::ShardConfig`].
+    pub(crate) fn publish_locked(
+        &self,
+        held: &Held<'_>,
+        batch: &Dataset,
+    ) -> Result<IngestReport, Error> {
         let state = self.state.load();
         check_batch(&self.net, self.default_interval(), batch)?;
         let policy =
@@ -723,47 +754,22 @@ impl LiveStore for Store {
                 routes.insert(tu.id, s);
             }
         }
+        let epochs: Vec<u64> = parts.iter().map(|snap| snap.epoch()).collect();
         let next = State {
             epoch,
             parts,
             routes,
         };
-        // The store's range results live in the first partition's cache
-        // under the store epoch: retire them when the batch left that
-        // partition alone too.
-        let first = next.first();
-        if first.epoch() != epoch {
-            first.cache.retire_before(first.epoch(), epoch);
-        }
         let total = next.len();
         self.state.store(Arc::new(next));
+        // What the publish superseded: the moved partitions' entries and
+        // the store's range results.
+        self.cache.retire_before(&epochs, epoch);
         Ok(IngestReport {
             ingested: batch.trajectories.len(),
             total,
             epoch,
         })
-    }
-
-    fn epoch(&self) -> u64 {
-        self.state.load().epoch
-    }
-
-    fn write_cut(&self, _held: &Held<'_>, mut w: &mut dyn Write) -> Result<(), Error> {
-        self.write(&mut w)
-    }
-
-    fn snapshots(&self) -> Vec<Arc<Snapshot>> {
-        self.state.load().parts.clone()
-    }
-
-    fn info(&self) -> InfoReport {
-        let sharded = matches!(self.routing, Routing::Policy(_));
-        let label = sharded.then(|| policy_label(self.policy_spec()));
-        InfoReport::over(&self.state.load().parts, label)
-    }
-
-    fn default_interval(&self) -> i64 {
-        self.params().default_interval
     }
 }
 

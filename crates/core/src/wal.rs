@@ -1985,7 +1985,6 @@ mod tests {
 
     #[test]
     fn a_failed_save_leaves_the_previous_container_and_no_tmp_file() {
-        use crate::LiveStore;
         let (store, batches) = three_batches();
         let path = tmp("save-fault").with_file_name("c.utcq");
         store.save(&path).expect("save");
@@ -2016,7 +2015,7 @@ mod tests {
 
     #[test]
     fn a_failed_checkpoint_keeps_the_log_and_the_store_live() {
-        use crate::{LiveStore, Opened};
+        use crate::{Opened, QueryTarget};
         let faults = [
             SaveFault::WriteAfter(64),
             SaveFault::At("sync"),
@@ -2061,9 +2060,7 @@ mod tests {
             let reopened = Opened::open_durable(&container, WalConfig::new(&log)).expect("reopen");
             assert_eq!(reopened.epoch(), if renamed { 1 } else { 2 }, "{fault:?}");
             let mut got = Vec::new();
-            reopened
-                .write_cut(&reopened.writer().hold(), &mut got)
-                .expect("write");
+            reopened.write(&mut got).expect("write");
             assert!(got == want, "{fault:?}");
         }
     }

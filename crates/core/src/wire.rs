@@ -26,7 +26,7 @@
 use crate::cache::CacheStats;
 use crate::error::Error;
 use crate::opened::{InfoReport, Opened};
-use crate::query::{Page, PageRequest, WhenHit, WhereHit, DEFAULT_PAGE_LIMIT};
+use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit, DEFAULT_PAGE_LIMIT};
 use crate::store::IngestReport;
 use crate::wal::{CheckpointReport, Record, TailRead};
 use utcq_network::{EdgeId, Rect};

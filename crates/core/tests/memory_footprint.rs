@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use utcq_core::{CompressParams, LiveStore, QueryTarget, Store, StoreBuilder};
+use utcq_core::{CompressParams, QueryTarget, Store, StoreBuilder};
 use utcq_datagen::{generate_network, generate_on_network, profile, GenOptions};
 use utcq_traj::Dataset;
 

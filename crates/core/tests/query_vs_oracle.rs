@@ -9,7 +9,7 @@ use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq_core::stiu::StiuParams;
 use utcq_core::{decompress::check_lossy_roundtrip, oracle};
-use utcq_core::{LiveStore, Store, StoreBuilder};
+use utcq_core::{Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::{Dataset, UncertainTrajectory};
 

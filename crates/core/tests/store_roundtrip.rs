@@ -23,7 +23,7 @@ use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::segment::TrajView;
 use utcq_core::shard::ByTime;
 use utcq_core::stiu::TrajIndex;
-use utcq_core::{CompressParams, Error, LiveStore, Snapshot, StiuParams, Store, StoreBuilder};
+use utcq_core::{CompressParams, Error, Snapshot, StiuParams, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::Dataset;
 

@@ -28,11 +28,10 @@
 //!
 //! `query` is written against `utcq::core::QueryTarget`, so the same
 //! workload runs unchanged on a store of any partition count.
-//! It uses the shared decode cache (default 64 MiB total);
-//! `--cache-bytes` overrides the budget (`0` disables caching; a
-//! sharded store splits the budget across partitions) and
-//! `--cache-stats` prints aggregated hit/miss/eviction counters after
-//! the workload.
+//! It uses the store's one decode cache (default 64 MiB, shared by all
+//! partitions); `--cache-bytes` overrides the budget (`0` disables
+//! caching) and `--cache-stats` prints the hit/miss/eviction counters
+//! after the workload.
 //!
 //! `serve` keeps the container open in a long-lived process and answers
 //! the newline-delimited JSON protocol of `PROTOCOL.md` over TCP, so
@@ -63,9 +62,7 @@ use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{Server, DEFAULT_THREADS};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{
-    storage, wire, FsyncPolicy, LiveStore, Opened, RangeQuery, StoreBuilder, WalConfig,
-};
+use utcq::core::{storage, wire, FsyncPolicy, Opened, RangeQuery, StoreBuilder, WalConfig};
 use utcq::datagen::DatasetProfile;
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;

@@ -43,9 +43,7 @@ use utcq::core::query::PageRequest;
 use utcq::core::shard::ByTime;
 use utcq::core::stiu::{StiuParams, TrajIndex};
 use utcq::core::wal::{self, Record, Wal};
-use utcq::core::{
-    CompressParams, LiveStore, Opened, QueryTarget, Snapshot, Store, StoreBuilder, WalConfig,
-};
+use utcq::core::{CompressParams, Opened, QueryTarget, Snapshot, Store, StoreBuilder, WalConfig};
 use utcq::traj::Dataset;
 
 const SEED: u64 = 20_260_729;

@@ -27,7 +27,8 @@ use utcq::core::serve::{self, Server};
 use utcq::core::shard::ByTime;
 use utcq::core::wal::{Record, Wal};
 use utcq::core::{
-    wire, CompressParams, Error, FsyncPolicy, Opened, StiuParams, Store, StoreBuilder, WalConfig,
+    wire, CompressParams, Error, FsyncPolicy, Opened, QueryTarget, StiuParams, Store, StoreBuilder,
+    WalConfig,
 };
 use utcq::network::{EdgeId, RoadNetwork};
 use utcq::traj::{Dataset, UncertainTrajectory};
@@ -86,7 +87,7 @@ type Build<'a> = &'a dyn Fn(&[&Dataset]) -> Opened;
 
 /// Runs `case` once per store shape with a tag and that shape's offline
 /// constructor; everything past construction goes through the shared
-/// [`utcq::core::LiveStore`] handle.
+/// [`utcq::core::Opened`] handle.
 fn for_each_shape(net: &Arc<RoadNetwork>, case: impl Fn(&str, Build)) {
     case("single", &|history| {
         Opened::Single(Box::new(single_store(net, history)))

@@ -1,7 +1,7 @@
 //! Live-ingest acceptance tests for the snapshot-based store:
 //!
 //! * **byte-identity** — a store of either shape grown through live
-//!   [`LiveStore::ingest`] serializes to the *same container bytes* as
+//!   [`Store::ingest`] serializes to the *same container bytes* as
 //!   an offline [`StoreBuilder`] run over the same batches in the same
 //!   order (publishing epochs adds nothing to the on-disk state);
 //! * **snapshot isolation** — a pinned snapshot (and a paginated walk
@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::{
-    CompressParams, Error, LiveStore, PageRequest, QueryTarget, RangeQuery, StiuParams, Store,
-    StoreBuilder,
+    CompressParams, Error, PageRequest, QueryTarget, RangeQuery, StiuParams, Store, StoreBuilder,
 };
 use utcq::datagen::{generate_network, generate_on_network, GenOptions};
 use utcq::network::{EdgeId, Rect, RoadNetwork};
@@ -589,10 +588,10 @@ fn cache_stays_correct_across_epochs() {
     assert_eq!(after, cold);
 }
 
-/// A partitioned store caches a range result under its own epoch in the
-/// first partition's cache: a batch that leaves that partition alone
-/// still retires the result (and nothing else there), and the next query
-/// answers the new epoch.
+/// A partitioned store caches a range result under its own epoch in its
+/// one cache: a batch that leaves the first partition alone still
+/// retires the result (and nothing of that partition's), and the next
+/// query answers the new epoch.
 #[test]
 fn range_results_follow_the_store_epoch_across_untouched_partitions() {
     let (net, batches) = batches(9, 50);

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use utcq::core::hooks;
 use utcq::core::shard::{ByTime, ShardPolicy};
-use utcq::core::{CompressParams, LiveStore, QueryTarget, StiuParams, Store, StoreBuilder};
+use utcq::core::{CompressParams, QueryTarget, StiuParams, Store, StoreBuilder};
 use utcq::datagen::{generate_network, generate_on_network, profile, GenOptions};
 use utcq::network::RoadNetwork;
 use utcq::traj::{Dataset, UncertainTrajectory};

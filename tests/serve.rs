@@ -763,6 +763,27 @@ fn slow_reader_gets_every_response_under_backpressure() {
     runner.join();
 }
 
+/// The decode-cache budget is the store's, whole: a budget that no
+/// partition count divides reads back exactly over the wire, online and
+/// offline alike.
+#[test]
+fn cache_budget_reads_back_exactly_on_the_sharded_fixture() {
+    let served = Arc::new(open_fixture(3));
+    let offline = open_fixture(3);
+    assert!(offline.shard_count() > 1);
+    for opened in [&*served, &offline] {
+        opened.set_cache_bytes(1_000_003);
+    }
+    let (addr, _handle, runner) = start(Arc::clone(&served), 1);
+    let mut client = Client::connect(addr);
+    let request = r#"{"op":"cache_stats"}"#;
+    let online = client.roundtrip(request);
+    assert!(online.contains(r#""budget_bytes":1000003"#), "{online}");
+    assert_eq!(online, wire::handle_line(&offline, request).line);
+    client.roundtrip(r#"{"op":"shutdown"}"#);
+    runner.join();
+}
+
 #[test]
 fn checked_in_session_fixture_stays_in_sync() {
     // The serve-smoke CI job replays this exact session against the

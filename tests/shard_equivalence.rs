@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use utcq::core::query::PageRequest;
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{CompressParams, LiveStore, QueryTarget, RangeQuery, Store, StoreBuilder};
+use utcq::core::{CompressParams, QueryTarget, RangeQuery, Store, StoreBuilder};
 use utcq::network::{Rect, RoadNetwork};
 use utcq::traj::Dataset;
 
@@ -249,9 +249,10 @@ fn v3_roundtrip_preserves_answers() {
     assert_equivalent(&single, &reopened, &w, "reopened v3");
 
     // Options are set once, on the `StoreBuilder`, and `shard_by` hands
-    // them over: the cache budget as an even split of the total, the
-    // StIU parameters and the name (the batch carries another one) to
-    // every shard — the latter two through the v3 bytes as well.
+    // them over: the cache budget to the store's one cache (whole, not
+    // split across partitions), the StIU parameters and the name (the
+    // batch carries another one) to every shard — the latter two through
+    // the v3 bytes as well.
     let (n, budget) = (3usize, 10_000_001usize);
     let params = StiuParams {
         partition_s: 600,
@@ -271,7 +272,7 @@ fn v3_roundtrip_preserves_answers() {
     .finish()
     .unwrap();
     assert_ne!(ds.name, "handed-over");
-    assert_eq!(configured.cache_stats().budget_bytes, n * (budget / n));
+    assert_eq!(configured.cache_stats().budget_bytes, budget);
     let mut bytes = Vec::new();
     configured.write(&mut bytes).unwrap();
     let reopened = Store::read(&mut bytes.as_slice()).unwrap();
