@@ -489,7 +489,7 @@ pub fn explore(name: &str, opts: SchedOpts, factory: &dyn Fn() -> Scenario) -> O
 use std::sync::OnceLock;
 use utcq_core::snapshot::Swap;
 use utcq_core::store::StoreBuilder;
-use utcq_core::{CompressParams, Opened, QueryTarget, ShardPolicy, Store, WalConfig};
+use utcq_core::{CompressParams, Opened, PageRequest, QueryTarget, ShardPolicy, Store, WalConfig};
 use utcq_traj::Dataset;
 
 /// The shared tiny dataset: generated once, split into an initial
@@ -553,7 +553,7 @@ pub fn store_pin_vs_ingest() -> Scenario {
         // of them — the pin can land after the writer published).
         let had: Vec<bool> = new_ids
             .iter()
-            .map(|&id| pinned.traj_index(id).is_some())
+            .map(|&id| pinned.locate(id).is_some())
             .collect();
         // Interleaves with the writer's prepare/publish...
         let s2 = store.snapshot();
@@ -569,7 +569,7 @@ pub fn store_pin_vs_ingest() -> Scenario {
         assert_eq!(pinned.len(), len1, "pinned snapshot len mutated");
         for (&id, &seen_at_pin) in new_ids.iter().zip(&had) {
             assert_eq!(
-                pinned.traj_index(id).is_some(),
+                pinned.locate(id).is_some(),
                 seen_at_pin,
                 "pinned snapshot's membership of trajectory {id} changed \
                  after publish"
@@ -585,8 +585,9 @@ pub fn store_pin_vs_ingest() -> Scenario {
 /// A sharded batch is visible on every shard at once or on none: the
 /// partitions of `snapshots()` and the `info` total always sum to the
 /// store's length before or after a batch the setup routes to both
-/// shards, never to a mix. Whenever the store routes an id to a shard,
-/// that shard's snapshot has the id, and epochs are monotonic.
+/// shards, never to a mix. Every id a pinned `Snapshot` locates is the
+/// trajectory stored at that partition and position and answers a
+/// `where` from there, and epochs are monotonic.
 pub fn sharded_ingest_vs_query() -> Scenario {
     let store = build_sharded();
     let (net, a, b) = tiny_batches();
@@ -600,7 +601,7 @@ pub fn sharded_ingest_vs_query() -> Scenario {
         a.trajectories.len(),
         a.trajectories.len() + b.trajectories.len(),
     );
-    let new_ids: Vec<u64> = b.trajectories.iter().map(|t| t.id).collect();
+    let new_ids: Vec<(u64, i64)> = b.trajectories.iter().map(|t| (t.id, t.times[0])).collect();
     let writer = {
         let store = Arc::clone(&store);
         let b = b.clone();
@@ -622,16 +623,25 @@ pub fn sharded_ingest_vs_query() -> Scenario {
             "torn cut: info() reports {total} trajectories, \
              neither {before} (before the batch) nor {after} (after)"
         );
-        for &id in &new_ids {
-            if let Some(s) = store.traj_shard(id) {
-                let parts = store.snapshots();
-                let snap = &parts[s as usize]; // bounds: the store only routes to real shards
-                assert!(
-                    snap.traj_index(id).is_some(),
-                    "half-published state: store routes {id} to shard {s}, \
-                     which does not have it"
-                );
-            }
+        let pinned = store.snapshot();
+        for &(id, t0) in &new_ids {
+            let Some((p, j)) = pinned.locate(id) else {
+                continue;
+            };
+            let part = pinned.partitions().get(p as usize);
+            let rows = part.map(|part| &part.compressed().trajectories);
+            let stored = rows.and_then(|rows| rows.get(j as usize)).map(|ct| ct.id);
+            assert_eq!(
+                stored,
+                Some(id),
+                "half-published state: the pinned id map places {id} at \
+                 ({p}, {j}), which holds {stored:?}"
+            );
+            let hits = pinned.where_query(id, t0, 0.0, PageRequest::all());
+            assert!(
+                hits.is_ok_and(|page| !page.items.is_empty()),
+                "pinned where on {id} does not answer from partition {p}"
+            );
         }
         let e2 = store.epoch();
         assert!(e2 >= e1, "epoch went backwards: {e1} then {e2}");

@@ -174,7 +174,7 @@ fn index_vs_full_decompression() {
         });
         // Full decompression path: decompress the whole trajectory and
         // run the oracle on it.
-        let snap = store.snapshot();
+        let snap = &store.snapshots()[0]; // a one-partition store
         let idx_of: HashMap<u64, usize> = snap
             .compressed()
             .trajectories

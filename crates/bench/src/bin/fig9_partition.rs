@@ -28,7 +28,7 @@ fn avg(d: Duration, n: usize) -> Duration {
 
 /// Bits of the index sections of the container `store` saves as.
 fn stored_index_bits(store: &Store) -> u64 {
-    let census = store.snapshot().write_counted(&mut std::io::sink());
+    let census = store.snapshots()[0].write_counted(&mut std::io::sink());
     let census = census.expect("writing to a sink cannot fail");
     census.temporal + census.ref_tuples + census.nref_tuples
 }
@@ -63,7 +63,9 @@ fn main() {
                 },
             )
             .unwrap();
-            let (s_bits, t_bits) = store.snapshot().stiu().size_bits(params.p_codec().width());
+            let (s_bits, t_bits) = store.snapshots()[0]
+                .stiu()
+                .size_bits(params.p_codec().width());
             let (_, udur) = timed(|| {
                 for q in &queries {
                     let _ = store
@@ -109,7 +111,9 @@ fn main() {
                 },
             )
             .unwrap();
-            let (_, t_bits) = store.snapshot().stiu().size_bits(params.p_codec().width());
+            let (_, t_bits) = store.snapshots()[0]
+                .stiu()
+                .size_bits(params.p_codec().width());
             let (_, udur) = timed(|| {
                 for q in &queries {
                     let _ = store

@@ -4,6 +4,9 @@
 //! utilities: calibrated dataset construction ([`datasets`]), wall-clock
 //! and modeled-memory measurement ([`measure`]), query workload
 //! generation ([`workload`]), and table/JSON reporting ([`report`]).
+//! [`multiorder`] models the paper's §8 multiple-order representation
+//! for the experiment of the same name; the shipped format is
+//! single-order.
 //!
 //! Scale: the paper's datasets hold 0.27–1.9 M trajectories; the default
 //! harness scale is laptop-sized (hundreds of trajectories per dataset)
@@ -12,6 +15,7 @@
 
 pub mod datasets;
 pub mod measure;
+pub mod multiorder;
 pub mod report;
 pub mod workload;
 

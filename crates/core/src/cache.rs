@@ -31,12 +31,12 @@
 //! A store has one cache, shared by all of its partitions, so every key
 //! also carries the **partition** it belongs to (`traj` is a position
 //! within that partition), and the **epoch** that minted it (see
-//! [`crate::snapshot`]): the partition snapshot's for a trajectory's
-//! artifacts; for a range result, the epoch of what was queried — a
-//! store of several partitions (partition `WHOLE_STORE`) or one
-//! partition alone. After a live ingest publishes a new epoch, entries
-//! of superseded epochs stop matching — no cross-epoch aliasing even if
-//! a future writer stops being append-only — and the publish drops them
+//! [`crate::snapshot`]): the partition's for a trajectory's artifacts;
+//! for a range result, which is always the whole store's, the store's
+//! (partition `WHOLE_STORE`). After a live ingest publishes a new
+//! epoch, entries of superseded epochs stop matching — no cross-epoch
+//! aliasing even if a future writer stops being append-only — and the
+//! publish drops them
 //! (`DecodeCache::retire_before`), so what the cache holds under ingest
 //! is one epoch's working set, not every read since the last eviction.
 //!
@@ -120,10 +120,9 @@ impl Kind {
     }
 }
 
-/// The `partition` of a range result over a store of several
-/// partitions — no partition's index (a store has at most
-/// [`crate::shard::MAX_SHARDS`]).
-pub(crate) const WHOLE_STORE: u32 = u32::MAX;
+/// The `partition` of a range result, which spans the whole store — no
+/// partition's index (a store has at most [`crate::shard::MAX_SHARDS`]).
+const WHOLE_STORE: u32 = u32::MAX;
 
 /// Cache key: an artifact kind of one partition (or [`WHOLE_STORE`]),
 /// stamped with the epoch that minted it. Entries of superseded epochs
@@ -261,7 +260,7 @@ impl CacheStats {
 }
 
 /// The shared decode cache. One per [`crate::store::Store`], shared by
-/// every partition's [`crate::snapshot::Snapshot`] of every epoch; cheap
+/// every [`crate::snapshot::Partition`] of every epoch; cheap
 /// to share by reference across query threads (`Send + Sync`).
 pub struct DecodeCache {
     shards: Vec<RwLock<Shard>>,
@@ -577,15 +576,14 @@ impl DecodeCache {
         );
     }
 
-    /// The cached complete match set of **range**(RE, tq, α) over
-    /// `partition` (or [`WHOLE_STORE`]) at `epoch`, id-ascending, if a
+    /// The cached complete match set of **range**(RE, tq, α) over the
+    /// store at `epoch`, id-ascending, if a
     /// prior query stored it. An empty match set hits too (stored as a
     /// negative entry, so it counts a negative hit like a *when* region
     /// miss). `None` means the caller runs the scan.
     pub(crate) fn range_result(
         &self,
         epoch: u64,
-        partition: u32,
         re: &utcq_network::Rect,
         tq: i64,
         alpha: f64,
@@ -595,7 +593,7 @@ impl DecodeCache {
         }
         let key = Key {
             epoch,
-            partition,
+            partition: WHOLE_STORE,
             kind: Kind::range_result(re, tq, alpha),
         };
         let shard = self.shard_of(&key);
@@ -616,15 +614,14 @@ impl DecodeCache {
         }
     }
 
-    /// Records the complete match set of **range**(RE, tq, α) over
-    /// `partition` (or [`WHOLE_STORE`]) at `epoch` — called only when the
+    /// Records the complete match set of **range**(RE, tq, α) over the
+    /// store at `epoch` — called only when the
     /// scan ran unpaginated to the end (no cursor, no further
     /// candidates), so `ids` is the whole answer. Empty sets store
     /// payload-free as negative entries.
     pub(crate) fn note_range_result(
         &self,
         epoch: u64,
-        partition: u32,
         re: &utcq_network::Rect,
         tq: i64,
         alpha: f64,
@@ -635,7 +632,7 @@ impl DecodeCache {
         }
         let key = Key {
             epoch,
-            partition,
+            partition: WHOLE_STORE,
             kind: Kind::range_result(re, tq, alpha),
         };
         let value = if ids.is_empty() {
@@ -787,50 +784,36 @@ mod tests {
     fn range_results_key_on_exact_shape_and_epoch() {
         let cache = DecodeCache::with_budget(1 << 20);
         let re = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.0);
-        assert!(cache.range_result(0, WHOLE_STORE, &re, 900, 0.3).is_none());
-        cache.note_range_result(0, WHOLE_STORE, &re, 900, 0.3, Arc::new(vec![3, 7, 11]));
-        assert_eq!(
-            *cache.range_result(0, WHOLE_STORE, &re, 900, 0.3).unwrap(),
-            [3, 7, 11]
-        );
+        assert!(cache.range_result(0, &re, 900, 0.3).is_none());
+        cache.note_range_result(0, &re, 900, 0.3, Arc::new(vec![3, 7, 11]));
+        assert_eq!(*cache.range_result(0, &re, 900, 0.3).unwrap(), [3, 7, 11]);
         // Any shape component differing is a distinct key.
-        let hit = |epoch, partition, re: &utcq_network::Rect, tq, alpha| {
-            cache
-                .range_result(epoch, partition, re, tq, alpha)
-                .is_some()
+        let hit = |epoch, re: &utcq_network::Rect, tq, alpha| {
+            cache.range_result(epoch, re, tq, alpha).is_some()
         };
-        assert!(!hit(1, WHOLE_STORE, &re, 900, 0.3), "epoch");
-        assert!(!hit(0, 0, &re, 900, 0.3), "one partition alone");
-        assert!(!hit(0, WHOLE_STORE, &re, 901, 0.3), "tq");
-        assert!(!hit(0, WHOLE_STORE, &re, 900, 0.31), "alpha");
+        assert!(!hit(1, &re, 900, 0.3), "epoch");
+        assert!(!hit(0, &re, 901, 0.3), "tq");
+        assert!(!hit(0, &re, 900, 0.31), "alpha");
         let other = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.5);
-        assert!(!hit(0, WHOLE_STORE, &other, 900, 0.3), "rect");
-        // Two partitions queried alone at one epoch keep two answers.
-        cache.note_range_result(0, 0, &re, 900, 0.3, Arc::new(vec![3]));
-        cache.note_range_result(0, 1, &re, 900, 0.3, Arc::new(vec![7, 11]));
-        assert_eq!(*cache.range_result(0, 0, &re, 900, 0.3).unwrap(), [3]);
-        assert_eq!(*cache.range_result(0, 1, &re, 900, 0.3).unwrap(), [7, 11]);
+        assert!(!hit(0, &other, 900, 0.3), "rect");
         // Empty answers are remembered as negative entries and hit.
-        cache.note_range_result(0, WHOLE_STORE, &re, 1800, 0.3, Arc::new(Vec::new()));
-        assert!(cache
-            .range_result(0, WHOLE_STORE, &re, 1800, 0.3)
-            .unwrap()
-            .is_empty());
+        cache.note_range_result(0, &re, 1800, 0.3, Arc::new(Vec::new()));
+        assert!(cache.range_result(0, &re, 1800, 0.3).unwrap().is_empty());
         let s = cache.stats();
         assert_eq!(s.negative_entries, 1);
         assert_eq!(s.negative_hits, 1);
         // A publish that moved the store to epoch 1 and left both
         // partitions at 0 retires the store's results only: the
-        // partitions' results and decodes stay.
+        // partitions' decodes stay.
         times_entry(&cache, 1, 8);
         cache.retire_before(&[0, 0], 1);
-        assert!(!hit(0, WHOLE_STORE, &re, 900, 0.3));
-        assert!(hit(0, 0, &re, 900, 0.3) && hit(0, 1, &re, 900, 0.3));
-        assert_eq!(cache.stats().entries, 3);
+        assert!(!hit(0, &re, 900, 0.3));
+        assert_eq!(cache.stats().entries, 1);
         // Zero budget bypasses reads and writes.
+        cache.note_range_result(1, &re, 900, 0.3, Arc::new(vec![1]));
         cache.set_budget(0);
-        assert!(!hit(0, 0, &re, 900, 0.3));
-        cache.note_range_result(0, WHOLE_STORE, &re, 900, 0.3, Arc::new(vec![1]));
+        assert!(!hit(1, &re, 900, 0.3));
+        cache.note_range_result(1, &re, 900, 0.3, Arc::new(vec![1]));
         assert_eq!(cache.stats().entries, 0);
     }
 

@@ -1,23 +1,24 @@
 //! The two lookup maps of a snapshot, structurally shared for O(batch)
 //! publication.
 //!
-//! A live ingest publishes a new epoch by cloning the current
-//! snapshot's state, appending the batch, and swapping the result in
-//! (`PartitionState::from_snapshot` in `snapshot.rs`). The trajectories
+//! A live ingest publishes a new epoch by cloning the current state,
+//! appending the batch, and swapping the result in
+//! (`PartitionState::from_partition` in `snapshot.rs`). The trajectories
 //! and their index nodes live in [`crate::segment`]; beside them a
 //! snapshot keeps two maps, segmented the same way:
 //!
-//! * [`SharedIdMap`] — the `id → position` map as sealed map segments
-//!   (one per [`CHUNK`] trajectories) plus a copy-on-write tail segment.
-//! * [`IntervalMap`] — the StIU's `interval → postings` map: a batch
-//!   extends the tail segment without rewriting the postings of
+//! * [`SharedIdMap`] — the store's one `id → (partition, position)` map
+//!   as sealed map segments (one per [`CHUNK`] trajectories of the
+//!   store) plus a copy-on-write tail segment.
+//! * [`IntervalMap`] — a partition's StIU `interval → postings` map: a
+//!   batch extends the tail segment without rewriting the postings of
 //!   previously sealed segments, even for hot intervals.
 //!
-//! Both seal at the *same* trajectory count as the segments (a pure
-//! function of the element count, never of batch boundaries), so a store
-//! grown live, a store built offline and a store loaded from a container
-//! agree on the layout. Neither is stored in a container: they are
-//! derived from the trajectories and nodes at open.
+//! Both seal at a fixed count of what they hold (a pure function of the
+//! element count, never of batch boundaries), so a store grown live, a
+//! store built offline and a store loaded from a container agree on the
+//! layout. Neither is stored in a container: they are derived from the
+//! trajectories and nodes at open.
 //!
 //! Every copy-on-write event reports the bytes it copied to
 //! [`crate::hooks::copied`], which `tests/publish_cost.rs` and the
@@ -48,19 +49,22 @@ fn map_bytes<K, V>(m: &HashMap<K, V>) -> usize {
     buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
 }
 
-/// `trajectory id → position`, as sealed `Arc`'d segments (one per
-/// [`CHUNK`] insertions, in lockstep with the trajectory chunks) plus a
-/// copy-on-write tail segment. Cloning bumps refcounts; inserting after
-/// a clone copies at most the tail segment once.
+/// Where a trajectory is stored: `(partition, position)`.
+type Location = (u32, u32);
+
+/// `trajectory id → (partition, position)`, as sealed `Arc`'d segments
+/// (one per [`CHUNK`] insertions) plus a copy-on-write tail segment.
+/// Cloning bumps refcounts; inserting after a clone copies at most the
+/// tail segment once.
 ///
 /// Keys must be unique across the whole map (callers reject duplicate
 /// trajectory ids before inserting), and exactly one insertion happens
-/// per trajectory — that keeps the segment boundaries aligned with the
-/// trajectory chunk boundaries.
+/// per trajectory, so the segment boundaries are a function of the
+/// store's trajectory count.
 #[derive(Debug, Clone)]
 pub struct SharedIdMap {
-    segments: Vec<Arc<HashMap<u64, u32>>>,
-    tail: Arc<HashMap<u64, u32>>,
+    segments: Vec<Arc<HashMap<u64, Location>>>,
+    tail: Arc<HashMap<u64, Location>>,
 }
 
 impl SharedIdMap {
@@ -72,8 +76,8 @@ impl SharedIdMap {
         }
     }
 
-    /// The position of trajectory `id`, if present.
-    pub fn get(&self, id: u64) -> Option<u32> {
+    /// The partition and position of trajectory `id`, if present.
+    pub fn get(&self, id: u64) -> Option<Location> {
         if let Some(&idx) = self.tail.get(&id) {
             return Some(idx);
         }
@@ -85,27 +89,17 @@ impl SharedIdMap {
         self.get(id).is_some()
     }
 
-    /// Number of entries across all segments.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.len()).sum::<usize>() + self.tail.len()
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty() && self.tail.is_empty()
-    }
-
     /// Inserts a (unique) id. Copies the tail segment out first if it is
     /// shared with another epoch, and seals it once it reaches
     /// [`CHUNK`] entries.
-    pub fn insert(&mut self, id: u64, idx: u32) {
+    pub fn insert(&mut self, id: u64, at: Location) {
         if Arc::get_mut(&mut self.tail).is_none() {
             // Cloning a table of `Copy` entries copies the table.
             crate::hooks::copied(map_bytes(&self.tail));
             self.tail = Arc::new((*self.tail).clone());
         }
         if let Some(m) = Arc::get_mut(&mut self.tail) {
-            m.insert(id, idx);
+            m.insert(id, at);
         }
         if self.tail.len() == CHUNK {
             let sealed = std::mem::replace(&mut self.tail, Arc::new(HashMap::new()));
@@ -115,7 +109,7 @@ impl SharedIdMap {
 
     /// Heap bytes behind the map.
     pub fn heap_bytes(&self) -> usize {
-        let header = arc_bytes::<HashMap<u64, u32>>();
+        let header = arc_bytes::<HashMap<u64, Location>>();
         let maps = self.segments.iter().chain([&self.tail]);
         vec_bytes(&self.segments) + maps.map(|m| header + map_bytes(m)).sum::<usize>()
     }
@@ -250,12 +244,11 @@ mod tests {
         let n = CHUNK as u32 + 100;
         for i in 0..n {
             assert!(!m.contains(u64::from(i) * 7));
-            m.insert(u64::from(i) * 7, i);
+            m.insert(u64::from(i) * 7, (i % 3, i));
         }
         assert_eq!(m.segments.len(), 1, "one segment sealed at CHUNK");
-        assert_eq!(m.len(), n as usize);
         for i in 0..n {
-            assert_eq!(m.get(u64::from(i) * 7), Some(i));
+            assert_eq!(m.get(u64::from(i) * 7), Some((i % 3, i)));
         }
         assert_eq!(m.get(1), None);
     }

@@ -38,9 +38,10 @@
 //!   tables per 1,024 trajectories behind `Arc`s (one stream arena, row
 //!   tables, plan columns; [`stiu`] keeps the index half), read through
 //!   borrowed views ([`segment::TrajView`]) and shared across epochs;
-//! * [`snapshot`] — the immutable, epoch-stamped read state
-//!   ([`snapshot::Snapshot`]) every query runs on, epoch-swapped behind
-//!   one `Arc` so live ingest never blocks a reader;
+//! * [`snapshot`] — the immutable, epoch-stamped read state every query
+//!   runs on: a [`Snapshot`] is the whole store at one epoch (its
+//!   [`Partition`]s and its one id map), epoch-swapped behind one `Arc`
+//!   so live ingest never blocks a reader;
 //! * [`store`] — the façade: an owned, `Send + Sync` [`Store`] of N ≥ 1
 //!   partitions, built incrementally through [`StoreBuilder`] and kept
 //!   **live** afterwards ([`Store::ingest`] publishes new epochs
@@ -83,15 +84,16 @@
 //!
 //! # Partitions
 //!
-//! A [`Store`] holds N ≥ 1 partitions, each a complete [`Snapshot`]
-//! (compressed dataset, StIU index, query plans), and one decode cache
-//! they all read through:
+//! A [`Store`] holds N ≥ 1 partitions, each a complete [`Partition`]
+//! (compressed dataset, StIU index, query plans), one id map
+//! (trajectory id → partition and position) and one decode cache they
+//! all read through:
 //!
 //! | | without a policy | [`StoreBuilder::shard_by`] |
 //! |---|---|---|
 //! | partitions | one | N, placed by a [`shard::ShardPolicy`] |
 //! | container | v6 (`UTCQ` 6) | v3 (`UTCQ` 3, embeds v6 per partition) |
-//! | `where`/`when` | the partition | the owning partition, by an id map |
+//! | `where`/`when` | the partition the id map names | same |
 //! | `range` | the partitions' candidates merged id-ascending | same |
 //! | cursors | partition in the high 16 bits / keyset ids | same |
 //!
@@ -130,8 +132,7 @@
 //!
 //! // Query the compressed form directly; answers arrive in pages.
 //! let tu_id = 0;
-//! let j = store.traj_index(tu_id).unwrap();
-//! let t0 = store.decode_times(j)?[0];
+//! let t0 = store.decode_times(tu_id)?.expect("a stored id")[0];
 //! let page = store.where_query(tu_id, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
@@ -170,9 +171,9 @@
 //!
 //! // The same paginated queries, with byte-identical answers.
 //! let target: &dyn QueryTarget = &store;
-//! let parts = store.snapshots();
-//! let owner = &parts[store.traj_shard(0).unwrap() as usize];
-//! let t0 = owner.decode_times(owner.traj_index(0).unwrap())?[0];
+//! let (partition, _position) = store.locate(0).expect("a stored id");
+//! assert!(partition < 4);
+//! let t0 = store.decode_times(0)?.expect("a stored id")[0];
 //! let page = target.where_query(0, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
@@ -196,7 +197,6 @@ pub mod factor;
 pub mod flagarr;
 pub mod hooks;
 mod live;
-pub mod multiorder;
 pub mod opened;
 pub mod oracle;
 pub mod params;
@@ -225,7 +225,7 @@ pub use params::CompressParams;
 pub use query::{Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};
 pub use serve::{Server, ServerHandle};
 pub use shard::{ByRegion, ByTime, ShardPolicy, ShardSpec};
-pub use snapshot::Snapshot;
+pub use snapshot::{Partition, Snapshot};
 pub use stiu::StiuParams;
 pub use store::{IngestReport, Store, StoreBuilder};
 pub use wal::{CheckpointReport, FsyncPolicy, WalConfig};

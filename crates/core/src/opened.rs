@@ -25,9 +25,8 @@ use utcq_traj::size::SizeBreakdown;
 use crate::compress::{CompressedDataset, Ratios};
 use crate::error::Error;
 use crate::query::QueryTarget;
-use crate::segment::Resident;
 use crate::shard::ShardSpec;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Partition, Snapshot};
 use crate::stiu::StiuParams;
 use crate::storage::{Sections, VERSION_V3, VERSION_V6};
 use crate::store::Store;
@@ -127,12 +126,12 @@ impl std::ops::Deref for Opened {
 }
 
 /// Raw and compressed footprints summed across partitions.
-pub(crate) fn summed_sizes(snaps: &[Arc<Snapshot>]) -> (SizeBreakdown, SizeBreakdown) {
+pub(crate) fn summed_sizes(parts: &[Arc<Partition>]) -> (SizeBreakdown, SizeBreakdown) {
     let mut raw = SizeBreakdown::default();
     let mut compressed = SizeBreakdown::default();
-    for snap in snaps {
-        raw.add(&snap.compressed().raw);
-        compressed.add(&snap.compressed().compressed);
+    for part in parts {
+        raw.add(&part.compressed().raw);
+        compressed.add(&part.compressed().compressed);
     }
     (raw, compressed)
 }
@@ -170,15 +169,15 @@ pub fn render_format(versions: &[u8]) -> String {
 /// The "container sections" table `utcq info` prints under the report:
 /// bytes and bytes per trajectory of each part of the container these
 /// partitions save as, summed over them (a v3 file adds only its
-/// directory). Each snapshot is written into a sink and the writer's
+/// directory). Each partition is written into a sink and the writer's
 /// own counters are read, so the table cannot drift from the format.
-pub fn render_sections(partitions: &[Arc<Snapshot>]) -> Result<String, Error> {
-    let count = |snap: &Arc<Snapshot>| snap.write_counted(&mut std::io::sink());
+pub fn render_sections(partitions: &[Arc<Partition>]) -> Result<String, Error> {
+    let count = |part: &Arc<Partition>| part.write_counted(&mut std::io::sink());
     let counted = partitions
         .iter()
         .map(count)
         .collect::<Result<Vec<Sections>, _>>()?;
-    let trajectories: usize = partitions.iter().map(|snap| snap.len()).sum();
+    let trajectories: usize = partitions.iter().map(|part| part.len()).sum();
     let sum = |part: fn(&Sections) -> u64| counted.iter().map(part).sum::<u64>();
     let rows = [
         ("network", sum(|s| s.network)),
@@ -194,18 +193,14 @@ pub fn render_sections(partitions: &[Arc<Snapshot>]) -> Result<String, Error> {
 }
 
 /// The "resident" table `utcq info` prints under the sections: heap
-/// bytes and bytes per trajectory of each part these partitions keep in
-/// memory once opened, summed over them ([`Snapshot::resident`]; the
-/// road network and the decode cache are not the partitions').
-pub fn render_resident(partitions: &[Arc<Snapshot>]) -> String {
-    let mut census = Resident::default();
-    for (part, bytes) in partitions.iter().flat_map(|snap| snap.resident().0) {
-        census.add(part, bytes);
-    }
-    let trajectories: usize = partitions.iter().map(|snap| snap.len()).sum();
-    let rows = census.0.iter().map(|&(part, bytes)| (part, bytes as f64));
-    let rows = Vec::from_iter(rows);
-    render_table("resident (heap, once opened)", &rows, trajectories)
+/// bytes and bytes per trajectory of each part a store keeps in memory
+/// once opened, its partitions' summed and its id map once
+/// ([`Snapshot::resident`]; the road network and the decode cache are
+/// not counted).
+pub fn render_resident(snap: &Snapshot) -> String {
+    let rows = snap.resident().0.into_iter();
+    let rows = Vec::from_iter(rows.map(|(part, bytes)| (part, bytes as f64)));
+    render_table("resident (heap, once opened)", &rows, snap.len())
 }
 
 /// `title`, one line per `(label, bytes)` row, and their total.
@@ -274,8 +269,8 @@ fn instance_count(cds: &CompressedDataset) -> usize {
 }
 
 impl InfoReport {
-    /// A report over one compressed dataset (a single-store container, or the
-    /// first partition of a store before [`InfoReport::over`] adds the
+    /// A report over one compressed dataset (a single-store container, or
+    /// one partition of a store, to which [`InfoReport::over`] adds the
     /// rest).
     pub fn from_dataset(cds: &CompressedDataset) -> Self {
         InfoReport {
@@ -292,31 +287,30 @@ impl InfoReport {
         }
     }
 
-    /// A report over every partition of a store (one snapshot for a
-    /// single store); `policy` is the routing-policy label of a sharded
-    /// one. Parameters and the dataset label come from the first
-    /// partition, totals span all of them.
-    pub fn over(snaps: &[Arc<Snapshot>], policy: Option<String>) -> Self {
-        let Some((first, rest)) = snaps.split_first() else {
+    /// A report over every partition of a store; `policy` is the
+    /// routing-policy label of a sharded one. Parameters and the dataset
+    /// label are every partition's, totals span all of them.
+    pub fn over(parts: &[Arc<Partition>], policy: Option<String>) -> Self {
+        let Some((first, rest)) = parts.split_first() else {
             return InfoReport::default();
         };
         let mut report = InfoReport::from_dataset(first.compressed());
-        for snap in rest {
-            let cds = snap.compressed();
+        for part in rest {
+            let cds = part.compressed();
             report.trajectories += cds.trajectories.len();
             report.instances += instance_count(cds);
         }
-        let (raw, compressed) = summed_sizes(snaps);
+        let (raw, compressed) = summed_sizes(parts);
         report.raw_kib = raw.total() / 8 / 1024;
         report.compressed_kib = compressed.total() / 8 / 1024;
         report.ratio = Ratios::from_sizes(&raw, &compressed).total;
         report.sharding = policy.map(|policy| ShardingInfo {
             policy,
-            shards: snaps
+            shards: parts
                 .iter()
-                .map(|snap| ShardInfo {
-                    trajectories: snap.len(),
-                    ratio: snap.ratios().total,
+                .map(|part| ShardInfo {
+                    trajectories: part.len(),
+                    ratio: part.compressed().ratios().total,
                 })
                 .collect(),
         });

@@ -195,8 +195,8 @@ impl<T> Page<T> {
 /// The query surface — the one declaration of the paper's read API
 /// (Definitions 10 to 12).
 ///
-/// An epoch-pinned [`crate::snapshot::Snapshot`] and the
-/// [`crate::store::Store`] of any partition count each implement it
+/// An epoch-pinned [`crate::snapshot::Snapshot`] of a whole store and
+/// the [`crate::store::Store`] of any partition count each implement it
 /// exactly once and have no inherent twins of these methods (import the
 /// trait to query a concrete store), so services, benchmarks and the CLI
 /// are written against `&dyn QueryTarget` and stay agnostic of the
@@ -225,8 +225,9 @@ impl<T> Page<T> {
 ///
 /// let want = everywhere(&store, tq)?;
 /// assert!(!want.is_empty());
-/// assert_eq!(everywhere(&*store.snapshot(), tq)?, want); // a pinned epoch
-/// assert_eq!(everywhere(&sharded, tq)?, want);           // three partitions
+/// assert_eq!(everywhere(&*store.snapshot(), tq)?, want);   // a pinned epoch
+/// assert_eq!(everywhere(&sharded, tq)?, want);             // three partitions
+/// assert_eq!(everywhere(&*sharded.snapshot(), tq)?, want); // pinned, all three
 /// # Ok(()) }
 /// ```
 pub trait QueryTarget: Send + Sync {
@@ -254,7 +255,7 @@ pub trait QueryTarget: Send + Sync {
     /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
     /// # let store = Store::build(Arc::new(net), &ds,
     /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// let t0 = store.decode_times(store.traj_index(0).unwrap())?[0];
+    /// let t0 = store.decode_times(0)?.expect("a stored id")[0];
     /// // Walk the full answer two hits per page.
     /// let mut req = PageRequest::first(2);
     /// loop {
@@ -317,7 +318,7 @@ pub trait QueryTarget: Send + Sync {
     /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
     /// # let store = Store::build(Arc::new(net), &ds,
     /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// let tq = store.decode_times(0)?[0];
+    /// let tq = store.decode_times(0)?.expect("a stored id")[0];
     /// let everywhere = store.network().bounding_rect();
     /// let page = store.range_query(&everywhere, tq, 0.2, PageRequest::all())?;
     /// assert!(page.items.windows(2).all(|w| w[0] < w[1]), "ids ascend");
@@ -364,7 +365,7 @@ pub trait QueryTarget: Send + Sync {
     /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
     /// # let store = Store::build(Arc::new(net), &ds,
     /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// let t0 = store.decode_times(0)?[0];
+    /// let t0 = store.decode_times(0)?.expect("a stored id")[0];
     /// store.where_query(0, t0, 0.0, PageRequest::default())?; // cold: misses
     /// store.where_query(0, t0, 0.0, PageRequest::default())?; // warm: hits
     /// let stats = store.cache_stats();
@@ -465,9 +466,9 @@ pub(crate) struct QueryEngine<'a> {
     /// engine mints carries it, since the store's partitions share one
     /// cache and a position names a trajectory only within a partition.
     pub partition: u32,
-    /// Epoch of the snapshot this engine reads — every cache key this
+    /// Epoch of the partition this engine reads — every cache key this
     /// engine mints carries it, so entries of superseded epochs can
-    /// never serve a newer snapshot (or vice versa).
+    /// never serve a newer partition (or vice versa).
     pub epoch: u64,
 }
 

@@ -5,11 +5,11 @@
 //! ingest time — by time interval ([`ByTime`]) or by road-network region
 //! ([`ByRegion`]); such a store saves as a v3 container whose directory
 //! records the policy ([`ShardSpec`]). Each partition is a complete
-//! [`crate::Snapshot`], so a batch compresses per partition in parallel.
-//! **where/when** run on the owning partition; **range** merges every
-//! partition's candidates into one id-ascending scan, so answers and
-//! page boundaries do not depend on the partitioning
-//! (`tests/shard_equivalence.rs`).
+//! [`crate::Partition`], so a batch compresses per partition in parallel.
+//! **where/when** run on the partition the store's id map names;
+//! **range** merges every partition's candidates into one id-ascending
+//! scan, so answers and page boundaries do not depend on the
+//! partitioning (`tests/shard_equivalence.rs`).
 //!
 //! Cursors are opaque `u64`s, one rule for every partition count:
 //!
@@ -310,7 +310,7 @@ mod tests {
     fn foreign_shard_cursor_is_rejected() {
         for n in [1, 2] {
             let store = sharded(n);
-            let shard = store.traj_shard(1).unwrap();
+            let (shard, _) = store.locate(1).unwrap();
             let foreign = encode_cursor(shard + 1, 0);
             let r = store.where_query(
                 1,
@@ -376,7 +376,7 @@ mod tests {
         );
         // The shared-network path: every partition holds the same Arc.
         for s in reopened.snapshots() {
-            assert!(Arc::ptr_eq(s.network(), reopened.network()));
+            assert!(Arc::ptr_eq(&s.net, reopened.network()));
         }
     }
 
@@ -398,7 +398,7 @@ mod tests {
         let report = reopened.ingest(&batch).unwrap();
         assert_eq!(report.ingested, 1);
         assert_eq!(report.total, 2);
-        assert!(reopened.traj_shard(77).is_some());
+        assert!(reopened.locate(77).is_some());
     }
 
     #[test]

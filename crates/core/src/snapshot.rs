@@ -1,9 +1,10 @@
 //! Immutable, epoch-stamped read state — what every query runs on.
 //!
-//! A [`Snapshot`] is the complete read path of one store partition
-//! frozen at a point in time: the compressed dataset (its trajectories
-//! and their query plans in flat segments, [`crate::segment`]), its StIU
-//! index and the id map, all behind one `Arc`.
+//! A [`Snapshot`] is a whole store frozen at one publish epoch: one
+//! [`Partition`] per store partition (its compressed dataset, with the
+//! trajectories and their query plans in flat segments,
+//! [`crate::segment`], and its StIU index) and the store's one id map,
+//! trajectory id → (partition, position), all behind one `Arc`.
 //! Snapshots are **immutable** — nothing in this module takes `&mut
 //! self` after construction — so an `Arc<Snapshot>` can be handed to any
 //! number of query threads, pinned across a paginated walk, or
@@ -12,19 +13,20 @@
 //!
 //! # Epoch lifecycle
 //!
-//! The owning [`crate::store::Store`] keeps one snapshot per partition
-//! inside the single state it swaps through a `Swap` — a hand-rolled
-//! `ArcSwap` on `Mutex<Arc<_>>` (the lock is held only for the pointer
-//! clone/store, never across a query). A live ingest:
+//! The owning [`crate::store::Store`] swaps its current snapshot through
+//! a `Swap` — a hand-rolled `ArcSwap` on `Mutex<Arc<_>>` (the lock is
+//! held only for the pointer clone/store, never across a query). A live
+//! ingest:
 //!
 //! 1. takes the store's writer lock (writers serialize; readers never
 //!    touch that lock),
-//! 2. clones each touched snapshot's state into a `PartitionState`
-//!    (`Snapshot::prepare_trajs`), compresses and indexes the new
+//! 2. clones each touched partition's state into a `PartitionState`
+//!    (`Partition::prepare_trajs`), compresses and indexes the new
 //!    batch into it — all **off the query path**,
-//! 3. freezes the result as a new `Arc<Snapshot>` with the batch's
-//!    epoch (`Snapshot::successor`) and publishes it, beside the
-//!    untouched partitions' snapshots, with one swap.
+//! 3. freezes the result as a new `Arc<Partition>` with the batch's
+//!    epoch (`Partition::successor`) and publishes it, beside the
+//!    untouched partitions and the id map extended by the batch, as the
+//!    next snapshot with one swap.
 //!
 //! In-flight queries and pinned snapshots keep answering from the epoch
 //! they loaded; the next query observes the new one. Ingest only ever
@@ -33,7 +35,7 @@
 //! ones.
 //!
 //! The decode cache is the store's, shared across partitions and epochs
-//! (every snapshot of a store holds the same `Arc<DecodeCache>` and its
+//! (every partition of a store holds the same `Arc<DecodeCache>` and its
 //! partition number), but cache keys carry the partition and the epoch
 //! that minted them: entries of superseded epochs stop hitting
 //! immediately — no cross-epoch aliasing even if a future writer stops
@@ -41,7 +43,6 @@
 //! cache's footprint under ingest does not grow with the number of
 //! reads served since the last eviction.
 
-use std::borrow::Borrow;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -49,16 +50,17 @@ use std::sync::{Arc, Mutex};
 use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
-use crate::cache::{CacheStats, DecodeCache, WHOLE_STORE};
+use crate::cache::{CacheStats, DecodeCache};
 use crate::chunk::SharedIdMap;
-use crate::compress::{compress_trajectory, CompressedDataset, Ratios};
+use crate::compress::{compress_trajectory, CompressedDataset};
 use crate::error::Error;
 use crate::query::{
     range_scan, Page, PageRequest, QueryEngine, QueryTarget, RangeCandidate, WhenHit, WhereHit,
 };
 use crate::segment::Resident;
+use crate::shard::{decode_cursor, encode_cursor, ShardPolicy, ShardSpec};
 use crate::stiu::{Stiu, StiuParams, MAX_SPAN_PARTITIONS};
-use crate::storage::Sections;
+use crate::storage::{self, Sections};
 
 /// A hand-rolled `ArcSwap`: the one mutable cell of a live store. The
 /// mutex guards only the pointer swap — `load` is a lock + `Arc` clone
@@ -107,25 +109,38 @@ impl<T> Swap<T> {
     }
 }
 
-/// One immutable epoch of a store partition: compressed dataset (with
-/// its query plans) + StIU index + id map, cheaply shareable behind an
+/// How a store places trajectories on its partitions, and so which
+/// container it writes.
+#[derive(Clone)]
+pub(crate) enum Routing {
+    /// No policy: one partition, saved as v6.
+    Single,
+    /// A routing policy, saved as v3; `None` for a reopened custom-policy
+    /// container, which cannot place new batches.
+    Policy(Option<Arc<dyn ShardPolicy>>),
+}
+
+/// A whole store at one publish epoch: every partition as that epoch
+/// left it and the store's one id map, cheaply shareable behind an
 /// `Arc`.
 ///
-/// Obtained from [`crate::store::Store::snapshot`] or
-/// [`crate::store::Store::snapshots`]. A pinned snapshot
-/// is a *consistent read view*: queries, paginated walks and container
-/// writes against it are unaffected by concurrent
-/// [`crate::store::Store::ingest`] calls publishing newer epochs.
+/// Obtained from [`crate::store::Store::snapshot`]. A pinned snapshot is
+/// a *consistent read view* of the whole store: queries, paginated walks
+/// and container writes against it are unaffected by concurrent
+/// [`crate::store::Store::ingest`] calls publishing newer epochs, at
+/// any partition count.
 ///
 /// ```
 /// use std::sync::Arc;
-/// use utcq_core::{CompressParams, QueryTarget, StiuParams, Store};
+/// use utcq_core::{ByTime, CompressParams, QueryTarget, StoreBuilder};
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// # let (net, mut ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 6, 7);
 /// # let mut late = ds.clone();
 /// # late.trajectories = ds.trajectories.split_off(3);
-/// let store = Store::build(Arc::new(net), &ds,
-///     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
+/// let store = StoreBuilder::new(Arc::new(net), CompressParams::with_interval(ds.default_interval))
+///     .shard_by(Arc::new(ByTime { interval_s: 600 }), 3)?
+///     .ingest(&ds)?
+///     .finish()?;
 /// let pinned = store.snapshot();          // consistent view at epoch 0
 /// store.ingest(&late)?;                   // publishes epoch 1
 /// assert_eq!(pinned.len(), 3);            // the pinned view is unchanged
@@ -134,83 +149,82 @@ impl<T> Swap<T> {
 /// # Ok(()) }
 /// ```
 pub struct Snapshot {
-    pub(crate) net: Arc<RoadNetwork>,
-    pub(crate) cds: CompressedDataset,
-    pub(crate) stiu: Stiu,
-    pub(crate) id_to_idx: SharedIdMap,
-    /// The store's decode cache, shared across partitions and epochs.
-    pub(crate) cache: Arc<DecodeCache>,
-    /// This partition's number in its store — part of every cache key.
-    pub(crate) partition: u32,
-    /// The store epoch that published this snapshot; 0 for the state a
-    /// store was built or opened with.
+    /// The store's publish epoch; 0 for the built or opened state.
     pub(crate) epoch: u64,
+    /// One partition per store partition, in directory order (a
+    /// partition a batch did not touch keeps its `Arc` and its epoch).
+    /// Never empty.
+    pub(crate) parts: Vec<Arc<Partition>>,
+    /// The store's only id map: trajectory id → (partition, position).
+    pub(crate) ids: SharedIdMap,
+    pub(crate) routing: Routing,
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("name", &self.cds.name)
             .field("epoch", &self.epoch)
-            .field("trajectories", &self.cds.trajectories.len())
+            .field("partitions", &self.parts)
             .finish_non_exhaustive()
     }
 }
 
 impl Snapshot {
-    /// The publication counter of this snapshot within its store.
+    /// The store epoch this snapshot was published as.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The compressed dataset frozen in this snapshot.
-    pub fn compressed(&self) -> &CompressedDataset {
-        &self.cds
+    /// Every partition, in directory order.
+    pub fn partitions(&self) -> &[Arc<Partition>] {
+        &self.parts
     }
 
-    /// The StIU index frozen in this snapshot.
-    pub fn stiu(&self) -> &Stiu {
-        &self.stiu
+    fn first(&self) -> &Partition {
+        &self.parts[0] // bounds: Store::assemble rejects zero partitions
     }
 
-    /// Component-wise and total compression ratios.
-    pub fn ratios(&self) -> Ratios {
-        self.cds.ratios()
+    /// The partition and position of trajectory `id`, if stored.
+    pub fn locate(&self, id: u64) -> Option<(u32, u32)> {
+        self.ids.get(id)
     }
 
-    /// Looks up a trajectory's position by id.
-    pub fn traj_index(&self, id: u64) -> Option<u32> {
-        self.id_to_idx.get(id)
+    /// The partition the id map names, checked.
+    fn part(&self, p: u32) -> Result<&Partition, Error> {
+        let missing = Error::CorruptStore("id map names a missing partition");
+        self.parts
+            .get(p as usize)
+            .map(|part| &**part)
+            .ok_or(missing)
     }
 
-    /// Decodes the full time sequence of the trajectory at position `j`
-    /// (memoized in the shared decode cache under this epoch).
-    pub fn decode_times(&self, j: u32) -> Result<Arc<Vec<i64>>, Error> {
-        let ct = self
-            .cds
-            .trajectories
-            .get(j as usize)
-            .ok_or(Error::CorruptStore("trajectory position out of range"))?;
-        self.engine().times(j, &ct)
+    /// Decodes the full time sequence of trajectory `id` (memoized in the
+    /// store's decode cache); `None` if the snapshot has no such
+    /// trajectory.
+    pub fn decode_times(&self, id: u64) -> Result<Option<Arc<Vec<i64>>>, Error> {
+        let Some((p, j)) = self.locate(id) else {
+            return Ok(None);
+        };
+        let part = self.part(p)?;
+        let missing = Error::CorruptStore("trajectory position out of range");
+        let ct = part.cds.trajectories.get(j as usize).ok_or(missing)?;
+        part.engine().times(j, &ct).map(Some)
     }
 
     /// Heap bytes this snapshot keeps resident, by part, in the order
-    /// `utcq info` lists them (the road network and the decode cache are
-    /// the store's, not counted).
+    /// `utcq info` lists them: every partition's parts summed, then the
+    /// id map (the road network and the decode cache are not counted).
     pub fn resident(&self) -> Resident {
         let mut census = Resident::default();
-        for part in ["stream arena", "offset tables", "rows and plans"] {
-            census.add(part, 0);
+        for (part, bytes) in self.parts.iter().flat_map(|p| p.resident().0) {
+            census.add(part, bytes);
         }
-        self.cds.trajectories.resident(&mut census);
-        self.stiu.trajs.resident(&mut census);
-        census.add("id map", self.id_to_idx.heap_bytes());
-        census.add("postings", self.stiu.interval_trajs.heap_bytes());
+        census.add("id map", self.ids.heap_bytes());
         census
     }
 
-    /// Persists this snapshot as a self-contained v6 container — the
-    /// checkpoint path of a live store: the write runs entirely on the
+    /// Persists this snapshot's container (see [`Snapshot::write`]) —
+    /// the checkpoint path of a live store: the write runs entirely on the
     /// frozen state, so a server can keep ingesting while it runs.
     /// Crash-safe: the container lands via tmp file + rename + parent
     /// directory fsync, never as a torn in-place overwrite.
@@ -218,135 +232,63 @@ impl Snapshot {
         crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
     }
 
-    /// Writes the v6 container to an arbitrary writer.
+    /// Writes the container to an arbitrary writer: v6 for a store
+    /// without a routing policy, v3 (the policy's shard directory, then
+    /// one v6 container per partition) for one with.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        self.write_counted(w).map(drop)
-    }
-
-    /// [`Snapshot::write`], returning the writer's own account of where
-    /// the bits went (`utcq info` runs it into a sink).
-    pub fn write_counted(&self, w: &mut impl Write) -> Result<Sections, Error> {
-        Ok(crate::storage::save_v6(
-            &self.net, &self.cds, &self.stiu, w,
-        )?)
-    }
-
-    pub(crate) fn engine(&self) -> QueryEngine<'_> {
-        QueryEngine {
-            net: &self.net,
-            cds: &self.cds,
-            stiu: &self.stiu,
-            cache: &self.cache,
-            partition: self.partition,
-            epoch: self.epoch,
-        }
-    }
-
-    /// This snapshot's **range** candidates at `tq` in index (position)
-    /// order, scanned as partition `partition` of its store: the StIU
-    /// interval postings with each trajectory's id and pruning bound
-    /// resolved.
-    fn range_candidates(
-        &self,
-        partition: u32,
-        tq: i64,
-    ) -> impl Iterator<Item = RangeCandidate> + '_ {
-        let rows = &self.cds.trajectories;
-        let candidate = move |pos: u32| {
-            let (id, mass) = rows.id_and_mass(pos as usize)?;
-            Some(RangeCandidate {
-                id,
-                partition,
-                pos,
-                mass,
-            })
+        let policy = match &self.routing {
+            Routing::Single => return self.first().write_counted(w).map(drop),
+            Routing::Policy(policy) => policy.as_ref(),
         };
-        self.stiu
-            .trajs_in_interval(tq)
-            .into_iter()
-            .filter_map(candidate)
+        let mut blobs = Vec::with_capacity(self.parts.len());
+        for part in &self.parts {
+            let mut blob = Vec::new();
+            part.write_counted(&mut blob)?;
+            blobs.push(blob);
+        }
+        let dir = ShardSpec::directory(policy.and_then(|p| p.spec()));
+        storage::save_v3(dir, &blobs, w)?;
+        Ok(())
     }
 
-    /// Assembles an epoch-0 snapshot of partition `partition` from opened
-    /// parts, validating cross-references (the per-trajectory query plans
-    /// were built as the trajectories were appended), reading through
-    /// the store's `cache`.
-    pub(crate) fn assemble(
-        net: Arc<RoadNetwork>,
-        cds: CompressedDataset,
-        stiu: Stiu,
-        cache: Arc<DecodeCache>,
-        partition: u32,
-    ) -> Result<Self, Error> {
-        if stiu.trajs.len() != cds.trajectories.len() {
-            return Err(Error::CorruptStore("index/dataset trajectory counts"));
-        }
-        let mut id_to_idx = SharedIdMap::new();
-        for (i, ct) in cds.trajectories.iter().enumerate() {
-            if id_to_idx.contains(ct.id) {
-                return Err(Error::DuplicateTrajectory(ct.id));
-            }
-            id_to_idx.insert(ct.id, i as u32);
-        }
-        Ok(Self {
-            net,
-            cds,
-            stiu,
-            id_to_idx,
-            cache,
-            partition,
-            epoch: 0,
-        })
-    }
-
-    /// Builds — without publishing — the state that appending `tus`
-    /// to this snapshot would produce, against a private clone of it;
-    /// `Ok(None)` when nothing would change (empty batch with no name
-    /// to adopt). The caller serializes writers and freezes the state
-    /// with [`Snapshot::successor`] once the batch is logged. Splitting
-    /// prepare from publish is what makes a batch all-or-nothing across
-    /// partitions. The store has checked the batch already.
-    pub(crate) fn prepare_trajs(
+    /// Runs **where** or **when** on the partition holding `traj_id`,
+    /// whose tag the cursor must carry (see [`crate::shard`]). An unknown
+    /// id yields an empty page.
+    fn on_owner<T>(
         &self,
-        name: &str,
-        tus: &[&UncertainTrajectory],
-    ) -> Result<Option<PartitionState>, Error> {
-        crate::hooks::point("snapshot.prepare");
-        // Match StoreBuilder's name adoption (it adopts from every
-        // batch, even an empty one) so live and offline builds
-        // serialize identically in all cases.
-        let adopt_name = self.cds.name.is_empty() && !name.is_empty();
-        if tus.is_empty() && !adopt_name {
-            return Ok(None);
-        }
-        let mut state = PartitionState::from_snapshot(self);
-        if adopt_name {
-            state.cds.name = name.to_string();
-        }
-        for tu in tus {
-            state.ingest_traj(&self.net, self.stiu.params, tu)?;
-        }
-        Ok(Some(state))
-    }
-
-    /// Freezes a state prepared by [`Snapshot::prepare_trajs`] as
-    /// `epoch` of the same partition, sharing this snapshot's network and
-    /// decode cache.
-    pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
-        let (net, cache) = (Arc::clone(&self.net), Arc::clone(&self.cache));
-        let same_index = || Ok::<_, std::convert::Infallible>(self.stiu.clone());
-        let Ok(next) = state.into_snapshot(net, same_index, cache, self.partition, epoch);
-        next
+        traj_id: u64,
+        page: PageRequest,
+        run: impl FnOnce(QueryEngine<'_>, u32) -> Result<Vec<T>, Error>,
+    ) -> Result<Page<T>, Error> {
+        let Some((p, j)) = self.locate(traj_id) else {
+            return Ok(Page::slice(Vec::new(), page));
+        };
+        let cursor = match page.cursor.map(decode_cursor) {
+            Some((tag, _)) if tag != p => return Err(Error::InvalidCursor),
+            cursor => cursor.map(|(_, local)| local),
+        };
+        let local = PageRequest {
+            limit: page.limit,
+            cursor,
+        };
+        let answer = Page::slice(run(self.part(p)?.engine(), j)?, local);
+        Ok(Page {
+            items: answer.items,
+            next_cursor: answer.next_cursor.map(|c| encode_cursor(p, c)),
+            has_more: answer.has_more,
+        })
     }
 }
 
+/// The one read path: where/when through the id map to the owning
+/// partition, range over every partition at the snapshot's epoch.
 impl QueryTarget for Snapshot {
     fn len(&self) -> usize {
-        self.cds.trajectories.len()
+        self.parts.iter().map(|part| part.len()).sum()
     }
 
     fn network(&self) -> &Arc<RoadNetwork> {
-        &self.net
+        &self.first().net
     }
 
     fn where_query(
@@ -356,10 +298,7 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhereHit>, Error> {
-        let Some(j) = self.traj_index(traj_id) else {
-            return Ok(Page::slice(Vec::new(), page));
-        };
-        Ok(Page::slice(self.engine().where_query(j, t, alpha)?, page))
+        self.on_owner(traj_id, page, |engine, j| engine.where_query(j, t, alpha))
     }
 
     fn when_query(
@@ -370,16 +309,17 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhenHit>, Error> {
-        let Some(j) = self.traj_index(traj_id) else {
-            return Ok(Page::slice(Vec::new(), page));
-        };
-        Ok(Page::slice(
-            self.engine().when_query(j, edge, rd, alpha)?,
-            page,
-        ))
+        self.on_owner(traj_id, page, |engine, j| {
+            engine.when_query(j, edge, rd, alpha)
+        })
     }
 
-    /// This snapshot alone, read as a one-partition store at its epoch.
+    /// The candidates are every partition's interval postings at `tq`,
+    /// merged id-ascending (ids are unique across partitions) for the one
+    /// scan loop (`crate::query::range_scan`). A repeated shape is served
+    /// from the store's [`crate::cache::DecodeCache`], which keeps the
+    /// complete match set under (epoch, shape) once a scan ran
+    /// unpaginated to the end.
     fn range_query(
         &self,
         re: &Rect,
@@ -387,68 +327,37 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        range_over(std::slice::from_ref(self), self.epoch, re, tq, alpha, page)
+        let candidates = || self.parts.iter().flat_map(|p| p.range_candidates(tq));
+        let cache = &self.first().cache;
+        if let Some(ids) = cache.range_result(self.epoch, re, tq, alpha) {
+            return Ok(page_of_range_result(&ids, page, |last| {
+                candidates().any(|c| c.id > last)
+            }));
+        }
+        let mut list: Vec<RangeCandidate> = candidates().collect();
+        list.sort_unstable_by_key(|c| c.id);
+        let engines: Vec<QueryEngine<'_>> = self.parts.iter().map(|p| p.engine()).collect();
+        let out = range_scan(&engines, &list, re, tq, alpha, page)?;
+        if page.cursor.is_none() && !out.has_more {
+            // The scan started at the beginning and consumed every
+            // candidate: `items` is the complete match set of the shape.
+            let ids = Arc::new(out.items.clone());
+            cache.note_range_result(self.epoch, re, tq, alpha, ids);
+        }
+        Ok(out)
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.first().cache.stats()
     }
 
     fn set_cache_bytes(&self, bytes: usize) {
-        self.cache.set_budget(bytes);
+        self.first().cache.set_budget(bytes);
     }
 
     fn clear_cache(&self) {
-        self.cache.clear();
+        self.first().cache.clear();
     }
-}
-
-/// **range** over `parts` read as one store at its publish `epoch` — the
-/// one range path: a store runs it over its partitions, a pinned snapshot
-/// over itself. The candidates are every partition's interval postings
-/// at `tq`, merged id-ascending (ids are unique across partitions) for
-/// the one scan loop (`crate::query::range_scan`). A repeated shape is
-/// served from the store's [`crate::cache::DecodeCache`], which keeps
-/// the complete match set under (`epoch`, what was queried) once a scan
-/// ran unpaginated to the end: one partition alone — a pinned snapshot,
-/// or all of a one-partition store — under its number, a store of
-/// several under `WHOLE_STORE`.
-pub(crate) fn range_over<P: Borrow<Snapshot>>(
-    parts: &[P],
-    epoch: u64,
-    re: &Rect,
-    tq: i64,
-    alpha: f64,
-    page: PageRequest,
-) -> Result<Page<u64>, Error> {
-    let candidates = || {
-        let parts = parts.iter().enumerate();
-        parts.flat_map(move |(s, p)| p.borrow().range_candidates(s as u32, tq))
-    };
-    let Some(first) = parts.first() else {
-        return Ok(Page::slice(Vec::new(), page));
-    };
-    let scope = match parts {
-        [one] => one.borrow().partition,
-        _ => WHOLE_STORE,
-    };
-    let cache = &first.borrow().cache;
-    if let Some(ids) = cache.range_result(epoch, scope, re, tq, alpha) {
-        return Ok(page_of_range_result(&ids, page, |last| {
-            candidates().any(|c| c.id > last)
-        }));
-    }
-    let mut list: Vec<RangeCandidate> = candidates().collect();
-    list.sort_unstable_by_key(|c| c.id);
-    let engines: Vec<QueryEngine<'_>> = parts.iter().map(|p| p.borrow().engine()).collect();
-    let out = range_scan(&engines, &list, re, tq, alpha, page)?;
-    if page.cursor.is_none() && !out.has_more {
-        // The scan started at the beginning and consumed every
-        // candidate: `items` is the complete match set of the shape.
-        let ids = Arc::new(out.items.clone());
-        cache.note_range_result(epoch, scope, re, tq, alpha, ids);
-    }
-    Ok(out)
 }
 
 /// One page of a cached complete match set, byte-identical to what the
@@ -476,10 +385,179 @@ fn page_of_range_result(
     }
 }
 
-/// The writer-side, mutable counterpart of a [`Snapshot`]: what a
+/// One store partition as one epoch left it: its compressed dataset
+/// (with its query plans) and its StIU index. A partition is data, not a
+/// query target: queries address the whole store through a
+/// [`Snapshot`], whose id map finds a trajectory's partition.
+pub struct Partition {
+    pub(crate) net: Arc<RoadNetwork>,
+    pub(crate) cds: CompressedDataset,
+    pub(crate) stiu: Stiu,
+    /// The store's decode cache, shared across partitions and epochs.
+    pub(crate) cache: Arc<DecodeCache>,
+    /// This partition's number in its store — part of every cache key.
+    pub(crate) partition: u32,
+    /// The store epoch that last published this partition; 0 for the
+    /// state a store was built or opened with. Part of every cache key.
+    pub(crate) epoch: u64,
+}
+
+impl std::fmt::Debug for Partition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Partition")
+            .field("name", &self.cds.name)
+            .field("epoch", &self.epoch)
+            .field("trajectories", &self.cds.trajectories.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Partition {
+    /// The store epoch that last published this partition.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The compressed dataset of this partition.
+    pub fn compressed(&self) -> &CompressedDataset {
+        &self.cds
+    }
+
+    /// The StIU index of this partition.
+    pub fn stiu(&self) -> &Stiu {
+        &self.stiu
+    }
+
+    /// Number of trajectories in this partition.
+    pub fn len(&self) -> usize {
+        self.cds.trajectories.len()
+    }
+
+    /// Whether this partition holds no trajectories.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap bytes this partition keeps resident, by part (the id map is
+    /// the store's: [`Snapshot::resident`] adds it once).
+    pub(crate) fn resident(&self) -> Resident {
+        let mut census = Resident::default();
+        for part in ["stream arena", "offset tables", "rows and plans"] {
+            census.add(part, 0);
+        }
+        self.cds.trajectories.resident(&mut census);
+        self.stiu.trajs.resident(&mut census);
+        census.add("postings", self.stiu.interval_trajs.heap_bytes());
+        census
+    }
+
+    /// Writes this partition as a self-contained v6 container, returning
+    /// the writer's own account of where the bits went (`utcq info` runs
+    /// it into a sink).
+    pub fn write_counted(&self, w: &mut impl Write) -> Result<Sections, Error> {
+        Ok(storage::save_v6(&self.net, &self.cds, &self.stiu, w)?)
+    }
+
+    pub(crate) fn engine(&self) -> QueryEngine<'_> {
+        QueryEngine {
+            net: &self.net,
+            cds: &self.cds,
+            stiu: &self.stiu,
+            cache: &self.cache,
+            partition: self.partition,
+            epoch: self.epoch,
+        }
+    }
+
+    /// This partition's **range** candidates at `tq` in index (position)
+    /// order: the StIU interval postings with each trajectory's id and
+    /// pruning bound resolved.
+    fn range_candidates(&self, tq: i64) -> impl Iterator<Item = RangeCandidate> + '_ {
+        let rows = &self.cds.trajectories;
+        let candidate = move |pos: u32| {
+            let (id, mass) = rows.id_and_mass(pos as usize)?;
+            Some(RangeCandidate {
+                id,
+                partition: self.partition,
+                pos,
+                mass,
+            })
+        };
+        self.stiu
+            .trajs_in_interval(tq)
+            .into_iter()
+            .filter_map(candidate)
+    }
+
+    /// Assembles an epoch-0 partition number `partition` from opened
+    /// parts, validating cross-references (the per-trajectory query plans
+    /// were built as the trajectories were appended), reading through
+    /// the store's `cache`.
+    pub(crate) fn assemble(
+        net: Arc<RoadNetwork>,
+        cds: CompressedDataset,
+        stiu: Stiu,
+        cache: Arc<DecodeCache>,
+        partition: u32,
+    ) -> Result<Self, Error> {
+        if stiu.trajs.len() != cds.trajectories.len() {
+            return Err(Error::CorruptStore("index/dataset trajectory counts"));
+        }
+        Ok(Self {
+            net,
+            cds,
+            stiu,
+            cache,
+            partition,
+            epoch: 0,
+        })
+    }
+
+    /// Builds — without publishing — the state that appending `tus`
+    /// to this partition would produce, against a private clone of it;
+    /// `Ok(None)` when nothing would change (empty batch with no name
+    /// to adopt). The caller serializes writers and freezes the state
+    /// with [`Partition::successor`] once the batch is logged. Splitting
+    /// prepare from publish is what makes a batch all-or-nothing across
+    /// partitions. The store has checked the batch already.
+    pub(crate) fn prepare_trajs(
+        &self,
+        name: &str,
+        tus: &[&UncertainTrajectory],
+    ) -> Result<Option<PartitionState>, Error> {
+        crate::hooks::point("snapshot.prepare");
+        // Match StoreBuilder's name adoption (it adopts from every
+        // batch, even an empty one) so live and offline builds
+        // serialize identically in all cases.
+        let adopt_name = self.cds.name.is_empty() && !name.is_empty();
+        if tus.is_empty() && !adopt_name {
+            return Ok(None);
+        }
+        let mut state = PartitionState::from_partition(self);
+        if adopt_name {
+            state.cds.name = name.to_string();
+        }
+        for tu in tus {
+            state.ingest_traj(&self.net, self.stiu.params, tu)?;
+        }
+        Ok(Some(state))
+    }
+
+    /// Freezes a state prepared by [`Partition::prepare_trajs`] as
+    /// `epoch` of the same partition, sharing this partition's network
+    /// and decode cache.
+    pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
+        let (net, cache) = (Arc::clone(&self.net), Arc::clone(&self.cache));
+        let same_index = || Ok::<_, std::convert::Infallible>(self.stiu.clone());
+        let Ok(next) = state.into_partition(net, same_index, cache, self.partition, epoch);
+        next
+    }
+}
+
+/// The writer-side, mutable counterpart of a [`Partition`]: what a
 /// [`crate::store::StoreBuilder`] accumulates batch by batch, and what a
 /// live [`crate::store::Store::ingest`] clones out of the current
-/// snapshot, extends, and publishes back.
+/// partition, extends, and publishes back.
 ///
 /// Both construction paths funnel through [`PartitionState::ingest_traj`],
 /// which is why a live-ingested store and an offline
@@ -490,7 +568,6 @@ pub(crate) struct PartitionState {
     /// Deferred until the first trajectory so `stiu_params` stays
     /// configurable on an empty builder.
     pub(crate) stiu: Option<Stiu>,
-    pub(crate) id_to_idx: SharedIdMap,
 }
 
 impl PartitionState {
@@ -507,22 +584,20 @@ impl PartitionState {
                 raw: Default::default(),
             },
             stiu: None,
-            id_to_idx: SharedIdMap::new(),
         }
     }
 
-    /// Clones a snapshot's frozen state back into mutable form — the
+    /// Clones a partition's frozen state back into mutable form — the
     /// copy-out step of a live ingest (off the query path; readers keep
-    /// the snapshot untouched). O(batch), not O(store): every container
+    /// the partition untouched). O(batch), not O(store): every container
     /// is structurally shared ([`crate::segment`], [`crate::chunk`]), so
     /// this clone copies segment directories only; appending the batch
     /// then copies at most each container's tail segment once
     /// (copy-on-write), never the sealed ones.
-    pub(crate) fn from_snapshot(snap: &Snapshot) -> Self {
+    pub(crate) fn from_partition(part: &Partition) -> Self {
         Self {
-            cds: snap.cds.clone(),
-            stiu: Some(snap.stiu.clone()),
-            id_to_idx: snap.id_to_idx.clone(),
+            cds: part.cds.clone(),
+            stiu: Some(part.stiu.clone()),
         }
     }
 
@@ -532,13 +607,14 @@ impl PartitionState {
     }
 
     /// Compresses and indexes a single trajectory — the shared per-item
-    /// step of every ingest path (builder, sharded builder, live store).
+    /// step of every ingest path (builder, live store) — and returns its
+    /// position. The store's id map has refused a duplicate id already.
     pub(crate) fn ingest_traj(
         &mut self,
         net: &RoadNetwork,
         stiu_params: StiuParams,
         tu: &UncertainTrajectory,
-    ) -> Result<(), Error> {
+    ) -> Result<u32, Error> {
         let params = self.cds.params;
         let stiu = match &mut self.stiu {
             Some(stiu) => stiu,
@@ -546,9 +622,6 @@ impl PartitionState {
         };
         let p_codec = params.p_codec();
         let j = self.cds.trajectories.len() as u32;
-        if self.id_to_idx.contains(tu.id) {
-            return Err(Error::DuplicateTrajectory(tu.id));
-        }
         // `abs_diff` cannot overflow however far apart the samples.
         let too_long = |(first, last): (i64, i64)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS;
         if stiu.params.span(&tu.times).is_some_and(too_long) {
@@ -561,30 +634,27 @@ impl PartitionState {
         let missing = Error::CorruptStore("appended trajectory not stored");
         let stored = self.cds.trajectories.get(j as usize).ok_or(missing)?;
         stiu.push(net, tu, &stored)?;
-        self.id_to_idx.insert(tu.id, j);
-        Ok(())
+        Ok(j)
     }
 
-    /// Freezes the state into an immutable snapshot of partition
-    /// `partition` at `epoch`, whose index `stiu` makes if nothing was
-    /// ingested yet.
-    pub(crate) fn into_snapshot<E>(
+    /// Freezes the state into an immutable partition number `partition`
+    /// at `epoch`, whose index `stiu` makes if nothing was ingested yet.
+    pub(crate) fn into_partition<E>(
         self,
         net: Arc<RoadNetwork>,
         stiu: impl FnOnce() -> Result<Stiu, E>,
         cache: Arc<DecodeCache>,
         partition: u32,
         epoch: u64,
-    ) -> Result<Snapshot, E> {
+    ) -> Result<Partition, E> {
         let stiu = match self.stiu {
             Some(s) => s,
             None => stiu()?,
         };
-        Ok(Snapshot {
+        Ok(Partition {
             net,
             cds: self.cds,
             stiu,
-            id_to_idx: self.id_to_idx,
             cache,
             partition,
             epoch,
@@ -610,5 +680,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Swap<Snapshot>>();
         assert_send_sync::<Snapshot>();
+        assert_send_sync::<Partition>();
     }
 }

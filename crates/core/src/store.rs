@@ -8,17 +8,17 @@
 //! ([`crate::shard`]) — or opened with [`Store::open`] from a
 //! self-contained (v6, v5, v4, v2) or sharded (v3) container.
 //!
-//! All read state is one immutable state behind an `Arc`: an
-//! epoch-stamped [`Snapshot`] per partition and, with more than one
-//! partition, the id → partition map; every query pins it. A
-//! [`Store::ingest`] compresses each partition's share of a batch
-//! into a private clone of that partition, then publishes the next epoch
-//! with one swap; untouched partitions keep their snapshots. Queries
-//! never take the writer lock, and a published store is byte-identical
-//! to an offline [`StoreBuilder`] build of the same batches
-//! (`tests/live_ingest.rs`). The read surface is [`QueryTarget`] (import
-//! it to query a `Store`); ingest and durability are inherent methods
-//! (written in `live.rs`).
+//! All read state is one immutable [`Snapshot`] behind an `Arc`: every
+//! partition at one epoch and the store's one id map, id → (partition,
+//! position); every query pins it, and [`Store::snapshot`] hands it out
+//! as a read view. A [`Store::ingest`] compresses each partition's share
+//! of a batch into a private clone of that partition, then publishes the
+//! next epoch with one swap; untouched partitions keep their `Arc`s.
+//! Queries never take the writer lock, and a published store is
+//! byte-identical to an offline [`StoreBuilder`] build of the same
+//! batches (`tests/live_ingest.rs`). The read surface is [`QueryTarget`]
+//! (import it to query a `Store`); ingest and durability are inherent
+//! methods (written in `live.rs`).
 //!
 //! Each partition brings its query plans ([`crate::plan::TrajPlan`]);
 //! the store has one decode cache ([`crate::cache::DecodeCache`]) with
@@ -45,8 +45,8 @@ use crate::live::{Held, WriterCore};
 use crate::opened::{policy_label, summed_sizes, InfoReport};
 use crate::params::CompressParams;
 use crate::query::{par_run, Page, PageRequest, QueryTarget, WhenHit, WhereHit};
-use crate::shard::{check_shard_count, decode_cursor, encode_cursor, ShardPolicy, ShardSpec};
-use crate::snapshot::{range_over, PartitionState, Snapshot, Swap};
+use crate::shard::{check_shard_count, ShardPolicy, ShardSpec};
+use crate::snapshot::{Partition, PartitionState, Routing, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
 use crate::storage::{self, StorageError, VERSION_V3};
 
@@ -66,55 +66,12 @@ pub struct IngestReport {
 /// owning the road network (see the [module docs](self)).
 pub struct Store {
     net: Arc<RoadNetwork>,
-    /// How trajectories are placed on partitions.
-    routing: Routing,
     /// The current state — queries pin it, a publish swaps it.
-    state: Swap<State>,
-    /// The decode cache every partition's snapshots read through.
+    state: Swap<Snapshot>,
+    /// The decode cache every partition reads through.
     cache: Arc<DecodeCache>,
     /// Writer lock, epoch counter and WAL slot (see `live.rs`).
     pub(crate) core: WriterCore,
-}
-
-/// How a store places trajectories on its partitions, and so which
-/// container it writes.
-enum Routing {
-    /// No policy: one partition, saved as v6.
-    Single,
-    /// A routing policy, saved as v3; `None` for a reopened custom-policy
-    /// container, which cannot place new batches.
-    Policy(Option<Arc<dyn ShardPolicy>>),
-}
-
-/// Everything a read needs, swapped as one unit: a batch becomes
-/// visible on every partition at once.
-struct State {
-    /// The store's publish epoch; 0 for the built or opened state.
-    epoch: u64,
-    /// One snapshot per partition, in directory order (a partition a
-    /// batch did not touch keeps its snapshot and that snapshot's epoch).
-    parts: Vec<Arc<Snapshot>>,
-    /// Trajectory id → owning partition, extended per batch; `None`
-    /// with one partition.
-    routes: Option<SharedIdMap>,
-}
-
-impl State {
-    fn first(&self) -> &Arc<Snapshot> {
-        &self.parts[0] // bounds: Store::assemble rejects zero partitions
-    }
-
-    /// The partition holding trajectory `id`, if any.
-    fn owner(&self, id: u64) -> Option<u32> {
-        match &self.routes {
-            Some(routes) => routes.get(id),
-            None => self.first().traj_index(id).map(|_| 0),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.parts.iter().map(|snap| snap.len()).sum()
-    }
 }
 
 /// What the builder and the live path check before routing any of a
@@ -137,6 +94,18 @@ fn check_batch(net: &RoadNetwork, interval: i64, batch: &Dataset) -> Result<(), 
             expected: interval,
             got: batch.default_interval,
         });
+    }
+    Ok(())
+}
+
+/// The one duplicate check: a batch may not repeat an id, nor name one
+/// the store's id map holds.
+fn check_new_ids(ids: &SharedIdMap, batch: &Dataset) -> Result<(), Error> {
+    let mut seen = HashSet::with_capacity(batch.trajectories.len());
+    for tu in &batch.trajectories {
+        if ids.contains(tu.id) || !seen.insert(tu.id) {
+            return Err(Error::DuplicateTrajectory(tu.id));
+        }
     }
     Ok(())
 }
@@ -182,6 +151,8 @@ pub struct StoreBuilder {
     name: Option<String>,
     /// One state per partition.
     parts: Vec<PartitionState>,
+    /// The finished store's id map, extended per batch.
+    ids: SharedIdMap,
     /// Set by [`StoreBuilder::shard_by`].
     policy: Option<Arc<dyn ShardPolicy>>,
     cache_bytes: usize,
@@ -197,6 +168,7 @@ impl StoreBuilder {
             stiu_params: StiuParams::default(),
             name: None,
             parts,
+            ids: SharedIdMap::new(),
             policy: None,
             cache_bytes: DEFAULT_CACHE_BYTES,
         }
@@ -243,9 +215,12 @@ impl StoreBuilder {
     }
 
     /// Compresses and indexes one batch of trajectories into their
-    /// partitions, appending to whatever was ingested before.
+    /// partitions, appending to whatever was ingested before. A batch
+    /// that repeats an id, or names one ingested before, fails with
+    /// [`Error::DuplicateTrajectory`] before any of it is compressed.
     pub fn ingest(mut self, batch: &Dataset) -> Result<Self, Error> {
         check_batch(&self.net, self.params.default_interval, batch)?;
+        check_new_ids(&self.ids, batch)?;
         if self.name.is_none() && !batch.name.is_empty() {
             self.name = Some(batch.name.clone());
         }
@@ -253,7 +228,8 @@ impl StoreBuilder {
         for tu in &batch.trajectories {
             let s = route(self.policy.as_deref(), &self.net, tu, n)?;
             // bounds: route returns s < parts.len()
-            self.parts[s as usize].ingest_traj(&self.net, self.stiu_params, tu)?;
+            let j = self.parts[s as usize].ingest_traj(&self.net, self.stiu_params, tu)?;
+            self.ids.insert(tu.id, (s, j));
         }
         Ok(self)
     }
@@ -269,23 +245,44 @@ impl StoreBuilder {
             state.cds.name = name.clone();
             let (net, cache) = (Arc::clone(&self.net), Arc::clone(&cache));
             let index = || Stiu::new(&self.net, self.stiu_params);
-            parts.push(Arc::new(state.into_snapshot(net, index, cache, p, 0)?));
+            parts.push(Arc::new(state.into_partition(net, index, cache, p, 0)?));
         }
         let routing = self
             .policy
             .map_or(Routing::Single, |p| Routing::Policy(Some(p)));
-        Store::assemble(parts, routing)
+        Store::assemble(parts, self.ids, routing)
     }
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
-            .field("epoch", &self.epoch())
-            .field("partitions", &self.snapshots())
+            .field("snapshot", &self.snapshot())
             .field("policy", &self.policy_spec())
             .finish_non_exhaustive()
     }
+}
+
+/// The id map of opened partitions, rejecting an id that is stored
+/// twice, in one partition or across two.
+fn derive_ids(parts: &[Arc<Partition>]) -> Result<SharedIdMap, Error> {
+    let stored = || {
+        (0u32..).zip(parts).flat_map(|(p, part)| {
+            let rows = (0u32..).zip(part.cds.trajectories.iter());
+            rows.map(move |(j, ct)| (ct.id, (p, j)))
+        })
+    };
+    let mut sorted: Vec<u64> = stored().map(|(id, _)| id).collect();
+    sorted.sort_unstable();
+    // bounds: windows(2) yields exactly-2-element slices
+    if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+        return Err(Error::DuplicateTrajectory(w[0]));
+    }
+    let mut ids = SharedIdMap::new();
+    for (id, at) in stored() {
+        ids.insert(id, at);
+    }
+    Ok(ids)
 }
 
 impl Store {
@@ -319,39 +316,47 @@ impl Store {
             .finish()
     }
 
-    /// A store over one epoch-0 snapshot per partition, in partition
-    /// order, all reading through one decode cache. The partitions share
+    /// A store over epoch-0 partitions, in partition order, all reading
+    /// through one decode cache, and their id map. The partitions share
     /// one road network (compared structurally, not by counts) and one
     /// [`StiuParams`], so the range scan merges their interval keys and
-    /// resolves a query's cells once; no id may be in two of them.
-    fn assemble(parts: Vec<Arc<Snapshot>>, routing: Routing) -> Result<Self, Error> {
+    /// resolves a query's cells once.
+    fn assemble(
+        parts: Vec<Arc<Partition>>,
+        ids: SharedIdMap,
+        routing: Routing,
+    ) -> Result<Self, Error> {
         check_shard_count(parts.len())?;
         // bounds: windows(2) yields exactly-2-element slices
         for w in parts.windows(2) {
             let (a, b) = (&w[0], &w[1]);
-            if !Arc::ptr_eq(a.network(), b.network()) && a.network() != b.network() {
+            if !Arc::ptr_eq(&a.net, &b.net) && a.net != b.net {
                 return Err(Error::CorruptStore("shards embed different networks"));
             }
-            if a.stiu().params != b.stiu().params {
+            if a.stiu.params != b.stiu.params {
                 return Err(Error::CorruptStore("shards disagree on StIU parameters"));
             }
         }
-        let routes = match parts.len() {
-            1 => None,
-            _ => Some(route_map(&parts)?),
-        };
-        let state = State {
+        let first = &parts[0]; // bounds: check_shard_count rejects zero partitions
+        let (net, cache) = (Arc::clone(&first.net), Arc::clone(&first.cache));
+        let state = Snapshot {
             epoch: 0,
             parts,
-            routes,
+            ids,
+            routing,
         };
         Ok(Self {
-            net: Arc::clone(state.first().network()),
-            routing,
-            cache: Arc::clone(&state.first().cache),
+            net,
+            cache,
             state: Swap::new(Arc::new(state)),
             core: WriterCore::new(),
         })
+    }
+
+    /// [`Store::assemble`] over opened partitions, deriving their id map.
+    fn opened(parts: Vec<Arc<Partition>>, routing: Routing) -> Result<Self, Error> {
+        let ids = derive_ids(&parts)?;
+        Self::assemble(parts, ids, routing)
     }
 
     /// Opens a container with no side-channel arguments: a self-contained
@@ -389,8 +394,8 @@ impl Store {
                 Err(StorageError::LegacyVersion) => return Err(Error::NeedsNetwork),
                 Err(e) => return Err(e.into()),
             };
-            let part = Snapshot::assemble(Arc::new(net), cds, stiu, cache, 0)?;
-            return Self::assemble(vec![Arc::new(part)], Routing::Single);
+            let part = Partition::assemble(Arc::new(net), cds, stiu, cache, 0)?;
+            return Self::opened(vec![Arc::new(part)], Routing::Single);
         }
         let (dir, blobs) = storage::load_v3(&mut r)?;
         let mut shared: Option<Arc<RoadNetwork>> = None;
@@ -403,11 +408,11 @@ impl Store {
                 _ => Arc::new(net),
             };
             shared.get_or_insert_with(|| Arc::clone(&net));
-            let part = Snapshot::assemble(net, cds, stiu, Arc::clone(&cache), p)?;
+            let part = Partition::assemble(net, cds, stiu, Arc::clone(&cache), p)?;
             parts.push(Arc::new(part));
         }
         let spec = dir.and_then(ShardSpec::from_directory);
-        Self::assemble(parts, Routing::Policy(spec.map(ShardSpec::policy)))
+        Self::opened(parts, Routing::Policy(spec.map(ShardSpec::policy)))
     }
 
     /// Opens a legacy v1 container against an externally supplied
@@ -441,11 +446,11 @@ impl Store {
         let ds = crate::decompress::decompress_dataset(&net, &cds)?;
         let stiu = crate::stiu::try_build(&net, &ds, &cds, stiu_params)?;
         let cache = Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES));
-        let part = Snapshot::assemble(net, cds, stiu, cache, 0)?;
-        Self::assemble(vec![Arc::new(part)], Routing::Single)
+        let part = Partition::assemble(net, cds, stiu, cache, 0)?;
+        Self::opened(vec![Arc::new(part)], Routing::Single)
     }
 
-    /// Persists the current state (see [`Store::write`]). Safe to call
+    /// Persists the current state (see [`Snapshot::save`]). Safe to call
     /// while other threads ingest: the write runs on the pinned state, so
     /// the container is a batch-consistent cut.
     ///
@@ -458,40 +463,26 @@ impl Store {
     /// # Ok(()) }
     /// ```
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), Error> {
-        crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
+        self.snapshot().save(path)
     }
 
-    /// Writes the current state's container to an arbitrary writer: v6
-    /// for a store without a routing policy, v3 (the policy's shard
-    /// directory, then one v6 container per partition) for one with.
+    /// Writes the current state's container to an arbitrary writer (see
+    /// [`Snapshot::write`]).
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        let state = self.state.load();
-        let policy = match &self.routing {
-            Routing::Single => return state.first().write(w),
-            Routing::Policy(policy) => policy.as_ref(),
-        };
-        let mut blobs = Vec::with_capacity(state.parts.len());
-        for snap in &state.parts {
-            let mut blob = Vec::new();
-            snap.write(&mut blob)?;
-            blobs.push(blob);
-        }
-        let dir = ShardSpec::directory(policy.and_then(|p| p.spec()));
-        storage::save_v3(dir, &blobs, w)?;
-        Ok(())
+        self.snapshot().write(w)
     }
 
-    /// Pins the current epoch of the first partition (all of a store
-    /// without a routing policy): a read view ingest cannot change, for
-    /// multi-page walks or a live [`Snapshot::save`].
-    /// [`Store::snapshots`] pins every partition at once.
+    /// Pins the current epoch of the whole store — every partition and
+    /// the id map: a read view ingest cannot change, for multi-page
+    /// walks or a live [`Snapshot::save`].
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(self.state.load().first())
+        self.state.load()
     }
 
-    /// The compression parameters the store was built with.
+    /// The compression parameters the store was built with (every
+    /// partition carries them).
     pub fn params(&self) -> CompressParams {
-        self.snapshot().compressed().params
+        self.state.load().parts[0].cds.params // bounds: a store has ≥ 1 partition
     }
 
     /// Component-wise and total compression ratios of the current state,
@@ -501,14 +492,15 @@ impl Store {
         Ratios::from_sizes(&raw, &compressed)
     }
 
-    /// Looks up a trajectory's position by id in the first partition (in
-    /// the current epoch).
-    pub fn traj_index(&self, id: u64) -> Option<u32> {
-        self.snapshot().traj_index(id)
+    /// The partition and position of trajectory `id` in the current
+    /// epoch (see [`Snapshot::locate`]).
+    pub fn locate(&self, id: u64) -> Option<(u32, u32)> {
+        self.state.load().locate(id)
     }
 
-    /// Decodes the full time sequence of the trajectory at position `j`
-    /// of the first partition (memoized in the decode cache).
+    /// Decodes the full time sequence of trajectory `id` in the current
+    /// epoch (memoized in the decode cache); `None` for an id the store
+    /// does not hold.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -517,14 +509,13 @@ impl Store {
     /// # let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
     /// # let store = Store::build(Arc::new(net), &ds,
     /// #     CompressParams::with_interval(ds.default_interval), StiuParams::default())?;
-    /// // Positions come from `traj_index`; ids from ingest order.
-    /// let j = store.traj_index(0).unwrap();
-    /// let times = store.decode_times(j)?;
+    /// let times = store.decode_times(0)?.expect("trajectory 0 is stored");
     /// assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    /// assert!(store.decode_times(99)?.is_none());
     /// # Ok(()) }
     /// ```
-    pub fn decode_times(&self, j: u32) -> Result<Arc<Vec<i64>>, Error> {
-        self.snapshot().decode_times(j)
+    pub fn decode_times(&self, id: u64) -> Result<Option<Arc<Vec<i64>>>, Error> {
+        self.state.load().decode_times(id)
     }
 
     /// The decode cache's byte budget (`0` = disabled).
@@ -540,59 +531,21 @@ impl Store {
     /// Whether the store was built or opened with a routing policy (and
     /// so saves as v3), even one it cannot name.
     pub(crate) fn has_policy(&self) -> bool {
-        matches!(self.routing, Routing::Policy(_))
+        matches!(self.state.load().routing, Routing::Policy(_))
     }
 
     /// The routing policy recorded for this store (`None` without one,
     /// or for a custom policy).
     pub fn policy_spec(&self) -> Option<ShardSpec> {
-        match &self.routing {
+        match &self.state.load().routing {
             Routing::Policy(Some(policy)) => policy.spec(),
             _ => None,
         }
     }
-
-    /// The partition owning trajectory `id`, if ingested.
-    pub fn traj_shard(&self, id: u64) -> Option<u32> {
-        self.state.load().owner(id)
-    }
-
-    /// Runs **where** or **when** on the partition owning `traj_id`,
-    /// whose tag the cursor must carry (see [`crate::shard`]). An unknown
-    /// id yields an empty page.
-    fn on_owner<T>(
-        &self,
-        traj_id: u64,
-        page: PageRequest,
-        run: impl FnOnce(&Snapshot, PageRequest) -> Result<Page<T>, Error>,
-    ) -> Result<Page<T>, Error> {
-        let state = self.state.load();
-        // One partition answers unknown ids itself, without a second
-        // id lookup.
-        let owner = state.routes.as_ref().map_or(Some(0), |r| r.get(traj_id));
-        let Some(shard) = owner else {
-            return Ok(Page::slice(Vec::new(), page));
-        };
-        let cursor = match page.cursor.map(decode_cursor) {
-            Some((tag, _)) if tag != shard => return Err(Error::InvalidCursor),
-            cursor => cursor.map(|(_, local)| local),
-        };
-        let local = PageRequest {
-            limit: page.limit,
-            cursor,
-        };
-        let snap = state.parts.get(shard as usize);
-        let answer = run(snap.ok_or(Error::InvalidCursor)?, local)?;
-        Ok(Page {
-            items: answer.items,
-            next_cursor: answer.next_cursor.map(|c| encode_cursor(shard, c)),
-            has_more: answer.has_more,
-        })
-    }
 }
 
-/// Every query pins the current state for its duration and runs on that
-/// frozen epoch.
+/// Every query pins the current snapshot for its duration and runs on
+/// that frozen epoch.
 impl QueryTarget for Store {
     fn len(&self) -> usize {
         self.state.load().len()
@@ -609,9 +562,7 @@ impl QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhereHit>, Error> {
-        self.on_owner(traj_id, page, |snap, local| {
-            snap.where_query(traj_id, t, alpha, local)
-        })
+        self.state.load().where_query(traj_id, t, alpha, page)
     }
 
     fn when_query(
@@ -622,9 +573,7 @@ impl QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<WhenHit>, Error> {
-        self.on_owner(traj_id, page, |snap, local| {
-            snap.when_query(traj_id, edge, rd, alpha, local)
-        })
+        self.state.load().when_query(traj_id, edge, rd, alpha, page)
     }
 
     fn range_query(
@@ -634,8 +583,7 @@ impl QueryTarget for Store {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        let state = self.state.load();
-        range_over(&state.parts, state.epoch, re, tq, alpha, page)
+        self.state.load().range_query(re, tq, alpha, page)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -659,10 +607,9 @@ impl Store {
         self.state.load().epoch
     }
 
-    /// One pinned snapshot per partition, in directory order, all taken
-    /// from one published state: every batch is either in the set
-    /// entirely or not at all.
-    pub fn snapshots(&self) -> Vec<Arc<Snapshot>> {
+    /// The current epoch's partitions, in directory order (those of
+    /// [`Store::snapshot`]): every batch is in all of them or in none.
+    pub fn snapshots(&self) -> Vec<Arc<Partition>> {
         self.state.load().parts.clone()
     }
 
@@ -682,18 +629,18 @@ impl Store {
     /// Whether every one of `tus` is already stored (by id).
     pub(crate) fn contains_all(&self, tus: &[UncertainTrajectory]) -> bool {
         let state = self.state.load();
-        tus.iter().all(|t| state.owner(t.id).is_some())
+        tus.iter().all(|t| state.ids.contains(t.id))
     }
 
     /// Compresses, indexes and publishes `batch` as the next epoch with
-    /// the writer lock held. Checks, deduplicates and routes the batch,
-    /// then compresses each partition's share into a prepared copy of
-    /// that partition on the shared work queue. Only when **every** share
-    /// compressed is the batch logged (`WriterCore::log`) and one new
-    /// state swapped in, so batches are all-or-nothing across partitions;
-    /// a batch that changes nothing reports the current epoch. A store
-    /// reopened from a custom-policy container cannot route:
-    /// [`Error::ShardConfig`].
+    /// the writer lock held. Checks the batch and its ids against the id
+    /// map, routes it, then compresses each partition's share into a
+    /// prepared copy of that partition on the shared work queue. Only
+    /// when **every** share compressed is the batch logged
+    /// (`WriterCore::log`) and one new snapshot swapped in, so batches
+    /// are all-or-nothing across partitions; a batch that changes nothing
+    /// reports the current epoch. A store reopened from a custom-policy
+    /// container cannot route: [`Error::ShardConfig`].
     pub(crate) fn publish_locked(
         &self,
         held: &Held<'_>,
@@ -702,29 +649,18 @@ impl Store {
         let state = self.state.load();
         check_batch(&self.net, self.default_interval(), batch)?;
         let policy =
-            match &self.routing {
+            match &state.routing {
                 Routing::Single => None,
                 Routing::Policy(Some(policy)) => Some(policy.as_ref()),
                 Routing::Policy(None) => return Err(Error::ShardConfig(
                     "live ingest needs a routing policy (custom-policy containers are read-only)",
                 )),
             };
-        // A partition rejects the ids it holds; the id map also knows
-        // the other partitions'.
-        if let Some(routes) = &state.routes {
-            let mut seen = HashSet::with_capacity(batch.trajectories.len());
-            for tu in &batch.trajectories {
-                if routes.contains(tu.id) || !seen.insert(tu.id) {
-                    return Err(Error::DuplicateTrajectory(tu.id));
-                }
-            }
-        }
+        check_new_ids(&state.ids, batch)?;
         let mut routed: Vec<Vec<&UncertainTrajectory>> = vec![Vec::new(); state.parts.len()];
-        let mut owners = Vec::with_capacity(batch.trajectories.len());
         for tu in &batch.trajectories {
             let s = route(policy, &self.net, tu, state.parts.len() as u32)?;
             routed[s as usize].push(tu); // bounds: route returns s < parts.len()
-            owners.push(s);
         }
         // An error in any partition returns here with nothing published.
         let prepared = par_run(state.parts.len(), |s| {
@@ -741,24 +677,25 @@ impl Store {
         // The batch will publish: log it first, so that a crash from
         // here on replays it under the epoch allocated here.
         let epoch = self.core.log(held, batch)?;
-        let parts: Vec<Arc<Snapshot>> = (state.parts.iter())
+        let mut ids = state.ids.clone();
+        for ((p, cur), tus) in (0u32..).zip(&state.parts).zip(&routed) {
+            for (j, tu) in (cur.len() as u32..).zip(tus) {
+                ids.insert(tu.id, (p, j));
+            }
+        }
+        let parts: Vec<Arc<Partition>> = (state.parts.iter())
             .zip(prepared)
             .map(|(cur, p)| match p {
                 Some(next) => Arc::new(cur.successor(next, epoch)),
                 None => Arc::clone(cur),
             })
             .collect();
-        let mut routes = state.routes.clone();
-        if let Some(routes) = &mut routes {
-            for (tu, &s) in batch.trajectories.iter().zip(&owners) {
-                routes.insert(tu.id, s);
-            }
-        }
-        let epochs: Vec<u64> = parts.iter().map(|snap| snap.epoch()).collect();
-        let next = State {
+        let epochs: Vec<u64> = parts.iter().map(|part| part.epoch()).collect();
+        let next = Snapshot {
             epoch,
             parts,
-            routes,
+            ids,
+            routing: state.routing.clone(),
         };
         let total = next.len();
         self.state.store(Arc::new(next));
@@ -771,27 +708,6 @@ impl Store {
             epoch,
         })
     }
-}
-
-/// The id → partition map of a store with more than one partition,
-/// rejecting an id that two partitions hold.
-fn route_map(parts: &[Arc<Snapshot>]) -> Result<SharedIdMap, Error> {
-    fn ids(snap: &Snapshot) -> impl Iterator<Item = u64> + '_ {
-        snap.compressed().trajectories.iter().map(|ct| ct.id)
-    }
-    let mut sorted: Vec<u64> = parts.iter().flat_map(|snap| ids(snap)).collect();
-    sorted.sort_unstable();
-    // bounds: windows(2) yields exactly-2-element slices
-    if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-        return Err(Error::DuplicateTrajectory(w[0]));
-    }
-    let mut routes = SharedIdMap::new();
-    for (s, snap) in parts.iter().enumerate() {
-        for id in ids(snap) {
-            routes.insert(id, s as u32);
-        }
-    }
-    Ok(routes)
 }
 
 #[cfg(test)]

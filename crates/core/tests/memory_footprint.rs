@@ -97,7 +97,7 @@ fn measured<T>(make: impl FnOnce() -> T) -> (T, (isize, isize)) {
 /// road network frees, less what an empty store over that network holds
 /// (the cache shards, the writer core: nothing that grows with the data).
 fn cost(store: Store) -> Cost {
-    let params = store.snapshot().compressed().params;
+    let params = store.params();
     let census = store.snapshot().resident().total() as f64;
     let (net, n) = (Arc::clone(store.network()), store.len() as f64);
     let ((), freed) = measured(|| drop(store));

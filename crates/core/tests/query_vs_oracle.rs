@@ -253,7 +253,7 @@ fn an_extra_when_crossing_lies_within_eta_d_of_the_exact_rd() {
     // The decoded sample sits on the query point; the exact one within
     // ηD of it.
     let eta_d = CompressParams::with_interval(10).eta_d;
-    let back = utcq_core::decompress_dataset(&net, st.snapshot().compressed()).unwrap();
+    let back = utcq_core::decompress_dataset(&net, st.snapshots()[0].compressed()).unwrap();
     let decoded = back.trajectories[0].instances[0].positions[1].rd;
     assert_eq!(decoded, rd);
     assert!((exact[1] - rd).abs() <= eta_d && exact[1] < rd);
@@ -277,8 +277,8 @@ fn check_near_seals(net: &RoadNetwork, ds: &Dataset, st: &dyn QueryTarget) {
 fn queries_match_oracle_across_segments() {
     let (net, ds) = setup(25, ACROSS_SEALS);
     let st = store(&net, &ds);
-    let snap = st.snapshot();
-    assert_eq!(snap.compressed().trajectories.segments().count(), 4);
+    let part = &st.snapshots()[0];
+    assert_eq!(part.compressed().trajectories.segments().count(), 4);
     check_near_seals(&net, &ds, &st);
 }
 

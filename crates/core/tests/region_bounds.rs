@@ -11,7 +11,7 @@ use std::sync::Arc;
 use utcq_bitio::pddp::PddpCodec;
 use utcq_core::segment::TrajView;
 use utcq_core::stiu::TrajIndex;
-use utcq_core::{CompressParams, Opened, Snapshot, StiuParams, Store};
+use utcq_core::{CompressParams, Opened, Partition, StiuParams, Store};
 use utcq_network::CellId;
 
 /// `(p_total, p_max)` of every reference tuple `(ref_idx, cell, enters)`
@@ -61,7 +61,7 @@ fn derived(node: TrajIndex<'_>, ct: &TrajView<'_>, p_codec: &PddpCodec) -> Vec<(
 }
 
 /// Compares both for every node of `snap`; returns the cells compared.
-fn check(snap: &Snapshot, what: &str) -> usize {
+fn check(snap: &Partition, what: &str) -> usize {
     let p_codec = snap.compressed().params.p_codec();
     let bits =
         |b: Vec<(f64, f64)>| Vec::from_iter(b.iter().map(|(t, m)| (t.to_bits(), m.to_bits())));
@@ -87,7 +87,7 @@ fn derived_bounds_equal_the_stored_computation_on_every_profile() {
         let (net, ds) = utcq_datagen::generate(&p, 500, 11);
         let params = CompressParams::with_interval(ds.default_interval);
         let store = Store::build(Arc::new(net), &ds, params, StiuParams::default()).unwrap();
-        let cells = check(&store.snapshot(), p.name);
+        let cells = check(&store.snapshots()[0], p.name);
         assert!(cells > 2_000, "{}: {cells} cells", p.name);
     }
 }

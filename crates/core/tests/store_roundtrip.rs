@@ -23,7 +23,7 @@ use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::segment::TrajView;
 use utcq_core::shard::ByTime;
 use utcq_core::stiu::TrajIndex;
-use utcq_core::{CompressParams, Error, Snapshot, StiuParams, Store, StoreBuilder};
+use utcq_core::{CompressParams, Error, Partition, StiuParams, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::Dataset;
 
@@ -100,8 +100,8 @@ fn reopened_v2_store_answers_identically() {
         let reopened = Store::read(&mut bytes.as_slice()).unwrap();
         assert_eq!(reopened.len(), store.len(), "seed {seed}");
         assert_eq!(
-            reopened.snapshot().compressed().compressed,
-            store.snapshot().compressed().compressed,
+            reopened.snapshots()[0].compressed().compressed,
+            store.snapshots()[0].compressed().compressed,
             "seed {seed}"
         );
         assert_equal_answers(&store, &reopened, &ds, &mut rng);
@@ -159,7 +159,7 @@ fn v1_container_opens_through_compat_path() {
     let path = std::env::temp_dir().join("utcq-test-v1-fixture.utcq");
     {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-        utcq_core::storage::save(store.snapshot().compressed(), &mut f).unwrap();
+        utcq_core::storage::save(store.snapshots()[0].compressed(), &mut f).unwrap();
     }
 
     // The v2-only opener refuses with the dedicated error…
@@ -222,8 +222,8 @@ fn incremental_ingest_equals_single_batch() {
         // change the compressed representation at all: the ratio
         // tolerance is exactly zero in this implementation.
         assert_eq!(
-            incremental.snapshot().compressed().compressed,
-            single.snapshot().compressed().compressed,
+            incremental.snapshots()[0].compressed().compressed,
+            single.snapshots()[0].compressed().compressed,
             "round {round}: compressed footprints diverge"
         );
         assert_eq!(incremental.ratios().total, single.ratios().total);
@@ -286,11 +286,15 @@ fn node_fields(n: TrajIndex<'_>, ct: &TrajView<'_>, params: &CompressParams) -> 
 /// Asserts that `reopened` holds exactly the index and accounting of
 /// `built`: every node field for field (the probability bounds by bit
 /// pattern), every interval's postings, the ratios.
-fn assert_same_index(built: &[Arc<Snapshot>], reopened: &[Arc<Snapshot>], what: &str) {
+fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what: &str) {
     assert_eq!(built.len(), reopened.len(), "{what}: partitions");
     for (a, b) in built.iter().zip(reopened) {
-        assert_eq!(a.ratios(), b.ratios(), "{what}: ratios");
-        let fields = |s: &Snapshot, j: usize| {
+        assert_eq!(
+            a.compressed().ratios(),
+            b.compressed().ratios(),
+            "{what}: ratios"
+        );
+        let fields = |s: &Partition, j: usize| {
             let (node, ct) = (s.stiu().trajs.get(j), s.compressed().trajectories.get(j));
             node_fields(node.unwrap(), &ct.unwrap(), &s.compressed().params)
         };
@@ -402,7 +406,7 @@ fn segment_views_equal_the_compressor_and_index_builder_output() {
 
         for (shape, store) in [("offline", offline), ("reopened", reopened), ("live", live)] {
             let what = format!("{} {shape}", profile.name);
-            let snap = store.snapshot();
+            let snap = store.snapshots().remove(0);
             let (trajectories, nodes) = (&snap.compressed().trajectories, &snap.stiu().trajs);
             assert_eq!((trajectories.len(), nodes.len()), (1_060, 1_060), "{what}");
             assert_eq!(trajectories.segments().count(), 2, "{what}: sealed + tail");
@@ -451,7 +455,7 @@ fn container_is_smaller_than_half_the_raw_data() {
     let store = Store::build(Arc::new(net), &ds, params, StiuParams::default()).unwrap();
     let mut bytes = Vec::new();
     store.write(&mut bytes).unwrap();
-    let raw_bytes = store.snapshot().compressed().raw.total() / 8;
+    let raw_bytes = store.snapshots()[0].compressed().raw.total() / 8;
     assert!(
         (bytes.len() as u64) * 2 < raw_bytes,
         "container {} B vs raw {raw_bytes} B",

@@ -27,7 +27,9 @@ fn main() {
         },
     )
     .unwrap();
-    let (s_bits, t_bits) = store.snapshot().stiu().size_bits(params.p_codec().width());
+    let (s_bits, t_bits) = store.snapshots()[0]
+        .stiu()
+        .size_bits(params.p_codec().width());
     println!(
         "store: {} trajectories compressed at ratio {:.2}; StIU index {} B spatial + {} B temporal",
         ds.trajectories.len(),

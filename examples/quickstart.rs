@@ -109,7 +109,7 @@ fn main() {
 
     // 5. Decompress losslessly (up to the PDDP error bounds).
     let back =
-        utcq::core::decompress_dataset(store.network(), store.snapshot().compressed()).unwrap();
+        utcq::core::decompress_dataset(store.network(), store.snapshots()[0].compressed()).unwrap();
     utcq::core::decompress::check_lossy_roundtrip(
         &ds.trajectories[0],
         &back.trajectories[0],

@@ -250,7 +250,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
             let mut f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
             let format = render_format(&storage::versions(&mut f).map_err(|e| e.to_string())?);
             let sections = render_sections(&snaps).map_err(|e| e.to_string())?;
-            let resident = render_resident(&snaps);
+            let resident = render_resident(&opened.snapshot());
             let report = opened.info().render();
             print!("{report}{format}{sections}{resident}");
         }
@@ -278,7 +278,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
         let cds = snap.compressed();
         bounds = (cds.params.eta_d, cds.params.eta_p);
         let back =
-            utcq::core::decompress_dataset(snap.network(), cds).map_err(|e| e.to_string())?;
+            utcq::core::decompress_dataset(opened.network(), cds).map_err(|e| e.to_string())?;
         for b in &back.trajectories {
             let a = want.get(&b.id).ok_or(mismatch)?;
             utcq::core::decompress::check_lossy_roundtrip(a, b, bounds.0, bounds.1)?;
@@ -312,7 +312,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     // whether the dataset sits in a v2 or a v3 container.
     let mut probes = Vec::new();
     for snap in opened.snapshots() {
-        let back = utcq::core::decompress_dataset(snap.network(), snap.compressed())
+        let back = utcq::core::decompress_dataset(opened.network(), snap.compressed())
             .map_err(|e| e.to_string())?;
         probes.extend(back.trajectories);
     }

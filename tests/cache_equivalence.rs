@@ -256,24 +256,24 @@ fn concurrent_queries_agree_on(shape: Option<u32>) {
     assert_eq!(par, want.2, "{shape:?}: par_range_query diverged");
 }
 
-/// One epoch queried two ways through the one cache of a partitioned
-/// store: each partition pinned alone, and the whole store. Where, when
-/// and range queries interleave so that every partition asks for the
-/// same positions and the same range shapes in turn — a position names
-/// a trajectory only within its partition, and a range answer belongs to
-/// what was queried — so only the partition in each cache key keeps the
-/// entries apart. The truth is the same store built with caching off.
+/// One epoch queried through the one cache of a partitioned store, on
+/// the store and on a pinned snapshot of it. Where and when queries
+/// interleave so that every partition asks for the same positions in
+/// turn — a position names a trajectory only within its partition — so
+/// only the partition in each cache key keeps the entries apart; range
+/// shapes interleave with them. The truth is the same store built with
+/// caching off.
 #[test]
 fn pinned_partitions_and_the_whole_store_share_one_cache() {
     let (net, ds) = setup(37, 18);
     let cached = build_store(&net, &ds, Some(3), utcq::core::DEFAULT_CACHE_BYTES);
     let truth = build_store(&net, &ds, Some(3), 0);
-    let (parts, truth_parts) = (cached.snapshots(), truth.snapshots());
+    let pinned = cached.snapshot();
     let by_id: HashMap<u64, _> = ds.trajectories.iter().map(|tu| (tu.id, tu)).collect();
     // Each partition's trajectory ids in position order.
-    let ids: Vec<Vec<u64>> = (parts.iter())
-        .map(|snap| {
-            snap.compressed()
+    let ids: Vec<Vec<u64>> = (pinned.partitions().iter())
+        .map(|part| {
+            part.compressed()
                 .trajectories
                 .iter()
                 .map(|ct| ct.id)
@@ -297,47 +297,36 @@ fn pinned_partitions_and_the_whole_store_share_one_cache() {
             ]
         })
         .collect();
-    let mut differ = false;
     for _round in 0..2 {
         for j in 0..longest {
-            for (p, (snap, want)) in parts.iter().zip(&truth_parts).enumerate() {
-                let Some(&id) = ids[p].get(j) else {
+            for (p, part_ids) in ids.iter().enumerate() {
+                let Some(&id) = part_ids.get(j) else {
                     continue;
                 };
                 let tu = by_id[&id];
                 let t = tu.times[tu.times.len() / 2];
                 let edge = tu.top_instance().path[0];
-                for target in [&**snap as &dyn QueryTarget, &cached] {
+                let (re, tq, alpha) = shapes[j % shapes.len()];
+                for target in [&*pinned as &dyn QueryTarget, &cached] {
                     let got = target.where_query(id, t, 0.0, PageRequest::all());
-                    let expect = want.where_query(id, t, 0.0, PageRequest::all());
+                    let expect = truth.where_query(id, t, 0.0, PageRequest::all());
                     assert_eq!(got.unwrap(), expect.unwrap(), "where {id} at {p}/{j}");
                     let got = target.when_query(id, edge, 0.5, 0.0, PageRequest::all());
-                    let expect = want.when_query(id, edge, 0.5, 0.0, PageRequest::all());
+                    let expect = truth.when_query(id, edge, 0.5, 0.0, PageRequest::all());
                     assert_eq!(got.unwrap(), expect.unwrap(), "when {id} at {p}/{j}");
+                    let got = target.range_query(&re, tq, alpha, PageRequest::all());
+                    let expect = truth.range_query(&re, tq, alpha, PageRequest::all());
+                    assert_eq!(got.unwrap(), expect.unwrap(), "range after {id}");
                 }
-                let (re, tq, alpha) = shapes[j % shapes.len()];
-                let alone = snap.range_query(&re, tq, alpha, PageRequest::all());
-                let expect = want.range_query(&re, tq, alpha, PageRequest::all());
-                let alone = alone.unwrap().into_items();
-                assert_eq!(alone, expect.unwrap().into_items(), "range on {p} alone");
-                let whole = cached.range_query(&re, tq, alpha, PageRequest::all());
-                let expect = truth.range_query(&re, tq, alpha, PageRequest::all());
-                let whole = whole.unwrap().into_items();
-                assert_eq!(whole, expect.unwrap().into_items(), "range on the store");
-                differ |= alone != whole;
             }
         }
     }
-    assert!(
-        differ,
-        "some partition's range answer must differ from the store's"
-    );
     let s = cached.cache_stats();
     assert!(s.hits > 0 && s.entries > 0, "{s:?}");
     assert_eq!(
         s,
-        parts[1].cache_stats(),
-        "a pinned partition reads the store's cache"
+        pinned.cache_stats(),
+        "a pinned snapshot reads the store's cache"
     );
 }
 

@@ -43,7 +43,7 @@ use utcq::core::query::PageRequest;
 use utcq::core::shard::ByTime;
 use utcq::core::stiu::{StiuParams, TrajIndex};
 use utcq::core::wal::{self, Record, Wal};
-use utcq::core::{CompressParams, Opened, QueryTarget, Snapshot, Store, StoreBuilder, WalConfig};
+use utcq::core::{CompressParams, Opened, Partition, QueryTarget, Store, StoreBuilder, WalConfig};
 use utcq::traj::Dataset;
 
 const SEED: u64 = 20_260_729;
@@ -113,10 +113,10 @@ fn all_versions_open_and_agree() {
     let bounds = v2.network().bounding_rect();
     // Probe every trajectory: ids and time spans come from the container
     // itself (decoded times), not from regenerating the dataset.
-    let v2_snap = v2.snapshot();
+    let v2_snap = v2.snapshots().remove(0);
     for j in 0..TRAJS as u32 {
         let ct = &v2_snap.compressed().trajectories[j as usize];
-        let times = v2.decode_times(j).unwrap();
+        let times = v2.decode_times(ct.id).unwrap().unwrap();
         let mid = (times[0] + times[times.len() - 1]) / 2;
         let mut answers = Vec::new();
         let mut range_answers = Vec::new();
@@ -148,7 +148,7 @@ fn all_versions_open_and_agree() {
 /// reference tuples, u32 count + 20-byte non-reference tuples) and the
 /// postings (u64 key count; per key i64, u32 count, u32 positions):
 /// sized from the opened store, they locate the nodes from the end.
-fn v2_nodes_at(bytes: &[u8], snap: &Snapshot) -> usize {
+fn v2_nodes_at(bytes: &[u8], snap: &Partition) -> usize {
     let (nodes, postings) = (&snap.stiu().trajs, &snap.stiu().interval_trajs);
     let keys = postings.sorted_keys();
     let per_key = keys.iter().map(|&k| 12 + 4 * postings.postings(k).len());
@@ -168,7 +168,7 @@ fn derived_bounds_equal_the_stored_ones() {
     // Lemma 1's filter changed.
     let ([_, v2, v4, v5, v6], _) = open_fixtures();
     let derived = |s: &Store| -> Vec<(u64, u64)> {
-        let snap = s.snapshot();
+        let snap = s.snapshots().remove(0);
         let p_codec = snap.compressed().params.p_codec();
         let mut bounds = Vec::new();
         let nodes = snap.stiu().trajs.iter();
@@ -187,7 +187,7 @@ fn derived_bounds_equal_the_stored_ones() {
     // The stored ones, tuple by tuple: cell, ref_idx, enters (1 byte),
     // vertex, entry index, position, then `p_total` and `p_max`.
     let bytes = std::fs::read(fixture_path("tiny_v2.utcq")).unwrap();
-    let snap = v2.snapshot();
+    let snap = v2.snapshots().remove(0);
     let count = |at: &mut usize| {
         let n = u32::from_le_bytes(bytes[*at..*at + 4].try_into().unwrap()) as usize;
         *at += 4;
@@ -258,7 +258,7 @@ fn resume_fields_of_old_versions_are_still_checked() {
     // v2, fixed-width fields: node 0 is the first of the nodes.
     let bytes = std::fs::read(fixture_path("tiny_v2.utcq")).unwrap();
     let v2 = open(&bytes).expect("the fixture itself opens");
-    let snap = v2.snapshot();
+    let snap = v2.snapshots().remove(0);
     let node0 = snap.stiu().trajs.get(0).unwrap();
     let refs_at = v2_nodes_at(&bytes, &snap) + 4 + 16 * node0.temporal.len() + 4;
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
@@ -275,7 +275,7 @@ fn resume_fields_of_old_versions_are_still_checked() {
         u32_at(nref_vertex - 8),
         node0.nref_tuples(ct0.nrefs)[0].1 .0
     );
-    let n_vertices = snap.network().vertex_count() as u32;
+    let n_vertices = v2.network().vertex_count() as u32;
     assert!(u32_at(ref_vertex) < n_vertices && u32_at(nref_vertex) < n_vertices);
     for (at, what) in [(ref_vertex, "ref"), (nref_vertex, "nref")] {
         let mut bad = bytes.clone();
@@ -296,7 +296,9 @@ fn resume_fields_of_old_versions_are_still_checked() {
     // column widths: start, no, count, entry index, position).
     let bytes = std::fs::read(fixture_path("tiny_v4.utcq")).unwrap();
     let v4 = open(&bytes).expect("the fixture itself opens");
-    let census = v4.snapshot().write_counted(&mut std::io::sink()).unwrap();
+    let census = v4.snapshots()[0]
+        .write_counted(&mut std::io::sink())
+        .unwrap();
     let block = ((census.network + census.payload + census.framing) / 8) as usize + 16;
     let len = u32::from_le_bytes(bytes[block - 4..block].try_into().unwrap());
     assert_eq!(block + len as usize, bytes.len(), "one block to the end");
@@ -325,7 +327,7 @@ fn old_readers_refuse_nref_tuples_outside_their_group() {
     let open = |bytes: &[u8]| Store::read(&mut &bytes[..]).map_err(|e| e.to_string());
     let bytes = std::fs::read(fixture_path("tiny_v5.utcq")).unwrap();
     let v5 = open(&bytes).expect("the fixture itself opens");
-    let snap = v5.snapshot();
+    let snap = v5.snapshots().remove(0);
     // v6 did not change the dataset section, so the writer's census says
     // where the index block starts: after the i64 partition, the u32
     // grid dimension and the u32 block length.
@@ -398,15 +400,14 @@ fn goldens_pin_fixture_answers() {
     let mid0 = (golden.t0_first + golden.t0_last) / 2;
     let bounds = singles[1].network().bounding_rect();
     for (k, store) in singles.iter().enumerate() {
-        let ids: Vec<u64> = store
-            .snapshot()
+        let ids: Vec<u64> = store.snapshots()[0]
             .compressed()
             .trajectories
             .iter()
             .map(|t| t.id)
             .collect();
         assert_eq!(ids, (0..TRAJS as u64).collect::<Vec<_>>(), "single {k}");
-        let times0 = store.decode_times(0).unwrap();
+        let times0 = store.decode_times(0).unwrap().unwrap();
         assert_eq!(
             (times0[0], *times0.last().unwrap()),
             (golden.t0_first, golden.t0_last),
@@ -611,7 +612,7 @@ fn regen_fixtures() {
         out.display()
     );
 
-    let times0 = single.decode_times(0).unwrap();
+    let times0 = single.decode_times(0).unwrap().unwrap();
     let mid0 = (times0[0] + times0.last().unwrap()) / 2;
     let hits = single
         .where_query(0, mid0, 0.0, PageRequest::all())

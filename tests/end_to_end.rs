@@ -69,7 +69,7 @@ fn raw_gps_to_compressed_queries() {
     }
 
     // Full decompression round-trips.
-    let back = utcq::core::decompress_dataset(&net, store.snapshot().compressed()).unwrap();
+    let back = utcq::core::decompress_dataset(&net, store.snapshots()[0].compressed()).unwrap();
     for (a, b) in ds.trajectories.iter().zip(&back.trajectories) {
         utcq::core::decompress::check_lossy_roundtrip(a, b, params.eta_d, params.eta_p).unwrap();
     }

@@ -4,9 +4,10 @@
 //!   [`Store::ingest`] serializes to the *same container bytes* as
 //!   an offline [`StoreBuilder`] run over the same batches in the same
 //!   order (publishing epochs adds nothing to the on-disk state);
-//! * **snapshot isolation** — a pinned snapshot (and a paginated walk
-//!   running on it) keeps answering with pre-ingest answers while new
-//!   queries on the store see the post-ingest epoch;
+//! * **snapshot isolation** — a pinned snapshot, the whole store at
+//!   one epoch at any partition count (and a paginated walk running on
+//!   it), keeps answering with pre-ingest answers while new queries on
+//!   the store see the post-ingest epoch;
 //! * **cursor stability** — cursors minted before an ingest stay valid
 //!   after it (ingest only appends);
 //! * **concurrency** — threads querying while batches ingest never
@@ -16,8 +17,10 @@
 use std::sync::Arc;
 
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
+use utcq::core::storage::{self, ShardDirectory, VERSION_V3};
 use utcq::core::{
-    CompressParams, Error, PageRequest, QueryTarget, RangeQuery, StiuParams, Store, StoreBuilder,
+    CompressParams, Error, Page, PageRequest, QueryTarget, RangeQuery, StiuParams, Store,
+    StoreBuilder,
 };
 use utcq::datagen::{generate_network, generate_on_network, GenOptions};
 use utcq::network::{EdgeId, Rect, RoadNetwork};
@@ -73,6 +76,35 @@ fn container_bytes_single(store: &Store) -> Vec<u8> {
     let mut bytes = Vec::new();
     store.write(&mut bytes).unwrap();
     bytes
+}
+
+/// A builder over `parts` partitions: routed `ByTime` past one, plain at
+/// one.
+fn builder(net: &Arc<RoadNetwork>, p: CompressParams, parts: u32) -> StoreBuilder {
+    let b = StoreBuilder::new(Arc::clone(net), p).stiu_params(STIU);
+    match parts {
+        1 => b,
+        n => b.shard_by(Arc::new(ByTime { interval_s: 120 }), n).unwrap(),
+    }
+}
+
+/// Walks a paginated answer one item per page, running `between` once
+/// after the first page.
+fn walk<T>(mut page: impl FnMut(PageRequest) -> Page<T>, between: impl FnOnce()) -> Vec<T> {
+    let mut between = Some(between);
+    let mut items = Vec::new();
+    let mut req = PageRequest::first(1);
+    loop {
+        let p = page(req);
+        items.extend(p.items);
+        if let Some(f) = between.take() {
+            f();
+        }
+        match p.next_cursor {
+            Some(c) => req = PageRequest::after(c, 1),
+            None => return items,
+        }
+    }
 }
 
 #[test]
@@ -231,7 +263,9 @@ fn live_name_adoption_matches_builder_even_on_empty_sub_batches() {
 /// A batch that names an edge past the network, or is malformed on it,
 /// is refused before any of it is routed (`ByRegion` reads a trajectory's
 /// first position) or compressed: the epoch and the contents stay, on the
-/// live path and in the builder alike.
+/// live path and in the builder alike. So is a batch with a duplicate id,
+/// at one partition and at three, and a container whose two partitions
+/// share ids does not open.
 #[test]
 fn a_batch_off_the_network_is_refused_with_the_epoch_unchanged() {
     let (net, batches) = batches(9, 49);
@@ -266,93 +300,203 @@ fn a_batch_off_the_network_is_refused_with_the_epoch_unchanged() {
             "{e}"
         );
     }
+
+    // Duplicate ids are refused at ingest at every partition count, live
+    // and in the builder: an id the store holds, and two trajectories of
+    // one batch that share an id and route to different partitions.
+    let region = ByRegion { grid_n: 4 };
+    let held = batches[0].trajectories[0].id;
+    let mut stored_again = batches[1].clone();
+    stored_again.trajectories[0].id = held;
+    let mut twice = batches[1].clone();
+    twice
+        .trajectories
+        .extend(batches[2].trajectories.iter().cloned());
+    let routes: Vec<u32> = (twice.trajectories.iter())
+        .map(|tu| region.route(&net, tu, 3))
+        .collect();
+    let other = (1..routes.len()).find(|&k| routes[k] != routes[0]);
+    let other = other.expect("the batch spans two partitions");
+    let twin = twice.trajectories[0].id;
+    twice.trajectories[other].id = twin;
+    for (bad, id) in [(&stored_again, held), (&twice, twin)] {
+        for store in [&plain, &by_region] {
+            let (epoch, len) = (store.epoch(), store.len());
+            let e = store.ingest(bad).unwrap_err();
+            assert!(matches!(e, Error::DuplicateTrajectory(d) if d == id), "{e}");
+            assert_eq!((store.epoch(), store.len()), (epoch, len));
+        }
+        let by_region_builder = builder().shard_by(Arc::new(region), 3).unwrap();
+        for b in [builder(), by_region_builder] {
+            let b = b.ingest(&batches[0]).unwrap();
+            let e = b
+                .ingest(bad)
+                .err()
+                .expect("the builder refuses it at ingest");
+            assert!(matches!(e, Error::DuplicateTrajectory(d) if d == id), "{e}");
+        }
+    }
+    // A v3 container whose two blobs share their ids does not open.
+    let mut blob = Vec::new();
+    plain.snapshots()[0].write_counted(&mut blob).unwrap();
+    let mut v3 = Vec::new();
+    let dir = ShardDirectory { kind: 0, param: 0 };
+    storage::save_v3(dir, &[blob.clone(), blob], &mut v3).unwrap();
+    let e = Store::read(&mut v3.as_slice()).unwrap_err();
+    assert!(matches!(e, Error::DuplicateTrajectory(_)), "{e}");
 }
 
+/// A pinned snapshot is the whole store at its epoch, at one partition
+/// and at three: a paginated walk on it completes with pre-ingest answers
+/// across an ingest, its length and range answers stay, and it knows no
+/// post-ingest trajectory, while the store sees the new epoch.
 #[test]
 fn pinned_snapshot_keeps_pre_ingest_answers() {
     let (net, batches) = batches(9, 43);
     let p = params(&batches[0]);
-    let store = StoreBuilder::new(Arc::clone(&net), p)
-        .stiu_params(STIU)
-        .ingest(&batches[0])
-        .unwrap()
-        .finish()
-        .unwrap();
-    let pre_len = store.len();
-    let probe_id = batches[0].trajectories[0].id;
-    let times = store
-        .decode_times(store.traj_index(probe_id).unwrap())
-        .unwrap();
-    let mid = (times[0] + times[times.len() - 1]) / 2;
-    let bounds = net.bounding_rect();
+    for parts in [1, 3] {
+        let store = builder(&net, p, parts)
+            .ingest(&batches[0])
+            .unwrap()
+            .finish()
+            .unwrap();
+        let pre_len = store.len();
+        let probe_id = batches[0].trajectories[0].id;
+        let times = store.decode_times(probe_id).unwrap().unwrap();
+        let mid = (times[0] + times[times.len() - 1]) / 2;
+        let bounds = net.bounding_rect();
 
-    // Pin the pre-ingest epoch and collect its ground truth.
-    let pinned = store.snapshot();
-    let pre_range = pinned
-        .range_query(&bounds, mid, 0.0, PageRequest::all())
-        .unwrap()
-        .into_items();
-    let full_where = pinned
-        .where_query(probe_id, mid, 0.0, PageRequest::all())
-        .unwrap()
-        .into_items();
-
-    // Start a paginated walk on the pinned snapshot, one item per page,
-    // ingesting the remaining batches midway through the walk.
-    let mut walked = Vec::new();
-    let mut req = PageRequest::first(1);
-    let mut pages = 0;
-    loop {
-        let page = pinned.where_query(probe_id, mid, 0.0, req).unwrap();
-        walked.extend(page.items);
-        pages += 1;
-        if pages == 1 {
-            store.ingest(&batches[1]).unwrap();
-            store.ingest(&batches[2]).unwrap();
-        }
-        match page.next_cursor {
-            Some(c) => req = PageRequest::after(c, 1),
-            None => break,
-        }
-    }
-    assert_eq!(
-        walked, full_where,
-        "a walk on the pinned snapshot completes with pre-ingest answers"
-    );
-
-    // The pinned view still answers as of its epoch …
-    assert_eq!(pinned.len(), pre_len);
-    assert_eq!(
-        pinned
+        // Pin the pre-ingest epoch and collect its ground truth.
+        let pinned = store.snapshot();
+        let pre_range = pinned
             .range_query(&bounds, mid, 0.0, PageRequest::all())
             .unwrap()
-            .into_items(),
-        pre_range
-    );
-    let new_id = batches[1].trajectories[0].id;
-    assert!(
-        pinned
+            .into_items();
+        let full_where = pinned
+            .where_query(probe_id, mid, 0.0, PageRequest::all())
+            .unwrap()
+            .into_items();
+
+        // Walk the pinned snapshot one item per page, ingesting the
+        // remaining batches after the first page.
+        let walked = walk(
+            |req| pinned.where_query(probe_id, mid, 0.0, req).unwrap(),
+            || {
+                store.ingest(&batches[1]).unwrap();
+                store.ingest(&batches[2]).unwrap();
+            },
+        );
+        assert_eq!(
+            walked, full_where,
+            "{parts} partitions: a walk on the pinned snapshot completes with pre-ingest answers"
+        );
+
+        // The pinned view still answers as of its epoch …
+        assert_eq!(pinned.len(), pre_len, "{parts} partitions");
+        assert_eq!(
+            pinned
+                .range_query(&bounds, mid, 0.0, PageRequest::all())
+                .unwrap()
+                .into_items(),
+            pre_range,
+            "{parts} partitions"
+        );
+        let new_id = batches[1].trajectories[0].id;
+        assert!(pinned
             .where_query(new_id, mid, 0.0, PageRequest::all())
             .unwrap()
             .items
-            .is_empty()
-            || pinned.traj_index(new_id).is_none(),
-        "the pinned snapshot must not know post-ingest trajectories"
-    );
-    assert!(pinned.traj_index(new_id).is_none());
+            .is_empty());
+        assert!(pinned.locate(new_id).is_none());
+        assert!(pinned.decode_times(new_id).unwrap().is_none());
 
-    // … while the store sees the new epoch.
-    assert_eq!(store.len(), 9);
-    assert!(store.traj_index(new_id).is_some());
-    let new_times = store
-        .decode_times(store.traj_index(new_id).unwrap())
-        .unwrap();
-    let new_mid = (new_times[0] + new_times[new_times.len() - 1]) / 2;
-    assert!(!store
-        .where_query(new_id, new_mid, 0.0, PageRequest::all())
+        // … while the store sees the new epoch.
+        assert_eq!(store.len(), 9);
+        assert!(store.locate(new_id).is_some());
+        let new_times = store.decode_times(new_id).unwrap().unwrap();
+        let new_mid = (new_times[0] + new_times[new_times.len() - 1]) / 2;
+        assert!(!store
+            .where_query(new_id, new_mid, 0.0, PageRequest::all())
+            .unwrap()
+            .items
+            .is_empty());
+    }
+}
+
+/// The pinned view of a 3-partition store is the whole store: its length,
+/// a `where` answer for every id, paginated where/when/range walks across
+/// an ingest, and its own save (a v3 container with as many partitions
+/// that answers alike). The README's live-ingest example holds.
+#[test]
+fn a_pinned_view_is_the_whole_store() {
+    let (net, mut ds) = utcq::datagen::generate(&utcq::datagen::profile::tiny(), 60, 7);
+    let net = Arc::new(net);
+    let tonight_batch = Dataset {
+        trajectories: ds.trajectories.split_off(40),
+        ..ds.clone()
+    };
+    let store = StoreBuilder::new(Arc::clone(&net), params(&ds))
+        .shard_by(Arc::new(ByTime { interval_s: 600 }), 3)
         .unwrap()
-        .items
-        .is_empty());
+        .ingest(&ds)
+        .unwrap()
+        .finish()
+        .unwrap();
+    let occupied = store.snapshots().iter().filter(|p| !p.is_empty()).count();
+    assert_eq!(occupied, 3, "every partition holds some");
+    let probes: Vec<(u64, i64, EdgeId)> = (ds.trajectories.iter())
+        .map(|tu| {
+            let mid = (tu.times[0] + tu.times[tu.times.len() - 1]) / 2;
+            (tu.id, mid, tu.top_instance().path[0])
+        })
+        .collect();
+    let re = net.bounding_rect();
+    // Every paginated walk of the probes, one item per page; `between`
+    // runs after the first page of the first walk.
+    let walks = |t: &dyn QueryTarget, between: &dyn Fn()| {
+        let mut first = true;
+        let mut out = Vec::new();
+        for &(id, t_mid, edge) in &probes {
+            let once = || {
+                if std::mem::take(&mut first) {
+                    between();
+                }
+            };
+            let wheres = walk(|r| t.where_query(id, t_mid, 0.0, r).unwrap(), once);
+            let whens = walk(|r| t.when_query(id, edge, 0.5, 0.0, r).unwrap(), || ());
+            let range = walk(|r| t.range_query(&re, t_mid, 0.2, r).unwrap(), || ());
+            out.push((wheres, whens, range));
+        }
+        out
+    };
+    let pinned = store.snapshot();
+    let before = walks(&*pinned, &|| ());
+    assert!(before.iter().all(|(wheres, _, _)| !wheres.is_empty()));
+
+    let ingest = || {
+        store.ingest(&tonight_batch).unwrap();
+    };
+    assert_eq!(walks(&*pinned, &ingest), before, "walks across the ingest");
+    assert_eq!(store.epoch(), 1, "the ingest ran");
+    assert_eq!(pinned.len(), 40);
+    for &(id, t_mid, _) in &probes {
+        let page = pinned.where_query(id, t_mid, 0.0, PageRequest::all());
+        assert!(!page.unwrap().items.is_empty(), "pinned where on {id}");
+    }
+
+    let path = std::env::temp_dir().join("utcq-pinned-view.utcq");
+    pinned.save(&path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap()[4], VERSION_V3);
+    let reopened = Store::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!((reopened.shard_count(), reopened.len()), (3, 40));
+    assert_eq!(walks(&reopened, &|| ()), before, "the saved view");
+
+    // README.md, "Live ingest", at three partitions.
+    let pinned = reopened.snapshot();
+    reopened.ingest(&tonight_batch).unwrap();
+    let grown = pinned.len() + tonight_batch.trajectories.len();
+    assert_eq!(grown, reopened.len());
 }
 
 #[test]
@@ -366,9 +510,7 @@ fn cursors_minted_before_ingest_stay_valid_after() {
         .finish()
         .unwrap();
     let probe_id = batches[0].trajectories[0].id;
-    let times = store
-        .decode_times(store.traj_index(probe_id).unwrap())
-        .unwrap();
+    let times = store.decode_times(probe_id).unwrap().unwrap();
     let mid = (times[0] + times[times.len() - 1]) / 2;
 
     let full = store
@@ -553,9 +695,7 @@ fn cache_stays_correct_across_epochs() {
         .finish()
         .unwrap();
     let probe_id = batches[0].trajectories[0].id;
-    let times = store
-        .decode_times(store.traj_index(probe_id).unwrap())
-        .unwrap();
+    let times = store.decode_times(probe_id).unwrap().unwrap();
     let mid = (times[0] + times[times.len() - 1]) / 2;
 
     // Warm the epoch-0 cache, ingest, then query again: the epoch-1
@@ -618,14 +758,14 @@ fn range_results_follow_the_store_epoch_across_untouched_partitions() {
     let (re, tq) = (net.bounding_rect(), tu.times[0]);
     let range = |s: &Store| s.range_query(&re, tq, 0.0, PageRequest::all()).unwrap();
     range(&store);
-    let first = || store.snapshots()[0].cache_stats();
-    let (hits, cached) = (first().hits, first().entries);
+    let stats = || store.cache_stats();
+    let (hits, cached) = (stats().hits, stats().entries);
     assert_eq!(range(&store), range(&store));
-    assert_eq!(first().hits, hits + 2, "the repeats hit the stored result");
+    assert_eq!(stats().hits, hits + 2, "the repeats hit the stored result");
 
     store.ingest(&late).unwrap();
     assert_eq!(store.snapshots()[0].epoch(), 0, "partition 0 untouched");
-    assert_eq!(first().entries, cached - 1, "only the range result retires");
+    assert_eq!(stats().entries, cached - 1, "only the range result retires");
     assert_eq!(range(&store), range(&build(&[late])));
 }
 
@@ -731,54 +871,46 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
     let b3 = split(&mut b2, 1_024);
     let (base, b1) = (full, rest);
 
-    let store = StoreBuilder::new(Arc::clone(&net), p)
-        .stiu_params(STIU)
-        .ingest(&base)
-        .unwrap()
-        .finish()
-        .unwrap();
+    // One live store at one partition and one at three, each pinned at
+    // the base.
+    let stores = [1, 3].map(|parts| {
+        let b = builder(&net, p, parts).ingest(&base).unwrap();
+        b.finish().unwrap()
+    });
+    let pins = stores.each_ref().map(Store::snapshot);
     let probe_id = base.trajectories[0].id;
-    let times = store
-        .decode_times(store.traj_index(probe_id).unwrap())
-        .unwrap();
+    let times = stores[0].decode_times(probe_id).unwrap().unwrap();
     let mid = (times[0] + times[times.len() - 1]) / 2;
-
-    let pinned = store.snapshot();
-    let full_where = pinned
+    let full_where = pins[0]
         .where_query(probe_id, mid, 0.0, PageRequest::all())
         .unwrap()
         .into_items();
-    let warm = store
+    let warm = stores[0]
         .where_query(probe_id, mid, 0.0, PageRequest::all())
         .unwrap()
         .into_items();
 
     // Walk one item per page; the three sealing publishes land after
     // the first page.
-    let mut walked = Vec::new();
-    let mut req = PageRequest::first(1);
-    let mut pages = 0;
-    loop {
-        let page = pinned.where_query(probe_id, mid, 0.0, req).unwrap();
-        walked.extend(page.items);
-        pages += 1;
-        if pages == 1 {
-            for (i, b) in [&b1, &b2, &b3].into_iter().enumerate() {
-                let report = store.ingest(b).unwrap();
-                assert_eq!(report.epoch, i as u64 + 1);
-            }
-        }
-        match page.next_cursor {
-            Some(c) => req = PageRequest::after(c, 1),
-            None => break,
-        }
+    for (store, pinned) in stores.iter().zip(&pins) {
+        let parts = store.shard_count();
+        let walked = walk(
+            |req| pinned.where_query(probe_id, mid, 0.0, req).unwrap(),
+            || {
+                for (i, b) in [&b1, &b2, &b3].into_iter().enumerate() {
+                    let report = store.ingest(b).unwrap();
+                    assert_eq!(report.epoch, i as u64 + 1);
+                }
+            },
+        );
+        assert_eq!(
+            walked, full_where,
+            "{parts} partitions: a pinned walk across chunk-sealing publishes yields pre-ingest answers"
+        );
+        assert_eq!(pinned.len(), 1_000, "{parts} partitions");
+        assert_eq!(store.len(), 4_072, "{parts} partitions");
     }
-    assert_eq!(
-        walked, full_where,
-        "a pinned walk across chunk-sealing publishes yields pre-ingest answers"
-    );
-    assert_eq!(pinned.len(), 1_000);
-    assert_eq!(store.len(), 4_072);
+    let (store, pinned) = (&stores[0], &pins[0]);
 
     // Cross-epoch decode-cache equivalence over the chunked state: the
     // warmed store answers like before the publishes, and like a
@@ -806,8 +938,8 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
         .into_items();
     assert_eq!(after, cold);
     let new_id = b3.trajectories[0].id;
-    assert!(pinned.traj_index(new_id).is_none());
-    assert!(store.traj_index(new_id).is_some());
+    assert!(pinned.locate(new_id).is_none());
+    assert!(store.locate(new_id).is_some());
 
     // The range path over sealed segments: the live-grown store, the
     // offline build, its reopened v2 bytes, a 3-shard store and its
@@ -833,17 +965,18 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
     let mut v3_bytes = Vec::new();
     sharded.write(&mut v3_bytes).unwrap();
     let v3 = Store::read(&mut v3_bytes.as_slice()).unwrap();
-    let targets: [(&str, &dyn QueryTarget); 5] = [
-        ("live", &store),
+    let targets: [(&str, &dyn QueryTarget); 6] = [
+        ("live", store),
         ("offline", &fresh),
         ("v2", &v2),
         ("sharded", &sharded),
         ("v3", &v3),
+        ("live sharded", &stores[1]),
     ];
     let b = net.bounding_rect();
     let re = Rect::new(b.min_x, b.min_y, b.min_x + 0.6 * b.width(), b.max_y);
     let alpha = 0.3;
-    let keys = fresh.snapshot().stiu().interval_trajs.sorted_keys();
+    let keys = fresh.snapshots()[0].stiu().interval_trajs.sorted_keys();
     assert!(keys.len() > 1, "the walk below must cross intervals");
     let queries: Vec<RangeQuery> = keys
         .iter()
@@ -853,7 +986,7 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
             alpha,
         })
         .collect();
-    let walk = |t: &dyn QueryTarget, tq: i64, limit: usize| {
+    let range_walk = |t: &dyn QueryTarget, tq: i64, limit: usize| {
         let mut pages = Vec::new();
         let mut req = PageRequest::first(limit);
         loop {
@@ -870,15 +1003,18 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
     let mut hits = 0;
     for q in &queries {
         for limit in [1, 7, usize::MAX] {
-            let want = walk(targets[0].1, q.tq, limit);
+            let want = range_walk(targets[0].1, q.tq, limit);
             for (name, t) in &targets[1..] {
                 assert_eq!(
-                    walk(*t, q.tq, limit),
+                    range_walk(*t, q.tq, limit),
                     want,
                     "{name} tq {} limit {limit}",
                     q.tq
                 );
             }
+            // The views pinned at the base agree at both partition counts.
+            let base_pages = range_walk(&**pinned, q.tq, limit);
+            assert_eq!(range_walk(&*pins[1], q.tq, limit), base_pages, "pinned");
             if limit == usize::MAX {
                 assert_eq!(want.len(), 1, "an unpaginated answer is one page");
                 hits += want[0].0.len();

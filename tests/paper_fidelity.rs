@@ -62,8 +62,8 @@ fn compressed_structure_matches_example2() {
     // Algorithm 1 keeps Tu¹₁ as the only reference.
     let fx = paper_fixture::build();
     let store = paper_store(&fx);
-    let snap = store.snapshot();
-    let ct = snap.compressed().trajectories.get(0).unwrap();
+    let part = &store.snapshots()[0];
+    let ct = part.compressed().trajectories.get(0).unwrap();
     assert_eq!(ct.refs.len(), 1);
     assert_eq!(ct.refs[0].orig_idx, 0);
     assert_eq!(ct.nrefs.len(), 2);

@@ -118,7 +118,8 @@ fn probe_requests(opened: &Opened) -> Vec<String> {
     for snap in opened.snapshots() {
         for j in 0..snap.len() as u32 {
             let ct = &snap.compressed().trajectories[j as usize];
-            let times = snap.decode_times(j).expect("decode times");
+            let times = opened.decode_times(ct.id).expect("decode times");
+            let times = times.expect("a stored id");
             let mid = (times[0] + times[times.len() - 1]) / 2;
             requests.push(format!(
                 r#"{{"op":"where","traj":{},"t":{mid},"alpha":0}}"#,
@@ -332,8 +333,8 @@ fn oversized_request_is_rejected_and_the_connection_survives() {
 /// validation accepts the (lossily) decompressed copy.
 fn writable_probe() -> (utcq::traj::UncertainTrajectory, i64) {
     let v2 = Store::open(fixture_path("tiny_v2.utcq")).expect("v2 fixture opens");
-    let snap = v2.snapshot();
-    let ds = utcq::core::decompress_dataset(snap.network(), snap.compressed())
+    let part = &v2.snapshots()[0];
+    let ds = utcq::core::decompress_dataset(v2.network(), part.compressed())
         .expect("fixture decompresses");
     let mut tu = ds.trajectories[0].clone();
     tu.id = 100;

@@ -317,9 +317,8 @@ fn range_answers_identical_cold_cached_and_across_versions() {
     // v1: dataset-only container, network supplied out of band.
     let v1_path = std::env::temp_dir().join("utcq-range-equiv-v1.utcq");
     {
-        let snap = single.snapshot();
         let mut f = std::fs::File::create(&v1_path).unwrap();
-        utcq::core::storage::save(snap.compressed(), &mut f).unwrap();
+        utcq::core::storage::save(single.snapshots()[0].compressed(), &mut f).unwrap();
     }
     let v1 = Store::open_v1(&v1_path, Arc::new(net.clone()), STIU).unwrap();
     std::fs::remove_file(&v1_path).ok();
