@@ -13,8 +13,9 @@ use crate::compressed::{
 use crate::error::Error;
 use crate::factor;
 use crate::params::CompressParams;
+use crate::query::par_in_order;
 use crate::reference::{assign_roles, Role};
-use crate::segment::Trajectories;
+use crate::segment::{Table, TrajSegment, TrajView, Trajectories};
 use crate::siar;
 
 /// A compressed dataset plus size accounting.
@@ -226,30 +227,74 @@ fn compress_views(
     ))
 }
 
-/// Compresses a full dataset, accumulating size accounting.
+/// One trajectory compressed and packed as a one-trajectory segment,
+/// with its compressed and raw footprints: what
+/// [`CompressedDataset::append`] copies in. Made on any thread.
+pub(crate) struct Compressed {
+    packed: TrajSegment,
+    size: SizeBreakdown,
+    raw: SizeBreakdown,
+}
+
+impl Compressed {
+    /// Compresses `tu` and packs it with its query plan.
+    pub(crate) fn of(
+        net: &RoadNetwork,
+        tu: &UncertainTrajectory,
+        params: &CompressParams,
+    ) -> Result<Self, Error> {
+        let (ct, size) = compress_trajectory(net, tu, params)?;
+        let packed = TrajSegment::of(&ct, &params.p_codec())?;
+        let raw = utcq_traj::size::uncompressed_bits(tu);
+        Ok(Self { packed, size, raw })
+    }
+
+    /// The packed trajectory.
+    pub(crate) fn view(&self) -> Result<TrajView<'_>, Error> {
+        let missing = Error::CorruptStore("no packed trajectory");
+        self.packed.view(0).ok_or(missing)
+    }
+}
+
+impl CompressedDataset {
+    /// An empty dataset on `net`.
+    pub(crate) fn empty(net: &RoadNetwork, name: &str, params: CompressParams) -> Self {
+        Self {
+            name: name.to_string(),
+            params,
+            w_e: edge_number_width(net.max_out_degree()),
+            trajectories: Trajectories::default(),
+            compressed: SizeBreakdown::default(),
+            raw: SizeBreakdown::default(),
+        }
+    }
+
+    /// Stores a compressed trajectory at the end and returns its
+    /// position.
+    pub(crate) fn append(&mut self, c: &Compressed) -> Result<u32, Error> {
+        let j = crate::segment::offset(self.trajectories.len())?;
+        self.compressed.add(&c.size);
+        self.raw.add(&c.raw);
+        self.trajectories.push_packed(&c.packed)?;
+        Ok(j)
+    }
+}
+
+/// Compresses a full dataset, accumulating size accounting: the
+/// trajectories compress on every core and are stored in input order.
 pub fn compress_dataset(
     net: &RoadNetwork,
     ds: &Dataset,
     params: &CompressParams,
 ) -> Result<CompressedDataset, Error> {
-    let mut compressed = SizeBreakdown::default();
-    let mut raw = SizeBreakdown::default();
-    let mut trajectories = Trajectories::default();
-    let p_codec = params.p_codec();
-    for tu in &ds.trajectories {
-        let (ct, size) = compress_trajectory(net, tu, params)?;
-        compressed.add(&size);
-        raw.add(&utcq_traj::size::uncompressed_bits(tu));
-        trajectories.push(&ct, &p_codec)?;
-    }
-    Ok(CompressedDataset {
-        name: ds.name.clone(),
-        params: *params,
-        w_e: edge_number_width(net.max_out_degree()),
-        trajectories,
-        compressed,
-        raw,
-    })
+    let mut cds = CompressedDataset::empty(net, &ds.name, *params);
+    let tus = &ds.trajectories;
+    par_in_order(
+        tus.len(),
+        |i| Compressed::of(net, &tus[i], params), // bounds: i < tus.len()
+        |_, c| cds.append(c).map(drop),
+    )?;
+    Ok(cds)
 }
 
 #[cfg(test)]

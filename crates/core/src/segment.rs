@@ -411,32 +411,76 @@ impl Trajectories {
     /// Appends a compressed trajectory, building its query plan with
     /// the dataset's probability codec.
     pub fn push(&mut self, ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<(), Error> {
-        self.append(|seg| {
-            seg.begin(ct.id, ct.n_times)?;
-            seg.stream(&mut ct.t_bits.reader(), ct.t_bits.len_bits())?;
-            for r in &ct.refs {
-                for b in [&r.e_bits, &r.tflag_bits, &r.d_bits] {
-                    seg.stream(&mut b.reader(), b.len_bits())?;
-                }
-                seg.refs.push(RefRow {
-                    p_code: r.p_code,
-                    orig_idx: r.orig_idx,
-                    sv: r.sv,
-                    n_entries: r.n_entries,
-                });
+        self.append(|seg| seg.push(ct, p_codec))
+    }
+
+    /// Appends the one trajectory of `one` ([`TrajSegment::of`]): a copy
+    /// of its rows, plan and streams.
+    pub(crate) fn push_packed(&mut self, one: &TrajSegment) -> Result<(), Error> {
+        self.append(|seg| seg.extend(one))
+    }
+}
+
+impl TrajSegment {
+    /// A segment holding `ct` alone, its query plan built with
+    /// `p_codec`: a trajectory packed apart from any dataset (and so on
+    /// any thread), for [`Trajectories::push_packed`].
+    pub(crate) fn of(ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<Self, Error> {
+        let mut seg = Self::default();
+        seg.push(ct, p_codec)?;
+        Ok(seg)
+    }
+
+    /// Appends `ct` as the next trajectory.
+    fn push(&mut self, ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<(), Error> {
+        self.begin(ct.id, ct.n_times)?;
+        self.stream(&mut ct.t_bits.reader(), ct.t_bits.len_bits())?;
+        for r in &ct.refs {
+            for b in [&r.e_bits, &r.tflag_bits, &r.d_bits] {
+                self.stream(&mut b.reader(), b.len_bits())?;
             }
-            for n in &ct.nrefs {
-                for b in [&n.e_com, &n.t_com, &n.d_com] {
-                    seg.stream(&mut b.reader(), b.len_bits())?;
-                }
-                seg.nrefs.push(NrefRow {
-                    p_code: n.p_code,
-                    orig_idx: n.orig_idx,
-                    ref_idx: n.ref_idx,
-                });
+            self.refs.push(RefRow {
+                p_code: r.p_code,
+                orig_idx: r.orig_idx,
+                sv: r.sv,
+                n_entries: r.n_entries,
+            });
+        }
+        for n in &ct.nrefs {
+            for b in [&n.e_com, &n.t_com, &n.d_com] {
+                self.stream(&mut b.reader(), b.len_bits())?;
             }
-            seg.finish(p_codec)
-        })
+            self.nrefs.push(NrefRow {
+                p_code: n.p_code,
+                orig_idx: n.orig_idx,
+                ref_idx: n.ref_idx,
+            });
+        }
+        self.finish(p_codec)
+    }
+
+    /// Appends the one trajectory of `one` as the next: its rows, plan
+    /// and arena copied, its stream ends moved past this arena's.
+    fn extend(&mut self, one: &TrajSegment) -> Result<(), Error> {
+        let row = one
+            .rows
+            .first()
+            .ok_or(Error::CorruptStore("no packed trajectory"))?;
+        let base = offset(self.arena.len() * 8)?;
+        self.begin(row.id, row.n_times)?;
+        if let Some(open) = self.rows.last_mut() {
+            open.prob_mass = row.prob_mass;
+        }
+        self.refs.extend_from_slice(&one.refs);
+        self.nrefs.extend_from_slice(&one.nrefs);
+        self.plan.extend_from_slice(&one.plan);
+        self.arena.extend_from_slice(&one.arena);
+        for &end in &one.stream_end {
+            let moved = end.checked_add(base);
+            self.stream_end
+                .push(moved.ok_or(Error::CorruptStore("segment past its 32-bit offsets"))?);
+        }
+        Ok(())
     }
 }
 

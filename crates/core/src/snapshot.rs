@@ -21,8 +21,10 @@
 //! 1. takes the store's writer lock (writers serialize; readers never
 //!    touch that lock),
 //! 2. clones each touched partition's state into a `PartitionState`
-//!    (`Partition::prepare_trajs`), compresses and indexes the new
-//!    batch into it — all **off the query path**,
+//!    (`Partition::writable`), compresses and indexes the batch's
+//!    trajectories on the work queue (`prepare`) and appends them to
+//!    their partitions' states in batch order
+//!    (`PartitionState::append`) — all **off the query path**,
 //! 3. freezes the result as a new `Arc<Partition>` with the batch's
 //!    epoch (`Partition::successor`) and publishes it, beside the
 //!    untouched partitions and the id map extended by the batch, as the
@@ -47,19 +49,20 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use utcq_network::{EdgeId, Rect, RoadNetwork};
+use utcq_network::{EdgeId, Grid, Rect, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
 use crate::cache::{CacheStats, DecodeCache};
 use crate::chunk::SharedIdMap;
-use crate::compress::{compress_trajectory, CompressedDataset};
+use crate::compress::{Compressed, CompressedDataset};
 use crate::error::Error;
+use crate::params::CompressParams;
 use crate::query::{
     range_scan, Page, PageRequest, QueryEngine, QueryTarget, RangeCandidate, WhenHit, WhereHit,
 };
 use crate::segment::Resident;
 use crate::shard::{decode_cursor, encode_cursor, ShardPolicy, ShardSpec};
-use crate::stiu::{Stiu, StiuParams, MAX_SPAN_PARTITIONS};
+use crate::stiu::{build_node, NodeSegment, Stiu, StiuParams, MAX_SPAN_PARTITIONS};
 use crate::storage::{self, Sections};
 
 /// A hand-rolled `ArcSwap`: the one mutable cell of a live store. The
@@ -513,37 +516,29 @@ impl Partition {
         })
     }
 
-    /// Builds — without publishing — the state that appending `tus`
-    /// to this partition would produce, against a private clone of it;
-    /// `Ok(None)` when nothing would change (empty batch with no name
-    /// to adopt). The caller serializes writers and freezes the state
-    /// with [`Partition::successor`] once the batch is logged. Splitting
-    /// prepare from publish is what makes a batch all-or-nothing across
-    /// partitions. The store has checked the batch already.
-    pub(crate) fn prepare_trajs(
-        &self,
-        name: &str,
-        tus: &[&UncertainTrajectory],
-    ) -> Result<Option<PartitionState>, Error> {
-        crate::hooks::point("snapshot.prepare");
+    /// The private, writable copy of this partition that a batch
+    /// appends its share to (`routed`: the batch routes trajectories
+    /// here), or `None` when the batch changes nothing here: no
+    /// trajectory, and no name to adopt. The caller serializes writers
+    /// and freezes the state with [`Partition::successor`] once the
+    /// batch is logged. Splitting the append from the publish is what
+    /// makes a batch all-or-nothing across partitions.
+    pub(crate) fn writable(&self, name: &str, routed: bool) -> Option<PartitionState> {
         // Match StoreBuilder's name adoption (it adopts from every
         // batch, even an empty one) so live and offline builds
         // serialize identically in all cases.
         let adopt_name = self.cds.name.is_empty() && !name.is_empty();
-        if tus.is_empty() && !adopt_name {
-            return Ok(None);
+        if !routed && !adopt_name {
+            return None;
         }
         let mut state = PartitionState::from_partition(self);
         if adopt_name {
             state.cds.name = name.to_string();
         }
-        for tu in tus {
-            state.ingest_traj(&self.net, self.stiu.params, tu)?;
-        }
-        Ok(Some(state))
+        Some(state)
     }
 
-    /// Freezes a state prepared by [`Partition::prepare_trajs`] as
+    /// Freezes a state from [`Partition::writable`] as
     /// `epoch` of the same partition, sharing this partition's network
     /// and decode cache.
     pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
@@ -554,15 +549,47 @@ impl Partition {
     }
 }
 
+/// One trajectory compressed and indexed but not yet stored: what
+/// [`prepare`] makes on a worker of a batch's work queue and
+/// [`PartitionState::append`] copies into its partition's tail segments.
+pub(crate) struct Prepared {
+    compressed: Compressed,
+    node: NodeSegment,
+}
+
+/// Compresses and indexes one trajectory for a store whose index has
+/// `stiu_params` and `grid` — the per-trajectory step of every ingest
+/// path (builder, live store, WAL replay), pure and so run on the work
+/// queue. Refuses a trajectory whose samples span
+/// [`MAX_SPAN_PARTITIONS`] or more index intervals.
+pub(crate) fn prepare(
+    net: &RoadNetwork,
+    params: &CompressParams,
+    stiu_params: StiuParams,
+    grid: &Grid,
+    tu: &UncertainTrajectory,
+) -> Result<Prepared, Error> {
+    // `abs_diff` cannot overflow however far apart the samples.
+    let too_long = |(first, last): (i64, i64)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS;
+    if stiu_params.span(&tu.times).is_some_and(too_long) {
+        return Err(Error::SpanTooLong(tu.id));
+    }
+    let compressed = Compressed::of(net, tu, params)?;
+    let node = build_node(net, tu, &compressed.view()?, grid, stiu_params.partition_s)?;
+    Ok(Prepared { compressed, node })
+}
+
 /// The writer-side, mutable counterpart of a [`Partition`]: what a
 /// [`crate::store::StoreBuilder`] accumulates batch by batch, and what a
 /// live [`crate::store::Store::ingest`] clones out of the current
 /// partition, extends, and publishes back.
 ///
-/// Both construction paths funnel through [`PartitionState::ingest_traj`],
+/// Both fill it the same way: every trajectory goes through
+/// [`prepare`] and then, in batch order, [`PartitionState::append`],
 /// which is why a live-ingested store and an offline
 /// `StoreBuilder`-built store over the same batches serialize to
-/// byte-identical containers (`tests/live_ingest.rs` asserts this).
+/// byte-identical containers (`tests/live_ingest.rs` and
+/// `tests/parallel_ingest.rs` assert this).
 pub(crate) struct PartitionState {
     pub(crate) cds: CompressedDataset,
     /// Deferred until the first trajectory so `stiu_params` stays
@@ -572,17 +599,9 @@ pub(crate) struct PartitionState {
 
 impl PartitionState {
     /// A fresh, empty state for the given compression parameters.
-    pub(crate) fn new(net: &RoadNetwork, params: crate::params::CompressParams) -> Self {
-        let w_e = crate::compressed::edge_number_width(net.max_out_degree());
+    pub(crate) fn new(net: &RoadNetwork, params: CompressParams) -> Self {
         Self {
-            cds: CompressedDataset {
-                name: String::new(),
-                params,
-                w_e,
-                trajectories: Default::default(),
-                compressed: Default::default(),
-                raw: Default::default(),
-            },
+            cds: CompressedDataset::empty(net, "", params),
             stiu: None,
         }
     }
@@ -606,34 +625,17 @@ impl PartitionState {
         !self.cds.trajectories.is_empty()
     }
 
-    /// Compresses and indexes a single trajectory — the shared per-item
-    /// step of every ingest path (builder, live store) — and returns its
-    /// position. The store's id map has refused a duplicate id already.
-    pub(crate) fn ingest_traj(
-        &mut self,
-        net: &RoadNetwork,
-        stiu_params: StiuParams,
-        tu: &UncertainTrajectory,
-    ) -> Result<u32, Error> {
-        let params = self.cds.params;
-        let stiu = match &mut self.stiu {
-            Some(stiu) => stiu,
-            None => self.stiu.insert(Stiu::new(net, stiu_params)?),
-        };
-        let p_codec = params.p_codec();
-        let j = self.cds.trajectories.len() as u32;
-        // `abs_diff` cannot overflow however far apart the samples.
-        let too_long = |(first, last): (i64, i64)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS;
-        if stiu.params.span(&tu.times).is_some_and(too_long) {
-            return Err(Error::SpanTooLong(tu.id));
-        }
-        let (ct, size) = compress_trajectory(net, tu, &params)?;
-        self.cds.compressed.add(&size);
-        self.cds.raw.add(&utcq_traj::size::uncompressed_bits(tu));
-        self.cds.trajectories.push(&ct, &p_codec)?;
-        let missing = Error::CorruptStore("appended trajectory not stored");
-        let stored = self.cds.trajectories.get(j as usize).ok_or(missing)?;
-        stiu.push(net, tu, &stored)?;
+    /// Stores a trajectory [`prepare`]d for this partition's store at
+    /// the end and returns its position: copies only, on the thread that
+    /// owns the state. The store's id map has refused a duplicate id
+    /// already.
+    pub(crate) fn append(&mut self, prepared: &Prepared) -> Result<u32, Error> {
+        let stiu = self
+            .stiu
+            .as_mut()
+            .ok_or(Error::CorruptStore("partition without an index"))?;
+        let j = self.cds.append(&prepared.compressed)?;
+        stiu.append(&prepared.node)?;
         Ok(j)
     }
 

@@ -54,6 +54,7 @@ use utcq_traj::{Dataset, Instance, UncertainTrajectory};
 use crate::chunk::IntervalMap;
 use crate::compress::CompressedDataset;
 use crate::error::Error;
+use crate::query::par_in_order;
 use crate::segment::{copy_vec, offset, vec_bytes, NrefRow, Resident, Segments, Table, TrajView};
 use crate::siar;
 
@@ -494,19 +495,27 @@ impl NodeSegment {
     }
 }
 
+impl NodeSegment {
+    /// Appends `temporal` as the temporal tuples of the node being built,
+    /// the region words and membership bits of `regions` as its own.
+    fn extend(&mut self, temporal: &[TemporalTuple], regions: TrajIndex<'_>) {
+        self.temporal.extend_from_slice(temporal);
+        self.words.extend_from_slice(regions.words);
+        regions.member_bits().for_each(|set| self.push_bit(set));
+    }
+}
+
 impl Nodes {
     /// Appends a node: `temporal` as its temporal tuples, the region
     /// words and membership bits of `regions` as its own. (An index
-    /// registers its nodes' postings too: [`Stiu::push`].)
+    /// registers its nodes' postings too.)
     pub fn push(
         &mut self,
         temporal: &[TemporalTuple],
         regions: TrajIndex<'_>,
     ) -> Result<(), Error> {
         self.append(|seg| {
-            seg.temporal.extend_from_slice(temporal);
-            seg.words.extend_from_slice(regions.words);
-            regions.member_bits().for_each(|set| seg.push_bit(set));
+            seg.extend(temporal, regions);
             seg.close()
         })
     }
@@ -605,8 +614,10 @@ pub fn region_cells(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<Cell
     let first_pt = net.point_on_edge(first.edge, first.ndist);
     let last_pt = net.point_on_edge(last.edge, last.ndist);
 
-    let mut seen = std::collections::HashSet::new();
     let mut visited = Vec::new();
+    // One edge's cells with their projection along the direction of
+    // travel, reused from edge to edge.
+    let mut along: Vec<(f64, CellId)> = Vec::new();
     for (j, &e) in inst.path.iter().enumerate() {
         let mut a = net.coord(net.edge_from(e));
         let mut b = net.coord(net.edge_to(e));
@@ -617,32 +628,46 @@ pub fn region_cells(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<Cell
             b = last_pt;
         }
         let bbox = utcq_network::Rect::point(a).union(utcq_network::Rect::point(b));
-        let mut cells: Vec<(f64, CellId)> = grid
-            .cells_overlapping(&bbox)
-            .into_iter()
-            .filter(|&c| grid.cell_rect(c).intersects_segment(a, b))
-            .map(|c| {
-                let ctr = grid.cell_rect(c).center();
-                // Order by projection along the direction of travel.
-                let t = (ctr.x - a.x) * (b.x - a.x) + (ctr.y - a.y) * (b.y - a.y);
-                (t, c)
-            })
-            .collect();
-        cells.sort_by(|x, y| x.0.total_cmp(&y.0));
-        visited.extend(
-            cells
-                .into_iter()
-                .map(|(_, c)| c)
-                .filter(|&c| seen.insert(c)),
+        along.clear();
+        along.extend(
+            grid.cells_in(&bbox)
+                .filter(|&c| grid.cell_rect(c).intersects_segment(a, b))
+                .map(|c| {
+                    let ctr = grid.cell_rect(c).center();
+                    let t = (ctr.x - a.x) * (b.x - a.x) + (ctr.y - a.y) * (b.y - a.y);
+                    (t, c)
+                }),
         );
+        along.sort_by(|x, y| x.0.total_cmp(&y.0));
+        // An instance crosses few cells: a linear scan beats hashing.
+        for &(_, c) in &along {
+            if !visited.contains(&c) {
+                visited.push(c);
+            }
+        }
     }
     visited
+}
+
+/// The node of one trajectory, built apart from any index and so on any
+/// thread: a segment holding that one node, for [`Stiu::append`].
+pub(crate) fn build_node(
+    net: &RoadNetwork,
+    tu: &UncertainTrajectory,
+    ct: &TrajView<'_>,
+    grid: &Grid,
+    partition_s: i64,
+) -> Result<NodeSegment, Error> {
+    let mut seg = NodeSegment::default();
+    build_traj(&mut seg, net, tu, ct, grid, partition_s)?;
+    seg.close()?;
+    Ok(seg)
 }
 
 impl Stiu {
     /// An empty index over a network: the grid is fixed up front (it
     /// depends only on the network bounds and `grid_n`), trajectories are
-    /// appended with [`Stiu::push`]. Refuses a partition length below one
+    /// appended as a store ingests them. Refuses a partition length below one
     /// second and a grid dimension of 0 or past [`MAX_GRID_N`].
     pub fn new(net: &RoadNetwork, params: StiuParams) -> Result<Self, Error> {
         if params.partition_s <= 0 || params.grid_n == 0 || params.grid_n > MAX_GRID_N {
@@ -656,21 +681,19 @@ impl Stiu {
         })
     }
 
-    /// Appends the index node for one newly compressed trajectory and
+    /// Appends the node [`build_node`] built for the next trajectory and
     /// merges its temporal postings into the interval map in place — the
     /// incremental-ingest path: nothing previously indexed is touched.
     ///
     /// The trajectory's position must equal `self.trajs.len()` in the
     /// owning [`CompressedDataset`]'s trajectories. After an error the
     /// index must be dropped (`Segments::append`).
-    pub fn push(
-        &mut self,
-        net: &RoadNetwork,
-        tu: &UncertainTrajectory,
-        ct: &TrajView<'_>,
-    ) -> Result<(), Error> {
-        let partition_s = self.params.partition_s;
-        self.append_node(|seg, grid| build_traj(seg, net, tu, ct, grid, partition_s))
+    pub(crate) fn append(&mut self, built: &NodeSegment) -> Result<(), Error> {
+        let node = built.view(0).ok_or(Error::CorruptStore("no node built"))?;
+        self.append_node(|seg, _| {
+            seg.extend(node.temporal, node);
+            Ok::<_, Error>(())
+        })
     }
 
     /// Appends one node, whose tuples `fill` (given the grid) pushes onto
@@ -706,9 +729,9 @@ impl Stiu {
 /// Builds the index from the original dataset and its compressed form.
 ///
 /// The paper constructs the index *during* compression; we take both
-/// views to keep the phases separable for benchmarking. Equivalent to
-/// [`Stiu::new`] followed by one [`Stiu::push`] per trajectory, and
-/// panics where they return an error; a store's own paths call them.
+/// views to keep the phases separable for benchmarking. The nodes are
+/// built on the work queue and appended in order, as a store's ingest
+/// does; panics where that returns an error.
 pub fn build(net: &RoadNetwork, ds: &Dataset, cds: &CompressedDataset, params: StiuParams) -> Stiu {
     try_build(net, ds, cds, params).expect("a dataset the index can hold")
 }
@@ -721,9 +744,15 @@ pub(crate) fn try_build(
     params: StiuParams,
 ) -> Result<Stiu, Error> {
     let mut stiu = Stiu::new(net, params)?;
-    for (tu, ct) in ds.trajectories.iter().zip(&cds.trajectories) {
-        stiu.push(net, tu, &ct)?;
-    }
+    let grid = stiu.grid.clone();
+    let n = ds.trajectories.len().min(cds.trajectories.len());
+    let node = |i: usize| {
+        let missing = || Error::CorruptStore("trajectory past the dataset");
+        let tu = ds.trajectories.get(i).ok_or_else(missing)?;
+        let ct = cds.trajectories.get(i).ok_or_else(missing)?;
+        build_node(net, tu, &ct, &grid, params.partition_s)
+    };
+    par_in_order(n, node, |_, built| stiu.append(built))?;
     Ok(stiu)
 }
 
@@ -979,6 +1008,64 @@ mod tests {
             let mut own = cells(r.orig_idx);
             own.sort();
             assert_eq!(entered, own, "reference {i}");
+        }
+    }
+
+    /// `region_cells` as it was before it reused one buffer per call: a
+    /// hash set of the cells seen and a fresh vector per edge — the
+    /// reference the rewrite is checked against.
+    fn region_cells_reference(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<CellId> {
+        let first = inst.location(net, 0);
+        let last = inst.location(net, inst.positions.len() - 1);
+        let first_pt = net.point_on_edge(first.edge, first.ndist);
+        let last_pt = net.point_on_edge(last.edge, last.ndist);
+
+        let mut seen = std::collections::HashSet::new();
+        let mut visited = Vec::new();
+        for (j, &e) in inst.path.iter().enumerate() {
+            let mut a = net.coord(net.edge_from(e));
+            let mut b = net.coord(net.edge_to(e));
+            if j == 0 {
+                a = first_pt;
+            }
+            if j == inst.path.len() - 1 {
+                b = last_pt;
+            }
+            let bbox = utcq_network::Rect::point(a).union(utcq_network::Rect::point(b));
+            let mut cells: Vec<(f64, CellId)> = grid
+                .cells_overlapping(&bbox)
+                .into_iter()
+                .filter(|&c| grid.cell_rect(c).intersects_segment(a, b))
+                .map(|c| {
+                    let ctr = grid.cell_rect(c).center();
+                    // Order by projection along the direction of travel.
+                    let t = (ctr.x - a.x) * (b.x - a.x) + (ctr.y - a.y) * (b.y - a.y);
+                    (t, c)
+                })
+                .collect();
+            cells.sort_by(|x, y| x.0.total_cmp(&y.0));
+            visited.extend(
+                cells
+                    .into_iter()
+                    .map(|(_, c)| c)
+                    .filter(|&c| seen.insert(c)),
+            );
+        }
+        visited
+    }
+
+    #[test]
+    fn region_cells_equal_the_hash_set_reference() {
+        use utcq_datagen::profile;
+        for p in [profile::dk(), profile::cd(), profile::hz()] {
+            let (net, ds) = utcq_datagen::generate(&p, 300, 7);
+            for grid_n in [StiuParams::default().grid_n, 256] {
+                let grid = Grid::over_network(&net, grid_n);
+                for inst in ds.trajectories.iter().flat_map(|tu| &tu.instances) {
+                    let want = region_cells_reference(&net, inst, &grid);
+                    assert_eq!(region_cells(&net, inst, &grid), want, "{} {grid_n}", p.name);
+                }
+            }
         }
     }
 

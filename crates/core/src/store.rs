@@ -11,9 +11,10 @@
 //! All read state is one immutable [`Snapshot`] behind an `Arc`: every
 //! partition at one epoch and the store's one id map, id → (partition,
 //! position); every query pins it, and [`Store::snapshot`] hands it out
-//! as a read view. A [`Store::ingest`] compresses each partition's share
-//! of a batch into a private clone of that partition, then publishes the
-//! next epoch with one swap; untouched partitions keep their `Arc`s.
+//! as a read view. A [`Store::ingest`] compresses and indexes a batch's
+//! trajectories on every core and appends them, in batch order, to
+//! private clones of their partitions, then publishes the next epoch
+//! with one swap; untouched partitions keep their `Arc`s.
 //! Queries never take the writer lock, and a published store is
 //! byte-identical to an offline [`StoreBuilder`] build of the same
 //! batches (`tests/live_ingest.rs`). The read surface is [`QueryTarget`]
@@ -44,9 +45,9 @@ use crate::error::Error;
 use crate::live::{Held, WriterCore};
 use crate::opened::{policy_label, summed_sizes, InfoReport};
 use crate::params::CompressParams;
-use crate::query::{par_run, Page, PageRequest, QueryTarget, WhenHit, WhereHit};
+use crate::query::{par_in_order, Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::shard::{check_shard_count, ShardPolicy, ShardSpec};
-use crate::snapshot::{Partition, PartitionState, Routing, Snapshot, Swap};
+use crate::snapshot::{prepare, Partition, PartitionState, Prepared, Routing, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
 use crate::storage::{self, StorageError, VERSION_V3};
 
@@ -122,6 +123,46 @@ fn route(
         s if s < n => Ok(s),
         _ => Err(Error::ShardConfig("policy routed past the shard count")),
     }
+}
+
+/// The partition among `n` that `policy` places each of `tus` on.
+fn routes(
+    policy: Option<&dyn ShardPolicy>,
+    net: &RoadNetwork,
+    tus: &[UncertainTrajectory],
+    n: u32,
+) -> Result<Vec<u32>, Error> {
+    tus.iter().map(|tu| route(policy, net, tu, n)).collect()
+}
+
+/// Runs a checked batch `tus` through the one per-trajectory path of
+/// every ingest: [`prepare`] on the work queue against `index`'s grid,
+/// then, on the calling thread and in batch order, `append` to the
+/// partition `routes` names, which returns the trajectory's position
+/// there for `ids`. Fails with the first error in batch order.
+fn ingest_in_order(
+    net: &RoadNetwork,
+    params: &CompressParams,
+    index: &Stiu,
+    tus: &[UncertainTrajectory],
+    routes: &[u32],
+    ids: &mut SharedIdMap,
+    mut append: impl FnMut(u32, &Prepared) -> Result<u32, Error>,
+) -> Result<(), Error> {
+    let missing = || Error::CorruptStore("trajectory past the batch");
+    par_in_order(
+        tus.len(),
+        |i| {
+            let tu = tus.get(i).ok_or_else(missing)?;
+            prepare(net, params, index.params, &index.grid, tu)
+        },
+        |i, prepared| {
+            let (tu, &s) = tus.get(i).zip(routes.get(i)).ok_or_else(missing)?;
+            let j = append(s, prepared)?;
+            ids.insert(tu.id, (s, j));
+            Ok(())
+        },
+    )
 }
 
 /// Incremental construction of a [`Store`]: each `ingest` compresses and
@@ -215,22 +256,40 @@ impl StoreBuilder {
     }
 
     /// Compresses and indexes one batch of trajectories into their
-    /// partitions, appending to whatever was ingested before. A batch
-    /// that repeats an id, or names one ingested before, fails with
-    /// [`Error::DuplicateTrajectory`] before any of it is compressed.
+    /// partitions, appending to whatever was ingested before: the
+    /// trajectories compress on the work queue and are appended in batch
+    /// order. A batch that repeats an id, or names one ingested before,
+    /// fails with [`Error::DuplicateTrajectory`] before any of it is
+    /// compressed.
     pub fn ingest(mut self, batch: &Dataset) -> Result<Self, Error> {
         check_batch(&self.net, self.params.default_interval, batch)?;
         check_new_ids(&self.ids, batch)?;
         if self.name.is_none() && !batch.name.is_empty() {
             self.name = Some(batch.name.clone());
         }
-        let n = self.parts.len() as u32;
-        for tu in &batch.trajectories {
-            let s = route(self.policy.as_deref(), &self.net, tu, n)?;
-            // bounds: route returns s < parts.len()
-            let j = self.parts[s as usize].ingest_traj(&self.net, self.stiu_params, tu)?;
-            self.ids.insert(tu.id, (s, j));
+        let tus = &batch.trajectories;
+        if tus.is_empty() {
+            return Ok(self);
         }
+        let n = self.parts.len() as u32;
+        let routes = routes(self.policy.as_deref(), &self.net, tus, n)?;
+        // Every partition gets its index with the first trajectory; the
+        // index parameters are fixed from then on.
+        let index = Stiu::new(&self.net, self.stiu_params)?;
+        for part in &mut self.parts {
+            part.stiu.get_or_insert_with(|| index.clone());
+        }
+        let parts = &mut self.parts;
+        let missing = || Error::CorruptStore("routed past the partitions");
+        ingest_in_order(
+            &self.net,
+            &self.params,
+            &index,
+            tus,
+            &routes,
+            &mut self.ids,
+            |s, p| parts.get_mut(s as usize).ok_or_else(missing)?.append(p),
+        )?;
         Ok(self)
     }
 
@@ -634,13 +693,13 @@ impl Store {
 
     /// Compresses, indexes and publishes `batch` as the next epoch with
     /// the writer lock held. Checks the batch and its ids against the id
-    /// map, routes it, then compresses each partition's share into a
-    /// prepared copy of that partition on the shared work queue. Only
-    /// when **every** share compressed is the batch logged
-    /// (`WriterCore::log`) and one new snapshot swapped in, so batches
-    /// are all-or-nothing across partitions; a batch that changes nothing
-    /// reports the current epoch. A store reopened from a custom-policy
-    /// container cannot route: [`Error::ShardConfig`].
+    /// map and routes it; the trajectories then compress on the shared
+    /// work queue and are appended, in batch order, to private copies of
+    /// their partitions. Only when **every** trajectory compressed is the
+    /// batch logged (`WriterCore::log`) and one new snapshot swapped in,
+    /// so batches are all-or-nothing across partitions; a batch that
+    /// changes nothing reports the current epoch. A store reopened from a
+    /// custom-policy container cannot route: [`Error::ShardConfig`].
     pub(crate) fn publish_locked(
         &self,
         held: &Held<'_>,
@@ -657,17 +716,33 @@ impl Store {
                 )),
             };
         check_new_ids(&state.ids, batch)?;
-        let mut routed: Vec<Vec<&UncertainTrajectory>> = vec![Vec::new(); state.parts.len()];
-        for tu in &batch.trajectories {
-            let s = route(policy, &self.net, tu, state.parts.len() as u32)?;
-            routed[s as usize].push(tu); // bounds: route returns s < parts.len()
-        }
-        // An error in any partition returns here with nothing published.
-        let prepared = par_run(state.parts.len(), |s| {
-            // bounds: par_run yields s < parts.len(); routed has one slot per partition
-            state.parts[s].prepare_trajs(&batch.name, &routed[s])
-        })?;
-        if prepared.iter().all(Option::is_none) {
+        let tus = &batch.trajectories;
+        let routes = routes(policy, &self.net, tus, state.parts.len() as u32)?;
+        crate::hooks::point("snapshot.prepare");
+        let first = state
+            .parts
+            .first()
+            .ok_or(Error::CorruptStore("a store without partitions"))?;
+        let mut next: Vec<Option<PartitionState>> = (0u32..)
+            .zip(&state.parts)
+            .map(|(p, part)| part.writable(&batch.name, routes.contains(&p)))
+            .collect();
+        let mut ids = state.ids.clone();
+        let missing = || Error::CorruptStore("routed past the partitions");
+        // An error returns here with nothing published.
+        ingest_in_order(
+            &self.net,
+            &first.cds.params,
+            &first.stiu,
+            tus,
+            &routes,
+            &mut ids,
+            |s, p| {
+                let share = next.get_mut(s as usize).and_then(Option::as_mut);
+                share.ok_or_else(missing)?.append(p)
+            },
+        )?;
+        if next.iter().all(Option::is_none) {
             return Ok(IngestReport {
                 ingested: 0,
                 total: state.len(),
@@ -677,14 +752,8 @@ impl Store {
         // The batch will publish: log it first, so that a crash from
         // here on replays it under the epoch allocated here.
         let epoch = self.core.log(held, batch)?;
-        let mut ids = state.ids.clone();
-        for ((p, cur), tus) in (0u32..).zip(&state.parts).zip(&routed) {
-            for (j, tu) in (cur.len() as u32..).zip(tus) {
-                ids.insert(tu.id, (p, j));
-            }
-        }
         let parts: Vec<Arc<Partition>> = (state.parts.iter())
-            .zip(prepared)
+            .zip(next)
             .map(|(cur, p)| match p {
                 Some(next) => Arc::new(cur.successor(next, epoch)),
                 None => Arc::clone(cur),

@@ -91,18 +91,19 @@ impl Grid {
 
     /// All cells whose rectangle intersects `rect`.
     pub fn cells_overlapping(&self, rect: &Rect) -> Vec<CellId> {
+        self.cells_in(rect).collect()
+    }
+
+    /// The cells of [`Grid::cells_overlapping`], row by row, without
+    /// collecting them.
+    pub fn cells_in(&self, rect: &Rect) -> impl Iterator<Item = CellId> {
         let lo = self.cell_of(Point::new(rect.min_x, rect.min_y));
         let hi = self.cell_of(Point::new(rect.max_x, rect.max_y));
-        let (lo_row, lo_col) = (lo.0 / self.nx, lo.0 % self.nx);
-        let (hi_row, hi_col) = (hi.0 / self.nx, hi.0 % self.nx);
-        let mut cells =
-            Vec::with_capacity(((hi_row - lo_row + 1) * (hi_col - lo_col + 1)) as usize);
-        for row in lo_row..=hi_row {
-            for col in lo_col..=hi_col {
-                cells.push(CellId(row * self.nx + col));
-            }
-        }
-        cells
+        let nx = self.nx;
+        let (lo_row, lo_col) = (lo.0 / nx, lo.0 % nx);
+        let (hi_row, hi_col) = (hi.0 / nx, hi.0 % nx);
+        (lo_row..=hi_row)
+            .flat_map(move |row| (lo_col..=hi_col).map(move |col| CellId(row * nx + col)))
     }
 
     /// The union rectangle of a set of cells — the `re_total` of Lemma 4.
