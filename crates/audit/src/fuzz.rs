@@ -89,7 +89,7 @@ pub struct Fixtures {
     lines: Vec<String>,
     wals: Vec<Vec<u8>>,
     opened: Opened,
-    /// The container logs replay into (`tiny_v6.utcq`).
+    /// The container logs replay into (`tiny_v7.utcq`).
     replay_base: Vec<u8>,
     scratch: PathBuf,
     wal_scratch: PathBuf,
@@ -101,8 +101,9 @@ impl Fixtures {
         let dir = repo_root.join("tests/fixtures");
         let mut containers = Vec::new();
         // Among them every shape of region tuple: v4 (the reader's
-        // consume-and-drop path), v5 (fixed-width, sorted at open) and
-        // v6 (coded against the trajectory: what stores write).
+        // consume-and-drop path), v5 (fixed-width, sorted at open), v6
+        // (coded against the trajectory) and v7 (v6 with stream lengths,
+        // instance order and temporal tuples derived: what stores write).
         let versions = [
             "v1",
             "v2",
@@ -113,6 +114,8 @@ impl Fixtures {
             "v3_v5",
             "v6",
             "v3_v6",
+            "v7",
+            "v3_v7",
         ];
         for version in versions {
             containers.push(fs::read(dir.join(format!("tiny_{version}.utcq")))?);
@@ -179,7 +182,7 @@ impl Fixtures {
             lines,
             wals: wal_seed_corpus(&dir)?,
             opened,
-            replay_base: fs::read(dir.join("tiny_v6.utcq"))?,
+            replay_base: fs::read(dir.join("tiny_v7.utcq"))?,
             scratch,
             wal_scratch,
         })
@@ -202,7 +205,7 @@ impl Drop for Fixtures {
 /// a header alone, then checksummed batch records, among them one
 /// trajectory whose instances take every branch of the
 /// reference-relative code, and one that fits the replay container
-/// (`tiny_v6.utcq`: 10 s interval, 162 edges) but for an edge past its
+/// (`tiny_v7.utcq`: 10 s interval, 162 edges) but for an edge past its
 /// network.
 fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
     use utcq_network::EdgeId;
@@ -514,7 +517,7 @@ fn build_input(
     };
     match target {
         0 => {
-            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: nine fixtures always load
+            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: eleven fixtures always load
             let mut bytes = base.clone();
             for _ in 0..rounds {
                 mutate_bytes(&mut rng, &mut bytes);

@@ -334,6 +334,27 @@ impl<'a> BitReader<'a> {
         self.buf.len.saturating_sub(self.pos)
     }
 
+    /// The next bits MSB-aligned in a word, without consuming them, and
+    /// how many of them the stream holds: 57 or more, or all that are
+    /// left (the rest of the word is zero). One load lets a decoder take
+    /// a short variable-length code whole.
+    #[inline]
+    pub fn peek(&self) -> (u64, u32) {
+        let (first, skip) = (self.pos / 8, self.pos % 8);
+        let tail = self.buf.bytes.get(first..).unwrap_or_default();
+        let word = match tail.first_chunk::<8>() {
+            Some(word) => u64::from_be_bytes(*word),
+            None => {
+                let mut word = [0u8; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(word)
+            }
+        };
+        let avail = self.remaining().min(64 - skip) as u32;
+        let valid = u64::MAX.checked_shr(avail).map_or(u64::MAX, |rest| !rest);
+        ((word << skip) & valid, avail)
+    }
+
     /// Reads one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool, CodecError> {

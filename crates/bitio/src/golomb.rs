@@ -37,7 +37,15 @@ pub fn encode_unsigned(w: &mut BitWriter, u: u64) -> Result<(), CodecError> {
 }
 
 /// Decodes one order-0 Exp-Golomb value.
+#[inline]
 pub fn decode_unsigned(r: &mut BitReader<'_>) -> Result<u64, CodecError> {
+    let (word, avail) = r.peek();
+    let z = word.leading_zeros();
+    if 2 * z < avail {
+        // z zeros, then the z + 1 bits of v, all in the word.
+        r.seek(r.pos() + 2 * z as usize + 1);
+        return Ok(((word << z) >> (63 - z)) - 1);
+    }
     let mut z = 0u32;
     while !r.read_bit()? {
         z += 1;
@@ -81,7 +89,21 @@ pub fn encode_deviation(w: &mut BitWriter, delta: i64) -> Result<(), CodecError>
 }
 
 /// Decodes one improved Exp-Golomb deviation.
+#[inline]
 pub fn decode_deviation(r: &mut BitReader<'_>) -> Result<i64, CodecError> {
+    let (word, avail) = r.peek();
+    let j = word.leading_ones();
+    if j == 0 && avail > 0 {
+        r.seek(r.pos() + 1);
+        return Ok(0);
+    }
+    if 2 * j + 2 <= avail {
+        // j ones, the terminating 0, the sign, j bits of offset.
+        r.seek(r.pos() + 2 * j as usize + 2);
+        let negative = word << (j + 1) >> 63 == 1;
+        let v = ((word << (j + 2)) >> (64 - j)) + ((1u64 << j) - 1);
+        return Ok(if negative { -(v as i64) } else { v as i64 });
+    }
     let mut j = 0u32;
     while r.read_bit()? {
         j += 1;

@@ -56,7 +56,7 @@ pub enum Error {
     /// static description of the invariant that failed.
     CorruptStore(&'static str),
     /// A v1 container was opened through [`crate::store::Store::open`],
-    /// which requires one that embeds its network (v2 to v6).
+    /// which requires one that embeds its network (v2 to v7).
     NeedsNetwork,
     /// A page cursor was presented to a store other than the one that
     /// minted it (e.g. a where/when cursor whose partition tag does not

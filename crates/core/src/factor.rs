@@ -158,32 +158,55 @@ pub fn encode_e(
 
 /// Decodes `Com_E` and replays it against the reference in one pass.
 pub fn decode_e(r: &mut BitReader<'_>, refe: &[u32], m_width: u32) -> Result<Vec<u32>, CodecError> {
-    let ref_len = refe.len();
+    let mut out = Vec::new();
+    walk_e(r, refe.len(), m_width, |copy, m| {
+        out.extend_from_slice(&refe[copy]);
+        out.extend(m);
+    })?;
+    Ok(out)
+}
+
+/// The one reader of `Com_E`: per factor, the range of the reference
+/// it copies (checked against `ref_len`) and its mismatch, in order.
+/// Returns the coded length, checked against the stored one. It needs
+/// the reference's length, never its entries: with a no-op `factor` it
+/// is what delimits the stream in a container.
+pub fn walk_e(
+    r: &mut BitReader<'_>,
+    ref_len: usize,
+    m_width: u32,
+    mut factor: impl FnMut(std::ops::Range<usize>, Option<u32>),
+) -> Result<usize, CodecError> {
     let ws = width_for_max(ref_len as u64);
     let wl = width_for_max(ref_len as u64);
-    let h = golomb::decode_unsigned(r)? as usize;
-    let nref_len = golomb::decode_unsigned(r)? as usize;
-    let mut out = Vec::with_capacity(nref_len);
+    let h = golomb::decode_unsigned(r)?;
+    let nref_len = golomb::decode_unsigned(r)?;
+    let mut len = 0u64;
     for i in 0..h {
         let s = r.read_bits(ws)? as usize;
         if s == ref_len {
-            out.push(r.read_bits(m_width)? as u32);
+            factor(0..0, Some(r.read_bits(m_width)? as u32));
+            len += 1;
             continue;
         }
         let l = r.read_bits(wl)? as usize;
         if s + l > ref_len {
             return Err(CodecError::Malformed("E factor copies past reference end"));
         }
-        out.extend_from_slice(&refe[s..s + l]);
-        let is_tail = i == h - 1 && out.len() == nref_len;
-        if !is_tail {
-            out.push(r.read_bits(m_width)? as u32);
-        }
+        len += l as u64;
+        let is_tail = i == h - 1 && len == nref_len;
+        let m = if is_tail {
+            None
+        } else {
+            Some(r.read_bits(m_width)? as u32)
+        };
+        len += u64::from(m.is_some());
+        factor(s..s + l, m);
     }
-    if out.len() != nref_len {
+    if len != nref_len {
         return Err(CodecError::Malformed("E factors produce the wrong length"));
     }
-    Ok(out)
+    Ok(len as usize)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,35 +371,56 @@ pub fn decode_t(
     ref_len: usize,
     nref_len: usize,
 ) -> Result<TCom, CodecError> {
+    let (mut bits, mut factors, mut last_m) = (Vec::new(), Vec::new(), None);
+    let h = walk_t(
+        r,
+        ref_len,
+        nref_len,
+        |b| bits.push(b),
+        |f, m| {
+            factors.push(f);
+            last_m = m;
+        },
+    )?;
+    Ok(match h {
+        0 if nref_len == ref_len => TCom::Identical,
+        0 => TCom::Raw(bits),
+        _ => TCom::Factors { factors, last_m },
+    })
+}
+
+/// The one reader of `Com_T'`: `raw` gets each bit of the verbatim
+/// fallback (`H = 0` with differing lengths, which the encoder
+/// guarantees), `factor` each factor, the last with its explicit
+/// mismatch bit. Returns `H`.
+pub fn walk_t(
+    r: &mut BitReader<'_>,
+    ref_len: usize,
+    nref_len: usize,
+    mut raw: impl FnMut(bool),
+    mut factor: impl FnMut(TFactor, Option<bool>),
+) -> Result<u64, CodecError> {
     let wt = width_for_max(ref_len as u64);
-    let h = golomb::decode_unsigned(r)? as usize;
-    if h == 0 {
-        if nref_len == ref_len {
-            return Ok(TCom::Identical);
-        }
-        // H = 0 with differing lengths is the verbatim fallback (empty
-        // reference, or a constant-run reference that factors cannot
-        // express). Lengths differing is guaranteed by the encoder.
-        let mut bits = Vec::with_capacity(nref_len);
+    let h = golomb::decode_unsigned(r)?;
+    if h == 0 && nref_len != ref_len {
         for _ in 0..nref_len {
-            bits.push(r.read_bit()?);
+            raw(r.read_bit()?);
         }
-        return Ok(TCom::Raw(bits));
     }
-    let mut factors = Vec::with_capacity(h);
-    let mut last_m = None;
     for i in 0..h {
         let s = r.read_bits(wt)? as u32;
         let l = r.read_bits(wt)? as u32;
-        if (s + l) as usize > ref_len {
+        if s as usize + l as usize > ref_len {
             return Err(CodecError::Malformed("T' factor copies past reference end"));
         }
-        factors.push(TFactor { s, l });
-        if i == h - 1 && r.read_bit()? {
-            last_m = Some(r.read_bit()?);
-        }
+        let last_m = if i == h - 1 && r.read_bit()? {
+            Some(r.read_bit()?)
+        } else {
+            None
+        };
+        factor(TFactor { s, l }, last_m);
     }
-    Ok(TCom::Factors { factors, last_m })
+    Ok(h)
 }
 
 // ---------------------------------------------------------------------------
@@ -438,20 +482,28 @@ pub fn decode_d(
     n_locs: usize,
     d_width: u32,
 ) -> Result<Vec<DPatch>, CodecError> {
+    let mut patches = Vec::new();
+    walk_d(r, n_locs, d_width, |p| patches.push(p))?;
+    Ok(patches)
+}
+
+/// The one reader of `Com_D`: each patch, its position checked.
+pub fn walk_d(
+    r: &mut BitReader<'_>,
+    n_locs: usize,
+    d_width: u32,
+    mut patch: impl FnMut(DPatch),
+) -> Result<(), CodecError> {
     let wp = width_for_max(n_locs.saturating_sub(1) as u64);
-    let h = golomb::decode_unsigned(r)? as usize;
-    let mut patches = Vec::with_capacity(h);
-    for _ in 0..h {
+    for _ in 0..golomb::decode_unsigned(r)? {
         let pos = r.read_bits(wp)? as u32;
         if pos as usize >= n_locs {
             return Err(CodecError::Malformed("D patch position out of range"));
         }
-        patches.push(DPatch {
-            pos,
-            code: r.read_bits(d_width)?,
-        });
+        let code = r.read_bits(d_width)?;
+        patch(DPatch { pos, code });
     }
-    Ok(patches)
+    Ok(())
 }
 
 #[cfg(test)]

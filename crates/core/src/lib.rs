@@ -48,7 +48,7 @@
 //!   concurrently with queries; [`Store::attach_wal`],
 //!   [`Store::checkpoint`] and the `tail` reads make it durable — the
 //!   writer lock, publish-epoch counter and WAL slot they share live in
-//!   the private `live` module), persisted as a v6 container (v3 with a
+//!   the private `live` module), persisted as a v7 container (v3 with a
 //!   routing policy), queried through paginated entry points backed by
 //!   the decode cache and query plans;
 //! * [`shard`] — the routing policies ([`shard::ShardPolicy`]:
@@ -75,7 +75,7 @@
 //! * [`oracle`] — brute-force answers on uncompressed data, used as
 //!   ground truth for accuracy experiments (Fig. 11);
 //! * [`storage`] — the binary container formats (v1 legacy dataset-only,
-//!   v2/v4/v5/v6 self-contained, v3 sharded) for persisting compressed datasets;
+//!   v2/v4/v5/v6/v7 self-contained, v3 sharded) for persisting compressed datasets;
 //! * [`wal`] — the write-ahead log behind [`Store::attach_wal`]: every
 //!   accepted live batch is appended (CRC32-checksummed, length-prefixed)
 //!   and fsynced *before* the epoch publish, replayed on open, truncated
@@ -92,7 +92,7 @@
 //! | | without a policy | [`StoreBuilder::shard_by`] |
 //! |---|---|---|
 //! | partitions | one | N, placed by a [`shard::ShardPolicy`] |
-//! | container | v6 (`UTCQ` 6) | v3 (`UTCQ` 3, embeds v6 per partition) |
+//! | container | v7 (`UTCQ` 7) | v3 (`UTCQ` 3, embeds v7 per partition) |
 //! | `where`/`when` | the partition the id map names | same |
 //! | `range` | the partitions' candidates merged id-ascending | same |
 //! | cursors | partition in the high 16 bits / keyset ids | same |
@@ -136,7 +136,7 @@
 //! let page = store.where_query(tu_id, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
-//! // Persist as a self-contained v6 container and reopen: the network
+//! // Persist as a self-contained v7 container and reopen: the network
 //! // and index travel inside the file.
 //! let path = std::env::temp_dir().join("utcq-quickstart.utcq");
 //! store.save(&path)?;
@@ -177,7 +177,7 @@
 //! let page = target.where_query(0, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
-//! // v3 container: shard directory + one embedded v6 container each.
+//! // v3 container: shard directory + one embedded v7 container each.
 //! let path = std::env::temp_dir().join("utcq-sharded-quickstart.utcq");
 //! store.save(&path)?;
 //! let reopened = Store::open(&path)?;

@@ -28,7 +28,7 @@ use crate::query::QueryTarget;
 use crate::shard::ShardSpec;
 use crate::snapshot::{Partition, Snapshot};
 use crate::stiu::StiuParams;
-use crate::storage::{Sections, VERSION_V3, VERSION_V6};
+use crate::storage::{Sections, FRAMING, VERSION_V3, VERSION_V7};
 use crate::store::Store;
 use crate::wal::WalConfig;
 
@@ -52,7 +52,7 @@ use crate::wal::WalConfig;
 /// ```
 #[derive(Debug)]
 pub enum Opened {
-    /// A store without a routing policy (v6, v5, v4 or v2 container, or
+    /// A store without a routing policy (v7, v6, v5, v4 or v2 container, or
     /// v1 via [`Opened::open_v1`]).
     Single(Box<Store>),
     /// A store with a routing policy (v3 container).
@@ -159,9 +159,9 @@ pub fn render_format(versions: &[u8]) -> String {
         let shards = shards.iter().map(|v| format!("v{v}"));
         out += &format!(" directory, shards {}", Vec::from_iter(shards).join(" "));
     }
-    let old = |v: &u8| *v != VERSION_V3 && *v < VERSION_V6;
+    let old = |v: &u8| *v != VERSION_V3 && *v < VERSION_V7;
     if versions.iter().any(old) {
-        out += &format!(" (next save or checkpoint rewrites as v{VERSION_V6})");
+        out += &format!(" (next save or checkpoint rewrites as v{VERSION_V7})");
     }
     out + "\n"
 }
@@ -169,8 +169,9 @@ pub fn render_format(versions: &[u8]) -> String {
 /// The "container sections" table `utcq info` prints under the report:
 /// bytes and bytes per trajectory of each part of the container these
 /// partitions save as, summed over them (a v3 file adds only its
-/// directory). Each partition is written into a sink and the writer's
-/// own counters are read, so the table cannot drift from the format.
+/// directory), the dataset framing field by field. Each partition is
+/// written into a sink and the writer's own counters are read, so the
+/// table cannot drift from the format.
 pub fn render_sections(partitions: &[Arc<Partition>]) -> Result<String, Error> {
     let count = |part: &Arc<Partition>| part.write_counted(&mut std::io::sink());
     let counted = partitions
@@ -178,16 +179,24 @@ pub fn render_sections(partitions: &[Arc<Partition>]) -> Result<String, Error> {
         .map(count)
         .collect::<Result<Vec<Sections>, _>>()?;
     let trajectories: usize = partitions.iter().map(|part| part.len()).sum();
-    let sum = |part: fn(&Sections) -> u64| counted.iter().map(part).sum::<u64>();
-    let rows = [
-        ("network", sum(|s| s.network)),
-        ("payload bits", sum(|s| s.payload)),
-        ("dataset framing", sum(|s| s.framing)),
-        ("temporal", sum(|s| s.temporal)),
-        ("ref tuples", sum(|s| s.ref_tuples)),
-        ("nref tuples", sum(|s| s.nref_tuples)),
+    let sum = |part: &dyn Fn(&Sections) -> u64| counted.iter().map(part).sum::<u64>();
+    let mut rows = vec![
+        ("network", sum(&|s| s.network)),
+        ("payload bits", sum(&|s| s.payload)),
     ];
-    let rows = rows.map(|(label, bits)| (label, bits as f64 / 8.0));
+    for (k, label) in FRAMING.into_iter().enumerate() {
+        // bounds: `framing` has a slot per field of FRAMING
+        rows.push((label, sum(&|s| s.framing[k])));
+    }
+    rows.extend([
+        ("temporal", sum(&|s| s.temporal)),
+        ("ref tuples", sum(&|s| s.ref_tuples)),
+        ("nref tuples", sum(&|s| s.nref_tuples)),
+    ]);
+    let rows = rows
+        .into_iter()
+        .map(|(label, bits)| (label, bits as f64 / 8.0));
+    let rows = Vec::from_iter(rows);
     let title = "container sections (as written)";
     Ok(render_table(title, &rows, trajectories))
 }
@@ -211,7 +220,7 @@ fn render_table(title: &str, rows: &[(&str, f64)], trajectories: usize) -> Strin
     for (label, bytes) in rows.iter().copied().chain([("total", total)]) {
         let _ = writeln!(
             out,
-            "  {:<17} {bytes:>12.0} B {:>9.1} B/trajectory",
+            "  {:<19} {bytes:>12.0} B {:>9.1} B/trajectory",
             format!("{label}:"),
             bytes / trajectories.max(1) as f64
         );

@@ -311,6 +311,11 @@ impl TrajSegment {
         Ok(())
     }
 
+    /// The sample count of the open trajectory.
+    pub(crate) fn open_n_times(&self) -> usize {
+        self.rows.last().map_or(0, |row| row.n_times as usize)
+    }
+
     /// Closes the open trajectory: checks that every non-reference
     /// names one of its references and builds the query plan, which
     /// checks that the original indices are a permutation.

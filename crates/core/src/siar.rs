@@ -8,7 +8,7 @@
 //! timestamps in 17 bits within one day); the deviations use the signed
 //! improved Exp-Golomb code.
 
-use utcq_bitio::{golomb, BitBuf, BitSlice, BitWriter, CodecError};
+use utcq_bitio::{golomb, BitBuf, BitReader, BitSlice, BitWriter, CodecError};
 
 const SECONDS_PER_DAY: i64 = 86_400;
 
@@ -32,20 +32,36 @@ pub fn encode(times: &[i64], ts: i64) -> Result<BitBuf, CodecError> {
 /// Decodes a full time sequence of `n` samples (from a [`BitBuf`] or a
 /// borrowed stream, like every reader below).
 pub fn decode<'a>(buf: impl Into<BitSlice<'a>>, n: usize, ts: i64) -> Result<Vec<i64>, CodecError> {
-    let mut r = buf.into().reader();
-    let day = golomb::decode_unsigned(&mut r)? as i64;
-    let sec = r.read_bits(17)? as i64;
     let mut times = Vec::with_capacity(n);
-    let mut t = day * SECONDS_PER_DAY + sec;
-    times.push(t);
-    for _ in 1..n {
-        t += ts + golomb::decode_deviation(&mut r)?;
-        times.push(t);
-    }
+    walk(&mut buf.into().reader(), n, ts, |_, t, _| times.push(t))?;
     Ok(times)
 }
 
-/// Resumes decoding mid-stream: given that sample `no` has timestamp
+/// The one reader of a time stream of `n` samples: calls `sample(i,
+/// tᵢ, pos)` for each, `pos` being where the code of step `i → i+1`
+/// starts in `r` (after the last sample: where the stream ends, the
+/// reader's position on return). A timestamp past `i64` is an error.
+pub fn walk(
+    r: &mut BitReader<'_>,
+    n: usize,
+    ts: i64,
+    mut sample: impl FnMut(usize, i64, usize),
+) -> Result<(), CodecError> {
+    let day = i128::from(golomb::decode_unsigned(r)?);
+    // Wide enough that no run of 64-bit steps overflows it.
+    let mut t = day * i128::from(SECONDS_PER_DAY) + i128::from(r.read_bits(17)?);
+    for i in 0..n {
+        let now = i64::try_from(t).map_err(|_| CodecError::Malformed("timestamp past 64 bits"))?;
+        sample(i, now, r.pos());
+        if i + 1 < n {
+            t += i128::from(ts) + i128::from(golomb::decode_deviation(r)?);
+        }
+    }
+    Ok(())
+}
+
+/// Resumes decoding mid-stream (at a position [`walk`] reports): given
+/// that sample `no` has timestamp
 /// `start` and the deviation of step `no → no+1` begins at bit `pos`,
 /// yields timestamps `no, no+1, …` until the reader is exhausted or
 /// `max_steps` are produced.
@@ -68,24 +84,6 @@ pub fn decode_from<'a>(
         out.push(t);
     }
     Ok(out)
-}
-
-/// Bit positions of each deviation code: `positions()[i]` is where the
-/// code of step `i → i+1` starts. Used when building the StIU temporal
-/// index.
-pub fn deviation_positions<'a>(
-    buf: impl Into<BitSlice<'a>>,
-    n: usize,
-) -> Result<Vec<usize>, CodecError> {
-    let mut r = buf.into().reader();
-    golomb::decode_unsigned(&mut r)?;
-    r.read_bits(17)?;
-    let mut pos = Vec::with_capacity(n.saturating_sub(1));
-    for _ in 1..n {
-        pos.push(r.pos());
-        golomb::decode_deviation(&mut r)?;
-    }
-    Ok(pos)
 }
 
 #[cfg(test)]
@@ -133,8 +131,9 @@ mod tests {
     fn mid_stream_resume() {
         let times = vec![1000, 1010, 1025, 1030, 1041, 1052];
         let buf = encode(&times, 10).unwrap();
-        let pos = deviation_positions(&buf, times.len()).unwrap();
-        assert_eq!(pos.len(), 5);
+        let mut pos = Vec::new();
+        walk(&mut buf.reader(), times.len(), 10, |_, _, at| pos.push(at)).unwrap();
+        assert_eq!((pos.len(), pos[5]), (6, buf.len_bits()));
         // Resume at sample 2 (deviation 2→3 starts at pos[2]).
         let tail = decode_from(&buf, pos[2], times[2], 10, 10).unwrap();
         assert_eq!(tail, vec![1025, 1030, 1041, 1052]);

@@ -49,7 +49,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use utcq_network::{EdgeId, Grid, Rect, RoadNetwork};
+use utcq_network::{EdgeId, Rect, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
 use crate::cache::{CacheStats, DecodeCache};
@@ -62,7 +62,7 @@ use crate::query::{
 };
 use crate::segment::Resident;
 use crate::shard::{decode_cursor, encode_cursor, ShardPolicy, ShardSpec};
-use crate::stiu::{build_node, NodeSegment, Stiu, StiuParams, MAX_SPAN_PARTITIONS};
+use crate::stiu::{build_node, NodeSegment, Stiu, MAX_SPAN_PARTITIONS};
 use crate::storage::{self, Sections};
 
 /// A hand-rolled `ArcSwap`: the one mutable cell of a live store. The
@@ -116,7 +116,7 @@ impl<T> Swap<T> {
 /// container it writes.
 #[derive(Clone)]
 pub(crate) enum Routing {
-    /// No policy: one partition, saved as v6.
+    /// No policy: one partition, saved as v7.
     Single,
     /// A routing policy, saved as v3; `None` for a reopened custom-policy
     /// container, which cannot place new batches.
@@ -235,9 +235,9 @@ impl Snapshot {
         crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
     }
 
-    /// Writes the container to an arbitrary writer: v6 for a store
+    /// Writes the container to an arbitrary writer: v7 for a store
     /// without a routing policy, v3 (the policy's shard directory, then
-    /// one v6 container per partition) for one with.
+    /// one v7 container per partition) for one with.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
         let policy = match &self.routing {
             Routing::Single => return self.first().write_counted(w).map(drop),
@@ -454,11 +454,11 @@ impl Partition {
         census
     }
 
-    /// Writes this partition as a self-contained v6 container, returning
+    /// Writes this partition as a self-contained v7 container, returning
     /// the writer's own account of where the bits went (`utcq info` runs
     /// it into a sink).
     pub fn write_counted(&self, w: &mut impl Write) -> Result<Sections, Error> {
-        Ok(storage::save_v6(&self.net, &self.cds, &self.stiu, w)?)
+        Ok(storage::save_v7(&self.net, &self.cds, &self.stiu, w)?)
     }
 
     pub(crate) fn engine(&self) -> QueryEngine<'_> {
@@ -557,25 +557,24 @@ pub(crate) struct Prepared {
     node: NodeSegment,
 }
 
-/// Compresses and indexes one trajectory for a store whose index has
-/// `stiu_params` and `grid` — the per-trajectory step of every ingest
-/// path (builder, live store, WAL replay), pure and so run on the work
-/// queue. Refuses a trajectory whose samples span
-/// [`MAX_SPAN_PARTITIONS`] or more index intervals.
+/// Compresses and indexes one trajectory for a store whose index is
+/// like `index` (its parameters, grid and edge cells) — the
+/// per-trajectory step of every ingest path (builder, live store, WAL
+/// replay), pure and so run on the work queue. Refuses a trajectory
+/// whose samples span [`MAX_SPAN_PARTITIONS`] or more index intervals.
 pub(crate) fn prepare(
     net: &RoadNetwork,
     params: &CompressParams,
-    stiu_params: StiuParams,
-    grid: &Grid,
+    index: &Stiu,
     tu: &UncertainTrajectory,
 ) -> Result<Prepared, Error> {
     // `abs_diff` cannot overflow however far apart the samples.
     let too_long = |(first, last): (i64, i64)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS;
-    if stiu_params.span(&tu.times).is_some_and(too_long) {
+    if index.params.span(&tu.times).is_some_and(too_long) {
         return Err(Error::SpanTooLong(tu.id));
     }
     let compressed = Compressed::of(net, tu, params)?;
-    let node = build_node(net, tu, &compressed.view()?, grid, stiu_params.partition_s)?;
+    let node = build_node(net, tu, &compressed.view()?, index, params.default_interval)?;
     Ok(Prepared { compressed, node })
 }
 

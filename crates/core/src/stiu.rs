@@ -16,7 +16,7 @@
 //!   `p_total` / `p_max` that power the filtering lemmas are not held:
 //!   [`TrajIndex::bounds`] derives them for the regions a query touches.
 //!
-//! **Layout.** A node holds what container v6 stores, unpacked only to
+//! **Layout.** A node holds what container v7 stores, unpacked only to
 //! word and bit level. There is one `u32` **region word** per cell of a
 //! group: the cell, plus two top bits, `enters` and "first cell of its
 //! group". Groups run in reference order, each group's cells ascending.
@@ -46,9 +46,11 @@
 //! where they end. A [`TrajIndex`] is one node borrowed from them.
 
 use std::fmt;
+use std::sync::Arc;
 
 use utcq_bitio::pddp::PddpCodec;
-use utcq_network::{CellId, Grid, RoadNetwork};
+use utcq_bitio::BitSlice;
+use utcq_network::{CellId, EdgeId, Grid, Point, RoadNetwork};
 use utcq_traj::{Dataset, Instance, UncertainTrajectory};
 
 use crate::chunk::IntervalMap;
@@ -566,6 +568,9 @@ pub struct Stiu {
     pub params: StiuParams,
     /// The spatial grid.
     pub grid: Grid,
+    /// The grid cells of every edge of the network: derived, and shared
+    /// by every copy of the index.
+    pub(crate) edges: Arc<EdgeCells>,
     /// One node per compressed trajectory (same order), in segments so
     /// a live publish shares the sealed ones by pointer (see
     /// [`crate::segment`]).
@@ -604,62 +609,135 @@ impl Stiu {
     }
 }
 
+/// Per edge of a network, the cells of a grid that the whole edge
+/// crosses, in order of travel: what [`region_cells`] reads for every
+/// edge of a path but the first and the last, which it clips to the
+/// samples. Built with the grid ([`Stiu::new`]), never stored.
+#[derive(Debug, Default)]
+pub struct EdgeCells {
+    /// Per edge, where its cells end in `cells`.
+    ends: Vec<u32>,
+    cells: Vec<CellId>,
+}
+
+impl EdgeCells {
+    /// The table of every edge of `net` over `grid`.
+    pub fn new(net: &RoadNetwork, grid: &Grid) -> Self {
+        let (mut table, mut along) = (Self::default(), Vec::new());
+        for e in net.edges() {
+            let (a, b) = (net.coord(net.edge_from(e)), net.coord(net.edge_to(e)));
+            segment_cells(grid, a, b, &mut along);
+            table.cells.extend(along.iter().map(|&(_, c)| c));
+            table.ends.push(table.cells.len() as u32);
+        }
+        table
+    }
+
+    /// The cells of edge `e`, in order of travel.
+    fn of(&self, e: EdgeId) -> &[CellId] {
+        let start = e.idx().checked_sub(1).and_then(|prev| self.ends.get(prev));
+        let end = self.ends.get(e.idx()).copied().unwrap_or_default();
+        let range = start.copied().unwrap_or_default() as usize..end as usize;
+        self.cells.get(range).unwrap_or_default()
+    }
+}
+
+/// Fills `along` with the cells the segment `a → b` crosses, each with
+/// the projection of its centre on the direction of travel, in that
+/// order.
+fn segment_cells(grid: &Grid, a: Point, b: Point, along: &mut Vec<(f64, CellId)>) {
+    let bbox = utcq_network::Rect::point(a).union(utcq_network::Rect::point(b));
+    along.clear();
+    along.extend(
+        grid.cells_in(&bbox)
+            .filter(|&c| grid.cell_rect(c).intersects_segment(a, b))
+            .map(|c| {
+                let ctr = grid.cell_rect(c).center();
+                let t = (ctr.x - a.x) * (b.x - a.x) + (ctr.y - a.y) * (b.y - a.y);
+                (t, c)
+            }),
+    );
+    along.sort_by(|x, y| x.0.total_cmp(&y.0));
+}
+
 /// The regions an instance traverses, in order of first traversal. The
-/// instance occupies its path only between the first and last sample.
-/// (Its group holds the same cells in ascending order, the order of the
-/// module docs.)
-pub fn region_cells(net: &RoadNetwork, inst: &Instance, grid: &Grid) -> Vec<CellId> {
+/// instance occupies its path only between the first and last sample,
+/// so the first and last edge are clipped to them; every other edge's
+/// cells come from `edges`. (Its group holds the same cells in
+/// ascending order, the order of the module docs.)
+pub fn region_cells(
+    net: &RoadNetwork,
+    inst: &Instance,
+    grid: &Grid,
+    edges: &EdgeCells,
+) -> Vec<CellId> {
     let first = inst.location(net, 0);
     let last = inst.location(net, inst.positions.len() - 1);
     let first_pt = net.point_on_edge(first.edge, first.ndist);
     let last_pt = net.point_on_edge(last.edge, last.ndist);
 
     let mut visited = Vec::new();
-    // One edge's cells with their projection along the direction of
-    // travel, reused from edge to edge.
-    let mut along: Vec<(f64, CellId)> = Vec::new();
+    // An instance crosses few cells: a linear scan beats hashing.
+    let mut visit = |c: CellId| {
+        if !visited.contains(&c) {
+            visited.push(c);
+        }
+    };
+    let mut along = Vec::new();
+    let last_j = inst.path.len() - 1;
     for (j, &e) in inst.path.iter().enumerate() {
-        let mut a = net.coord(net.edge_from(e));
-        let mut b = net.coord(net.edge_to(e));
-        if j == 0 {
-            a = first_pt;
+        if j != 0 && j != last_j {
+            edges.of(e).iter().for_each(|&c| visit(c));
+            continue;
         }
-        if j == inst.path.len() - 1 {
-            b = last_pt;
-        }
-        let bbox = utcq_network::Rect::point(a).union(utcq_network::Rect::point(b));
-        along.clear();
-        along.extend(
-            grid.cells_in(&bbox)
-                .filter(|&c| grid.cell_rect(c).intersects_segment(a, b))
-                .map(|c| {
-                    let ctr = grid.cell_rect(c).center();
-                    let t = (ctr.x - a.x) * (b.x - a.x) + (ctr.y - a.y) * (b.y - a.y);
-                    (t, c)
-                }),
-        );
-        along.sort_by(|x, y| x.0.total_cmp(&y.0));
-        // An instance crosses few cells: a linear scan beats hashing.
-        for &(_, c) in &along {
-            if !visited.contains(&c) {
-                visited.push(c);
-            }
-        }
+        let (a, b) = (net.coord(net.edge_from(e)), net.coord(net.edge_to(e)));
+        let a = if j == 0 { first_pt } else { a };
+        let b = if j == last_j { last_pt } else { b };
+        segment_cells(grid, a, b, &mut along);
+        along.iter().for_each(|&(_, c)| visit(c));
     }
     visited
 }
 
+/// Pushes the temporal tuples of a trajectory onto `out`: one per
+/// interval of `partition_s` that holds a sample, each the first sample
+/// there, its index, and where the next deviation code starts in
+/// `t_bits` (its end after the last sample). A pure function of the
+/// time stream, so containers store none: [`build_node`] and the reader
+/// both call this.
+pub(crate) fn push_temporal(
+    out: &mut Vec<TemporalTuple>,
+    t_bits: BitSlice<'_>,
+    n_times: u32,
+    ts: i64,
+    partition_s: i64,
+) -> Result<(), Error> {
+    let mut last = None;
+    let push = |no: usize, start: i64, pos: usize| {
+        let interval = Some(start.div_euclid(partition_s));
+        if interval != last {
+            last = interval;
+            let (no, pos) = (no as u32, pos as u32);
+            out.push(TemporalTuple { start, no, pos });
+        }
+    };
+    let mut r = t_bits.reader();
+    Ok(siar::walk(&mut r, n_times as usize, ts, push)?)
+}
+
 /// The node of one trajectory, built apart from any index and so on any
 /// thread: a segment holding that one node, for [`Stiu::append`].
+/// `index` gives the parameters, grid and edge cells; `ts` is the
+/// dataset's default interval.
 pub(crate) fn build_node(
     net: &RoadNetwork,
     tu: &UncertainTrajectory,
     ct: &TrajView<'_>,
-    grid: &Grid,
-    partition_s: i64,
+    index: &Stiu,
+    ts: i64,
 ) -> Result<NodeSegment, Error> {
     let mut seg = NodeSegment::default();
-    build_traj(&mut seg, net, tu, ct, grid, partition_s)?;
+    build_traj(&mut seg, net, tu, ct, index, ts)?;
     seg.close()?;
     Ok(seg)
 }
@@ -673,12 +751,26 @@ impl Stiu {
         if params.partition_s <= 0 || params.grid_n == 0 || params.grid_n > MAX_GRID_N {
             return Err(Error::CorruptStore("index parameters out of range"));
         }
+        let grid = Grid::over_network(net, params.grid_n);
+        let edges = Arc::new(EdgeCells::new(net, &grid));
         Ok(Stiu {
             params,
-            grid: Grid::over_network(net, params.grid_n),
+            grid,
+            edges,
             trajs: Nodes::default(),
             interval_trajs: IntervalMap::new(),
         })
+    }
+
+    /// An index with this one's parameters, grid and edge cells and no
+    /// node: what a batch is indexed against while this one grows.
+    pub(crate) fn blank(&self) -> Self {
+        let (trajs, interval_trajs) = (Nodes::default(), IntervalMap::new());
+        Stiu {
+            trajs,
+            interval_trajs,
+            ..self.clone()
+        }
     }
 
     /// Appends the node [`build_node`] built for the next trajectory and
@@ -744,13 +836,13 @@ pub(crate) fn try_build(
     params: StiuParams,
 ) -> Result<Stiu, Error> {
     let mut stiu = Stiu::new(net, params)?;
-    let grid = stiu.grid.clone();
+    let blank = stiu.blank();
     let n = ds.trajectories.len().min(cds.trajectories.len());
     let node = |i: usize| {
         let missing = || Error::CorruptStore("trajectory past the dataset");
         let tu = ds.trajectories.get(i).ok_or_else(missing)?;
         let ct = cds.trajectories.get(i).ok_or_else(missing)?;
-        build_node(net, tu, &ct, &grid, params.partition_s)
+        build_node(net, tu, &ct, &blank, cds.params.default_interval)
     };
     par_in_order(n, node, |_, built| stiu.append(built))?;
     Ok(stiu)
@@ -765,30 +857,17 @@ fn build_traj(
     net: &RoadNetwork,
     tu: &UncertainTrajectory,
     ct: &TrajView<'_>,
-    grid: &Grid,
-    partition_s: i64,
+    index: &Stiu,
+    ts: i64,
 ) -> Result<(), Error> {
-    // Temporal tuples: one per interval containing at least one sample.
-    let positions = siar::deviation_positions(ct.t_bits(), tu.times.len())?;
-    let mut last_interval = i64::MIN;
-    for (i, &t) in tu.times.iter().enumerate() {
-        let interval = t.div_euclid(partition_s);
-        if interval != last_interval {
-            last_interval = interval;
-            let pos = positions.get(i).copied().unwrap_or(ct.t_bits().len_bits());
-            node.temporal.push(TemporalTuple {
-                start: t,
-                no: i as u32,
-                pos: pos as u32,
-            });
-        }
-    }
+    let partition_s = index.params.partition_s;
+    push_temporal(&mut node.temporal, ct.t_bits(), ct.n_times, ts, partition_s)?;
 
     // Per-instance region lists.
     let visits: Vec<Vec<CellId>> = tu
         .instances
         .iter()
-        .map(|inst| region_cells(net, inst, grid))
+        .map(|inst| region_cells(net, inst, &index.grid, &index.edges))
         .collect();
     let visited = |orig_idx: u32| visits.get(orig_idx as usize).map(Vec::as_slice);
 
@@ -988,7 +1067,7 @@ mod tests {
         let ct = cds.trajectories.get(0).unwrap();
         let cells = |orig_idx: u32| {
             let inst = &ds.trajectories[0].instances[orig_idx as usize];
-            region_cells(&net, inst, &stiu.grid)
+            region_cells(&net, inst, &stiu.grid, &stiu.edges)
         };
         // A non-reference's tuples are its cell list, ascending.
         let nref_tuples = node.nref_tuples(ct.nrefs);
@@ -1061,9 +1140,15 @@ mod tests {
             let (net, ds) = utcq_datagen::generate(&p, 300, 7);
             for grid_n in [StiuParams::default().grid_n, 256] {
                 let grid = Grid::over_network(&net, grid_n);
+                let edges = EdgeCells::new(&net, &grid);
                 for inst in ds.trajectories.iter().flat_map(|tu| &tu.instances) {
                     let want = region_cells_reference(&net, inst, &grid);
-                    assert_eq!(region_cells(&net, inst, &grid), want, "{} {grid_n}", p.name);
+                    assert_eq!(
+                        region_cells(&net, inst, &grid, &edges),
+                        want,
+                        "{} {grid_n}",
+                        p.name
+                    );
                 }
             }
         }

@@ -1,25 +1,31 @@
 //! On-disk persistence of compressed datasets.
 //!
-//! Binary containers under the `UTCQ` magic and a version byte. Six
-//! versions are readable, two are written: [`save_v6`] for one store and
+//! Binary containers under the `UTCQ` magic and a version byte. Seven
+//! versions are readable, two are written: [`save_v7`] for one store and
 //! [`save_v3`] for a sharded one ([`save`] emits the legacy v1 framing,
 //! for tests only). `docs/CONTAINERS.md` has the byte-level layouts.
 //!
-//! # One record layout (v1, v2, v4, v5, v6)
+//! # One record layout (v1, v2, v4 to v7)
 //!
 //! ```text
-//! [network]  v2, v4..v6: RoadNetwork (see utcq_network::serialize)
+//! [network]  v2, v4..v7: RoadNetwork (see utcq_network::serialize)
 //! [head]     f64 ηD, f64 ηp, u32 n_pivots, u64 default_interval,
 //!            u32 w_e (outgoing-edge-number width), u32 name_len + name,
 //!            2 × SizeBreakdown (compressed, raw; 6 × u64 each),
 //!            u64 trajectory count
 //! [dataset]  per trajectory: id, n_times, stream T,
+//!     (v7)
+//!     instance count, one role bit per instance in original order,
+//!     per ref:  sv, n_entries, streams E, T', D, p_code
+//!     per nref: ref_idx, streams Com_E, Com_T, Com_D, p_code
+//!     (v1..v6)
 //!     ref count,  per ref:  orig_idx, sv, n_entries,
 //!                           streams E, T', D, p_code
 //!     nref count, per nref: orig_idx, ref_idx,
 //!                           streams Com_E, Com_T, Com_D, p_code
-//! [index]    v2, v4..v6: i64 partition_s, u32 grid_n (the grid is
+//! [index]    v2, v4..v7: i64 partition_s, u32 grid_n (the grid is
 //!            rebuilt from the network), then one node per trajectory:
+//!     (v2, v4..v6)
 //!     temporal count,   per tuple: start, no, pos
 //!     (v2, v4, v5)
 //!     ref-tuple count,  per tuple: cell, ref_idx, enters,
@@ -27,7 +33,7 @@
 //!                                  (v2 only) p_total, p_max
 //!     nref-tuple count, per tuple: cell, nref_idx,
 //!                                  (v2, v4) the resume fields
-//!     (v6)
+//!     (v6, v7)
 //!     per ref:  cell count, first cell, gap − 1 to each further cell,
 //!               one enters bit per cell
 //!     per nref: one membership bit per cell of its group
@@ -40,15 +46,26 @@
 //! states the node count before the nodes and stores the interval
 //! postings after them.
 //!
-//! **v4 to v6** pack it MSB-first into blocks of [`CHUNK`] records: a
-//! `u32` byte length, a 64-bit base (the block's minimum id or start
-//! time, which column 0 is an offset from), one 7-bit width per column
-//! (`width_for_max` of the block's maxima; five columns in a dataset
-//! block, four in an index block), the records, zero padding to a byte.
-//! A stream is its length, then its bits, unpadded. Widths the context
-//! fixes are not stored: vertex and cell indices, `p_code` (the `ηp`
-//! codec width), `ref_idx` / `nref_idx` (the trajectory's own ref / nref
+//! **v4 to v7** pack it MSB-first into blocks of [`CHUNK`] records: a
+//! `u32` byte length, a header of a 64-bit base (the block's minimum id
+//! or start time, which column 0 is an offset from) and one 7-bit width
+//! per column (`width_for_max` of the block's maxima), the records, zero
+//! padding to a byte. A v7 dataset block has four columns, a v4..v6 one
+//! five (a stream's length is a column); a v4..v6 index block has four
+//! (v4: five), a v7 one none and so no header. Widths the context fixes
+//! are not stored: vertex and cell indices, `p_code` (the `ηp` codec
+//! width), `ref_idx` / `nref_idx` (the trajectory's own ref / nref
 //! count).
+//!
+//! **v7 stores no field the rest of the file determines**
+//! (`docs/CONTAINERS.md` § v7): every stream delimits itself (by
+//! arithmetic, or a walk of its codes that needs counts, never the
+//! reference's content), the role bits give each `orig_idx` of the
+//! order compression emits (`canonical`), and the temporal tuples are a
+//! function of `T` (`stiu::push_temporal`). The v1..v6 readers walk and
+//! derive the same and refuse a stored length, order or tuple that
+//! disagrees, so every container that opens saves as a v7 that reopens
+//! to the same store.
 //!
 //! **v6's region tuples** are coded against the trajectory, in the
 //! canonical order of [`crate::stiu`]: a group's cells ascending as its
@@ -59,8 +76,7 @@
 //! non-reference rows say whose tuples come next. v5 and earlier stored
 //! each tuple as a fixed-width (cell, instance) pair, a non-reference's
 //! in traversal order; their reader sorts those and refuses a cell that
-//! repeats or lies outside the group (`NodeSegment::push_tuples`),
-//! so every container that opens saves as v6.
+//! repeats or lies outside the group (`NodeSegment::push_tuples`).
 //!
 //! **The resume fields (v2, v4; read-only).** Up to v4 a region tuple
 //! also carried §5.2's resume point: a vertex, its entry index (in v4 a
@@ -71,32 +87,32 @@
 //! checks they always had (what was corrupt stays corrupt) and drops
 //! the values.
 //!
-//! **Derived at open:** the interval postings (`Stiu::append_node`;
-//! v2's stored ones must agree) and the query plans
-//! (`TrajSegment::finish`) — pure functions of stored fields, so a
-//! reopened index equals the built one bit for bit. The probability
+//! **Derived at open:** besides v7's fields, the interval postings
+//! (`Stiu::append_node`; v2's stored ones must agree) and the query
+//! plans (`TrajSegment::finish`) — pure functions of stored fields, so
+//! a reopened index equals the built one bit for bit. The probability
 //! bounds v2 stored are checked finite and dropped: a query derives them
 //! (`TrajIndex::bounds`).
 //!
 //! A block and an in-memory segment ([`crate::segment`]) cover the same
 //! [`CHUNK`] records: the readers append each record's fields straight
-//! to the segment's tables and its streams to the segment's arena (v6's
-//! region cells and membership bits included), and the writers pack
+//! to the segment's tables and its streams to the segment's arena
+//! (region cells and membership bits included), and the writers pack
 //! from borrowed views, with no per-trajectory object in between.
 //!
 //! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
-//! `u32` shard count) followed by one `u64`-length-prefixed, complete v6
-//! (older files: v2, v4 or v5) container per shard.
+//! `u32` shard count) followed by one `u64`-length-prefixed, complete v7
+//! (older files: v2, v4, v5 or v6) container per shard.
 //!
 //! [`load`] accepts every single-store version (returning the dataset
 //! only); [`load_full`] returns the `(network, dataset, index)` triple of
-//! a self-contained one (v2, v4, v5, v6); [`load_v3`] returns the shard
+//! a self-contained one (v2, v4 to v7); [`load_v3`] returns the shard
 //! directory plus per-shard blobs (and accepts a plain self-contained
 //! container as a single anonymous shard).
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
-use utcq_bitio::{golomb, width_for_max, BitBuf, BitSlice, BitWriter, CodecError};
+use utcq_bitio::{golomb, width_for_max, BitBuf, BitReader, BitSlice, BitWriter, CodecError};
 use utcq_network::{CellId, RoadNetwork, VertexId};
 use utcq_traj::size::SizeBreakdown;
 
@@ -104,7 +120,8 @@ use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::params::CompressParams;
 use crate::segment::{NrefRow, RefRow, TrajSegment, TrajView, CHUNK};
-use crate::stiu::{NodeSegment, Stiu, StiuParams, TemporalTuple, TrajIndex};
+use crate::stiu::{push_temporal, NodeSegment, Stiu, StiuParams, TemporalTuple, TrajIndex};
+use crate::{factor, siar};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
 /// Legacy dataset-only container.
@@ -122,8 +139,12 @@ pub const VERSION_V4: u8 = 4;
 /// region tuples (read-only).
 pub const VERSION_V5: u8 = 5;
 /// Self-contained container in bit-packed blocks whose region tuples
-/// are coded against the trajectory: what stores write.
+/// are coded against the trajectory (read-only).
 pub const VERSION_V6: u8 = 6;
+/// v6 without what the rest of the file determines: no stream length,
+/// no instance order past one role bit per instance, no temporal tuple.
+/// What stores write.
+pub const VERSION_V7: u8 = 7;
 
 /// Shard-policy kind recorded in a v3 directory: the routing policy was
 /// not one of the built-ins (metadata only — querying never routes).
@@ -172,7 +193,7 @@ impl std::fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
             StorageError::BadHeader => {
-                write!(f, "not a UTCQ v{VERSION_V1}..v{VERSION_V6} container")
+                write!(f, "not a UTCQ v{VERSION_V1}..v{VERSION_V7} container")
             }
             StorageError::LegacyVersion => {
                 write!(
@@ -285,22 +306,32 @@ fn write_dataset_head(cds: &CompressedDataset, w: &mut impl Write) -> io::Result
     write_u64(w, cds.trajectories.len() as u64)
 }
 
-// Per-block columns in header order: of a dataset block …
+// Per-block columns: of a dataset block …
 const ID: usize = 0;
 const TIMES: usize = 1;
-const LEN: usize = 2;
-const INST: usize = 3;
-const ENTRIES: usize = 4;
-// … and of an index block.
+const INST: usize = 2;
+const ENTRIES: usize = 3;
+const LEN: usize = 4;
+// … and of an index block before v7.
 const START: usize = 0;
 const NO: usize = 1;
 const COUNT: usize = 2;
 const ENTRY: usize = 3;
 const POS: usize = 4;
-/// The columns a block header declares, in header order. Only a v4
-/// index block has `ENTRY`, a column of the resume fields.
-const DATASET_COLS: &[usize] = &[ID, TIMES, LEN, INST, ENTRIES];
-const INDEX_COLS: &[usize] = &[START, NO, COUNT, POS];
+// The other fields of `Sections::framing`: the head and block framing
+// (in the slot of the column v7 does not have) and the fields whose
+// width the context fixes.
+const BLOCKS: usize = LEN;
+const SV: usize = 5;
+const REF_IDX: usize = 6;
+const P_CODE: usize = 7;
+/// The columns a block header declares, in header order. Before v7 a
+/// stream's length is a column (`LEN`) and an index block holds the
+/// temporal tuples; a v7 index block holds no column, and no header.
+/// Only a v4 index block has `ENTRY`, a column of the resume fields.
+const DATASET_COLS: &[usize] = &[ID, TIMES, INST, ENTRIES];
+const DATASET_COLS_V4: &[usize] = &[ID, TIMES, LEN, INST, ENTRIES];
+const INDEX_COLS_V5: &[usize] = &[START, NO, COUNT, POS];
 const INDEX_COLS_V4: &[usize] = &[START, NO, COUNT, ENTRY, POS];
 /// Widest value each column may declare: the base-offset column (ids,
 /// start times) spans 64 bits, every other field is a `u32`.
@@ -312,38 +343,47 @@ fn index_width(n: usize) -> u32 {
 }
 
 /// Widths of the bit-packed fields that the container's context fixes
-/// rather than a block header (all zero, and unused, for v1/v2).
+/// rather than a block header (unused for v1/v2), and of an edge entry
+/// and a distance code, which size a reference's streams.
 #[derive(Clone, Copy, Default)]
 struct CtxWidths {
     vertex: u32,
     cell: u32,
     p_code: u32,
+    w_e: usize,
+    w_d: usize,
 }
 
 impl CtxWidths {
     /// `n_cells` is the StIU grid's cell count (the dataset section has
-    /// no cell fields: pass 0).
-    fn new(net: &RoadNetwork, cds: &CompressedDataset, n_cells: usize) -> Self {
+    /// no cell fields: pass 0); `net` the embedded network (v1 has none:
+    /// its fields are fixed-width anyway).
+    fn new(net: Option<&RoadNetwork>, cds: &CompressedDataset, n_cells: usize) -> Self {
         CtxWidths {
-            vertex: index_width(net.vertex_count()),
+            vertex: net.map_or(0, |net| index_width(net.vertex_count())),
             cell: index_width(n_cells),
             p_code: cds.params.p_codec().width(),
+            w_e: cds.w_e as usize,
+            w_d: cds.params.d_codec().width() as usize,
         }
     }
 }
 
 /// Where the one record traversal ([`read_trajs`], [`read_nodes`])
 /// takes its field values from: the fixed-width little-endian fields of
-/// v1/v2 or, if `packed`, the blocks of v4..v6, one in memory at a time
+/// v1/v2 or, if `packed`, the blocks of v4..v7, one in memory at a time
 /// with the read position in it, the base that column 0 is an offset
 /// from (0 throughout v1/v2) and the widths of the columns its header
 /// declares (`cols`). `resume`: region tuples carry the resume fields;
-/// `coded`: region tuples are v6's cell gaps and membership bits.
+/// `coded`: region tuples are v6's cell gaps and membership bits;
+/// `derived`: stream lengths, instance order and temporal tuples are
+/// not stored (v7).
 struct Source<'a, R> {
     r: &'a mut R,
     packed: bool,
     resume: bool,
     coded: bool,
+    derived: bool,
     cols: &'static [usize],
     block: BitBuf,
     pos: usize,
@@ -361,6 +401,7 @@ impl<'a, R: Read> Source<'a, R> {
             packed: version >= VERSION_V4,
             resume: version < VERSION_V5,
             coded: version >= VERSION_V6,
+            derived: version >= VERSION_V7,
             cols,
             block: BitBuf::empty(),
             pos: 0,
@@ -393,7 +434,7 @@ impl<'a, R: Read> Source<'a, R> {
         Ok(base.wrapping_add(self.field(self.widths[col], bytes)?))
     }
 
-    /// The next order-0 Exp-Golomb code (v6 only).
+    /// The next order-0 Exp-Golomb code (v6 and v7).
     #[inline(always)]
     fn golomb(&mut self) -> Result<u64, StorageError> {
         let mut r = self.block.reader_at(self.pos);
@@ -408,7 +449,7 @@ impl<'a, R: Read> Source<'a, R> {
         below(self.field(index_width(n), 4)?, n, what)
     }
 
-    /// Enters the next block of up to [`CHUNK`] records (v4..v6 only).
+    /// Enters the next block of up to [`CHUNK`] records (v4..v7 only).
     fn begin_block(&mut self) -> Result<(), StorageError> {
         if !self.packed {
             return Ok(());
@@ -420,6 +461,9 @@ impl<'a, R: Read> Source<'a, R> {
         self.r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
         let truncated = StorageError::Corrupt("block truncated");
         (self.block, self.pos) = (BitBuf::from_bytes(bytes, len * 8).ok_or(truncated)?, 0);
+        if self.cols.is_empty() {
+            return Ok(());
+        }
         self.base = self.field(64, 0)?;
         for &col in self.cols {
             let width = self.field(7, 0)? as u32;
@@ -460,19 +504,108 @@ impl<'a, R: Read> Source<'a, R> {
         Ok(())
     }
 
-    /// Appends the next stream to the open trajectory of `seg`.
-    fn stream(&mut self, seg: &mut TrajSegment) -> Result<(), StorageError> {
+    /// Appends the next stream to the open trajectory of `seg`. Every
+    /// stream delimits itself: `walk` reads it from its first bit to its
+    /// end. v7 stores no length; an older file's must agree.
+    fn stream(
+        &mut self,
+        seg: &mut TrajSegment,
+        walk: impl FnOnce(&mut BitReader<'_>) -> Result<(), CodecError>,
+    ) -> Result<(), StorageError> {
+        let disagrees = StorageError::Corrupt("stream length vs its codes");
         if !self.packed {
             let stream = read_bits(self.r)?;
+            let mut r = stream.reader();
+            walk(&mut r)?;
+            if r.pos() != stream.len_bits() {
+                return Err(disagrees);
+            }
             return Ok(seg.stream(&mut stream.reader(), stream.len_bits())?);
         }
-        let len = self.col(LEN)? as usize;
+        let stored = (!self.derived).then(|| self.col(LEN)).transpose()?;
+        let mut r = self.block.reader_at(self.pos);
+        walk(&mut r)?;
+        let len = r.pos().saturating_sub(self.pos);
+        if stored.is_some_and(|stored| stored != len as u64) {
+            return Err(disagrees);
+        }
         // Fails, before allocating, on a length past the block's end.
         let mut r = self.block.reader_at(self.pos);
         seg.stream(&mut r, len)?;
         self.pos = r.pos();
         Ok(())
     }
+
+    /// The row of the reference at `orig_idx`, its streams appended to
+    /// `seg`: `n_entries` edge entries, the `n_entries − 2` trimmed time
+    /// flags and one distance code per sample, so their lengths are
+    /// arithmetic.
+    fn read_ref(&mut self, seg: &mut TrajSegment, orig_idx: u32) -> Result<RefRow, StorageError> {
+        let sv = VertexId(self.field(self.ctx.vertex, 4)? as u32);
+        let n_entries = self.col(ENTRIES)?;
+        if n_entries < 2 {
+            return Err(StorageError::Corrupt(
+                "reference with fewer than two entries",
+            ));
+        }
+        let n_times = seg.open_n_times();
+        let (w_e, w_d, n) = (self.ctx.w_e, self.ctx.w_d, n_entries as usize);
+        for len in [n * w_e, n - 2, n_times * w_d] {
+            self.stream(seg, |r| {
+                r.seek(r.pos() + len);
+                Ok(())
+            })?;
+        }
+        let p_code = self.field(self.ctx.p_code, 8)?;
+        let n_entries = n_entries as u32;
+        Ok(RefRow {
+            p_code,
+            orig_idx,
+            sv,
+            n_entries,
+        })
+    }
+
+    /// The row of the non-reference at `orig_idx`, its streams appended
+    /// to `seg`, whose open trajectory's references are its rows from
+    /// `ref0` on: each factor stream is walked knowing only counts of its
+    /// reference, never its content.
+    fn read_nref(
+        &mut self,
+        seg: &mut TrajSegment,
+        orig_idx: u32,
+        ref0: usize,
+    ) -> Result<NrefRow, StorageError> {
+        let refs = seg.refs.get(ref0..).unwrap_or_default();
+        let ref_idx = self.index(refs.len(), "non-reference points past refs")?;
+        let ref_entries = refs
+            .get(ref_idx as usize)
+            .map_or(0, |r| r.n_entries as usize);
+        let (w_e, w_d, n_times) = (self.ctx.w_e as u32, self.ctx.w_d as u32, seg.open_n_times());
+        let mut n_entries = 0;
+        let walk_e = |r: &mut BitReader<'_>| factor::walk_e(r, ref_entries, w_e, |_, _| ());
+        self.stream(seg, |r| walk_e(r).map(|n| n_entries = n))?;
+        let flags = |n: usize| n.saturating_sub(2);
+        let (ref_flags, flags) = (flags(ref_entries), flags(n_entries));
+        self.stream(seg, |r| {
+            factor::walk_t(r, ref_flags, flags, drop, |_, _| ()).map(drop)
+        })?;
+        self.stream(seg, |r| factor::walk_d(r, n_times, w_d, drop))?;
+        let p_code = self.field(self.ctx.p_code, 8)?;
+        Ok(NrefRow {
+            p_code,
+            orig_idx,
+            ref_idx,
+        })
+    }
+}
+
+/// Whether a trajectory's instances are in the order compression emits
+/// them: references, then non-references, each ascending in `orig_idx`
+/// (which the plan makes a permutation). The only order v7 can hold,
+/// and that every earlier container ever held.
+fn canonical(refs: &[RefRow], nrefs: &[NrefRow]) -> bool {
+    refs.is_sorted_by_key(|r| r.orig_idx) && nrefs.is_sorted_by_key(|n| n.orig_idx)
 }
 
 /// `v` as a `u32` below `n`, or the container is corrupt.
@@ -485,42 +618,55 @@ fn below(v: u64, n: usize, what: &'static str) -> Result<u32, StorageError> {
 }
 
 /// Reads `n_trajs` trajectory records into `cds`, field by field into
-/// its segments.
+/// its segments. A v7 record holds the instance count, then one role
+/// bit per instance in original order (set: a reference), so the rows
+/// take their `orig_idx` from their place; earlier ones store the two
+/// counts and every `orig_idx`, and must be in the same order.
 fn read_trajs<R: Read>(
     src: &mut Source<'_, R>,
     n_trajs: usize,
     cds: &mut CompressedDataset,
 ) -> Result<(), StorageError> {
-    let p_codec = cds.params.p_codec();
+    let (p_codec, ts) = (cds.params.p_codec(), cds.params.default_interval);
+    // v7: the role bits of the open trajectory.
+    let mut roles = Vec::new();
     while cds.trajectories.len() < n_trajs {
         src.begin_block()?;
         for _ in 0..CHUNK.min(n_trajs - cds.trajectories.len()) {
             cds.trajectories.append(|seg| {
-                seg.begin(src.col(ID)?, src.col(TIMES)? as u32)?;
-                src.stream(seg)?;
-                let n_refs = src.col(INST)? as usize;
-                for _ in 0..n_refs {
-                    let orig_idx = src.col(INST)? as u32;
-                    let sv = VertexId(src.field(src.ctx.vertex, 4)? as u32);
-                    let n_entries = src.col(ENTRIES)? as u32;
-                    (0..3).try_for_each(|_| src.stream(seg))?;
-                    seg.refs.push(RefRow {
-                        p_code: src.field(src.ctx.p_code, 8)?,
-                        orig_idx,
-                        sv,
-                        n_entries,
-                    });
-                }
-                let n_nrefs = src.col(INST)? as usize;
-                for _ in 0..n_nrefs {
-                    let orig_idx = src.col(INST)? as u32;
-                    let ref_idx = src.index(n_refs, "non-reference points past refs")?;
-                    (0..3).try_for_each(|_| src.stream(seg))?;
-                    seg.nrefs.push(NrefRow {
-                        p_code: src.field(src.ctx.p_code, 8)?,
-                        orig_idx,
-                        ref_idx,
-                    });
+                let id = src.col(ID)?;
+                let n_times = src.col(TIMES)? as u32;
+                seg.begin(id, n_times)?;
+                src.stream(seg, |r| siar::walk(r, n_times as usize, ts, |_, _, _| ()))?;
+                let (ref0, nref0) = (seg.refs.len(), seg.nrefs.len());
+                if src.derived {
+                    roles.clear();
+                    for _ in 0..src.col(INST)? {
+                        roles.push(src.field(1, 0)? != 0);
+                    }
+                    for (k, _) in (0..).zip(&roles).filter(|(_, &is_ref)| is_ref) {
+                        let row = src.read_ref(seg, k)?;
+                        seg.refs.push(row);
+                    }
+                    for (k, _) in (0..).zip(&roles).filter(|(_, &is_ref)| !is_ref) {
+                        let row = src.read_nref(seg, k, ref0)?;
+                        seg.nrefs.push(row);
+                    }
+                } else {
+                    for _ in 0..src.col(INST)? {
+                        let k = src.col(INST)? as u32;
+                        let row = src.read_ref(seg, k)?;
+                        seg.refs.push(row);
+                    }
+                    for _ in 0..src.col(INST)? {
+                        let k = src.col(INST)? as u32;
+                        let row = src.read_nref(seg, k, ref0)?;
+                        seg.nrefs.push(row);
+                    }
+                    let refs = seg.refs.get(ref0..).unwrap_or_default();
+                    if !canonical(refs, seg.nrefs.get(nref0..).unwrap_or_default()) {
+                        return Err(StorageError::Corrupt("instances out of order"));
+                    }
                 }
                 // The plan permutation check.
                 Ok::<(), StorageError>(seg.finish(&p_codec)?)
@@ -532,7 +678,9 @@ fn read_trajs<R: Read>(
 }
 
 /// Reads one index node per trajectory of `cds` into `stiu`, tuple by
-/// tuple into its segments, deriving the interval postings.
+/// tuple into its segments, deriving the temporal tuples from each time
+/// stream (an older file's stored ones must agree) and the interval
+/// postings.
 fn read_nodes<R: Read>(
     src: &mut Source<'_, R>,
     net: &RoadNetwork,
@@ -540,9 +688,11 @@ fn read_nodes<R: Read>(
     stiu: &mut Stiu,
 ) -> Result<(), StorageError> {
     let (n_cells, n_vertices) = (stiu.grid.cell_count(), net.vertex_count());
+    let (ts, partition_s) = (cds.params.default_interval, stiu.params.partition_s);
     // Before v6: the node's region tuples as stored; v6: the cell count
-    // of each group.
-    let (mut refs, mut nrefs, mut groups) = (Vec::new(), Vec::new(), Vec::new());
+    // of each group; before v7: the temporal tuples as stored.
+    let (mut refs, mut nrefs, mut groups, mut stored) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut cts = cds.trajectories.iter().peekable();
     while cts.peek().is_some() {
         src.begin_block()?;
@@ -550,12 +700,18 @@ fn read_nodes<R: Read>(
             // A crafted count cannot grow a table past the content
             // actually present: each tuple read consumes input.
             stiu.append_node(|node, _| {
-                for _ in 0..src.col(COUNT)? {
-                    node.temporal.push(TemporalTuple {
+                stored.clear();
+                for _ in 0..if src.derived { 0 } else { src.col(COUNT)? } {
+                    stored.push(TemporalTuple {
                         start: src.col(START)? as i64,
                         no: src.col(NO)? as u32,
                         pos: src.col(POS)? as u32,
                     });
+                }
+                let from = node.temporal.len();
+                push_temporal(&mut node.temporal, ct.t_bits(), ct.n_times, ts, partition_s)?;
+                if !src.derived && node.temporal.get(from..) != Some(stored.as_slice()) {
+                    return Err(StorageError::Corrupt("temporal tuples vs time stream"));
                 }
                 if src.coded {
                     return read_coded_regions(src, node, &ct, n_cells, &mut groups);
@@ -596,7 +752,7 @@ fn read_nodes<R: Read>(
     Ok(())
 }
 
-/// The region half of a v6 node ([`pack_node`] writes it): per
+/// The region half of a v6 or v7 node ([`pack_node`] writes it): per
 /// reference of `ct`, its group's cell count, first cell and further
 /// cells as ascending gaps, then one `enters` bit per cell; per
 /// non-reference, one membership bit per cell of its group. They go
@@ -651,22 +807,36 @@ fn read_coded_regions<R: Read>(
 }
 
 /// Where a written container's bits went, counted by the writer as it
-/// writes (in bits; the six sum to the container size): `network` is
+/// writes (in bits; they sum to the container size): `network` is
 /// magic, version and the embedded network; `payload` the compressed
-/// bit streams themselves; `framing` the rest of the dataset section
-/// (head, block headers, per-trajectory fields, stream lengths,
-/// padding); `temporal` the temporal tuples and the rest of the index
-/// section (parameters, block headers, tuple counts, padding); then the
-/// reference and the non-reference region tuples.
+/// bit streams themselves; `framing` the rest of the dataset section,
+/// by the fields of [`FRAMING`]; `temporal` the rest of the index
+/// section (parameters, block lengths, padding: v7 stores no temporal
+/// tuple); then the reference and the non-reference region tuples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Sections {
     pub network: u64,
     pub payload: u64,
-    pub framing: u64,
+    pub framing: [u64; 8],
     pub temporal: u64,
     pub ref_tuples: u64,
     pub nref_tuples: u64,
 }
+
+/// The fields of [`Sections::framing`], in its order: the dataset block
+/// columns (the instance count with the role bits), the dataset head
+/// with the block lengths, headers and padding, then the fields whose
+/// width the context fixes.
+pub const FRAMING: [&str; 8] = [
+    "framing id",
+    "framing n_times",
+    "framing roles",
+    "framing n_entries",
+    "framing blocks",
+    "framing sv",
+    "framing ref_idx",
+    "framing p_code",
+];
 
 /// One block under construction. [`write_blocks`] runs the record
 /// traversal twice: while `widths` is `None` a column value only raises
@@ -682,17 +852,23 @@ struct Packer {
     widths: Option<[u32; 5]>,
     bits: BitWriter,
     payload: u64,
+    /// Bits emitted per field of [`FRAMING`] (not the block framing).
+    tally: [u64; 8],
 }
 
 impl Packer {
     /// Ends the measuring run. Column 0 (ids, start times as unsigned)
-    /// is written as the offset from its block minimum.
+    /// is written as the offset from its block minimum. A block with no
+    /// column has no header.
     fn start(&mut self) -> io::Result<()> {
         let [max0, ..] = &mut self.max;
         self.base = self.base.min(*max0); // no value at all: 0
         *max0 -= self.base;
         let widths = self.max.map(width_for_max);
         self.widths = Some(widths);
+        if self.cols.is_empty() {
+            return Ok(());
+        }
         self.field(self.base, 64)?;
         // bounds: every column is one of the five column constants
         let cols = self.cols;
@@ -703,16 +879,18 @@ impl Packer {
     /// A value of per-block column `col`.
     #[inline(always)]
     fn col(&mut self, col: usize, v: u64) -> io::Result<()> {
-        match self.widths {
+        let Some(widths) = self.widths else {
             // bounds: col is one of the five column constants
-            None => self.max[col] = self.max[col].max(v),
-            Some(widths) if col == 0 => return self.field(v - self.base, widths[0]),
-            Some(widths) => return self.field(v, widths[col]), // bounds: as above
-        }
-        if col == 0 {
-            self.base = self.base.min(v);
-        }
-        Ok(())
+            self.max[col] = self.max[col].max(v);
+            if col == 0 {
+                self.base = self.base.min(v);
+            }
+            return Ok(());
+        };
+        // bounds: as above, and the tally has a slot per column
+        self.tally[col] += u64::from(widths[col]);
+        let v = if col == 0 { v - self.base } else { v };
+        self.field(v, widths[col]) // bounds: as above
     }
 
     /// A value whose width the context fixes (not a block column).
@@ -722,6 +900,15 @@ impl Packer {
             return Ok(());
         }
         self.bits.write_bits(v, width).map_err(invalid_data)
+    }
+
+    /// [`Packer::field`], counted as framing field `of` ([`SV`],
+    /// [`REF_IDX`], [`P_CODE`]).
+    fn framing(&mut self, of: usize, v: u64, width: u32) -> io::Result<()> {
+        if self.widths.is_some() {
+            self.tally[of] += u64::from(width); // bounds: `of` is one of the three
+        }
+        self.field(v, width)
     }
 
     /// A value as an order-0 Exp-Golomb code (not a block column).
@@ -749,14 +936,12 @@ impl Packer {
         Ok(())
     }
 
-    /// A bit stream: its length in the `LEN` column, then the bits.
-    fn stream(&mut self, b: BitSlice<'_>) -> io::Result<()> {
-        self.col(LEN, b.len_bits() as u64)?;
+    /// A bit stream, with no length: every stream delimits itself.
+    fn stream(&mut self, b: BitSlice<'_>) {
         if self.widths.is_some() {
             self.bits.extend_from(b);
             self.payload += b.len_bits() as u64;
         }
-        Ok(())
     }
 }
 
@@ -766,21 +951,24 @@ fn invalid_data(e: CodecError) -> io::Error {
 
 /// Writes `records` as blocks of [`CHUNK`]: per block the `u32` byte
 /// length, the header, the records (`pack` traverses one), zero padding
-/// to a byte. Returns the bits written: all, and those of streams alone.
+/// to a byte. A block with no column needs no measuring run. Returns
+/// the bits written: all, those of streams alone, and per framing field.
 fn write_blocks<T>(
     ctx: CtxWidths,
     cols: &'static [usize],
     records: impl Iterator<Item = T>,
     mut pack: impl FnMut(&mut Packer, &T) -> io::Result<()>,
     out: &mut impl Write,
-) -> io::Result<(u64, u64)> {
+) -> io::Result<(u64, u64, [u64; 8])> {
     let mut records = records.peekable();
-    let (mut bits, mut payload) = (0, 0);
+    let (mut bits, mut payload, mut tally) = (0, 0, [0; 8]);
     while records.peek().is_some() {
         let block: Vec<T> = records.by_ref().take(CHUNK).collect();
         let mut p = Packer::default();
         (p.ctx, p.cols, p.base) = (ctx, cols, u64::MAX);
-        block.iter().try_for_each(|t| pack(&mut p, t))?;
+        if !cols.is_empty() {
+            block.iter().try_for_each(|t| pack(&mut p, t))?;
+        }
         p.start()?;
         block.iter().try_for_each(|t| pack(&mut p, t))?;
         let buf = p.bits.finish();
@@ -790,39 +978,51 @@ fn write_blocks<T>(
         out.write_all(buf.as_bytes())?;
         bits += (4 + u64::from(len)) * 8;
         payload += p.payload;
+        tally
+            .iter_mut()
+            .zip(p.tally)
+            .for_each(|(sum, bits)| *sum += bits);
     }
-    Ok((bits, payload))
+    Ok((bits, payload, tally))
 }
 
+/// One dataset record, v7: id, sample count, `T`, the instance count and
+/// one role bit per instance in original order (set: a reference), then
+/// per reference its start vertex, entry count, `E T' D` and `p_code`,
+/// per non-reference its `ref_idx`, `Com_E Com_T' Com_D` and `p_code`.
+/// Instances in any order but [`canonical`]'s have no v7 form.
 fn pack_traj(p: &mut Packer, ct: &TrajView<'_>) -> io::Result<()> {
+    if !canonical(ct.refs, ct.nrefs) {
+        let what = "instances out of order";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    }
     p.col(ID, ct.id)?;
     p.col(TIMES, u64::from(ct.n_times))?;
-    p.stream(ct.t_bits())?;
-    p.col(INST, ct.refs.len() as u64)?;
-    for (i, r) in ct.refs.iter().enumerate() {
-        p.col(INST, u64::from(r.orig_idx))?;
-        p.field(u64::from(r.sv.0), p.ctx.vertex)?;
-        p.col(ENTRIES, u64::from(r.n_entries))?;
-        ct.ref_streams(i)
-            .into_iter()
-            .try_for_each(|b| p.stream(b))?;
-        p.field(r.p_code, p.ctx.p_code)?;
+    p.stream(ct.t_bits());
+    let n = ct.instance_count() as u32;
+    p.col(INST, u64::from(n))?;
+    let mut refs = ct.refs.iter().peekable();
+    p.flags((0..n).map(|k| refs.next_if(|r| r.orig_idx == k).is_some()))?;
+    if p.widths.is_some() {
+        p.tally[INST] += u64::from(n); // bounds: INST is a column constant
     }
-    p.col(INST, ct.nrefs.len() as u64)?;
+    for (i, r) in ct.refs.iter().enumerate() {
+        p.framing(SV, u64::from(r.sv.0), p.ctx.vertex)?;
+        p.col(ENTRIES, u64::from(r.n_entries))?;
+        ct.ref_streams(i).into_iter().for_each(|b| p.stream(b));
+        p.framing(P_CODE, r.p_code, p.ctx.p_code)?;
+    }
     for (i, n) in ct.nrefs.iter().enumerate() {
-        p.col(INST, u64::from(n.orig_idx))?;
-        p.field(u64::from(n.ref_idx), index_width(ct.refs.len()))?;
-        ct.nref_streams(i)
-            .into_iter()
-            .try_for_each(|b| p.stream(b))?;
-        p.field(n.p_code, p.ctx.p_code)?;
+        p.framing(REF_IDX, u64::from(n.ref_idx), index_width(ct.refs.len()))?;
+        ct.nref_streams(i).into_iter().for_each(|b| p.stream(b));
+        p.framing(P_CODE, n.p_code, p.ctx.p_code)?;
     }
     Ok(())
 }
 
-/// One index record, v6: the temporal tuples in block columns, then
-/// the region words and membership bits coded against the trajectory
-/// ([`read_coded_regions`] reads them). A node with other than one
+/// One index record, v7: the region words and membership bits coded
+/// against the trajectory ([`read_coded_regions`] reads them); the
+/// temporal tuples are derived at open. A node with other than one
 /// group per reference, or other than one bit per (non-reference, cell
 /// of its group), is refused: it is not the index of `ct`.
 fn pack_node(
@@ -830,16 +1030,6 @@ fn pack_node(
     (node, ct): &(TrajIndex<'_>, TrajView<'_>),
     (ref_bits, nref_bits, starts): &mut (u64, u64, Vec<u32>),
 ) -> io::Result<()> {
-    p.col(COUNT, node.temporal.len() as u64)?;
-    for t in node.temporal {
-        p.col(START, t.start as u64)?;
-        p.col(NO, u64::from(t.no))?;
-        p.col(POS, u64::from(t.pos))?;
-    }
-    if p.widths.is_none() {
-        // Region tuples hold no column value: nothing to measure.
-        return Ok(());
-    }
     node.group_starts(starts);
     let group_len = |n: &NrefRow| node.group(starts, n.ref_idx as usize).len();
     let n_bits: usize = ct.nrefs.iter().map(group_len).sum();
@@ -869,10 +1059,10 @@ fn pack_node(
     Ok(())
 }
 
-/// Serializes a self-contained v6 container: network + bit-packed
+/// Serializes a self-contained v7 container: network + bit-packed
 /// dataset + bit-packed index, one block of [`CHUNK`] trajectories in
 /// memory at a time. Returns where the bits went.
-pub fn save_v6(
+pub fn save_v7(
     net: &RoadNetwork,
     cds: &CompressedDataset,
     stiu: &Stiu,
@@ -884,25 +1074,28 @@ pub fn save_v6(
     }
     // The small parts go through memory, which also sizes them.
     let mut head = Vec::from(*MAGIC);
-    head.push(VERSION_V6);
+    head.push(VERSION_V7);
     net.write_to(&mut head)?;
     let network = head.len() as u64 * 8;
     write_dataset_head(cds, &mut head)?;
     w.write_all(&head)?;
-    let ctx = CtxWidths::new(net, cds, stiu.grid.cell_count());
+    let ctx = CtxWidths::new(Some(net), cds, stiu.grid.cell_count());
     let trajs = cds.trajectories.iter();
-    let (dataset, payload) = write_blocks(ctx, DATASET_COLS, trajs, pack_traj, w)?;
+    let (dataset, payload, mut framing) = write_blocks(ctx, DATASET_COLS, trajs, pack_traj, w)?;
     write_i64(w, stiu.params.partition_s)?;
     write_u32(w, stiu.params.grid_n)?;
     let nodes = stiu.trajs.iter().zip(cds.trajectories.iter());
     let mut tuples = (0, 0, Vec::new());
     let pack = |p: &mut Packer, pair: &_| pack_node(p, pair, &mut tuples);
-    let (index, _) = write_blocks(ctx, INDEX_COLS, nodes, pack, w)?;
+    let (index, ..) = write_blocks(ctx, &[], nodes, pack, w)?;
     let (ref_tuples, nref_tuples, _) = tuples;
+    let fields: u64 = framing.iter().sum();
+    // bounds: BLOCKS is a slot of the framing array
+    framing[BLOCKS] = head.len() as u64 * 8 - network + dataset - payload - fields;
     Ok(Sections {
         network,
         payload,
-        framing: head.len() as u64 * 8 - network + dataset - payload,
+        framing,
         temporal: 12 * 8 + index - ref_tuples - nref_tuples,
         ref_tuples,
         nref_tuples,
@@ -967,7 +1160,7 @@ pub fn save_v3(dir: ShardDirectory, shards: &[Vec<u8>], w: &mut impl Write) -> i
 pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
     match read_header(r)? {
         VERSION_V1 => Err(StorageError::LegacyVersion),
-        version @ (VERSION_V2 | VERSION_V4..=VERSION_V6) => {
+        version @ (VERSION_V2 | VERSION_V4..=VERSION_V7) => {
             // Re-frame the rest of the stream as one standalone shard.
             let mut blob = Vec::from(*MAGIC);
             blob.push(version);
@@ -999,7 +1192,7 @@ pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>
                     return Err(StorageError::Corrupt("shard blob truncated"));
                 }
                 // bounds: len >= 5 enforced above, and blob.len() == len
-                let self_contained = matches!(blob[4], VERSION_V2 | VERSION_V4..=VERSION_V6);
+                let self_contained = matches!(blob[4], VERSION_V2 | VERSION_V4..=VERSION_V7);
                 if &blob[..4] != MAGIC || !self_contained {
                     let what = "shard blob is not a self-contained container";
                     return Err(StorageError::Corrupt(what));
@@ -1021,7 +1214,7 @@ fn read_header(r: &mut impl Read) -> Result<u8, StorageError> {
     }
     // bounds: magic is a [u8; 5], index 4 is in range
     match magic[4] {
-        v @ VERSION_V1..=VERSION_V6 => Ok(v),
+        v @ VERSION_V1..=VERSION_V7 => Ok(v),
         _ => Err(StorageError::BadHeader),
     }
 }
@@ -1095,8 +1288,13 @@ fn read_dataset(
         compressed,
         raw,
     };
-    let ctx = net.map_or(CtxWidths::default(), |net| CtxWidths::new(net, &cds, 0));
-    let mut src = Source::new(r, version, DATASET_COLS, ctx);
+    let ctx = CtxWidths::new(net, &cds, 0);
+    let cols = if version >= VERSION_V7 {
+        DATASET_COLS
+    } else {
+        DATASET_COLS_V4
+    };
+    let mut src = Source::new(r, version, cols, ctx);
     read_trajs(&mut src, n_trajs, &mut cds)?;
     Ok(cds)
 }
@@ -1104,7 +1302,7 @@ fn read_dataset(
 /// Deserializes the compressed dataset of a single-store container.
 ///
 /// For the self-contained versions the embedded network is parsed (the
-/// dataset sits after it, and v4..v6 take their vertex width from it) but
+/// dataset sits after it, and v4..v7 take their vertex width from it) but
 /// the trailing StIU index is not read at all — dataset-only consumers
 /// neither pay for it nor fail on index-section corruption.
 pub fn load(r: &mut impl Read) -> Result<CompressedDataset, StorageError> {
@@ -1137,7 +1335,7 @@ fn check_v2_postings(r: &mut impl Read, stiu: &Stiu) -> Result<(), StorageError>
     Ok(())
 }
 
-/// Deserializes a self-contained (v2, v4, v5 or v6) container.
+/// Deserializes a self-contained (v2, v4 to v7) container.
 ///
 /// Fails with [`StorageError::LegacyVersion`] on v1 containers — those
 /// need the caller to supply the network (`Store::open_v1`).
@@ -1160,11 +1358,11 @@ pub fn load_full(
     if version == VERSION_V2 && read_u64(r)? != cds.trajectories.len() as u64 {
         return Err(StorageError::Corrupt("index/dataset trajectory counts"));
     }
-    let ctx = CtxWidths::new(&net, &cds, stiu.grid.cell_count());
-    let cols = if version == VERSION_V4 {
-        INDEX_COLS_V4
-    } else {
-        INDEX_COLS
+    let ctx = CtxWidths::new(Some(&net), &cds, stiu.grid.cell_count());
+    let cols = match version {
+        VERSION_V4 => INDEX_COLS_V4,
+        VERSION_V7 => &[],
+        _ => INDEX_COLS_V5,
     };
     let mut src = Source::new(r, version, cols, ctx);
     read_nodes(&mut src, &net, &cds, &mut stiu)?;
@@ -1199,11 +1397,16 @@ mod tests {
         bytes
     }
 
-    fn v6_bytes() -> Vec<u8> {
+    fn v7_bytes() -> Vec<u8> {
         let (net, cds, stiu) = sample();
         let mut bytes = Vec::new();
-        let s = save_v6(&net, &cds, &stiu, &mut bytes).unwrap();
-        let counted = s.network + s.payload + s.framing + s.temporal + s.ref_tuples + s.nref_tuples;
+        let s = save_v7(&net, &cds, &stiu, &mut bytes).unwrap();
+        let counted = s.network
+            + s.payload
+            + s.framing.iter().sum::<u64>()
+            + s.temporal
+            + s.ref_tuples
+            + s.nref_tuples;
         assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
         bytes
     }
@@ -1228,9 +1431,9 @@ mod tests {
     }
 
     #[test]
-    fn v6_roundtrip_preserves_all_parts() {
+    fn v7_roundtrip_preserves_all_parts() {
         let (net, cds, stiu) = sample();
-        let bytes = v6_bytes();
+        let bytes = v7_bytes();
         let (net2, cds2, stiu2) = load_full(&mut bytes.as_slice()).unwrap();
         let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
         assert_eq!(net2, net);
@@ -1243,7 +1446,7 @@ mod tests {
         assert_eq!(dbg(&stiu2.trajs), dbg(&stiu.trajs));
         // Writing what was read reproduces the bytes.
         let mut again = Vec::new();
-        save_v6(&net2, &cds2, &stiu2, &mut again).unwrap();
+        save_v7(&net2, &cds2, &stiu2, &mut again).unwrap();
         assert_eq!(again, bytes);
         // The generic loader also accepts it, dataset-only.
         let just_cds = load(&mut bytes.as_slice()).unwrap();
@@ -1278,8 +1481,13 @@ mod tests {
         // non-reference cell take a few.
         let (net, cds, stiu) = cd_sample();
         let mut bytes = Vec::new();
-        let s = save_v6(net, cds, stiu, &mut bytes).unwrap();
-        let counted = s.network + s.payload + s.framing + s.temporal + s.ref_tuples + s.nref_tuples;
+        let s = save_v7(net, cds, stiu, &mut bytes).unwrap();
+        let counted = s.network
+            + s.payload
+            + s.framing.iter().sum::<u64>()
+            + s.temporal
+            + s.ref_tuples
+            + s.nref_tuples;
         assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
         let per_traj = (s.ref_tuples + s.nref_tuples) as f64 / 8.0 / cds.trajectories.len() as f64;
         assert!(
@@ -1290,6 +1498,29 @@ mod tests {
         let (_, _, again) = load_full(&mut bytes.as_slice()).unwrap();
         let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
         assert_eq!(dbg(&again.trajs), dbg(&stiu.trajs));
+    }
+
+    #[test]
+    fn v7_stores_only_what_cannot_be_derived() {
+        // Stream lengths, instance order and temporal tuples took 21 B of
+        // v6's ~100 B per `cd` trajectory; v7 derives them at open. A
+        // framing field that grows back fails here.
+        let (net, cds, stiu) = cd_sample();
+        let mut bytes = Vec::new();
+        let s = save_v7(net, cds, stiu, &mut bytes).unwrap();
+        let per_traj = |bits: u64| bits as f64 / 8.0 / cds.trajectories.len() as f64;
+        let framing = per_traj(s.framing.iter().sum::<u64>());
+        let (temporal, stored) = (
+            per_traj(s.temporal),
+            per_traj(bytes.len() as u64 * 8 - s.network),
+        );
+        assert!(framing <= 12.0, "framing: {framing:.2} B/trajectory");
+        assert!(temporal <= 0.1, "temporal: {temporal:.3} B/trajectory");
+        // 76.2 B at 2,000 trajectories.
+        assert!(
+            stored <= 78.0,
+            "stored past the network: {stored:.2} B/trajectory"
+        );
     }
 
     #[test]
@@ -1316,34 +1547,18 @@ mod tests {
     }
 
     #[test]
-    fn v6_region_counts_and_gaps_are_checked() {
-        // The index block of a v6 container cut where node 0's first
-        // group begins, then `craft` writes the rest of the block.
+    fn v7_region_counts_and_gaps_are_checked() {
+        // The index block of a v7 container, which has no header and
+        // opens with node 0's first group, is replaced by what `craft`
+        // writes.
         let (net, cds, stiu) = sample();
         let mut bytes = Vec::new();
-        let s = save_v6(&net, &cds, &stiu, &mut bytes).unwrap();
-        let block = ((s.network + s.payload + s.framing) / 8) as usize + 12;
-        let bits =
-            BitSlice::from_bytes(&bytes[block + 4..], (bytes.len() - block - 4) * 8).unwrap();
-        let mut r = bits.reader();
-        r.read_bits(64).unwrap();
-        let [start, no, count, pos] = [(); 4].map(|()| r.read_bits(7).unwrap() as u32);
-        for _ in 0..r.read_bits(count).unwrap() {
-            for width in [start, no, pos] {
-                r.read_bits(width).unwrap();
-            }
-        }
-        let group_at = r.pos();
+        let s = save_v7(&net, &cds, &stiu, &mut bytes).unwrap();
+        let block = ((s.network + s.payload + s.framing.iter().sum::<u64>()) / 8) as usize + 12;
         let n_cells = stiu.grid.cell_count() as u64;
         let cell = index_width(n_cells as usize);
         let with_group = |craft: &dyn Fn(&mut BitWriter)| {
             let mut w = BitWriter::new();
-            let mut prefix = bits.reader();
-            for k in (0..group_at).step_by(64) {
-                let width = (group_at - k).min(64) as u32;
-                w.write_bits(prefix.read_bits(width).unwrap(), width)
-                    .unwrap();
-            }
             craft(&mut w);
             let block_bits = w.finish();
             let mut crafted = bytes[..block].to_vec();
@@ -1388,7 +1603,7 @@ mod tests {
             nodes.push(node.temporal, regions).unwrap();
         }
         stiu.trajs = nodes;
-        let err = save_v6(&net, &cds, &stiu, &mut Vec::new()).unwrap_err();
+        let err = save_v7(&net, &cds, &stiu, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
@@ -1405,7 +1620,7 @@ mod tests {
     fn dataset_load_survives_index_corruption() {
         // The index section trails the container; load() must not touch
         // it, so damage there cannot block dataset-only consumers.
-        let mut bytes = v6_bytes();
+        let mut bytes = v7_bytes();
         let tail = bytes.len() - 8;
         bytes[tail..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(
@@ -1418,7 +1633,7 @@ mod tests {
 
     #[test]
     fn v3_roundtrip_preserves_directory_and_blobs() {
-        let blob = v6_bytes();
+        let blob = v7_bytes();
         let bytes = v3_bytes(POLICY_TIME, 3600, &[blob.clone(), blob.clone()]);
         let (dir, blobs) = load_v3(&mut bytes.as_slice()).unwrap();
         let (kind, param) = (POLICY_TIME, 3600);
@@ -1433,7 +1648,7 @@ mod tests {
     fn v3_reader_accepts_plain_v2_as_single_shard() {
         // A plain self-contained container of either version.
         let v2 = include_bytes!("../../../tests/fixtures/tiny_v2.utcq").to_vec();
-        for blob in [v2, v6_bytes()] {
+        for blob in [v2, v7_bytes()] {
             let (dir, blobs) = load_v3(&mut blob.as_slice()).unwrap();
             assert_eq!(dir, None);
             assert_eq!(blobs, [blob]);
@@ -1442,7 +1657,7 @@ mod tests {
 
     #[test]
     fn v3_rejected_by_single_store_loaders() {
-        let bytes = v3_bytes(POLICY_REGION, 8, &[v6_bytes()]);
+        let bytes = v3_bytes(POLICY_REGION, 8, &[v7_bytes()]);
         assert!(matches!(
             load(&mut bytes.as_slice()),
             Err(StorageError::Sharded)
@@ -1460,7 +1675,7 @@ mod tests {
 
     #[test]
     fn v3_corruption_is_rejected_not_panicking() {
-        let bytes = v3_bytes(POLICY_TIME, 3600, &[v6_bytes()]);
+        let bytes = v3_bytes(POLICY_TIME, 3600, &[v7_bytes()]);
         for cut in [6, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load_v3(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
@@ -1494,7 +1709,7 @@ mod tests {
         for cut in [bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(load(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
-        let bytes = v6_bytes();
+        let bytes = v7_bytes();
         for cut in (0..bytes.len()).step_by(5) {
             assert!(load_full(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
@@ -1504,7 +1719,7 @@ mod tests {
     fn bitflips_do_not_panic() {
         // Flip a sample of bits across each container; the loaders must
         // return Ok or Err, never panic.
-        for (bytes, step) in [(v1_bytes(), 37), (v6_bytes(), 11)] {
+        for (bytes, step) in [(v1_bytes(), 37), (v7_bytes(), 11)] {
             for i in (0..bytes.len()).step_by(step) {
                 let mut corrupt = bytes.clone();
                 corrupt[i] ^= 1 << (i % 8);

@@ -6,7 +6,7 @@
 //! compressed and indexed as it arrives, into one partition or, after
 //! [`StoreBuilder::shard_by`], into the one a routing policy picks
 //! ([`crate::shard`]) — or opened with [`Store::open`] from a
-//! self-contained (v6, v5, v4, v2) or sharded (v3) container.
+//! self-contained (v7, v6, v5, v4, v2) or sharded (v3) container.
 //!
 //! All read state is one immutable [`Snapshot`] behind an `Arc`: every
 //! partition at one epoch and the store's one id map, id → (partition,
@@ -154,7 +154,7 @@ fn ingest_in_order(
         tus.len(),
         |i| {
             let tu = tus.get(i).ok_or_else(missing)?;
-            prepare(net, params, index.params, &index.grid, tu)
+            prepare(net, params, index, tu)
         },
         |i, prepared| {
             let (tu, &s) = tus.get(i).zip(routes.get(i)).ok_or_else(missing)?;
@@ -274,10 +274,13 @@ impl StoreBuilder {
         let n = self.parts.len() as u32;
         let routes = routes(self.policy.as_deref(), &self.net, tus, n)?;
         // Every partition gets its index with the first trajectory; the
-        // index parameters are fixed from then on.
-        let index = Stiu::new(&self.net, self.stiu_params)?;
+        // index parameters, grid and edge cells are fixed from then on.
+        let index = match self.parts.iter().find_map(|part| part.stiu.as_ref()) {
+            Some(stiu) => stiu.blank(),
+            None => Stiu::new(&self.net, self.stiu_params)?,
+        };
         for part in &mut self.parts {
-            part.stiu.get_or_insert_with(|| index.clone());
+            part.stiu.get_or_insert_with(|| index.blank());
         }
         let parts = &mut self.parts;
         let missing = || Error::CorruptStore("routed past the partitions");
@@ -419,7 +422,7 @@ impl Store {
     }
 
     /// Opens a container with no side-channel arguments: a self-contained
-    /// (v6, v5, v4, v2) one as one partition, a sharded v3 one as its
+    /// (v7, v6, v5, v4, v2) one as one partition, a sharded v3 one as its
     /// partitions under the recorded policy. A v1 container fails with
     /// [`Error::NeedsNetwork`] (see [`Store::open_v1`]).
     ///

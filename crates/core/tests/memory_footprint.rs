@@ -94,14 +94,16 @@ fn measured<T>(make: impl FnOnce() -> T) -> (T, (isize, isize)) {
 }
 
 /// The per-trajectory cost of a store: what dropping all of it but its
-/// road network frees, less what an empty store over that network holds
-/// (the cache shards, the writer core: nothing that grows with the data).
+/// road network frees, less what an empty store over that network and
+/// with its index parameters holds (the cache shards, the writer core,
+/// the grid's edge-cell table: nothing that grows with the data).
 fn cost(store: Store) -> Cost {
-    let params = store.params();
+    let (params, stiu) = (store.params(), store.snapshots()[0].stiu().params);
     let census = store.snapshot().resident().total() as f64;
     let (net, n) = (Arc::clone(store.network()), store.len() as f64);
     let ((), freed) = measured(|| drop(store));
-    let (empty, fixed) = measured(|| StoreBuilder::new(net, params).finish().unwrap());
+    let empty = || StoreBuilder::new(net, params).stiu_params(stiu).finish();
+    let (empty, fixed) = measured(|| empty().unwrap());
     drop(empty);
     Cost {
         bytes: (-freed.0 - fixed.0) as f64 / n,
@@ -218,7 +220,7 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
     // `utcq info` is demonstrated on.
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/tiny_v6.utcq"
+        "/../../tests/fixtures/tiny_v7.utcq"
     );
     let Cost { bytes, census, .. } = cost(reopen(&std::fs::read(fixture).unwrap()));
     assert!(

@@ -4,7 +4,7 @@
 //! it ran at index construction and at every open; it runs over tuple
 //! rows rebuilt from the region tables and must agree with the
 //! derivation for every (group, cell) of 500-trajectory `dk`, `cd` and
-//! `hz` samples and of every checked-in container from v2 to v6.
+//! `hz` samples and of every checked-in container from v2 to v7.
 
 use std::sync::Arc;
 
@@ -100,9 +100,11 @@ fn derived_bounds_equal_the_stored_computation_on_every_fixture() {
         "tiny_v3_packed.utcq",
         "tiny_v3_v5.utcq",
         "tiny_v3_v6.utcq",
+        "tiny_v3_v7.utcq",
         "tiny_v4.utcq",
         "tiny_v5.utcq",
         "tiny_v6.utcq",
+        "tiny_v7.utcq",
     ];
     for name in fixtures {
         let path = format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));

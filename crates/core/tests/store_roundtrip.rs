@@ -283,9 +283,11 @@ fn node_fields(n: TrajIndex<'_>, ct: &TrajView<'_>, params: &CompressParams) -> 
     (n.temporal.to_vec(), refs, n.nref_tuples(ct.nrefs))
 }
 
-/// Asserts that `reopened` holds exactly the index and accounting of
-/// `built`: every node field for field (the probability bounds by bit
-/// pattern), every interval's postings, the ratios.
+/// Asserts that `reopened` holds exactly the store `built` is: every
+/// trajectory's rows, stream bits and plan in the same segments, every
+/// index node field for field (the probability bounds by bit pattern,
+/// the temporal tuples the reader derives), every interval's postings,
+/// the ratios.
 fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what: &str) {
     assert_eq!(built.len(), reopened.len(), "{what}: partitions");
     for (a, b) in built.iter().zip(reopened) {
@@ -294,6 +296,17 @@ fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what
             b.compressed().ratios(),
             "{what}: ratios"
         );
+        let (ta, tb) = (&a.compressed().trajectories, &b.compressed().trajectories);
+        assert_eq!(
+            ta.segments().count(),
+            tb.segments().count(),
+            "{what}: segments"
+        );
+        assert_eq!(ta.len(), tb.len(), "{what}: trajectories");
+        for (j, (x, y)) in ta.iter().zip(tb).enumerate() {
+            let rows = |t: TrajView<'_>| format!("{t:?} {:?}", t.plan);
+            assert_eq!(rows(x), rows(y), "{what}: trajectory {j}");
+        }
         let fields = |s: &Partition, j: usize| {
             let (node, ct) = (s.stiu().trajs.get(j), s.compressed().trajectories.get(j));
             node_fields(node.unwrap(), &ct.unwrap(), &s.compressed().params)

@@ -89,7 +89,7 @@ fn main() {
         in_range.items.len()
     );
 
-    // 4. Persist as a self-contained v6 container and reopen: network,
+    // 4. Persist as a self-contained v7 container and reopen: network,
     //    dataset and index all travel inside the file.
     let path = std::env::temp_dir().join("utcq-quickstart.utcq");
     store.save(&path).expect("container writes");

@@ -1,6 +1,6 @@
 //! `utcq` — command-line front end for the UTCQ reproduction.
 //!
-//! `compress` writes a **self-contained v6 container** (road network +
+//! `compress` writes a **self-contained v7 container** (road network +
 //! compressed dataset + StIU index) — or, with `--shards N`, a
 //! **sharded v3 container** whose partitions are routed by `--shard-by
 //! time|region`. `info`, `verify` and `query` operate on the file alone
@@ -212,7 +212,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         );
         "sharded v3"
     } else {
-        "self-contained v6"
+        "self-contained v7"
     };
     store.save(&out).map_err(|e| e.to_string())?;
     println!("wrote {out} ({kind} container)");
@@ -220,7 +220,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
 }
 
 /// Opens a container as a queryable store through the
-/// [`utcq::core::Opened`] facade: v6, v5, v4, v3 and v2 directly, v1
+/// [`utcq::core::Opened`] facade: v7 down to v2 directly, v1
 /// through the compatibility path using the regenerated network. Only the network is regenerated — not the trajectories,
 /// which live in the container.
 fn open_store(args: &Args) -> Result<Opened, String> {

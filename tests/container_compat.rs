@@ -15,17 +15,19 @@
 //! * `tiny_v5.utcq`, `tiny_v3_v5.utcq` — the same two shapes with a v5
 //!   body: fixed-width region tuples, each non-reference's in traversal
 //!   order;
-//! * `tiny_v6.utcq`, `tiny_v3_v6.utcq` — the same two shapes as every
-//!   store writes them now (v6 body: region tuples coded against the
-//!   trajectory).
+//! * `tiny_v6.utcq`, `tiny_v3_v6.utcq` — the same two shapes with a v6
+//!   body: region tuples coded against the trajectory, stream lengths,
+//!   every `orig_idx` and the temporal tuples stored;
+//! * `tiny_v7.utcq`, `tiny_v3_v7.utcq` — the same two shapes as every
+//!   store writes them now (v7 body: v6 without what it can derive).
 //!
-//! The first seven are frozen: nothing can write those bytes again. The
+//! The first nine are frozen: nothing can write those bytes again. The
 //! last two are what the `regen_fixtures` test below writes into
 //! `target/tmp` (`cargo test --test container_compat -- --ignored
 //! regen`); copy them over after an *intentional* format change. CI
 //! compares the regenerated pair with the checked-in one.
 //!
-//! All nine hold the same 10-trajectory dataset, so the strongest check
+//! All eleven hold the same 10-trajectory dataset, so the strongest check
 //! is mutual: every version must answer every probe identically. A few
 //! hardcoded goldens pin the answers absolutely, so "all agree but all
 //! are wrong" cannot slip through.
@@ -63,10 +65,10 @@ fn fixture_dataset() -> (utcq::network::RoadNetwork, utcq::traj::Dataset) {
     utcq::datagen::generate(&utcq::datagen::profile::tiny(), TRAJS, SEED)
 }
 
-/// Opens all nine fixtures. The v1 fixture has no embedded network, so
-/// it reuses the v2 fixture's — the dataset is identical by
+/// Opens all eleven fixtures. The v1 fixture has no embedded network,
+/// so it reuses the v2 fixture's — the dataset is identical by
 /// construction.
-fn open_fixtures() -> ([Store; 5], [Store; 4]) {
+fn open_fixtures() -> ([Store; 6], [Store; 5]) {
     let open = |name: &str| Store::open(fixture_path(name)).expect(name);
     let sharded = |name: &str| Store::open(fixture_path(name)).expect(name);
     let v2 = open("tiny_v2.utcq");
@@ -79,31 +81,35 @@ fn open_fixtures() -> ([Store; 5], [Store; 4]) {
             open("tiny_v4.utcq"),
             open("tiny_v5.utcq"),
             open("tiny_v6.utcq"),
+            open("tiny_v7.utcq"),
         ],
         [
             sharded("tiny_v3.utcq"),
             sharded("tiny_v3_packed.utcq"),
             sharded("tiny_v3_v5.utcq"),
             sharded("tiny_v3_v6.utcq"),
+            sharded("tiny_v3_v7.utcq"),
         ],
     )
 }
 
 #[test]
 fn all_versions_open_and_agree() {
-    let ([v1, v2, v4, v5, v6], [v3, v3_packed, v3_v5, v3_v6]) = open_fixtures();
+    let ([v1, v2, v4, v5, v6, v7], [v3, v3_packed, v3_v5, v3_v6, v3_v7]) = open_fixtures();
     let targets: Vec<(&str, &dyn QueryTarget)> = vec![
         ("v1", &v1),
         ("v2", &v2),
         ("v4", &v4),
         ("v5", &v5),
         ("v6", &v6),
+        ("v7", &v7),
         ("v3", &v3),
         ("v3 packed", &v3_packed),
         ("v3 v5", &v3_v5),
         ("v3 v6", &v3_v6),
+        ("v3 v7", &v3_v7),
     ];
-    for sharded in [&v3, &v3_packed, &v3_v5, &v3_v6] {
+    for sharded in [&v3, &v3_packed, &v3_v5, &v3_v6, &v3_v7] {
         assert_eq!(sharded.shard_count(), 3);
     }
     for (name, t) in &targets {
@@ -166,7 +172,7 @@ fn derived_bounds_equal_the_stored_ones() {
     // its day computed them; no later version stores them, and no
     // store holds them: a query derives them per cell. Same bits, or
     // Lemma 1's filter changed.
-    let ([_, v2, v4, v5, v6], _) = open_fixtures();
+    let ([_, v2, v4, v5, v6, v7], _) = open_fixtures();
     let derived = |s: &Store| -> Vec<(u64, u64)> {
         let snap = s.snapshots().remove(0);
         let p_codec = snap.compressed().params.p_codec();
@@ -204,7 +210,14 @@ fn derived_bounds_equal_the_stored_ones() {
         at += 20 * count(&mut at);
     }
     assert!(!stored.is_empty());
-    for (name, store) in [("v2", &v2), ("v4", &v4), ("v5", &v5), ("v6", &v6)] {
+    let stores = [
+        ("v2", &v2),
+        ("v4", &v4),
+        ("v5", &v5),
+        ("v6", &v6),
+        ("v7", &v7),
+    ];
+    for (name, store) in stores {
         assert_eq!(derived(store), stored, "{name}");
     }
 }
@@ -213,17 +226,25 @@ fn derived_bounds_equal_the_stored_ones() {
 fn saving_an_old_container_writes_the_current_format() {
     // The upgrade every checkpoint now performs: a store opened from an
     // older framing saves as exactly the current fixture, the derived
-    // index parts included (they are recomputed at each open), the
-    // resume fields of v2 / v4 gone and every non-reference's tuples,
-    // stored in traversal order up to v5, in ascending cell order.
+    // parts included (they are recomputed at each open), the resume
+    // fields of v2 / v4 gone, every non-reference's tuples, stored in
+    // traversal order up to v5, in ascending cell order, and the stream
+    // lengths, `orig_idx` and temporal tuples of v6 and before gone.
     let read = |name: &str| std::fs::read(fixture_path(name)).expect(name);
-    let ([_, v2, v4, v5, v6], [v3, v3_packed, v3_v5, v3_v6]) = open_fixtures();
-    for (name, store) in [("v2", &v2), ("v4", &v4), ("v5", &v5), ("v6", &v6)] {
+    let ([_, v2, v4, v5, v6, v7], [v3, v3_packed, v3_v5, v3_v6, v3_v7]) = open_fixtures();
+    let singles = [
+        ("v2", &v2),
+        ("v4", &v4),
+        ("v5", &v5),
+        ("v6", &v6),
+        ("v7", &v7),
+    ];
+    for (name, store) in singles {
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
         assert!(
-            bytes == read("tiny_v6.utcq"),
-            "{name} saved != tiny_v6.utcq"
+            bytes == read("tiny_v7.utcq"),
+            "{name} saved != tiny_v7.utcq"
         );
     }
     let sharded = [
@@ -231,13 +252,14 @@ fn saving_an_old_container_writes_the_current_format() {
         ("v3 packed", &v3_packed),
         ("v3 v5", &v3_v5),
         ("v3 v6", &v3_v6),
+        ("v3 v7", &v3_v7),
     ];
     for (name, store) in sharded {
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
         assert!(
-            bytes == read("tiny_v3_v6.utcq"),
-            "{name} saved != tiny_v3_v6.utcq"
+            bytes == read("tiny_v3_v7.utcq"),
+            "{name} saved != tiny_v3_v7.utcq"
         );
     }
     // Old single-store bytes are 2.5x the new ones even at ten
@@ -246,6 +268,55 @@ fn saving_an_old_container_writes_the_current_format() {
     assert!(read("tiny_v4.utcq").len() * 2 < read("tiny_v2.utcq").len());
     assert!(read("tiny_v5.utcq").len() < read("tiny_v4.utcq").len());
     assert!(read("tiny_v6.utcq").len() < read("tiny_v5.utcq").len());
+    assert!(read("tiny_v7.utcq").len() < read("tiny_v6.utcq").len());
+}
+
+#[test]
+fn every_fixture_saves_as_v7_and_reopens_identically() {
+    // Every checked-in container opens, saves as v7, and that file
+    // reopens to a store that saves the same bytes and answers every
+    // probe the same.
+    let (singles, sharded) = open_fixtures();
+    let bounds = singles[1].network().bounding_rect();
+    let stores = singles.iter().chain(&sharded);
+    for (k, store) in stores.enumerate() {
+        let mut saved = Vec::new();
+        store.write(&mut saved).unwrap();
+        let versions = utcq::core::storage::versions(&mut std::io::Cursor::new(&saved)).unwrap();
+        assert!(
+            versions.iter().all(|&v| v == 3 || v == 7),
+            "fixture {k}: {versions:?}"
+        );
+        let reopened = Store::read(&mut saved.as_slice()).unwrap();
+        let mut again = Vec::new();
+        reopened.write(&mut again).unwrap();
+        assert!(again == saved, "fixture {k}: v7 reopened saves other bytes");
+        for id in 0..TRAJS as u64 {
+            let times = store.decode_times(id).unwrap().unwrap();
+            assert_eq!(reopened.decode_times(id).unwrap().unwrap(), times);
+            let t = (times[0] + times[times.len() - 1]) / 2;
+            let ask = |s: &Store| {
+                let hits = s.where_query(id, t, 0.0, PageRequest::all());
+                let range = s.range_query(&bounds, t, 0.2, PageRequest::all());
+                (hits.unwrap().into_items(), range.unwrap().into_items())
+            };
+            assert_eq!(ask(&reopened), ask(store), "fixture {k}, trajectory {id}");
+        }
+    }
+}
+
+/// Where the one index block of a single-block v4..v6 fixture starts:
+/// after magic and version, the network, the dataset head (ηD, ηp,
+/// pivots, interval, `w_e`, name, two size breakdowns, count), the one
+/// dataset block, the `i64` partition, the `u32` grid dimension and the
+/// block's `u32` length.
+fn index_block_at(bytes: &[u8]) -> usize {
+    let mut rest = &bytes[5..];
+    utcq::network::RoadNetwork::read_from(&mut rest).unwrap();
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let name_at = bytes.len() - rest.len() + 32;
+    let block_at = name_at + 4 + u32_at(name_at) + 96 + 8;
+    block_at + 4 + u32_at(block_at) + 12 + 4
 }
 
 #[test]
@@ -289,17 +360,12 @@ fn resume_fields_of_old_versions_are_still_checked() {
         }
     }
 
-    // v4, bit-packed. The dataset section did not change with v5, so
-    // the writer's census of the opened store says where the v4 file's
-    // index starts: i64 partition, u32 grid dimension, then the one
-    // block of ten nodes (u32 byte length, 64-bit base, five 7-bit
-    // column widths: start, no, count, entry index, position).
+    // v4, bit-packed: the one block of ten nodes (u32 byte length,
+    // 64-bit base, five 7-bit column widths: start, no, count, entry
+    // index, position).
     let bytes = std::fs::read(fixture_path("tiny_v4.utcq")).unwrap();
-    let v4 = open(&bytes).expect("the fixture itself opens");
-    let census = v4.snapshots()[0]
-        .write_counted(&mut std::io::sink())
-        .unwrap();
-    let block = ((census.network + census.payload + census.framing) / 8) as usize + 16;
+    open(&bytes).expect("the fixture itself opens");
+    let block = index_block_at(&bytes);
     let len = u32::from_le_bytes(bytes[block - 4..block].try_into().unwrap());
     assert_eq!(block + len as usize, bytes.len(), "one block to the end");
     // The entry-index column exists only for the resume fields: its
@@ -328,11 +394,7 @@ fn old_readers_refuse_nref_tuples_outside_their_group() {
     let bytes = std::fs::read(fixture_path("tiny_v5.utcq")).unwrap();
     let v5 = open(&bytes).expect("the fixture itself opens");
     let snap = v5.snapshots().remove(0);
-    // v6 did not change the dataset section, so the writer's census says
-    // where the index block starts: after the i64 partition, the u32
-    // grid dimension and the u32 block length.
-    let census = snap.write_counted(&mut std::io::sink()).unwrap();
-    let block = ((census.network + census.payload + census.framing) / 8) as usize + 16;
+    let block = index_block_at(&bytes);
     let block_bits = (bytes.len() - block) * 8;
     let bits = utcq::bitio::BitSlice::from_bytes(&bytes[block..], block_bits).unwrap();
     let mut r = bits.reader();
@@ -394,7 +456,7 @@ fn old_readers_refuse_nref_tuples_outside_their_group() {
 #[test]
 fn goldens_pin_fixture_answers() {
     // Golden values recorded when the first fixtures were generated;
-    // they pin the absolute answers of every fixture, v1 through v6.
+    // they pin the absolute answers of every fixture, v1 through v7.
     let (singles, sharded) = open_fixtures();
     let golden = golden_answers();
     let mid0 = (golden.t0_first + golden.t0_last) / 2;
@@ -582,7 +644,7 @@ fn a_v1_log_replays_then_continues_as_v2() {
 /// into `target/tmp` and prints fresh golden values. The older fixtures
 /// cannot be regenerated: no writer emits their bytes any more.
 #[test]
-#[ignore = "writes target/tmp/tiny_v6.utcq, tiny_v3_v6.utcq and wal_v2.wal; copy to tests/fixtures after intentional format changes"]
+#[ignore = "writes target/tmp/tiny_v7.utcq, tiny_v3_v7.utcq and wal_v2.wal; copy to tests/fixtures after intentional format changes"]
 fn regen_fixtures() {
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let wal_path = out.join("wal_v2.wal");
@@ -596,7 +658,7 @@ fn regen_fixtures() {
     let params = utcq::core::CompressParams::with_interval(ds.default_interval);
 
     let single = Store::build(Arc::clone(&net), &ds, params, STIU).unwrap();
-    single.save(out.join("tiny_v6.utcq")).unwrap();
+    single.save(out.join("tiny_v7.utcq")).unwrap();
 
     let sharded = StoreBuilder::new(Arc::clone(&net), params)
         .stiu_params(STIU)
@@ -606,9 +668,9 @@ fn regen_fixtures() {
         .unwrap()
         .finish()
         .unwrap();
-    sharded.save(out.join("tiny_v3_v6.utcq")).unwrap();
+    sharded.save(out.join("tiny_v3_v7.utcq")).unwrap();
     println!(
-        "wrote tiny_v6.utcq, tiny_v3_v6.utcq and wal_v2.wal into {}",
+        "wrote tiny_v7.utcq, tiny_v3_v7.utcq and wal_v2.wal into {}",
         out.display()
     );
 

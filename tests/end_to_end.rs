@@ -154,12 +154,13 @@ fn utcq(args: &[&str]) -> String {
 #[test]
 fn cli_info_names_the_format_and_counts_the_file() {
     let fixtures = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let rewrites = " (next save or checkpoint rewrites as v6)\n";
+    let rewrites = " (next save or checkpoint rewrites as v7)\n";
     for (name, format) in [
         ("tiny_v2.utcq", format!("v2{rewrites}")),
         ("tiny_v4.utcq", format!("v4{rewrites}")),
         ("tiny_v5.utcq", format!("v5{rewrites}")),
-        ("tiny_v6.utcq", "v6\n".to_string()),
+        ("tiny_v6.utcq", format!("v6{rewrites}")),
+        ("tiny_v7.utcq", "v7\n".to_string()),
         (
             "tiny_v3.utcq",
             format!("v3 directory, shards v2 v2 v2{rewrites}"),
@@ -174,7 +175,11 @@ fn cli_info_names_the_format_and_counts_the_file() {
         ),
         (
             "tiny_v3_v6.utcq",
-            "v3 directory, shards v6 v6 v6\n".to_string(),
+            format!("v3 directory, shards v6 v6 v6{rewrites}"),
+        ),
+        (
+            "tiny_v3_v7.utcq",
+            "v3 directory, shards v7 v7 v7\n".to_string(),
         ),
     ] {
         let path = fixtures.join(name);
@@ -191,8 +196,8 @@ fn cli_info_names_the_format_and_counts_the_file() {
         let total: u64 = total.split_whitespace().next().unwrap().parse().unwrap();
         let len = std::fs::metadata(&path).unwrap().len();
         match name {
-            "tiny_v6.utcq" => assert_eq!(total, len),
-            "tiny_v3_v6.utcq" => assert_eq!(total + 18 + 3 * 8, len),
+            "tiny_v7.utcq" => assert_eq!(total, len),
+            "tiny_v3_v7.utcq" => assert_eq!(total + 18 + 3 * 8, len),
             _ => assert!(total < len, "{name}: an older file is larger"),
         }
     }

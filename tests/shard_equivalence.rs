@@ -205,7 +205,7 @@ fn sharded_matches_single_for_all_counts_and_policies() {
         store.write(&mut bytes).unwrap();
         bytes
     };
-    assert_eq!(container(&single)[4], 6, "a plain store writes v6");
+    assert_eq!(container(&single)[4], 7, "a plain store writes v7");
     for n_shards in [1u32, 2, 4, 7] {
         for (pname, policy) in [
             (
