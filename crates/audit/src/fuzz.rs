@@ -1,6 +1,7 @@
 //! A structure-aware, seeded fuzzer for the parse surfaces that face
 //! untrusted bytes: the binary container loaders (`utcq_core::storage`,
-//! `Store::open`/`Opened::open`), the serve wire protocol
+//! `Store::open`/`Opened::open`), the readers of older containers and
+//! logs behind `utcq migrate` (`utcq_legacy`), the serve wire protocol
 //! (`wire::handle_line`) and the write-ahead log, read
 //! (`utcq_core::wal::scan` / `Wal::open`) and replayed into a store
 //! (`Opened::open_durable`).
@@ -24,7 +25,7 @@ use std::path::{Path, PathBuf};
 use rand::prelude::*;
 use utcq_core::wal;
 use utcq_core::wire::{self, Json};
-use utcq_core::Opened;
+use utcq_core::{Opened, QueryTarget};
 
 use crate::quiet::with_quiet_panics;
 
@@ -39,8 +40,8 @@ pub struct FuzzOpts {
     pub regressions_dir: Option<PathBuf>,
     /// Stop after this many distinct failures.
     pub max_failures: usize,
-    /// Fuzz only this harness (`container`, `wire` or `wal`); `None`
-    /// splits iterations across all of them.
+    /// Fuzz only this harness (`container`, `migrate`, `wire` or `wal`);
+    /// `None` splits iterations across all of them.
     pub target: Option<String>,
 }
 
@@ -59,7 +60,7 @@ impl Default for FuzzOpts {
 /// One input that made a parser panic.
 #[derive(Clone, Debug)]
 pub struct Failure {
-    /// Which harness: `container`, `wire` or `wal`.
+    /// Which harness: `container`, `migrate`, `wire` or `wal`.
     pub target: &'static str,
     /// The panic message.
     pub message: String,
@@ -86,6 +87,10 @@ pub struct FuzzReport {
 /// are executed against.
 pub struct Fixtures {
     containers: Vec<Vec<u8>>,
+    /// Every container and log `utcq migrate` reads: the files before v7.
+    old: Vec<Vec<u8>>,
+    /// The network a v1 container migrates on (`tiny_v7.utcq`'s).
+    v1_net: utcq_network::RoadNetwork,
     lines: Vec<String>,
     wals: Vec<Vec<u8>>,
     opened: Opened,
@@ -93,18 +98,22 @@ pub struct Fixtures {
     replay_base: Vec<u8>,
     scratch: PathBuf,
     wal_scratch: PathBuf,
+    /// Where `migrate` writes.
+    migrated: PathBuf,
 }
 
 impl Fixtures {
     /// Loads the corpus from `tests/fixtures/` under `repo_root`.
     pub fn load(repo_root: &Path) -> io::Result<Self> {
         let dir = repo_root.join("tests/fixtures");
-        let mut containers = Vec::new();
-        // Among them every shape of region tuple: v4 (the reader's
-        // consume-and-drop path), v5 (fixed-width, sorted at open), v6
-        // (coded against the trajectory) and v7 (v6 with stream lengths,
-        // instance order and temporal tuples derived: what stores write).
-        let versions = [
+        let read = |name: &str| fs::read(dir.join(name));
+        // What the core reads: v7, alone and in a v3 directory.
+        let containers = vec![read("tiny_v7.utcq")?, read("tiny_v3_v7.utcq")?];
+        // What `utcq migrate` reads, among them every shape of region
+        // tuple: v4 (the reader's consume-and-drop path), v5 (fixed-width,
+        // sorted), v6 (coded against the trajectory); and the v1 log.
+        let mut old = Vec::new();
+        for version in [
             "v1",
             "v2",
             "v3",
@@ -114,12 +123,10 @@ impl Fixtures {
             "v3_v5",
             "v6",
             "v3_v6",
-            "v7",
-            "v3_v7",
-        ];
-        for version in versions {
-            containers.push(fs::read(dir.join(format!("tiny_{version}.utcq")))?);
+        ] {
+            old.push(read(&format!("tiny_{version}.utcq"))?);
         }
+        old.push(read("wal_v1.wal")?);
         let mut lines: Vec<String> = Vec::new();
         for name in ["serve_session.ndjson", "serve_session_writable.ndjson"] {
             let text = fs::read_to_string(dir.join(name))?;
@@ -169,27 +176,32 @@ impl Fixtures {
             r#"{"op":"where","traj":9007199254740993,"t":0,"limit":18446744073709551615}"#.into(),
         );
         lines.push(r#"{"op":"stats"}"#.into());
-        let opened = Opened::open(dir.join("tiny_v2.utcq"))
-            .map_err(|e| io::Error::other(format!("open tiny_v2 fixture: {e}")))?;
+        let opened = Opened::open(dir.join("tiny_v7.utcq"))
+            .map_err(|e| io::Error::other(format!("open tiny_v7 fixture: {e}")))?;
+        let v1_net = (**opened.network()).clone();
         let scratch = std::env::temp_dir().join(format!(
             "utcq-audit-fuzz-{}-{:x}.utcq",
             std::process::id(),
             &containers as *const _ as usize
         ));
         let wal_scratch = scratch.with_extension("wal");
+        let migrated = scratch.with_extension("migrated");
         Ok(Self {
             containers,
+            old,
+            v1_net,
             lines,
             wals: wal_seed_corpus(&dir)?,
             opened,
             replay_base: fs::read(dir.join("tiny_v7.utcq"))?,
             scratch,
             wal_scratch,
+            migrated,
         })
     }
 
     fn corpus_len(&self) -> usize {
-        self.containers.len() + self.lines.len() + self.wals.len()
+        self.containers.len() + self.old.len() + self.lines.len() + self.wals.len()
     }
 }
 
@@ -197,11 +209,12 @@ impl Drop for Fixtures {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.scratch);
         let _ = fs::remove_file(&self.wal_scratch);
+        let _ = fs::remove_file(&self.migrated);
     }
 }
 
-/// The seed corpus of the `wal` target: both checked-in logs (v1, which
-/// an open rewrites, and v2) plus well-formed v2 files built in memory —
+/// The seed corpus of the `wal` target: the checked-in v2 log plus
+/// well-formed v2 files built in memory —
 /// a header alone, then checksummed batch records, among them one
 /// trajectory whose instances take every branch of the
 /// reference-relative code, and one that fits the replay container
@@ -274,9 +287,7 @@ fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
         ..record(1, 1_000, 0, Vec::new())
     }));
     let mut wals = vec![header(), one, three, multi, off_network];
-    for fixture in ["wal_v1.wal", "wal_v2.wal"] {
-        wals.push(fs::read(dir.join(fixture))?);
-    }
+    wals.push(fs::read(dir.join("wal_v2.wal"))?);
     Ok(wals)
 }
 
@@ -286,13 +297,24 @@ fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
 // deliberately ignored.
 
 fn container_harness(fx: &Fixtures, bytes: &[u8]) {
-    let _ = utcq_core::storage::load(&mut &bytes[..]);
     let _ = utcq_core::storage::load_full(&mut &bytes[..]);
     let _ = utcq_core::storage::load_v3(&mut &bytes[..]);
     // The full open path (header sniffing, snapshot build) via the
     // facade; a scratch file because `open` takes a path.
     if fs::write(&fx.scratch, bytes).is_ok() {
         let _ = Opened::open(&fx.scratch);
+    }
+}
+
+fn migrate_harness(fx: &Fixtures, bytes: &[u8]) {
+    // The whole of `utcq migrate` — sniffing container from log, the
+    // legacy readers, core's writers and the open of what they wrote —
+    // on a scratch file; a v1 container migrates on the v7 fixture's
+    // network.
+    let _ = fs::remove_file(&fx.migrated);
+    if fs::write(&fx.scratch, bytes).is_ok() {
+        let v1 = || (fx.v1_net.clone(), utcq_core::StiuParams::default());
+        let _ = utcq_legacy::migrate(&fx.scratch, &fx.migrated, v1);
     }
 }
 
@@ -322,6 +344,7 @@ fn wal_harness(fx: &Fixtures, bytes: &[u8]) {
 fn runs_clean(fx: &Fixtures, target: &str, bytes: &[u8]) -> Result<(), String> {
     let r = catch_unwind(AssertUnwindSafe(|| match target {
         "container" => container_harness(fx, bytes),
+        "migrate" => migrate_harness(fx, bytes),
         "wal" => wal_harness(fx, bytes),
         _ => wire_harness(fx, bytes),
     }));
@@ -512,35 +535,29 @@ fn build_input(
     let target = match forced {
         Some("container") => 0,
         Some("wal") => 1,
-        Some(_) => 2,
-        None => rng.gen_range(0u32..3),
+        Some("migrate") => 2,
+        Some(_) => 3,
+        None => rng.gen_range(0u32..4),
     };
-    match target {
-        0 => {
-            let base = &fx.containers[rng.gen_range(0..fx.containers.len())]; // bounds: eleven fixtures always load
-            let mut bytes = base.clone();
-            for _ in 0..rounds {
-                mutate_bytes(&mut rng, &mut bytes);
-            }
-            ("container", bytes)
-        }
-        1 => {
-            let base = &fx.wals[rng.gen_range(0..fx.wals.len())]; // bounds: seven seeds always load
-            let mut bytes = base.clone();
-            for _ in 0..rounds {
-                mutate_bytes(&mut rng, &mut bytes);
-            }
-            ("wal", bytes)
-        }
+    let (name, corpus) = match target {
+        0 => ("container", &fx.containers),
+        1 => ("wal", &fx.wals),
+        2 => ("migrate", &fx.old),
         _ => {
             let base = &fx.lines[rng.gen_range(0..fx.lines.len())]; // bounds: fixture sessions are non-empty
             let mut line = base.clone();
             for _ in 0..rounds {
                 mutate_line(&mut rng, &mut line);
             }
-            ("wire", line.into_bytes())
+            return ("wire", line.into_bytes());
         }
+    };
+    let base = &corpus[rng.gen_range(0..corpus.len())]; // bounds: every corpus loads non-empty
+    let mut bytes = base.clone();
+    for _ in 0..rounds {
+        mutate_bytes(&mut rng, &mut bytes);
     }
+    (name, bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -649,6 +666,8 @@ pub fn replay_dir(fx: &Fixtures, dir: &Path) -> io::Result<Vec<Failure>> {
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
             let target = if name.starts_with("container-") {
                 "container"
+            } else if name.starts_with("migrate-") {
+                "migrate"
             } else if name.starts_with("wal-") {
                 "wal"
             } else {
@@ -689,7 +708,7 @@ mod tests {
         let (_, a) = build_input(&fx, 1, 0, None);
         let (_, b) = build_input(&fx, 2, 0, None);
         assert_ne!(a, b, "different seeds must differ");
-        for forced in ["container", "wal", "wire"] {
+        for forced in ["container", "migrate", "wal", "wire"] {
             let (t, _) = build_input(&fx, 1, 0, Some(forced));
             assert_eq!(t, forced);
         }
@@ -700,6 +719,9 @@ mod tests {
         let fx = fixtures();
         for (i, c) in fx.containers.clone().iter().enumerate() {
             assert!(runs_clean(&fx, "container", c).is_ok(), "fixture {i}");
+        }
+        for (i, c) in fx.old.clone().iter().enumerate() {
+            assert!(runs_clean(&fx, "migrate", c).is_ok(), "old fixture {i}");
         }
         for l in fx.lines.clone() {
             assert!(runs_clean(&fx, "wire", l.as_bytes()).is_ok(), "{l}");

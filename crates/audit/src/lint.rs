@@ -1,4 +1,4 @@
-//! A custom hot-path lint for `crates/core/src`.
+//! A custom hot-path lint for `crates/core/src` and `crates/legacy/src`.
 //!
 //! Cargo's clippy wall is generic; these rules are ours. The lint is a
 //! token-level scanner (no `syn`, the workspace builds offline) that
@@ -36,8 +36,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Files whose non-test code faces adversarial input or sits on the
-/// query hot path; `forbidden-panic` and `unjustified-index` apply.
+/// Files of `crates/core/src` whose non-test code faces adversarial
+/// input or sits on the query hot path; `forbidden-panic` and
+/// `unjustified-index` apply. Every file of `crates/legacy/src` is hot
+/// too: it parses the bytes of older files ([`TREES`]).
 pub const HOT_FILES: &[&str] = &[
     "storage.rs",
     "wire.rs",
@@ -338,9 +340,16 @@ fn is_index_bracket(code: &str, at: usize) -> bool {
     matches!(prev, Some(c) if c.is_ascii_alphanumeric() || c == b'_' || c == b')' || c == b']')
 }
 
-fn lint_file(name: &str, source: &str, diags: &mut Vec<Diag>, lines_out: &mut Vec<String>) {
+/// Lints one file, `name` as diagnostics and the allowlist name it;
+/// `hot` says whether the hot-path rules apply.
+fn lint_file(
+    name: &str,
+    hot: bool,
+    source: &str,
+    diags: &mut Vec<Diag>,
+    lines_out: &mut Vec<String>,
+) {
     let scrubbed = scrub(source);
-    let hot = HOT_FILES.contains(&name);
     let is_cache = name == "cache.rs";
 
     // Live lock guards for the lock-across-cache-insert rule:
@@ -493,6 +502,8 @@ pub struct LintReport {
     pub unused_allows: Vec<String>,
     /// Files scanned.
     pub files: Vec<String>,
+    /// How many of them the hot-path rules applied to.
+    pub hot: usize,
 }
 
 impl LintReport {
@@ -502,44 +513,55 @@ impl LintReport {
     }
 }
 
-/// Runs every rule over `src_dir` (normally `crates/core/src`),
-/// waiving findings through the allowlist at `allow_path`.
-pub fn run(src_dir: &Path, allow_path: &Path) -> io::Result<LintReport> {
-    let allow = Allowlist::load(allow_path)?;
-    let mut names: Vec<PathBuf> = fs::read_dir(src_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .collect();
-    names.sort();
-    if names.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no .rs files under {}", src_dir.display()),
-        ));
-    }
+/// The source trees the lint walks, relative to the repository root:
+/// the directory, the prefix its files are named with (in diagnostics
+/// and the allowlist), and whether every file of it is hot (else those
+/// of [`HOT_FILES`]).
+pub const TREES: &[(&str, &str, bool)] = &[
+    ("crates/core/src", "", false),
+    ("crates/legacy/src", "legacy/", true),
+];
 
+/// Runs every rule over the [`TREES`] under `root`, waiving findings
+/// through the allowlist at `allow_path`.
+pub fn run(root: &Path, allow_path: &Path) -> io::Result<LintReport> {
+    let allow = Allowlist::load(allow_path)?;
     let mut diags = Vec::new();
-    let mut files = Vec::new();
-    let mut kept = Vec::new();
-    for path in &names {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string();
-        let source = fs::read_to_string(path)?;
-        let mut file_diags = Vec::new();
-        let mut code_lines = Vec::new();
-        lint_file(&name, &source, &mut file_diags, &mut code_lines);
-        for d in file_diags {
-            let line_code = code_lines.get(d.line - 1).map(String::as_str).unwrap_or("");
-            if !allow.waives(&d, line_code) {
-                kept.push(d);
-            }
+    let (mut files, mut hot) = (Vec::new(), 0);
+    for &(dir, prefix, all_hot) in TREES {
+        let src_dir = root.join(dir);
+        let mut names: Vec<PathBuf> = fs::read_dir(&src_dir)?
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .collect();
+        names.sort();
+        if names.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no .rs files under {}", src_dir.display()),
+            ));
         }
-        files.push(name);
+        for path in &names {
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or_default();
+            let is_hot = all_hot || HOT_FILES.contains(&name);
+            let name = format!("{prefix}{name}");
+            let source = fs::read_to_string(path)?;
+            let mut file_diags = Vec::new();
+            let mut code_lines = Vec::new();
+            lint_file(&name, is_hot, &source, &mut file_diags, &mut code_lines);
+            for d in file_diags {
+                let line_code = code_lines.get(d.line - 1).map(String::as_str).unwrap_or("");
+                if !allow.waives(&d, line_code) {
+                    diags.push(d);
+                }
+            }
+            files.push(name);
+            hot += usize::from(is_hot);
+        }
     }
-    diags.append(&mut kept);
 
     let unused_allows = allow
         .unused()
@@ -556,6 +578,7 @@ pub fn run(src_dir: &Path, allow_path: &Path) -> io::Result<LintReport> {
         diags,
         unused_allows,
         files,
+        hot,
     })
 }
 
@@ -566,7 +589,7 @@ mod tests {
     fn diags_for(name: &str, src: &str) -> Vec<Diag> {
         let mut d = Vec::new();
         let mut lines = Vec::new();
-        lint_file(name, src, &mut d, &mut lines);
+        lint_file(name, HOT_FILES.contains(&name), src, &mut d, &mut lines);
         d
     }
 
@@ -681,9 +704,9 @@ mod tests {
 
     #[test]
     fn real_core_sources_are_clean() {
-        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let allow = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("lint.allow");
-        let report = run(&src, &allow).unwrap();
+        let report = run(&root, &allow).unwrap();
         for d in &report.diags {
             eprintln!("{d}");
         }
@@ -692,5 +715,13 @@ mod tests {
         }
         assert!(report.is_clean());
         assert!(report.files.iter().any(|f| f == "wire.rs"));
+        // Every file of the legacy readers is hot.
+        let legacy = report.files.iter().filter(|f| f.starts_with("legacy/"));
+        assert!(legacy.count() >= 3);
+        let core_hot = report
+            .files
+            .iter()
+            .filter(|f| HOT_FILES.contains(&f.as_str()));
+        assert_eq!(report.hot, core_hot.count() + 3);
     }
 }

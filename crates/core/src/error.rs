@@ -55,9 +55,6 @@ pub enum Error {
     /// non-reference pointing past the reference list). Carries a short
     /// static description of the invariant that failed.
     CorruptStore(&'static str),
-    /// A v1 container was opened through [`crate::store::Store::open`],
-    /// which requires one that embeds its network (v2 to v7).
-    NeedsNetwork,
     /// A page cursor was presented to a store other than the one that
     /// minted it (e.g. a where/when cursor whose partition tag does not
     /// name the partition that owns the queried trajectory).
@@ -124,10 +121,6 @@ impl std::fmt::Display for Error {
                 "container edge width {expected} does not match the network's {got}"
             ),
             Error::CorruptStore(what) => write!(f, "corrupt store: {what}"),
-            Error::NeedsNetwork => write!(
-                f,
-                "v1 container has no embedded network; open it with Store::open_v1"
-            ),
             Error::InvalidCursor => write!(
                 f,
                 "page cursor does not belong to this store (stale or foreign shard tag)"
@@ -184,6 +177,6 @@ mod tests {
         use std::error::Error as _;
         let e: Error = CodecError::Malformed("prefix").into();
         assert!(e.source().is_some());
-        assert!(Error::NeedsNetwork.source().is_none());
+        assert!(Error::InvalidCursor.source().is_none());
     }
 }

@@ -74,8 +74,9 @@
 //!   function returns;
 //! * [`oracle`] — brute-force answers on uncompressed data, used as
 //!   ground truth for accuracy experiments (Fig. 11);
-//! * [`storage`] — the binary container formats (v1 legacy dataset-only,
-//!   v2/v4/v5/v6/v7 self-contained, v3 sharded) for persisting compressed datasets;
+//! * [`storage`] — the binary container formats (v7 self-contained, v3
+//!   sharded) for persisting compressed datasets; older versions are
+//!   read only by `utcq migrate` (the `utcq_legacy` crate);
 //! * [`wal`] — the write-ahead log behind [`Store::attach_wal`]: every
 //!   accepted live batch is appended (CRC32-checksummed, length-prefixed)
 //!   and fsynced *before* the epoch publish, replayed on open, truncated

@@ -5,9 +5,7 @@
 //! a [`Store`] opened from a file, tagged with the kind of store it
 //! holds (with or without a routing policy), and derefs to that
 //! [`Store`], so a `&Opened` *is* the query, ingest and durability
-//! surface. Legacy v1 containers (no embedded network) open through
-//! [`Opened::open_v1`] with the network supplied out of band, exactly
-//! like [`Store::open_v1`].
+//! surface. Older containers open only after `utcq migrate`.
 //!
 //! The module also owns the **shared presentation layer**:
 //! [`InfoReport`] is the one description of a container both the CLI's
@@ -19,7 +17,6 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use utcq_network::RoadNetwork;
 use utcq_traj::size::SizeBreakdown;
 
 use crate::compress::{CompressedDataset, Ratios};
@@ -27,8 +24,7 @@ use crate::error::Error;
 use crate::query::QueryTarget;
 use crate::shard::ShardSpec;
 use crate::snapshot::{Partition, Snapshot};
-use crate::stiu::StiuParams;
-use crate::storage::{Sections, FRAMING, VERSION_V3, VERSION_V7};
+use crate::storage::{Sections, FRAMING};
 use crate::store::Store;
 use crate::wal::WalConfig;
 
@@ -52,8 +48,7 @@ use crate::wal::WalConfig;
 /// ```
 #[derive(Debug)]
 pub enum Opened {
-    /// A store without a routing policy (v7, v6, v5, v4 or v2 container, or
-    /// v1 via [`Opened::open_v1`]).
+    /// A store without a routing policy (v7 container).
     Single(Box<Store>),
     /// A store with a routing policy (v3 container).
     Sharded(Box<Store>),
@@ -62,9 +57,8 @@ pub enum Opened {
 impl Opened {
     /// Opens a self-contained or sharded container with
     /// [`Store::open`], as [`Opened::Sharded`] if the store has a routing
-    /// policy. A legacy v1 container fails with
-    /// [`Error::NeedsNetwork`] — open those with [`Opened::open_v1`],
-    /// which takes the network out of band.
+    /// policy. An older container fails with the error that names
+    /// `utcq migrate` ([`crate::storage::StorageError::NeedsMigrate`]).
     ///
     /// ```no_run
     /// use utcq_core::QueryTarget;
@@ -80,17 +74,6 @@ impl Opened {
         } else {
             Opened::Single(store)
         })
-    }
-
-    /// Opens a legacy v1 container against an externally supplied
-    /// network — the [`Store::open_v1`] compatibility path behind the
-    /// facade.
-    pub fn open_v1(
-        path: impl AsRef<Path>,
-        net: Arc<RoadNetwork>,
-        stiu_params: StiuParams,
-    ) -> Result<Self, Error> {
-        Store::open_v1(path, net, stiu_params).map(|s| Opened::Single(Box::new(s)))
     }
 
     /// Opens a container of either shape with a write-ahead log
@@ -148,8 +131,7 @@ pub fn policy_label(spec: Option<ShardSpec>) -> String {
 
 /// The "format" line `utcq info` prints under the report: the version
 /// byte(s) the file holds ([`crate::storage::versions`]: the container's,
-/// then each shard blob's) and, when any is older than what stores
-/// write, that the next save rewrites it.
+/// then each shard blob's).
 pub fn render_format(versions: &[u8]) -> String {
     let Some((outer, shards)) = versions.split_first() else {
         return String::new();
@@ -158,10 +140,6 @@ pub fn render_format(versions: &[u8]) -> String {
     if !shards.is_empty() {
         let shards = shards.iter().map(|v| format!("v{v}"));
         out += &format!(" directory, shards {}", Vec::from_iter(shards).join(" "));
-    }
-    let old = |v: &u8| *v != VERSION_V3 && *v < VERSION_V7;
-    if versions.iter().any(old) {
-        out += &format!(" (next save or checkpoint rewrites as v{VERSION_V7})");
     }
     out + "\n"
 }
@@ -281,7 +259,7 @@ impl InfoReport {
     /// A report over one compressed dataset (a single-store container, or
     /// one partition of a store, to which [`InfoReport::over`] adds the
     /// rest).
-    pub fn from_dataset(cds: &CompressedDataset) -> Self {
+    fn from_dataset(cds: &CompressedDataset) -> Self {
         InfoReport {
             name: cds.name.clone(),
             trajectories: cds.trajectories.len(),
@@ -377,7 +355,10 @@ mod tests {
     use super::*;
     use crate::params::CompressParams;
     use crate::shard::ByTime;
+    use crate::stiu::StiuParams;
+    use crate::storage::StorageError;
     use crate::store::StoreBuilder;
+    use utcq_network::RoadNetwork;
     use utcq_traj::{paper_fixture, Dataset};
 
     fn paper_parts() -> (Arc<RoadNetwork>, Dataset) {
@@ -454,14 +435,20 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.snapshots().len(), 1);
         assert_eq!(b.snapshots().len(), 3);
-        // A v1 file (no embedded network) still gets the dedicated
-        // error from the version dispatch, not a shape-specific one.
-        let v1 = dir.join("utcq-opened-v1.utcq");
-        let mut legacy = Vec::new();
-        crate::storage::save(a.snapshots()[0].compressed(), &mut legacy).unwrap();
-        std::fs::write(&v1, legacy).unwrap();
-        assert!(matches!(Opened::open(&v1), Err(Error::NeedsNetwork)));
-        std::fs::remove_file(&v1).ok();
+        // An older file gets the migrate error from the version
+        // dispatch, not a shape-specific one.
+        let old = dir.join("utcq-opened-v6.utcq");
+        let mut bytes = std::fs::read(&v2).unwrap();
+        bytes[4] = 6;
+        std::fs::write(&old, bytes).unwrap();
+        assert!(matches!(
+            Opened::open(&old),
+            Err(Error::Storage(StorageError::NeedsMigrate {
+                version: 6,
+                ..
+            }))
+        ));
+        std::fs::remove_file(&old).ok();
         std::fs::remove_file(&v2).ok();
         std::fs::remove_file(&v3).ok();
     }

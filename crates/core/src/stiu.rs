@@ -25,9 +25,9 @@
 //! naming no cell, so every reference has a group. The shape holds only
 //! the canonical index: a non-reference's regions are a subset of its
 //! group's, each at most once. Containers before v6 stored (cell,
-//! instance) tuples, a non-reference's in traversal order; their readers
-//! convert them and refuse tuples out of order, a cell repeated or one
-//! outside its group (`NodeSegment::push_tuples`).
+//! instance) tuples, a non-reference's in traversal order; `utcq
+//! migrate` converts them and refuses tuples out of order, a cell
+//! repeated or one outside its group ([`Stiu::push_tuples`]).
 //!
 //! **Deviation from §5.2** (`docs/ARCHITECTURE.md` has the argument).
 //! The paper's tuples also hold a *resume point* (`fv, fv.no, d.pos` /
@@ -450,15 +450,9 @@ impl NodeSegment {
         self.n_bits += 1;
     }
 
-    /// Appends the region half of the node being built from the tuples
-    /// of a container before v6: `refs` as `(ref_idx, cell, enters)` and
-    /// `nrefs` as `(nref_idx, cell)`, in stored order (a member's cells
-    /// in traversal order, which this sorts). Refuses reference tuples
-    /// out of order or repeated, non-reference tuples out of member
-    /// order, and a non-reference cell repeated or outside its group —
-    /// the tuples this shape cannot hold. No writer ever produced any of
-    /// them.
-    pub(crate) fn push_tuples(
+    /// Appends the region half of the node being built from tuples (see
+    /// [`Stiu::push_tuples`]).
+    fn push_tuples(
         &mut self,
         ct: &TrajView<'_>,
         refs: &[(u32, CellId, bool)],
@@ -494,6 +488,32 @@ impl NodeSegment {
             }
         }
         Ok(())
+    }
+}
+
+impl Stiu {
+    /// Appends the node of trajectory `ct`, the next of the owning
+    /// dataset, from its region tuples: `refs` as `(ref_idx, cell,
+    /// enters)` and `nrefs` as `(nref_idx, cell)`, a member's cells in
+    /// any order (this sorts them). The temporal tuples are derived from
+    /// `ct`'s time stream (`ts`: the dataset's default interval), the
+    /// postings as every node's are. Refuses reference tuples out of
+    /// order or repeated, non-reference tuples out of member order, and a
+    /// non-reference cell repeated or outside its group: the tuples this
+    /// shape cannot hold. What `utcq migrate` rebuilds the index of a
+    /// container before v6 from, tuple for tuple.
+    pub fn push_tuples(
+        &mut self,
+        ct: &TrajView<'_>,
+        ts: i64,
+        refs: &[(u32, CellId, bool)],
+        nrefs: &mut [(u32, CellId)],
+    ) -> Result<(), Error> {
+        let partition_s = self.params.partition_s;
+        self.append_node(|node, _| {
+            push_temporal(&mut node.temporal, ct.t_bits(), ct.n_times, ts, partition_s)?;
+            node.push_tuples(ct, refs, nrefs)
+        })
     }
 }
 

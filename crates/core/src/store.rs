@@ -6,7 +6,7 @@
 //! compressed and indexed as it arrives, into one partition or, after
 //! [`StoreBuilder::shard_by`], into the one a routing policy picks
 //! ([`crate::shard`]) — or opened with [`Store::open`] from a
-//! self-contained (v7, v6, v5, v4, v2) or sharded (v3) container.
+//! self-contained (v7) or sharded (v3) container.
 //!
 //! All read state is one immutable [`Snapshot`] behind an `Arc`: every
 //! partition at one epoch and the store's one id map, id → (partition,
@@ -40,7 +40,6 @@ use utcq_traj::{Dataset, UncertainTrajectory};
 use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
 use crate::chunk::SharedIdMap;
 use crate::compress::Ratios;
-use crate::compressed::edge_number_width;
 use crate::error::Error;
 use crate::live::{Held, WriterCore};
 use crate::opened::{policy_label, summed_sizes, InfoReport};
@@ -325,6 +324,24 @@ impl std::fmt::Debug for Store {
     }
 }
 
+/// Hands the heap pages freed so far back to the OS (glibc's
+/// `malloc_trim`). Without it, what an open read through and what its
+/// caller freed before stays resident or not by where the allocator's
+/// free chunks happen to lie: the same build and open of a
+/// 100k-trajectory store left its process at two levels 12 MB apart, by
+/// chance (2-vCPU Linux guest). Costs 1–13 ms on that store.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: takes a byte count; walks only the allocator's free lists.
+    unsafe { malloc_trim(0) };
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_heap() {}
+
 /// The id map of opened partitions, rejecting an id that is stored
 /// twice, in one partition or across two.
 fn derive_ids(parts: &[Arc<Partition>]) -> Result<SharedIdMap, Error> {
@@ -421,10 +438,12 @@ impl Store {
         Self::assemble(parts, ids, routing)
     }
 
-    /// Opens a container with no side-channel arguments: a self-contained
-    /// (v7, v6, v5, v4, v2) one as one partition, a sharded v3 one as its
-    /// partitions under the recorded policy. A v1 container fails with
-    /// [`Error::NeedsNetwork`] (see [`Store::open_v1`]).
+    /// Opens a container: a v7 one as one partition, a sharded v3 one as
+    /// its partitions under the recorded policy. An older container
+    /// fails with [`StorageError::NeedsMigrate`]: `utcq migrate` rewrites
+    /// it as one of these. Once the container is read, the process's
+    /// freed heap pages go back to the OS (on glibc), so what stays
+    /// resident is what is held.
     ///
     /// ```no_run
     /// use utcq_core::QueryTarget;
@@ -435,7 +454,9 @@ impl Store {
     /// ```
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
         let f = File::open(path)?;
-        Self::read(&mut BufReader::new(f))
+        let store = Self::read(&mut BufReader::new(f))?;
+        release_freed_heap();
+        Ok(store)
     }
 
     /// Reads a container from an arbitrary reader (see [`Store::open`]).
@@ -449,13 +470,7 @@ impl Store {
         let cache = Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES));
         // bounds: head is a [u8; 5]
         if head[4] != VERSION_V3 {
-            let (net, cds, stiu) = match storage::load_full(&mut r) {
-                Ok(parts) => parts,
-                // Only a *valid* v1 container maps to the "supply a
-                // network" guidance; garbage stays a storage error.
-                Err(StorageError::LegacyVersion) => return Err(Error::NeedsNetwork),
-                Err(e) => return Err(e.into()),
-            };
+            let (net, cds, stiu) = storage::load_full(&mut r)?;
             let part = Partition::assemble(Arc::new(net), cds, stiu, cache, 0)?;
             return Self::opened(vec![Arc::new(part)], Routing::Single);
         }
@@ -475,41 +490,6 @@ impl Store {
         }
         let spec = dir.and_then(ShardSpec::from_directory);
         Self::opened(parts, Routing::Policy(spec.map(ShardSpec::policy)))
-    }
-
-    /// Opens a legacy v1 container against an externally supplied
-    /// network. Its StIU index is rebuilt from the decompressed
-    /// trajectories, whose edge and time sequences decompress exactly.
-    ///
-    /// ```no_run
-    /// use std::sync::Arc;
-    /// use utcq_core::{StiuParams, Store};
-    /// # fn main() -> Result<(), utcq_core::Error> {
-    /// // v1 files carry no network; supply the one they were built on.
-    /// let net = utcq_datagen::generate_network(&utcq_datagen::profile::tiny(), 1);
-    /// let store = Store::open_v1("legacy.utcq", Arc::new(net), StiuParams::default())?;
-    /// # let _ = store; Ok(())
-    /// # }
-    /// ```
-    pub fn open_v1(
-        path: impl AsRef<Path>,
-        net: Arc<RoadNetwork>,
-        stiu_params: StiuParams,
-    ) -> Result<Self, Error> {
-        let f = File::open(path)?;
-        let cds = storage::load(&mut BufReader::new(f))?;
-        let expect = edge_number_width(net.max_out_degree());
-        if cds.w_e != expect {
-            return Err(Error::NetworkMismatch {
-                expected: cds.w_e,
-                got: expect,
-            });
-        }
-        let ds = crate::decompress::decompress_dataset(&net, &cds)?;
-        let stiu = crate::stiu::try_build(&net, &ds, &cds, stiu_params)?;
-        let cache = Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES));
-        let part = Partition::assemble(net, cds, stiu, cache, 0)?;
-        Self::opened(vec![Arc::new(part)], Routing::Single)
     }
 
     /// Persists the current state (see [`Snapshot::save`]). Safe to call

@@ -52,10 +52,9 @@
 //! Decoding checks every count against the bits left before it
 //! allocates.
 //!
-//! Version 1 (the same frame around a payload of fixed-width fields) is
-//! still read: [`Wal::open`] rewrites a v1 log as v2 through
-//! `atomic_write` before anything is appended to it, so no file ever
-//! mixes versions.
+//! Version 1 (the same frame around a payload of fixed-width fields)
+//! fails with [`StorageError::NeedsMigrate`]: `utcq migrate` rewrites a
+//! v1 log as v2.
 //!
 //! Torn-tail semantics: a final record that is incomplete (short frame
 //! or short payload) or fails its checksum is treated as a torn write
@@ -75,13 +74,12 @@ use utcq_network::EdgeId;
 use utcq_traj::{Dataset, Instance, PathPosition, UncertainTrajectory};
 
 use crate::error::Error;
+use crate::storage::StorageError;
 
 /// Magic prefix of every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"UTCQWAL\0";
 /// Current WAL format version: the only one written.
 pub const WAL_VERSION: u32 = 2;
-/// The fixed-width format, read and rewritten as [`WAL_VERSION`].
-const WAL_VERSION_V1: u32 = 1;
 /// Fixed header size: magic + version + extra_len.
 const FIXED_HEADER: usize = 16;
 /// Default number of recent batches kept in memory for `tail`/dedup.
@@ -657,7 +655,7 @@ fn holds_exactly(payload: &[u8], tus: &[UncertainTrajectory]) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// The byte cursor (record headers) and the v1 payload reader.
+// The byte cursor (frames and record headers).
 
 /// Bounded cursor over a payload; every read is checked so malformed
 /// input surfaces as `Err`, never a panic.
@@ -701,11 +699,7 @@ impl<'a> Cursor<'a> {
         Ok(self.u64()? as i64)
     }
 
-    fn f64(&mut self) -> Result<f64, Error> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Epoch, name and interval: the header both versions share.
+    /// Epoch, name and interval.
     fn record_header(&mut self) -> Result<(u64, String, i64), Error> {
         let epoch = self.u64()?;
         let name_len = self.u32()? as usize;
@@ -714,68 +708,6 @@ impl<'a> Cursor<'a> {
             .to_string();
         Ok((epoch, name, self.i64()?))
     }
-
-    /// A `Vec` capacity bound that cannot be tricked into a huge
-    /// allocation by a corrupt count: each element needs at least
-    /// `min_size` payload bytes, so a count beyond that is bogus.
-    fn cap(&self, n: u32, min_size: usize) -> usize {
-        (n as usize).min(self.remaining() / min_size.max(1) + 1)
-    }
-}
-
-/// Decodes one v1 record payload (fixed-width fields).
-fn decode_payload_v1(payload: &[u8]) -> Result<Record, Error> {
-    let mut c = Cursor {
-        bytes: payload,
-        at: 0,
-    };
-    let (epoch, name, default_interval) = c.record_header()?;
-    let n_trajs = c.u32()?;
-    let mut trajectories = Vec::with_capacity(c.cap(n_trajs, 20));
-    for _ in 0..n_trajs {
-        let id = c.u64()?;
-        let n_times = c.u32()?;
-        let mut times = Vec::with_capacity(c.cap(n_times, 8));
-        for _ in 0..n_times {
-            times.push(c.i64()?);
-        }
-        let n_instances = c.u32()?;
-        let mut instances = Vec::with_capacity(c.cap(n_instances, 16));
-        for _ in 0..n_instances {
-            let prob = c.f64()?;
-            let path_len = c.u32()?;
-            let mut path = Vec::with_capacity(c.cap(path_len, 4));
-            for _ in 0..path_len {
-                path.push(EdgeId(c.u32()?));
-            }
-            let n_positions = c.u32()?;
-            let mut positions = Vec::with_capacity(c.cap(n_positions, 12));
-            for _ in 0..n_positions {
-                let path_idx = c.u32()?;
-                let rd = c.f64()?;
-                positions.push(PathPosition { path_idx, rd });
-            }
-            instances.push(Instance {
-                path,
-                positions,
-                prob,
-            });
-        }
-        trajectories.push(UncertainTrajectory {
-            id,
-            times,
-            instances,
-        });
-    }
-    if c.remaining() != 0 {
-        return Err(Error::CorruptStore("wal record has trailing bytes"));
-    }
-    Ok(Record {
-        epoch,
-        name,
-        default_interval,
-        trajectories,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -796,7 +728,6 @@ pub struct Scan {
 
 /// The checksummed payloads of a file image, not yet decoded.
 struct Frames<'a> {
-    version: u32,
     /// Header length, extra bytes included.
     header_len: u64,
     payloads: Vec<&'a [u8]>,
@@ -815,7 +746,11 @@ fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
     let version = c
         .u32()
         .map_err(|_| Error::CorruptStore("wal header truncated"))?;
-    if version != WAL_VERSION && version != WAL_VERSION_V1 {
+    if version == 1 {
+        let what = "write-ahead log";
+        return Err(StorageError::NeedsMigrate { what, version }.into());
+    }
+    if version != WAL_VERSION {
         return Err(Error::CorruptStore("wal version unsupported"));
     }
     let extra = c
@@ -830,7 +765,6 @@ fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
         let start = c.at;
         let done = |payloads, keep_len, torn| {
             Ok(Frames {
-                version,
                 header_len,
                 payloads,
                 keep_len,
@@ -863,18 +797,15 @@ fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
     }
 }
 
-/// Scans a complete WAL file image of either version. Header problems
-/// and mid-file damage are hard errors; a damaged *final* record is
-/// reported as torn. Pure — this is the function the fuzzer drives.
+/// Scans a complete WAL file image. Header problems and mid-file damage
+/// are hard errors; a damaged *final* record is reported as torn. Pure —
+/// this is the function the fuzzer drives.
 pub fn scan(bytes: &[u8]) -> Result<Scan, Error> {
     let f = frames(bytes)?;
     let records = f
         .payloads
         .iter()
-        .map(|p| match f.version {
-            WAL_VERSION_V1 => decode_payload_v1(p),
-            _ => decode_payload(p),
-        })
+        .map(|p| decode_payload(p))
         .collect::<Result<_, _>>()?;
     Ok(Scan {
         records,
@@ -912,7 +843,8 @@ fn header() -> Vec<u8> {
 impl Wal {
     /// Opens (or creates) the log at `cfg.path`, replaying any existing
     /// records. A torn final record is truncated away; any other damage
-    /// fails the open. A v1 log is rewritten as v2 first. Returns the
+    /// fails the open, and so does a v1 log (`utcq migrate` rewrites it
+    /// as v2). Returns the
     /// handle plus the replayed records with their *stored*
     /// (container-relative) epochs.
     pub fn open(cfg: &WalConfig) -> Result<(Wal, Vec<Record>), Error> {
@@ -953,24 +885,6 @@ impl Wal {
             ));
         }
         let f = frames(&bytes)?;
-        if f.version == WAL_VERSION_V1 {
-            let payloads = f
-                .payloads
-                .iter()
-                .map(|p| decode_payload_v1(p).map(|rec| encode_payload(&rec).into_boxed_slice()))
-                .collect::<Result<Vec<_>, _>>()?;
-            drop(file);
-            atomic_write(&cfg.path, |w| {
-                w.write_all(&header())?;
-                for p in &payloads {
-                    w.write_all(&frame(p))?;
-                }
-                Ok(())
-            })?;
-            let mut file = OpenOptions::new().read(true).write(true).open(&cfg.path)?;
-            let len = file.seek(SeekFrom::End(0))?;
-            return Ok((wal(file, len, FIXED_HEADER as u64), payloads));
-        }
         if f.torn {
             file.set_len(f.keep_len)?;
             file.sync_all()?;
@@ -1609,39 +1523,6 @@ mod tests {
         )
     }
 
-    /// The v1 payload writer, for building v1 images: fixed-width
-    /// little-endian fields.
-    fn encode_payload_v1(rec: &Record) -> Vec<u8> {
-        let mut out = Vec::new();
-        let u32s = |out: &mut Vec<u8>, v: usize| out.extend_from_slice(&(v as u32).to_le_bytes());
-        out.extend_from_slice(&rec.epoch.to_le_bytes());
-        u32s(&mut out, rec.name.len());
-        out.extend_from_slice(rec.name.as_bytes());
-        out.extend_from_slice(&rec.default_interval.to_le_bytes());
-        u32s(&mut out, rec.trajectories.len());
-        for tu in &rec.trajectories {
-            out.extend_from_slice(&tu.id.to_le_bytes());
-            u32s(&mut out, tu.times.len());
-            tu.times
-                .iter()
-                .for_each(|t| out.extend_from_slice(&t.to_le_bytes()));
-            u32s(&mut out, tu.instances.len());
-            for inst in &tu.instances {
-                out.extend_from_slice(&inst.prob.to_le_bytes());
-                u32s(&mut out, inst.path.len());
-                inst.path
-                    .iter()
-                    .for_each(|e| out.extend_from_slice(&e.0.to_le_bytes()));
-                u32s(&mut out, inst.positions.len());
-                for p in &inst.positions {
-                    out.extend_from_slice(&p.path_idx.to_le_bytes());
-                    out.extend_from_slice(&p.rd.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
     fn image(version: u32, frames: &[Vec<u8>]) -> Vec<u8> {
         let mut bytes = WAL_MAGIC.to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -1659,123 +1540,6 @@ mod tests {
                 .collect(),
             prob,
         }
-    }
-
-    /// Records v1 accepts that no store would ingest: every code's
-    /// escape, every float class, and every shape the reference-relative
-    /// code has to get right.
-    fn hostile() -> Vec<Record> {
-        let odd = [
-            f64::NAN,
-            f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN payload
-            f64::from_bits(0xFFF8_0000_0000_0ABC), // negative NaN payload
-            -0.0,
-            0.0,
-            f64::from_bits(1), // smallest subnormal
-            f64::MIN_POSITIVE,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MAX,
-            -1.5,
-            1.0,
-            0.999_999_999_999_999_9,
-        ];
-        let reference = instance(&[5, 9, 7, 3], &[(0, 0.1), (1, 0.5), (3, 0.25)], 0.5);
-        let variants = vec![
-            reference.clone(),
-            // A detour in the middle, one rd jittered, a longer tail.
-            instance(
-                &[5, 11, 12, 7, 3, 8],
-                &[(0, 0.1), (2, 0.4), (5, 0.25)],
-                0.25,
-            ),
-            // Shorter than the reference, starting elsewhere.
-            instance(&[9, 7], &[(0, 0.5)], 0.125),
-            // Longer, more positions than the reference, none shared.
-            instance(
-                &[u32::MAX, 0, u32::MAX, 1, 2, 3, 4],
-                &[(6, 0.0), (0, 0.9), (u32::MAX, 0.3), (2, 0.3), (2, 0.3)],
-                0.125,
-            ),
-            // The reference's path with decreasing indices, no positions.
-            instance(&[5, 9, 7, 3], &[], 0.0),
-            instance(&[], &[(u32::MAX, 0.5), (0, 0.1)], 1.0),
-        ];
-        let tu = |id, times: Vec<i64>, instances| UncertainTrajectory {
-            id,
-            times,
-            instances,
-        };
-        let floats = odd.iter().enumerate();
-        let float_inst = instance(
-            &[u32::MAX, 0],
-            &floats
-                .clone()
-                .map(|(i, &rd)| (i as u32 % 2, rd))
-                .collect::<Vec<_>>(),
-            f64::NAN,
-        );
-        let float_variant = instance(
-            &[u32::MAX, 1],
-            &floats
-                .map(|(i, &rd)| (i as u32 % 3, -rd))
-                .collect::<Vec<_>>(),
-            -0.0,
-        );
-        let rec = |epoch, default_interval, trajectories| Record {
-            epoch,
-            name: "hostile · ✓".into(),
-            default_interval,
-            trajectories,
-        };
-        vec![
-            rec(u64::MAX, i64::MIN, Vec::new()),
-            rec(
-                0,
-                30,
-                vec![
-                    tu(u64::MAX, vec![i64::MIN, i64::MAX, i64::MIN, 0], Vec::new()),
-                    tu(u64::MAX - 1, vec![], vec![reference.clone()]),
-                    tu(0, vec![10, 10, 5, -7, 1 << 62, -(1 << 62)], variants),
-                    tu(1 << 63, vec![0; 13], vec![float_inst, float_variant]),
-                    tu(
-                        7,
-                        vec![(1 << 62) - 1, 0, -((1 << 62) - 1), 30],
-                        vec![reference],
-                    ),
-                ],
-            ),
-            rec(
-                1,
-                i64::MAX,
-                vec![tu(3, vec![i64::MAX, i64::MIN], Vec::new())],
-            ),
-        ]
-    }
-
-    #[test]
-    fn every_record_v1_accepts_round_trips_bit_exactly() {
-        for rec in hostile() {
-            let back = decode_payload(&encode_payload(&rec)).expect("v2 decodes");
-            assert_eq!(bits(&back), bits(&rec));
-            let v1 = decode_payload_v1(&encode_payload_v1(&rec)).expect("v1 decodes");
-            assert_eq!(bits(&v1), bits(&rec));
-        }
-        // And through a file: a v1 log is rewritten as v2 on open, and
-        // a v2 log reads back the same.
-        let cfg = WalConfig::new(tmp("hostile"));
-        let v1_frames: Vec<_> = hostile()
-            .iter()
-            .map(|r| frame(&encode_payload_v1(r)))
-            .collect();
-        std::fs::write(&cfg.path, image(1, &v1_frames)).expect("write v1");
-        let (_, rs) = Wal::open(&cfg).expect("open v1");
-        let want: Vec<_> = hostile().iter().map(bits).collect();
-        assert_eq!(rs.iter().map(bits).collect::<Vec<_>>(), want);
-        let on_disk = std::fs::read(&cfg.path).expect("read");
-        assert_eq!(on_disk.get(8..12), Some(&WAL_VERSION.to_le_bytes()[..]));
-        let (_, rs) = Wal::open(&cfg).expect("reopen v2");
-        assert_eq!(rs.iter().map(bits).collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -2092,7 +1856,15 @@ mod tests {
         let _ = std::fs::remove_file(&cfg.path);
         let (wal, _) = Wal::open(&cfg).expect("create");
         let mut sc = Sidecar::new(wal, &cfg);
-        let rec = hostile().swap_remove(1);
+        // A batch holding a NaN probability beside a clean trajectory.
+        let mut rec = sample(0, 7);
+        let clean = rec.trajectories[0].clone();
+        let mut nan = UncertainTrajectory {
+            id: 8,
+            ..clean.clone()
+        };
+        nan.instances[0].prob = f64::NAN;
+        rec.trajectories = vec![nan, clean.clone()];
         log(
             &mut sc,
             Record {
@@ -2119,7 +1891,7 @@ mod tests {
         }
         // NaN != NaN: a batch holding one is never a re-send, as before.
         assert_eq!(sc.dedup_epoch(&rec.trajectories), None);
-        let clean = vec![rec.trajectories[2].clone()];
+        let clean = vec![clean];
         log(
             &mut sc,
             Record {

@@ -761,7 +761,6 @@ pub fn error_code(e: &Error) -> &'static str {
         Error::IntervalMismatch { .. } => "interval_mismatch",
         Error::NetworkMismatch { .. } => "network_mismatch",
         Error::CorruptStore(_) => "corrupt_store",
-        Error::NeedsNetwork => "needs_network",
         Error::InvalidCursor => "invalid_cursor",
         Error::ShardConfig(_) => "shard_config",
         Error::InvalidTrajectory { .. } => "bad_request",
@@ -1455,7 +1454,6 @@ mod tests {
     #[test]
     fn error_codes_are_stable() {
         assert_eq!(error_code(&Error::InvalidCursor), "invalid_cursor");
-        assert_eq!(error_code(&Error::NeedsNetwork), "needs_network");
         assert_eq!(error_code(&Error::CorruptStore("x")), "corrupt_store");
         assert_eq!(error_code(&Error::SpanTooLong(1)), "span_too_long");
     }

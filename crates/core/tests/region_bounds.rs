@@ -11,7 +11,7 @@ use std::sync::Arc;
 use utcq_bitio::pddp::PddpCodec;
 use utcq_core::segment::TrajView;
 use utcq_core::stiu::TrajIndex;
-use utcq_core::{CompressParams, Opened, Partition, StiuParams, Store};
+use utcq_core::{CompressParams, Partition, StiuParams, Store};
 use utcq_network::CellId;
 
 /// `(p_total, p_max)` of every reference tuple `(ref_idx, cell, enters)`
@@ -108,7 +108,8 @@ fn derived_bounds_equal_the_stored_computation_on_every_fixture() {
     ];
     for name in fixtures {
         let path = format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-        let opened = Opened::open(&path).unwrap();
+        let no_v1 = || -> (utcq_network::RoadNetwork, StiuParams) { unreachable!("{name}") };
+        let opened = utcq_legacy::open(&std::fs::read(&path).unwrap(), no_v1).unwrap();
         let cells: usize = opened.snapshots().iter().map(|s| check(s, name)).sum();
         assert!(cells > 0, "{name}");
     }

@@ -11,7 +11,7 @@ use utcq_bitio::{golomb, width_for_max, BitBuf, BitSlice, BitWriter};
 use utcq_core::segment::Trajectories;
 use utcq_core::stiu::{self, StiuParams};
 use utcq_core::storage::{self, StorageError};
-use utcq_core::{factor, siar, CompressParams};
+use utcq_core::{factor, siar, CompressParams, QueryTarget};
 
 /// Builds a random bit buffer.
 fn buf_from(bits: &[bool]) -> BitBuf {
@@ -185,9 +185,17 @@ static ALLOCATOR: Largest = Largest;
 /// Opens `bytes`, which must fail with a typed error (returned as its
 /// message), allocating no block larger than 16 bytes per byte read.
 fn refused(bytes: &[u8]) -> String {
+    refused_by(bytes, |bytes| storage::load_full(&mut &bytes[..]).map(drop))
+}
+
+/// [`refused`] by `open`, whose error is any displayable one.
+fn refused_by<E: std::fmt::Display>(
+    bytes: &[u8],
+    open: impl FnOnce(&[u8]) -> Result<(), E>,
+) -> String {
     LARGEST.with(|m| m.set(0));
-    let err = match storage::load_full(&mut &bytes[..]) {
-        Ok(_) => panic!("a crafted container opened"),
+    let err = match open(bytes) {
+        Ok(()) => panic!("a crafted container opened"),
         Err(err) => err,
     };
     let largest = LARGEST.with(Cell::get);
@@ -318,9 +326,15 @@ fn older_readers_refuse_instances_out_of_order() {
     // v7 stores one role bit per instance in original order, so it can
     // hold references and non-references only each ascending in
     // `orig_idx`, the order compression emits. No writer produced any
-    // other; a v6 file with two `orig_idx` swapped is refused.
+    // other; a v6 file with two `orig_idx` swapped is refused by `utcq
+    // migrate`.
     let bytes = include_bytes!("../../../tests/fixtures/tiny_v6.utcq");
-    let (net, cds, _) = storage::load_full(&mut &bytes[..]).unwrap();
+    let no_v1 = || -> (utcq_network::RoadNetwork, StiuParams) { unreachable!("a v6 file") };
+    let migrated = utcq_legacy::open(bytes, no_v1).unwrap();
+    let (net, cds) = (
+        migrated.network(),
+        migrated.snapshots()[0].compressed().clone(),
+    );
     let mut net_bytes = Vec::new();
     net.write_to(&mut net_bytes).unwrap();
     let block = 5 + net_bytes.len() + 36 + cds.name.len() + 96 + 8 + 4;
@@ -378,6 +392,7 @@ fn older_readers_refuse_instances_out_of_order() {
             }
         }
     }
-    let expect = StorageError::Corrupt("instances out of order").to_string();
-    assert_eq!(refused(&swapped), expect);
+    let expect = utcq_core::Error::from(StorageError::Corrupt("instances out of order"));
+    let migrate = |bytes: &[u8]| utcq_legacy::open(bytes, no_v1).map(drop);
+    assert_eq!(refused_by(&swapped, migrate), expect.to_string());
 }

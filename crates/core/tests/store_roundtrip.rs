@@ -23,6 +23,7 @@ use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::segment::TrajView;
 use utcq_core::shard::ByTime;
 use utcq_core::stiu::TrajIndex;
+use utcq_core::storage::StorageError;
 use utcq_core::{CompressParams, Error, Partition, StiuParams, Store, StoreBuilder};
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::Dataset;
@@ -159,25 +160,22 @@ fn v1_container_opens_through_compat_path() {
     let path = std::env::temp_dir().join("utcq-test-v1-fixture.utcq");
     {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-        utcq_core::storage::save(store.snapshots()[0].compressed(), &mut f).unwrap();
+        utcq_legacy::container::save_v1(store.snapshots()[0].compressed(), &mut f).unwrap();
     }
 
-    // The v2-only opener refuses with the dedicated error…
+    // The core opener refuses with the error that names `utcq migrate`…
     match Store::open(&path) {
-        Err(Error::NeedsNetwork) => {}
-        other => panic!("expected NeedsNetwork, got {other:?}"),
+        Err(Error::Storage(StorageError::NeedsMigrate { version: 1, .. })) => {}
+        other => panic!("expected NeedsMigrate, got {other:?}"),
     }
 
-    // …and the compatibility path succeeds and agrees.
-    let reopened = Store::open_v1(
-        &path,
-        Arc::new(net.clone()),
-        StiuParams {
-            partition_s: 600,
-            grid_n: 16,
-        },
-    )
-    .unwrap();
+    // …and the migration succeeds and agrees.
+    let stiu = StiuParams {
+        partition_s: 600,
+        grid_n: 16,
+    };
+    let reopened = utcq_legacy::open(&std::fs::read(&path).unwrap(), || (net.clone(), stiu));
+    let reopened = reopened.unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(reopened.len(), store.len());
     let mut rng = StdRng::seed_from_u64(2);

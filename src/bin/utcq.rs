@@ -4,14 +4,16 @@
 //! compressed dataset + StIU index) — or, with `--shards N`, a
 //! **sharded v3 container** whose partitions are routed by `--shard-by
 //! time|region`. `info`, `verify` and `query` operate on the file alone
-//! — no profile/seed side channel — and open every container version
-//! transparently:
+//! — no profile/seed side channel. They open v7 and v3 containers;
+//! `migrate` rewrites an older container (v1 to v6) or write-ahead log
+//! (v1) in the current format first:
 //!
 //! ```text
 //! utcq stats      --profile cd --trajs 200 --seed 1
 //! utcq compress   --profile cd --trajs 200 --seed 1 --out data.utcq
 //!                 [--shards 4] [--shard-by time|region]
 //! utcq info       --in data.utcq
+//! utcq migrate    --in old.utcq --out new.utcq [--profile cd --seed 1]
 //! utcq verify     --profile cd --trajs 200 --seed 1 --in data.utcq
 //! utcq query      --in data.utcq -n 100 [--alpha 0.25] [--limit 64]
 //!                 [--cache-bytes N] [--cache-stats]
@@ -22,9 +24,9 @@
 //! utcq client     --addr HOST:PORT [--pipeline N] | --in data.utcq [--writable]
 //! ```
 //!
-//! Legacy v1 containers (dataset only) still load: `query`/`verify` fall
-//! back to regenerating the network from `--profile/--trajs/--seed` and
-//! opening through the compatibility path.
+//! A v1 container stores no network: `migrate` regenerates it from
+//! `--profile` and `--seed` and rebuilds the index from the decompressed
+//! trajectories (every later version's stored index is carried as is).
 //!
 //! `query` is written against `utcq::core::QueryTarget`, so the same
 //! workload runs unchanged on a store of any partition count.
@@ -56,7 +58,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use utcq::core::opened::{render_format, render_resident, render_sections, InfoReport};
+use utcq::core::opened::{render_format, render_resident, render_sections};
 use utcq::core::params::CompressParams;
 use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{Server, DEFAULT_THREADS};
@@ -219,47 +221,49 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Opens a container as a queryable store through the
-/// [`utcq::core::Opened`] facade: v7 down to v2 directly, v1
-/// through the compatibility path using the regenerated network. Only the network is regenerated — not the trajectories,
-/// which live in the container.
+/// Opens a v7 or v3 container as a queryable store through the
+/// [`utcq::core::Opened`] facade.
 fn open_store(args: &Args) -> Result<Opened, String> {
     let path = args.get("in", "data.utcq");
-    match Opened::open(&path) {
-        Ok(opened) => Ok(opened),
-        Err(utcq::core::Error::NeedsNetwork) => {
-            let pname = args.get("profile", "cd");
-            let profile = profile_by_name(&pname)
-                .ok_or(format!("unknown profile '{pname}' (dk|cd|hz|tiny)"))?;
-            let net = utcq::datagen::generate_network(&profile, args.parse_num("seed", 1));
-            Opened::open_v1(&path, Arc::new(net), StiuParams::default())
-                .map_err(|e| format!("{path}: {e}"))
-        }
-        Err(e) => Err(format!("{path}: {e}")),
-    }
+    Opened::open(&path).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
     let path = args.get("in", "data.utcq");
-    // Through the facade for self-contained containers; dataset-only
-    // fallback for legacy v1 files, which `info` can describe without a
-    // network (no profile/seed flags needed).
-    match Opened::open(&path) {
-        Ok(opened) => {
-            let snaps = opened.snapshots();
-            let mut f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-            let format = render_format(&storage::versions(&mut f).map_err(|e| e.to_string())?);
-            let sections = render_sections(&snaps).map_err(|e| e.to_string())?;
-            let resident = render_resident(&opened.snapshot());
-            let report = opened.info().render();
-            print!("{report}{format}{sections}{resident}");
+    let opened = open_store(args)?;
+    let mut f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
+    let format = render_format(&storage::versions(&mut f).map_err(|e| e.to_string())?);
+    let sections = render_sections(&opened.snapshots()).map_err(|e| e.to_string())?;
+    let resident = render_resident(&opened.snapshot());
+    let report = opened.info().render();
+    print!("{report}{format}{sections}{resident}");
+    Ok(())
+}
+
+/// `utcq migrate`: rewrites an older container or write-ahead log at
+/// `--in` in the current format at `--out` (a new file). A v1 container
+/// stores no network: it is regenerated from `--profile` and `--seed`,
+/// and the index is built with the default parameters.
+fn cmd_migrate(args: &Args) -> Result<(), String> {
+    let (input, output) = (args.get("in", ""), args.get("out", ""));
+    if input.is_empty() || output.is_empty() {
+        return Err("migrate needs --in OLD and --out NEW".to_string());
+    }
+    let pname = args.get("profile", "cd");
+    let profile =
+        profile_by_name(&pname).ok_or(format!("unknown profile '{pname}' (dk|cd|hz|tiny)"))?;
+    let v1 = || {
+        let net = utcq::datagen::generate_network(&profile, args.parse_num("seed", 1));
+        (net, StiuParams::default())
+    };
+    let input_path = std::path::Path::new(&input);
+    let migrated = utcq_legacy::migrate(input_path, std::path::Path::new(&output), v1)
+        .map_err(|e| format!("{input}: {e}"))?;
+    match migrated {
+        utcq_legacy::Migrated::Container(v) => println!("wrote {output}: container v{v} as v7"),
+        utcq_legacy::Migrated::Log(v, n) => {
+            println!("wrote {output}: write-ahead log v{v} as v2 ({n} record(s))")
         }
-        Err(utcq::core::Error::NeedsNetwork) => {
-            let f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-            let cds = storage::load(&mut BufReader::new(f)).map_err(|e| e.to_string())?;
-            print!("{}", InfoReport::from_dataset(&cds).render());
-        }
-        Err(e) => return Err(format!("{path}: {e}")),
     }
     Ok(())
 }
@@ -696,10 +700,9 @@ fn cmd_audit(engine: Option<&str>, args: &Args) -> Result<(), String> {
 }
 
 fn audit_lint(root: &std::path::Path) -> Result<(), String> {
-    let src = root.join("crates/core/src");
     let allow = root.join("crates/audit/lint.allow");
-    let report = utcq::audit::lint::run(&src, &allow)
-        .map_err(|e| format!("lint: {}: {e}", src.display()))?;
+    let report = utcq::audit::lint::run(root, &allow)
+        .map_err(|e| format!("lint: under {}: {e}", root.display()))?;
     for d in &report.diags {
         eprintln!("{d}");
     }
@@ -707,14 +710,10 @@ fn audit_lint(root: &std::path::Path) -> Result<(), String> {
         eprintln!("unused allowlist entry: {u}");
     }
     if report.is_clean() {
-        let hot = report
-            .files
-            .iter()
-            .filter(|f| utcq::audit::lint::HOT_FILES.contains(&f.as_str()));
         println!(
             "lint: {} file(s) clean, {} of them hot-path",
             report.files.len(),
-            hot.count()
+            report.hot
         );
         Ok(())
     } else {
@@ -758,8 +757,12 @@ fn audit_fuzz(root: &std::path::Path, args: &Args) -> Result<(), String> {
     }
     let target = match args.flags.get("target") {
         None => None,
-        Some(t) if ["container", "wire", "wal"].contains(&t.as_str()) => Some(t.clone()),
-        Some(t) => return Err(format!("--target: expected container|wire|wal, got '{t}'")),
+        Some(t) if ["container", "migrate", "wire", "wal"].contains(&t.as_str()) => Some(t.clone()),
+        Some(t) => {
+            return Err(format!(
+                "--target: expected container|migrate|wire|wal, got '{t}'"
+            ))
+        }
     };
     let opts = fuzz::FuzzOpts {
         iters: args.parse_num("iters", fuzz::FuzzOpts::default().iters),
@@ -844,7 +847,7 @@ fn audit_sched(args: &Args) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: utcq <stats|compress|info|verify|query|serve|client|audit> \
+    "usage: utcq <stats|compress|info|migrate|verify|query|serve|client|audit> \
      [--profile dk|cd|hz|tiny] \
      [--trajs N] [--seed S] [--in FILE] [--out FILE] [-n N] [--alpha A] [--limit L] \
      [--shards N] [--shard-by time|region] [--shard-interval S] [--shard-grid N] \
@@ -853,7 +856,7 @@ fn usage() -> String {
      serve durability: [--wal FILE] [--fsync always|never|every:N] \
      [--checkpoint-bytes N] [--follow HOST:PORT]\n\
      audit: utcq audit <lint|fuzz|sched> [--root DIR] [--iters N] [--seed S] [--replay] \
-     [--bound N] [--target container|wire|wal]"
+     [--bound N] [--target container|migrate|wire|wal]"
         .to_string()
 }
 
@@ -868,6 +871,7 @@ fn main() -> ExitCode {
         "stats" => cmd_stats(&args),
         "compress" => cmd_compress(&args),
         "info" => cmd_info(&args),
+        "migrate" => cmd_migrate(&args),
         "verify" => cmd_verify(&args),
         "query" => cmd_query(&args),
         "serve" => cmd_serve(&args),

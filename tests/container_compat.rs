@@ -1,6 +1,8 @@
 //! Cross-version container compatibility against **checked-in fixture
-//! files** under `tests/fixtures/`. They must keep opening, and
-//! answering identically, forever:
+//! files** under `tests/fixtures/`. They must keep migrating, and
+//! answering identically, forever. The core opens the current two; the
+//! others go through `utcq migrate`'s reader (`utcq_legacy`), and the
+//! core refuses them with the error that names it:
 //!
 //! * `tiny_v1.utcq` — legacy dataset-only container (needs a network
 //!   supplied out of band; the test borrows the one embedded in the v2
@@ -34,9 +36,9 @@
 //!
 //! The write-ahead log has fixtures of its own, two multi-instance
 //! batches of a second dataset ([`wal_dataset`]) in both record
-//! encodings: `wal_v1.wal` (fixed-width fields, frozen) and
-//! `wal_v2.wal` (what every log writes now, regenerated and compared by
-//! CI like the containers).
+//! encodings: `wal_v1.wal` (fixed-width fields, frozen; `utcq migrate`
+//! reads it) and `wal_v2.wal` (what every log writes now, regenerated
+//! and compared by CI like the containers).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -44,8 +46,12 @@ use std::sync::Arc;
 use utcq::core::query::PageRequest;
 use utcq::core::shard::ByTime;
 use utcq::core::stiu::{StiuParams, TrajIndex};
+use utcq::core::storage::StorageError;
 use utcq::core::wal::{self, Record, Wal};
-use utcq::core::{CompressParams, Opened, Partition, QueryTarget, Store, StoreBuilder, WalConfig};
+use utcq::core::{
+    CompressParams, Error, Opened, Partition, QueryTarget, Store, StoreBuilder, WalConfig,
+};
+use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;
 
 const SEED: u64 = 20_260_729;
@@ -65,15 +71,29 @@ fn fixture_dataset() -> (utcq::network::RoadNetwork, utcq::traj::Dataset) {
     utcq::datagen::generate(&utcq::datagen::profile::tiny(), TRAJS, SEED)
 }
 
-/// Opens all eleven fixtures. The v1 fixture has no embedded network,
-/// so it reuses the v2 fixture's — the dataset is identical by
-/// construction.
-fn open_fixtures() -> ([Store; 6], [Store; 5]) {
-    let open = |name: &str| Store::open(fixture_path(name)).expect(name);
-    let sharded = |name: &str| Store::open(fixture_path(name)).expect(name);
+/// Opens `bytes` through `utcq migrate`'s reader (a current container
+/// reads as is), as a message on failure.
+fn migrated(bytes: &[u8]) -> Result<Store, String> {
+    utcq_legacy::open(bytes, v1_parts).map_err(|e| e.to_string())
+}
+
+/// What the v1 fixture, which has no embedded network, migrates on: the
+/// v2 fixture's network — the dataset is identical by construction —
+/// and the parameters the fixtures were built with.
+fn v1_parts() -> (RoadNetwork, StiuParams) {
     let v2 = open("tiny_v2.utcq");
-    let v1 = Store::open_v1(fixture_path("tiny_v1.utcq"), Arc::clone(v2.network()), STIU)
-        .expect("v1 fixture opens");
+    ((**v2.network()).clone(), STIU)
+}
+
+/// Opens a fixture of any version through [`migrated`].
+fn open(name: &str) -> Store {
+    migrated(&std::fs::read(fixture_path(name)).expect(name)).expect(name)
+}
+
+/// Opens all eleven fixtures.
+fn open_fixtures() -> ([Store; 6], [Store; 5]) {
+    let sharded = open;
+    let (v1, v2) = (open("tiny_v1.utcq"), open("tiny_v2.utcq"));
     (
         [
             v1,
@@ -224,15 +244,18 @@ fn derived_bounds_equal_the_stored_ones() {
 
 #[test]
 fn saving_an_old_container_writes_the_current_format() {
-    // The upgrade every checkpoint now performs: a store opened from an
-    // older framing saves as exactly the current fixture, the derived
-    // parts included (they are recomputed at each open), the resume
-    // fields of v2 / v4 gone, every non-reference's tuples, stored in
-    // traversal order up to v5, in ascending cell order, and the stream
-    // lengths, `orig_idx` and temporal tuples of v6 and before gone.
+    // What `utcq migrate` writes: a store read from an older framing
+    // saves as exactly the current fixture, the derived parts included
+    // (they are recomputed at each open), the resume fields of v2 / v4
+    // gone, every non-reference's tuples, stored in traversal order up
+    // to v5, in ascending cell order, and the stream lengths, `orig_idx`
+    // and temporal tuples of v6 and before gone. v1's index, rebuilt from
+    // the decompressed trajectories, happens to equal the stored one on
+    // these ten trajectories (it need not: see `utcq_legacy`).
     let read = |name: &str| std::fs::read(fixture_path(name)).expect(name);
-    let ([_, v2, v4, v5, v6, v7], [v3, v3_packed, v3_v5, v3_v6, v3_v7]) = open_fixtures();
+    let ([v1, v2, v4, v5, v6, v7], [v3, v3_packed, v3_v5, v3_v6, v3_v7]) = open_fixtures();
     let singles = [
+        ("v1", &v1),
         ("v2", &v2),
         ("v4", &v4),
         ("v5", &v5),
@@ -323,8 +346,8 @@ fn index_block_at(bytes: &[u8]) -> usize {
 fn resume_fields_of_old_versions_are_still_checked() {
     // The reader drops the resume fields of a v2 / v4 tuple after every
     // check they had while it kept them: what failed to open then fails
-    // now, with the same error.
-    let open = |bytes: &[u8]| Store::read(&mut &bytes[..]).map_err(|e| e.to_string());
+    // to migrate now, with the same error.
+    let open = migrated;
 
     // v2, fixed-width fields: node 0 is the first of the nodes.
     let bytes = std::fs::read(fixture_path("tiny_v2.utcq")).unwrap();
@@ -388,9 +411,9 @@ fn old_readers_refuse_nref_tuples_outside_their_group() {
     // Up to v5 a non-reference tuple is a (cell, member) pair; v6 stores
     // one bit per cell of the member's group, so a cell outside the
     // group, or one cell twice, has no v6 form. No writer ever produced
-    // either; the old readers refuse both rather than open a store that
-    // could not be saved.
-    let open = |bytes: &[u8]| Store::read(&mut &bytes[..]).map_err(|e| e.to_string());
+    // either; the old readers refuse both rather than migrate a store
+    // that could not be saved.
+    let open = migrated;
     let bytes = std::fs::read(fixture_path("tiny_v5.utcq")).unwrap();
     let v5 = open(&bytes).expect("the fixture itself opens");
     let snap = v5.snapshots().remove(0);
@@ -572,6 +595,15 @@ fn header_version(path: &Path) -> u32 {
     u32::from_le_bytes(bytes[8..12].try_into().unwrap())
 }
 
+/// What `utcq migrate` writes for `fixture`, read back.
+fn migrate_file(fixture: &str, dir: &str, out: &str) -> (PathBuf, Vec<u8>) {
+    let path = scratch_copy(fixture, dir).with_file_name(out);
+    let migrated = utcq_legacy::migrate(&fixture_path(fixture), &path, v1_parts);
+    migrated.unwrap_or_else(|e| panic!("{fixture}: {e}"));
+    let bytes = std::fs::read(&path).unwrap();
+    (path, bytes)
+}
+
 #[test]
 fn both_wal_fixtures_read_the_same_records() {
     let (_, batches) = wal_dataset();
@@ -582,22 +614,22 @@ fn both_wal_fixtures_read_the_same_records() {
     assert!(batches[1..3]
         .iter()
         .all(|b| b.trajectories.iter().any(|tu| tu.instances.len() > 1)));
-    for (fixture, version) in [("wal_v1.wal", 1), ("wal_v2.wal", 2)] {
-        let scanned = wal::scan(&std::fs::read(fixture_path(fixture)).unwrap()).unwrap();
-        assert!(!scanned.torn, "{fixture}");
-        let scanned: Vec<String> = scanned.records.iter().map(record_bits).collect();
-        assert_eq!(scanned, want, "{fixture}: scan");
-        let path = scratch_copy(fixture, &format!("read-{version}"));
-        assert_eq!(header_version(&path), version);
-        let (_, records) = Wal::open(&WalConfig::new(&path)).unwrap();
-        let opened: Vec<String> = records.iter().map(record_bits).collect();
-        assert_eq!(opened, want, "{fixture}: Wal::open");
-        // Opening rewrote a v1 log as exactly what v2 writes.
-        assert_eq!(header_version(&path), 2, "{fixture}");
-        assert!(
-            std::fs::read(&path).unwrap() == std::fs::read(fixture_path("wal_v2.wal")).unwrap()
-        );
-    }
+    // v1 through `utcq migrate`'s reader, v2 through the core's.
+    let v1 = utcq_legacy::wal::read_v1(&std::fs::read(fixture_path("wal_v1.wal")).unwrap());
+    let v1: Vec<String> = v1.unwrap().iter().map(record_bits).collect();
+    assert_eq!(v1, want, "wal_v1.wal");
+    let scanned = wal::scan(&std::fs::read(fixture_path("wal_v2.wal")).unwrap()).unwrap();
+    assert!(!scanned.torn);
+    let scanned: Vec<String> = scanned.records.iter().map(record_bits).collect();
+    assert_eq!(scanned, want, "wal_v2.wal: scan");
+    let path = scratch_copy("wal_v2.wal", "read-2");
+    let (_, records) = Wal::open(&WalConfig::new(&path)).unwrap();
+    let opened: Vec<String> = records.iter().map(record_bits).collect();
+    assert_eq!(opened, want, "wal_v2.wal: Wal::open");
+    // Migrating a v1 log writes exactly what v2 writes.
+    let (path, bytes) = migrate_file("wal_v1.wal", "migrate-1", "log.wal");
+    assert_eq!(header_version(&path), 2);
+    assert!(bytes == std::fs::read(fixture_path("wal_v2.wal")).unwrap());
     // The point of v2: the same records in a fraction of the bytes.
     let len = |f: &str| std::fs::metadata(fixture_path(f)).unwrap().len();
     assert!(len("wal_v2.wal") * 3 < len("wal_v1.wal"));
@@ -618,14 +650,13 @@ fn a_v1_log_replays_then_continues_as_v2() {
         }
         b.finish().unwrap()
     };
-    let log = scratch_copy("wal_v1.wal", "continue");
+    let (log, _) = migrate_file("wal_v1.wal", "continue", "log.wal");
     let container = log.with_file_name("c.utcq");
     build(&batches[..1]).save(&container).unwrap();
     let cfg = || WalConfig::new(&log);
 
     let store = Opened::open_durable(&container, cfg()).unwrap();
     assert_eq!(store.epoch(), 2, "both v1 batches replay");
-    assert_eq!(header_version(&log), 2, "rewritten before the first append");
     store.ingest(&batches[3]).unwrap();
     drop(store);
 
@@ -638,6 +669,102 @@ fn a_v1_log_replays_then_continues_as_v2() {
     live.write(&mut got).unwrap();
     build(&batches).write(&mut want).unwrap();
     assert!(got == want, "replayed store != offline build");
+}
+
+/// The version an error names, if it is the one that asks for `utcq
+/// migrate`.
+fn needs_migrate(e: Error) -> Option<(&'static str, u32)> {
+    match e {
+        Error::Storage(StorageError::NeedsMigrate { what, version }) => Some((what, version)),
+        _ => None,
+    }
+}
+
+#[test]
+fn core_refuses_an_old_single_container_with_the_migrate_error() {
+    for (name, version) in [
+        ("tiny_v1.utcq", 1),
+        ("tiny_v2.utcq", 2),
+        ("tiny_v4.utcq", 4),
+        ("tiny_v5.utcq", 5),
+        ("tiny_v6.utcq", 6),
+    ] {
+        let err = Opened::open(fixture_path(name)).unwrap_err();
+        assert!(
+            err.to_string().contains("run `utcq migrate`"),
+            "{name}: {err}"
+        );
+        assert_eq!(needs_migrate(err), Some(("container", version)), "{name}");
+    }
+}
+
+#[test]
+fn core_refuses_a_v3_of_old_blobs_with_the_migrate_error() {
+    for (name, version) in [
+        ("tiny_v3.utcq", 2),
+        ("tiny_v3_packed.utcq", 4),
+        ("tiny_v3_v5.utcq", 5),
+        ("tiny_v3_v6.utcq", 6),
+    ] {
+        let err = Store::open(fixture_path(name)).unwrap_err();
+        assert_eq!(needs_migrate(err), Some(("container", version)), "{name}");
+    }
+}
+
+#[test]
+fn core_refuses_a_v1_log_with_the_migrate_error() {
+    // Neither the scan nor the open reads a v1 log, and the open leaves
+    // the file as it was (it no longer rewrites it in place).
+    let bytes = std::fs::read(fixture_path("wal_v1.wal")).unwrap();
+    let scanned = wal::scan(&bytes).map(drop).unwrap_err();
+    assert_eq!(needs_migrate(scanned), Some(("write-ahead log", 1)));
+    let path = scratch_copy("wal_v1.wal", "refuse");
+    let opened = Wal::open(&WalConfig::new(&path)).map(drop).unwrap_err();
+    assert!(
+        opened.to_string().contains("run `utcq migrate`"),
+        "{opened}"
+    );
+    assert!(std::fs::read(&path).unwrap() == bytes);
+}
+
+#[test]
+fn migrate_carries_the_stored_index() {
+    // `tiny_v5.utcq` with one stored `enters` bit flipped is a valid
+    // index, but not the one its trajectories would rebuild: the
+    // migrated store keeps the flipped bit.
+    let bytes = std::fs::read(fixture_path("tiny_v5.utcq")).unwrap();
+    let v5 = migrated(&bytes).unwrap();
+    let snap = v5.snapshots().remove(0);
+    let node0 = snap.stiu().trajs.get(0).unwrap();
+    // The one index block: the 64-bit base and the start, no, count and
+    // position widths, then node 0's temporal tuples and its first
+    // reference tuple (cell, ref_idx, enters).
+    let block = index_block_at(&bytes);
+    let block_bits = (bytes.len() - block) * 8;
+    let bits = utcq::bitio::BitSlice::from_bytes(&bytes[block..], block_bits).unwrap();
+    let mut r = bits.reader();
+    let read = |r: &mut utcq::bitio::BitReader<'_>, width| r.read_bits(width).unwrap();
+    read(&mut r, 64);
+    let [start, no, count, pos] = [(); 4].map(|()| read(&mut r, 7) as u32);
+    for _ in 0..read(&mut r, count) {
+        for width in [start, no, pos] {
+            read(&mut r, width);
+        }
+    }
+    assert!(read(&mut r, count) > 0, "node 0 has a reference tuple");
+    let width = |n: usize| utcq::bitio::width_for_max(n.saturating_sub(1) as u64);
+    let ct0 = snap.compressed().trajectories.get(0).unwrap();
+    read(&mut r, width(snap.stiu().grid.cell_count()));
+    read(&mut r, width(ct0.refs.len()));
+    let at = block * 8 + r.pos();
+    let mut flipped = bytes.clone();
+    flipped[at / 8] ^= 0x80 >> (at % 8);
+    let kept = migrated(&flipped).expect("a valid index");
+    let mut want = Vec::from_iter(node0.ref_tuples());
+    want[0].2 = !want[0].2;
+    let snap = kept.snapshots().remove(0);
+    let got = Vec::from_iter(snap.stiu().trajs.get(0).unwrap().ref_tuples());
+    assert_eq!(got, want, "the flipped bit, as stored");
 }
 
 /// Regenerates the current-format fixtures (two containers, one log)

@@ -19,7 +19,7 @@ use utcq::core::stiu::StiuParams;
 use utcq::core::{wire, Opened, QueryTarget, Store};
 
 /// Matches the parameters `tests/container_compat.rs` regenerates the
-/// fixtures with (the v1 fixture's index is rebuilt at open time).
+/// fixtures with (the v1 fixture's index is rebuilt when it migrates).
 const STIU: StiuParams = StiuParams {
     partition_s: 900,
     grid_n: 8,
@@ -31,17 +31,21 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Opens a fixture by version. The v1 fixture has no embedded network,
-/// so it borrows the v2 fixture's — identical by construction.
+/// Reads a fixture through `utcq migrate`'s reader. The v1 fixture has
+/// no embedded network, so it borrows the v2 fixture's — identical by
+/// construction.
+fn migrated(name: &str) -> Store {
+    let v1_parts = || ((**migrated("tiny_v2.utcq").network()).clone(), STIU);
+    let bytes = std::fs::read(fixture_path(name)).expect(name);
+    utcq_legacy::open(&bytes, v1_parts).expect(name)
+}
+
+/// Opens a fixture by version, as `utcq migrate` writes it.
 fn open_fixture(version: u8) -> Opened {
     match version {
-        1 => {
-            let v2 = Store::open(fixture_path("tiny_v2.utcq")).expect("v2 fixture opens");
-            Opened::open_v1(fixture_path("tiny_v1.utcq"), Arc::clone(v2.network()), STIU)
-                .expect("v1 fixture opens")
-        }
-        2 => Opened::open(fixture_path("tiny_v2.utcq")).expect("v2 fixture opens"),
-        3 => Opened::open(fixture_path("tiny_v3.utcq")).expect("v3 fixture opens"),
+        1 => Opened::Single(Box::new(migrated("tiny_v1.utcq"))),
+        2 => Opened::Single(Box::new(migrated("tiny_v2.utcq"))),
+        3 => Opened::Sharded(Box::new(migrated("tiny_v3.utcq"))),
         other => panic!("no fixture for version {other}"),
     }
 }
@@ -332,7 +336,7 @@ fn oversized_request_is_rejected_and_the_connection_survives() {
 /// existing span, probabilities renormalized so the wire-level
 /// validation accepts the (lossily) decompressed copy.
 fn writable_probe() -> (utcq::traj::UncertainTrajectory, i64) {
-    let v2 = Store::open(fixture_path("tiny_v2.utcq")).expect("v2 fixture opens");
+    let v2 = migrated("tiny_v2.utcq");
     let part = &v2.snapshots()[0];
     let ds = utcq::core::decompress_dataset(v2.network(), part.compressed())
         .expect("fixture decompresses");
@@ -391,10 +395,7 @@ fn trajectory_json(tu: &utcq::traj::UncertainTrajectory) -> String {
 /// hit the duplicate error path, shut down.
 fn writable_session_lines() -> Vec<String> {
     let (tu, mid) = writable_probe();
-    let bounds = Store::open(fixture_path("tiny_v2.utcq"))
-        .unwrap()
-        .network()
-        .bounding_rect();
+    let bounds = migrated("tiny_v2.utcq").network().bounding_rect();
     let tu_json = trajectory_json(&tu);
     vec![
         r#"{"id":1,"op":"ping"}"#.to_string(),

@@ -314,14 +314,11 @@ fn range_answers_identical_cold_cached_and_across_versions() {
     let single = single_store(&net, &ds);
     let sharded = sharded_store(&net, &ds, Arc::new(ByTime { interval_s: 900 }), 3);
 
-    // v1: dataset-only container, network supplied out of band.
-    let v1_path = std::env::temp_dir().join("utcq-range-equiv-v1.utcq");
-    {
-        let mut f = std::fs::File::create(&v1_path).unwrap();
-        utcq::core::storage::save(single.snapshots()[0].compressed(), &mut f).unwrap();
-    }
-    let v1 = Store::open_v1(&v1_path, Arc::new(net.clone()), STIU).unwrap();
-    std::fs::remove_file(&v1_path).ok();
+    // v1: dataset-only container, network supplied out of band as
+    // `utcq migrate` takes it.
+    let mut v1_bytes = Vec::new();
+    utcq_legacy::container::save_v1(single.snapshots()[0].compressed(), &mut v1_bytes).unwrap();
+    let v1 = utcq_legacy::open(&v1_bytes, || (net.clone(), STIU)).unwrap();
     // v5/v3: self-contained roundtrips through container bytes.
     let mut v5_bytes = Vec::new();
     single.write(&mut v5_bytes).unwrap();
