@@ -12,8 +12,8 @@ use crate::compressed::{
 };
 use crate::error::Error;
 use crate::factor;
+use crate::par::par_in_order;
 use crate::params::CompressParams;
-use crate::query::par_in_order;
 use crate::reference::{assign_roles, Role};
 use crate::segment::{Table, TrajSegment, TrajView, Trajectories};
 use crate::siar;

@@ -200,6 +200,7 @@ pub mod hooks;
 mod live;
 pub mod opened;
 pub mod oracle;
+mod par;
 pub mod params;
 pub mod pivot;
 pub mod plan;

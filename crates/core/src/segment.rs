@@ -4,21 +4,23 @@
 //! records; where the block packs them into bits, the segment keeps them
 //! in a **constant number of allocations**: row tables, one byte arena
 //! for every bit stream, plan columns ([`TrajSegment`], the dataset
-//! half) and three index tables: temporal tuples, region words and
-//! membership bits ([`crate::stiu::NodeSegment`], the index half: a
-//! dataset and its index are separate values, so the halves are
-//! separate types sealing at the same counts).
+//! half) and four index tables: temporal tuples, region words,
+//! membership bits and the nodes' interval postings, which no container
+//! stores ([`crate::stiu::NodeSegment`], the index half: a dataset and
+//! its index are separate values, so the halves are separate types
+//! sealing at the same counts).
 //!
 //! Readers never see a segment, only borrowed views of one trajectory
 //! ([`TrajView`], [`crate::stiu::TrajIndex`], [`TrajPlan`]): slices of
 //! the tables and [`BitSlice`]s of the arena.
 //!
 //! [`Segments`] is the directory. Cloning it (what a live publish does
-//! to the current snapshot) copies one pointer per segment. Sealed
+//! to a partition it writes) copies one pointer per segment. Sealed
 //! segments are never written again and are shared by every epoch that
 //! saw them; the last one is the append tail, which the first append
 //! after a clone copies, one `memcpy` per table (reported to
-//! [`crate::hooks::copied`]). The layout is a pure function of the
+//! [`crate::hooks::copied`]); a tail nothing else holds is appended to
+//! in place. The layout is a pure function of the
 //! trajectory count, so stores built offline, grown live and read from a
 //! container hold the same segments.
 

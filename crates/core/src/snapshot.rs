@@ -4,12 +4,24 @@
 //! [`Partition`] per store partition (its compressed dataset, with the
 //! trajectories and their query plans in flat segments,
 //! [`crate::segment`], and its StIU index) and the store's one id map,
-//! trajectory id → (partition, position), all behind one `Arc`.
-//! Snapshots are **immutable** — nothing in this module takes `&mut
-//! self` after construction — so an `Arc<Snapshot>` can be handed to any
-//! number of query threads, pinned across a paginated walk, or
-//! serialized to a container file while a writer publishes newer epochs
-//! next to it.
+//! trajectory id → (partition, position), all behind one `Arc`. A
+//! published snapshot is **immutable**, so an `Arc<Snapshot>` can be
+//! handed to any number of query threads, pinned across a paginated
+//! walk, or serialized to a container file while a writer publishes
+//! newer epochs next to it.
+//!
+//! # Growing a snapshot
+//!
+//! A store grows one way: `Snapshot::extend` adds a batch to a private
+//! copy of a snapshot (a clone is one refcount bump per partition). It
+//! checks and routes the batch, compresses and indexes its trajectories
+//! on the work queue (`prepare`) and appends them in batch order to the
+//! partitions they are routed to (`Partition::append`). A partition
+//! being written becomes its own copy on the first write
+//! (`Arc::make_mut`; a clone of a `Partition` again bumps refcounts, and
+//! its first append copies each tail segment once). A
+//! [`crate::store::StoreBuilder`] extends its epoch-0 snapshot, which it
+//! alone holds, so nothing is copied.
 //!
 //! # Epoch lifecycle
 //!
@@ -20,15 +32,11 @@
 //!
 //! 1. takes the store's writer lock (writers serialize; readers never
 //!    touch that lock),
-//! 2. clones each touched partition's state into a `PartitionState`
-//!    (`Partition::writable`), compresses and indexes the batch's
-//!    trajectories on the work queue (`prepare`) and appends them to
-//!    their partitions' states in batch order
-//!    (`PartitionState::append`) — all **off the query path**,
-//! 3. freezes the result as a new `Arc<Partition>` with the batch's
-//!    epoch (`Partition::successor`) and publishes it, beside the
-//!    untouched partitions and the id map extended by the batch, as the
-//!    next snapshot with one swap.
+//! 2. extends a copy of the current snapshot by the batch — all **off
+//!    the query path**,
+//! 3. logs the batch, stamps the written partitions and the copy with
+//!    the epoch the log allocated, and publishes it with one swap;
+//!    untouched partitions keep their `Arc`s and epochs.
 //!
 //! In-flight queries and pinned snapshots keep answering from the epoch
 //! they loaded; the next query observes the new one. Ingest only ever
@@ -49,13 +57,16 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use std::collections::HashSet;
+
 use utcq_network::{EdgeId, Rect, RoadNetwork};
-use utcq_traj::UncertainTrajectory;
+use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::cache::{CacheStats, DecodeCache};
 use crate::chunk::SharedIdMap;
 use crate::compress::{Compressed, CompressedDataset};
 use crate::error::Error;
+use crate::par::par_in_order;
 use crate::params::CompressParams;
 use crate::query::{
     range_scan, Page, PageRequest, QueryEngine, QueryTarget, RangeCandidate, WhenHit, WhereHit,
@@ -151,6 +162,7 @@ pub(crate) enum Routing {
 /// assert_eq!(store.snapshot().epoch(), 1);
 /// # Ok(()) }
 /// ```
+#[derive(Clone)]
 pub struct Snapshot {
     /// The store's publish epoch; 0 for the built or opened state.
     pub(crate) epoch: u64,
@@ -183,7 +195,7 @@ impl Snapshot {
         &self.parts
     }
 
-    fn first(&self) -> &Partition {
+    pub(crate) fn first(&self) -> &Partition {
         &self.parts[0] // bounds: Store::assemble rejects zero partitions
     }
 
@@ -281,6 +293,110 @@ impl Snapshot {
             has_more: answer.has_more,
         })
     }
+}
+
+impl Snapshot {
+    /// Extends this snapshot by `batch`: the one write step of every
+    /// ingest path (builder, live store, WAL replay, followers). Checks
+    /// the batch and its ids against the id map and routes it; the
+    /// trajectories are [`prepare`]d on the work queue and appended, in
+    /// batch order, to the partitions they are routed to (each becomes
+    /// its own copy on the first write), and the id map is extended. A
+    /// partition without a name adopts the batch's, even from a batch
+    /// without trajectories. Epochs are left as they are: a live
+    /// publish stamps the written partitions afterwards. Returns whether
+    /// anything changed. After an error the snapshot must be dropped: a
+    /// partition may hold part of the batch. A store reopened from a
+    /// custom-policy container cannot route: [`Error::ShardConfig`].
+    pub(crate) fn extend(&mut self, batch: &Dataset) -> Result<bool, Error> {
+        let first = self.first();
+        let (net, params, index) = (Arc::clone(&first.net), first.cds.params, first.stiu.blank());
+        check_batch(&net, params.default_interval, batch)?;
+        let policy =
+            match &self.routing {
+                Routing::Single => None,
+                Routing::Policy(Some(policy)) => Some(policy.as_ref()),
+                Routing::Policy(None) => return Err(Error::ShardConfig(
+                    "live ingest needs a routing policy (custom-policy containers are read-only)",
+                )),
+            };
+        check_new_ids(&self.ids, batch)?;
+        let tus = &batch.trajectories;
+        let routes = routes(policy, &net, tus, self.parts.len() as u32)?;
+        crate::hooks::point("snapshot.prepare");
+        let mut changed = !tus.is_empty();
+        if !batch.name.is_empty() {
+            for part in self.parts.iter_mut().filter(|p| p.cds.name.is_empty()) {
+                Arc::make_mut(part).cds.name.clone_from(&batch.name);
+                changed = true;
+            }
+        }
+        let (parts, ids) = (&mut self.parts, &mut self.ids);
+        let missing = || Error::CorruptStore("trajectory past the batch");
+        par_in_order(
+            tus.len(),
+            |i| prepare(&net, &params, &index, tus.get(i).ok_or_else(missing)?),
+            |i, prepared| {
+                let (tu, &s) = tus.get(i).zip(routes.get(i)).ok_or_else(missing)?;
+                let routed = Error::CorruptStore("routed past the partitions");
+                let part = Arc::make_mut(parts.get_mut(s as usize).ok_or(routed)?);
+                ids.insert(tu.id, (s, part.append(prepared)?));
+                Ok(())
+            },
+        )?;
+        Ok(changed)
+    }
+}
+
+/// What every ingest checks before routing any of a batch: each edge
+/// exists, each trajectory is well-formed on `net`
+/// ([`UncertainTrajectory::validate`]), and the interval is the store's.
+fn check_batch(net: &RoadNetwork, interval: i64, batch: &Dataset) -> Result<(), Error> {
+    let edges = net.edge_count();
+    for (at, tu) in batch.trajectories.iter().enumerate() {
+        let invalid = |detail| Error::InvalidTrajectory { at, detail };
+        // Bounds come first: the validator assumes edge ids resolve.
+        let path = tu.instances.iter().flat_map(|inst| &inst.path);
+        if let Some(e) = path.into_iter().find(|e| e.0 as usize >= edges) {
+            let detail = format!("edge {} does not exist (network has {edges} edges)", e.0);
+            return Err(invalid(detail));
+        }
+        tu.validate(net).map_err(invalid)?;
+    }
+    if batch.default_interval != interval {
+        return Err(Error::IntervalMismatch {
+            expected: interval,
+            got: batch.default_interval,
+        });
+    }
+    Ok(())
+}
+
+/// The one duplicate check: a batch may not repeat an id, nor name one
+/// the store's id map holds.
+fn check_new_ids(ids: &SharedIdMap, batch: &Dataset) -> Result<(), Error> {
+    let mut seen = HashSet::with_capacity(batch.trajectories.len());
+    for tu in &batch.trajectories {
+        if ids.contains(tu.id) || !seen.insert(tu.id) {
+            return Err(Error::DuplicateTrajectory(tu.id));
+        }
+    }
+    Ok(())
+}
+
+/// The partition among `n` that `policy` places each of `tus` on (0
+/// without a policy).
+fn routes(
+    policy: Option<&dyn ShardPolicy>,
+    net: &RoadNetwork,
+    tus: &[UncertainTrajectory],
+    n: u32,
+) -> Result<Vec<u32>, Error> {
+    let route = |tu| match policy.map_or(0, |p| p.route(net, tu, n)) {
+        s if s < n => Ok(s),
+        _ => Err(Error::ShardConfig("policy routed past the shard count")),
+    };
+    tus.iter().map(route).collect()
 }
 
 /// The one read path: where/when through the id map to the owning
@@ -391,7 +507,9 @@ fn page_of_range_result(
 /// One store partition as one epoch left it: its compressed dataset
 /// (with its query plans) and its StIU index. A partition is data, not a
 /// query target: queries address the whole store through a
-/// [`Snapshot`], whose id map finds a trajectory's partition.
+/// [`Snapshot`], whose id map finds a trajectory's partition. A clone
+/// shares every segment (refcount bumps only).
+#[derive(Clone)]
 pub struct Partition {
     pub(crate) net: Arc<RoadNetwork>,
     pub(crate) cds: CompressedDataset,
@@ -450,7 +568,9 @@ impl Partition {
         }
         self.cds.trajectories.resident(&mut census);
         self.stiu.trajs.resident(&mut census);
-        census.add("postings", self.stiu.interval_trajs.heap_bytes());
+        // Each node segment counts its postings; a partition without one
+        // still lists the row.
+        census.add("postings", 0);
         census
     }
 
@@ -516,53 +636,31 @@ impl Partition {
         })
     }
 
-    /// The private, writable copy of this partition that a batch
-    /// appends its share to (`routed`: the batch routes trajectories
-    /// here), or `None` when the batch changes nothing here: no
-    /// trajectory, and no name to adopt. The caller serializes writers
-    /// and freezes the state with [`Partition::successor`] once the
-    /// batch is logged. Splitting the append from the publish is what
-    /// makes a batch all-or-nothing across partitions.
-    pub(crate) fn writable(&self, name: &str, routed: bool) -> Option<PartitionState> {
-        // Match StoreBuilder's name adoption (it adopts from every
-        // batch, even an empty one) so live and offline builds
-        // serialize identically in all cases.
-        let adopt_name = self.cds.name.is_empty() && !name.is_empty();
-        if !routed && !adopt_name {
-            return None;
-        }
-        let mut state = PartitionState::from_partition(self);
-        if adopt_name {
-            state.cds.name = name.to_string();
-        }
-        Some(state)
-    }
-
-    /// Freezes a state from [`Partition::writable`] as
-    /// `epoch` of the same partition, sharing this partition's network
-    /// and decode cache.
-    pub(crate) fn successor(&self, state: PartitionState, epoch: u64) -> Self {
-        let (net, cache) = (Arc::clone(&self.net), Arc::clone(&self.cache));
-        let same_index = || Ok::<_, std::convert::Infallible>(self.stiu.clone());
-        let Ok(next) = state.into_partition(net, same_index, cache, self.partition, epoch);
-        next
+    /// Stores a trajectory [`prepare`]d for this partition's store at
+    /// the end and returns its position: copies only, on the thread that
+    /// extends the snapshot. The id map has refused a duplicate id
+    /// already.
+    fn append(&mut self, prepared: &Prepared) -> Result<u32, Error> {
+        let j = self.cds.append(&prepared.compressed)?;
+        self.stiu.append(&prepared.node)?;
+        Ok(j)
     }
 }
 
 /// One trajectory compressed and indexed but not yet stored: what
 /// [`prepare`] makes on a worker of a batch's work queue and
-/// [`PartitionState::append`] copies into its partition's tail segments.
-pub(crate) struct Prepared {
+/// [`Partition::append`] copies into its partition's tail segments.
+struct Prepared {
     compressed: Compressed,
     node: NodeSegment,
 }
 
 /// Compresses and indexes one trajectory for a store whose index is
 /// like `index` (its parameters, grid and edge cells) — the
-/// per-trajectory step of every ingest path (builder, live store, WAL
-/// replay), pure and so run on the work queue. Refuses a trajectory
-/// whose samples span [`MAX_SPAN_PARTITIONS`] or more index intervals.
-pub(crate) fn prepare(
+/// per-trajectory step of [`Snapshot::extend`], pure and so run on the
+/// work queue. Refuses a trajectory whose samples span
+/// [`MAX_SPAN_PARTITIONS`] or more index intervals.
+fn prepare(
     net: &RoadNetwork,
     params: &CompressParams,
     index: &Stiu,
@@ -576,91 +674,6 @@ pub(crate) fn prepare(
     let compressed = Compressed::of(net, tu, params)?;
     let node = build_node(net, tu, &compressed.view()?, index, params.default_interval)?;
     Ok(Prepared { compressed, node })
-}
-
-/// The writer-side, mutable counterpart of a [`Partition`]: what a
-/// [`crate::store::StoreBuilder`] accumulates batch by batch, and what a
-/// live [`crate::store::Store::ingest`] clones out of the current
-/// partition, extends, and publishes back.
-///
-/// Both fill it the same way: every trajectory goes through
-/// [`prepare`] and then, in batch order, [`PartitionState::append`],
-/// which is why a live-ingested store and an offline
-/// `StoreBuilder`-built store over the same batches serialize to
-/// byte-identical containers (`tests/live_ingest.rs` and
-/// `tests/parallel_ingest.rs` assert this).
-pub(crate) struct PartitionState {
-    pub(crate) cds: CompressedDataset,
-    /// Deferred until the first trajectory so `stiu_params` stays
-    /// configurable on an empty builder.
-    pub(crate) stiu: Option<Stiu>,
-}
-
-impl PartitionState {
-    /// A fresh, empty state for the given compression parameters.
-    pub(crate) fn new(net: &RoadNetwork, params: CompressParams) -> Self {
-        Self {
-            cds: CompressedDataset::empty(net, "", params),
-            stiu: None,
-        }
-    }
-
-    /// Clones a partition's frozen state back into mutable form — the
-    /// copy-out step of a live ingest (off the query path; readers keep
-    /// the partition untouched). O(batch), not O(store): every container
-    /// is structurally shared ([`crate::segment`], [`crate::chunk`]), so
-    /// this clone copies segment directories only; appending the batch
-    /// then copies at most each container's tail segment once
-    /// (copy-on-write), never the sealed ones.
-    pub(crate) fn from_partition(part: &Partition) -> Self {
-        Self {
-            cds: part.cds.clone(),
-            stiu: Some(part.stiu.clone()),
-        }
-    }
-
-    /// Whether any trajectory has been ingested yet.
-    pub(crate) fn has_ingested(&self) -> bool {
-        !self.cds.trajectories.is_empty()
-    }
-
-    /// Stores a trajectory [`prepare`]d for this partition's store at
-    /// the end and returns its position: copies only, on the thread that
-    /// owns the state. The store's id map has refused a duplicate id
-    /// already.
-    pub(crate) fn append(&mut self, prepared: &Prepared) -> Result<u32, Error> {
-        let stiu = self
-            .stiu
-            .as_mut()
-            .ok_or(Error::CorruptStore("partition without an index"))?;
-        let j = self.cds.append(&prepared.compressed)?;
-        stiu.append(&prepared.node)?;
-        Ok(j)
-    }
-
-    /// Freezes the state into an immutable partition number `partition`
-    /// at `epoch`, whose index `stiu` makes if nothing was ingested yet.
-    pub(crate) fn into_partition<E>(
-        self,
-        net: Arc<RoadNetwork>,
-        stiu: impl FnOnce() -> Result<Stiu, E>,
-        cache: Arc<DecodeCache>,
-        partition: u32,
-        epoch: u64,
-    ) -> Result<Partition, E> {
-        let stiu = match self.stiu {
-            Some(s) => s,
-            None => stiu()?,
-        };
-        Ok(Partition {
-            net,
-            cds: self.cds,
-            stiu,
-            cache,
-            partition,
-            epoch,
-        })
-    }
 }
 
 #[cfg(test)]

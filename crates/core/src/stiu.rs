@@ -43,7 +43,10 @@
 //! In memory the nodes are the index half of [`crate::segment`]: per
 //! 1,024 trajectories one [`NodeSegment`] holding every temporal tuple,
 //! region word and membership bit in three flat tables, and per node
-//! where they end. A [`TrajIndex`] is one node borrowed from them.
+//! where they end. A [`TrajIndex`] is one node borrowed from them. The
+//! segment's fourth table is the time-partition postings of its nodes,
+//! `(interval, position)` pairs: a pure function of the nodes, derived
+//! as each is appended and never stored.
 
 use std::fmt;
 use std::sync::Arc;
@@ -53,11 +56,12 @@ use utcq_bitio::BitSlice;
 use utcq_network::{CellId, EdgeId, Grid, Point, RoadNetwork};
 use utcq_traj::{Dataset, Instance, UncertainTrajectory};
 
-use crate::chunk::IntervalMap;
 use crate::compress::CompressedDataset;
 use crate::error::Error;
-use crate::query::par_in_order;
-use crate::segment::{copy_vec, offset, vec_bytes, NrefRow, Resident, Segments, Table, TrajView};
+use crate::par::par_in_order;
+use crate::segment::{
+    copy_vec, offset, vec_bytes, NrefRow, Resident, Segments, Table, TrajView, CHUNK,
+};
 use crate::siar;
 
 /// Index construction parameters (the paper's Fig. 9 sweeps both).
@@ -342,7 +346,7 @@ impl fmt::Debug for TrajIndex<'_> {
 }
 
 /// The index half of a segment ([`crate::segment`]): the nodes of up to
-/// 1,024 trajectories in three flat tables.
+/// 1,024 trajectories in three flat tables, and their postings.
 #[derive(Debug, Default)]
 pub struct NodeSegment {
     /// Per node: where its temporal tuples, region words and membership
@@ -356,6 +360,11 @@ pub struct NodeSegment {
     /// filled from its lowest bit; `n_bits` are in use.
     bits: Vec<u64>,
     n_bits: usize,
+    /// `(interval, position)`: each node's position in its dataset under
+    /// every interval from its first temporal tuple's to its last's. In
+    /// arrival order in the tail; sealing sorts them, so a sealed
+    /// segment answers an interval by binary search.
+    postings: Vec<(i64, u32)>,
 }
 
 /// The nodes of an index, one per trajectory.
@@ -373,6 +382,19 @@ impl NodeSegment {
             first_bit: b0,
             n_bits,
         })
+    }
+
+    /// The positions of this segment's nodes registered under `interval`,
+    /// ascending: a binary search in a sealed segment, a scan of the tail.
+    fn postings(&self, interval: i64) -> impl Iterator<Item = u32> + '_ {
+        let sealed = self.ends.len() == CHUNK;
+        let from = match sealed {
+            true => self.postings.partition_point(|&(k, _)| k < interval),
+            false => 0,
+        };
+        let run = self.postings.get(from..).unwrap_or_default().iter();
+        let run = run.take_while(move |&&(k, _)| !sealed || k == interval);
+        run.filter(move |&&(k, _)| k == interval).map(|&(_, j)| j)
     }
 
     /// Where node `k` ends, or `k + 1` starts.
@@ -527,22 +549,6 @@ impl NodeSegment {
     }
 }
 
-impl Nodes {
-    /// Appends a node: `temporal` as its temporal tuples, the region
-    /// words and membership bits of `regions` as its own. (An index
-    /// registers its nodes' postings too.)
-    pub fn push(
-        &mut self,
-        temporal: &[TemporalTuple],
-        regions: TrajIndex<'_>,
-    ) -> Result<(), Error> {
-        self.append(|seg| {
-            seg.extend(temporal, regions);
-            seg.close()
-        })
-    }
-}
-
 impl Table for NodeSegment {
     type View<'a> = TrajIndex<'a>;
 
@@ -562,6 +568,7 @@ impl Table for NodeSegment {
             words: copy_vec(&self.words, &mut copied),
             bits: copy_vec(&self.bits, &mut copied),
             n_bits: self.n_bits,
+            postings: copy_vec(&self.postings, &mut copied),
         };
         (copy, copied)
     }
@@ -571,6 +578,8 @@ impl Table for NodeSegment {
         self.temporal.shrink_to_fit();
         self.words.shrink_to_fit();
         self.bits.shrink_to_fit();
+        self.postings.sort_unstable();
+        self.postings.shrink_to_fit();
     }
 
     fn resident(&self, census: &mut Resident) {
@@ -578,6 +587,7 @@ impl Table for NodeSegment {
         census.add("temporal", vec_bytes(&self.temporal));
         census.add("region cells", vec_bytes(&self.words));
         census.add("member bits", vec_bytes(&self.bits));
+        census.add("postings", vec_bytes(&self.postings));
     }
 }
 
@@ -591,15 +601,10 @@ pub struct Stiu {
     /// The grid cells of every edge of the network: derived, and shared
     /// by every copy of the index.
     pub(crate) edges: Arc<EdgeCells>,
-    /// One node per compressed trajectory (same order), in segments so
-    /// a live publish shares the sealed ones by pointer (see
-    /// [`crate::segment`]).
+    /// One node per compressed trajectory (same order), with their
+    /// interval postings, in segments so a live publish shares the
+    /// sealed ones by pointer (see [`crate::segment`]).
     pub trajs: Nodes,
-    /// Interval index → trajectory indices with samples in the
-    /// interval, segmented per trajectory chunk so a batch extends the
-    /// tail segment without rewriting the postings of untouched
-    /// intervals.
-    pub interval_trajs: IntervalMap,
 }
 
 impl Stiu {
@@ -621,11 +626,26 @@ impl Stiu {
         (s, t)
     }
 
-    /// Trajectories with a temporal tuple in `t`'s interval, ascending
-    /// by position (merged across the interval map's segments).
+    /// Trajectories registered under `t`'s interval (any between their
+    /// first and last sample), ascending by position: each segment's
+    /// postings in segment order.
     pub fn trajs_in_interval(&self, t: i64) -> Vec<u32> {
-        self.interval_trajs
-            .postings(t.div_euclid(self.params.partition_s))
+        let interval = t.div_euclid(self.params.partition_s);
+        let segs = self.trajs.segments();
+        segs.flat_map(|seg| seg.postings(interval)).collect()
+    }
+
+    /// The distinct intervals any trajectory is registered under,
+    /// ascending (`trajs_in_interval` of `k * partition_s` lists
+    /// interval `k`).
+    pub fn intervals(&self) -> Vec<i64> {
+        let segs = self.trajs.segments();
+        let mut keys: Vec<i64> = segs
+            .flat_map(|seg| seg.postings.iter().map(|p| p.0))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 }
 
@@ -771,31 +791,33 @@ impl Stiu {
         if params.partition_s <= 0 || params.grid_n == 0 || params.grid_n > MAX_GRID_N {
             return Err(Error::CorruptStore("index parameters out of range"));
         }
+        Ok(Self::over(net, params))
+    }
+
+    /// [`Stiu::new`] for parameters known to be in range.
+    pub(crate) fn over(net: &RoadNetwork, params: StiuParams) -> Self {
         let grid = Grid::over_network(net, params.grid_n);
         let edges = Arc::new(EdgeCells::new(net, &grid));
-        Ok(Stiu {
+        Stiu {
             params,
             grid,
             edges,
             trajs: Nodes::default(),
-            interval_trajs: IntervalMap::new(),
-        })
+        }
     }
 
     /// An index with this one's parameters, grid and edge cells and no
     /// node: what a batch is indexed against while this one grows.
     pub(crate) fn blank(&self) -> Self {
-        let (trajs, interval_trajs) = (Nodes::default(), IntervalMap::new());
         Stiu {
-            trajs,
-            interval_trajs,
+            trajs: Nodes::default(),
             ..self.clone()
         }
     }
 
-    /// Appends the node [`build_node`] built for the next trajectory and
-    /// merges its temporal postings into the interval map in place — the
-    /// incremental-ingest path: nothing previously indexed is touched.
+    /// Appends the node [`build_node`] built for the next trajectory, and
+    /// its postings — the incremental-ingest path: nothing previously
+    /// indexed is touched.
     ///
     /// The trajectory's position must equal `self.trajs.len()` in the
     /// owning [`CompressedDataset`]'s trajectories. After an error the
@@ -809,32 +831,30 @@ impl Stiu {
     }
 
     /// Appends one node, whose tuples `fill` (given the grid) pushes onto
-    /// the tables of the tail segment, and registers it in every interval between its
-    /// first and last temporal tuple — including sample-free gap
-    /// intervals, which the trajectory may still cross (a span of
-    /// [`MAX_SPAN_PARTITIONS`] or more is refused). The interval postings
-    /// are a pure function of the nodes, which is why containers do not
-    /// store them.
+    /// the tables of the tail segment, and posts it under every interval
+    /// between its first and last temporal tuple — including sample-free
+    /// gap intervals, which the trajectory may still cross (a span of
+    /// [`MAX_SPAN_PARTITIONS`] or more is refused). The postings are a
+    /// pure function of the nodes, which is why containers do not store
+    /// them.
     pub(crate) fn append_node<E: From<Error>>(
         &mut self,
         fill: impl FnOnce(&mut NodeSegment, &Grid) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut span = None;
+        let j = offset(self.trajs.len())?;
         self.trajs.append(|seg| {
             fill(seg, &self.grid)?;
-            span = seg.open().span(&self.params);
-            // One crafted tuple must not register the node under an
-            // unbounded run of partitions.
-            if span.is_some_and(|(first, last)| last.abs_diff(first) >= MAX_SPAN_PARTITIONS) {
-                return Err(Error::CorruptStore("temporal span too long").into());
+            if let Some((first, last)) = seg.open().span(&self.params) {
+                // One crafted tuple must not post the node under an
+                // unbounded run of partitions.
+                if last.abs_diff(first) >= MAX_SPAN_PARTITIONS {
+                    return Err(Error::CorruptStore("temporal span too long").into());
+                }
+                seg.postings
+                    .extend((first..=last).map(|interval| (interval, j)));
             }
             seg.close().map_err(E::from)
-        })?;
-        if let Some((first, last)) = span {
-            let j = self.trajs.len() as u32 - 1;
-            self.interval_trajs.register(j, first, last);
-        }
-        Ok(())
+        })
     }
 }
 
@@ -926,6 +946,22 @@ mod tests {
     use crate::compress::compress_dataset;
     use crate::params::CompressParams;
     use utcq_traj::paper_fixture;
+
+    impl Nodes {
+        /// Appends a node: `temporal` as its temporal tuples, the region
+        /// words and membership bits of `regions` as its own, and no
+        /// postings ([`Stiu::append_node`] posts an index's nodes).
+        pub(crate) fn push(
+            &mut self,
+            temporal: &[TemporalTuple],
+            regions: TrajIndex<'_>,
+        ) -> Result<(), Error> {
+            self.append(|seg| {
+                seg.extend(temporal, regions);
+                seg.close()
+            })
+        }
+    }
 
     fn paper_store() -> (utcq_network::RoadNetwork, Dataset, CompressedDataset) {
         let fx = paper_fixture::build();
@@ -1020,6 +1056,84 @@ mod tests {
         assert!(stiu
             .trajs_in_interval(paper_fixture::hms(9, 0, 0))
             .is_empty());
+    }
+
+    /// Posts a bare node under `first..=last` (its temporal tuples'
+    /// intervals).
+    fn post(stiu: &mut Stiu, (first, last): (i64, i64)) {
+        let ps = stiu.params.partition_s;
+        let tuple = |k: i64| TemporalTuple {
+            start: k * ps,
+            no: 0,
+            pos: 0,
+        };
+        let fill = |seg: &mut NodeSegment, _: &Grid| {
+            seg.temporal.extend([tuple(first), tuple(last)]);
+            Ok::<_, Error>(())
+        };
+        stiu.append_node(fill).unwrap();
+    }
+
+    /// An index of `n` bare nodes, node `j` posted under `span(j)`.
+    fn posted(n: u32, span: impl Fn(u32) -> (i64, i64)) -> Stiu {
+        let (net, ..) = paper_store();
+        let mut stiu = Stiu::new(&net, StiuParams::default()).unwrap();
+        (0..n).for_each(|j| post(&mut stiu, span(j)));
+        stiu
+    }
+
+    #[test]
+    fn interval_postings_merge_across_sealed_segments_and_the_tail() {
+        let n = CHUNK as u32 + 50;
+        let stiu = posted(n, |j| (i64::from(j % 5), i64::from(j % 5) + 1));
+        let mut merged = std::collections::BTreeMap::<i64, Vec<u32>>::new();
+        for j in 0..n {
+            let k = i64::from(j % 5);
+            merged.entry(k).or_default().push(j);
+            merged.entry(k + 1).or_default().push(j);
+        }
+        assert_eq!(stiu.trajs.segments().count(), 2);
+        assert_eq!(stiu.intervals(), Vec::from_iter(merged.keys().copied()));
+        let ps = stiu.params.partition_s;
+        for (&k, v) in &merged {
+            assert_eq!(&stiu.trajs_in_interval(k * ps + 1), v, "interval {k}");
+        }
+        assert!(stiu.trajs_in_interval(999 * ps).is_empty());
+    }
+
+    #[test]
+    fn interval_union_matches_the_per_key_merge() {
+        let n = 2 * CHUNK as u32 + 77;
+        let stiu = posted(n, |j| (i64::from(j % 7), i64::from(j % 7) + 2));
+        let ps = stiu.params.partition_s;
+        for (first, last) in [(0i64, 0i64), (0, 3), (2, 8), (-5, -1), (5, 40)] {
+            let crosses = |j: &u32| (first - 2..=last).contains(&i64::from(j % 7));
+            let expect = Vec::from_iter((0..n).filter(crosses));
+            let mut got =
+                Vec::from_iter((first..=last).flat_map(|k| stiu.trajs_in_interval(k * ps)));
+            got.sort_unstable();
+            got.dedup();
+            assert_eq!(got, expect, "union {first}..={last}");
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_sealed_postings_and_copies_the_tail_once() {
+        let mut a = posted(CHUNK as u32 + 10, |_| (0, 0));
+        let b = a.clone();
+        let segs = |s: &Stiu| Vec::from_iter(s.trajs.segments().map(std::ptr::from_ref));
+        post(&mut a, (0, 0));
+        let tail = segs(&a)[1];
+        post(&mut a, (0, 0));
+        let (sa, sb) = (segs(&a), segs(&b));
+        assert_eq!(sa[0], sb[0], "sealed: shared");
+        assert!(sa[1] != sb[1] && sa[1] == tail, "tail: copied once");
+        assert_eq!(
+            b.trajs_in_interval(0).len(),
+            CHUNK + 10,
+            "the clone is unaffected"
+        );
+        assert_eq!(a.trajs_in_interval(0).len(), CHUNK + 12);
     }
 
     #[test]

@@ -1196,8 +1196,8 @@ mod tests {
         // and 8 B non-reference rows they took ~361 B per trajectory;
         // as one word per group cell and one bit per non-reference cell,
         // ~41. Counted on the sealed segment, whose tables hold no spare
-        // capacity (the tail's is growth room): all of it but the
-        // temporal tuples and the offsets.
+        // capacity (the tail's is growth room): its region words and
+        // membership bits.
         use crate::segment::{Resident, Table, CHUNK};
         let (_, _, stiu) = cd_sample();
         let mut census = Resident::default();
@@ -1205,7 +1205,7 @@ mod tests {
         let region = census
             .0
             .iter()
-            .filter(|(part, _)| !["temporal", "offset tables"].contains(part));
+            .filter(|(part, _)| ["region cells", "member bits"].contains(part));
         let per_traj = region.map(|(_, bytes)| bytes).sum::<usize>() as f64 / CHUNK as f64;
         assert!(
             per_traj <= 48.0,

@@ -11,15 +11,18 @@
 //! All read state is one immutable [`Snapshot`] behind an `Arc`: every
 //! partition at one epoch and the store's one id map, id → (partition,
 //! position); every query pins it, and [`Store::snapshot`] hands it out
-//! as a read view. A [`Store::ingest`] compresses and indexes a batch's
-//! trajectories on every core and appends them, in batch order, to
-//! private clones of their partitions, then publishes the next epoch
-//! with one swap; untouched partitions keep their `Arc`s.
-//! Queries never take the writer lock, and a published store is
-//! byte-identical to an offline [`StoreBuilder`] build of the same
-//! batches (`tests/live_ingest.rs`). The read surface is [`QueryTarget`]
-//! (import it to query a `Store`); ingest and durability are inherent
-//! methods (written in `live.rs`).
+//! as a read view. A store grows by one step, `Snapshot::extend`: it
+//! compresses and indexes a batch's trajectories on every core and
+//! appends them, in batch order, to the partitions they are routed to.
+//! A [`StoreBuilder`] runs it on the epoch-0 snapshot it alone holds; a
+//! [`Store::ingest`] runs it on a copy of the current snapshot (the
+//! partitions it writes become private clones, untouched ones keep
+//! their `Arc`s), then logs the batch, stamps the epoch and publishes
+//! with one swap. Queries never take the writer lock, and a published
+//! store is byte-identical to an offline [`StoreBuilder`] build of the
+//! same batches (`tests/live_ingest.rs`). The read surface is
+//! [`QueryTarget`] (import it to query a `Store`); ingest and durability
+//! are inherent methods (written in `live.rs`).
 //!
 //! Each partition brings its query plans ([`crate::plan::TrajPlan`]);
 //! the store has one decode cache ([`crate::cache::DecodeCache`]) with
@@ -28,7 +31,6 @@
 //! what it superseded, once; the complete match sets of range queries
 //! are keyed by the store's epoch.
 
-use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
@@ -39,14 +41,14 @@ use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
 use crate::chunk::SharedIdMap;
-use crate::compress::Ratios;
+use crate::compress::{CompressedDataset, Ratios};
 use crate::error::Error;
 use crate::live::{Held, WriterCore};
 use crate::opened::{policy_label, summed_sizes, InfoReport};
 use crate::params::CompressParams;
-use crate::query::{par_in_order, Page, PageRequest, QueryTarget, WhenHit, WhereHit};
+use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::shard::{check_shard_count, ShardPolicy, ShardSpec};
-use crate::snapshot::{prepare, Partition, PartitionState, Prepared, Routing, Snapshot, Swap};
+use crate::snapshot::{Partition, Routing, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
 use crate::storage::{self, StorageError, VERSION_V3};
 
@@ -74,101 +76,11 @@ pub struct Store {
     pub(crate) core: WriterCore,
 }
 
-/// What the builder and the live path check before routing any of a
-/// batch: each edge exists, each trajectory is well-formed on `net`
-/// ([`UncertainTrajectory::validate`]), and the interval is the store's.
-fn check_batch(net: &RoadNetwork, interval: i64, batch: &Dataset) -> Result<(), Error> {
-    let edges = net.edge_count();
-    for (at, tu) in batch.trajectories.iter().enumerate() {
-        let invalid = |detail| Error::InvalidTrajectory { at, detail };
-        // Bounds come first: the validator assumes edge ids resolve.
-        let path = tu.instances.iter().flat_map(|inst| &inst.path);
-        if let Some(e) = path.into_iter().find(|e| e.0 as usize >= edges) {
-            let detail = format!("edge {} does not exist (network has {edges} edges)", e.0);
-            return Err(invalid(detail));
-        }
-        tu.validate(net).map_err(invalid)?;
-    }
-    if batch.default_interval != interval {
-        return Err(Error::IntervalMismatch {
-            expected: interval,
-            got: batch.default_interval,
-        });
-    }
-    Ok(())
-}
-
-/// The one duplicate check: a batch may not repeat an id, nor name one
-/// the store's id map holds.
-fn check_new_ids(ids: &SharedIdMap, batch: &Dataset) -> Result<(), Error> {
-    let mut seen = HashSet::with_capacity(batch.trajectories.len());
-    for tu in &batch.trajectories {
-        if ids.contains(tu.id) || !seen.insert(tu.id) {
-            return Err(Error::DuplicateTrajectory(tu.id));
-        }
-    }
-    Ok(())
-}
-
-/// The partition among `n` that `policy` places `tu` on (0 without a
-/// policy).
-fn route(
-    policy: Option<&dyn ShardPolicy>,
-    net: &RoadNetwork,
-    tu: &UncertainTrajectory,
-    n: u32,
-) -> Result<u32, Error> {
-    match policy.map_or(0, |p| p.route(net, tu, n)) {
-        s if s < n => Ok(s),
-        _ => Err(Error::ShardConfig("policy routed past the shard count")),
-    }
-}
-
-/// The partition among `n` that `policy` places each of `tus` on.
-fn routes(
-    policy: Option<&dyn ShardPolicy>,
-    net: &RoadNetwork,
-    tus: &[UncertainTrajectory],
-    n: u32,
-) -> Result<Vec<u32>, Error> {
-    tus.iter().map(|tu| route(policy, net, tu, n)).collect()
-}
-
-/// Runs a checked batch `tus` through the one per-trajectory path of
-/// every ingest: [`prepare`] on the work queue against `index`'s grid,
-/// then, on the calling thread and in batch order, `append` to the
-/// partition `routes` names, which returns the trajectory's position
-/// there for `ids`. Fails with the first error in batch order.
-fn ingest_in_order(
-    net: &RoadNetwork,
-    params: &CompressParams,
-    index: &Stiu,
-    tus: &[UncertainTrajectory],
-    routes: &[u32],
-    ids: &mut SharedIdMap,
-    mut append: impl FnMut(u32, &Prepared) -> Result<u32, Error>,
-) -> Result<(), Error> {
-    let missing = || Error::CorruptStore("trajectory past the batch");
-    par_in_order(
-        tus.len(),
-        |i| {
-            let tu = tus.get(i).ok_or_else(missing)?;
-            prepare(net, params, index, tu)
-        },
-        |i, prepared| {
-            let (tu, &s) = tus.get(i).zip(routes.get(i)).ok_or_else(missing)?;
-            let j = append(s, prepared)?;
-            ids.insert(tu.id, (s, j));
-            Ok(())
-        },
-    )
-}
-
 /// Incremental construction of a [`Store`]: each `ingest` compresses and
 /// indexes only the new batch, and ingest order does not change answers
-/// (`tests/store_roundtrip.rs`). The finished store keeps accepting
-/// batches through [`Store::ingest`], which runs the same
-/// per-trajectory path.
+/// (`tests/store_roundtrip.rs`). The builder grows an epoch-0
+/// [`Snapshot`] by the step [`Store::ingest`] publishes with, so the
+/// finished store keeps accepting batches exactly as it was built.
 ///
 /// ```no_run
 /// # fn demo(net: std::sync::Arc<utcq_network::RoadNetwork>,
@@ -185,31 +97,37 @@ fn ingest_in_order(
 /// # }
 /// ```
 pub struct StoreBuilder {
-    net: Arc<RoadNetwork>,
-    params: CompressParams,
+    /// The store being built, held by nothing else.
+    snapshot: Snapshot,
+    /// Applied with the first trajectory ([`StoreBuilder::stiu_params`]).
     stiu_params: StiuParams,
+    /// Applied by [`StoreBuilder::finish`].
     name: Option<String>,
-    /// One state per partition.
-    parts: Vec<PartitionState>,
-    /// The finished store's id map, extended per batch.
-    ids: SharedIdMap,
-    /// Set by [`StoreBuilder::shard_by`].
-    policy: Option<Arc<dyn ShardPolicy>>,
     cache_bytes: usize,
 }
 
 impl StoreBuilder {
     /// A one-partition builder with default index parameters.
     pub fn new(net: Arc<RoadNetwork>, params: CompressParams) -> Self {
-        let parts = vec![PartitionState::new(&net, params)];
-        Self {
+        let stiu_params = StiuParams::default();
+        let part = Partition {
+            cds: CompressedDataset::empty(&net, "", params),
+            stiu: Stiu::over(&net, stiu_params),
+            cache: Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES)),
             net,
-            params,
-            stiu_params: StiuParams::default(),
-            name: None,
-            parts,
+            partition: 0,
+            epoch: 0,
+        };
+        let snapshot = Snapshot {
+            epoch: 0,
+            parts: vec![Arc::new(part)],
             ids: SharedIdMap::new(),
-            policy: None,
+            routing: Routing::Single,
+        };
+        Self {
+            snapshot,
+            stiu_params,
+            name: None,
             cache_bytes: DEFAULT_CACHE_BYTES,
         }
     }
@@ -226,7 +144,7 @@ impl StoreBuilder {
     /// called before the first [`ingest`](Self::ingest); afterwards the
     /// grid is already fixed and the call is ignored.
     pub fn stiu_params(mut self, p: StiuParams) -> Self {
-        if self.parts.iter().all(|part| part.stiu.is_none()) {
+        if self.snapshot.is_empty() {
             self.stiu_params = p;
         }
         self
@@ -244,74 +162,62 @@ impl StoreBuilder {
     /// every partition. A call after the first [`ingest`](Self::ingest)
     /// fails with [`Error::ShardConfig`].
     pub fn shard_by(mut self, policy: Arc<dyn ShardPolicy>, n_shards: u32) -> Result<Self, Error> {
-        if self.parts.iter().any(PartitionState::has_ingested) {
+        if !self.snapshot.is_empty() {
             return Err(Error::ShardConfig("shard_by after the first ingest"));
         }
         check_shard_count(n_shards as usize)?;
-        let fresh = |_| PartitionState::new(&self.net, self.params);
-        self.parts = (0..n_shards).map(fresh).collect();
-        self.policy = Some(policy);
+        // An empty partition, which may have adopted a batch's name.
+        let first = self.snapshot.first();
+        let fresh = |partition| {
+            Arc::new(Partition {
+                partition,
+                ..first.clone()
+            })
+        };
+        self.snapshot.parts = (0..n_shards).map(fresh).collect();
+        self.snapshot.routing = Routing::Policy(Some(policy));
         Ok(self)
+    }
+
+    /// Gives every partition an index with the builder's parameters
+    /// while none holds a trajectory yet.
+    fn fix_index(&mut self) -> Result<(), Error> {
+        let first = self.snapshot.first();
+        if first.stiu.params == self.stiu_params {
+            return Ok(());
+        }
+        let index = Stiu::new(&first.net, self.stiu_params)?;
+        for part in &mut self.snapshot.parts {
+            Arc::make_mut(part).stiu = index.blank();
+        }
+        Ok(())
     }
 
     /// Compresses and indexes one batch of trajectories into their
-    /// partitions, appending to whatever was ingested before: the
-    /// trajectories compress on the work queue and are appended in batch
-    /// order. A batch that repeats an id, or names one ingested before,
-    /// fails with [`Error::DuplicateTrajectory`] before any of it is
-    /// compressed.
+    /// partitions, appending to whatever was ingested before, by the
+    /// step of [`Store::ingest`]: the trajectories compress on the work
+    /// queue and are appended in batch order. A batch that repeats an
+    /// id, or names one ingested before, fails with
+    /// [`Error::DuplicateTrajectory`] before any of it is compressed.
     pub fn ingest(mut self, batch: &Dataset) -> Result<Self, Error> {
-        check_batch(&self.net, self.params.default_interval, batch)?;
-        check_new_ids(&self.ids, batch)?;
-        if self.name.is_none() && !batch.name.is_empty() {
-            self.name = Some(batch.name.clone());
+        if !batch.trajectories.is_empty() {
+            self.fix_index()?;
         }
-        let tus = &batch.trajectories;
-        if tus.is_empty() {
-            return Ok(self);
-        }
-        let n = self.parts.len() as u32;
-        let routes = routes(self.policy.as_deref(), &self.net, tus, n)?;
-        // Every partition gets its index with the first trajectory; the
-        // index parameters, grid and edge cells are fixed from then on.
-        let index = match self.parts.iter().find_map(|part| part.stiu.as_ref()) {
-            Some(stiu) => stiu.blank(),
-            None => Stiu::new(&self.net, self.stiu_params)?,
-        };
-        for part in &mut self.parts {
-            part.stiu.get_or_insert_with(|| index.blank());
-        }
-        let parts = &mut self.parts;
-        let missing = || Error::CorruptStore("routed past the partitions");
-        ingest_in_order(
-            &self.net,
-            &self.params,
-            &index,
-            tus,
-            &routes,
-            &mut self.ids,
-            |s, p| parts.get_mut(s as usize).ok_or_else(missing)?.append(p),
-        )?;
+        self.snapshot.extend(batch)?;
         Ok(self)
     }
 
-    /// Freezes every partition as epoch 0 and assembles the store.
-    /// Attach a write-ahead log afterwards with [`Store::attach_wal`].
-    pub fn finish(self) -> Result<Store, Error> {
-        let name = self.name.unwrap_or_default();
-        let cache = Arc::new(DecodeCache::with_budget(self.cache_bytes));
-        // Not `collect`: it would keep the states' far larger buffer.
-        let mut parts = Vec::with_capacity(self.parts.len());
-        for (p, mut state) in (0..).zip(self.parts) {
-            state.cds.name = name.clone();
-            let (net, cache) = (Arc::clone(&self.net), Arc::clone(&cache));
-            let index = || Stiu::new(&self.net, self.stiu_params);
-            parts.push(Arc::new(state.into_partition(net, index, cache, p, 0)?));
+    /// Applies the options and assembles the store at epoch 0. Attach a
+    /// write-ahead log afterwards with [`Store::attach_wal`].
+    pub fn finish(mut self) -> Result<Store, Error> {
+        self.fix_index()?;
+        if let Some(name) = &self.name {
+            for part in &mut self.snapshot.parts {
+                Arc::make_mut(part).cds.name.clone_from(name);
+            }
         }
-        let routing = self
-            .policy
-            .map_or(Routing::Single, |p| Routing::Policy(Some(p)));
-        Store::assemble(parts, self.ids, routing)
+        self.snapshot.set_cache_bytes(self.cache_bytes);
+        Store::assemble(self.snapshot)
     }
 }
 
@@ -395,19 +301,15 @@ impl Store {
             .finish()
     }
 
-    /// A store over epoch-0 partitions, in partition order, all reading
-    /// through one decode cache, and their id map. The partitions share
-    /// one road network (compared structurally, not by counts) and one
-    /// [`StiuParams`], so the range scan merges their interval keys and
-    /// resolves a query's cells once.
-    fn assemble(
-        parts: Vec<Arc<Partition>>,
-        ids: SharedIdMap,
-        routing: Routing,
-    ) -> Result<Self, Error> {
-        check_shard_count(parts.len())?;
+    /// A store over an epoch-0 snapshot, whose partitions all read
+    /// through one decode cache. The partitions share one road network
+    /// (compared structurally, not by counts) and one [`StiuParams`], so
+    /// the range scan merges their interval keys and resolves a query's
+    /// cells once.
+    fn assemble(state: Snapshot) -> Result<Self, Error> {
+        check_shard_count(state.parts.len())?;
         // bounds: windows(2) yields exactly-2-element slices
-        for w in parts.windows(2) {
+        for w in state.parts.windows(2) {
             let (a, b) = (&w[0], &w[1]);
             if !Arc::ptr_eq(&a.net, &b.net) && a.net != b.net {
                 return Err(Error::CorruptStore("shards embed different networks"));
@@ -416,14 +318,8 @@ impl Store {
                 return Err(Error::CorruptStore("shards disagree on StIU parameters"));
             }
         }
-        let first = &parts[0]; // bounds: check_shard_count rejects zero partitions
+        let first = state.first();
         let (net, cache) = (Arc::clone(&first.net), Arc::clone(&first.cache));
-        let state = Snapshot {
-            epoch: 0,
-            parts,
-            ids,
-            routing,
-        };
         Ok(Self {
             net,
             cache,
@@ -435,7 +331,12 @@ impl Store {
     /// [`Store::assemble`] over opened partitions, deriving their id map.
     fn opened(parts: Vec<Arc<Partition>>, routing: Routing) -> Result<Self, Error> {
         let ids = derive_ids(&parts)?;
-        Self::assemble(parts, ids, routing)
+        Self::assemble(Snapshot {
+            epoch: 0,
+            parts,
+            ids,
+            routing,
+        })
     }
 
     /// Opens a container: a v7 one as one partition, a sharded v3 one as
@@ -675,57 +576,22 @@ impl Store {
     }
 
     /// Compresses, indexes and publishes `batch` as the next epoch with
-    /// the writer lock held. Checks the batch and its ids against the id
-    /// map and routes it; the trajectories then compress on the shared
-    /// work queue and are appended, in batch order, to private copies of
-    /// their partitions. Only when **every** trajectory compressed is the
-    /// batch logged (`WriterCore::log`) and one new snapshot swapped in,
-    /// so batches are all-or-nothing across partitions; a batch that
-    /// changes nothing reports the current epoch. A store reopened from a
-    /// custom-policy container cannot route: [`Error::ShardConfig`].
+    /// the writer lock held: extends a copy of the current snapshot
+    /// ([`Snapshot::extend`], the step [`StoreBuilder::ingest`] runs
+    /// too). Only when **every** trajectory compressed is the batch
+    /// logged (`WriterCore::log`), the copy and the partitions it wrote
+    /// stamped with the epoch the log allocated, and the copy swapped
+    /// in, so batches are all-or-nothing across partitions; a batch that
+    /// changes nothing reports the current epoch.
     pub(crate) fn publish_locked(
         &self,
         held: &Held<'_>,
         batch: &Dataset,
     ) -> Result<IngestReport, Error> {
         let state = self.state.load();
-        check_batch(&self.net, self.default_interval(), batch)?;
-        let policy =
-            match &state.routing {
-                Routing::Single => None,
-                Routing::Policy(Some(policy)) => Some(policy.as_ref()),
-                Routing::Policy(None) => return Err(Error::ShardConfig(
-                    "live ingest needs a routing policy (custom-policy containers are read-only)",
-                )),
-            };
-        check_new_ids(&state.ids, batch)?;
-        let tus = &batch.trajectories;
-        let routes = routes(policy, &self.net, tus, state.parts.len() as u32)?;
-        crate::hooks::point("snapshot.prepare");
-        let first = state
-            .parts
-            .first()
-            .ok_or(Error::CorruptStore("a store without partitions"))?;
-        let mut next: Vec<Option<PartitionState>> = (0u32..)
-            .zip(&state.parts)
-            .map(|(p, part)| part.writable(&batch.name, routes.contains(&p)))
-            .collect();
-        let mut ids = state.ids.clone();
-        let missing = || Error::CorruptStore("routed past the partitions");
+        let mut next = Snapshot::clone(&state);
         // An error returns here with nothing published.
-        ingest_in_order(
-            &self.net,
-            &first.cds.params,
-            &first.stiu,
-            tus,
-            &routes,
-            &mut ids,
-            |s, p| {
-                let share = next.get_mut(s as usize).and_then(Option::as_mut);
-                share.ok_or_else(missing)?.append(p)
-            },
-        )?;
-        if next.iter().all(Option::is_none) {
+        if !next.extend(batch)? {
             return Ok(IngestReport {
                 ingested: 0,
                 total: state.len(),
@@ -735,20 +601,13 @@ impl Store {
         // The batch will publish: log it first, so that a crash from
         // here on replays it under the epoch allocated here.
         let epoch = self.core.log(held, batch)?;
-        let parts: Vec<Arc<Partition>> = (state.parts.iter())
-            .zip(next)
-            .map(|(cur, p)| match p {
-                Some(next) => Arc::new(cur.successor(next, epoch)),
-                None => Arc::clone(cur),
-            })
-            .collect();
-        let epochs: Vec<u64> = parts.iter().map(|part| part.epoch()).collect();
-        let next = Snapshot {
-            epoch,
-            parts,
-            ids,
-            routing: state.routing.clone(),
-        };
+        next.epoch = epoch;
+        for (part, cur) in next.parts.iter_mut().zip(&state.parts) {
+            if !Arc::ptr_eq(part, cur) {
+                Arc::make_mut(part).epoch = epoch;
+            }
+        }
+        let epochs: Vec<u64> = next.parts.iter().map(|part| part.epoch()).collect();
         let total = next.len();
         self.state.store(Arc::new(next));
         // What the publish superseded: the moved partitions' entries and

@@ -315,11 +315,11 @@ fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what
         }
         let (a, b) = (a.stiu(), b.stiu());
         assert_eq!(a.params, b.params, "{what}");
-        let keys = a.interval_trajs.sorted_keys();
-        assert_eq!(keys, b.interval_trajs.sorted_keys(), "{what}: intervals");
-        for k in keys {
-            let (pa, pb) = (a.interval_trajs.postings(k), b.interval_trajs.postings(k));
-            assert_eq!(pa, pb, "{what}: interval {k}");
+        let keys = a.intervals();
+        assert_eq!(keys, b.intervals(), "{what}: intervals");
+        for t in keys.iter().map(|k| k * a.params.partition_s) {
+            let (pa, pb) = (a.trajs_in_interval(t), b.trajs_in_interval(t));
+            assert_eq!(pa, pb, "{what}: interval at {t}");
         }
     }
 }

@@ -627,10 +627,12 @@ fn read_dataset(
 /// they must be the ones just derived from the nodes, so a truncated or
 /// edited posting section still fails.
 fn check_v2_postings(r: &mut impl Read, stiu: &Stiu) -> Result<(), StorageError> {
-    let keys = stiu.interval_trajs.sorted_keys();
+    let keys = stiu.intervals();
     let mut same = read_u64(r)? == keys.len() as u64;
     for k in keys {
-        let derived = stiu.interval_trajs.postings(k);
+        // Interval `k`'s first second, or `i64::MIN` inside interval `k`
+        // when that second is before it.
+        let derived = stiu.trajs_in_interval(k.saturating_mul(stiu.params.partition_s));
         same = same && read_i64(r)? == k && read_u32(r)? as usize == derived.len();
         for j in derived {
             same = same && read_u32(r)? == j;

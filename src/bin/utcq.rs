@@ -711,9 +711,11 @@ fn audit_lint(root: &std::path::Path) -> Result<(), String> {
     }
     if report.is_clean() {
         println!(
-            "lint: {} file(s) clean, {} of them hot-path",
+            "lint: {} file(s) clean, {} of them hot-path; crates/core/src: {} lines, {} pub declarations",
             report.files.len(),
-            report.hot
+            report.hot,
+            report.core_lines,
+            report.core_pub
         );
         Ok(())
     } else {

@@ -175,15 +175,16 @@ fn all_versions_open_and_agree() {
 /// postings (u64 key count; per key i64, u32 count, u32 positions):
 /// sized from the opened store, they locate the nodes from the end.
 fn v2_nodes_at(bytes: &[u8], snap: &Partition) -> usize {
-    let (nodes, postings) = (&snap.stiu().trajs, &snap.stiu().interval_trajs);
-    let keys = postings.sorted_keys();
-    let per_key = keys.iter().map(|&k| 12 + 4 * postings.postings(k).len());
+    let stiu = snap.stiu();
+    let keys = stiu.intervals();
+    let postings = |k: i64| stiu.trajs_in_interval(k * stiu.params.partition_s);
+    let per_key = keys.iter().map(|&k| 12 + 4 * postings(k).len());
     let postings_len = 8 + per_key.sum::<usize>();
     let node_len = |n: TrajIndex<'_>| {
         let (refs, nrefs) = n.tuple_counts();
         12 + 16 * n.temporal.len() + 37 * refs + 20 * nrefs
     };
-    bytes.len() - postings_len - nodes.iter().map(node_len).sum::<usize>()
+    bytes.len() - postings_len - stiu.trajs.iter().map(node_len).sum::<usize>()
 }
 
 #[test]

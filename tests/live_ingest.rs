@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::storage::{self, ShardDirectory, VERSION_V3};
+use utcq::core::wal::Wal;
 use utcq::core::{
     CompressParams, Error, Page, PageRequest, QueryTarget, RangeQuery, StiuParams, Store,
-    StoreBuilder,
+    StoreBuilder, WalConfig,
 };
 use utcq::datagen::{generate_network, generate_on_network, GenOptions};
 use utcq::network::{EdgeId, Rect, RoadNetwork};
@@ -188,6 +189,44 @@ fn sharded_live_ingest_matches_offline_build_byte_for_byte() {
     // And the container reopens with everything routed.
     let reopened = Store::read(&mut live_bytes.as_slice()).unwrap();
     assert_eq!(reopened.len(), 9);
+}
+
+#[test]
+fn options_set_after_the_first_ingest_apply_to_an_epoch_zero_store() {
+    // The builder grows its store by the live publish step at epoch 0:
+    // `name` and `cache_bytes` still apply at `finish`, nothing it built
+    // carries an epoch, and the first live batch publishes and logs 1.
+    let (net, mut parts) = batches(48, 17);
+    let mut late = parts[2].clone();
+    late.trajectories = parts[2].trajectories.split_off(8);
+    let dir = std::env::temp_dir().join(format!("utcq-live-opts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for n in [1, 3] {
+        let mut b = StoreBuilder::new(Arc::clone(&net), params(&late)).stiu_params(STIU);
+        if n > 1 {
+            b = b.shard_by(Arc::new(ByTime { interval_s: 600 }), n).unwrap();
+        }
+        let b = b
+            .ingest(&parts[0])
+            .unwrap()
+            .name("renamed")
+            .cache_bytes(12_345);
+        let store = b.ingest(&parts[1]).unwrap().ingest(&parts[2]).unwrap();
+        let store = store.finish().unwrap();
+        assert_eq!((store.cache_bytes(), store.epoch()), (12_345, 0), "{n}");
+        for part in store.snapshots() {
+            assert_eq!(
+                (part.compressed().name.as_str(), part.epoch()),
+                ("renamed", 0)
+            );
+        }
+        let log = dir.join(format!("{n}.wal"));
+        store.attach_wal(WalConfig::new(&log)).unwrap();
+        assert_eq!(store.ingest(&late).unwrap().epoch, 1, "{n}");
+        let (_, records) = Wal::open(&WalConfig::new(&log)).unwrap();
+        assert_eq!(Vec::from_iter(records.iter().map(|r| r.epoch)), [1], "{n}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -976,7 +1015,7 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
     let b = net.bounding_rect();
     let re = Rect::new(b.min_x, b.min_y, b.min_x + 0.6 * b.width(), b.max_y);
     let alpha = 0.3;
-    let keys = fresh.snapshots()[0].stiu().interval_trajs.sorted_keys();
+    let keys = fresh.snapshots()[0].stiu().intervals();
     assert!(keys.len() > 1, "the walk below must cross intervals");
     let queries: Vec<RangeQuery> = keys
         .iter()
