@@ -298,7 +298,9 @@ fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
 
 fn container_harness(fx: &Fixtures, bytes: &[u8]) {
     let _ = utcq_core::storage::load_full(&mut &bytes[..]);
-    let _ = utcq_core::storage::load_v3(&mut &bytes[..]);
+    let _ = utcq_core::storage::read_v3(&mut &bytes[..], |_, blob| {
+        utcq_core::storage::load_full(&mut { blob }).map(drop)
+    });
     // The full open path (header sniffing, snapshot build) via the
     // facade; a scratch file because `open` takes a path.
     if fs::write(&fx.scratch, bytes).is_ok() {

@@ -138,6 +138,20 @@ impl BitWriter {
         self.buf.truncate(self.len.div_ceil(8));
     }
 
+    /// The bits written so far, borrowed.
+    #[inline]
+    pub fn as_slice(&self) -> BitSlice<'_> {
+        BitSlice {
+            bytes: &self.buf,
+            len: self.len,
+        }
+    }
+
+    /// Bytes allocated for the stream, written or not.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Finalizes the stream.
     pub fn finish(self) -> BitBuf {
         BitBuf {

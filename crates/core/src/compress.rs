@@ -237,7 +237,7 @@ pub(crate) struct Compressed {
 }
 
 impl Compressed {
-    /// Compresses `tu` and packs it with its query plan.
+    /// Compresses `tu` and packs it as a one-trajectory segment.
     pub(crate) fn of(
         net: &RoadNetwork,
         tu: &UncertainTrajectory,

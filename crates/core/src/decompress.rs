@@ -76,18 +76,17 @@ pub fn decompress_trajectory(
     // A view's original indices are a permutation and its `ref_idx`s in
     // range: its segment checked both when the trajectory was appended.
     let mut instances: Vec<Option<Instance>> = vec![None; ct.instance_count()];
-    let mut decoded_refs = Vec::with_capacity(ct.refs.len());
-    for (i, cref) in ct.refs.iter().enumerate() {
+    let mut decoded_refs = Vec::with_capacity(ct.ref_count());
+    for (i, cref) in ct.refs().enumerate() {
         let dec = ct.decode_ref(i, w_e, &d_codec)?;
         let view = view_from_decoded(cref.sv, &dec, &d_codec, p_codec.dequantize(cref.p_code));
         instances[cref.orig_idx as usize] = Some(view.to_instance(net)?);
-        decoded_refs.push(dec);
+        decoded_refs.push((cref.sv, dec));
     }
-    for (i, cnref) in ct.nrefs.iter().enumerate() {
-        let cref = &ct.refs[cnref.ref_idx as usize];
-        let dref = &decoded_refs[cnref.ref_idx as usize];
+    for (i, cnref) in ct.nrefs().enumerate() {
+        let (sv, dref) = &decoded_refs[cnref.ref_idx as usize];
         let dec = ct.decode_nref(i, dref, w_e, &d_codec)?;
-        let view = view_from_decoded(cref.sv, &dec, &d_codec, p_codec.dequantize(cnref.p_code));
+        let view = view_from_decoded(*sv, &dec, &d_codec, p_codec.dequantize(cnref.p_code));
         instances[cnref.orig_idx as usize] = Some(view.to_instance(net)?);
     }
     Ok(UncertainTrajectory {

@@ -31,12 +31,13 @@
 //!   epoch) that memoizes decoded references, instances, time streams
 //!   and partial `bracket` time windows across queries, with hit/miss
 //!   statistics ([`cache::CacheStats`]);
-//! * [`plan`] — precomputed per-trajectory lookup tables
-//!   ([`plan::TrajPlan`]) that replace the query engine's per-call
-//!   linear scans and sorts;
+//! * [`plan`] — per-trajectory query plans ([`plan::TrajPlan`]: an
+//!   instance's slot, its probability, the probability order), derived
+//!   from the trajectory's role bits and probability codes;
 //! * [`segment`] — the in-memory form of a store: flat, append-only
-//!   tables per 1,024 trajectories behind `Arc`s (one stream arena, row
-//!   tables, plan columns; [`stiu`] keeps the index half), read through
+//!   tables per 1,024 trajectories behind `Arc`s (one row per
+//!   trajectory, a bit-packed framing string, one stream arena; [`stiu`]
+//!   keeps the index half), read through
 //!   borrowed views ([`segment::TrajView`]) and shared across epochs;
 //! * [`snapshot`] — the immutable, epoch-stamped read state every query
 //!   runs on: a [`Snapshot`] is the whole store at one epoch (its

@@ -1,34 +1,29 @@
-//! Precomputed per-trajectory query plans.
+//! Per-trajectory query plans, derived on demand.
 //!
-//! The query hot paths used to rediscover the same structural facts on
-//! every call: `instance_probs` rebuilt and re-sorted the
-//! `(orig_idx, probability)` list, `decode_instance_cached` located an
-//! instance's compressed slot with an O(refs + nrefs) linear scan, and
-//! `range_matches` re-sorted candidate members by probability for the
-//! Lemma 3 early-accept order. A plan computes each of those once — at
-//! `build`/`open`/`ingest` time — so queries reduce to slice lookups:
+//! The query hot paths need three structural facts about a trajectory's
+//! instances:
 //!
-//! * [`TrajPlan::slot`] — `orig_idx → ref/nref slot` in O(1);
+//! * [`TrajPlan::slot`] — `orig_idx → ref/nref slot`: the instance's
+//!   rank among the instances of its role bit;
 //! * [`TrajPlan::probs`] — dequantized probabilities in original
 //!   instance order (the *where* iteration order);
 //! * [`TrajPlan::by_prob_desc`] — instances ordered by descending
 //!   probability (the *range* Lemma 3 order; ties broken by `orig_idx`
 //!   so answers are deterministic).
 //!
-//! A plan is rows of a column, one [`PlanRow`] per instance, that each
-//! [`crate::segment::TrajSegment`] keeps beside its instance rows (and
-//! `prob_mass` in the trajectory's row); a [`TrajPlan`] borrows one
-//! trajectory's rows.
-//!
-//! Plans are validated at construction: every instance must occupy a
-//! distinct original position covering `0..instance_count` exactly, which
-//! is what the compressor emits. A container violating that is rejected
-//! when its trajectory is appended, instead of surfacing mid-query.
+//! A segment ([`crate::segment::TrajSegment`]) stores none of them: a
+//! [`TrajPlan`] reads them off the trajectory's framing record — its
+//! role bits (one per instance in original order) and its probability
+//! codes — and only [`TrajPlan::prob_mass`], the range scan's pruning
+//! bound, is kept in the trajectory's row. The compressor emits
+//! references, then non-references, each ascending in `orig_idx`, and a
+//! trajectory in any other order is refused when it is appended, so the
+//! role bits determine every slot.
 
 use utcq_bitio::pddp::PddpCodec;
 
 use crate::error::Error;
-use crate::segment::{NrefRow, RefRow, Trajectories};
+use crate::segment::{TrajView, Trajectories};
 
 /// Where an instance lives in the compressed trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,117 +34,83 @@ pub enum Slot {
     NRef(u32),
 }
 
-/// Marks a non-reference in [`PlanRow::slot`]; the other bits index.
-const NREF: u32 = 1 << 31;
-
-/// Row `i` of a trajectory's plan: two facts about instance `i` (by
-/// original index) and the `i`-th entry of the probability order.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanRow {
-    /// Dequantized probability of instance `i`.
-    prob: f64,
-    /// Slot of instance `i` ([`NREF`]-tagged; `u32::MAX` while unset).
-    slot: u32,
-    /// The instance ranked `i`-th by probability descending, `orig_idx`
-    /// ascending on ties.
-    ranked: u32,
-}
-
-/// Appends the plan rows of one compressed trajectory to `out`,
-/// validating that the original indices are a permutation of
-/// `0..instance_count`. Returns [`TrajPlan::prob_mass`].
-pub fn plan_rows(
-    refs: &[RefRow],
-    nrefs: &[NrefRow],
-    p_codec: &PddpCodec,
-    out: &mut Vec<PlanRow>,
-) -> Result<f64, Error> {
-    let (at, n) = (out.len(), refs.len() + nrefs.len());
-    if n >= NREF as usize {
-        return Err(Error::CorruptStore("too many instances"));
-    }
-    let unset = |ranked| PlanRow {
-        prob: 0.0,
-        slot: u32::MAX,
-        ranked,
-    };
-    out.extend((0..n as u32).map(unset));
-    let rows = &mut out[at..];
-    let instances = refs.iter().map(|r| (r.orig_idx, r.p_code));
-    let instances = instances.chain(nrefs.iter().map(|n| (n.orig_idx, n.p_code)));
-    let placed = instances
-        .enumerate()
-        .try_for_each(|(slot, (orig_idx, p_code))| {
-            let out_of_range = Error::CorruptStore("instance original index out of range");
-            let row = rows.get_mut(orig_idx as usize).ok_or(out_of_range)?;
-            if row.slot != u32::MAX {
-                return Err(Error::CorruptStore("duplicate instance original index"));
-            }
-            let nref = slot.checked_sub(refs.len());
-            row.slot = nref.map_or(slot as u32, |m| NREF | m as u32);
-            row.prob = p_codec.dequantize(p_code);
-            Ok(())
-        });
-    if let Err(refused) = placed {
-        out.truncate(at);
-        return Err(refused);
-    }
-    // Dense and no duplicates: every row is filled.
-    let mut ranked: Vec<u32> = (0..n as u32).collect();
-    ranked.sort_by(|&a, &b| {
-        let (pa, pb) = (rows[a as usize].prob, rows[b as usize].prob);
-        pb.total_cmp(&pa).then(a.cmp(&b))
-    });
-    for (row, orig_idx) in rows.iter_mut().zip(ranked) {
-        row.ranked = orig_idx;
-    }
-    Ok(rows.iter().map(|row| row.prob).sum())
-}
-
-/// The lookup tables of one trajectory, borrowed from its segment.
+/// The plan of one trajectory, read from its view with the dataset's
+/// probability codec.
 #[derive(Debug, Clone, Copy)]
 pub struct TrajPlan<'a> {
-    pub(crate) rows: &'a [PlanRow],
-    pub(crate) prob_mass: f64,
+    view: TrajView<'a>,
+    p_codec: PddpCodec,
 }
 
 impl<'a> TrajPlan<'a> {
-    /// Number of instances covered by the plan.
-    pub fn instance_count(&self) -> usize {
-        self.rows.len()
+    #[inline]
+    pub(crate) fn new(view: TrajView<'a>, p_codec: PddpCodec) -> Self {
+        Self { view, p_codec }
     }
 
-    fn row(&self, orig_idx: u32) -> Result<&'a PlanRow, Error> {
-        let missing = Error::CorruptStore("instance index not in refs or nrefs");
-        self.rows.get(orig_idx as usize).ok_or(missing)
+    /// Number of instances covered by the plan.
+    pub fn instance_count(&self) -> usize {
+        self.view.instance_count()
     }
 
     /// The compressed slot of instance `orig_idx`.
+    #[inline]
     pub fn slot(&self, orig_idx: u32) -> Result<Slot, Error> {
-        let slot = self.row(orig_idx)?.slot;
-        Ok(match slot & NREF {
-            0 => Slot::Ref(slot),
-            _ => Slot::NRef(slot & !NREF),
+        if orig_idx as usize >= self.instance_count() {
+            return Err(Error::CorruptStore("instance index not in refs or nrefs"));
+        }
+        let refs_before = self.view.rank(orig_idx);
+        Ok(match self.view.is_ref(orig_idx) {
+            true => Slot::Ref(refs_before),
+            false => Slot::NRef(orig_idx - refs_before),
         })
     }
 
     /// Dequantized probability of instance `orig_idx`.
+    #[inline]
     pub fn prob(&self, orig_idx: u32) -> Result<f64, Error> {
-        Ok(self.row(orig_idx)?.prob)
+        let code = self.view.p_code(self.slot(orig_idx)?);
+        Ok(self.p_codec.dequantize(code))
     }
 
     /// Probabilities in original instance order: the `i`-th is the
     /// probability of instance `i`.
+    #[inline]
     pub fn probs(&self) -> impl Iterator<Item = f64> + 'a {
-        self.rows.iter().map(|row| row.prob)
+        let (view, p_codec) = (self.view, self.p_codec);
+        // Instances seen so far per role: non-references, references.
+        let mut seen = [0, 0];
+        (0..view.instance_count() as u32).map(move |k| {
+            let is_ref = view.is_ref(k);
+            let i = &mut seen[usize::from(is_ref)]; // bounds: a bool indexes 2
+            let slot = if is_ref {
+                Slot::Ref(*i)
+            } else {
+                Slot::NRef(*i)
+            };
+            *i += 1;
+            p_codec.dequantize(view.p_code(slot))
+        })
     }
 
     /// `(orig_idx, prob)` by probability descending (ties: `orig_idx`
-    /// ascending).
-    pub fn by_prob_desc(&self) -> impl Iterator<Item = (u32, f64)> + Clone + 'a {
-        let rows = self.rows;
-        let prob = move |row: &PlanRow| Some((row.ranked, rows.get(row.ranked as usize)?.prob));
-        rows.iter().filter_map(prob)
+    /// ascending), sorted when asked for.
+    pub fn by_prob_desc(&self) -> Ranked {
+        let n = self.instance_count();
+        let mut ranked = Ranked {
+            stack: [(0, 0.0); STACK],
+            heap: Vec::new(),
+            len: n,
+        };
+        if n > STACK {
+            ranked.heap = vec![(0, 0.0); n];
+        }
+        let rows = ranked.as_mut_slice();
+        for (row, (k, p)) in rows.iter_mut().zip((0..).zip(self.probs())) {
+            *row = (k, p);
+        }
+        rows.sort_unstable_by(by_prob);
+        ranked
     }
 
     /// Σ of all instance probabilities, in original instance order — an
@@ -159,22 +120,81 @@ impl<'a> TrajPlan<'a> {
     /// means the trajectory cannot match, before any decode. Summing the
     /// *maximum* instead would be unsound: Lemma 3 accumulates several
     /// overlapping instances, so e.g. probs `{0.4, 0.35}` reach
-    /// 0.75 ≥ α = 0.5 while the max 0.4 alone would prune.
+    /// 0.75 ≥ α = 0.5 while the max 0.4 alone would prune. Summed once,
+    /// when the trajectory is appended, and kept in its row.
     pub fn prob_mass(&self) -> f64 {
-        self.prob_mass
+        self.view.prob_mass()
     }
 }
 
-/// Builds the plan rows of every trajectory of a compressed dataset, one
-/// table for all — what appending them to the dataset already did,
-/// segment by segment.
+/// The probability order of `(orig_idx, prob)` pairs: probability
+/// descending, `orig_idx` ascending on ties.
+pub(crate) fn by_prob(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Instances a [`Ranked`] list holds on the stack; more go on the heap.
+const STACK: usize = 128;
+
+/// A trajectory's instances by probability descending
+/// ([`TrajPlan::by_prob_desc`]): a slice of `(orig_idx, prob)`, on the
+/// stack up to 128 instances.
+pub struct Ranked {
+    stack: [(u32, f64); STACK],
+    /// Empty unless there are more than `STACK` instances.
+    heap: Vec<(u32, f64)>,
+    len: usize,
+}
+
+impl Ranked {
+    fn as_mut_slice(&mut self) -> &mut [(u32, f64)] {
+        match self.len {
+            0..=STACK => self.stack.get_mut(..self.len).unwrap_or_default(),
+            _ => &mut self.heap,
+        }
+    }
+}
+
+impl std::ops::Deref for Ranked {
+    type Target = [(u32, f64)];
+
+    fn deref(&self) -> &[(u32, f64)] {
+        match self.len {
+            0..=STACK => self.stack.get(..self.len).unwrap_or_default(),
+            _ => &self.heap,
+        }
+    }
+}
+
+/// Row `i` of a trajectory's derived plan: instance `i`'s probability
+/// and slot, and the instance ranked `i`-th by probability.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanRow {
+    /// Dequantized probability of instance `i`.
+    pub prob: f64,
+    /// Slot of instance `i`.
+    pub slot: Slot,
+    /// The instance ranked `i`-th by probability descending, `orig_idx`
+    /// ascending on ties.
+    pub ranked: u32,
+}
+
+/// Derives the plan rows of every trajectory of a compressed dataset,
+/// one table for all: what a query derives of the trajectories it
+/// reads.
 pub fn build_plans(
     trajectories: &Trajectories,
     p_codec: &PddpCodec,
 ) -> Result<Vec<PlanRow>, Error> {
     let mut rows = Vec::new();
     for ct in trajectories {
-        plan_rows(ct.refs, ct.nrefs, p_codec, &mut rows)?;
+        let plan = ct.plan(p_codec);
+        let ranked = plan.by_prob_desc();
+        let ranked = ranked.iter().map(|&(orig_idx, _)| orig_idx);
+        for ((k, prob), ranked) in (0..).zip(plan.probs()).zip(ranked) {
+            let slot = plan.slot(k)?;
+            rows.push(PlanRow { prob, slot, ranked });
+        }
     }
     Ok(rows)
 }
@@ -194,7 +214,7 @@ mod tests {
         (ct, params)
     }
 
-    /// The plan columns of the one trajectory, or why it was refused.
+    /// A dataset of the one trajectory, or why it was refused.
     fn plans_of(ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<Trajectories, Error> {
         let mut trajectories = Trajectories::default();
         trajectories.push(ct, p_codec).map(|()| trajectories)
@@ -203,8 +223,9 @@ mod tests {
     #[test]
     fn plan_covers_every_instance() {
         let (ct, params) = paper_ct();
-        let trajectories = plans_of(&ct, &params.p_codec()).unwrap();
-        let plan = trajectories.get(0).unwrap().plan;
+        let p_codec = params.p_codec();
+        let trajectories = plans_of(&ct, &p_codec).unwrap();
+        let plan = trajectories.get(0).unwrap().plan(&p_codec);
         assert_eq!(plan.instance_count(), ct.instance_count());
         for (i, r) in ct.refs.iter().enumerate() {
             assert_eq!(plan.slot(r.orig_idx).unwrap(), Slot::Ref(i as u32));
@@ -214,8 +235,13 @@ mod tests {
         }
         assert!(plan.slot(ct.instance_count() as u32).is_err());
         // The standalone builder derives the same rows.
-        let again = build_plans(&trajectories, &params.p_codec()).unwrap();
-        assert_eq!(format!("{again:?}"), format!("{:?}", plan.rows));
+        let rows = build_plans(&trajectories, &p_codec).unwrap();
+        let ranked = plan.by_prob_desc();
+        for ((k, row), &(ranked, _)) in (0..).zip(&rows).zip(ranked.iter()) {
+            let expect = (plan.slot(k).unwrap(), plan.prob(k).unwrap(), ranked);
+            assert_eq!((row.slot, row.prob, row.ranked), expect);
+        }
+        assert_eq!(rows.len(), ct.instance_count());
     }
 
     #[test]
@@ -223,7 +249,7 @@ mod tests {
         let (ct, params) = paper_ct();
         let p_codec = params.p_codec();
         let trajectories = plans_of(&ct, &p_codec).unwrap();
-        let plan = trajectories.get(0).unwrap().plan;
+        let plan = trajectories.get(0).unwrap().plan(&p_codec);
         for r in &ct.refs {
             assert_eq!(plan.prob(r.orig_idx).unwrap(), p_codec.dequantize(r.p_code));
         }
@@ -238,8 +264,10 @@ mod tests {
     #[test]
     fn by_prob_desc_is_sorted_and_deterministic() {
         let (ct, params) = paper_ct();
-        let trajectories = plans_of(&ct, &params.p_codec()).unwrap();
-        let list: Vec<_> = trajectories.get(0).unwrap().plan.by_prob_desc().collect();
+        let p_codec = params.p_codec();
+        let trajectories = plans_of(&ct, &p_codec).unwrap();
+        let plan = trajectories.get(0).unwrap().plan(&p_codec);
+        let list = plan.by_prob_desc().to_vec();
         assert_eq!(list.len(), ct.instance_count());
         for w in list.windows(2) {
             assert!(
@@ -252,8 +280,9 @@ mod tests {
     #[test]
     fn prob_mass_is_the_sum_of_instance_probs() {
         let (ct, params) = paper_ct();
-        let trajectories = plans_of(&ct, &params.p_codec()).unwrap();
-        let plan = trajectories.get(0).unwrap().plan;
+        let p_codec = params.p_codec();
+        let trajectories = plans_of(&ct, &p_codec).unwrap();
+        let plan = trajectories.get(0).unwrap().plan(&p_codec);
         let expect: f64 = plan.probs().sum();
         assert_eq!(plan.prob_mass(), expect);
         assert!(plan.prob_mass() > 0.0);

@@ -419,8 +419,8 @@ pub(crate) struct QueryEngine<'a> {
 type LocalRefs = HashMap<u32, Arc<DecodedRef>>;
 
 impl<'a> QueryEngine<'a> {
-    /// The compressed trajectory at position `j` (its query plan with
-    /// it), checked.
+    /// The compressed trajectory at position `j` (its query plan derived
+    /// from it), checked.
     fn traj(&self, j: u32) -> Result<TrajView<'a>, Error> {
         let missing = Error::CorruptStore("trajectory position out of range");
         self.cds.trajectories.get(j as usize).ok_or(missing)
@@ -460,7 +460,7 @@ impl<'a> QueryEngine<'a> {
         let d = self
             .cache
             .ref_or_decode(self.epoch, self.partition, j, ref_idx, || {
-                if ref_idx as usize >= ct.refs.len() {
+                if ref_idx as usize >= ct.ref_count() {
                     return Err(Error::CorruptStore("reference index out of range"));
                 }
                 let d_codec = self.cds.params.d_codec();
@@ -484,27 +484,27 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<Arc<Instance>, Error> {
         self.cache
             .instance_or_decode(self.epoch, self.partition, j, orig_idx, || {
-                let d_codec = self.cds.params.d_codec();
+                let (d_codec, plan) = (
+                    self.cds.params.d_codec(),
+                    ct.plan(&self.cds.params.p_codec()),
+                );
                 enum Decoded {
                     Shared(Arc<DecodedRef>),
                     Own(DecodedRef),
                 }
-                let (sv, dec): (VertexId, Decoded) = match ct.plan.slot(orig_idx)? {
+                let (sv, dec): (VertexId, Decoded) = match plan.slot(orig_idx)? {
                     Slot::Ref(pos) => {
                         let r = ct
-                            .refs
-                            .get(pos as usize)
+                            .ref_row(pos as usize)
                             .ok_or(Error::CorruptStore("plan slot points past refs"))?;
                         (r.sv, Decoded::Shared(self.ref_decoded(j, ct, pos, local)?))
                     }
                     Slot::NRef(pos) => {
                         let n = ct
-                            .nrefs
-                            .get(pos as usize)
+                            .nref_row(pos as usize)
                             .ok_or(Error::CorruptStore("plan slot points past nrefs"))?;
                         let r = ct
-                            .refs
-                            .get(n.ref_idx as usize)
+                            .ref_row(n.ref_idx as usize)
                             .ok_or(Error::CorruptStore("non-reference points past refs"))?;
                         let dref = self.ref_decoded(j, ct, n.ref_idx, local)?;
                         let own = ct.decode_nref(pos as usize, &dref, self.cds.w_e, &d_codec)?;
@@ -520,7 +520,7 @@ impl<'a> QueryEngine<'a> {
                     entries: dec.entries.clone(),
                     flags: untrim_flags(&dec.trimmed_flags, dec.entries.len()),
                     rds: dec.d_codes.iter().map(|&c| d_codec.dequantize(c)).collect(),
-                    prob: ct.plan.prob(orig_idx)?,
+                    prob: plan.prob(orig_idx)?,
                 };
                 Ok(view
                     .to_instance(self.net)
@@ -591,7 +591,7 @@ impl<'a> QueryEngine<'a> {
         };
         let mut hits = Vec::new();
         let mut local = LocalRefs::new();
-        for (orig_idx, prob) in ct.plan.probs().enumerate() {
+        for (orig_idx, prob) in ct.plan(&self.cds.params.p_codec()).probs().enumerate() {
             if prob < alpha {
                 continue;
             }
@@ -654,10 +654,9 @@ impl<'a> QueryEngine<'a> {
                 continue;
             };
             let cref = ct
-                .refs
-                .get(r as usize)
+                .ref_row(r as usize)
                 .ok_or(Error::CorruptStore("region group points past refs"))?;
-            let ref_p = ct.plan.prob(cref.orig_idx)?;
+            let ref_p = p_codec.dequantize(cref.p_code);
             if group.enters(k) && ref_p >= alpha {
                 let inst = self.decode_instance(j, &ct, cref.orig_idx, &mut local)?;
                 for time in utcq_traj::interp::times_at_location(self.net, &inst, &times, edge, rd)
@@ -675,8 +674,11 @@ impl<'a> QueryEngine<'a> {
             if p_max < alpha {
                 continue;
             }
-            for (_, cnref) in node.members(&starts, ct.nrefs, r, k) {
-                let p = ct.plan.prob(cnref.orig_idx)?;
+            for m in node.members(&starts, ct.nref_owners(), r, k) {
+                let cnref = ct
+                    .nref_row(m as usize)
+                    .ok_or(Error::CorruptStore("membership bit points past nrefs"))?;
+                let p = p_codec.dequantize(cnref.p_code);
                 if p < alpha {
                     continue;
                 }
@@ -741,11 +743,11 @@ impl<'a> QueryEngine<'a> {
                 if enters {
                     scratch.passing_refs.push(r);
                 }
-                let members = node.members(&scratch.starts, ct.nrefs, r, k);
-                scratch.passing_nrefs.extend(members.map(|(m, _)| m));
+                let members = node.members(&scratch.starts, ct.nref_owners(), r, k);
+                scratch.passing_nrefs.extend(members);
             }
         }
-        let Some((ct, _)) = ct else {
+        let Some((ct, p_codec)) = ct else {
             return Ok(false); // trajectory never enters RE
         };
         // Lemma 4: an upper bound below α prunes the trajectory.
@@ -763,27 +765,25 @@ impl<'a> QueryEngine<'a> {
         };
 
         // Instances that pass RE cells, most probable first (Lemma 3
-        // early accept). The plan's precomputed probability-descending
-        // order replaces the per-call sort: membership is a set filter.
+        // early accept; ties by `orig_idx`, the plan's order).
         for &r in &scratch.passing_refs {
             let cref = ct
-                .refs
-                .get(r as usize)
+                .ref_row(r as usize)
                 .ok_or(Error::CorruptStore("region group points past refs"))?;
-            scratch.passing.insert(cref.orig_idx);
+            scratch
+                .passing
+                .push((cref.orig_idx, p_codec.dequantize(cref.p_code)));
         }
         for &m in &scratch.passing_nrefs {
             let cnref = ct
-                .nrefs
-                .get(m as usize)
+                .nref_row(m as usize)
                 .ok_or(Error::CorruptStore("membership bit points past nrefs"))?;
-            scratch.passing.insert(cnref.orig_idx);
+            scratch
+                .passing
+                .push((cnref.orig_idx, p_codec.dequantize(cnref.p_code)));
         }
-        let passing = &scratch.passing;
-        let members = ct
-            .plan
-            .by_prob_desc()
-            .filter(|(orig_idx, _)| passing.contains(orig_idx));
+        scratch.passing.sort_unstable_by(crate::plan::by_prob);
+        let members = scratch.passing.iter().copied();
 
         let mut acc = 0.0;
         let mut remaining: f64 = members.clone().map(|(_, p)| p).sum();
@@ -812,8 +812,8 @@ struct RangeScratch {
     group_bound: Vec<(u32, f64)>,
     passing_refs: Vec<u32>,
     passing_nrefs: Vec<u32>,
-    /// Original indices of instances whose cell passes RE.
-    passing: HashSet<u32>,
+    /// `(orig_idx, prob)` of the instances whose cell passes RE.
+    passing: Vec<(u32, f64)>,
     local: LocalRefs,
 }
 
@@ -824,7 +824,7 @@ impl RangeScratch {
             group_bound: Vec::new(),
             passing_refs: Vec::new(),
             passing_nrefs: Vec::new(),
-            passing: HashSet::new(),
+            passing: Vec::new(),
             local: LocalRefs::new(),
         }
     }

@@ -419,7 +419,8 @@ mod tests {
         let v3 = |blobs: &[Vec<u8>]| {
             let mut bytes = Vec::new();
             let dir = ShardDirectory { kind: 0, param: 0 };
-            crate::storage::save_v3(dir, blobs, &mut bytes).unwrap();
+            let blob = |i: u32, w: &mut dyn std::io::Write| w.write_all(&blobs[i as usize]);
+            crate::storage::save_v3(dir, blobs.len() as u32, blob, &mut bytes).unwrap();
             Store::read(&mut bytes.as_slice())
         };
         let plain = StiuParams::default();

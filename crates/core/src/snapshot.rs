@@ -2,8 +2,8 @@
 //!
 //! A [`Snapshot`] is a whole store frozen at one publish epoch: one
 //! [`Partition`] per store partition (its compressed dataset, with the
-//! trajectories and their query plans in flat segments,
-//! [`crate::segment`], and its StIU index) and the store's one id map,
+//! trajectories in flat segments, [`crate::segment`], and its StIU
+//! index) and the store's one id map,
 //! trajectory id → (partition, position), all behind one `Arc`. A
 //! published snapshot is **immutable**, so an `Arc<Snapshot>` can be
 //! handed to any number of query threads, pinned across a paginated
@@ -53,7 +53,7 @@
 //! cache's footprint under ingest does not grow with the number of
 //! reads served since the last eviction.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -249,20 +249,24 @@ impl Snapshot {
 
     /// Writes the container to an arbitrary writer: v7 for a store
     /// without a routing policy, v3 (the policy's shard directory, then
-    /// one v7 container per partition) for one with.
+    /// one v7 container per partition) for one with. A v3 container is
+    /// written one partition at a time straight to `w`, each partition
+    /// written twice (first to count its length), so no partition's
+    /// container is held in memory.
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
         let policy = match &self.routing {
             Routing::Single => return self.first().write_counted(w).map(drop),
             Routing::Policy(policy) => policy.as_ref(),
         };
-        let mut blobs = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            let mut blob = Vec::new();
-            part.write_counted(&mut blob)?;
-            blobs.push(blob);
-        }
         let dir = ShardSpec::directory(policy.and_then(|p| p.spec()));
-        storage::save_v3(dir, &blobs, w)?;
+        let n = u32::try_from(self.parts.len())
+            .map_err(|_| Error::ShardConfig("more partitions than a directory holds"))?;
+        let blob = |p: u32, w: &mut dyn Write| {
+            let missing = io::Error::new(io::ErrorKind::InvalidInput, "partition past the store");
+            let part = self.parts.get(p as usize).ok_or(missing)?;
+            storage::save_v7(&part.net, &part.cds, &part.stiu, &mut { w }).map(drop)
+        };
+        storage::save_v3(dir, n, blob, w)?;
         Ok(())
     }
 
@@ -613,8 +617,8 @@ impl Partition {
     }
 
     /// Assembles an epoch-0 partition number `partition` from opened
-    /// parts, validating cross-references (the per-trajectory query plans
-    /// were built as the trajectories were appended), reading through
+    /// parts, validating cross-references (each trajectory's instance
+    /// order and fields were checked as it was appended), reading through
     /// the store's `cache`.
     pub(crate) fn assemble(
         net: Arc<RoadNetwork>,

@@ -59,9 +59,8 @@ use utcq_traj::{Dataset, Instance, UncertainTrajectory};
 use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::par::par_in_order;
-use crate::segment::{
-    copy_vec, offset, vec_bytes, NrefRow, Resident, Segments, Table, TrajView, CHUNK,
-};
+use crate::plan::Slot;
+use crate::segment::{copy_vec, offset, vec_bytes, Resident, Segments, Table, TrajView, CHUNK};
 use crate::siar;
 
 /// Index construction parameters (the paper's Fig. 9 sweeps both).
@@ -246,24 +245,25 @@ impl<'a> TrajIndex<'a> {
     }
 
     /// The non-references of group `r` that traverse its `k`-th cell,
-    /// ascending, with their rows: `nrefs` are the trajectory's
-    /// ([`TrajView::nrefs`]), `starts` the node's group starts.
+    /// ascending: `owners` are the owning reference of each of the
+    /// trajectory's non-references ([`TrajView::nref_owners`]), `starts`
+    /// the node's group starts.
     pub fn members<'s>(
         &self,
         starts: &'s [u32],
-        nrefs: &'s [NrefRow],
+        owners: impl IntoIterator<Item = u32, IntoIter: 's>,
         r: u32,
         k: usize,
-    ) -> impl Iterator<Item = (u32, &'s NrefRow)> + 's
+    ) -> impl Iterator<Item = u32> + 's
     where
         'a: 's,
     {
         let node = *self;
         let mut first = 0;
-        (0..).zip(nrefs).filter(move |(_, n)| {
-            let (at, len) = (first, node.group(starts, n.ref_idx as usize).len());
+        (0..).zip(owners).filter_map(move |(m, owner)| {
+            let (at, len) = (first, node.group(starts, owner as usize).len());
             first += len;
-            n.ref_idx == r && k < len && node.member_bit(at + k)
+            (owner == r && k < len && node.member_bit(at + k)).then_some(m)
         })
     }
 
@@ -288,12 +288,11 @@ impl<'a> TrajIndex<'a> {
     ) -> (f64, f64) {
         let mut p_total = 0.0;
         let mut p_max = 0.0f64;
-        let reference = ct.refs.get(r as usize);
-        if let (true, Some(cref)) = (self.group(starts, r as usize).enters(k), reference) {
-            p_total += p_codec.dequantize(cref.p_code);
+        if self.group(starts, r as usize).enters(k) && (r as usize) < ct.ref_count() {
+            p_total += p_codec.dequantize(ct.p_code(Slot::Ref(r)));
         }
-        for (_, n) in self.members(starts, ct.nrefs, r, k) {
-            let p = p_codec.dequantize(n.p_code);
+        for m in self.members(starts, ct.nref_owners(), r, k) {
+            let p = p_codec.dequantize(ct.p_code(Slot::NRef(m)));
             p_total += p;
             p_max = p_max.max(p);
         }
@@ -308,14 +307,15 @@ impl<'a> TrajIndex<'a> {
     }
 
     /// The non-reference region tuples `(nref_idx, cell)`: member by
-    /// member, each member's cells ascending. `nrefs` are the
-    /// trajectory's ([`TrajView::nrefs`]).
-    pub fn nref_tuples(&self, nrefs: &[NrefRow]) -> Vec<(u32, CellId)> {
+    /// member, each member's cells ascending. `owners` are the owning
+    /// reference of each of the trajectory's non-references
+    /// ([`TrajView::nref_owners`]).
+    pub fn nref_tuples(&self, owners: impl IntoIterator<Item = u32>) -> Vec<(u32, CellId)> {
         let mut starts = Vec::new();
         self.group_starts(&mut starts);
         let (mut bits, mut tuples) = (self.member_bits(), Vec::new());
-        for (m, n) in (0..).zip(nrefs) {
-            for (cell, _) in self.group(&starts, n.ref_idx as usize).cells() {
+        for (m, owner) in (0..).zip(owners) {
+            for (cell, _) in self.group(&starts, owner as usize).cells() {
                 if bits.next() == Some(true) {
                     tuples.push((m, cell));
                 }
@@ -481,7 +481,7 @@ impl NodeSegment {
         mut nrefs: &mut [(u32, CellId)],
     ) -> Result<(), Error> {
         let mut rest = refs.iter().peekable();
-        for ref_idx in 0..ct.refs.len() as u32 {
+        for ref_idx in 0..ct.ref_count() as u32 {
             self.open_group();
             while let Some(&(_, cell, enters)) = rest.next_if(|t| t.0 == ref_idx) {
                 self.push_cell(cell, enters)?;
@@ -493,7 +493,7 @@ impl NodeSegment {
         if !nrefs.is_sorted_by_key(|t| t.0) {
             return Err(Error::CorruptStore("nref tuples out of order"));
         }
-        for (m, n) in (0..).zip(ct.nrefs) {
+        for (m, n) in (0..).zip(ct.nrefs()) {
             let len = nrefs.iter().take_while(|t| t.0 == m).count();
             let (member, tail) = std::mem::take(&mut nrefs).split_at_mut(len);
             nrefs = tail;
@@ -573,13 +573,14 @@ impl Table for NodeSegment {
         (copy, copied)
     }
 
-    fn seal(&mut self) {
+    fn seal(&mut self) -> Result<(), Error> {
         self.ends.shrink_to_fit();
         self.temporal.shrink_to_fit();
         self.words.shrink_to_fit();
         self.bits.shrink_to_fit();
         self.postings.sort_unstable();
         self.postings.shrink_to_fit();
+        Ok(())
     }
 
     fn resident(&self, census: &mut Resident) {
@@ -912,9 +913,9 @@ fn build_traj(
     let visited = |orig_idx: u32| visits.get(orig_idx as usize).map(Vec::as_slice);
 
     // Group = reference + its non-references.
-    let mut groups = Vec::with_capacity(ct.refs.len());
-    for (ref_idx, cref) in (0..).zip(ct.refs) {
-        let nrefs = ct.nrefs.iter().filter(|n| n.ref_idx == ref_idx);
+    let mut groups = Vec::with_capacity(ct.ref_count());
+    for (ref_idx, cref) in (0..).zip(ct.refs()) {
+        let nrefs = ct.nrefs().filter(|n| n.ref_idx == ref_idx);
         let members = std::iter::once(cref.orig_idx).chain(nrefs.map(|n| n.orig_idx));
         let mut cells: Vec<CellId> = members
             .flat_map(|m| visited(m).unwrap_or_default().iter().copied())
@@ -930,7 +931,7 @@ fn build_traj(
     }
 
     // Membership bits, non-reference by non-reference.
-    for n in ct.nrefs {
+    for n in ct.nrefs() {
         let own = visited(n.orig_idx).unwrap_or_default();
         let group = groups.get(n.ref_idx as usize).map(Vec::as_slice);
         for cell in group.unwrap_or_default() {
@@ -1204,9 +1205,9 @@ mod tests {
             region_cells(&net, inst, &stiu.grid, &stiu.edges)
         };
         // A non-reference's tuples are its cell list, ascending.
-        let nref_tuples = node.nref_tuples(ct.nrefs);
+        let nref_tuples = node.nref_tuples(ct.nref_owners());
         assert!(!nref_tuples.is_empty());
-        for (i, n) in ct.nrefs.iter().enumerate() {
+        for (i, n) in ct.nrefs().enumerate() {
             let tuples = nref_tuples.iter().filter(|t| t.0 == i as u32);
             let listed: Vec<CellId> = tuples.map(|t| t.1).collect();
             let mut own = cells(n.orig_idx);
@@ -1215,7 +1216,7 @@ mod tests {
         }
         // A reference's tuples are its group's cells, ascending; the
         // ones it enters itself are its own cell list.
-        for (i, r) in ct.refs.iter().enumerate() {
+        for (i, r) in ct.refs().enumerate() {
             let tuples = node.ref_tuples().filter(|t| t.0 == i as u32);
             let entered: Vec<CellId> = tuples.filter(|t| t.2).map(|t| t.1).collect();
             let mut own = cells(r.orig_idx);
@@ -1306,15 +1307,11 @@ mod tests {
         let node = seg.view(0).unwrap();
         let lens: Vec<usize> = node.groups().map(|g| g.len()).collect();
         assert_eq!(lens, [2, 0, 1]);
-        let nrefs = [0, 2].map(|ref_idx| NrefRow {
-            p_code: 0,
-            orig_idx: 0,
-            ref_idx,
-        });
-        assert_eq!(node.nref_tuples(&nrefs), [(0, CellId(7)), (1, CellId(5))]);
+        let owners = [0, 2];
+        assert_eq!(node.nref_tuples(owners), [(0, CellId(7)), (1, CellId(5))]);
         let mut starts = Vec::new();
         node.group_starts(&mut starts);
-        let members = |r, k| Vec::from_iter(node.members(&starts, &nrefs, r, k).map(|m| m.0));
+        let members = |r, k| Vec::from_iter(node.members(&starts, owners, r, k));
         assert_eq!(
             (members(0, 0), members(0, 1), members(2, 0)),
             (vec![], vec![0], vec![1])

@@ -3,7 +3,7 @@
 //! Binary containers under the `UTCQ` magic and a version byte. Two
 //! versions are read and written: v7 ([`save_v7`], [`load_full`]) for
 //! one store and the v3 directory of v7 blobs ([`save_v3`],
-//! [`load_v3`]) for a sharded one. Every older version (v1, v2, v4 to
+//! [`read_v3`]) for a sharded one. Every older version (v1, v2, v4 to
 //! v6, and v3 directories of them) fails with
 //! [`StorageError::NeedsMigrate`]: `utcq migrate` (the `utcq_legacy`
 //! crate) reads them and writes them as these two.
@@ -53,19 +53,24 @@
 //! non-reference rows say whose tuples come next.
 //!
 //! **Derived at open:** besides v7's fields, the interval postings
-//! (`Stiu::append_node`) and the query plans (`TrajSegment::finish`) —
-//! pure functions of stored fields, so a reopened index equals the
-//! built one bit for bit.
+//! (`Stiu::append_node`) and each trajectory's probability mass
+//! (`TrajSegment::finish`) — pure functions of stored fields, so a
+//! reopened index equals the built one bit for bit.
 //!
 //! A block and an in-memory segment ([`crate::segment`]) cover the same
 //! [`CHUNK`] records: the reader appends each record's fields straight
-//! to the segment's tables and its streams to the segment's arena
-//! (region cells and membership bits included), and the writer packs
-//! from borrowed views, with no per-trajectory object in between.
+//! to the segment's framing string (which packs them as the block does,
+//! in the same order, at the tail's widths until the segment seals),
+//! its streams to the segment's arena and its region cells and
+//! membership bits to the index tables, and the writer packs from
+//! borrowed views, with no per-trajectory object in between.
 //!
 //! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
 //! `u32` shard count) followed by one `u64`-length-prefixed, complete v7
-//! container per shard.
+//! container per shard. It is written ([`save_v3`]) and read
+//! ([`read_v3`]) one shard at a time, with no blob held in memory: the
+//! writer runs a shard's v7 writer once into a byte counter for the
+//! length, the reader parses each blob straight from the stream.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -76,7 +81,7 @@ use utcq_traj::size::SizeBreakdown;
 use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::params::CompressParams;
-use crate::segment::{NrefRow, RefRow, TrajSegment, TrajView, CHUNK};
+use crate::segment::{index_width, TrajSegment, TrajView, CHUNK};
 use crate::stiu::{push_temporal, NodeSegment, Stiu, StiuParams, TrajIndex};
 use crate::{factor, siar};
 
@@ -253,11 +258,6 @@ const DATASET_COLS: &[usize] = &[ID, TIMES, INST, ENTRIES];
 /// spans 64 bits, every other field is a `u32`.
 const COL_LIMITS: [u32; 4] = [64, 32, 32, 32];
 
-/// `width_for_max(n − 1)`: the width of an index into `n` items.
-fn index_width(n: usize) -> u32 {
-    width_for_max((n as u64).saturating_sub(1))
-}
-
 /// Widths of the bit-packed fields that the container's context fixes
 /// rather than a block header, and of an edge entry and a distance
 /// code, which size a reference's streams.
@@ -397,11 +397,12 @@ impl<'a, R: Read> Source<'a, R> {
         Ok(())
     }
 
-    /// The row of the reference at `orig_idx`, its streams appended to
-    /// `seg`: `n_entries` edge entries, the `n_entries − 2` trimmed time
-    /// flags and one distance code per sample, so their lengths are
-    /// arithmetic.
-    fn read_ref(&mut self, seg: &mut TrajSegment, orig_idx: u32) -> Result<RefRow, StorageError> {
+    /// The next reference of the open trajectory of `seg`, which has
+    /// `n_times` samples: its fields and its streams, `n_entries` edge
+    /// entries, the `n_entries − 2` trimmed time flags and one distance
+    /// code per sample, so their lengths are arithmetic. Returns its
+    /// entry count.
+    fn read_ref(&mut self, seg: &mut TrajSegment, n_times: usize) -> Result<u32, StorageError> {
         let sv = VertexId(self.field(self.ctx.vertex)? as u32);
         let n_entries = self.col(ENTRIES)?;
         if n_entries < 2 {
@@ -409,7 +410,7 @@ impl<'a, R: Read> Source<'a, R> {
                 "reference with fewer than two entries",
             ));
         }
-        let n_times = seg.open_n_times();
+        seg.reference(sv, n_entries as u32)?;
         let (w_e, w_d, n) = (self.ctx.w_e, self.ctx.w_d, n_entries as usize);
         for len in [n * w_e, n - 2, n_times * w_d] {
             self.stream(seg, |r| {
@@ -417,32 +418,24 @@ impl<'a, R: Read> Source<'a, R> {
                 Ok(())
             })?;
         }
-        let p_code = self.field(self.ctx.p_code)?;
-        let n_entries = n_entries as u32;
-        Ok(RefRow {
-            p_code,
-            orig_idx,
-            sv,
-            n_entries,
-        })
+        seg.p_code(self.field(self.ctx.p_code)?)?;
+        Ok(n_entries as u32)
     }
 
-    /// The row of the non-reference at `orig_idx`, its streams appended
-    /// to `seg`, whose open trajectory's references are its rows from
-    /// `ref0` on: each factor stream is walked knowing only counts of its
+    /// The next non-reference of the open trajectory of `seg`, whose
+    /// references have `entries` edge entries each: its fields and its
+    /// streams, each factor stream walked knowing only counts of its
     /// reference, never its content.
     fn read_nref(
         &mut self,
         seg: &mut TrajSegment,
-        orig_idx: u32,
-        ref0: usize,
-    ) -> Result<NrefRow, StorageError> {
-        let refs = seg.refs.get(ref0..).unwrap_or_default();
-        let ref_idx = self.index(refs.len(), "non-reference points past refs")?;
-        let ref_entries = refs
-            .get(ref_idx as usize)
-            .map_or(0, |r| r.n_entries as usize);
-        let (w_e, w_d, n_times) = (self.ctx.w_e as u32, self.ctx.w_d as u32, seg.open_n_times());
+        entries: &[u32],
+        n_times: usize,
+    ) -> Result<(), StorageError> {
+        let ref_idx = self.index(entries.len(), "non-reference points past refs")?;
+        seg.non_reference(ref_idx, entries.len())?;
+        let ref_entries = entries.get(ref_idx as usize).map_or(0, |&n| n as usize);
+        let (w_e, w_d) = (self.ctx.w_e as u32, self.ctx.w_d as u32);
         let mut n_entries = 0;
         let walk_e = |r: &mut BitReader<'_>| factor::walk_e(r, ref_entries, w_e, |_, _| ());
         self.stream(seg, |r| walk_e(r).map(|n| n_entries = n))?;
@@ -452,20 +445,8 @@ impl<'a, R: Read> Source<'a, R> {
             factor::walk_t(r, ref_flags, flags, drop, |_, _| ()).map(drop)
         })?;
         self.stream(seg, |r| factor::walk_d(r, n_times, w_d, drop))?;
-        let p_code = self.field(self.ctx.p_code)?;
-        Ok(NrefRow {
-            p_code,
-            orig_idx,
-            ref_idx,
-        })
+        Ok(seg.p_code(self.field(self.ctx.p_code)?)?)
     }
-}
-
-/// Whether a trajectory's instances are in the order compression emits
-/// them: references, then non-references, each ascending in `orig_idx`
-/// (which the plan makes a permutation). The only order v7 can hold.
-fn canonical(refs: &[RefRow], nrefs: &[NrefRow]) -> bool {
-    refs.is_sorted_by_key(|r| r.orig_idx) && nrefs.is_sorted_by_key(|n| n.orig_idx)
 }
 
 /// `v` as a `u32` below `n`, or the container is corrupt.
@@ -478,17 +459,19 @@ fn below(v: u64, n: usize, what: &'static str) -> Result<u32, StorageError> {
 }
 
 /// Reads `n_trajs` trajectory records into `cds`, field by field into
-/// its segments. A record holds the instance count, then one role bit
-/// per instance in original order (set: a reference), so the rows take
-/// their `orig_idx` from their place.
+/// its segments: each record's fields to the open trajectory's framing
+/// record, its streams to the arena. A record holds the instance count,
+/// then one role bit per instance in original order (set: a reference),
+/// so the instances take their `orig_idx` from their place.
 fn read_trajs<R: Read>(
     src: &mut Source<'_, R>,
     n_trajs: usize,
     cds: &mut CompressedDataset,
 ) -> Result<(), StorageError> {
     let (p_codec, ts) = (cds.params.p_codec(), cds.params.default_interval);
-    // The role bits of the open trajectory.
-    let mut roles = Vec::new();
+    // The role bits of the open trajectory and its references' entry
+    // counts.
+    let (mut roles, mut entries) = (Vec::new(), Vec::new());
     while cds.trajectories.len() < n_trajs {
         src.begin_block()?;
         for _ in 0..CHUNK.min(n_trajs - cds.trajectories.len()) {
@@ -497,20 +480,18 @@ fn read_trajs<R: Read>(
                 let n_times = src.col(TIMES)? as u32;
                 seg.begin(id, n_times)?;
                 src.stream(seg, |r| siar::walk(r, n_times as usize, ts, |_, _, _| ()))?;
-                let ref0 = seg.refs.len();
                 roles.clear();
                 for _ in 0..src.col(INST)? {
                     roles.push(src.field(1)? != 0);
                 }
-                for (k, _) in (0..).zip(&roles).filter(|(_, &is_ref)| is_ref) {
-                    let row = src.read_ref(seg, k)?;
-                    seg.refs.push(row);
+                seg.roles(roles.iter().copied())?;
+                entries.clear();
+                for _ in roles.iter().filter(|&&is_ref| is_ref) {
+                    entries.push(src.read_ref(seg, n_times as usize)?);
                 }
-                for (k, _) in (0..).zip(&roles).filter(|(_, &is_ref)| !is_ref) {
-                    let row = src.read_nref(seg, k, ref0)?;
-                    seg.nrefs.push(row);
+                for _ in roles.iter().filter(|&&is_ref| !is_ref) {
+                    src.read_nref(seg, &entries, n_times as usize)?;
                 }
-                // The plan permutation check.
                 Ok::<(), StorageError>(seg.finish(&p_codec)?)
             })?;
         }
@@ -562,7 +543,7 @@ fn read_coded_regions<R: Read>(
     groups: &mut Vec<u64>,
 ) -> Result<(), StorageError> {
     groups.clear();
-    for _ in ct.refs {
+    for _ in 0..ct.ref_count() {
         let count = src.golomb()?;
         if count > n_cells as u64 {
             return Err(StorageError::Corrupt("region count past the grid"));
@@ -587,8 +568,8 @@ fn read_coded_regions<R: Read>(
         }
         groups.push(count);
     }
-    for n in ct.nrefs {
-        let count = groups.get(n.ref_idx as usize);
+    for owner in ct.nref_owners() {
+        let count = groups.get(owner as usize);
         let count = count.ok_or(StorageError::Corrupt("non-reference points past refs"))?;
         for _ in 0..*count {
             node.push_bit(src.field(1)? != 0);
@@ -740,28 +721,36 @@ fn invalid_data(e: CodecError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Writes `records` as blocks of [`CHUNK`]: per block the `u32` byte
-/// length, the header, the records (`pack` traverses one), zero padding
-/// to a byte. A block with no column needs no measuring run. Returns
-/// the bits written: all, those of streams alone, and per framing field.
+/// Writes the `n` records `record` returns as blocks of [`CHUNK`]: per
+/// block the `u32` byte length, the header, the records (`pack`
+/// traverses one), zero padding to a byte. A block with no column needs
+/// no measuring run. No block's records are held: each run fetches them
+/// again. Returns the bits written: all, those of streams alone, and
+/// per framing field.
 fn write_blocks<T>(
     ctx: CtxWidths,
     cols: &'static [usize],
-    records: impl Iterator<Item = T>,
+    n: usize,
+    record: impl Fn(usize) -> Option<T>,
     mut pack: impl FnMut(&mut Packer, &T) -> io::Result<()>,
     out: &mut impl Write,
 ) -> io::Result<(u64, u64, [u64; 8])> {
-    let mut records = records.peekable();
     let (mut bits, mut payload, mut tally) = (0, 0, [0; 8]);
-    while records.peek().is_some() {
-        let block: Vec<T> = records.by_ref().take(CHUNK).collect();
+    for first in (0..n).step_by(CHUNK) {
+        let mut run = |p: &mut Packer| {
+            (first..n.min(first + CHUNK)).try_for_each(|i| {
+                let missing =
+                    || io::Error::new(io::ErrorKind::InvalidInput, "record past the table");
+                pack(p, &record(i).ok_or_else(missing)?)
+            })
+        };
         let mut p = Packer::default();
         (p.ctx, p.cols, p.base) = (ctx, cols, u64::MAX);
         if !cols.is_empty() {
-            block.iter().try_for_each(|t| pack(&mut p, t))?;
+            run(&mut p)?;
         }
         p.start()?;
-        block.iter().try_for_each(|t| pack(&mut p, t))?;
+        run(&mut p)?;
         let buf = p.bits.finish();
         let len = u32::try_from(buf.len_bytes())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "block over 4 GiB"))?;
@@ -780,31 +769,28 @@ fn write_blocks<T>(
 /// One dataset record, v7: id, sample count, `T`, the instance count and
 /// one role bit per instance in original order (set: a reference), then
 /// per reference its start vertex, entry count, `E T' D` and `p_code`,
-/// per non-reference its `ref_idx`, `Com_E Com_T' Com_D` and `p_code`.
-/// Instances in any order but [`canonical`]'s have no v7 form.
+/// per non-reference its `ref_idx`, `Com_E Com_T' Com_D` and `p_code`:
+/// the fields of the trajectory's framing record in its order, with the
+/// streams between them.
 fn pack_traj(p: &mut Packer, ct: &TrajView<'_>) -> io::Result<()> {
-    if !canonical(ct.refs, ct.nrefs) {
-        let what = "instances out of order";
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
-    }
     p.col(ID, ct.id)?;
     p.col(TIMES, u64::from(ct.n_times))?;
     p.stream(ct.t_bits());
     let n = ct.instance_count() as u32;
     p.col(INST, u64::from(n))?;
-    let mut refs = ct.refs.iter().peekable();
-    p.flags((0..n).map(|k| refs.next_if(|r| r.orig_idx == k).is_some()))?;
+    p.flags((0..n).map(|k| ct.is_ref(k)))?;
     if p.widths.is_some() {
         p.tally[INST] += u64::from(n); // bounds: INST is a column constant
     }
-    for (i, r) in ct.refs.iter().enumerate() {
+    for (i, r) in ct.refs().enumerate() {
         p.framing(SV, u64::from(r.sv.0), p.ctx.vertex)?;
         p.col(ENTRIES, u64::from(r.n_entries))?;
         ct.ref_streams(i).into_iter().for_each(|b| p.stream(b));
         p.framing(P_CODE, r.p_code, p.ctx.p_code)?;
     }
-    for (i, n) in ct.nrefs.iter().enumerate() {
-        p.framing(REF_IDX, u64::from(n.ref_idx), index_width(ct.refs.len()))?;
+    let ref_idx = index_width(ct.ref_count());
+    for (i, n) in ct.nrefs().enumerate() {
+        p.framing(REF_IDX, u64::from(n.ref_idx), ref_idx)?;
         ct.nref_streams(i).into_iter().for_each(|b| p.stream(b));
         p.framing(P_CODE, n.p_code, p.ctx.p_code)?;
     }
@@ -822,9 +808,9 @@ fn pack_node(
     (ref_bits, nref_bits, starts): &mut (u64, u64, Vec<u32>),
 ) -> io::Result<()> {
     node.group_starts(starts);
-    let group_len = |n: &NrefRow| node.group(starts, n.ref_idx as usize).len();
-    let n_bits: usize = ct.nrefs.iter().map(group_len).sum();
-    if starts.len() != ct.refs.len() + 1 || node.member_bits().len() != n_bits {
+    let group_len = |owner: u32| node.group(starts, owner as usize).len();
+    let n_bits: usize = ct.nref_owners().map(group_len).sum();
+    if starts.len() != ct.ref_count() + 1 || node.member_bits().len() != n_bits {
         let what = "index node does not match its trajectory";
         return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
     }
@@ -842,8 +828,8 @@ fn pack_node(
     }
     let nrefs_at = p.bits.len_bits();
     let mut bits = node.member_bits();
-    for n in ct.nrefs {
-        p.flags(bits.by_ref().take(group_len(n)))?;
+    for owner in ct.nref_owners() {
+        p.flags(bits.by_ref().take(group_len(owner)))?;
     }
     *ref_bits += (nrefs_at - refs_at) as u64;
     *nref_bits += (p.bits.len_bits() - nrefs_at) as u64;
@@ -859,30 +845,34 @@ pub fn save_v7(
     stiu: &Stiu,
     w: &mut impl Write,
 ) -> io::Result<Sections> {
-    if stiu.trajs.len() != cds.trajectories.len() {
+    let n = cds.trajectories.len();
+    if stiu.trajs.len() != n {
         let what = "index/dataset trajectory counts";
         return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
     }
-    // The small parts go through memory, which also sizes them.
-    let mut head = Vec::from(*MAGIC);
-    head.push(VERSION_V7);
+    let mut head = Counted {
+        inner: &mut *w,
+        bytes: 0,
+    };
+    head.write_all(MAGIC)?;
+    write_u8(&mut head, VERSION_V7)?;
     net.write_to(&mut head)?;
-    let network = head.len() as u64 * 8;
+    let network = head.bytes * 8;
     write_dataset_head(cds, &mut head)?;
-    w.write_all(&head)?;
+    let head = head.bytes * 8;
     let ctx = CtxWidths::new(net, cds, stiu.grid.cell_count());
-    let trajs = cds.trajectories.iter();
-    let (dataset, payload, mut framing) = write_blocks(ctx, DATASET_COLS, trajs, pack_traj, w)?;
+    let traj = |i| cds.trajectories.get(i);
+    let (dataset, payload, mut framing) = write_blocks(ctx, DATASET_COLS, n, traj, pack_traj, w)?;
     write_i64(w, stiu.params.partition_s)?;
     write_u32(w, stiu.params.grid_n)?;
-    let nodes = stiu.trajs.iter().zip(cds.trajectories.iter());
+    let node = |i| stiu.trajs.get(i).zip(cds.trajectories.get(i));
     let mut tuples = (0, 0, Vec::new());
     let pack = |p: &mut Packer, pair: &_| pack_node(p, pair, &mut tuples);
-    let (index, ..) = write_blocks(ctx, &[], nodes, pack, w)?;
+    let (index, ..) = write_blocks(ctx, &[], n, node, pack, w)?;
     let (ref_tuples, nref_tuples, _) = tuples;
     let fields: u64 = framing.iter().sum();
     // bounds: BLOCKS is a slot of the framing array
-    framing[BLOCKS] = head.len() as u64 * 8 - network + dataset - payload - fields;
+    framing[BLOCKS] = head - network + dataset - payload - fields;
     Ok(Sections {
         network,
         payload,
@@ -893,68 +883,126 @@ pub fn save_v7(
     })
 }
 
-/// Serializes a sharded v3 container: the shard directory followed by
-/// one length-prefixed, fully self-contained container per shard
-/// (each blob parses standalone with [`load_full`], so shards can be
-/// extracted, inspected or re-sharded without understanding v3).
-pub fn save_v3(dir: ShardDirectory, shards: &[Vec<u8>], w: &mut impl Write) -> io::Result<()> {
+/// Counts the bytes written through it to `inner`.
+struct Counted<W> {
+    inner: W,
+    bytes: u64,
+}
+
+impl<W: Write> Write for Counted<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Serializes a sharded v3 container: the shard directory, then per
+/// shard a `u64` length and the self-contained container `shard(i, w)`
+/// writes (each blob parses standalone with [`load_full`], so shards can
+/// be extracted, inspected or re-sharded without understanding v3). One
+/// shard at a time, and no blob held: `shard` runs twice per shard,
+/// first into a counter for its length, and must write the same bytes
+/// both times.
+pub fn save_v3(
+    dir: ShardDirectory,
+    n_shards: u32,
+    mut shard: impl FnMut(u32, &mut dyn Write) -> io::Result<()>,
+    w: &mut impl Write,
+) -> io::Result<()> {
     w.write_all(MAGIC)?;
     write_u8(w, VERSION_V3)?;
     write_u8(w, dir.kind)?;
     write_i64(w, dir.param)?;
-    write_u32(w, shards.len() as u32)?;
-    for blob in shards {
-        write_u64(w, blob.len() as u64)?;
-        w.write_all(blob)?;
+    write_u32(w, n_shards)?;
+    for i in 0..n_shards {
+        let mut count = Counted {
+            inner: io::sink(),
+            bytes: 0,
+        };
+        shard(i, &mut count)?;
+        write_u64(w, count.bytes)?;
+        let mut blob = Counted {
+            inner: &mut *w,
+            bytes: 0,
+        };
+        shard(i, &mut blob)?;
+        if blob.bytes != count.bytes {
+            let what = "a shard wrote different bytes when written again";
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        }
     }
     Ok(())
 }
 
-/// Deserializes a sharded container into its directory and per-shard
-/// container bytes. Accepts a plain v7 container too, returned as a
-/// single shard with no directory — so a sharded reader opens both
-/// shapes transparently. A blob is only checked to be a single-store
-/// container: [`load_full`] reads its version.
-pub fn load_v3(r: &mut impl Read) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
-    if read_header(r)? == VERSION_V7 {
+/// Reads a sharded container's directory, then hands `blob` each
+/// shard's index and a reader of exactly its bytes, one shard at a time
+/// and none of them held: `blob` may parse it straight from `r` (and
+/// need not read to its end). Returns the directory. Accepts a plain v7
+/// container too, handed over as a single shard with no directory — so
+/// a sharded reader opens both shapes transparently. A blob is only
+/// checked to be a single-store container: [`load_full`] reads its
+/// version.
+pub fn read_v3<R: Read, E: From<StorageError>>(
+    r: &mut R,
+    mut blob: impl FnMut(u32, &mut dyn Read) -> Result<(), E>,
+) -> Result<Option<ShardDirectory>, E> {
+    let Some((dir, n_shards)) = read_directory(r)? else {
         // Re-frame the rest of the stream as one standalone shard.
-        let mut blob = Vec::from(*MAGIC);
-        blob.push(VERSION_V7);
-        r.read_to_end(&mut blob)?;
-        return Ok((None, vec![blob]));
+        let [m0, m1, m2, m3] = *MAGIC;
+        blob(0, &mut [m0, m1, m2, m3, VERSION_V7].chain(r))?;
+        return Ok(None);
+    };
+    let truncated = || StorageError::Corrupt("shard blob truncated");
+    for i in 0..n_shards {
+        let len = read_u64(r).map_err(StorageError::from)?;
+        if !(5..=(1u64 << 40)).contains(&len) {
+            return Err(StorageError::Corrupt("shard blob length out of range").into());
+        }
+        // Read through a `take`, so a crafted length field cannot read
+        // past the blob, nor make anything allocate for bytes that do
+        // not arrive.
+        let mut body = r.by_ref().take(len);
+        let mut head = [0u8; 5];
+        body.read_exact(&mut head).map_err(|_| truncated())?;
+        let [m0, m1, m2, m3, version] = head;
+        let single = (1..=VERSION_V7).contains(&version) && version != VERSION_V3;
+        if [m0, m1, m2, m3] != *MAGIC || !single {
+            let what = "shard blob is not a self-contained container";
+            return Err(StorageError::Corrupt(what).into());
+        }
+        let parsed = blob(i, &mut head.chain(&mut body));
+        // Skip what the parse left of the blob. A blob short of its
+        // length was cut, whatever the parse made of that.
+        io::copy(&mut body, &mut io::sink()).map_err(StorageError::from)?;
+        if body.limit() > 0 {
+            return Err(truncated().into());
+        }
+        parsed?;
+    }
+    Ok(Some(dir))
+}
+
+/// The directory of a v3 container and its shard count, read past the
+/// header; `None` for a plain v7 container, whose header was read.
+fn read_directory(r: &mut impl Read) -> Result<Option<(ShardDirectory, u32)>, StorageError> {
+    if read_header(r)? == VERSION_V7 {
+        return Ok(None);
     }
     let kind = read_u8(r)?;
     if kind > POLICY_REGION {
         return Err(StorageError::Corrupt("unknown shard policy kind"));
     }
     let param = read_i64(r)?;
-    let n_shards = read_u32(r)? as usize;
+    let n_shards = read_u32(r)?;
     if n_shards == 0 || n_shards > (1 << 16) {
         return Err(StorageError::Corrupt("shard count out of range"));
     }
-    let mut shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let len = read_u64(r)?;
-        if !(5..=(1u64 << 40)).contains(&len) {
-            return Err(StorageError::Corrupt("shard blob length out of range"));
-        }
-        // Read through a `take` so the allocation grows with the bytes
-        // that actually arrive — a crafted length field must not provoke
-        // a giant up-front allocation.
-        let mut blob = Vec::new();
-        r.by_ref().take(len).read_to_end(&mut blob)?;
-        if blob.len() as u64 != len {
-            return Err(StorageError::Corrupt("shard blob truncated"));
-        }
-        // bounds: len >= 5 enforced above, and blob.len() == len
-        let single = (1..=VERSION_V7).contains(&blob[4]) && blob[4] != VERSION_V3;
-        if &blob[..4] != MAGIC || !single {
-            let what = "shard blob is not a self-contained container";
-            return Err(StorageError::Corrupt(what));
-        }
-        shards.push(blob);
-    }
-    Ok((Some(ShardDirectory { kind, param }), shards))
+    Ok(Some((ShardDirectory { kind, param }, n_shards)))
 }
 
 /// Reads the magic and version byte: v3 or v7, or the version of an
@@ -1096,8 +1144,23 @@ mod tests {
 
     fn v3_bytes(kind: u8, param: i64, shards: &[Vec<u8>]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        save_v3(ShardDirectory { kind, param }, shards, &mut bytes).unwrap();
+        let blob = |i: u32, w: &mut dyn Write| w.write_all(&shards[i as usize]);
+        let dir = ShardDirectory { kind, param };
+        save_v3(dir, shards.len() as u32, blob, &mut bytes).unwrap();
         bytes
+    }
+
+    /// The directory and the blobs [`read_v3`] hands over, each read
+    /// whole.
+    fn blobs_of(mut bytes: &[u8]) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
+        let mut blobs = Vec::new();
+        let dir = read_v3(&mut bytes, |_, r| {
+            let mut blob = Vec::new();
+            r.read_to_end(&mut blob)?;
+            blobs.push(blob);
+            Ok::<(), StorageError>(())
+        })?;
+        Ok((dir, blobs))
     }
 
     #[test]
@@ -1259,7 +1322,7 @@ mod tests {
         // reference count: its groups cannot be told apart in v6.
         let (net, cds, mut stiu) = sample();
         let groups = |j: usize| stiu.trajs.get(j).unwrap().groups().count();
-        let refs = |j: usize| cds.trajectories.get(j).unwrap().refs.len();
+        let refs = |j: usize| cds.trajectories.get(j).unwrap().ref_count();
         let j = (1..cds.trajectories.len())
             .find(|&j| refs(j) != groups(0))
             .unwrap();
@@ -1283,7 +1346,7 @@ mod tests {
             bytes[4] = version;
             for err in [
                 load_full(&mut bytes.as_slice()).map(drop).unwrap_err(),
-                load_v3(&mut bytes.as_slice()).map(drop).unwrap_err(),
+                blobs_of(&bytes).map(drop).unwrap_err(),
             ] {
                 let StorageError::NeedsMigrate { what, version: v } = err else {
                     panic!("v{version}: {err:?}");
@@ -1298,7 +1361,7 @@ mod tests {
     fn v3_roundtrip_preserves_directory_and_blobs() {
         let blob = v7_bytes();
         let bytes = v3_bytes(POLICY_TIME, 3600, &[blob.clone(), blob.clone()]);
-        let (dir, blobs) = load_v3(&mut bytes.as_slice()).unwrap();
+        let (dir, blobs) = blobs_of(&bytes).unwrap();
         let (kind, param) = (POLICY_TIME, 3600);
         assert_eq!(dir, Some(ShardDirectory { kind, param }));
         assert_eq!(blobs, [blob.clone(), blob]);
@@ -1310,13 +1373,13 @@ mod tests {
     #[test]
     fn v3_reader_accepts_plain_v7_as_single_shard() {
         let blob = v7_bytes();
-        let (dir, blobs) = load_v3(&mut blob.as_slice()).unwrap();
+        let (dir, blobs) = blobs_of(&blob).unwrap();
         assert_eq!(dir, None);
         assert_eq!(blobs, [blob]);
         // An older plain container is left to `utcq migrate`.
         let v2 = include_bytes!("../../../tests/fixtures/tiny_v2.utcq");
         assert!(matches!(
-            load_v3(&mut &v2[..]),
+            blobs_of(&v2[..]),
             Err(StorageError::NeedsMigrate { version: 2, .. })
         ));
     }
@@ -1333,7 +1396,7 @@ mod tests {
         let mut old = v7_bytes();
         old[4] = 6;
         let bytes = v3_bytes(POLICY_REGION, 8, &[old]);
-        let (_, blobs) = load_v3(&mut bytes.as_slice()).unwrap();
+        let (_, blobs) = blobs_of(&bytes).unwrap();
         assert!(matches!(
             load_full(&mut blobs[0].as_slice()),
             Err(StorageError::NeedsMigrate { version: 6, .. })
@@ -1344,17 +1407,14 @@ mod tests {
     fn v3_corruption_is_rejected_not_panicking() {
         let bytes = v3_bytes(POLICY_TIME, 3600, &[v7_bytes()]);
         for cut in [6, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
-            assert!(load_v3(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
+            assert!(blobs_of(&bytes[..cut]).is_err(), "cut={cut}");
         }
         // Bad policy kind, then zero shards, then a nested directory.
         let mut bad = bytes.clone();
         bad[5] = 9;
         let nested = v3_bytes(POLICY_TIME, 1, std::slice::from_ref(&bytes));
         for bad in [bad, v3_bytes(POLICY_CUSTOM, 0, &[]), nested] {
-            assert!(matches!(
-                load_v3(&mut bad.as_slice()),
-                Err(StorageError::Corrupt(_))
-            ));
+            assert!(matches!(blobs_of(&bad), Err(StorageError::Corrupt(_))));
         }
     }
 

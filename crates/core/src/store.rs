@@ -361,7 +361,8 @@ impl Store {
     }
 
     /// Reads a container from an arbitrary reader (see [`Store::open`]).
-    /// A v3 container is read one shard blob at a time; the embedded road
+    /// A v3 container is read one shard blob at a time, each parsed
+    /// straight from `r` (no blob is held in memory); the embedded road
     /// network is deserialized once per blob, and structurally equal
     /// copies share the first one's `Arc`.
     pub fn read(r: &mut impl Read) -> Result<Self, Error> {
@@ -375,11 +376,10 @@ impl Store {
             let part = Partition::assemble(Arc::new(net), cds, stiu, cache, 0)?;
             return Self::opened(vec![Arc::new(part)], Routing::Single);
         }
-        let (dir, blobs) = storage::load_v3(&mut r)?;
         let mut shared: Option<Arc<RoadNetwork>> = None;
-        let mut parts = Vec::with_capacity(blobs.len());
-        for (p, blob) in (0..).zip(blobs) {
-            let (net, cds, stiu) = storage::load_full(&mut blob.as_slice())?;
+        let mut parts = Vec::new();
+        let dir = storage::read_v3(&mut r, |p, blob| {
+            let (net, cds, stiu) = storage::load_full(&mut { blob })?;
             // A differing copy is rejected by `assemble`.
             let net = match &shared {
                 Some(first) if **first == net => Arc::clone(first),
@@ -388,7 +388,8 @@ impl Store {
             shared.get_or_insert_with(|| Arc::clone(&net));
             let part = Partition::assemble(net, cds, stiu, Arc::clone(&cache), p)?;
             parts.push(Arc::new(part));
-        }
+            Ok::<(), Error>(())
+        })?;
         let spec = dir.and_then(ShardSpec::from_directory);
         Self::opened(parts, Routing::Policy(spec.map(ShardSpec::policy)))
     }

@@ -5,41 +5,56 @@
 //! be in three ways, and the checks are on bytes and blocks actually
 //! live, the road network and decode cache aside:
 //!
-//! * (a) an opened store holds at most 450 B and 0.1 heap blocks per
-//!   trajectory: flat segments, not an object graph per trajectory, and
-//!   region tables as small as the container's (one word per group cell,
-//!   one bit per non-reference cell);
+//! * (a) an opened store holds at most 330 B and 0.1 heap blocks per
+//!   trajectory: flat segments, not an object graph per trajectory,
+//!   instance fields bit-packed as the container packs them, and region
+//!   tables as small as the container's (one word per group cell, one
+//!   bit per non-reference cell);
 //! * (b) built offline, reopened, or grown live across a seal boundary,
 //!   the same data costs the same (within 2 %);
 //! * (c) the store's own census (`Snapshot::resident`, what `utcq info`
 //!   prints) agrees with the allocator within 5 %, also on the small
 //!   checked-in fixture;
 //! * (d) a publish copies the tail segment with a number of allocations
-//!   that does not depend on how many trajectories the tail holds.
+//!   that does not depend on how many trajectories the tail holds;
+//! * (e) a 3-partition store is written and read one partition at a
+//!   time, no partition's container held whole: writing its container
+//!   raises the heap above what stays live by less than 1.5 times its
+//!   largest partition's container, and reading it by less than half.
 //!
 //! Everything lives in ONE `#[test]`: the counters are process-global
 //! and the tests of a binary run on parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use utcq_core::{CompressParams, QueryTarget, Store, StoreBuilder};
+use utcq_core::{ByTime, CompressParams, Partition, QueryTarget, Store, StoreBuilder};
 use utcq_datagen::{generate_network, generate_on_network, profile, GenOptions};
 use utcq_traj::Dataset;
 
 struct Counting;
 
-/// Bytes and blocks live now, and allocator calls so far.
+/// Bytes and blocks live now, the most bytes live since [`PEAK`] was
+/// last reset, and allocator calls so far.
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+/// Adds `bytes` (which may be negative) to the live bytes and raises
+/// the peak to them.
+fn grow(bytes: isize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every request is passed through to `System` unchanged and its
 // result returned unchanged; the counters are only side effects.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        grow(layout.size() as isize);
         LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
@@ -54,8 +69,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let grown = new_size as isize - layout.size() as isize;
-        LIVE_BYTES.fetch_add(grown, Ordering::Relaxed);
+        grow(new_size as isize - layout.size() as isize);
         CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -82,6 +96,15 @@ struct Cost {
     blocks: f64,
     /// Bytes by the store's own census.
     census: f64,
+}
+
+/// Runs `run` and returns what it returned with how far the heap rose
+/// above what it holds once `run` is done (what it returned included):
+/// its transient bytes.
+fn transient<T>(run: impl FnOnce() -> T) -> (T, isize) {
+    PEAK.store(live().0, Ordering::Relaxed);
+    let made = run();
+    (made, PEAK.load(Ordering::Relaxed) - live().0)
 }
 
 /// Runs `make` and returns what it made with the `(bytes, blocks)` that
@@ -174,12 +197,13 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
     assert!(container(&store) == offline, "live growth == offline build");
     let live_grown = cost(store);
 
-    // (a) flat: under 450 B in 0.02 blocks per trajectory (it was
+    // (a) flat: under 330 B in 0.02 blocks per trajectory (it was
     // 1,455 B in 17.6 blocks as an object graph, about 1 KB while the
     // region tuples carried their resume fields, 752 B while they were
-    // rows with two f64 bounds each).
+    // rows with two f64 bounds each, 376 B while every instance had a
+    // row and a plan row of its own).
     let Cost { bytes, blocks, .. } = reopened;
-    assert!(bytes <= 450.0, "opened store: {bytes:.1} B/trajectory");
+    assert!(bytes <= 330.0, "opened store: {bytes:.1} B/trajectory");
     assert!(blocks <= 0.1, "opened store: {blocks:.3} blocks/trajectory");
 
     // (b) the same however the store came to be.
@@ -215,6 +239,37 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
         calls.0.abs_diff(calls.1) <= 64,
         "allocator calls of a publish into a 904- / an 8-trajectory tail: {calls:?}"
     );
+
+    // (e) one partition at a time: 3 partitions of ~1,700 trajectories,
+    // written and read with no partition's container held whole. The
+    // writer held all three (6.5 times the largest); the reader held
+    // them all before it parsed the first, so while it parsed the last,
+    // when the heap peaks, it held that one (0.93 times).
+    let sharded = StoreBuilder::new(Arc::clone(&net), params)
+        .shard_by(Arc::new(ByTime { interval_s: 600 }), 3)
+        .unwrap()
+        .ingest(&slice(0..N))
+        .unwrap()
+        .finish()
+        .unwrap();
+    let parts = sharded.snapshots();
+    let blob = |part: &Arc<Partition>| {
+        let mut blob = Vec::new();
+        part.write_counted(&mut blob).unwrap();
+        blob.len()
+    };
+    let largest = parts.iter().map(blob).max().unwrap() as f64;
+    let bytes = container(&sharded);
+    let ((), written) = transient(|| sharded.write(&mut io::sink()).unwrap());
+    let (read, opened) = transient(|| reopen(&bytes));
+    assert_eq!((read.len(), read.shard_count()), (N, 3));
+    for (what, raised, bound) in [("writing", written, 1.5), ("reading", opened, 0.5)] {
+        assert!(
+            (raised as f64) < bound * largest,
+            "{what} a 3-partition store raised the heap {raised} B past what it keeps, \
+             its largest partition is {largest} B"
+        );
+    }
 
     // (c) again where fixed costs weigh most: the small fixture that
     // `utcq info` is demonstrated on.

@@ -29,11 +29,11 @@ fn fill_group_bounds(
     for &(ref_idx, cell, enters) in refs {
         let mut p_total = 0.0;
         let mut p_max = 0.0f64;
-        if let (true, Some(r)) = (enters, ct.refs.get(ref_idx as usize)) {
+        if let (true, Some(r)) = (enters, ct.ref_row(ref_idx as usize)) {
             p_total += p_codec.dequantize(r.p_code);
         }
         for &(nref_idx, _) in nrefs.iter().filter(|t| t.1 == cell) {
-            let Some(n) = ct.nrefs.get(nref_idx as usize) else {
+            let Some(n) = ct.nref_row(nref_idx as usize) else {
                 continue;
             };
             if n.ref_idx == ref_idx {
@@ -69,7 +69,7 @@ fn check(snap: &Partition, what: &str) -> usize {
     let nodes = snap.stiu().trajs.iter();
     for (j, (node, ct)) in nodes.zip(snap.compressed().trajectories.iter()).enumerate() {
         let refs = Vec::from_iter(node.ref_tuples());
-        let stored = fill_group_bounds(&refs, &node.nref_tuples(ct.nrefs), &ct, &p_codec);
+        let stored = fill_group_bounds(&refs, &node.nref_tuples(ct.nref_owners()), &ct, &p_codec);
         assert_eq!(
             bits(derived(node, &ct, &p_codec)),
             bits(stored),

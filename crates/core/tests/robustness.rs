@@ -358,8 +358,8 @@ fn older_readers_refuse_instances_out_of_order() {
         r.read_bits(id).unwrap();
         r.read_bits(times).unwrap();
         stream(&mut r);
-        let n_refs = ct.refs.len();
-        for (count, fields) in [(n_refs, vertex + entries), (ct.nrefs.len(), 0)] {
+        let n_refs = ct.ref_count();
+        for (count, fields) in [(n_refs, vertex + entries), (ct.nrefs().len(), 0)] {
             let fields = if fields == 0 {
                 width_for_max(n_refs as u64 - 1)
             } else {

@@ -19,12 +19,16 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use utcq_bitio::pddp::PddpCodec;
+use utcq_core::compressed::CompressedTrajectory;
+use utcq_core::plan::{Slot, TrajPlan};
 use utcq_core::query::{PageRequest, QueryTarget};
 use utcq_core::segment::TrajView;
 use utcq_core::shard::ByTime;
 use utcq_core::stiu::TrajIndex;
 use utcq_core::storage::StorageError;
 use utcq_core::{CompressParams, Error, Partition, StiuParams, Store, StoreBuilder};
+use utcq_datagen::profile;
 use utcq_network::{Rect, RoadNetwork};
 use utcq_traj::Dataset;
 
@@ -278,7 +282,7 @@ fn node_fields(n: TrajIndex<'_>, ct: &TrajView<'_>, params: &CompressParams) -> 
             refs.push((cell.0, r, enters, p_total.to_bits(), p_max.to_bits()));
         }
     }
-    (n.temporal.to_vec(), refs, n.nref_tuples(ct.nrefs))
+    (n.temporal.to_vec(), refs, n.nref_tuples(ct.nref_owners()))
 }
 
 /// Asserts that `reopened` holds exactly the store `built` is: every
@@ -301,8 +305,13 @@ fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what
             "{what}: segments"
         );
         assert_eq!(ta.len(), tb.len(), "{what}: trajectories");
+        let p_codec = a.compressed().params.p_codec();
         for (j, (x, y)) in ta.iter().zip(tb).enumerate() {
-            let rows = |t: TrajView<'_>| format!("{t:?} {:?}", t.plan);
+            let rows = |t: TrajView<'_>| {
+                let plan = t.plan(&p_codec);
+                let order = plan.by_prob_desc().to_vec();
+                format!("{t:?} {order:?} {:?}", plan.prob_mass().to_bits())
+            };
             assert_eq!(rows(x), rows(y), "{what}: trajectory {j}");
         }
         let fields = |s: &Partition, j: usize| {
@@ -393,8 +402,10 @@ fn segment_views_equal_the_compressor_and_index_builder_output() {
     // offline builder, parsed from a container, appended by live
     // publishes that copy the tail and cross a seal), every view of it
     // equals what `compress_trajectory` and `stiu::build` produce for
-    // the same input: rows, streams, plan and index node.
-    for profile in [utcq_datagen::profile::tiny(), utcq_datagen::profile::cd()] {
+    // the same input: rows, streams, plan and index node. `hz` gives up
+    // to 96 instances and several references per trajectory, whose
+    // framing the seal repacks.
+    for profile in [profile::tiny(), profile::cd(), profile::hz()] {
         let (net, ds) = utcq_datagen::generate(&profile, 1_060, 17);
         let net = Arc::new(net);
         let params = CompressParams::with_interval(ds.default_interval);
@@ -415,6 +426,7 @@ fn segment_views_equal_the_compressor_and_index_builder_output() {
             live.ingest(&slice(at..at + 20)).unwrap();
         }
 
+        let p_codec = params.p_codec();
         for (shape, store) in [("offline", offline), ("reopened", reopened), ("live", live)] {
             let what = format!("{} {shape}", profile.name);
             let snap = store.snapshots().remove(0);
@@ -425,28 +437,24 @@ fn segment_views_equal_the_compressor_and_index_builder_output() {
                 let (ct, _) = utcq_core::compress_trajectory(&net, tu, &params).unwrap();
                 let view = trajectories.get(j).unwrap();
                 assert_eq!((view.id, view.n_times), (ct.id, ct.n_times), "{what} {j}");
-                assert_eq!(view.id, trajectories[j].id);
                 assert_eq!(view.t_bits(), ct.t_bits.as_slice(), "{what} {j}: T");
-                assert_eq!(view.refs.len(), ct.refs.len(), "{what} {j}");
-                for (i, (row, r)) in view.refs.iter().zip(&ct.refs).enumerate() {
+                assert_eq!(view.ref_count(), ct.refs.len(), "{what} {j}");
+                for (i, (row, r)) in view.refs().zip(&ct.refs).enumerate() {
                     let fields = (row.orig_idx, row.sv, row.n_entries, row.p_code);
                     assert_eq!(fields, (r.orig_idx, r.sv, r.n_entries, r.p_code));
+                    assert_eq!(view.ref_row(i), Some(row), "{what} {j}: ref {i}");
                     let owned = [&r.e_bits, &r.tflag_bits, &r.d_bits].map(|b| b.as_slice());
                     assert_eq!(view.ref_streams(i), owned, "{what} {j}: ref {i}");
                 }
-                assert_eq!(view.nrefs.len(), ct.nrefs.len(), "{what} {j}");
-                for (i, (row, n)) in view.nrefs.iter().zip(&ct.nrefs).enumerate() {
+                assert_eq!(view.nrefs().len(), ct.nrefs.len(), "{what} {j}");
+                for (i, (row, n)) in view.nrefs().zip(&ct.nrefs).enumerate() {
                     let fields = (row.orig_idx, row.ref_idx, row.p_code);
                     assert_eq!(fields, (n.orig_idx, n.ref_idx, n.p_code));
+                    assert_eq!(view.nref_row(i), Some(row), "{what} {j}: nref {i}");
                     let owned = [&n.e_com, &n.t_com, &n.d_com].map(|b| b.as_slice());
                     assert_eq!(view.nref_streams(i), owned, "{what} {j}: nref {i}");
                 }
-                let expect = cds.trajectories.get(j).unwrap().plan;
-                assert_eq!(
-                    format!("{:?}", view.plan),
-                    format!("{expect:?}"),
-                    "{what} {j}"
-                );
+                assert_plan_is_the_compressors(view.plan(&p_codec), &ct, &p_codec, &what, j);
                 let (node, expect) = (nodes.get(j).unwrap(), index.trajs.get(j).unwrap());
                 let ct = cds.trajectories.get(j).unwrap();
                 let fields = [node, expect].map(|n| node_fields(n, &ct, &params));
@@ -454,6 +462,37 @@ fn segment_views_equal_the_compressor_and_index_builder_output() {
             }
         }
     }
+}
+
+/// A view's plan, derived from its role bits and probability codes,
+/// against the compressor's own instances: the slot of every
+/// `orig_idx`, its dequantized probability, the probability order and
+/// the probability mass summed in original order.
+fn assert_plan_is_the_compressors(
+    plan: TrajPlan<'_>,
+    ct: &CompressedTrajectory,
+    p_codec: &PddpCodec,
+    what: &str,
+    j: usize,
+) {
+    let n = ct.instance_count();
+    assert_eq!(plan.instance_count(), n, "{what} {j}");
+    let mut probs = vec![f64::NAN; n];
+    let refs = ct.refs.iter().map(|r| (r.orig_idx, r.p_code));
+    let nrefs = ct.nrefs.iter().map(|m| (m.orig_idx, m.p_code));
+    let slots = (0..).map(Slot::Ref).zip(refs);
+    for (slot, (orig_idx, p_code)) in slots.chain((0..).map(Slot::NRef).zip(nrefs)) {
+        assert_eq!(plan.slot(orig_idx).unwrap(), slot, "{what} {j}: {orig_idx}");
+        probs[orig_idx as usize] = p_codec.dequantize(p_code);
+        assert_eq!(plan.prob(orig_idx).unwrap(), probs[orig_idx as usize]);
+    }
+    assert!(plan.slot(n as u32).is_err(), "{what} {j}");
+    assert_eq!(Vec::from_iter(plan.probs()), probs, "{what} {j}");
+    let mut order = Vec::from_iter((0..).zip(probs.iter().copied()));
+    order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    assert_eq!(plan.by_prob_desc().to_vec(), order, "{what} {j}");
+    let mass: f64 = probs.iter().sum();
+    assert_eq!(plan.prob_mass().to_bits(), mass.to_bits(), "{what} {j}");
 }
 
 #[test]

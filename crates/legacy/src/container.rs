@@ -478,7 +478,7 @@ fn read_nodes<R: Read>(
                 for _ in 0..src.col(COUNT)? {
                     let what = "ref tuple out of range";
                     let cell = below(src.field(src.ctx.cell, 4)?, n_cells, what)?;
-                    let ref_idx = src.index(ct.refs.len(), what)?;
+                    let ref_idx = src.index(ct.ref_count(), what)?;
                     let enters = src.field(1, 1)? != 0;
                     // v4 has the resume fields after a set bit only.
                     if resume && (enters || !src.packed) {
@@ -496,7 +496,7 @@ fn read_nodes<R: Read>(
                 for _ in 0..src.col(COUNT)? {
                     let what = "nref tuple out of range";
                     let cell = CellId(below(src.field(src.ctx.cell, 4)?, n_cells, what)?);
-                    nrefs.push((src.index(ct.nrefs.len(), what)?, cell));
+                    nrefs.push((src.index(ct.nrefs().len(), what)?, cell));
                     if resume {
                         src.skip_resume(Some(n_vertices), what)?;
                     }
@@ -528,7 +528,7 @@ fn read_coded_regions<R: Read>(
 ) -> Result<(), StorageError> {
     // Where each group's tuples start in `refs`, and where the last ends.
     let mut groups = vec![0];
-    for ref_idx in (0..).take(ct.refs.len()) {
+    for ref_idx in (0..).take(ct.ref_count()) {
         let count = src.golomb()?;
         if count > n_cells as u64 {
             return Err(StorageError::Corrupt("region count past the grid"));
@@ -555,7 +555,7 @@ fn read_coded_regions<R: Read>(
         }
         groups.push(refs.len());
     }
-    for (m, n) in (0..).zip(ct.nrefs) {
+    for (m, n) in (0..).zip(ct.nrefs()) {
         let r = n.ref_idx as usize;
         let group = groups.get(r).zip(groups.get(r + 1));
         let (from, to) = group.ok_or(StorageError::Corrupt("non-reference points past refs"))?;
@@ -697,8 +697,8 @@ pub(crate) fn read_v1(
     }
     // v1 stored the start vertices with no network to check them against.
     let n_vertices = net.vertex_count() as u32;
-    let mut starts = cds.trajectories.iter().flat_map(|ct| ct.refs.iter());
-    if starts.any(|r| r.sv.0 >= n_vertices) {
+    let past = |ct: TrajView<'_>| ct.refs().any(|r| r.sv.0 >= n_vertices);
+    if cds.trajectories.iter().any(past) {
         return Err(StorageError::Corrupt("start vertex past the network").into());
     }
     let ds = decompress_dataset(&net, &cds)?;
@@ -714,10 +714,10 @@ pub(crate) fn read_v1(
         };
         refs.clear();
         nrefs.clear();
-        for (ref_idx, cref) in (0..).zip(ct.refs) {
+        for (ref_idx, cref) in (0..).zip(ct.refs()) {
             let own = cells(cref.orig_idx)?;
             let mut group = own.clone();
-            for (m, n) in (0..).zip(ct.nrefs).filter(|(_, n)| n.ref_idx == ref_idx) {
+            for (m, n) in (0..).zip(ct.nrefs()).filter(|(_, n)| n.ref_idx == ref_idx) {
                 let member = cells(n.orig_idx)?;
                 nrefs.extend(member.iter().map(|&cell| (m, cell)));
                 group.extend(member);
@@ -784,16 +784,16 @@ pub fn save_v1(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
         u64s(w, ct.id)?;
         u32s(w, ct.n_times)?;
         bits(w, ct.t_bits())?;
-        u32s(w, ct.refs.len() as u32)?;
-        for (i, r) in ct.refs.iter().enumerate() {
+        u32s(w, ct.ref_count() as u32)?;
+        for (i, r) in ct.refs().enumerate() {
             for v in [r.orig_idx, r.sv.0, r.n_entries] {
                 u32s(w, v)?;
             }
             ct.ref_streams(i).into_iter().try_for_each(|b| bits(w, b))?;
             u64s(w, r.p_code)?;
         }
-        u32s(w, ct.nrefs.len() as u32)?;
-        for (i, n) in ct.nrefs.iter().enumerate() {
+        u32s(w, ct.nrefs().len() as u32)?;
+        for (i, n) in ct.nrefs().enumerate() {
             u32s(w, n.orig_idx)?;
             u32s(w, n.ref_idx)?;
             ct.nref_streams(i)

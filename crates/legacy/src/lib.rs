@@ -27,7 +27,7 @@
 pub mod container;
 pub mod wal;
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use utcq_core::stiu::StiuParams;
@@ -71,13 +71,21 @@ pub fn open(bytes: &[u8], v1: impl FnOnce() -> (RoadNetwork, StiuParams)) -> Res
             v7_bytes(&container::read_self_contained(&mut body, version)?)?
         }
         VERSION_V3 => {
-            let (dir, blobs) = storage::load_v3(&mut { bytes })?;
+            let mut blobs = Vec::new();
+            let dir = storage::read_v3(&mut { bytes }, |_, blob| {
+                let mut old = Vec::new();
+                blob.read_to_end(&mut old).map_err(StorageError::from)?;
+                blobs.push(v7_bytes(&container::read_blob(&old)?)?);
+                Ok::<(), Error>(())
+            })?;
             let dir = dir.ok_or(StorageError::Corrupt("v3 container without a directory"))?;
-            let blobs = blobs
-                .iter()
-                .map(|blob| v7_bytes(&container::read_blob(blob)?));
+            let blob = |i: u32, w: &mut dyn Write| {
+                let missing =
+                    io::Error::new(io::ErrorKind::InvalidInput, "blob past the directory");
+                w.write_all(blobs.get(i as usize).ok_or(missing)?)
+            };
             let mut out = Vec::new();
-            storage::save_v3(dir, &blobs.collect::<Result<Vec<_>, _>>()?, &mut out)?;
+            storage::save_v3(dir, blobs.len() as u32, blob, &mut out)?;
             out
         }
         _ => return Store::read(&mut { bytes }),

@@ -141,7 +141,7 @@ fn all_versions_open_and_agree() {
     // itself (decoded times), not from regenerating the dataset.
     let v2_snap = v2.snapshots().remove(0);
     for j in 0..TRAJS as u32 {
-        let ct = &v2_snap.compressed().trajectories[j as usize];
+        let ct = v2_snap.compressed().trajectories.get(j as usize).unwrap();
         let times = v2.decode_times(ct.id).unwrap().unwrap();
         let mid = (times[0] + times[times.len() - 1]) / 2;
         let mut answers = Vec::new();
@@ -368,7 +368,7 @@ fn resume_fields_of_old_versions_are_still_checked() {
     let ct0 = snap.compressed().trajectories.get(0).unwrap();
     assert_eq!(
         u32_at(nref_vertex - 8),
-        node0.nref_tuples(ct0.nrefs)[0].1 .0
+        node0.nref_tuples(ct0.nref_owners())[0].1 .0
     );
     let n_vertices = v2.network().vertex_count() as u32;
     assert!(u32_at(ref_vertex) < n_vertices && u32_at(nref_vertex) < n_vertices);
@@ -441,7 +441,7 @@ fn old_readers_refuse_nref_tuples_outside_their_group() {
         let mut group_cells = Vec::new();
         for _ in 0..read(&mut r, count) {
             let cell = read(&mut r, cell_width);
-            let ref_idx = read(&mut r, width(ct.refs.len())) as u32;
+            let ref_idx = read(&mut r, width(ct.ref_count())) as u32;
             read(&mut r, 1);
             group_cells.push((ref_idx, cell));
         }
@@ -449,10 +449,10 @@ fn old_readers_refuse_nref_tuples_outside_their_group() {
         for _ in 0..read(&mut r, count) {
             let at = r.pos();
             let cell = read(&mut r, cell_width);
-            tuples.push((at, cell, read(&mut r, width(ct.nrefs.len())) as usize));
+            tuples.push((at, cell, read(&mut r, width(ct.nrefs().len())) as usize));
         }
         if let Some(pair) = tuples.windows(2).find(|w| w[0].2 == w[1].2) {
-            let group = ct.nrefs[pair[0].2].ref_idx;
+            let group = ct.nref_row(pair[0].2).unwrap().ref_idx;
             let outside = (0..).find(|&c| !group_cells.contains(&(group, c))).unwrap();
             found = Some((pair[0].1, pair[1].0, outside));
             break;
@@ -756,7 +756,7 @@ fn migrate_carries_the_stored_index() {
     let width = |n: usize| utcq::bitio::width_for_max(n.saturating_sub(1) as u64);
     let ct0 = snap.compressed().trajectories.get(0).unwrap();
     read(&mut r, width(snap.stiu().grid.cell_count()));
-    read(&mut r, width(ct0.refs.len()));
+    read(&mut r, width(ct0.ref_count()));
     let at = block * 8 + r.pos();
     let mut flipped = bytes.clone();
     flipped[at / 8] ^= 0x80 >> (at % 8);

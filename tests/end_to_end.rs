@@ -134,8 +134,8 @@ fn compression_is_deterministic() {
     assert_eq!(a.compressed, b.compressed);
     for (x, y) in a.trajectories.iter().zip(&b.trajectories) {
         assert_eq!(x.t_bits(), y.t_bits());
-        assert_eq!(x.refs.len(), y.refs.len());
-        assert_eq!(x.nrefs.len(), y.nrefs.len());
+        assert_eq!(x.ref_count(), y.ref_count());
+        assert_eq!(x.nrefs().len(), y.nrefs().len());
     }
 }
 

@@ -380,7 +380,8 @@ fn a_batch_off_the_network_is_refused_with_the_epoch_unchanged() {
     plain.snapshots()[0].write_counted(&mut blob).unwrap();
     let mut v3 = Vec::new();
     let dir = ShardDirectory { kind: 0, param: 0 };
-    storage::save_v3(dir, &[blob.clone(), blob], &mut v3).unwrap();
+    let twice = |_, w: &mut dyn std::io::Write| w.write_all(&blob);
+    storage::save_v3(dir, 2, twice, &mut v3).unwrap();
     let e = Store::read(&mut v3.as_slice()).unwrap_err();
     assert!(matches!(e, Error::DuplicateTrajectory(_)), "{e}");
 }

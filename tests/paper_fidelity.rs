@@ -64,9 +64,9 @@ fn compressed_structure_matches_example2() {
     let store = paper_store(&fx);
     let part = &store.snapshots()[0];
     let ct = part.compressed().trajectories.get(0).unwrap();
-    assert_eq!(ct.refs.len(), 1);
-    assert_eq!(ct.refs[0].orig_idx, 0);
-    assert_eq!(ct.nrefs.len(), 2);
+    assert_eq!(ct.ref_count(), 1);
+    assert_eq!(ct.ref_row(0).unwrap().orig_idx, 0);
+    assert_eq!(ct.nrefs().len(), 2);
 }
 
 #[test]

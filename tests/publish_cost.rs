@@ -6,7 +6,7 @@
 //! clones segment *directories* and copy-on-writes only the unsealed
 //! tails. Every such copy reports through `utcq::core::hooks::copied`
 //! what it copied: the bytes in use of each flat table of the tail (the
-//! trajectory, instance and plan rows, the stream arena and its offsets,
+//! trajectory rows and framing string, the stream arena and its offsets,
 //! the three tuple tables, the interval postings, the id map's hash
 //! table, and a partitioned store's id → partition map), which is
 //! everything a publish copies. This test grows stores to 1k / 10k / 50k

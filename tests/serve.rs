@@ -121,7 +121,7 @@ fn probe_requests(opened: &Opened) -> Vec<String> {
     let bounds = opened.network().bounding_rect();
     for snap in opened.snapshots() {
         for j in 0..snap.len() as u32 {
-            let ct = &snap.compressed().trajectories[j as usize];
+            let ct = snap.compressed().trajectories.get(j as usize).unwrap();
             let times = opened.decode_times(ct.id).expect("decode times");
             let times = times.expect("a stored id");
             let mid = (times[0] + times[times.len() - 1]) / 2;
