@@ -87,14 +87,14 @@ pub struct FuzzReport {
 /// are executed against.
 pub struct Fixtures {
     containers: Vec<Vec<u8>>,
-    /// Every container and log `utcq migrate` reads: the files before v7.
+    /// Every container and log `utcq migrate` reads: the files before v8.
     old: Vec<Vec<u8>>,
-    /// The network a v1 container migrates on (`tiny_v7.utcq`'s).
+    /// The network a v1 container migrates on (`tiny_v8.utcq`'s).
     v1_net: utcq_network::RoadNetwork,
     lines: Vec<String>,
     wals: Vec<Vec<u8>>,
     opened: Opened,
-    /// The container logs replay into (`tiny_v7.utcq`).
+    /// The container logs replay into (`tiny_v8.utcq`).
     replay_base: Vec<u8>,
     scratch: PathBuf,
     wal_scratch: PathBuf,
@@ -107,8 +107,14 @@ impl Fixtures {
     pub fn load(repo_root: &Path) -> io::Result<Self> {
         let dir = repo_root.join("tests/fixtures");
         let read = |name: &str| fs::read(dir.join(name));
-        // What the core reads: v7, alone and in a v3 directory.
-        let containers = vec![read("tiny_v7.utcq")?, read("tiny_v3_v7.utcq")?];
+        // What the core reads: v8, of one partition and of three, and
+        // crafted v8 files each one check away from opening.
+        let single = read("tiny_v8.utcq")?;
+        let sharded = read("tiny_v8_sharded.utcq")?;
+        let opened = Opened::open(dir.join("tiny_v8.utcq"))
+            .map_err(|e| io::Error::other(format!("open tiny_v8 fixture: {e}")))?;
+        let mut containers = v8_seeds(&single, &sharded, opened.network());
+        containers.extend([single, sharded]);
         // What `utcq migrate` reads, among them every shape of region
         // tuple: v4 (the reader's consume-and-drop path), v5 (fixed-width,
         // sorted), v6 (coded against the trajectory); and the v1 log.
@@ -123,6 +129,8 @@ impl Fixtures {
             "v3_v5",
             "v6",
             "v3_v6",
+            "v7",
+            "v3_v7",
         ] {
             old.push(read(&format!("tiny_{version}.utcq"))?);
         }
@@ -176,8 +184,6 @@ impl Fixtures {
             r#"{"op":"where","traj":9007199254740993,"t":0,"limit":18446744073709551615}"#.into(),
         );
         lines.push(r#"{"op":"stats"}"#.into());
-        let opened = Opened::open(dir.join("tiny_v7.utcq"))
-            .map_err(|e| io::Error::other(format!("open tiny_v7 fixture: {e}")))?;
         let v1_net = (**opened.network()).clone();
         let scratch = std::env::temp_dir().join(format!(
             "utcq-audit-fuzz-{}-{:x}.utcq",
@@ -193,7 +199,7 @@ impl Fixtures {
             lines,
             wals: wal_seed_corpus(&dir)?,
             opened,
-            replay_base: fs::read(dir.join("tiny_v7.utcq"))?,
+            replay_base: fs::read(dir.join("tiny_v8.utcq"))?,
             scratch,
             wal_scratch,
             migrated,
@@ -291,16 +297,53 @@ fn wal_seed_corpus(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
     Ok(wals)
 }
 
+/// Crafted v8 containers, each one check from opening: of the single
+/// fixture (`net` is its network), a degree past its width, a target
+/// past the last vertex, a non-finite coordinate and trailing bytes; of
+/// the sharded one, a partition count one past and one short of its
+/// bodies.
+fn v8_seeds(single: &[u8], sharded: &[u8], net: &utcq_network::RoadNetwork) -> Vec<Vec<u8>> {
+    // The head is 18 bytes, then V, E and D; then the coordinates.
+    let (v, d) = (net.vertex_count(), net.max_out_degree());
+    let packed = 8 * (30 + 16 * v);
+    let target = packed + v * utcq_bitio::width_for_max(d.into()) as usize;
+    let target_width = utcq_bitio::width_for_max(v.saturating_sub(1) as u64) as usize;
+    let edit = |from: &[u8], f: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = from.to_vec();
+        f(&mut bytes);
+        bytes
+    };
+    let ones = |bytes: &mut Vec<u8>, at: usize, width: usize| {
+        for bit in at..at + width {
+            if let Some(b) = bytes.get_mut(bit / 8) {
+                *b |= 0x80 >> (bit % 8);
+            }
+        }
+    };
+    let parts = |bytes: &mut Vec<u8>, delta: i32| {
+        if let Some(n) = bytes.get_mut(14) {
+            *n = n.wrapping_add_signed(delta as i8);
+        }
+    };
+    vec![
+        edit(single, &|b| b[26..30].copy_from_slice(&1u32.to_le_bytes())),
+        edit(single, &|b| ones(b, target, target_width)),
+        edit(single, &|b| {
+            b[30..38].copy_from_slice(&f64::NAN.to_le_bytes())
+        }),
+        edit(single, &|b| b.extend([0, 1, 2])),
+        edit(sharded, &|b| parts(b, 1)),
+        edit(sharded, &|b| parts(b, -1)),
+    ]
+}
+
 // ---------------------------------------------------------------------
 // Harnesses: run a candidate input through every parser that should
 // reject it gracefully. The contract is "no panic"; return values are
 // deliberately ignored.
 
 fn container_harness(fx: &Fixtures, bytes: &[u8]) {
-    let _ = utcq_core::storage::load_full(&mut &bytes[..]);
-    let _ = utcq_core::storage::read_v3(&mut &bytes[..], |_, blob| {
-        utcq_core::storage::load_full(&mut { blob }).map(drop)
-    });
+    let _ = utcq_core::Store::read(&mut &bytes[..]);
     // The full open path (header sniffing, snapshot build) via the
     // facade; a scratch file because `open` takes a path.
     if fs::write(&fx.scratch, bytes).is_ok() {

@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 use std::time::Duration;
 
 /// Payload used to unwind virtual threads when a run is abandoned
@@ -977,6 +977,84 @@ pub fn wal_publish_order_broken() -> Scenario {
     wal_publish_order_scenario(false)
 }
 
+// -- Batch ingest: results taken in input order ------------------------
+
+/// A 1:1 mock of `utcq_core::par::par_in_order`, the work queue a batch
+/// ingest runs on: two workers pull item indices from a shared counter,
+/// make each item and leave it in the item's own slot; once both are
+/// joined, the caller takes the slots in index order, and a thread of
+/// the round, not the caller, frees what the workers made. Whatever the
+/// workers' interleaving, the caller sees items 0, 1, 2 in that order
+/// (so container bytes never depend on the core count), and it frees
+/// nothing itself.
+///
+/// Taking the items in the order they were finished (`in_order =
+/// false`) is the seeded bug the self-test proves the checker catches:
+/// a worker that claims a later index and stores it first reorders the
+/// batch.
+fn par_in_order_scenario(in_order: bool) -> Scenario {
+    const ITEMS: usize = 3;
+    let next = Arc::new(AtomicU64::new(0));
+    // Per slot, the item made for it; and the slots in finishing order.
+    let made = Arc::new(Mutex::new((vec![None; ITEMS], Vec::new())));
+    let worker = || {
+        let (next, made) = (Arc::clone(&next), Arc::clone(&made));
+        Box::new(move || loop {
+            let k = next.fetch_add(1, Ordering::SeqCst) as usize;
+            point("mock.par.claimed");
+            if k >= ITEMS {
+                return;
+            }
+            let item = vec![k as u64; 2]; // a worker's allocation
+            point("mock.par.made");
+            let mut slots = made.lock().unwrap_or_else(PoisonError::into_inner);
+            slots.0[k] = Some(item);
+            slots.1.push(k);
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let workers = vec![worker(), worker()];
+    let finale = Box::new(move || {
+        let (slots, finished) =
+            std::mem::take(&mut *made.lock().unwrap_or_else(PoisonError::into_inner));
+        let order: Vec<usize> = if in_order {
+            (0..ITEMS).collect()
+        } else {
+            finished
+        };
+        let taken: Vec<u64> = order
+            .iter()
+            .filter_map(|&k| Some(slots[k].as_ref()?[0]))
+            .collect();
+        assert_eq!(taken, [0, 1, 2], "results taken out of input order");
+        // The round's allocations are freed on another thread.
+        let caller = std::thread::current().id();
+        let freed_on = std::thread::spawn(move || {
+            drop(slots);
+            std::thread::current().id()
+        });
+        let freed_on = freed_on.join().unwrap_or(caller);
+        assert_ne!(
+            freed_on, caller,
+            "a worker's allocation freed on the caller"
+        );
+    }) as Box<dyn FnOnce() + Send>;
+    Scenario {
+        threads: workers,
+        finale: Some(finale),
+    }
+}
+
+/// The faithful mock of `par_in_order`: slots taken in index order.
+pub fn par_in_order() -> Scenario {
+    par_in_order_scenario(true)
+}
+
+/// The broken variant that takes results as they finish; used by the
+/// self-test to prove the checker finds the reordering.
+pub fn par_in_order_broken() -> Scenario {
+    par_in_order_scenario(false)
+}
+
 // -- Chunk-directory publication order --------------------------------
 
 /// A 1:1 mock of the segmented snapshot publish path
@@ -1358,6 +1436,7 @@ pub fn all_scenarios() -> Vec<NamedScenario> {
         ("wal_append_vs_publish", 400, wal_append_vs_publish),
         ("chunk_publish_order", 400, chunk_publish_order),
         ("range_cache_epoch", 400, range_cache_epoch),
+        ("par_in_order", 400, par_in_order),
     ]
 }
 
@@ -1568,6 +1647,34 @@ mod tests {
         );
         assert!(out.violation.is_none(), "{:?}", out.violation);
         assert!(out.exhausted);
+    }
+
+    #[test]
+    fn par_mock_taking_results_as_they_finish_reorders_them() {
+        let out = explore(
+            "par_in_order_broken",
+            SchedOpts {
+                preemption_bound: 4,
+                max_schedules: 400,
+            },
+            &par_in_order_broken,
+        );
+        let v = out.violation.expect("the reordering must be found");
+        assert!(v.message.contains("out of input order"), "{}", v.message);
+    }
+
+    #[test]
+    fn par_mock_in_order_is_clean() {
+        let out = explore(
+            "par_in_order",
+            SchedOpts {
+                preemption_bound: 4,
+                max_schedules: 400,
+            },
+            &par_in_order,
+        );
+        assert!(out.violation.is_none(), "{:?}", out.violation);
+        assert!(out.schedules > 10, "the workers never interleaved");
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn avg(d: Duration, n: usize) -> Duration {
 
 /// Bits of the index sections of the container `store` saves as.
 fn stored_index_bits(store: &Store) -> u64 {
-    let census = store.snapshots()[0].write_counted(&mut std::io::sink());
+    let census = store.snapshot().write(&mut std::io::sink());
     let census = census.expect("writing to a sink cannot fail");
     census.temporal + census.ref_tuples + census.nref_tuples
 }

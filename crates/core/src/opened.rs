@@ -24,7 +24,7 @@ use crate::error::Error;
 use crate::query::QueryTarget;
 use crate::shard::ShardSpec;
 use crate::snapshot::{Partition, Snapshot};
-use crate::storage::{Sections, FRAMING};
+use crate::storage::{Head, FRAMING, VERSION};
 use crate::store::Store;
 use crate::wal::WalConfig;
 
@@ -48,9 +48,9 @@ use crate::wal::WalConfig;
 /// ```
 #[derive(Debug)]
 pub enum Opened {
-    /// A store without a routing policy (v7 container).
+    /// A store without a routing policy (routing kind `single`).
     Single(Box<Store>),
-    /// A store with a routing policy (v3 container).
+    /// A store with a routing policy (any other routing kind).
     Sharded(Box<Store>),
 }
 
@@ -129,54 +129,41 @@ pub fn policy_label(spec: Option<ShardSpec>) -> String {
     }
 }
 
-/// The "format" line `utcq info` prints under the report: the version
-/// byte(s) the file holds ([`crate::storage::versions`]: the container's,
-/// then each shard blob's).
-pub fn render_format(versions: &[u8]) -> String {
-    let Some((outer, shards)) = versions.split_first() else {
-        return String::new();
-    };
-    let mut out = format!("  format:           v{outer}");
-    if !shards.is_empty() {
-        let shards = shards.iter().map(|v| format!("v{v}"));
-        out += &format!(" directory, shards {}", Vec::from_iter(shards).join(" "));
-    }
-    out + "\n"
+/// The "format" line `utcq info` prints under the report: what the
+/// file's head records ([`crate::storage::read_head`]).
+pub fn render_format(head: &Head) -> String {
+    let routing = ["custom", "time", "region", "single"];
+    let routing = routing.get(head.kind as usize).unwrap_or(&"?");
+    let (n, s) = (head.parts, if head.parts == 1 { "" } else { "s" });
+    format!("  format:           v{VERSION}, {n} partition{s}, routing {routing}\n")
 }
 
 /// The "container sections" table `utcq info` prints under the report:
-/// bytes and bytes per trajectory of each part of the container these
-/// partitions save as, summed over them (a v3 file adds only its
-/// directory), the dataset framing field by field. Each partition is
-/// written into a sink and the writer's own counters are read, so the
-/// table cannot drift from the format.
-pub fn render_sections(partitions: &[Arc<Partition>]) -> Result<String, Error> {
-    let count = |part: &Arc<Partition>| part.write_counted(&mut std::io::sink());
-    let counted = partitions
-        .iter()
-        .map(count)
-        .collect::<Result<Vec<Sections>, _>>()?;
-    let trajectories: usize = partitions.iter().map(|part| part.len()).sum();
-    let sum = |part: &dyn Fn(&Sections) -> u64| counted.iter().map(part).sum::<u64>();
-    let mut rows = vec![
-        ("network", sum(&|s| s.network)),
-        ("payload bits", sum(&|s| s.payload)),
-    ];
-    for (k, label) in FRAMING.into_iter().enumerate() {
-        // bounds: `framing` has a slot per field of FRAMING
-        rows.push((label, sum(&|s| s.framing[k])));
-    }
+/// bytes and bytes per trajectory of each part of the container `snap`
+/// saves as, the dataset framing field by field. The snapshot is written
+/// into a sink and the writer's own counters are read, so the table
+/// cannot drift from the format.
+pub fn render_sections(snap: &Snapshot) -> Result<String, Error> {
+    let s = snap.write(&mut std::io::sink())?;
+    let mut rows = vec![("network", s.network), ("payload bits", s.payload)];
+    // bounds: `framing` has a slot per field of FRAMING
+    rows.extend(
+        FRAMING
+            .into_iter()
+            .enumerate()
+            .map(|(k, label)| (label, s.framing[k])),
+    );
     rows.extend([
-        ("temporal", sum(&|s| s.temporal)),
-        ("ref tuples", sum(&|s| s.ref_tuples)),
-        ("nref tuples", sum(&|s| s.nref_tuples)),
+        ("temporal", s.temporal),
+        ("ref tuples", s.ref_tuples),
+        ("nref tuples", s.nref_tuples),
     ]);
     let rows = rows
         .into_iter()
         .map(|(label, bits)| (label, bits as f64 / 8.0));
     let rows = Vec::from_iter(rows);
     let title = "container sections (as written)";
-    Ok(render_table(title, &rows, trajectories))
+    Ok(render_table(title, &rows, snap.len()))
 }
 
 /// The "resident" table `utcq info` prints under the sections: heap
@@ -215,8 +202,8 @@ pub struct ShardInfo {
     pub ratio: f64,
 }
 
-/// The sharding section of an [`InfoReport`] — present only for v3
-/// containers.
+/// The sharding section of an [`InfoReport`] — present only for a store
+/// with a routing policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardingInfo {
     /// Routing policy label (see [`policy_label`]).

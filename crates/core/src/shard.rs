@@ -29,7 +29,7 @@ use utcq_network::{Grid, RoadNetwork};
 use utcq_traj::UncertainTrajectory;
 
 use crate::error::Error;
-use crate::storage::{ShardDirectory, POLICY_CUSTOM, POLICY_REGION, POLICY_TIME};
+use crate::storage::{ROUTING_CUSTOM, ROUTING_REGION, ROUTING_TIME};
 
 /// Maximum number of partitions a store may have (the partition tag of
 /// a where/when cursor is 16 bits).
@@ -115,22 +115,23 @@ impl ShardSpec {
         }
     }
 
-    pub(crate) fn directory(spec: Option<ShardSpec>) -> ShardDirectory {
-        let (kind, param) = match spec {
-            Some(ShardSpec::ByTime { interval_s }) => (POLICY_TIME, interval_s),
-            Some(ShardSpec::ByRegion { grid_n }) => (POLICY_REGION, i64::from(grid_n)),
-            None => (POLICY_CUSTOM, 0),
-        };
-        ShardDirectory { kind, param }
+    /// The routing kind and parameter a container's head records.
+    pub(crate) fn routing(spec: Option<ShardSpec>) -> (u8, i64) {
+        match spec {
+            Some(ShardSpec::ByTime { interval_s }) => (ROUTING_TIME, interval_s),
+            Some(ShardSpec::ByRegion { grid_n }) => (ROUTING_REGION, i64::from(grid_n)),
+            None => (ROUTING_CUSTOM, 0),
+        }
     }
 
-    pub(crate) fn from_directory(dir: ShardDirectory) -> Option<ShardSpec> {
-        match dir.kind {
-            POLICY_TIME => Some(ShardSpec::ByTime {
-                interval_s: dir.param.max(1),
+    /// The spec a container's head records, if a built-in one.
+    pub(crate) fn from_routing(kind: u8, param: i64) -> Option<ShardSpec> {
+        match kind {
+            ROUTING_TIME => Some(ShardSpec::ByTime {
+                interval_s: param.max(1),
             }),
-            POLICY_REGION => Some(ShardSpec::ByRegion {
-                grid_n: u32::try_from(dir.param).unwrap_or(1).max(1),
+            ROUTING_REGION => Some(ShardSpec::ByRegion {
+                grid_n: u32::try_from(param).unwrap_or(1).max(1),
             }),
             _ => None,
         }
@@ -362,11 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn v3_roundtrip_through_bytes() {
+    fn sharded_roundtrip_through_bytes() {
         let store = sharded(3);
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
-        assert_eq!(bytes[4], crate::storage::VERSION_V3);
+        let head = crate::storage::read_head(&mut bytes.as_slice()).unwrap();
+        assert_eq!((head.kind, head.parts), (ROUTING_TIME, 3));
         let reopened = Store::read(&mut bytes.as_slice()).unwrap();
         assert_eq!(reopened.shard_count(), 3);
         assert_eq!(reopened.len(), store.len());
@@ -374,9 +376,27 @@ mod tests {
             reopened.policy_spec(),
             Some(ShardSpec::ByTime { interval_s: 3600 })
         );
-        // The shared-network path: every partition holds the same Arc.
+        // The one network of the file: every partition holds its Arc.
         for s in reopened.snapshots() {
             assert!(Arc::ptr_eq(&s.net, reopened.network()));
+        }
+    }
+
+    #[test]
+    fn a_save_writes_each_partition_body_once() {
+        // One pass: the head, then one run of the body writer per
+        // partition, each straight to the writer.
+        for n in [1, 3] {
+            let store = sharded(n);
+            let bodies = || crate::storage::BODIES.with(std::cell::Cell::get);
+            let before = bodies();
+            let mut bytes = Vec::new();
+            let sections = store.snapshot().write(&mut bytes).unwrap();
+            assert_eq!(bodies() - before, u64::from(n), "{n} partitions");
+            let mut counted = sections.network + sections.payload + sections.temporal;
+            counted += sections.framing.iter().sum::<u64>();
+            counted += sections.ref_tuples + sections.nref_tuples;
+            assert_eq!(counted, bytes.len() as u64 * 8, "every bit accounted once");
         }
     }
 
@@ -402,34 +422,32 @@ mod tests {
     }
 
     #[test]
-    fn shards_with_different_networks_rejected() {
-        // Same vertex/edge counts, different geometry: a count-only
-        // check would let partition 1 silently answer against partition
-        // 0's coordinates.
-        let blob_with = |spacing: f64, stiu: StiuParams| {
-            let net = Arc::new(utcq_network::gen::line(5, spacing));
-            let store = StoreBuilder::new(net, CompressParams::default())
-                .stiu_params(stiu)
-                .finish()
-                .unwrap();
-            let mut b = Vec::new();
-            store.write(&mut b).unwrap();
-            b
+    fn partitions_with_different_index_parameters_rejected() {
+        // A v8 file holds one network, so its partitions share it; each
+        // body has its own StIU parameters, and partitions whose interval
+        // keys and grid cells disagree do not open.
+        let net = Arc::new(utcq_network::gen::line(5, 100.0));
+        let store_with = |stiu: StiuParams| {
+            let store = StoreBuilder::new(Arc::clone(&net), CompressParams::default());
+            store.stiu_params(stiu).finish().unwrap()
         };
-        let v3 = |blobs: &[Vec<u8>]| {
+        let open = |bodies: &[StiuParams]| {
             let mut bytes = Vec::new();
-            let dir = ShardDirectory { kind: 0, param: 0 };
-            let blob = |i: u32, w: &mut dyn std::io::Write| w.write_all(&blobs[i as usize]);
-            crate::storage::save_v3(dir, blobs.len() as u32, blob, &mut bytes).unwrap();
+            let parts = bodies.len() as u32;
+            let head = crate::storage::Head {
+                kind: crate::storage::ROUTING_CUSTOM,
+                param: 0,
+                parts,
+            };
+            crate::storage::write_head(head, &net, &mut bytes).unwrap();
+            for &stiu in bodies {
+                let store = store_with(stiu);
+                let part = &store.snapshots()[0];
+                crate::storage::write_body(&net, &part.cds, &part.stiu, &mut bytes).unwrap();
+            }
             Store::read(&mut bytes.as_slice())
         };
         let plain = StiuParams::default();
-        assert!(matches!(
-            v3(&[blob_with(100.0, plain), blob_with(120.0, plain)]),
-            Err(Error::CorruptStore("shards embed different networks"))
-        ));
-        // Same network, different StIU parameters: the interval keys and
-        // grid cells of the two partitions would be incompatible.
         for other in [
             StiuParams {
                 partition_s: 600,
@@ -441,13 +459,12 @@ mod tests {
             },
         ] {
             assert!(matches!(
-                v3(&[blob_with(100.0, plain), blob_with(100.0, other)]),
+                open(&[plain, other]),
                 Err(Error::CorruptStore("shards disagree on StIU parameters"))
             ));
         }
-        // Identical networks still open.
-        let ok = v3(&[blob_with(100.0, plain), blob_with(100.0, plain)]);
-        assert_eq!(ok.unwrap().shard_count(), 2);
+        // Equal parameters open.
+        assert_eq!(open(&[plain, plain]).unwrap().shard_count(), 2);
     }
 
     #[test]

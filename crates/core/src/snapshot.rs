@@ -53,7 +53,7 @@
 //! cache's footprint under ingest does not grow with the number of
 //! reads served since the last eviction.
 
-use std::io::{self, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -127,10 +127,10 @@ impl<T> Swap<T> {
 /// container it writes.
 #[derive(Clone)]
 pub(crate) enum Routing {
-    /// No policy: one partition, saved as v7.
+    /// No policy: one partition (routing kind `single`).
     Single,
-    /// A routing policy, saved as v3; `None` for a reopened custom-policy
-    /// container, which cannot place new batches.
+    /// A routing policy; `None` for a reopened custom-policy container,
+    /// which cannot place new batches.
     Policy(Option<Arc<dyn ShardPolicy>>),
 }
 
@@ -244,30 +244,31 @@ impl Snapshot {
     /// Crash-safe: the container lands via tmp file + rename + parent
     /// directory fsync, never as a torn in-place overwrite.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), Error> {
-        crate::wal::atomic_write(path.as_ref(), |w| self.write(w))
+        crate::wal::atomic_write(path.as_ref(), |w| self.write(w).map(drop))
     }
 
-    /// Writes the container to an arbitrary writer: v7 for a store
-    /// without a routing policy, v3 (the policy's shard directory, then
-    /// one v7 container per partition) for one with. A v3 container is
-    /// written one partition at a time straight to `w`, each partition
-    /// written twice (first to count its length), so no partition's
-    /// container is held in memory.
-    pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        let policy = match &self.routing {
-            Routing::Single => return self.first().write_counted(w).map(drop),
-            Routing::Policy(policy) => policy.as_ref(),
+    /// Writes the container to an arbitrary writer in one pass: a v8
+    /// head (the routing and the partition count), the store's one road
+    /// network, then each partition's body, straight to `w` — no
+    /// partition is written twice or held in memory. Returns where the
+    /// bits went (`utcq info` writes into a sink for its table).
+    pub fn write(&self, w: &mut impl Write) -> Result<Sections, Error> {
+        let (kind, param) = match &self.routing {
+            Routing::Single => (storage::ROUTING_SINGLE, 0),
+            Routing::Policy(policy) => ShardSpec::routing(policy.as_ref().and_then(|p| p.spec())),
         };
-        let dir = ShardSpec::directory(policy.and_then(|p| p.spec()));
-        let n = u32::try_from(self.parts.len())
-            .map_err(|_| Error::ShardConfig("more partitions than a directory holds"))?;
-        let blob = |p: u32, w: &mut dyn Write| {
-            let missing = io::Error::new(io::ErrorKind::InvalidInput, "partition past the store");
-            let part = self.parts.get(p as usize).ok_or(missing)?;
-            storage::save_v7(&part.net, &part.cds, &part.stiu, &mut { w }).map(drop)
+        let parts = u32::try_from(self.parts.len())
+            .map_err(|_| Error::ShardConfig("more partitions than a container holds"))?;
+        let net = &self.first().net;
+        let head = storage::Head { kind, param, parts };
+        let mut sections = Sections {
+            network: storage::write_head(head, net, w)?,
+            ..Sections::default()
         };
-        storage::save_v3(dir, n, blob, w)?;
-        Ok(())
+        for part in &self.parts {
+            sections += storage::write_body(net, &part.cds, &part.stiu, w)?;
+        }
+        Ok(sections)
     }
 
     /// Runs **where** or **when** on the partition holding `traj_id`,
@@ -576,13 +577,6 @@ impl Partition {
         // still lists the row.
         census.add("postings", 0);
         census
-    }
-
-    /// Writes this partition as a self-contained v7 container, returning
-    /// the writer's own account of where the bits went (`utcq info` runs
-    /// it into a sink).
-    pub fn write_counted(&self, w: &mut impl Write) -> Result<Sections, Error> {
-        Ok(storage::save_v7(&self.net, &self.cds, &self.stiu, w)?)
     }
 
     pub(crate) fn engine(&self) -> QueryEngine<'_> {

@@ -1,24 +1,26 @@
 //! On-disk persistence of compressed datasets.
 //!
-//! Binary containers under the `UTCQ` magic and a version byte. Two
-//! versions are read and written: v7 ([`save_v7`], [`load_full`]) for
-//! one store and the v3 directory of v7 blobs ([`save_v3`],
-//! [`read_v3`]) for a sharded one. Every older version (v1, v2, v4 to
-//! v6, and v3 directories of them) fails with
-//! [`StorageError::NeedsMigrate`]: `utcq migrate` (the `utcq_legacy`
-//! crate) reads them and writes them as these two.
-//! `docs/CONTAINERS.md` has the byte-level layouts.
+//! Binary containers under the `UTCQ` magic and a version byte. One
+//! version is read and written: v8, for a store of any partition count
+//! ([`write_head`] and [`write_body`], [`read_head`], [`read_network`]
+//! and [`read_body`]). Every older version (v1 to v7, and v3
+//! directories of them) fails with [`StorageError::NeedsMigrate`]:
+//! `utcq migrate` (the `utcq_legacy` crate) reads them and writes them
+//! as v8. `docs/CONTAINERS.md` has the byte-level layouts.
 //!
-//! # The record layout (v7)
+//! # The layout (v8)
 //!
 //! ```text
-//! [network]  RoadNetwork (see utcq_network::serialize)
-//! [head]     f64 ηD, f64 ηp, u32 n_pivots, u64 default_interval,
+//! [head]     "UTCQ", u8 8, u8 routing kind, i64 its parameter,
+//!            u32 partition count
+//! [network]  RoadNetwork, once (see utcq_network::serialize)
+//! then per partition, a body:
+//! [dataset]  f64 ηD, f64 ηp, u32 n_pivots, u64 default_interval,
 //!            u32 w_e (outgoing-edge-number width), u32 name_len + name,
 //!            2 × SizeBreakdown (compressed, raw; 6 × u64 each),
-//!            u64 trajectory count
-//! [dataset]  per trajectory: id, n_times, stream T,
-//!     instance count, one role bit per instance in original order,
+//!            u64 trajectory count, then per trajectory: id, n_times,
+//!            stream T, instance count, one role bit per instance in
+//!            original order,
 //!     per ref:  sv, n_entries, streams E, T', D, p_code
 //!     per nref: ref_idx, streams Com_E, Com_T, Com_D, p_code
 //! [index]    i64 partition_s, u32 grid_n (the grid is rebuilt from the
@@ -27,6 +29,11 @@
 //!               one enters bit per cell
 //!     per nref: one membership bit per cell of its group
 //! ```
+//!
+//! A body delimits itself: its trajectory count gives the number of
+//! blocks of each section, and each block opens with its length. So a
+//! container is written and read in one pass, one partition at a time,
+//! and nothing in it is the length of something later.
 //!
 //! Both sections are packed MSB-first into blocks of [`CHUNK`] records:
 //! a `u32` byte length, the records, zero padding to a byte. A dataset
@@ -37,12 +44,12 @@
 //! vertex and cell indices, `p_code` (the `ηp` codec width), `ref_idx`
 //! (the trajectory's own ref count).
 //!
-//! **v7 stores no field the rest of the file determines**
-//! (`docs/CONTAINERS.md` § v7): every stream delimits itself (by
-//! arithmetic, or a walk of its codes that needs counts, never the
-//! reference's content), the role bits give each `orig_idx` of the
-//! order compression emits (`canonical`), and the temporal tuples are a
-//! function of `T` (`stiu::push_temporal`).
+//! **A body stores no field the rest of the file determines**
+//! (`docs/CONTAINERS.md` § v7, whose body v8 keeps): every stream
+//! delimits itself (by arithmetic, or a walk of its codes that needs
+//! counts, never the reference's content), the role bits give each
+//! `orig_idx` of the order compression emits (`canonical`), and the
+//! temporal tuples are a function of `T` (`stiu::push_temporal`).
 //!
 //! **The region tuples** are coded against the trajectory, in the
 //! canonical order of [`crate::stiu`]: a group's cells ascending as its
@@ -52,7 +59,7 @@
 //! and no region tuple count is stored: the trajectory's reference and
 //! non-reference rows say whose tuples come next.
 //!
-//! **Derived at open:** besides v7's fields, the interval postings
+//! **Derived at open:** besides the body's fields, the interval postings
 //! (`Stiu::append_node`) and each trajectory's probability mass
 //! (`TrajSegment::finish`) — pure functions of stored fields, so a
 //! reopened index equals the built one bit for bit.
@@ -64,15 +71,8 @@
 //! its streams to the segment's arena and its region cells and
 //! membership bits to the index tables, and the writer packs from
 //! borrowed views, with no per-trajectory object in between.
-//!
-//! **v3 (sharded)** is a directory (`u8` policy kind, `i64` parameter,
-//! `u32` shard count) followed by one `u64`-length-prefixed, complete v7
-//! container per shard. It is written ([`save_v3`]) and read
-//! ([`read_v3`]) one shard at a time, with no blob held in memory: the
-//! writer runs a shard's v7 writer once into a byte counter for the
-//! length, the reader parses each blob straight from the stream.
 
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 
 use utcq_bitio::{golomb, width_for_max, BitBuf, BitReader, BitSlice, BitWriter, CodecError};
 use utcq_network::{CellId, RoadNetwork, VertexId};
@@ -86,32 +86,32 @@ use crate::stiu::{push_temporal, NodeSegment, Stiu, StiuParams, TrajIndex};
 use crate::{factor, siar};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
-/// Sharded container: a shard directory followed by one embedded
-/// self-contained container per shard.
-pub const VERSION_V3: u8 = 3;
-/// The self-contained container stores write: what the rest of the file
-/// determines is not stored (no stream length, no instance order past
-/// one role bit per instance, no temporal tuple).
-pub const VERSION_V7: u8 = 7;
+/// The container version core reads and writes: one network, then one
+/// body per partition.
+pub const VERSION: u8 = 8;
 
-/// Shard-policy kind recorded in a v3 directory: the routing policy was
-/// not one of the built-ins (metadata only — querying never routes).
-pub const POLICY_CUSTOM: u8 = 0;
-/// Shard-policy kind: time-interval routing (`param` = interval seconds).
-pub const POLICY_TIME: u8 = 1;
-/// Shard-policy kind: region routing (`param` = routing-grid dimension).
-pub const POLICY_REGION: u8 = 2;
+/// Routing kind of a v8 head: a policy that is not one of the built-ins
+/// (metadata only — querying never routes).
+pub const ROUTING_CUSTOM: u8 = 0;
+/// Routing kind: time-interval routing (`param` = interval seconds).
+pub const ROUTING_TIME: u8 = 1;
+/// Routing kind: region routing (`param` = routing-grid dimension).
+pub const ROUTING_REGION: u8 = 2;
+/// Routing kind: no policy, one partition (`param` = 0).
+pub const ROUTING_SINGLE: u8 = 3;
 
-/// The fixed-size head of a v3 container: how the trajectories were
-/// routed to shards. Pure metadata for reopening — query execution
-/// discovers trajectory placement from the shard contents themselves.
+/// The fixed-size head of a v8 container: how the trajectories were
+/// routed to partitions, and how many there are. Metadata for reopening
+/// — query execution finds a trajectory through the id map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardDirectory {
-    /// One of [`POLICY_CUSTOM`], [`POLICY_TIME`], [`POLICY_REGION`].
+pub struct Head {
+    /// One of the `ROUTING_*` kinds.
     pub kind: u8,
-    /// Policy parameter (interval seconds / grid dimension; `0` for
-    /// custom policies).
+    /// Routing parameter (interval seconds / grid dimension; `0` for
+    /// custom and single).
     pub param: i64,
+    /// The partition count: one body each.
+    pub parts: u32,
 }
 
 /// Errors while reading a container.
@@ -129,8 +129,6 @@ pub enum StorageError {
         /// The version it declares.
         version: u32,
     },
-    /// A sharded v3 container was given to a single-store reader.
-    Sharded,
     /// Structurally invalid payload (corrupt lengths or padding).
     Corrupt(&'static str),
 }
@@ -150,12 +148,6 @@ impl std::fmt::Display for StorageError {
                 f,
                 "{what} v{version} predates the current format: run `utcq migrate` to rewrite it"
             ),
-            StorageError::Sharded => {
-                write!(
-                    f,
-                    "sharded v{VERSION_V3} container where a single-store container is required"
-                )
-            }
             StorageError::Corrupt(what) => write!(f, "corrupt container: {what}"),
         }
     }
@@ -225,19 +217,22 @@ fn read_breakdown(r: &mut impl Read) -> io::Result<SizeBreakdown> {
 }
 
 /// Writes the dataset head: parameters, name, size accounting and the
-/// trajectory count.
-fn write_dataset_head(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
-    write_f64(w, cds.params.eta_d)?;
-    write_f64(w, cds.params.eta_p)?;
-    write_u32(w, cds.params.n_pivots as u32)?;
-    write_u64(w, cds.params.default_interval as u64)?;
-    write_u32(w, cds.w_e)?;
+/// trajectory count. Returns its length in bytes.
+fn write_dataset_head(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<u64> {
+    let mut head = Vec::new();
+    write_f64(&mut head, cds.params.eta_d)?;
+    write_f64(&mut head, cds.params.eta_p)?;
+    write_u32(&mut head, cds.params.n_pivots as u32)?;
+    write_u64(&mut head, cds.params.default_interval as u64)?;
+    write_u32(&mut head, cds.w_e)?;
     let name = cds.name.as_bytes();
-    write_u32(w, name.len() as u32)?;
-    w.write_all(name)?;
-    write_breakdown(w, &cds.compressed)?;
-    write_breakdown(w, &cds.raw)?;
-    write_u64(w, cds.trajectories.len() as u64)
+    write_u32(&mut head, name.len() as u32)?;
+    head.extend(name);
+    write_breakdown(&mut head, &cds.compressed)?;
+    write_breakdown(&mut head, &cds.raw)?;
+    write_u64(&mut head, cds.trajectories.len() as u64)?;
+    w.write_all(&head)?;
+    Ok(head.len() as u64)
 }
 
 // The columns of a dataset block …
@@ -579,8 +574,8 @@ fn read_coded_regions<R: Read>(
 }
 
 /// Where a written container's bits went, counted by the writer as it
-/// writes (in bits; they sum to the container size): `network` is
-/// magic, version and the embedded network; `payload` the compressed
+/// writes (in bits; they sum to the container size): `network` is the
+/// head and the one network section; `payload` the compressed
 /// bit streams themselves; `framing` the rest of the dataset section,
 /// by the fields of [`FRAMING`]; `temporal` the rest of the index
 /// section (parameters, block lengths, padding: v7 stores no temporal
@@ -593,6 +588,21 @@ pub struct Sections {
     pub temporal: u64,
     pub ref_tuples: u64,
     pub nref_tuples: u64,
+}
+
+/// The sum of two accounts: a container's head and its bodies.
+impl std::ops::AddAssign for Sections {
+    fn add_assign(&mut self, o: Self) {
+        self.network += o.network;
+        self.payload += o.payload;
+        self.framing
+            .iter_mut()
+            .zip(o.framing)
+            .for_each(|(a, b)| *a += b);
+        self.temporal += o.temporal;
+        self.ref_tuples += o.ref_tuples;
+        self.nref_tuples += o.nref_tuples;
+    }
 }
 
 /// The fields of [`Sections::framing`], in its order: the dataset block
@@ -836,10 +846,31 @@ fn pack_node(
     Ok(())
 }
 
-/// Serializes a self-contained v7 container: network + bit-packed
-/// dataset + bit-packed index, one block of [`CHUNK`] trajectories in
-/// memory at a time. Returns where the bits went.
-pub fn save_v7(
+/// Writes a v8 container's head and its one network section. Returns
+/// the bits written (the `network` of [`Sections`]).
+pub fn write_head(head: Head, net: &RoadNetwork, w: &mut impl Write) -> io::Result<u64> {
+    let mut bytes = MAGIC.to_vec();
+    write_u8(&mut bytes, VERSION)?;
+    write_u8(&mut bytes, head.kind)?;
+    write_i64(&mut bytes, head.param)?;
+    write_u32(&mut bytes, head.parts)?;
+    net.encode(&mut bytes)?;
+    w.write_all(&bytes)?;
+    Ok(bytes.len() as u64 * 8)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The bodies [`write_body`] wrote on this thread: a test counts a
+    /// save's.
+    pub(crate) static BODIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Writes one partition's body straight to `w`, in one pass: the
+/// bit-packed dataset, then the bit-packed index, one block of
+/// [`CHUNK`] trajectories in memory at a time. `net` is the container's
+/// network. Returns where the bits went (all but `network`).
+pub fn write_body(
     net: &RoadNetwork,
     cds: &CompressedDataset,
     stiu: &Stiu,
@@ -850,16 +881,9 @@ pub fn save_v7(
         let what = "index/dataset trajectory counts";
         return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
     }
-    let mut head = Counted {
-        inner: &mut *w,
-        bytes: 0,
-    };
-    head.write_all(MAGIC)?;
-    write_u8(&mut head, VERSION_V7)?;
-    net.write_to(&mut head)?;
-    let network = head.bytes * 8;
-    write_dataset_head(cds, &mut head)?;
-    let head = head.bytes * 8;
+    #[cfg(test)]
+    BODIES.with(|n| n.set(n.get() + 1));
+    let head = write_dataset_head(cds, w)? * 8;
     let ctx = CtxWidths::new(net, cds, stiu.grid.cell_count());
     let traj = |i| cds.trajectories.get(i);
     let (dataset, payload, mut framing) = write_blocks(ctx, DATASET_COLS, n, traj, pack_traj, w)?;
@@ -872,9 +896,9 @@ pub fn save_v7(
     let (ref_tuples, nref_tuples, _) = tuples;
     let fields: u64 = framing.iter().sum();
     // bounds: BLOCKS is a slot of the framing array
-    framing[BLOCKS] = head - network + dataset - payload - fields;
+    framing[BLOCKS] = head + dataset - payload - fields;
     Ok(Sections {
-        network,
+        network: 0,
         payload,
         framing,
         temporal: 12 * 8 + index - ref_tuples - nref_tuples,
@@ -883,169 +907,49 @@ pub fn save_v7(
     })
 }
 
-/// Counts the bytes written through it to `inner`.
-struct Counted<W> {
-    inner: W,
-    bytes: u64,
-}
-
-impl<W: Write> Write for Counted<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.bytes += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Serializes a sharded v3 container: the shard directory, then per
-/// shard a `u64` length and the self-contained container `shard(i, w)`
-/// writes (each blob parses standalone with [`load_full`], so shards can
-/// be extracted, inspected or re-sharded without understanding v3). One
-/// shard at a time, and no blob held: `shard` runs twice per shard,
-/// first into a counter for its length, and must write the same bytes
-/// both times.
-pub fn save_v3(
-    dir: ShardDirectory,
-    n_shards: u32,
-    mut shard: impl FnMut(u32, &mut dyn Write) -> io::Result<()>,
-    w: &mut impl Write,
-) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u8(w, VERSION_V3)?;
-    write_u8(w, dir.kind)?;
-    write_i64(w, dir.param)?;
-    write_u32(w, n_shards)?;
-    for i in 0..n_shards {
-        let mut count = Counted {
-            inner: io::sink(),
-            bytes: 0,
-        };
-        shard(i, &mut count)?;
-        write_u64(w, count.bytes)?;
-        let mut blob = Counted {
-            inner: &mut *w,
-            bytes: 0,
-        };
-        shard(i, &mut blob)?;
-        if blob.bytes != count.bytes {
-            let what = "a shard wrote different bytes when written again";
-            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
-        }
-    }
-    Ok(())
-}
-
-/// Reads a sharded container's directory, then hands `blob` each
-/// shard's index and a reader of exactly its bytes, one shard at a time
-/// and none of them held: `blob` may parse it straight from `r` (and
-/// need not read to its end). Returns the directory. Accepts a plain v7
-/// container too, handed over as a single shard with no directory — so
-/// a sharded reader opens both shapes transparently. A blob is only
-/// checked to be a single-store container: [`load_full`] reads its
-/// version.
-pub fn read_v3<R: Read, E: From<StorageError>>(
-    r: &mut R,
-    mut blob: impl FnMut(u32, &mut dyn Read) -> Result<(), E>,
-) -> Result<Option<ShardDirectory>, E> {
-    let Some((dir, n_shards)) = read_directory(r)? else {
-        // Re-frame the rest of the stream as one standalone shard.
-        let [m0, m1, m2, m3] = *MAGIC;
-        blob(0, &mut [m0, m1, m2, m3, VERSION_V7].chain(r))?;
-        return Ok(None);
-    };
-    let truncated = || StorageError::Corrupt("shard blob truncated");
-    for i in 0..n_shards {
-        let len = read_u64(r).map_err(StorageError::from)?;
-        if !(5..=(1u64 << 40)).contains(&len) {
-            return Err(StorageError::Corrupt("shard blob length out of range").into());
-        }
-        // Read through a `take`, so a crafted length field cannot read
-        // past the blob, nor make anything allocate for bytes that do
-        // not arrive.
-        let mut body = r.by_ref().take(len);
-        let mut head = [0u8; 5];
-        body.read_exact(&mut head).map_err(|_| truncated())?;
-        let [m0, m1, m2, m3, version] = head;
-        let single = (1..=VERSION_V7).contains(&version) && version != VERSION_V3;
-        if [m0, m1, m2, m3] != *MAGIC || !single {
-            let what = "shard blob is not a self-contained container";
-            return Err(StorageError::Corrupt(what).into());
-        }
-        let parsed = blob(i, &mut head.chain(&mut body));
-        // Skip what the parse left of the blob. A blob short of its
-        // length was cut, whatever the parse made of that.
-        io::copy(&mut body, &mut io::sink()).map_err(StorageError::from)?;
-        if body.limit() > 0 {
-            return Err(truncated().into());
-        }
-        parsed?;
-    }
-    Ok(Some(dir))
-}
-
-/// The directory of a v3 container and its shard count, read past the
-/// header; `None` for a plain v7 container, whose header was read.
-fn read_directory(r: &mut impl Read) -> Result<Option<(ShardDirectory, u32)>, StorageError> {
-    if read_header(r)? == VERSION_V7 {
-        return Ok(None);
-    }
-    let kind = read_u8(r)?;
-    if kind > POLICY_REGION {
-        return Err(StorageError::Corrupt("unknown shard policy kind"));
-    }
-    let param = read_i64(r)?;
-    let n_shards = read_u32(r)?;
-    if n_shards == 0 || n_shards > (1 << 16) {
-        return Err(StorageError::Corrupt("shard count out of range"));
-    }
-    Ok(Some((ShardDirectory { kind, param }, n_shards)))
-}
-
-/// Reads the magic and version byte: v3 or v7, or the version of an
-/// older container, which only `utcq migrate` reads.
-fn read_header(r: &mut impl Read) -> Result<u8, StorageError> {
+/// Reads a container's head, up to its network: the magic, the version
+/// (v8; an older one only `utcq migrate` reads), the routing and the
+/// partition count.
+pub fn read_head(r: &mut impl Read) -> Result<Head, StorageError> {
     let mut magic = [0u8; 5];
     r.read_exact(&mut magic)?;
-    // bounds: magic is a [u8; 5] filled by read_exact
-    if &magic[..4] != MAGIC {
+    let [m0, m1, m2, m3, version] = magic;
+    if [m0, m1, m2, m3] != *MAGIC {
         return Err(StorageError::BadHeader);
     }
-    // bounds: magic is a [u8; 5], index 4 is in range
-    match magic[4] {
-        v @ (VERSION_V3 | VERSION_V7) => Ok(v),
-        version @ 1..VERSION_V7 => Err(StorageError::NeedsMigrate {
-            what: "container",
-            version: version.into(),
-        }),
-        _ => Err(StorageError::BadHeader),
+    match version {
+        VERSION => {}
+        1..VERSION => {
+            let version = version.into();
+            return Err(StorageError::NeedsMigrate {
+                what: "container",
+                version,
+            });
+        }
+        _ => return Err(StorageError::BadHeader),
     }
+    let (kind, param, parts) = (read_u8(r)?, read_i64(r)?, read_u32(r)?);
+    if kind > ROUTING_SINGLE {
+        return Err(StorageError::Corrupt("unknown routing kind"));
+    }
+    if parts == 0 || parts > (1 << 16) {
+        return Err(StorageError::Corrupt("partition count out of range"));
+    }
+    if kind == ROUTING_SINGLE && (parts, param) != (1, 0) {
+        return Err(StorageError::Corrupt(
+            "single routing of other than one partition",
+        ));
+    }
+    Ok(Head { kind, param, parts })
 }
 
-/// The version byte of a container, followed for a sharded (v3) one by
-/// the version byte of each shard's blob in directory order: what
-/// `utcq info` reports. Reads the headers only, seeking over the bodies.
-pub fn versions(r: &mut (impl Read + Seek)) -> Result<Vec<u8>, StorageError> {
-    let mut versions = vec![read_header(r)?];
-    if versions == [VERSION_V3] {
-        let (_kind, _param, n_shards) = (read_u8(r)?, read_i64(r)?, read_u32(r)?);
-        for _ in 0..n_shards {
-            let body = read_u64(r)?
-                .checked_sub(5)
-                .and_then(|n| i64::try_from(n).ok());
-            let body = body.ok_or(StorageError::Corrupt("shard blob length out of range"))?;
-            versions.push(read_header(r)?);
-            r.seek(SeekFrom::Current(body))?;
-        }
-    }
-    Ok(versions)
+/// Reads a container's one network section, after its head.
+pub fn read_network(r: &mut impl Read) -> Result<RoadNetwork, StorageError> {
+    RoadNetwork::decode(r).map_err(|_| StorageError::Corrupt("embedded network"))
 }
 
 /// Reads a dataset section (the head, then the records) of a container
-/// whose embedded network is `net`.
+/// whose network is `net`.
 fn read_dataset(r: &mut impl Read, net: &RoadNetwork) -> Result<CompressedDataset, StorageError> {
     let eta_d = read_f64(r)?;
     let eta_p = read_f64(r)?;
@@ -1090,21 +994,19 @@ fn read_dataset(r: &mut impl Read, net: &RoadNetwork) -> Result<CompressedDatase
     Ok(cds)
 }
 
-/// Deserializes a v7 container into its network, dataset and index.
-pub fn load_full(
+/// Reads one partition's body (see [`write_body`]) of a container whose
+/// network is `net` into its dataset and index.
+pub fn read_body(
     r: &mut impl Read,
-) -> Result<(RoadNetwork, CompressedDataset, Stiu), StorageError> {
-    if read_header(r)? == VERSION_V3 {
-        return Err(StorageError::Sharded);
-    }
-    let net = RoadNetwork::read_from(r).map_err(|_| StorageError::Corrupt("embedded network"))?;
-    let cds = read_dataset(r, &net)?;
+    net: &RoadNetwork,
+) -> Result<(CompressedDataset, Stiu), StorageError> {
+    let cds = read_dataset(r, net)?;
     let params = StiuParams {
         partition_s: read_i64(r)?,
         grid_n: read_u32(r)?,
     };
-    let mut stiu = Stiu::new(&net, params)?;
-    let ctx = CtxWidths::new(&net, &cds, stiu.grid.cell_count());
+    let mut stiu = Stiu::new(net, params)?;
+    let ctx = CtxWidths::new(net, &cds, stiu.grid.cell_count());
     read_nodes(&mut Source::new(r, &[], ctx), &cds, &mut stiu)?;
     if net.max_out_degree() > 0 {
         let expect = crate::compressed::edge_number_width(net.max_out_degree());
@@ -1112,7 +1014,15 @@ pub fn load_full(
             return Err(StorageError::Corrupt("edge width vs embedded network"));
         }
     }
-    Ok((net, cds, stiu))
+    Ok((cds, stiu))
+}
+
+/// Checks that the container ends after its last body.
+pub fn read_end(r: &mut impl Read) -> Result<(), StorageError> {
+    match r.read(&mut [0u8])? {
+        0 => Ok(()),
+        _ => Err(StorageError::Corrupt("bytes past the last partition")),
+    }
 }
 
 #[cfg(test)]
@@ -1128,46 +1038,86 @@ mod tests {
         (net, cds, stiu)
     }
 
-    fn v7_bytes() -> Vec<u8> {
+    const SINGLE: Head = Head {
+        kind: ROUTING_SINGLE,
+        param: 0,
+        parts: 1,
+    };
+
+    /// Writes a container of `head` whose every body is `(cds, stiu)`,
+    /// and returns where its bits went.
+    fn save_as(
+        head: Head,
+        (net, cds, stiu): (&RoadNetwork, &CompressedDataset, &Stiu),
+        w: &mut impl Write,
+    ) -> io::Result<Sections> {
+        let mut s = Sections {
+            network: write_head(head, net, w)?,
+            ..Sections::default()
+        };
+        for _ in 0..head.parts {
+            s += write_body(net, cds, stiu, w)?;
+        }
+        Ok(s)
+    }
+
+    /// A one-partition container of `(net, cds, stiu)`.
+    fn save(
+        net: &RoadNetwork,
+        cds: &CompressedDataset,
+        stiu: &Stiu,
+        w: &mut impl Write,
+    ) -> io::Result<Sections> {
+        save_as(SINGLE, (net, cds, stiu), w)
+    }
+
+    /// A container as read: its head, its network and every body.
+    type Loaded = (Head, RoadNetwork, Vec<(CompressedDataset, Stiu)>);
+
+    /// The head, the network and every body of a container.
+    fn load_all(r: &mut impl Read) -> Result<Loaded, StorageError> {
+        let head = read_head(r)?;
+        let net = read_network(r)?;
+        let bodies = (0..head.parts).map(|_| read_body(r, &net));
+        let bodies = bodies.collect::<Result<Vec<_>, _>>()?;
+        read_end(r)?;
+        Ok((head, net, bodies))
+    }
+
+    /// A one-partition container's network, dataset and index.
+    fn load(r: &mut impl Read) -> Result<(RoadNetwork, CompressedDataset, Stiu), StorageError> {
+        let (_, net, mut bodies) = load_all(r)?;
+        let (cds, stiu) = bodies.pop().ok_or(StorageError::Corrupt("no body"))?;
+        Ok((net, cds, stiu))
+    }
+
+    /// The bits an account names: the whole file, if it is the file's.
+    fn counted(s: &Sections) -> u64 {
+        let fields = s.payload + s.framing.iter().sum::<u64>() + s.temporal;
+        s.network + fields + s.ref_tuples + s.nref_tuples
+    }
+
+    fn v8_bytes(head: Head) -> Vec<u8> {
         let (net, cds, stiu) = sample();
         let mut bytes = Vec::new();
-        let s = save_v7(&net, &cds, &stiu, &mut bytes).unwrap();
-        let counted = s.network
-            + s.payload
-            + s.framing.iter().sum::<u64>()
-            + s.temporal
-            + s.ref_tuples
-            + s.nref_tuples;
-        assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
+        let s = save_as(head, (&net, &cds, &stiu), &mut bytes).unwrap();
+        assert_eq!(
+            counted(&s),
+            bytes.len() as u64 * 8,
+            "sections sum to the file"
+        );
         bytes
     }
 
-    fn v3_bytes(kind: u8, param: i64, shards: &[Vec<u8>]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        let blob = |i: u32, w: &mut dyn Write| w.write_all(&shards[i as usize]);
-        let dir = ShardDirectory { kind, param };
-        save_v3(dir, shards.len() as u32, blob, &mut bytes).unwrap();
-        bytes
-    }
-
-    /// The directory and the blobs [`read_v3`] hands over, each read
-    /// whole.
-    fn blobs_of(mut bytes: &[u8]) -> Result<(Option<ShardDirectory>, Vec<Vec<u8>>), StorageError> {
-        let mut blobs = Vec::new();
-        let dir = read_v3(&mut bytes, |_, r| {
-            let mut blob = Vec::new();
-            r.read_to_end(&mut blob)?;
-            blobs.push(blob);
-            Ok::<(), StorageError>(())
-        })?;
-        Ok((dir, blobs))
+    fn single_bytes() -> Vec<u8> {
+        v8_bytes(SINGLE)
     }
 
     #[test]
     fn v7_roundtrip_preserves_all_parts() {
         let (net, cds, stiu) = sample();
-        let bytes = v7_bytes();
-        let (net2, cds2, stiu2) = load_full(&mut bytes.as_slice()).unwrap();
+        let bytes = single_bytes();
+        let (net2, cds2, stiu2) = load(&mut bytes.as_slice()).unwrap();
         let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
         assert_eq!(net2, net);
         assert_eq!((&cds2.name, cds2.w_e), (&cds.name, cds.w_e));
@@ -1179,7 +1129,7 @@ mod tests {
         assert_eq!(dbg(&stiu2.trajs), dbg(&stiu.trajs));
         // Writing what was read reproduces the bytes.
         let mut again = Vec::new();
-        save_v7(&net2, &cds2, &stiu2, &mut again).unwrap();
+        save(&net2, &cds2, &stiu2, &mut again).unwrap();
         assert_eq!(again, bytes);
     }
 
@@ -1211,21 +1161,19 @@ mod tests {
         // non-reference cell take a few.
         let (net, cds, stiu) = cd_sample();
         let mut bytes = Vec::new();
-        let s = save_v7(net, cds, stiu, &mut bytes).unwrap();
-        let counted = s.network
-            + s.payload
-            + s.framing.iter().sum::<u64>()
-            + s.temporal
-            + s.ref_tuples
-            + s.nref_tuples;
-        assert_eq!(counted, bytes.len() as u64 * 8, "sections sum to the file");
+        let s = save(net, cds, stiu, &mut bytes).unwrap();
+        assert_eq!(
+            counted(&s),
+            bytes.len() as u64 * 8,
+            "sections sum to the file"
+        );
         let per_traj = (s.ref_tuples + s.nref_tuples) as f64 / 8.0 / cds.trajectories.len() as f64;
         assert!(
             per_traj <= 12.0,
             "region tuples: {per_traj:.2} B/trajectory"
         );
         // And they read back to the same index.
-        let (_, _, again) = load_full(&mut bytes.as_slice()).unwrap();
+        let (_, _, again) = load(&mut bytes.as_slice()).unwrap();
         let dbg = |t: &dyn std::fmt::Debug| format!("{t:?}");
         assert_eq!(dbg(&again.trajs), dbg(&stiu.trajs));
     }
@@ -1237,7 +1185,7 @@ mod tests {
         // framing field that grows back fails here.
         let (net, cds, stiu) = cd_sample();
         let mut bytes = Vec::new();
-        let s = save_v7(net, cds, stiu, &mut bytes).unwrap();
+        let s = save(net, cds, stiu, &mut bytes).unwrap();
         let per_traj = |bits: u64| bits as f64 / 8.0 / cds.trajectories.len() as f64;
         let framing = per_traj(s.framing.iter().sum::<u64>());
         let (temporal, stored) = (
@@ -1283,7 +1231,7 @@ mod tests {
         // writes.
         let (net, cds, stiu) = sample();
         let mut bytes = Vec::new();
-        let s = save_v7(&net, &cds, &stiu, &mut bytes).unwrap();
+        let s = save(&net, &cds, &stiu, &mut bytes).unwrap();
         let block = ((s.network + s.payload + s.framing.iter().sum::<u64>()) / 8) as usize + 12;
         let n_cells = stiu.grid.cell_count() as u64;
         let cell = index_width(n_cells as usize);
@@ -1294,7 +1242,7 @@ mod tests {
             let mut crafted = bytes[..block].to_vec();
             crafted.extend((block_bits.len_bytes() as u32).to_le_bytes());
             crafted.extend(block_bits.as_bytes());
-            match load_full(&mut crafted.as_slice()) {
+            match load(&mut crafted.as_slice()) {
                 Err(StorageError::Corrupt(what)) => what,
                 other => panic!("crafted group opened: {:?}", other.map(|_| ())),
             }
@@ -1333,99 +1281,95 @@ mod tests {
             nodes.push(node.temporal, regions).unwrap();
         }
         stiu.trajs = nodes;
-        let err = save_v7(&net, &cds, &stiu, &mut Vec::new()).unwrap_err();
+        let err = save(&net, &cds, &stiu, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn v1_rejected_by_v2_loader() {
         // A valid older file is reported as one `utcq migrate` reads,
-        // not as garbage: every version before v7 but the v3 directory.
-        for version in [1, 2, 4, 5, 6] {
-            let mut bytes = v7_bytes();
+        // not as garbage: every version before v8.
+        for version in 1..VERSION {
+            let mut bytes = single_bytes();
             bytes[4] = version;
-            for err in [
-                load_full(&mut bytes.as_slice()).map(drop).unwrap_err(),
-                blobs_of(&bytes).map(drop).unwrap_err(),
-            ] {
-                let StorageError::NeedsMigrate { what, version: v } = err else {
-                    panic!("v{version}: {err:?}");
-                };
-                assert_eq!((what, v), ("container", u32::from(version)));
-                assert!(err.to_string().contains("run `utcq migrate`"), "{err}");
+            let err = load(&mut bytes.as_slice()).map(drop).unwrap_err();
+            let StorageError::NeedsMigrate { what, version: v } = err else {
+                panic!("v{version}: {err:?}");
+            };
+            assert_eq!((what, v), ("container", u32::from(version)));
+            assert!(err.to_string().contains("run `utcq migrate`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn v8_roundtrip_preserves_head_and_bodies() {
+        // Every body is read given the file's one network.
+        let head = Head {
+            kind: ROUTING_TIME,
+            param: 3600,
+            parts: 2,
+        };
+        let bytes = v8_bytes(head);
+        let (read, net, bodies) = load_all(&mut bytes.as_slice()).unwrap();
+        assert_eq!((read, &net), (head, &sample().0));
+        assert_eq!(bodies.len(), 2);
+        let mut again = Vec::new();
+        write_head(head, &net, &mut again).unwrap();
+        for (cds, stiu) in &bodies {
+            write_body(&net, cds, stiu, &mut again).unwrap();
+        }
+        assert_eq!(again, bytes);
+        // The network is stored once: a second body adds only itself.
+        let one = single_bytes();
+        let body = bytes.len() - one.len();
+        assert_eq!(&bytes[bytes.len() - body..], &one[one.len() - body..]);
+    }
+
+    #[test]
+    fn v8_head_corruption_is_rejected_not_panicking() {
+        let head = Head {
+            kind: ROUTING_REGION,
+            param: 8,
+            parts: 2,
+        };
+        let bytes = v8_bytes(head);
+        for cut in [6, 18, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
+            assert!(load_all(&mut &bytes[..cut]).is_err(), "cut={cut}");
+        }
+        let corrupt = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = bytes.clone();
+            edit(&mut bad);
+            match load_all(&mut bad.as_slice()) {
+                Err(StorageError::Corrupt(what)) => what,
+                other => panic!("{:?}", other.map(|(head, ..)| head)),
             }
-        }
-    }
-
-    #[test]
-    fn v3_roundtrip_preserves_directory_and_blobs() {
-        let blob = v7_bytes();
-        let bytes = v3_bytes(POLICY_TIME, 3600, &[blob.clone(), blob.clone()]);
-        let (dir, blobs) = blobs_of(&bytes).unwrap();
-        let (kind, param) = (POLICY_TIME, 3600);
-        assert_eq!(dir, Some(ShardDirectory { kind, param }));
-        assert_eq!(blobs, [blob.clone(), blob]);
-        // Each blob is a standalone container.
-        let (_, cds, _) = load_full(&mut blobs[1].as_slice()).unwrap();
-        assert!(!cds.trajectories.is_empty());
-    }
-
-    #[test]
-    fn v3_reader_accepts_plain_v7_as_single_shard() {
-        let blob = v7_bytes();
-        let (dir, blobs) = blobs_of(&blob).unwrap();
-        assert_eq!(dir, None);
-        assert_eq!(blobs, [blob]);
-        // An older plain container is left to `utcq migrate`.
-        let v2 = include_bytes!("../../../tests/fixtures/tiny_v2.utcq");
-        assert!(matches!(
-            blobs_of(&v2[..]),
-            Err(StorageError::NeedsMigrate { version: 2, .. })
-        ));
-    }
-
-    #[test]
-    fn v3_rejected_by_single_store_loaders() {
-        let bytes = v3_bytes(POLICY_REGION, 8, &[v7_bytes()]);
-        assert!(matches!(
-            load_full(&mut bytes.as_slice()),
-            Err(StorageError::Sharded)
-        ));
-        // A v3 of older blobs opens its directory; each blob is refused
-        // by the single-store reader, as one `utcq migrate` reads.
-        let mut old = v7_bytes();
-        old[4] = 6;
-        let bytes = v3_bytes(POLICY_REGION, 8, &[old]);
-        let (_, blobs) = blobs_of(&bytes).unwrap();
-        assert!(matches!(
-            load_full(&mut blobs[0].as_slice()),
-            Err(StorageError::NeedsMigrate { version: 6, .. })
-        ));
-    }
-
-    #[test]
-    fn v3_corruption_is_rejected_not_panicking() {
-        let bytes = v3_bytes(POLICY_TIME, 3600, &[v7_bytes()]);
-        for cut in [6, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
-            assert!(blobs_of(&bytes[..cut]).is_err(), "cut={cut}");
-        }
-        // Bad policy kind, then zero shards, then a nested directory.
-        let mut bad = bytes.clone();
-        bad[5] = 9;
-        let nested = v3_bytes(POLICY_TIME, 1, std::slice::from_ref(&bytes));
-        for bad in [bad, v3_bytes(POLICY_CUSTOM, 0, &[]), nested] {
-            assert!(matches!(blobs_of(&bad), Err(StorageError::Corrupt(_))));
-        }
+        };
+        assert_eq!(corrupt(&|b| b[5] = 9), "unknown routing kind");
+        let no_parts = corrupt(&|b| b[14..18].fill(0));
+        assert_eq!(no_parts, "partition count out of range");
+        assert_eq!(
+            corrupt(&|b| b[5] = ROUTING_SINGLE),
+            "single routing of other than one partition"
+        );
+        assert_eq!(corrupt(&|b| b[18] ^= 0x80), "embedded network");
+        // A count past the bodies runs into the end of the file; one
+        // short of them leaves a body over, as do trailing bytes.
+        let mut past = bytes.clone();
+        past[14] = 3;
+        let err = load_all(&mut past.as_slice()).map(drop).unwrap_err();
+        assert!(matches!(&err, StorageError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof));
+        assert_eq!(corrupt(&|b| b[14] = 1), "bytes past the last partition");
+        assert_eq!(corrupt(&|b| b.push(0)), "bytes past the last partition");
     }
 
     #[test]
     fn bad_magic_rejected() {
         // A wrong magic and an unknown future version are header errors.
         for (at, byte) in [(0, b'X'), (4, 9), (4, 0)] {
-            let mut bytes = v7_bytes();
+            let mut bytes = single_bytes();
             bytes[at] = byte;
             assert!(matches!(
-                load_full(&mut bytes.as_slice()),
+                load(&mut bytes.as_slice()),
                 Err(StorageError::BadHeader)
             ));
         }
@@ -1433,9 +1377,9 @@ mod tests {
 
     #[test]
     fn truncation_rejected() {
-        let bytes = v7_bytes();
+        let bytes = single_bytes();
         for cut in (0..bytes.len()).step_by(5) {
-            assert!(load_full(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
+            assert!(load(&mut bytes[..cut].as_ref()).is_err(), "cut={cut}");
         }
     }
 
@@ -1443,11 +1387,11 @@ mod tests {
     fn bitflips_do_not_panic() {
         // Flip a sample of bits across the container; the loader must
         // return Ok or Err, never panic.
-        let bytes = v7_bytes();
+        let bytes = single_bytes();
         for i in (0..bytes.len()).step_by(11) {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 1 << (i % 8);
-            let _ = load_full(&mut corrupt.as_slice());
+            let _ = load(&mut corrupt.as_slice());
         }
     }
 }

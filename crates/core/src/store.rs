@@ -5,8 +5,8 @@
 //! `Send + Sync`. It is built through [`StoreBuilder`] — each batch is
 //! compressed and indexed as it arrives, into one partition or, after
 //! [`StoreBuilder::shard_by`], into the one a routing policy picks
-//! ([`crate::shard`]) — or opened with [`Store::open`] from a
-//! self-contained (v7) or sharded (v3) container.
+//! ([`crate::shard`]) — or opened with [`Store::open`] from a v8
+//! container: one road network, then one body per partition.
 //!
 //! All read state is one immutable [`Snapshot`] behind an `Arc`: every
 //! partition at one epoch and the store's one id map, id → (partition,
@@ -50,7 +50,7 @@ use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::shard::{check_shard_count, ShardPolicy, ShardSpec};
 use crate::snapshot::{Partition, Routing, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
-use crate::storage::{self, StorageError, VERSION_V3};
+use crate::storage;
 
 /// What one [`Store::ingest`] publication did — echoed verbatim by
 /// the serve protocol's `ingest` response.
@@ -158,9 +158,9 @@ impl StoreBuilder {
 
     /// Routes every trajectory to one of `n_shards` partitions by
     /// `policy`; the finished store keeps the policy for live batches and
-    /// saves as v3 (with `n_shards = 1` too). Other options apply to
-    /// every partition. A call after the first [`ingest`](Self::ingest)
-    /// fails with [`Error::ShardConfig`].
+    /// records it in its container (with `n_shards = 1` too). Other
+    /// options apply to every partition. A call after the first
+    /// [`ingest`](Self::ingest) fails with [`Error::ShardConfig`].
     pub fn shard_by(mut self, policy: Arc<dyn ShardPolicy>, n_shards: u32) -> Result<Self, Error> {
         if !self.snapshot.is_empty() {
             return Err(Error::ShardConfig("shard_by after the first ingest"));
@@ -257,7 +257,9 @@ fn derive_ids(parts: &[Arc<Partition>]) -> Result<SharedIdMap, Error> {
             rows.map(move |(j, ct)| (ct.id, (p, j)))
         })
     };
-    let mut sorted: Vec<u64> = stored().map(|(id, _)| id).collect();
+    // Sized exactly: at open, this sort is the heap's high-water mark.
+    let mut sorted = Vec::with_capacity(parts.iter().map(|part| part.len()).sum());
+    sorted.extend(stored().map(|(id, _)| id));
     sorted.sort_unstable();
     // bounds: windows(2) yields exactly-2-element slices
     if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
@@ -303,7 +305,7 @@ impl Store {
 
     /// A store over an epoch-0 snapshot, whose partitions all read
     /// through one decode cache. The partitions share one road network
-    /// (compared structurally, not by counts) and one [`StiuParams`], so
+    /// (one `Arc`: a container stores it once) and one [`StiuParams`], so
     /// the range scan merges their interval keys and resolves a query's
     /// cells once.
     fn assemble(state: Snapshot) -> Result<Self, Error> {
@@ -311,7 +313,7 @@ impl Store {
         // bounds: windows(2) yields exactly-2-element slices
         for w in state.parts.windows(2) {
             let (a, b) = (&w[0], &w[1]);
-            if !Arc::ptr_eq(&a.net, &b.net) && a.net != b.net {
+            if !Arc::ptr_eq(&a.net, &b.net) {
                 return Err(Error::CorruptStore("shards embed different networks"));
             }
             if a.stiu.params != b.stiu.params {
@@ -339,10 +341,10 @@ impl Store {
         })
     }
 
-    /// Opens a container: a v7 one as one partition, a sharded v3 one as
-    /// its partitions under the recorded policy. An older container
-    /// fails with [`StorageError::NeedsMigrate`]: `utcq migrate` rewrites
-    /// it as one of these. Once the container is read, the process's
+    /// Opens a v8 container as its partitions under the recorded
+    /// routing. An older container fails with
+    /// [`storage::StorageError::NeedsMigrate`]: `utcq migrate` rewrites it
+    /// as v8. Once the container is read, the process's
     /// freed heap pages go back to the OS (on glibc), so what stays
     /// resident is what is held.
     ///
@@ -360,38 +362,28 @@ impl Store {
         Ok(store)
     }
 
-    /// Reads a container from an arbitrary reader (see [`Store::open`]).
-    /// A v3 container is read one shard blob at a time, each parsed
-    /// straight from `r` (no blob is held in memory); the embedded road
-    /// network is deserialized once per blob, and structurally equal
-    /// copies share the first one's `Arc`.
+    /// Reads a container from an arbitrary reader (see [`Store::open`]),
+    /// in one pass at any partition count: the head, the one road network
+    /// every partition shares, then each partition's body, parsed
+    /// straight from `r` (no body is held in memory).
     pub fn read(r: &mut impl Read) -> Result<Self, Error> {
-        let mut head = [0u8; 5];
-        r.read_exact(&mut head).map_err(StorageError::from)?;
-        let mut r = head.as_slice().chain(r);
+        let head = storage::read_head(r)?;
+        let net = Arc::new(storage::read_network(r)?);
         let cache = Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES));
-        // bounds: head is a [u8; 5]
-        if head[4] != VERSION_V3 {
-            let (net, cds, stiu) = storage::load_full(&mut r)?;
-            let part = Partition::assemble(Arc::new(net), cds, stiu, cache, 0)?;
-            return Self::opened(vec![Arc::new(part)], Routing::Single);
-        }
-        let mut shared: Option<Arc<RoadNetwork>> = None;
         let mut parts = Vec::new();
-        let dir = storage::read_v3(&mut r, |p, blob| {
-            let (net, cds, stiu) = storage::load_full(&mut { blob })?;
-            // A differing copy is rejected by `assemble`.
-            let net = match &shared {
-                Some(first) if **first == net => Arc::clone(first),
-                _ => Arc::new(net),
-            };
-            shared.get_or_insert_with(|| Arc::clone(&net));
-            let part = Partition::assemble(net, cds, stiu, Arc::clone(&cache), p)?;
+        for p in 0..head.parts {
+            let (cds, stiu) = storage::read_body(r, &net)?;
+            let part = Partition::assemble(Arc::clone(&net), cds, stiu, Arc::clone(&cache), p)?;
             parts.push(Arc::new(part));
-            Ok::<(), Error>(())
-        })?;
-        let spec = dir.and_then(ShardSpec::from_directory);
-        Self::opened(parts, Routing::Policy(spec.map(ShardSpec::policy)))
+        }
+        storage::read_end(r)?;
+        let routing = match head.kind {
+            storage::ROUTING_SINGLE => Routing::Single,
+            kind => {
+                Routing::Policy(ShardSpec::from_routing(kind, head.param).map(ShardSpec::policy))
+            }
+        };
+        Self::opened(parts, routing)
     }
 
     /// Persists the current state (see [`Snapshot::save`]). Safe to call
@@ -413,7 +405,7 @@ impl Store {
     /// Writes the current state's container to an arbitrary writer (see
     /// [`Snapshot::write`]).
     pub fn write(&self, w: &mut impl Write) -> Result<(), Error> {
-        self.snapshot().write(w)
+        self.snapshot().write(w).map(drop)
     }
 
     /// Pins the current epoch of the whole store — every partition and

@@ -18,9 +18,9 @@
 //! * (d) a publish copies the tail segment with a number of allocations
 //!   that does not depend on how many trajectories the tail holds;
 //! * (e) a 3-partition store is written and read one partition at a
-//!   time, no partition's container held whole: writing its container
-//!   raises the heap above what stays live by less than 1.5 times its
-//!   largest partition's container, and reading it by less than half.
+//!   time, no partition's body held whole: writing its container raises
+//!   the heap above what stays live by less than 1.5 times its largest
+//!   partition's body, and reading it by less than half.
 //!
 //! Everything lives in ONE `#[test]`: the counters are process-global
 //! and the tests of a binary run on parallel threads.
@@ -30,6 +30,7 @@ use std::io;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use utcq_core::storage;
 use utcq_core::{ByTime, CompressParams, Partition, QueryTarget, Store, StoreBuilder};
 use utcq_datagen::{generate_network, generate_on_network, profile, GenOptions};
 use utcq_traj::Dataset;
@@ -241,10 +242,14 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
     );
 
     // (e) one partition at a time: 3 partitions of ~1,700 trajectories,
-    // written and read with no partition's container held whole. The
-    // writer held all three (6.5 times the largest); the reader held
-    // them all before it parsed the first, so while it parsed the last,
-    // when the heap peaks, it held that one (0.93 times).
+    // written and read with no partition's body held whole. A v3 writer
+    // once held all three (6.5 times the largest); the reader held them
+    // all before it parsed the first, so while it parsed the last, when
+    // the heap peaks, it held that one (0.93 times). A body is all a
+    // partition adds to a file (the network is the file's, once): 130.7
+    // KB here, where a v7 blob with its network was 224.9 KB. Reading
+    // then peaks at the id map's duplicate check (0.44 times, sized
+    // exactly; 0.63 when it grew by doubling).
     let sharded = StoreBuilder::new(Arc::clone(&net), params)
         .shard_by(Arc::new(ByTime { interval_s: 600 }), 3)
         .unwrap()
@@ -253,12 +258,12 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
         .finish()
         .unwrap();
     let parts = sharded.snapshots();
-    let blob = |part: &Arc<Partition>| {
-        let mut blob = Vec::new();
-        part.write_counted(&mut blob).unwrap();
-        blob.len()
+    let body = |part: &Arc<Partition>| {
+        let mut body = Vec::new();
+        storage::write_body(&net, part.compressed(), part.stiu(), &mut body).unwrap();
+        body.len()
     };
-    let largest = parts.iter().map(blob).max().unwrap() as f64;
+    let largest = parts.iter().map(body).max().unwrap() as f64;
     let bytes = container(&sharded);
     let ((), written) = transient(|| sharded.write(&mut io::sink()).unwrap());
     let (read, opened) = transient(|| reopen(&bytes));
@@ -275,7 +280,7 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
     // `utcq info` is demonstrated on.
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/tiny_v7.utcq"
+        "/../../tests/fixtures/tiny_v8.utcq"
     );
     let Cost { bytes, census, .. } = cost(reopen(&std::fs::read(fixture).unwrap()));
     assert!(

@@ -105,6 +105,8 @@ fn derived_bounds_equal_the_stored_computation_on_every_fixture() {
         "tiny_v5.utcq",
         "tiny_v6.utcq",
         "tiny_v7.utcq",
+        "tiny_v8.utcq",
+        "tiny_v8_sharded.utcq",
     ];
     for name in fixtures {
         let path = format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));

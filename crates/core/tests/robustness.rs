@@ -142,8 +142,7 @@ fn crafted_temporal_span_is_rejected_at_open() {
         trajs.push(&ct, &params.p_codec()).unwrap();
     }
     cds.trajectories = trajs;
-    let mut bytes = Vec::new();
-    storage::save_v7(&net, &cds, &index, &mut bytes).unwrap();
+    let (bytes, _) = save(&net, &cds, &index);
     assert_eq!(
         refused(&bytes),
         StorageError::Corrupt("temporal span too long").to_string()
@@ -182,10 +181,36 @@ unsafe impl GlobalAlloc for Largest {
 #[global_allocator]
 static ALLOCATOR: Largest = Largest;
 
+/// A one-partition v8 container of `(net, cds, index)` and where its
+/// bits went.
+fn save(
+    net: &utcq_network::RoadNetwork,
+    cds: &utcq_core::CompressedDataset,
+    index: &stiu::Stiu,
+) -> (Vec<u8>, storage::Sections) {
+    let mut bytes = Vec::new();
+    let head = storage::Head {
+        kind: storage::ROUTING_SINGLE,
+        param: 0,
+        parts: 1,
+    };
+    let network = storage::write_head(head, net, &mut bytes).unwrap();
+    let s = storage::write_body(net, cds, index, &mut bytes).unwrap();
+    (bytes, storage::Sections { network, ..s })
+}
+
+/// Reads a one-partition v8 container through the storage layer.
+fn load(mut bytes: &[u8]) -> Result<(), StorageError> {
+    storage::read_head(&mut bytes)?;
+    let net = storage::read_network(&mut bytes)?;
+    storage::read_body(&mut bytes, &net)?;
+    storage::read_end(&mut bytes)
+}
+
 /// Opens `bytes`, which must fail with a typed error (returned as its
 /// message), allocating no block larger than 16 bytes per byte read.
 fn refused(bytes: &[u8]) -> String {
-    refused_by(bytes, |bytes| storage::load_full(&mut &bytes[..]).map(drop))
+    refused_by(bytes, load)
 }
 
 /// [`refused`] by `open`, whose error is any displayable one.
@@ -210,9 +235,10 @@ fn refused_by<E: std::fmt::Display>(
 /// Width of the instance count in [`V7::with`]'s blocks.
 const COUNT: u32 = 32;
 
-/// The head of a v7 container of one `tiny` trajectory, and the widths
-/// its context gives the fields of a record: what crafted records are
-/// put behind.
+/// The head of a v8 container of one `tiny` trajectory, up to its one
+/// body's first block (whose records are v7's), and the widths its
+/// context gives the fields of a record: what crafted records are put
+/// behind.
 struct V7 {
     head: Vec<u8>,
     vertex: u32,
@@ -228,9 +254,8 @@ impl V7 {
         let params = CompressParams::with_interval(ds.default_interval);
         let cds = utcq_core::compress_dataset(&net, &ds, &params).unwrap();
         let index = stiu::build(&net, &ds, &cds, StiuParams::default());
-        let mut bytes = Vec::new();
-        let s = storage::save_v7(&net, &cds, &index, &mut bytes).unwrap();
-        // Magic, version and network; the dataset head: ηD, ηp, pivots,
+        let (bytes, s) = save(&net, &cds, &index);
+        // The head and the network; the dataset head: ηD, ηp, pivots,
         // interval, w_e, name, two size breakdowns, trajectory count.
         let at = s.network as usize / 8 + 36 + cds.name.len() + 96 + 8;
         Self {
@@ -336,7 +361,7 @@ fn older_readers_refuse_instances_out_of_order() {
         migrated.snapshots()[0].compressed().clone(),
     );
     let mut net_bytes = Vec::new();
-    net.write_to(&mut net_bytes).unwrap();
+    utcq_legacy::container::write_network(net, &mut net_bytes).unwrap();
     let block = 5 + net_bytes.len() + 36 + cds.name.len() + 96 + 8 + 4;
     let bits = BitSlice::from_bytes(&bytes[block..], (bytes.len() - block) * 8).unwrap();
     let mut r = bits.reader();
@@ -395,4 +420,31 @@ fn older_readers_refuse_instances_out_of_order() {
     let expect = utcq_core::Error::from(StorageError::Corrupt("instances out of order"));
     let migrate = |bytes: &[u8]| utcq_legacy::open(bytes, no_v1).map(drop);
     assert_eq!(refused_by(&swapped, migrate), expect.to_string());
+}
+
+#[test]
+fn a_crafted_network_count_allocates_nothing_it_does_not_read() {
+    // A v8 head (single routing, one partition), then a network of
+    // 2^28 vertices and 2^29 edges of degree at most 4, and 16 bytes.
+    let mut v8 = b"UTCQ\x08\x03".to_vec();
+    v8.extend(0i64.to_le_bytes());
+    v8.extend(1u32.to_le_bytes());
+    for n in [1u32 << 28, 1 << 29, 4] {
+        v8.extend(n.to_le_bytes());
+    }
+    v8.extend([0; 16]);
+    let network = StorageError::Corrupt("embedded network");
+    assert_eq!(refused(&v8), network.to_string());
+    // Its legacy twin: the same counts in a 29-byte v7 file, through
+    // `utcq migrate`'s reader of the fixed-width network section.
+    let mut v7 = b"UTCQ\x07".to_vec();
+    for n in [1u32 << 28, 1 << 29] {
+        v7.extend(n.to_le_bytes());
+    }
+    v7.extend([0; 16]);
+    assert_eq!(v7.len(), 29);
+    let no_v1 = || -> (utcq_network::RoadNetwork, StiuParams) { unreachable!("a v7 file") };
+    let migrate = |bytes: &[u8]| utcq_legacy::open(bytes, no_v1).map(drop);
+    let expect = utcq_core::Error::from(network).to_string();
+    assert_eq!(refused_by(&v7, migrate), expect);
 }

@@ -61,9 +61,9 @@ use utcq_core::compressed::{
 };
 use utcq_core::segment::TrajView;
 use utcq_core::stiu::{region_cells, EdgeCells, Stiu, StiuParams, TemporalTuple};
-use utcq_core::storage::StorageError;
+use utcq_core::storage::{self, Head, StorageError, ROUTING_REGION};
 use utcq_core::{decompress_dataset, factor, siar, CompressParams, CompressedDataset, Error};
-use utcq_network::{CellId, RoadNetwork, VertexId};
+use utcq_network::{CellId, NetworkBuilder, RoadNetwork, VertexId};
 use utcq_traj::size::SizeBreakdown;
 
 /// Dataset-only container: no network, no index.
@@ -77,6 +77,12 @@ pub const VERSION_V5: u8 = 5;
 /// Bit-packed blocks whose region tuples are coded against the
 /// trajectory.
 pub const VERSION_V6: u8 = 6;
+/// A directory (policy kind, parameter, shard count) and one
+/// length-prefixed self-contained container per shard.
+pub const VERSION_V3: u8 = 3;
+/// The body of v8 (which core reads) behind this crate's network
+/// section: a self-contained container of one store.
+pub const VERSION_V7: u8 = 7;
 
 const MAGIC: &[u8; 4] = b"UTCQ";
 
@@ -131,8 +137,13 @@ fn read_bits(r: &mut impl Read) -> Result<BitBuf, StorageError> {
     if len > (1 << 30) {
         return Err(StorageError::Corrupt("bit stream longer than 2^30"));
     }
-    let mut bytes = vec![0u8; len.div_ceil(8)];
-    r.read_exact(&mut bytes)?;
+    // Through a `take`, so the buffer grows with the bytes that arrive,
+    // not with a crafted length.
+    let mut bytes = Vec::new();
+    r.take(len.div_ceil(8) as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len.div_ceil(8) {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     BitBuf::from_bytes(bytes, len).ok_or(StorageError::Corrupt("bit padding"))
 }
 
@@ -644,9 +655,14 @@ fn check_v2_postings(r: &mut impl Read, stiu: &Stiu) -> Result<(), StorageError>
     Ok(())
 }
 
-/// Reads a v2, v4, v5 or v6 container past its magic and version byte.
+/// Reads a v2, v4, v5, v6 or v7 container past its magic and version
+/// byte. A v7 body is a v8 body, which core's reader reads.
 pub(crate) fn read_self_contained(r: &mut impl Read, version: u8) -> Result<Parts, StorageError> {
-    let net = RoadNetwork::read_from(r).map_err(|_| StorageError::Corrupt("embedded network"))?;
+    let net = read_network(r)?;
+    if version == VERSION_V7 {
+        let (cds, stiu) = storage::read_body(r, &net)?;
+        return Ok((net, cds, stiu));
+    }
     let cds = read_dataset(r, version, Some(&net))?;
     let params = StiuParams {
         partition_s: read_i64(r)?,
@@ -732,17 +748,144 @@ pub(crate) fn read_v1(
     Ok((net, cds, stiu))
 }
 
-/// Reads an older v3 directory's blob: a v2, v4, v5 or v6 container,
-/// or a v7 one, which core reads.
-pub(crate) fn read_blob(blob: &[u8]) -> Result<Parts, StorageError> {
-    let mut body = blob;
-    match read_header(&mut body)? {
-        version @ (VERSION_V2 | VERSION_V4..=VERSION_V6) => read_self_contained(&mut body, version),
-        VERSION_V1 => Err(StorageError::Corrupt(
-            "shard blob is not a self-contained container",
-        )),
-        _ => utcq_core::storage::load_full(&mut { blob }),
+/// Reads a v3 container past its magic and version byte: its directory
+/// as a v8 head, and each shard's blob, a v2 or v4 to v7 container.
+pub(crate) fn read_v3(r: &mut &[u8]) -> Result<(Head, Vec<Parts>), StorageError> {
+    let kind = read_u8(r)?;
+    if kind > ROUTING_REGION {
+        return Err(StorageError::Corrupt("unknown shard policy kind"));
     }
+    let (param, parts) = (read_i64(r)?, read_u32(r)?);
+    if parts == 0 || parts > (1 << 16) {
+        return Err(StorageError::Corrupt("shard count out of range"));
+    }
+    let mut blobs = Vec::new();
+    for _ in 0..parts {
+        let len = read_u64(r)?;
+        if !(5..=(1u64 << 40)).contains(&len) {
+            return Err(StorageError::Corrupt("shard blob length out of range"));
+        }
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        let truncated = StorageError::Corrupt("shard blob truncated");
+        let (blob, rest) = r.split_at_checked(len).ok_or(truncated)?;
+        *r = rest;
+        let mut body = blob;
+        let parsed = match read_header(&mut body)? {
+            version @ (VERSION_V2 | VERSION_V4..=VERSION_V7) => {
+                read_self_contained(&mut body, version)?
+            }
+            _ => {
+                let what = "shard blob is not a self-contained container";
+                return Err(StorageError::Corrupt(what));
+            }
+        };
+        blobs.push(parsed);
+    }
+    Ok((Head { kind, param, parts }, blobs))
+}
+
+/// Reads the network section of containers v2 and v4 to v7 (all
+/// little-endian):
+///
+/// ```text
+/// u32 vertex_count (V)   u32 edge_count (E)
+/// V × (f64 x, f64 y)     vertex coordinates
+/// (V+1) × u32            CSR out-edge offsets (offsets[0] = 0, offsets[V] = E)
+/// E × u32                edge target vertices
+/// E × f64                edge lengths in meters
+/// ```
+///
+/// Every table grows as its bytes arrive, so a crafted count allocates
+/// nothing the file does not hold. Any fault, a cut included, is a
+/// corrupt network.
+pub fn read_network(r: &mut impl Read) -> Result<RoadNetwork, StorageError> {
+    read_network_fields(r).ok_or(StorageError::Corrupt("embedded network"))
+}
+
+fn read_network_fields(r: &mut impl Read) -> Option<RoadNetwork> {
+    let v = read_u32(r).ok()? as usize;
+    let e = read_u32(r).ok()? as usize;
+    if v > (1 << 28) || e > (1 << 29) {
+        return None;
+    }
+    let mut b = NetworkBuilder::new();
+    for _ in 0..v {
+        let (x, y) = (read_f64(r).ok()?, read_f64(r).ok()?);
+        if !x.is_finite() || !y.is_finite() {
+            return None;
+        }
+        b.add_vertex(x, y);
+    }
+    let mut offsets = Vec::new();
+    for _ in 0..=v {
+        offsets.push(read_u32(r).ok()?);
+    }
+    // bounds: windows(2) yields exactly-2-element slices
+    let monotonic = offsets.windows(2).all(|w| w[0] <= w[1]);
+    if offsets.first() != Some(&0) || offsets.last() != Some(&(e as u32)) || !monotonic {
+        return None;
+    }
+    let mut targets = Vec::new();
+    for _ in 0..e {
+        let t = read_u32(r).ok()?;
+        targets.push(VertexId(below(t.into(), v, "").ok()?));
+    }
+    let mut edges = Vec::new();
+    for to in targets {
+        let l = read_f64(r).ok()?;
+        if !l.is_finite() || l < 0.0 {
+            return None;
+        }
+        edges.push((to, l));
+    }
+    let mut edges = edges.into_iter();
+    for (from, o) in (0..).zip(offsets.windows(2)) {
+        // bounds: windows(2) yields exactly-2-element slices
+        for (to, l) in edges.by_ref().take((o[1] - o[0]) as usize) {
+            b.add_edge_with_length(VertexId(from), to, l);
+        }
+    }
+    Some(b.build())
+}
+
+/// Writes `net` as [`read_network`] reads it. No store writes it; the
+/// tests make older containers with it.
+pub fn write_network(net: &RoadNetwork, w: &mut impl Write) -> io::Result<()> {
+    w.write_all(&(net.vertex_count() as u32).to_le_bytes())?;
+    w.write_all(&(net.edge_count() as u32).to_le_bytes())?;
+    for v in net.vertices() {
+        let p = net.coord(v);
+        w.write_all(&p.x.to_le_bytes())?;
+        w.write_all(&p.y.to_le_bytes())?;
+    }
+    let mut offset = 0u32;
+    w.write_all(&offset.to_le_bytes())?;
+    for v in net.vertices() {
+        offset += net.out_degree(v);
+        w.write_all(&offset.to_le_bytes())?;
+    }
+    for e in net.edges() {
+        w.write_all(&net.edge_to(e).0.to_le_bytes())?;
+    }
+    for e in net.edges() {
+        w.write_all(&net.edge_length(e).to_le_bytes())?;
+    }
+    Ok(())
+}
+
+/// Writes a v7 container of one store: this crate's network section,
+/// then core's body. No store writes v7; this makes v7 files for the
+/// tests that migrate them.
+pub fn save_v7(
+    net: &RoadNetwork,
+    cds: &CompressedDataset,
+    stiu: &Stiu,
+    w: &mut impl Write,
+) -> io::Result<()> {
+    w.write_all(MAGIC)?;
+    w.write_all(&[VERSION_V7])?;
+    write_network(net, w)?;
+    storage::write_body(net, cds, stiu, w).map(drop)
 }
 
 /// Reads the magic and version byte of a container.

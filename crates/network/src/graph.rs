@@ -301,10 +301,10 @@ mod tests {
 
     #[test]
     fn bounding_rect_of_an_empty_network_is_degenerate() {
-        // `read_from` accepts V=0,E=0, so this shape arrives from disk.
+        // `decode` accepts V=0,E=0, so this shape arrives from disk.
         let mut bytes = Vec::new();
-        NetworkBuilder::new().build().write_to(&mut bytes).unwrap();
-        let n = RoadNetwork::read_from(&mut bytes.as_slice()).unwrap();
+        NetworkBuilder::new().build().encode(&mut bytes).unwrap();
+        let n = RoadNetwork::decode(&mut bytes.as_slice()).unwrap();
         assert_eq!(n.vertex_count(), 0);
         assert_eq!(n.bounding_rect(), Rect::new(0.0, 0.0, 0.0, 0.0));
     }

@@ -1,12 +1,12 @@
 //! `utcq` — command-line front end for the UTCQ reproduction.
 //!
-//! `compress` writes a **self-contained v7 container** (road network +
-//! compressed dataset + StIU index) — or, with `--shards N`, a
-//! **sharded v3 container** whose partitions are routed by `--shard-by
+//! `compress` writes a **self-contained v8 container** (road network,
+//! once, then per partition its compressed dataset and StIU index) —
+//! with `--shards N`, of N partitions routed by `--shard-by
 //! time|region`. `info`, `verify` and `query` operate on the file alone
-//! — no profile/seed side channel. They open v7 and v3 containers;
-//! `migrate` rewrites an older container (v1 to v6) or write-ahead log
-//! (v1) in the current format first:
+//! — no profile/seed side channel. They open v8 containers; `migrate`
+//! rewrites an older container (v1 to v7) or write-ahead log (v1) in
+//! the current format first:
 //!
 //! ```text
 //! utcq stats      --profile cd --trajs 200 --seed 1
@@ -212,16 +212,16 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             "shard occupancy ({shards} shards, {policy}): [{}]",
             sizes.join(", ")
         );
-        "sharded v3"
+        "v8, sharded"
     } else {
-        "self-contained v7"
+        "v8, single"
     };
     store.save(&out).map_err(|e| e.to_string())?;
     println!("wrote {out} ({kind} container)");
     Ok(())
 }
 
-/// Opens a v7 or v3 container as a queryable store through the
+/// Opens a v8 container as a queryable store through the
 /// [`utcq::core::Opened`] facade.
 fn open_store(args: &Args) -> Result<Opened, String> {
     let path = args.get("in", "data.utcq");
@@ -232,8 +232,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     let path = args.get("in", "data.utcq");
     let opened = open_store(args)?;
     let mut f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-    let format = render_format(&storage::versions(&mut f).map_err(|e| e.to_string())?);
-    let sections = render_sections(&opened.snapshots()).map_err(|e| e.to_string())?;
+    let format = render_format(&storage::read_head(&mut f).map_err(|e| e.to_string())?);
+    let sections = render_sections(&opened.snapshot()).map_err(|e| e.to_string())?;
     let resident = render_resident(&opened.snapshot());
     let report = opened.info().render();
     print!("{report}{format}{sections}{resident}");
@@ -260,7 +260,7 @@ fn cmd_migrate(args: &Args) -> Result<(), String> {
     let migrated = utcq_legacy::migrate(input_path, std::path::Path::new(&output), v1)
         .map_err(|e| format!("{input}: {e}"))?;
     match migrated {
-        utcq_legacy::Migrated::Container(v) => println!("wrote {output}: container v{v} as v7"),
+        utcq_legacy::Migrated::Container(v) => println!("wrote {output}: container v{v} as v8"),
         utcq_legacy::Migrated::Log(v, n) => {
             println!("wrote {output}: write-ahead log v{v} as v2 ({n} record(s))")
         }
@@ -313,7 +313,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     // instances once to pick probe edges (zero side-channel arguments).
     // A sharded store contributes every partition's trajectories;
     // probing in id order keeps `-n N` selecting the same workload
-    // whether the dataset sits in a v2 or a v3 container.
+    // whether the dataset sits in one partition or in many.
     let mut probes = Vec::new();
     for snap in opened.snapshots() {
         let back = utcq::core::decompress_dataset(opened.network(), snap.compressed())

@@ -1,8 +1,8 @@
 //! Cross-version container compatibility against **checked-in fixture
 //! files** under `tests/fixtures/`. They must keep migrating, and
-//! answering identically, forever. The core opens the current two; the
-//! others go through `utcq migrate`'s reader (`utcq_legacy`), and the
-//! core refuses them with the error that names it:
+//! answering identically, forever. The core opens the current two (v8);
+//! the others go through `utcq migrate`'s reader (`utcq_legacy`), and
+//! the core refuses them with the error that names it:
 //!
 //! * `tiny_v1.utcq` — legacy dataset-only container (needs a network
 //!   supplied out of band; the test borrows the one embedded in the v2
@@ -20,16 +20,20 @@
 //! * `tiny_v6.utcq`, `tiny_v3_v6.utcq` — the same two shapes with a v6
 //!   body: region tuples coded against the trajectory, stream lengths,
 //!   every `orig_idx` and the temporal tuples stored;
-//! * `tiny_v7.utcq`, `tiny_v3_v7.utcq` — the same two shapes as every
-//!   store writes them now (v7 body: v6 without what it can derive).
+//! * `tiny_v7.utcq`, `tiny_v3_v7.utcq` — the same two shapes with a v7
+//!   body (v6 without what it can derive), each file or blob with its
+//!   own copy of the network in the fixed-width codec;
+//! * `tiny_v8.utcq`, `tiny_v8_sharded.utcq` — one store of one
+//!   partition and of three, as every store writes them now: one
+//!   compactly coded network, then v7's body per partition.
 //!
-//! The first nine are frozen: nothing can write those bytes again. The
+//! The first eleven are frozen: nothing can write those bytes again. The
 //! last two are what the `regen_fixtures` test below writes into
 //! `target/tmp` (`cargo test --test container_compat -- --ignored
 //! regen`); copy them over after an *intentional* format change. CI
 //! compares the regenerated pair with the checked-in one.
 //!
-//! All eleven hold the same 10-trajectory dataset, so the strongest check
+//! All thirteen hold the same 10-trajectory dataset, so the strongest check
 //! is mutual: every version must answer every probe identically. A few
 //! hardcoded goldens pin the answers absolutely, so "all agree but all
 //! are wrong" cannot slip through.
@@ -90,8 +94,8 @@ fn open(name: &str) -> Store {
     migrated(&std::fs::read(fixture_path(name)).expect(name)).expect(name)
 }
 
-/// Opens all eleven fixtures.
-fn open_fixtures() -> ([Store; 6], [Store; 5]) {
+/// Opens all thirteen fixtures.
+fn open_fixtures() -> ([Store; 7], [Store; 6]) {
     let sharded = open;
     let (v1, v2) = (open("tiny_v1.utcq"), open("tiny_v2.utcq"));
     (
@@ -102,6 +106,7 @@ fn open_fixtures() -> ([Store; 6], [Store; 5]) {
             open("tiny_v5.utcq"),
             open("tiny_v6.utcq"),
             open("tiny_v7.utcq"),
+            open("tiny_v8.utcq"),
         ],
         [
             sharded("tiny_v3.utcq"),
@@ -109,13 +114,15 @@ fn open_fixtures() -> ([Store; 6], [Store; 5]) {
             sharded("tiny_v3_v5.utcq"),
             sharded("tiny_v3_v6.utcq"),
             sharded("tiny_v3_v7.utcq"),
+            sharded("tiny_v8_sharded.utcq"),
         ],
     )
 }
 
 #[test]
 fn all_versions_open_and_agree() {
-    let ([v1, v2, v4, v5, v6, v7], [v3, v3_packed, v3_v5, v3_v6, v3_v7]) = open_fixtures();
+    let ([v1, v2, v4, v5, v6, v7, v8], [v3, v3_packed, v3_v5, v3_v6, v3_v7, v8_sharded]) =
+        open_fixtures();
     let targets: Vec<(&str, &dyn QueryTarget)> = vec![
         ("v1", &v1),
         ("v2", &v2),
@@ -123,13 +130,15 @@ fn all_versions_open_and_agree() {
         ("v5", &v5),
         ("v6", &v6),
         ("v7", &v7),
+        ("v8", &v8),
         ("v3", &v3),
         ("v3 packed", &v3_packed),
         ("v3 v5", &v3_v5),
         ("v3 v6", &v3_v6),
         ("v3 v7", &v3_v7),
+        ("v8 sharded", &v8_sharded),
     ];
-    for sharded in [&v3, &v3_packed, &v3_v5, &v3_v6, &v3_v7] {
+    for sharded in [&v3, &v3_packed, &v3_v5, &v3_v6, &v3_v7, &v8_sharded] {
         assert_eq!(sharded.shard_count(), 3);
     }
     for (name, t) in &targets {
@@ -193,7 +202,7 @@ fn derived_bounds_equal_the_stored_ones() {
     // its day computed them; no later version stores them, and no
     // store holds them: a query derives them per cell. Same bits, or
     // Lemma 1's filter changed.
-    let ([_, v2, v4, v5, v6, v7], _) = open_fixtures();
+    let ([_, v2, v4, v5, v6, v7, v8], _) = open_fixtures();
     let derived = |s: &Store| -> Vec<(u64, u64)> {
         let snap = s.snapshots().remove(0);
         let p_codec = snap.compressed().params.p_codec();
@@ -237,6 +246,7 @@ fn derived_bounds_equal_the_stored_ones() {
         ("v5", &v5),
         ("v6", &v6),
         ("v7", &v7),
+        ("v8", &v8),
     ];
     for (name, store) in stores {
         assert_eq!(derived(store), stored, "{name}");
@@ -250,11 +260,13 @@ fn saving_an_old_container_writes_the_current_format() {
     // (they are recomputed at each open), the resume fields of v2 / v4
     // gone, every non-reference's tuples, stored in traversal order up
     // to v5, in ascending cell order, and the stream lengths, `orig_idx`
-    // and temporal tuples of v6 and before gone. v1's index, rebuilt from
-    // the decompressed trajectories, happens to equal the stored one on
-    // these ten trajectories (it need not: see `utcq_legacy`).
+    // and temporal tuples of v6 and before gone, and the network stored
+    // once, compactly coded. v1's index, rebuilt from the decompressed
+    // trajectories, happens to equal the stored one on these ten
+    // trajectories (it need not: see `utcq_legacy`).
     let read = |name: &str| std::fs::read(fixture_path(name)).expect(name);
-    let ([v1, v2, v4, v5, v6, v7], [v3, v3_packed, v3_v5, v3_v6, v3_v7]) = open_fixtures();
+    let ([v1, v2, v4, v5, v6, v7, v8], [v3, v3_packed, v3_v5, v3_v6, v3_v7, v8_sharded]) =
+        open_fixtures();
     let singles = [
         ("v1", &v1),
         ("v2", &v2),
@@ -262,13 +274,14 @@ fn saving_an_old_container_writes_the_current_format() {
         ("v5", &v5),
         ("v6", &v6),
         ("v7", &v7),
+        ("v8", &v8),
     ];
     for (name, store) in singles {
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
         assert!(
-            bytes == read("tiny_v7.utcq"),
-            "{name} saved != tiny_v7.utcq"
+            bytes == read("tiny_v8.utcq"),
+            "{name} saved != tiny_v8.utcq"
         );
     }
     let sharded = [
@@ -277,13 +290,14 @@ fn saving_an_old_container_writes_the_current_format() {
         ("v3 v5", &v3_v5),
         ("v3 v6", &v3_v6),
         ("v3 v7", &v3_v7),
+        ("v8 sharded", &v8_sharded),
     ];
     for (name, store) in sharded {
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
         assert!(
-            bytes == read("tiny_v3_v7.utcq"),
-            "{name} saved != tiny_v3_v7.utcq"
+            bytes == read("tiny_v8_sharded.utcq"),
+            "{name} saved != tiny_v8_sharded.utcq"
         );
     }
     // Old single-store bytes are 2.5x the new ones even at ten
@@ -293,11 +307,16 @@ fn saving_an_old_container_writes_the_current_format() {
     assert!(read("tiny_v5.utcq").len() < read("tiny_v4.utcq").len());
     assert!(read("tiny_v6.utcq").len() < read("tiny_v5.utcq").len());
     assert!(read("tiny_v7.utcq").len() < read("tiny_v6.utcq").len());
+    // One compact network: a third of v7's at one partition, and the
+    // three partitions' container smaller than v7's one.
+    assert!(read("tiny_v8.utcq").len() * 2 < read("tiny_v7.utcq").len());
+    assert!(read("tiny_v8_sharded.utcq").len() < read("tiny_v7.utcq").len());
+    assert!(read("tiny_v8_sharded.utcq").len() * 4 < read("tiny_v3_v7.utcq").len());
 }
 
 #[test]
-fn every_fixture_saves_as_v7_and_reopens_identically() {
-    // Every checked-in container opens, saves as v7, and that file
+fn every_fixture_saves_as_v8_and_reopens_identically() {
+    // Every checked-in container opens, saves as v8, and that file
     // reopens to a store that saves the same bytes and answers every
     // probe the same.
     let (singles, sharded) = open_fixtures();
@@ -306,15 +325,13 @@ fn every_fixture_saves_as_v7_and_reopens_identically() {
     for (k, store) in stores.enumerate() {
         let mut saved = Vec::new();
         store.write(&mut saved).unwrap();
-        let versions = utcq::core::storage::versions(&mut std::io::Cursor::new(&saved)).unwrap();
-        assert!(
-            versions.iter().all(|&v| v == 3 || v == 7),
-            "fixture {k}: {versions:?}"
-        );
+        let head = utcq::core::storage::read_head(&mut saved.as_slice()).unwrap();
+        assert_eq!(head.parts as usize, store.shard_count(), "fixture {k}");
+        assert_eq!(saved[4], utcq::core::storage::VERSION, "fixture {k}");
         let reopened = Store::read(&mut saved.as_slice()).unwrap();
         let mut again = Vec::new();
         reopened.write(&mut again).unwrap();
-        assert!(again == saved, "fixture {k}: v7 reopened saves other bytes");
+        assert!(again == saved, "fixture {k}: v8 reopened saves other bytes");
         for id in 0..TRAJS as u64 {
             let times = store.decode_times(id).unwrap().unwrap();
             assert_eq!(reopened.decode_times(id).unwrap().unwrap(), times);
@@ -336,7 +353,7 @@ fn every_fixture_saves_as_v7_and_reopens_identically() {
 /// block's `u32` length.
 fn index_block_at(bytes: &[u8]) -> usize {
     let mut rest = &bytes[5..];
-    utcq::network::RoadNetwork::read_from(&mut rest).unwrap();
+    utcq_legacy::container::read_network(&mut rest).unwrap();
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let name_at = bytes.len() - rest.len() + 32;
     let block_at = name_at + 4 + u32_at(name_at) + 96 + 8;
@@ -480,7 +497,7 @@ fn old_readers_refuse_nref_tuples_outside_their_group() {
 #[test]
 fn goldens_pin_fixture_answers() {
     // Golden values recorded when the first fixtures were generated;
-    // they pin the absolute answers of every fixture, v1 through v7.
+    // they pin the absolute answers of every fixture, v1 through v8.
     let (singles, sharded) = open_fixtures();
     let golden = golden_answers();
     let mid0 = (golden.t0_first + golden.t0_last) / 2;
@@ -689,6 +706,7 @@ fn core_refuses_an_old_single_container_with_the_migrate_error() {
         ("tiny_v4.utcq", 4),
         ("tiny_v5.utcq", 5),
         ("tiny_v6.utcq", 6),
+        ("tiny_v7.utcq", 7),
     ] {
         let err = Opened::open(fixture_path(name)).unwrap_err();
         assert!(
@@ -701,14 +719,16 @@ fn core_refuses_an_old_single_container_with_the_migrate_error() {
 
 #[test]
 fn core_refuses_a_v3_of_old_blobs_with_the_migrate_error() {
-    for (name, version) in [
-        ("tiny_v3.utcq", 2),
-        ("tiny_v3_packed.utcq", 4),
-        ("tiny_v3_v5.utcq", 5),
-        ("tiny_v3_v6.utcq", 6),
+    // A v3 directory is refused by its own version, whatever its blobs.
+    for name in [
+        "tiny_v3.utcq",
+        "tiny_v3_packed.utcq",
+        "tiny_v3_v5.utcq",
+        "tiny_v3_v6.utcq",
+        "tiny_v3_v7.utcq",
     ] {
         let err = Store::open(fixture_path(name)).unwrap_err();
-        assert_eq!(needs_migrate(err), Some(("container", version)), "{name}");
+        assert_eq!(needs_migrate(err), Some(("container", 3)), "{name}");
     }
 }
 
@@ -772,7 +792,7 @@ fn migrate_carries_the_stored_index() {
 /// into `target/tmp` and prints fresh golden values. The older fixtures
 /// cannot be regenerated: no writer emits their bytes any more.
 #[test]
-#[ignore = "writes target/tmp/tiny_v7.utcq, tiny_v3_v7.utcq and wal_v2.wal; copy to tests/fixtures after intentional format changes"]
+#[ignore = "writes target/tmp/tiny_v8.utcq, tiny_v8_sharded.utcq and wal_v2.wal; copy to tests/fixtures after intentional format changes"]
 fn regen_fixtures() {
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let wal_path = out.join("wal_v2.wal");
@@ -786,7 +806,7 @@ fn regen_fixtures() {
     let params = utcq::core::CompressParams::with_interval(ds.default_interval);
 
     let single = Store::build(Arc::clone(&net), &ds, params, STIU).unwrap();
-    single.save(out.join("tiny_v7.utcq")).unwrap();
+    single.save(out.join("tiny_v8.utcq")).unwrap();
 
     let sharded = StoreBuilder::new(Arc::clone(&net), params)
         .stiu_params(STIU)
@@ -796,9 +816,9 @@ fn regen_fixtures() {
         .unwrap()
         .finish()
         .unwrap();
-    sharded.save(out.join("tiny_v3_v7.utcq")).unwrap();
+    sharded.save(out.join("tiny_v8_sharded.utcq")).unwrap();
     println!(
-        "wrote tiny_v7.utcq, tiny_v3_v7.utcq and wal_v2.wal into {}",
+        "wrote tiny_v8.utcq, tiny_v8_sharded.utcq and wal_v2.wal into {}",
         out.display()
     );
 

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
-use utcq::core::storage::{self, ShardDirectory, VERSION_V3};
+use utcq::core::storage;
 use utcq::core::wal::Wal;
 use utcq::core::{
     CompressParams, Error, Page, PageRequest, QueryTarget, RangeQuery, StiuParams, Store,
@@ -375,14 +375,19 @@ fn a_batch_off_the_network_is_refused_with_the_epoch_unchanged() {
             assert!(matches!(e, Error::DuplicateTrajectory(d) if d == id), "{e}");
         }
     }
-    // A v3 container whose two blobs share their ids does not open.
-    let mut blob = Vec::new();
-    plain.snapshots()[0].write_counted(&mut blob).unwrap();
-    let mut v3 = Vec::new();
-    let dir = ShardDirectory { kind: 0, param: 0 };
-    let twice = |_, w: &mut dyn std::io::Write| w.write_all(&blob);
-    storage::save_v3(dir, 2, twice, &mut v3).unwrap();
-    let e = Store::read(&mut v3.as_slice()).unwrap_err();
+    // A container whose two partitions share their ids does not open.
+    let (part, net) = (&plain.snapshots()[0], plain.network());
+    let mut bytes = Vec::new();
+    let head = storage::Head {
+        kind: storage::ROUTING_CUSTOM,
+        param: 0,
+        parts: 2,
+    };
+    storage::write_head(head, net, &mut bytes).unwrap();
+    for _ in 0..2 {
+        storage::write_body(net, part.compressed(), part.stiu(), &mut bytes).unwrap();
+    }
+    let e = Store::read(&mut bytes.as_slice()).unwrap_err();
     assert!(matches!(e, Error::DuplicateTrajectory(_)), "{e}");
 }
 
@@ -526,7 +531,8 @@ fn a_pinned_view_is_the_whole_store() {
 
     let path = std::env::temp_dir().join("utcq-pinned-view.utcq");
     pinned.save(&path).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap()[4], VERSION_V3);
+    let head = storage::read_head(&mut std::fs::read(&path).unwrap().as_slice()).unwrap();
+    assert_eq!((head.kind, head.parts), (storage::ROUTING_TIME, 3));
     let reopened = Store::open(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!((reopened.shard_count(), reopened.len()), (3, 40));

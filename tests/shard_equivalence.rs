@@ -4,7 +4,7 @@
 //! fully paginated item sequences — to a plain [`Store`] built from the
 //! same dataset. This suite asserts exactly that, for 1, 2, 4 and 7
 //! partitions under both `ByTime` and `ByRegion`, through the in-memory
-//! path, the v3 container roundtrip, and the parallel range path.
+//! path, the sharded container roundtrip, and the parallel range path.
 
 use std::sync::Arc;
 
@@ -200,12 +200,18 @@ fn sharded_matches_single_for_all_counts_and_policies() {
     let (net, ds) = setup(20_260_729, 28);
     let single = single_store(&net, &ds);
     let w = workload(&net, &ds, 99);
-    let container = |store: &Store| {
+    let head = |store: &Store| {
         let mut bytes = Vec::new();
         store.write(&mut bytes).unwrap();
-        bytes
+        let head = utcq::core::storage::read_head(&mut bytes.as_slice()).unwrap();
+        (head.kind, head.parts)
     };
-    assert_eq!(container(&single)[4], 7, "a plain store writes v7");
+    let single_routing = utcq::core::storage::ROUTING_SINGLE;
+    assert_eq!(
+        head(&single),
+        (single_routing, 1),
+        "a plain store routes nothing"
+    );
     for n_shards in [1u32, 2, 4, 7] {
         for (pname, policy) in [
             (
@@ -222,7 +228,9 @@ fn sharded_matches_single_for_all_counts_and_policies() {
                 occupied >= 2.min(n_shards as usize),
                 "{pname}/{n_shards}: all trajectories on one shard"
             );
-            assert_eq!(container(&sharded)[4], 3, "a routing policy writes v3");
+            let (kind, parts) = head(&sharded);
+            assert_ne!(kind, single_routing, "a routing policy is recorded");
+            assert_eq!(parts, n_shards, "one body per partition");
             assert_equivalent(&single, &sharded, &w, &format!("{pname}/{n_shards}"));
             if n_shards == 1 {
                 // One partition: the pages themselves, cursors included.
