@@ -17,7 +17,7 @@
 //!   the three preceding lines states why the index is in range.
 //! * **lock-across-cache-insert** — outside `cache.rs`, no live lock
 //!   guard may be in scope at a call into the decode-cache memoizers
-//!   (`*_or_decode`, `when_miss_hit`, `note_when_miss`). The cache
+//!   (`*_or_decode`). The cache
 //!   takes its own shard locks; holding a store lock across that is a
 //!   lock-order hazard.
 //! * **cache-key-epoch** — every `Key { .. }` literal in `cache.rs`
@@ -72,10 +72,6 @@ const CACHE_CALLS: &[&str] = &[
     ".instance_or_decode(",
     ".window_or_decode(",
     ".times_or_decode(",
-    ".when_miss_hit(",
-    ".note_when_miss(",
-    ".range_result(",
-    ".note_range_result(",
 ];
 
 /// One lint finding, pointing at a real source location.

@@ -1128,88 +1128,6 @@ fn chunk_publish_order_scenario(fill_first: bool) -> Scenario {
     }
 }
 
-// -- Range-result cache vs epoch publication --------------------------
-
-/// A 1:1 mock of the epoch-keyed range-result cache
-/// (`utcq_core::cache::Kind::RangeResult` behind the snapshot's pinned
-/// `epoch`): an ingest publishes a new epoch and a store-side query
-/// then inserts that epoch's complete range answer into the shared
-/// cache. A reader *pinned* to the older epoch keeps looking results
-/// up under its own epoch (`epoch_keyed = true`, the real keying —
-/// `Snapshot::range_query` passes `self.epoch` to both
-/// `range_result` and `note_range_result`), so it can only ever be
-/// served an answer computed at its pinned epoch.
-///
-/// Dropping the epoch from the key (`epoch_keyed = false`) is the
-/// seeded bug: the pinned reader's lookup then returns whatever epoch
-/// inserted last, and the self-test proves the checker catches the
-/// stale-read the keying exists to rule out.
-fn range_cache_epoch_scenario(epoch_keyed: bool) -> Scenario {
-    // published epoch (Swap)
-    let epoch = Arc::new(AtomicU64::new(0));
-    // Shared cache: (key, answered-at-epoch) pairs for one query shape.
-    let cache = Arc::new(Mutex::new(Vec::<(u64, u64)>::new()));
-    fn lock(m: &Mutex<Vec<(u64, u64)>>) -> std::sync::MutexGuard<'_, Vec<(u64, u64)>> {
-        match m.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-    let writer = {
-        let epoch = Arc::clone(&epoch);
-        let cache = Arc::clone(&cache);
-        Box::new(move || {
-            // Two ingest rounds so a reader can pin across a publish.
-            for round in 1..=2u64 {
-                epoch.store(round, Ordering::SeqCst);
-                point("mock.range_cache.publish");
-                // The post-ingest query caches the new epoch's answer.
-                let key = if epoch_keyed { round } else { 0 };
-                lock(&cache).push((key, round));
-                point("mock.range_cache.insert");
-            }
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let reader = {
-        let epoch = Arc::clone(&epoch);
-        let cache = Arc::clone(&cache);
-        Box::new(move || {
-            let pinned = epoch.load(Ordering::SeqCst);
-            point("mock.range_cache.pin");
-            let hit = {
-                let c = lock(&cache);
-                if epoch_keyed {
-                    c.iter().rev().find(|&&(k, _)| k == pinned).map(|&(_, v)| v)
-                } else {
-                    c.last().map(|&(_, v)| v)
-                }
-            };
-            if let Some(answered_at) = hit {
-                assert_eq!(
-                    answered_at, pinned,
-                    "pinned reader (epoch {pinned}) was served a range \
-                     result computed at epoch {answered_at}"
-                );
-            }
-        }) as Box<dyn FnOnce() + Send>
-    };
-    Scenario {
-        threads: vec![writer, reader],
-        finale: None,
-    }
-}
-
-/// The faithful epoch-keyed range-result cache model.
-pub fn range_cache_epoch() -> Scenario {
-    range_cache_epoch_scenario(true)
-}
-
-/// The broken epoch-less-key variant; used by self-tests to prove the
-/// checker finds the cross-epoch stale read the keying rules out.
-pub fn range_cache_epoch_broken() -> Scenario {
-    range_cache_epoch_scenario(false)
-}
-
 /// The faithful fill-then-publish chunk-directory model.
 pub fn chunk_publish_order() -> Scenario {
     chunk_publish_order_scenario(true)
@@ -1435,7 +1353,6 @@ pub fn all_scenarios() -> Vec<NamedScenario> {
         ("wal_publish_order", 400, wal_publish_order),
         ("wal_append_vs_publish", 400, wal_append_vs_publish),
         ("chunk_publish_order", 400, chunk_publish_order),
-        ("range_cache_epoch", 400, range_cache_epoch),
         ("par_in_order", 400, par_in_order),
     ]
 }
@@ -1728,41 +1645,6 @@ mod tests {
         );
         assert!(out.violation.is_none(), "{:?}", out.violation);
         assert!(out.exhausted);
-    }
-
-    #[test]
-    fn range_cache_mock_epoch_keyed_is_clean() {
-        let out = explore(
-            "range_cache_epoch",
-            SchedOpts {
-                preemption_bound: 4,
-                max_schedules: 500,
-            },
-            &range_cache_epoch,
-        );
-        assert!(out.violation.is_none(), "{:?}", out.violation);
-        assert!(out.exhausted);
-    }
-
-    #[test]
-    fn range_cache_mock_without_epoch_key_has_the_race() {
-        let out = explore(
-            "range_cache_epoch_broken",
-            SchedOpts {
-                preemption_bound: 4,
-                max_schedules: 500,
-            },
-            &range_cache_epoch_broken,
-        );
-        let v = out
-            .violation
-            .expect("the epoch-less cache key race must be found");
-        assert!(
-            v.message.contains("served a range"),
-            "unexpected violation: {}",
-            v.message
-        );
-        assert!(!v.schedule.is_empty());
     }
 
     #[test]

@@ -15,25 +15,17 @@
 //! * `(traj, no) → Arc<Vec<i64>>` — a *partial* time window resumed
 //!   mid-stream at the temporal tuple whose first sample index is `no`
 //!   (the `bracket` step of the *where*/*range* paths, which previously
-//!   re-paid the partial decode on every call);
-//! * `(traj, cell) → ∅` — a **negative** entry recording that the
-//!   trajectory never enters the StIU cell, so a repeated region-miss
-//!   *when* query answers without re-scanning the region tuples.
-//!   Negative entries carry no payload but are charged the fixed
-//!   per-entry overhead, so they compete for the byte budget like any
-//!   other entry and retire through the same LRU;
-//! * `(RE, tq, α) → Arc<Vec<u64>>` — the **complete** match set of a
-//!   range query shape (exact bit-pattern key, never a lossy hash),
-//!   stored only when a scan ran unpaginated to the end; empty match
-//!   sets store as payload-free negative entries. Repeated range probes
-//!   of a warm shape skip the whole candidate scan.
+//!   re-paid the partial decode on every call).
+//!
+//! Every entry is a decoded artifact of one trajectory; query answers
+//! are never cached (a *when* on a cell the trajectory never enters is
+//! answered from the StIU index alone, and every range page comes from
+//! the scan).
 //!
 //! A store has one cache, shared by all of its partitions, so every key
 //! also carries the **partition** it belongs to (`traj` is a position
-//! within that partition), and the **epoch** that minted it (see
-//! [`crate::snapshot`]): the partition's for a trajectory's artifacts;
-//! for a range result, which is always the whole store's, the store's
-//! (partition `WHOLE_STORE`). After a live ingest publishes a new
+//! within that partition), and the partition's **epoch** that minted it
+//! (see [`crate::snapshot`]). After a live ingest publishes a new
 //! epoch, entries of superseded epochs stop matching — no cross-epoch
 //! aliasing even if a future writer stops being append-only — and the
 //! publish drops them
@@ -86,46 +78,10 @@ enum Kind {
     /// Partial time window of trajectory `traj`, resumed mid-stream at
     /// the temporal tuple whose first sample index is `no`.
     Window { traj: u32, no: u32 },
-    /// Negative entry: trajectory `traj` has no region tuple in StIU
-    /// cell `cell` — a *when* query there is answer-free.
-    WhenMiss { traj: u32, cell: u32 },
-    /// The complete match set of one **range** query shape. The shape is
-    /// stored *exactly* — the rectangle's four coordinate bit patterns,
-    /// the query time, and α's bit pattern — never a lossy hash, which
-    /// could collide two shapes and serve a wrong answer.
-    RangeResult {
-        re_bits: [u64; 4],
-        tq: i64,
-        alpha_bits: u64,
-    },
 }
 
-impl Kind {
-    /// The key of **range**(RE, tq, α), by bit pattern: two α values
-    /// (or rectangles) alias iff they are bit-identical, so e.g. NaN α
-    /// keys consistently and `0.0`/`-0.0` are distinct shapes (both
-    /// compute the same answer, so the split is merely one redundant
-    /// entry, never a wrong one).
-    fn range_result(re: &utcq_network::Rect, tq: i64, alpha: f64) -> Self {
-        Kind::RangeResult {
-            re_bits: [
-                re.min_x.to_bits(),
-                re.min_y.to_bits(),
-                re.max_x.to_bits(),
-                re.max_y.to_bits(),
-            ],
-            tq,
-            alpha_bits: alpha.to_bits(),
-        }
-    }
-}
-
-/// The `partition` of a range result, which spans the whole store — no
-/// partition's index (a store has at most [`crate::shard::MAX_SHARDS`]).
-const WHOLE_STORE: u32 = u32::MAX;
-
-/// Cache key: an artifact kind of one partition (or [`WHOLE_STORE`]),
-/// stamped with the epoch that minted it. Entries of superseded epochs
+/// Cache key: an artifact kind of one partition, stamped with the epoch
+/// that minted it. Entries of superseded epochs
 /// stop matching and are dropped when the next epoch publishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
@@ -140,12 +96,6 @@ enum Value {
     Ref(Arc<DecodedRef>),
     Instance(Arc<Instance>),
     Times(Arc<Vec<i64>>),
-    /// Complete, id-ascending match set of a range query shape
-    /// (`Kind::RangeResult`); empty sets store as `Value::Negative`.
-    RangeIds(Arc<Vec<u64>>),
-    /// Payload-free negative entry (`Kind::WhenMiss`, or an empty
-    /// `Kind::RangeResult` match set).
-    Negative,
 }
 
 struct Entry {
@@ -161,9 +111,6 @@ struct Shard {
     map: HashMap<Key, Entry>,
     /// Sum of `Entry::bytes` currently resident in this shard.
     bytes: usize,
-    /// Resident `Value::Negative` entries, maintained on insert/evict
-    /// so `stats()` never walks the map.
-    negatives: usize,
 }
 
 impl Shard {
@@ -192,9 +139,6 @@ impl Shard {
             }
             if let Some(e) = self.map.remove(&key) {
                 self.bytes -= e.bytes;
-                if matches!(e.value, Value::Negative) {
-                    self.negatives -= 1;
-                }
                 evicted += 1;
             }
         }
@@ -212,13 +156,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Region-miss *when* queries answered from a negative entry
-    /// (counted within `hits` as well).
-    pub negative_hits: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Negative entries currently resident (counted within `entries`).
-    pub negative_entries: usize,
     /// Estimated bytes currently resident.
     pub bytes: usize,
     /// Configured byte budget (`0` = caching disabled).
@@ -246,12 +185,11 @@ impl CacheStats {
     /// ```
     pub fn render(&self) -> String {
         format!(
-            "decode cache: {} hits / {} misses ({:.1}% hit rate), {} entries ({} negative), {} / {} bytes, {} evictions",
+            "decode cache: {} hits / {} misses ({:.1}% hit rate), {} entries, {} / {} bytes, {} evictions",
             self.hits,
             self.misses,
             self.hit_rate() * 100.0,
             self.entries,
-            self.negative_entries,
             self.bytes,
             self.budget_bytes,
             self.evictions
@@ -271,7 +209,6 @@ pub struct DecodeCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    negative_hits: AtomicU64,
 }
 
 impl std::fmt::Debug for DecodeCache {
@@ -292,7 +229,6 @@ impl DecodeCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            negative_hits: AtomicU64::new(0),
         }
     }
 
@@ -314,7 +250,6 @@ impl DecodeCache {
                     .fetch_add(s.map.len() as u64, Ordering::Relaxed);
                 s.map.clear();
                 s.bytes = 0;
-                s.negatives = 0;
             } else {
                 let evicted = s.make_room(0, per_shard);
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -329,28 +264,23 @@ impl DecodeCache {
             let mut s = shard.write().expect("cache lock poisoned");
             s.map.clear();
             s.bytes = 0;
-            s.negatives = 0;
         }
     }
 
-    /// Drops every entry minted before the current epoch of what it
-    /// belongs to: `epochs[p]` for partition `p`, `store` for a
-    /// [`WHOLE_STORE`] range result — called once per publish, since no
+    /// Drops every entry minted before its partition's current epoch,
+    /// `epochs[p]` for partition `p` — called once per publish, since no
     /// current reader can hit them again. Not counted as evictions (those
     /// keep the budget). A reader still pinned to an older epoch just
     /// decodes again; what it inserts meanwhile goes at the next publish.
-    pub(crate) fn retire_before(&self, epochs: &[u64], store: u64) {
+    pub(crate) fn retire_before(&self, epochs: &[u64]) {
         for shard in &self.shards {
             let mut guard = shard.write().expect("cache lock poisoned");
             let s = &mut *guard;
             s.map.retain(|key, e| {
-                let partition = epochs.get(key.partition as usize);
-                let keep = key.epoch >= partition.copied().unwrap_or(store);
+                let current = epochs.get(key.partition as usize);
+                let keep = current.is_none_or(|&epoch| key.epoch >= epoch);
                 if !keep {
                     s.bytes -= e.bytes;
-                    if matches!(e.value, Value::Negative) {
-                        s.negatives -= 1;
-                    }
                 }
                 keep
             });
@@ -361,21 +291,17 @@ impl DecodeCache {
     /// quantity is maintained incrementally under the shard locks.
     pub fn stats(&self) -> CacheStats {
         let mut entries = 0;
-        let mut negative_entries = 0;
         let mut bytes = 0;
         for shard in &self.shards {
             let s = shard.read().expect("cache lock poisoned");
             entries += s.map.len();
-            negative_entries += s.negatives;
             bytes += s.bytes;
         }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            negative_hits: self.negative_hits.load(Ordering::Relaxed),
             entries,
-            negative_entries,
             bytes,
             budget_bytes: self.budget(),
         }
@@ -440,9 +366,6 @@ impl DecodeCache {
         let evicted = s.make_room(bytes, per_shard);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         s.bytes += bytes;
-        if matches!(value, Value::Negative) {
-            s.negatives += 1;
-        }
         s.map.insert(
             key,
             Entry {
@@ -533,120 +456,10 @@ impl DecodeCache {
             _ => Err(Error::CorruptStore("cache key/value kind mismatch")),
         }
     }
-
-    /// Whether a negative entry records that trajectory `traj` never
-    /// enters StIU cell `cell` (at `epoch`). A `true` answer counts as a
-    /// hit *and* a negative hit; a `false` answer counts nothing — the
-    /// caller is about to scan the region tuples, not decode.
-    pub(crate) fn when_miss_hit(&self, epoch: u64, partition: u32, traj: u32, cell: u32) -> bool {
-        if self.budget() == 0 {
-            return false;
-        }
-        let key = Key {
-            epoch,
-            partition,
-            kind: Kind::WhenMiss { traj, cell },
-        };
-        let shard = self.shard_of(&key);
-        if let Some(entry) = shard.read().expect("cache lock poisoned").map.get(&key) {
-            entry.tick.store(
-                self.clock.fetch_add(1, Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.negative_hits.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-
-    /// Records that trajectory `traj` never enters StIU cell `cell` (at
-    /// `epoch`) — called by the *when* path after an empty region scan.
-    pub(crate) fn note_when_miss(&self, epoch: u64, partition: u32, traj: u32, cell: u32) {
-        if self.budget() == 0 {
-            return;
-        }
-        self.insert(
-            Key {
-                epoch,
-                partition,
-                kind: Kind::WhenMiss { traj, cell },
-            },
-            Value::Negative,
-        );
-    }
-
-    /// The cached complete match set of **range**(RE, tq, α) over the
-    /// store at `epoch`, id-ascending, if a
-    /// prior query stored it. An empty match set hits too (stored as a
-    /// negative entry, so it counts a negative hit like a *when* region
-    /// miss). `None` means the caller runs the scan.
-    pub(crate) fn range_result(
-        &self,
-        epoch: u64,
-        re: &utcq_network::Rect,
-        tq: i64,
-        alpha: f64,
-    ) -> Option<Arc<Vec<u64>>> {
-        if self.budget() == 0 {
-            return None;
-        }
-        let key = Key {
-            epoch,
-            partition: WHOLE_STORE,
-            kind: Kind::range_result(re, tq, alpha),
-        };
-        let shard = self.shard_of(&key);
-        let guard = shard.read().expect("cache lock poisoned");
-        let entry = guard.map.get(&key)?;
-        entry.tick.store(
-            self.clock.fetch_add(1, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        match &entry.value {
-            Value::RangeIds(ids) => Some(Arc::clone(ids)),
-            Value::Negative => {
-                self.negative_hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::new(Vec::new()))
-            }
-            _ => None,
-        }
-    }
-
-    /// Records the complete match set of **range**(RE, tq, α) over the
-    /// store at `epoch` — called only when the
-    /// scan ran unpaginated to the end (no cursor, no further
-    /// candidates), so `ids` is the whole answer. Empty sets store
-    /// payload-free as negative entries.
-    pub(crate) fn note_range_result(
-        &self,
-        epoch: u64,
-        re: &utcq_network::Rect,
-        tq: i64,
-        alpha: f64,
-        ids: Arc<Vec<u64>>,
-    ) {
-        if self.budget() == 0 {
-            return;
-        }
-        let key = Key {
-            epoch,
-            partition: WHOLE_STORE,
-            kind: Kind::range_result(re, tq, alpha),
-        };
-        let value = if ids.is_empty() {
-            Value::Negative
-        } else {
-            Value::RangeIds(ids)
-        };
-        self.insert(key, value);
-    }
 }
 
 /// Fixed per-entry overhead charged on top of the payload estimate:
-/// hash-map slot, `Entry` bookkeeping, `Arc` control block. Negative
-/// entries are charged exactly this.
+/// hash-map slot, `Entry` bookkeeping, `Arc` control block.
 const ENTRY_OVERHEAD: usize = 96;
 
 fn value_bytes(v: &Value) -> usize {
@@ -658,8 +471,6 @@ fn value_bytes(v: &Value) -> usize {
                     + i.positions.capacity() * std::mem::size_of::<utcq_traj::PathPosition>()
             }
             Value::Times(t) => t.len() * std::mem::size_of::<i64>(),
-            Value::RangeIds(ids) => ids.len() * std::mem::size_of::<u64>(),
-            Value::Negative => 0,
         }
 }
 
@@ -704,10 +515,9 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
         // Publishing epoch 1 drops everything epoch 0 minted, without
         // counting evictions; epoch 1's entry stays.
-        cache.note_when_miss(0, 0, 7, 3);
-        cache.retire_before(&[1], 1);
+        cache.retire_before(&[1]);
         let s = cache.stats();
-        assert_eq!((s.entries, s.negative_entries, s.evictions), (1, 0, 0));
+        assert_eq!((s.entries, s.evictions), (1, 0));
         assert_eq!(s.bytes, value_bytes(&Value::Times(new)));
         cache
             .times_or_decode(1, 0, 1, || panic!("epoch-1 entry must survive"))
@@ -739,28 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_entries_hit_and_account() {
-        let cache = DecodeCache::with_budget(1 << 20);
-        assert!(!cache.when_miss_hit(0, 0, 7, 3), "cold probe misses");
-        cache.note_when_miss(0, 0, 7, 3);
-        assert!(cache.when_miss_hit(0, 0, 7, 3), "recorded miss hits");
-        assert!(!cache.when_miss_hit(1, 0, 7, 3), "new epoch does not alias");
-        assert!(
-            !cache.when_miss_hit(0, 0, 7, 4),
-            "other cell does not alias"
-        );
-        let s = cache.stats();
-        assert_eq!(s.negative_hits, 1);
-        assert_eq!(s.negative_entries, 1);
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.bytes, ENTRY_OVERHEAD, "negative entries are payload-free");
-        // Zero budget disables negative caching like everything else.
-        cache.set_budget(0);
-        cache.note_when_miss(0, 0, 7, 3);
-        assert!(!cache.when_miss_hit(0, 0, 7, 3));
-    }
-
-    #[test]
     fn partitions_partition_the_key_space() {
         let cache = DecodeCache::with_budget(1 << 20);
         // Position 1 of partition 0 and position 1 of partition 1 are
@@ -768,53 +556,14 @@ mod tests {
         let a = cache.times_or_decode(0, 0, 1, || Ok(vec![1, 2])).unwrap();
         let b = cache.times_or_decode(0, 1, 1, || Ok(vec![7])).unwrap();
         assert_eq!((a.len(), b.len()), (2, 1));
-        cache.note_when_miss(0, 0, 1, 3);
-        assert!(!cache.when_miss_hit(0, 1, 1, 3), "other partition");
         // A publish that moved only partition 0 to epoch 1 leaves
         // partition 1's epoch-0 entries in place.
-        cache.retire_before(&[1, 0], 1);
+        cache.retire_before(&[1, 0]);
         let s = cache.stats();
-        assert_eq!((s.entries, s.negative_entries, s.evictions), (1, 0, 0));
+        assert_eq!((s.entries, s.evictions), (1, 0));
         cache
             .times_or_decode(0, 1, 1, || panic!("partition 1 kept its epoch"))
             .unwrap();
-    }
-
-    #[test]
-    fn range_results_key_on_exact_shape_and_epoch() {
-        let cache = DecodeCache::with_budget(1 << 20);
-        let re = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.0);
-        assert!(cache.range_result(0, &re, 900, 0.3).is_none());
-        cache.note_range_result(0, &re, 900, 0.3, Arc::new(vec![3, 7, 11]));
-        assert_eq!(*cache.range_result(0, &re, 900, 0.3).unwrap(), [3, 7, 11]);
-        // Any shape component differing is a distinct key.
-        let hit = |epoch, re: &utcq_network::Rect, tq, alpha| {
-            cache.range_result(epoch, re, tq, alpha).is_some()
-        };
-        assert!(!hit(1, &re, 900, 0.3), "epoch");
-        assert!(!hit(0, &re, 901, 0.3), "tq");
-        assert!(!hit(0, &re, 900, 0.31), "alpha");
-        let other = utcq_network::Rect::new(0.0, 0.0, 10.0, 10.5);
-        assert!(!hit(0, &other, 900, 0.3), "rect");
-        // Empty answers are remembered as negative entries and hit.
-        cache.note_range_result(0, &re, 1800, 0.3, Arc::new(Vec::new()));
-        assert!(cache.range_result(0, &re, 1800, 0.3).unwrap().is_empty());
-        let s = cache.stats();
-        assert_eq!(s.negative_entries, 1);
-        assert_eq!(s.negative_hits, 1);
-        // A publish that moved the store to epoch 1 and left both
-        // partitions at 0 retires the store's results only: the
-        // partitions' decodes stay.
-        times_entry(&cache, 1, 8);
-        cache.retire_before(&[0, 0], 1);
-        assert!(!hit(0, &re, 900, 0.3));
-        assert_eq!(cache.stats().entries, 1);
-        // Zero budget bypasses reads and writes.
-        cache.note_range_result(1, &re, 900, 0.3, Arc::new(vec![1]));
-        cache.set_budget(0);
-        assert!(!hit(1, &re, 900, 0.3));
-        cache.note_range_result(1, &re, 900, 0.3, Arc::new(vec![1]));
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

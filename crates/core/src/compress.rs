@@ -244,7 +244,7 @@ impl Compressed {
         params: &CompressParams,
     ) -> Result<Self, Error> {
         let (ct, size) = compress_trajectory(net, tu, params)?;
-        let packed = TrajSegment::of(&ct, &params.p_codec())?;
+        let packed = TrajSegment::of(&ct)?;
         let raw = utcq_traj::size::uncompressed_bits(tu);
         Ok(Self { packed, size, raw })
     }

@@ -174,7 +174,7 @@ mod tests {
         };
         let (ct, _) = compress_trajectory(&fx.example.net, &fx.tu, &params).unwrap();
         let mut stored = crate::segment::Trajectories::default();
-        stored.push(&ct, &params.p_codec()).unwrap();
+        stored.push(&ct).unwrap();
         let ct = stored.get(0).unwrap();
         let w_e = crate::compressed::edge_number_width(fx.example.net.max_out_degree());
         let back = decompress_trajectory(&fx.example.net, &ct, w_e, &params).unwrap();

@@ -43,13 +43,14 @@ pub enum Error {
         /// The batch's `Dataset::default_interval`.
         got: i64,
     },
-    /// A container was compressed against a network with a different
-    /// outgoing-edge-number width than the one supplied.
+    /// A container that stores no network does not fit the one supplied
+    /// for it.
     NetworkMismatch {
-        /// Edge-number width recorded in the container.
-        expected: u32,
-        /// Edge-number width of the supplied network.
-        got: u32,
+        /// The check that failed (`"edge-number width"`, `"start
+        /// vertex"` or `"edge number"`).
+        check: &'static str,
+        /// What the container holds that the network does not.
+        detail: String,
     },
     /// The compressed payload or index is internally inconsistent (e.g. a
     /// non-reference pointing past the reference list). Carries a short
@@ -116,9 +117,9 @@ impl std::fmt::Display for Error {
                 f,
                 "batch default interval {got}s does not match the store's {expected}s"
             ),
-            Error::NetworkMismatch { expected, got } => write!(
+            Error::NetworkMismatch { check, detail } => write!(
                 f,
-                "container edge width {expected} does not match the network's {got}"
+                "network mismatch: the container does not fit the network ({check} check): {detail}"
             ),
             Error::CorruptStore(what) => write!(f, "corrupt store: {what}"),
             Error::InvalidCursor => write!(

@@ -49,8 +49,8 @@
 //!   concurrently with queries; [`Store::attach_wal`],
 //!   [`Store::checkpoint`] and the `tail` reads make it durable — the
 //!   writer lock, publish-epoch counter and WAL slot they share live in
-//!   the private `live` module), persisted as a v7 container (v3 with a
-//!   routing policy), queried through paginated entry points backed by
+//!   the private `live` module), persisted as one v8 container at any
+//!   partition count, queried through paginated entry points backed by
 //!   the decode cache and query plans;
 //! * [`shard`] — the routing policies ([`shard::ShardPolicy`]:
 //!   time-interval or road-network-region) that
@@ -75,9 +75,10 @@
 //!   function returns;
 //! * [`oracle`] — brute-force answers on uncompressed data, used as
 //!   ground truth for accuracy experiments (Fig. 11);
-//! * [`storage`] — the binary container formats (v7 self-contained, v3
-//!   sharded) for persisting compressed datasets; older versions are
-//!   read only by `utcq migrate` (the `utcq_legacy` crate);
+//! * [`storage`] — the binary container format (v8: a head with the
+//!   routing policy and partition count, one road network, then one
+//!   body per partition) for persisting compressed datasets; older
+//!   versions are read only by `utcq migrate` (the `utcq_legacy` crate);
 //! * [`wal`] — the write-ahead log behind [`Store::attach_wal`]: every
 //!   accepted live batch is appended (CRC32-checksummed, length-prefixed)
 //!   and fsynced *before* the epoch publish, replayed on open, truncated
@@ -94,7 +95,7 @@
 //! | | without a policy | [`StoreBuilder::shard_by`] |
 //! |---|---|---|
 //! | partitions | one | N, placed by a [`shard::ShardPolicy`] |
-//! | container | v7 (`UTCQ` 7) | v3 (`UTCQ` 3, embeds v7 per partition) |
+//! | container | v8 (`UTCQ` 8), routing kind `single` | v8, the policy's routing kind |
 //! | `where`/`when` | the partition the id map names | same |
 //! | `range` | the partitions' candidates merged id-ascending | same |
 //! | cursors | partition in the high 16 bits / keyset ids | same |
@@ -138,7 +139,7 @@
 //! let page = store.where_query(tu_id, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
-//! // Persist as a self-contained v7 container and reopen: the network
+//! // Persist as a self-contained v8 container and reopen: the network
 //! // and index travel inside the file.
 //! let path = std::env::temp_dir().join("utcq-quickstart.utcq");
 //! store.save(&path)?;
@@ -152,7 +153,7 @@
 //!
 //! The same pipeline, partitioned: route trajectories across four
 //! partitions by time interval, query through the identical surface,
-//! and persist as a sharded v3 container:
+//! and persist in the same v8 container, one body per partition:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -179,7 +180,8 @@
 //! let page = target.where_query(0, t0, 0.0, PageRequest::default())?;
 //! assert!(!page.items.is_empty());
 //!
-//! // v3 container: shard directory + one embedded v7 container each.
+//! // v8 container: the policy and one network in its head, then four
+//! // partition bodies.
 //! let path = std::env::temp_dir().join("utcq-sharded-quickstart.utcq");
 //! store.save(&path)?;
 //! let reopened = Store::open(&path)?;

@@ -14,8 +14,7 @@
 //! A segment ([`crate::segment::TrajSegment`]) stores none of them: a
 //! [`TrajPlan`] reads them off the trajectory's framing record — its
 //! role bits (one per instance in original order) and its probability
-//! codes — and only [`TrajPlan::prob_mass`], the range scan's pruning
-//! bound, is kept in the trajectory's row. The compressor emits
+//! codes. The compressor emits
 //! references, then non-references, each ascending in `orig_idx`, and a
 //! trajectory in any other order is refused when it is appended, so the
 //! role bits determine every slot.
@@ -112,19 +111,6 @@ impl<'a> TrajPlan<'a> {
         rows.sort_unstable_by(by_prob);
         ranked
     }
-
-    /// Σ of all instance probabilities, in original instance order — an
-    /// upper bound on any probability mass a range query can accumulate
-    /// over this trajectory (the `range_matches` accumulator sums a
-    /// subset of these terms), so `alpha > prob_mass` (plus float slack)
-    /// means the trajectory cannot match, before any decode. Summing the
-    /// *maximum* instead would be unsound: Lemma 3 accumulates several
-    /// overlapping instances, so e.g. probs `{0.4, 0.35}` reach
-    /// 0.75 ≥ α = 0.5 while the max 0.4 alone would prune. Summed once,
-    /// when the trajectory is appended, and kept in its row.
-    pub fn prob_mass(&self) -> f64 {
-        self.view.prob_mass()
-    }
 }
 
 /// The probability order of `(orig_idx, prob)` pairs: probability
@@ -215,16 +201,16 @@ mod tests {
     }
 
     /// A dataset of the one trajectory, or why it was refused.
-    fn plans_of(ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<Trajectories, Error> {
+    fn plans_of(ct: &CompressedTrajectory) -> Result<Trajectories, Error> {
         let mut trajectories = Trajectories::default();
-        trajectories.push(ct, p_codec).map(|()| trajectories)
+        trajectories.push(ct).map(|()| trajectories)
     }
 
     #[test]
     fn plan_covers_every_instance() {
         let (ct, params) = paper_ct();
         let p_codec = params.p_codec();
-        let trajectories = plans_of(&ct, &p_codec).unwrap();
+        let trajectories = plans_of(&ct).unwrap();
         let plan = trajectories.get(0).unwrap().plan(&p_codec);
         assert_eq!(plan.instance_count(), ct.instance_count());
         for (i, r) in ct.refs.iter().enumerate() {
@@ -248,7 +234,7 @@ mod tests {
     fn probabilities_match_dequantized_codes() {
         let (ct, params) = paper_ct();
         let p_codec = params.p_codec();
-        let trajectories = plans_of(&ct, &p_codec).unwrap();
+        let trajectories = plans_of(&ct).unwrap();
         let plan = trajectories.get(0).unwrap().plan(&p_codec);
         for r in &ct.refs {
             assert_eq!(plan.prob(r.orig_idx).unwrap(), p_codec.dequantize(r.p_code));
@@ -265,7 +251,7 @@ mod tests {
     fn by_prob_desc_is_sorted_and_deterministic() {
         let (ct, params) = paper_ct();
         let p_codec = params.p_codec();
-        let trajectories = plans_of(&ct, &p_codec).unwrap();
+        let trajectories = plans_of(&ct).unwrap();
         let plan = trajectories.get(0).unwrap().plan(&p_codec);
         let list = plan.by_prob_desc().to_vec();
         assert_eq!(list.len(), ct.instance_count());
@@ -278,35 +264,17 @@ mod tests {
     }
 
     #[test]
-    fn prob_mass_is_the_sum_of_instance_probs() {
-        let (ct, params) = paper_ct();
-        let p_codec = params.p_codec();
-        let trajectories = plans_of(&ct, &p_codec).unwrap();
-        let plan = trajectories.get(0).unwrap().plan(&p_codec);
-        let expect: f64 = plan.probs().sum();
-        assert_eq!(plan.prob_mass(), expect);
-        assert!(plan.prob_mass() > 0.0);
-    }
-
-    #[test]
     fn corrupt_indices_are_rejected() {
-        let (mut ct, params) = paper_ct();
-        let p_codec = params.p_codec();
+        let (mut ct, _) = paper_ct();
         // Duplicate an original index.
         let first = ct.refs[0].orig_idx;
         if let Some(nr) = ct.nrefs.first_mut() {
             nr.orig_idx = first;
-            assert!(matches!(
-                plans_of(&ct, &p_codec),
-                Err(Error::CorruptStore(_))
-            ));
+            assert!(matches!(plans_of(&ct), Err(Error::CorruptStore(_))));
         }
         // Out-of-range index.
         let (mut ct2, _) = paper_ct();
         ct2.refs[0].orig_idx = ct2.instance_count() as u32 + 7;
-        assert!(matches!(
-            plans_of(&ct2, &p_codec),
-            Err(Error::CorruptStore(_))
-        ));
+        assert!(matches!(plans_of(&ct2), Err(Error::CorruptStore(_))));
     }
 }

@@ -625,22 +625,10 @@ impl<'a> QueryEngine<'a> {
             .net
             .point_on_edge(edge, rd * self.net.edge_length(edge));
         let cell = self.stiu.grid.cell_of(query_pt);
-
-        // Negative cache: a recorded region miss answers without even
-        // scanning the region words again.
-        if self
-            .cache
-            .when_miss_hit(self.epoch, self.partition, j, cell.0)
-        {
-            return Ok(Vec::new());
-        }
         if !node.groups().any(|g| g.position(cell).is_some()) {
             // No instance of this trajectory enters the query region:
-            // answer without touching the compressed payload at all —
-            // and remember that, so the next probe of this cell skips
-            // the group scan too.
-            self.cache
-                .note_when_miss(self.epoch, self.partition, j, cell.0);
+            // answer from the index without touching the compressed
+            // payload or the cache.
             return Ok(Vec::new());
         }
         let times = self.times(j, &ct)?;
@@ -840,15 +828,13 @@ impl RangeScratch {
 }
 
 /// One **range** candidate: a trajectory the StIU temporal index places
-/// in `tq`'s partition, with the store partition that owns it, its
-/// position there, and its probability-mass pruning bound
-/// ([`crate::plan::TrajPlan::prob_mass`]) carried inline.
+/// in `tq`'s partition, with the store partition that owns it and its
+/// position there.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RangeCandidate {
     pub id: u64,
     pub partition: u32,
     pub pos: u32,
-    pub mass: f64,
 }
 
 /// The range scan (Definition 12, §5.4) — the one loop every range
@@ -883,13 +869,6 @@ pub(crate) fn range_scan(
             has_more = true;
             break;
         }
-        // Probability-mass prune: the trajectory cannot accumulate α,
-        // so skip the evaluation entirely. The candidate still occupies
-        // its slot in the pagination walk — identical page boundaries
-        // to evaluating and rejecting it.
-        if range_pruned(c.mass, alpha) {
-            continue;
-        }
         let engine = partitions
             .get(c.partition as usize)
             .ok_or(Error::CorruptStore("range candidate past the partitions"))?;
@@ -904,22 +883,6 @@ pub(crate) fn range_scan(
         items,
         has_more,
     })
-}
-
-/// Float slack for the probability-mass prune: `range_matches_with`
-/// sums a subset of the plan's probabilities in Lemma 3 order while
-/// [`crate::plan::TrajPlan::prob_mass`] sums all of them in original
-/// order, so the two can differ by accumulated ulps near the boundary.
-/// Pruning only when α exceeds the mass by more than the slack keeps
-/// the skip strictly conservative.
-const RANGE_PRUNE_SLACK: f64 = 1e-9;
-
-/// Whether the probability-mass bound rules a trajectory out before any
-/// decode: even if every instance overlapped RE, the accumulator could
-/// never reach α. A NaN α compares `false` here, so it never prunes —
-/// and never matches, identically to the unpruned path.
-fn range_pruned(mass: f64, alpha: f64) -> bool {
-    alpha > mass + RANGE_PRUNE_SLACK
 }
 
 /// Location of an instance at time `t ∈ [t_lo, t_hi]`, interpolating

@@ -19,10 +19,9 @@
 //! data: while a segment is the append tail every column is as wide as
 //! its type, and the seal repacks the string once at the widths a v7
 //! block header would declare for the same records. A trajectory's row
-//! is its id, its probability mass (the range scan's pruning bound),
-//! where its record starts and where its streams start; an instance's
-//! original index, its slot and the query plan ([`TrajPlan`]) are read
-//! off the role bits when asked for.
+//! is its id, where its record starts and where its streams start; an
+//! instance's original index, its slot and the query plan
+//! ([`TrajPlan`]) are read off the role bits when asked for.
 //!
 //! Readers never see a segment, only borrowed views of one trajectory
 //! ([`TrajView`], [`crate::stiu::TrajIndex`], [`TrajPlan`]): its row,
@@ -242,8 +241,6 @@ where
 struct TrajRow {
     /// Original trajectory id.
     id: u64,
-    /// See [`TrajPlan::prob_mass`].
-    prob_mass: f64,
     /// The bit of the segment's framing string at which the trajectory's
     /// record starts.
     framing: u32,
@@ -393,7 +390,6 @@ impl TrajSegment {
     pub(crate) fn begin(&mut self, id: u64, n_times: u32) -> Result<(), Error> {
         self.rows.push(TrajRow {
             id,
-            prob_mass: 0.0,
             framing: offset(self.framing.len_bits())?,
             first_stream: offset(self.stream_end.len())?,
         });
@@ -456,9 +452,8 @@ impl TrajSegment {
 
     /// Closes the open trajectory: checks that its framing record holds
     /// the fields its role bits call for and no more, and that it has
-    /// its streams (one `T`, three per instance), and sums its
-    /// [`TrajPlan::prob_mass`] with the dataset's probability codec.
-    pub(crate) fn finish(&mut self, p_codec: &PddpCodec) -> Result<(), Error> {
+    /// its streams (one `T`, three per instance).
+    pub(crate) fn finish(&mut self) -> Result<(), Error> {
         let none = || Error::CorruptStore("no open trajectory");
         let k = self.rows.len().checked_sub(1).ok_or_else(none)?;
         let view = self.view(k).ok_or_else(none)?;
@@ -469,10 +464,6 @@ impl TrajSegment {
         }
         if self.stream_end.len() != view.first_stream + 1 + 3 * view.instance_count() {
             return Err(Error::CorruptStore("streams do not match the instances"));
-        }
-        let prob_mass = view.plan(p_codec).probs().sum();
-        if let Some(open) = self.rows.last_mut() {
-            open.prob_mass = prob_mass;
         }
         Ok(())
     }
@@ -500,7 +491,6 @@ impl Table for TrajSegment {
             n_times,
             n_inst,
             n_refs: 0,
-            prob_mass: row.prob_mass,
             framing,
             roles,
             head_roles,
@@ -562,17 +552,15 @@ impl Table for TrajSegment {
 }
 
 impl Trajectories {
-    /// The id of the trajectory at position `i` and its
-    /// [`TrajPlan::prob_mass`], without building its view.
-    pub(crate) fn id_and_mass(&self, i: usize) -> Option<(u64, f64)> {
-        let row = self.segs.get(i / CHUNK)?.rows.get(i % CHUNK)?;
-        Some((row.id, row.prob_mass))
+    /// The id of the trajectory at position `i`, without building its
+    /// view.
+    pub(crate) fn id(&self, i: usize) -> Option<u64> {
+        Some(self.segs.get(i / CHUNK)?.rows.get(i % CHUNK)?.id)
     }
 
-    /// Appends a compressed trajectory, summing its probability mass
-    /// with the dataset's probability codec.
-    pub fn push(&mut self, ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<(), Error> {
-        self.append(|seg| seg.push(ct, p_codec))
+    /// Appends a compressed trajectory.
+    pub fn push(&mut self, ct: &CompressedTrajectory) -> Result<(), Error> {
+        self.append(|seg| seg.push(ct))
     }
 
     /// Appends the one trajectory of `one` ([`TrajSegment::of`]): a copy
@@ -599,17 +587,16 @@ fn canonical(ct: &CompressedTrajectory) -> Result<(), Error> {
 }
 
 impl TrajSegment {
-    /// A segment holding `ct` alone, its probability mass summed with
-    /// `p_codec`: a trajectory packed apart from any dataset (and so on
-    /// any thread), for [`Trajectories::push_packed`].
-    pub(crate) fn of(ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<Self, Error> {
+    /// A segment holding `ct` alone: a trajectory packed apart from any
+    /// dataset (and so on any thread), for [`Trajectories::push_packed`].
+    pub(crate) fn of(ct: &CompressedTrajectory) -> Result<Self, Error> {
         let mut seg = Self::default();
-        seg.push(ct, p_codec)?;
+        seg.push(ct)?;
         Ok(seg)
     }
 
     /// Appends `ct` as the next trajectory.
-    fn push(&mut self, ct: &CompressedTrajectory, p_codec: &PddpCodec) -> Result<(), Error> {
+    fn push(&mut self, ct: &CompressedTrajectory) -> Result<(), Error> {
         canonical(ct)?;
         self.begin(ct.id, ct.n_times)?;
         self.stream(&mut ct.t_bits.reader(), ct.t_bits.len_bits())?;
@@ -630,7 +617,7 @@ impl TrajSegment {
             }
             self.p_code(n.p_code)?;
         }
-        self.finish(p_codec)
+        self.finish()
     }
 
     /// Appends the one trajectory of `one`, a tail too, as the next: its
@@ -694,7 +681,6 @@ pub struct TrajView<'a> {
     pub n_times: u32,
     n_inst: u32,
     n_refs: u32,
-    prob_mass: f64,
     framing: BitSlice<'a>,
     /// Where the role bits start in `framing`.
     roles: usize,
@@ -849,11 +835,6 @@ impl<'a> TrajView<'a> {
                 self.bits(at, p_code)
             }
         }
-    }
-
-    /// See [`TrajPlan::prob_mass`].
-    pub(crate) fn prob_mass(&self) -> f64 {
-        self.prob_mass
     }
 
     /// Reference `i`, if there is one.
@@ -1073,14 +1054,13 @@ mod tests {
             .iter()
             .map(|tu| compress_trajectory(&net, tu, &params));
         let cts: Vec<_> = cts.map(|ct| ct.unwrap().0).collect();
-        let p_codec = params.p_codec();
         let mut a = Trajectories::default();
         for ct in cts.iter().cycle().take(CHUNK + 10) {
-            a.push(ct, &p_codec).unwrap();
+            a.push(ct).unwrap();
         }
         let b = a.clone();
         let before = crate::hooks::copied_bytes();
-        a.push(&cts[0], &p_codec).unwrap();
+        a.push(&cts[0]).unwrap();
         let copied = crate::hooks::copied_bytes() - before;
         assert!(Arc::ptr_eq(&a.segs[0], &b.segs[0]), "sealed: shared");
         assert!(!Arc::ptr_eq(&a.segs[1], &b.segs[1]), "tail: copied out");
@@ -1090,18 +1070,12 @@ mod tests {
         assert_eq!((b.len(), a.len()), (CHUNK + 10, CHUNK + 11));
         assert!(b.get(CHUNK + 10).is_none(), "the clone is unaffected");
         assert_eq!(
-            (
-                a.id_and_mass(CHUNK + 10).unwrap().0,
-                a.get(CHUNK + 10).unwrap().id
-            ),
+            (a.id(CHUNK + 10).unwrap(), a.get(CHUNK + 10).unwrap().id),
             (cts[0].id, cts[0].id)
         );
         // A refused trajectory is an error, not a panic.
         let mut bad = cts[0].clone();
         bad.refs[0].orig_idx = 99;
-        assert!(matches!(
-            a.push(&bad, &p_codec),
-            Err(Error::CorruptStore(_))
-        ));
+        assert!(matches!(a.push(&bad), Err(Error::CorruptStore(_))));
     }
 }

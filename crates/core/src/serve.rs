@@ -538,34 +538,32 @@ fn settle(poller: &poll::Poller, state: &ServerState, conns: &mut HashMap<u64, C
 /// news again.
 pub const FOLLOW_POLL: std::time::Duration = std::time::Duration::from_millis(200);
 
-/// First reconnect delay after the leader drops; doubles per attempt.
-pub const FOLLOW_BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(100);
+/// First reconnect delay; doubles per attempt.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(100);
 
-/// Ceiling on the reconnect delay.
-pub const FOLLOW_BACKOFF_CAP: std::time::Duration = std::time::Duration::from_secs(5);
+/// Ceiling on the reconnect delay before jitter.
+pub const BACKOFF_CAP: Duration = Duration::from_secs(5);
 
-/// A tiny xorshift generator for backoff jitter — enough randomness to
-/// de-synchronize a fleet of reconnecting followers without pulling in
-/// an RNG dependency.
-struct Jitter(u64);
-
-impl Jitter {
-    fn seeded() -> Jitter {
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.subsec_nanos() as u64)
-            .unwrap_or(0);
-        Jitter((nanos << 17) ^ u64::from(std::process::id()) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
+/// The delay before reconnect attempt `attempt` (from 0) of a follower
+/// or of `utcq client --addr`: `BACKOFF_BASE · 2^attempt`, capped at
+/// [`BACKOFF_CAP`], plus up to half of itself in jitter. The jitter
+/// mixes the clock, the process id and the attempt, enough to keep a
+/// fleet of reconnecting processes from dialing in step without an RNG
+/// dependency.
+pub fn reconnect_backoff(attempt: u32) -> Duration {
+    let capped = BACKOFF_BASE
+        .saturating_mul(1u32 << attempt.min(8))
+        .min(BACKOFF_CAP);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.subsec_nanos());
+    let seed = u64::from(nanos) << 17 ^ u64::from(std::process::id()) ^ u64::from(attempt) << 48;
+    // splitmix64's finalizer
+    let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    capped + Duration::from_millis(x % (capped.as_millis() as u64 / 2).max(1))
 }
 
 /// Sleeps in short slices so a raised `stop` flag is honored promptly.
@@ -600,13 +598,12 @@ fn sleep_unless_stopped(total: std::time::Duration, stop: &AtomicBool) {
 /// * an applied batch publishes under a different epoch than the leader
 ///   recorded (the stores have diverged).
 pub fn follow(opened: &Opened, leader: &str, stop: &AtomicBool) -> Result<(), Error> {
-    let mut jitter = Jitter::seeded();
     let mut attempt: u32 = 0;
     while !stop.load(Ordering::SeqCst) {
         let stream = match TcpStream::connect(leader) {
             Ok(s) => s,
             Err(_) => {
-                sleep_unless_stopped(backoff(attempt, &mut jitter), stop);
+                sleep_unless_stopped(reconnect_backoff(attempt), stop);
                 attempt = attempt.saturating_add(1);
                 continue;
             }
@@ -666,15 +663,6 @@ pub fn follow(opened: &Opened, leader: &str, stop: &AtomicBool) -> Result<(), Er
     Ok(())
 }
 
-/// Delay before reconnect attempt `attempt`: `base · 2^attempt` capped,
-/// plus up to half of itself in jitter.
-fn backoff(attempt: u32, jitter: &mut Jitter) -> std::time::Duration {
-    let base = FOLLOW_BACKOFF_BASE.saturating_mul(1u32 << attempt.min(8));
-    let capped = base.min(FOLLOW_BACKOFF_CAP);
-    let extra = jitter.next() % (capped.as_millis() as u64 / 2).max(1);
-    capped + std::time::Duration::from_millis(extra)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,6 +671,18 @@ mod tests {
     use crate::store::Store;
     use std::io::Read;
     use utcq_traj::{paper_fixture, Dataset};
+
+    #[test]
+    fn reconnect_backoff_doubles_to_the_cap_plus_half_in_jitter() {
+        let ms = Duration::from_millis;
+        for (attempt, least) in [(0, ms(100)), (1, ms(200)), (4, ms(1_600)), (6, BACKOFF_CAP)] {
+            for _ in 0..50 {
+                let d = reconnect_backoff(attempt);
+                assert!(d >= least && d < least + least / 2, "{attempt}: {d:?}");
+            }
+        }
+        assert!(reconnect_backoff(u32::MAX) < BACKOFF_CAP * 3 / 2);
+    }
 
     fn paper_opened() -> Arc<Opened> {
         let fx = paper_fixture::build();

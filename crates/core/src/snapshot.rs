@@ -440,10 +440,7 @@ impl QueryTarget for Snapshot {
 
     /// The candidates are every partition's interval postings at `tq`,
     /// merged id-ascending (ids are unique across partitions) for the one
-    /// scan loop (`crate::query::range_scan`). A repeated shape is served
-    /// from the store's [`crate::cache::DecodeCache`], which keeps the
-    /// complete match set under (epoch, shape) once a scan ran
-    /// unpaginated to the end.
+    /// scan loop (`crate::query::range_scan`).
     fn range_query(
         &self,
         re: &Rect,
@@ -451,24 +448,14 @@ impl QueryTarget for Snapshot {
         alpha: f64,
         page: PageRequest,
     ) -> Result<Page<u64>, Error> {
-        let candidates = || self.parts.iter().flat_map(|p| p.range_candidates(tq));
-        let cache = &self.first().cache;
-        if let Some(ids) = cache.range_result(self.epoch, re, tq, alpha) {
-            return Ok(page_of_range_result(&ids, page, |last| {
-                candidates().any(|c| c.id > last)
-            }));
-        }
-        let mut list: Vec<RangeCandidate> = candidates().collect();
+        let mut list: Vec<RangeCandidate> = self
+            .parts
+            .iter()
+            .flat_map(|p| p.range_candidates(tq))
+            .collect();
         list.sort_unstable_by_key(|c| c.id);
         let engines: Vec<QueryEngine<'_>> = self.parts.iter().map(|p| p.engine()).collect();
-        let out = range_scan(&engines, &list, re, tq, alpha, page)?;
-        if page.cursor.is_none() && !out.has_more {
-            // The scan started at the beginning and consumed every
-            // candidate: `items` is the complete match set of the shape.
-            let ids = Arc::new(out.items.clone());
-            cache.note_range_result(self.epoch, re, tq, alpha, ids);
-        }
-        Ok(out)
+        range_scan(&engines, &list, re, tq, alpha, page)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -481,31 +468,6 @@ impl QueryTarget for Snapshot {
 
     fn clear_cache(&self) {
         self.first().cache.clear();
-    }
-}
-
-/// One page of a cached complete match set, byte-identical to what the
-/// scan would produce for the same request — including `has_more`,
-/// whose contract is "more *candidates* remain past the last returned
-/// id" (matching or not): `more_after(last)` probes the interval index
-/// without evaluating anything.
-fn page_of_range_result(
-    ids: &[u64],
-    page: PageRequest,
-    more_after: impl FnOnce(u64) -> bool,
-) -> Page<u64> {
-    let start = match page.cursor {
-        Some(a) => ids.partition_point(|&id| id <= a),
-        None => 0,
-    };
-    let limit = page.limit.max(1);
-    // bounds: partition_point returns ≤ ids.len()
-    let items: Vec<u64> = ids[start..].iter().take(limit).copied().collect();
-    let has_more = items.len() >= limit && items.last().is_some_and(|&last| more_after(last));
-    Page {
-        next_cursor: items.last().copied().filter(|_| has_more),
-        items,
-        has_more,
     }
 }
 
@@ -591,17 +553,15 @@ impl Partition {
     }
 
     /// This partition's **range** candidates at `tq` in index (position)
-    /// order: the StIU interval postings with each trajectory's id and
-    /// pruning bound resolved.
+    /// order: the StIU interval postings with each trajectory's id
+    /// resolved.
     fn range_candidates(&self, tq: i64) -> impl Iterator<Item = RangeCandidate> + '_ {
         let rows = &self.cds.trajectories;
         let candidate = move |pos: u32| {
-            let (id, mass) = rows.id_and_mass(pos as usize)?;
             Some(RangeCandidate {
-                id,
+                id: rows.id(pos as usize)?,
                 partition: self.partition,
                 pos,
-                mass,
             })
         };
         self.stiu

@@ -463,7 +463,7 @@ fn read_trajs<R: Read>(
     n_trajs: usize,
     cds: &mut CompressedDataset,
 ) -> Result<(), StorageError> {
-    let (p_codec, ts) = (cds.params.p_codec(), cds.params.default_interval);
+    let ts = cds.params.default_interval;
     // The role bits of the open trajectory and its references' entry
     // counts.
     let (mut roles, mut entries) = (Vec::new(), Vec::new());
@@ -487,7 +487,7 @@ fn read_trajs<R: Read>(
                 for _ in roles.iter().filter(|&&is_ref| !is_ref) {
                     src.read_nref(seg, &entries, n_times as usize)?;
                 }
-                Ok::<(), StorageError>(seg.finish(&p_codec)?)
+                Ok::<(), StorageError>(seg.finish()?)
             })?;
         }
         src.end_block()?;

@@ -603,9 +603,8 @@ impl Store {
         let epochs: Vec<u64> = next.parts.iter().map(|part| part.epoch()).collect();
         let total = next.len();
         self.state.store(Arc::new(next));
-        // What the publish superseded: the moved partitions' entries and
-        // the store's range results.
-        self.cache.retire_before(&epochs, epoch);
+        // What the publish superseded: the moved partitions' entries.
+        self.cache.retire_before(&epochs);
         Ok(IngestReport {
             ingested: batch.trajectories.len(),
             total,
@@ -620,21 +619,32 @@ mod tests {
     use utcq_traj::paper_fixture;
 
     fn paper_store(fx: &paper_fixture::PaperFixture) -> Store {
+        paper_store_in(fx, 1)
+    }
+
+    /// The paper's trajectory in a store of `n` partitions: routed by
+    /// time when `n > 1`, with no policy at 1.
+    fn paper_store_in(fx: &paper_fixture::PaperFixture, n: u32) -> Store {
         let ds = Dataset {
             name: "paper".into(),
             default_interval: paper_fixture::DEFAULT_INTERVAL,
             trajectories: vec![fx.tu.clone()],
         };
-        Store::build(
+        let builder = StoreBuilder::new(
             Arc::new(fx.example.net.clone()),
-            &ds,
             CompressParams::with_interval(paper_fixture::DEFAULT_INTERVAL),
-            StiuParams {
-                partition_s: 900,
-                grid_n: 4,
-            },
         )
-        .unwrap()
+        .stiu_params(StiuParams {
+            partition_s: 900,
+            grid_n: 4,
+        });
+        let builder = match n {
+            1 => builder,
+            n => builder
+                .shard_by(Arc::new(crate::shard::ByTime::default()), n)
+                .unwrap(),
+        };
+        builder.ingest(&ds).unwrap().finish().unwrap()
     }
 
     #[test]
@@ -743,28 +753,32 @@ mod tests {
     }
 
     #[test]
-    fn when_region_miss_is_empty_and_negatively_cached() {
-        // A location on the stub edges is never visited.
+    fn when_region_miss_is_answered_from_the_index() {
+        // A location on the stub edges is never visited: the index alone
+        // answers, so neither the first call nor a repeat decodes
+        // anything or leaves anything in the cache.
         let fx = paper_fixture::build();
-        let store = paper_store(&fx);
         let e49 = fx
             .example
             .net
             .find_edge(fx.example.vertex(4), utcq_network::VertexId(10))
             .expect("stub edge");
-        let hits = store
-            .when_query(1, e49, 0.5, 0.0, PageRequest::all())
-            .unwrap();
-        assert!(hits.items.is_empty());
-        let after_first = store.cache_stats();
-        assert_eq!(after_first.negative_entries, 1, "{after_first:?}");
-        // The repeat answers from the negative entry.
-        let hits = store
-            .when_query(1, e49, 0.5, 0.0, PageRequest::all())
-            .unwrap();
-        assert!(hits.items.is_empty());
-        let after_second = store.cache_stats();
-        assert_eq!(after_second.negative_hits, after_first.negative_hits + 1);
+        for n in [1, 3] {
+            let store = paper_store_in(&fx, n);
+            let before = store.cache_stats();
+            for call in 0..2 {
+                let hits = store
+                    .when_query(1, e49, 0.5, 0.0, PageRequest::all())
+                    .unwrap();
+                assert!(hits.items.is_empty() && !hits.has_more, "{n}: {call}");
+                let s = store.cache_stats();
+                assert_eq!(
+                    (s.hits, s.misses, s.entries),
+                    (before.hits, before.misses, before.entries),
+                    "{n} partition(s), call {call}"
+                );
+            }
+        }
     }
 
     #[test]

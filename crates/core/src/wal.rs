@@ -82,8 +82,9 @@ pub const WAL_MAGIC: &[u8; 8] = b"UTCQWAL\0";
 pub const WAL_VERSION: u32 = 2;
 /// Fixed header size: magic + version + extra_len.
 const FIXED_HEADER: usize = 16;
-/// Default number of recent batches kept in memory for `tail`/dedup.
-pub const DEFAULT_TAIL_KEEP: usize = 4096;
+/// How many recent batches stay in memory for the `tail` wire op and
+/// leader-side ingest dedup.
+pub const TAIL_KEEP: usize = 4096;
 
 /// When the log file is flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,21 +104,17 @@ pub struct WalConfig {
     pub path: PathBuf,
     /// Flush policy for appended records.
     pub fsync: FsyncPolicy,
-    /// How many recent batches stay in memory for the `tail` wire op
-    /// and leader-side ingest dedup.
-    pub tail_keep: usize,
     /// Where `checkpoint` saves the container; filled in automatically
     /// by the durable open paths.
     pub checkpoint_to: Option<PathBuf>,
 }
 
 impl WalConfig {
-    /// A config with the default fsync policy (`Always`) and tail size.
+    /// A config with the default fsync policy (`Always`).
     pub fn new(path: impl Into<PathBuf>) -> Self {
         WalConfig {
             path: path.into(),
             fsync: FsyncPolicy::Always,
-            tail_keep: DEFAULT_TAIL_KEEP,
             checkpoint_to: None,
         }
     }
@@ -1145,7 +1142,6 @@ struct Logged {
 pub(crate) struct Sidecar {
     pub wal: Wal,
     pub checkpoint_to: Option<PathBuf>,
-    tail_keep: usize,
     /// Live epoch at the last truncation; records are stored in the
     /// file with `epoch - base` so a reopened container (whose epochs
     /// restart at 1) replays to matching numbers.
@@ -1161,7 +1157,6 @@ impl Sidecar {
         Sidecar {
             wal,
             checkpoint_to: cfg.checkpoint_to.clone(),
-            tail_keep: cfg.tail_keep.max(1),
             base: 0,
             tail: VecDeque::new(),
             tail_base: 0,
@@ -1190,7 +1185,7 @@ impl Sidecar {
             self.tail_base = epoch.saturating_sub(1);
         }
         self.tail.push_back(Logged { epoch, payload });
-        while self.tail.len() > self.tail_keep {
+        while self.tail.len() > TAIL_KEEP {
             if let Some(dropped) = self.tail.pop_front() {
                 self.tail_base = dropped.epoch;
             }
@@ -1433,33 +1428,37 @@ mod tests {
 
     #[test]
     fn sidecar_feed_tail_and_dedup() {
-        let cfg = WalConfig {
-            tail_keep: 2,
-            ..WalConfig::new(tmp("sidecar"))
-        };
+        let cfg = WalConfig::new(tmp("sidecar")).fsync(FsyncPolicy::Never);
         let _ = std::fs::remove_file(&cfg.path);
         let (wal, _) = Wal::open(&cfg).expect("create");
         let mut sc = Sidecar::new(wal, &cfg);
-        for e in 1..=3u64 {
+        let last = TAIL_KEEP as u64 + 2;
+        for e in 1..=last {
             log(&mut sc, sample(e, 100 + e)).expect("append");
         }
-        // Feed capped at 2: epoch 1 fell off → asking from 0 is a gap.
-        match sc.records_since(0, 64, 3) {
-            TailRead::Gap { base } => assert_eq!(base, 1),
+        // Feed capped at TAIL_KEEP: epochs 1 and 2 fell off → asking
+        // from 1 is a gap.
+        match sc.records_since(1, 64, last) {
+            TailRead::Gap { base } => assert_eq!(base, 2),
             TailRead::Records { .. } => panic!("expected gap"),
         }
-        match sc.records_since(1, 64, 3) {
+        match sc.records_since(last - 2, 64, last) {
             TailRead::Records { records, current } => {
-                assert_eq!(current, 3);
+                assert_eq!(current, last);
                 assert_eq!(
                     records.iter().map(|r| r.epoch).collect::<Vec<_>>(),
-                    vec![2, 3]
+                    vec![last - 1, last]
                 );
             }
             TailRead::Gap { .. } => panic!("expected records"),
         }
+        match sc.records_since(2, 64, last) {
+            TailRead::Records { records, .. } => assert_eq!(records[0].epoch, 3),
+            TailRead::Gap { .. } => panic!("epoch 3 is the feed's oldest"),
+        }
         assert_eq!(sc.dedup_epoch(&sample(3, 103).trajectories), Some((3, 1)));
-        assert_eq!(sc.dedup_epoch(&sample(9, 999).trajectories), None);
+        assert_eq!(sc.dedup_epoch(&sample(2, 102).trajectories), None);
+        assert_eq!(sc.dedup_epoch(&sample(9, 99).trajectories), None);
         // Same id, different content: not a re-send, no dedup.
         let mut changed = sample(3, 103).trajectories;
         changed[0].times[0] += 1;

@@ -893,16 +893,8 @@ fn respond_cache(id: Option<&Json>, stats: &CacheStats) -> String {
     let _ = write!(
         out,
         ",\"op\":\"cache_stats\",\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
-         \"negative_hits\":{},\"entries\":{},\"negative_entries\":{},\"bytes\":{},\
-         \"budget_bytes\":{},\"hit_rate\":",
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.negative_hits,
-        stats.entries,
-        stats.negative_entries,
-        stats.bytes,
-        stats.budget_bytes
+         \"entries\":{},\"bytes\":{},\"budget_bytes\":{},\"hit_rate\":",
+        stats.hits, stats.misses, stats.evictions, stats.entries, stats.bytes, stats.budget_bytes
     );
     write_f64(&mut out, stats.hit_rate());
     out.push_str("}}");

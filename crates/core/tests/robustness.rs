@@ -139,7 +139,7 @@ fn crafted_temporal_span_is_rejected_at_open() {
     let mut trajs = Trajectories::default();
     for tu in &far {
         let ct = utcq_core::compress_trajectory(&net, tu, &params).unwrap().0;
-        trajs.push(&ct, &params.p_codec()).unwrap();
+        trajs.push(&ct).unwrap();
     }
     cds.trajectories = trajs;
     let (bytes, _) = save(&net, &cds, &index);

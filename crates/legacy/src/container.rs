@@ -59,12 +59,14 @@ use utcq_bitio::{golomb, width_for_max, BitBuf, BitReader, CodecError};
 use utcq_core::compressed::{
     edge_number_width, CompressedNonRef, CompressedRef, CompressedTrajectory,
 };
+use utcq_core::decompress::DecompressError;
 use utcq_core::segment::TrajView;
 use utcq_core::stiu::{region_cells, EdgeCells, Stiu, StiuParams, TemporalTuple};
 use utcq_core::storage::{self, Head, StorageError, ROUTING_REGION};
 use utcq_core::{decompress_dataset, factor, siar, CompressParams, CompressedDataset, Error};
 use utcq_network::{CellId, NetworkBuilder, RoadNetwork, VertexId};
 use utcq_traj::size::SizeBreakdown;
+use utcq_traj::TedViewError;
 
 /// Dataset-only container: no network, no index.
 pub const VERSION_V1: u8 = 1;
@@ -421,7 +423,7 @@ fn read_trajs<R: Read>(
     n_trajs: usize,
     cds: &mut CompressedDataset,
 ) -> Result<(), StorageError> {
-    let (p_codec, ts) = (cds.params.p_codec(), cds.params.default_interval);
+    let ts = cds.params.default_interval;
     while cds.trajectories.len() < n_trajs {
         src.begin_block()?;
         for _ in 0..CHUNK.min(n_trajs - cds.trajectories.len()) {
@@ -447,7 +449,7 @@ fn read_trajs<R: Read>(
                 nrefs,
             };
             // The plan permutation check.
-            cds.trajectories.push(&ct, &p_codec)?;
+            cds.trajectories.push(&ct)?;
         }
         src.end_block()?;
     }
@@ -704,20 +706,26 @@ pub(crate) fn read_v1(
     params: StiuParams,
 ) -> Result<Parts, Error> {
     let cds = read_dataset(r, VERSION_V1, None)?;
-    let expect = edge_number_width(net.max_out_degree());
-    if cds.w_e != expect {
-        return Err(Error::NetworkMismatch {
-            expected: cds.w_e,
-            got: expect,
-        });
+    // v1 stored no network: what it holds of one is checked against the
+    // network supplied for it, its edge numbers as they are decoded.
+    let mismatch = |check, detail| Error::NetworkMismatch { check, detail };
+    let w_e = edge_number_width(net.max_out_degree());
+    if cds.w_e != w_e {
+        let detail = format!("{} bits in the container, {w_e} for the network", cds.w_e);
+        return Err(mismatch("edge-number width", detail));
     }
-    // v1 stored the start vertices with no network to check them against.
     let n_vertices = net.vertex_count() as u32;
-    let past = |ct: TrajView<'_>| ct.refs().any(|r| r.sv.0 >= n_vertices);
-    if cds.trajectories.iter().any(past) {
-        return Err(StorageError::Corrupt("start vertex past the network").into());
+    let past = |ct: TrajView<'_>| ct.refs().find(|r| r.sv.0 >= n_vertices);
+    if let Some(r) = cds.trajectories.iter().find_map(past) {
+        let detail = format!("vertex {} past the network's {n_vertices}", r.sv.0);
+        return Err(mismatch("start vertex", detail));
     }
-    let ds = decompress_dataset(&net, &cds)?;
+    let ds = decompress_dataset(&net, &cds).map_err(|e| match e {
+        DecompressError::View(e @ TedViewError::BadEdgeNumber { .. }) => {
+            mismatch("edge number", e.to_string())
+        }
+        e => e.into(),
+    })?;
     let mut stiu = Stiu::new(&net, params)?;
     let edges = EdgeCells::new(&net, &stiu.grid);
     let (mut refs, mut nrefs) = (Vec::new(), Vec::new());

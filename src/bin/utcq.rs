@@ -61,7 +61,7 @@ use std::sync::Arc;
 use utcq::core::opened::{render_format, render_resident, render_sections};
 use utcq::core::params::CompressParams;
 use utcq::core::query::{PageRequest, QueryTarget};
-use utcq::core::serve::{Server, DEFAULT_THREADS};
+use utcq::core::serve::{reconnect_backoff, Server, DEFAULT_THREADS};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
 use utcq::core::{storage, wire, FsyncPolicy, Opened, RangeQuery, StoreBuilder, WalConfig};
@@ -511,9 +511,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// before giving up.
 const CLIENT_RETRY_ATTEMPTS: u32 = 5;
 
-/// First reconnect delay (milliseconds); doubles per attempt.
-const CLIENT_RETRY_BASE_MS: u64 = 100;
-
 /// `utcq client`: execute a newline-delimited JSON session from stdin —
 /// against a running server (`--addr`), or offline against the
 /// container itself (`--in`). Both modes run every request through
@@ -569,13 +566,8 @@ fn cmd_client(args: &Args) -> Result<(), String> {
                         if attempt >= CLIENT_RETRY_ATTEMPTS {
                             return Err(format!("{addr}: {e} (after {attempt} retries)"));
                         }
-                        let delay = CLIENT_RETRY_BASE_MS << attempt.min(8);
-                        let jitter = (std::process::id() as u64)
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .rotate_left(attempt)
-                            % (delay / 2).max(1);
                         eprintln!("reconnecting to {addr} (attempt {}): {e}", attempt + 1);
-                        std::thread::sleep(std::time::Duration::from_millis(delay + jitter));
+                        std::thread::sleep(reconnect_backoff(attempt));
                         attempt += 1;
                         match connect() {
                             Ok(rw) => (reader, writer) = rw,

@@ -158,6 +158,53 @@ fn cached_and_uncached_stores_answer_identically() {
     }
 }
 
+/// A `when` probe on a cell the trajectory never enters: the point at
+/// `rd` on `edge` lies more than two grid-cell diagonals (of the index's
+/// `grid_n = 8` grid) from every edge of every instance, so no instance
+/// path crosses its cell.
+fn region_miss(net: &RoadNetwork, ds: &Dataset) -> Option<WhenProbe> {
+    let bounds = net.bounding_rect();
+    let clear = 2.0 * bounds.width().hypot(bounds.height()) / 8.0;
+    let rd = 0.5;
+    ds.trajectories.iter().find_map(|tu| {
+        let far = |e: utcq::network::EdgeId| {
+            let p = net.point_on_edge(e, rd * net.edge_length(e));
+            let paths = tu.instances.iter().flat_map(|inst| &inst.path);
+            paths.copied().all(|on| {
+                let (a, b) = (net.coord(net.edge_from(on)), net.coord(net.edge_to(on)));
+                utcq::network::geom::project_to_segment(p, a, b).0.sqrt() > clear
+            })
+        };
+        net.edges().find(|&e| far(e)).map(|e| (tu.id, e, rd, 0.0))
+    })
+}
+
+/// A region-miss `when` is answered from the index alone: an empty
+/// page, with the cache on and off, that neither decodes (no miss) nor
+/// stores anything, on the first call and on a repeat.
+#[test]
+fn region_miss_when_is_answered_from_the_index() {
+    for shape in SHAPES {
+        let (net, ds) = setup(11, 12);
+        let (id, edge, rd, alpha) = region_miss(&net, &ds).expect("a region-miss probe");
+        for cache_bytes in [utcq::core::DEFAULT_CACHE_BYTES, 0] {
+            let store = build_store(&net, &ds, shape, cache_bytes);
+            for call in 0..2 {
+                let page = store
+                    .when_query(id, edge, rd, alpha, PageRequest::all())
+                    .unwrap();
+                assert!(page.items.is_empty() && !page.has_more, "{shape:?} {call}");
+                let s = store.cache_stats();
+                assert_eq!(
+                    (s.hits, s.misses, s.entries),
+                    (0, 0, 0),
+                    "{shape:?}, {cache_bytes} B, call {call}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn tiny_budget_evicts_but_stays_correct() {
     for shape in SHAPES {

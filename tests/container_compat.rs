@@ -698,6 +698,33 @@ fn needs_migrate(e: Error) -> Option<(&'static str, u32)> {
     }
 }
 
+/// The v1 fixture read on networks it was not compressed on (the tiny
+/// profile's at seeds 1 and 5): its edge-number width and start
+/// vertices fit them, but an edge number does not resolve, and the
+/// error names the network and the check rather than the decoder.
+#[test]
+fn a_v1_container_on_the_wrong_network_is_a_network_mismatch() {
+    let bytes = std::fs::read(fixture_path("tiny_v1.utcq")).unwrap();
+    for seed in [1, 5] {
+        let net = utcq::datagen::generate_network(&utcq::datagen::profile::tiny(), seed);
+        let Err(err) = utcq_legacy::open(&bytes, || (net, STIU)) else {
+            panic!("seed {seed}: the v1 fixture opened on the wrong network");
+        };
+        assert_eq!(utcq::core::wire::error_code(&err), "network_mismatch");
+        assert!(
+            matches!(
+                err,
+                Error::NetworkMismatch {
+                    check: "edge number",
+                    ..
+                }
+            ),
+            "seed {seed}: {err}"
+        );
+        assert!(err.to_string().contains("network mismatch"), "{err}");
+    }
+}
+
 #[test]
 fn core_refuses_an_old_single_container_with_the_migrate_error() {
     for (name, version) in [

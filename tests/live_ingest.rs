@@ -774,47 +774,6 @@ fn cache_stays_correct_across_epochs() {
     assert_eq!(after, cold);
 }
 
-/// A partitioned store caches a range result under its own epoch in its
-/// one cache: a batch that leaves the first partition alone still
-/// retires the result (and nothing of that partition's), and the next
-/// query answers the new epoch.
-#[test]
-fn range_results_follow_the_store_epoch_across_untouched_partitions() {
-    let (net, batches) = batches(9, 50);
-    let p = params(&batches[0]);
-    let policy = ByTime { interval_s: 120 };
-    let build = |extra: &[Dataset]| {
-        let mut b = (StoreBuilder::new(Arc::clone(&net), p).stiu_params(STIU))
-            .shard_by(Arc::new(policy), 3)
-            .unwrap()
-            .ingest(&batches[0])
-            .unwrap();
-        for batch in extra {
-            b = b.ingest(batch).unwrap();
-        }
-        b.finish().unwrap()
-    };
-    let store = build(&[]);
-    let elsewhere = |tu: &&utcq::traj::UncertainTrajectory| policy.route(&net, tu, 3) != 0;
-    let tu = batches[1].trajectories.iter().find(elsewhere).unwrap();
-    let late = Dataset {
-        trajectories: vec![tu.clone()],
-        ..batches[1].clone()
-    };
-    let (re, tq) = (net.bounding_rect(), tu.times[0]);
-    let range = |s: &Store| s.range_query(&re, tq, 0.0, PageRequest::all()).unwrap();
-    range(&store);
-    let stats = || store.cache_stats();
-    let (hits, cached) = (stats().hits, stats().entries);
-    assert_eq!(range(&store), range(&store));
-    assert_eq!(stats().hits, hits + 2, "the repeats hit the stored result");
-
-    store.ingest(&late).unwrap();
-    assert_eq!(store.snapshots()[0].epoch(), 0, "partition 0 untouched");
-    assert_eq!(stats().entries, cached - 1, "only the range result retires");
-    assert_eq!(range(&store), range(&build(&[late])));
-}
-
 /// Batch-partition invariance: however a workload is sliced into ingest
 /// batches, the published store serializes byte-identically to a
 /// one-shot offline build. Seeded random partitions (batch sizes
