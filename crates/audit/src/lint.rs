@@ -20,11 +20,10 @@
 //!   (`*_or_decode`). The cache
 //!   takes its own shard locks; holding a store lock across that is a
 //!   lock-order hazard.
-//! * **cache-key-epoch** — every `Key { .. }` literal in `cache.rs`
-//!   must carry an `epoch` and a `partition` field, so no cache entry can
-//!   ever outlive the snapshot generation that minted it, and no
-//!   partition of a store can read another's entry through the store's
-//!   one cache.
+//! * **cache-key-partition** — every `Key { .. }` literal in `cache.rs`
+//!   must carry a `partition` field, so no partition of a store can read
+//!   another's entry through the store's one cache (a position names a
+//!   trajectory only within its partition).
 //!
 //! Findings can be waived through a checked-in allowlist file (one
 //! justified entry per line — see [`Allowlist`]); entries that no
@@ -417,7 +416,7 @@ fn lint_file(
             }
         }
 
-        // cache-key-epoch: every `Key {` literal must name `epoch` and
+        // cache-key-partition: every `Key {` literal must name
         // `partition` before its matching closing brace (a nested
         // `Kind::Ref { .. }` does not end it). Key literals in this
         // codebase are short; scan forward a bounded window.
@@ -439,20 +438,14 @@ fn lint_file(
                     }
                     literal.push('\n');
                 }
-                let missing: Vec<&str> = ["epoch", "partition"]
-                    .into_iter()
-                    .filter(|field| !literal.contains(field))
-                    .collect();
-                if !missing.is_empty() {
+                if !literal.contains("partition") {
                     diags.push(Diag {
                         file: name.to_string(),
                         line: lno,
-                        rule: "cache-key-epoch",
-                        message: format!(
-                            "`Key {{ .. }}` without {}: cache entries must be keyed to \
-                             a snapshot generation and to a partition of the store",
-                            missing.join(" and ")
-                        ),
+                        rule: "cache-key-partition",
+                        message: "`Key { .. }` without partition: cache entries must be \
+                                  keyed to a partition of the store"
+                            .to_string(),
                     });
                 }
             }
@@ -667,32 +660,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_literals_need_epoch() {
-        let bad = "fn f() { let k = Key { partition, kind: Kind::Ref(j) }; }\n";
-        assert!(diags_for("cache.rs", bad)
-            .iter()
-            .any(|d| d.rule == "cache-key-epoch"));
-        let good = "fn f() { let k = Key { epoch, partition, kind: Kind::Ref(j) }; }\n";
-        assert!(diags_for("cache.rs", good).is_empty());
-        let multiline =
-            "let k = Key {\n    epoch: e,\n    partition: p,\n    kind: Kind::Ref(j),\n};\n";
-        assert!(diags_for("cache.rs", multiline).is_empty());
-    }
-
-    #[test]
     fn cache_key_literals_need_partition() {
-        let bad = "fn f() { let k = Key { epoch, kind: Kind::Ref(j) }; }\n";
+        let bad = "fn f() { let k = Key { kind: Kind::Ref(j) }; }\n";
         let d = diags_for("cache.rs", bad);
         assert!(
             d.iter()
-                .any(|d| d.rule == "cache-key-epoch" && d.message.contains("partition")),
+                .any(|d| d.rule == "cache-key-partition" && d.message.contains("partition")),
             "{d:?}"
         );
+        let good = "fn f() { let k = Key { partition, kind: Kind::Ref(j) }; }\n";
+        assert!(diags_for("cache.rs", good).is_empty());
+        let multiline = "let k = Key {\n    partition: p,\n    kind: Kind::Ref(j),\n};\n";
+        assert!(diags_for("cache.rs", multiline).is_empty());
         // A field after a nested literal's closing brace still counts.
-        let nested = "let k = Key {\n    epoch,\n    kind: Kind::Ref { traj, ref_idx },\n    partition,\n};\n";
+        let nested = "let k = Key {\n    kind: Kind::Ref { traj, ref_idx },\n    partition,\n};\n";
         assert!(diags_for("cache.rs", nested).is_empty());
         // A later literal's fields do not cover an earlier one's.
-        let split = "let a = Key { epoch, kind };\nlet b = Key { epoch, partition, kind };\n";
+        let split = "let a = Key { kind };\nlet b = Key { partition, kind };\n";
         let d = diags_for("cache.rs", split);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 1);

@@ -533,10 +533,12 @@ fn build_sharded() -> Arc<Store> {
 }
 
 /// Pinned snapshots are immutable and epochs only move forward, even
-/// with an ingest racing the reader.
+/// with an ingest racing the reader; a decode cached through the newer
+/// snapshot serves the pin.
 pub fn store_pin_vs_ingest() -> Scenario {
     let store = build_store();
-    let (_, _, b) = tiny_batches();
+    let (_, a, b) = tiny_batches();
+    let base = a.trajectories[0].id;
     let new_ids: Vec<u64> = b.trajectories.iter().map(|t| t.id).collect();
     let writer = {
         let store = Arc::clone(&store);
@@ -575,6 +577,22 @@ pub fn store_pin_vs_ingest() -> Scenario {
                  after publish"
             );
         }
+        // A store only appends, so a decode cached through the newer
+        // snapshot serves the pin too: one hit, no miss.
+        let times = |snap: &utcq_core::Snapshot| {
+            snap.decode_times(base)
+                .expect("decode_times")
+                .expect("a base trajectory is in every snapshot")
+        };
+        let newer = times(&s2);
+        let before = s2.cache_stats();
+        assert_eq!(times(&pinned), newer, "pin and newer snapshot disagree");
+        let after = pinned.cache_stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (1, 0),
+            "the pin's decode of trajectory {base} did not hit the newer snapshot's entry"
+        );
     }) as Box<dyn FnOnce() + Send>;
     Scenario {
         threads: vec![writer, reader],

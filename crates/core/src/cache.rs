@@ -24,13 +24,12 @@
 //!
 //! A store has one cache, shared by all of its partitions, so every key
 //! also carries the **partition** it belongs to (`traj` is a position
-//! within that partition), and the partition's **epoch** that minted it
-//! (see [`crate::snapshot`]). After a live ingest publishes a new
-//! epoch, entries of superseded epochs stop matching — no cross-epoch
-//! aliasing even if a future writer stops being append-only — and the
-//! publish drops them
-//! (`DecodeCache::retire_before`), so what the cache holds under ingest
-//! is one epoch's working set, not every read since the last eviction.
+//! within that partition). A store only appends: a publish adds
+//! trajectories at new positions and never rewrites or reuses one, so a
+//! (partition, position) names one trajectory for the store's whole
+//! life, and an entry decoded through any snapshot is valid through
+//! every other, older or newer. Entries therefore outlive publishes and
+//! leave only when evicted or cleared.
 //!
 //! The cache is **sharded**: keys hash to one of [`SHARD_COUNT`]
 //! [`RwLock`]-protected shards, so concurrent queries (e.g. under
@@ -80,12 +79,10 @@ enum Kind {
     Window { traj: u32, no: u32 },
 }
 
-/// Cache key: an artifact kind of one partition, stamped with the epoch
-/// that minted it. Entries of superseded epochs
-/// stop matching and are dropped when the next epoch publishes.
+/// Cache key: an artifact kind of one partition (valid through every
+/// snapshot of the store, see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
-    epoch: u64,
     partition: u32,
     kind: Kind,
 }
@@ -198,7 +195,7 @@ impl CacheStats {
 }
 
 /// The shared decode cache. One per [`crate::store::Store`], shared by
-/// every [`crate::snapshot::Partition`] of every epoch; cheap
+/// every [`crate::snapshot::Partition`] of every snapshot; cheap
 /// to share by reference across query threads (`Send + Sync`).
 pub struct DecodeCache {
     shards: Vec<RwLock<Shard>>,
@@ -264,26 +261,6 @@ impl DecodeCache {
             let mut s = shard.write().expect("cache lock poisoned");
             s.map.clear();
             s.bytes = 0;
-        }
-    }
-
-    /// Drops every entry minted before its partition's current epoch,
-    /// `epochs[p]` for partition `p` — called once per publish, since no
-    /// current reader can hit them again. Not counted as evictions (those
-    /// keep the budget). A reader still pinned to an older epoch just
-    /// decodes again; what it inserts meanwhile goes at the next publish.
-    pub(crate) fn retire_before(&self, epochs: &[u64]) {
-        for shard in &self.shards {
-            let mut guard = shard.write().expect("cache lock poisoned");
-            let s = &mut *guard;
-            s.map.retain(|key, e| {
-                let current = epochs.get(key.partition as usize);
-                let keep = current.is_none_or(|&epoch| key.epoch >= epoch);
-                if !keep {
-                    s.bytes -= e.bytes;
-                }
-                keep
-            });
         }
     }
 
@@ -379,14 +356,12 @@ impl DecodeCache {
     /// Cached decode of reference `ref_idx` of trajectory `traj`.
     pub(crate) fn ref_or_decode(
         &self,
-        epoch: u64,
         partition: u32,
         traj: u32,
         ref_idx: u32,
         decode: impl FnOnce() -> Result<DecodedRef, Error>,
     ) -> Result<Arc<DecodedRef>, Error> {
         let key = Key {
-            epoch,
             partition,
             kind: Kind::Ref { traj, ref_idx },
         };
@@ -399,14 +374,12 @@ impl DecodeCache {
     /// Cached decode of instance `orig_idx` of trajectory `traj`.
     pub(crate) fn instance_or_decode(
         &self,
-        epoch: u64,
         partition: u32,
         traj: u32,
         orig_idx: u32,
         decode: impl FnOnce() -> Result<Instance, Error>,
     ) -> Result<Arc<Instance>, Error> {
         let key = Key {
-            epoch,
             partition,
             kind: Kind::Instance { traj, orig_idx },
         };
@@ -421,14 +394,12 @@ impl DecodeCache {
     /// uniquely identifies the resume point within a trajectory).
     pub(crate) fn window_or_decode(
         &self,
-        epoch: u64,
         partition: u32,
         traj: u32,
         no: u32,
         decode: impl FnOnce() -> Result<Vec<i64>, Error>,
     ) -> Result<Arc<Vec<i64>>, Error> {
         let key = Key {
-            epoch,
             partition,
             kind: Kind::Window { traj, no },
         };
@@ -441,13 +412,11 @@ impl DecodeCache {
     /// Cached decode of the time sequence of trajectory `traj`.
     pub(crate) fn times_or_decode(
         &self,
-        epoch: u64,
         partition: u32,
         traj: u32,
         decode: impl FnOnce() -> Result<Vec<i64>, Error>,
     ) -> Result<Arc<Vec<i64>>, Error> {
         let key = Key {
-            epoch,
             partition,
             kind: Kind::Times { traj },
         };
@@ -480,7 +449,7 @@ mod tests {
 
     fn times_entry(cache: &DecodeCache, traj: u32, len: usize) -> Arc<Vec<i64>> {
         cache
-            .times_or_decode(0, 0, traj, || Ok((0..len as i64).collect()))
+            .times_or_decode(0, traj, || Ok((0..len as i64).collect()))
             .unwrap()
     }
 
@@ -489,7 +458,7 @@ mod tests {
         let cache = DecodeCache::with_budget(1 << 20);
         let a = times_entry(&cache, 1, 8);
         let b = cache
-            .times_or_decode(0, 0, 1, || panic!("second lookup must not decode"))
+            .times_or_decode(0, 1, || panic!("second lookup must not decode"))
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
@@ -498,51 +467,22 @@ mod tests {
     }
 
     #[test]
-    fn epochs_partition_the_key_space() {
-        let cache = DecodeCache::with_budget(1 << 20);
-        let old = cache.times_or_decode(0, 0, 1, || Ok(vec![1, 2])).unwrap();
-        // The same trajectory under a newer epoch is a distinct entry —
-        // stale decodes can never serve a post-ingest snapshot.
-        let new = cache
-            .times_or_decode(1, 0, 1, || Ok(vec![1, 2, 3]))
-            .unwrap();
-        assert_eq!(old.len(), 2);
-        assert_eq!(new.len(), 3);
-        let again = cache
-            .times_or_decode(1, 0, 1, || panic!("epoch-1 entry must be cached"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&new, &again));
-        assert_eq!(cache.stats().entries, 2);
-        // Publishing epoch 1 drops everything epoch 0 minted, without
-        // counting evictions; epoch 1's entry stays.
-        cache.retire_before(&[1]);
-        let s = cache.stats();
-        assert_eq!((s.entries, s.evictions), (1, 0));
-        assert_eq!(s.bytes, value_bytes(&Value::Times(new)));
-        cache
-            .times_or_decode(1, 0, 1, || panic!("epoch-1 entry must survive"))
-            .unwrap();
-    }
-
-    #[test]
     fn window_entries_are_keyed_independently() {
         let cache = DecodeCache::with_budget(1 << 20);
         // Full times and a partial window of the same trajectory coexist.
         let full = times_entry(&cache, 1, 8);
         let win = cache
-            .window_or_decode(0, 0, 1, 3, || Ok(vec![3, 4, 5]))
+            .window_or_decode(0, 1, 3, || Ok(vec![3, 4, 5]))
             .unwrap();
         assert_eq!(full.len(), 8);
         assert_eq!(*win, vec![3, 4, 5]);
         // Second lookup of the window is a hit, not a re-decode.
         let win2 = cache
-            .window_or_decode(0, 0, 1, 3, || panic!("window must be cached"))
+            .window_or_decode(0, 1, 3, || panic!("window must be cached"))
             .unwrap();
         assert!(Arc::ptr_eq(&win, &win2));
         // A different resume point is a distinct entry.
-        let other = cache
-            .window_or_decode(0, 0, 1, 5, || Ok(vec![5, 6]))
-            .unwrap();
+        let other = cache.window_or_decode(0, 1, 5, || Ok(vec![5, 6])).unwrap();
         assert_eq!(*other, vec![5, 6]);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 3, 3));
@@ -553,17 +493,14 @@ mod tests {
         let cache = DecodeCache::with_budget(1 << 20);
         // Position 1 of partition 0 and position 1 of partition 1 are
         // different trajectories.
-        let a = cache.times_or_decode(0, 0, 1, || Ok(vec![1, 2])).unwrap();
-        let b = cache.times_or_decode(0, 1, 1, || Ok(vec![7])).unwrap();
+        let a = cache.times_or_decode(0, 1, || Ok(vec![1, 2])).unwrap();
+        let b = cache.times_or_decode(1, 1, || Ok(vec![7])).unwrap();
         assert_eq!((a.len(), b.len()), (2, 1));
-        // A publish that moved only partition 0 to epoch 1 leaves
-        // partition 1's epoch-0 entries in place.
-        cache.retire_before(&[1, 0]);
-        let s = cache.stats();
-        assert_eq!((s.entries, s.evictions), (1, 0));
-        cache
-            .times_or_decode(0, 1, 1, || panic!("partition 1 kept its epoch"))
+        let again = cache
+            .times_or_decode(1, 1, || panic!("partition 1's entry must be cached"))
             .unwrap();
+        assert!(Arc::ptr_eq(&b, &again));
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
@@ -623,20 +560,30 @@ mod tests {
 
     #[test]
     fn recency_protects_hot_entries() {
-        // One shard's worth of keys would race; use a single traj id per
-        // shard-agnostic check: insert A, touch it, then flood — A's high
-        // tick should survive longer than untouched peers on its shard.
+        // A 400 B shard holds two 8-sample entries (160 B each). Every
+        // flood key lands in the hot entry's own shard, so each insert
+        // past the second evicts one entry: the one touched before each
+        // insert must outlive the untouched peers inserted after it,
+        // whatever shards the hasher picks.
         let cache = DecodeCache::with_budget(SHARD_COUNT * 400);
+        let shard = |traj| {
+            let kind = Kind::Times { traj };
+            cache.shard_of(&Key { partition: 0, kind }) as *const RwLock<Shard>
+        };
+        let hot = shard(0);
+        let flood: Vec<u32> = (1..)
+            .filter(|&traj| std::ptr::eq(shard(traj), hot))
+            .take(8)
+            .collect();
         times_entry(&cache, 0, 8);
-        for _ in 0..4 {
+        for &traj in &flood {
             times_entry(&cache, 0, 8); // keep traj 0 hot
-            for traj in 1..40 {
-                times_entry(&cache, traj, 8);
-            }
+            times_entry(&cache, traj, 8);
         }
-        // traj 0 was touched every round; it should still be resident.
+        assert_eq!(cache.stats().evictions, flood.len() as u64 - 1);
+        // traj 0 was touched before every insert; it is still resident.
         cache
-            .times_or_decode(0, 0, 0, || panic!("hot entry was evicted"))
+            .times_or_decode(0, 0, || panic!("hot entry was evicted"))
             .map(|_| ())
             .unwrap();
     }
@@ -651,7 +598,7 @@ mod tests {
                 for i in 0..200u32 {
                     let traj = (t * 7 + i) % 16;
                     let v = c
-                        .times_or_decode(0, 0, traj, || Ok(vec![i64::from(traj); 4]))
+                        .times_or_decode(0, traj, || Ok(vec![i64::from(traj); 4]))
                         .unwrap();
                     assert_eq!(*v, vec![i64::from(traj); 4]);
                 }

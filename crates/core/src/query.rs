@@ -405,10 +405,6 @@ pub(crate) struct QueryEngine<'a> {
     /// engine mints carries it, since the store's partitions share one
     /// cache and a position names a trajectory only within a partition.
     pub partition: u32,
-    /// Epoch of the partition this engine reads — every cache key this
-    /// engine mints carries it, so entries of superseded epochs can
-    /// never serve a newer partition (or vice versa).
-    pub epoch: u64,
 }
 
 /// Per-call scratch map of decoded references: the first lookup of each
@@ -435,14 +431,13 @@ impl<'a> QueryEngine<'a> {
     /// The full time sequence of the trajectory at position `j`,
     /// memoized in the shared cache.
     pub fn times(&self, j: u32, ct: &TrajView<'_>) -> Result<Arc<Vec<i64>>, Error> {
-        self.cache
-            .times_or_decode(self.epoch, self.partition, j, || {
-                Ok(siar::decode(
-                    ct.t_bits(),
-                    ct.n_times as usize,
-                    self.cds.params.default_interval,
-                )?)
-            })
+        self.cache.times_or_decode(self.partition, j, || {
+            Ok(siar::decode(
+                ct.t_bits(),
+                ct.n_times as usize,
+                self.cds.params.default_interval,
+            )?)
+        })
     }
 
     /// The decoded streams of reference `ref_idx` of trajectory `j`:
@@ -457,15 +452,13 @@ impl<'a> QueryEngine<'a> {
         if let Some(d) = local.get(&ref_idx) {
             return Ok(Arc::clone(d));
         }
-        let d = self
-            .cache
-            .ref_or_decode(self.epoch, self.partition, j, ref_idx, || {
-                if ref_idx as usize >= ct.ref_count() {
-                    return Err(Error::CorruptStore("reference index out of range"));
-                }
-                let d_codec = self.cds.params.d_codec();
-                Ok(ct.decode_ref(ref_idx as usize, self.cds.w_e, &d_codec)?)
-            })?;
+        let d = self.cache.ref_or_decode(self.partition, j, ref_idx, || {
+            if ref_idx as usize >= ct.ref_count() {
+                return Err(Error::CorruptStore("reference index out of range"));
+            }
+            let d_codec = self.cds.params.d_codec();
+            Ok(ct.decode_ref(ref_idx as usize, self.cds.w_e, &d_codec)?)
+        })?;
         local.insert(ref_idx, Arc::clone(&d));
         Ok(d)
     }
@@ -483,7 +476,7 @@ impl<'a> QueryEngine<'a> {
         local: &mut LocalRefs,
     ) -> Result<Arc<Instance>, Error> {
         self.cache
-            .instance_or_decode(self.epoch, self.partition, j, orig_idx, || {
+            .instance_or_decode(self.partition, j, orig_idx, || {
                 let (d_codec, plan) = (
                     self.cds.params.d_codec(),
                     ct.plan(&self.cds.params.p_codec()),
@@ -551,17 +544,15 @@ impl<'a> QueryEngine<'a> {
         let remaining = (ct.n_times as u64)
             .checked_sub(1 + u64::from(tt.no))
             .ok_or(Error::CorruptStore("temporal tuple past the sample count"))?;
-        let window = self
-            .cache
-            .window_or_decode(self.epoch, self.partition, j, tt.no, || {
-                Ok(siar::decode_from(
-                    ct.t_bits(),
-                    tt.pos as usize,
-                    tt.start,
-                    ts,
-                    remaining as usize,
-                )?)
-            })?;
+        let window = self.cache.window_or_decode(self.partition, j, tt.no, || {
+            Ok(siar::decode_from(
+                ct.t_bits(),
+                tt.pos as usize,
+                tt.start,
+                ts,
+                remaining as usize,
+            )?)
+        })?;
         let hi_local = window.partition_point(|&x| x < t);
         if hi_local >= window.len() {
             return Ok(None); // t is past the last sample

@@ -3,8 +3,8 @@
 //! [`crate::StoreBuilder::shard_by`] gives a [`crate::Store`] N
 //! partitions and a [`ShardPolicy`] that places each trajectory at
 //! ingest time — by time interval ([`ByTime`]) or by road-network region
-//! ([`ByRegion`]); such a store saves as a v3 container whose directory
-//! records the policy ([`ShardSpec`]). Each partition is a complete
+//! ([`ByRegion`]); such a store saves a v8 container whose head records
+//! the policy as its routing kind ([`ShardSpec`]). Each partition is a complete
 //! [`crate::Partition`], so a batch compresses per partition in parallel.
 //! **where/when** run on the partition the store's id map names;
 //! **range** merges every partition's candidates into one id-ascending
@@ -67,8 +67,8 @@ pub(crate) fn decode_cursor(global: u64) -> (u32, u64) {
 /// A policy must be **deterministic** — the same trajectory must route
 /// to the same partition on every call — because duplicate-id detection
 /// and the store's id map rely on a stable placement. Built-in policies
-/// ([`ByTime`], [`ByRegion`]) also serialize into the v3 shard
-/// directory; custom implementations are recorded as `custom` (the
+/// ([`ByTime`], [`ByRegion`]) also serialize into the v8 head's routing
+/// kind; custom implementations are recorded as `custom` (the
 /// container still opens and queries — but a reopened custom-policy
 /// store cannot route new batches, so [`crate::Store::ingest`]
 /// rejects it). A store checks a batch (edges, shape, interval) before
@@ -84,8 +84,8 @@ pub trait ShardPolicy: Send + Sync {
     }
 }
 
-/// Serializable description of a built-in [`ShardPolicy`] — what the v3
-/// shard directory records.
+/// Serializable description of a built-in [`ShardPolicy`] — what the v8
+/// head records as its routing kind and parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardSpec {
     /// [`ByTime`] with the given bucket width in seconds.

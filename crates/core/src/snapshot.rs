@@ -34,9 +34,9 @@
 //!    touch that lock),
 //! 2. extends a copy of the current snapshot by the batch — all **off
 //!    the query path**,
-//! 3. logs the batch, stamps the written partitions and the copy with
-//!    the epoch the log allocated, and publishes it with one swap;
-//!    untouched partitions keep their `Arc`s and epochs.
+//! 3. logs the batch, stamps the copy with the epoch the log
+//!    allocated, and publishes it with one swap; untouched partitions
+//!    keep their `Arc`s.
 //!
 //! In-flight queries and pinned snapshots keep answering from the epoch
 //! they loaded; the next query observes the new one. Ingest only ever
@@ -46,12 +46,9 @@
 //!
 //! The decode cache is the store's, shared across partitions and epochs
 //! (every partition of a store holds the same `Arc<DecodeCache>` and its
-//! partition number), but cache keys carry the partition and the epoch
-//! that minted them: entries of superseded epochs stop hitting
-//! immediately — no cross-epoch aliasing even if a future writer stops
-//! being append-only — and the store's publish drops them, so the
-//! cache's footprint under ingest does not grow with the number of
-//! reads served since the last eviction.
+//! partition number). Its keys carry the partition and the position, and
+//! because ingest only appends, an entry decoded through one snapshot
+//! serves every other (see [`crate::cache`]); a publish leaves it alone.
 
 use std::io::Write;
 use std::path::Path;
@@ -308,8 +305,8 @@ impl Snapshot {
     /// batch order, to the partitions they are routed to (each becomes
     /// its own copy on the first write), and the id map is extended. A
     /// partition without a name adopts the batch's, even from a batch
-    /// without trajectories. Epochs are left as they are: a live
-    /// publish stamps the written partitions afterwards. Returns whether
+    /// without trajectories. The epoch is left as it is: a live publish
+    /// stamps the snapshot afterwards. Returns whether
     /// anything changed. After an error the snapshot must be dropped: a
     /// partition may hold part of the batch. A store reopened from a
     /// custom-policy container cannot route: [`Error::ShardConfig`].
@@ -485,27 +482,18 @@ pub struct Partition {
     pub(crate) cache: Arc<DecodeCache>,
     /// This partition's number in its store — part of every cache key.
     pub(crate) partition: u32,
-    /// The store epoch that last published this partition; 0 for the
-    /// state a store was built or opened with. Part of every cache key.
-    pub(crate) epoch: u64,
 }
 
 impl std::fmt::Debug for Partition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Partition")
             .field("name", &self.cds.name)
-            .field("epoch", &self.epoch)
             .field("trajectories", &self.cds.trajectories.len())
             .finish_non_exhaustive()
     }
 }
 
 impl Partition {
-    /// The store epoch that last published this partition.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The compressed dataset of this partition.
     pub fn compressed(&self) -> &CompressedDataset {
         &self.cds
@@ -548,7 +536,6 @@ impl Partition {
             stiu: &self.stiu,
             cache: &self.cache,
             partition: self.partition,
-            epoch: self.epoch,
         }
     }
 
@@ -590,7 +577,6 @@ impl Partition {
             stiu,
             cache,
             partition,
-            epoch: 0,
         })
     }
 

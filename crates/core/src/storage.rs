@@ -60,8 +60,7 @@
 //! non-reference rows say whose tuples come next.
 //!
 //! **Derived at open:** besides the body's fields, the interval postings
-//! (`Stiu::append_node`) and each trajectory's probability mass
-//! (`TrajSegment::finish`) — pure functions of stored fields, so a
+//! (`Stiu::append_node`) — a pure function of stored fields, so a
 //! reopened index equals the built one bit for bit.
 //!
 //! A block and an in-memory segment ([`crate::segment`]) cover the same

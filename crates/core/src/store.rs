@@ -27,9 +27,9 @@
 //! Each partition brings its query plans ([`crate::plan::TrajPlan`]);
 //! the store has one decode cache ([`crate::cache::DecodeCache`]) with
 //! the whole budget, which every partition reads through. Cache keys
-//! carry the partition and the minting epoch, and each publish drops
-//! what it superseded, once; the complete match sets of range queries
-//! are keyed by the store's epoch.
+//! carry the partition and the position: a store only appends, so an
+//! entry decoded through any snapshot serves every other, and a publish
+//! leaves the cache alone.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
@@ -116,7 +116,6 @@ impl StoreBuilder {
             cache: Arc::new(DecodeCache::with_budget(DEFAULT_CACHE_BYTES)),
             net,
             partition: 0,
-            epoch: 0,
         };
         let snapshot = Snapshot {
             epoch: 0,
@@ -465,7 +464,7 @@ impl Store {
     }
 
     /// Whether the store was built or opened with a routing policy (and
-    /// so saves as v3), even one it cannot name.
+    /// so records it in its v8 head), even one it cannot name.
     pub(crate) fn has_policy(&self) -> bool {
         matches!(self.state.load().routing, Routing::Policy(_))
     }
@@ -572,8 +571,8 @@ impl Store {
     /// the writer lock held: extends a copy of the current snapshot
     /// ([`Snapshot::extend`], the step [`StoreBuilder::ingest`] runs
     /// too). Only when **every** trajectory compressed is the batch
-    /// logged (`WriterCore::log`), the copy and the partitions it wrote
-    /// stamped with the epoch the log allocated, and the copy swapped
+    /// logged (`WriterCore::log`), the copy stamped with the epoch the
+    /// log allocated, and the copy swapped
     /// in, so batches are all-or-nothing across partitions; a batch that
     /// changes nothing reports the current epoch.
     pub(crate) fn publish_locked(
@@ -595,16 +594,8 @@ impl Store {
         // here on replays it under the epoch allocated here.
         let epoch = self.core.log(held, batch)?;
         next.epoch = epoch;
-        for (part, cur) in next.parts.iter_mut().zip(&state.parts) {
-            if !Arc::ptr_eq(part, cur) {
-                Arc::make_mut(part).epoch = epoch;
-            }
-        }
-        let epochs: Vec<u64> = next.parts.iter().map(|part| part.epoch()).collect();
         let total = next.len();
         self.state.store(Arc::new(next));
-        // What the publish superseded: the moved partitions' entries.
-        self.cache.retire_before(&epochs);
         Ok(IngestReport {
             ingested: batch.trajectories.len(),
             total,

@@ -155,20 +155,34 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     let (_, net, ds) = build_dataset(args)?;
     let s = utcq::traj::stats::summarize(&ds);
     let h = utcq::traj::stats::interval_deviations(&ds);
-    println!("dataset {}", ds.name);
-    println!("  trajectories:        {}", s.trajectories);
-    println!("  avg instances:       {:.2}", s.avg_instances);
-    println!("  avg edges/instance:  {:.2}", s.avg_edges);
-    println!("  avg samples:         {:.2}", s.avg_samples);
-    println!("  raw size:            {} KiB", s.raw_bytes / 1024);
-    println!("  intervals within ±1s: {:.1}%", h.within_one() * 100.0);
-    println!(
-        "network: {} vertices, {} edges, max out-degree {}",
+    emit(format_args!(
+        "dataset {}\n  trajectories:        {}\n  avg instances:       {:.2}\n  \
+         avg edges/instance:  {:.2}\n  avg samples:         {:.2}\n  \
+         raw size:            {} KiB\n  intervals within ±1s: {:.1}%\n\
+         network: {} vertices, {} edges, max out-degree {}\n",
+        ds.name,
+        s.trajectories,
+        s.avg_instances,
+        s.avg_edges,
+        s.avg_samples,
+        s.raw_bytes / 1024,
+        h.within_one() * 100.0,
         net.vertex_count(),
         net.edge_count(),
         net.max_out_degree()
-    );
-    Ok(())
+    ))
+}
+
+/// Writes to stdout, the one way `stats`, `info`, `query` and `client`
+/// print. A reader that went away (`utcq info … | head -1`) ends the
+/// output: the process exits 0 where `print!` would panic.
+fn emit(text: std::fmt::Arguments<'_>) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(text).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("stdout: {e}")),
+    }
 }
 
 /// The routing policy selected by `--shard-by` (default: time).
@@ -236,8 +250,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     let sections = render_sections(&opened.snapshot()).map_err(|e| e.to_string())?;
     let resident = render_resident(&opened.snapshot());
     let report = opened.info().render();
-    print!("{report}{format}{sections}{resident}");
-    Ok(())
+    emit(format_args!("{report}{format}{sections}{resident}"))
 }
 
 /// `utcq migrate`: rewrites an older container or write-ahead log at
@@ -353,18 +366,18 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     for ids in store.par_range_query(&ranges).map_err(|e| e.to_string())? {
         range_hits += ids.len();
     }
-    println!(
-        "ran {} where+when queries ({} answers, page limit {limit}) and {} parallel range queries ({} hits) in {:?}",
+    emit(format_args!(
+        "ran {} where+when queries ({} answers, page limit {limit}) and {} parallel range queries ({} hits) in {:?}\n",
         n.min(store.len()) * 2,
         answered,
         ranges.len(),
         range_hits,
         t0.elapsed()
-    );
+    ))?;
     if args.flags.contains_key("cache-stats") {
         // The shared formatter — the serve process prints the same line
         // at shutdown, so the two surfaces cannot drift.
-        println!("{}", store.cache_stats().render());
+        emit(format_args!("{}\n", store.cache_stats().render()))?;
     }
     Ok(())
 }
@@ -576,7 +589,7 @@ fn cmd_client(args: &Args) -> Result<(), String> {
                     }
                 }
             }
-            print!("{response}");
+            emit(format_args!("{response}"))?;
             // A shutdown acknowledgement is the server's last word.
             let was_shutdown = matches!(
                 wire::parse_request(&line),
@@ -596,7 +609,7 @@ fn cmd_client(args: &Args) -> Result<(), String> {
                 continue;
             }
             let reply = wire::execute(&opened, writable, &line);
-            println!("{}", reply.line);
+            emit(format_args!("{}\n", reply.line))?;
             if reply.shutdown {
                 break;
             }
@@ -635,7 +648,7 @@ fn client_pipelined(addr: &str, window: usize) -> Result<(), String> {
                 Ok(_) => {}
                 Err(e) => return Err(format!("{addr}: {e}")),
             }
-            print!("{response}");
+            emit(format_args!("{response}"))?;
             Ok(was_shutdown && response.contains("\"ok\":true"))
         };
 

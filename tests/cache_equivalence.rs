@@ -377,6 +377,76 @@ fn pinned_partitions_and_the_whole_store_share_one_cache() {
     );
 }
 
+/// A store only appends, so what a reader decoded before a publish
+/// serves every reader after it: the warmed workload, rerun on the store
+/// and on a snapshot pinned before the publish, adds hits and no miss.
+/// The batch reaches every partition and starts a day after the base
+/// trajectories end (a day is a whole number of routing rounds), so no
+/// rerun query needs one of its trajectories decoded. The truth is the
+/// same batches built with caching off.
+#[test]
+fn entries_survive_a_publish() {
+    const DAY_S: i64 = 86_400;
+    for shape in SHAPES {
+        let (net, mut base) = setup(53, 24);
+        let mut batch = base.clone();
+        batch.trajectories = base.trajectories.split_off(12);
+        for tu in &mut batch.trajectories {
+            tu.times.iter_mut().for_each(|t| *t += DAY_S);
+        }
+        let base_end = base
+            .trajectories
+            .iter()
+            .map(|tu| tu.times[tu.times.len() - 1]);
+        let batch_start = batch.trajectories.iter().map(|tu| tu.times[0]);
+        assert!(
+            base_end.max() < batch_start.min(),
+            "the batch follows the base"
+        );
+        let n = shape.unwrap_or(1);
+        let policy = ByTime { interval_s: 900 };
+        let routes: std::collections::BTreeSet<u32> = (batch.trajectories.iter())
+            .map(|tu| utcq::core::ShardPolicy::route(&policy, &net, tu, n))
+            .collect();
+        assert_eq!(
+            routes.len(),
+            n as usize,
+            "{shape:?}: the batch reaches every partition"
+        );
+
+        let store = build_store(&net, &base, shape, utcq::core::DEFAULT_CACHE_BYTES);
+        let truth_base = build_store(&net, &base, shape, 0);
+        let truth_all = build_store(&net, &base, shape, 0);
+        truth_all.ingest(&batch).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xB0A7);
+        let (wq, nq, rq) = workload(&net, &base, &mut rng);
+        let warm = answers(&store, &wq, &nq, &rq);
+        assert_eq!(warm, answers(&truth_base, &wq, &nq, &rq), "{shape:?}: warm");
+
+        let pinned = store.snapshot();
+        let report = store.ingest(&batch).unwrap();
+        assert_eq!((report.ingested, report.epoch), (12, 1), "{shape:?}");
+        let before = store.cache_stats();
+        let after_publish = answers(&store, &wq, &nq, &rq);
+        let on_pin = answers(&*pinned, &wq, &nq, &rq);
+        assert_eq!(
+            after_publish,
+            answers(&truth_all, &wq, &nq, &rq),
+            "{shape:?}: store"
+        );
+        assert_eq!(on_pin, warm, "{shape:?}: pin");
+        let after = store.cache_stats();
+        assert!(
+            after.hits > before.hits,
+            "{shape:?}: {before:?} -> {after:?}"
+        );
+        assert_eq!(
+            after.misses, before.misses,
+            "{shape:?}: a rerun decoded again"
+        );
+    }
+}
+
 #[test]
 fn par_range_query_handles_skewed_batches() {
     let (net, ds) = setup(17, 10);

@@ -230,3 +230,42 @@ fn cli_verify_checks_single_and_sharded_containers() {
         assert!(!other.status.success(), "verify accepted the wrong dataset");
     }
 }
+
+/// A reader that goes away ends the output: `utcq info … | head -1`
+/// exits 0 without a panic. Each printing command runs with stdout on a
+/// pipe whose read end is closed before the command starts.
+#[test]
+fn cli_exits_cleanly_when_stdout_closes() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let fixture =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tiny_v8.utcq");
+    let fixture = fixture.to_str().unwrap();
+    let cases: [(&[&str], &str); 4] = [
+        (&["info", "--in", fixture], ""),
+        (&["query", "--in", fixture, "-n", "5"], ""),
+        (
+            &["stats", "--profile", "tiny", "--trajs", "5", "--seed", "1"],
+            "",
+        ),
+        (&["client", "--in", fixture], "{\"op\":\"shutdown\"}\n"),
+    ];
+    for (args, input) in cases {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_utcq"))
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("utcq runs");
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(input.as_bytes()).unwrap();
+        drop(stdin);
+        let out = child.wait_with_output().unwrap();
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "utcq {args:?}: {said}");
+        assert!(!said.contains("panicked"), "utcq {args:?}: {said}");
+    }
+}

@@ -194,8 +194,8 @@ fn sharded_live_ingest_matches_offline_build_byte_for_byte() {
 #[test]
 fn options_set_after_the_first_ingest_apply_to_an_epoch_zero_store() {
     // The builder grows its store by the live publish step at epoch 0:
-    // `name` and `cache_bytes` still apply at `finish`, nothing it built
-    // carries an epoch, and the first live batch publishes and logs 1.
+    // `name` and `cache_bytes` still apply at `finish`, the finished
+    // store is at epoch 0, and the first live batch publishes and logs 1.
     let (net, mut parts) = batches(48, 17);
     let mut late = parts[2].clone();
     late.trajectories = parts[2].trajectories.split_off(8);
@@ -215,10 +215,7 @@ fn options_set_after_the_first_ingest_apply_to_an_epoch_zero_store() {
         let store = store.finish().unwrap();
         assert_eq!((store.cache_bytes(), store.epoch()), (12_345, 0), "{n}");
         for part in store.snapshots() {
-            assert_eq!(
-                (part.compressed().name.as_str(), part.epoch()),
-                ("renamed", 0)
-            );
+            assert_eq!(part.compressed().name, "renamed");
         }
         let log = dir.join(format!("{n}.wal"));
         store.attach_wal(WalConfig::new(&log)).unwrap();
@@ -949,9 +946,8 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
     // The range path over sealed segments: the live-grown store, the
     // offline build, its reopened v2 bytes, a 3-shard store and its
     // reopened v3 bytes page identically at a `tq` in every interval
-    // the index holds — walked with limits 1 and 7 first (a paginated
-    // walk never fills the range-result cache, so these run the scan),
-    // then unpaginated.
+    // the index holds — walked with limits 1 and 7 first, then
+    // unpaginated.
     let v2 = Store::read(&mut container_bytes_single(&fresh).as_slice()).unwrap();
     let sharded = StoreBuilder::new(Arc::clone(&net), p)
         .stiu_params(STIU)
@@ -1034,15 +1030,13 @@ fn pinned_walk_survives_chunk_sealing_publishes() {
 }
 
 /// A paginated **range** walk that straddles a live ingest, with the
-/// epoch-keyed range-result cache warm on both sides of the publish.
+/// decode cache warm on both sides of the publish.
 ///
 /// * A walk on the *store* resumes with its pre-ingest cursor and sees
 ///   the post-ingest epoch from that point on (keyset semantics: the
-///   remainder equals the fresh full answer past the cursor), even
-///   though both epochs have complete cached range results.
+///   remainder equals the fresh full answer past the cursor).
 /// * A walk on a *pinned snapshot* completes entirely in the
-///   pre-ingest epoch — the newer epoch's cache entry is never served
-///   to it (cache keys carry the epoch).
+///   pre-ingest epoch, reading through the same cache as the store.
 /// * A live-grown store answers the warm range workload byte-identical
 ///   to an offline build over the same batches.
 #[test]
@@ -1071,7 +1065,7 @@ fn paginated_range_walk_resumes_across_mid_walk_ingest() {
     let bounds = net.bounding_rect();
     let tq = 10_150;
 
-    // Warm the pre-ingest epoch's cache with the complete answer.
+    // Warm the decode cache with the complete pre-ingest answer.
     let pre_full = store
         .range_query(&bounds, tq, 0.0, PageRequest::all())
         .unwrap()
@@ -1082,8 +1076,7 @@ fn paginated_range_walk_resumes_across_mid_walk_ingest() {
     );
     let pinned = store.snapshot();
 
-    // First page on the store (served from the cached full result) and
-    // first page on the pinned snapshot.
+    // First page on the store and first page on the pinned snapshot.
     let store_p1 = store
         .range_query(&bounds, tq, 0.0, PageRequest::first(1))
         .unwrap();
@@ -1093,9 +1086,8 @@ fn paginated_range_walk_resumes_across_mid_walk_ingest() {
         .unwrap();
     let pin_cursor = pin_p1.next_cursor.expect("more than one match");
 
-    // Publish two more batches mid-walk and warm the *new* epoch's
-    // cache too — the adversarial setup: both epochs now hold complete
-    // cached answers for the same query shape.
+    // Publish two more batches mid-walk and warm the cache with the
+    // *new* epoch's complete answer too.
     store.ingest(&batches[1]).unwrap();
     store.ingest(&batches[2]).unwrap();
     let post_full = store
@@ -1143,7 +1135,7 @@ fn paginated_range_walk_resumes_across_mid_walk_ingest() {
     }
     assert_eq!(
         pin_walked, pre_full,
-        "pinned walk must never observe the newer epoch's cached result"
+        "pinned walk must never observe the newer epoch's matches"
     );
 
     // Live-grown vs offline-built, warm cache on both: byte-identical.

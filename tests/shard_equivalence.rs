@@ -310,12 +310,11 @@ fn par_range_matches_sequential_on_shards() {
     }
 }
 
-/// The range overhaul (interval bitmaps, probability pruning, the
-/// epoch-keyed range-result cache, the sharded batch engine) is pure
-/// acceleration: cold scans, cache-served repeats, and paginated walks
-/// sliced out of a cached full result must all return byte-identical
-/// answers — across the single store, the sharded store, and every
-/// container version (v1 dataset-only, v5 single, v3 sharded).
+/// The range machinery (interval postings, the decode cache, the
+/// sharded batch engine) is pure acceleration: cold scans, repeats over
+/// a warm decode cache, and paginated walks must all return
+/// byte-identical answers — across the single store, the sharded store,
+/// and every container version (v1 dataset-only, v5 single, v3 sharded).
 #[test]
 fn range_answers_identical_cold_cached_and_across_versions() {
     let (net, ds) = setup(90_210, 26);
@@ -356,7 +355,7 @@ fn range_answers_identical_cold_cached_and_across_versions() {
             .range_query(&q.re, q.tq, q.alpha, PageRequest::all())
             .unwrap()
             .into_items();
-        // The repeat is served by the epoch-keyed range-result cache.
+        // The repeat scans again over the decodes the first one cached.
         let cached = single
             .range_query(&q.re, q.tq, q.alpha, PageRequest::all())
             .unwrap()
@@ -371,7 +370,7 @@ fn range_answers_identical_cold_cached_and_across_versions() {
         }
     }
     // Paginated walks: a cold walk (cache cleared before every page)
-    // and a warm walk (pages sliced from the cached full result) must
+    // and a warm walk (over the decodes earlier pages cached) must
     // produce the same item sequence, on every shape.
     for q in w.ranges.iter().take(10) {
         for limit in [1, 3] {
