@@ -254,6 +254,53 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A reopen that completes an interrupted checkpoint (the container
+    /// holds b1, the log holds b1 and b2) rewrites the log without b1.
+    /// It appends nothing, so of the durability points only the
+    /// rename's is reached; crashed there, it loses nothing: the next
+    /// reopen holds b0, b1 and b2. (A rewrite that truncated the log
+    /// before re-appending b2 lost it at `wal.before_append`.)
+    #[test]
+    fn completing_a_checkpoint_at_reopen_loses_no_batch_at_any_crash_point() {
+        let labels = [
+            "wal.before_append",
+            "wal.appended",
+            "wal.synced",
+            "save.before_rename",
+        ];
+        let shapes: [(&str, Build); 2] = [("single", build), ("sharded", build_sharded)];
+        for (shape, build) in shapes {
+            for label in labels {
+                let dir = tmp_dir(&format!("rewrite-{}-{shape}", label.replace('.', "-")));
+                let (net, mut b0, b2) = two_batches();
+                let mut b1 = b0.clone();
+                b1.trajectories = b0.trajectories.split_off(2);
+                let container = dir.join("c.utcq");
+                save(&build(&net, &b0), &container);
+                let wal_cfg = || WalConfig::new(dir.join("log.wal"));
+
+                // A checkpoint whose truncation never happened: the
+                // container holds b1 and the log still carries it.
+                let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+                store.ingest(&b1).expect("ingest b1");
+                save(&store, &container);
+                store.ingest(&b2).expect("ingest b2");
+                let expected = container_bytes(&store, &dir, "expected.utcq");
+                drop(store);
+
+                let crashed = crash_at(label, || Opened::open_durable(&container, wal_cfg()));
+                let fires = label == "save.before_rename";
+                assert_eq!(crashed.is_none(), fires, "{shape} {label}");
+                let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+                assert_eq!(reopened.len(), 6, "{shape} {label}");
+                assert_eq!(reopened.epoch(), 1, "{shape} {label}: b2 replays");
+                let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
+                assert!(recovered == expected, "{shape} {label}: b0+b1+b2");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
     /// A label that never fires leaves the operation untouched and
     /// returns its result; genuine panics still propagate.
     #[test]

@@ -25,7 +25,7 @@ use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::error::Error;
 use crate::store::{IngestReport, Store};
-use crate::wal::{self, CheckpointReport, Sidecar, TailRead, WalConfig};
+use crate::wal::{self, CheckpointReport, Logged, Sidecar, TailRead, WalConfig};
 
 /// The writer-side state a store embeds.
 pub(crate) struct WriterCore {
@@ -74,7 +74,7 @@ impl WriterCore {
     pub(crate) fn log(&self, _held: &Held<'_>, batch: &Dataset) -> Result<u64, Error> {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         if let Some(sc) = self.wal().as_mut() {
-            // Encoded once: the feed keeps the bytes the file got.
+            // The feed keeps where the file got the record.
             if let Err(e) = sc.append_live(epoch, batch) {
                 self.next_epoch.fetch_sub(1, Ordering::Relaxed);
                 return Err(e);
@@ -129,9 +129,11 @@ impl Store {
         let mut sc = Sidecar::new(log, &cfg);
         let mut skipped = 0u64;
         // The applied batches, as the feed keeps them: live epoch and
-        // the payload the file holds.
-        let mut applied: Vec<(u64, wal::Payload)> = Vec::new();
-        for (expect, payload) in (1u64..).zip(payloads) {
+        // where the file holds the payload.
+        let mut applied: Vec<Logged> = Vec::new();
+        let mut payload = Vec::new();
+        for (expect, (at, len)) in (1u64..).zip(payloads) {
+            sc.wal.read_payload((at, len), &mut payload)?;
             let rec = wal::decode_payload(&payload)?;
             if rec.epoch != expect {
                 return Err(Error::CorruptStore("wal record epochs are not sequential"));
@@ -164,7 +166,11 @@ impl Store {
                     "wal replay produced an unexpected epoch",
                 ));
             }
-            applied.push((live, payload));
+            applied.push(Logged {
+                epoch: live,
+                at,
+                len,
+            });
         }
         if skipped > 0 {
             // Finish the interrupted checkpoint: drop the absorbed
@@ -172,8 +178,8 @@ impl Store {
             sc.wal.rewrite(&mut applied)?;
         }
         let n = applied.len();
-        for (live, payload) in applied {
-            sc.push_feed(live, payload);
+        for logged in applied {
+            sc.push_feed(logged);
         }
         *core.wal() = Some(sc);
         Ok(n)
@@ -209,9 +215,9 @@ impl Store {
         self.core.wal().as_ref().map(|sc| sc.wal.len_bytes())
     }
 
-    /// Batches published after epoch `from` (capped at `max`), from the
-    /// in-memory feed of the attached WAL; `None` without a WAL. Serves
-    /// the `tail` wire op.
+    /// Batches published after epoch `from` (capped at `max`), read
+    /// from the attached WAL through its feed; `None` without a WAL.
+    /// Serves the `tail` wire op.
     pub fn wal_tail(&self, from: u64, max: usize) -> Option<TailRead> {
         let current = self.epoch();
         let wal = self.core.wal();

@@ -591,9 +591,9 @@ fn sleep_unless_stopped(total: std::time::Duration, stop: &AtomicBool) {
 /// Returns `Ok(())` when `stop` is raised. Returns an error only when
 /// following cannot meaningfully continue:
 ///
-/// * the leader answers `tail_gap` — this follower is too far behind
-///   the leader's bounded feed and must re-sync from a fresh container
-///   copy;
+/// * the leader answers `tail_gap` — this follower is behind the
+///   leader's last checkpoint or bounded feed (or the leader's log no
+///   longer reads back) and must re-sync from a fresh container copy;
 /// * the leader answers `no_wal` — it was started without `--wal`;
 /// * an applied batch publishes under a different epoch than the leader
 ///   recorded (the stores have diverged).
@@ -835,8 +835,8 @@ mod tests {
 
     #[test]
     fn follower_streams_batches_and_stays_byte_identical() {
-        // Leader: paper store with a WAL attached (the tail op needs
-        // the in-memory feed).
+        // Leader: paper store with a WAL attached (the tail op reads
+        // the log).
         let leader = paper_opened();
         let dir = std::env::temp_dir().join(format!("utcq-follow-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -67,6 +67,7 @@
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use utcq_bitio::{golomb, BitReader, BitSlice, BitWriter, CodecError};
@@ -82,8 +83,8 @@ pub const WAL_MAGIC: &[u8; 8] = b"UTCQWAL\0";
 pub const WAL_VERSION: u32 = 2;
 /// Fixed header size: magic + version + extra_len.
 const FIXED_HEADER: usize = 16;
-/// How many recent batches stay in memory for the `tail` wire op and
-/// leader-side ingest dedup.
+/// How many recent batches the feed keeps the places of, for the `tail`
+/// wire op and leader-side ingest dedup.
 pub const TAIL_KEEP: usize = 4096;
 
 /// When the log file is flushed to stable storage.
@@ -136,7 +137,7 @@ impl WalConfig {
 
 /// One logged ingest batch. `epoch` is the publish epoch the batch
 /// produced — relative to the sidecar'd container on disk, live once
-/// the record sits in the in-memory tail.
+/// the feed reads the record back for `tail`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Expected post-publish epoch.
@@ -552,10 +553,6 @@ pub fn encode_payload(rec: &Record) -> Vec<u8> {
     )
 }
 
-/// One encoded record payload, as the file and the in-memory feed hold
-/// it.
-pub(crate) type Payload = Box<[u8]>;
-
 /// Frames a payload: length prefix, checksum, payload.
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
@@ -723,16 +720,20 @@ pub struct Scan {
     pub torn: bool,
 }
 
+/// Where an intact record's payload lies in a log: its offset past the
+/// 8-byte frame header, and its length.
+pub(crate) type Span = (u64, u32);
+
 /// The checksummed payloads of a file image, not yet decoded.
-struct Frames<'a> {
+struct Frames {
     /// Header length, extra bytes included.
     header_len: u64,
-    payloads: Vec<&'a [u8]>,
+    payloads: Vec<Span>,
     keep_len: u64,
     torn: bool,
 }
 
-fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
+fn frames(bytes: &[u8]) -> Result<Frames, Error> {
     let Some(magic) = bytes.get(..8) else {
         return Err(Error::CorruptStore("wal file shorter than its magic"));
     };
@@ -781,6 +782,7 @@ fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
         if (len as usize) > c.remaining() {
             return done(payloads, start as u64, true);
         }
+        let at = c.at as u64;
         let payload = c.take(len as usize)?;
         if crc32(payload) != crc {
             if c.remaining() == 0 {
@@ -789,9 +791,23 @@ fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
             }
             return Err(Error::CorruptStore("wal record checksum mismatch"));
         }
-        payloads.push(payload);
+        payloads.push((at, len));
         keep = c.at as u64;
     }
+}
+
+/// Decodes every payload `frames` found in `bytes`, in order.
+fn decode_all(bytes: &[u8], payloads: &[Span]) -> Result<Vec<Record>, Error> {
+    let payload = |&(at, len): &Span| {
+        let at = at as usize;
+        bytes
+            .get(at..at + len as usize)
+            .ok_or(Error::CorruptStore("wal payload truncated"))
+    };
+    payloads
+        .iter()
+        .map(|s| decode_payload(payload(s)?))
+        .collect()
 }
 
 /// Scans a complete WAL file image. Header problems and mid-file damage
@@ -799,13 +815,8 @@ fn frames(bytes: &[u8]) -> Result<Frames<'_>, Error> {
 /// this is the function the fuzzer drives.
 pub fn scan(bytes: &[u8]) -> Result<Scan, Error> {
     let f = frames(bytes)?;
-    let records = f
-        .payloads
-        .iter()
-        .map(|p| decode_payload(p))
-        .collect::<Result<_, _>>()?;
     Ok(Scan {
-        records,
+        records: decode_all(bytes, &f.payloads)?,
         keep_len: f.keep_len,
         torn: f.torn,
     })
@@ -845,17 +856,22 @@ impl Wal {
     /// handle plus the replayed records with their *stored*
     /// (container-relative) epochs.
     pub fn open(cfg: &WalConfig) -> Result<(Wal, Vec<Record>), Error> {
-        let (wal, payloads) = Self::open_payloads(cfg)?;
-        let records = payloads
-            .iter()
-            .map(|p| decode_payload(p))
-            .collect::<Result<_, _>>()?;
+        let (wal, bytes, payloads) = Self::open_image(cfg)?;
+        let records = decode_all(&bytes, &payloads)?;
         Ok((wal, records))
     }
 
-    /// [`Wal::open`] without the decoding: the v2 payloads of the
-    /// intact records, in order.
-    pub(crate) fn open_payloads(cfg: &WalConfig) -> Result<(Wal, Vec<Payload>), Error> {
+    /// [`Wal::open`] without the decoding: where the payloads of the
+    /// intact records lie, in order. The file image is dropped before
+    /// this returns; [`Wal::read_payload`] reads a payload back.
+    pub(crate) fn open_payloads(cfg: &WalConfig) -> Result<(Wal, Vec<Span>), Error> {
+        let (wal, _, payloads) = Self::open_image(cfg)?;
+        Ok((wal, payloads))
+    }
+
+    /// Opens the log, cuts a torn tail off, and returns the handle, the
+    /// file image and its intact payloads.
+    fn open_image(cfg: &WalConfig) -> Result<(Wal, Vec<u8>, Vec<Span>), Error> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -876,10 +892,8 @@ impl Wal {
         if bytes.is_empty() {
             file.write_all(&header())?;
             file.sync_all()?;
-            return Ok((
-                wal(file, FIXED_HEADER as u64, FIXED_HEADER as u64),
-                Vec::new(),
-            ));
+            let len = FIXED_HEADER as u64;
+            return Ok((wal(file, len, len), bytes, Vec::new()));
         }
         let f = frames(&bytes)?;
         if f.torn {
@@ -887,8 +901,15 @@ impl Wal {
             file.sync_all()?;
         }
         file.seek(SeekFrom::Start(f.keep_len))?;
-        let payloads = f.payloads.iter().map(|&p| Box::from(p)).collect();
-        Ok((wal(file, f.keep_len, f.header_len), payloads))
+        Ok((wal(file, f.keep_len, f.header_len), bytes, f.payloads))
+    }
+
+    /// Reads the payload at `span` from the file, leaving the append
+    /// position where it is.
+    pub(crate) fn read_payload(&self, (at, len): Span, buf: &mut Vec<u8>) -> Result<(), Error> {
+        buf.resize(len as usize, 0);
+        self.file.read_exact_at(buf, at)?;
+        Ok(())
     }
 
     /// Appends one record and applies the fsync policy. The frame is
@@ -957,18 +978,36 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log and appends `logged` with each payload's epoch
-    /// set to its pair's: what finishing an interrupted checkpoint
-    /// leaves on disk.
-    pub(crate) fn rewrite(&mut self, logged: &mut [(u64, Payload)]) -> Result<(), Error> {
-        self.truncate()?;
-        for (epoch, payload) in logged {
-            // The epoch is the payload's first eight bytes.
-            if let Some(head) = payload.get_mut(..8) {
-                head.copy_from_slice(&epoch.to_le_bytes());
+    /// Replaces the log with the header and `logged`'s records, each
+    /// payload's epoch set to its entry's, and points each entry at its
+    /// record's new place: what finishing an interrupted checkpoint
+    /// leaves on disk. The records are copied one at a time into a
+    /// sibling file that [`atomic_write`] renames over the log, so a
+    /// crash leaves either the old log or the new one, whole.
+    pub(crate) fn rewrite(&mut self, logged: &mut [Logged]) -> Result<(), Error> {
+        let mut header = vec![0; self.header_len as usize];
+        self.file.read_exact_at(&mut header, 0)?;
+        let mut len = self.header_len;
+        atomic_write(&self.path, |w| {
+            w.write_all(&header)?;
+            let mut payload = Vec::new();
+            for l in logged.iter_mut() {
+                self.read_payload((l.at, l.len), &mut payload)?;
+                // The epoch is the payload's first eight bytes.
+                if let Some(head) = payload.get_mut(..8) {
+                    head.copy_from_slice(&l.epoch.to_le_bytes());
+                }
+                w.write_all(&l.len.to_le_bytes())?;
+                w.write_all(&crc32(&payload).to_le_bytes())?;
+                w.write_all(&payload)?;
+                l.at = len + 8;
+                len = l.at + u64::from(l.len);
             }
-            self.append_payload(payload)?;
-        }
+            Ok(())
+        })?;
+        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
+        file.seek(SeekFrom::Start(len))?;
+        (self.file, self.len, self.unsynced) = (file, len, 0);
         Ok(())
     }
 
@@ -1098,13 +1137,14 @@ fn save_fault(step: &'static str) -> std::io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Sidecar state: a store's attached log plus the in-memory feed of
-// recent batches (live epochs) serving `tail` and ingest dedup.
+// Sidecar state: a store's attached log plus the feed of recent
+// batches (live epochs, places in the file) serving `tail` and ingest
+// dedup.
 
 /// What a `tail` read produced.
 #[derive(Debug)]
 pub enum TailRead {
-    /// `from` predates the in-memory feed; the caller must re-sync
+    /// `from` predates the feed; the caller must re-sync
     /// from a fresh container copy.
     Gap {
         /// Earliest epoch the feed can still serve batches *after*.
@@ -1128,16 +1168,18 @@ pub struct CheckpointReport {
     pub log_bytes: u64,
 }
 
-/// One batch of the in-memory feed: the payload the file holds for it,
-/// under its live epoch (the payload's own may be container-relative).
-#[derive(Debug)]
-struct Logged {
-    epoch: u64,
-    payload: Payload,
+/// One batch of the feed: where the file holds its payload, under its
+/// live epoch (the payload's own may be container-relative).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Logged {
+    pub epoch: u64,
+    /// The payload's offset in the file, past its 8-byte frame header.
+    pub at: u64,
+    pub len: u32,
 }
 
 /// A store's durability sidecar: the open log, the checkpoint target,
-/// and the bounded in-memory batch feed.
+/// and the bounded feed of recent batches.
 #[derive(Debug)]
 pub(crate) struct Sidecar {
     pub wal: Wal,
@@ -1146,7 +1188,7 @@ pub(crate) struct Sidecar {
     /// file with `epoch - base` so a reopened container (whose epochs
     /// restart at 1) replays to matching numbers.
     base: u64,
-    /// Recent batches, oldest first, as encoded for the file.
+    /// Recent batches, oldest first, as places in the file.
     tail: VecDeque<Logged>,
     /// Live epoch preceding `tail.front()`.
     tail_base: u64,
@@ -1163,9 +1205,8 @@ impl Sidecar {
         }
     }
 
-    /// Appends a batch that publishes at live epoch `epoch`: encoded
-    /// once, with the container-relative number, for the file and the
-    /// feed alike.
+    /// Appends a batch that publishes at live epoch `epoch`, with the
+    /// container-relative number, and feeds where it landed.
     pub fn append_live(&mut self, epoch: u64, batch: &Dataset) -> Result<(), Error> {
         let payload = encode_batch(
             epoch.saturating_sub(self.base),
@@ -1173,18 +1214,20 @@ impl Sidecar {
             batch.default_interval,
             &batch.trajectories,
         );
+        let at = self.wal.len_bytes() + 8;
         self.wal.append_payload(&payload)?;
-        self.push_feed(epoch, payload.into_boxed_slice());
+        let len = payload.len() as u32;
+        self.push_feed(Logged { epoch, at, len });
         Ok(())
     }
 
     /// Pushes a logged batch into the feed without touching the file
     /// (replay).
-    pub fn push_feed(&mut self, epoch: u64, payload: Payload) {
+    pub fn push_feed(&mut self, logged: Logged) {
         if self.tail.is_empty() {
-            self.tail_base = epoch.saturating_sub(1);
+            self.tail_base = logged.epoch.saturating_sub(1);
         }
-        self.tail.push_back(Logged { epoch, payload });
+        self.tail.push_back(logged);
         while self.tail.len() > TAIL_KEEP {
             if let Some(dropped) = self.tail.pop_front() {
                 self.tail_base = dropped.epoch;
@@ -1193,37 +1236,41 @@ impl Sidecar {
     }
 
     /// Marks a completed checkpoint at live epoch `epoch`: truncates
-    /// the file and rebases future stored epochs. The in-memory feed
-    /// truncates with it — the feed mirrors the log, so a follower
-    /// resuming from before the checkpoint gets an honest `Gap` (it
-    /// must re-seed from the fresh container) instead of records the
-    /// log no longer holds.
+    /// the file and rebases future stored epochs. The feed truncates
+    /// with it — the feed points into the log, so a follower resuming
+    /// from before the checkpoint gets an honest `Gap` (it must re-seed
+    /// from the fresh container) instead of records the log no longer
+    /// holds. A cut whose sync fails has still cut the file, so it
+    /// rebases all the same.
     pub fn checkpointed(&mut self, epoch: u64) -> Result<(), Error> {
-        self.wal.truncate()?;
-        self.base = epoch;
-        self.tail.clear();
-        self.tail_base = epoch;
-        Ok(())
+        let cut = self.wal.truncate();
+        if self.wal.len == self.wal.header_len {
+            self.base = epoch;
+            self.tail.clear();
+            self.tail_base = epoch;
+        }
+        cut
     }
 
     /// Batches with live epochs strictly greater than `from`, capped
-    /// at `max` per call, decoded from the feed. Every feed payload was
-    /// encoded or decoded once already in this process; one that no
-    /// longer decodes answers as a gap, so a follower re-syncs instead
-    /// of skipping a batch.
+    /// at `max` per call, read back from the file. A payload that no
+    /// longer reads or decodes answers as a gap, so a follower re-syncs
+    /// instead of skipping a batch.
     pub fn records_since(&self, from: u64, max: usize, current: u64) -> TailRead {
         if from < self.tail_base {
             return TailRead::Gap {
                 base: self.tail_base,
             };
         }
+        let mut payload = Vec::new();
         let decoded = self
             .tail
             .iter()
             .filter(|l| l.epoch > from)
             .take(max)
             .map(|l| {
-                let mut rec = decode_payload(&l.payload)?;
+                self.wal.read_payload((l.at, l.len), &mut payload)?;
+                let mut rec = decode_payload(&payload)?;
                 rec.epoch = l.epoch;
                 Ok(rec)
             })
@@ -1238,15 +1285,17 @@ impl Sidecar {
     /// (compared in full, not just by id — a *different* batch reusing
     /// an id must still fail as a duplicate), returns its live epoch
     /// and size — the leader-side dedup that makes client re-sends
-    /// after a reconnect idempotent.
+    /// after a reconnect idempotent. Reads the feed's payloads from the
+    /// file, newest first; one that does not read is no match.
     pub fn dedup_epoch(&self, tus: &[UncertainTrajectory]) -> Option<(u64, usize)> {
         if tus.is_empty() {
             return None;
         }
-        self.tail
-            .iter()
-            .rev()
-            .find_map(|l| holds_exactly(&l.payload, tus).then_some((l.epoch, tus.len())))
+        let mut payload = Vec::new();
+        self.tail.iter().rev().find_map(|l| {
+            let read = self.wal.read_payload((l.at, l.len), &mut payload);
+            (read.is_ok() && holds_exactly(&payload, tus)).then_some((l.epoch, tus.len()))
+        })
     }
 }
 
@@ -1829,6 +1878,47 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_whose_cut_fails_to_sync_still_rebases_the_feed() {
+        use crate::{Opened, QueryTarget};
+        let (store, batches) = three_batches();
+        let log = tmp("checkpoint-cut-sync-fault");
+        let container = log.with_file_name("c.utcq");
+        let _ = std::fs::remove_file(&log);
+        store.save(&container).expect("save");
+        let cfg = || WalConfig::new(&log).checkpoint_to(&container);
+        let store = Opened::open_durable(&container, cfg()).expect("open");
+        store.ingest(&batches[1]).expect("ingest");
+        // The container is saved and the log cut; only the cut's sync
+        // fails. The feed must not point past the cut, and the next
+        // record must be numbered from the saved container.
+        FAIL_SYNC.with(|f| f.set(true));
+        assert!(store.checkpoint().is_err(), "the cut's sync fails");
+        assert!(matches!(
+            store.wal_tail(0, 8),
+            Some(TailRead::Gap { base: 1 })
+        ));
+        store
+            .ingest(&batches[2])
+            .expect("ingest after the checkpoint");
+        match store.wal_tail(1, 8) {
+            Some(TailRead::Records { records, .. }) => {
+                assert_eq!(records.len(), 1);
+                assert_eq!(records[0].epoch, 2);
+                assert_eq!(records[0].trajectories, batches[2].trajectories);
+            }
+            other => panic!("expected the batch: {other:?}"),
+        }
+        let mut want = Vec::new();
+        store.write(&mut want).expect("write");
+        drop(store);
+        let reopened = Opened::open_durable(&container, cfg()).expect("reopen");
+        assert_eq!((reopened.epoch(), reopened.len()), (1, 12));
+        let mut got = Vec::new();
+        reopened.write(&mut got).expect("write");
+        assert!(got == want);
+    }
+
+    #[test]
     fn a_failed_rollback_refuses_every_later_append() {
         let cfg = WalConfig::new(tmp("broken"));
         let _ = std::fs::remove_file(&cfg.path);
@@ -1872,10 +1962,12 @@ mod tests {
             },
         )
         .expect("append");
-        // The feed holds what the file holds, byte for byte.
+        // The feed holds where the file holds the payload, right behind
+        // the header and the frame's length and checksum.
         let file = std::fs::read(&cfg.path).expect("read");
-        let fed = &sc.tail.front().expect("one batch").payload;
-        assert_eq!(file.get(FIXED_HEADER + 8..), Some(&fed[..]));
+        let fed = *sc.tail.front().expect("one batch");
+        assert_eq!(fed.at, FIXED_HEADER as u64 + 8);
+        assert_eq!(fed.at + u64::from(fed.len), file.len() as u64);
         match sc.records_since(0, 8, 1) {
             TailRead::Records { records, .. } => {
                 assert_eq!(

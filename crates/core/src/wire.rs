@@ -438,11 +438,12 @@ pub enum Request {
         name: String,
     },
     /// `tail(from)`: stream accepted batches with epochs strictly
-    /// greater than `from` (the epoch the caller already has) from the
-    /// in-memory WAL feed. Read-only surfaces answer it (followers
-    /// connect without `--writable`); containers without an attached WAL
-    /// answer with the `no_wal` error code, and a `from` so old the
-    /// bounded feed no longer covers `from + 1` answers `tail_gap`.
+    /// greater than `from` (the epoch the caller already has), read
+    /// back from the WAL file through its feed. Read-only surfaces
+    /// answer it (followers connect without `--writable`); containers
+    /// without an attached WAL answer with the `no_wal` error code, and
+    /// a `from` so old the bounded feed no longer covers `from + 1`
+    /// (or a logged batch that no longer reads) answers `tail_gap`.
     Tail {
         /// The epoch the caller is already at; batches after it are
         /// returned.

@@ -20,7 +20,10 @@
 //! * (e) a 3-partition store is written and read one partition at a
 //!   time, no partition's body held whole: writing its container raises
 //!   the heap above what stays live by less than 1.5 times its largest
-//!   partition's body, and reading it by less than half.
+//!   partition's body, and reading it by less than half;
+//! * (f) a durable store keeps a few words per logged batch, not a copy
+//!   of its log: fed the same batches, it holds at most 64 B per batch
+//!   more than the same store without a log.
 //!
 //! Everything lives in ONE `#[test]`: the counters are process-global
 //! and the tests of a binary run on parallel threads.
@@ -275,6 +278,32 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
              its largest partition is {largest} B"
         );
     }
+
+    // (f) a few words per logged batch: 16 batches of 32, with and
+    // without a log (whose payloads, ~7 KB a batch here, the feed once
+    // kept a copy of).
+    let log = std::env::temp_dir().join(format!("utcq-footprint-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let grown = |durable: bool| {
+        let store = build(1_000);
+        if durable {
+            let cfg = utcq_core::WalConfig::new(&log).fsync(utcq_core::FsyncPolicy::Never);
+            store.attach_wal(cfg).unwrap();
+        }
+        let ((), (bytes, _)) = measured(|| {
+            for at in (1_000..1_512).step_by(BATCH) {
+                store.ingest(&slice(at..at + BATCH)).unwrap();
+            }
+        });
+        drop(store);
+        bytes
+    };
+    let (plain, durable) = (grown(false), grown(true));
+    let _ = std::fs::remove_file(&log);
+    assert!(
+        durable - plain <= 16 * 64,
+        "16 logged batches held {durable} B against {plain} B without a log"
+    );
 
     // (c) again where fixed costs weigh most: the small fixture that
     // `utcq info` is demonstrated on.

@@ -364,6 +364,51 @@ fn wire_tail_checkpoint_and_dedup_roundtrip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `tail` and dedup read their batches back from the log file: a batch
+/// ingested after a checkpoint (the log cut back to its header) comes
+/// back bit for bit, and a batch the open replayed is recognised when
+/// a client re-sends it.
+#[test]
+fn tail_and_dedup_read_batches_from_the_log_after_a_checkpoint_and_a_replay() {
+    let dir = tmp_dir("tail-from-log");
+    let (net, all) = batches(9, 67);
+    let container = dir.join("c.utcq");
+    single_store(&net, &[&all[0]])
+        .save(&container)
+        .expect("seed container");
+    let wal_cfg = || WalConfig::new(dir.join("log.wal"));
+    let opened = Opened::open_durable(&container, wal_cfg()).expect("open");
+    let reply = wire::execute(&opened, true, &ingest_line(1, &all[1])).line;
+    assert!(reply.contains(r#""epoch":1"#), "{reply}");
+    let ck = wire::execute(&opened, true, r#"{"id":2,"op":"checkpoint"}"#).line;
+    assert!(ck.contains(r#""epoch":1"#), "{ck}");
+
+    // The next batch lands right behind the header again.
+    let line = ingest_line(3, &all[2]);
+    let reply = wire::execute(&opened, true, &line).line;
+    assert!(reply.contains(r#""epoch":2"#), "{reply}");
+    let tail = wire::execute(&opened, true, r#"{"id":4,"op":"tail","from":1}"#).line;
+    let (got, current) = wire::parse_tail_reply(&tail).expect("tail parses");
+    assert_eq!(current, 2);
+    assert_eq!(got.len(), 1, "{tail}");
+    assert_eq!(got[0].0, 2, "batch epoch");
+    assert_eq!(got[0].1.trajectories, all[2].trajectories, "bit-for-bit");
+    drop(opened);
+
+    // Reopened, the batch is replayed from the log; its re-send is
+    // answered from the log, not refused as a duplicate.
+    let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+    assert_eq!(reopened.epoch(), 1, "the post-checkpoint batch replays");
+    let retry = wire::execute(&reopened, true, &line).line;
+    assert!(retry.contains(r#""deduped":true"#), "{retry}");
+    assert!(retry.contains(r#""epoch":1"#), "{retry}");
+    let tail = wire::execute(&reopened, true, r#"{"id":5,"op":"tail","from":0}"#).line;
+    let (got, _) = wire::parse_tail_reply(&tail).expect("tail parses");
+    assert_eq!(got.len(), 1, "{tail}");
+    assert_eq!(got[0].1.trajectories, all[2].trajectories, "bit-for-bit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One protocol connection.
 struct Client {
     reader: BufReader<TcpStream>,
