@@ -101,10 +101,10 @@ fn mutate_detour<R: Rng + ?Sized>(
     if u == w {
         return None;
     }
-    let banned: std::collections::HashSet<EdgeId> = route[s..s + k].iter().copied().collect();
-    let span_dist: f64 = route[s..s + k].iter().map(|&e| net.edge_length(e)).sum();
-    let alt = shortest_path_avoiding(net, u, w, span_dist * 5.0 + 500.0, &banned)?;
-    if alt.edges.is_empty() || alt.edges == route[s..s + k] {
+    let span = &route[s..s + k];
+    let span_dist: f64 = span.iter().map(|&e| net.edge_length(e)).sum();
+    let alt = shortest_path_avoiding(net, u, w, span_dist * 5.0 + 500.0, span)?;
+    if alt.edges.is_empty() || alt.edges == span {
         return None;
     }
     let mut new_route = Vec::with_capacity(route.len() - k + alt.edges.len());
@@ -275,15 +275,12 @@ fn normalize(cand: &mut Candidate) {
     }
 }
 
-/// A dedup signature: the path plus micro-quantized distances.
-fn signature(cand: &Candidate) -> (Vec<EdgeId>, Vec<(u32, u64)>) {
-    (
-        cand.0.clone(),
-        cand.1
-            .iter()
-            .map(|p| (p.path_idx, (p.rd * 1e9) as u64))
-            .collect(),
-    )
+/// Whether two candidates are the same instance: equal paths, equal
+/// sample indices, and relative distances equal once truncated to 1e-9
+/// of their edge.
+fn same(a: &Candidate, b: &Candidate) -> bool {
+    let grain = |p: &PathPosition| (p.path_idx, (p.rd * 1e9) as u64);
+    a.0 == b.0 && a.1.len() == b.1.len() && a.1.iter().zip(&b.1).all(|(x, y)| grain(x) == grain(y))
 }
 
 /// Builds an uncertain trajectory with up to `k_target` instances from a
@@ -298,10 +295,7 @@ pub fn build_uncertain<R: Rng + ?Sized>(
     cfg: &VariantConfig,
 ) -> UncertainTrajectory {
     let base_pos = base_positions(net, rng, &route, &times);
-    let base: Candidate = (route, base_pos);
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(signature(&base));
-    let mut cands = vec![base];
+    let mut cands: Vec<Candidate> = vec![(route, base_pos)];
 
     let mut attempts = 0usize;
     let max_attempts = k_target.saturating_mul(8).max(16);
@@ -313,8 +307,7 @@ pub fn build_uncertain<R: Rng + ?Sized>(
         } else {
             rng.gen_range(0..cands.len())
         };
-        let parent = cands[parent].clone();
-        let Some(mut cand) = mutate_once(net, rng, &parent, cfg) else {
+        let Some(mut cand) = mutate_once(net, rng, &cands[parent], cfg) else {
             continue;
         };
         if rng.gen::<f64>() < cfg.p_second_mutation {
@@ -323,7 +316,7 @@ pub fn build_uncertain<R: Rng + ?Sized>(
             }
         }
         normalize(&mut cand);
-        if seen.insert(signature(&cand)) {
+        if !cands.iter().any(|kept| same(kept, &cand)) {
             cands.push(cand);
         }
     }

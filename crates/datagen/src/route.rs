@@ -42,35 +42,26 @@ fn walk<R: Rng + ?Sized>(net: &RoadNetwork, rng: &mut R, target: usize) -> Vec<E
         }
         cur = VertexId(rng.gen_range(0..v_count as u32));
     }
+    // The edges already walked are the route itself; `pool` is reused
+    // across steps.
     let mut route = Vec::with_capacity(target);
-    let mut visited = std::collections::HashSet::new();
+    let mut pool = Vec::new();
     let mut prev_vertex: Option<VertexId> = None;
     while route.len() < target {
-        let choices: Vec<EdgeId> = net.out_edges(cur).collect();
-        if choices.is_empty() {
-            break;
-        }
         // Prefer fresh, non-reversing edges; fall back progressively.
-        let fresh: Vec<EdgeId> = choices
-            .iter()
-            .copied()
-            .filter(|e| Some(net.edge_to(*e)) != prev_vertex && !visited.contains(e))
-            .collect();
-        let pool = if !fresh.is_empty() {
-            fresh
-        } else {
-            let non_rev: Vec<EdgeId> = choices
-                .iter()
-                .copied()
-                .filter(|e| Some(net.edge_to(*e)) != prev_vertex)
-                .collect();
-            if non_rev.is_empty() {
-                break; // only a U-turn remains: stop rather than oscillate
+        let non_rev = |e: &EdgeId| Some(net.edge_to(*e)) != prev_vertex;
+        pool.clear();
+        pool.extend(
+            net.out_edges(cur)
+                .filter(|e| non_rev(e) && !route.contains(e)),
+        );
+        if pool.is_empty() {
+            pool.extend(net.out_edges(cur).filter(non_rev));
+            if pool.is_empty() {
+                break; // a dead end, or only a U-turn remains: stop rather than oscillate
             }
-            non_rev
-        };
+        }
         let e = pool[rng.gen_range(0..pool.len())];
-        visited.insert(e);
         prev_vertex = Some(cur);
         cur = net.edge_to(e);
         route.push(e);

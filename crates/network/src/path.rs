@@ -4,7 +4,12 @@
 //! great-circle to network distance, which requires many point-to-point
 //! shortest-path queries with a known small radius; Dijkstra with early
 //! termination and a distance cap is the right tool at our scales.
+//!
+//! Every query runs one bounded Dijkstra on arrays kept per thread and
+//! reset through the vertices the previous query reached, so a query
+//! costs what it explores, not the network's size.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -55,84 +60,36 @@ pub fn shortest_path(
     to: VertexId,
     max_dist: f64,
 ) -> Option<ShortestPath> {
-    let preds = dijkstra(net, from, Some(to), max_dist)?;
-    let mut edges = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let (e, prev) = preds.pred[cur.idx()]?;
-        edges.push(e);
-        cur = prev;
-    }
-    edges.reverse();
-    Some(ShortestPath {
-        dist: preds.dist[to.idx()],
-        edges,
-    })
+    shortest_path_avoiding(net, from, to, max_dist, &[])
 }
 
 /// Like [`shortest_path`], but never traverses edges in `banned`.
 ///
 /// Used by the synthetic-data generator to find *detours*: alternate routes
 /// between two path vertices that avoid the original edges, mimicking the
-/// alternative paths probabilistic map-matching produces.
+/// alternative paths probabilistic map-matching produces. `banned` is a
+/// short span of a route, so membership is a linear scan.
 pub fn shortest_path_avoiding(
     net: &RoadNetwork,
     from: VertexId,
     to: VertexId,
     max_dist: f64,
-    banned: &std::collections::HashSet<EdgeId>,
+    banned: &[EdgeId],
 ) -> Option<ShortestPath> {
-    let n = net.vertex_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<(EdgeId, VertexId)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[from.idx()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        vertex: from,
-    });
-    while let Some(HeapEntry { dist: d, vertex }) = heap.pop() {
-        if settled[vertex.idx()] {
-            continue;
+    dijkstra(net, from, Some(to), max_dist, banned, |s| {
+        let dist = s.dist[to.idx()];
+        if !dist.is_finite() {
+            return None;
         }
-        settled[vertex.idx()] = true;
-        if vertex == to {
-            break;
+        let mut edges = Vec::new();
+        let mut cur = to;
+        while cur != from {
+            let e = s.pred[cur.idx()]?;
+            edges.push(e);
+            cur = net.edge_from(e);
         }
-        if d > max_dist {
-            break;
-        }
-        for e in net.out_edges(vertex) {
-            if banned.contains(&e) {
-                continue;
-            }
-            let nb = net.edge_to(e);
-            let nd = d + net.edge_length(e);
-            if nd < dist[nb.idx()] && nd <= max_dist {
-                dist[nb.idx()] = nd;
-                pred[nb.idx()] = Some((e, vertex));
-                heap.push(HeapEntry {
-                    dist: nd,
-                    vertex: nb,
-                });
-            }
-        }
-    }
-    if !dist[to.idx()].is_finite() {
-        return None;
-    }
-    let mut edges = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let (e, prev) = pred[cur.idx()]?;
-        edges.push(e);
-        cur = prev;
-    }
-    edges.reverse();
-    Some(ShortestPath {
-        dist: dist[to.idx()],
-        edges,
+        edges.reverse();
+        Some(ShortestPath { dist, edges })
     })
 }
 
@@ -143,82 +100,116 @@ pub fn shortest_dist(
     to: VertexId,
     max_dist: f64,
 ) -> Option<f64> {
-    dijkstra(net, from, Some(to), max_dist).map(|s| s.dist[to.idx()])
+    dijkstra(net, from, Some(to), max_dist, &[], |s| {
+        Some(s.dist[to.idx()]).filter(|d| d.is_finite())
+    })
 }
 
 /// Single-source distances to every vertex within `max_dist`.
 ///
-/// Returns `(vertex, distance)` pairs for all settled vertices.
+/// Returns `(vertex, distance)` pairs for all reached vertices, in vertex
+/// order.
 pub fn reachable_within(net: &RoadNetwork, from: VertexId, max_dist: f64) -> Vec<(VertexId, f64)> {
-    let state = dijkstra_state(net, from, None, max_dist);
-    state
-        .dist
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_finite())
-        .map(|(i, &d)| (VertexId(i as u32), d))
-        .collect()
+    dijkstra(net, from, None, max_dist, &[], |s| {
+        let mut out = Vec::from_iter(s.touched.iter().map(|&v| (v, s.dist[v.idx()])));
+        out.sort_unstable_by_key(|&(v, _)| v);
+        out
+    })
 }
 
-struct DijkstraState {
+/// The search arrays of one thread, sized to the largest network it has
+/// searched. Between queries every entry is at its default except those
+/// of the vertices in `touched` (each vertex whose distance the last
+/// query set), so a query resets only what the previous one wrote.
+#[derive(Default)]
+struct Scratch {
     dist: Vec<f64>,
-    pred: Vec<Option<(EdgeId, VertexId)>>,
+    /// The edge a vertex was reached by (its source is the predecessor).
+    pred: Vec<Option<EdgeId>>,
+    settled: Vec<bool>,
+    touched: Vec<VertexId>,
+    heap: BinaryHeap<HeapEntry>,
 }
 
-fn dijkstra(
-    net: &RoadNetwork,
-    from: VertexId,
-    to: Option<VertexId>,
-    max_dist: f64,
-) -> Option<DijkstraState> {
-    let state = dijkstra_state(net, from, to, max_dist);
-    match to {
-        Some(t) if !state.dist[t.idx()].is_finite() => None,
-        _ => Some(state),
+impl Scratch {
+    fn reset(&mut self, n: usize) {
+        for v in self.touched.drain(..) {
+            self.dist[v.idx()] = f64::INFINITY;
+            self.pred[v.idx()] = None;
+            self.settled[v.idx()] = false;
+        }
+        self.heap.clear();
+        if self.dist.len() < n {
+            self.dist.resize(n, f64::INFINITY);
+            self.pred.resize(n, None);
+            self.settled.resize(n, false);
+        }
+    }
+
+    fn reach(&mut self, v: VertexId, d: f64, via: Option<EdgeId>) {
+        if !self.dist[v.idx()].is_finite() {
+            self.touched.push(v);
+        }
+        self.dist[v.idx()] = d;
+        self.pred[v.idx()] = via;
+        self.heap.push(HeapEntry { dist: d, vertex: v });
     }
 }
 
-fn dijkstra_state(
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// The one bounded Dijkstra: from `from`, stopping once `to` (if any) is
+/// settled or the next vertex lies past `max_dist`, never relaxing an
+/// edge in `banned`. `read` sees the search state before the thread's
+/// next query overwrites it.
+fn dijkstra<T>(
     net: &RoadNetwork,
     from: VertexId,
     to: Option<VertexId>,
     max_dist: f64,
-) -> DijkstraState {
-    let n = net.vertex_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<(EdgeId, VertexId)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[from.idx()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        vertex: from,
-    });
-    while let Some(HeapEntry { dist: d, vertex }) = heap.pop() {
-        if settled[vertex.idx()] {
-            continue;
-        }
-        settled[vertex.idx()] = true;
-        if Some(vertex) == to {
-            break;
-        }
-        if d > max_dist {
-            break;
-        }
-        for e in net.out_edges(vertex) {
-            let nb = net.edge_to(e);
-            let nd = d + net.edge_length(e);
-            if nd < dist[nb.idx()] && nd <= max_dist {
-                dist[nb.idx()] = nd;
-                pred[nb.idx()] = Some((e, vertex));
-                heap.push(HeapEntry {
-                    dist: nd,
-                    vertex: nb,
-                });
+    banned: &[EdgeId],
+    read: impl FnOnce(&Scratch) -> T,
+) -> T {
+    SCRATCH.with(|cell| {
+        let s = &mut *cell.borrow_mut();
+        s.reset(net.vertex_count());
+        s.reach(from, 0.0, None);
+        while let Some(HeapEntry { dist: d, vertex }) = s.heap.pop() {
+            if s.settled[vertex.idx()] {
+                continue;
+            }
+            s.settled[vertex.idx()] = true;
+            if Some(vertex) == to || d > max_dist {
+                break;
+            }
+            for e in net.out_edges(vertex) {
+                if banned.contains(&e) {
+                    continue;
+                }
+                let nb = net.edge_to(e);
+                let nd = d + net.edge_length(e);
+                if nd < s.dist[nb.idx()] && nd <= max_dist {
+                    s.reach(nb, nd, Some(e));
+                }
             }
         }
-    }
-    DijkstraState { dist, pred }
+        read(s)
+    })
+}
+
+/// Whether the calling thread's scratch, once reset, is all defaults:
+/// a reset that missed an entry the last query wrote leaves it dirty.
+#[cfg(test)]
+fn scratch_is_clean() -> bool {
+    SCRATCH.with(|cell| {
+        let s = &mut *cell.borrow_mut();
+        s.reset(0);
+        s.dist.iter().all(|d| *d == f64::INFINITY)
+            && s.pred.iter().all(Option::is_none)
+            && s.settled.iter().all(|b| !b)
+    })
 }
 
 #[cfg(test)]
@@ -319,8 +310,8 @@ mod tests {
         let (n, vs) = grid3();
         let direct = shortest_path(&n, vs[0], vs[1], 1e9).unwrap();
         assert_eq!(direct.edges.len(), 1);
-        let banned: std::collections::HashSet<_> = direct.edges.iter().copied().collect();
-        let detour = shortest_path_avoiding(&n, vs[0], vs[1], 1e9, &banned).unwrap();
+        let banned = &direct.edges;
+        let detour = shortest_path_avoiding(&n, vs[0], vs[1], 1e9, banned).unwrap();
         assert!(detour.edges.len() >= 3);
         assert!(detour.dist > direct.dist);
         assert!(detour.edges.iter().all(|e| !banned.contains(e)));
@@ -330,8 +321,55 @@ mod tests {
     #[test]
     fn avoiding_all_edges_fails() {
         let (n, vs) = grid3();
-        let banned: std::collections::HashSet<_> = n.edges().collect();
+        let banned = Vec::from_iter(n.edges());
         assert!(shortest_path_avoiding(&n, vs[0], vs[1], 1e9, &banned).is_none());
+    }
+
+    /// Every answer on a thread whose scratch earlier queries have
+    /// dirtied equals the same call on a fresh thread, and the scratch
+    /// resets to all defaults.
+    #[test]
+    fn reused_scratch_answers_as_a_fresh_thread() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The `cd` profile's network.
+        let cfg = crate::gen::GridCityConfig {
+            nx: 40,
+            ny: 40,
+            spacing: 180.0,
+            jitter: 0.15,
+            p_remove: 0.2,
+            p_diagonal: 0.06,
+        };
+        let mut rng = StdRng::seed_from_u64(31);
+        let n = crate::gen::grid_city(&cfg, &mut rng);
+        let vc = n.vertex_count() as u32;
+        let fresh =
+            |f: &(dyn Fn() -> String + Sync)| std::thread::scope(|sc| sc.spawn(f).join().unwrap());
+
+        let all = reachable_within(&n, VertexId(vc / 2), 1e9);
+        assert!(
+            all.len() > n.vertex_count() * 3 / 4,
+            "settled {}",
+            all.len()
+        );
+        for _ in 0..60 {
+            let a = VertexId(rng.gen_range(0..vc));
+            let b = VertexId(rng.gen_range(0..vc));
+            let cap = rng.gen_range(200.0..4000.0);
+            let span = shortest_path(&n, a, b, 1e9).map_or(Vec::new(), |p| p.edges);
+            let banned = &span[..span.len().min(3)];
+            let calls: [&(dyn Fn() -> String + Sync); 4] = [
+                &|| format!("{:?}", shortest_path_avoiding(&n, a, b, cap * 2.0, banned)),
+                &|| format!("{:?}", shortest_path(&n, b, a, cap)),
+                &|| format!("{:?}", shortest_dist(&n, a, b, cap)),
+                &|| format!("{:?}", reachable_within(&n, a, cap / 4.0)),
+            ];
+            for call in calls {
+                assert_eq!(call(), fresh(call), "from {a:?} to {b:?}, cap {cap}");
+            }
+        }
+        assert!(scratch_is_clean());
     }
 
     #[test]

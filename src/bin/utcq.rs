@@ -111,11 +111,22 @@ impl Args {
             .unwrap_or_else(|| default.to_string())
     }
 
-    fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The number given for `key`, `None` when the flag is absent. A
+    /// value that does not parse (`--trajs 10k`, `--seed x1`, a flag
+    /// with no value) is an error naming the flag and the value.
+    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let Some(v) = self.flags.get(key) else {
+            return Ok(None);
+        };
+        let dashes = if key.len() == 1 { "-" } else { "--" };
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("{dashes}{key}: not a number: '{v}'"))
+    }
+
+    /// [`Args::parse_opt`], with `default` for an absent flag.
+    fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 }
 
@@ -133,8 +144,8 @@ fn build_dataset(args: &Args) -> Result<(DatasetProfile, RoadNetwork, Dataset), 
     let pname = args.get("profile", "cd");
     let profile =
         profile_by_name(&pname).ok_or(format!("unknown profile '{pname}' (dk|cd|hz|tiny)"))?;
-    let trajs: usize = args.parse_num("trajs", 200);
-    let seed: u64 = args.parse_num("seed", 1);
+    let trajs: usize = args.parse_num("trajs", 200)?;
+    let seed: u64 = args.parse_num("seed", 1)?;
     let (net, ds) = utcq::datagen::generate(&profile, trajs, seed);
     Ok((profile, net, ds))
 }
@@ -189,10 +200,10 @@ fn emit(text: std::fmt::Arguments<'_>) -> Result<(), String> {
 fn shard_policy(args: &Args) -> Result<Arc<dyn ShardPolicy>, String> {
     match args.get("shard-by", "time").as_str() {
         "time" => Ok(Arc::new(ByTime {
-            interval_s: args.parse_num("shard-interval", ByTime::default().interval_s),
+            interval_s: args.parse_num("shard-interval", ByTime::default().interval_s)?,
         })),
         "region" => Ok(Arc::new(ByRegion {
-            grid_n: args.parse_num("shard-grid", ByRegion::default().grid_n),
+            grid_n: args.parse_num("shard-grid", ByRegion::default().grid_n)?,
         })),
         other => Err(format!("unknown shard policy '{other}' (time|region)")),
     }
@@ -202,7 +213,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     let (profile, net, ds) = build_dataset(args)?;
     let out = args.get("out", "data.utcq");
     let params = params_for(&profile);
-    let shards: u32 = args.parse_num("shards", 1);
+    let shards: u32 = args.parse_num("shards", 1)?;
     let t0 = std::time::Instant::now();
     let mut builder = StoreBuilder::new(Arc::new(net), params);
     if shards > 1 {
@@ -265,8 +276,9 @@ fn cmd_migrate(args: &Args) -> Result<(), String> {
     let pname = args.get("profile", "cd");
     let profile =
         profile_by_name(&pname).ok_or(format!("unknown profile '{pname}' (dk|cd|hz|tiny)"))?;
+    let seed = args.parse_num("seed", 1)?;
     let v1 = || {
-        let net = utcq::datagen::generate_network(&profile, args.parse_num("seed", 1));
+        let net = utcq::datagen::generate_network(&profile, seed);
         (net, StiuParams::default())
     };
     let input_path = std::path::Path::new(&input);
@@ -313,13 +325,10 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
 fn cmd_query(args: &Args) -> Result<(), String> {
     let opened = open_store(args)?;
     let store = opened.target();
-    let n: usize = args.parse_num("n", 100);
-    let alpha: f64 = args.parse_num("alpha", 0.25);
-    let limit: usize = args.parse_num("limit", 1024);
-    if let Some(v) = args.flags.get("cache-bytes") {
-        let bytes: usize = v
-            .parse()
-            .map_err(|_| format!("--cache-bytes: not a byte count: '{v}'"))?;
+    let n: usize = args.parse_num("n", 100)?;
+    let alpha: f64 = args.parse_num("alpha", 0.25)?;
+    let limit: usize = args.parse_num("limit", 1024)?;
+    if let Some(bytes) = args.parse_opt::<usize>("cache-bytes")? {
         store.set_cache_bytes(bytes);
     }
     // Derive a query workload from the store itself: decompress the
@@ -414,10 +423,7 @@ fn parse_fsync(s: &str) -> Result<FsyncPolicy, String> {
 ///   `--writable`).
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let opened = Arc::new(open_store(args)?);
-    if let Some(v) = args.flags.get("cache-bytes") {
-        let bytes: usize = v
-            .parse()
-            .map_err(|_| format!("--cache-bytes: not a byte count: '{v}'"))?;
+    if let Some(bytes) = args.parse_opt::<usize>("cache-bytes")? {
         opened.set_cache_bytes(bytes);
     }
     let writable = args.flags.contains_key("writable");
@@ -437,7 +443,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             eprintln!("replayed {replayed} batch(es) from {wal_path}");
         }
     }
-    let threads: usize = args.parse_num("threads", DEFAULT_THREADS);
+    let threads: usize = args.parse_num("threads", DEFAULT_THREADS)?;
     let addr = args.get("addr", "127.0.0.1:7071");
     let server = Server::bind(Arc::clone(&opened), &addr, threads)
         .map_err(|e| e.to_string())?
@@ -459,10 +465,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     // Size-triggered checkpoints: poll the log and re-save + truncate
     // past the threshold. Runs next to the acceptor, not on it.
-    if let Some(v) = args.flags.get("checkpoint-bytes") {
-        let threshold: u64 = v
-            .parse()
-            .map_err(|_| format!("--checkpoint-bytes: not a byte count: '{v}'"))?;
+    if let Some(threshold) = args.parse_opt::<u64>("checkpoint-bytes")? {
         if opened.wal_bytes().is_none() {
             return Err("--checkpoint-bytes needs --wal".to_string());
         }
@@ -532,7 +535,7 @@ const CLIENT_RETRY_ATTEMPTS: u32 = 5;
 fn cmd_client(args: &Args) -> Result<(), String> {
     let stdin = std::io::stdin();
     if let Some(addr) = args.flags.get("addr") {
-        let window: usize = args.parse_num("pipeline", 1);
+        let window: usize = args.parse_num("pipeline", 1)?;
         if window > 1 {
             return client_pipelined(addr, window);
         }
@@ -772,7 +775,7 @@ fn audit_fuzz(root: &std::path::Path, args: &Args) -> Result<(), String> {
         }
     };
     let opts = fuzz::FuzzOpts {
-        iters: args.parse_num("iters", fuzz::FuzzOpts::default().iters),
+        iters: args.parse_num("iters", fuzz::FuzzOpts::default().iters)?,
         seed: match args.flags.get("seed") {
             Some(v) => parse_seed(v)?,
             None => fuzz::FuzzOpts::default().seed,
@@ -811,7 +814,7 @@ fn audit_fuzz(root: &std::path::Path, args: &Args) -> Result<(), String> {
 
 fn audit_sched(args: &Args) -> Result<(), String> {
     use utcq::audit::sched;
-    let bound: usize = args.parse_num("bound", 4);
+    let bound: usize = args.parse_num("bound", 4)?;
     let scenarios = sched::all_scenarios();
     let mut total = 0usize;
     let mut violations = 0usize;
@@ -912,8 +915,34 @@ mod tests {
         // value was swallowed and its flag left empty.
         let args = Args::parse(&argv(&["--min-lat", "-33.9", "-n", "-1", "--eps", "-.5"]));
         assert_eq!(args.get("min-lat", ""), "-33.9");
-        assert_eq!(args.parse_num::<i64>("n", 0), -1);
-        assert_eq!(args.parse_num::<f64>("eps", 0.0), -0.5);
+        assert_eq!(args.parse_num::<i64>("n", 0), Ok(-1));
+        assert_eq!(args.parse_num::<f64>("eps", 0.0), Ok(-0.5));
+    }
+
+    #[test]
+    fn malformed_numbers_are_errors_naming_flag_and_value() {
+        let args = Args::parse(&argv(&[
+            "--trajs", "10k", "--seed", "x1", "-n", "1.5", "--limit",
+        ]));
+        assert_eq!(
+            args.parse_num::<usize>("trajs", 200),
+            Err("--trajs: not a number: '10k'".to_string())
+        );
+        assert_eq!(
+            args.parse_num::<u64>("seed", 1),
+            Err("--seed: not a number: 'x1'".to_string())
+        );
+        assert_eq!(
+            args.parse_num::<usize>("n", 100),
+            Err("-n: not a number: '1.5'".to_string())
+        );
+        assert_eq!(
+            args.parse_opt::<usize>("limit"),
+            Err("--limit: not a number: ''".to_string())
+        );
+        // An absent flag still takes its default.
+        assert_eq!(args.parse_num::<usize>("shards", 1), Ok(1));
+        assert_eq!(args.parse_opt::<usize>("cache-bytes"), Ok(None));
     }
 
     #[test]
