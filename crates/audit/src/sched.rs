@@ -699,27 +699,29 @@ pub fn swap_publish_order() -> Scenario {
 /// enumerate its interleavings without real sockets:
 ///
 /// * `trigger` = flag, then sweep: half-close the **read** side of
-///   every registered connection (write sides stay open — in-flight
-///   responses always complete).
+///   every registered connection (write sides stay open — queued
+///   responses always complete), then wake every loop (the wake is
+///   `serve_wake_order`'s subject).
 /// * `register` = insert into the registry, then re-check the flag
 ///   (the real code's comment: either the sweep saw our entry or we
 ///   see the flag).
 ///
-/// The registry/half-close/re-check protocol is unchanged by the epoll
-/// event loop — only who *performs* the read moved (the loop, instead
-/// of a per-connection worker); a "worker parked in a blocking read"
-/// below corresponds to the loop waiting on `EPOLLIN` for that
-/// connection, which the sweep's half-close likewise converts to EOF.
+/// One loop owns a connection for its whole life: each connection's
+/// virtual thread below is the loop that owns it, reading and
+/// executing that connection's requests. "Parked in a read" is that
+/// loop waiting on `EPOLLIN` for the connection, which the sweep's
+/// half-close converts to EOF.
 ///
-/// `model_register_recheck(false)` deletes the re-check — the seeded
+/// `serve_shutdown_scenario(false)` deletes the re-check — the seeded
 /// bug the self-test proves the checker catches.
 struct MockConn {
     read_open: AtomicBool,
     responses: Mutex<Vec<String>>,
-    /// Worker is parked in a blocking read (still registered, as in
-    /// the real code — only an EOF from the shutdown sweep frees it).
+    /// The owning loop waits for this connection to become readable
+    /// (still registered, as in the real code — only an EOF from the
+    /// shutdown sweep ends the wait).
     blocked_in_read: AtomicBool,
-    /// Worker saw an open read side and accepted the request.
+    /// The owning loop saw an open read side and executed the request.
     accepted: AtomicBool,
 }
 
@@ -799,10 +801,10 @@ fn serve_shutdown_scenario(recheck: bool) -> Scenario {
         Box::new(move || state.trigger()) as Box<dyn FnOnce() + Send>
     };
     let mut threads = vec![shutdown];
-    // Conn 0 is an idle client (no request pending: the worker parks
-    // in a blocking read immediately); conn 1 has one request on the
-    // wire. Both mirror serve_connection: a worker never deregisters
-    // while parked in a read — only the sweep's EOF frees it.
+    // Conn 0 is an idle client (no request pending: its loop waits for
+    // it to become readable at once); conn 1 has one request on the
+    // wire. Each is owned by its own loop, which never deregisters a
+    // connection it waits on — only the sweep's EOF ends the wait.
     for (i, conn) in conns.iter().enumerate() {
         let has_request = i == 1;
         let state = Arc::clone(&state);
@@ -811,8 +813,8 @@ fn serve_shutdown_scenario(recheck: bool) -> Scenario {
             let token = state.register(&conn);
             point("mock.read");
             if !has_request {
-                // Nothing on the wire: park in the blocking read,
-                // keeping the registry entry (as the real worker does).
+                // Nothing on the wire: wait for readability, keeping
+                // the registry entry (as the real loop does).
                 conn.blocked_in_read.store(true, Ordering::SeqCst);
                 return;
             }
@@ -829,13 +831,13 @@ fn serve_shutdown_scenario(recheck: bool) -> Scenario {
                 Ok(mut g) => g.push("response".to_string()),
                 Err(p) => p.into_inner().push("response".to_string()),
             }
-            // serve_connection checks the flag after each response.
+            // The loop checks the flag after each round of requests.
             if state.shutting_down.load(Ordering::SeqCst) {
                 state.deregister(token);
                 return;
             }
             point("mock.read2");
-            // Back into the blocking read for the next request.
+            // Back to waiting for the next request.
             conn.blocked_in_read.store(true, Ordering::SeqCst);
         }) as Box<dyn FnOnce() + Send>);
     }
@@ -843,18 +845,18 @@ fn serve_shutdown_scenario(recheck: bool) -> Scenario {
     let finale = {
         let state = Arc::clone(&state);
         Box::new(move || {
-            // Quiescence: shutdown has completed and every handler has
-            // either exited or parked in a blocking read. A parked
-            // worker whose read side is still open never sees EOF —
-            // that wedges shutdown (the race the register re-check
-            // closes). A worker that finished before shutdown may
-            // legitimately keep its read side open.
+            // Quiescence: shutdown has completed and every loop has
+            // either dropped its connection or waits on it. A waited-on
+            // connection whose read side is still open never reports
+            // EOF — that wedges shutdown (the race the register
+            // re-check closes). A loop that finished with its
+            // connection before shutdown may leave the read side open.
             assert!(state.shutting_down.load(Ordering::SeqCst));
             for (i, conn) in conns.iter().enumerate() {
                 if conn.blocked_in_read.load(Ordering::SeqCst) {
                     assert!(
                         !conn.read_open.load(Ordering::SeqCst),
-                        "conn {i}: worker parked in a blocking read with its \
+                        "conn {i}: loop waits on a connection with its \
                          read side still open — no EOF coming, shutdown wedges"
                     );
                 }
@@ -1171,47 +1173,57 @@ pub fn serve_shutdown_without_recheck() -> Scenario {
 // -- Serve event-loop wake ordering -----------------------------------
 
 /// The shutdown-flag/eventfd-wake handshake between
-/// `ServerState::trigger` and the epoll event loop, mocked 1:1:
+/// `ServerState::trigger` and the server's event loops, mocked 1:1:
 ///
-/// * `trigger` sets the shutdown flag **before** writing the eventfd
-///   (`flag_first = true`, the real ordering);
-/// * the loop, when woken, drains the eventfd and *then* checks the
-///   flag; with nothing pending and no flag it goes back to a blocking
+/// * `trigger` sets the shutdown flag **before** it writes each loop's
+///   eventfd (`flag_first = true`, the real ordering), and it wakes
+///   every loop, since each loop owns connections only it can drain;
+/// * a loop, when woken, drains its eventfd and *then* checks the flag;
+///   with nothing pending and no flag it goes back to a blocking
 ///   `epoll_wait` — modelled here as parking.
 ///
-/// Flipping the order (wake before flag) lets the loop consume the
-/// wake, observe a clear flag, and block again with no further wake
-/// coming — shutdown wedges. The quiescence invariant: the loop must
-/// never be parked while the flag is set with no wake pending.
+/// Flipping the order (wakes before flag) lets a loop consume its wake,
+/// observe a clear flag, and block again with no further wake coming —
+/// shutdown wedges. The quiescence invariant: no loop is parked while
+/// the flag is set with no wake pending for it.
 fn serve_wake_order_scenario(flag_first: bool) -> Scenario {
+    const LOOPS: usize = 2;
     let flag = Arc::new(AtomicBool::new(false));
-    let wake_pending = Arc::new(AtomicBool::new(false));
-    let parked = Arc::new(AtomicBool::new(false));
+    let wake_pending: Arc<Vec<AtomicBool>> =
+        Arc::new((0..LOOPS).map(|_| AtomicBool::new(false)).collect());
+    let parked: Arc<Vec<AtomicBool>> =
+        Arc::new((0..LOOPS).map(|_| AtomicBool::new(false)).collect());
 
     let trigger = {
         let flag = Arc::clone(&flag);
         let wake_pending = Arc::clone(&wake_pending);
         Box::new(move || {
+            let wake_all = || {
+                for pending in wake_pending.iter() {
+                    pending.store(true, Ordering::SeqCst);
+                    point("mock.wake.woken");
+                }
+            };
             if flag_first {
                 flag.store(true, Ordering::SeqCst);
                 point("mock.wake.flagged");
-                wake_pending.store(true, Ordering::SeqCst);
+                wake_all();
             } else {
-                wake_pending.store(true, Ordering::SeqCst);
-                point("mock.wake.woken");
+                wake_all();
                 flag.store(true, Ordering::SeqCst);
             }
         }) as Box<dyn FnOnce() + Send>
     };
-    let event_loop = {
+    let mut threads = vec![trigger];
+    for i in 0..LOOPS {
         let flag = Arc::clone(&flag);
         let wake_pending = Arc::clone(&wake_pending);
         let parked = Arc::clone(&parked);
-        Box::new(move || {
-            // Terminates: the trigger arms the wake at most once, so at
+        threads.push(Box::new(move || {
+            // Terminates: the trigger arms each wake at most once, so at
             // most two iterations run before a park or a flag sighting.
             loop {
-                let woke = wake_pending.swap(false, Ordering::SeqCst);
+                let woke = wake_pending[i].swap(false, Ordering::SeqCst);
                 point("mock.loop.drained");
                 if flag.load(Ordering::SeqCst) {
                     return; // observed shutdown; sweep follows
@@ -1219,26 +1231,28 @@ fn serve_wake_order_scenario(flag_first: bool) -> Scenario {
                 if !woke {
                     // Nothing pending: the real loop re-enters a
                     // blocking epoll_wait here.
-                    parked.store(true, Ordering::SeqCst);
+                    parked[i].store(true, Ordering::SeqCst);
                     return;
                 }
             }
-        }) as Box<dyn FnOnce() + Send>
-    };
+        }) as Box<dyn FnOnce() + Send>);
+    }
     let finale = Box::new(move || {
-        // A parked loop is fine while a wake is pending (epoll_wait
-        // returns immediately) — but parked with the flag set and the
+        // A parked loop is fine while its wake is pending (epoll_wait
+        // returns immediately) — but parked with the flag set and its
         // eventfd drained means no one will ever deliver the shutdown.
-        assert!(
-            !(parked.load(Ordering::SeqCst)
-                && flag.load(Ordering::SeqCst)
-                && !wake_pending.load(Ordering::SeqCst)),
-            "event loop parked in epoll_wait with the shutdown flag set \
-             and the wake already consumed — shutdown wedges"
-        );
+        for i in 0..LOOPS {
+            assert!(
+                !(parked[i].load(Ordering::SeqCst)
+                    && flag.load(Ordering::SeqCst)
+                    && !wake_pending[i].load(Ordering::SeqCst)),
+                "event loop {i} parked in epoll_wait with the shutdown flag \
+                 set and its wake already consumed — shutdown wedges"
+            );
+        }
     }) as Box<dyn FnOnce() + Send>;
     Scenario {
-        threads: vec![trigger, event_loop],
+        threads,
         finale: Some(finale),
     }
 }
@@ -1257,36 +1271,46 @@ pub fn serve_wake_order_broken() -> Scenario {
 // -- Serve pipelined response ordering --------------------------------
 
 /// The pipelining contract (`PROTOCOL.md`): responses leave in request
-/// order. The event loop guarantees this structurally — all frames
-/// parsed from one readable connection form a *burst* executed
-/// start-to-finish by a single worker, with at most one burst in
-/// flight per connection; cross-connection interleaving stays free.
+/// order, and a read pipelined behind an `ingest` on the same
+/// connection observes that ingest. The server guarantees both by
+/// ownership: one loop owns a connection and executes its lines one
+/// after another on its own thread; connections owned by different
+/// loops interleave freely.
 ///
-/// `burst_sequential = false` models the tempting "faster" design —
-/// fanning one connection's requests out to the pool individually —
-/// and the self-test proves the checker catches the reordering it
-/// allows.
-fn serve_pipeline_order_scenario(burst_sequential: bool) -> Scenario {
+/// Connection A pipelines an ingest (which publishes epoch 1) and two
+/// reads, each of which records the epoch it saw; connection B
+/// pipelines two plain requests. `owned = false` models the tempting
+/// design without ownership — loops sharing one readiness set, so two
+/// loops may each take part of A's lines — and the self-test proves
+/// the checker catches the reordering it allows.
+fn serve_pipeline_order_scenario(owned: bool) -> Scenario {
     fn push(out: &Arc<Mutex<Vec<u64>>>, v: u64) {
         match out.lock() {
             Ok(mut g) => g.push(v),
             Err(p) => p.into_inner().push(v),
         }
     }
+    let epoch = Arc::new(AtomicU64::new(0));
     let conn_a: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let conn_b: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let threads: Vec<Box<dyn FnOnce() + Send>> = if burst_sequential {
-        // One worker owns each burst: connection A's three pipelined
-        // requests on one thread, connection B's two on another.
+    // Request `i` of connection A: 1 is the ingest, later ones are reads
+    // that answer with the epoch they observed next to their number.
+    let exec_a = {
+        let epoch = Arc::clone(&epoch);
         let a = Arc::clone(&conn_a);
+        move |i: u64| {
+            point("mock.pipe.exec");
+            if i == 1 {
+                epoch.store(1, Ordering::SeqCst);
+            }
+            push(&a, i * 10 + epoch.load(Ordering::SeqCst));
+        }
+    };
+    let threads: Vec<Box<dyn FnOnce() + Send>> = if owned {
+        // Loop 0 owns connection A, loop 1 owns connection B.
         let b = Arc::clone(&conn_b);
         vec![
-            Box::new(move || {
-                for i in 1..=3 {
-                    point("mock.pipe.exec");
-                    push(&a, i);
-                }
-            }),
+            Box::new(move || (1..=3).for_each(exec_a)),
             Box::new(move || {
                 for i in 1..=2 {
                     point("mock.pipe.exec");
@@ -1295,20 +1319,14 @@ fn serve_pipeline_order_scenario(burst_sequential: bool) -> Scenario {
             }),
         ]
     } else {
-        // Connection A's burst split across two pool workers.
-        let a1 = Arc::clone(&conn_a);
-        let a2 = Arc::clone(&conn_a);
+        // Connection A's lines split across two loops.
+        let other = exec_a.clone();
         vec![
             Box::new(move || {
-                point("mock.pipe.exec");
-                push(&a1, 1);
-                point("mock.pipe.exec");
-                push(&a1, 3);
+                exec_a(1);
+                exec_a(3);
             }),
-            Box::new(move || {
-                point("mock.pipe.exec");
-                push(&a2, 2);
-            }),
+            Box::new(move || other(2)),
         ]
     };
     let finale = Box::new(move || {
@@ -1317,9 +1335,13 @@ fn serve_pipeline_order_scenario(burst_sequential: bool) -> Scenario {
             Err(p) => p.into_inner().clone(),
         };
         assert_eq!(
-            a,
+            a.iter().map(|v| v / 10).collect::<Vec<_>>(),
             vec![1, 2, 3],
             "connection A's responses left out of request order"
+        );
+        assert!(
+            a.iter().all(|v| v % 10 == 1),
+            "a read pipelined behind connection A's ingest did not observe it: {a:?}"
         );
         let b = match conn_b.lock() {
             Ok(g) => g.clone(),
@@ -1339,17 +1361,96 @@ fn serve_pipeline_order_scenario(burst_sequential: bool) -> Scenario {
     }
 }
 
-/// The faithful burst-per-worker dispatch model.
+/// The faithful model: one loop owns each connection.
 pub fn serve_pipeline_order() -> Scenario {
     serve_pipeline_order_scenario(true)
 }
 
-/// The broken per-request-fan-out variant; used by self-tests to prove
-/// the checker finds the reordering it exists to rule out.
+/// The broken variant where two loops share connection A; used by
+/// self-tests to prove the checker finds the reordering it exists to
+/// rule out.
 pub fn serve_pipeline_order_broken() -> Scenario {
     serve_pipeline_order_scenario(false)
 }
 
+// -- Serve connection hand-off ----------------------------------------
+
+/// Loop 0's hand-off of an accepted connection to another loop: push
+/// the connection to that loop's inbox, **then** write its eventfd
+/// (`push_first = true`, the real ordering). The receiving loop drains
+/// its eventfd and *then* takes its inbox; with nothing taken and no
+/// wake drained it re-enters a blocking `epoll_wait` — modelled here as
+/// parking.
+///
+/// Flipping the order (wake, then push) lets the loop drain the wake,
+/// find an empty inbox and park while the connection lands behind it:
+/// a stranded connection nobody reads. The quiescence invariant: no
+/// loop is parked with a connection in its inbox and no wake pending.
+fn serve_handoff_order_scenario(push_first: bool) -> Scenario {
+    let inbox = Arc::new(AtomicU64::new(0));
+    let wake_pending = Arc::new(AtomicBool::new(false));
+    let parked = Arc::new(AtomicBool::new(false));
+
+    let acceptor = {
+        let inbox = Arc::clone(&inbox);
+        let wake_pending = Arc::clone(&wake_pending);
+        Box::new(move || {
+            if push_first {
+                inbox.fetch_add(1, Ordering::SeqCst);
+                point("mock.handoff.pushed");
+                wake_pending.store(true, Ordering::SeqCst);
+            } else {
+                wake_pending.store(true, Ordering::SeqCst);
+                point("mock.handoff.woken");
+                inbox.fetch_add(1, Ordering::SeqCst);
+            }
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let owner = {
+        let inbox = Arc::clone(&inbox);
+        let wake_pending = Arc::clone(&wake_pending);
+        let parked = Arc::clone(&parked);
+        Box::new(move || {
+            // Terminates: one wake means at most two iterations before
+            // the connection is adopted or the loop parks.
+            loop {
+                let woke = wake_pending.swap(false, Ordering::SeqCst);
+                point("mock.handoff.drained");
+                if inbox.swap(0, Ordering::SeqCst) > 0 {
+                    return; // adopted; the loop serves it from here
+                }
+                if !woke {
+                    parked.store(true, Ordering::SeqCst);
+                    return;
+                }
+            }
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let finale = Box::new(move || {
+        assert!(
+            !(parked.load(Ordering::SeqCst)
+                && inbox.load(Ordering::SeqCst) > 0
+                && !wake_pending.load(Ordering::SeqCst)),
+            "loop parked in epoll_wait with a connection in its inbox and \
+             no wake pending — the connection is stranded"
+        );
+    }) as Box<dyn FnOnce() + Send>;
+    Scenario {
+        threads: vec![acceptor, owner],
+        finale: Some(finale),
+    }
+}
+
+/// The faithful push-then-wake hand-off.
+pub fn serve_handoff_order() -> Scenario {
+    serve_handoff_order_scenario(true)
+}
+
+/// The broken wake-then-push variant; used by self-tests to prove the
+/// checker finds the stranded connection.
+pub fn serve_handoff_order_broken() -> Scenario {
+    serve_handoff_order_scenario(false)
+}
 /// A registered scenario: name, schedule budget, factory.
 pub type NamedScenario = (&'static str, usize, fn() -> Scenario);
 
@@ -1366,6 +1467,7 @@ pub fn all_scenarios() -> Vec<NamedScenario> {
         ("serve_shutdown", 800, serve_shutdown),
         ("serve_wake_order", 400, serve_wake_order),
         ("serve_pipeline_order", 400, serve_pipeline_order),
+        ("serve_handoff_order", 400, serve_handoff_order),
         ("store_pin_vs_ingest", 400, store_pin_vs_ingest),
         ("sharded_ingest_vs_query", 2_000, sharded_ingest_vs_query),
         ("wal_publish_order", 400, wal_publish_order),
@@ -1539,6 +1641,38 @@ mod tests {
     }
 
     #[test]
+    fn handoff_model_wake_before_push_strands_the_connection() {
+        let out = explore(
+            "serve_handoff_order_broken",
+            SchedOpts {
+                preemption_bound: 4,
+                max_schedules: 500,
+            },
+            &serve_handoff_order_broken,
+        );
+        let v = out.violation.expect("the stranded hand-off must be found");
+        assert!(
+            v.message.contains("stranded"),
+            "unexpected violation: {}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn handoff_model_push_first_is_clean() {
+        let out = explore(
+            "serve_handoff_order",
+            SchedOpts {
+                preemption_bound: 4,
+                max_schedules: 500,
+            },
+            &serve_handoff_order,
+        );
+        assert!(out.violation.is_none(), "{:?}", out.violation);
+        assert!(out.exhausted, "hand-off model space should be enumerable");
+    }
+
+    #[test]
     fn pipeline_model_burst_dispatch_is_clean() {
         let out = explore(
             "serve_pipeline_order",
@@ -1549,7 +1683,7 @@ mod tests {
             &serve_pipeline_order,
         );
         assert!(out.violation.is_none(), "{:?}", out.violation);
-        assert!(out.schedules > 10, "bursts never interleaved");
+        assert!(out.schedules > 10, "the two loops never interleaved");
     }
 
     #[test]

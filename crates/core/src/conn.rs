@@ -2,10 +2,10 @@
 //!
 //! Each accepted socket becomes a [`Conn`]: a nonblocking stream plus
 //! a read buffer (unparsed bytes), a write buffer (responses queued in
-//! request order) and a handful of state bits. The readiness loop in
-//! [`crate::serve`] owns every `Conn`; nothing here blocks, so an idle
-//! connection costs the buffers below and a file descriptor — not a
-//! thread.
+//! request order) and a handful of state bits. One of the readiness
+//! loops in [`crate::serve`] owns each `Conn`; nothing here blocks, so
+//! an idle connection costs the buffers below and a file descriptor —
+//! not a thread.
 //!
 //! # Framing
 //!
@@ -75,7 +75,7 @@ pub enum Frame {
     Oversized,
 }
 
-/// One live connection owned by the readiness loop. See the
+/// One live connection owned by a readiness loop. See the
 /// [module docs](self) for the framing and backpressure rules.
 pub struct Conn {
     stream: TcpStream,
@@ -83,10 +83,6 @@ pub struct Conn {
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Exactly one burst of frames may be executing on the worker pool;
-    /// while it is, the loop neither reads nor dispatches for this
-    /// connection (which is what keeps responses in request order).
-    in_flight: bool,
     read_closed: bool,
     fatal: bool,
     paused: bool,
@@ -100,7 +96,7 @@ pub struct Conn {
 
 impl Conn {
     /// Adopts an accepted stream: switches it nonblocking and disables
-    /// Nagle (responses are already coalesced per burst; delaying them
+    /// Nagle (responses are already coalesced per read; delaying them
     /// further only hurts tail latency).
     pub fn new(stream: TcpStream, token: u64) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
@@ -111,7 +107,6 @@ impl Conn {
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
-            in_flight: false,
             read_closed: false,
             fatal: false,
             paused: false,
@@ -136,16 +131,6 @@ impl Conn {
         &self.stream
     }
 
-    /// Whether a burst is currently executing on the worker pool.
-    pub fn is_in_flight(&self) -> bool {
-        self.in_flight
-    }
-
-    /// Marks a burst dispatched (`true`) or completed (`false`).
-    pub fn set_in_flight(&mut self, v: bool) {
-        self.in_flight = v;
-    }
-
     /// Marks the connection unrecoverable; it reports [`finished`]
     /// immediately and is dropped without further I/O.
     ///
@@ -155,9 +140,8 @@ impl Conn {
     }
 
     /// Half-closes the read side: no further requests are parsed (any
-    /// buffered, not-yet-dispatched input is discarded — the same fate
-    /// undelivered pipelined requests met under the blocking server),
-    /// while queued responses still flush. Used at shutdown and after
+    /// buffered, not-yet-executed input is discarded), while queued
+    /// responses still flush. Used at shutdown and after
     /// a `shutdown` acknowledgement.
     pub fn half_close_read(&mut self) {
         self.read_closed = true;
@@ -178,17 +162,17 @@ impl Conn {
     }
 
     /// True when the loop can drop this connection: it is either
-    /// unrecoverable, or fully drained (read side closed, no burst in
-    /// flight, every queued response byte accepted by the socket).
+    /// unrecoverable, or fully drained (read side closed, every queued
+    /// response byte accepted by the socket).
     pub fn finished(&self) -> bool {
-        self.fatal || (self.read_closed && !self.in_flight && self.write_backlog() == 0)
+        self.fatal || (self.read_closed && self.write_backlog() == 0)
     }
 
     /// The readiness bits this connection currently wants, applying the
-    /// backpressure hysteresis: readable unless a burst is in flight or
-    /// the write backlog is past the high watermark (draining an
-    /// over-long line keeps reading — those bytes are discarded, not
-    /// buffered); writable while any response bytes are queued.
+    /// backpressure hysteresis: readable unless the write backlog is
+    /// past the high watermark (draining an over-long line keeps
+    /// reading — those bytes are discarded, not buffered); writable
+    /// while any response bytes are queued.
     pub fn desired_interest(&mut self) -> u32 {
         let backlog = self.write_backlog();
         if backlog > WRITE_HIGH_WATERMARK {
@@ -200,7 +184,7 @@ impl Conn {
             return 0;
         }
         let mut want = 0;
-        if !self.read_closed && (self.drain_left > 0 || (!self.in_flight && !self.paused)) {
+        if !self.read_closed && (self.drain_left > 0 || !self.paused) {
             want |= poll::IN;
         }
         if backlog > 0 {
@@ -326,9 +310,9 @@ impl Conn {
         }
     }
 
-    /// Queues response bytes (already newline-terminated, in request
-    /// order) behind whatever is still unflushed.
-    pub fn queue_response(&mut self, bytes: &[u8]) {
+    /// Queues one response line, newline-terminated, behind whatever is
+    /// still unflushed.
+    pub fn queue_line(&mut self, line: &str) {
         if self.fatal {
             return;
         }
@@ -337,11 +321,12 @@ impl Conn {
             self.write_buf.drain(..self.write_pos);
             self.write_pos = 0;
         }
-        self.write_buf.extend_from_slice(bytes);
+        self.write_buf.extend_from_slice(line.as_bytes());
+        self.write_buf.push(b'\n');
     }
 
     /// Writes queued bytes until the socket stops accepting them — one
-    /// coalesced flush per burst in the common case. Never blocks.
+    /// coalesced flush per read in the common case. Never blocks.
     pub fn flush(&mut self) {
         while !self.fatal && self.write_pos < self.write_buf.len() {
             // bounds: write_pos < len per the loop condition.
@@ -471,7 +456,7 @@ mod tests {
     #[test]
     fn backpressure_pauses_reads_until_backlog_drains() {
         let (_client, mut conn) = pair();
-        conn.queue_response(&vec![b'a'; WRITE_HIGH_WATERMARK + 1]);
+        conn.queue_line(&"a".repeat(WRITE_HIGH_WATERMARK));
         // Backlog above the high watermark: reads pause, writes wanted.
         let want = conn.desired_interest();
         assert_eq!(want & poll::IN, 0);
@@ -481,19 +466,5 @@ mod tests {
         conn.flush();
         let want = conn.desired_interest();
         assert_ne!(want & poll::IN, 0);
-    }
-
-    #[test]
-    fn in_flight_masks_reads_and_finished_waits_for_it() {
-        let (client, mut conn) = pair();
-        conn.set_in_flight(true);
-        assert_eq!(conn.desired_interest() & poll::IN, 0);
-        drop(client);
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        let mut frames = Vec::new();
-        conn.pump(&mut frames);
-        assert!(!conn.finished(), "in-flight burst must complete first");
-        conn.set_in_flight(false);
-        assert!(conn.finished());
     }
 }

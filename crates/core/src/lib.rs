@@ -66,11 +66,11 @@
 //!   [`wire::execute`] as the single executor behind both the TCP
 //!   server and the CLI's offline client mode;
 //! * [`serve`] — the long-lived query server: a [`serve::Server`]
-//!   built on a nonblocking `epoll` readiness loop ([`poll`]) with
-//!   per-connection state machines ([`conn`]), protocol pipelining
-//!   with in-order responses, a decoupled query-execution worker pool
-//!   and graceful shutdown, keeping the decode cache and query plans
-//!   warm across requests;
+//!   built on nonblocking `epoll` readiness loops ([`poll`]), each
+//!   owning its connections' state machines ([`conn`]) and executing
+//!   their requests in order, with protocol pipelining and graceful
+//!   shutdown, keeping the decode cache and query plans warm across
+//!   requests;
 //! * [`error`] — the unified [`Error`] type every public fallible
 //!   function returns;
 //! * [`oracle`] — brute-force answers on uncompressed data, used as

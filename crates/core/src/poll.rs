@@ -163,8 +163,9 @@ impl Drop for Poller {
 }
 
 /// A cross-thread wakeup channel for a blocked [`Poller::wait`]:
-/// a nonblocking `eventfd` registered with the poller. Worker threads
-/// call [`Waker::wake`]; the loop drains it and re-checks its queues.
+/// a nonblocking `eventfd` registered with the poller. Other threads
+/// call [`Waker::wake`] (a connection hand-off, shutdown); the loop
+/// drains it and re-checks its inbox and the shutdown flag.
 pub struct Waker {
     fd: RawFd,
 }

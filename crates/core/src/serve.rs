@@ -10,27 +10,25 @@
 //! benchmark's `serve.rtt_depth1_us` probe measures, instead of the
 //! re-open-per-invocation cost the CLI's offline `query` pays.
 //!
-//! # Event loop + worker pool
+//! # One event loop per thread
 //!
-//! One readiness loop owns every connection, built on the raw-fd
-//! `epoll` wrappers in [`crate::poll`] (std-only, no async runtime)
-//! and the per-connection state machines in [`crate::conn`]. The loop
-//! accepts, reads and frames request lines, and flushes responses; an
-//! idle connection therefore costs two buffers and a file descriptor,
-//! not a thread, so connection count is no longer capped by
-//! `--threads`.
+//! The server runs `threads` identical readiness loops, each built on
+//! the raw-fd `epoll` wrappers in [`crate::poll`] (std-only, no async
+//! runtime) and the per-connection state machines in [`crate::conn`].
+//! Loop 0 also owns the listener: it accepts and hands connection *k*
+//! to loop *k* mod `threads`, pushing it to that loop's inbox before
+//! waking it. A connection then belongs to one loop for its whole life:
+//! the loop reads it, cuts the bytes into request lines, runs each line
+//! through [`wire::execute`] on its own thread, one after another, and
+//! flushes the replies in one coalesced write. An idle connection costs
+//! two buffers and a file descriptor, not a thread, so connection count
+//! is not capped by `--threads`.
 //!
-//! Query execution stays on a fixed pool of `threads` workers, decoupled
-//! from connection ownership: the loop gathers every complete line a
-//! readable connection has into one **burst**, dispatches the burst to
-//! a worker, and queues the worker's concatenated responses back onto
-//! that connection's write buffer in one coalesced flush. At most one
-//! burst per connection is in flight, and a burst executes its lines
-//! sequentially — that is the whole in-order pipelining guarantee (a
-//! pipelined query behind an `ingest` on the same connection observes
-//! the ingest, and responses always stream back in request order; see
-//! `PROTOCOL.md`). Bursts from different connections run on different
-//! workers concurrently, sharing one decode cache underneath.
+//! Because one thread executes a connection's lines in arrival order,
+//! pipelined order holds by construction: a pipelined query behind an
+//! `ingest` on the same connection observes the ingest, and responses
+//! stream back in request order (see `PROTOCOL.md`). Connections on
+//! different loops run concurrently, sharing one decode cache.
 //!
 //! Clients may pipeline freely: send N request lines without awaiting,
 //! read N responses in order (`utcq client --pipeline N` does exactly
@@ -44,33 +42,34 @@
 //! append to the live store (`PROTOCOL.md` documents the request).
 //! Ingest runs on the store's writer path — compression and indexing
 //! happen against a private clone of the current snapshot, then publish
-//! as a new epoch — so queries on the other workers never block, and
+//! as a new epoch — so queries on the other loops never block, and
 //! pipelined queries behind an ingest on the *same* connection resume
-//! as soon as the batch publishes. Read-only servers (the default)
-//! answer `ingest` with the `read_only` error code.
+//! as soon as the batch publishes. `ingest` and `checkpoint` run on the
+//! loop that read them and serialise on the store's writer lock, so a
+//! connection that shares a loop with an ingesting one waits for that
+//! ingest. Read-only servers (the default) answer `ingest` with the
+//! `read_only` error code.
 //!
 //! # Shutdown
 //!
 //! Graceful, from either side: a client sends `{"op":"shutdown"}` (it
 //! gets the acknowledgement as its response), or the process calls
 //! [`ServerHandle::shutdown`]. Either way the flag is raised, every
-//! registered connection's **read** side is half-closed, and the
-//! eventfd waker unblocks the loop, which then
+//! registered connection's **read** side is half-closed, and every
+//! loop's eventfd waker unblocks it. Each loop then
 //!
-//! 1. stops accepting new connections,
-//! 2. drains in flight: every dispatched burst finishes executing and
-//!    its responses flush completely (no response is ever truncated
-//!    mid-line; buffered-but-undispatched requests are dropped, as
-//!    they were under the blocking design), bounded by a drain
-//!    deadline for peers that never read, and
-//! 3. joins every worker before [`Server::run`] returns.
+//! 1. stops taking connections (loop 0 stops accepting),
+//! 2. flushes what its connections have queued (no response is ever
+//!    truncated mid-line; requests not yet read are dropped), bounded
+//!    by a drain deadline for peers that never read, and
+//! 3. returns; [`Server::run`] returns once every loop has.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::conn::{Conn, Frame};
@@ -81,66 +80,70 @@ use crate::wire;
 
 pub use crate::conn::DRAIN_BUDGET_BYTES;
 
-/// Default worker-pool size for [`Server::bind`] callers that take the
-/// CLI default.
+/// Default number of event loops for [`Server::bind`] callers that
+/// take the CLI default.
 pub const DEFAULT_THREADS: usize = 4;
 
-/// Poller token of the listening socket.
+/// Poller token of the listening socket (registered on loop 0 only).
 const TOKEN_LISTENER: u64 = 0;
-/// Poller token of the shutdown/result waker.
+/// Poller token of a loop's waker.
 const TOKEN_WAKER: u64 = 1;
-/// First token handed to an accepted connection.
+/// Token of the first accepted connection; connection *k* gets this
+/// plus *k*, unique across loops.
 const TOKEN_FIRST_CONN: u64 = 2;
 
 /// Readiness reports drained per `epoll_wait` call.
 const EVENTS_PER_WAIT: usize = 256;
 
-/// How long shutdown waits for in-flight bursts to flush before
+/// How long shutdown waits for queued responses to flush before
 /// force-closing connections whose peers stopped reading.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
-/// One burst of frames from a single connection, executed sequentially
-/// by one worker — the unit of dispatch that preserves per-connection
-/// request order under pipelining.
-struct Job {
-    token: u64,
-    frames: Vec<Frame>,
-}
+/// How long the listener stays muted after `accept` failed for want of
+/// a file descriptor. The pending connection stays queued, so the
+/// level-triggered listener would report it again at once and the loop
+/// would spin until a descriptor frees.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
-/// A completed burst: every response line of the burst, concatenated
-/// newline-terminated in request order, flushed as one write.
-struct Done {
-    token: u64,
-    bytes: Vec<u8>,
-    /// A `shutdown` request was acknowledged inside this burst (its
-    /// ack is the last line of `bytes`; later frames were dropped).
-    shutdown: bool,
+/// `accept` errors that mean "no descriptor left": per process
+/// (`EMFILE`) and system-wide (`ENFILE`).
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
+
+/// What other threads may hand one loop: the waker that unblocks its
+/// `epoll_wait`, and an inbox of connections accepted for it. A
+/// hand-off pushes to the inbox *before* waking, and the loop drains
+/// the waker *before* taking the inbox, so a connection never strands.
+struct Mailbox {
+    waker: poll::Waker,
+    inbox: Mutex<Vec<Conn>>,
 }
 
 /// Shared shutdown state: the flag, the live-connection registry and
-/// the eventfd waker that unblocks the readiness loop.
+/// every loop's mailbox.
 ///
 /// The registry maps a per-connection token to a clone of its stream,
-/// inserted at accept and removed when the loop drops the connection —
+/// inserted at accept and removed when its loop drops the connection —
 /// entries exist exactly while a connection is live, so the registry
 /// neither leaks descriptors on a long-lived server nor holds client
 /// sockets half-open after shutdown. It exists so [`trigger`] can
 /// half-close read sides from *any* thread, making EOF visible to
-/// clients mid-read immediately, before the loop itself gets to its
-/// own sweep.
+/// clients mid-read immediately, before the loops get to their own
+/// sweeps.
 ///
 /// [`trigger`]: ServerState::trigger
 struct ServerState {
     shutting_down: AtomicBool,
     conns: Mutex<HashMap<u64, TcpStream>>,
     addr: SocketAddr,
-    waker: poll::Waker,
+    /// One per event loop, indexed by loop number.
+    loops: Vec<Mailbox>,
 }
 
 impl ServerState {
     /// Flips the server into shutdown: raise the flag, half-close every
-    /// registered connection's read side, wake the (possibly blocked)
-    /// readiness loop. Idempotent.
+    /// registered connection's read side, wake every (possibly blocked)
+    /// loop. Idempotent.
     fn trigger(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -152,7 +155,9 @@ impl ServerState {
                 let _ = c.shutdown(Shutdown::Read);
             }
         }
-        self.waker.wake();
+        for mailbox in &self.loops {
+            mailbox.waker.wake();
+        }
     }
 
     /// Registers a freshly accepted connection under its token.
@@ -162,7 +167,7 @@ impl ServerState {
         }
         // Close the race with a concurrent trigger(): a connection
         // accepted after the shutdown sweep but registered only now
-        // would otherwise keep its read side open until the loop's own
+        // would otherwise keep its read side open until its loop's own
         // sweep. Checking after the insert means either the sweep saw
         // our entry or we see the flag — also covers a failed try_clone
         // above, since we half-close the stream itself.
@@ -191,7 +196,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Initiates the same graceful shutdown a `{"op":"shutdown"}`
     /// request does. Returns immediately; [`Server::run`] returns once
-    /// in-flight bursts have flushed and every worker has drained.
+    /// every loop has flushed its connections and stopped.
     pub fn shutdown(&self) {
         self.state.trigger();
     }
@@ -215,7 +220,6 @@ impl ServerHandle {
 pub struct Server {
     listener: TcpListener,
     opened: Arc<Opened>,
-    threads: usize,
     /// Whether `ingest` requests are honored (`utcq serve --writable`).
     /// Read-only servers answer them with the `read_only` error code.
     writable: bool,
@@ -224,30 +228,36 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port) over an opened
-    /// container. `threads` is the worker-pool size (clamped to ≥ 1) —
-    /// execution parallelism only; connection count is independent.
-    /// The server starts read-only; see [`Server::writable`].
+    /// container. `threads` is the number of event loops (clamped to
+    /// ≥ 1); connection count is independent of it. The server starts
+    /// read-only; see [`Server::writable`].
     pub fn bind(opened: Arc<Opened>, addr: &str, threads: usize) -> Result<Self, Error> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let waker = poll::Waker::new()?;
+        let loops = (0..threads.max(1))
+            .map(|_| {
+                Ok(Mailbox {
+                    waker: poll::Waker::new()?,
+                    inbox: Mutex::new(Vec::new()),
+                })
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Self {
             listener,
             opened,
-            threads: threads.max(1),
             writable: false,
             state: Arc::new(ServerState {
                 shutting_down: AtomicBool::new(false),
                 conns: Mutex::new(HashMap::new()),
                 addr,
-                waker,
+                loops,
             }),
         })
     }
 
     /// Enables (or disables) the `ingest` op for every connection.
     /// Ingest batches are serialized through the store's writer lock
-    /// underneath, so any number of workers may carry them.
+    /// underneath, so any number of loops may carry them.
     pub fn writable(mut self, writable: bool) -> Self {
         self.writable = writable;
         self
@@ -268,247 +278,247 @@ impl Server {
     }
 
     /// Serves until shut down (by a `shutdown` request or a
-    /// [`ServerHandle`]), then drains the worker pool and returns.
+    /// [`ServerHandle`]) and returns once every loop has stopped. Loop
+    /// 0 runs on the calling thread.
     pub fn run(self) -> Result<(), Error> {
-        let poller = poll::Poller::new()?;
         self.listener.set_nonblocking(true)?;
-        poller.add(self.listener.as_raw_fd(), TOKEN_LISTENER, poll::IN)?;
-        poller.add(self.state.waker.fd(), TOKEN_WAKER, poll::IN)?;
-
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-
+        let server = &self;
+        // A loop that fails raises shutdown, so the others do not wait
+        // forever.
+        let run_loop = move |index| {
+            server
+                .event_loop(index)
+                .inspect_err(|_| server.state.trigger())
+        };
         let result = std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                let job_rx = Arc::clone(&job_rx);
-                let done_tx = done_tx.clone();
-                let opened = Arc::clone(&self.opened);
-                let state = Arc::clone(&self.state);
-                let writable = self.writable;
-                scope.spawn(move || worker_loop(&opened, &state, writable, &job_rx, &done_tx));
-            }
-            drop(done_tx);
-            // job_tx is moved in and dropped when the loop returns,
-            // which is what lets every worker's recv() fail and exit.
-            event_loop(&self, &poller, job_tx, &done_rx)
+            let others: Vec<_> = (1..self.state.loops.len())
+                .map(|index| scope.spawn(move || run_loop(index)))
+                .collect();
+            others.into_iter().fold(run_loop(0), |result, other| {
+                let panicked = || Err(Error::Io(std::io::Error::other("event loop panicked")));
+                result.and(other.join().unwrap_or_else(|_| panicked()))
+            })
         });
-        // Every connection is gone; drop any remaining registry clones
-        // so client sockets close fully (they would otherwise linger
-        // half-open for as long as a ServerHandle is alive).
+        // Every loop is gone; drop the connections still in an inbox and
+        // the registry clones so client sockets close fully (they would
+        // otherwise linger half-open for as long as a ServerHandle is
+        // alive).
+        for mailbox in &self.state.loops {
+            lock(&mailbox.inbox).clear();
+        }
         if let Ok(mut conns) = self.state.conns.lock() {
             conns.clear();
         }
         result
     }
-}
 
-/// One worker: executes bursts sequentially (frame order == response
-/// order), posts the coalesced response bytes back and wakes the loop.
-fn worker_loop(
-    opened: &Opened,
-    state: &ServerState,
-    writable: bool,
-    job_rx: &Mutex<mpsc::Receiver<Job>>,
-    done_tx: &mpsc::Sender<Done>,
-) {
-    loop {
-        // Holding the lock only for the recv keeps one slow burst from
-        // serializing the whole pool.
-        let job = match job_rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
+    /// Readiness loop `index`: adopts, reads, executes, flushes — and on
+    /// loop 0 also accepts — until shutdown has drained its connections.
+    fn event_loop(&self, index: usize) -> Result<(), Error> {
+        let state = &*self.state;
+        let Some(mailbox) = state.loops.get(index) else {
+            return Ok(());
         };
-        let Ok(job) = job else { return };
-        let mut bytes = Vec::new();
-        let mut shutdown = false;
-        for frame in job.frames {
+        let poller = poll::Poller::new()?;
+        poller.add(mailbox.waker.fd(), TOKEN_WAKER, poll::IN)?;
+        let listener = self.listener.as_raw_fd();
+        let mut accepting = index == 0;
+        if accepting {
+            poller.add(listener, TOKEN_LISTENER, poll::IN)?;
+        }
+        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut events = vec![poll::Event::zeroed(); EVENTS_PER_WAIT];
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut accepted: u64 = 0;
+        // Set while the listener is muted after running out of fds.
+        let mut muted: Option<Instant> = None;
+        // Set once the shutdown sweep has run; bounds the remaining drain.
+        let mut draining: Option<Instant> = None;
+
+        loop {
+            let deadline = [
+                draining.map(|at| at + SHUTDOWN_DRAIN),
+                muted.map(|at| at + ACCEPT_BACKOFF),
+            ];
+            // Rounded up, so the wait never ends just short of a deadline.
+            let timeout_ms = deadline.into_iter().flatten().min().map_or(-1, |at| {
+                at.saturating_duration_since(Instant::now()).as_millis() as i32 + 1
+            });
+            let n = poller.wait(&mut events, timeout_ms)?;
+            let mut woken = false;
+            for &ev in events.iter().take(n) {
+                match ev.token() {
+                    TOKEN_LISTENER => {
+                        muted = self.accept_ready(&poller, &mut conns, &mut accepted);
+                    }
+                    TOKEN_WAKER => {
+                        mailbox.waker.drain();
+                        woken = true;
+                    }
+                    token => {
+                        let Some(conn) = conns.get_mut(&token) else {
+                            continue;
+                        };
+                        let ready = ev.readiness();
+                        if ready & poll::ERR != 0 {
+                            conn.mark_fatal();
+                        }
+                        if ready & poll::OUT != 0 {
+                            conn.flush();
+                        }
+                        if ready & (poll::IN | poll::HUP | poll::RDHUP) != 0 {
+                            self.serve_lines(conn, &mut frames);
+                        }
+                        settle(&poller, state, &mut conns, token);
+                    }
+                }
+            }
+            // Taken only after the waker drained, so a connection pushed
+            // before its wake is found here at the latest.
+            if woken {
+                let arrived = std::mem::take(&mut *lock(&mailbox.inbox));
+                for conn in arrived {
+                    if draining.is_some() {
+                        // Past this loop's sweep: drop it unread.
+                        state.deregister(conn.token());
+                    } else {
+                        adopt(&poller, state, &mut conns, conn);
+                    }
+                }
+            }
+            if muted.is_some_and(|at| at.elapsed() >= ACCEPT_BACKOFF) {
+                muted = None;
+                if accepting {
+                    let _ = poller.modify(listener, TOKEN_LISTENER, poll::IN);
+                }
+            }
+            // Shutdown sweep, once: stop accepting, half-close every read
+            // side (the trigger thread already half-closed registered
+            // streams; this also covers conns it raced with), then drain.
+            if draining.is_none() && state.shutting_down.load(Ordering::SeqCst) {
+                draining = Some(Instant::now());
+                if accepting {
+                    accepting = false;
+                    let _ = poller.remove(listener);
+                }
+                let tokens: Vec<u64> = conns.keys().copied().collect();
+                for token in tokens {
+                    if let Some(conn) = conns.get_mut(&token) {
+                        conn.half_close_read();
+                    }
+                    settle(&poller, state, &mut conns, token);
+                }
+            }
+            if let Some(at) = draining {
+                if conns.is_empty() {
+                    break;
+                }
+                if at.elapsed() >= SHUTDOWN_DRAIN {
+                    // Peers that never drained their responses: force the
+                    // remaining sockets closed rather than hang run().
+                    for (token, conn) in conns.drain() {
+                        let _ = poller.remove(conn.raw_fd());
+                        state.deregister(token);
+                    }
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Accepts every pending connection (nonblocking listener),
+    /// registers it for shutdown and hands connection *k* to loop *k*
+    /// mod `threads`: loop 0 adopts its own at once, the others get
+    /// theirs through their mailbox. Returns the instant the listener
+    /// was muted when `accept` ran out of file descriptors.
+    fn accept_ready(
+        &self,
+        poller: &poll::Poller,
+        conns: &mut HashMap<u64, Conn>,
+        accepted: &mut u64,
+    ) -> Option<Instant> {
+        let state = &*self.state;
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if state.shutting_down.load(Ordering::SeqCst) {
+                        continue; // drop it; we are no longer serving
+                    }
+                    let k = *accepted;
+                    *accepted += 1;
+                    let token = TOKEN_FIRST_CONN + k;
+                    let Ok(conn) = Conn::new(stream, token) else {
+                        continue;
+                    };
+                    state.register(token, conn.stream());
+                    let owner = (k % state.loops.len() as u64) as usize;
+                    match state.loops.get(owner) {
+                        Some(mailbox) if owner != 0 => {
+                            // Push, then wake: the other order lets the
+                            // loop drain the wake, find an empty inbox
+                            // and park with this connection stranded.
+                            lock(&mailbox.inbox).push(conn);
+                            mailbox.waker.wake();
+                        }
+                        _ => adopt(poller, state, conns, conn),
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                    let _ = poller.modify(self.listener.as_raw_fd(), TOKEN_LISTENER, 0);
+                    return Some(Instant::now());
+                }
+                // WouldBlock: backlog drained. Anything else: stop for
+                // this round; level-triggered readiness retries.
+                Err(_) => return None,
+            }
+        }
+    }
+
+    /// Reads whatever `conn` has and executes every complete line on
+    /// this thread, in arrival order, queueing each reply behind the
+    /// last; the replies leave in one flush.
+    fn serve_lines(&self, conn: &mut Conn, frames: &mut Vec<Frame>) {
+        frames.clear();
+        conn.pump(frames);
+        for frame in frames.drain(..) {
             let reply = match frame {
-                Frame::Line(line) => wire::execute(opened, writable, &line),
+                Frame::Line(line) => wire::execute(&self.opened, self.writable, &line),
                 Frame::Oversized => wire::oversized_reply(),
             };
-            bytes.extend_from_slice(reply.line.as_bytes());
-            bytes.push(b'\n');
+            conn.queue_line(&reply.line);
             if reply.shutdown {
                 // The ack is the last response this connection gets;
                 // any frames pipelined behind it are dropped.
-                shutdown = true;
-                break;
-            }
-        }
-        if done_tx
-            .send(Done {
-                token: job.token,
-                bytes,
-                shutdown,
-            })
-            .is_err()
-        {
-            return;
-        }
-        state.waker.wake();
-    }
-}
-
-/// The readiness loop: accepts, frames, dispatches, collects, flushes.
-fn event_loop(
-    server: &Server,
-    poller: &poll::Poller,
-    job_tx: mpsc::Sender<Job>,
-    done_rx: &mpsc::Receiver<Done>,
-) -> Result<(), Error> {
-    let state = &server.state;
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut events = vec![poll::Event::zeroed(); EVENTS_PER_WAIT];
-    let mut next_token = TOKEN_FIRST_CONN;
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut accepting = true;
-    // Set once the shutdown sweep has run; bounds the remaining drain.
-    let mut draining: Option<Instant> = None;
-
-    loop {
-        let timeout_ms = match draining {
-            None => -1,
-            Some(at) => {
-                let left = SHUTDOWN_DRAIN.saturating_sub(at.elapsed());
-                left.as_millis().min(i32::MAX as u128) as i32
-            }
-        };
-        let n = poller.wait(&mut events, timeout_ms)?;
-        for &ev in events.iter().take(n) {
-            match ev.token() {
-                TOKEN_LISTENER => {
-                    if accepting {
-                        accept_ready(server, poller, &mut conns, &mut next_token);
-                    }
-                }
-                TOKEN_WAKER => {
-                    state.waker.drain();
-                }
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    let ready = ev.readiness();
-                    if ready & poll::ERR != 0 {
-                        conn.mark_fatal();
-                    }
-                    if ready & poll::OUT != 0 {
-                        conn.flush();
-                    }
-                    if ready & (poll::IN | poll::HUP | poll::RDHUP) != 0 {
-                        pump_and_dispatch(conn, &job_tx, &mut frames);
-                    }
-                    settle(poller, state, &mut conns, token);
-                }
-            }
-        }
-        // Collect completed bursts: responses queue in request order
-        // and flush coalesced; freed connections may dispatch the next
-        // burst immediately.
-        while let Ok(done) = done_rx.try_recv() {
-            let Some(conn) = conns.get_mut(&done.token) else {
-                continue; // connection died while its burst executed
-            };
-            conn.set_in_flight(false);
-            conn.queue_response(&done.bytes);
-            if done.shutdown {
                 conn.half_close_read();
-                state.trigger();
-            }
-            conn.flush();
-            if !conn.finished() && draining.is_none() {
-                pump_and_dispatch(conn, &job_tx, &mut frames);
-            }
-            settle(poller, state, &mut conns, done.token);
-        }
-        // Shutdown sweep, once: stop accepting, half-close every read
-        // side (the trigger thread already half-closed registered
-        // streams; this also covers conns it raced with), then drain.
-        if draining.is_none() && state.shutting_down.load(Ordering::SeqCst) {
-            draining = Some(Instant::now());
-            if accepting {
-                accepting = false;
-                let _ = poller.remove(server.listener.as_raw_fd());
-            }
-            let tokens: Vec<u64> = conns.keys().copied().collect();
-            for token in tokens {
-                if let Some(conn) = conns.get_mut(&token) {
-                    conn.half_close_read();
-                }
-                settle(poller, state, &mut conns, token);
-            }
-        }
-        if let Some(at) = draining {
-            if conns.is_empty() {
-                break;
-            }
-            if at.elapsed() >= SHUTDOWN_DRAIN {
-                // Peers that never drained their responses: force the
-                // remaining sockets closed rather than hang run().
-                for (token, conn) in conns.drain() {
-                    let _ = poller.remove(conn.raw_fd());
-                    state.deregister(token);
-                }
+                self.state.trigger();
                 break;
             }
         }
+        conn.flush();
     }
-    Ok(())
 }
 
-/// Accepts every pending connection (nonblocking listener) and
-/// registers it with the poller and the shutdown registry.
-fn accept_ready(
-    server: &Server,
+/// Locks an inbox; a panic elsewhere cannot leave a `Vec` of
+/// connections half-updated, so a poisoned lock is still usable.
+fn lock(inbox: &Mutex<Vec<Conn>>) -> std::sync::MutexGuard<'_, Vec<Conn>> {
+    inbox.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Registers `conn` with this loop's poller and takes ownership of it.
+fn adopt(
     poller: &poll::Poller,
+    state: &ServerState,
     conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
+    mut conn: Conn,
 ) {
-    loop {
-        match server.listener.accept() {
-            Ok((stream, _)) => {
-                if server.state.shutting_down.load(Ordering::SeqCst) {
-                    continue; // drop it; we are no longer serving
-                }
-                let token = *next_token;
-                *next_token += 1;
-                let Ok(mut conn) = Conn::new(stream, token) else {
-                    continue;
-                };
-                server.state.register(token, conn.stream());
-                if poller.add(conn.raw_fd(), token, poll::IN).is_ok() {
-                    conn.registered = poll::IN;
-                    conns.insert(token, conn);
-                } else {
-                    server.state.deregister(token);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // WouldBlock: backlog drained. Anything else (EMFILE & co):
-            // stop for this round; level-triggered readiness retries.
-            Err(_) => break,
-        }
-    }
-}
-
-/// Reads whatever `conn` has and, if that produced at least one
-/// complete frame, dispatches the burst to the worker pool.
-fn pump_and_dispatch(conn: &mut Conn, job_tx: &mpsc::Sender<Job>, frames: &mut Vec<Frame>) {
-    if conn.is_in_flight() {
-        return; // the completion path will pump again
-    }
-    frames.clear();
-    conn.pump(frames);
-    if !frames.is_empty() {
-        conn.set_in_flight(true);
-        // Send can only fail once workers are gone, i.e. never while
-        // the loop runs; a lost burst at teardown is indistinguishable
-        // from shutdown dropping undispatched requests.
-        let _ = job_tx.send(Job {
-            token: conn.token(),
-            frames: std::mem::take(frames),
-        });
+    let token = conn.token();
+    if poller.add(conn.raw_fd(), token, poll::IN).is_ok() {
+        conn.registered = poll::IN;
+        conns.insert(token, conn);
+    } else {
+        state.deregister(token);
     }
 }
 
@@ -798,14 +808,13 @@ mod tests {
         let handle = server.handle();
         let runner = std::thread::spawn(move || server.run().unwrap());
 
-        // Far more idle connections than worker threads — under the
-        // blocking design these would exhaust the pool.
+        // Far more idle connections than event loops.
         let idle: Vec<TcpStream> = (0..16).map(|_| TcpStream::connect(addr).unwrap()).collect();
         assert_eq!(
             roundtrip(addr, r#"{"id":1,"op":"ping"}"#),
             r#"{"id":1,"ok":true,"op":"ping"}"#
         );
-        // Idle sockets are still alive: they answer after the worker.
+        // Idle sockets are still alive: they answer afterwards.
         for (i, s) in idle.iter().enumerate() {
             let mut reader = BufReader::new(s.try_clone().unwrap());
             (s).set_read_timeout(Some(std::time::Duration::from_secs(5)))

@@ -410,6 +410,8 @@ fn parse_fsync(s: &str) -> Result<FsyncPolicy, String> {
 
 /// `utcq serve`: keep the container open and answer the `PROTOCOL.md`
 /// wire protocol over TCP until a `shutdown` request arrives.
+/// `--threads N` (default 4) runs N event loops; each owns the
+/// connections handed to it and executes their requests itself.
 ///
 /// Durability and replication flags (see `docs/DURABILITY.md`):
 ///
@@ -453,7 +455,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     println!("listening on {}", server.local_addr());
     std::io::stdout().flush().ok();
     eprintln!(
-        "serving {} ({}, {} trajectories, {}) with {threads} worker threads",
+        "serving {} ({}, {} trajectories, {}) with {threads} event loops",
         args.get("in", "data.utcq"),
         opened.info().shape(),
         opened.len(),
@@ -861,10 +863,9 @@ fn usage() -> String {
      [--profile dk|cd|hz|tiny] \
      [--trajs N] [--seed S] [--in FILE] [--out FILE] [-n N] [--alpha A] [--limit L] \
      [--shards N] [--shard-by time|region] [--shard-interval S] [--shard-grid N] \
-     [--cache-bytes N] [--cache-stats] [--addr HOST:PORT] [--threads N] [--writable] \
-     [--pipeline N]\n\
-     serve durability: [--wal FILE] [--fsync always|never|every:N] \
-     [--checkpoint-bytes N] [--follow HOST:PORT]\n\
+     [--cache-bytes N] [--cache-stats] [--addr HOST:PORT] [--writable] [--pipeline N]\n\
+     serve: [--threads N] (event loops, default 4) \
+     [--wal FILE] [--fsync always|never|every:N] [--checkpoint-bytes N] [--follow HOST:PORT]\n\
      audit: utcq audit <lint|fuzz|sched> [--root DIR] [--iters N] [--seed S] [--replay] \
      [--bound N] [--target container|migrate|wire|wal]"
         .to_string()

@@ -269,3 +269,94 @@ fn cli_exits_cleanly_when_stdout_closes() {
         assert!(!said.contains("panicked"), "utcq {args:?}: {said}");
     }
 }
+
+/// A server out of file descriptors waits instead of spinning. Under
+/// `ulimit -n 48`, 64 held connections leave `accept` failing with
+/// `EMFILE` while the connection it cannot take stays queued, so the
+/// listener stays readable. Over a held second the server must spend
+/// well under a second of CPU, and once the connections close it must
+/// answer a fresh one.
+#[test]
+fn serve_waits_out_descriptor_exhaustion_without_spinning() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::process::{Child, Command, Stdio};
+    use std::time::Duration;
+
+    /// Kills the server if an assertion fails first.
+    struct Server(Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    /// utime + stime of `pid`, in seconds.
+    fn cpu_s(pid: u32, ticks_per_s: f64) -> f64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+        // Fields after the parenthesised command name start at field 3
+        // (state); utime and stime are fields 14 and 15.
+        let fields: Vec<&str> = stat
+            .rsplit_once(')')
+            .unwrap()
+            .1
+            .split_whitespace()
+            .collect();
+        let ticks: f64 = fields[11].parse::<f64>().unwrap() + fields[12].parse::<f64>().unwrap();
+        ticks / ticks_per_s
+    }
+
+    let fixture =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tiny_v8.utcq");
+    let child = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -n 48; exec \"$0\" serve --in \"$1\" --addr 127.0.0.1:0 --threads 1")
+        .arg(env!("CARGO_BIN_EXE_utcq"))
+        .arg(&fixture)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("sh runs");
+    let mut server = Server(child);
+    let pid = server.0.id();
+    let mut stdout = BufReader::new(server.0.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .expect(&line)
+        .to_string();
+    let ticks_per_s = Command::new("getconf")
+        .arg("CLK_TCK")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8_lossy(&o.stdout).trim().parse().ok())
+        .unwrap_or(100.0);
+
+    let held: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let before = cpu_s(pid, ticks_per_s);
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = cpu_s(pid, ticks_per_s) - before;
+    assert!(
+        spent < 0.3,
+        "server spent {spent:.2} s of CPU in 1 s without descriptors"
+    );
+
+    drop(held);
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&stream)
+        .write_all(b"{\"id\":1,\"op\":\"ping\"}\n")
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), r#"{"id":1,"ok":true,"op":"ping"}"#);
+    (&stream).write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    assert!(server.0.wait().unwrap().success());
+}

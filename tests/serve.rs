@@ -610,46 +610,50 @@ fn queries_never_block_while_a_writable_server_ingests() {
     // ingest batches while others query; every query must answer with
     // the same bytes it answered before the ingests started (probing a
     // pre-ingested trajectory — append-only ingest cannot change it).
-    let served = Arc::new(open_fixture(3));
-    let server = Server::bind(Arc::clone(&served), "127.0.0.1:0", 4)
-        .expect("bind ephemeral port")
-        .writable(true);
-    let addr = server.local_addr();
-    let runner = ServerRunner(Some(std::thread::spawn(move || {
-        server.run().expect("server run")
-    })));
+    // With fewer loops than connections the writer shares a loop with
+    // readers, which then wait for its ingest but answer the same.
+    for threads in [1, 2, 4] {
+        let served = Arc::new(open_fixture(3));
+        let server = Server::bind(Arc::clone(&served), "127.0.0.1:0", threads)
+            .expect("bind ephemeral port")
+            .writable(true);
+        let addr = server.local_addr();
+        let runner = ServerRunner(Some(std::thread::spawn(move || {
+            server.run().expect("server run")
+        })));
 
-    let probe = r#"{"op":"where","traj":0,"t":71582,"alpha":0}"#;
-    let baseline = Client::connect(addr).roundtrip(probe);
+        let probe = r#"{"op":"where","traj":0,"t":71582,"alpha":0}"#;
+        let baseline = Client::connect(addr).roundtrip(probe);
 
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut w = Client::connect(addr);
-            let (mut tu, _) = writable_probe();
-            for k in 0..4 {
-                tu.id = 200 + k;
-                for t in &mut tu.times {
-                    *t += 600;
-                }
-                let resp = w.roundtrip(&format!(
-                    r#"{{"op":"ingest","trajectories":[{}]}}"#,
-                    trajectory_json(&tu)
-                ));
-                assert!(resp.contains(r#""ok":true"#), "{resp}");
-            }
-        });
-        for _ in 0..3 {
+        std::thread::scope(|scope| {
             scope.spawn(|| {
-                let mut c = Client::connect(addr);
-                for _ in 0..20 {
-                    assert_eq!(c.roundtrip(probe), baseline);
+                let mut w = Client::connect(addr);
+                let (mut tu, _) = writable_probe();
+                for k in 0..4 {
+                    tu.id = 200 + k;
+                    for t in &mut tu.times {
+                        *t += 600;
+                    }
+                    let resp = w.roundtrip(&format!(
+                        r#"{{"op":"ingest","trajectories":[{}]}}"#,
+                        trajectory_json(&tu)
+                    ));
+                    assert!(resp.contains(r#""ok":true"#), "{resp}");
                 }
             });
-        }
-    });
-    assert_eq!(served.len(), 14);
-    Client::connect(addr).roundtrip(r#"{"op":"shutdown"}"#);
-    runner.join();
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let mut c = Client::connect(addr);
+                    for _ in 0..20 {
+                        assert_eq!(c.roundtrip(probe), baseline);
+                    }
+                });
+            }
+        });
+        assert_eq!(served.len(), 14);
+        Client::connect(addr).roundtrip(r#"{"op":"shutdown"}"#);
+        runner.join();
+    }
 }
 
 #[test]
@@ -690,34 +694,38 @@ fn invalid_line_mid_burst_answers_in_order_and_the_connection_survives() {
 fn pipelined_writable_session_matches_offline_replay() {
     // The whole writable session — ingest, queries that must observe
     // the ingest, the duplicate error, shutdown — sent as ONE pipelined
-    // burst before the first response is read. In-order burst execution
-    // makes it byte-identical to the sequential offline replay.
-    let served = Arc::new(open_fixture(3));
-    let offline = open_fixture(3);
-    let server = Server::bind(Arc::clone(&served), "127.0.0.1:0", 2)
-        .expect("bind ephemeral port")
-        .writable(true);
-    let addr = server.local_addr();
-    let runner = ServerRunner(Some(std::thread::spawn(move || {
-        server.run().expect("server run")
-    })));
+    // burst before the first response is read. The loop that owns the
+    // connection executes its lines in order, which makes the session
+    // byte-identical to the sequential offline replay, on one loop or
+    // several.
+    for threads in [1, 2] {
+        let served = Arc::new(open_fixture(3));
+        let offline = open_fixture(3);
+        let server = Server::bind(Arc::clone(&served), "127.0.0.1:0", threads)
+            .expect("bind ephemeral port")
+            .writable(true);
+        let addr = server.local_addr();
+        let runner = ServerRunner(Some(std::thread::spawn(move || {
+            server.run().expect("server run")
+        })));
 
-    let mut client = Client::connect(addr);
-    let lines = writable_session_lines();
-    for line in &lines {
-        client.writer.write_all(line.as_bytes()).expect("send");
-        client.writer.write_all(b"\n").expect("send newline");
+        let mut client = Client::connect(addr);
+        let lines = writable_session_lines();
+        for line in &lines {
+            client.writer.write_all(line.as_bytes()).expect("send");
+            client.writer.write_all(b"\n").expect("send newline");
+        }
+        client.writer.flush().expect("flush burst");
+        for line in &lines {
+            let online = client.recv().expect("burst response");
+            assert_eq!(online, wire::execute(&offline, true, line).line, "{line}");
+        }
+        // The burst ended in shutdown: the server drains and closes.
+        assert_eq!(client.recv(), None, "clean EOF after the shutdown ack");
+        runner.join();
+        assert_eq!(served.len(), 11);
+        assert_eq!(offline.len(), 11);
     }
-    client.writer.flush().expect("flush burst");
-    for line in &lines {
-        let online = client.recv().expect("burst response");
-        assert_eq!(online, wire::execute(&offline, true, line).line, "{line}");
-    }
-    // The burst ended in shutdown: the server drains and closes.
-    assert_eq!(client.recv(), None, "clean EOF after the shutdown ack");
-    runner.join();
-    assert_eq!(served.len(), 11);
-    assert_eq!(offline.len(), 11);
 }
 
 #[test]
