@@ -68,7 +68,7 @@ mod tests {
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
     use utcq_core::shard::ByTime;
-    use utcq_core::{CompressParams, Opened, QueryTarget, StoreBuilder, WalConfig};
+    use utcq_core::{CompressParams, QueryTarget, Store, StoreBuilder, WalConfig};
     use utcq_datagen::profile;
     use utcq_traj::Dataset;
 
@@ -88,9 +88,8 @@ mod tests {
         (Arc::new(net), a, b)
     }
 
-    /// The offline build of one store shape, as the live handle a
-    /// reopen of its container yields.
-    type Build = fn(&Arc<utcq_network::RoadNetwork>, &Dataset) -> Opened;
+    /// The offline build of one store shape.
+    type Build = fn(&Arc<utcq_network::RoadNetwork>, &Dataset) -> Store;
 
     fn builder(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> StoreBuilder {
         StoreBuilder::new(
@@ -99,27 +98,26 @@ mod tests {
         )
     }
 
-    fn build(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> Opened {
+    fn build(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> Store {
         let b = builder(net, ds).ingest(ds).expect("ingest");
-        Opened::Single(Box::new(b.finish().expect("build store")))
+        b.finish().expect("build store")
     }
 
-    fn build_sharded(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> Opened {
+    fn build_sharded(net: &Arc<utcq_network::RoadNetwork>, ds: &Dataset) -> Store {
         let b = builder(net, ds)
             .shard_by(Arc::new(ByTime { interval_s: 120 }), 3)
             .and_then(|b| b.ingest(ds))
             .expect("ingest");
-        Opened::Sharded(Box::new(b.finish().expect("build sharded store")))
+        b.finish().expect("build sharded store")
     }
 
-    fn save(store: &Opened, path: &Path) {
-        let (Opened::Single(s) | Opened::Sharded(s)) = store;
-        s.save(path).expect("save");
+    fn save(store: &Store, path: &Path) {
+        store.save(path).expect("save");
     }
 
     /// Saves `store` and returns the container bytes — the
     /// byte-identity probe every crash case is judged by.
-    fn container_bytes(store: &Opened, dir: &Path, name: &str) -> Vec<u8> {
+    fn container_bytes(store: &Store, dir: &Path, name: &str) -> Vec<u8> {
         let p = dir.join(name);
         save(store, &p);
         std::fs::read(&p).expect("read saved container")
@@ -147,18 +145,18 @@ mod tests {
                 save(&build(&net, &a), &container);
 
                 let wal_cfg = || WalConfig::new(dir.join("log.wal"));
-                let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+                let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
                 let epoch_before = store.epoch();
                 let crashed = crash_at(label, || store.ingest(&b));
                 assert!(crashed.is_none(), "{shape} {label}: crash point must fire");
                 drop(store);
 
                 // The process "died"; reopen from disk and replay.
-                let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+                let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
                 let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
 
                 // Reference: the same history executed without a crash.
-                let reference = Opened::open(&container).expect("reference open");
+                let reference = Store::open(&container).expect("reference open");
                 if survives {
                     reference.ingest(&b).expect("reference ingest");
                 }
@@ -188,7 +186,7 @@ mod tests {
         save(&build(&net, &a), &container);
         let wal_path = dir.join("log.wal");
 
-        let store = Opened::open_durable(&container, WalConfig::new(&wal_path)).expect("open");
+        let store = Store::open_durable(&container, WalConfig::new(&wal_path)).expect("open");
         store.ingest(&b).expect("ingest");
         drop(store);
 
@@ -196,9 +194,9 @@ mod tests {
         let bytes = std::fs::read(&wal_path).expect("read wal");
         std::fs::write(&wal_path, &bytes[..bytes.len() - 7]).expect("tear");
 
-        let reopened = Opened::open_durable(&container, WalConfig::new(&wal_path)).expect("reopen");
+        let reopened = Store::open_durable(&container, WalConfig::new(&wal_path)).expect("reopen");
         let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
-        let expected = container_bytes(&Opened::open(&container).expect("ref"), &dir, "ref.utcq");
+        let expected = container_bytes(&Store::open(&container).expect("ref"), &dir, "ref.utcq");
         assert_eq!(recovered, expected, "torn batch must be dropped cleanly");
         assert_eq!(reopened.epoch(), 0);
         // And the truncation is physical: a second reopen starts from a
@@ -221,7 +219,7 @@ mod tests {
         save(&build(&net, &a), &container);
         let wal_cfg = || WalConfig::new(dir.join("log.wal")).checkpoint_to(&container);
 
-        let store = Opened::open_durable(&container, wal_cfg()).expect("open");
+        let store = Store::open_durable(&container, wal_cfg()).expect("open");
         store.ingest(&b).expect("ingest");
         let log_bytes = store.wal_bytes().expect("wal attached");
         let crashed = crash_at("save.before_rename", || store.checkpoint());
@@ -230,7 +228,7 @@ mod tests {
 
         // Neither side of the checkpoint happened: same log, and the
         // container still opens to the pre-checkpoint state.
-        let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+        let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
         assert_eq!(
             reopened.wal_bytes(),
             Some(log_bytes),
@@ -238,7 +236,7 @@ mod tests {
         );
         assert_eq!(reopened.epoch(), 1, "batch replays");
         let recovered = container_bytes(&reopened, &dir, "recovered.utcq");
-        let reference = Opened::open(&container).expect("ref");
+        let reference = Store::open(&container).expect("ref");
         reference.ingest(&b).expect("reference ingest");
         let expected = container_bytes(&reference, &dir, "ref.utcq");
         assert_eq!(recovered, expected);
@@ -248,7 +246,7 @@ mod tests {
         let report = reopened.checkpoint().expect("checkpoint").expect("report");
         assert_eq!(report.epoch, 1);
         drop(reopened);
-        let fresh = Opened::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
+        let fresh = Store::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
         assert_eq!(fresh.epoch(), 0, "log was truncated");
         assert_eq!(fresh.len(), 6, "checkpointed container holds both batches");
         let _ = std::fs::remove_dir_all(&dir);
@@ -281,17 +279,17 @@ mod tests {
 
                 // A checkpoint whose truncation never happened: the
                 // container holds b1 and the log still carries it.
-                let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+                let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
                 store.ingest(&b1).expect("ingest b1");
                 save(&store, &container);
                 store.ingest(&b2).expect("ingest b2");
                 let expected = container_bytes(&store, &dir, "expected.utcq");
                 drop(store);
 
-                let crashed = crash_at(label, || Opened::open_durable(&container, wal_cfg()));
+                let crashed = crash_at(label, || Store::open_durable(&container, wal_cfg()));
                 let fires = label == "save.before_rename";
                 assert_eq!(crashed.is_none(), fires, "{shape} {label}");
-                let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+                let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
                 assert_eq!(reopened.len(), 6, "{shape} {label}");
                 assert_eq!(reopened.epoch(), 1, "{shape} {label}: b2 replays");
                 let recovered = container_bytes(&reopened, &dir, "recovered.utcq");

@@ -1,10 +1,10 @@
 //! A structure-aware, seeded fuzzer for the parse surfaces that face
 //! untrusted bytes: the binary container loaders (`utcq_core::storage`,
-//! `Store::open`/`Opened::open`), the readers of older containers and
+//! `Store::read`/`Store::open`), the readers of older containers and
 //! logs behind `utcq migrate` (`utcq_legacy`), the serve wire protocol
 //! (`wire::handle_line`) and the write-ahead log, read
 //! (`utcq_core::wal::scan` / `Wal::open`) and replayed into a store
-//! (`Opened::open_durable`).
+//! (`Store::open_durable`).
 //!
 //! No external fuzzing engine (the workspace builds offline): the
 //! corpus is the checked-in fixtures under `tests/fixtures/`, the
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use rand::prelude::*;
 use utcq_core::wal;
 use utcq_core::wire::{self, Json};
-use utcq_core::{Opened, QueryTarget};
+use utcq_core::{QueryTarget, Store};
 
 use crate::quiet::with_quiet_panics;
 
@@ -93,7 +93,7 @@ pub struct Fixtures {
     v1_net: utcq_network::RoadNetwork,
     lines: Vec<String>,
     wals: Vec<Vec<u8>>,
-    opened: Opened,
+    store: Store,
     /// The container logs replay into (`tiny_v8.utcq`).
     replay_base: Vec<u8>,
     scratch: PathBuf,
@@ -111,9 +111,9 @@ impl Fixtures {
         // crafted v8 files each one check away from opening.
         let single = read("tiny_v8.utcq")?;
         let sharded = read("tiny_v8_sharded.utcq")?;
-        let opened = Opened::open(dir.join("tiny_v8.utcq"))
+        let store = Store::open(dir.join("tiny_v8.utcq"))
             .map_err(|e| io::Error::other(format!("open tiny_v8 fixture: {e}")))?;
-        let mut containers = v8_seeds(&single, &sharded, opened.network());
+        let mut containers = v8_seeds(&single, &sharded, store.network());
         containers.extend([single, sharded]);
         // What `utcq migrate` reads, among them every shape of region
         // tuple: v4 (the reader's consume-and-drop path), v5 (fixed-width,
@@ -184,7 +184,7 @@ impl Fixtures {
             r#"{"op":"where","traj":9007199254740993,"t":0,"limit":18446744073709551615}"#.into(),
         );
         lines.push(r#"{"op":"stats"}"#.into());
-        let v1_net = (**opened.network()).clone();
+        let v1_net = (**store.network()).clone();
         let scratch = std::env::temp_dir().join(format!(
             "utcq-audit-fuzz-{}-{:x}.utcq",
             std::process::id(),
@@ -198,7 +198,7 @@ impl Fixtures {
             v1_net,
             lines,
             wals: wal_seed_corpus(&dir)?,
-            opened,
+            store,
             replay_base: fs::read(dir.join("tiny_v8.utcq"))?,
             scratch,
             wal_scratch,
@@ -343,11 +343,11 @@ fn v8_seeds(single: &[u8], sharded: &[u8], net: &utcq_network::RoadNetwork) -> V
 // deliberately ignored.
 
 fn container_harness(fx: &Fixtures, bytes: &[u8]) {
-    let _ = utcq_core::Store::read(&mut &bytes[..]);
-    // The full open path (header sniffing, snapshot build) via the
-    // facade; a scratch file because `open` takes a path.
+    let _ = Store::read(&mut &bytes[..]);
+    // The full open path (header sniffing, snapshot build); a scratch
+    // file because `open` takes a path.
     if fs::write(&fx.scratch, bytes).is_ok() {
-        let _ = Opened::open(&fx.scratch);
+        let _ = Store::open(&fx.scratch);
     }
 }
 
@@ -368,7 +368,7 @@ fn wire_harness(fx: &Fixtures, bytes: &[u8]) {
         return; // requests are lines of text by construction
     };
     let _ = Json::parse(line);
-    let _ = wire::handle_line(&fx.opened, line);
+    let _ = wire::handle_line(&fx.store, line);
 }
 
 fn wal_harness(fx: &Fixtures, bytes: &[u8]) {
@@ -381,7 +381,7 @@ fn wal_harness(fx: &Fixtures, bytes: &[u8]) {
         let cfg = || wal::WalConfig::new(&fx.wal_scratch);
         let _ = wal::Wal::open(&cfg());
         if fs::write(&fx.scratch, &fx.replay_base).is_ok() {
-            let _ = Opened::open_durable(&fx.scratch, cfg());
+            let _ = Store::open_durable(&fx.scratch, cfg());
         }
     }
 }

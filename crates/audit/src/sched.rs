@@ -489,7 +489,7 @@ pub fn explore(name: &str, opts: SchedOpts, factory: &dyn Fn() -> Scenario) -> O
 use std::sync::OnceLock;
 use utcq_core::snapshot::Swap;
 use utcq_core::store::StoreBuilder;
-use utcq_core::{CompressParams, Opened, PageRequest, QueryTarget, ShardPolicy, Store, WalConfig};
+use utcq_core::{CompressParams, PageRequest, QueryTarget, ShardPolicy, Store, WalConfig};
 use utcq_traj::Dataset;
 
 /// The shared tiny dataset: generated once, split into an initial
@@ -908,9 +908,8 @@ pub fn wal_append_vs_publish() -> Scenario {
     let container = dir.join("c.utcq");
     build_store().save(&container).expect("seed container");
     let wal_path = dir.join("log.wal");
-    let store = Arc::new(
-        Opened::open_durable(&container, WalConfig::new(&wal_path)).expect("open durable"),
-    );
+    let store =
+        Arc::new(Store::open_durable(&container, WalConfig::new(&wal_path)).expect("open durable"));
 
     let writer = {
         let store = Arc::clone(&store);

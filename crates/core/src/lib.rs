@@ -50,17 +50,15 @@
 //!   [`Store::checkpoint`] and the `tail` reads make it durable — the
 //!   writer lock, publish-epoch counter and WAL slot they share live in
 //!   the private `live` module), persisted as one v8 container at any
-//!   partition count, queried through paginated entry points backed by
-//!   the decode cache and query plans;
+//!   partition count ([`Store::open`], or [`Store::open_durable`] with a
+//!   write-ahead log), queried through paginated entry points backed by
+//!   the decode cache and query plans, and described by the one
+//!   [`InfoReport`] both `utcq info` and the serve protocol render;
 //! * [`shard`] — the routing policies ([`shard::ShardPolicy`]:
 //!   time-interval or road-network-region) that
 //!   [`StoreBuilder::shard_by`] places trajectories with, and the
 //!   cursor rule; answers do not depend on the partitioning, which
 //!   `tests/shard_equivalence.rs` asserts;
-//! * [`opened`] — [`Opened`], a [`Store`] opened from *any*
-//!   self-contained or sharded container (it derefs to the store), plus
-//!   the shared [`opened::InfoReport`] presentation both `utcq info` and
-//!   the serve protocol render;
 //! * [`wire`] — the serve wire protocol: hand-rolled newline-delimited
 //!   JSON requests/responses (documented in `PROTOCOL.md`), with
 //!   [`wire::execute`] as the single executor behind both the TCP
@@ -199,9 +197,10 @@ pub mod decompress;
 pub mod error;
 pub mod factor;
 pub mod flagarr;
+#[doc(hidden)]
+pub mod harness;
 pub mod hooks;
 mod live;
-pub mod opened;
 pub mod oracle;
 mod par;
 pub mod params;
@@ -225,12 +224,13 @@ pub use cache::{CacheStats, DEFAULT_CACHE_BYTES};
 pub use compress::{compress_dataset, compress_trajectory, CompressedDataset, Ratios};
 pub use decompress::{decompress_dataset, decompress_trajectory};
 pub use error::Error;
-pub use opened::{InfoReport, Opened};
+#[doc(hidden)]
+pub use harness::Opened;
 pub use params::CompressParams;
 pub use query::{Page, PageRequest, QueryTarget, RangeQuery, WhenHit, WhereHit};
 pub use serve::{Server, ServerHandle};
 pub use shard::{ByRegion, ByTime, ShardPolicy, ShardSpec};
 pub use snapshot::{Partition, Snapshot};
 pub use stiu::StiuParams;
-pub use store::{IngestReport, Store, StoreBuilder};
+pub use store::{InfoReport, IngestReport, Store, StoreBuilder};
 pub use wal::{CheckpointReport, FsyncPolicy, WalConfig};

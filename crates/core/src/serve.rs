@@ -1,8 +1,8 @@
-//! A long-lived TCP query server over an opened container.
+//! A long-lived TCP query server over one store.
 //!
-//! [`Server`] binds a [`std::net::TcpListener`], opens the container
-//! **once** (through the [`Opened`] facade, so single-store and
-//! sharded containers are served identically) and answers the
+//! [`Server`] binds a [`std::net::TcpListener`] over a [`Store`] opened
+//! **once** (at any partition count, so single-store and sharded
+//! containers are served identically) and answers the
 //! newline-delimited JSON protocol
 //! of [`crate::wire`] — `PROTOCOL.md` documents the format. The decode
 //! cache and query plans live in the shared store, so they stay warm
@@ -64,6 +64,7 @@
 //!    by a drain deadline for peers that never read, and
 //! 3. returns; [`Server::run`] returns once every loop has.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -74,8 +75,8 @@ use std::time::{Duration, Instant};
 
 use crate::conn::{Conn, Frame};
 use crate::error::Error;
-use crate::opened::Opened;
 use crate::poll;
+use crate::store::Store;
 use crate::wire;
 
 pub use crate::conn::DRAIN_BUDGET_BYTES;
@@ -207,19 +208,21 @@ impl ServerHandle {
 /// ```no_run
 /// use std::sync::Arc;
 /// use utcq_core::serve::Server;
-/// use utcq_core::Opened;
+/// use utcq_core::Store;
 ///
 /// # fn main() -> Result<(), utcq_core::Error> {
-/// let opened = Arc::new(Opened::open("data.utcq")?);
+/// let store = Arc::new(Store::open("data.utcq")?);
 /// // Port 0 = ephemeral; read the real port back before blocking.
-/// let server = Server::bind(opened, "127.0.0.1:0", 4)?;
+/// let server = Server::bind(store, "127.0.0.1:0", 4)?;
 /// println!("listening on {}", server.local_addr());
 /// server.run()?; // blocks until a shutdown request arrives
 /// # Ok(()) }
 /// ```
 pub struct Server {
     listener: TcpListener,
-    opened: Arc<Opened>,
+    /// The store every loop executes against: an `Arc<Store>`, or
+    /// anything else that lends one.
+    store: Arc<dyn Borrow<Store> + Send + Sync>,
     /// Whether `ingest` requests are honored (`utcq serve --writable`).
     /// Read-only servers answer them with the `read_only` error code.
     writable: bool,
@@ -227,11 +230,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (use port `0` for an ephemeral port) over an opened
-    /// container. `threads` is the number of event loops (clamped to
-    /// ≥ 1); connection count is independent of it. The server starts
-    /// read-only; see [`Server::writable`].
-    pub fn bind(opened: Arc<Opened>, addr: &str, threads: usize) -> Result<Self, Error> {
+    /// Binds `addr` (use port `0` for an ephemeral port) over a store,
+    /// usually an `Arc<Store>`. `threads` is the number of event loops
+    /// (clamped to ≥ 1); connection count is independent of it. The
+    /// server starts read-only; see [`Server::writable`].
+    pub fn bind<S: Borrow<Store> + Send + Sync + 'static>(
+        store: Arc<S>,
+        addr: &str,
+        threads: usize,
+    ) -> Result<Self, Error> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let loops = (0..threads.max(1))
@@ -244,7 +251,7 @@ impl Server {
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Self {
             listener,
-            opened,
+            store,
             writable: false,
             state: Arc::new(ServerState {
                 shutting_down: AtomicBool::new(false),
@@ -319,6 +326,7 @@ impl Server {
         let Some(mailbox) = state.loops.get(index) else {
             return Ok(());
         };
+        let store: &Store = (*self.store).borrow();
         let poller = poll::Poller::new()?;
         poller.add(mailbox.waker.fd(), TOKEN_WAKER, poll::IN)?;
         let listener = self.listener.as_raw_fd();
@@ -367,7 +375,7 @@ impl Server {
                             conn.flush();
                         }
                         if ready & (poll::IN | poll::HUP | poll::RDHUP) != 0 {
-                            self.serve_lines(conn, &mut frames);
+                            self.serve_lines(store, conn, &mut frames);
                         }
                         settle(&poller, state, &mut conns, token);
                     }
@@ -479,12 +487,12 @@ impl Server {
     /// Reads whatever `conn` has and executes every complete line on
     /// this thread, in arrival order, queueing each reply behind the
     /// last; the replies leave in one flush.
-    fn serve_lines(&self, conn: &mut Conn, frames: &mut Vec<Frame>) {
+    fn serve_lines(&self, store: &Store, conn: &mut Conn, frames: &mut Vec<Frame>) {
         frames.clear();
         conn.pump(frames);
         for frame in frames.drain(..) {
             let reply = match frame {
-                Frame::Line(line) => wire::execute(&self.opened, self.writable, &line),
+                Frame::Line(line) => wire::execute(store, self.writable, &line),
                 Frame::Oversized => wire::oversized_reply(),
             };
             conn.queue_line(&reply.line);
@@ -607,28 +615,25 @@ fn sleep_unless_stopped(total: std::time::Duration, stop: &AtomicBool) {
 /// * the leader answers `no_wal` — it was started without `--wal`;
 /// * an applied batch publishes under a different epoch than the leader
 ///   recorded (the stores have diverged).
-pub fn follow(opened: &Opened, leader: &str, stop: &AtomicBool) -> Result<(), Error> {
+pub fn follow(store: &Store, leader: &str, stop: &AtomicBool) -> Result<(), Error> {
     let mut attempt: u32 = 0;
     while !stop.load(Ordering::SeqCst) {
-        let stream = match TcpStream::connect(leader) {
-            Ok(s) => s,
-            Err(_) => {
-                sleep_unless_stopped(reconnect_backoff(attempt), stop);
-                attempt = attempt.saturating_add(1);
-                continue;
-            }
+        // A failed `dup` (EMFILE, once `connect` took the last
+        // descriptor) backs off like a failed connect, not at once.
+        let halves = TcpStream::connect(leader).and_then(|s| Ok((s.try_clone()?, s)));
+        let Ok((read_half, stream)) = halves else {
+            sleep_unless_stopped(reconnect_backoff(attempt), stop);
+            attempt = attempt.saturating_add(1);
+            continue;
         };
         // A read timeout keeps a hung leader from pinning the loop; a
         // timed-out read is treated like a disconnect.
         let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(5)));
-        let Ok(read_half) = stream.try_clone() else {
-            continue;
-        };
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
         attempt = 0;
         while !stop.load(Ordering::SeqCst) {
-            let from = opened.epoch();
+            let from = store.epoch();
             let request = format!("{{\"op\":\"tail\",\"from\":{from}}}\n");
             if writer
                 .write_all(request.as_bytes())
@@ -658,7 +663,7 @@ pub fn follow(opened: &Opened, leader: &str, stop: &AtomicBool) -> Result<(), Er
                 continue;
             }
             for (leader_epoch, batch) in &batches {
-                let report = opened.ingest(batch)?;
+                let report = store.ingest(batch)?;
                 if report.epoch != *leader_epoch {
                     return Err(Error::Io(std::io::Error::other(format!(
                         "follower diverged from {leader}: batch recorded at leader epoch \
@@ -678,7 +683,6 @@ mod tests {
     use super::*;
     use crate::params::CompressParams;
     use crate::stiu::StiuParams;
-    use crate::store::Store;
     use std::io::Read;
     use utcq_traj::{paper_fixture, Dataset};
 
@@ -694,7 +698,7 @@ mod tests {
         assert!(reconnect_backoff(u32::MAX) < BACKOFF_CAP * 3 / 2);
     }
 
-    fn paper_opened() -> Arc<Opened> {
+    fn paper_store() -> Arc<Store> {
         let fx = paper_fixture::build();
         let ds = Dataset {
             name: "paper".into(),
@@ -711,7 +715,7 @@ mod tests {
             },
         )
         .unwrap();
-        Arc::new(Opened::Single(Box::new(store)))
+        Arc::new(store)
     }
 
     fn roundtrip(addr: SocketAddr, request: &str) -> String {
@@ -728,7 +732,7 @@ mod tests {
 
     #[test]
     fn serves_and_shuts_down_over_tcp() {
-        let server = Server::bind(paper_opened(), "127.0.0.1:0", 2).unwrap();
+        let server = Server::bind(paper_store(), "127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().unwrap());
 
@@ -762,7 +766,7 @@ mod tests {
 
     #[test]
     fn handle_shuts_down_without_a_client() {
-        let server = Server::bind(paper_opened(), "127.0.0.1:0", 1).unwrap();
+        let server = Server::bind(paper_store(), "127.0.0.1:0", 1).unwrap();
         let handle = server.handle();
         let runner = std::thread::spawn(move || server.run().unwrap());
         handle.shutdown();
@@ -771,7 +775,7 @@ mod tests {
 
     #[test]
     fn pipelined_burst_answers_in_request_order() {
-        let server = Server::bind(paper_opened(), "127.0.0.1:0", 2).unwrap();
+        let server = Server::bind(paper_store(), "127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
         let handle = server.handle();
         let runner = std::thread::spawn(move || server.run().unwrap());
@@ -803,7 +807,7 @@ mod tests {
 
     #[test]
     fn idle_connections_survive_while_others_work() {
-        let server = Server::bind(paper_opened(), "127.0.0.1:0", 2).unwrap();
+        let server = Server::bind(paper_store(), "127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
         let handle = server.handle();
         let runner = std::thread::spawn(move || server.run().unwrap());
@@ -846,7 +850,7 @@ mod tests {
     fn follower_streams_batches_and_stays_byte_identical() {
         // Leader: paper store with a WAL attached (the tail op reads
         // the log).
-        let leader = paper_opened();
+        let leader = paper_store();
         let dir = std::env::temp_dir().join(format!("utcq-follow-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let wal_path = dir.join("leader.wal");
@@ -862,12 +866,12 @@ mod tests {
         let runner = std::thread::spawn(move || server.run().unwrap());
 
         // Follower: an identical store, tailing the leader.
-        let follower = paper_opened();
+        let follower = paper_store();
         let stop = Arc::new(AtomicBool::new(false));
-        let f_opened = Arc::clone(&follower);
+        let f_store = Arc::clone(&follower);
         let f_stop = Arc::clone(&stop);
         let leader_addr = addr.to_string();
-        let tail = std::thread::spawn(move || follow(&f_opened, &leader_addr, &f_stop).unwrap());
+        let tail = std::thread::spawn(move || follow(&f_store, &leader_addr, &f_stop).unwrap());
 
         // Publish a batch on the leader over the wire.
         let fx = paper_fixture::build();

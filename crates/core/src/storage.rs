@@ -99,6 +99,18 @@ pub const ROUTING_REGION: u8 = 2;
 /// Routing kind: no policy, one partition (`param` = 0).
 pub const ROUTING_SINGLE: u8 = 3;
 
+/// The name of a routing kind, as `utcq info`'s `format:` line prints
+/// it; `?` for a kind no `ROUTING_*` constant names.
+pub(crate) fn routing_name(kind: u8) -> &'static str {
+    match kind {
+        ROUTING_CUSTOM => "custom",
+        ROUTING_TIME => "time",
+        ROUTING_REGION => "region",
+        ROUTING_SINGLE => "single",
+        _ => "?",
+    }
+}
+
 /// The fixed-size head of a v8 container: how the trajectories were
 /// routed to partitions, and how many there are. Metadata for reopening
 /// — query execution finds a trajectory through the id map.

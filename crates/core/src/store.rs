@@ -6,7 +6,11 @@
 //! compressed and indexed as it arrives, into one partition or, after
 //! [`StoreBuilder::shard_by`], into the one a routing policy picks
 //! ([`crate::shard`]) — or opened with [`Store::open`] from a v8
-//! container: one road network, then one body per partition.
+//! container: one road network, then one body per partition
+//! ([`Store::open_durable`] also replays and keeps a write-ahead log).
+//! [`Store::info`] returns the one [`InfoReport`] that `utcq info` and
+//! the serve `info` response render; the `render_*` tables `utcq info`
+//! prints under it are here too.
 //!
 //! All read state is one immutable [`Snapshot`] behind an `Arc`: every
 //! partition at one epoch and the store's one id map, id → (partition,
@@ -37,6 +41,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use utcq_network::{EdgeId, Rect, RoadNetwork};
+use utcq_traj::size::SizeBreakdown;
 use utcq_traj::{Dataset, UncertainTrajectory};
 
 use crate::cache::{CacheStats, DecodeCache, DEFAULT_CACHE_BYTES};
@@ -44,13 +49,13 @@ use crate::chunk::SharedIdMap;
 use crate::compress::{CompressedDataset, Ratios};
 use crate::error::Error;
 use crate::live::{Held, WriterCore};
-use crate::opened::{policy_label, summed_sizes, InfoReport};
 use crate::params::CompressParams;
 use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit};
 use crate::shard::{check_shard_count, ShardPolicy, ShardSpec};
 use crate::snapshot::{Partition, Routing, Snapshot, Swap};
 use crate::stiu::{Stiu, StiuParams};
 use crate::storage;
+use crate::wal::WalConfig;
 
 /// What one [`Store::ingest`] publication did — echoed verbatim by
 /// the serve protocol's `ingest` response.
@@ -361,6 +366,29 @@ impl Store {
         Ok(store)
     }
 
+    /// Opens a container with a write-ahead log sidecar — the one
+    /// durable opener: any batches in the log are replayed on top of the
+    /// container (byte-identical to having ingested them live), a torn
+    /// final record is truncated away, and later [`Store::ingest`] calls
+    /// append to the log before publishing. The container path becomes
+    /// the checkpoint target unless `cfg` names another.
+    ///
+    /// ```no_run
+    /// use utcq_core::{QueryTarget, Store, WalConfig};
+    /// # fn main() -> Result<(), utcq_core::Error> {
+    /// let store = Store::open_durable("data.utcq", WalConfig::new("data.wal"))?;
+    /// println!("{} trajectories at epoch {}", store.len(), store.epoch());
+    /// # Ok(()) }
+    /// ```
+    pub fn open_durable(path: impl AsRef<Path>, mut cfg: WalConfig) -> Result<Self, Error> {
+        let store = Self::open(&path)?;
+        if cfg.checkpoint_to.is_none() {
+            cfg.checkpoint_to = Some(path.as_ref().to_path_buf());
+        }
+        store.attach_wal(cfg)?;
+        Ok(store)
+    }
+
     /// Reads a container from an arbitrary reader (see [`Store::open`]),
     /// in one pass at any partition count: the head, the one road network
     /// every partition shares, then each partition's body, parsed
@@ -601,6 +629,215 @@ impl Store {
             total,
             epoch,
         })
+    }
+}
+
+// ---------------------------------------------------------------------
+// The report `utcq info` prints and the serve `info` response carries.
+
+/// Raw and compressed footprints summed across partitions.
+fn summed_sizes(parts: &[Arc<Partition>]) -> (SizeBreakdown, SizeBreakdown) {
+    let mut raw = SizeBreakdown::default();
+    let mut compressed = SizeBreakdown::default();
+    for part in parts {
+        raw.add(&part.compressed().raw);
+        compressed.add(&part.compressed().compressed);
+    }
+    (raw, compressed)
+}
+
+/// The human-readable label of a recorded shard policy — `utcq info`'s
+/// `policy` field and the serve `info` response both use it.
+fn policy_label(spec: Option<ShardSpec>) -> String {
+    match spec {
+        Some(ShardSpec::ByTime { interval_s }) => format!("time(interval_s={interval_s})"),
+        Some(ShardSpec::ByRegion { grid_n }) => format!("region(grid_n={grid_n})"),
+        None => "custom".to_string(),
+    }
+}
+
+/// The "format" line `utcq info` prints under the report: what the
+/// file's head records ([`crate::storage::read_head`]).
+pub fn render_format(head: &storage::Head) -> String {
+    let (version, routing) = (storage::VERSION, storage::routing_name(head.kind));
+    let (n, s) = (head.parts, if head.parts == 1 { "" } else { "s" });
+    format!("  format:           v{version}, {n} partition{s}, routing {routing}\n")
+}
+
+/// The "container sections" table `utcq info` prints under the report:
+/// bytes and bytes per trajectory of each part of the container `snap`
+/// saves as, the dataset framing field by field. The snapshot is written
+/// into a sink and the writer's own counters are read, so the table
+/// cannot drift from the format.
+pub fn render_sections(snap: &Snapshot) -> Result<String, Error> {
+    let s = snap.write(&mut std::io::sink())?;
+    let mut rows = vec![("network", s.network), ("payload bits", s.payload)];
+    // `framing` has a slot per field of `storage::FRAMING`.
+    rows.extend(storage::FRAMING.into_iter().zip(s.framing));
+    rows.extend([
+        ("temporal", s.temporal),
+        ("ref tuples", s.ref_tuples),
+        ("nref tuples", s.nref_tuples),
+    ]);
+    let rows = rows
+        .into_iter()
+        .map(|(label, bits)| (label, bits as f64 / 8.0));
+    let rows = Vec::from_iter(rows);
+    let title = "container sections (as written)";
+    Ok(render_table(title, &rows, snap.len()))
+}
+
+/// The "resident" table `utcq info` prints under the sections: heap
+/// bytes and bytes per trajectory of each part a store keeps in memory
+/// once opened, its partitions' summed and its id map once
+/// ([`Snapshot::resident`]; the road network and the decode cache are
+/// not counted).
+pub fn render_resident(snap: &Snapshot) -> String {
+    let rows = snap.resident().0.into_iter();
+    let rows = Vec::from_iter(rows.map(|(part, bytes)| (part, bytes as f64)));
+    render_table("resident (heap, once opened)", &rows, snap.len())
+}
+
+/// `title`, one line per `(label, bytes)` row, and their total.
+fn render_table(title: &str, rows: &[(&str, f64)], trajectories: usize) -> String {
+    use std::fmt::Write as _;
+    let total = rows.iter().map(|(_, bytes)| bytes).sum();
+    let mut out = format!("{title}:\n");
+    for (label, bytes) in rows.iter().copied().chain([("total", total)]) {
+        let _ = writeln!(
+            out,
+            "  {:<19} {bytes:>12.0} B {:>9.1} B/trajectory",
+            format!("{label}:"),
+            bytes / trajectories.max(1) as f64
+        );
+    }
+    out
+}
+
+/// Per-shard occupancy line of an [`InfoReport`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardInfo {
+    /// Trajectories owned by this shard.
+    pub trajectories: usize,
+    /// The shard's total compression ratio.
+    pub ratio: f64,
+}
+
+/// The sharding section of an [`InfoReport`] — present only for a store
+/// with a routing policy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardingInfo {
+    /// Routing policy label, e.g. `time(interval_s=120)`.
+    pub policy: String,
+    /// Per-shard occupancy, in directory order.
+    pub shards: Vec<ShardInfo>,
+}
+
+/// Everything `utcq info` prints and the serve `info` response carries —
+/// derived once from the container, rendered two ways.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct InfoReport {
+    /// Dataset label recorded in the container.
+    pub name: String,
+    /// Total trajectories (across shards, for a sharded container).
+    pub trajectories: usize,
+    /// Total instances across all trajectories.
+    pub instances: usize,
+    /// Error bound `ηD`.
+    pub eta_d: f64,
+    /// Error bound `ηp`.
+    pub eta_p: f64,
+    /// Pivot count used at compression time.
+    pub n_pivots: usize,
+    /// Uncompressed footprint in KiB.
+    pub raw_kib: u64,
+    /// Compressed footprint in KiB.
+    pub compressed_kib: u64,
+    /// Total compression ratio.
+    pub ratio: f64,
+    /// The sharding section; `None` for single-store containers.
+    pub sharding: Option<ShardingInfo>,
+}
+
+impl InfoReport {
+    /// A report over every partition of a store; `policy` is the
+    /// routing-policy label of a sharded one. Parameters and the dataset
+    /// label are every partition's, totals span all of them.
+    fn over(parts: &[Arc<Partition>], policy: Option<String>) -> Self {
+        let Some(first) = parts.first().map(|part| part.compressed()) else {
+            return InfoReport::default();
+        };
+        let cds = || parts.iter().map(|part| part.compressed());
+        let (raw, compressed) = summed_sizes(parts);
+        InfoReport {
+            name: first.name.clone(),
+            trajectories: cds().map(|cds| cds.trajectories.len()).sum(),
+            instances: cds()
+                .flat_map(|cds| &cds.trajectories)
+                .map(|t| t.instance_count())
+                .sum(),
+            eta_d: first.params.eta_d,
+            eta_p: first.params.eta_p,
+            n_pivots: first.params.n_pivots,
+            raw_kib: raw.total() / 8 / 1024,
+            compressed_kib: compressed.total() / 8 / 1024,
+            ratio: Ratios::from_sizes(&raw, &compressed).total,
+            sharding: policy.map(|policy| ShardingInfo {
+                policy,
+                shards: parts
+                    .iter()
+                    .map(|part| ShardInfo {
+                        trajectories: part.len(),
+                        ratio: part.compressed().ratios().total,
+                    })
+                    .collect(),
+            }),
+        }
+    }
+
+    /// The exact text `utcq info` prints. Kept here — next to the
+    /// struct the serve response serializes — so the two presentations
+    /// cannot drift apart.
+    pub fn render(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(out, "container: dataset '{}' ({})", self.name, self.shape());
+        let _ = writeln!(out, "  trajectories:     {}", self.trajectories);
+        let _ = writeln!(out, "  instances:        {}", self.instances);
+        let _ = writeln!(
+            out,
+            "  ηD = {}, ηp = {}, pivots = {}",
+            self.eta_d, self.eta_p, self.n_pivots
+        );
+        let _ = writeln!(out, "  raw:              {} KiB", self.raw_kib);
+        let _ = writeln!(out, "  compressed:       {} KiB", self.compressed_kib);
+        let _ = writeln!(out, "  ratio:            {:.2}", self.ratio);
+        if let Some(sh) = &self.sharding {
+            let _ = writeln!(
+                out,
+                "  shards:           {} (policy {})",
+                sh.shards.len(),
+                sh.policy
+            );
+            for (i, s) in sh.shards.iter().enumerate() {
+                let _ = writeln!(
+                    out,
+                    "  shard {i}: {} trajectories, ratio {:.2}",
+                    s.trajectories, s.ratio
+                );
+            }
+        }
+        out
+    }
+
+    /// `"single"` or `"sharded"` (the store has a routing policy) — the
+    /// label `utcq info` and the serve protocol's `info` response print.
+    pub fn shape(&self) -> &'static str {
+        if self.sharding.is_some() {
+            "sharded"
+        } else {
+            "single"
+        }
     }
 }
 
@@ -947,5 +1184,68 @@ mod tests {
             .unwrap()
             .items
             .is_empty());
+    }
+
+    #[test]
+    fn info_report_matches_shapes() {
+        let fx = paper_fixture::build();
+        let (single, sharded) = (paper_store(&fx), paper_store_in(&fx, 2));
+        let (ia, ib) = (single.info(), sharded.info());
+        assert_eq!(ia.shape(), "single");
+        assert_eq!(ib.shape(), "sharded");
+        assert_eq!(ia.trajectories, ib.trajectories);
+        assert_eq!(ia.instances, ib.instances);
+        assert_eq!(ib.sharding.as_ref().unwrap().shards.len(), 2);
+        assert!(ib
+            .sharding
+            .as_ref()
+            .unwrap()
+            .policy
+            .starts_with("time(interval_s="));
+        let text = ib.render();
+        assert!(text.contains("sharded"), "{text}");
+        assert!(text.contains("shard 0:"), "{text}");
+    }
+
+    #[test]
+    fn policy_labels() {
+        assert_eq!(
+            policy_label(Some(ShardSpec::ByTime { interval_s: 120 })),
+            "time(interval_s=120)"
+        );
+        assert_eq!(
+            policy_label(Some(ShardSpec::ByRegion { grid_n: 8 })),
+            "region(grid_n=8)"
+        );
+        assert_eq!(policy_label(None), "custom");
+    }
+
+    #[test]
+    fn format_line_names_every_routing_kind() {
+        let line = |kind, parts| {
+            render_format(&storage::Head {
+                kind,
+                param: 0,
+                parts,
+            })
+        };
+        let kinds = [
+            (storage::ROUTING_CUSTOM, "custom"),
+            (storage::ROUTING_TIME, "time"),
+            (storage::ROUTING_REGION, "region"),
+            (storage::ROUTING_SINGLE, "single"),
+            (4, "?"),
+            (u8::MAX, "?"),
+        ];
+        for (kind, name) in kinds {
+            assert_eq!(
+                line(kind, 4),
+                format!("  format:           v8, 4 partitions, routing {name}\n")
+            );
+        }
+        assert_eq!(
+            line(storage::ROUTING_SINGLE, 1),
+            "  format:           v8, 1 partition, routing single\n"
+        );
     }
 }

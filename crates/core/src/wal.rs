@@ -1827,7 +1827,7 @@ mod tests {
 
     #[test]
     fn a_failed_checkpoint_keeps_the_log_and_the_store_live() {
-        use crate::{Opened, QueryTarget};
+        use crate::{QueryTarget, Store};
         let faults = [
             SaveFault::WriteAfter(64),
             SaveFault::At("sync"),
@@ -1846,7 +1846,7 @@ mod tests {
             let _ = std::fs::remove_file(&log);
             offline.save(&container).expect("save");
             let saved = std::fs::read(&container).expect("read");
-            let store = Opened::open_durable(&container, WalConfig::new(&log)).expect("open");
+            let store = Store::open_durable(&container, WalConfig::new(&log)).expect("open");
             store.ingest(&batches[1]).expect("ingest");
             let logged = std::fs::read(&log).expect("read log");
             FAIL_SAVE.with(|f| f.set(Some(fault)));
@@ -1869,7 +1869,7 @@ mod tests {
             // the old container, or past the rename the records the new
             // container already holds skipped (the interrupted-checkpoint
             // path).
-            let reopened = Opened::open_durable(&container, WalConfig::new(&log)).expect("reopen");
+            let reopened = Store::open_durable(&container, WalConfig::new(&log)).expect("reopen");
             assert_eq!(reopened.epoch(), if renamed { 1 } else { 2 }, "{fault:?}");
             let mut got = Vec::new();
             reopened.write(&mut got).expect("write");
@@ -1879,14 +1879,14 @@ mod tests {
 
     #[test]
     fn a_checkpoint_whose_cut_fails_to_sync_still_rebases_the_feed() {
-        use crate::{Opened, QueryTarget};
+        use crate::{QueryTarget, Store};
         let (store, batches) = three_batches();
         let log = tmp("checkpoint-cut-sync-fault");
         let container = log.with_file_name("c.utcq");
         let _ = std::fs::remove_file(&log);
         store.save(&container).expect("save");
         let cfg = || WalConfig::new(&log).checkpoint_to(&container);
-        let store = Opened::open_durable(&container, cfg()).expect("open");
+        let store = Store::open_durable(&container, cfg()).expect("open");
         store.ingest(&batches[1]).expect("ingest");
         // The container is saved and the log cut; only the cut's sync
         // fails. The feed must not point past the cut, and the next
@@ -1911,7 +1911,7 @@ mod tests {
         let mut want = Vec::new();
         store.write(&mut want).expect("write");
         drop(store);
-        let reopened = Opened::open_durable(&container, cfg()).expect("reopen");
+        let reopened = Store::open_durable(&container, cfg()).expect("reopen");
         assert_eq!((reopened.epoch(), reopened.len()), (1, 12));
         let mut got = Vec::new();
         reopened.write(&mut got).expect("write");

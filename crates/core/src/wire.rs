@@ -2,10 +2,11 @@
 //!
 //! One request per line, one response line per request — the protocol
 //! [`crate::serve`] speaks over TCP and the CLI's offline `client` mode
-//! executes directly against an opened container. Everything is
-//! hand-rolled on `std` (the workspace builds offline, so no serde/HTTP
-//! dependencies): a [`Json`] value type with a recursive-descent parser
-//! for requests, and string-building serializers for responses.
+//! executes directly against a [`Store`] opened from a container.
+//! Everything is hand-rolled on `std` (the workspace builds offline, so
+//! no serde/HTTP dependencies): a [`Json`] value type with a
+//! recursive-descent parser for requests, and string-building
+//! serializers for responses.
 //!
 //! The full format — request/response shapes, cursor semantics, error
 //! codes — is documented in `PROTOCOL.md` at the repository root; this
@@ -25,9 +26,8 @@
 
 use crate::cache::CacheStats;
 use crate::error::Error;
-use crate::opened::{InfoReport, Opened};
 use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit, DEFAULT_PAGE_LIMIT};
-use crate::store::IngestReport;
+use crate::store::{InfoReport, IngestReport, Store};
 use crate::wal::{CheckpointReport, Record, TailRead};
 use utcq_network::{EdgeId, Rect};
 use utcq_traj::{Dataset, Instance, PathPosition, UncertainTrajectory};
@@ -1100,7 +1100,7 @@ pub struct Reply {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use utcq_core::{CompressParams, Opened, Store, StiuParams};
+/// use utcq_core::{CompressParams, Store, StiuParams};
 /// # fn main() -> Result<(), utcq_core::Error> {
 /// let (net, ds) = utcq_datagen::generate(&utcq_datagen::profile::tiny(), 3, 7);
 /// let store = Store::build(
@@ -1109,14 +1109,13 @@ pub struct Reply {
 ///     CompressParams::with_interval(ds.default_interval),
 ///     StiuParams::default(),
 /// )?;
-/// let opened = Opened::Single(Box::new(store));
-/// let reply = utcq_core::wire::handle_line(&opened, r#"{"op":"ping","id":1}"#);
+/// let reply = utcq_core::wire::handle_line(&store, r#"{"op":"ping","id":1}"#);
 /// assert_eq!(reply.line, r#"{"id":1,"ok":true,"op":"ping"}"#);
 /// assert!(!reply.shutdown);
 /// # Ok(()) }
 /// ```
-pub fn handle_line(opened: &Opened, line: &str) -> Reply {
-    execute(opened, false, line)
+pub fn handle_line(store: &Store, line: &str) -> Reply {
+    execute(store, false, line)
 }
 
 /// The canonical reply to a request line that exceeds
@@ -1131,7 +1130,7 @@ pub fn oversized_reply() -> Reply {
     }
 }
 
-/// Executes one request line against an opened container and serializes
+/// Executes one request line against a store and serializes
 /// the response — the single code path behind both the TCP server and
 /// the CLI's offline `client` mode, which is what makes served and
 /// offline answers byte-identical.
@@ -1142,7 +1141,7 @@ pub fn oversized_reply() -> Reply {
 /// road network, then serialized through the store's writer lock;
 /// concurrent queries keep answering from their pinned snapshots
 /// throughout.
-pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
+pub fn execute(store: &Store, writable: bool, line: &str) -> Reply {
     if line.len() > MAX_REQUEST_BYTES {
         return oversized_reply();
     }
@@ -1164,7 +1163,7 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
             alpha,
             page,
         } => (
-            match opened.where_query(traj, t, alpha, page) {
+            match store.where_query(traj, t, alpha, page) {
                 Ok(p) => respond_where(id, &p),
                 Err(e) => fail(e),
             },
@@ -1177,7 +1176,7 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
             alpha,
             page,
         } => (
-            match opened.when_query(traj, edge, rd, alpha, page) {
+            match store.when_query(traj, edge, rd, alpha, page) {
                 Ok(p) => respond_when(id, &p),
                 Err(e) => fail(e),
             },
@@ -1189,7 +1188,7 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
             alpha,
             page,
         } => (
-            match opened.range_query(&re, tq, alpha, page) {
+            match store.range_query(&re, tq, alpha, page) {
                 Ok(p) => respond_range(id, &p),
                 Err(e) => fail(e),
             },
@@ -1207,12 +1206,12 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
                     "this surface is read-only; restart the server with --writable",
                 )
             } else {
-                run_ingest(opened, trajectories, interval, name, id)
+                run_ingest(store, trajectories, interval, name, id)
             },
             false,
         ),
         Request::Tail { from, max } => (
-            match opened.wal_tail(from, max) {
+            match store.wal_tail(from, max) {
                 None => respond_error(
                     id,
                     "no_wal",
@@ -1238,7 +1237,7 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
                     "this surface is read-only; restart the server with --writable",
                 )
             } else {
-                match opened.checkpoint() {
+                match store.checkpoint() {
                     Ok(Some(report)) => respond_checkpoint(id, &report),
                     Ok(None) => respond_error(
                         id,
@@ -1251,8 +1250,8 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
             },
             false,
         ),
-        Request::Info => (respond_info(id, &opened.info()), false),
-        Request::CacheStats => (respond_cache(id, &opened.cache_stats()), false),
+        Request::Info => (respond_info(id, &store.info()), false),
+        Request::CacheStats => (respond_cache(id, &store.cache_stats()), false),
         Request::Ping => (respond_simple(id, "ping"), false),
         Request::Shutdown => (respond_simple(id, "shutdown"), true),
     };
@@ -1263,7 +1262,7 @@ pub fn execute(opened: &Opened, writable: bool, line: &str) -> Reply {
 /// batch check refuses a malformed trajectory before anything is
 /// published (`bad_request`); failures map through [`error_code`].
 fn run_ingest(
-    opened: &Opened,
+    store: &Store,
     trajectories: Vec<UncertainTrajectory>,
     interval: Option<i64>,
     name: String,
@@ -1271,19 +1270,19 @@ fn run_ingest(
 ) -> String {
     let batch = Dataset {
         name,
-        default_interval: interval.unwrap_or_else(|| opened.default_interval()),
+        default_interval: interval.unwrap_or_else(|| store.default_interval()),
         trajectories,
     };
-    match opened.ingest(&batch) {
+    match store.ingest(&batch) {
         Ok(report) => respond_ingest(id, &report),
         // A duplicate batch may be a client retrying after a lost ack:
         // if the WAL feed holds a record with exactly these
         // trajectories, the batch already published — answer success
         // with its recorded epoch so the retry is idempotent instead of
         // fatal.
-        Err(Error::DuplicateTrajectory(d)) => match opened.wal_dedup(&batch.trajectories) {
+        Err(Error::DuplicateTrajectory(d)) => match store.wal_dedup(&batch.trajectories) {
             Some((epoch, ingested)) => {
-                let total = opened.len();
+                let total = store.len();
                 respond_ingest_deduped(id, ingested, total, epoch)
             }
             None => {
@@ -1300,18 +1299,17 @@ mod tests {
     use super::*;
     use crate::params::CompressParams;
     use crate::stiu::StiuParams;
-    use crate::store::Store;
     use std::sync::Arc;
     use utcq_traj::{paper_fixture, Dataset};
 
-    fn paper_opened() -> Opened {
+    fn paper_store() -> Store {
         let fx = paper_fixture::build();
         let ds = Dataset {
             name: "paper".into(),
             default_interval: paper_fixture::DEFAULT_INTERVAL,
             trajectories: vec![fx.tu.clone()],
         };
-        let store = Store::build(
+        Store::build(
             Arc::new(fx.example.net.clone()),
             &ds,
             CompressParams::with_interval(paper_fixture::DEFAULT_INTERVAL),
@@ -1320,8 +1318,7 @@ mod tests {
                 grid_n: 4,
             },
         )
-        .unwrap();
-        Opened::Single(Box::new(store))
+        .unwrap()
     }
 
     #[test]
@@ -1456,7 +1453,7 @@ mod tests {
     /// never panic.
     #[test]
     fn adversarial_requests_fail_closed() {
-        let opened = paper_opened();
+        let store = paper_store();
 
         // Decimal cursor strings parse across the full u64 range, past
         // i64::MAX …
@@ -1491,7 +1488,7 @@ mod tests {
         // A parseable cursor whose partition tag (its high 16 bits) names
         // no partition of the store is refused, never walked: no panic.
         let reply = handle_line(
-            &opened,
+            &store,
             r#"{"op":"where","traj":1,"t":600,"alpha":0.25,"cursor":"9223372036854775808"}"#,
         );
         assert!(
@@ -1505,7 +1502,7 @@ mod tests {
         assert!(matches!(p.request, Request::Info));
         // Unknown keys (arbitrarily nested) are ignored.
         let reply = handle_line(
-            &opened,
+            &store,
             r#"{"op":"info","future_field":{"deep":[1,[2],{"a":null}]},"x":null}"#,
         );
         assert!(reply.line.contains(r#""ok":true"#), "{}", reply.line);
@@ -1515,7 +1512,7 @@ mod tests {
         let deep = format!("{}1{}", "[".repeat(4096), "]".repeat(4096));
         let e = Json::parse(&deep).unwrap_err();
         assert!(e.contains("nesting"), "{e}");
-        let reply = handle_line(&opened, &deep);
+        let reply = handle_line(&store, &deep);
         assert!(
             reply.line.contains(r#""code":"bad_request""#),
             "{}",
@@ -1531,10 +1528,10 @@ mod tests {
 
     #[test]
     fn handle_line_answers_the_paper_queries() {
-        let opened = paper_opened();
+        let store = paper_store();
         let t = paper_fixture::hms(5, 21, 25);
         let reply = handle_line(
-            &opened,
+            &store,
             &format!(r#"{{"id":1,"op":"where","traj":1,"t":{t},"alpha":0.25}}"#),
         );
         assert!(!reply.shutdown);
@@ -1548,7 +1545,7 @@ mod tests {
         // Pagination mints a cursor string; resuming with it walks on.
         let t0 = paper_fixture::hms(5, 5, 0);
         let first = handle_line(
-            &opened,
+            &store,
             &format!(r#"{{"op":"where","traj":1,"t":{t0},"alpha":0,"limit":2}}"#),
         );
         assert!(
@@ -1558,22 +1555,22 @@ mod tests {
         );
         assert!(first.line.contains(r#""has_more":true"#));
         let rest = handle_line(
-            &opened,
+            &store,
             &format!(r#"{{"op":"where","traj":1,"t":{t0},"alpha":0,"limit":2,"cursor":"2"}}"#),
         );
         assert!(rest.line.contains(r#""has_more":false"#), "{}", rest.line);
 
-        let info = handle_line(&opened, r#"{"op":"info"}"#);
+        let info = handle_line(&store, r#"{"op":"info"}"#);
         assert!(info.line.contains(r#""shape":"single""#), "{}", info.line);
         assert!(info.line.contains(r#""name":"paper""#));
-        let cache = handle_line(&opened, r#"{"op":"cache_stats"}"#);
+        let cache = handle_line(&store, r#"{"op":"cache_stats"}"#);
         assert!(cache.line.contains(r#""cache":{"hits":"#), "{}", cache.line);
 
-        let shutdown = handle_line(&opened, r#"{"op":"shutdown"}"#);
+        let shutdown = handle_line(&store, r#"{"op":"shutdown"}"#);
         assert!(shutdown.shutdown);
         assert_eq!(shutdown.line, r#"{"ok":true,"op":"shutdown"}"#);
 
-        let err = handle_line(&opened, "not json at all");
+        let err = handle_line(&store, "not json at all");
         assert!(err.line.contains(r#""ok":false"#));
         assert!(err.line.contains(r#""code":"bad_request""#));
     }
@@ -1584,7 +1581,7 @@ mod tests {
     /// the stable message — exactly what PROTOCOL.md pins.
     #[test]
     fn adversarial_alpha_values_pin_wire_behavior() {
-        let opened = paper_opened();
+        let store = paper_store();
         let fx = paper_fixture::build();
         let b = fx.example.net.bounding_rect();
         let tq = paper_fixture::hms(5, 21, 25);
@@ -1597,27 +1594,27 @@ mod tests {
 
         // α = 0 matches the fixture trajectory; an absent α is the
         // same request, byte for byte.
-        let zero = handle_line(&opened, &req(r#","alpha":0"#));
+        let zero = handle_line(&store, &req(r#","alpha":0"#));
         assert!(zero.line.contains(r#""items":[1]"#), "{}", zero.line);
-        let absent = handle_line(&opened, &req(""));
+        let absent = handle_line(&store, &req(""));
         assert_eq!(zero.line, absent.line, "absent alpha defaults to 0");
 
         // α = 1 still answers ok; its items are a subset of α = 0's
         // (here: the certain fixture trajectory still qualifies).
-        let one = handle_line(&opened, &req(r#","alpha":1"#));
+        let one = handle_line(&store, &req(r#","alpha":1"#));
         assert!(one.line.contains(r#""ok":true"#), "{}", one.line);
 
         // Out-of-range numerics keep comparison semantics: α < 0
         // filters nothing extra, α > 1 can never be reached.
-        let neg = handle_line(&opened, &req(r#","alpha":-1"#));
+        let neg = handle_line(&store, &req(r#","alpha":-1"#));
         assert_eq!(zero.line, neg.line, "negative alpha behaves like 0");
-        let two = handle_line(&opened, &req(r#","alpha":2"#));
+        let two = handle_line(&store, &req(r#","alpha":2"#));
         assert!(two.line.contains(r#""items":[]"#), "{}", two.line);
         // An overflowing literal (infinity) is the extreme of α > 1…
-        let inf = handle_line(&opened, &req(r#","alpha":1e999"#));
+        let inf = handle_line(&store, &req(r#","alpha":1e999"#));
         assert!(inf.line.contains(r#""items":[]"#), "{}", inf.line);
         // …and negative infinity the extreme of α < 0.
-        let ninf = handle_line(&opened, &req(r#","alpha":-1e999"#));
+        let ninf = handle_line(&store, &req(r#","alpha":-1e999"#));
         assert_eq!(zero.line, ninf.line, "-inf alpha behaves like 0");
 
         // Every non-numeric alpha shape: stable bad_request + message.
@@ -1629,7 +1626,7 @@ mod tests {
             r#","alpha":{"v":0.5}"#,
             r#","alpha":"NaN""#,
         ] {
-            let reply = handle_line(&opened, &req(bad));
+            let reply = handle_line(&store, &req(bad));
             assert!(
                 reply.line.contains(r#""code":"bad_request""#),
                 "{bad}: {}",
@@ -1654,7 +1651,7 @@ mod tests {
 
     #[test]
     fn ingest_parses_validates_and_gates_on_writability() {
-        let opened = paper_opened();
+        let store = paper_store();
         // Parse errors surface as bad_request with a field path.
         let e = parse_request(r#"{"op":"ingest"}"#).unwrap_err();
         assert_eq!(e.code, "bad_request");
@@ -1663,7 +1660,7 @@ mod tests {
 
         // A structurally valid line against a read-only executor.
         let line = r#"{"id":1,"op":"ingest","trajectories":[]}"#;
-        let reply = handle_line(&opened, line);
+        let reply = handle_line(&store, line);
         assert!(
             reply.line.contains(r#""code":"read_only""#),
             "{}",
@@ -1672,7 +1669,7 @@ mod tests {
 
         // The writable executor accepts it (an empty batch publishes
         // nothing and reports the current epoch).
-        let reply = execute(&opened, true, line);
+        let reply = execute(&store, true, line);
         assert_eq!(
             reply.line,
             r#"{"id":1,"ok":true,"op":"ingest","ingested":0,"total":1,"epoch":0}"#
@@ -1680,18 +1677,18 @@ mod tests {
 
         // Network-invalid trajectories are rejected before any publish.
         let bad = r#"{"op":"ingest","trajectories":[{"id":9,"times":[1,2],"instances":[{"prob":1.0,"path":[999999],"positions":[[0,0.5],[0,0.6]]}]}]}"#;
-        let reply = execute(&opened, true, bad);
+        let reply = execute(&store, true, bad);
         assert!(
             reply.line.contains(r#""code":"bad_request""#),
             "{}",
             reply.line
         );
-        assert_eq!(opened.len(), 1, "invalid batches publish nothing");
+        assert_eq!(store.len(), 1, "invalid batches publish nothing");
     }
 
     #[test]
     fn ingest_applies_through_the_writable_executor() {
-        let opened = paper_opened();
+        let store = paper_store();
         // Re-ingest the paper trajectory under a fresh id, shifted out
         // of the original span.
         let fx = paper_fixture::build();
@@ -1732,7 +1729,7 @@ mod tests {
         }
         traj.push_str("]}");
         let line = format!(r#"{{"id":2,"op":"ingest","trajectories":[{traj}]}}"#);
-        let reply = execute(&opened, true, &line);
+        let reply = execute(&store, true, &line);
         assert_eq!(
             reply.line,
             r#"{"id":2,"ok":true,"op":"ingest","ingested":1,"total":2,"epoch":1}"#
@@ -1741,12 +1738,12 @@ mod tests {
         // store's error code.
         let t = tu.times[0];
         let q = execute(
-            &opened,
+            &store,
             true,
             &format!(r#"{{"op":"where","traj":9,"t":{t},"alpha":0}}"#),
         );
         assert!(q.line.contains(r#""items":[{"#), "{}", q.line);
-        let dup = execute(&opened, true, &line);
+        let dup = execute(&store, true, &line);
         assert!(
             dup.line.contains(r#""code":"duplicate_trajectory""#),
             "{}",
@@ -1756,12 +1753,12 @@ mod tests {
 
     #[test]
     fn oversized_lines_are_rejected_before_parsing() {
-        let opened = paper_opened();
+        let store = paper_store();
         let big = format!(
             r#"{{"op":"ping","pad":"{}"}}"#,
             "x".repeat(MAX_REQUEST_BYTES)
         );
-        let reply = handle_line(&opened, &big);
+        let reply = handle_line(&store, &big);
         assert!(
             reply.line.contains(r#""code":"bad_request""#),
             "{}",
@@ -1772,19 +1769,19 @@ mod tests {
         // A long-but-legal string still parses (and in linear time — the
         // string scanner consumes plain-byte runs as slices).
         let ok = format!(r#"{{"op":"ping","pad":"{}"}}"#, "y".repeat(100_000));
-        assert!(handle_line(&opened, &ok).line.contains(r#""ok":true"#));
+        assert!(handle_line(&store, &ok).line.contains(r#""ok":true"#));
     }
 
-    fn durable_paper_opened(name: &str) -> Opened {
+    fn durable_paper_store(name: &str) -> Store {
         let dir = std::env::temp_dir().join(format!("utcq-wire-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mk tmp dir");
         let path = dir.join("log.wal");
         let _ = std::fs::remove_file(&path);
-        let opened = paper_opened();
-        opened
+        let store = paper_store();
+        store
             .attach_wal(crate::wal::WalConfig::new(path))
             .expect("attach wal");
-        opened
+        store
     }
 
     /// A fresh-id ingest line derived from the paper trajectory.
@@ -1802,13 +1799,13 @@ mod tests {
 
     #[test]
     fn tail_and_checkpoint_require_a_wal() {
-        let opened = paper_opened();
-        let reply = handle_line(&opened, r#"{"op":"tail","from":1}"#);
+        let store = paper_store();
+        let reply = handle_line(&store, r#"{"op":"tail","from":1}"#);
         assert!(reply.line.contains(r#""code":"no_wal""#), "{}", reply.line);
-        let reply = execute(&opened, true, r#"{"op":"checkpoint"}"#);
+        let reply = execute(&store, true, r#"{"op":"checkpoint"}"#);
         assert!(reply.line.contains(r#""code":"no_wal""#), "{}", reply.line);
         // checkpoint is writable-gated before the wal check.
-        let reply = handle_line(&opened, r#"{"op":"checkpoint"}"#);
+        let reply = handle_line(&store, r#"{"op":"checkpoint"}"#);
         assert!(
             reply.line.contains(r#""code":"read_only""#),
             "{}",
@@ -1821,14 +1818,14 @@ mod tests {
 
     #[test]
     fn tail_streams_accepted_batches_and_parses_back() {
-        let opened = durable_paper_opened("tail");
-        let reply = execute(&opened, true, &shifted_ingest_line(1));
+        let store = durable_paper_store("tail");
+        let reply = execute(&store, true, &shifted_ingest_line(1));
         assert!(reply.line.contains(r#""epoch":1"#), "{}", reply.line);
 
         // tail is answered by the read-only executor (followers don't
         // need --writable). `from` is the epoch the caller already
         // has — a fresh follower sends 0.
-        let reply = handle_line(&opened, r#"{"op":"tail","from":0}"#);
+        let reply = handle_line(&store, r#"{"op":"tail","from":0}"#);
         let (batches, current) = parse_tail_reply(&reply.line).expect("parse tail");
         assert_eq!(current, 1);
         assert_eq!(batches.len(), 1);
@@ -1847,7 +1844,7 @@ mod tests {
         assert_eq!(ds.trajectories[0], want);
 
         // Caught up: from at the head returns an empty page.
-        let reply = handle_line(&opened, r#"{"op":"tail","from":1}"#);
+        let reply = handle_line(&store, r#"{"op":"tail","from":1}"#);
         let (batches, current) = parse_tail_reply(&reply.line).expect("parse tail");
         assert!(batches.is_empty());
         assert_eq!(current, 1);
@@ -1855,14 +1852,14 @@ mod tests {
 
     #[test]
     fn checkpoint_reports_and_duplicate_retries_dedup() {
-        let opened = durable_paper_opened("ckpt");
+        let store = durable_paper_store("ckpt");
         let line = shifted_ingest_line(1);
-        let first = execute(&opened, true, &line);
+        let first = execute(&store, true, &line);
         assert!(first.line.contains(r#""ok":true"#), "{}", first.line);
 
         // Retrying the identical batch (a client that lost the ack)
         // answers success with the recorded epoch, flagged as deduped.
-        let retry = execute(&opened, true, &line);
+        let retry = execute(&store, true, &line);
         assert_eq!(
             retry.line,
             r#"{"id":1,"ok":true,"op":"ingest","ingested":1,"total":2,"epoch":1,"deduped":true}"#
@@ -1879,7 +1876,7 @@ mod tests {
         let mut traj = String::new();
         write_trajectory(&mut traj, &tu);
         let other = format!(r#"{{"op":"ingest","trajectories":[{traj}]}}"#);
-        let reply = execute(&opened, true, &other);
+        let reply = execute(&store, true, &other);
         assert!(
             reply.line.contains(r#""code":"duplicate_trajectory""#),
             "{}",
@@ -1889,18 +1886,18 @@ mod tests {
         // The attach used WalConfig::new (no checkpoint_to), so the
         // checkpoint op reports no_wal; a target-configured checkpoint
         // is exercised end-to-end in tests/durability.rs.
-        let reply = execute(&opened, true, r#"{"op":"checkpoint"}"#);
+        let reply = execute(&store, true, r#"{"op":"checkpoint"}"#);
         assert!(reply.line.contains(r#""code":"no_wal""#), "{}", reply.line);
     }
 
     #[test]
     fn deterministic_serialization() {
-        let opened = paper_opened();
+        let store = paper_store();
         let t = paper_fixture::hms(5, 21, 25);
         let req = format!(r#"{{"op":"where","traj":1,"t":{t},"alpha":0.25}}"#);
-        let a = handle_line(&opened, &req).line;
-        opened.clear_cache();
-        let b = handle_line(&opened, &req).line;
+        let a = handle_line(&store, &req).line;
+        store.clear_cache();
+        let b = handle_line(&store, &req).line;
         assert_eq!(a, b, "cached and cold answers must serialize identically");
     }
 }

@@ -58,13 +58,13 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use utcq::core::opened::{render_format, render_resident, render_sections};
 use utcq::core::params::CompressParams;
 use utcq::core::query::{PageRequest, QueryTarget};
 use utcq::core::serve::{reconnect_backoff, Server, DEFAULT_THREADS};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{storage, wire, FsyncPolicy, Opened, RangeQuery, StoreBuilder, WalConfig};
+use utcq::core::store::{render_format, render_resident, render_sections};
+use utcq::core::{storage, wire, FsyncPolicy, RangeQuery, Store, StoreBuilder, WalConfig};
 use utcq::datagen::DatasetProfile;
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;
@@ -246,21 +246,20 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Opens a v8 container as a queryable store through the
-/// [`utcq::core::Opened`] facade.
-fn open_store(args: &Args) -> Result<Opened, String> {
+/// Opens the v8 container at `--in` as a queryable store.
+fn open_store(args: &Args) -> Result<Store, String> {
     let path = args.get("in", "data.utcq");
-    Opened::open(&path).map_err(|e| format!("{path}: {e}"))
+    Store::open(&path).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
     let path = args.get("in", "data.utcq");
-    let opened = open_store(args)?;
+    let store = open_store(args)?;
     let mut f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
     let format = render_format(&storage::read_head(&mut f).map_err(|e| e.to_string())?);
-    let sections = render_sections(&opened.snapshot()).map_err(|e| e.to_string())?;
-    let resident = render_resident(&opened.snapshot());
-    let report = opened.info().render();
+    let sections = render_sections(&store.snapshot()).map_err(|e| e.to_string())?;
+    let resident = render_resident(&store.snapshot());
+    let report = store.info().render();
     emit(format_args!("{report}{format}{sections}{resident}"))
 }
 
@@ -295,19 +294,19 @@ fn cmd_migrate(args: &Args) -> Result<(), String> {
 
 fn cmd_verify(args: &Args) -> Result<(), String> {
     let (_, _, ds) = build_dataset(args)?;
-    let opened = open_store(args)?;
+    let store = open_store(args)?;
     let mismatch = "container does not match the regenerated dataset";
-    if opened.len() != ds.trajectories.len() {
+    if store.len() != ds.trajectories.len() {
         return Err(mismatch.into());
     }
     // Shard order is not dataset order: match trajectories by id.
     let want: HashMap<u64, _> = ds.trajectories.iter().map(|tu| (tu.id, tu)).collect();
     let mut bounds = (0.0, 0.0);
-    for snap in opened.snapshots() {
+    for snap in store.snapshots() {
         let cds = snap.compressed();
         bounds = (cds.params.eta_d, cds.params.eta_p);
         let back =
-            utcq::core::decompress_dataset(opened.network(), cds).map_err(|e| e.to_string())?;
+            utcq::core::decompress_dataset(store.network(), cds).map_err(|e| e.to_string())?;
         for b in &back.trajectories {
             let a = want.get(&b.id).ok_or(mismatch)?;
             utcq::core::decompress::check_lossy_roundtrip(a, b, bounds.0, bounds.1)?;
@@ -323,8 +322,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
-    let opened = open_store(args)?;
-    let store = opened.target();
+    let store = open_store(args)?;
     let n: usize = args.parse_num("n", 100)?;
     let alpha: f64 = args.parse_num("alpha", 0.25)?;
     let limit: usize = args.parse_num("limit", 1024)?;
@@ -337,8 +335,8 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     // probing in id order keeps `-n N` selecting the same workload
     // whether the dataset sits in one partition or in many.
     let mut probes = Vec::new();
-    for snap in opened.snapshots() {
-        let back = utcq::core::decompress_dataset(opened.network(), snap.compressed())
+    for snap in store.snapshots() {
+        let back = utcq::core::decompress_dataset(store.network(), snap.compressed())
             .map_err(|e| e.to_string())?;
         probes.extend(back.trajectories);
     }
@@ -424,9 +422,9 @@ fn parse_fsync(s: &str) -> Result<FsyncPolicy, String> {
 ///   batches from the leader at ADDR (mutually exclusive with
 ///   `--writable`).
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let opened = Arc::new(open_store(args)?);
+    let store = Arc::new(open_store(args)?);
     if let Some(bytes) = args.parse_opt::<usize>("cache-bytes")? {
-        opened.set_cache_bytes(bytes);
+        store.set_cache_bytes(bytes);
     }
     let writable = args.flags.contains_key("writable");
     let follow_addr = args.flags.get("follow").cloned();
@@ -438,7 +436,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let cfg = WalConfig::new(wal_path)
             .fsync(fsync)
             .checkpoint_to(args.get("in", "data.utcq"));
-        let replayed = opened
+        let replayed = store
             .attach_wal(cfg)
             .map_err(|e| format!("--wal {wal_path}: {e}"))?;
         if replayed > 0 {
@@ -447,7 +445,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let threads: usize = args.parse_num("threads", DEFAULT_THREADS)?;
     let addr = args.get("addr", "127.0.0.1:7071");
-    let server = Server::bind(Arc::clone(&opened), &addr, threads)
+    let server = Server::bind(Arc::clone(&store), &addr, threads)
         .map_err(|e| e.to_string())?
         .writable(writable);
     // The bound address goes to stdout (and is flushed) first: scripts
@@ -457,8 +455,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     eprintln!(
         "serving {} ({}, {} trajectories, {}) with {threads} event loops",
         args.get("in", "data.utcq"),
-        opened.info().shape(),
-        opened.len(),
+        store.info().shape(),
+        store.len(),
         if writable { "writable" } else { "read-only" },
     );
 
@@ -468,10 +466,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // Size-triggered checkpoints: poll the log and re-save + truncate
     // past the threshold. Runs next to the acceptor, not on it.
     if let Some(threshold) = args.parse_opt::<u64>("checkpoint-bytes")? {
-        if opened.wal_bytes().is_none() {
+        if store.wal_bytes().is_none() {
             return Err("--checkpoint-bytes needs --wal".to_string());
         }
-        let o = Arc::clone(&opened);
+        let o = Arc::clone(&store);
         let s = Arc::clone(&stop);
         background.push(std::thread::spawn(move || {
             while !s.load(std::sync::atomic::Ordering::SeqCst) {
@@ -498,7 +496,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Arc::new(std::sync::Mutex::new(Ok(())));
     if let Some(leader) = follow_addr {
         eprintln!("following {leader}");
-        let o = Arc::clone(&opened);
+        let o = Arc::clone(&store);
         let s = Arc::clone(&stop);
         let handle = server.handle();
         let out = Arc::clone(&follow_result);
@@ -521,7 +519,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Ok(slot) = follow_result.lock() {
         slot.clone()?;
     }
-    eprintln!("{}", opened.cache_stats().render());
+    eprintln!("{}", store.cache_stats().render());
     Ok(())
 }
 
@@ -606,14 +604,14 @@ fn cmd_client(args: &Args) -> Result<(), String> {
         }
         Ok(())
     } else {
-        let opened = open_store(args)?;
+        let store = open_store(args)?;
         let writable = args.flags.contains_key("writable");
         for line in stdin.lock().lines() {
             let line = line.map_err(|e| e.to_string())?;
             if line.trim().is_empty() {
                 continue;
             }
-            let reply = wire::execute(&opened, writable, &line);
+            let reply = wire::execute(&store, writable, &line);
             emit(format_args!("{}\n", reply.line))?;
             if reply.shutdown {
                 break;

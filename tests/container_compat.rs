@@ -52,9 +52,7 @@ use utcq::core::shard::ByTime;
 use utcq::core::stiu::{StiuParams, TrajIndex};
 use utcq::core::storage::StorageError;
 use utcq::core::wal::{self, Record, Wal};
-use utcq::core::{
-    CompressParams, Error, Opened, Partition, QueryTarget, Store, StoreBuilder, WalConfig,
-};
+use utcq::core::{CompressParams, Error, Partition, QueryTarget, Store, StoreBuilder, WalConfig};
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;
 
@@ -673,18 +671,15 @@ fn a_v1_log_replays_then_continues_as_v2() {
     build(&batches[..1]).save(&container).unwrap();
     let cfg = || WalConfig::new(&log);
 
-    let store = Opened::open_durable(&container, cfg()).unwrap();
+    let store = Store::open_durable(&container, cfg()).unwrap();
     assert_eq!(store.epoch(), 2, "both v1 batches replay");
     store.ingest(&batches[3]).unwrap();
     drop(store);
 
-    let reopened = Opened::open_durable(&container, cfg()).unwrap();
+    let reopened = Store::open_durable(&container, cfg()).unwrap();
     assert_eq!(reopened.epoch(), 3, "every batch replays");
-    let Opened::Single(live) = &reopened else {
-        panic!("a single-store container")
-    };
     let (mut got, mut want) = (Vec::new(), Vec::new());
-    live.write(&mut got).unwrap();
+    reopened.write(&mut got).unwrap();
     build(&batches).write(&mut want).unwrap();
     assert!(got == want, "replayed store != offline build");
 }
@@ -735,7 +730,7 @@ fn core_refuses_an_old_single_container_with_the_migrate_error() {
         ("tiny_v6.utcq", 6),
         ("tiny_v7.utcq", 7),
     ] {
-        let err = Opened::open(fixture_path(name)).unwrap_err();
+        let err = Store::open(fixture_path(name)).unwrap_err();
         assert!(
             err.to_string().contains("run `utcq migrate`"),
             "{name}: {err}"

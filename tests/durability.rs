@@ -27,7 +27,7 @@ use utcq::core::serve::{self, Server};
 use utcq::core::shard::ByTime;
 use utcq::core::wal::{Record, Wal};
 use utcq::core::{
-    wire, CompressParams, Error, FsyncPolicy, Opened, QueryTarget, StiuParams, Store, StoreBuilder,
+    wire, CompressParams, Error, FsyncPolicy, QueryTarget, StiuParams, Store, StoreBuilder,
     WalConfig,
 };
 use utcq::network::{EdgeId, RoadNetwork};
@@ -81,32 +81,26 @@ fn sharded_store(net: &Arc<RoadNetwork>, batches: &[&Dataset]) -> Store {
     b.finish().expect("builder finish")
 }
 
-/// The offline build of one store shape over a batch history, as the
-/// live handle a reopen of its container yields.
-type Build<'a> = &'a dyn Fn(&[&Dataset]) -> Opened;
+/// The offline build of one store shape over a batch history.
+type Build<'a> = &'a dyn Fn(&[&Dataset]) -> Store;
 
 /// Runs `case` once per store shape with a tag and that shape's offline
-/// constructor; everything past construction goes through the shared
-/// [`utcq::core::Opened`] handle.
+/// constructor; everything past construction goes through the same
+/// [`Store`] calls.
 fn for_each_shape(net: &Arc<RoadNetwork>, case: impl Fn(&str, Build)) {
-    case("single", &|history| {
-        Opened::Single(Box::new(single_store(net, history)))
-    });
-    case("sharded", &|history| {
-        Opened::Sharded(Box::new(sharded_store(net, history)))
-    });
+    case("single", &|history| single_store(net, history));
+    case("sharded", &|history| sharded_store(net, history));
 }
 
-/// The container bytes (v2 or v3) of a live handle.
-fn container_bytes(opened: &Opened) -> Vec<u8> {
-    let (Opened::Single(s) | Opened::Sharded(s)) = opened;
+/// The container bytes of a live store.
+fn container_bytes(store: &Store) -> Vec<u8> {
     let mut bytes = Vec::new();
-    s.write(&mut bytes).expect("serialize store");
+    store.write(&mut bytes).expect("serialize store");
     bytes
 }
 
-fn save(opened: &Opened, path: &Path) {
-    std::fs::write(path, container_bytes(opened)).expect("save container");
+fn save(store: &Store, path: &Path) {
+    std::fs::write(path, container_bytes(store)).expect("save container");
 }
 
 #[test]
@@ -119,14 +113,14 @@ fn durable_reopen_replays_byte_identically() {
         let wal_cfg = || WalConfig::new(dir.join("log.wal"));
 
         // Two live ingests under the log, then the process "dies".
-        let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+        let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
         store.ingest(&all[1]).expect("ingest b");
         store.ingest(&all[2]).expect("ingest c");
         drop(store);
 
         // Reopen: both batches replay, and the state is byte-identical
         // to the offline build over the full history.
-        let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+        let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
         assert_eq!(reopened.epoch(), 2, "{shape}: both batches replay");
         assert_eq!(
             container_bytes(&reopened),
@@ -147,7 +141,7 @@ fn checkpoint_truncates_the_log_and_the_next_open_replays_nothing() {
         // `open_durable` defaults the checkpoint target to the container.
         let wal_cfg = || WalConfig::new(dir.join("log.wal"));
 
-        let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+        let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
         store.ingest(&all[1]).expect("ingest");
         let before = store.wal_bytes().expect("wal attached");
         let report = store
@@ -162,7 +156,7 @@ fn checkpoint_truncates_the_log_and_the_next_open_replays_nothing() {
         );
         drop(store);
 
-        let fresh = Opened::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
+        let fresh = Store::open_durable(&container, wal_cfg()).expect("post-checkpoint open");
         assert_eq!(fresh.epoch(), 0, "{shape}: nothing left to replay");
         assert_eq!(
             container_bytes(&fresh),
@@ -185,7 +179,7 @@ fn interrupted_checkpoint_truncation_is_completed_on_reopen() {
         // A checkpoint that crashed between the container save and the
         // log truncation: the container already holds the batch, the
         // log still carries its record.
-        let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+        let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
         store.ingest(&all[1]).expect("ingest");
         save(&store, &container);
         drop(store);
@@ -193,7 +187,7 @@ fn interrupted_checkpoint_truncation_is_completed_on_reopen() {
         // Reopen: the absorbed prefix is recognized (every trajectory
         // already present), skipped rather than double-applied, and the
         // interrupted truncation completes on disk.
-        let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+        let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
         assert_eq!(reopened.epoch(), 0, "{shape}: nothing replays");
         assert_eq!(
             container_bytes(&reopened),
@@ -235,10 +229,10 @@ fn a_record_off_the_network_fails_the_open_and_leaves_the_container() {
         log.append(&record).expect("append");
         drop(log);
 
-        let opened = Opened::open_durable(&container, wal_cfg());
+        let store = Store::open_durable(&container, wal_cfg());
         assert!(
-            matches!(opened, Err(Error::InvalidTrajectory { at: 0, .. })),
-            "{shape}: {opened:?}"
+            matches!(store, Err(Error::InvalidTrajectory { at: 0, .. })),
+            "{shape}: {store:?}"
         );
         let after = std::fs::read(&container).expect("reread container");
         assert!(after == before, "{shape}: the container must not change");
@@ -259,11 +253,11 @@ fn fsync_policies_all_accept_writes_and_replay() {
             let container = dir.join("c.utcq");
             save(&build(&[&all[0]]), &container);
             let wal_cfg = || WalConfig::new(dir.join("log.wal")).fsync(policy);
-            let store = Opened::open_durable(&container, wal_cfg()).expect("open durable");
+            let store = Store::open_durable(&container, wal_cfg()).expect("open durable");
             store.ingest(&all[1]).expect("ingest b");
             store.ingest(&all[2]).expect("ingest c");
             drop(store);
-            let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+            let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
             assert_eq!(reopened.epoch(), 2, "{tag} {shape}");
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -325,24 +319,23 @@ fn wire_tail_checkpoint_and_dedup_roundtrip() {
     single_store(&net, &[&all[0]])
         .save(&container)
         .expect("seed container");
-    let opened =
-        Opened::open_durable(&container, WalConfig::new(dir.join("log.wal"))).expect("open");
+    let store = Store::open_durable(&container, WalConfig::new(dir.join("log.wal"))).expect("open");
 
     // Ingest over the wire; the record lands in the log's feed.
     let line = ingest_line(1, &all[1]);
-    let reply = wire::execute(&opened, true, &line).line;
+    let reply = wire::execute(&store, true, &line).line;
     assert!(reply.contains(r#""op":"ingest""#), "{reply}");
     assert!(reply.contains(r#""epoch":1"#), "{reply}");
 
     // Re-sending the identical batch answers idempotently instead of
     // failing on the duplicate ids.
-    let retry = wire::execute(&opened, true, &line).line;
+    let retry = wire::execute(&store, true, &line).line;
     assert!(retry.contains(r#""deduped":true"#), "{retry}");
     assert!(retry.contains(r#""epoch":1"#), "{retry}");
 
     // `tail` from 0 streams the accepted batch; the reply parses back
     // bit-for-bit through the follower's own parser.
-    let tail = wire::execute(&opened, true, r#"{"id":2,"op":"tail","from":0}"#).line;
+    let tail = wire::execute(&store, true, r#"{"id":2,"op":"tail","from":0}"#).line;
     let (got, current) = wire::parse_tail_reply(&tail).expect("tail parses");
     assert_eq!(current, 1);
     assert_eq!(got.len(), 1);
@@ -350,15 +343,15 @@ fn wire_tail_checkpoint_and_dedup_roundtrip() {
     assert_eq!(got[0].1.trajectories, all[1].trajectories, "bit-for-bit");
 
     // `checkpoint` rewrites the container and truncates the feed …
-    let ck = wire::execute(&opened, true, r#"{"id":3,"op":"checkpoint"}"#).line;
+    let ck = wire::execute(&store, true, r#"{"id":3,"op":"checkpoint"}"#).line;
     assert!(ck.contains(r#""op":"checkpoint","epoch":1"#), "{ck}");
 
     // … after which a resume from before the truncation point is a
     // `tail_gap` (re-sync from a fresh copy), while the current epoch
     // resumes cleanly.
-    let gap = wire::execute(&opened, true, r#"{"id":4,"op":"tail","from":0}"#).line;
+    let gap = wire::execute(&store, true, r#"{"id":4,"op":"tail","from":0}"#).line;
     assert!(gap.contains(r#""code":"tail_gap""#), "{gap}");
-    let ok = wire::execute(&opened, true, r#"{"id":5,"op":"tail","from":1}"#).line;
+    let ok = wire::execute(&store, true, r#"{"id":5,"op":"tail","from":1}"#).line;
     let (rest, _) = wire::parse_tail_reply(&ok).expect("tail parses");
     assert!(rest.is_empty(), "{ok}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -377,27 +370,27 @@ fn tail_and_dedup_read_batches_from_the_log_after_a_checkpoint_and_a_replay() {
         .save(&container)
         .expect("seed container");
     let wal_cfg = || WalConfig::new(dir.join("log.wal"));
-    let opened = Opened::open_durable(&container, wal_cfg()).expect("open");
-    let reply = wire::execute(&opened, true, &ingest_line(1, &all[1])).line;
+    let store = Store::open_durable(&container, wal_cfg()).expect("open");
+    let reply = wire::execute(&store, true, &ingest_line(1, &all[1])).line;
     assert!(reply.contains(r#""epoch":1"#), "{reply}");
-    let ck = wire::execute(&opened, true, r#"{"id":2,"op":"checkpoint"}"#).line;
+    let ck = wire::execute(&store, true, r#"{"id":2,"op":"checkpoint"}"#).line;
     assert!(ck.contains(r#""epoch":1"#), "{ck}");
 
     // The next batch lands right behind the header again.
     let line = ingest_line(3, &all[2]);
-    let reply = wire::execute(&opened, true, &line).line;
+    let reply = wire::execute(&store, true, &line).line;
     assert!(reply.contains(r#""epoch":2"#), "{reply}");
-    let tail = wire::execute(&opened, true, r#"{"id":4,"op":"tail","from":1}"#).line;
+    let tail = wire::execute(&store, true, r#"{"id":4,"op":"tail","from":1}"#).line;
     let (got, current) = wire::parse_tail_reply(&tail).expect("tail parses");
     assert_eq!(current, 2);
     assert_eq!(got.len(), 1, "{tail}");
     assert_eq!(got[0].0, 2, "batch epoch");
     assert_eq!(got[0].1.trajectories, all[2].trajectories, "bit-for-bit");
-    drop(opened);
+    drop(store);
 
     // Reopened, the batch is replayed from the log; its re-send is
     // answered from the log, not refused as a duplicate.
-    let reopened = Opened::open_durable(&container, wal_cfg()).expect("reopen");
+    let reopened = Store::open_durable(&container, wal_cfg()).expect("reopen");
     assert_eq!(reopened.epoch(), 1, "the post-checkpoint batch replays");
     let retry = wire::execute(&reopened, true, &line).line;
     assert!(retry.contains(r#""deduped":true"#), "{retry}");
@@ -445,7 +438,7 @@ fn follower_converges_and_answers_byte_identically() {
 
     // Leader: durable, writable, behind a real TCP server.
     let leader = Arc::new(
-        Opened::open_durable(&container, WalConfig::new(dir.join("log.wal"))).expect("leader"),
+        Store::open_durable(&container, WalConfig::new(dir.join("log.wal"))).expect("leader"),
     );
     let server = Server::bind(Arc::clone(&leader), "127.0.0.1:0", 2)
         .expect("bind")
@@ -456,7 +449,7 @@ fn follower_converges_and_answers_byte_identically() {
 
     // Follower: a second opening of the same seed container, streaming
     // the leader's log.
-    let follower = Arc::new(Opened::open(&container).expect("follower"));
+    let follower = Arc::new(Store::open(&container).expect("follower"));
     let stop = Arc::new(AtomicBool::new(false));
     let follow_thread = {
         let follower = Arc::clone(&follower);

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `utcq serve` query service: a real TCP
 //! server over the checked-in container fixtures, scripted client
 //! sessions, and byte-for-byte comparison against the offline query
-//! path (`utcq_core::wire::handle_line` on a separately opened
+//! path (`utcq_core::wire::handle_line` on a separately store
 //! container — the same executor `utcq client --in` uses).
 //!
 //! Covers the serve acceptance surface: identical answers for v1/v2/v3
@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use utcq::core::serve::{Server, ServerHandle};
 use utcq::core::stiu::StiuParams;
-use utcq::core::{wire, Opened, QueryTarget, Store};
+use utcq::core::{wire, QueryTarget, Store};
 
 /// Matches the parameters `tests/container_compat.rs` regenerates the
 /// fixtures with (the v1 fixture's index is rebuilt when it migrates).
@@ -40,19 +40,14 @@ fn migrated(name: &str) -> Store {
     utcq_legacy::open(&bytes, v1_parts).expect(name)
 }
 
-/// Opens a fixture by version, as `utcq migrate` writes it.
-fn open_fixture(version: u8) -> Opened {
-    match version {
-        1 => Opened::Single(Box::new(migrated("tiny_v1.utcq"))),
-        2 => Opened::Single(Box::new(migrated("tiny_v2.utcq"))),
-        3 => Opened::Sharded(Box::new(migrated("tiny_v3.utcq"))),
-        other => panic!("no fixture for version {other}"),
-    }
+/// Opens `tiny_v{version}.utcq` (1, 2 or 3) as `utcq migrate` writes it.
+fn open_fixture(version: u8) -> Store {
+    migrated(&format!("tiny_v{version}.utcq"))
 }
 
 /// Binds an ephemeral port and runs the server on a background thread.
-fn start(opened: Arc<Opened>, threads: usize) -> (SocketAddr, ServerHandle, ServerRunner) {
-    let server = Server::bind(opened, "127.0.0.1:0", threads).expect("bind ephemeral port");
+fn start(store: Arc<Store>, threads: usize) -> (SocketAddr, ServerHandle, ServerRunner) {
+    let server = Server::bind(store, "127.0.0.1:0", threads).expect("bind ephemeral port");
     let addr = server.local_addr();
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run().expect("server run"));
@@ -116,13 +111,13 @@ impl Client {
 /// A probe workload derived from the container itself: every
 /// trajectory's where/when at its mid time, plus paginated range scans
 /// over the network bounds.
-fn probe_requests(opened: &Opened) -> Vec<String> {
+fn probe_requests(store: &Store) -> Vec<String> {
     let mut requests = Vec::new();
-    let bounds = opened.network().bounding_rect();
-    for snap in opened.snapshots() {
+    let bounds = store.network().bounding_rect();
+    for snap in store.snapshots() {
         for j in 0..snap.len() as u32 {
             let ct = snap.compressed().trajectories.get(j as usize).unwrap();
-            let times = opened.decode_times(ct.id).expect("decode times");
+            let times = store.decode_times(ct.id).expect("decode times");
             let times = times.expect("a stored id");
             let mid = (times[0] + times[times.len() - 1]) / 2;
             requests.push(format!(
@@ -181,9 +176,9 @@ fn items(response: &str) -> &str {
 
 #[test]
 fn pagination_resumes_across_connections() {
-    let opened = Arc::new(open_fixture(3));
+    let store = Arc::new(open_fixture(3));
     let offline = open_fixture(3);
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 2);
+    let (addr, _handle, runner) = start(Arc::clone(&store), 2);
 
     // The full answer in one page, as ground truth.
     let full = wire::handle_line(&offline, r#"{"op":"where","traj":0,"t":71582,"alpha":0}"#).line;
@@ -231,8 +226,8 @@ fn pagination_resumes_across_connections() {
 
 #[test]
 fn invalid_and_foreign_cursors_are_rejected() {
-    let opened = Arc::new(open_fixture(3));
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 2);
+    let store = Arc::new(open_fixture(3));
+    let (addr, _handle, runner) = start(Arc::clone(&store), 2);
     let mut client = Client::connect(addr);
 
     // Not a u64 at all.
@@ -255,9 +250,9 @@ fn invalid_and_foreign_cursors_are_rejected() {
 
 #[test]
 fn concurrent_clients_get_identical_answers_on_the_sharded_fixture() {
-    let opened = Arc::new(open_fixture(3));
+    let store = Arc::new(open_fixture(3));
     let offline = open_fixture(3);
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 4);
+    let (addr, _handle, runner) = start(Arc::clone(&store), 4);
 
     let requests = probe_requests(&offline);
     let expected: Vec<String> = requests
@@ -287,8 +282,8 @@ fn concurrent_clients_get_identical_answers_on_the_sharded_fixture() {
 
 #[test]
 fn clean_shutdown_mid_stream() {
-    let opened = Arc::new(open_fixture(3));
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 2);
+    let store = Arc::new(open_fixture(3));
+    let (addr, _handle, runner) = start(Arc::clone(&store), 2);
 
     // Connection A is mid-session: it has received one complete page
     // and still holds the connection open.
@@ -311,8 +306,8 @@ fn clean_shutdown_mid_stream() {
 
 #[test]
 fn oversized_request_is_rejected_and_the_connection_survives() {
-    let opened = Arc::new(open_fixture(3));
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 1);
+    let store = Arc::new(open_fixture(3));
+    let (addr, _handle, runner) = start(Arc::clone(&store), 1);
     let mut client = Client::connect(addr);
 
     // Just past the 1 MiB cap: rejected with the same bad_request the
@@ -498,17 +493,17 @@ fn writable_server_matches_offline_ingest_replay_for_v2_and_v3() {
 fn over_long_span_ingest_is_refused_on_both_shapes() {
     let line = include_str!("fuzz_regressions/wire-ingest-span.bin").trim_end();
     for version in [2u8, 3] {
-        let opened = open_fixture(version);
-        let before = (opened.len(), opened.epoch());
-        let reply = wire::execute(&opened, true, line).line;
+        let store = open_fixture(version);
+        let before = (store.len(), store.epoch());
+        let reply = wire::execute(&store, true, line).line;
         assert!(
             reply.contains(r#""ok":false"#) && reply.contains(r#""code":"span_too_long""#),
             "v{version}: {reply}"
         );
-        assert_eq!((opened.len(), opened.epoch()), before, "v{version}");
+        assert_eq!((store.len(), store.epoch()), before, "v{version}");
         // One partition shorter — exactly the cap — is a valid ingest.
         let at_cap = line.replace("58982400", "58981500");
-        let reply = wire::execute(&opened, true, &at_cap).line;
+        let reply = wire::execute(&store, true, &at_cap).line;
         assert!(reply.contains(r#""ingested":1"#), "v{version}: {reply}");
     }
 }
@@ -523,10 +518,10 @@ fn when_on_an_unknown_edge_is_an_empty_page_on_both_shapes() {
     let line = include_str!("fuzz_regressions/wire-when-edge.bin").trim_end();
     let empty = r#"{"ok":true,"op":"when","items":[],"next_cursor":null,"has_more":false}"#;
     for version in [2u8, 3] {
-        let opened = Arc::new(open_fixture(version));
-        assert_eq!(opened.network().edge_count(), 162, "v{version}");
-        assert_eq!(wire::handle_line(&opened, line).line, empty, "v{version}");
-        let (addr, _handle, runner) = start(Arc::clone(&opened), 1);
+        let store = Arc::new(open_fixture(version));
+        assert_eq!(store.network().edge_count(), 162, "v{version}");
+        assert_eq!(wire::handle_line(&store, line).line, empty, "v{version}");
+        let (addr, _handle, runner) = start(Arc::clone(&store), 1);
         let mut client = Client::connect(addr);
         // A ping pipelined behind it on the same connection is answered.
         client.send(line);
@@ -590,8 +585,8 @@ fn integer_fields_are_exact_or_refused() {
 
 #[test]
 fn read_only_server_rejects_ingest() {
-    let opened = Arc::new(open_fixture(3));
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 2);
+    let store = Arc::new(open_fixture(3));
+    let (addr, _handle, runner) = start(Arc::clone(&store), 2);
     let mut client = Client::connect(addr);
     let (tu, _) = writable_probe();
     let resp = client.roundtrip(&format!(
@@ -599,7 +594,7 @@ fn read_only_server_rejects_ingest() {
         trajectory_json(&tu)
     ));
     assert!(resp.contains(r#""code":"read_only""#), "{resp}");
-    assert_eq!(opened.len(), 10, "nothing was published");
+    assert_eq!(store.len(), 10, "nothing was published");
     client.roundtrip(r#"{"op":"shutdown"}"#);
     runner.join();
 }
@@ -661,8 +656,8 @@ fn invalid_line_mid_burst_answers_in_order_and_the_connection_survives() {
     // A pipelined burst where the middle lines are garbage: every line
     // still gets exactly one response, in request order, and the
     // connection keeps working afterwards.
-    let opened = Arc::new(open_fixture(3));
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 2);
+    let store = Arc::new(open_fixture(3));
+    let (addr, _handle, runner) = start(Arc::clone(&store), 2);
     let mut client = Client::connect(addr);
 
     let burst = [
@@ -734,8 +729,8 @@ fn slow_reader_gets_every_response_under_backpressure() {
     // watermark before reading anything: the server must pause reading
     // that connection instead of buffering unboundedly, then deliver
     // every response in order once the client drains.
-    let opened = Arc::new(open_fixture(3));
-    let (addr, _handle, runner) = start(Arc::clone(&opened), 2);
+    let store = Arc::new(open_fixture(3));
+    let (addr, _handle, runner) = start(Arc::clone(&store), 2);
 
     const N: usize = 20_000;
     let stream = TcpStream::connect(addr).expect("connect");
@@ -781,8 +776,8 @@ fn cache_budget_reads_back_exactly_on_the_sharded_fixture() {
     let served = Arc::new(open_fixture(3));
     let offline = open_fixture(3);
     assert!(offline.shard_count() > 1);
-    for opened in [&*served, &offline] {
-        opened.set_cache_bytes(1_000_003);
+    for store in [&*served, &offline] {
+        store.set_cache_bytes(1_000_003);
     }
     let (addr, _handle, runner) = start(Arc::clone(&served), 1);
     let mut client = Client::connect(addr);
