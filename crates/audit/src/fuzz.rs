@@ -25,7 +25,8 @@ use std::path::{Path, PathBuf};
 use rand::prelude::*;
 use utcq_core::wal;
 use utcq_core::wire::{self, Json};
-use utcq_core::{QueryTarget, Store};
+use utcq_core::{PageRequest, QueryTarget, Store};
+use utcq_network::EdgeId;
 
 use crate::quiet::with_quiet_panics;
 
@@ -343,12 +344,40 @@ fn v8_seeds(single: &[u8], sharded: &[u8], net: &utcq_network::RoadNetwork) -> V
 // deliberately ignored.
 
 fn container_harness(fx: &Fixtures, bytes: &[u8]) {
-    let _ = Store::read(&mut &bytes[..]);
+    if let Ok(store) = Store::read(&mut &bytes[..]) {
+        query_first(&store);
+    }
     // The full open path (header sniffing, snapshot build); a scratch
     // file because `open` takes a path.
     if fs::write(&fx.scratch, bytes).is_ok() {
         let _ = Store::open(&fx.scratch);
     }
+}
+
+/// Queries a container that opened, so crafted streams reach the query
+/// paths (a `T` whose times do not increase among them): a *where* at
+/// the midpoint of the first stored trajectory's decoded span, a *when*
+/// at edge 0, and a *range* over the whole network at that time.
+fn query_first(store: &Store) {
+    let parts = store.snapshots();
+    let first = parts
+        .iter()
+        .find_map(|p| p.compressed().trajectories.get(0));
+    let Some(id) = first.map(|ct| ct.id) else {
+        return;
+    };
+    let Ok(Some(times)) = store.decode_times(id) else {
+        return;
+    };
+    let (Some(&a), Some(&b)) = (times.first(), times.last()) else {
+        return;
+    };
+    // The midpoint in i128: a crafted span may not fit an i64 difference.
+    let t = ((i128::from(a) + i128::from(b)) / 2) as i64;
+    let _ = store.where_query(id, t, 0.0, PageRequest::all());
+    let _ = store.when_query(id, EdgeId(0), 0.5, 0.0, PageRequest::all());
+    let everywhere = store.network().bounding_rect();
+    let _ = store.range_query(&everywhere, t, 0.0, PageRequest::all());
 }
 
 fn migrate_harness(fx: &Fixtures, bytes: &[u8]) {

@@ -69,7 +69,6 @@ const PANIC_TOKENS: &[&str] = &[
 const CACHE_CALLS: &[&str] = &[
     ".ref_or_decode(",
     ".instance_or_decode(",
-    ".window_or_decode(",
     ".times_or_decode(",
 ];
 

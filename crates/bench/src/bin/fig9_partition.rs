@@ -8,11 +8,11 @@
 //! container actually holds for the index: the temporal, reference and
 //! non-reference tuple sections of the writer's own census, which carry
 //! only the fields a query reads, bit-packed. Since container v7 the
-//! stored temporal size is 0 (the temporal tuples are derived from the
-//! time streams at open; the section holds only its parameters and
-//! block lengths), so the paper's Fig. 9c trend, finer partitions
-//! making a larger temporal index, is carried by the model t-size
-//! column alone.
+//! stored temporal size is 0 (the index keeps no temporal tuple, only
+//! their count, derived from the time streams at open; the section
+//! holds only its parameters and block lengths), so the paper's Fig. 9c
+//! trend, finer partitions making a larger temporal index, is carried
+//! by the model t-size column alone.
 //!
 //! Run: `cargo run --release -p utcq-bench --bin fig9_partition`
 
@@ -45,7 +45,7 @@ fn main() {
         &["dataset", "grid", "UTCQ s-size", "UTCQ t-size", "UTCQ stored", "TED size", "UTCQ query", "TED query"],
     );
     let mut time_table = Table::new(
-        "Fig. 9c/d — vs time partition duration (paper: finer partitions → larger t-size, faster queries). t-size: model; stored: the saved container's whole index (region tuples; temporal tuples are derived at open)",
+        "Fig. 9c/d — vs time partition duration (paper: finer partitions → larger t-size, faster queries). t-size: model; stored: the saved container's whole index (region tuples; temporal tuples are only counted, at open)",
         &["dataset", "partition (min)", "UTCQ t-size", "UTCQ stored", "UTCQ query"],
     );
     for (i, profile) in [utcq_datagen::profile::dk(), utcq_datagen::profile::hz()]

@@ -7,15 +7,13 @@
 //! Before this module existed those decodes were repaid on every call —
 //! the per-reference cache in `query.rs` died with each query.
 //!
-//! [`DecodeCache`] memoizes the decoded artifact kinds behind `Arc`s:
+//! [`DecodeCache`] memoizes three decoded artifact kinds behind `Arc`s:
 //!
 //! * `(traj, ref_idx) → Arc<DecodedRef>` — a reference's decoded streams;
 //! * `(traj, orig_idx) → Arc<Instance>` — a fully decoded instance;
-//! * `traj → Arc<Vec<i64>>` — a trajectory's decoded time sequence;
-//! * `(traj, no) → Arc<Vec<i64>>` — a *partial* time window resumed
-//!   mid-stream at the temporal tuple whose first sample index is `no`
-//!   (the `bracket` step of the *where*/*range* paths, which previously
-//!   re-paid the partial decode on every call).
+//! * `traj → Arc<Vec<i64>>` — a trajectory's decoded time sequence,
+//!   which *when* reads whole and *where*/*range* bracket their query
+//!   time in.
 //!
 //! Every entry is a decoded artifact of one trajectory; query answers
 //! are never cached (a *when* on a cell the trajectory never enters is
@@ -74,9 +72,6 @@ enum Kind {
     Instance { traj: u32, orig_idx: u32 },
     /// Decoded time sequence of trajectory `traj`.
     Times { traj: u32 },
-    /// Partial time window of trajectory `traj`, resumed mid-stream at
-    /// the temporal tuple whose first sample index is `no`.
-    Window { traj: u32, no: u32 },
 }
 
 /// Cache key: an artifact kind of one partition (valid through every
@@ -389,26 +384,6 @@ impl DecodeCache {
         }
     }
 
-    /// Cached partial time-decode window of trajectory `traj`, resumed
-    /// at the temporal tuple whose first sample index is `no` (`no`
-    /// uniquely identifies the resume point within a trajectory).
-    pub(crate) fn window_or_decode(
-        &self,
-        partition: u32,
-        traj: u32,
-        no: u32,
-        decode: impl FnOnce() -> Result<Vec<i64>, Error>,
-    ) -> Result<Arc<Vec<i64>>, Error> {
-        let key = Key {
-            partition,
-            kind: Kind::Window { traj, no },
-        };
-        match self.get_or_insert(key, || Ok(Value::Times(Arc::new(decode()?))))? {
-            Value::Times(t) => Ok(t),
-            _ => Err(Error::CorruptStore("cache key/value kind mismatch")),
-        }
-    }
-
     /// Cached decode of the time sequence of trajectory `traj`.
     pub(crate) fn times_or_decode(
         &self,
@@ -464,28 +439,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!(s.bytes > 0);
-    }
-
-    #[test]
-    fn window_entries_are_keyed_independently() {
-        let cache = DecodeCache::with_budget(1 << 20);
-        // Full times and a partial window of the same trajectory coexist.
-        let full = times_entry(&cache, 1, 8);
-        let win = cache
-            .window_or_decode(0, 1, 3, || Ok(vec![3, 4, 5]))
-            .unwrap();
-        assert_eq!(full.len(), 8);
-        assert_eq!(*win, vec![3, 4, 5]);
-        // Second lookup of the window is a hit, not a re-decode.
-        let win2 = cache
-            .window_or_decode(0, 1, 3, || panic!("window must be cached"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&win, &win2));
-        // A different resume point is a distinct entry.
-        let other = cache.window_or_decode(0, 1, 5, || Ok(vec![5, 6])).unwrap();
-        assert_eq!(*other, vec![5, 6]);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 3, 3));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! * [`cache`] — the shared, bounded, thread-safe decode cache
 //!   ([`cache::DecodeCache`], one per store, keyed by partition and
 //!   position, valid at every epoch) that memoizes decoded references,
-//!   instances, time streams and partial `bracket` time windows across
-//!   queries, with hit/miss statistics ([`cache::CacheStats`]);
+//!   instances and time sequences across queries, with hit/miss
+//!   statistics ([`cache::CacheStats`]);
 //! * [`plan`] — per-trajectory query plans ([`plan::TrajPlan`]: an
 //!   instance's slot, its probability, the probability order), derived
 //!   from the trajectory's role bits and probability codes;

@@ -8,8 +8,9 @@
 //! * [`TrajPlan::probs`] — dequantized probabilities in original
 //!   instance order (the *where* iteration order);
 //! * [`TrajPlan::by_prob_desc`] — instances ordered by descending
-//!   probability (the *range* Lemma 3 order; ties broken by `orig_idx`
-//!   so answers are deterministic).
+//!   probability, ties broken by `orig_idx` (the rank column of
+//!   [`build_plans`]; the *range* path sorts the instances that pass
+//!   its cells in the same order, `by_prob`).
 //!
 //! A segment ([`crate::segment::TrajSegment`]) stores none of them: a
 //! [`TrajPlan`] reads them off the trajectory's framing record — its
@@ -93,22 +94,10 @@ impl<'a> TrajPlan<'a> {
     }
 
     /// `(orig_idx, prob)` by probability descending (ties: `orig_idx`
-    /// ascending), sorted when asked for.
-    pub fn by_prob_desc(&self) -> Ranked {
-        let n = self.instance_count();
-        let mut ranked = Ranked {
-            stack: [(0, 0.0); STACK],
-            heap: Vec::new(),
-            len: n,
-        };
-        if n > STACK {
-            ranked.heap = vec![(0, 0.0); n];
-        }
-        let rows = ranked.as_mut_slice();
-        for (row, (k, p)) in rows.iter_mut().zip((0..).zip(self.probs())) {
-            *row = (k, p);
-        }
-        rows.sort_unstable_by(by_prob);
+    /// ascending).
+    pub fn by_prob_desc(&self) -> Vec<(u32, f64)> {
+        let mut ranked = Vec::from_iter((0..).zip(self.probs()));
+        ranked.sort_unstable_by(by_prob);
         ranked
     }
 }
@@ -117,39 +106,6 @@ impl<'a> TrajPlan<'a> {
 /// descending, `orig_idx` ascending on ties.
 pub(crate) fn by_prob(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
-}
-
-/// Instances a [`Ranked`] list holds on the stack; more go on the heap.
-const STACK: usize = 128;
-
-/// A trajectory's instances by probability descending
-/// ([`TrajPlan::by_prob_desc`]): a slice of `(orig_idx, prob)`, on the
-/// stack up to 128 instances.
-pub struct Ranked {
-    stack: [(u32, f64); STACK],
-    /// Empty unless there are more than `STACK` instances.
-    heap: Vec<(u32, f64)>,
-    len: usize,
-}
-
-impl Ranked {
-    fn as_mut_slice(&mut self) -> &mut [(u32, f64)] {
-        match self.len {
-            0..=STACK => self.stack.get_mut(..self.len).unwrap_or_default(),
-            _ => &mut self.heap,
-        }
-    }
-}
-
-impl std::ops::Deref for Ranked {
-    type Target = [(u32, f64)];
-
-    fn deref(&self) -> &[(u32, f64)] {
-        match self.len {
-            0..=STACK => self.stack.get(..self.len).unwrap_or_default(),
-            _ => &self.heap,
-        }
-    }
 }
 
 /// Row `i` of a trajectory's derived plan: instance `i`'s probability
@@ -175,8 +131,10 @@ pub fn build_plans(
     let mut rows = Vec::new();
     for ct in trajectories {
         let plan = ct.plan(p_codec);
-        let ranked = plan.by_prob_desc();
-        let ranked = ranked.iter().map(|&(orig_idx, _)| orig_idx);
+        let ranked = plan
+            .by_prob_desc()
+            .into_iter()
+            .map(|(orig_idx, _)| orig_idx);
         for ((k, prob), ranked) in (0..).zip(plan.probs()).zip(ranked) {
             let slot = plan.slot(k)?;
             rows.push(PlanRow { prob, slot, ranked });
@@ -223,7 +181,7 @@ mod tests {
         // The standalone builder derives the same rows.
         let rows = build_plans(&trajectories, &p_codec).unwrap();
         let ranked = plan.by_prob_desc();
-        for ((k, row), &(ranked, _)) in (0..).zip(&rows).zip(ranked.iter()) {
+        for ((k, row), &(ranked, _)) in (0..).zip(&rows).zip(&ranked) {
             let expect = (plan.slot(k).unwrap(), plan.prob(k).unwrap(), ranked);
             assert_eq!((row.slot, row.prob, row.ranked), expect);
         }
@@ -253,7 +211,7 @@ mod tests {
         let p_codec = params.p_codec();
         let trajectories = plans_of(&ct).unwrap();
         let plan = trajectories.get(0).unwrap().plan(&p_codec);
-        let list = plan.by_prob_desc().to_vec();
+        let list = plan.by_prob_desc();
         assert_eq!(list.len(), ct.instance_count());
         for w in list.windows(2) {
             assert!(

@@ -6,8 +6,8 @@
 //! on the compressed form, decompressing only what the StIU index says is
 //! necessary:
 //!
-//! * **where**(Tuʲ, t, α) — the temporal index resumes time decoding
-//!   mid-stream near `t`; only instances with `p ≥ α` are decoded and
+//! * **where**(Tuʲ, t, α) — `t` is bracketed in the trajectory's
+//!   decoded time sequence; only instances with `p ≥ α` are decoded and
 //!   interpolated (Definition 10).
 //! * **when**(Tuʲ, ⟨edge, rd⟩, α) — the spatial index's region groups
 //!   decide whether the trajectory reaches the query region at all, and
@@ -25,17 +25,16 @@
 //! The engine itself is a borrowed view over the store's parts plus two
 //! shared acceleration layers the store owns:
 //!
-//! * the [`crate::cache::DecodeCache`] — decoded references, instances,
-//!   time streams and partial `bracket` time windows are memoized
+//! * the [`crate::cache::DecodeCache`] — decoded references, instances
+//!   and time sequences are memoized
 //!   *across* queries behind `Arc`s, so a
 //!   repeated or concurrent workload stops re-paying decode costs (each
 //!   query additionally keeps a tiny per-call reference map so a cache
 //!   sized to zero still reuses a reference across its `Rrs` within one
 //!   call);
 //! * the per-trajectory [`crate::plan::TrajPlan`] — `orig_idx → slot`
-//!   lookup, precomputed probabilities, and the probability-descending
-//!   member order, replacing the per-call linear scans and sorts the
-//!   engine used to do.
+//!   lookup and precomputed probabilities, replacing the per-call
+//!   linear scans the engine used to do.
 //!
 //! A trajectory, its index node and its plan are borrowed views into
 //! the store's flat segments ([`crate::segment`]): the engine decodes
@@ -521,63 +520,49 @@ impl<'a> QueryEngine<'a> {
             })
     }
 
-    /// Brackets `t` in the trajectory's time sequence via the temporal
-    /// index: `Ok(Some((lo, hi, t_lo, t_hi)))` when `t` falls inside the
-    /// span, `Ok(None)` when it precedes or follows every sample.
+    /// Brackets `t` in the trajectory's time sequence (the one cached
+    /// [`QueryEngine::times`] entry *when* reads too): `Some((g, g, t,
+    /// t))` on sample `g`, `Some((g − 1, g, t_{g−1}, t_g))` between two
+    /// samples, `None` before the first sample and after the last.
     ///
-    /// The partially decoded window (resumed mid-stream at the covering
-    /// temporal tuple) is memoized in the shared cache under
-    /// `(j, tuple.no)`, so repeated *where*/*range* probes near the same
-    /// time stop re-paying the partial decode.
+    /// A `t` before the first sample is answered from the head of `T`
+    /// alone, without decoding or caching the sequence: a range
+    /// candidate is posted under its whole first interval, so many are
+    /// asked about a time before they start.
     fn bracket(
         &self,
         j: u32,
         ct: &TrajView<'_>,
-        node: &TrajIndex<'_>,
         t: i64,
     ) -> Result<Option<(usize, usize, i64, i64)>, Error> {
-        let Some(tt) = node.temporal_at(t) else {
-            return Ok(None); // t precedes the trajectory
-        };
-        // Resume time decoding mid-stream until we bracket t.
+        let mut first = None;
         let ts = self.cds.params.default_interval;
-        let remaining = (ct.n_times as u64)
-            .checked_sub(1 + u64::from(tt.no))
-            .ok_or(Error::CorruptStore("temporal tuple past the sample count"))?;
-        let window = self.cache.window_or_decode(self.partition, j, tt.no, || {
-            Ok(siar::decode_from(
-                ct.t_bits(),
-                tt.pos as usize,
-                tt.start,
-                ts,
-                remaining as usize,
-            )?)
+        siar::walk(&mut ct.t_bits().reader(), 1, ts, |_, t0, _| {
+            first = Some(t0)
         })?;
-        let hi_local = window.partition_point(|&x| x < t);
-        if hi_local >= window.len() {
-            return Ok(None); // t is past the last sample
+        if first.is_none_or(|t0| t < t0) {
+            return Ok(None);
         }
-        // bounds: hi_local < window.len() checked just above
-        Ok(Some(if window[hi_local] == t {
-            let g = tt.no as usize + hi_local;
-            (g, g, t, t)
-        } else {
-            if hi_local == 0 {
-                // temporal_at guarantees start <= t; a window that opens
-                // past t means the index tuple is inconsistent.
-                return Err(Error::CorruptStore("temporal tuple opens past query time"));
-            }
-            let g = tt.no as usize + hi_local;
-            // bounds: 0 < hi_local < window.len() established above
-            (g - 1, g, window[hi_local - 1], window[hi_local])
-        }))
+        let times = self.times(j, ct)?;
+        let g = times.partition_point(|&x| x < t);
+        let Some(&t_hi) = times.get(g) else {
+            return Ok(None); // t is past the last sample
+        };
+        if t_hi == t {
+            return Ok(Some((g, g, t, t)));
+        }
+        let Some(lo) = g.checked_sub(1) else {
+            return Ok(None); // t precedes the first sample
+        };
+        // bounds: lo < g < times.len()
+        Ok(Some((lo, g, times[lo], t_hi)))
     }
 
     /// Probabilistic **where** query (Definition 10) on the trajectory at
     /// position `j`, fully materialized.
     pub fn where_query(&self, j: u32, t: i64, alpha: f64) -> Result<Vec<WhereHit>, Error> {
-        let (ct, node) = (self.traj(j)?, self.node(j)?);
-        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, &ct, &node, t)? else {
+        let ct = self.traj(j)?;
+        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, &ct, t)? else {
             return Ok(Vec::new());
         };
         let mut hits = Vec::new();
@@ -739,7 +724,7 @@ impl<'a> QueryEngine<'a> {
         scratch.passing_nrefs.dedup();
 
         // Bracket tq in the time sequence.
-        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, &ct, &node, tq)? else {
+        let Some((lo, hi, t_lo, t_hi)) = self.bracket(j, &ct, tq)? else {
             return Ok(false);
         };
 
@@ -963,4 +948,62 @@ fn subpath_polyline(
     }
     pts.push(net.point_on_edge(lb.edge, lb.ndist));
     Ok(pts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stiu::StiuParams;
+    use crate::{CompressParams, StoreBuilder};
+
+    /// What [`QueryEngine::bracket`] answers, by a linear search of the
+    /// decoded times.
+    fn brute_bracket(times: &[i64], t: i64) -> Option<(usize, usize, i64, i64)> {
+        if let Some(g) = times.iter().position(|&x| x == t) {
+            return Some((g, g, t, t));
+        }
+        let g = times.iter().position(|&x| x > t)?;
+        let lo = g.checked_sub(1)?;
+        Some((lo, g, times[lo], times[g]))
+    }
+
+    #[test]
+    fn bracket_agrees_with_a_search_of_the_decoded_times() {
+        // Every branch: on a sample, between two, before the first and
+        // after the last; over trajectories that span several intervals.
+        let partition_s = 5;
+        for (profile, n) in [
+            (utcq_datagen::profile::tiny(), 40),
+            (utcq_datagen::profile::dk(), 12),
+        ] {
+            let (net, ds) = utcq_datagen::generate(&profile, n, 7);
+            let params = CompressParams::with_interval(ds.default_interval);
+            let stiu = StiuParams {
+                partition_s,
+                grid_n: 8,
+            };
+            let builder = StoreBuilder::new(Arc::new(net), params).stiu_params(stiu);
+            let store = builder.ingest(&ds).unwrap().finish().unwrap();
+            let mut probes = 0;
+            for part in store.snapshots() {
+                let engine = part.engine();
+                for j in 0..part.len() as u32 {
+                    let ct = engine.traj(j).unwrap();
+                    let times = engine.times(j, &ct).unwrap();
+                    let (first, last) = (times[0], times[times.len() - 1]);
+                    let what = format!("{} {j}", profile.name);
+                    let intervals = last.div_euclid(partition_s) - first.div_euclid(partition_s);
+                    assert!(intervals >= 1, "{what} spans one interval");
+                    let mids = times.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2);
+                    let outside = [first - 1, last + 1];
+                    for t in times.iter().copied().chain(mids).chain(outside) {
+                        let got = engine.bracket(j, &ct, t).unwrap();
+                        assert_eq!(got, brute_bracket(&times, t), "{what} at {t}");
+                        probes += 1;
+                    }
+                }
+            }
+            assert!(probes > 3 * n, "{}: {probes} probes", profile.name);
+        }
+    }
 }

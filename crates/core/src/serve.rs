@@ -79,8 +79,6 @@ use crate::poll;
 use crate::store::Store;
 use crate::wire;
 
-pub use crate::conn::DRAIN_BUDGET_BYTES;
-
 /// Default number of event loops for [`Server::bind`] callers that
 /// take the CLI default.
 pub const DEFAULT_THREADS: usize = 4;

@@ -60,32 +60,6 @@ pub fn walk(
     Ok(())
 }
 
-/// Resumes decoding mid-stream (at a position [`walk`] reports): given
-/// that sample `no` has timestamp
-/// `start` and the deviation of step `no → no+1` begins at bit `pos`,
-/// yields timestamps `no, no+1, …` until the reader is exhausted or
-/// `max_steps` are produced.
-pub fn decode_from<'a>(
-    buf: impl Into<BitSlice<'a>>,
-    pos: usize,
-    start: i64,
-    ts: i64,
-    max_steps: usize,
-) -> Result<Vec<i64>, CodecError> {
-    let mut r = buf.into().reader_at(pos);
-    let mut out = Vec::with_capacity(max_steps.min(64) + 1);
-    out.push(start);
-    let mut t = start;
-    for _ in 0..max_steps {
-        if r.remaining() == 0 {
-            break;
-        }
-        t += ts + golomb::decode_deviation(&mut r)?;
-        out.push(t);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,21 +99,6 @@ mod tests {
         let times = vec![42];
         let buf = encode(&times, 10).unwrap();
         assert_eq!(decode(&buf, 1, 10).unwrap(), times);
-    }
-
-    #[test]
-    fn mid_stream_resume() {
-        let times = vec![1000, 1010, 1025, 1030, 1041, 1052];
-        let buf = encode(&times, 10).unwrap();
-        let mut pos = Vec::new();
-        walk(&mut buf.reader(), times.len(), 10, |_, _, at| pos.push(at)).unwrap();
-        assert_eq!((pos.len(), pos[5]), (6, buf.len_bits()));
-        // Resume at sample 2 (deviation 2→3 starts at pos[2]).
-        let tail = decode_from(&buf, pos[2], times[2], 10, 10).unwrap();
-        assert_eq!(tail, vec![1025, 1030, 1041, 1052]);
-        // Bounded steps.
-        let tail = decode_from(&buf, pos[2], times[2], 10, 1).unwrap();
-        assert_eq!(tail, vec![1025, 1030]);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use crate::query::{
 };
 use crate::segment::Resident;
 use crate::shard::{decode_cursor, encode_cursor, ShardPolicy, ShardSpec};
-use crate::stiu::{build_node, NodeSegment, Stiu, MAX_SPAN_PARTITIONS};
+use crate::stiu::{build_node, NodeSegment, Stiu, TimeSpan, MAX_SPAN_PARTITIONS};
 use crate::storage::{self, Sections};
 
 /// A hand-rolled `ArcSwap`: the one mutable cell of a live store. The
@@ -596,7 +596,7 @@ impl Partition {
 /// [`Partition::append`] copies into its partition's tail segments.
 struct Prepared {
     compressed: Compressed,
-    node: NodeSegment,
+    node: (NodeSegment, TimeSpan),
 }
 
 /// Compresses and indexes one trajectory for a store whose index is

@@ -3,11 +3,11 @@
 //!
 //! Two parts per compressed trajectory:
 //!
-//! * a **temporal index**: the day is partitioned into equal intervals;
-//!   each interval containing at least one timestamp stores a tuple
-//!   `(t.start, t.no, t.pos)` — the earliest timestamp in the interval,
-//!   its index, and the bit position of the following deviation code in
-//!   the compressed time stream, so time decoding can resume mid-stream;
+//! * a **temporal index**: the day is partitioned into equal intervals,
+//!   and a trajectory is posted under every interval from its first
+//!   sample's to its last's. (The paper also stores, per interval that
+//!   holds a sample, a tuple `(t.start, t.no, t.pos)` to resume time
+//!   decoding there; see the deviation below.)
 //! * a **spatial index**: the plane is partitioned into an `n × n` grid.
 //!   Each reference has a **group**: the regions its members (itself and
 //!   its non-references) traverse (first traversal), each marked with
@@ -29,24 +29,27 @@
 //! migrate` converts them and refuses tuples out of order, a cell
 //! repeated or one outside its group ([`Stiu::push_tuples`]).
 //!
-//! **Deviation from §5.2** (`docs/ARCHITECTURE.md` has the argument).
-//! The paper's tuples also hold a *resume point* (`fv, fv.no, d.pos` /
-//! `rv, rv.no, ma.pos`) so that decompression can start at the region.
-//! Nothing here resumes mid-instance (the query engine in `query.rs`
-//! decodes whole instances through the decode cache), so those fields
-//! had no reader and are neither computed, kept nor stored; the one bit
-//! the filters read of them is [`Group::enters`]. They are a pure
+//! **Deviation from §5.2** (`docs/ARCHITECTURE.md` has the argument
+//! and the numbers). The paper's region tuples also hold a *resume
+//! point* (`fv, fv.no, d.pos` / `rv, rv.no, ma.pos`) so that
+//! decompression can start at the region, and its temporal tuples are
+//! resume points into `T`. Nothing here resumes mid-stream: the query
+//! engine in `query.rs` decodes whole instances and whole time
+//! sequences through the decode cache, and brackets a query time in the
+//! decoded sequence. So no resume point is computed, kept or stored;
+//! the one bit the filters read of them is [`Group::enters`], and of
+//! the temporal tuples a node keeps only their count. Both are a pure
 //! function of (network, raw trajectory, streams) at ingest, so a later
 //! container version can bring them back with the first query that
-//! reads them. [`Stiu::size_bits`] still prices the paper's tuple.
+//! reads them. [`Stiu::size_bits`] still prices the paper's tuples.
 //!
 //! In memory the nodes are the index half of [`crate::segment`]: per
-//! 1,024 trajectories one [`NodeSegment`] holding every temporal tuple,
-//! region word and membership bit in three flat tables, and per node
-//! where they end. A [`TrajIndex`] is one node borrowed from them. The
-//! segment's fourth table is the time-partition postings of its nodes,
-//! `(interval, position)` pairs: a pure function of the nodes, derived
-//! as each is appended and never stored.
+//! 1,024 trajectories one [`NodeSegment`] holding every region word and
+//! membership bit in two flat tables, and per node where they end and
+//! its temporal tuple count. A [`TrajIndex`] is one node borrowed from
+//! them. The segment's third table is the time-partition postings of
+//! its nodes, `(interval, position)` pairs: a pure function of the
+//! nodes, derived as each is appended and never stored.
 
 use std::fmt;
 use std::sync::Arc;
@@ -106,18 +109,6 @@ impl Default for StiuParams {
     }
 }
 
-/// Temporal tuple `(t.start, t.no, t.pos)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TemporalTuple {
-    /// Earliest timestamp of the trajectory inside the interval.
-    pub start: i64,
-    /// Index of `start` in the time sequence.
-    pub no: u32,
-    /// Bit position of the next deviation code in `t_bits` (= end of the
-    /// stream for the final sample).
-    pub pos: u32,
-}
-
 /// Bit 31 of a region word: the group's reference itself enters the
 /// cell (the paper's `fv ≠ ∞`); otherwise only members of its `Rrs` do.
 const ENTERS: u32 = 1 << 31;
@@ -173,10 +164,8 @@ impl<'a> Group<'a> {
 }
 
 /// One per-trajectory index node, borrowed from its [`NodeSegment`].
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 pub struct TrajIndex<'a> {
-    /// Temporal tuples sorted by `start`.
-    pub temporal: &'a [TemporalTuple],
     /// The region words (module docs).
     words: &'a [u32],
     /// The segment's membership bits; the node's are `n_bits` of them
@@ -187,19 +176,6 @@ pub struct TrajIndex<'a> {
 }
 
 impl<'a> TrajIndex<'a> {
-    /// The temporal tuple with the largest `start ≤ t`, if any.
-    pub fn temporal_at(&self, t: i64) -> Option<&'a TemporalTuple> {
-        let i = self.temporal.partition_point(|tt| tt.start <= t);
-        self.temporal.get(i.checked_sub(1)?)
-    }
-
-    /// The partitions of the first and last temporal tuple: those of the
-    /// trajectory's first and last sample (`None` without samples).
-    pub(crate) fn span(&self, params: &StiuParams) -> Option<(i64, i64)> {
-        let (first, last) = (self.temporal.first()?, self.temporal.last()?);
-        params.span(&[first.start, last.start])
-    }
-
     /// The groups, one per reference, in reference order.
     pub fn groups(&self) -> impl Iterator<Item = Group<'a>> + 'a {
         self.words
@@ -338,7 +314,6 @@ impl fmt::Debug for TrajIndex<'_> {
         let groups = self.groups().map(|g| Vec::from_iter(g.cells()));
         let bits = self.member_bits().map(|set| if set { '1' } else { '0' });
         f.debug_struct("TrajIndex")
-            .field("temporal", &self.temporal)
             .field("groups", &Vec::from_iter(groups))
             .field("members", &String::from_iter(bits))
             .finish()
@@ -346,14 +321,15 @@ impl fmt::Debug for TrajIndex<'_> {
 }
 
 /// The index half of a segment ([`crate::segment`]): the nodes of up to
-/// 1,024 trajectories in three flat tables, and their postings.
+/// 1,024 trajectories in two flat tables, and their postings.
 #[derive(Debug, Default)]
 pub struct NodeSegment {
-    /// Per node: where its temporal tuples, region words and membership
-    /// bits end (they start where the previous node's end). What lies
-    /// past the last entry belongs to the node being built.
+    /// Per node: the temporal tuples of the nodes up to it, counted
+    /// (the paper's, one per interval that holds a sample, which only
+    /// [`Stiu::size_bits`] reads), and where its region words and
+    /// membership bits end (they start where the previous node's end).
+    /// What lies past the last entry belongs to the node being built.
     ends: Vec<[u32; 3]>,
-    pub(crate) temporal: Vec<TemporalTuple>,
     /// Region words of every node, back to back.
     words: Vec<u32>,
     /// Membership bits of every node, back to back, each 64-bit word
@@ -361,7 +337,7 @@ pub struct NodeSegment {
     bits: Vec<u64>,
     n_bits: usize,
     /// `(interval, position)`: each node's position in its dataset under
-    /// every interval from its first temporal tuple's to its last's. In
+    /// every interval from its first sample's to its last's. In
     /// arrival order in the tail; sealing sorts them, so a sealed
     /// segment answers an interval by binary search.
     postings: Vec<(i64, u32)>,
@@ -371,12 +347,11 @@ pub struct NodeSegment {
 pub type Nodes = Segments<NodeSegment>;
 
 impl NodeSegment {
-    /// The node whose tuples, words and bits run from `from` to `to`.
+    /// The node whose words and bits run from `from` to `to`.
     fn node(&self, from: [usize; 3], to: [usize; 3]) -> Option<TrajIndex<'_>> {
-        let ([t0, w0, b0], [t1, w1, b1]) = (from, to);
+        let ([_, w0, b0], [_, w1, b1]) = (from, to);
         let n_bits = b1.checked_sub(b0).filter(|_| b1 <= self.n_bits)?;
         Some(TrajIndex {
-            temporal: self.temporal.get(t0..t1)?,
             words: self.words.get(w0..w1)?,
             bits: &self.bits,
             first_bit: b0,
@@ -408,22 +383,24 @@ impl NodeSegment {
         closed.and_then(|k| self.end(k)).unwrap_or_default()
     }
 
-    /// The node being built: everything pushed since the last
-    /// [`NodeSegment::close`].
-    fn open(&self) -> TrajIndex<'_> {
-        let to = [self.temporal.len(), self.words.len(), self.n_bits];
-        self.node(self.open_from(), to).unwrap_or_default()
-    }
-
-    /// Closes the node being built.
-    fn close(&mut self) -> Result<(), Error> {
+    /// Closes the node being built, which counts `tuples` temporal
+    /// tuples.
+    fn close(&mut self, tuples: u32) -> Result<(), Error> {
+        let [counted, ..] = self.open_from();
         let end = [
-            offset(self.temporal.len())?,
+            offset(counted + tuples as usize)?,
             offset(self.words.len())?,
             offset(self.n_bits)?,
         ];
         self.ends.push(end);
         Ok(())
+    }
+
+    /// The temporal tuples of the segment's nodes, counted.
+    fn tuples(&self) -> u64 {
+        self.ends
+            .last()
+            .map_or(0, |&[counted, ..]| u64::from(counted))
     }
 
     /// Opens the next reference's group in the node being built and
@@ -517,9 +494,9 @@ impl Stiu {
     /// Appends the node of trajectory `ct`, the next of the owning
     /// dataset, from its region tuples: `refs` as `(ref_idx, cell,
     /// enters)` and `nrefs` as `(nref_idx, cell)`, a member's cells in
-    /// any order (this sorts them). The temporal tuples are derived from
-    /// `ct`'s time stream (`ts`: the dataset's default interval), the
-    /// postings as every node's are. Refuses reference tuples out of
+    /// any order (this sorts them). The temporal tuple count and the
+    /// postings are derived from `ct`'s time stream (`ts`: the dataset's
+    /// default interval), as every node's are. Refuses reference tuples out of
     /// order or repeated, non-reference tuples out of member order, and a
     /// non-reference cell repeated or outside its group: the tuples this
     /// shape cannot hold. What `utcq migrate` rebuilds the index of a
@@ -533,17 +510,17 @@ impl Stiu {
     ) -> Result<(), Error> {
         let partition_s = self.params.partition_s;
         self.append_node(|node, _| {
-            push_temporal(&mut node.temporal, ct.t_bits(), ct.n_times, ts, partition_s)?;
-            node.push_tuples(ct, refs, nrefs)
+            let times = time_span(ct.t_bits(), ct.n_times, ts, partition_s)?;
+            node.push_tuples(ct, refs, nrefs)?;
+            Ok(times)
         })
     }
 }
 
 impl NodeSegment {
-    /// Appends `temporal` as the temporal tuples of the node being built,
-    /// the region words and membership bits of `regions` as its own.
-    fn extend(&mut self, temporal: &[TemporalTuple], regions: TrajIndex<'_>) {
-        self.temporal.extend_from_slice(temporal);
+    /// Appends the region words and membership bits of `regions` to the
+    /// node being built.
+    fn extend(&mut self, regions: TrajIndex<'_>) {
         self.words.extend_from_slice(regions.words);
         regions.member_bits().for_each(|set| self.push_bit(set));
     }
@@ -564,7 +541,6 @@ impl Table for NodeSegment {
         let mut copied = 0;
         let copy = Self {
             ends: copy_vec(&self.ends, &mut copied),
-            temporal: copy_vec(&self.temporal, &mut copied),
             words: copy_vec(&self.words, &mut copied),
             bits: copy_vec(&self.bits, &mut copied),
             n_bits: self.n_bits,
@@ -575,7 +551,6 @@ impl Table for NodeSegment {
 
     fn seal(&mut self) -> Result<(), Error> {
         self.ends.shrink_to_fit();
-        self.temporal.shrink_to_fit();
         self.words.shrink_to_fit();
         self.bits.shrink_to_fit();
         self.postings.sort_unstable();
@@ -585,7 +560,6 @@ impl Table for NodeSegment {
 
     fn resident(&self, census: &mut Resident) {
         census.add("offset tables", vec_bytes(&self.ends));
-        census.add("temporal", vec_bytes(&self.temporal));
         census.add("region cells", vec_bytes(&self.words));
         census.add("member bits", vec_bytes(&self.bits));
         census.add("postings", vec_bytes(&self.postings));
@@ -616,11 +590,11 @@ impl Stiu {
     /// index, 24-bit stream position, 32-bit vertex id, and `ηp` widths
     /// for the probability aggregates.
     pub fn size_bits(&self, p_width: u32) -> (u64, u64) {
+        let tuples: u64 = self.trajs.segments().map(NodeSegment::tuples).sum();
+        let t = tuples * (17 + 12 + 24);
         let mut s = 0u64;
-        let mut t = 0u64;
         for node in &self.trajs {
             let (refs, nrefs) = node.tuple_counts();
-            t += node.temporal.len() as u64 * (17 + 12 + 24);
             s += refs as u64 * (32 + 12 + 24 + 2 * u64::from(p_width));
             s += nrefs as u64 * (32 + 12 + 24);
         }
@@ -740,47 +714,54 @@ pub fn region_cells(
     visited
 }
 
-/// Pushes the temporal tuples of a trajectory onto `out`: one per
-/// interval of `partition_s` that holds a sample, each the first sample
-/// there, its index, and where the next deviation code starts in
-/// `t_bits` (its end after the last sample). A pure function of the
-/// time stream, so containers store none: [`build_node`] and the reader
-/// both call this.
-pub(crate) fn push_temporal(
-    out: &mut Vec<TemporalTuple>,
+/// What a trajectory's time stream gives its index node: the times of
+/// its first and last sample (`None` without samples), between which
+/// the node is posted, and how many intervals of `partition_s` hold a
+/// sample — the paper's temporal tuple count, which only Fig. 9's model
+/// reads ([`Stiu::size_bits`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TimeSpan {
+    pub(crate) samples: Option<(i64, i64)>,
+    pub(crate) tuples: u32,
+}
+
+/// Walks a trajectory's time stream for its [`TimeSpan`]. A pure
+/// function of the stream, so containers store none of it:
+/// [`build_node`] and the reader both call this.
+pub(crate) fn time_span(
     t_bits: BitSlice<'_>,
     n_times: u32,
     ts: i64,
     partition_s: i64,
-) -> Result<(), Error> {
-    let mut last = None;
-    let push = |no: usize, start: i64, pos: usize| {
-        let interval = Some(start.div_euclid(partition_s));
+) -> Result<TimeSpan, Error> {
+    let (mut span, mut last) = (TimeSpan::default(), None);
+    let sample = |_, t: i64, _| {
+        let interval = Some(t.div_euclid(partition_s));
         if interval != last {
             last = interval;
-            let (no, pos) = (no as u32, pos as u32);
-            out.push(TemporalTuple { start, no, pos });
+            span.tuples += 1;
         }
+        span.samples = Some((span.samples.map_or(t, |(first, _)| first), t));
     };
-    let mut r = t_bits.reader();
-    Ok(siar::walk(&mut r, n_times as usize, ts, push)?)
+    siar::walk(&mut t_bits.reader(), n_times as usize, ts, sample)?;
+    Ok(span)
 }
 
 /// The node of one trajectory, built apart from any index and so on any
-/// thread: a segment holding that one node, for [`Stiu::append`].
-/// `index` gives the parameters, grid and edge cells; `ts` is the
-/// dataset's default interval.
+/// thread: a segment holding that one node, and its time span, for
+/// [`Stiu::append`]. `index` gives the parameters, grid and edge cells;
+/// `ts` is the dataset's default interval.
 pub(crate) fn build_node(
     net: &RoadNetwork,
     tu: &UncertainTrajectory,
     ct: &TrajView<'_>,
     index: &Stiu,
     ts: i64,
-) -> Result<NodeSegment, Error> {
+) -> Result<(NodeSegment, TimeSpan), Error> {
     let mut seg = NodeSegment::default();
-    build_traj(&mut seg, net, tu, ct, index, ts)?;
-    seg.close()?;
-    Ok(seg)
+    let times = build_traj(&mut seg, net, tu, ct, index, ts)?;
+    seg.close(times.tuples)?;
+    Ok((seg, times))
 }
 
 impl Stiu {
@@ -823,30 +804,32 @@ impl Stiu {
     /// The trajectory's position must equal `self.trajs.len()` in the
     /// owning [`CompressedDataset`]'s trajectories. After an error the
     /// index must be dropped (`Segments::append`).
-    pub(crate) fn append(&mut self, built: &NodeSegment) -> Result<(), Error> {
+    pub(crate) fn append(&mut self, (built, times): &(NodeSegment, TimeSpan)) -> Result<(), Error> {
         let node = built.view(0).ok_or(Error::CorruptStore("no node built"))?;
         self.append_node(|seg, _| {
-            seg.extend(node.temporal, node);
-            Ok::<_, Error>(())
+            seg.extend(node);
+            Ok::<_, Error>(*times)
         })
     }
 
     /// Appends one node, whose tuples `fill` (given the grid) pushes onto
-    /// the tables of the tail segment, and posts it under every interval
-    /// between its first and last temporal tuple — including sample-free
-    /// gap intervals, which the trajectory may still cross (a span of
+    /// the tables of the tail segment before it returns the node's time
+    /// span, and posts it under every interval between its first and
+    /// last sample — including sample-free gap intervals, which the
+    /// trajectory may still cross (a span of
     /// [`MAX_SPAN_PARTITIONS`] or more is refused). The postings are a
     /// pure function of the nodes, which is why containers do not store
     /// them.
     pub(crate) fn append_node<E: From<Error>>(
         &mut self,
-        fill: impl FnOnce(&mut NodeSegment, &Grid) -> Result<(), E>,
+        fill: impl FnOnce(&mut NodeSegment, &Grid) -> Result<TimeSpan, E>,
     ) -> Result<(), E> {
         let j = offset(self.trajs.len())?;
         self.trajs.append(|seg| {
-            fill(seg, &self.grid)?;
-            if let Some((first, last)) = seg.open().span(&self.params) {
-                // One crafted tuple must not post the node under an
+            let times = fill(seg, &self.grid)?;
+            let span = times.samples.and_then(|(a, b)| self.params.span(&[a, b]));
+            if let Some((first, last)) = span {
+                // One crafted stream must not post the node under an
                 // unbounded run of partitions.
                 if last.abs_diff(first) >= MAX_SPAN_PARTITIONS {
                     return Err(Error::CorruptStore("temporal span too long").into());
@@ -854,7 +837,7 @@ impl Stiu {
                 seg.postings
                     .extend((first..=last).map(|interval| (interval, j)));
             }
-            seg.close().map_err(E::from)
+            seg.close(times.tuples).map_err(E::from)
         })
     }
 }
@@ -889,8 +872,8 @@ pub(crate) fn try_build(
     Ok(stiu)
 }
 
-/// Pushes one trajectory's node onto `node`'s tables: its temporal
-/// tuples; per reference its group, the union of its members' cells,
+/// Pushes one trajectory's node onto `node`'s tables and returns its
+/// time span: per reference its group, the union of its members' cells,
 /// ascending, each marked if the reference itself enters it; per
 /// non-reference one bit per cell of its group, set where it enters.
 fn build_traj(
@@ -900,9 +883,8 @@ fn build_traj(
     ct: &TrajView<'_>,
     index: &Stiu,
     ts: i64,
-) -> Result<(), Error> {
-    let partition_s = index.params.partition_s;
-    push_temporal(&mut node.temporal, ct.t_bits(), ct.n_times, ts, partition_s)?;
+) -> Result<TimeSpan, Error> {
+    let times = time_span(ct.t_bits(), ct.n_times, ts, index.params.partition_s)?;
 
     // Per-instance region lists.
     let visits: Vec<Vec<CellId>> = tu
@@ -938,7 +920,7 @@ fn build_traj(
             node.push_bit(own.contains(cell));
         }
     }
-    Ok(())
+    Ok(times)
 }
 
 #[cfg(test)]
@@ -949,17 +931,13 @@ mod tests {
     use utcq_traj::paper_fixture;
 
     impl Nodes {
-        /// Appends a node: `temporal` as its temporal tuples, the region
-        /// words and membership bits of `regions` as its own, and no
-        /// postings ([`Stiu::append_node`] posts an index's nodes).
-        pub(crate) fn push(
-            &mut self,
-            temporal: &[TemporalTuple],
-            regions: TrajIndex<'_>,
-        ) -> Result<(), Error> {
+        /// Appends a node: the region words and membership bits of
+        /// `regions` as its own, no temporal tuple and no postings
+        /// ([`Stiu::append_node`] posts an index's nodes).
+        pub(crate) fn push(&mut self, regions: TrajIndex<'_>) -> Result<(), Error> {
             self.append(|seg| {
-                seg.extend(temporal, regions);
-                seg.close()
+                seg.extend(regions);
+                seg.close(0)
             })
         }
     }
@@ -990,22 +968,19 @@ mod tests {
                 grid_n: 8,
             },
         );
-        let node = stiu.trajs.get(0).unwrap();
-        assert_eq!(node.temporal.len(), 2);
-        assert_eq!(node.temporal[0].start, paper_fixture::hms(5, 3, 25));
-        assert_eq!(node.temporal[0].no, 0);
-        assert_eq!(node.temporal[1].start, paper_fixture::hms(5, 15, 26));
-        assert_eq!(node.temporal[1].no, 3);
-        // Lookup semantics.
-        assert_eq!(
-            node.temporal_at(paper_fixture::hms(5, 10, 0)).unwrap().no,
-            0
-        );
-        assert_eq!(
-            node.temporal_at(paper_fixture::hms(5, 20, 0)).unwrap().no,
-            3
-        );
-        assert!(node.temporal_at(paper_fixture::hms(4, 0, 0)).is_none());
+        assert_eq!(stiu.size_bits(9).1, 2 * (17 + 12 + 24));
+        let ct = cds.trajectories.get(0).unwrap();
+        let times = time_span(ct.t_bits(), ct.n_times, cds.params.default_interval, 900);
+        let times_of = &ds.trajectories[0].times;
+        let (first, last) = (times_of[0], *times_of.last().unwrap());
+        assert_eq!(first, paper_fixture::hms(5, 3, 25));
+        let expect = TimeSpan {
+            samples: Some((first, last)),
+            tuples: 2,
+        };
+        assert_eq!(times.unwrap(), expect);
+        // The node is posted under both intervals, and no other.
+        assert_eq!(stiu.intervals(), [first / 900, first / 900 + 1]);
     }
 
     #[test]
@@ -1059,18 +1034,15 @@ mod tests {
             .is_empty());
     }
 
-    /// Posts a bare node under `first..=last` (its temporal tuples'
+    /// Posts a bare node under `first..=last` (its samples'
     /// intervals).
     fn post(stiu: &mut Stiu, (first, last): (i64, i64)) {
         let ps = stiu.params.partition_s;
-        let tuple = |k: i64| TemporalTuple {
-            start: k * ps,
-            no: 0,
-            pos: 0,
-        };
-        let fill = |seg: &mut NodeSegment, _: &Grid| {
-            seg.temporal.extend([tuple(first), tuple(last)]);
-            Ok::<_, Error>(())
+        let fill = |_: &mut NodeSegment, _: &Grid| {
+            Ok::<_, Error>(TimeSpan {
+                samples: Some((first * ps, last * ps)),
+                tuples: 2,
+            })
         };
         stiu.append_node(fill).unwrap();
     }
@@ -1303,7 +1275,7 @@ mod tests {
         for set in [false, true, true] {
             seg.push_bit(set);
         }
-        seg.close().unwrap();
+        seg.close(0).unwrap();
         let node = seg.view(0).unwrap();
         let lens: Vec<usize> = node.groups().map(|g| g.len()).collect();
         assert_eq!(lens, [2, 0, 1]);

@@ -49,7 +49,7 @@
 //! delimits itself (by arithmetic, or a walk of its codes that needs
 //! counts, never the reference's content), the role bits give each
 //! `orig_idx` of the order compression emits (`canonical`), and the
-//! temporal tuples are a function of `T` (`stiu::push_temporal`).
+//! node's time span is a function of `T` (`stiu::time_span`).
 //!
 //! **The region tuples** are coded against the trajectory, in the
 //! canonical order of [`crate::stiu`]: a group's cells ascending as its
@@ -60,7 +60,8 @@
 //! non-reference rows say whose tuples come next.
 //!
 //! **Derived at open:** besides the body's fields, the interval postings
-//! (`Stiu::append_node`) — a pure function of stored fields, so a
+//! (`Stiu::append_node`, from each time stream's first and last sample)
+//! and the temporal tuple counts — pure functions of stored fields, so a
 //! reopened index equals the built one bit for bit.
 //!
 //! A block and an in-memory segment ([`crate::segment`]) cover the same
@@ -81,7 +82,7 @@ use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::params::CompressParams;
 use crate::segment::{index_width, TrajSegment, TrajView, CHUNK};
-use crate::stiu::{push_temporal, NodeSegment, Stiu, StiuParams, TrajIndex};
+use crate::stiu::{time_span, NodeSegment, Stiu, StiuParams, TrajIndex};
 use crate::{factor, siar};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
@@ -507,8 +508,8 @@ fn read_trajs<R: Read>(
 }
 
 /// Reads one index node per trajectory of `cds` into `stiu`, tuple by
-/// tuple into its segments, deriving the temporal tuples from each time
-/// stream and the interval postings.
+/// tuple into its segments, deriving each node's time span (its
+/// postings and temporal tuple count) from its time stream.
 fn read_nodes<R: Read>(
     src: &mut Source<'_, R>,
     cds: &CompressedDataset,
@@ -525,8 +526,9 @@ fn read_nodes<R: Read>(
             // A crafted count cannot grow a table past the content
             // actually present: each tuple read consumes input.
             stiu.append_node(|node, _| {
-                push_temporal(&mut node.temporal, ct.t_bits(), ct.n_times, ts, partition_s)?;
-                read_coded_regions(src, node, &ct, n_cells, &mut groups)
+                let times = time_span(ct.t_bits(), ct.n_times, ts, partition_s)?;
+                read_coded_regions(src, node, &ct, n_cells, &mut groups)?;
+                Ok::<_, StorageError>(times)
             })?;
         }
         src.end_block()?;
@@ -820,7 +822,7 @@ fn pack_traj(p: &mut Packer, ct: &TrajView<'_>) -> io::Result<()> {
 
 /// One index record, v7: the region words and membership bits coded
 /// against the trajectory ([`read_coded_regions`] reads them); the
-/// temporal tuples are derived at open. A node with other than one
+/// time span is derived at open. A node with other than one
 /// group per reference, or other than one bit per (non-reference, cell
 /// of its group), is refused: it is not the index of `ct`.
 fn pack_node(
@@ -1287,9 +1289,8 @@ mod tests {
             .unwrap();
         let mut nodes = crate::stiu::Nodes::default();
         for k in 0..cds.trajectories.len() {
-            let node = stiu.trajs.get(k).unwrap();
             let regions = stiu.trajs.get(if k == j { 0 } else { k }).unwrap();
-            nodes.push(node.temporal, regions).unwrap();
+            nodes.push(regions).unwrap();
         }
         stiu.trajs = nodes;
         let err = save(&net, &cds, &stiu, &mut Vec::new()).unwrap_err();

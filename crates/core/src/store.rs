@@ -1051,6 +1051,35 @@ mod tests {
     }
 
     #[test]
+    fn range_alpha_prune_decodes_nothing() {
+        // Lemma 4: the trajectory has cells in the detour region, but on
+        // this 4 × 4 grid the groups holding them bound its probability
+        // there below α = 0.8, so it is pruned before anything of it is
+        // decoded, not even its time sequence.
+        let fx = paper_fixture::build();
+        let store = paper_store(&fx);
+        let t = paper_fixture::hms(5, 9, 0);
+        let detour_region = Rect::new(10.0, 4.0, 22.0, 12.0);
+        store.clear_cache();
+        let before = store.cache_stats();
+        let pruned = store
+            .range_query(&detour_region, t, 0.8, PageRequest::all())
+            .unwrap();
+        assert!(pruned.items.is_empty());
+        let after = store.cache_stats();
+        assert_eq!(
+            (after.misses, after.entries),
+            (before.misses, before.entries),
+            "the pruned candidate decoded"
+        );
+        // The region does hold one of its instances.
+        let hit = store
+            .range_query(&detour_region, t, 0.1, PageRequest::all())
+            .unwrap();
+        assert_eq!(hit.items, vec![1]);
+    }
+
+    #[test]
     fn range_outside_time_span() {
         let fx = paper_fixture::build();
         let store = paper_store(&fx);

@@ -91,13 +91,10 @@ fn siar_roundtrips_arbitrary_sequences() {
         }
         let buf = siar::encode(&times, ts).unwrap();
         assert_eq!(siar::decode(&buf, times.len(), ts).unwrap(), times);
-        // Mid-stream resume from every sample.
-        let mut pos = Vec::new();
-        siar::walk(&mut buf.reader(), times.len(), ts, |_, _, at| pos.push(at)).unwrap();
-        for (i, &p) in pos.iter().enumerate() {
-            let tail = siar::decode_from(&buf, p, times[i], ts, times.len()).unwrap();
-            assert_eq!(&tail[..], &times[i..]);
-        }
+        // The walk ends where the stream does.
+        let mut end = 0;
+        siar::walk(&mut buf.reader(), times.len(), ts, |_, _, at| end = at).unwrap();
+        assert_eq!(end, buf.len_bits());
     }
 }
 

@@ -267,7 +267,6 @@ fn ingest_order_does_not_change_answers() {
 /// Every field of an index node as tuple rows, and the probability
 /// bounds of every cell of every group by bit pattern.
 type NodeFields = (
-    Vec<utcq_core::stiu::TemporalTuple>,
     Vec<(u32, u32, bool, u64, u64)>,
     Vec<(u32, utcq_network::CellId)>,
 );
@@ -282,14 +281,14 @@ fn node_fields(n: TrajIndex<'_>, ct: &TrajView<'_>, params: &CompressParams) -> 
             refs.push((cell.0, r, enters, p_total.to_bits(), p_max.to_bits()));
         }
     }
-    (n.temporal.to_vec(), refs, n.nref_tuples(ct.nref_owners()))
+    (refs, n.nref_tuples(ct.nref_owners()))
 }
 
 /// Asserts that `reopened` holds exactly the store `built` is: every
 /// trajectory's rows, stream bits and plan in the same segments, every
-/// index node field for field (the probability bounds by bit pattern,
-/// the temporal tuples the reader derives), every interval's postings,
-/// the ratios.
+/// index node field for field (the probability bounds by bit pattern),
+/// the temporal tuple counts the reader derives (as Fig. 9's size
+/// model), every interval's postings, the ratios.
 fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what: &str) {
     assert_eq!(built.len(), reopened.len(), "{what}: partitions");
     for (a, b) in built.iter().zip(reopened) {
@@ -309,7 +308,7 @@ fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what
         for (j, (x, y)) in ta.iter().zip(tb).enumerate() {
             let rows = |t: TrajView<'_>| {
                 let plan = t.plan(&p_codec);
-                let order = plan.by_prob_desc().to_vec();
+                let order = plan.by_prob_desc();
                 format!("{t:?} {order:?}")
             };
             assert_eq!(rows(x), rows(y), "{what}: trajectory {j}");
@@ -324,6 +323,7 @@ fn assert_same_index(built: &[Arc<Partition>], reopened: &[Arc<Partition>], what
         }
         let (a, b) = (a.stiu(), b.stiu());
         assert_eq!(a.params, b.params, "{what}");
+        assert_eq!(a.size_bits(8), b.size_bits(8), "{what}: size model");
         let keys = a.intervals();
         assert_eq!(keys, b.intervals(), "{what}: intervals");
         for t in keys.iter().map(|k| k * a.params.partition_s) {
@@ -489,7 +489,7 @@ fn assert_plan_is_the_compressors(
     assert_eq!(Vec::from_iter(plan.probs()), probs, "{what} {j}");
     let mut order = Vec::from_iter((0..).zip(probs.iter().copied()));
     order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    assert_eq!(plan.by_prob_desc().to_vec(), order, "{what} {j}");
+    assert_eq!(plan.by_prob_desc(), order, "{what} {j}");
 }
 
 #[test]

@@ -61,7 +61,7 @@ use utcq_core::compressed::{
 };
 use utcq_core::decompress::DecompressError;
 use utcq_core::segment::TrajView;
-use utcq_core::stiu::{region_cells, EdgeCells, Stiu, StiuParams, TemporalTuple};
+use utcq_core::stiu::{region_cells, EdgeCells, Stiu, StiuParams};
 use utcq_core::storage::{self, Head, StorageError, ROUTING_REGION};
 use utcq_core::{decompress_dataset, factor, siar, CompressParams, CompressedDataset, Error};
 use utcq_network::{CellId, NetworkBuilder, RoadNetwork, VertexId};
@@ -468,7 +468,8 @@ fn read_nodes<R: Read>(
     let (n_cells, n_vertices) = (stiu.grid.cell_count(), net.vertex_count());
     let ts = cds.params.default_interval;
     let (resume, coded) = (src.version < VERSION_V5, src.version >= VERSION_V6);
-    let (mut stored, mut refs, mut nrefs) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut stored, mut derived) = (Vec::new(), Vec::new());
+    let (mut refs, mut nrefs) = (Vec::new(), Vec::new());
     let mut cts = cds.trajectories.iter().peekable();
     while cts.peek().is_some() {
         src.begin_block()?;
@@ -477,11 +478,8 @@ fn read_nodes<R: Read>(
             // actually present: each tuple read consumes input.
             stored.clear();
             for _ in 0..src.col(COUNT)? {
-                stored.push(TemporalTuple {
-                    start: src.col(START)? as i64,
-                    no: src.col(NO)? as u32,
-                    pos: src.col(POS)? as u32,
-                });
+                let start = src.col(START)? as i64;
+                stored.push((start, src.col(NO)? as u32, src.col(POS)? as u32));
             }
             refs.clear();
             nrefs.clear();
@@ -516,14 +514,36 @@ fn read_nodes<R: Read>(
                 }
             }
             stiu.push_tuples(&ct, ts, &refs, &mut nrefs)?;
-            let node = stiu.trajs.get(stiu.trajs.len() - 1);
-            if node.map(|node| node.temporal) != Some(stored.as_slice()) {
+            temporal_tuples(&ct, ts, stiu.params.partition_s, &mut derived)?;
+            if derived != stored {
                 return Err(StorageError::Corrupt("temporal tuples vs time stream"));
             }
         }
         src.end_block()?;
     }
     Ok(())
+}
+
+/// The temporal tuples `(t.start, t.no, t.pos)` a v2 to v6 node stores
+/// for `ct`, into `out`: per interval of `partition_s` that holds a
+/// sample, the first sample there, its index, and where the next
+/// deviation code starts in `T` (its end after the last sample).
+fn temporal_tuples(
+    ct: &TrajView<'_>,
+    ts: i64,
+    partition_s: i64,
+    out: &mut Vec<(i64, u32, u32)>,
+) -> Result<(), CodecError> {
+    out.clear();
+    let mut last = None;
+    let push = |no: usize, start: i64, pos: usize| {
+        let interval = Some(start.div_euclid(partition_s));
+        if interval != last {
+            last = interval;
+            out.push((start, no as u32, pos as u32));
+        }
+    };
+    siar::walk(&mut ct.t_bits().reader(), ct.n_times as usize, ts, push)
 }
 
 /// The region half of a v6 node as tuple lists: per reference of `ct`,

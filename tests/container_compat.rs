@@ -49,6 +49,7 @@ use std::sync::Arc;
 
 use utcq::core::query::PageRequest;
 use utcq::core::shard::ByTime;
+use utcq::core::siar;
 use utcq::core::stiu::{StiuParams, TrajIndex};
 use utcq::core::storage::StorageError;
 use utcq::core::wal::{self, Record, Wal};
@@ -187,11 +188,24 @@ fn v2_nodes_at(bytes: &[u8], snap: &Partition) -> usize {
     let postings = |k: i64| stiu.trajs_in_interval(k * stiu.params.partition_s);
     let per_key = keys.iter().map(|&k| 12 + 4 * postings(k).len());
     let postings_len = 8 + per_key.sum::<usize>();
-    let node_len = |n: TrajIndex<'_>| {
+    let node_len = |(j, n): (usize, TrajIndex<'_>)| {
         let (refs, nrefs) = n.tuple_counts();
-        12 + 16 * n.temporal.len() + 37 * refs + 20 * nrefs
+        12 + 16 * temporal_count(snap, j) + 37 * refs + 20 * nrefs
     };
-    bytes.len() - postings_len - stiu.trajs.iter().map(node_len).sum::<usize>()
+    bytes.len() - postings_len - stiu.trajs.iter().enumerate().map(node_len).sum::<usize>()
+}
+
+/// How many temporal tuples a v2 node stores for trajectory `j`: one
+/// per index interval that holds a sample.
+fn temporal_count(snap: &Partition, j: usize) -> usize {
+    let cds = snap.compressed();
+    let ct = cds.trajectories.get(j).unwrap();
+    let ts = cds.params.default_interval;
+    let times = siar::decode(ct.t_bits(), ct.n_times as usize, ts).unwrap();
+    let partition_s = snap.stiu().params.partition_s;
+    let mut intervals = Vec::from_iter(times.iter().map(|t| t.div_euclid(partition_s)));
+    intervals.dedup();
+    intervals.len()
 }
 
 #[test]
@@ -370,7 +384,7 @@ fn resume_fields_of_old_versions_are_still_checked() {
     let v2 = open(&bytes).expect("the fixture itself opens");
     let snap = v2.snapshots().remove(0);
     let node0 = snap.stiu().trajs.get(0).unwrap();
-    let refs_at = v2_nodes_at(&bytes, &snap) + 4 + 16 * node0.temporal.len() + 4;
+    let refs_at = v2_nodes_at(&bytes, &snap) + 4 + 16 * temporal_count(&snap, 0) + 4;
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     let ref_tuples = Vec::from_iter(node0.ref_tuples());
     assert_eq!(u32_at(refs_at - 4) as usize, ref_tuples.len());
@@ -808,6 +822,30 @@ fn migrate_carries_the_stored_index() {
     let snap = kept.snapshots().remove(0);
     let got = Vec::from_iter(snap.stiu().trajs.get(0).unwrap().ref_tuples());
     assert_eq!(got, want, "the flipped bit, as stored");
+}
+
+#[test]
+fn a_stored_temporal_tuple_must_be_the_one_its_time_stream_derives() {
+    // `tiny_v5.utcq` with node 0's first stored temporal tuple one second
+    // off: `utcq migrate` derives the tuples from the time stream itself
+    // (the store keeps none) and refuses the file.
+    let bytes = std::fs::read(fixture_path("tiny_v5.utcq")).unwrap();
+    let block = index_block_at(&bytes);
+    let block_bits = (bytes.len() - block) * 8;
+    let bits = utcq::bitio::BitSlice::from_bytes(&bytes[block..], block_bits).unwrap();
+    let mut r = bits.reader();
+    r.read_bits(64).unwrap();
+    let [start, _, count, _] = [(); 4].map(|()| r.read_bits(7).unwrap() as u32);
+    assert!(
+        r.read_bits(count).unwrap() > 0,
+        "node 0 has a temporal tuple"
+    );
+    assert!(start > 0, "starts differ, so the column has bits");
+    let at = block * 8 + r.pos() + start as usize - 1;
+    let mut off = bytes.clone();
+    off[at / 8] ^= 0x80 >> (at % 8);
+    let err = migrated(&off).unwrap_err();
+    assert!(err.contains("temporal tuples vs time stream"), "{err}");
 }
 
 /// Regenerates the current-format fixtures (two containers, one log)
