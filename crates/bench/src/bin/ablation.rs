@@ -192,7 +192,6 @@ fn index_vs_full_decompression() {
                         .trajectories
                         .get(j)
                         .expect("indexed above"),
-                    snap.compressed().w_e,
                     &params,
                 )
                 .unwrap();

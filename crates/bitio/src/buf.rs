@@ -68,19 +68,8 @@ impl BitWriter {
         }
         // A field that fits one 64-bit word beside the bits already in
         // the last byte lands as one shifted word.
-        let used = self.len % 8;
-        if width > 0 && used + width as usize <= 64 {
-            let word = (value << (64 - used - width as usize)).to_be_bytes();
-            let touched = &word[..(used + width as usize).div_ceil(8)];
-            let fresh = match self.buf.last_mut() {
-                Some(last) if used > 0 => {
-                    *last |= touched[0];
-                    &touched[1..]
-                }
-                _ => touched,
-            };
-            self.buf.extend_from_slice(fresh);
-            self.len += width as usize;
+        if width > 0 && self.len % 8 + width as usize <= 64 {
+            self.put(value, width as usize);
             return Ok(());
         }
         // Byte-chunked path.
@@ -102,6 +91,25 @@ impl BitWriter {
         Ok(())
     }
 
+    /// Appends the low `width` bits of `value`, which has no other bit
+    /// set, as one shifted word: `width` is 1 to 56, or more if it still
+    /// fits one word beside the bits already in the last byte.
+    #[inline]
+    fn put(&mut self, value: u64, width: usize) {
+        let used = self.len % 8;
+        let word = (value << (64 - used - width)).to_be_bytes();
+        let touched = &word[..(used + width).div_ceil(8)];
+        let fresh = match self.buf.last_mut() {
+            Some(last) if used > 0 => {
+                *last |= touched[0];
+                &touched[1..]
+            }
+            _ => touched,
+        };
+        self.buf.extend_from_slice(fresh);
+        self.len += width;
+    }
+
     /// Appends `count` repetitions of `bit`.
     pub fn push_run(&mut self, bit: bool, mut count: usize) {
         // Align to a byte boundary, then blast whole bytes.
@@ -121,21 +129,25 @@ impl BitWriter {
     /// Appends every bit of another buffer (or borrowed stream).
     pub fn extend_from<'a>(&mut self, other: impl Into<BitSlice<'a>>) {
         let other: BitSlice<'a> = other.into();
-        let used = self.len % 8;
-        if used == 0 {
-            self.buf.extend_from_slice(other.bytes);
-        } else if let Some(mut last) = self.buf.len().checked_sub(1) {
-            // Each source byte straddles two destination bytes; the
-            // source's padding bits are zero, so nothing stray lands.
-            self.buf.reserve(other.bytes.len());
-            for &b in other.bytes.iter() {
-                self.buf[last] |= b >> used;
-                self.buf.push(b << (8 - used));
-                last += 1;
+        self.buf.reserve(other.len.div_ceil(8) + 1);
+        match other.aligned_bytes() {
+            Some(bytes) if self.len.is_multiple_of(8) => {
+                self.buf.extend_from_slice(bytes);
+                self.len += other.len;
+                // The last byte may hold the first bits after `other`.
+                if let (Some(last), 1..) = (self.buf.last_mut(), self.len % 8) {
+                    *last &= 0xFF << (8 - self.len % 8);
+                }
+            }
+            _ => {
+                let mut at = 0;
+                while at < other.len {
+                    let width = (other.len - at).min(56);
+                    self.put(load(other.bytes, other.start + at) >> (64 - width), width);
+                    at += width;
+                }
             }
         }
-        self.len += other.len;
-        self.buf.truncate(self.len.div_ceil(8));
     }
 
     /// The bits written so far, borrowed.
@@ -143,8 +155,16 @@ impl BitWriter {
     pub fn as_slice(&self) -> BitSlice<'_> {
         BitSlice {
             bytes: &self.buf,
+            start: 0,
             len: self.len,
         }
+    }
+
+    /// The packed bytes written so far (MSB-first; the final byte is
+    /// zero-padded).
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Bytes allocated for the stream, written or not.
@@ -157,6 +177,16 @@ impl BitWriter {
         BitBuf {
             bytes: self.buf.into_boxed_slice(),
             len: self.len,
+        }
+    }
+}
+
+/// A finalized stream written on: its bytes, without copying them.
+impl From<BitBuf> for BitWriter {
+    fn from(buf: BitBuf) -> Self {
+        Self {
+            buf: buf.bytes.into_vec(),
+            len: buf.len,
         }
     }
 }
@@ -222,6 +252,7 @@ impl BitBuf {
     pub fn as_slice(&self) -> BitSlice<'_> {
         BitSlice {
             bytes: &self.bytes,
+            start: 0,
             len: self.len,
         }
     }
@@ -248,13 +279,32 @@ impl BitBuf {
     }
 }
 
-/// A borrowed bit stream: packed bytes that start on a byte boundary
-/// (MSB-first, the final byte zero-padded) and an exact bit length.
-/// What a [`BitBuf`] lends out, and what a table that keeps many streams
-/// in one byte arena hands to the decoders without copying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// MSB-aligned, the 64 bits from bit `at` of `bytes` (at least 57 of
+/// them from the byte that holds bit `at`); bits past the end of `bytes`
+/// read as zero.
+#[inline]
+fn load(bytes: &[u8], at: usize) -> u64 {
+    let (first, skip) = (at / 8, at % 8);
+    let tail = bytes.get(first..).unwrap_or_default();
+    let word = match tail.first_chunk::<8>() {
+        Some(word) => u64::from_be_bytes(*word),
+        None => {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_be_bytes(word)
+        }
+    };
+    word << skip
+}
+
+/// A borrowed bit stream: `len` bits of packed bytes (MSB-first) from bit
+/// `start` on. What a [`BitBuf`] lends out (from bit 0), and what a table
+/// that keeps many streams back to back in one bit string hands to the
+/// decoders without copying ([`BitSlice::slice`]).
+#[derive(Clone, Copy, Default)]
 pub struct BitSlice<'a> {
     bytes: &'a [u8],
+    start: usize,
     len: usize,
 }
 
@@ -278,13 +328,30 @@ impl<'a> BitSlice<'a> {
                 return None;
             }
         }
-        Some(Self { bytes, len })
+        Some(Self {
+            bytes,
+            start: 0,
+            len,
+        })
     }
 
-    /// The packed backing bytes (see [`BitBuf::as_bytes`]).
+    /// The `len` bits from bit `at` on, if this stream holds them.
     #[inline]
-    pub fn as_bytes(&self) -> &'a [u8] {
-        self.bytes
+    pub fn slice(&self, at: usize, len: usize) -> Option<BitSlice<'a>> {
+        let end = at.checked_add(len)?;
+        (end <= self.len).then_some(BitSlice {
+            bytes: self.bytes,
+            start: self.start + at,
+            len,
+        })
+    }
+
+    /// The bytes that hold the stream, if it starts on a byte boundary
+    /// (bits past its end in the last byte belong to whatever follows).
+    fn aligned_bytes(&self) -> Option<&'a [u8]> {
+        let first = self.start / 8;
+        let bytes = self.bytes.get(first..first + self.len.div_ceil(8))?;
+        self.start.is_multiple_of(8).then_some(bytes)
     }
 
     /// Length in bits.
@@ -303,7 +370,8 @@ impl<'a> BitSlice<'a> {
     #[inline]
     pub fn get(&self, pos: usize) -> bool {
         assert!(pos < self.len, "bit index {pos} out of range {}", self.len);
-        (self.bytes[pos / 8] >> (7 - pos % 8)) & 1 == 1
+        let at = self.start + pos;
+        (self.bytes[at / 8] >> (7 - at % 8)) & 1 == 1
     }
 
     /// A reader positioned at bit 0.
@@ -316,9 +384,40 @@ impl<'a> BitSlice<'a> {
         BitReader { buf: *self, pos }
     }
 
+    /// A copy of the stream as a buffer of its own, from a byte boundary.
+    pub fn to_buf(&self) -> BitBuf {
+        let mut w = BitWriter::with_capacity(self.len);
+        w.extend_from(*self);
+        w.finish()
+    }
+
     /// Materializes the stream as bools (test convenience).
     pub fn to_bits(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.get(i)).collect()
+    }
+}
+
+/// Two streams are equal when they hold the same bits, wherever each
+/// starts.
+impl PartialEq for BitSlice<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |at: usize| {
+            let width = (self.len - at).min(56);
+            let bits = |s: &Self| load(s.bytes, s.start + at) >> (64 - width);
+            bits(self) == bits(other)
+        };
+        self.len == other.len && (0..self.len).step_by(56).all(same)
+    }
+}
+
+impl Eq for BitSlice<'_> {}
+
+impl std::fmt::Debug for BitSlice<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BitSlice")
+            .field("bytes", &self.to_buf().as_bytes())
+            .field("len", &self.len)
+            .finish()
     }
 }
 
@@ -354,19 +453,10 @@ impl<'a> BitReader<'a> {
     /// a short variable-length code whole.
     #[inline]
     pub fn peek(&self) -> (u64, u32) {
-        let (first, skip) = (self.pos / 8, self.pos % 8);
-        let tail = self.buf.bytes.get(first..).unwrap_or_default();
-        let word = match tail.first_chunk::<8>() {
-            Some(word) => u64::from_be_bytes(*word),
-            None => {
-                let mut word = [0u8; 8];
-                word[..tail.len()].copy_from_slice(tail);
-                u64::from_be_bytes(word)
-            }
-        };
-        let avail = self.remaining().min(64 - skip) as u32;
+        let at = self.buf.start + self.pos;
+        let avail = self.remaining().min(64 - at % 8) as u32;
         let valid = u64::MAX.checked_shr(avail).map_or(u64::MAX, |rest| !rest);
-        ((word << skip) & valid, avail)
+        (load(self.buf.bytes, at) & valid, avail)
     }
 
     /// Reads one bit.
@@ -386,42 +476,15 @@ impl<'a> BitReader<'a> {
     /// Reads the next `len` bits as a buffer of their own — the inverse
     /// of [`BitWriter::extend_from`].
     pub fn read_buf(&mut self, len: usize) -> Result<BitBuf, CodecError> {
-        let mut bytes = Vec::new();
-        self.read_into(len, &mut bytes)?;
-        Ok(BitBuf {
-            bytes: bytes.into_boxed_slice(),
-            len,
-        })
-    }
-
-    /// Appends the next `len` bits to `out` as a stream of their own:
-    /// starting on a byte boundary of `out`, the final byte zero-padded
-    /// (the layout [`BitSlice::from_bytes`] borrows).
-    pub fn read_into(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        if self.remaining() < len {
-            return Err(CodecError::UnexpectedEnd {
+        let part = self
+            .buf
+            .slice(self.pos, len)
+            .ok_or(CodecError::UnexpectedEnd {
                 pos: self.pos,
                 len: self.buf.len,
-            });
-        }
-        let skip = self.pos % 8;
-        let src = &self.buf.bytes[self.pos / 8..];
-        let at = out.len();
-        if skip == 0 {
-            out.extend_from_slice(&src[..len.div_ceil(8)]);
-        } else {
-            out.extend(src[..len.div_ceil(8)].iter().map(|b| b << skip));
-            for (b, next) in out[at..].iter_mut().zip(&src[1..]) {
-                *b |= next >> (8 - skip);
-            }
-        }
-        if !len.is_multiple_of(8) {
-            if let Some(last) = out.last_mut() {
-                *last &= 0xFF << (8 - len % 8);
-            }
-        }
+            })?;
         self.pos += len;
-        Ok(())
+        Ok(part.to_buf())
     }
 
     /// Reads `width` bits MSB-first into the low bits of a `u64`.
@@ -438,7 +501,8 @@ impl<'a> BitReader<'a> {
         }
         // One unaligned 64-bit load covers any field that ends within
         // eight bytes of its first byte (all but the buffer's tail).
-        let (first, skip) = (self.pos / 8, self.pos % 8);
+        let at = self.buf.start + self.pos;
+        let (first, skip) = (at / 8, at % 8);
         let tail = self.buf.bytes.get(first..).unwrap_or_default();
         if let Some(word) = tail.first_chunk::<8>() {
             if width > 0 && skip + width as usize <= 64 {
@@ -450,8 +514,9 @@ impl<'a> BitReader<'a> {
         let mut v = 0u64;
         let mut remaining = width as usize;
         while remaining > 0 {
-            let bit_pos = self.pos % 8;
-            let byte = self.buf.bytes[self.pos / 8];
+            let at = self.buf.start + self.pos;
+            let bit_pos = at % 8;
+            let byte = self.buf.bytes[at / 8];
             let avail = 8 - bit_pos;
             let take = avail.min(remaining);
             let chunk = (byte >> (avail - take)) & (((1u16 << take) - 1) as u8);
@@ -588,6 +653,43 @@ mod tests {
             assert_eq!(r.remaining(), 0);
             assert!(r.read_buf(1).is_err());
         }
+    }
+
+    #[test]
+    fn slices_start_anywhere_and_compare_by_their_bits() {
+        // Every sub-range of a 150-bit pattern: read, copied and
+        // compared against the same bits written from bit 0.
+        let bits: Vec<bool> = (0..150).map(|i| (i * 5 + i / 7) % 3 == 0).collect();
+        let whole = BitBuf::from_bits(&bits);
+        for at in [0, 1, 7, 8, 9, 63, 64, 65, 100] {
+            let lens = [0, 1, 8, 55, 56, 57, 150 - at];
+            for len in lens.into_iter().filter(|len| at + len <= 150) {
+                let Some(part) = whole.as_slice().slice(at, len) else {
+                    panic!("{at}+{len} is inside")
+                };
+                let own = BitBuf::from_bits(&bits[at..at + len]);
+                assert_eq!(part, own.as_slice(), "{at}+{len}");
+                assert_eq!(part.to_bits(), &bits[at..at + len]);
+                assert_eq!(part.to_buf(), own);
+                let mut r = part.reader();
+                let width = len.min(64) as u32;
+                assert_eq!(r.read_bits(width), own.reader().read_bits(width));
+                assert!(r.read_bits(len as u32 - width + 1).is_err());
+                // Appended behind 0 to 9 bits, then read back.
+                for lead in 0..10 {
+                    let mut w = BitWriter::new();
+                    w.push_run(true, lead);
+                    w.extend_from(part);
+                    w.push_bit(true);
+                    let buf = w.finish();
+                    assert_eq!(buf.as_slice().slice(lead, len), Some(part));
+                    assert!(buf.get(lead + len), "{at}+{len} behind {lead}");
+                }
+            }
+        }
+        assert!(whole.as_slice().slice(100, 51).is_none());
+        let (a, b) = (whole.as_slice().slice(0, 8), whole.as_slice().slice(1, 8));
+        assert_ne!(a, b);
     }
 
     #[test]

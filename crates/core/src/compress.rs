@@ -15,7 +15,7 @@ use crate::factor;
 use crate::par::par_in_order;
 use crate::params::CompressParams;
 use crate::reference::{assign_roles, Role};
-use crate::segment::{Table, TrajSegment, TrajView, Trajectories};
+use crate::segment::{CtxWidths, Table, TrajSegment, TrajView, Trajectories};
 use crate::siar;
 
 /// A compressed dataset plus size accounting.
@@ -244,7 +244,7 @@ impl Compressed {
         params: &CompressParams,
     ) -> Result<Self, Error> {
         let (ct, size) = compress_trajectory(net, tu, params)?;
-        let packed = TrajSegment::of(&ct)?;
+        let packed = TrajSegment::of(&ct, ctx_widths(net, params))?;
         let raw = utcq_traj::size::uncompressed_bits(tu);
         Ok(Self { packed, size, raw })
     }
@@ -256,14 +256,22 @@ impl Compressed {
     }
 }
 
+/// The widths a dataset compressed with `params` on `net` packs its
+/// records' context-fixed fields at.
+fn ctx_widths(net: &RoadNetwork, params: &CompressParams) -> CtxWidths {
+    let w_e = edge_number_width(net.max_out_degree());
+    CtxWidths::new(net.vertex_count(), params, w_e)
+}
+
 impl CompressedDataset {
     /// An empty dataset on `net`.
     pub(crate) fn empty(net: &RoadNetwork, name: &str, params: CompressParams) -> Self {
+        let ctx = ctx_widths(net, &params);
         Self {
             name: name.to_string(),
             params,
-            w_e: edge_number_width(net.max_out_degree()),
-            trajectories: Trajectories::default(),
+            w_e: ctx.w_e,
+            trajectories: Trajectories::new(ctx),
             compressed: SizeBreakdown::default(),
             raw: SizeBreakdown::default(),
         }

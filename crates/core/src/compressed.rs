@@ -17,8 +17,8 @@
 //!
 //! The owned types below are what [`crate::compress::compress_trajectory`]
 //! returns, one trajectory at a time. A dataset does not keep them: it
-//! appends each to a [`crate::segment`] (rows into flat tables, streams
-//! into one arena) and reads it back as a borrowed
+//! appends each to a [`crate::segment`] (as the record a container
+//! block holds, fields and streams bit-packed) and reads it back as a borrowed
 //! [`crate::segment::TrajView`], which is also what decodes.
 
 use utcq_bitio::pddp::PddpCodec;

@@ -47,7 +47,8 @@ impl std::fmt::Display for DecompressError {
 
 impl std::error::Error for DecompressError {}
 
-fn view_from_decoded(
+/// The TED view of a decoded reference or non-reference.
+pub(crate) fn view_from_decoded(
     sv: utcq_network::VertexId,
     dec: &DecodedRef,
     d_codec: &PddpCodec,
@@ -66,7 +67,6 @@ fn view_from_decoded(
 pub fn decompress_trajectory(
     net: &RoadNetwork,
     ct: &TrajView<'_>,
-    w_e: u32,
     params: &CompressParams,
 ) -> Result<UncertainTrajectory, DecompressError> {
     let d_codec = params.d_codec();
@@ -78,14 +78,14 @@ pub fn decompress_trajectory(
     let mut instances: Vec<Option<Instance>> = vec![None; ct.instance_count()];
     let mut decoded_refs = Vec::with_capacity(ct.ref_count());
     for (i, cref) in ct.refs().enumerate() {
-        let dec = ct.decode_ref(i, w_e, &d_codec)?;
+        let dec = ct.decode_ref(i, &d_codec)?;
         let view = view_from_decoded(cref.sv, &dec, &d_codec, p_codec.dequantize(cref.p_code));
         instances[cref.orig_idx as usize] = Some(view.to_instance(net)?);
         decoded_refs.push((cref.sv, dec));
     }
     for (i, cnref) in ct.nrefs().enumerate() {
         let (sv, dref) = &decoded_refs[cnref.ref_idx as usize];
-        let dec = ct.decode_nref(i, dref, w_e, &d_codec)?;
+        let dec = ct.decode_nref(i, dref, &d_codec)?;
         let view = view_from_decoded(*sv, &dec, &d_codec, p_codec.dequantize(cnref.p_code));
         instances[cnref.orig_idx as usize] = Some(view.to_instance(net)?);
     }
@@ -106,7 +106,7 @@ pub fn decompress_dataset(
 ) -> Result<utcq_traj::Dataset, DecompressError> {
     let mut trajectories = Vec::with_capacity(cds.trajectories.len());
     for ct in &cds.trajectories {
-        trajectories.push(decompress_trajectory(net, &ct, cds.w_e, &cds.params)?);
+        trajectories.push(decompress_trajectory(net, &ct, &cds.params)?);
     }
     Ok(utcq_traj::Dataset {
         name: cds.name.clone(),
@@ -173,11 +173,10 @@ mod tests {
             ..CompressParams::default()
         };
         let (ct, _) = compress_trajectory(&fx.example.net, &fx.tu, &params).unwrap();
-        let mut stored = crate::segment::Trajectories::default();
+        let mut stored = CompressedDataset::empty(&fx.example.net, "", params).trajectories;
         stored.push(&ct).unwrap();
         let ct = stored.get(0).unwrap();
-        let w_e = crate::compressed::edge_number_width(fx.example.net.max_out_degree());
-        let back = decompress_trajectory(&fx.example.net, &ct, w_e, &params).unwrap();
+        let back = decompress_trajectory(&fx.example.net, &ct, &params).unwrap();
         check_lossy_roundtrip(&fx.tu, &back, params.eta_d, params.eta_p).unwrap();
         // Times and paths are exactly lossless.
         assert_eq!(back.times, fx.tu.times);

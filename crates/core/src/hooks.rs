@@ -74,7 +74,7 @@ pub fn copied(bytes: usize) {
 
 /// Total copy-on-write bytes recorded since process start. Monotonic;
 /// callers measure a region by differencing. The count is exact: every
-/// tail copy is a `memcpy` per flat table (rows, stream arena, tuples,
+/// tail copy is a `memcpy` per flat table (records, offsets, index words,
 /// postings, the id map's table) and reports the bytes of each.
 pub fn copied_bytes() -> u64 {
     COPIED_BYTES.load(Ordering::Relaxed)

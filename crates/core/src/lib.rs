@@ -35,9 +35,9 @@
 //!   instance's slot, its probability, the probability order), derived
 //!   from the trajectory's role bits and probability codes;
 //! * [`segment`] — the in-memory form of a store: flat, append-only
-//!   tables per 1,024 trajectories behind `Arc`s (one row per
-//!   trajectory, a bit-packed framing string, one stream arena; [`stiu`]
-//!   keeps the index half), read through
+//!   tables per 1,024 trajectories behind `Arc`s (the records as the
+//!   container block holds them, and where each record and instance
+//!   starts; [`stiu`] keeps the index half), read through
 //!   borrowed views ([`segment::TrajView`]) and shared across epochs;
 //! * [`snapshot`] — the immutable, epoch-stamped read state every query
 //!   runs on: a [`Snapshot`] is the whole store at one epoch (its

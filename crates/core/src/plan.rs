@@ -13,9 +13,8 @@
 //!   its cells in the same order, `by_prob`).
 //!
 //! A segment ([`crate::segment::TrajSegment`]) stores none of them: a
-//! [`TrajPlan`] reads them off the trajectory's framing record — its
-//! role bits (one per instance in original order) and its probability
-//! codes. The compressor emits
+//! [`TrajPlan`] reads them off the trajectory's record — its role bits
+//! (one per instance in original order) and its probability codes. The compressor emits
 //! references, then non-references, each ascending in `orig_idx`, and a
 //! trajectory in any other order is refused when it is appended, so the
 //! role bits determine every slot.
@@ -160,7 +159,10 @@ mod tests {
 
     /// A dataset of the one trajectory, or why it was refused.
     fn plans_of(ct: &CompressedTrajectory) -> Result<Trajectories, Error> {
-        let mut trajectories = Trajectories::default();
+        let fx = paper_fixture::build();
+        let params = CompressParams::with_interval(paper_fixture::DEFAULT_INTERVAL);
+        let empty = crate::CompressedDataset::empty(&fx.example.net, "", params);
+        let mut trajectories = empty.trajectories;
         trajectories.push(ct).map(|()| trajectories)
     }
 

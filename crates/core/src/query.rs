@@ -33,12 +33,13 @@
 //!   sized to zero still reuses a reference across its `Rrs` within one
 //!   call);
 //! * the per-trajectory [`crate::plan::TrajPlan`] — `orig_idx → slot`
-//!   lookup and precomputed probabilities, replacing the per-call
-//!   linear scans the engine used to do.
+//!   lookup and probabilities, derived from the trajectory's role bits
+//!   and probability codes on each call.
 //!
 //! A trajectory, its index node and its plan are borrowed views into
 //! the store's flat segments ([`crate::segment`]): the engine decodes
-//! straight from the segment's stream arena.
+//! straight from the segment's block, at offsets the segment keeps, so
+//! a cold query walks no stream to find an instance's.
 //!
 //! Nothing here panics on corrupt input: structural inconsistencies in a
 //! container surface as [`Error::CorruptStore`].
@@ -52,7 +53,8 @@ use utcq_traj::{Instance, MappedLocation};
 
 use crate::cache::DecodeCache;
 use crate::compress::CompressedDataset;
-use crate::compressed::{untrim_flags, DecodedRef};
+use crate::compressed::DecodedRef;
+use crate::decompress::view_from_decoded;
 use crate::error::Error;
 use crate::par::par_run;
 use crate::plan::Slot;
@@ -456,7 +458,7 @@ impl<'a> QueryEngine<'a> {
                 return Err(Error::CorruptStore("reference index out of range"));
             }
             let d_codec = self.cds.params.d_codec();
-            Ok(ct.decode_ref(ref_idx as usize, self.cds.w_e, &d_codec)?)
+            Ok(ct.decode_ref(ref_idx as usize, &d_codec)?)
         })?;
         local.insert(ref_idx, Arc::clone(&d));
         Ok(d)
@@ -499,7 +501,7 @@ impl<'a> QueryEngine<'a> {
                             .ref_row(n.ref_idx as usize)
                             .ok_or(Error::CorruptStore("non-reference points past refs"))?;
                         let dref = self.ref_decoded(j, ct, n.ref_idx, local)?;
-                        let own = ct.decode_nref(pos as usize, &dref, self.cds.w_e, &d_codec)?;
+                        let own = ct.decode_nref(pos as usize, &dref, &d_codec)?;
                         (r.sv, Decoded::Own(own))
                     }
                 };
@@ -507,13 +509,7 @@ impl<'a> QueryEngine<'a> {
                     Decoded::Shared(d) => d.as_ref(),
                     Decoded::Own(d) => d,
                 };
-                let view = utcq_traj::TedView {
-                    sv,
-                    entries: dec.entries.clone(),
-                    flags: untrim_flags(&dec.trimmed_flags, dec.entries.len()),
-                    rds: dec.d_codes.iter().map(|&c| d_codec.dequantize(c)).collect(),
-                    prob: plan.prob(orig_idx)?,
-                };
+                let view = view_from_decoded(sv, dec, &d_codec, plan.prob(orig_idx)?);
                 Ok(view
                     .to_instance(self.net)
                     .map_err(crate::decompress::DecompressError::View)?)

@@ -1,31 +1,36 @@
 //! The in-memory form of a store: flat, append-only segments of
 //! [`CHUNK`] trajectories behind `Arc`s (`docs/ARCHITECTURE.md` draws
 //! them). A container block on disk and a segment cover the same 1,024
-//! records; where the block packs them into bits, the segment keeps them
-//! in a **constant number of allocations**: one row per trajectory, one
-//! bit-packed framing string, one byte arena for every bit stream and
-//! its offset table ([`TrajSegment`], the dataset half) and four index
-//! tables: temporal tuples, region words, membership bits and the nodes'
-//! interval postings, which no container stores
-//! ([`crate::stiu::NodeSegment`], the index half: a dataset and its
-//! index are separate values, so the halves are separate types sealing
-//! at the same counts).
+//! records, and the dataset half of a sealed segment ([`TrajSegment`])
+//! **is** the block: the bytes a container holds for it, in a constant
+//! number of allocations — the block, one row per trajectory and one
+//! offset per instance. The index half ([`crate::stiu::NodeSegment`])
+//! keeps four tables that no container stores in this form: `ends`,
+//! region words, membership bits and the nodes' interval postings (a
+//! dataset and its index are separate values, so the halves are separate
+//! types sealing at the same counts).
 //!
-//! **The framing string** holds each trajectory's instance fields as
-//! container v7 packs them (`crate::storage`): the sample count, the
-//! instance count, one role bit per instance in original order, then per
-//! reference its start vertex, entry count and probability code and per
-//! non-reference its reference and probability code. The widths are
-//! data: while a segment is the append tail every column is as wide as
-//! its type, and the seal repacks the string once at the widths a v7
-//! block header would declare for the same records. A trajectory's row
-//! is its id, where its record starts and where its streams start; an
-//! instance's original index, its slot and the query plan
-//! ([`TrajPlan`]) are read off the role bits when asked for.
+//! **A record** is what container v7 packs (`crate::storage`): the id,
+//! the sample count, `T`, the instance count, one role bit per instance
+//! in original order, then per reference its start vertex, entry count,
+//! `E T' D` and probability code, per non-reference its reference,
+//! `Com_E Com_T' Com_D` and probability code. A sealed block opens with
+//! a header (the id base and the widths of the four columns: id, sample,
+//! instance and entry count); the append tail holds the same records
+//! with the four columns at full width and no header, and the seal
+//! repacks them once at the widths the header declares. The context
+//! fixes the other widths ([`CtxWidths`]) from the first append.
+//!
+//! Beside the bytes a segment keeps only offsets, derived as each record
+//! is appended (or walked once at open): per trajectory where its record
+//! and its instance count start, per instance where its fields start.
+//! So a query finds any instance's streams without walking a stream: a
+//! reference's `E`, `T'` and `D` split by arithmetic, a non-reference's
+//! three decode in turn from one reader.
 //!
 //! Readers never see a segment, only borrowed views of one trajectory
-//! ([`TrajView`], [`crate::stiu::TrajIndex`], [`TrajPlan`]): its row,
-//! fields read from the framing string and [`BitSlice`]s of the arena.
+//! ([`TrajView`], [`crate::stiu::TrajIndex`], [`TrajPlan`]): fields read
+//! from the block and [`BitSlice`]s of it.
 //!
 //! [`Segments`] is the directory. Cloning it (what a live publish does
 //! to a partition it writes) copies one pointer per segment. Sealed
@@ -40,14 +45,15 @@
 use std::sync::Arc;
 
 use utcq_bitio::pddp::PddpCodec;
-use utcq_bitio::{width_for_max, BitReader, BitSlice, BitWriter, CodecError};
+use utcq_bitio::{width_for_max, BitBuf, BitSlice, BitWriter, CodecError};
 use utcq_network::VertexId;
 
 pub use crate::chunk::CHUNK;
 use crate::compressed::{self, CompressedTrajectory, DecodedRef};
 use crate::error::Error;
-use crate::factor;
+use crate::params::CompressParams;
 use crate::plan::{Slot, TrajPlan};
+use crate::{factor, siar};
 
 /// Heap bytes a store keeps resident (allocated capacity, not just the
 /// used length), by part in first-seen order: what `utcq info` prints
@@ -57,7 +63,7 @@ pub struct Resident(pub Vec<(&'static str, usize)>);
 
 impl Resident {
     /// Adds `bytes` to the part named `label`.
-    pub fn add(&mut self, label: &'static str, bytes: usize) {
+    pub(crate) fn add(&mut self, label: &'static str, bytes: usize) {
         match self.0.iter_mut().find(|(part, _)| *part == label) {
             Some((_, sum)) => *sum += bytes,
             None => self.0.push((label, bytes)),
@@ -91,11 +97,17 @@ pub(crate) fn copy_vec<T: Copy>(v: &Vec<T>, copied: &mut usize) -> Vec<T> {
 }
 
 /// What a [`Segments`] directory needs of its segment type.
-pub trait Table: Default {
+pub trait Table: Sized {
     /// One trajectory of the segment, borrowed.
     type View<'a>: Copy
     where
         Self: 'a;
+
+    /// What every segment of a directory is made with.
+    type Ctx: Copy;
+
+    /// An empty segment.
+    fn new(ctx: Self::Ctx) -> Self;
 
     /// The trajectory at position `k` of this segment.
     fn view(&self, k: usize) -> Option<Self::View<'_>>;
@@ -113,30 +125,30 @@ pub trait Table: Default {
 
 /// An append-only sequence of trajectories in `Arc`'d segments of
 /// [`CHUNK`]: all full except the last, the append tail.
-pub struct Segments<S> {
+pub struct Segments<S: Table> {
     segs: Vec<Arc<S>>,
     len: usize,
+    ctx: S::Ctx,
 }
 
 /// The trajectories of a compressed dataset.
 pub type Trajectories = Segments<TrajSegment>;
 
-impl<S> Default for Segments<S> {
-    fn default() -> Self {
-        let (segs, len) = (Vec::new(), 0);
-        Self { segs, len }
-    }
-}
-
-impl<S> Clone for Segments<S> {
+impl<S: Table> Clone for Segments<S> {
     /// Clones the directory only: one refcount bump per segment.
     fn clone(&self) -> Self {
-        let (segs, len) = (self.segs.clone(), self.len);
-        Self { segs, len }
+        let (segs, len, ctx) = (self.segs.clone(), self.len, self.ctx);
+        Self { segs, len, ctx }
     }
 }
 
 impl<S: Table> Segments<S> {
+    /// An empty directory whose segments are made with `ctx`.
+    pub fn new(ctx: S::Ctx) -> Self {
+        let (segs, len) = (Vec::new(), 0);
+        Self { segs, len, ctx }
+    }
+
     /// Number of trajectories.
     pub fn len(&self) -> usize {
         self.len
@@ -172,7 +184,7 @@ impl<S: Table> Segments<S> {
         fill: impl FnOnce(&mut S) -> Result<(), E>,
     ) -> Result<(), E> {
         if self.len.is_multiple_of(CHUNK) {
-            self.segs.push(Arc::default());
+            self.segs.push(Arc::new(S::new(self.ctx)));
         }
         let Some(tail) = self.segs.last_mut() else {
             return Ok(()); // a tail was just ensured above
@@ -202,7 +214,7 @@ impl<S: Table> Segments<S> {
 }
 
 /// Iterator over the trajectories of a [`Segments`].
-pub struct Iter<'a, S> {
+pub struct Iter<'a, S: Table> {
     of: &'a Segments<S>,
     next: usize,
 }
@@ -235,22 +247,61 @@ where
     }
 }
 
-/// The row of one trajectory: what a range scan reads of it before its
-/// framing record.
-#[derive(Debug, Clone, Copy)]
-struct TrajRow {
-    /// Original trajectory id.
-    id: u64,
-    /// The bit of the segment's framing string at which the trajectory's
-    /// record starts.
-    framing: u32,
-    /// Where the trajectory's `T` stream is in the segment's
-    /// `stream_end`.
-    first_stream: u32,
+/// The columns a dataset block header declares, in header order: the
+/// id (an offset from the block's base), the sample count, the instance
+/// count and a reference's entry count.
+const ID: usize = 0;
+const TIMES: usize = 1;
+const INST: usize = 2;
+const ENTRIES: usize = 3;
+
+/// The widest each column may be, and its width in the tail: the id
+/// spans 64 bits, every other column is a `u32`.
+const COL_LIMITS: [u32; 4] = [64, 32, 32, 32];
+
+/// Bits of a block header: the 64-bit id base and a 7-bit width per
+/// column.
+const HEADER: usize = 64 + 4 * 7;
+
+/// More instances than this in one trajectory are refused.
+const MAX_INSTANCES: u64 = 1 << 31;
+
+/// `width_for_max(n − 1)`: the width of an index into `n` items.
+pub(crate) fn index_width(n: usize) -> u32 {
+    width_for_max((n as u64).saturating_sub(1))
 }
 
-/// The stored fields of a reference instance, read from its framing
-/// record; its streams are in the arena ([`TrajView::ref_streams`]).
+/// The widths of the record fields that a container's context fixes
+/// rather than a block header — a start vertex, a probability code — and
+/// of an edge entry and a distance code, which size a reference's
+/// streams. Every segment of a dataset has the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CtxWidths {
+    /// A start vertex: an index into the network's vertices.
+    pub vertex: u32,
+    /// A probability code (the `ηp` codec's width).
+    pub p_code: u32,
+    /// An outgoing-edge number.
+    pub w_e: u32,
+    /// A distance code (the `ηD` codec's width).
+    pub w_d: u32,
+}
+
+impl CtxWidths {
+    /// The widths of a dataset compressed with `params` and edge numbers
+    /// `w_e` bits wide on a network of `n_vertices` vertices.
+    pub fn new(n_vertices: usize, params: &CompressParams, w_e: u32) -> Self {
+        Self {
+            vertex: index_width(n_vertices),
+            p_code: params.p_codec().width(),
+            w_e,
+            w_d: params.d_codec().width(),
+        }
+    }
+}
+
+/// The stored fields of a reference instance; its streams are in the
+/// block ([`TrajView::ref_streams`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefRow {
     /// PDDP probability code.
@@ -263,8 +314,8 @@ pub struct RefRow {
     pub n_entries: u32,
 }
 
-/// The stored fields of a non-reference instance, read from its framing
-/// record; its streams are in the arena ([`TrajView::nref_streams`]).
+/// The stored fields of a non-reference instance; its streams are in
+/// the block ([`TrajView::nref_streams`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NrefRow {
     /// PDDP probability code.
@@ -275,99 +326,50 @@ pub struct NrefRow {
     pub ref_idx: u32,
 }
 
-// The columns of a framing record, whose widths a segment declares.
-const TIMES: usize = 0;
-const INST: usize = 1;
-const SV: usize = 2;
-const ENTRIES: usize = 3;
-const P_CODE: usize = 4;
-
-/// The column widths of a tail segment: the widest each field may be.
-/// Every field is a `u32` but `p_code`, whose codec is at most 52 bits
-/// wide; at 56 bits it still lands in one 64-bit store.
-const TAIL: [u32; 5] = [32, 32, 32, 32, 56];
-
-/// More instances than this in one trajectory are refused.
-const MAX_INSTANCES: usize = 1 << 31;
-
-/// `width_for_max(n − 1)`: the width of an index into `n` items.
-pub(crate) fn index_width(n: usize) -> u32 {
-    width_for_max((n as u64).saturating_sub(1))
+/// The fields before an instance's streams in its record.
+enum Lead {
+    /// A reference's start vertex and entry count.
+    Ref(u64, u64),
+    /// A non-reference's reference, one of `n_refs`.
+    NRef(u64, usize),
 }
 
-/// Copies the framing record at bit `at` of `framing` to `out`, each
-/// column's field from the first of its pair of widths to the second.
-fn repack(
-    framing: BitSlice<'_>,
-    at: usize,
-    widths: [(u32, u32); 5],
-    out: &mut BitWriter,
-) -> Result<(), CodecError> {
-    let mut r = framing.reader_at(at);
-    let mut copy = |(from, to)| {
-        let v = r.read_bits(from)?;
-        out.write_bits(v, to).map(|()| v)
-    };
-    let [times, inst, sv, entries, p_code] = widths;
-    copy(times)?;
-    let n = copy(inst)?;
-    let (mut n_refs, mut roles) = (0, n);
-    while roles > 0 {
-        let word = roles.min(64) as u32;
-        n_refs += u64::from(copy((word, word))?.count_ones());
-        roles -= u64::from(word);
-    }
-    for _ in 0..n_refs {
-        for field in [sv, entries, p_code] {
-            copy(field)?;
-        }
-    }
-    let ref_idx = index_width(n_refs as usize);
-    for _ in n_refs..n {
-        copy((ref_idx, ref_idx))?;
-        copy(p_code)?;
-    }
-    Ok(())
+/// Where one trajectory's record lies in its segment's block.
+#[derive(Debug, Clone, Copy)]
+struct TrajRow {
+    /// The bit at which the record (its id) starts.
+    record: u32,
+    /// The bit at which its instance count starts, right after `T`.
+    count: u32,
+    /// Its first instance in the segment's `inst`.
+    first: u32,
 }
 
-/// The dataset half of a segment.
+/// The dataset half of a segment: its records as the container block
+/// holds them, and where each record and instance starts.
 #[derive(Debug)]
 pub struct TrajSegment {
+    /// The records, back to back. Sealed, the bytes a container holds
+    /// for the block after its length: the header, the records and the
+    /// zero padding. The tail holds its records alone, with the four
+    /// columns at their [`COL_LIMITS`] widths.
+    bits: BitWriter,
+    ctx: CtxWidths,
+    /// Whether the block opens with its header.
+    sealed: bool,
+    /// The base the id column is an offset from and the width of each
+    /// column: 0 and [`COL_LIMITS`] in the tail, the header's once
+    /// sealed.
+    base: u64,
+    cols: [u32; 4],
+    /// Per column the largest value, and the smallest id: what the
+    /// header of the block these records seal into declares.
+    max: [u64; 4],
+    min_id: u64,
     rows: Vec<TrajRow>,
-    /// Per trajectory its framing record, back to back: the fields of
-    /// its v7 record but the id and the streams, in v7's order — sample
-    /// count, instance count, one role bit per instance in original
-    /// order (set: a reference), per reference `sv`, `n_entries` and
-    /// `p_code`, per non-reference `ref_idx` and `p_code`.
-    framing: BitWriter,
-    /// The width of each column of `framing`: [`TAIL`] while the segment
-    /// is the tail, `width_for_max` of each column's maximum (what a v7
-    /// block header declares) once it is sealed.
-    widths: [u32; 5],
-    /// Per column, the largest value and the number of values written,
-    /// which size the sealed string.
-    max: [u64; 5],
-    count: [usize; 5],
-    /// Every bit stream back to back, each from a byte boundary, in
-    /// record order: per trajectory `T`, then `E T' D` per reference,
-    /// then `Com_E Com_T Com_D` per non-reference.
-    arena: Vec<u8>,
-    /// Per stream, the bit at which it ends in `arena`.
-    stream_end: Vec<u32>,
-}
-
-impl Default for TrajSegment {
-    fn default() -> Self {
-        Self {
-            rows: Vec::new(),
-            framing: BitWriter::new(),
-            widths: TAIL,
-            max: [0; 5],
-            count: [0; 5],
-            arena: Vec::new(),
-            stream_end: Vec::new(),
-        }
-    }
+    /// Per instance, in record order (the references, then the
+    /// non-references), the bit at which its fields start.
+    inst: Vec<u32>,
 }
 
 /// `len` as a `u32` row or bit offset, or the segment is over what its
@@ -376,198 +378,16 @@ pub(crate) fn offset(len: usize) -> Result<u32, Error> {
     u32::try_from(len).map_err(|_| Error::CorruptStore("segment past its 32-bit offsets"))
 }
 
-/// A framing field past its width: only a tail is written, and its
-/// widths fit every value of the field's type.
+/// A field past its width: a tail's columns fit every value of their
+/// type, and a block's the largest value it seals.
 fn too_wide(_: CodecError) -> Error {
-    Error::CorruptStore("framing field past its width")
+    Error::CorruptStore("record field past its width")
 }
 
-impl TrajSegment {
-    /// Opens the next trajectory: its row and sample count. Its `T`
-    /// stream ([`TrajSegment::stream`]), role bits
-    /// ([`TrajSegment::roles`]), instance fields and streams follow in
-    /// record order, and [`TrajSegment::finish`] closes it.
-    pub(crate) fn begin(&mut self, id: u64, n_times: u32) -> Result<(), Error> {
-        self.rows.push(TrajRow {
-            id,
-            framing: offset(self.framing.len_bits())?,
-            first_stream: offset(self.stream_end.len())?,
-        });
-        self.put(TIMES, n_times.into())
-    }
-
-    /// The next field of column `col`.
-    fn put(&mut self, col: usize, v: u64) -> Result<(), Error> {
-        // bounds: col is a column constant
-        (self.max[col], self.count[col]) = (self.max[col].max(v), self.count[col] + 1);
-        let width = self.widths[col]; // bounds: as above
-        self.framing.write_bits(v, width).map_err(too_wide)
-    }
-
-    /// Appends the next `len` bits of `r` as the open trajectory's next
-    /// stream.
-    pub(crate) fn stream(&mut self, r: &mut BitReader<'_>, len: usize) -> Result<(), Error> {
-        let start = self.arena.len();
-        r.read_into(len, &mut self.arena)?;
-        self.stream_end.push(offset(start * 8 + len)?);
-        Ok(())
-    }
-
-    /// The open trajectory's instance count and one role bit per
-    /// instance in original order (set: a reference).
-    pub(crate) fn roles(
-        &mut self,
-        roles: impl ExactSizeIterator<Item = bool>,
-    ) -> Result<(), Error> {
-        if roles.len() >= MAX_INSTANCES {
-            return Err(Error::CorruptStore("too many instances"));
-        }
-        self.put(INST, roles.len() as u64)?;
-        roles.for_each(|role| self.framing.push_bit(role));
-        Ok(())
-    }
-
-    /// The next reference's start vertex and entry count.
-    pub(crate) fn reference(&mut self, sv: VertexId, n_entries: u32) -> Result<(), Error> {
-        self.put(SV, sv.0.into())?;
-        self.put(ENTRIES, n_entries.into())
-    }
-
-    /// The next non-reference's reference, one of the open trajectory's
-    /// `n_refs`.
-    pub(crate) fn non_reference(&mut self, ref_idx: u32, n_refs: usize) -> Result<(), Error> {
-        if ref_idx as usize >= n_refs {
-            return Err(Error::CorruptStore("non-reference points past refs"));
-        }
-        let width = index_width(n_refs);
-        self.framing
-            .write_bits(ref_idx.into(), width)
-            .map_err(too_wide)
-    }
-
-    /// The probability code of the instance whose fields came last.
-    pub(crate) fn p_code(&mut self, p_code: u64) -> Result<(), Error> {
-        self.put(P_CODE, p_code)
-    }
-
-    /// Closes the open trajectory: checks that its framing record holds
-    /// the fields its role bits call for and no more, and that it has
-    /// its streams (one `T`, three per instance).
-    pub(crate) fn finish(&mut self) -> Result<(), Error> {
-        let none = || Error::CorruptStore("no open trajectory");
-        let k = self.rows.len().checked_sub(1).ok_or_else(none)?;
-        let view = self.view(k).ok_or_else(none)?;
-        // Where a record with these role bits ends.
-        let end = view.nref_at(view.n_inst - view.n_refs);
-        if end != self.framing.len_bits() {
-            return Err(Error::CorruptStore("framing record incomplete"));
-        }
-        if self.stream_end.len() != view.first_stream + 1 + 3 * view.instance_count() {
-            return Err(Error::CorruptStore("streams do not match the instances"));
-        }
-        Ok(())
-    }
-}
-
-impl Table for TrajSegment {
-    type View<'a> = TrajView<'a>;
-
-    #[inline]
-    fn view(&self, k: usize) -> Option<TrajView<'_>> {
-        let row = self.rows.get(k)?;
-        let framing = self.framing.as_slice();
-        let at = row.framing as usize;
-        let [times, inst, ..] = self.widths;
-        let n_times = field(framing, at, times) as u32;
-        let n_inst = field(framing, at + times as usize, inst) as u32;
-        let roles = at + (times + inst) as usize;
-        let head = n_inst.min(64);
-        let head_roles = match head {
-            0 => 0,
-            _ => field(framing, roles, head) << (64 - head),
-        };
-        let mut view = TrajView {
-            id: row.id,
-            n_times,
-            n_inst,
-            n_refs: 0,
-            framing,
-            roles,
-            head_roles,
-            widths: self.widths,
-            arena: &self.arena,
-            stream_end: &self.stream_end,
-            first_stream: row.first_stream as usize,
-        };
-        view.n_refs = view.rank(n_inst);
-        Some(view)
-    }
-
-    fn copy(&self) -> (Self, usize) {
-        let mut copied = 0;
-        let mut framing = BitWriter::with_capacity(self.framing.capacity() * 8);
-        framing.extend_from(self.framing.as_slice());
-        copied += self.framing.as_slice().as_bytes().len();
-        let copy = Self {
-            rows: copy_vec(&self.rows, &mut copied),
-            framing,
-            widths: self.widths,
-            max: self.max,
-            count: self.count,
-            arena: copy_vec(&self.arena, &mut copied),
-            stream_end: copy_vec(&self.stream_end, &mut copied),
-        };
-        (copy, copied)
-    }
-
-    /// Repacks the framing string once at the widths a v7 block header
-    /// would declare for these records, and releases spare capacity.
-    fn seal(&mut self) -> Result<(), Error> {
-        let old = self.framing.as_slice();
-        let widths = self.max.map(width_for_max);
-        let narrowed = self.count.iter().zip(self.widths.iter().zip(widths));
-        let saved: usize = narrowed
-            .map(|(n, (from, to))| n * (from - to) as usize)
-            .sum();
-        let mut framing = BitWriter::with_capacity(old.len_bits() - saved);
-        // bounds: c indexes two arrays of a slot per column
-        let pairs = std::array::from_fn(|c| (self.widths[c], widths[c]));
-        for row in &mut self.rows {
-            let at = std::mem::replace(&mut row.framing, offset(framing.len_bits())?);
-            repack(old, at as usize, pairs, &mut framing)?;
-        }
-        (self.framing, self.widths) = (framing, widths);
-        self.rows.shrink_to_fit();
-        self.arena.shrink_to_fit();
-        self.stream_end.shrink_to_fit();
-        Ok(())
-    }
-
-    fn resident(&self, census: &mut Resident) {
-        census.add("stream arena", vec_bytes(&self.arena));
-        census.add("offset tables", vec_bytes(&self.stream_end));
-        let rows = vec_bytes(&self.rows) + self.framing.capacity();
-        census.add("rows and plans", rows);
-    }
-}
-
-impl Trajectories {
-    /// The id of the trajectory at position `i`, without building its
-    /// view.
-    pub(crate) fn id(&self, i: usize) -> Option<u64> {
-        Some(self.segs.get(i / CHUNK)?.rows.get(i % CHUNK)?.id)
-    }
-
-    /// Appends a compressed trajectory.
-    pub fn push(&mut self, ct: &CompressedTrajectory) -> Result<(), Error> {
-        self.append(|seg| seg.push(ct))
-    }
-
-    /// Appends the one trajectory of `one` ([`TrajSegment::of`]): a copy
-    /// of its row, framing record and streams.
-    pub(crate) fn push_packed(&mut self, one: &TrajSegment) -> Result<(), Error> {
-        self.append(|seg| seg.extend(one))
-    }
+/// The `width`-bit field at bit `at` of `bits`, 0 past its end.
+#[inline]
+fn field(bits: BitSlice<'_>, at: usize, width: u32) -> u64 {
+    bits.reader_at(at).read_bits(width).unwrap_or_default()
 }
 
 /// Refuses instances in any order but the one compression emits:
@@ -575,7 +395,7 @@ impl Trajectories {
 /// together run `0..instance_count` — the only order role bits hold.
 fn canonical(ct: &CompressedTrajectory) -> Result<(), Error> {
     let (mut refs, mut nrefs) = (ct.refs.iter().peekable(), ct.nrefs.iter().peekable());
-    let n = ct.instance_count().min(MAX_INSTANCES);
+    let n = ct.instance_count().min(MAX_INSTANCES as usize);
     for k in 0..n as u32 {
         if refs.next_if(|r| r.orig_idx == k).is_none()
             && nrefs.next_if(|m| m.orig_idx == k).is_none()
@@ -589,90 +409,457 @@ fn canonical(ct: &CompressedTrajectory) -> Result<(), Error> {
 impl TrajSegment {
     /// A segment holding `ct` alone: a trajectory packed apart from any
     /// dataset (and so on any thread), for [`Trajectories::push_packed`].
-    pub(crate) fn of(ct: &CompressedTrajectory) -> Result<Self, Error> {
-        let mut seg = Self::default();
+    pub(crate) fn of(ct: &CompressedTrajectory, ctx: CtxWidths) -> Result<Self, Error> {
+        let mut seg = Self::new(ctx);
         seg.push(ct)?;
         Ok(seg)
     }
 
-    /// Appends `ct` as the next trajectory.
-    fn push(&mut self, ct: &CompressedTrajectory) -> Result<(), Error> {
-        canonical(ct)?;
-        self.begin(ct.id, ct.n_times)?;
-        self.stream(&mut ct.t_bits.reader(), ct.t_bits.len_bits())?;
-        let mut refs = ct.refs.iter().peekable();
-        let n = ct.instance_count().min(MAX_INSTANCES) as u32;
-        self.roles((0..n).map(|k| refs.next_if(|r| r.orig_idx == k).is_some()))?;
-        for r in &ct.refs {
-            self.reference(r.sv, r.n_entries)?;
-            for b in [&r.e_bits, &r.tflag_bits, &r.d_bits] {
-                self.stream(&mut b.reader(), b.len_bits())?;
-            }
-            self.p_code(r.p_code)?;
-        }
-        for n in &ct.nrefs {
-            self.non_reference(n.ref_idx, ct.refs.len())?;
-            for b in [&n.e_com, &n.t_com, &n.d_com] {
-                self.stream(&mut b.reader(), b.len_bits())?;
-            }
-            self.p_code(n.p_code)?;
-        }
-        self.finish()
+    /// The id of the trajectory at position `k`, without building its
+    /// view.
+    fn id(&self, k: usize) -> Option<u64> {
+        let (at, [w_id, ..]) = (self.rows.get(k)?.record as usize, self.cols);
+        Some(
+            self.base
+                .wrapping_add(field(self.bits.as_slice(), at, w_id)),
+        )
     }
 
-    /// Appends the one trajectory of `one`, a tail too, as the next: its
-    /// row, framing record and arena copied, its stream ends moved past
-    /// this arena's.
+    /// The next value of column `col`.
+    fn col(&mut self, col: usize, v: u64) -> Result<(), Error> {
+        // bounds: col is a column constant, and each table has a slot
+        // per column
+        self.max[col] = self.max[col].max(v);
+        if col == ID {
+            self.min_id = self.min_id.min(v);
+        }
+        let v = if col == ID {
+            v.wrapping_sub(self.base)
+        } else {
+            v
+        };
+        let width = self.cols[col]; // bounds: as above
+        self.bits.write_bits(v, width).map_err(too_wide)
+    }
+
+    /// A field whose width the context fixes.
+    fn put(&mut self, v: u64, width: u32) -> Result<(), Error> {
+        self.bits.write_bits(v, width).map_err(too_wide)
+    }
+
+    /// Appends a record: the id, the sample count and `T`, the role bits
+    /// of its instances in original order (set: a reference), then per
+    /// instance in record order its leading fields, its streams back to
+    /// back and its probability code.
+    fn append<'b>(
+        &mut self,
+        (id, n_times, t): (u64, u32, BitSlice<'_>),
+        roles: impl ExactSizeIterator<Item = bool>,
+        instances: impl Iterator<Item = (Lead, [BitSlice<'b>; 3], u64)>,
+    ) -> Result<(), Error> {
+        let n_inst = roles.len() as u64;
+        if n_inst >= MAX_INSTANCES {
+            return Err(Error::CorruptStore("too many instances"));
+        }
+        let record = offset(self.bits.len_bits())?;
+        self.col(ID, id)?;
+        self.col(TIMES, n_times.into())?;
+        self.bits.extend_from(t);
+        let count = offset(self.bits.len_bits())?;
+        self.col(INST, n_inst)?;
+        roles.for_each(|role| self.bits.push_bit(role));
+        let first = offset(self.inst.len())?;
+        for (lead, streams, p_code) in instances {
+            self.inst.push(offset(self.bits.len_bits())?);
+            match lead {
+                Lead::Ref(sv, n_entries) => {
+                    self.put(sv, self.ctx.vertex)?;
+                    self.col(ENTRIES, n_entries)?;
+                }
+                Lead::NRef(ref_idx, n_refs) => self.put(ref_idx, index_width(n_refs))?,
+            }
+            streams.into_iter().for_each(|b| self.bits.extend_from(b));
+            self.put(p_code, self.ctx.p_code)?;
+        }
+        let row = TrajRow {
+            record,
+            count,
+            first,
+        };
+        self.rows.push(row);
+        Ok(())
+    }
+
+    /// Appends `ct` as the next trajectory: the record v7 packs, its
+    /// streams between its fields.
+    fn push(&mut self, ct: &CompressedTrajectory) -> Result<(), Error> {
+        canonical(ct)?;
+        let (w_e, w_d, n_refs) = (self.ctx.w_e as usize, self.ctx.w_d as usize, ct.refs.len());
+        for r in &ct.refs {
+            let n = r.n_entries as usize;
+            let lens = [
+                r.e_bits.len_bits(),
+                r.tflag_bits.len_bits(),
+                r.d_bits.len_bits(),
+            ];
+            if n < 2 || lens != [n * w_e, n - 2, ct.n_times as usize * w_d] {
+                return Err(Error::CorruptStore(
+                    "reference streams disagree with counts",
+                ));
+            }
+        }
+        if ct.nrefs.iter().any(|n| n.ref_idx as usize >= n_refs) {
+            return Err(Error::CorruptStore("non-reference points past refs"));
+        }
+        let mut roles = ct.refs.iter().peekable();
+        let n_inst = ct.instance_count().min(MAX_INSTANCES as usize) as u32;
+        let roles = (0..n_inst).map(|k| roles.next_if(|r| r.orig_idx == k).is_some());
+        let refs = ct.refs.iter().map(|r| {
+            let streams = [&r.e_bits, &r.tflag_bits, &r.d_bits].map(BitSlice::from);
+            (
+                Lead::Ref(r.sv.0.into(), r.n_entries.into()),
+                streams,
+                r.p_code,
+            )
+        });
+        let nrefs = ct.nrefs.iter().map(|n| {
+            let streams = [&n.e_com, &n.t_com, &n.d_com].map(BitSlice::from);
+            (Lead::NRef(n.ref_idx.into(), n_refs), streams, n.p_code)
+        });
+        let head = (ct.id, ct.n_times, ct.t_bits.as_slice());
+        self.append(head, roles, refs.chain(nrefs))
+    }
+
+    /// Appends the record `v` reads as the next, at this segment's
+    /// widths.
+    fn copy_record(&mut self, v: &TrajView<'_>) -> Result<(), Error> {
+        if (v.ctx.w_e, v.ctx.w_d) != (self.ctx.w_e, self.ctx.w_d) {
+            return Err(Error::CorruptStore("streams of other entry or code widths"));
+        }
+        let (n_refs, none) = (v.ref_count(), BitSlice::default());
+        let instances = (0..v.n_inst).map(|i| {
+            let r = v.ref_fields(i, 0);
+            let lead = match i < v.n_refs {
+                true => Lead::Ref(r.sv.0.into(), r.n_entries.into()),
+                false => Lead::NRef(v.bits(v.start(i), index_width(n_refs)), n_refs),
+            };
+            (lead, [v.streams(i), none, none], r.p_code)
+        });
+        let roles = (0..v.n_inst).map(|k| v.is_ref(k));
+        self.append((v.id, v.n_times, v.t_bits()), roles, instances)
+    }
+
+    /// Appends the one trajectory of `one`, a tail of the same widths,
+    /// as the next: its record copied, its offsets moved past this
+    /// segment's.
     fn extend(&mut self, one: &TrajSegment) -> Result<(), Error> {
-        let row = one
-            .rows
-            .first()
-            .ok_or(Error::CorruptStore("no packed trajectory"))?;
-        if one.widths != self.widths {
+        if one.sealed || self.sealed || one.ctx != self.ctx {
             return Err(Error::CorruptStore("packed trajectory of another width"));
         }
-        let base = offset(self.arena.len() * 8)?;
-        self.rows.push(TrajRow {
-            framing: offset(self.framing.len_bits())?,
-            first_stream: offset(self.stream_end.len())?,
-            ..*row
-        });
-        self.framing.extend_from(one.framing.as_slice());
-        for (col, (max, count)) in one.max.iter().zip(one.count).enumerate() {
-            // bounds: both tables have a slot per column
-            (self.max[col], self.count[col]) = (self.max[col].max(*max), self.count[col] + count);
+        let (bits, first) = (offset(self.bits.len_bits())?, offset(self.inst.len())?);
+        let moved = |at: u32| {
+            at.checked_add(bits)
+                .ok_or(Error::CorruptStore("segment past its 32-bit offsets"))
+        };
+        for row in &one.rows {
+            self.rows.push(TrajRow {
+                record: moved(row.record)?,
+                count: moved(row.count)?,
+                first: first + row.first,
+            });
         }
-        self.arena.extend_from_slice(&one.arena);
-        for &end in &one.stream_end {
-            let moved = end.checked_add(base);
-            self.stream_end
-                .push(moved.ok_or(Error::CorruptStore("segment past its 32-bit offsets"))?);
+        for &at in &one.inst {
+            self.inst.push(moved(at)?);
         }
+        self.bits.extend_from(one.bits.as_slice());
+        for (col, max) in one.max.iter().enumerate() {
+            self.max[col] = self.max[col].max(*max); // bounds: a slot per column
+        }
+        self.min_id = self.min_id.min(one.min_id);
+        Ok(())
+    }
+
+    /// This segment's records repacked as the block a container holds
+    /// for them, with the context widths of `ctx`: a header declaring
+    /// the narrowest column widths that fit them, then the records.
+    pub(crate) fn sealed(&self, ctx: CtxWidths) -> Result<Self, Error> {
+        let mut out = Self::new(ctx);
+        let [max_id, times, inst, entries] = self.max;
+        out.base = self.min_id.min(max_id); // no record: 0
+        let max = [max_id - out.base, times, inst, entries];
+        (out.sealed, out.cols) = (true, max.map(width_for_max));
+        out.put(out.base, 64)?;
+        for width in out.cols {
+            out.put(width.into(), 7)?;
+        }
+        for k in 0..self.rows.len() {
+            out.copy_record(&self.record(k)?)?;
+        }
+        out.bits = BitWriter::from(out.bits.finish());
+        out.rows.shrink_to_fit();
+        out.inst.shrink_to_fit();
+        Ok(out)
+    }
+
+    /// The record at position `k`.
+    fn record(&self, k: usize) -> Result<TrajView<'_>, Error> {
+        self.view(k)
+            .ok_or(Error::CorruptStore("segment row past its records"))
+    }
+
+    /// A tail holding the record at position `k` alone.
+    fn one(&self, k: usize) -> Result<Self, Error> {
+        let mut one = Self::new(self.ctx);
+        one.copy_record(&self.record(k)?)?;
+        Ok(one)
+    }
+
+    /// Reads a sealed block of `n` records (the bytes after its length),
+    /// checking it whole: each record is walked once, every stream from
+    /// its first bit to its end, which gives where each record and
+    /// instance starts. Nothing but the zero padding of its last byte
+    /// may follow the last record.
+    pub(crate) fn read(bytes: Vec<u8>, n: usize, ctx: CtxWidths, ts: i64) -> Result<Self, Error> {
+        let mut seg = Self::new(ctx);
+        let block = BitSlice::from_bytes(&bytes, bytes.len() * 8).unwrap_or_default();
+        let mut r = block.reader();
+        seg.base = r.read_bits(64)?;
+        for (width, limit) in seg.cols.iter_mut().zip(COL_LIMITS) {
+            *width = r.read_bits(7)? as u32;
+            if *width == 0 || *width > limit {
+                return Err(Error::CorruptStore("column width out of range"));
+            }
+        }
+        seg.sealed = true;
+        let [w_id, w_times, w_inst, w_entries] = seg.cols;
+        let (w_e, w_d) = (ctx.w_e as usize, ctx.w_d);
+        // The open trajectory's references' entry counts.
+        let mut entries = Vec::new();
+        for _ in 0..n {
+            let record = offset(r.pos())?;
+            let id = seg.base.wrapping_add(r.read_bits(w_id)?);
+            let n_times = r.read_bits(w_times)?;
+            siar::walk(&mut r, n_times as usize, ts, |_, _, _| ())?;
+            let count = offset(r.pos())?;
+            let n_inst = r.read_bits(w_inst)?;
+            if n_inst >= MAX_INSTANCES {
+                return Err(Error::CorruptStore("too many instances"));
+            }
+            let (mut n_refs, mut roles) = (0, n_inst);
+            while roles > 0 {
+                let word = roles.min(64) as u32;
+                n_refs += u64::from(r.read_bits(word)?.count_ones());
+                roles -= u64::from(word);
+            }
+            let first = offset(seg.inst.len())?;
+            entries.clear();
+            for _ in 0..n_refs {
+                seg.inst.push(offset(r.pos())?);
+                r.read_bits(ctx.vertex)?;
+                let n_entries = r.read_bits(w_entries)?;
+                if n_entries < 2 {
+                    return Err(Error::CorruptStore("reference with fewer than two entries"));
+                }
+                entries.push(n_entries as usize);
+                // `E`, `T'` and `D` by arithmetic.
+                let n = n_entries as usize;
+                r.seek(r.pos() + n * w_e + (n - 2) + n_times as usize * w_d as usize);
+                r.read_bits(ctx.p_code)?;
+            }
+            let width = index_width(n_refs as usize);
+            for _ in n_refs..n_inst {
+                seg.inst.push(offset(r.pos())?);
+                let ref_idx = r.read_bits(width)?;
+                let missing = Error::CorruptStore("non-reference points past refs");
+                let ref_entries = *entries.get(ref_idx as usize).ok_or(missing)?;
+                // Each factor stream walked knowing only counts of its
+                // reference, never its content.
+                let n_entries = factor::walk_e(&mut r, ref_entries, ctx.w_e, |_, _| ())?;
+                let flags = |n: usize| n.saturating_sub(2);
+                let (ref_flags, flags) = (flags(ref_entries), flags(n_entries));
+                factor::walk_t(&mut r, ref_flags, flags, drop, |_, _| ())?;
+                factor::walk_d(&mut r, n_times as usize, w_d, drop)?;
+                r.read_bits(ctx.p_code)?;
+            }
+            seg.rows.push(TrajRow {
+                record,
+                count,
+                first,
+            });
+            let most = entries.iter().max().map_or(0, |&n| n as u64);
+            for (max, v) in seg.max.iter_mut().zip([id, n_times, n_inst, most]) {
+                *max = v.max(*max);
+            }
+            seg.min_id = seg.min_id.min(id);
+        }
+        let end = r.pos();
+        let left_over = Error::CorruptStore("bits left over in block");
+        seg.bits = BitWriter::from(BitBuf::from_bytes(bytes, end).ok_or(left_over)?);
+        seg.rows.shrink_to_fit();
+        seg.inst.shrink_to_fit();
+        Ok(seg)
+    }
+
+    /// This segment's records as a new block for a container with the
+    /// context widths `ctx`, unless the segment is that block already.
+    pub(crate) fn resealed(&self, ctx: CtxWidths) -> Result<Option<Self>, Error> {
+        match self.sealed && self.ctx == ctx {
+            true => Ok(None),
+            false => self.sealed(ctx).map(Some),
+        }
+    }
+
+    /// The packed bytes: a sealed segment's are its block's.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.bits.as_bytes()
+    }
+
+    /// Where a sealed block's record bits go: the fields of
+    /// `storage::FRAMING` (the block framing, slot 4, left to the
+    /// writer), by the block's widths and counts, and the streams.
+    pub(crate) fn framing_bits(&self) -> ([u64; 8], u64) {
+        let (trajs, insts) = (self.rows.len() as u64, self.inst.len() as u64);
+        let (mut refs, mut ref_idx) = (0, 0);
+        for v in (0..self.rows.len()).filter_map(|k| self.view(k)) {
+            refs += u64::from(v.n_refs);
+            ref_idx += u64::from(v.n_inst - v.n_refs) * u64::from(index_width(v.ref_count()));
+        }
+        let [id, times, inst, entries] = self.cols.map(u64::from);
+        let (vertex, p_code) = (u64::from(self.ctx.vertex), u64::from(self.ctx.p_code));
+        let fields = [
+            trajs * id,
+            trajs * times,
+            trajs * inst + insts,
+            refs * entries,
+            0,
+            refs * vertex,
+            ref_idx,
+            insts * p_code,
+        ];
+        let records = self.bits.len_bits().saturating_sub(HEADER) as u64;
+        (fields, records - fields.iter().sum::<u64>())
+    }
+}
+
+impl Table for TrajSegment {
+    type View<'a> = TrajView<'a>;
+    type Ctx = CtxWidths;
+
+    fn new(ctx: CtxWidths) -> Self {
+        Self {
+            bits: BitWriter::new(),
+            ctx,
+            sealed: false,
+            base: 0,
+            cols: COL_LIMITS,
+            max: [0; 4],
+            min_id: u64::MAX,
+            rows: Vec::new(),
+            inst: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn view(&self, k: usize) -> Option<TrajView<'_>> {
+        let row = self.rows.get(k)?;
+        let next = self.rows.get(k + 1);
+        let last = next.map_or(self.inst.len(), |next| next.first as usize);
+        let inst = self.inst.get(row.first as usize..last)?;
+        let end = next.map_or(self.bits.len_bits(), |next| next.record as usize);
+        let (bits, at) = (self.bits.as_slice(), row.record as usize);
+        let [w_id, w_times, w_inst, entries] = self.cols;
+        let roles = row.count as usize + w_inst as usize;
+        let n_inst = inst.len() as u32;
+        let head = n_inst.min(64);
+        let head_roles = match head {
+            0 => 0,
+            _ => field(bits, roles, head) << (64 - head),
+        };
+        let mut view = TrajView {
+            id: self.base.wrapping_add(field(bits, at, w_id)),
+            n_times: field(bits, at + w_id as usize, w_times) as u32,
+            n_inst,
+            n_refs: 0,
+            bits,
+            t: at + (w_id + w_times) as usize,
+            t_end: row.count as usize,
+            roles,
+            head_roles,
+            inst,
+            end,
+            entries,
+            ctx: self.ctx,
+        };
+        view.n_refs = view.rank(n_inst);
+        Some(view)
+    }
+
+    fn copy(&self) -> (Self, usize) {
+        let mut copied = 0;
+        let mut bits = BitWriter::with_capacity(self.bits.capacity() * 8);
+        bits.extend_from(self.bits.as_slice());
+        copied += self.bits.as_bytes().len();
+        let copy = Self {
+            bits,
+            rows: copy_vec(&self.rows, &mut copied),
+            inst: copy_vec(&self.inst, &mut copied),
+            ..*self
+        };
+        (copy, copied)
+    }
+
+    /// Repacks the records once as the block a container holds for them:
+    /// the header, the columns at its widths.
+    fn seal(&mut self) -> Result<(), Error> {
+        *self = self.sealed(self.ctx)?;
+        Ok(())
+    }
+
+    fn resident(&self, census: &mut Resident) {
+        census.add("blocks", self.bits.capacity());
+        census.add("offset tables", vec_bytes(&self.inst));
+        census.add("rows and plans", vec_bytes(&self.rows));
+    }
+}
+
+impl Trajectories {
+    /// The id of the trajectory at position `i`, without building its
+    /// view.
+    pub(crate) fn id(&self, i: usize) -> Option<u64> {
+        self.segs.get(i / CHUNK)?.id(i % CHUNK)
+    }
+
+    /// Appends a compressed trajectory.
+    pub fn push(&mut self, ct: &CompressedTrajectory) -> Result<(), Error> {
+        self.append(|seg| seg.push(ct))
+    }
+
+    /// Appends the one trajectory of `one` ([`TrajSegment::of`]): a copy
+    /// of its record and offsets.
+    pub(crate) fn push_packed(&mut self, one: &TrajSegment) -> Result<(), Error> {
+        self.append(|seg| seg.extend(one))
+    }
+
+    /// Appends the `n` records of the sealed block `bytes`
+    /// ([`TrajSegment::read`]) after a whole number of segments: a full
+    /// block as a sealed segment, a shorter one (the last) record by
+    /// record to the tail, as a store that grew to them holds them.
+    pub(crate) fn push_block(&mut self, bytes: Vec<u8>, n: usize, ts: i64) -> Result<(), Error> {
+        if n == 0 || n > CHUNK || !self.len.is_multiple_of(CHUNK) {
+            return Err(Error::CorruptStore("block after a partial one"));
+        }
+        let seg = TrajSegment::read(bytes, n, self.ctx, ts)?;
+        if n < CHUNK {
+            return (0..n).try_for_each(|k| self.push_packed(&seg.one(k)?));
+        }
+        self.segs.push(Arc::new(seg));
+        self.len += n;
         Ok(())
     }
 }
 
-/// The `width`-bit field at bit `at` of `framing`, 0 past its end.
-#[inline]
-fn field(framing: BitSlice<'_>, at: usize, width: u32) -> u64 {
-    // One unaligned load for a field that ends within eight bytes of its
-    // first byte, as `BitReader::read_bits` does.
-    let (first, skip) = (at / 8, at % 8);
-    let word = framing
-        .as_bytes()
-        .get(first..)
-        .and_then(|b| b.first_chunk::<8>());
-    match word {
-        Some(word) if width > 0 && skip + width as usize <= 64 => {
-            (u64::from_be_bytes(*word) << skip) >> (64 - width)
-        }
-        _ => framing.reader_at(at).read_bits(width).unwrap_or_default(),
-    }
-}
-
 /// One compressed uncertain trajectory, borrowed from its segment: its
-/// row, its framing record (read field by field as asked for) and its
-/// streams in the arena.
+/// fields read from the block as asked for, its streams ranges of it.
 #[derive(Clone, Copy)]
 pub struct TrajView<'a> {
     /// Original trajectory id.
@@ -681,16 +868,22 @@ pub struct TrajView<'a> {
     pub n_times: u32,
     n_inst: u32,
     n_refs: u32,
-    framing: BitSlice<'a>,
-    /// Where the role bits start in `framing`.
+    /// The segment's block.
+    bits: BitSlice<'a>,
+    /// Where `T` starts and ends.
+    t: usize,
+    t_end: usize,
+    /// Where the role bits start.
     roles: usize,
     /// The first 64 role bits (all if fewer), MSB-aligned.
     head_roles: u64,
-    widths: [u32; 5],
-    arena: &'a [u8],
-    stream_end: &'a [u32],
-    /// Where the trajectory's `T` stream is in `stream_end`.
-    first_stream: usize,
+    /// Where each instance's fields start, in record order.
+    inst: &'a [u32],
+    /// Where the record ends.
+    end: usize,
+    /// The width of the entry-count column.
+    entries: u32,
+    ctx: CtxWidths,
 }
 
 impl<'a> TrajView<'a> {
@@ -706,12 +899,58 @@ impl<'a> TrajView<'a> {
         self.n_refs as usize
     }
 
-    /// The `width`-bit framing field at bit `at`. The record was checked
-    /// whole when it was appended ([`TrajSegment::finish`]), so a read
-    /// inside it does not fail.
+    /// The `width`-bit field at bit `at` of the block. The record was
+    /// checked whole when it was appended, so a read inside it does not
+    /// fail.
     #[inline]
     fn bits(&self, at: usize, width: u32) -> u64 {
-        field(self.framing, at, width)
+        field(self.bits, at, width)
+    }
+
+    /// The `len` bits of the block from `at`; empty if the block does
+    /// not hold them (which decoding then reports as a truncated
+    /// stream).
+    #[inline]
+    fn slice(&self, at: usize, len: usize) -> BitSlice<'a> {
+        self.bits.slice(at, len).unwrap_or_default()
+    }
+
+    /// Where instance `i` (in record order) starts.
+    #[inline]
+    fn start(&self, i: u32) -> usize {
+        self.inst
+            .get(i as usize)
+            .map_or(self.end, |&at| at as usize)
+    }
+
+    /// Where the probability code of instance `i` (in record order)
+    /// starts: it closes the instance.
+    #[inline]
+    fn p_code_at(&self, i: u32) -> usize {
+        let stop = self.start(i + 1).min(self.end);
+        stop.saturating_sub(self.ctx.p_code as usize)
+    }
+
+    /// The probability code of instance `i` in record order.
+    #[inline]
+    fn p_code_of(&self, i: u32) -> u64 {
+        self.bits(self.p_code_at(i), self.ctx.p_code)
+    }
+
+    /// The bits of the fields before instance `i`'s streams.
+    #[inline]
+    fn lead(&self, i: u32) -> usize {
+        match i < self.n_refs {
+            true => (self.ctx.vertex + self.entries) as usize,
+            false => index_width(self.n_refs as usize) as usize,
+        }
+    }
+
+    /// Instance `i`'s streams (record order), back to back.
+    #[inline]
+    fn streams(&self, i: u32) -> BitSlice<'a> {
+        let at = self.start(i) + self.lead(i);
+        self.slice(at, self.p_code_at(i).saturating_sub(at))
     }
 
     /// The `width` (1 to 64) role bits of the instances from `at` on, a
@@ -786,54 +1025,34 @@ impl<'a> TrajView<'a> {
         }
     }
 
-    /// Where reference `i`'s fields start in the framing string.
-    #[inline]
-    fn ref_at(&self, i: u32) -> usize {
-        let [_, _, sv, entries, p_code] = self.widths;
-        self.roles + self.n_inst as usize + i as usize * (sv + entries + p_code) as usize
-    }
-
-    /// Where non-reference `m`'s fields start in the framing string.
-    #[inline]
-    fn nref_at(&self, m: u32) -> usize {
-        let [.., p_code] = self.widths;
-        let width = index_width(self.n_refs as usize) + p_code;
-        self.ref_at(self.n_refs) + m as usize * width as usize
-    }
-
     #[inline]
     fn ref_fields(&self, i: u32, orig_idx: u32) -> RefRow {
-        let (at, [_, _, sv, entries, p_code]) = (self.ref_at(i), self.widths);
-        let (n_entries, p) = (at + sv as usize, at + (sv + entries) as usize);
+        let at = self.start(i);
+        let vertex = self.ctx.vertex;
         RefRow {
-            p_code: self.bits(p, p_code),
+            p_code: self.p_code_of(i),
             orig_idx,
-            sv: VertexId(self.bits(at, sv) as u32),
-            n_entries: self.bits(n_entries, entries) as u32,
+            sv: VertexId(self.bits(at, vertex) as u32),
+            n_entries: self.bits(at + vertex as usize, self.entries) as u32,
         }
     }
 
     #[inline]
     fn nref_fields(&self, m: u32, orig_idx: u32) -> NrefRow {
-        let (at, width) = (self.nref_at(m), index_width(self.n_refs as usize));
-        let [.., p_code] = self.widths;
+        let i = self.n_refs + m;
         NrefRow {
-            p_code: self.bits(at + width as usize, p_code),
+            p_code: self.p_code_of(i),
             orig_idx,
-            ref_idx: self.bits(at, width) as u32,
+            ref_idx: self.bits(self.start(i), index_width(self.n_refs as usize)) as u32,
         }
     }
 
     /// The probability code of the instance in `slot`.
     #[inline]
     pub(crate) fn p_code(&self, slot: Slot) -> u64 {
-        let [_, _, sv, entries, p_code] = self.widths;
         match slot {
-            Slot::Ref(i) => self.bits(self.ref_at(i) + (sv + entries) as usize, p_code),
-            Slot::NRef(m) => {
-                let at = self.nref_at(m) + index_width(self.n_refs as usize) as usize;
-                self.bits(at, p_code)
-            }
+            Slot::Ref(i) => self.p_code_of(i),
+            Slot::NRef(m) => self.p_code_of(self.n_refs + m),
         }
     }
 
@@ -871,12 +1090,9 @@ impl<'a> TrajView<'a> {
     /// field of a non-reference the index reads.
     #[inline]
     pub fn nref_owners(&self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
-        let (framing, first) = (self.framing, self.nref_at(0));
-        let [.., p_code] = self.widths;
+        let view = *self;
         let width = index_width(self.n_refs as usize);
-        let stride = (width + p_code) as usize;
-        let at = move |m: u32| first + m as usize * stride;
-        (0..self.n_inst - self.n_refs).map(move |m| field(framing, at(m), width) as u32)
+        (self.n_refs..self.n_inst).map(move |i| view.bits(view.start(i), width) as u32)
     }
 
     /// The query plan, derived from the role bits and the probability
@@ -886,79 +1102,107 @@ impl<'a> TrajView<'a> {
         TrajPlan::new(*self, *p_codec)
     }
 
-    /// The trajectory's `s`-th stream; empty if the tables do not hold
-    /// it (which decoding then reports as a truncated stream).
-    fn stream(&self, s: usize) -> BitSlice<'a> {
-        let i = self.first_stream + s;
-        let start = match i.checked_sub(1) {
-            Some(prev) => self
-                .stream_end
-                .get(prev)
-                .map(|&end| end.div_ceil(8) as usize),
-            None => Some(0),
-        };
-        let found = start.zip(self.stream_end.get(i)).and_then(|(start, &end)| {
-            let bytes = self.arena.get(start..end.div_ceil(8) as usize)?;
-            BitSlice::from_bytes(bytes, (end as usize).checked_sub(start * 8)?)
-        });
-        found.unwrap_or_default()
-    }
-
     /// The SIAR + improved-Exp-Golomb time stream. (Streams are looked
     /// up when asked for: a query served from the decode cache touches
-    /// neither the offset table nor the arena.)
+    /// neither the offsets nor the block.)
     pub fn t_bits(&self) -> BitSlice<'a> {
-        self.stream(0)
+        self.slice(self.t, self.t_end.saturating_sub(self.t))
     }
 
     /// The streams of reference `i`: `E` (fixed-width edge entries,
     /// entry `g` at bit `g·w_e`), the trimmed time flags `T'`, and `D`
-    /// (PDDP distance codes, code `g` at bit `g·w_d`).
+    /// (PDDP distance codes, code `g` at bit `g·w_d`), split by
+    /// arithmetic: `n_entries·w_e`, `n_entries − 2` and `n_times·w_d`
+    /// bits.
     pub fn ref_streams(&self, i: usize) -> [BitSlice<'a>; 3] {
-        [1, 2, 3].map(|s| self.stream(3 * i + s))
+        let Some(r) = u32::try_from(i).ok().filter(|&i| i < self.n_refs) else {
+            return Default::default();
+        };
+        let n = self.ref_fields(r, 0).n_entries as usize;
+        let at = self.start(r) + self.lead(r);
+        let e = n * self.ctx.w_e as usize;
+        let d = self.n_times as usize * self.ctx.w_d as usize;
+        let tflags = n.saturating_sub(2);
+        [
+            self.slice(at, e),
+            self.slice(at + e, tflags),
+            self.slice(at + e + tflags, d),
+        ]
     }
 
-    /// The streams of non-reference `i`: `Com_E`, `Com_T'`, `Com_D`.
+    /// The streams of non-reference `i`: `Com_E`, `Com_T'`, `Com_D`, each
+    /// walked to its end (a query decodes them in turn from one reader
+    /// instead, [`TrajView::decode_nref`]).
     pub fn nref_streams(&self, i: usize) -> [BitSlice<'a>; 3] {
-        self.ref_streams(self.ref_count() + i)
+        let Some(n) = self.nref_row(i) else {
+            return Default::default();
+        };
+        let ref_entries = self
+            .ref_row(n.ref_idx as usize)
+            .map_or(0, |r| r.n_entries as usize);
+        let all = self.streams(self.n_refs + i as u32);
+        let mut r = all.reader();
+        let flags = |n: usize| n.saturating_sub(2);
+        let mut walk = || {
+            let n_entries = factor::walk_e(&mut r, ref_entries, self.ctx.w_e, |_, _| ())?;
+            let e = r.pos();
+            factor::walk_t(
+                &mut r,
+                flags(ref_entries),
+                flags(n_entries),
+                drop,
+                |_, _| (),
+            )?;
+            let t = r.pos();
+            factor::walk_d(&mut r, self.n_times as usize, self.ctx.w_d, drop)?;
+            Ok::<_, CodecError>([e, t, r.pos()])
+        };
+        let Ok([e, t, d]) = walk() else {
+            return Default::default();
+        };
+        let part = |from: usize, to: usize| all.slice(from, to - from).unwrap_or_default();
+        [part(0, e), part(e, t), part(t, d)]
     }
 
     /// Decodes the streams of reference `i`.
-    pub fn decode_ref(
+    pub(crate) fn decode_ref(
         &self,
         i: usize,
-        w_e: u32,
         d_codec: &PddpCodec,
     ) -> Result<DecodedRef, CodecError> {
         let missing = CodecError::Malformed("reference index out of range");
-        let i = u32::try_from(i)
+        let r = u32::try_from(i)
             .ok()
             .filter(|&i| i < self.n_refs)
             .ok_or(missing)?;
-        let n_entries = self.ref_fields(i, 0).n_entries as usize;
-        let [e_bits, tflag_bits, d_bits] = self.ref_streams(i as usize);
+        let n_entries = self.ref_fields(r, 0).n_entries as usize;
+        let [e_bits, tflag_bits, d_bits] = self.ref_streams(i);
         Ok(DecodedRef {
-            entries: compressed::decode_entries(e_bits, n_entries, w_e)?,
+            entries: compressed::decode_entries(e_bits, n_entries, self.ctx.w_e)?,
             trimmed_flags: tflag_bits.to_bits(),
             d_codes: compressed::decode_d_codes(d_bits, self.n_times as usize, d_codec)?,
         })
     }
 
     /// Decodes non-reference `i` against its (already decoded)
-    /// reference.
-    pub fn decode_nref(
+    /// reference: its three streams in turn, from one reader.
+    pub(crate) fn decode_nref(
         &self,
         i: usize,
         dref: &DecodedRef,
-        w_e: u32,
         d_codec: &PddpCodec,
     ) -> Result<DecodedRef, CodecError> {
-        let [e_com, t_com, d_com] = self.nref_streams(i);
-        let entries = factor::decode_e(&mut e_com.reader(), &dref.entries, w_e)?;
+        let missing = CodecError::Malformed("non-reference index out of range");
+        let m = u32::try_from(i)
+            .ok()
+            .filter(|&m| m < self.n_inst - self.n_refs)
+            .ok_or(missing)?;
+        let mut r = self.streams(self.n_refs + m).reader();
+        let entries = factor::decode_e(&mut r, &dref.entries, self.ctx.w_e)?;
         let (ref_flags, flags) = (dref.trimmed_flags.len(), entries.len().saturating_sub(2));
-        let tcom = factor::decode_t(&mut t_com.reader(), ref_flags, flags)?;
+        let tcom = factor::decode_t(&mut r, ref_flags, flags)?;
         let n_locs = self.n_times as usize;
-        let patches = factor::decode_d(&mut d_com.reader(), n_locs, d_codec.width())?;
+        let patches = factor::decode_d(&mut r, n_locs, d_codec.width())?;
         Ok(DecodedRef {
             entries,
             trimmed_flags: factor::apply_t(&tcom, &dref.trimmed_flags),
@@ -1054,7 +1298,7 @@ mod tests {
             .iter()
             .map(|tu| compress_trajectory(&net, tu, &params));
         let cts: Vec<_> = cts.map(|ct| ct.unwrap().0).collect();
-        let mut a = Trajectories::default();
+        let mut a = crate::CompressedDataset::empty(&net, "", params).trajectories;
         for ct in cts.iter().cycle().take(CHUNK + 10) {
             a.push(ct).unwrap();
         }

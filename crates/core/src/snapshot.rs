@@ -518,7 +518,7 @@ impl Partition {
     /// the store's: [`Snapshot::resident`] adds it once).
     pub(crate) fn resident(&self) -> Resident {
         let mut census = Resident::default();
-        for part in ["stream arena", "offset tables", "rows and plans"] {
+        for part in ["blocks", "offset tables", "rows and plans"] {
             census.add(part, 0);
         }
         self.cds.trajectories.resident(&mut census);

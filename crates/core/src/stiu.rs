@@ -528,6 +528,11 @@ impl NodeSegment {
 
 impl Table for NodeSegment {
     type View<'a> = TrajIndex<'a>;
+    type Ctx = ();
+
+    fn new((): ()) -> Self {
+        Self::default()
+    }
 
     fn view(&self, k: usize) -> Option<TrajIndex<'_>> {
         let from = match k.checked_sub(1) {
@@ -784,7 +789,7 @@ impl Stiu {
             params,
             grid,
             edges,
-            trajs: Nodes::default(),
+            trajs: Nodes::new(()),
         }
     }
 
@@ -792,7 +797,7 @@ impl Stiu {
     /// node: what a batch is indexed against while this one grows.
     pub(crate) fn blank(&self) -> Self {
         Stiu {
-            trajs: Nodes::default(),
+            trajs: Nodes::new(()),
             ..self.clone()
         }
     }
@@ -806,17 +811,29 @@ impl Stiu {
     /// index must be dropped (`Segments::append`).
     pub(crate) fn append(&mut self, (built, times): &(NodeSegment, TimeSpan)) -> Result<(), Error> {
         let node = built.view(0).ok_or(Error::CorruptStore("no node built"))?;
-        self.append_node(|seg, _| {
+        let j = offset(self.trajs.len())?;
+        let span = times.samples.and_then(|(a, b)| self.params.span(&[a, b]));
+        self.trajs.append(|seg| {
             seg.extend(node);
-            Ok::<_, Error>(*times)
+            if let Some((first, last)) = span {
+                // One crafted stream must not post the node under an
+                // unbounded run of partitions.
+                if last.abs_diff(first) >= MAX_SPAN_PARTITIONS {
+                    return Err(Error::CorruptStore("temporal span too long"));
+                }
+                seg.postings
+                    .extend((first..=last).map(|interval| (interval, j)));
+            }
+            seg.close(times.tuples)
         })
     }
 
     /// Appends one node, whose tuples `fill` (given the grid) pushes onto
-    /// the tables of the tail segment before it returns the node's time
-    /// span, and posts it under every interval between its first and
-    /// last sample — including sample-free gap intervals, which the
-    /// trajectory may still cross (a span of
+    /// a segment of its own before it returns the node's time span, by
+    /// [`Stiu::append`]: so the tail grows node by node however its nodes
+    /// came to be. The node is posted under every interval between its
+    /// first and last sample — including sample-free gap intervals,
+    /// which the trajectory may still cross (a span of
     /// [`MAX_SPAN_PARTITIONS`] or more is refused). The postings are a
     /// pure function of the nodes, which is why containers do not store
     /// them.
@@ -824,21 +841,10 @@ impl Stiu {
         &mut self,
         fill: impl FnOnce(&mut NodeSegment, &Grid) -> Result<TimeSpan, E>,
     ) -> Result<(), E> {
-        let j = offset(self.trajs.len())?;
-        self.trajs.append(|seg| {
-            let times = fill(seg, &self.grid)?;
-            let span = times.samples.and_then(|(a, b)| self.params.span(&[a, b]));
-            if let Some((first, last)) = span {
-                // One crafted stream must not post the node under an
-                // unbounded run of partitions.
-                if last.abs_diff(first) >= MAX_SPAN_PARTITIONS {
-                    return Err(Error::CorruptStore("temporal span too long").into());
-                }
-                seg.postings
-                    .extend((first..=last).map(|interval| (interval, j)));
-            }
-            seg.close(times.tuples).map_err(E::from)
-        })
+        let mut one = NodeSegment::default();
+        let times = fill(&mut one, &self.grid)?;
+        one.close(times.tuples)?;
+        Ok(self.append(&(one, times))?)
     }
 }
 

@@ -64,26 +64,25 @@
 //! and the temporal tuple counts — pure functions of stored fields, so a
 //! reopened index equals the built one bit for bit.
 //!
-//! A block and an in-memory segment ([`crate::segment`]) cover the same
-//! [`CHUNK`] records: the reader appends each record's fields straight
-//! to the segment's framing string (which packs them as the block does,
-//! in the same order, at the tail's widths until the segment seals),
-//! its streams to the segment's arena and its region cells and
-//! membership bits to the index tables, and the writer packs from
-//! borrowed views, with no per-trajectory object in between.
+//! A dataset block and an in-memory segment ([`crate::segment`]) cover
+//! the same [`CHUNK`] records, and a sealed segment holds its block's
+//! bytes: the writer copies them (and packs the tail once, as it will
+//! seal), the reader keeps them and walks them once to check them and
+//! find where each record and instance starts. An index block's region
+//! cells and membership bits go to the index tables node by node, and
+//! the writer packs them from borrowed views.
 
 use std::io::{self, Read, Write};
 
-use utcq_bitio::{golomb, width_for_max, BitBuf, BitReader, BitSlice, BitWriter, CodecError};
-use utcq_network::{CellId, RoadNetwork, VertexId};
+use utcq_bitio::{golomb, BitBuf, BitWriter, CodecError};
+use utcq_network::{CellId, RoadNetwork};
 use utcq_traj::size::SizeBreakdown;
 
 use crate::compress::CompressedDataset;
 use crate::error::Error;
 use crate::params::CompressParams;
-use crate::segment::{index_width, TrajSegment, TrajView, CHUNK};
+use crate::segment::{index_width, CtxWidths, TrajView, Trajectories, CHUNK};
 use crate::stiu::{time_span, NodeSegment, Stiu, StiuParams, TrajIndex};
-use crate::{factor, siar};
 
 const MAGIC: &[u8; 4] = b"UTCQ";
 /// The container version core reads and writes: one network, then one
@@ -247,79 +246,20 @@ fn write_dataset_head(cds: &CompressedDataset, w: &mut impl Write) -> io::Result
     Ok(head.len() as u64)
 }
 
-// The columns of a dataset block …
-const ID: usize = 0;
-const TIMES: usize = 1;
-const INST: usize = 2;
-const ENTRIES: usize = 3;
-// … and the other fields of `Sections::framing`: the head and block
-// framing, then the fields whose width the context fixes.
+/// The head and block framing's slot of `Sections::framing`.
 const BLOCKS: usize = 4;
-const SV: usize = 5;
-const REF_IDX: usize = 6;
-const P_CODE: usize = 7;
-/// The columns a dataset block header declares, in header order (an
-/// index block declares none, and has no header).
-const DATASET_COLS: &[usize] = &[ID, TIMES, INST, ENTRIES];
-/// Widest value each column may declare: the base-offset column (ids)
-/// spans 64 bits, every other field is a `u32`.
-const COL_LIMITS: [u32; 4] = [64, 32, 32, 32];
 
-/// Widths of the bit-packed fields that the container's context fixes
-/// rather than a block header, and of an edge entry and a distance
-/// code, which size a reference's streams.
-#[derive(Clone, Copy, Default)]
-struct CtxWidths {
-    vertex: u32,
-    cell: u32,
-    p_code: u32,
-    w_e: usize,
-    w_d: usize,
-}
-
-impl CtxWidths {
-    /// `n_cells` is the StIU grid's cell count (the dataset section has
-    /// no cell fields: pass 0); `net` the embedded network.
-    fn new(net: &RoadNetwork, cds: &CompressedDataset, n_cells: usize) -> Self {
-        CtxWidths {
-            vertex: index_width(net.vertex_count()),
-            cell: index_width(n_cells),
-            p_code: cds.params.p_codec().width(),
-            w_e: cds.w_e as usize,
-            w_d: cds.params.d_codec().width() as usize,
-        }
-    }
-}
-
-/// Where the one record traversal ([`read_trajs`], [`read_nodes`])
-/// takes its field values from: the blocks of a section, one in memory
-/// at a time with the read position in it, the base that column 0 is an
-/// offset from and the widths of the columns its header declares
-/// (`cols`).
+/// Where [`read_nodes`] takes the index's field values from: its
+/// blocks, one in memory at a time with the read position in it, and the
+/// width of a grid cell.
 struct Source<'a, R> {
     r: &'a mut R,
-    cols: &'static [usize],
     block: BitBuf,
     pos: usize,
-    base: u64,
-    widths: [u32; 4],
-    ctx: CtxWidths,
+    cell: u32,
 }
 
 impl<'a, R: Read> Source<'a, R> {
-    /// A source of the section whose blocks declare `cols`.
-    fn new(r: &'a mut R, cols: &'static [usize], ctx: CtxWidths) -> Self {
-        Source {
-            r,
-            cols,
-            block: BitBuf::empty(),
-            pos: 0,
-            base: 0,
-            widths: [0; 4],
-            ctx,
-        }
-    }
-
     /// The next `bits`-wide field of the block.
     #[inline(always)]
     fn field(&mut self, bits: u32) -> Result<u64, StorageError> {
@@ -327,14 +267,6 @@ impl<'a, R: Read> Source<'a, R> {
         let v = r.read_bits(bits)?;
         self.pos = r.pos();
         Ok(v)
-    }
-
-    /// The next value of per-block column `col`.
-    #[inline(always)]
-    fn col(&mut self, col: usize) -> Result<u64, StorageError> {
-        // bounds: col is one of the four column constants
-        let base = if col == 0 { self.base } else { 0 };
-        Ok(base.wrapping_add(self.field(self.widths[col])?))
     }
 
     /// The next order-0 Exp-Golomb code.
@@ -346,33 +278,11 @@ impl<'a, R: Read> Source<'a, R> {
         Ok(v)
     }
 
-    /// An index into a list of `n` items.
-    #[inline(always)]
-    fn index(&mut self, n: usize, what: &'static str) -> Result<u32, StorageError> {
-        below(self.field(index_width(n))?, n, what)
-    }
-
     /// Enters the next block of up to [`CHUNK`] records.
     fn begin_block(&mut self) -> Result<(), StorageError> {
-        let len = read_u32(self.r)? as usize;
-        // Through a `take`, so the allocation grows with the bytes that
-        // actually arrive, not with a crafted length field.
-        let mut bytes = Vec::new();
-        self.r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
-        let truncated = StorageError::Corrupt("block truncated");
-        (self.block, self.pos) = (BitBuf::from_bytes(bytes, len * 8).ok_or(truncated)?, 0);
-        if self.cols.is_empty() {
-            return Ok(());
-        }
-        self.base = self.field(64)?;
-        for &col in self.cols {
-            let width = self.field(7)? as u32;
-            // bounds: col is one of the four column constants
-            if width == 0 || width > COL_LIMITS[col] {
-                return Err(StorageError::Corrupt("column width out of range"));
-            }
-            self.widths[col] = width; // bounds: as above
-        }
+        let bytes = read_block(self.r)?;
+        let len = bytes.len() * 8;
+        (self.block, self.pos) = (BitBuf::from_bytes(bytes, len).unwrap_or_default(), 0);
         Ok(())
     }
 
@@ -385,75 +295,19 @@ impl<'a, R: Read> Source<'a, R> {
         }
         Ok(())
     }
+}
 
-    /// Appends the next stream to the open trajectory of `seg`. Every
-    /// stream delimits itself: `walk` reads it from its first bit to its
-    /// end.
-    fn stream(
-        &mut self,
-        seg: &mut TrajSegment,
-        walk: impl FnOnce(&mut BitReader<'_>) -> Result<(), CodecError>,
-    ) -> Result<(), StorageError> {
-        let mut r = self.block.reader_at(self.pos);
-        walk(&mut r)?;
-        let len = r.pos().saturating_sub(self.pos);
-        // Fails, before allocating, on a length past the block's end.
-        let mut r = self.block.reader_at(self.pos);
-        seg.stream(&mut r, len)?;
-        self.pos = r.pos();
-        Ok(())
+/// The bytes of the next block, after its `u32` length.
+fn read_block(r: &mut impl Read) -> Result<Vec<u8>, StorageError> {
+    let len = read_u32(r)? as usize;
+    // Through a `take`, so the allocation grows with the bytes that
+    // actually arrive, not with a crafted length field.
+    let mut bytes = Vec::new();
+    r.take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len {
+        return Err(StorageError::Corrupt("block truncated"));
     }
-
-    /// The next reference of the open trajectory of `seg`, which has
-    /// `n_times` samples: its fields and its streams, `n_entries` edge
-    /// entries, the `n_entries − 2` trimmed time flags and one distance
-    /// code per sample, so their lengths are arithmetic. Returns its
-    /// entry count.
-    fn read_ref(&mut self, seg: &mut TrajSegment, n_times: usize) -> Result<u32, StorageError> {
-        let sv = VertexId(self.field(self.ctx.vertex)? as u32);
-        let n_entries = self.col(ENTRIES)?;
-        if n_entries < 2 {
-            return Err(StorageError::Corrupt(
-                "reference with fewer than two entries",
-            ));
-        }
-        seg.reference(sv, n_entries as u32)?;
-        let (w_e, w_d, n) = (self.ctx.w_e, self.ctx.w_d, n_entries as usize);
-        for len in [n * w_e, n - 2, n_times * w_d] {
-            self.stream(seg, |r| {
-                r.seek(r.pos() + len);
-                Ok(())
-            })?;
-        }
-        seg.p_code(self.field(self.ctx.p_code)?)?;
-        Ok(n_entries as u32)
-    }
-
-    /// The next non-reference of the open trajectory of `seg`, whose
-    /// references have `entries` edge entries each: its fields and its
-    /// streams, each factor stream walked knowing only counts of its
-    /// reference, never its content.
-    fn read_nref(
-        &mut self,
-        seg: &mut TrajSegment,
-        entries: &[u32],
-        n_times: usize,
-    ) -> Result<(), StorageError> {
-        let ref_idx = self.index(entries.len(), "non-reference points past refs")?;
-        seg.non_reference(ref_idx, entries.len())?;
-        let ref_entries = entries.get(ref_idx as usize).map_or(0, |&n| n as usize);
-        let (w_e, w_d) = (self.ctx.w_e as u32, self.ctx.w_d as u32);
-        let mut n_entries = 0;
-        let walk_e = |r: &mut BitReader<'_>| factor::walk_e(r, ref_entries, w_e, |_, _| ());
-        self.stream(seg, |r| walk_e(r).map(|n| n_entries = n))?;
-        let flags = |n: usize| n.saturating_sub(2);
-        let (ref_flags, flags) = (flags(ref_entries), flags(n_entries));
-        self.stream(seg, |r| {
-            factor::walk_t(r, ref_flags, flags, drop, |_, _| ()).map(drop)
-        })?;
-        self.stream(seg, |r| factor::walk_d(r, n_times, w_d, drop))?;
-        Ok(seg.p_code(self.field(self.ctx.p_code)?)?)
-    }
+    Ok(bytes)
 }
 
 /// `v` as a `u32` below `n`, or the container is corrupt.
@@ -463,48 +317,6 @@ fn below(v: u64, n: usize, what: &'static str) -> Result<u32, StorageError> {
         return Err(StorageError::Corrupt(what));
     }
     Ok(v as u32)
-}
-
-/// Reads `n_trajs` trajectory records into `cds`, field by field into
-/// its segments: each record's fields to the open trajectory's framing
-/// record, its streams to the arena. A record holds the instance count,
-/// then one role bit per instance in original order (set: a reference),
-/// so the instances take their `orig_idx` from their place.
-fn read_trajs<R: Read>(
-    src: &mut Source<'_, R>,
-    n_trajs: usize,
-    cds: &mut CompressedDataset,
-) -> Result<(), StorageError> {
-    let ts = cds.params.default_interval;
-    // The role bits of the open trajectory and its references' entry
-    // counts.
-    let (mut roles, mut entries) = (Vec::new(), Vec::new());
-    while cds.trajectories.len() < n_trajs {
-        src.begin_block()?;
-        for _ in 0..CHUNK.min(n_trajs - cds.trajectories.len()) {
-            cds.trajectories.append(|seg| {
-                let id = src.col(ID)?;
-                let n_times = src.col(TIMES)? as u32;
-                seg.begin(id, n_times)?;
-                src.stream(seg, |r| siar::walk(r, n_times as usize, ts, |_, _, _| ()))?;
-                roles.clear();
-                for _ in 0..src.col(INST)? {
-                    roles.push(src.field(1)? != 0);
-                }
-                seg.roles(roles.iter().copied())?;
-                entries.clear();
-                for _ in roles.iter().filter(|&&is_ref| is_ref) {
-                    entries.push(src.read_ref(seg, n_times as usize)?);
-                }
-                for _ in roles.iter().filter(|&&is_ref| !is_ref) {
-                    src.read_nref(seg, &entries, n_times as usize)?;
-                }
-                Ok::<(), StorageError>(seg.finish()?)
-            })?;
-        }
-        src.end_block()?;
-    }
-    Ok(())
 }
 
 /// Reads one index node per trajectory of `cds` into `stiu`, tuple by
@@ -564,7 +376,7 @@ fn read_coded_regions<R: Read>(
                     let cell = u64::from(prev).saturating_add(1 + src.golomb()?);
                     below(cell, n_cells, "region gap past the last cell")?
                 }
-                None => below(src.field(src.ctx.cell)?, n_cells, "ref tuple out of range")?,
+                None => below(src.field(src.cell)?, n_cells, "ref tuple out of range")?,
             };
             node.push_cell(CellId(cell), false)?;
             prev = Some(cell);
@@ -633,85 +445,23 @@ pub const FRAMING: [&str; 8] = [
     "framing p_code",
 ];
 
-/// One block under construction. [`write_blocks`] runs the record
-/// traversal twice: while `widths` is `None` a column value only raises
-/// its column's maximum (column 0: also lowers `base`); [`Packer::start`]
-/// then fixes the widths and writes the header, and the second run emits.
+/// One index block under construction, and the width of a grid cell.
 #[derive(Default)]
 struct Packer {
-    ctx: CtxWidths,
-    /// The columns the block header declares.
-    cols: &'static [usize],
-    max: [u64; 4],
-    base: u64,
-    widths: Option<[u32; 4]>,
+    cell: u32,
     bits: BitWriter,
-    payload: u64,
-    /// Bits emitted per field of [`FRAMING`] (not the block framing).
-    tally: [u64; 8],
 }
 
 impl Packer {
-    /// Ends the measuring run. Column 0 (ids, start times as unsigned)
-    /// is written as the offset from its block minimum. A block with no
-    /// column has no header.
-    fn start(&mut self) -> io::Result<()> {
-        let [max0, ..] = &mut self.max;
-        self.base = self.base.min(*max0); // no value at all: 0
-        *max0 -= self.base;
-        let widths = self.max.map(width_for_max);
-        self.widths = Some(widths);
-        if self.cols.is_empty() {
-            return Ok(());
-        }
-        self.field(self.base, 64)?;
-        // bounds: every column is one of the four column constants
-        let cols = self.cols;
-        cols.iter()
-            .try_for_each(|&col| self.field(widths[col].into(), 7))
-    }
-
-    /// A value of per-block column `col`.
-    #[inline(always)]
-    fn col(&mut self, col: usize, v: u64) -> io::Result<()> {
-        let Some(widths) = self.widths else {
-            // bounds: col is one of the four column constants
-            self.max[col] = self.max[col].max(v);
-            if col == 0 {
-                self.base = self.base.min(v);
-            }
-            return Ok(());
-        };
-        // bounds: as above, and the tally has a slot per column
-        self.tally[col] += u64::from(widths[col]);
-        let v = if col == 0 { v - self.base } else { v };
-        self.field(v, widths[col]) // bounds: as above
-    }
-
-    /// A value whose width the context fixes (not a block column).
+    /// A value of `width` bits.
     #[inline(always)]
     fn field(&mut self, v: u64, width: u32) -> io::Result<()> {
-        if self.widths.is_none() {
-            return Ok(());
-        }
         self.bits.write_bits(v, width).map_err(invalid_data)
     }
 
-    /// [`Packer::field`], counted as framing field `of` ([`SV`],
-    /// [`REF_IDX`], [`P_CODE`]).
-    fn framing(&mut self, of: usize, v: u64, width: u32) -> io::Result<()> {
-        if self.widths.is_some() {
-            self.tally[of] += u64::from(width); // bounds: `of` is one of the three
-        }
-        self.field(v, width)
-    }
-
-    /// A value as an order-0 Exp-Golomb code (not a block column).
+    /// A value as an order-0 Exp-Golomb code.
     #[inline(always)]
     fn golomb(&mut self, v: u64) -> io::Result<()> {
-        if self.widths.is_none() {
-            return Ok(());
-        }
         golomb::encode_unsigned(&mut self.bits, v).map_err(invalid_data)
     }
 
@@ -730,94 +480,66 @@ impl Packer {
         }
         Ok(())
     }
-
-    /// A bit stream, with no length: every stream delimits itself.
-    fn stream(&mut self, b: BitSlice<'_>) {
-        if self.widths.is_some() {
-            self.bits.extend_from(b);
-            self.payload += b.len_bits() as u64;
-        }
-    }
 }
 
-fn invalid_data(e: CodecError) -> io::Error {
+fn invalid_data(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Writes the `n` records `record` returns as blocks of [`CHUNK`]: per
-/// block the `u32` byte length, the header, the records (`pack`
-/// traverses one), zero padding to a byte. A block with no column needs
-/// no measuring run. No block's records are held: each run fetches them
-/// again. Returns the bits written: all, those of streams alone, and
-/// per framing field.
-fn write_blocks<T>(
+/// Writes one block: its `u32` byte length and its bytes. Returns the
+/// bits written.
+fn write_block(bytes: &[u8], out: &mut impl Write) -> io::Result<u64> {
+    let len = u32::try_from(bytes.len()).map_err(|_| invalid_data("block over 4 GiB"))?;
+    write_u32(out, len)?;
+    out.write_all(bytes)?;
+    Ok((4 + u64::from(len)) * 8)
+}
+
+/// Writes the dataset's records, one block per segment: a sealed
+/// segment's bytes as they are, the tail (or a segment packed with other
+/// context widths than the container's, `ctx`) repacked as the block it
+/// seals into. Returns the bits written, those of streams alone, and
+/// per framing field, counted from each block's widths and counts.
+fn write_trajs(
+    cds: &CompressedDataset,
     ctx: CtxWidths,
-    cols: &'static [usize],
-    n: usize,
-    record: impl Fn(usize) -> Option<T>,
-    mut pack: impl FnMut(&mut Packer, &T) -> io::Result<()>,
     out: &mut impl Write,
 ) -> io::Result<(u64, u64, [u64; 8])> {
     let (mut bits, mut payload, mut tally) = (0, 0, [0; 8]);
-    for first in (0..n).step_by(CHUNK) {
-        let mut run = |p: &mut Packer| {
-            (first..n.min(first + CHUNK)).try_for_each(|i| {
-                let missing =
-                    || io::Error::new(io::ErrorKind::InvalidInput, "record past the table");
-                pack(p, &record(i).ok_or_else(missing)?)
-            })
-        };
-        let mut p = Packer::default();
-        (p.ctx, p.cols, p.base) = (ctx, cols, u64::MAX);
-        if !cols.is_empty() {
-            run(&mut p)?;
-        }
-        p.start()?;
-        run(&mut p)?;
-        let buf = p.bits.finish();
-        let len = u32::try_from(buf.len_bytes())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "block over 4 GiB"))?;
-        write_u32(out, len)?;
-        out.write_all(buf.as_bytes())?;
-        bits += (4 + u64::from(len)) * 8;
-        payload += p.payload;
-        tally
-            .iter_mut()
-            .zip(p.tally)
-            .for_each(|(sum, bits)| *sum += bits);
+    for seg in cds.trajectories.segments() {
+        let packed = seg.resealed(ctx).map_err(invalid_data)?;
+        let block = packed.as_ref().unwrap_or(seg);
+        bits += write_block(block.as_bytes(), out)?;
+        let (fields, streams) = block.framing_bits();
+        payload += streams;
+        tally.iter_mut().zip(fields).for_each(|(sum, f)| *sum += f);
     }
     Ok((bits, payload, tally))
 }
 
-/// One dataset record, v7: id, sample count, `T`, the instance count and
-/// one role bit per instance in original order (set: a reference), then
-/// per reference its start vertex, entry count, `E T' D` and `p_code`,
-/// per non-reference its `ref_idx`, `Com_E Com_T' Com_D` and `p_code`:
-/// the fields of the trajectory's framing record in its order, with the
-/// streams between them.
-fn pack_traj(p: &mut Packer, ct: &TrajView<'_>) -> io::Result<()> {
-    p.col(ID, ct.id)?;
-    p.col(TIMES, u64::from(ct.n_times))?;
-    p.stream(ct.t_bits());
-    let n = ct.instance_count() as u32;
-    p.col(INST, u64::from(n))?;
-    p.flags((0..n).map(|k| ct.is_ref(k)))?;
-    if p.widths.is_some() {
-        p.tally[INST] += u64::from(n); // bounds: INST is a column constant
+/// Writes the index's nodes as blocks of [`CHUNK`]: per block the `u32`
+/// byte length, the records (`pack` writes one), zero padding to a byte.
+/// Returns the bits written.
+fn write_nodes<T>(
+    cell: u32,
+    n: usize,
+    record: impl Fn(usize) -> Option<T>,
+    mut pack: impl FnMut(&mut Packer, &T) -> io::Result<()>,
+    out: &mut impl Write,
+) -> io::Result<u64> {
+    let mut bits = 0;
+    for first in (0..n).step_by(CHUNK) {
+        let mut p = Packer {
+            cell,
+            ..Packer::default()
+        };
+        for i in first..n.min(first + CHUNK) {
+            let missing = || io::Error::new(io::ErrorKind::InvalidInput, "record past the table");
+            pack(&mut p, &record(i).ok_or_else(missing)?)?;
+        }
+        bits += write_block(p.bits.finish().as_bytes(), out)?;
     }
-    for (i, r) in ct.refs().enumerate() {
-        p.framing(SV, u64::from(r.sv.0), p.ctx.vertex)?;
-        p.col(ENTRIES, u64::from(r.n_entries))?;
-        ct.ref_streams(i).into_iter().for_each(|b| p.stream(b));
-        p.framing(P_CODE, r.p_code, p.ctx.p_code)?;
-    }
-    let ref_idx = index_width(ct.ref_count());
-    for (i, n) in ct.nrefs().enumerate() {
-        p.framing(REF_IDX, u64::from(n.ref_idx), ref_idx)?;
-        ct.nref_streams(i).into_iter().for_each(|b| p.stream(b));
-        p.framing(P_CODE, n.p_code, p.ctx.p_code)?;
-    }
-    Ok(())
+    Ok(bits)
 }
 
 /// One index record, v7: the region words and membership bits coded
@@ -843,7 +565,7 @@ fn pack_node(
         let mut prev = None;
         for (cell, _) in group.cells() {
             match prev.replace(cell.0) {
-                None => p.field(u64::from(cell.0), p.ctx.cell)?,
+                None => p.field(u64::from(cell.0), p.cell)?,
                 Some(prev) => p.golomb(u64::from(cell.0 - prev - 1))?,
             }
         }
@@ -897,15 +619,15 @@ pub fn write_body(
     #[cfg(test)]
     BODIES.with(|n| n.set(n.get() + 1));
     let head = write_dataset_head(cds, w)? * 8;
-    let ctx = CtxWidths::new(net, cds, stiu.grid.cell_count());
-    let traj = |i| cds.trajectories.get(i);
-    let (dataset, payload, mut framing) = write_blocks(ctx, DATASET_COLS, n, traj, pack_traj, w)?;
+    let ctx = CtxWidths::new(net.vertex_count(), &cds.params, cds.w_e);
+    let (dataset, payload, mut framing) = write_trajs(cds, ctx, w)?;
     write_i64(w, stiu.params.partition_s)?;
     write_u32(w, stiu.params.grid_n)?;
     let node = |i| stiu.trajs.get(i).zip(cds.trajectories.get(i));
     let mut tuples = (0, 0, Vec::new());
     let pack = |p: &mut Packer, pair: &_| pack_node(p, pair, &mut tuples);
-    let (index, ..) = write_blocks(ctx, &[], n, node, pack, w)?;
+    let cell = index_width(stiu.grid.cell_count());
+    let index = write_nodes(cell, n, node, pack, w)?;
     let (ref_tuples, nref_tuples, _) = tuples;
     let fields: u64 = framing.iter().sum();
     // bounds: BLOCKS is a slot of the framing array
@@ -994,17 +716,20 @@ fn read_dataset(r: &mut impl Read, net: &RoadNetwork) -> Result<CompressedDatase
     if n_trajs > (1 << 32) {
         return Err(StorageError::Corrupt("trajectory count"));
     }
-    let mut cds = CompressedDataset {
+    let ctx = CtxWidths::new(net.vertex_count(), &params, w_e);
+    let mut trajectories = Trajectories::new(ctx);
+    while trajectories.len() < n_trajs {
+        let n = CHUNK.min(n_trajs - trajectories.len());
+        trajectories.push_block(read_block(r)?, n, default_interval)?;
+    }
+    Ok(CompressedDataset {
         name,
         params,
         w_e,
-        trajectories: Default::default(),
+        trajectories,
         compressed,
         raw,
-    };
-    let ctx = CtxWidths::new(net, &cds, 0);
-    read_trajs(&mut Source::new(r, DATASET_COLS, ctx), n_trajs, &mut cds)?;
-    Ok(cds)
+    })
 }
 
 /// Reads one partition's body (see [`write_body`]) of a container whose
@@ -1019,8 +744,13 @@ pub fn read_body(
         grid_n: read_u32(r)?,
     };
     let mut stiu = Stiu::new(net, params)?;
-    let ctx = CtxWidths::new(net, &cds, stiu.grid.cell_count());
-    read_nodes(&mut Source::new(r, &[], ctx), &cds, &mut stiu)?;
+    let mut src = Source {
+        r,
+        block: BitBuf::empty(),
+        pos: 0,
+        cell: index_width(stiu.grid.cell_count()),
+    };
+    read_nodes(&mut src, &cds, &mut stiu)?;
     if net.max_out_degree() > 0 {
         let expect = crate::compressed::edge_number_width(net.max_out_degree());
         if expect != cds.w_e {
@@ -1168,6 +898,32 @@ mod tests {
     }
 
     #[test]
+    fn a_sealed_segment_is_its_block() {
+        // Saving copies each sealed segment's bytes as its block, and
+        // opening keeps a block's bytes as its segment; only the tail is
+        // packed on the way out.
+        let (net, cds, stiu) = cd_sample();
+        let mut body = Vec::new();
+        write_body(net, cds, stiu, &mut body).unwrap();
+        let head = write_dataset_head(cds, &mut io::sink()).unwrap() as usize;
+        let mut blocks = &body[head..];
+        let (reopened, _) = read_body(&mut body.as_slice(), net).unwrap();
+        let ctx = CtxWidths::new(net.vertex_count(), &cds.params, cds.w_e);
+        let built = cds.trajectories.segments();
+        let pairs = Vec::from_iter(built.zip(reopened.trajectories.segments()));
+        assert_eq!(pairs.len(), 2, "a sealed segment and the tail");
+        for (k, (seg, again)) in pairs.into_iter().enumerate() {
+            let block = read_block(&mut blocks).unwrap();
+            let packed = seg.resealed(ctx).unwrap();
+            assert_eq!(packed.is_some(), k == 1, "only the tail is packed");
+            assert_eq!(packed.as_ref().unwrap_or(seg).as_bytes(), block);
+            if k == 0 {
+                assert_eq!(again.as_bytes(), block, "opened: the block's bytes");
+            }
+        }
+    }
+
+    #[test]
     fn region_tuples_cost_what_they_share() {
         // Fixed-width (cell, instance) tuples took 41 B per trajectory;
         // sorted cell gaps per group and one membership bit per
@@ -1287,7 +1043,7 @@ mod tests {
         let j = (1..cds.trajectories.len())
             .find(|&j| refs(j) != groups(0))
             .unwrap();
-        let mut nodes = crate::stiu::Nodes::default();
+        let mut nodes = crate::stiu::Nodes::new(());
         for k in 0..cds.trajectories.len() {
             let regions = stiu.trajs.get(if k == j { 0 } else { k }).unwrap();
             nodes.push(regions).unwrap();

@@ -5,9 +5,9 @@
 //! be in three ways, and the checks are on bytes and blocks actually
 //! live, the road network and decode cache aside:
 //!
-//! * (a) an opened store holds at most 282 B and 0.1 heap blocks per
+//! * (a) an opened store holds at most 229 B and 0.1 heap blocks per
 //!   trajectory: flat segments, not an object graph per trajectory,
-//!   instance fields bit-packed as the container packs them, and region
+//!   each sealed segment's records the very block the container holds, and region
 //!   tables as small as the container's (one word per group cell, one
 //!   bit per non-reference cell);
 //! * (b) built offline, reopened, or grown live across a seal boundary,
@@ -201,14 +201,16 @@ fn a_store_costs_flat_segments_not_an_object_graph() {
     assert!(container(&store) == offline, "live growth == offline build");
     let live_grown = cost(store);
 
-    // (a) flat: under 282 B in 0.02 blocks per trajectory, 268 B
+    // (a) flat: under 229 B in 0.02 blocks per trajectory, 218 B
     // measured plus 5 % (it was 1,455 B in 17.6 blocks as an object
     // graph, about 1 KB while the region tuples carried their resume
     // fields, 752 B while they were rows with two f64 bounds each, 376 B
     // while every instance had a row and a plan row of its own, 295 B
-    // while every node kept its temporal tuples).
+    // while every node kept its temporal tuples, 268 B while the streams
+    // sat byte-aligned in an arena beside a framing string, one offset
+    // per stream).
     let Cost { bytes, blocks, .. } = reopened;
-    assert!(bytes <= 282.0, "opened store: {bytes:.1} B/trajectory");
+    assert!(bytes <= 229.0, "opened store: {bytes:.1} B/trajectory");
     assert!(blocks <= 0.1, "opened store: {blocks:.3} blocks/trajectory");
 
     // (b) the same however the store came to be.

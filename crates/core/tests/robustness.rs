@@ -8,7 +8,6 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use utcq_bitio::{golomb, width_for_max, BitBuf, BitSlice, BitWriter};
-use utcq_core::segment::Trajectories;
 use utcq_core::stiu::{self, StiuParams};
 use utcq_core::storage::{self, StorageError};
 use utcq_core::{factor, siar, CompressParams, QueryTarget};
@@ -136,12 +135,13 @@ fn crafted_temporal_span_is_rejected_at_open() {
     let index = stiu::build(&net, &ds, &cds, StiuParams::default());
     let mut far = ds.trajectories.clone();
     *far[0].times.last_mut().unwrap() += 1 << 40;
-    let mut trajs = Trajectories::default();
-    for tu in &far {
-        let ct = utcq_core::compress_trajectory(&net, tu, &params).unwrap().0;
-        trajs.push(&ct).unwrap();
-    }
-    cds.trajectories = trajs;
+    let far = utcq_traj::Dataset {
+        trajectories: far,
+        ..ds.clone()
+    };
+    cds.trajectories = utcq_core::compress_dataset(&net, &far, &params)
+        .unwrap()
+        .trajectories;
     let (bytes, _) = save(&net, &cds, &index);
     assert_eq!(
         refused(&bytes),

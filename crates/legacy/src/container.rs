@@ -60,7 +60,7 @@ use utcq_core::compressed::{
     edge_number_width, CompressedNonRef, CompressedRef, CompressedTrajectory,
 };
 use utcq_core::decompress::DecompressError;
-use utcq_core::segment::TrajView;
+use utcq_core::segment::{self, TrajView, Trajectories};
 use utcq_core::stiu::{region_cells, EdgeCells, Stiu, StiuParams};
 use utcq_core::storage::{self, Head, StorageError, ROUTING_REGION};
 use utcq_core::{decompress_dataset, factor, siar, CompressParams, CompressedDataset, Error};
@@ -639,11 +639,14 @@ fn read_dataset(
     if n_trajs > (1 << 32) {
         return Err(StorageError::Corrupt("trajectory count"));
     }
+    // v1 stores no network: its start vertices are packed at full width
+    // until a network is given and the store writes them as v8.
+    let n_vertices = net.map_or(1 << 32, RoadNetwork::vertex_count);
     let mut cds = CompressedDataset {
         name,
         params,
         w_e,
-        trajectories: Default::default(),
+        trajectories: Trajectories::new(segment::CtxWidths::new(n_vertices, &params, w_e)),
         compressed,
         raw,
     };
@@ -934,7 +937,7 @@ pub fn save_v1(cds: &CompressedDataset, w: &mut impl Write) -> io::Result<()> {
     let u64s = |w: &mut dyn Write, v: u64| w.write_all(&v.to_le_bytes());
     let bits = |w: &mut dyn Write, b: utcq_bitio::BitSlice<'_>| {
         u32s(w, b.len_bits() as u32)?;
-        w.write_all(b.as_bytes())
+        w.write_all(b.to_buf().as_bytes())
     };
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION_V1])?;

@@ -6,10 +6,9 @@
 //! clones segment *directories* and copy-on-writes only the unsealed
 //! tails. Every such copy reports through `utcq::core::hooks::copied`
 //! what it copied: the bytes in use of each flat table of the tail (the
-//! trajectory rows and framing string, the stream arena and its offsets,
-//! the three tuple tables, the interval postings, the id map's hash
-//! table, and a partitioned store's id → partition map), which is
-//! everything a publish copies. This test grows stores to 1k / 10k / 50k
+//! records and their offsets, the index's region words, membership bits
+//! and node ends, the interval postings and the store's one id map's
+//! hash table), which is everything a publish copies. This test grows stores to 1k / 10k / 50k
 //! trajectories, in one partition and in three (`ByTime`), publishes one
 //! identical-shaped batch into each, and asserts the copied-byte counts
 //! do not scale with the store (a 50k-store publish must stay within 2x
