@@ -367,6 +367,10 @@ pub struct TrajSegment {
     max: [u64; 4],
     min_id: u64,
     rows: Vec<TrajRow>,
+    /// Per trajectory its id, also in its record: a range query resolves
+    /// the id of every trajectory posted under its interval, and reading
+    /// it from the block cost 3 % of a cold range query's time.
+    ids: Vec<u64>,
     /// Per instance, in record order (the references, then the
     /// non-references), the bit at which its fields start.
     inst: Vec<u32>,
@@ -418,11 +422,7 @@ impl TrajSegment {
     /// The id of the trajectory at position `k`, without building its
     /// view.
     fn id(&self, k: usize) -> Option<u64> {
-        let (at, [w_id, ..]) = (self.rows.get(k)?.record as usize, self.cols);
-        Some(
-            self.base
-                .wrapping_add(field(self.bits.as_slice(), at, w_id)),
-        )
+        self.ids.get(k).copied()
     }
 
     /// The next value of column `col`.
@@ -481,6 +481,7 @@ impl TrajSegment {
             streams.into_iter().for_each(|b| self.bits.extend_from(b));
             self.put(p_code, self.ctx.p_code)?;
         }
+        self.ids.push(id);
         let row = TrajRow {
             record,
             count,
@@ -571,6 +572,7 @@ impl TrajSegment {
         for &at in &one.inst {
             self.inst.push(moved(at)?);
         }
+        self.ids.extend_from_slice(&one.ids);
         self.bits.extend_from(one.bits.as_slice());
         for (col, max) in one.max.iter().enumerate() {
             self.max[col] = self.max[col].max(*max); // bounds: a slot per column
@@ -597,6 +599,7 @@ impl TrajSegment {
         }
         out.bits = BitWriter::from(out.bits.finish());
         out.rows.shrink_to_fit();
+        out.ids.shrink_to_fit();
         out.inst.shrink_to_fit();
         Ok(out)
     }
@@ -681,6 +684,7 @@ impl TrajSegment {
                 factor::walk_d(&mut r, n_times as usize, w_d, drop)?;
                 r.read_bits(ctx.p_code)?;
             }
+            seg.ids.push(id);
             seg.rows.push(TrajRow {
                 record,
                 count,
@@ -696,6 +700,7 @@ impl TrajSegment {
         let left_over = Error::CorruptStore("bits left over in block");
         seg.bits = BitWriter::from(BitBuf::from_bytes(bytes, end).ok_or(left_over)?);
         seg.rows.shrink_to_fit();
+        seg.ids.shrink_to_fit();
         seg.inst.shrink_to_fit();
         Ok(seg)
     }
@@ -755,6 +760,7 @@ impl Table for TrajSegment {
             max: [0; 4],
             min_id: u64::MAX,
             rows: Vec::new(),
+            ids: Vec::new(),
             inst: Vec::new(),
         }
     }
@@ -776,7 +782,7 @@ impl Table for TrajSegment {
             _ => field(bits, roles, head) << (64 - head),
         };
         let mut view = TrajView {
-            id: self.base.wrapping_add(field(bits, at, w_id)),
+            id: *self.ids.get(k)?,
             n_times: field(bits, at + w_id as usize, w_times) as u32,
             n_inst,
             n_refs: 0,
@@ -802,6 +808,7 @@ impl Table for TrajSegment {
         let copy = Self {
             bits,
             rows: copy_vec(&self.rows, &mut copied),
+            ids: copy_vec(&self.ids, &mut copied),
             inst: copy_vec(&self.inst, &mut copied),
             ..*self
         };
@@ -818,7 +825,10 @@ impl Table for TrajSegment {
     fn resident(&self, census: &mut Resident) {
         census.add("blocks", self.bits.capacity());
         census.add("offset tables", vec_bytes(&self.inst));
-        census.add("rows and plans", vec_bytes(&self.rows));
+        census.add(
+            "rows and plans",
+            vec_bytes(&self.rows) + vec_bytes(&self.ids),
+        );
     }
 }
 

@@ -74,7 +74,7 @@
 
 use std::io::{self, Read, Write};
 
-use utcq_bitio::{golomb, BitBuf, BitWriter, CodecError};
+use utcq_bitio::{golomb, BitReader, BitSlice, BitWriter, CodecError};
 use utcq_network::{CellId, RoadNetwork};
 use utcq_traj::size::SizeBreakdown;
 
@@ -249,54 +249,6 @@ fn write_dataset_head(cds: &CompressedDataset, w: &mut impl Write) -> io::Result
 /// The head and block framing's slot of `Sections::framing`.
 const BLOCKS: usize = 4;
 
-/// Where [`read_nodes`] takes the index's field values from: its
-/// blocks, one in memory at a time with the read position in it, and the
-/// width of a grid cell.
-struct Source<'a, R> {
-    r: &'a mut R,
-    block: BitBuf,
-    pos: usize,
-    cell: u32,
-}
-
-impl<'a, R: Read> Source<'a, R> {
-    /// The next `bits`-wide field of the block.
-    #[inline(always)]
-    fn field(&mut self, bits: u32) -> Result<u64, StorageError> {
-        let mut r = self.block.reader_at(self.pos);
-        let v = r.read_bits(bits)?;
-        self.pos = r.pos();
-        Ok(v)
-    }
-
-    /// The next order-0 Exp-Golomb code.
-    #[inline(always)]
-    fn golomb(&mut self) -> Result<u64, StorageError> {
-        let mut r = self.block.reader_at(self.pos);
-        let v = golomb::decode_unsigned(&mut r)?;
-        self.pos = r.pos();
-        Ok(v)
-    }
-
-    /// Enters the next block of up to [`CHUNK`] records.
-    fn begin_block(&mut self) -> Result<(), StorageError> {
-        let bytes = read_block(self.r)?;
-        let len = bytes.len() * 8;
-        (self.block, self.pos) = (BitBuf::from_bytes(bytes, len).unwrap_or_default(), 0);
-        Ok(())
-    }
-
-    /// Leaves a fully parsed block: only the zero padding of its last
-    /// byte may be left.
-    fn end_block(&mut self) -> Result<(), StorageError> {
-        let left = self.block.len_bits().saturating_sub(self.pos);
-        if left >= 8 || self.field(left as u32)? != 0 {
-            return Err(StorageError::Corrupt("bits left over in block"));
-        }
-        Ok(())
-    }
-}
-
 /// The bytes of the next block, after its `u32` length.
 fn read_block(r: &mut impl Read) -> Result<Vec<u8>, StorageError> {
     let len = read_u32(r)? as usize;
@@ -319,11 +271,12 @@ fn below(v: u64, n: usize, what: &'static str) -> Result<u32, StorageError> {
     Ok(v as u32)
 }
 
-/// Reads one index node per trajectory of `cds` into `stiu`, tuple by
-/// tuple into its segments, deriving each node's time span (its
-/// postings and temporal tuple count) from its time stream.
-fn read_nodes<R: Read>(
-    src: &mut Source<'_, R>,
+/// Reads one index node per trajectory of `cds` into `stiu`, node by
+/// node, deriving each node's time span (its postings and temporal tuple
+/// count) from its time stream. Only the zero padding of its last byte
+/// may follow a block's last node.
+fn read_nodes(
+    r: &mut impl Read,
     cds: &CompressedDataset,
     stiu: &mut Stiu,
 ) -> Result<(), StorageError> {
@@ -333,17 +286,22 @@ fn read_nodes<R: Read>(
     let mut groups = Vec::new();
     let mut cts = cds.trajectories.iter().peekable();
     while cts.peek().is_some() {
-        src.begin_block()?;
+        let bytes = read_block(r)?;
+        let block = BitSlice::from_bytes(&bytes, bytes.len() * 8).unwrap_or_default();
+        let mut src = block.reader();
         for ct in cts.by_ref().take(CHUNK) {
             // A crafted count cannot grow a table past the content
             // actually present: each tuple read consumes input.
             stiu.append_node(|node, _| {
                 let times = time_span(ct.t_bits(), ct.n_times, ts, partition_s)?;
-                read_coded_regions(src, node, &ct, n_cells, &mut groups)?;
+                read_coded_regions(&mut src, node, &ct, n_cells, &mut groups)?;
                 Ok::<_, StorageError>(times)
             })?;
         }
-        src.end_block()?;
+        let left = src.remaining();
+        if left >= 8 || src.read_bits(left as u32)? != 0 {
+            return Err(StorageError::Corrupt("bits left over in block"));
+        }
     }
     Ok(())
 }
@@ -355,8 +313,8 @@ fn read_nodes<R: Read>(
 /// node's region words and membership bits. Each cell and each bit
 /// costs at least one bit read, so a crafted count fails on the block's
 /// end before it grows a table far.
-fn read_coded_regions<R: Read>(
-    src: &mut Source<'_, R>,
+fn read_coded_regions(
+    src: &mut BitReader<'_>,
     node: &mut NodeSegment,
     ct: &TrajView<'_>,
     n_cells: usize,
@@ -364,7 +322,7 @@ fn read_coded_regions<R: Read>(
 ) -> Result<(), StorageError> {
     groups.clear();
     for _ in 0..ct.ref_count() {
-        let count = src.golomb()?;
+        let count = golomb::decode_unsigned(src)?;
         if count > n_cells as u64 {
             return Err(StorageError::Corrupt("region count past the grid"));
         }
@@ -373,16 +331,20 @@ fn read_coded_regions<R: Read>(
         for _ in 0..count {
             let cell = match prev {
                 Some(prev) => {
-                    let cell = u64::from(prev).saturating_add(1 + src.golomb()?);
+                    let gap = golomb::decode_unsigned(src)?;
+                    let cell = u64::from(prev).saturating_add(1 + gap);
                     below(cell, n_cells, "region gap past the last cell")?
                 }
-                None => below(src.field(src.cell)?, n_cells, "ref tuple out of range")?,
+                None => {
+                    let cell = src.read_bits(index_width(n_cells))?;
+                    below(cell, n_cells, "ref tuple out of range")?
+                }
             };
             node.push_cell(CellId(cell), false)?;
             prev = Some(cell);
         }
         for row in first..first + count as usize {
-            if src.field(1)? != 0 {
+            if src.read_bit()? {
                 node.enter(row);
             }
         }
@@ -392,7 +354,7 @@ fn read_coded_regions<R: Read>(
         let count = groups.get(owner as usize);
         let count = count.ok_or(StorageError::Corrupt("non-reference points past refs"))?;
         for _ in 0..*count {
-            node.push_bit(src.field(1)? != 0);
+            node.push_bit(src.read_bit()?);
         }
     }
     Ok(())
@@ -744,13 +706,7 @@ pub fn read_body(
         grid_n: read_u32(r)?,
     };
     let mut stiu = Stiu::new(net, params)?;
-    let mut src = Source {
-        r,
-        block: BitBuf::empty(),
-        pos: 0,
-        cell: index_width(stiu.grid.cell_count()),
-    };
-    read_nodes(&mut src, &cds, &mut stiu)?;
+    read_nodes(r, &cds, &mut stiu)?;
     if net.max_out_degree() > 0 {
         let expect = crate::compressed::edge_number_width(net.max_out_degree());
         if expect != cds.w_e {
