@@ -3,8 +3,8 @@
 //! them). A container block on disk and a segment cover the same 1,024
 //! records, and the dataset half of a sealed segment ([`TrajSegment`])
 //! **is** the block: the bytes a container holds for it, in a constant
-//! number of allocations — the block, one row per trajectory and one
-//! offset per instance. The index half ([`crate::stiu::NodeSegment`])
+//! number of allocations — the block, one row and one id per trajectory
+//! and one offset per instance. The index half ([`crate::stiu::NodeSegment`])
 //! keeps four tables that no container stores in this form: `ends`,
 //! region words, membership bits and the nodes' interval postings (a
 //! dataset and its index are separate values, so the halves are separate
