@@ -185,6 +185,17 @@ impl Fixtures {
             r#"{"op":"where","traj":9007199254740993,"t":0,"limit":18446744073709551615}"#.into(),
         );
         lines.push(r#"{"op":"stats"}"#.into());
+        // One minimal well-formed line per op of the wire's table, so
+        // every op's decoder is a starting point (`tail` and `checkpoint`
+        // have no line in the sessions).
+        for op in &wire::OPS {
+            let mut line = format!(r#"{{"op":"{}""#, op.name);
+            for field in op.required {
+                let value = if *field == "trajectories" { "[]" } else { "0" };
+                line += &format!(r#","{field}":{value}"#);
+            }
+            lines.push(line + "}");
+        }
         let v1_net = (**store.network()).clone();
         let scratch = std::env::temp_dir().join(format!(
             "utcq-audit-fuzz-{}-{:x}.utcq",

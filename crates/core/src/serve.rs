@@ -79,10 +79,6 @@ use crate::poll;
 use crate::store::Store;
 use crate::wire;
 
-/// Default number of event loops for [`Server::bind`] callers that
-/// take the CLI default.
-pub const DEFAULT_THREADS: usize = 4;
-
 /// Poller token of the listening socket (registered on loop 0 only).
 const TOKEN_LISTENER: u64 = 0;
 /// Poller token of a loop's waker.

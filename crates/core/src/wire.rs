@@ -24,11 +24,13 @@
 //! bits (see `crate::shard`), so they routinely exceed that. Integral
 //! JSON numbers are still accepted on input for hand-typed sessions.
 
+use std::fmt::Write as _;
+
 use crate::cache::CacheStats;
 use crate::error::Error;
 use crate::query::{Page, PageRequest, QueryTarget, WhenHit, WhereHit, DEFAULT_PAGE_LIMIT};
 use crate::store::{InfoReport, IngestReport, Store};
-use crate::wal::{CheckpointReport, Record, TailRead};
+use crate::wal::{Record, TailRead};
 use utcq_network::{EdgeId, Rect};
 use utcq_traj::{Dataset, Instance, PathPosition, UncertainTrajectory};
 
@@ -136,16 +138,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_f64(out, *n),
             Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_array(out, items, |out, v| v.write(out)),
             Json::Obj(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
@@ -376,12 +369,27 @@ fn write_str(out: &mut String, s: &str) {
 /// `Display` form (deterministic, so served and offline outputs agree
 /// byte for byte); non-finite values become `null`.
 fn write_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
+}
+
+/// Writes `[a,b,…]`, each item by `item`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
 /// One protocol request, decoded.
@@ -464,6 +472,45 @@ pub enum Request {
     Shutdown,
 }
 
+/// One protocol op: the `"op"` value that names it, the fields a request
+/// must and may carry besides `id`, whether it changes the store, and
+/// its decoder. [`parse_request`] dispatches through this table, every
+/// reply names its op from it, and a read-only surface refuses the ops
+/// that write. `PROTOCOL.md`'s request table lists the same rows; a test
+/// holds the two equal.
+pub struct Op {
+    /// The `"op"` value.
+    pub name: &'static str,
+    /// Fields a request must carry.
+    pub required: &'static [&'static str],
+    /// Fields a request may carry besides `id`.
+    pub optional: &'static [&'static str],
+    /// Whether it changes the store: a read-only surface answers
+    /// `read_only`.
+    pub writes: bool,
+    parse: fn(&Json, &Option<Json>) -> Field<Request>,
+}
+
+/// The optional fields of a paginated query.
+const PAGED: &[&str] = &["alpha", "limit", "cursor"];
+
+/// Every op, in `PROTOCOL.md`'s order.
+#[rustfmt::skip]
+pub static OPS: [Op; 10] = [
+    Op { name: "where", required: &["traj", "t"], optional: PAGED, writes: false, parse: parse_where },
+    Op { name: "when", required: &["traj", "edge", "rd"], optional: PAGED, writes: false, parse: parse_when },
+    Op { name: "range", required: &["min_x", "min_y", "max_x", "max_y", "tq"], optional: PAGED, writes: false,
+         parse: parse_range },
+    Op { name: "ingest", required: &["trajectories"], optional: &["interval", "name"], writes: true,
+         parse: parse_ingest },
+    Op { name: "tail", required: &["from"], optional: &["max"], writes: false, parse: parse_tail },
+    Op { name: "checkpoint", required: &[], optional: &[], writes: true, parse: |_, _| Ok(Request::Checkpoint) },
+    Op { name: "info", required: &[], optional: &[], writes: false, parse: |_, _| Ok(Request::Info) },
+    Op { name: "cache_stats", required: &[], optional: &[], writes: false, parse: |_, _| Ok(Request::CacheStats) },
+    Op { name: "ping", required: &[], optional: &[], writes: false, parse: |_, _| Ok(Request::Ping) },
+    Op { name: "shutdown", required: &[], optional: &[], writes: false, parse: |_, _| Ok(Request::Shutdown) },
+];
+
 /// A request that failed to decode: the error response to send, plus
 /// the echoed id when one was readable.
 #[derive(Debug)]
@@ -487,15 +534,8 @@ pub struct ParsedRequest {
     pub request: Request,
 }
 
-fn field<'a>(obj: &'a Json, id: &Option<Json>, key: &str) -> Result<&'a Json, Box<RequestError>> {
-    obj.get(key).ok_or_else(|| {
-        Box::new(RequestError {
-            id: id.clone(),
-            code: "bad_request",
-            message: format!("missing field '{key}'"),
-        })
-    })
-}
+/// A decoded field, or the error answering the request it came in.
+type Field<T> = Result<T, Box<RequestError>>;
 
 fn bad(id: &Option<Json>, message: String) -> Box<RequestError> {
     Box::new(RequestError {
@@ -505,47 +545,30 @@ fn bad(id: &Option<Json>, message: String) -> Box<RequestError> {
     })
 }
 
-fn u64_field(obj: &Json, id: &Option<Json>, key: &str) -> Result<u64, Box<RequestError>> {
-    field(obj, id, key)?
-        .as_u64()
-        .ok_or_else(|| bad(id, format!("field '{key}' must be a non-negative integer")))
+/// How a field's JSON value is read, and what it must be otherwise.
+type Kind<T> = (fn(&Json) -> Option<T>, &'static str);
+const U64: Kind<u64> = (Json::as_u64, "a non-negative integer");
+const I64: Kind<i64> = (Json::as_i64, "an integer");
+const F64: Kind<f64> = (Json::as_f64, "a number");
+
+/// The field `key` read as `kind`, `None` when absent; any other value
+/// is a `bad_request` naming what the field must be.
+fn opt_field<T>(obj: &Json, id: &Option<Json>, key: &str, kind: Kind<T>) -> Field<Option<T>> {
+    let (read, what) = kind;
+    let read = |v| read(v).ok_or_else(|| bad(id, format!("field '{key}' must be {what}")));
+    obj.get(key).map(read).transpose()
 }
 
-fn i64_field(obj: &Json, id: &Option<Json>, key: &str) -> Result<i64, Box<RequestError>> {
-    field(obj, id, key)?
-        .as_i64()
-        .ok_or_else(|| bad(id, format!("field '{key}' must be an integer")))
-}
-
-fn f64_field(obj: &Json, id: &Option<Json>, key: &str) -> Result<f64, Box<RequestError>> {
-    field(obj, id, key)?
-        .as_f64()
-        .ok_or_else(|| bad(id, format!("field '{key}' must be a number")))
-}
-
-/// `alpha` defaults to 0 (return everything) when absent.
-fn alpha_field(obj: &Json, id: &Option<Json>) -> Result<f64, Box<RequestError>> {
-    match obj.get("alpha") {
-        None => Ok(0.0),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| bad(id, "field 'alpha' must be a number".to_string())),
-    }
+/// [`opt_field`] of a field the request must carry.
+fn field<T>(obj: &Json, id: &Option<Json>, key: &str, kind: Kind<T>) -> Field<T> {
+    opt_field(obj, id, key, kind)?.ok_or_else(|| bad(id, format!("missing field '{key}'")))
 }
 
 /// `limit` (default [`DEFAULT_PAGE_LIMIT`]) + `cursor` (default: first
 /// page). Cursors are decimal strings; integral numbers are accepted
 /// for hand-typed sessions, but anything else is an invalid cursor.
-fn page_fields(obj: &Json, id: &Option<Json>) -> Result<PageRequest, Box<RequestError>> {
-    let limit = match obj.get("limit") {
-        None => DEFAULT_PAGE_LIMIT,
-        Some(v) => v.as_u64().ok_or_else(|| {
-            bad(
-                id,
-                "field 'limit' must be a non-negative integer".to_string(),
-            )
-        })? as usize,
-    };
+fn page_fields(obj: &Json, id: &Option<Json>) -> Field<PageRequest> {
+    let limit = opt_field(obj, id, "limit", U64)?.map_or(DEFAULT_PAGE_LIMIT, |n| n as usize);
     let cursor = match obj.get("cursor") {
         None | Some(Json::Null) => None,
         Some(v) => {
@@ -569,13 +592,11 @@ fn page_fields(obj: &Json, id: &Option<Json>) -> Result<PageRequest, Box<Request
 /// Decodes one trajectory object of an `ingest` request:
 /// `{"id":N,"times":[…],"instances":[{"prob":P,"path":[…],
 /// "positions":[[path_idx,rd],…]},…]}`.
-fn parse_trajectory(
-    v: &Json,
-    id: &Option<Json>,
-    at: usize,
-) -> Result<UncertainTrajectory, Box<RequestError>> {
+fn parse_trajectory(v: &Json, id: &Option<Json>, at: usize) -> Field<UncertainTrajectory> {
     let ctx = |what: &str| format!("trajectories[{at}]: {what}");
-    let traj_id = field(v, id, "id")?
+    let traj_id = v
+        .get("id")
+        .ok_or_else(|| bad(id, "missing field 'id'".to_string()))?
         .as_u64()
         .ok_or_else(|| bad(id, ctx("field 'id' must be a non-negative integer")))?;
     let Some(Json::Arr(times_v)) = v.get("times") else {
@@ -592,8 +613,9 @@ fn parse_trajectory(
     let mut instances = Vec::with_capacity(instances_v.len());
     for (w, inst) in instances_v.iter().enumerate() {
         let ictx = |what: &str| format!("trajectories[{at}].instances[{w}]: {what}");
-        let prob = field(inst, id, "prob").map_err(|_| bad(id, ictx("missing field 'prob'")))?;
-        let prob = prob
+        let prob = inst
+            .get("prob")
+            .ok_or_else(|| bad(id, ictx("missing field 'prob'")))?
             .as_f64()
             .ok_or_else(|| bad(id, ictx("field 'prob' must be a number")))?;
         let Some(Json::Arr(path_v)) = inst.get("path") else {
@@ -640,113 +662,99 @@ fn parse_trajectory(
     })
 }
 
+/// `alpha` defaults to 0 (return everything) when absent.
+fn alpha(v: &Json, id: &Option<Json>) -> Field<f64> {
+    Ok(opt_field(v, id, "alpha", F64)?.unwrap_or(0.0))
+}
+
+fn parse_where(v: &Json, id: &Option<Json>) -> Field<Request> {
+    Ok(Request::Where {
+        traj: field(v, id, "traj", U64)?,
+        t: field(v, id, "t", I64)?,
+        alpha: alpha(v, id)?,
+        page: page_fields(v, id)?,
+    })
+}
+
+fn parse_when(v: &Json, id: &Option<Json>) -> Field<Request> {
+    Ok(Request::When {
+        traj: field(v, id, "traj", U64)?,
+        edge: EdgeId(
+            field(v, id, "edge", U64)?
+                .try_into()
+                .map_err(|_| bad(id, "field 'edge' must fit in 32 bits".to_string()))?,
+        ),
+        rd: field(v, id, "rd", F64)?,
+        alpha: alpha(v, id)?,
+        page: page_fields(v, id)?,
+    })
+}
+
+fn parse_range(v: &Json, id: &Option<Json>) -> Field<Request> {
+    Ok(Request::Range {
+        re: Rect::new(
+            field(v, id, "min_x", F64)?,
+            field(v, id, "min_y", F64)?,
+            field(v, id, "max_x", F64)?,
+            field(v, id, "max_y", F64)?,
+        ),
+        tq: field(v, id, "tq", I64)?,
+        alpha: alpha(v, id)?,
+        page: page_fields(v, id)?,
+    })
+}
+
+fn parse_ingest(v: &Json, id: &Option<Json>) -> Field<Request> {
+    let Some(Json::Arr(items)) = v.get("trajectories") else {
+        return Err(bad(id, "field 'trajectories' must be an array".to_string()));
+    };
+    let trajectories = items
+        .iter()
+        .enumerate()
+        .map(|(at, t)| parse_trajectory(t, id, at))
+        .collect::<Result<Vec<_>, _>>()?;
+    let interval = opt_field(v, id, "interval", I64)?;
+    let name = v.get("name").and_then(Json::as_str).unwrap_or_default();
+    Ok(Request::Ingest {
+        trajectories,
+        interval,
+        name: name.to_string(),
+    })
+}
+
+fn parse_tail(v: &Json, id: &Option<Json>) -> Field<Request> {
+    Ok(Request::Tail {
+        from: field(v, id, "from", U64)?,
+        max: opt_field(v, id, "max", U64)?.map_or(DEFAULT_TAIL_MAX, |n| n as usize),
+    })
+}
+
 /// Decodes one request line. Errors carry the echo id (when readable)
 /// and the protocol error code, ready for [`execute`] to serialize.
 pub fn parse_request(line: &str) -> Result<ParsedRequest, Box<RequestError>> {
-    let v = Json::parse(line).map_err(|message| {
-        Box::new(RequestError {
-            id: None,
-            code: "bad_request",
-            message: format!("malformed JSON: {message}"),
-        })
-    })?;
+    parse_line(line).map(|(_, parsed)| parsed)
+}
+
+/// [`parse_request`], with the table row of the op that decoded it.
+fn parse_line(line: &str) -> Field<(&'static Op, ParsedRequest)> {
+    let v = Json::parse(line).map_err(|e| bad(&None, format!("malformed JSON: {e}")))?;
     if !matches!(v, Json::Obj(_)) {
-        return Err(Box::new(RequestError {
-            id: None,
-            code: "bad_request",
-            message: "request must be a JSON object".to_string(),
-        }));
+        return Err(bad(&None, "request must be a JSON object".to_string()));
     }
     let id = v.get("id").cloned();
-    let op = v
+    let name = v
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| bad(&id, "missing string field 'op'".to_string()))?;
-    let request = match op {
-        "where" => Request::Where {
-            traj: u64_field(&v, &id, "traj")?,
-            t: i64_field(&v, &id, "t")?,
-            alpha: alpha_field(&v, &id)?,
-            page: page_fields(&v, &id)?,
-        },
-        "when" => Request::When {
-            traj: u64_field(&v, &id, "traj")?,
-            edge: EdgeId(
-                u64_field(&v, &id, "edge")?
-                    .try_into()
-                    .map_err(|_| bad(&id, "field 'edge' must fit in 32 bits".to_string()))?,
-            ),
-            rd: f64_field(&v, &id, "rd")?,
-            alpha: alpha_field(&v, &id)?,
-            page: page_fields(&v, &id)?,
-        },
-        "range" => Request::Range {
-            re: Rect::new(
-                f64_field(&v, &id, "min_x")?,
-                f64_field(&v, &id, "min_y")?,
-                f64_field(&v, &id, "max_x")?,
-                f64_field(&v, &id, "max_y")?,
-            ),
-            tq: i64_field(&v, &id, "tq")?,
-            alpha: alpha_field(&v, &id)?,
-            page: page_fields(&v, &id)?,
-        },
-        "ingest" => {
-            let Some(Json::Arr(items)) = v.get("trajectories") else {
-                return Err(bad(
-                    &id,
-                    "field 'trajectories' must be an array".to_string(),
-                ));
-            };
-            let trajectories = items
-                .iter()
-                .enumerate()
-                .map(|(at, t)| parse_trajectory(t, &id, at))
-                .collect::<Result<Vec<_>, _>>()?;
-            let interval =
-                match v.get("interval") {
-                    None => None,
-                    Some(n) => Some(n.as_i64().ok_or_else(|| {
-                        bad(&id, "field 'interval' must be an integer".to_string())
-                    })?),
-                };
-            let name = v
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            Request::Ingest {
-                trajectories,
-                interval,
-                name,
-            }
-        }
-        "tail" => Request::Tail {
-            from: u64_field(&v, &id, "from")?,
-            max: match v.get("max") {
-                None => DEFAULT_TAIL_MAX,
-                Some(n) => n.as_u64().ok_or_else(|| {
-                    bad(
-                        &id,
-                        "field 'max' must be a non-negative integer".to_string(),
-                    )
-                })? as usize,
-            },
-        },
-        "checkpoint" => Request::Checkpoint,
-        "info" => Request::Info,
-        "cache_stats" => Request::CacheStats,
-        "ping" => Request::Ping,
-        "shutdown" => Request::Shutdown,
-        other => {
-            return Err(Box::new(RequestError {
-                id,
-                code: "unknown_op",
-                message: format!("unknown op '{other}'"),
-            }))
-        }
+    let Some(op) = OPS.iter().find(|op| op.name == name) else {
+        return Err(Box::new(RequestError {
+            id,
+            code: "unknown_op",
+            message: format!("unknown op '{name}'"),
+        }));
     };
-    Ok(ParsedRequest { id, request })
+    let request = (op.parse)(&v, &id)?;
+    Ok((op, ParsedRequest { id, request }))
 }
 
 /// The protocol error code for a core [`Error`] — one stable snake_case
@@ -781,10 +789,12 @@ fn begin(id: Option<&Json>, ok: bool) -> String {
     out
 }
 
-/// Closes a paginated response: `"next_cursor"` (decimal string or
-/// null) and `"has_more"`.
-fn finish_page<T>(out: &mut String, page: &Page<T>) {
-    use std::fmt::Write as _;
+/// Writes a paginated answer after its opening: the items, each by
+/// `item`, then `"next_cursor"` (decimal string or null) and
+/// `"has_more"`.
+fn write_page<T>(mut out: String, page: &Page<T>, item: impl FnMut(&mut String, &T)) -> String {
+    out.push_str(",\"items\":");
+    write_array(&mut out, &page.items, item);
     match page.next_cursor {
         Some(c) => {
             let _ = write!(out, ",\"next_cursor\":\"{c}\"");
@@ -792,65 +802,27 @@ fn finish_page<T>(out: &mut String, page: &Page<T>) {
         None => out.push_str(",\"next_cursor\":null"),
     }
     let _ = write!(out, ",\"has_more\":{}}}", page.has_more);
-}
-
-fn respond_where(id: Option<&Json>, page: &Page<WhereHit>) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    out.push_str(",\"op\":\"where\",\"items\":[");
-    for (i, h) in page.items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"instance\":{},\"prob\":", h.instance);
-        write_f64(&mut out, h.prob);
-        let _ = write!(out, ",\"edge\":{},\"ndist\":", h.loc.edge.0);
-        write_f64(&mut out, h.loc.ndist);
-        out.push('}');
-    }
-    out.push(']');
-    finish_page(&mut out, page);
     out
 }
 
-fn respond_when(id: Option<&Json>, page: &Page<WhenHit>) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    out.push_str(",\"op\":\"when\",\"items\":[");
-    for (i, h) in page.items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"instance\":{},\"prob\":", h.instance);
-        write_f64(&mut out, h.prob);
-        out.push_str(",\"time\":");
-        write_f64(&mut out, h.time);
-        out.push('}');
-    }
-    out.push(']');
-    finish_page(&mut out, page);
-    out
+fn write_where_hit(out: &mut String, h: &WhereHit) {
+    let _ = write!(out, "{{\"instance\":{},\"prob\":", h.instance);
+    write_f64(out, h.prob);
+    let _ = write!(out, ",\"edge\":{},\"ndist\":", h.loc.edge.0);
+    write_f64(out, h.loc.ndist);
+    out.push('}');
 }
 
-fn respond_range(id: Option<&Json>, page: &Page<u64>) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    out.push_str(",\"op\":\"range\",\"items\":[");
-    for (i, traj_id) in page.items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{traj_id}");
-    }
-    out.push(']');
-    finish_page(&mut out, page);
-    out
+fn write_when_hit(out: &mut String, h: &WhenHit) {
+    let _ = write!(out, "{{\"instance\":{},\"prob\":", h.instance);
+    write_f64(out, h.prob);
+    out.push_str(",\"time\":");
+    write_f64(out, h.time);
+    out.push('}');
 }
 
-fn respond_info(id: Option<&Json>, info: &InfoReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    out.push_str(",\"op\":\"info\",\"info\":{\"shape\":");
+fn write_info(mut out: String, info: &InfoReport) -> String {
+    out.push_str(",\"info\":{\"shape\":");
     write_str(&mut out, info.shape());
     out.push_str(",\"name\":");
     write_str(&mut out, &info.name);
@@ -873,27 +845,21 @@ fn respond_info(id: Option<&Json>, info: &InfoReport) -> String {
     if let Some(sh) = &info.sharding {
         out.push_str(",\"policy\":");
         write_str(&mut out, &sh.policy);
-        out.push_str(",\"shards\":[");
-        for (i, s) in sh.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        out.push_str(",\"shards\":");
+        write_array(&mut out, &sh.shards, |out, s| {
             let _ = write!(out, "{{\"trajectories\":{},\"ratio\":", s.trajectories);
-            write_f64(&mut out, s.ratio);
+            write_f64(out, s.ratio);
             out.push('}');
-        }
-        out.push(']');
+        });
     }
     out.push_str("}}");
     out
 }
 
-fn respond_cache(id: Option<&Json>, stats: &CacheStats) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
+fn write_cache(mut out: String, stats: &CacheStats) -> String {
     let _ = write!(
         out,
-        ",\"op\":\"cache_stats\",\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
+        ",\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
          \"entries\":{},\"bytes\":{},\"budget_bytes\":{},\"hit_rate\":",
         stats.hits, stats.misses, stats.evictions, stats.entries, stats.bytes, stats.budget_bytes
     );
@@ -902,118 +868,50 @@ fn respond_cache(id: Option<&Json>, stats: &CacheStats) -> String {
     out
 }
 
-fn respond_ingest(id: Option<&Json>, report: &IngestReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    let _ = write!(
-        out,
-        ",\"op\":\"ingest\",\"ingested\":{},\"total\":{},\"epoch\":{}}}",
-        report.ingested, report.total, report.epoch
-    );
-    out
-}
-
-/// The `ingest` success shape plus `"deduped":true` — answered when a
-/// retried batch is recognized in the WAL feed instead of re-applied.
-fn respond_ingest_deduped(id: Option<&Json>, ingested: usize, total: usize, epoch: u64) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    let _ = write!(
-        out,
-        ",\"op\":\"ingest\",\"ingested\":{ingested},\"total\":{total},\"epoch\":{epoch},\"deduped\":true}}"
-    );
-    out
-}
-
 /// Serializes one trajectory in the exact shape [`parse_trajectory`]
 /// accepts, so a `tail` reply can be fed straight back into `ingest` —
 /// and, because [`write_f64`] prints the shortest round-tripping form,
 /// a follower applying it reproduces the leader's floats bit-for-bit.
 fn write_trajectory(out: &mut String, tu: &UncertainTrajectory) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{{\"id\":{},\"times\":[", tu.id);
-    for (i, t) in tu.times.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let _ = write!(out, "{{\"id\":{},\"times\":", tu.id);
+    write_array(out, &tu.times, |out, t| {
         let _ = write!(out, "{t}");
-    }
-    out.push_str("],\"instances\":[");
-    for (i, inst) in tu.instances.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    });
+    out.push_str(",\"instances\":");
+    write_array(out, &tu.instances, |out, inst| {
         out.push_str("{\"prob\":");
         write_f64(out, inst.prob);
-        out.push_str(",\"path\":[");
-        for (j, e) in inst.path.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
+        out.push_str(",\"path\":");
+        write_array(out, &inst.path, |out, e| {
             let _ = write!(out, "{}", e.0);
-        }
-        out.push_str("],\"positions\":[");
-        for (j, p) in inst.positions.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
+        });
+        out.push_str(",\"positions\":");
+        write_array(out, &inst.positions, |out, p| {
             let _ = write!(out, "[{},", p.path_idx);
             write_f64(out, p.rd);
             out.push(']');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
+        });
+        out.push('}');
+    });
+    out.push('}');
 }
 
-fn respond_tail(id: Option<&Json>, records: &[Record], current: u64) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    let _ = write!(out, ",\"op\":\"tail\",\"epoch\":{current},\"batches\":[");
-    for (i, rec) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+fn write_tail(mut out: String, records: &[Record], current: u64) -> String {
+    let _ = write!(out, ",\"epoch\":{current},\"batches\":");
+    write_array(&mut out, records, |out, rec| {
         let _ = write!(out, "{{\"epoch\":{},\"name\":", rec.epoch);
-        write_str(&mut out, &rec.name);
-        let _ = write!(
-            out,
-            ",\"interval\":{},\"trajectories\":[",
-            rec.default_interval
-        );
-        for (j, tu) in rec.trajectories.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write_trajectory(&mut out, tu);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-fn respond_checkpoint(id: Option<&Json>, report: &CheckpointReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = begin(id, true);
-    let _ = write!(
-        out,
-        ",\"op\":\"checkpoint\",\"epoch\":{},\"log_bytes\":{}}}",
-        report.epoch, report.log_bytes
-    );
-    out
-}
-
-fn respond_simple(id: Option<&Json>, op: &str) -> String {
-    let mut out = begin(id, true);
-    out.push_str(",\"op\":");
-    write_str(&mut out, op);
+        write_str(out, &rec.name);
+        let interval = rec.default_interval;
+        let _ = write!(out, ",\"interval\":{interval},\"trajectories\":");
+        write_array(out, &rec.trajectories, write_trajectory);
+        out.push('}');
+    });
     out.push('}');
     out
 }
 
 /// Serializes an error response (`ok:false` + code + message).
-pub fn respond_error(id: Option<&Json>, code: &str, message: &str) -> String {
+fn respond_error(id: Option<&Json>, code: &str, message: &str) -> String {
     let mut out = begin(id, false);
     out.push_str(",\"error\":{\"code\":");
     write_str(&mut out, code);
@@ -1123,7 +1021,7 @@ pub fn handle_line(store: &Store, line: &str) -> Reply {
 /// parsing, and what the event-loop server emits for a line whose
 /// newline never arrived within the cap (so both surfaces reject
 /// over-long input byte-identically).
-pub fn oversized_reply() -> Reply {
+pub(crate) fn oversized_reply() -> Reply {
     Reply {
         line: respond_error(None, "bad_request", "request line exceeds 1 MiB"),
         shutdown: false,
@@ -1136,145 +1034,126 @@ pub fn oversized_reply() -> Reply {
 /// offline answers byte-identical.
 ///
 /// `writable` is the capability `utcq serve --writable` and `utcq
-/// client --writable` grant: without it `ingest` and `checkpoint` answer
-/// `read_only`. Ingest batches are validated against the container's
-/// road network, then serialized through the store's writer lock;
-/// concurrent queries keep answering from their pinned snapshots
-/// throughout.
+/// client --writable` grant: without it the ops that write (`ingest`
+/// and `checkpoint`) answer `read_only`. Ingest batches are validated
+/// against the container's road network, then serialized through the
+/// store's writer lock; concurrent queries keep answering from their
+/// pinned snapshots throughout.
 pub fn execute(store: &Store, writable: bool, line: &str) -> Reply {
     if line.len() > MAX_REQUEST_BYTES {
         return oversized_reply();
     }
-    let parsed = match parse_request(line) {
-        Ok(p) => p,
-        Err(e) => {
-            return Reply {
-                line: respond_error(e.id.as_ref(), e.code, &e.message),
-                shutdown: false,
-            }
+    let (line, shutdown) = match parse_line(line) {
+        Ok((op, parsed)) => {
+            let shutdown = matches!(parsed.request, Request::Shutdown);
+            (run(store, writable, op, parsed), shutdown)
         }
+        Err(e) => (respond_error(e.id.as_ref(), e.code, &e.message), false),
     };
+    Reply { line, shutdown }
+}
+
+/// Runs one decoded request of `op` and serializes its answer.
+fn run(store: &Store, writable: bool, op: &Op, parsed: ParsedRequest) -> String {
     let id = parsed.id.as_ref();
     let fail = |e: Error| respond_error(id, error_code(&e), &e.to_string());
-    let (line, shutdown) = match parsed.request {
+    if op.writes && !writable {
+        let why = "this surface is read-only; restart the server with --writable";
+        return respond_error(id, "read_only", why);
+    }
+    let mut out = begin(id, true);
+    out.push_str(",\"op\":\"");
+    out.push_str(op.name);
+    out.push('"');
+    match parsed.request {
         Request::Where {
             traj,
             t,
             alpha,
             page,
-        } => (
-            match store.where_query(traj, t, alpha, page) {
-                Ok(p) => respond_where(id, &p),
-                Err(e) => fail(e),
-            },
-            false,
-        ),
+        } => match store.where_query(traj, t, alpha, page) {
+            Ok(p) => write_page(out, &p, write_where_hit),
+            Err(e) => fail(e),
+        },
         Request::When {
             traj,
             edge,
             rd,
             alpha,
             page,
-        } => (
-            match store.when_query(traj, edge, rd, alpha, page) {
-                Ok(p) => respond_when(id, &p),
-                Err(e) => fail(e),
-            },
-            false,
-        ),
+        } => match store.when_query(traj, edge, rd, alpha, page) {
+            Ok(p) => write_page(out, &p, write_when_hit),
+            Err(e) => fail(e),
+        },
         Request::Range {
             re,
             tq,
             alpha,
             page,
-        } => (
-            match store.range_query(&re, tq, alpha, page) {
-                Ok(p) => respond_range(id, &p),
-                Err(e) => fail(e),
-            },
-            false,
-        ),
+        } => match store.range_query(&re, tq, alpha, page) {
+            Ok(p) => write_page(out, &p, |out, traj| {
+                let _ = write!(out, "{traj}");
+            }),
+            Err(e) => fail(e),
+        },
         Request::Ingest {
             trajectories,
             interval,
             name,
-        } => (
-            if !writable {
-                respond_error(
-                    id,
-                    "read_only",
-                    "this surface is read-only; restart the server with --writable",
-                )
-            } else {
-                run_ingest(store, trajectories, interval, name, id)
-            },
-            false,
-        ),
-        Request::Tail { from, max } => (
-            match store.wal_tail(from, max) {
-                None => respond_error(
-                    id,
-                    "no_wal",
-                    "this container has no write-ahead log attached; start the leader with --wal",
+        } => {
+            let batch = Dataset {
+                name,
+                default_interval: interval.unwrap_or_else(|| store.default_interval()),
+                trajectories,
+            };
+            match run_ingest(store, &batch) {
+                Ok(acked) => write_ingest(out, acked),
+                Err(e) => fail(e),
+            }
+        }
+        Request::Tail { from, max } => match store.wal_tail(from, max) {
+            None => respond_error(
+                id,
+                "no_wal",
+                "this container has no write-ahead log attached; start the leader with --wal",
+            ),
+            Some(TailRead::Gap { base }) => respond_error(
+                id,
+                "tail_gap",
+                &format!(
+                    "cannot resume after epoch {from}: the feed only reaches back to \
+                     epoch {base}; re-sync from a fresh container copy"
                 ),
-                Some(TailRead::Gap { base }) => respond_error(
-                    id,
-                    "tail_gap",
-                    &format!(
-                        "cannot resume after epoch {from}: the feed only reaches back to \
-                         epoch {base}; re-sync from a fresh container copy"
-                    ),
-                ),
-                Some(TailRead::Records { records, current }) => respond_tail(id, &records, current),
-            },
-            false,
-        ),
-        Request::Checkpoint => (
-            if !writable {
-                respond_error(
-                    id,
-                    "read_only",
-                    "this surface is read-only; restart the server with --writable",
-                )
-            } else {
-                match store.checkpoint() {
-                    Ok(Some(report)) => respond_checkpoint(id, &report),
-                    Ok(None) => respond_error(
-                        id,
-                        "no_wal",
-                        "this container has no write-ahead log with a checkpoint target; \
-                         start the server with --wal",
-                    ),
-                    Err(e) => fail(e),
-                }
-            },
-            false,
-        ),
-        Request::Info => (respond_info(id, &store.info()), false),
-        Request::CacheStats => (respond_cache(id, &store.cache_stats()), false),
-        Request::Ping => (respond_simple(id, "ping"), false),
-        Request::Shutdown => (respond_simple(id, "shutdown"), true),
-    };
-    Reply { line, shutdown }
+            ),
+            Some(TailRead::Records { records, current }) => write_tail(out, &records, current),
+        },
+        Request::Checkpoint => match store.checkpoint() {
+            Ok(Some(report)) => {
+                let (epoch, bytes) = (report.epoch, report.log_bytes);
+                let _ = write!(out, ",\"epoch\":{epoch},\"log_bytes\":{bytes}}}");
+                out
+            }
+            Ok(None) => respond_error(
+                id,
+                "no_wal",
+                "this container has no write-ahead log with a checkpoint target; \
+                 start the server with --wal",
+            ),
+            Err(e) => fail(e),
+        },
+        Request::Info => write_info(out, &store.info()),
+        Request::CacheStats => write_cache(out, &store.cache_stats()),
+        Request::Ping | Request::Shutdown => out + "}",
+    }
 }
 
 /// Applies one `ingest` batch through the live-store publish, whose
 /// batch check refuses a malformed trajectory before anything is
-/// published (`bad_request`); failures map through [`error_code`].
-fn run_ingest(
-    store: &Store,
-    trajectories: Vec<UncertainTrajectory>,
-    interval: Option<i64>,
-    name: String,
-    id: Option<&Json>,
-) -> String {
-    let batch = Dataset {
-        name,
-        default_interval: interval.unwrap_or_else(|| store.default_interval()),
-        trajectories,
-    };
-    match store.ingest(&batch) {
-        Ok(report) => respond_ingest(id, &report),
+/// published (`bad_request`). `true` beside the report marks a retry
+/// recognized instead of applied.
+fn run_ingest(store: &Store, batch: &Dataset) -> Result<(IngestReport, bool), Error> {
+    match store.ingest(batch) {
+        Ok(report) => Ok((report, false)),
         // A duplicate batch may be a client retrying after a lost ack:
         // if the WAL feed holds a record with exactly these
         // trajectories, the batch already published — answer success
@@ -1283,15 +1162,31 @@ fn run_ingest(
         Err(Error::DuplicateTrajectory(d)) => match store.wal_dedup(&batch.trajectories) {
             Some((epoch, ingested)) => {
                 let total = store.len();
-                respond_ingest_deduped(id, ingested, total, epoch)
+                Ok((
+                    IngestReport {
+                        ingested,
+                        total,
+                        epoch,
+                    },
+                    true,
+                ))
             }
-            None => {
-                let e = Error::DuplicateTrajectory(d);
-                respond_error(id, error_code(&e), &e.to_string())
-            }
+            None => Err(Error::DuplicateTrajectory(d)),
         },
-        Err(e) => respond_error(id, error_code(&e), &e.to_string()),
+        Err(e) => Err(e),
     }
+}
+
+/// The `ingest` success shape; a retry recognized in the WAL feed adds
+/// `"deduped":true`.
+fn write_ingest(mut out: String, (r, deduped): (IngestReport, bool)) -> String {
+    let (ingested, total, epoch) = (r.ingested, r.total, r.epoch);
+    let _ = write!(
+        out,
+        ",\"ingested\":{ingested},\"total\":{total},\"epoch\":{epoch}"
+    );
+    out.push_str(if deduped { ",\"deduped\":true}" } else { "}" });
+    out
 }
 
 #[cfg(test)]

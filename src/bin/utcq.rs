@@ -1,66 +1,28 @@
 //! `utcq` — command-line front end for the UTCQ reproduction.
 //!
-//! `compress` writes a **self-contained v8 container** (road network,
-//! once, then per partition its compressed dataset and StIU index) —
-//! with `--shards N`, of N partitions routed by `--shard-by
-//! time|region`. `info`, `verify` and `query` operate on the file alone
-//! — no profile/seed side channel. They open v8 containers; `migrate`
-//! rewrites an older container (v1 to v7) or write-ahead log (v1) in
-//! the current format first:
+//! `utcq` alone lists the subcommands, and `utcq <command> --help` a
+//! command's flags. Each subcommand declares its flags once, in the
+//! `CMDS` table (name, value, default, help line), which drives parsing,
+//! defaults and help. An unknown flag, a value flag without its value, a
+//! stray argument, or a flag the chosen mode would ignore is an error
+//! that names it, raised before any work is done.
 //!
-//! ```text
-//! utcq stats      --profile cd --trajs 200 --seed 1
-//! utcq compress   --profile cd --trajs 200 --seed 1 --out data.utcq
-//!                 [--shards 4] [--shard-by time|region]
-//! utcq info       --in data.utcq
-//! utcq migrate    --in old.utcq --out new.utcq [--profile cd --seed 1]
-//! utcq verify     --profile cd --trajs 200 --seed 1 --in data.utcq
-//! utcq query      --in data.utcq -n 100 [--alpha 0.25] [--limit 64]
-//!                 [--cache-bytes N] [--cache-stats]
-//! utcq serve      --in data.utcq [--addr 127.0.0.1:7071] [--threads 4]
-//!                 [--cache-bytes N] [--writable]
-//!                 [--wal log.wal] [--fsync always|never|every:N]
-//!                 [--checkpoint-bytes N] [--follow HOST:PORT]
-//! utcq client     --addr HOST:PORT [--pipeline N] | --in data.utcq [--writable]
-//! ```
-//!
-//! A v1 container stores no network: `migrate` regenerates it from
-//! `--profile` and `--seed` and rebuilds the index from the decompressed
-//! trajectories (every later version's stored index is carried as is).
-//!
-//! `query` is written against `utcq::core::QueryTarget`, so the same
-//! workload runs unchanged on a store of any partition count.
-//! It uses the store's one decode cache (default 64 MiB, shared by all
-//! partitions); `--cache-bytes` overrides the budget (`0` disables
-//! caching) and `--cache-stats` prints the hit/miss/eviction counters
-//! after the workload.
-//!
-//! `serve` keeps the container open in a long-lived process and answers
-//! the newline-delimited JSON protocol of `PROTOCOL.md` over TCP, so
-//! the decode cache stays warm across requests instead of being rebuilt
-//! per invocation. With `--writable` the server also honors the
-//! protocol's `ingest` op: batches append to the live store and publish
-//! as new snapshots while queries keep running. `--wal` makes accepted
-//! batches durable (append + fsync before publish, replay on restart),
-//! `--checkpoint-bytes` bounds the log with crash-safe checkpoints, and
-//! `--follow` runs a read-only replica streaming the leader's batches —
-//! see `docs/DURABILITY.md`. `client` speaks the protocol from stdin —
-//! against a running server (`--addr`, reconnecting with bounded
-//! backoff if the connection drops; add `--pipeline N` to keep up to N
-//! requests outstanding, responses stream back in request order), or
-//! offline against the container itself (`--in`, add `--writable` to
-//! replay ingest sessions), producing byte-identical responses; the
-//! serve-smoke CI jobs diff the two.
+//! `compress` writes a self-contained v8 container; `info`, `verify`,
+//! `query`, `serve` and `client` need nothing but that file. `serve`
+//! answers the wire protocol of `PROTOCOL.md` (durability and
+//! replication in `docs/DURABILITY.md`), and `client` runs a session
+//! against a server or offline against the container, byte-identically.
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use utcq::core::params::CompressParams;
 use utcq::core::query::{PageRequest, QueryTarget};
-use utcq::core::serve::{reconnect_backoff, Server, DEFAULT_THREADS};
+use utcq::core::serve::{reconnect_backoff, Server};
 use utcq::core::shard::{ByRegion, ByTime, ShardPolicy};
 use utcq::core::stiu::StiuParams;
 use utcq::core::store::{render_format, render_resident, render_sections};
@@ -69,84 +31,230 @@ use utcq::datagen::DatasetProfile;
 use utcq::network::RoadNetwork;
 use utcq::traj::Dataset;
 
-struct Args {
-    flags: HashMap<String, String>,
+/// One flag of a subcommand's table: its name as typed (`--trajs`,
+/// `-n`), what its value stands for in help (`N`, `FILE`; empty for a
+/// switch, which takes no value), its default (empty for none) and its
+/// help line.
+struct Flag(&'static str, &'static str, &'static str, &'static str);
+
+/// One subcommand: its name (an `audit` engine's is two words), a
+/// summary line, its flags in groups, and the function that runs it.
+struct Cmd {
+    name: &'static str,
+    about: &'static str,
+    groups: &'static [&'static [Flag]],
+    run: fn(&Args) -> Result<(), String>,
 }
 
-/// Is this token a flag (`-n`, `--out`) rather than a negative numeric
-/// value (`-33.9`, `-.5`, `-1`)? Flags never start with a digit or dot.
-fn is_flag_token(a: &str) -> bool {
-    match a.strip_prefix('-') {
-        Some(rest) => !rest.starts_with(|c: char| c.is_ascii_digit() || c == '.'),
-        None => false,
+impl Cmd {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.groups.iter().flat_map(|g| g.iter())
     }
+
+    /// `utcq <command> --help`: the command's table.
+    fn help(&self) -> String {
+        let mut out = format!("usage: utcq {} [flags]\n{}\n\n", self.name, self.about);
+        for Flag(name, value, default, help) in self.flags() {
+            let spec = format!("{name} {value}");
+            let default = match *default {
+                "" => String::new(),
+                d => format!(" (default {d})"),
+            };
+            out += &format!("  {:<24}{help}{default}\n", spec.trim_end());
+        }
+        out
+    }
+}
+
+const CONTAINER: &str = "data.utcq";
+
+const NETWORK: &[Flag] = &[
+    Flag("--profile", "NAME", "cd", "dataset profile: dk|cd|hz|tiny"),
+    Flag("--seed", "S", "1", "generator seed"),
+];
+const TRAJS: &[Flag] = &[Flag("--trajs", "N", "200", "trajectories to generate")];
+const INPUT: &[Flag] = &[Flag("--in", "FILE", CONTAINER, "the v8 container to open")];
+#[rustfmt::skip]
+const CACHE: &[Flag] = &[
+    Flag("--cache-bytes", "N", "", "decode cache budget in bytes, 0 to disable (default the store's)"),
+];
+const ROOT: &[Flag] = &[Flag("--root", "DIR", ".", "the repository to check")];
+
+#[rustfmt::skip]
+const CMDS: &[Cmd] = &[
+    Cmd { name: "stats", about: "print a generated dataset's statistics",
+          groups: &[NETWORK, TRAJS], run: cmd_stats },
+    Cmd { name: "compress", about: "generate a dataset and write it as a v8 container",
+          groups: &[NETWORK, TRAJS, &[
+              Flag("--out", "FILE", CONTAINER, "the container to write"),
+              Flag("--shards", "N", "1", "partitions; 2 or more route by --shard-by"),
+              Flag("--shard-by", "POLICY", "time", "routing policy: time|region"),
+              Flag("--shard-interval", "S", "3600", "time bucket width in seconds (--shard-by time)"),
+              Flag("--shard-grid", "N", "8", "routing grid side (--shard-by region)"),
+          ]], run: cmd_compress },
+    Cmd { name: "info", about: "describe a container: format, sections and resident bytes",
+          groups: &[INPUT], run: cmd_info },
+    Cmd { name: "migrate", about: "rewrite an older container or write-ahead log in the current format",
+          groups: &[&[
+              Flag("--in", "OLD", "", "the older container or log"),
+              Flag("--out", "NEW", "", "where to write it (must not exist)"),
+          ], NETWORK], run: cmd_migrate },
+    Cmd { name: "verify", about: "check a container against the dataset it was compressed from",
+          groups: &[NETWORK, TRAJS, INPUT], run: cmd_verify },
+    Cmd { name: "query", about: "run a where, when and range workload drawn from the container",
+          groups: &[INPUT, &[
+              Flag("-n", "N", "100", "trajectories to probe"),
+              Flag("--alpha", "A", "0.25", "probability threshold"),
+              Flag("--limit", "L", "1024", "page limit"),
+          ], CACHE, &[Flag("--cache-stats", "", "", "print the decode cache's counters after the workload")]],
+          run: cmd_query },
+    Cmd { name: "serve", about: "answer the PROTOCOL.md wire protocol over TCP",
+          groups: &[INPUT, &[
+              Flag("--addr", "HOST:PORT", "127.0.0.1:7071", "address to listen on (port 0 picks one)"),
+              Flag("--threads", "N", "4", "event loops"),
+          ], CACHE, &[
+              Flag("--writable", "", "", "accept ingest and checkpoint"),
+              Flag("--wal", "FILE", "", "write-ahead log: accepted batches are logged before they publish"),
+              Flag("--fsync", "POLICY", "always", "log sync policy: always|never|every:N (needs --wal)"),
+              Flag("--checkpoint-bytes", "N", "", "checkpoint once the log grows past N bytes (needs --wal)"),
+              Flag("--follow", "HOST:PORT", "", "run a read-only replica of the leader there"),
+          ]], run: cmd_serve },
+    Cmd { name: "client", about: "send a session from stdin to a server, or run it offline",
+          groups: &[&[
+              Flag("--addr", "HOST:PORT", "", "the server; without it the session runs offline on --in"),
+              Flag("--pipeline", "N", "1", "requests kept in flight (needs --addr)"),
+          ], INPUT, &[Flag("--writable", "", "", "accept ingest and checkpoint offline")]],
+          run: cmd_client },
+    Cmd { name: "audit lint", about: "check the hot-path rules over crates/core and crates/legacy",
+          groups: &[ROOT], run: cmd_audit_lint },
+    Cmd { name: "audit fuzz", about: "fuzz the container, migrate, wire and log parsers",
+          groups: &[ROOT, &[
+              Flag("--iters", "N", "10000", "mutated inputs to run"),
+              Flag("--seed", "S", "0xC0FFEE", "seed, decimal or 0x hex"),
+              Flag("--target", "NAME", "", "only this harness: container|migrate|wire|wal"),
+              Flag("--replay", "", "", "replay tests/fuzz_regressions instead of fuzzing"),
+          ]], run: cmd_audit_fuzz },
+    Cmd { name: "audit sched", about: "model-check the concurrency scenarios",
+          groups: &[&[Flag("--bound", "N", "4", "preemption bound")]], run: cmd_audit_sched },
+];
+
+/// `utcq` alone: every subcommand and its summary.
+fn usage() -> String {
+    let mut out =
+        "usage: utcq <command> [flags]; `utcq <command> --help` lists its flags\n".to_string();
+    for c in CMDS {
+        out += &format!("  {:<13}{}\n", c.name, c.about);
+    }
+    out
+}
+
+/// The flags given to one subcommand, checked against its table.
+struct Args {
+    cmd: &'static Cmd,
+    given: HashMap<&'static str, String>,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Self {
-        let mut flags = HashMap::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if is_flag_token(a) {
-                let key = a.trim_start_matches('-');
-                if i + 1 < argv.len() && !is_flag_token(&argv[i + 1]) {
-                    flags.insert(key.to_string(), argv[i + 1].clone());
-                    i += 2;
+    /// Reads `argv` against `cmd`'s table: a value flag takes the next
+    /// token, whatever it is (`--alpha -0.5`), and a switch takes none.
+    /// `None` when `--help` asks for the table instead.
+    fn parse(cmd: &'static Cmd, argv: &[String]) -> Result<Option<Self>, String> {
+        let mut given = HashMap::new();
+        let mut tokens = argv.iter();
+        while let Some(tok) = tokens.next() {
+            if tok == "--help" || tok == "-h" {
+                return Ok(None);
+            }
+            let Some(flag) = cmd.flags().find(|f| f.0 == tok) else {
+                let what = if tok.starts_with('-') {
+                    "unknown flag"
                 } else {
-                    flags.insert(key.to_string(), String::new());
-                    i += 1;
-                }
-            } else {
-                i += 1;
+                    "unexpected argument"
+                };
+                return Err(format!("{tok}: {what}; see `utcq {} --help`", cmd.name));
+            };
+            let value = match flag.1 {
+                "" => String::new(),
+                v => tokens
+                    .next()
+                    .ok_or(format!("{tok}: missing its value {v}"))?
+                    .clone(),
+            };
+            if given.insert(flag.0, value).is_some() {
+                return Err(format!("{tok}: given twice"));
             }
         }
-        Self { flags }
+        Ok(Some(Self { cmd, given }))
     }
 
-    fn get(&self, key: &str, default: &str) -> String {
-        self.flags
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    /// `name`'s row. Asking for a flag the table lacks is a bug in this
+    /// file, not in the command line.
+    fn flag(&self, name: &str) -> &'static Flag {
+        let row = self.cmd.flags().find(|f| f.0 == name);
+        row.unwrap_or_else(|| panic!("{name} is not in the table of utcq {}", self.cmd.name))
     }
 
-    /// The number given for `key`, `None` when the flag is absent. A
-    /// value that does not parse (`--trajs 10k`, `--seed x1`, a flag
-    /// with no value) is an error naming the flag and the value.
-    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        let Some(v) = self.flags.get(key) else {
-            return Ok(None);
+    /// Whether the command line gave `name`.
+    fn on(&self, name: &str) -> bool {
+        self.flag(name);
+        self.given.contains_key(name)
+    }
+
+    /// `name`'s value: the one given, else its default.
+    fn value(&self, name: &str) -> Option<&str> {
+        let default = Some(self.flag(name).2).filter(|d| !d.is_empty());
+        self.given.get(name).map(String::as_str).or(default)
+    }
+
+    /// [`Args::value`], which a flag with a default always has.
+    fn get(&self, name: &str) -> Result<&str, String> {
+        self.value(name).ok_or(format!("{name} is required"))
+    }
+
+    /// The number given for `name`, else its default, else `None`. A
+    /// value that does not parse (`--trajs 10k`, `--seed x1`) is an error
+    /// naming the flag and the value.
+    fn parse_opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("{name}: not a number: '{v}'"))
         };
-        let dashes = if key.len() == 1 { "-" } else { "--" };
-        v.parse()
-            .map(Some)
-            .map_err(|_| format!("{dashes}{key}: not a number: '{v}'"))
+        self.value(name).map(parse).transpose()
     }
 
-    /// [`Args::parse_opt`], with `default` for an absent flag.
-    fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        Ok(self.parse_opt(key)?.unwrap_or(default))
+    /// [`Args::parse_opt`] of a flag with a default.
+    fn parse_num<T: FromStr>(&self, name: &str) -> Result<T, String> {
+        self.parse_opt(name)?.ok_or(format!("{name} is required"))
+    }
+
+    /// Refuses `name` when it was given and `ignored` holds: the chosen
+    /// mode would not read it.
+    fn refuse(&self, name: &str, ignored: bool, why: &str) -> Result<(), String> {
+        if ignored && self.on(name) {
+            Err(format!("{name} {why}"))
+        } else {
+            Ok(())
+        }
     }
 }
 
-fn profile_by_name(name: &str) -> Option<DatasetProfile> {
+/// The dataset profile `--profile` names.
+fn profile(args: &Args) -> Result<DatasetProfile, String> {
+    use utcq::datagen::profile::{cd, dk, hz, tiny};
+    let name = args.get("--profile")?;
     match name.to_ascii_lowercase().as_str() {
-        "dk" => Some(utcq::datagen::profile::dk()),
-        "cd" => Some(utcq::datagen::profile::cd()),
-        "hz" => Some(utcq::datagen::profile::hz()),
-        "tiny" => Some(utcq::datagen::profile::tiny()),
-        _ => None,
+        "dk" => Ok(dk()),
+        "cd" => Ok(cd()),
+        "hz" => Ok(hz()),
+        "tiny" => Ok(tiny()),
+        _ => Err(format!("unknown profile '{name}' (dk|cd|hz|tiny)")),
     }
 }
 
 fn build_dataset(args: &Args) -> Result<(DatasetProfile, RoadNetwork, Dataset), String> {
-    let pname = args.get("profile", "cd");
-    let profile =
-        profile_by_name(&pname).ok_or(format!("unknown profile '{pname}' (dk|cd|hz|tiny)"))?;
-    let trajs: usize = args.parse_num("trajs", 200)?;
-    let seed: u64 = args.parse_num("seed", 1)?;
-    let (net, ds) = utcq::datagen::generate(&profile, trajs, seed);
+    let profile = profile(args)?;
+    let trajs: usize = args.parse_num("--trajs")?;
+    let (net, ds) = utcq::datagen::generate(&profile, trajs, args.parse_num("--seed")?);
     Ok((profile, net, ds))
 }
 
@@ -184,9 +292,9 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     ))
 }
 
-/// Writes to stdout, the one way `stats`, `info`, `query` and `client`
-/// print. A reader that went away (`utcq info … | head -1`) ends the
-/// output: the process exits 0 where `print!` would panic.
+/// Writes to stdout, the one way `stats`, `info`, `query`, `client` and
+/// `--help` print. A reader that went away (`utcq info … | head -1`)
+/// ends the output: the process exits 0 where `print!` would panic.
 fn emit(text: std::fmt::Arguments<'_>) -> Result<(), String> {
     let mut out = std::io::stdout().lock();
     match out.write_fmt(text).and_then(|()| out.flush()) {
@@ -196,29 +304,43 @@ fn emit(text: std::fmt::Arguments<'_>) -> Result<(), String> {
     }
 }
 
-/// The routing policy selected by `--shard-by` (default: time).
-fn shard_policy(args: &Args) -> Result<Arc<dyn ShardPolicy>, String> {
-    match args.get("shard-by", "time").as_str() {
-        "time" => Ok(Arc::new(ByTime {
-            interval_s: args.parse_num("shard-interval", ByTime::default().interval_s)?,
-        })),
-        "region" => Ok(Arc::new(ByRegion {
-            grid_n: args.parse_num("shard-grid", ByRegion::default().grid_n)?,
-        })),
-        other => Err(format!("unknown shard policy '{other}' (time|region)")),
+/// The routing `--shard-by` names for `shards` partitions, `None` for
+/// one. A shard flag the choice would ignore is an error.
+fn shard_policy(args: &Args, shards: u32) -> Result<Option<Arc<dyn ShardPolicy>>, String> {
+    let by = args.get("--shard-by")?;
+    if !["time", "region"].contains(&by) {
+        return Err(format!("unknown shard policy '{by}' (time|region)"));
     }
+    for name in ["--shard-by", "--shard-interval", "--shard-grid"] {
+        args.refuse(name, shards < 2, "needs --shards of 2 or more")?;
+    }
+    args.refuse("--shard-interval", by != "time", "needs --shard-by time")?;
+    args.refuse("--shard-grid", by != "region", "needs --shard-by region")?;
+    if shards < 2 {
+        return Ok(None);
+    }
+    let policy: Arc<dyn ShardPolicy> = match by {
+        "time" => Arc::new(ByTime {
+            interval_s: args.parse_num("--shard-interval")?,
+        }),
+        _ => Arc::new(ByRegion {
+            grid_n: args.parse_num("--shard-grid")?,
+        }),
+    };
+    Ok(Some(policy))
 }
 
 fn cmd_compress(args: &Args) -> Result<(), String> {
+    let shards: u32 = args.parse_num("--shards")?;
+    let policy = shard_policy(args, shards)?;
+    let out = args.get("--out")?;
     let (profile, net, ds) = build_dataset(args)?;
-    let out = args.get("out", "data.utcq");
     let params = params_for(&profile);
-    let shards: u32 = args.parse_num("shards", 1)?;
     let t0 = std::time::Instant::now();
     let mut builder = StoreBuilder::new(Arc::new(net), params);
-    if shards > 1 {
+    if let Some(policy) = policy {
         builder = builder
-            .shard_by(shard_policy(args)?, shards)
+            .shard_by(policy, shards)
             .map_err(|e| e.to_string())?;
     }
     let store = builder
@@ -232,7 +354,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     );
     let kind = if shards > 1 {
         let sizes = Vec::from_iter(store.snapshots().iter().map(|s| s.len().to_string()));
-        let policy = args.get("shard-by", "time");
+        let policy = args.get("--shard-by")?;
         println!(
             "shard occupancy ({shards} shards, {policy}): [{}]",
             sizes.join(", ")
@@ -241,21 +363,21 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     } else {
         "v8, single"
     };
-    store.save(&out).map_err(|e| e.to_string())?;
+    store.save(out).map_err(|e| e.to_string())?;
     println!("wrote {out} ({kind} container)");
     Ok(())
 }
 
 /// Opens the v8 container at `--in` as a queryable store.
 fn open_store(args: &Args) -> Result<Store, String> {
-    let path = args.get("in", "data.utcq");
-    Store::open(&path).map_err(|e| format!("{path}: {e}"))
+    let path = args.get("--in")?;
+    Store::open(path).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
-    let path = args.get("in", "data.utcq");
+    let path = args.get("--in")?;
     let store = open_store(args)?;
-    let mut f = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
+    let mut f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let format = render_format(&storage::read_head(&mut f).map_err(|e| e.to_string())?);
     let sections = render_sections(&store.snapshot()).map_err(|e| e.to_string())?;
     let resident = render_resident(&store.snapshot());
@@ -268,20 +390,15 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 /// stores no network: it is regenerated from `--profile` and `--seed`,
 /// and the index is built with the default parameters.
 fn cmd_migrate(args: &Args) -> Result<(), String> {
-    let (input, output) = (args.get("in", ""), args.get("out", ""));
-    if input.is_empty() || output.is_empty() {
-        return Err("migrate needs --in OLD and --out NEW".to_string());
-    }
-    let pname = args.get("profile", "cd");
-    let profile =
-        profile_by_name(&pname).ok_or(format!("unknown profile '{pname}' (dk|cd|hz|tiny)"))?;
-    let seed = args.parse_num("seed", 1)?;
+    let (input, output) = (args.get("--in")?, args.get("--out")?);
+    let profile = profile(args)?;
+    let seed = args.parse_num("--seed")?;
     let v1 = || {
         let net = utcq::datagen::generate_network(&profile, seed);
         (net, StiuParams::default())
     };
-    let input_path = std::path::Path::new(&input);
-    let migrated = utcq_legacy::migrate(input_path, std::path::Path::new(&output), v1)
+    let input_path = std::path::Path::new(input);
+    let migrated = utcq_legacy::migrate(input_path, std::path::Path::new(output), v1)
         .map_err(|e| format!("{input}: {e}"))?;
     match migrated {
         utcq_legacy::Migrated::Container(v) => println!("wrote {output}: container v{v} as v8"),
@@ -322,11 +439,12 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
+    let n: usize = args.parse_num("-n")?;
+    let alpha: f64 = args.parse_num("--alpha")?;
+    let limit: usize = args.parse_num("--limit")?;
+    let cache_bytes = args.parse_opt::<usize>("--cache-bytes")?;
     let store = open_store(args)?;
-    let n: usize = args.parse_num("n", 100)?;
-    let alpha: f64 = args.parse_num("alpha", 0.25)?;
-    let limit: usize = args.parse_num("limit", 1024)?;
-    if let Some(bytes) = args.parse_opt::<usize>("cache-bytes")? {
+    if let Some(bytes) = cache_bytes {
         store.set_cache_bytes(bytes);
     }
     // Derive a query workload from the store itself: decompress the
@@ -381,7 +499,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         range_hits,
         t0.elapsed()
     ))?;
-    if args.flags.contains_key("cache-stats") {
+    if args.on("--cache-stats") {
         // The shared formatter — the serve process prints the same line
         // at shutdown, so the two surfaces cannot drift.
         emit(format_args!("{}\n", store.cache_stats().render()))?;
@@ -407,35 +525,29 @@ fn parse_fsync(s: &str) -> Result<FsyncPolicy, String> {
 }
 
 /// `utcq serve`: keep the container open and answer the `PROTOCOL.md`
-/// wire protocol over TCP until a `shutdown` request arrives.
-/// `--threads N` (default 4) runs N event loops; each owns the
-/// connections handed to it and executes their requests itself.
-///
-/// Durability and replication flags (see `docs/DURABILITY.md`):
-///
-/// * `--wal PATH` attaches a write-ahead log — accepted batches are
-///   appended and fsynced (`--fsync always|never|every:N`) before they
-///   publish, and replayed on the next open;
-/// * `--checkpoint-bytes N` re-saves the container crash-safely and
-///   truncates the log whenever it grows past N bytes;
-/// * `--follow ADDR` runs a read-only follower that streams accepted
-///   batches from the leader at ADDR (mutually exclusive with
-///   `--writable`).
+/// wire protocol over TCP until a `shutdown` request arrives. Each of
+/// the `--threads` event loops owns the connections handed to it and
+/// executes their requests itself.
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    let writable = args.on("--writable");
+    args.refuse(
+        "--follow",
+        writable,
+        "runs a read-only replica; drop --writable",
+    )?;
+    args.refuse("--fsync", !args.on("--wal"), "needs --wal")?;
+    args.refuse("--checkpoint-bytes", !args.on("--wal"), "needs --wal")?;
+    let fsync = parse_fsync(args.get("--fsync")?)?;
+    let checkpoint_bytes = args.parse_opt::<u64>("--checkpoint-bytes")?;
+    let cache_bytes = args.parse_opt::<usize>("--cache-bytes")?;
+    let threads: usize = args.parse_num("--threads")?;
+    let (path, addr) = (args.get("--in")?, args.get("--addr")?);
     let store = Arc::new(open_store(args)?);
-    if let Some(bytes) = args.parse_opt::<usize>("cache-bytes")? {
+    if let Some(bytes) = cache_bytes {
         store.set_cache_bytes(bytes);
     }
-    let writable = args.flags.contains_key("writable");
-    let follow_addr = args.flags.get("follow").cloned();
-    if follow_addr.is_some() && writable {
-        return Err("--follow runs a read-only replica; drop --writable".to_string());
-    }
-    if let Some(wal_path) = args.flags.get("wal") {
-        let fsync = parse_fsync(&args.get("fsync", "always"))?;
-        let cfg = WalConfig::new(wal_path)
-            .fsync(fsync)
-            .checkpoint_to(args.get("in", "data.utcq"));
+    if let Some(wal_path) = args.value("--wal") {
+        let cfg = WalConfig::new(wal_path).fsync(fsync).checkpoint_to(path);
         let replayed = store
             .attach_wal(cfg)
             .map_err(|e| format!("--wal {wal_path}: {e}"))?;
@@ -443,9 +555,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             eprintln!("replayed {replayed} batch(es) from {wal_path}");
         }
     }
-    let threads: usize = args.parse_num("threads", DEFAULT_THREADS)?;
-    let addr = args.get("addr", "127.0.0.1:7071");
-    let server = Server::bind(Arc::clone(&store), &addr, threads)
+    let server = Server::bind(Arc::clone(&store), addr, threads)
         .map_err(|e| e.to_string())?
         .writable(writable);
     // The bound address goes to stdout (and is flushed) first: scripts
@@ -453,8 +563,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     println!("listening on {}", server.local_addr());
     std::io::stdout().flush().ok();
     eprintln!(
-        "serving {} ({}, {} trajectories, {}) with {threads} event loops",
-        args.get("in", "data.utcq"),
+        "serving {path} ({}, {} trajectories, {}) with {threads} event loops",
         store.info().shape(),
         store.len(),
         if writable { "writable" } else { "read-only" },
@@ -465,10 +574,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     // Size-triggered checkpoints: poll the log and re-save + truncate
     // past the threshold. Runs next to the acceptor, not on it.
-    if let Some(threshold) = args.parse_opt::<u64>("checkpoint-bytes")? {
-        if store.wal_bytes().is_none() {
-            return Err("--checkpoint-bytes needs --wal".to_string());
-        }
+    if let Some(threshold) = checkpoint_bytes {
         let o = Arc::clone(&store);
         let s = Arc::clone(&stop);
         background.push(std::thread::spawn(move || {
@@ -494,7 +600,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // answering as if it were current.
     let follow_result: Arc<std::sync::Mutex<Result<(), String>>> =
         Arc::new(std::sync::Mutex::new(Ok(())));
-    if let Some(leader) = follow_addr {
+    if let Some(leader) = args.value("--follow").map(str::to_string) {
         eprintln!("following {leader}");
         let o = Arc::clone(&store);
         let s = Arc::clone(&stop);
@@ -528,14 +634,23 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 const CLIENT_RETRY_ATTEMPTS: u32 = 5;
 
 /// `utcq client`: execute a newline-delimited JSON session from stdin —
-/// against a running server (`--addr`), or offline against the
-/// container itself (`--in`). Both modes run every request through
+/// against a running server (`--addr`, reconnecting with bounded
+/// backoff if the connection drops), or offline against the container
+/// itself (`--in`). Both modes run every request through
 /// `utcq::core::wire`, so their outputs are byte-identical; the
 /// serve-smoke CI job diffs them.
 fn cmd_client(args: &Args) -> Result<(), String> {
+    let online = args.on("--addr");
+    args.refuse("--pipeline", !online, "needs --addr")?;
+    args.refuse(
+        "--writable",
+        online,
+        "is offline only; a server takes its own --writable",
+    )?;
+    args.refuse("--in", online, "runs the session offline; drop --addr")?;
     let stdin = std::io::stdin();
-    if let Some(addr) = args.flags.get("addr") {
-        let window: usize = args.parse_num("pipeline", 1)?;
+    if let Some(addr) = args.value("--addr") {
+        let window: usize = args.parse_num("--pipeline")?;
         if window > 1 {
             return client_pipelined(addr, window);
         }
@@ -605,7 +720,7 @@ fn cmd_client(args: &Args) -> Result<(), String> {
         Ok(())
     } else {
         let store = open_store(args)?;
-        let writable = args.flags.contains_key("writable");
+        let writable = args.on("--writable");
         for line in stdin.lock().lines() {
             let line = line.map_err(|e| e.to_string())?;
             if line.trim().is_empty() {
@@ -690,24 +805,13 @@ fn client_pipelined(addr: &str, window: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// `utcq audit <lint|fuzz|sched>`: the offline correctness tooling of
-/// `crates/audit` behind one subcommand (see `docs/CORRECTNESS.md`).
-/// Every engine is deterministic: fixed seeds, bounded exploration,
-/// checked-in allowlists. A finding is a nonzero exit so CI can gate
-/// on it.
-fn cmd_audit(engine: Option<&str>, args: &Args) -> Result<(), String> {
-    let root = std::path::PathBuf::from(args.get("root", "."));
-    match engine {
-        Some("lint") => audit_lint(&root),
-        Some("fuzz") => audit_fuzz(&root, args),
-        Some("sched") => audit_sched(args),
-        _ => Err("usage: utcq audit <lint|fuzz|sched> [--root DIR] \
-             [--iters N] [--seed S] [--replay] [--bound N]"
-            .to_string()),
-    }
-}
+// `utcq audit <lint|fuzz|sched>`: the offline correctness tooling of
+// `crates/audit` (see `docs/CORRECTNESS.md`). Every engine is
+// deterministic: fixed seeds, bounded exploration, checked-in
+// allowlists. A finding is a nonzero exit so CI can gate on it.
 
-fn audit_lint(root: &std::path::Path) -> Result<(), String> {
+fn cmd_audit_lint(args: &Args) -> Result<(), String> {
+    let root = std::path::Path::new(args.get("--root")?);
     let allow = root.join("crates/audit/lint.allow");
     let report = utcq::audit::lint::run(root, &allow)
         .map_err(|e| format!("lint: under {}: {e}", root.display()))?;
@@ -745,12 +849,23 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     .map_err(|_| format!("--seed: not a number: '{s}'"))
 }
 
-fn audit_fuzz(root: &std::path::Path, args: &Args) -> Result<(), String> {
+fn cmd_audit_fuzz(args: &Args) -> Result<(), String> {
     use utcq::audit::fuzz;
+    let target = match args.value("--target") {
+        None => None,
+        Some(t) if ["container", "migrate", "wire", "wal"].contains(&t) => Some(t.to_string()),
+        Some(t) => {
+            return Err(format!(
+                "--target: expected container|migrate|wire|wal, got '{t}'"
+            ))
+        }
+    };
+    let (iters, seed) = (args.parse_num("--iters")?, parse_seed(args.get("--seed")?)?);
+    let root = std::path::Path::new(args.get("--root")?);
     let fx = fuzz::Fixtures::load(root)
         .map_err(|e| format!("fuzz: loading fixtures under {}: {e}", root.display()))?;
     let regressions = root.join("tests/fuzz_regressions");
-    if args.flags.contains_key("replay") {
+    if args.on("--replay") {
         let failures = fuzz::replay_dir(&fx, &regressions).map_err(|e| e.to_string())?;
         for f in &failures {
             eprintln!("fuzz replay: [{}] {}", f.target, f.message);
@@ -765,21 +880,9 @@ fn audit_fuzz(root: &std::path::Path, args: &Args) -> Result<(), String> {
             ))
         };
     }
-    let target = match args.flags.get("target") {
-        None => None,
-        Some(t) if ["container", "migrate", "wire", "wal"].contains(&t.as_str()) => Some(t.clone()),
-        Some(t) => {
-            return Err(format!(
-                "--target: expected container|migrate|wire|wal, got '{t}'"
-            ))
-        }
-    };
     let opts = fuzz::FuzzOpts {
-        iters: args.parse_num("iters", fuzz::FuzzOpts::default().iters)?,
-        seed: match args.flags.get("seed") {
-            Some(v) => parse_seed(v)?,
-            None => fuzz::FuzzOpts::default().seed,
-        },
+        iters,
+        seed,
         regressions_dir: Some(regressions),
         target,
         ..fuzz::FuzzOpts::default()
@@ -812,9 +915,9 @@ fn audit_fuzz(root: &std::path::Path, args: &Args) -> Result<(), String> {
     }
 }
 
-fn audit_sched(args: &Args) -> Result<(), String> {
+fn cmd_audit_sched(args: &Args) -> Result<(), String> {
     use utcq::audit::sched;
-    let bound: usize = args.parse_num("bound", 4)?;
+    let bound: usize = args.parse_num("--bound")?;
     let scenarios = sched::all_scenarios();
     let mut total = 0usize;
     let mut violations = 0usize;
@@ -856,40 +959,30 @@ fn audit_sched(args: &Args) -> Result<(), String> {
     }
 }
 
-fn usage() -> String {
-    "usage: utcq <stats|compress|info|migrate|verify|query|serve|client|audit> \
-     [--profile dk|cd|hz|tiny] \
-     [--trajs N] [--seed S] [--in FILE] [--out FILE] [-n N] [--alpha A] [--limit L] \
-     [--shards N] [--shard-by time|region] [--shard-interval S] [--shard-grid N] \
-     [--cache-bytes N] [--cache-stats] [--addr HOST:PORT] [--writable] [--pipeline N]\n\
-     serve: [--threads N] (event loops, default 4) \
-     [--wal FILE] [--fsync always|never|every:N] [--checkpoint-bytes N] [--follow HOST:PORT]\n\
-     audit: utcq audit <lint|fuzz|sched> [--root DIR] [--iters N] [--seed S] [--replay] \
-     [--bound N] [--target container|migrate|wire|wal]"
-        .to_string()
+/// The subcommand `argv` names (an `audit` engine takes two words) and
+/// the arguments after its name.
+fn find_cmd(argv: &[String]) -> Option<(&'static Cmd, &[String])> {
+    CMDS.iter().find_map(|cmd| {
+        let words = cmd.name.split(' ').count();
+        let named = argv.get(..words)?.iter().map(String::as_str);
+        cmd.name.split(' ').eq(named).then(|| (cmd, &argv[words..]))
+    })
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let args = Args::parse(&argv[1..]);
-    let result = match cmd.as_str() {
-        "stats" => cmd_stats(&args),
-        "compress" => cmd_compress(&args),
-        "info" => cmd_info(&args),
-        "migrate" => cmd_migrate(&args),
-        "verify" => cmd_verify(&args),
-        "query" => cmd_query(&args),
-        "serve" => cmd_serve(&args),
-        "client" => cmd_client(&args),
-        "audit" => cmd_audit(
-            argv.get(1).map(String::as_str),
-            &Args::parse(argv.get(2..).unwrap_or(&[])),
-        ),
-        _ => Err(usage()),
+    let result = match (find_cmd(&argv), argv.first().map(String::as_str)) {
+        (None, None) => {
+            eprint!("{}", usage());
+            return ExitCode::FAILURE;
+        }
+        (None, Some("--help" | "-h")) => emit(format_args!("{}", usage())),
+        (None, Some(word)) => Err(format!("unknown command '{word}'\n{}", usage().trim_end())),
+        (Some((cmd, rest)), _) => match Args::parse(cmd, rest) {
+            Ok(Some(args)) => (cmd.run)(&args),
+            Ok(None) => emit(format_args!("{}", cmd.help())),
+            Err(e) => Err(e),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -904,62 +997,108 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn argv(words: &[&str]) -> Vec<String> {
-        words.iter().map(|s| s.to_string()).collect()
+    fn parse(cmd: &str, words: &[&str]) -> Result<Option<Args>, String> {
+        let argv = Vec::from_iter(words.iter().map(|s| s.to_string()));
+        let cmd = CMDS.iter().find(|c| c.name == cmd).expect("a command");
+        Args::parse(cmd, &argv)
+    }
+
+    fn args(cmd: &str, words: &[&str]) -> Args {
+        parse(cmd, words).expect("parses").expect("not --help")
     }
 
     #[test]
     fn negative_numbers_are_values_not_flags() {
-        // The old parser treated any `-…` token as a flag, so a negative
-        // value was swallowed and its flag left empty.
-        let args = Args::parse(&argv(&["--min-lat", "-33.9", "-n", "-1", "--eps", "-.5"]));
-        assert_eq!(args.get("min-lat", ""), "-33.9");
-        assert_eq!(args.parse_num::<i64>("n", 0), Ok(-1));
-        assert_eq!(args.parse_num::<f64>("eps", 0.0), Ok(-0.5));
+        // A value flag takes the next token whatever it looks like.
+        let args = args("query", &["--alpha", "-0.5", "-n", "-1", "--limit", "-.5"]);
+        assert_eq!(args.value("--alpha"), Some("-0.5"));
+        assert_eq!(args.parse_num::<i64>("-n"), Ok(-1));
+        assert_eq!(args.parse_num::<f64>("--limit"), Ok(-0.5));
     }
 
     #[test]
     fn malformed_numbers_are_errors_naming_flag_and_value() {
-        let args = Args::parse(&argv(&[
-            "--trajs", "10k", "--seed", "x1", "-n", "1.5", "--limit",
-        ]));
+        let verify = args("verify", &["--trajs", "10k", "--seed", "x1"]);
         assert_eq!(
-            args.parse_num::<usize>("trajs", 200),
+            verify.parse_num::<usize>("--trajs"),
             Err("--trajs: not a number: '10k'".to_string())
         );
         assert_eq!(
-            args.parse_num::<u64>("seed", 1),
+            verify.parse_num::<u64>("--seed"),
             Err("--seed: not a number: 'x1'".to_string())
         );
+        let query = args("query", &["-n", "1.5"]);
         assert_eq!(
-            args.parse_num::<usize>("n", 100),
+            query.parse_num::<usize>("-n"),
             Err("-n: not a number: '1.5'".to_string())
         );
+        // An absent flag takes its table default, or none.
+        assert_eq!(query.parse_num::<usize>("--limit"), Ok(1024));
+        assert_eq!(query.parse_opt::<usize>("--cache-bytes"), Ok(None));
         assert_eq!(
-            args.parse_opt::<usize>("limit"),
-            Err("--limit: not a number: ''".to_string())
+            parse("query", &["--limit"]).err(),
+            Some("--limit: missing its value L".to_string())
         );
-        // An absent flag still takes its default.
-        assert_eq!(args.parse_num::<usize>("shards", 1), Ok(1));
-        assert_eq!(args.parse_opt::<usize>("cache-bytes"), Ok(None));
     }
 
     #[test]
     fn flags_without_values_still_parse() {
-        let args = Args::parse(&argv(&["--verbose", "--out", "x.utcq", "-q"]));
-        assert_eq!(args.get("verbose", "missing"), "");
-        assert_eq!(args.get("out", ""), "x.utcq");
-        assert_eq!(args.get("q", "missing"), "");
+        let args = args("query", &["--cache-stats", "--in", "x.utcq"]);
+        assert!(args.on("--cache-stats") && !args.on("-n"));
+        assert_eq!(args.value("--in"), Some("x.utcq"));
+        // A switch never takes a value: what follows it is read anew.
+        let e = parse("query", &["--cache-stats", "foo"]).err().unwrap();
+        assert!(e.starts_with("foo: unexpected argument"), "{e}");
     }
 
     #[test]
-    fn flag_heuristic() {
-        assert!(is_flag_token("--out"));
-        assert!(is_flag_token("-n"));
-        assert!(!is_flag_token("-33.9"));
-        assert!(!is_flag_token("-.5"));
-        assert!(!is_flag_token("-1"));
-        assert!(!is_flag_token("value"));
-        assert!(!is_flag_token("33"));
+    fn the_table_refuses_what_it_does_not_list() {
+        for (words, said) in [
+            (&["--shard", "3"][..], "--shard: unknown flag"),
+            (&["--trajs", "5", "stray"], "stray: unexpected argument"),
+            (&["--trajs", "5", "--trajs", "6"], "--trajs: given twice"),
+            (&["--out"], "--out: missing its value FILE"),
+        ] {
+            let e = parse("compress", words).err().unwrap();
+            assert!(e.starts_with(said), "{words:?}: {e}");
+        }
+        assert!(parse("compress", &["--trajs", "5", "--help"])
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "--alpha is not in the table of utcq compress")]
+    fn reading_a_flag_outside_the_table_panics() {
+        args("compress", &[]).value("--alpha");
+    }
+
+    #[test]
+    fn help_lists_every_flag_once_with_its_default() {
+        for cmd in CMDS {
+            let help = cmd.help();
+            let mut names = Vec::from_iter(cmd.flags().map(|f| f.0));
+            for Flag(name, _, default, _) in cmd.flags() {
+                assert!(help.contains(&format!("  {name} ")), "{}", cmd.name);
+                assert!(default.is_empty() || help.contains(&format!("(default {default})")));
+            }
+            names.sort_unstable();
+            let n = names.len();
+            names.dedup();
+            assert_eq!(names.len(), n, "utcq {} lists a flag twice", cmd.name);
+        }
+    }
+
+    #[test]
+    fn defaults_agree_with_the_library() {
+        let compress = args("compress", &[]);
+        let interval: i64 = compress.parse_num("--shard-interval").unwrap();
+        assert_eq!(interval, ByTime::default().interval_s);
+        let grid: u32 = compress.parse_num("--shard-grid").unwrap();
+        assert_eq!(grid, ByRegion::default().grid_n);
+        let fuzz = args("audit fuzz", &[]);
+        let opts = utcq::audit::fuzz::FuzzOpts::default();
+        assert_eq!(fuzz.parse_num::<u64>("--iters"), Ok(opts.iters));
+        assert_eq!(parse_seed(fuzz.get("--seed").unwrap()), Ok(opts.seed));
     }
 }

@@ -817,3 +817,85 @@ fn checked_in_session_fixture_stays_in_sync() {
     assert!(replies[8].1.line.contains(r#""op":"cache_stats""#));
     assert!(replies[9].1.shutdown, "session must end with shutdown");
 }
+
+/// PROTOCOL.md's request table lists exactly the op table's rows: each
+/// op, its required fields and its optional ones (plus `id`, which
+/// every request may carry), in the table's order.
+#[test]
+fn protocol_md_request_table_equals_the_op_table() {
+    let doc =
+        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("PROTOCOL.md"))
+            .expect("PROTOCOL.md");
+    let names = |cell: &str| -> Vec<String> {
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(String::from)
+            .collect()
+    };
+    let table = doc
+        .split("| op | required fields | optional fields |")
+        .nth(1)
+        .expect("the request table");
+    let documented: Vec<(String, Vec<String>, Vec<String>)> = table
+        .lines()
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let op = cells[1].trim_matches('`').to_string();
+            (op, names(cells[2]), names(cells[3]))
+        })
+        .collect();
+    let table: Vec<(String, Vec<String>, Vec<String>)> = wire::OPS
+        .iter()
+        .map(|op| {
+            let mut optional = Vec::from_iter(op.optional.iter().map(|f| f.to_string()));
+            optional.push("id".to_string());
+            let required = op.required.iter().map(|f| f.to_string()).collect();
+            (op.name.to_string(), required, optional)
+        })
+        .collect();
+    assert_eq!(documented, table);
+}
+
+/// Each op's minimal line, built from its table row, decodes; leaving
+/// out any required field is a `bad_request` naming that field; a
+/// read-only surface refuses exactly the ops that write; and every
+/// successful reply names its op.
+#[test]
+fn every_op_decodes_from_its_table_row() {
+    let store = open_fixture(2);
+    for op in &wire::OPS {
+        let field = |f: &str| {
+            let value = if f == "trajectories" { "[]" } else { "0" };
+            format!(r#","{f}":{value}"#)
+        };
+        let line = |skip: Option<&str>| {
+            let fields = op.required.iter().filter(|f| Some(**f) != skip);
+            format!(
+                r#"{{"op":"{}"{}}}"#,
+                op.name,
+                String::from_iter(fields.map(|f| field(f)))
+            )
+        };
+        assert!(wire::parse_request(&line(None)).is_ok(), "{}", op.name);
+        for missing in op.required {
+            let e = wire::parse_request(&line(Some(missing))).unwrap_err();
+            assert_eq!(e.code, "bad_request", "{}", op.name);
+            assert!(e.message.contains(missing), "{}: {}", op.name, e.message);
+        }
+        let reply = wire::handle_line(&store, &line(None)).line;
+        assert_eq!(
+            reply.contains(r#""code":"read_only""#),
+            op.writes,
+            "{reply}"
+        );
+        let reply = wire::execute(&store, true, &line(None)).line;
+        let named = format!(r#"{{"ok":true,"op":"{}""#, op.name);
+        assert!(
+            reply.starts_with(&named) || reply.contains(r#""ok":false"#),
+            "{reply}"
+        );
+    }
+}
