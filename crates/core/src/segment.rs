@@ -1142,7 +1142,7 @@ impl<'a> TrajView<'a> {
 
     /// The streams of non-reference `i`: `Com_E`, `Com_T'`, `Com_D`, each
     /// walked to its end (a query decodes them in turn from one reader
-    /// instead, [`TrajView::decode_nref`]).
+    /// instead, `TrajView::decode_nref`).
     pub fn nref_streams(&self, i: usize) -> [BitSlice<'a>; 3] {
         let Some(n) = self.nref_row(i) else {
             return Default::default();

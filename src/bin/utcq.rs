@@ -129,7 +129,7 @@ const CMDS: &[Cmd] = &[
           groups: &[ROOT], run: cmd_audit_lint },
     Cmd { name: "audit fuzz", about: "fuzz the container, migrate, wire and log parsers",
           groups: &[ROOT, &[
-              Flag("--iters", "N", "10000", "mutated inputs to run"),
+              Flag("--iters", "N", "10000", "fuzz iterations"),
               Flag("--seed", "S", "0xC0FFEE", "seed, decimal or 0x hex"),
               Flag("--target", "NAME", "", "only this harness: container|migrate|wire|wal"),
               Flag("--replay", "", "", "replay tests/fuzz_regressions instead of fuzzing"),
@@ -851,6 +851,9 @@ fn parse_seed(s: &str) -> Result<u64, String> {
 
 fn cmd_audit_fuzz(args: &Args) -> Result<(), String> {
     use utcq::audit::fuzz;
+    for name in ["--iters", "--seed", "--target"] {
+        args.refuse(name, args.on("--replay"), "does not apply to --replay")?;
+    }
     let target = match args.value("--target") {
         None => None,
         Some(t) if ["container", "migrate", "wire", "wal"].contains(&t) => Some(t.to_string()),

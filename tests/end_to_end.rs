@@ -360,3 +360,242 @@ fn serve_waits_out_descriptor_exhaustion_without_spinning() {
     (&stream).write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
     assert!(server.0.wait().unwrap().success());
 }
+
+/// Every subcommand, as typed.
+const SUBCOMMANDS: [&[&str]; 11] = [
+    &["stats"],
+    &["compress"],
+    &["info"],
+    &["migrate"],
+    &["verify"],
+    &["query"],
+    &["serve"],
+    &["client"],
+    &["audit", "lint"],
+    &["audit", "fuzz"],
+    &["audit", "sched"],
+];
+
+/// A fresh empty directory for one CLI case.
+fn empty_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs the CLI in `dir` with stdin closed, killing it after 60 s (a
+/// command that should have refused its flags and instead serves must
+/// not hang the test). Returns success, stdout and stderr.
+fn utcq_in(dir: &std::path::Path, args: &[&str]) -> (bool, String, String) {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_utcq"))
+        .args(args)
+        .current_dir(dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("utcq runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let (mut out, mut err) = (String::new(), String::new());
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut out)
+        .unwrap();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    (status.is_some_and(|s| s.success()), out, err)
+}
+
+fn is_empty(dir: &std::path::Path) -> bool {
+    std::fs::read_dir(dir).unwrap().next().is_none()
+}
+
+/// The `--flag`s (and `-n`) written in `text`.
+fn flags_in(text: &str) -> Vec<String> {
+    text.split(|c: char| c.is_whitespace() || "[]|".contains(c))
+        .filter(|w| w.starts_with("--") || *w == "-n")
+        .map(String::from)
+        .collect()
+}
+
+/// `--help` prints the subcommand's flags and does nothing else: exit 0,
+/// no file written, no port bound, no fuzz iteration run. Every flag
+/// README.md's `## CLI` block gives a subcommand is in its help.
+#[test]
+fn cli_help_lists_the_flags_and_does_nothing_else() {
+    let readme = std::fs::read_to_string(
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("README.md"),
+    )
+    .unwrap();
+    let block = readme.split("## CLI").nth(1).unwrap();
+    let block = block.split("```").nth(1).unwrap();
+    // Each `utcq …` line of the block, with the indented lines after it.
+    let mut readme_flags: Vec<(String, Vec<String>)> = Vec::new();
+    for line in block.lines().skip(1) {
+        let line = line.split('#').next().unwrap();
+        if let Some(rest) = line.strip_prefix("utcq ") {
+            let words = rest
+                .split_whitespace()
+                .take_while(|w| !w.starts_with(['-', '[']));
+            readme_flags.push((words.collect::<Vec<_>>().join(" "), flags_in(rest)));
+        } else if let Some((_, flags)) = readme_flags.last_mut() {
+            flags.extend(flags_in(line));
+        }
+    }
+    assert!(readme_flags.len() >= SUBCOMMANDS.len(), "{readme_flags:?}");
+    for cmd in SUBCOMMANDS {
+        let dir = empty_dir(&format!("cli-help-{}", cmd.join("-")));
+        let (ok, out, err) = utcq_in(&dir, &[cmd, &["--help"]].concat());
+        assert!(ok, "utcq {cmd:?} --help: {err}");
+        assert!(
+            out.starts_with(&format!("usage: utcq {} ", cmd.join(" "))),
+            "{out}"
+        );
+        assert!(!out.contains("mutated input"), "{out}");
+        assert!(is_empty(&dir), "utcq {cmd:?} --help wrote a file");
+        let listed = flags_in(&out);
+        assert!(!listed.is_empty(), "{out}");
+        for (named, flags) in &readme_flags {
+            if *named == cmd.join(" ") {
+                for flag in flags {
+                    assert!(
+                        listed.contains(flag),
+                        "README gives utcq {named} {flag}: {out}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A flag the table does not list, a stray argument and a value flag
+/// with no value each exit 1 naming the token, before any work: no file
+/// is written.
+#[test]
+fn cli_refuses_unknown_flags_stray_arguments_and_missing_values() {
+    let value_flag = |cmd: &[&str]| match cmd {
+        ["stats"] => "--trajs",
+        ["audit", "lint"] => "--root",
+        ["audit", "fuzz"] => "--iters",
+        ["audit", "sched"] => "--bound",
+        _ => "--in",
+    };
+    for cmd in SUBCOMMANDS {
+        for bad in [&["--bogus-flag"][..], &["stray"], &[value_flag(cmd)]] {
+            let dir = empty_dir(&format!("cli-refuse-{}", cmd.join("-")));
+            let (ok, _, err) = utcq_in(&dir, &[cmd, bad].concat());
+            assert!(!ok, "utcq {cmd:?} {bad:?} was accepted");
+            assert!(
+                err.starts_with(&format!("error: {}: ", bad[0])),
+                "{cmd:?}: {err}"
+            );
+            assert!(is_empty(&dir), "utcq {cmd:?} {bad:?} wrote a file");
+        }
+    }
+}
+
+/// A flag the chosen mode would ignore is refused by name, before the
+/// command opens, writes or binds anything.
+#[test]
+fn cli_refuses_flags_the_chosen_mode_ignores() {
+    let fixture =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tiny_v8.utcq");
+    let fixture = fixture.to_str().unwrap();
+    let serve = ["serve", "--in", fixture, "--addr", "127.0.0.1:0"];
+    let cases: [(&[&str], &str); 11] = [
+        (&[&serve[..], &["--fsync", "never"]].concat(), "--fsync"),
+        (
+            &[&serve[..], &["--checkpoint-bytes", "64"]].concat(),
+            "--checkpoint-bytes",
+        ),
+        (
+            &["compress", "--profile", "tiny", "--shard-by", "region"],
+            "--shard-by",
+        ),
+        (
+            &[
+                "compress",
+                "--profile",
+                "tiny",
+                "--shards",
+                "1",
+                "--shard-interval",
+                "60",
+            ],
+            "--shard-interval",
+        ),
+        (
+            &["compress", "--profile", "tiny", "--shard-grid", "4"],
+            "--shard-grid",
+        ),
+        (
+            &[
+                "compress",
+                "--profile",
+                "tiny",
+                "--shards",
+                "3",
+                "--shard-grid",
+                "4",
+            ],
+            "--shard-grid",
+        ),
+        (
+            &[
+                "compress",
+                "--profile",
+                "tiny",
+                "--shards",
+                "3",
+                "--shard-by",
+                "region",
+                "--shard-interval",
+                "60",
+            ],
+            "--shard-interval",
+        ),
+        (
+            &["client", "--in", fixture, "--pipeline", "4"],
+            "--pipeline",
+        ),
+        (
+            &["client", "--addr", "127.0.0.1:1", "--writable"],
+            "--writable",
+        ),
+        (
+            &["client", "--addr", "127.0.0.1:1", "--in", fixture],
+            "--in",
+        ),
+        (&["audit", "fuzz", "--replay", "--iters", "5"], "--iters"),
+    ];
+    for (args, flag) in cases {
+        let dir = empty_dir("cli-mode");
+        let (ok, _, err) = utcq_in(&dir, args);
+        assert!(!ok, "utcq {args:?} was accepted");
+        assert!(
+            err.starts_with(&format!("error: {flag} ")),
+            "{args:?}: {err}"
+        );
+        assert!(is_empty(&dir), "utcq {args:?} wrote a file");
+    }
+}
